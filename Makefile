@@ -2,23 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare benchall table figures net examples fuzz lint detlint vet serve serve-test dataflow-test clean
+.PHONY: all build test race bench-smoke benchall table figures net examples fuzz lint detlint vet serve serve-test dataflow-test clean
 
 # Pinned linter versions, fetched on demand with `go run` so the repo adds
 # no module dependencies. Bump deliberately; CI uses the same pins.
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
-
-# Step-engine benchmark sweep recorded in BENCH_step_engine.json.
-# BENCH_BACKEND selects the step-engine backend (interp|fused) and
-# BENCH_SCHED the step scheduler (lockstep|dataflow) for the whole sweep via
-# the TCFPRAM_BACKEND/TCFPRAM_SCHED env vars, keeping benchmark names
-# identical across recorded labels so `benchjson -compare` lines them up.
-BENCH_PATTERN ?= BenchmarkFig7|BenchmarkS4a_VectorAdd|BenchmarkEngine_Step
-BENCH_LABEL   ?= local
-BENCH_TIME    ?= 400x
-BENCH_BACKEND ?= interp
-BENCH_SCHED   ?= lockstep
 
 all: build test
 
@@ -32,21 +21,13 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# bench runs the step-engine benchmarks (allocations reported) and merges
-# the labelled result into BENCH_step_engine.json for before/after diffing.
-# The steady-state step loop is gated at 0 allocs/op.
-bench:
-	TCFPRAM_BACKEND=$(BENCH_BACKEND) TCFPRAM_SCHED=$(BENCH_SCHED) $(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o BENCH_step_engine.json \
-			-require-zero-alloc 'BenchmarkEngine_StepLoop/(interp|fused)'
+# bench-smoke builds, vets and smoke-tests tcfbench (bench/, the repository's
+# benchmark: `go run -C bench .`). It is a module of its own that `build` and
+# `test` never compile; run this when an internal/ API it imports changes.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-compare diffs two recorded labels (ns/op and allocs/op), failing on
-# regressions: make bench-compare BENCH_BASE=pr4-staged BENCH_HEAD=pr8-fused
-BENCH_BASE ?= pr4-staged
-BENCH_HEAD ?= pr8-fused
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare -o BENCH_step_engine.json $(BENCH_BASE) $(BENCH_HEAD)
-
+# benchall runs the paper-figure benchmarks of bench_test.go/ablation_test.go.
 benchall:
 	$(GO) test -bench=. -benchmem ./...
 

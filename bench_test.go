@@ -8,7 +8,6 @@ package tcfpram
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"tcfpram/internal/exper"
@@ -17,43 +16,6 @@ import (
 	"tcfpram/internal/variant"
 	"tcfpram/internal/workload"
 )
-
-// benchBackend is the execution backend the whole benchmark run uses,
-// selected by the TCFPRAM_BACKEND environment variable ("interp" when unset,
-// "fused" for the compiled backend). Selecting via the environment instead of
-// sub-benchmarks keeps benchmark names identical across recorded labels, so
-// `benchjson -compare` lines up interp and fused runs name for name.
-var benchBackend = func() machine.Backend {
-	b, err := machine.ParseBackend(os.Getenv("TCFPRAM_BACKEND"))
-	if err != nil {
-		panic("TCFPRAM_BACKEND: " + err.Error())
-	}
-	return b
-}()
-
-// benchSched is the step scheduler the whole benchmark run uses, selected by
-// the TCFPRAM_SCHED environment variable ("lockstep" when unset, "dataflow"
-// for the group run-ahead scheduler) — the same keep-names-identical pattern
-// as TCFPRAM_BACKEND, so scheduler runs line up in `benchjson -compare`.
-var benchSched = func() machine.Sched {
-	s, err := machine.ParseSched(os.Getenv("TCFPRAM_SCHED"))
-	if err != nil {
-		panic("TCFPRAM_SCHED: " + err.Error())
-	}
-	return s
-}()
-
-// withBackend layers the selected backend and scheduler under a benchmark's
-// own tweak.
-func withBackend(tweak func(*machine.Config)) func(*machine.Config) {
-	return func(c *machine.Config) {
-		c.Backend = benchBackend
-		c.Sched = benchSched
-		if tweak != nil {
-			tweak(c)
-		}
-	}
-}
 
 // report attaches simulated-machine metrics to the benchmark result.
 func report(b *testing.B, m *machine.Machine) {
@@ -70,7 +32,7 @@ func benchWorkload(b *testing.B, kind variant.Kind, w workload.Workload, tweak f
 	b.ReportAllocs()
 	var last *machine.Machine
 	for i := 0; i < b.N; i++ {
-		last = exper.MustRun(kind, w, withBackend(tweak))
+		last = exper.MustRun(kind, w, tweak)
 	}
 	report(b, last)
 }
@@ -147,7 +109,7 @@ func BenchmarkFig6_SliceInterleaving(b *testing.B) {
 func BenchmarkFig7_SingleInstruction(b *testing.B) {
 	var last *exper.FigScheduleResult
 	for i := 0; i < b.N; i++ {
-		r, err := exper.FigSchedule(variant.SingleInstruction, withBackend(nil))
+		r, err := exper.FigSchedule(variant.SingleInstruction)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,7 +122,7 @@ func BenchmarkFig7_SingleInstruction(b *testing.B) {
 func BenchmarkFig8_Balanced(b *testing.B) {
 	var last *exper.FigScheduleResult
 	for i := 0; i < b.N; i++ {
-		r, err := exper.FigSchedule(variant.Balanced, withBackend(nil))
+		r, err := exper.FigSchedule(variant.Balanced)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +135,7 @@ func BenchmarkFig8_Balanced(b *testing.B) {
 func BenchmarkFig9_MultiInstruction(b *testing.B) {
 	var last *exper.FigScheduleResult
 	for i := 0; i < b.N; i++ {
-		r, err := exper.FigSchedule(variant.MultiInstruction, withBackend(nil))
+		r, err := exper.FigSchedule(variant.MultiInstruction)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,9 +302,9 @@ func BenchmarkEngine_StepThroughput(b *testing.B) {
 // BenchmarkEngine_StepLoop measures the steady-state cost of one machine
 // step on a long-lived machine (construction excluded): a thick loop body
 // that stores every iteration. With tracing disabled this must run at
-// zero allocations per step — the arenas absorb all step-local state. Both
-// backends are measured explicitly (and both are gated at zero allocations);
-// this is the one benchmark that ignores TCFPRAM_BACKEND.
+// zero allocations per step — the arenas absorb all step-local state
+// (machine.TestStepLoopSteadyStateAllocs gates that in tier-1, on both
+// backends, which are both measured here).
 func BenchmarkEngine_StepLoop(b *testing.B) {
 	src := `
 shared int c[64] @ 300;

@@ -8,7 +8,8 @@
 //	detlint [package-dir ...]
 //
 // With no arguments it lints the default deterministic set:
-// internal/machine, internal/mem, internal/fuse, internal/multiop.
+// internal/machine, internal/mem, internal/fuse, internal/multiop,
+// internal/pipeline.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or I/O error.
 package main
@@ -30,12 +31,13 @@ const (
 
 // deterministicPackages is the engine set whose outputs must replay
 // bit-identically; everything the serve layer hashes, journals or diffs
-// flows through these four.
+// flows through these.
 var deterministicPackages = []string{
 	"internal/machine",
 	"internal/mem",
 	"internal/fuse",
 	"internal/multiop",
+	"internal/pipeline",
 }
 
 func main() {

@@ -92,7 +92,7 @@ func emit(which string, out io.Writer) error {
 		}
 		any = true
 		header(title)
-		res, err := exper.FigSchedule(kind, nil)
+		res, err := exper.FigSchedule(kind)
 		if err != nil {
 			return err
 		}

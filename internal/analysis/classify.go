@@ -1,76 +1,26 @@
 package analysis
 
 import (
+	"tcfpram/internal/isa"
 	"tcfpram/internal/lang"
 	"tcfpram/internal/sema"
 )
 
-// foldOp evaluates one binary operator on constants with the machine's ALU
-// semantics: trap-free division/modulo (0 on zero divisor), shifts clamped
-// to [0,63], non-short-circuit boolean operators.
+// foldOp evaluates one binary operator on constants the way the compiled
+// program would: the operator's ALU opcode, and for the non-short-circuit
+// boolean connectives (which are not ISA ops) the SNE/SNE/AND|OR sequence
+// codegen emits.
 func foldOp(op lang.TokKind, a, b int64) (int64, bool) {
 	switch op {
-	case lang.TokPlus:
-		return a + b, true
-	case lang.TokMinus:
-		return a - b, true
-	case lang.TokStar:
-		return a * b, true
-	case lang.TokSlash:
-		if b == 0 {
-			return 0, true
-		}
-		return a / b, true
-	case lang.TokPercent:
-		if b == 0 {
-			return 0, true
-		}
-		return a % b, true
-	case lang.TokAmp:
-		return a & b, true
-	case lang.TokPipe:
-		return a | b, true
-	case lang.TokCaret:
-		return a ^ b, true
-	case lang.TokShl:
-		return a << clampShift(b), true
-	case lang.TokShr:
-		return a >> clampShift(b), true
-	case lang.TokLt:
-		return b2i(a < b), true
-	case lang.TokLe:
-		return b2i(a <= b), true
-	case lang.TokGt:
-		return b2i(a > b), true
-	case lang.TokGe:
-		return b2i(a >= b), true
-	case lang.TokEq:
-		return b2i(a == b), true
-	case lang.TokNe:
-		return b2i(a != b), true
 	case lang.TokAndAnd:
-		return b2i(a != 0 && b != 0), true
+		return isa.Eval(isa.AND, isa.Eval(isa.SNE, a, 0), isa.Eval(isa.SNE, b, 0)), true
 	case lang.TokOrOr:
-		return b2i(a != 0 || b != 0), true
+		return isa.Eval(isa.OR, isa.Eval(isa.SNE, a, 0), isa.Eval(isa.SNE, b, 0)), true
+	}
+	if alu, ok := sema.BinaryOp(op); ok {
+		return isa.Eval(alu, a, b), true
 	}
 	return 0, false
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // foldPlain evaluates e when it is built from literals only (no symbol
@@ -84,7 +34,7 @@ func foldPlain(e lang.Expr) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		return foldUnary(e.Op, v)
+		return sema.FoldUnary(e.Op, v)
 	case *lang.Binary:
 		a, ok1 := foldPlain(e.X)
 		b, ok2 := foldPlain(e.Y)
@@ -92,18 +42,6 @@ func foldPlain(e lang.Expr) (int64, bool) {
 			return 0, false
 		}
 		return foldOp(e.Op, a, b)
-	}
-	return 0, false
-}
-
-func foldUnary(op lang.TokKind, v int64) (int64, bool) {
-	switch op {
-	case lang.TokMinus:
-		return -v, true
-	case lang.TokTilde:
-		return ^v, true
-	case lang.TokBang:
-		return b2i(v == 0), true
 	}
 	return 0, false
 }
@@ -126,7 +64,7 @@ func (fa *funcAnalysis) fold(e lang.Expr) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		return foldUnary(e.Op, v)
+		return sema.FoldUnary(e.Op, v)
 	case *lang.Binary:
 		a, ok1 := fa.fold(e.X)
 		b, ok2 := fa.fold(e.Y)
@@ -257,7 +195,7 @@ func (fa *funcAnalysis) classify(e lang.Expr, depth int) idxInfo {
 			// Boolean-valued: at most two distinct values across threads.
 			if x.kind == idxCommon {
 				if x.valKnown {
-					return commonVal(b2i(x.val == 0))
+					return commonVal(isa.Eval(isa.SEQ, x.val, 0))
 				}
 				return commonAny()
 			}

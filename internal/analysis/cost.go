@@ -180,8 +180,9 @@ type CostReport struct {
 	MaxThickness     Bound `json:"max_thickness"`
 
 	// Shared-memory footprint at the memory system's page granularity
-	// (1024 words), plus per-module reference pressure and the same-step
-	// write-collision estimate.
+	// (mem.PageWords), the same-step write-collision estimate, and
+	// WordsPerModule: the number of shared references (not distinct words;
+	// the JSON key is historical) each memory module served.
 	FootprintPages Bound   `json:"footprint_pages"`
 	WordsPerModule []int64 `json:"words_per_module,omitempty"`
 	WriteConflicts Bound   `json:"write_conflicts"`

@@ -6,7 +6,9 @@ import (
 
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/isa"
+	"tcfpram/internal/mem"
 	"tcfpram/internal/multiop"
+	"tcfpram/internal/pipeline"
 	"tcfpram/internal/variant"
 )
 
@@ -29,11 +31,6 @@ import (
 // sound lower bounds: everything accounted before the stop has provably
 // been spent by any real run reaching that point, because stats accumulate
 // only at the fold/finish boundaries the engine itself commits at.
-
-const (
-	costPageShift = 10 // mirrors internal/mem pageShift
-	costPageWords = 1 << costPageShift
-)
 
 // costStop aborts abstract execution; run() recovers it into a Min-only
 // report.
@@ -168,21 +165,21 @@ func (m *absMem) loseAll() {
 // store coalesces into a single record covering threads [0, count);
 // arbitration still sees the lowest key of the range.
 type absWrite struct {
-	addr              int64
-	val               aval
-	flow, thread, seq int
-	count             int64
+	addr  int64
+	val   aval
+	key   mem.Key
+	count int64
 }
 
 // absContrib is one combining-operation contribution (multiop.Contrib).
 type absContrib struct {
-	kind              isa.Op
-	addr              int64
-	val               aval
-	flow, thread, seq int
-	wantPrefix        bool
-	rd                isa.Reg
-	rflow             *absFlow
+	kind       isa.Op
+	addr       int64
+	val        aval
+	key        mem.Key
+	wantPrefix bool
+	rd         isa.Reg
+	rflow      *absFlow
 }
 
 type absEventKind uint8
@@ -683,19 +680,10 @@ func (ex *costExec) addrVec(f *absFlow, in isa.Instr, w int) *avec {
 	return aluVec(isa.ADD, f.read(in.Ra, w, ex.concCap), uniVec(w, in.Imm), ex.concCap)
 }
 
-// moduleOf mirrors mem.HomeModuleOf (identity remap: no fault plans here).
-func (ex *costExec) moduleOf(addr int64) int {
-	m := int64(ex.nmods)
-	if m&(m-1) == 0 {
-		return int(addr & (m - 1))
-	}
-	return int(((addr % m) + m) % m)
-}
-
 // noteSharedN charges n same-address shared references: NUMA mode stalls
 // inline per reference, PRAM mode feeds the latency-hiding overhead term.
 func (ex *costExec) noteSharedN(g *absGroup, addr, n int64, numa bool) {
-	mod := ex.moduleOf(addr)
+	mod := mem.HomeModule(addr, ex.nmods)
 	ex.moduleRefs[mod] += n
 	d := ex.dist[g.index][mod]
 	if numa {
@@ -712,8 +700,8 @@ func (ex *costExec) noteSharedN(g *absGroup, addr, n int64, numa bool) {
 // sequence by walking the module residue cycle once (period ≤ nmods).
 func (ex *costExec) noteSharedBulk(g *absGroup, base, stride int64, w int, numa bool) {
 	m := ex.nmods
-	r := ex.moduleOf(base)
-	s := ex.moduleOf(stride)
+	r := mem.HomeModule(base, ex.nmods)
+	s := mem.HomeModule(stride, ex.nmods)
 	period := 1
 	for cur := (r + s) % m; cur != r; cur = (cur + s) % m {
 		period++
@@ -745,7 +733,7 @@ func (ex *costExec) notePage(g *absGroup, addr int64, write bool) {
 	if addr < 0 || addr >= int64(ex.p.SharedWords) {
 		return
 	}
-	pg := addr >> costPageShift
+	pg := addr >> mem.PageShift
 	if write {
 		g.writePages[pg] = struct{}{}
 	} else {
@@ -784,11 +772,11 @@ func (ex *costExec) notePageBulk(g *absGroup, base, stride int64, w int, write b
 	if abss < 0 {
 		abss = -abss
 	}
-	if abss <= 0 || abss > costPageWords {
+	if abss <= 0 || abss > mem.PageWords {
 		ex.footLost = true
 		return
 	}
-	loPg, hiPg := lo>>costPageShift, hi>>costPageShift
+	loPg, hiPg := lo>>mem.PageShift, hi>>mem.PageShift
 	if hiPg-loPg+1 > 1<<16 {
 		ex.footLost = true
 		return
@@ -885,7 +873,7 @@ func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv *avec, w, seq int) {
 		ex.notePage(g, addr, true)
 		if inRange(addr) {
 			g.writes = append(g.writes, absWrite{
-				addr: addr, val: bv.lane(0), flow: f.id, thread: 0, seq: seq, count: int64(w),
+				addr: addr, val: bv.lane(0), key: mem.Key{Flow: f.id, Seq: seq}, count: int64(w),
 			})
 		}
 		if g.fwdOn {
@@ -902,7 +890,7 @@ func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv *avec, w, seq int) {
 				ex.notePage(g, a, true)
 				if inRange(a) {
 					g.writes = append(g.writes, absWrite{
-						addr: a, val: bv.lane(i), flow: f.id, thread: i, seq: seq, count: 1,
+						addr: a, val: bv.lane(i), key: mem.Key{Flow: f.id, Thread: i, Seq: seq}, count: 1,
 					})
 				}
 				if g.fwdOn {
@@ -991,7 +979,7 @@ func (ex *costExec) doCombine(g *absGroup, f *absFlow, in isa.Instr, w, seq int)
 		ex.noteSharedN(g, a, 1, numa)
 		ex.notePage(g, a, false)
 		ex.notePage(g, a, true)
-		c := absContrib{kind: kind, addr: a, val: bv.lane(i), flow: f.id, thread: i, seq: seq}
+		c := absContrib{kind: kind, addr: a, val: bv.lane(i), key: mem.Key{Flow: f.id, Thread: i, Seq: seq}}
 		if want {
 			c.wantPrefix, c.rd, c.rflow = true, in.Rd, f
 		}
@@ -1112,22 +1100,16 @@ func (ex *costExec) applyControl(g *absGroup, f *absFlow, in isa.Instr) {
 	}
 }
 
-// fold mirrors foldGroup: the group cycle under the extended cost model is
-// ops + max(pipeline fill, hidden memory latency) + NUMA stalls.
+// fold accumulates one group's step: its cycles under the step cost law
+// (the step takes the maximum over groups) and its counters into the totals.
 func (ex *costExec) fold(g *absGroup, stepCycles *int64) {
 	c := &g.cnt
-	opsCycles := c.ops + c.scalarOps
-	var overhead int64
-	if c.fetches > 0 {
-		overhead = int64(ex.p.PipelineDepth)
-		if c.anyShared {
-			if lat := int64(ex.p.MemLatencyBase + c.maxDist); lat > overhead {
-				overhead = lat
-			}
-		}
-	}
-	if gc := opsCycles + overhead + c.stall; gc > *stepCycles {
-		*stepCycles = gc
+	cost := pipeline.StepCost(
+		pipeline.Config{Depth: ex.p.PipelineDepth, MemLatency: ex.p.MemLatencyBase},
+		pipeline.Step{Ops: c.ops, ScalarOps: c.scalarOps, Fetches: c.fetches,
+			AnyShared: c.anyShared, MaxDist: c.maxDist, Stall: c.stall})
+	if cost.Cycles > *stepCycles {
+		*stepCycles = cost.Cycles
 	}
 	t := &ex.st
 	t.ops += c.ops
@@ -1138,7 +1120,7 @@ func (ex *costExec) fold(g *absGroup, stepCycles *int64) {
 	t.localReads += c.localReads
 	t.localWrites += c.localWrites
 	t.multiopRefs += c.multiopRefs
-	t.overhead += overhead
+	t.overhead += cost.Overhead
 	t.stall += c.stall
 	t.barriers += c.barriers
 	ex.pendingWrites = append(ex.pendingWrites, g.writes...)
@@ -1160,16 +1142,7 @@ func applyAval(kind isa.Op, a, b aval) aval {
 func (ex *costExec) commit() {
 	ws := ex.pendingWrites
 	slices.SortFunc(ws, func(a, b absWrite) int {
-		switch {
-		case a.addr != b.addr:
-			return cmp64(a.addr, b.addr)
-		case a.flow != b.flow:
-			return a.flow - b.flow
-		case a.thread != b.thread:
-			return a.thread - b.thread
-		default:
-			return a.seq - b.seq
-		}
+		return mem.CompareRefs(a.addr, a.key, b.addr, b.key)
 	})
 	for i := 0; i < len(ws); {
 		j := i + 1
@@ -1182,7 +1155,7 @@ func (ex *costExec) commit() {
 		ex.conflicts += weight - 1
 		i = j
 	}
-	for _, kind := range []isa.Op{isa.ADD, isa.AND, isa.OR, isa.MAX, isa.MIN} {
+	for _, kind := range multiop.Kinds {
 		var cs []absContrib
 		for _, c := range ex.pendingContribs {
 			if c.kind == kind {
@@ -1193,16 +1166,7 @@ func (ex *costExec) commit() {
 			continue
 		}
 		slices.SortFunc(cs, func(a, b absContrib) int {
-			switch {
-			case a.addr != b.addr:
-				return cmp64(a.addr, b.addr)
-			case a.flow != b.flow:
-				return a.flow - b.flow
-			case a.thread != b.thread:
-				return a.thread - b.thread
-			default:
-				return a.seq - b.seq
-			}
+			return mem.CompareRefs(a.addr, a.key, b.addr, b.key)
 		})
 		for i := 0; i < len(cs); {
 			addr := cs[i].addr
@@ -1212,7 +1176,7 @@ func (ex *costExec) commit() {
 				c := cs[j]
 				if c.wantPrefix {
 					idx := c.rd.Index()
-					c.rflow.vecs[idx] = setLaneVec(c.rflow.vecs[idx], c.thread, c.rflow.lanes(), ex.concCap, acc)
+					c.rflow.vecs[idx] = setLaneVec(c.rflow.vecs[idx], c.key.Thread, c.rflow.lanes(), ex.concCap, acc)
 				}
 				acc = applyAval(kind, acc, c.val)
 			}
@@ -1220,16 +1184,6 @@ func (ex *costExec) commit() {
 			i = j
 		}
 	}
-}
-
-func cmp64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // retireEvents mirrors the frontend: join bookkeeping cascades parent

@@ -20,7 +20,7 @@ import (
 //
 // Affine forms are exact under two's-complement wraparound: ADD/SUB/MUL-
 // by-uniform/SHL-by-uniform are ring operations mod 2^64, so the closed
-// forms match the engine's aluEval lane for lane.
+// forms match isa.Eval lane for lane.
 
 // aval is a scalar abstract value.
 type aval struct {
@@ -65,7 +65,7 @@ func affVec(n int, b, s int64) *avec {
 }
 
 // lane reads lane i with the engine's semantics: indices beyond the
-// representation read as zero (laneVal on a shorter backing).
+// representation read as zero (Flow.Lane on a shorter backing).
 func (v *avec) lane(i int) aval {
 	if v == nil || i >= v.n {
 		return known(0)
@@ -219,68 +219,13 @@ func setLaneVec(b *avec, i, lanes, cap int, v aval) *avec {
 	return concVec(out)
 }
 
-// aluEval mirrors the engine's scalar ALU exactly (internal/machine/ops.go).
-func aluEval(op isa.Op, a, b int64) int64 {
-	switch op {
-	case isa.ADD:
-		return a + b
-	case isa.SUB:
-		return a - b
-	case isa.MUL:
-		return a * b
-	case isa.DIV:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.MOD:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case isa.AND:
-		return a & b
-	case isa.OR:
-		return a | b
-	case isa.XOR:
-		return a ^ b
-	case isa.SHL:
-		return a << clampShift(b)
-	case isa.SHR:
-		return a >> clampShift(b)
-	case isa.MIN:
-		if a < b {
-			return a
-		}
-		return b
-	case isa.MAX:
-		if a > b {
-			return a
-		}
-		return b
-	case isa.SEQ:
-		return b2i(a == b)
-	case isa.SNE:
-		return b2i(a != b)
-	case isa.SLT:
-		return b2i(a < b)
-	case isa.SLE:
-		return b2i(a <= b)
-	case isa.SGT:
-		return b2i(a > b)
-	case isa.SGE:
-		return b2i(a >= b)
-	}
-	return 0
-}
-
 // aluVec applies a binary ALU op lane-wise over two equal-length views.
 // Affine closed forms are used where they are exact under wraparound;
 // everything else materializes below the cap and degrades to unknown above.
 func aluVec(op isa.Op, a, b *avec, cap int) *avec {
 	n := a.n
 	if a.kind == cvUni && b.kind == cvUni {
-		return uniVec(n, aluEval(op, a.base, b.base))
+		return uniVec(n, isa.Eval(op, a.base, b.base))
 	}
 	if a.kind != cvUnk && b.kind != cvUnk && a.kind != cvConc && b.kind != cvConc {
 		// Both uni/aff: treat uni as stride 0.
@@ -306,8 +251,7 @@ func aluVec(op isa.Op, a, b *avec, cap int) *avec {
 			}
 		case isa.SHL:
 			if bs == 0 {
-				s := clampShift(bb)
-				return affVec(n, ab<<s, as<<s)
+				return affVec(n, isa.Eval(op, ab, bb), isa.Eval(op, as, bb))
 			}
 		}
 	}
@@ -317,43 +261,26 @@ func aluVec(op isa.Op, a, b *avec, cap int) *avec {
 	}
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = aluEval(op, av[i], bv[i])
+		out[i] = isa.Eval(op, av[i], bv[i])
 	}
 	return concVec(out)
 }
 
-// unaryVec applies MOV/NEG/NOT lane-wise.
+// unaryVec applies MOV/NEG/NOT lane-wise. NEG and NOT are both affine maps
+// (-x, and ^x = -x-1), so a stride negates under either.
 func unaryVec(op isa.Op, a *avec, cap int) *avec {
+	if op == isa.MOV {
+		return a
+	}
 	switch a.kind {
 	case cvUni:
-		switch op {
-		case isa.MOV:
-			return a
-		case isa.NEG:
-			return uniVec(a.n, -a.base)
-		case isa.NOT:
-			return uniVec(a.n, ^a.base)
-		}
+		return uniVec(a.n, isa.EvalUnary(op, a.base))
 	case cvAff:
-		switch op {
-		case isa.MOV:
-			return a
-		case isa.NEG:
-			return affVec(a.n, -a.base, -a.stride)
-		case isa.NOT:
-			return affVec(a.n, ^a.base, -a.stride)
-		}
+		return affVec(a.n, isa.EvalUnary(op, a.base), -a.stride)
 	case cvConc:
-		if op == isa.MOV {
-			return a
-		}
 		out := make([]int64, a.n)
 		for i, v := range a.vals {
-			if op == isa.NEG {
-				out[i] = -v
-			} else {
-				out[i] = ^v
-			}
+			out[i] = isa.EvalUnary(op, v)
 		}
 		return concVec(out)
 	}

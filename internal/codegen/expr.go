@@ -8,92 +8,9 @@ import (
 	"tcfpram/internal/sema"
 )
 
-var binOps = map[lang.TokKind]isa.Op{
-	lang.TokPlus:    isa.ADD,
-	lang.TokMinus:   isa.SUB,
-	lang.TokStar:    isa.MUL,
-	lang.TokSlash:   isa.DIV,
-	lang.TokPercent: isa.MOD,
-	lang.TokAmp:     isa.AND,
-	lang.TokPipe:    isa.OR,
-	lang.TokCaret:   isa.XOR,
-	lang.TokShl:     isa.SHL,
-	lang.TokShr:     isa.SHR,
-	lang.TokLt:      isa.SLT,
-	lang.TokLe:      isa.SLE,
-	lang.TokGt:      isa.SGT,
-	lang.TokGe:      isa.SGE,
-	lang.TokEq:      isa.SEQ,
-	lang.TokNe:      isa.SNE,
-}
-
 var commutative = map[isa.Op]bool{
 	isa.ADD: true, isa.MUL: true, isa.AND: true, isa.OR: true, isa.XOR: true,
 	isa.SEQ: true, isa.SNE: true, isa.MIN: true, isa.MAX: true,
-}
-
-// foldBin evaluates a binary operation on constants.
-func foldBin(op isa.Op, a, b int64) int64 {
-	switch op {
-	case isa.ADD:
-		return a + b
-	case isa.SUB:
-		return a - b
-	case isa.MUL:
-		return a * b
-	case isa.DIV:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.MOD:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case isa.AND:
-		return a & b
-	case isa.OR:
-		return a | b
-	case isa.XOR:
-		return a ^ b
-	// Shifts clamp to [0,63] exactly like the machine ALU: the constant
-	// folder must not diverge from runtime semantics.
-	case isa.SHL:
-		return a << clampShift(b)
-	case isa.SHR:
-		return a >> clampShift(b)
-	case isa.SLT:
-		return b2i(a < b)
-	case isa.SLE:
-		return b2i(a <= b)
-	case isa.SGT:
-		return b2i(a > b)
-	case isa.SGE:
-		return b2i(a >= b)
-	case isa.SEQ:
-		return b2i(a == b)
-	case isa.SNE:
-		return b2i(a != b)
-	}
-	panic("codegen: foldBin on " + op.String())
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // destFor allocates a result register of the right class: thick results use
@@ -165,13 +82,8 @@ func (g *gen) unaryExpr(e *lang.Unary) (value, error) {
 		return value{}, err
 	}
 	if x.isImm {
-		switch e.Op {
-		case lang.TokMinus:
-			return immVal(-x.imm), nil
-		case lang.TokTilde:
-			return immVal(^x.imm), nil
-		case lang.TokBang:
-			return immVal(b2i(x.imm == 0)), nil
+		if v, ok := sema.FoldUnary(e.Op, x.imm); ok {
+			return immVal(v), nil
 		}
 	}
 	// Operand temps are consumed by the single emitted instruction (which
@@ -204,11 +116,12 @@ func (g *gen) binaryExpr(e *lang.Binary) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
+		op := isa.AND
+		if e.Op == lang.TokOrOr {
+			op = isa.OR
+		}
 		if x.isImm && y.isImm {
-			if e.Op == lang.TokAndAnd {
-				return immVal(b2i(x.imm != 0 && y.imm != 0)), nil
-			}
-			return immVal(b2i(x.imm != 0 || y.imm != 0)), nil
+			return immVal(isa.Eval(op, isa.Eval(isa.SNE, x.imm, 0), isa.Eval(isa.SNE, y.imm, 0))), nil
 		}
 		norm := func(v value) isa.Reg {
 			r := g.materialize(v)
@@ -218,15 +131,11 @@ func (g *gen) binaryExpr(e *lang.Binary) (value, error) {
 		}
 		nx, ny := norm(x), norm(y)
 		dst := g.destFor(x.thick || y.thick)
-		op := isa.AND
-		if e.Op == lang.TokOrOr {
-			op = isa.OR
-		}
 		g.b.ALU(op, dst, nx, ny)
 		return regVal(dst), nil
 	}
 
-	op, ok := binOps[e.Op]
+	op, ok := sema.BinaryOp(e.Op)
 	if !ok {
 		return value{}, g.errf(e.Pos, "unhandled binary operator %s", e.Op)
 	}
@@ -240,7 +149,7 @@ func (g *gen) binaryExpr(e *lang.Binary) (value, error) {
 		return value{}, err
 	}
 	if x.isImm && y.isImm {
-		return immVal(foldBin(op, x.imm, y.imm)), nil
+		return immVal(isa.Eval(op, x.imm, y.imm)), nil
 	}
 	// Immediate on the right: use the immediate ALU form. Operand temps
 	// are released before allocating the destination (see unaryExpr).

@@ -71,7 +71,7 @@ func (e *exprNode) eval(vars []int64) int64 {
 	case "-":
 		return -e.l.eval(vars)
 	case "!":
-		return b2i(e.l.eval(vars) == 0)
+		return truth(e.l.eval(vars) == 0)
 	case "~":
 		return ^e.l.eval(vars)
 	}
@@ -118,23 +118,31 @@ func (e *exprNode) eval(vars []int64) int64 {
 		}
 		return a >> uint(s)
 	case "<":
-		return b2i(a < b)
+		return truth(a < b)
 	case "<=":
-		return b2i(a <= b)
+		return truth(a <= b)
 	case ">":
-		return b2i(a > b)
+		return truth(a > b)
 	case ">=":
-		return b2i(a >= b)
+		return truth(a >= b)
 	case "==":
-		return b2i(a == b)
+		return truth(a == b)
 	case "!=":
-		return b2i(a != b)
+		return truth(a != b)
 	case "&&":
-		return b2i(a != 0 && b != 0)
+		return truth(a != 0 && b != 0)
 	case "||":
-		return b2i(a != 0 || b != 0)
+		return truth(a != 0 || b != 0)
 	}
 	panic("bad op " + e.op)
+}
+
+// truth is the reference evaluator's own 0/1 encoding of a condition.
+func truth(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestExpressionDifferential(t *testing.T) {

@@ -215,7 +215,7 @@ func TestFig6SingleProcessorInterleavesSlices(t *testing.T) {
 }
 
 func TestFig7UnbalancedSingleInstruction(t *testing.T) {
-	res, err := FigSchedule(variant.SingleInstruction, nil)
+	res, err := FigSchedule(variant.SingleInstruction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +229,14 @@ func TestFig7UnbalancedSingleInstruction(t *testing.T) {
 }
 
 func TestFig8BalancedBoundsSteps(t *testing.T) {
-	res, err := FigSchedule(variant.Balanced, nil)
+	res, err := FigSchedule(variant.Balanced)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MaxStepOps > B {
 		t.Fatalf("balanced step executed %d ops > bound %d", res.MaxStepOps, B)
 	}
-	si, err := FigSchedule(variant.SingleInstruction, nil)
+	si, err := FigSchedule(variant.SingleInstruction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,11 +246,11 @@ func TestFig8BalancedBoundsSteps(t *testing.T) {
 }
 
 func TestFig9MultiInstructionPacksSteps(t *testing.T) {
-	mi, err := FigSchedule(variant.MultiInstruction, nil)
+	mi, err := FigSchedule(variant.MultiInstruction)
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, err := FigSchedule(variant.SingleInstruction, nil)
+	si, err := FigSchedule(variant.SingleInstruction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,9 @@ func TestAutoSplitSweep(t *testing.T) {
 }
 
 // Cross-validation: the machine's per-step cost agrees with the slice-level
-// pipeline model on a single-group, single-flow straight-line workload.
+// pipeline model on a single-group, single-flow straight-line workload —
+// exactly for compute steps, and to the one cycle the step law documents
+// (pipeline.StepCost) for a step that references shared memory.
 func TestMachineStepCostMatchesPipelineModel(t *testing.T) {
 	const thickness, instrs = 24, 5
 	b := isa.NewBuilder("crossval")
@@ -507,6 +509,8 @@ func TestMachineStepCostMatchesPipelineModel(t *testing.T) {
 	for i := 0; i < instrs; i++ {
 		b.ALUI(isa.ADD, isa.V(1), isa.V(1), 1)
 	}
+	b.Id(isa.TID, isa.V(0))
+	b.Ld(isa.V(2), isa.V(0), 100)
 	b.Halt()
 	cfg := machine.Default(variant.SingleInstruction)
 	cfg.Groups = 1
@@ -524,13 +528,24 @@ func TestMachineStepCostMatchesPipelineModel(t *testing.T) {
 	// Each compute step executes one thickness-wide instruction; the
 	// pipeline model prices it at thickness + depth.
 	pcfg := pipeline.Config{Depth: cfg.PipelineDepth, MemLatency: cfg.MemLatencyBase}
-	res, err := pipeline.Schedule(pcfg, []pipeline.Instr{{Thickness: thickness}})
+	compute, err := pipeline.Schedule(pcfg, []pipeline.Instr{{Thickness: thickness}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perStep := int64(res.Cycles)
-	// SETTHICK and HALT are 1-op steps costing 1 + depth each.
-	want := int64(instrs)*perStep + 2*int64(1+cfg.PipelineDepth)
+	// The load step's last slice is a reference to the one module, at
+	// distance zero: the schedule holds the step MemLatency-1 cycles past
+	// it, the machine MemLatency (the default latency exceeds the depth).
+	load, err := pipeline.Schedule(pcfg, []pipeline.Instr{{Thickness: thickness, MemRef: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.MemLatencyBase <= cfg.PipelineDepth {
+		t.Fatalf("default latency %d is hidden by the depth %d; the load step proves nothing",
+			cfg.MemLatencyBase, cfg.PipelineDepth)
+	}
+	// SETTHICK and HALT are 1-op steps costing 1 + depth each; TID is one
+	// more compute step.
+	want := int64(instrs+1)*int64(compute.Cycles) + int64(load.Cycles+1) + 2*int64(1+cfg.PipelineDepth)
 	if m.Stats().Cycles != want {
 		t.Fatalf("machine cycles %d != pipeline model %d", m.Stats().Cycles, want)
 	}

@@ -185,15 +185,12 @@ type FigScheduleResult struct {
 // FigSchedule reproduces the execution shape of Figures 7 (single
 // instruction: thick slows thin), 8 (balanced: bounded slices) and 9
 // (multi-instruction: several instructions per step).
-func FigSchedule(kind variant.Kind, tweak func(*machine.Config)) (*FigScheduleResult, error) {
+func FigSchedule(kind variant.Kind) (*FigScheduleResult, error) {
 	cfg := machine.Default(kind)
 	cfg.TraceEnabled = true
 	cfg.Groups = 2
 	cfg.ProcsPerGroup = 2
 	cfg.Topology = nil
-	if tweak != nil {
-		tweak(&cfg)
-	}
 	m, err := machine.New(cfg)
 	if err != nil {
 		return nil, err

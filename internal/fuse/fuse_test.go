@@ -89,7 +89,7 @@ func refLane(env Env, f *tcf.Flow, in isa.Instr, i int) int64 {
 		if !in.HasImm {
 			b = val(in.Rb)
 		}
-		return aluFn(in.Op)(val(in.Ra), b)
+		return isa.Eval(in.Op, val(in.Ra), b)
 	}
 	t := int64(0)
 	return t

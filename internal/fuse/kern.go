@@ -5,102 +5,6 @@ import (
 	"tcfpram/internal/tcf"
 )
 
-// laneVal mirrors the engine's operand read: scalar registers broadcast to
-// every lane; vector reads beyond the allocated lane count (possible only
-// for flow-level forms on thin flows) yield zero.
-func laneVal(f *tcf.Flow, r isa.Reg, i int) int64 {
-	if r.IsScalar() {
-		return f.Scalar(r)
-	}
-	v := f.Vector(r)
-	if i >= len(v) {
-		return 0
-	}
-	return v[i]
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// aluFn returns the scalar evaluator of a binary ALU opcode, identical to
-// the interpreter's trap-free ALU: division/modulo by zero yield zero,
-// shifts clamp to [0, 63].
-func aluFn(op isa.Op) func(a, b int64) int64 {
-	switch op {
-	case isa.ADD:
-		return func(a, b int64) int64 { return a + b }
-	case isa.SUB:
-		return func(a, b int64) int64 { return a - b }
-	case isa.MUL:
-		return func(a, b int64) int64 { return a * b }
-	case isa.DIV:
-		return func(a, b int64) int64 {
-			if b == 0 {
-				return 0
-			}
-			return a / b
-		}
-	case isa.MOD:
-		return func(a, b int64) int64 {
-			if b == 0 {
-				return 0
-			}
-			return a % b
-		}
-	case isa.AND:
-		return func(a, b int64) int64 { return a & b }
-	case isa.OR:
-		return func(a, b int64) int64 { return a | b }
-	case isa.XOR:
-		return func(a, b int64) int64 { return a ^ b }
-	case isa.SHL:
-		return func(a, b int64) int64 { return a << clampShift(b) }
-	case isa.SHR:
-		return func(a, b int64) int64 { return a >> clampShift(b) }
-	case isa.MIN:
-		return func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		}
-	case isa.MAX:
-		return func(a, b int64) int64 {
-			if a > b {
-				return a
-			}
-			return b
-		}
-	case isa.SEQ:
-		return func(a, b int64) int64 { return b2i(a == b) }
-	case isa.SNE:
-		return func(a, b int64) int64 { return b2i(a != b) }
-	case isa.SLT:
-		return func(a, b int64) int64 { return b2i(a < b) }
-	case isa.SLE:
-		return func(a, b int64) int64 { return b2i(a <= b) }
-	case isa.SGT:
-		return func(a, b int64) int64 { return b2i(a > b) }
-	case isa.SGE:
-		return func(a, b int64) int64 { return b2i(a >= b) }
-	}
-	return nil
-}
-
 // compileKern builds the lane kernel for a register-class instruction,
 // resolving operand shapes (vector/scalar/immediate) once. Returns nil for
 // opcodes without lane semantics.
@@ -133,15 +37,12 @@ func compileKern(in isa.Instr) Kern {
 				}
 			}
 		default:
-			return func(_ Env, f *tcf.Flow, first, end int) { f.SetScalar(rd, laneVal(f, ra, 0)) }
+			return func(_ Env, f *tcf.Flow, first, end int) { f.SetScalar(rd, f.Lane(ra, 0)) }
 		}
 
 	case in.Op == isa.NEG, in.Op == isa.NOT:
-		neg := in.Op == isa.NEG
-		un := func(v int64) int64 { return ^v }
-		if neg {
-			un = func(v int64) int64 { return -v }
-		}
+		op := in.Op
+		un := func(v int64) int64 { return isa.EvalUnary(op, v) }
 		if rd.IsVector() && ra.IsVector() {
 			return func(_ Env, f *tcf.Flow, first, end int) {
 				dst, src := f.Vector(rd), f.Vector(ra)
@@ -158,7 +59,7 @@ func compileKern(in isa.Instr) Kern {
 				}
 			}
 		}
-		return func(_ Env, f *tcf.Flow, first, end int) { f.SetScalar(rd, un(laneVal(f, ra, 0))) }
+		return func(_ Env, f *tcf.Flow, first, end int) { f.SetScalar(rd, un(f.Lane(ra, 0))) }
 
 	case in.Op.IsBinaryALU():
 		return binKern(in)
@@ -168,18 +69,18 @@ func compileKern(in isa.Instr) Kern {
 			return func(_ Env, f *tcf.Flow, first, end int) {
 				dst := f.Vector(rd)
 				for i := first; i < end; i++ {
-					v := laneVal(f, rc, i)
-					if laneVal(f, ra, i) != 0 {
-						v = laneVal(f, rb, i)
+					v := f.Lane(rc, i)
+					if f.Lane(ra, i) != 0 {
+						v = f.Lane(rb, i)
 					}
 					dst[i] = v
 				}
 			}
 		}
 		return func(_ Env, f *tcf.Flow, first, end int) {
-			v := laneVal(f, rc, 0)
-			if laneVal(f, ra, 0) != 0 {
-				v = laneVal(f, rb, 0)
+			v := f.Lane(rc, 0)
+			if f.Lane(ra, 0) != 0 {
+				v = f.Lane(rb, 0)
 			}
 			f.SetScalar(rd, v)
 		}
@@ -243,19 +144,16 @@ func fillKern(rd isa.Reg, val func(Env, *tcf.Flow) int64) Kern {
 func binKern(in isa.Instr) Kern {
 	rd, ra, rb := in.Rd, in.Ra, in.Rb
 	imm, hasImm := in.Imm, in.HasImm
-	fn := aluFn(in.Op)
-	if fn == nil {
-		return nil
-	}
+	fn := isa.EvalFn(in.Op)
 	if !rd.IsVector() {
 		// Scalar destination: one flow-level operation (lane 0 semantics).
 		if hasImm {
 			return func(_ Env, f *tcf.Flow, first, end int) {
-				f.SetScalar(rd, fn(laneVal(f, ra, 0), imm))
+				f.SetScalar(rd, fn(f.Lane(ra, 0), imm))
 			}
 		}
 		return func(_ Env, f *tcf.Flow, first, end int) {
-			f.SetScalar(rd, fn(laneVal(f, ra, 0), laneVal(f, rb, 0)))
+			f.SetScalar(rd, fn(f.Lane(ra, 0), f.Lane(rb, 0)))
 		}
 	}
 	aVec := ra.IsVector()

@@ -3,6 +3,8 @@ package machine
 import (
 	"tcfpram/internal/isa"
 	"tcfpram/internal/mem"
+	"tcfpram/internal/multiop"
+	"tcfpram/internal/pipeline"
 	"tcfpram/internal/tcf"
 )
 
@@ -85,23 +87,19 @@ func (m *Machine) foldGroup(gi int, c *groupCounters,
 			m.routes = append(m.routes, pc.route)
 			cb.Dest = len(m.routes) - 1
 		}
-		m.combiners[combinerIndex(pc.kind)].Add(cb)
+		m.combiners[multiop.KindIndex(pc.kind)].Add(cb)
 	}
 	m.stepOutputs = append(m.stepOutputs, outputs...)
 	m.stepEvents = append(m.stepEvents, events...)
 	m.discAccs = append(m.discAccs, accs...)
 
-	opsCycles := c.ops + c.scalarOps
-	var overhead int64
-	if c.fetches > 0 {
-		overhead = int64(m.cfg.PipelineDepth)
-		if c.anyShared {
-			if l := int64(m.cfg.MemLatencyBase + c.maxDist); l > overhead {
-				overhead = l
-			}
-		}
-	}
-	gc := opsCycles + overhead + c.stall + c.faultStall
+	cost := pipeline.StepCost(
+		pipeline.Config{Depth: m.cfg.PipelineDepth, MemLatency: m.cfg.MemLatencyBase},
+		pipeline.Step{Ops: c.ops, ScalarOps: c.scalarOps, Fetches: c.fetches,
+			AnyShared: c.anyShared, MaxDist: c.maxDist, Stall: c.stall})
+	opsCycles, overhead := cost.OpsCycles, cost.Overhead
+	// Fault stalls (retransmissions, detours) come on top of the law.
+	gc := cost.Cycles + c.faultStall
 	m.stats.PerGroupOps[gi] += opsCycles
 	m.stats.PerGroupCycles[gi] += gc
 	m.stats.Ops += c.ops
@@ -226,7 +224,7 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan StepPlan, budget *int) {
 				f.InstrFetches += extra
 			}
 		}
-		if plan.Slice && sliceable(f, in) {
+		if plan.Slice && in.Sliceable() {
 			w := width(f, in)
 			n := w - f.Offset
 			if plan.Budget > 0 && n > *budget {

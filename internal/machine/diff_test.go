@@ -99,7 +99,7 @@ func genDiffProgram(rng *rand.Rand) diffProgram {
 			sr := 1 + rng.Intn(2)
 			b.ALU(op, isa.V(d), isa.V(a), isa.S(sr))
 			for i := 0; i < lanes; i++ {
-				vregs[d][i] = aluEval(op, vregs[a][i], sregs[sr])
+				vregs[d][i] = isa.Eval(op, vregs[a][i], sregs[sr])
 			}
 		case 4: // SEL
 			d, c, xx, y := 1+rng.Intn(5), rng.Intn(6), rng.Intn(6), rng.Intn(6)
@@ -135,7 +135,7 @@ func genDiffProgram(rng *rand.Rand) diffProgram {
 			imm := int64(rng.Intn(11) - 5)
 			b.ALUI(op, isa.V(d), isa.V(a), imm)
 			for i := 0; i < lanes; i++ {
-				vregs[d][i] = aluEval(op, vregs[a][i], imm)
+				vregs[d][i] = isa.Eval(op, vregs[a][i], imm)
 			}
 		}
 	}
@@ -247,7 +247,7 @@ func genNUMADiff(rng *rand.Rand) diffProgram {
 			d, a2 := 1+rng.Intn(3), 1+rng.Intn(3)
 			imm := int64(rng.Intn(9) - 4)
 			b.ALUI(op, isa.S(d), isa.S(a2), imm)
-			sregs[d] = aluEval(op, sregs[a2], imm)
+			sregs[d] = isa.Eval(op, sregs[a2], imm)
 		}
 	}
 	b.Op(isa.PRAM)

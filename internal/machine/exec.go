@@ -63,7 +63,7 @@ func (x *groupExec) execWhole(f *tcf.Flow, slot int, in isa.Instr) {
 		return
 	}
 	w := width(f, in)
-	if !sliceable(f, in) {
+	if !in.Sliceable() {
 		x.record(f, slot, in, 0, w, f.Mode == tcf.NUMA)
 		x.execAtomic(f, in)
 		if w <= 1 {
@@ -151,7 +151,7 @@ func (x *groupExec) execNUMABunch(f *tcf.Flow, slot, n int) int {
 		}
 		x.record(f, slot, in, 0, 1, true)
 		seq := k
-		if !sliceable(f, in) {
+		if !in.Sliceable() {
 			x.execAtomic(f, in)
 			x.scalarOps++
 		} else {
@@ -166,13 +166,6 @@ func (x *groupExec) execNUMABunch(f *tcf.Flow, slot, n int) int {
 		}
 	}
 	return executed
-}
-
-// sliceable reports whether the instruction can be split lane-by-lane across
-// steps (Balanced variant). Like isThick, it delegates to the instruction
-// property shared with the fuse compiler.
-func sliceable(f *tcf.Flow, in isa.Instr) bool {
-	return in.Sliceable()
 }
 
 // record appends a trace slice when tracing is enabled.

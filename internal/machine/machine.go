@@ -49,7 +49,7 @@ type Machine struct {
 	homeGroup  map[int]int // flow id -> group index
 	nextFlowID int
 
-	combiners [len(combineKinds)]*multiop.Combiner
+	combiners [len(multiop.Kinds)]*multiop.Combiner
 
 	// Step-engine state, allocated once and reused every step (exec.go):
 	// per-group execution arenas, the flattened group×module distance
@@ -109,7 +109,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.front.m = m
 	m.back.m = m
-	copy(m.combiners[:], multiop.NewCombinerBank(combineKinds[:]))
+	m.combiners = multiop.NewCombinerBank()
 	m.shared.SetParallel(c.Parallel)
 	m.stats.PerGroupOps = make([]int64, c.Groups)
 	m.stats.PerGroupCycles = make([]int64, c.Groups)
@@ -147,26 +147,6 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 	return m, nil
-}
-
-// combineKinds lists the combining-operation kinds with a global combiner;
-// combinerIndex maps a kind to its slot.
-var combineKinds = [...]isa.Op{isa.ADD, isa.AND, isa.OR, isa.MAX, isa.MIN}
-
-func combinerIndex(op isa.Op) int {
-	switch op {
-	case isa.ADD:
-		return 0
-	case isa.AND:
-		return 1
-	case isa.OR:
-		return 2
-	case isa.MAX:
-		return 3
-	case isa.MIN:
-		return 4
-	}
-	panic(fmt.Sprintf("machine: no combiner for %s", op))
 }
 
 // Config returns the effective configuration.

@@ -11,109 +11,13 @@ import (
 	"tcfpram/internal/tcf"
 )
 
-// aluEval computes a binary ALU operation. Division and modulo by zero yield
-// zero (the simulated ALU is trap-free). Shifts clamp to [0,63].
-func aluEval(op isa.Op, a, b int64) int64 {
-	switch op {
-	case isa.ADD:
-		return a + b
-	case isa.SUB:
-		return a - b
-	case isa.MUL:
-		return a * b
-	case isa.DIV:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.MOD:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case isa.AND:
-		return a & b
-	case isa.OR:
-		return a | b
-	case isa.XOR:
-		return a ^ b
-	case isa.SHL:
-		return a << clampShift(b)
-	case isa.SHR:
-		return a >> clampShift(b)
-	case isa.MIN:
-		if a < b {
-			return a
-		}
-		return b
-	case isa.MAX:
-		if a > b {
-			return a
-		}
-		return b
-	case isa.SEQ:
-		return b2i(a == b)
-	case isa.SNE:
-		return b2i(a != b)
-	case isa.SLT:
-		return b2i(a < b)
-	case isa.SLE:
-		return b2i(a <= b)
-	case isa.SGT:
-		return b2i(a > b)
-	case isa.SGE:
-		return b2i(a >= b)
-	}
-	panic(fmt.Sprintf("machine: aluEval on %s", op))
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// isThick reports whether the instruction executes one operation per lane of
-// the flow (as opposed to a single flow-level operation). Thickness is an
-// instruction property — the flow argument is kept for call-site symmetry;
-// isa.Instr.Thick is the single source of truth (shared with the fuse
-// compiler).
-func isThick(f *tcf.Flow, in isa.Instr) bool {
-	return in.Thick()
-}
-
 // width returns the number of operation slices the instruction occupies for
 // this flow: Lanes() for thick instructions, 1 for flow-level ones.
 func width(f *tcf.Flow, in isa.Instr) int {
-	if isThick(f, in) {
+	if in.Thick() {
 		return f.Lanes()
 	}
 	return 1
-}
-
-// laneVal reads operand r for lane i: scalars broadcast, vector reads beyond
-// the lane count (possible only for flow-level instructions on thin flows)
-// yield zero.
-func laneVal(f *tcf.Flow, r isa.Reg, i int) int64 {
-	if r.IsScalar() {
-		return f.Scalar(r)
-	}
-	v := f.Vector(r)
-	if i >= len(v) {
-		return 0
-	}
-	return v[i]
 }
 
 // fragmentUnsafe reports whether an instruction cannot execute correctly in
@@ -454,7 +358,7 @@ func effAddr(f *tcf.Flow, in isa.Instr, i int) int64 {
 	if in.Ra == isa.RegNone {
 		return in.Imm
 	}
-	return laneVal(f, in.Ra, i) + in.Imm
+	return f.Lane(in.Ra, i) + in.Imm
 }
 
 // execLane executes lane i of an elementwise instruction.
@@ -463,21 +367,19 @@ func (x *groupExec) execLane(f *tcf.Flow, in isa.Instr, i, seq int) {
 	case in.Op == isa.LDI:
 		f.SetLane(in.Rd, i, in.Imm)
 	case in.Op == isa.MOV:
-		f.SetLane(in.Rd, i, laneVal(f, in.Ra, i))
-	case in.Op == isa.NEG:
-		f.SetLane(in.Rd, i, -laneVal(f, in.Ra, i))
-	case in.Op == isa.NOT:
-		f.SetLane(in.Rd, i, ^laneVal(f, in.Ra, i))
+		f.SetLane(in.Rd, i, f.Lane(in.Ra, i))
+	case in.Op == isa.NEG, in.Op == isa.NOT:
+		f.SetLane(in.Rd, i, isa.EvalUnary(in.Op, f.Lane(in.Ra, i)))
 	case in.Op.IsBinaryALU():
 		b := in.Imm
 		if !in.HasImm {
-			b = laneVal(f, in.Rb, i)
+			b = f.Lane(in.Rb, i)
 		}
-		f.SetLane(in.Rd, i, aluEval(in.Op, laneVal(f, in.Ra, i), b))
+		f.SetLane(in.Rd, i, isa.Eval(in.Op, f.Lane(in.Ra, i), b))
 	case in.Op == isa.SEL:
-		v := laneVal(f, in.Rc, i)
-		if laneVal(f, in.Ra, i) != 0 {
-			v = laneVal(f, in.Rb, i)
+		v := f.Lane(in.Rc, i)
+		if f.Lane(in.Ra, i) != 0 {
+			v = f.Lane(in.Rb, i)
 		}
 		f.SetLane(in.Rd, i, v)
 	case in.Op == isa.TID:
@@ -505,19 +407,19 @@ func (x *groupExec) execLane(f *tcf.Flow, in isa.Instr, i, seq int) {
 	case in.Op == isa.LD:
 		f.SetLane(in.Rd, i, x.loadShared(f, effAddr(f, in, i), i))
 	case in.Op == isa.ST:
-		x.storeShared(f, effAddr(f, in, i), laneVal(f, in.Rb, i), i, seq)
+		x.storeShared(f, effAddr(f, in, i), f.Lane(in.Rb, i), i, seq)
 	case in.Op == isa.LDL:
 		x.localReads++
 		f.SetLane(in.Rd, i, x.g.Local.Read(effAddr(f, in, i)))
 	case in.Op == isa.STL:
 		x.localWrites++
-		x.g.Local.Write(effAddr(f, in, i), laneVal(f, in.Rb, i))
+		x.g.Local.Write(effAddr(f, in, i), f.Lane(in.Rb, i))
 	case in.Op.IsMultiop():
 		x.multiopRefs++
 		addr := effAddr(f, in, i)
 		x.noteShared(addr, f.Mode == tcf.NUMA)
 		kind := in.Op.CombineKind()
-		val := laneVal(f, in.Rb, i)
+		val := f.Lane(in.Rb, i)
 		if x.immediate {
 			// XMT-style semantics: combine against the current state,
 			// lane order within the flow.
@@ -534,7 +436,7 @@ func (x *groupExec) execLane(f *tcf.Flow, in isa.Instr, i, seq int) {
 		addr := effAddr(f, in, i)
 		x.noteShared(addr, f.Mode == tcf.NUMA)
 		kind := in.Op.CombineKind()
-		val := laneVal(f, in.Rb, i)
+		val := f.Lane(in.Rb, i)
 		if x.immediate {
 			cur := x.m.shared.Peek(addr)
 			f.SetLane(in.Rd, i, cur)
@@ -594,18 +496,18 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in isa.Instr, first, n int)
 		switch {
 		case av != nil && bv != nil:
 			for i := first; i < end; i++ {
-				dst[i] = aluEval(op, av[i], bv[i])
+				dst[i] = isa.Eval(op, av[i], bv[i])
 			}
 		case av != nil:
 			for i := first; i < end; i++ {
-				dst[i] = aluEval(op, av[i], bs)
+				dst[i] = isa.Eval(op, av[i], bs)
 			}
 		case bv != nil:
 			for i := first; i < end; i++ {
-				dst[i] = aluEval(op, as, bv[i])
+				dst[i] = isa.Eval(op, as, bv[i])
 			}
 		default:
-			v := aluEval(op, as, bs)
+			v := isa.Eval(op, as, bs)
 			for i := first; i < end; i++ {
 				dst[i] = v
 			}
@@ -693,10 +595,10 @@ func (x *groupExec) execAtomic(f *tcf.Flow, in isa.Instr) {
 	switch {
 	case in.Op.IsReduction():
 		kind := in.Op.CombineKind()
+		apply := isa.EvalFn(kind)
 		acc := multiop.Identity(kind)
-		v := f.Vector(in.Ra)
-		for _, e := range v {
-			acc = multiop.Apply(kind, acc, e)
+		for _, e := range f.Vector(in.Ra) {
+			acc = apply(acc, e)
 		}
 		f.SetScalar(in.Rd, acc)
 	case in.Op == isa.PRINT:

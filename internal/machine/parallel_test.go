@@ -116,9 +116,9 @@ func TestLaneParallelActuallyChunks(t *testing.T) {
 	}
 }
 
-// TestStepLoopSteadyStateAllocs pins the tentpole property: with tracing
+// TestStepLoopSteadyStateAllocs is the 0 allocs/step gate: with tracing
 // disabled, the steady-state step loop performs zero heap allocations per
-// step once the arenas are warm.
+// step once the arenas are warm, on both backends.
 func TestStepLoopSteadyStateAllocs(t *testing.T) {
 	b := isa.NewBuilder("steady")
 	b.Label("main")
@@ -131,27 +131,34 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 	b.ALUI(isa.SUB, isa.S(1), isa.S(1), 1)
 	b.Branch(isa.BNEZ, isa.S(1), "loop")
 	b.Halt()
-	m, err := New(Default(variant.SingleInstruction))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadProgram(b.MustBuild()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Boot(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ { // warm the arenas
-		if err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0.1 {
-		t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
+	prog := b.MustBuild()
+	for _, backend := range []Backend{BackendInterp, BackendFused} {
+		t.Run(backend.String(), func(t *testing.T) {
+			cfg := Default(variant.SingleInstruction)
+			cfg.Backend = backend
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.LoadProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Boot(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 64; i++ { // warm the arenas
+				if err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0.1 {
+				t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
+			}
+		})
 	}
 }

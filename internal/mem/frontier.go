@@ -6,10 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// FrontierPageWords is the dependency-tracking granularity of Frontier: one
-// version per backing-store page (the same pages Shared allocates lazily).
-const FrontierPageWords = pageWords
-
 // frontierNone marks a page with no uncommitted writes.
 const frontierNone = math.MaxInt64
 
@@ -51,7 +47,7 @@ type Frontier struct {
 // NewFrontier builds a frontier covering a shared memory of the given word
 // count.
 func NewFrontier(words int) *Frontier {
-	np := (words + pageWords - 1) >> pageShift
+	np := (words + PageWords - 1) >> PageShift
 	if np < 1 {
 		np = 1
 	}
@@ -73,7 +69,7 @@ func (f *Frontier) Pages() int { return f.npages }
 // PageOf maps a word address to its page index, or -1 for out-of-range
 // addresses (which are never written and need no gating).
 func (f *Frontier) PageOf(addr int64) int {
-	p := int(addr >> pageShift)
+	p := int(addr >> PageShift)
 	if addr < 0 || p >= f.npages {
 		return -1
 	}

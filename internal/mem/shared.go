@@ -48,23 +48,49 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// Key orders writes within a step. Lower keys win under Priority (and are
-// the deterministic choice under Arbitrary).
+// Key identifies one thread's reference within a step and orders it against
+// the others: lower (Flow, Thread, Seq) wins a concurrent write under
+// Priority (and is the deterministic choice under Arbitrary) and combines
+// earlier in a multioperation — the ordered multiprefix of the paper's
+// prefix(...) primitive. multiop.Key is this type.
 type Key struct {
 	Flow   int // flow id
 	Thread int // thread index within the flow
 	Seq    int // issue sequence within the thread (NUMA bunches issue many)
 }
 
-// Less compares keys lexicographically.
-func (k Key) Less(o Key) bool {
+// Compare orders keys lexicographically. It and CompareRefs are the
+// comparators of the step's resolution sorts, written to inline into them.
+func (k Key) Compare(o Key) int {
+	a, b := k.Seq, o.Seq
 	if k.Flow != o.Flow {
-		return k.Flow < o.Flow
+		a, b = k.Flow, o.Flow
+	} else if k.Thread != o.Thread {
+		a, b = k.Thread, o.Thread
 	}
-	if k.Thread != o.Thread {
-		return k.Thread < o.Thread
+	if a < b {
+		return -1
 	}
-	return k.Seq < o.Seq
+	if a > b {
+		return 1
+	}
+	return 0
+}
+
+// Less reports whether k orders before o.
+func (k Key) Less(o Key) bool { return k.Compare(o) < 0 }
+
+// CompareRefs is the order a step's buffered references resolve in: by
+// address, then by key, so the first reference of each address run is the
+// winning write, and a combining run folds in key order.
+func CompareRefs(aAddr int64, aKey Key, bAddr int64, bKey Key) int {
+	if aAddr != bAddr {
+		if aAddr < bAddr {
+			return -1
+		}
+		return 1
+	}
+	return aKey.Compare(bKey)
 }
 
 // Write is one buffered shared-memory store.
@@ -74,23 +100,7 @@ type Write struct {
 	Key  Key
 }
 
-// compareWrites orders a step's writes for resolution: by address, then by
-// key (lowest key first, so the winner of each address run is ws[i]).
-func compareWrites(a, b Write) int {
-	if a.Addr != b.Addr {
-		if a.Addr < b.Addr {
-			return -1
-		}
-		return 1
-	}
-	if a.Key.Less(b.Key) {
-		return -1
-	}
-	if b.Key.Less(a.Key) {
-		return 1
-	}
-	return 0
-}
+func compareWrites(a, b Write) int { return CompareRefs(a.Addr, a.Key, b.Addr, b.Key) }
 
 // Conflict records a Common-policy violation: two same-step writes to Addr
 // with different values.
@@ -103,16 +113,30 @@ func (c Conflict) String() string {
 	return fmt.Sprintf("common-CRCW conflict at %d: %d vs %d", c.Addr, c.A, c.B)
 }
 
-// pageWords is the granularity of the lazily allocated backing store: pages
+// PageWords is the granularity of the lazily allocated backing store: pages
 // materialize on first write (or preload), so a machine whose program touches
 // a few hundred words never pays for zeroing the whole address space. 1024
 // words = 8 KiB per page, small enough to stay in the allocator's size
 // classes (32 KiB pages fell into the large-object path, whose span setup
-// dominated short-lived machines).
+// dominated short-lived machines). It is also the granularity of Frontier's
+// dependency tracking and of the cost analyzer's footprint.
 const (
-	pageShift = 10
-	pageWords = 1 << pageShift
+	PageShift = 10
+	PageWords = 1 << PageShift
 )
+
+// HomeModule returns the module addr interleaves onto in a memory of the
+// given module count: low-order interleaving (addr mod modules, Euclidean,
+// so negative addresses land on a module too). Power-of-two counts mask
+// instead of dividing — two's-complement AND is exactly the Euclidean
+// remainder — because this sits on the path of every shared reference.
+func HomeModule(addr int64, modules int) int {
+	m := int64(modules)
+	if m&(m-1) == 0 {
+		return int(addr & (m - 1))
+	}
+	return int(((addr % m) + m) % m)
+}
 
 // applyParallelMin is the buffered-write count below which ApplyStep resolves
 // shards serially; small steps stay allocation- and goroutine-free.
@@ -136,10 +160,9 @@ const applyParallelMin = 2048
 // locality (and hence latency) of the remapped references changes. With no
 // survivor left the failure is unrecoverable.
 type Shared struct {
-	pages   [][]int64 // lazily materialized pageWords-sized pages
+	pages   [][]int64 // lazily materialized PageWords-sized pages
 	size    int64     // total words
 	modules int
-	modMask int64 // modules-1 when modules is a power of two, else -1
 	policy  Policy
 	par     bool // resolve write shards on multiple goroutines
 
@@ -175,15 +198,11 @@ func NewShared(words, modules int, policy Policy) (*Shared, error) {
 	for i := range remap {
 		remap[i] = i
 	}
-	modMask := int64(-1)
-	if modules&(modules-1) == 0 {
-		modMask = int64(modules - 1)
-	}
 	// The page table itself materializes on first write: a machine whose
 	// program never touches shared memory pays nothing for it.
 	return &Shared{
 		size:    int64(words),
-		modules: modules, modMask: modMask, policy: policy,
+		modules: modules, policy: policy,
 		remap: remap, failed: make([]bool, modules),
 		shards: make([][]Write, modules),
 	}, nil
@@ -231,15 +250,7 @@ func (s *Shared) ModuleOf(addr int64) int {
 }
 
 // HomeModuleOf returns the module addr interleaves onto before failover.
-// Power-of-two module counts mask instead of dividing (two's-complement AND
-// is exactly the Euclidean remainder for negative addresses too) — this
-// sits on the hot path of every shared reference.
-func (s *Shared) HomeModuleOf(addr int64) int {
-	if s.modMask >= 0 {
-		return int(addr & s.modMask)
-	}
-	return int(((addr % int64(s.modules)) + int64(s.modules)) % int64(s.modules))
-}
+func (s *Shared) HomeModuleOf(addr int64) int { return HomeModule(addr, s.modules) }
 
 // ModuleFailed reports whether module m has fail-stopped.
 func (s *Shared) ModuleFailed(m int) bool {
@@ -288,18 +299,18 @@ func (s *Shared) page(addr int64) []int64 {
 	if s.pages == nil {
 		return nil
 	}
-	return s.pages[addr>>pageShift]
+	return s.pages[addr>>PageShift]
 }
 
 // ensurePage materializes the page backing addr and returns it.
 func (s *Shared) ensurePage(addr int64) []int64 {
 	if s.pages == nil {
-		s.pages = make([][]int64, (s.size+pageWords-1)>>pageShift)
+		s.pages = make([][]int64, (s.size+PageWords-1)>>PageShift)
 	}
-	i := addr >> pageShift
+	i := addr >> PageShift
 	p := s.pages[i]
 	if p == nil {
-		p = make([]int64, pageWords)
+		p = make([]int64, PageWords)
 		s.pages[i] = p
 	}
 	return p
@@ -313,7 +324,7 @@ func (s *Shared) ensurePage(addr int64) []int64 {
 // ordered behind the commit by the Frontier handshake.
 func (s *Shared) EnsurePageTable() {
 	if s.pages == nil {
-		s.pages = make([][]int64, (s.size+pageWords-1)>>pageShift)
+		s.pages = make([][]int64, (s.size+PageWords-1)>>PageShift)
 	}
 }
 
@@ -333,7 +344,7 @@ func (s *Shared) Peek(addr int64) int64 {
 	if p == nil {
 		return 0
 	}
-	return p[addr&(pageWords-1)]
+	return p[addr&(PageWords-1)]
 }
 
 // Reader is a page-cached read cursor for dense read runs: Peek through a
@@ -354,7 +365,7 @@ func (r *Reader) Peek(addr int64) int64 {
 	if !r.s.InRange(addr) {
 		return 0
 	}
-	if idx := addr >> pageShift; idx != r.pgIdx {
+	if idx := addr >> PageShift; idx != r.pgIdx {
 		r.pgIdx, r.pg = idx, nil
 		if r.s.pages != nil {
 			r.pg = r.s.pages[idx]
@@ -363,13 +374,13 @@ func (r *Reader) Peek(addr int64) int64 {
 	if r.pg == nil {
 		return 0
 	}
-	return r.pg[addr&(pageWords-1)]
+	return r.pg[addr&(PageWords-1)]
 }
 
 // Poke writes immediately without buffering (program loading, tests).
 func (s *Shared) Poke(addr int64, val int64) {
 	if s.InRange(addr) {
-		s.ensurePage(addr)[addr&(pageWords-1)] = val
+		s.ensurePage(addr)[addr&(PageWords-1)] = val
 	}
 }
 
@@ -380,7 +391,7 @@ func (s *Shared) Load(addr int64, words []int64) error {
 	}
 	for len(words) > 0 {
 		p := s.ensurePage(addr)
-		n := copy(p[addr&(pageWords-1):], words)
+		n := copy(p[addr&(PageWords-1):], words)
 		words = words[n:]
 		addr += int64(n)
 	}
@@ -560,10 +571,10 @@ func (s *Shared) applyShard(ws []Write) (conflicts []Conflict, done int64) {
 		// Lowest key wins (deterministic Arbitrary; exact Priority). The
 		// address order makes the page change rarely; cache it.
 		a := ws[i].Addr
-		if idx := a >> pageShift; idx != pgIdx {
+		if idx := a >> PageShift; idx != pgIdx {
 			pgIdx, pg = idx, s.ensurePage(a)
 		}
-		pg[a&(pageWords-1)] = ws[i].Val
+		pg[a&(PageWords-1)] = ws[i].Val
 		done++
 		i = j
 	}
@@ -593,8 +604,8 @@ func (s *Shared) Snapshot(addr int64, n int) []int64 {
 	}
 	for a := lo; a < hi; {
 		p := s.page(a)
-		off := a & (pageWords - 1)
-		end := a - off + pageWords // first word past this page
+		off := a & (PageWords - 1)
+		end := a - off + PageWords // first word past this page
 		if end > hi {
 			end = hi
 		}

@@ -322,20 +322,20 @@ func TestModuleFailoverUnrecoverable(t *testing.T) {
 // pages return zero without materializing anything, and writes land on the
 // right page.
 func TestSharedPagedBacking(t *testing.T) {
-	s := mustShared(t, 3*pageWords+17, 4, Arbitrary)
+	s := mustShared(t, 3*PageWords+17, 4, Arbitrary)
 	for _, p := range s.pages {
 		if p != nil {
 			t.Fatal("page materialized before any write")
 		}
 	}
-	if got := s.Peek(2 * pageWords); got != 0 {
+	if got := s.Peek(2 * PageWords); got != 0 {
 		t.Fatalf("untouched read = %d, want 0", got)
 	}
-	s.Poke(2*pageWords+5, 42)
+	s.Poke(2*PageWords+5, 42)
 	if s.pages[0] != nil || s.pages[1] != nil || s.pages[3] != nil {
 		t.Fatal("Poke materialized an unrelated page")
 	}
-	if got := s.Peek(2*pageWords + 5); got != 42 {
+	if got := s.Peek(2*PageWords + 5); got != 42 {
 		t.Fatalf("paged read = %d, want 42", got)
 	}
 	// The tail page is partial in the address space but full-size as a page;
@@ -350,11 +350,11 @@ func TestSharedPagedBacking(t *testing.T) {
 // TestSnapshotPagedAndClamped checks the direct-copy Snapshot across page
 // boundaries, unmaterialized holes and the end of the address space.
 func TestSnapshotPagedAndClamped(t *testing.T) {
-	s := mustShared(t, 2*pageWords+8, 4, Arbitrary)
-	s.Poke(pageWords-1, 11)
-	s.Poke(pageWords, 22) // next page
-	s.Poke(2*pageWords+7, 33)
-	got := s.Snapshot(pageWords-2, 4)
+	s := mustShared(t, 2*PageWords+8, 4, Arbitrary)
+	s.Poke(PageWords-1, 11)
+	s.Poke(PageWords, 22) // next page
+	s.Poke(2*PageWords+7, 33)
+	got := s.Snapshot(PageWords-2, 4)
 	want := []int64{0, 11, 22, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -363,7 +363,7 @@ func TestSnapshotPagedAndClamped(t *testing.T) {
 	}
 	// Past-the-end words read as zero, and the whole-range snapshot sees
 	// unmaterialized middle words as zero.
-	got = s.Snapshot(2*pageWords+6, 4)
+	got = s.Snapshot(2*PageWords+6, 4)
 	want = []int64{0, 33, 0, 0}
 	for i := range want {
 		if got[i] != want[i] {

@@ -91,7 +91,7 @@ func (s *Shared) DecodeFrom(d *checkpoint.Decoder) error {
 	}
 	// The page table is lazily materialized, so validate against the
 	// address-space capacity, not the (possibly still nil) table.
-	nPages := int((s.size + pageWords - 1) >> pageShift)
+	nPages := int((s.size + PageWords - 1) >> PageShift)
 	if n < 0 || n > nPages {
 		return fmt.Errorf("mem: snapshot page count %d outside [0,%d]", n, nPages)
 	}
@@ -107,11 +107,11 @@ func (s *Shared) DecodeFrom(d *checkpoint.Decoder) error {
 		if i < 0 || i >= nPages {
 			return fmt.Errorf("mem: snapshot page index %d outside [0,%d)", i, nPages)
 		}
-		if len(words) != pageWords {
-			return fmt.Errorf("mem: snapshot page %d holds %d words, want %d", i, len(words), pageWords)
+		if len(words) != PageWords {
+			return fmt.Errorf("mem: snapshot page %d holds %d words, want %d", i, len(words), PageWords)
 		}
 		if s.pages[i] == nil {
-			s.pages[i] = make([]int64, pageWords)
+			s.pages[i] = make([]int64, PageWords)
 		}
 		copy(s.pages[i], words)
 	}

@@ -11,11 +11,11 @@
 package multiop
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
 	"tcfpram/internal/isa"
+	"tcfpram/internal/mem"
 )
 
 // Contribution is one thread's participation in a combining operation on a
@@ -33,25 +33,9 @@ type Contribution struct {
 	Dest int
 }
 
-// Key orders contributions: lower (Flow, Thread, Seq) combines earlier.
-// This is the deterministic ordered multiprefix of the paper's prefix(...)
-// primitive.
-type Key struct {
-	Flow   int
-	Thread int
-	Seq    int
-}
-
-// Less compares keys lexicographically.
-func (k Key) Less(o Key) bool {
-	if k.Flow != o.Flow {
-		return k.Flow < o.Flow
-	}
-	if k.Thread != o.Thread {
-		return k.Thread < o.Thread
-	}
-	return k.Seq < o.Seq
-}
+// Key orders contributions: lower (Flow, Thread, Seq) combines earlier — the
+// same key, in the same order, that arbitrates concurrent writes.
+type Key = mem.Key
 
 // Result delivers the prefix value for one WantPrefix contribution.
 type Result struct {
@@ -71,28 +55,34 @@ type Combiner struct {
 	prefixes []Result
 }
 
+// Kinds lists the combining operators, expressed as isa opcodes, in the
+// order a step resolves their traffic.
+var Kinds = [...]isa.Op{isa.ADD, isa.AND, isa.OR, isa.MAX, isa.MIN}
+
+// KindIndex returns the position of kind in Kinds. It panics for any other
+// opcode.
+func KindIndex(kind isa.Op) int {
+	for i, k := range Kinds {
+		if k == kind {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("multiop: invalid combining operator %s", kind))
+}
+
 // NewCombiner returns a Combiner for the given combining operator.
 func NewCombiner(kind isa.Op) *Combiner {
-	switch kind {
-	case isa.ADD, isa.AND, isa.OR, isa.MAX, isa.MIN:
-	default:
-		panic(fmt.Sprintf("multiop: invalid combining operator %s", kind))
-	}
+	KindIndex(kind) // panics on a non-combining opcode
 	return &Combiner{kind: kind}
 }
 
-// NewCombinerBank builds one combiner per kind, all backed by a single
-// allocation (a machine carries five; fresh machines are built in hot
-// harness loops).
-func NewCombinerBank(kinds []isa.Op) []*Combiner {
-	arr := make([]Combiner, len(kinds))
-	out := make([]*Combiner, len(kinds))
-	for i, kind := range kinds {
-		switch kind {
-		case isa.ADD, isa.AND, isa.OR, isa.MAX, isa.MIN:
-		default:
-			panic(fmt.Sprintf("multiop: invalid combining operator %s", kind))
-		}
+// NewCombinerBank builds one combiner per kind of Kinds, in that order, all
+// backed by a single allocation (a machine carries the whole bank; fresh
+// machines are built in hot harness loops).
+func NewCombinerBank() [len(Kinds)]*Combiner {
+	arr := new([len(Kinds)]Combiner)
+	var out [len(Kinds)]*Combiner
+	for i, kind := range Kinds {
 		arr[i].kind = kind
 		out[i] = &arr[i]
 	}
@@ -113,32 +103,11 @@ func (c *Combiner) Len() int { return len(c.cs) }
 // traffic behind; pooled machines clear it here before reuse.
 func (c *Combiner) Reset() { c.cs = c.cs[:0] }
 
-// Apply combines a pair under the operator.
-func (c *Combiner) Apply(a, b int64) int64 {
-	return Apply(c.kind, a, b)
-}
-
-// Apply combines a pair under the given operator.
+// Apply combines a pair under the given operator: the ALU operation of that
+// opcode, restricted to the combining kinds.
 func Apply(kind isa.Op, a, b int64) int64 {
-	switch kind {
-	case isa.ADD:
-		return a + b
-	case isa.AND:
-		return a & b
-	case isa.OR:
-		return a | b
-	case isa.MAX:
-		if a > b {
-			return a
-		}
-		return b
-	case isa.MIN:
-		if a < b {
-			return a
-		}
-		return b
-	}
-	panic(fmt.Sprintf("multiop: invalid combining operator %s", kind))
+	KindIndex(kind) // panics on a non-combining opcode
+	return isa.Eval(kind, a, b)
 }
 
 // Resolve combines all contributions against the read function (pre-step
@@ -153,16 +122,7 @@ func (c *Combiner) Resolve(read func(addr int64) int64) (finals map[int64]int64,
 		return nil, nil
 	}
 	slices.SortFunc(c.cs, func(a, b Contribution) int {
-		if r := cmp.Compare(a.Addr, b.Addr); r != 0 {
-			return r
-		}
-		if r := cmp.Compare(a.Key.Flow, b.Key.Flow); r != 0 {
-			return r
-		}
-		if r := cmp.Compare(a.Key.Thread, b.Key.Thread); r != 0 {
-			return r
-		}
-		return cmp.Compare(a.Key.Seq, b.Key.Seq)
+		return mem.CompareRefs(a.Addr, a.Key, b.Addr, b.Key)
 	})
 	if c.finals == nil {
 		c.finals = make(map[int64]int64)
@@ -170,6 +130,7 @@ func (c *Combiner) Resolve(read func(addr int64) int64) (finals map[int64]int64,
 		clear(c.finals)
 	}
 	c.prefixes = c.prefixes[:0]
+	apply := isa.EvalFn(c.kind)
 	for i := 0; i < len(c.cs); {
 		addr := c.cs[i].Addr
 		acc := read(addr)
@@ -178,7 +139,7 @@ func (c *Combiner) Resolve(read func(addr int64) int64) (finals map[int64]int64,
 			if c.cs[j].WantPrefix {
 				c.prefixes = append(c.prefixes, Result{Key: c.cs[j].Key, Dest: c.cs[j].Dest, Prefix: acc})
 			}
-			acc = c.Apply(acc, c.cs[j].Val)
+			acc = apply(acc, c.cs[j].Val)
 		}
 		c.finals[addr] = acc
 		i = j

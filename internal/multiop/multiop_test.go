@@ -206,8 +206,8 @@ func TestIdentity(t *testing.T) {
 
 func TestKeyOrderingTotal(t *testing.T) {
 	prop := func(f1, t1, s1, f2, t2, s2 uint8) bool {
-		a := Key{int(f1 % 4), int(t1 % 4), int(s1 % 4)}
-		b := Key{int(f2 % 4), int(t2 % 4), int(s2 % 4)}
+		a := Key{Flow: int(f1 % 4), Thread: int(t1 % 4), Seq: int(s1 % 4)}
+		b := Key{Flow: int(f2 % 4), Thread: int(t2 % 4), Seq: int(s2 % 4)}
 		if a == b {
 			return !a.Less(b) && !b.Less(a)
 		}

@@ -4,12 +4,14 @@
 // generates one data-parallel operation per cycle into the execute stages,
 // overlapping with the operations of the next resident TCF.
 //
-// The model validates the step-engine's cost law: executing a step whose
-// resident TCFs contribute N operation slices takes N + fill cycles on a
-// depth-D pipeline (fill = D), independent of how the slices are divided
-// among TCFs — because only the first instruction pays the fill and
-// back-to-back TCFs keep every stage busy. A memory reference extends the
-// drain to the reference latency when it exceeds the depth.
+// The package also holds the step cost law itself (StepCost), which the step
+// engine and the cost analyzer both charge, next to the slice-level model
+// (Schedule) that validates it: executing a step whose resident TCFs
+// contribute N operation slices takes N + fill cycles on a depth-D pipeline
+// (fill = D), independent of how the slices are divided among TCFs — because
+// only the first instruction pays the fill and back-to-back TCFs keep every
+// stage busy. A memory reference extends the drain to the reference latency
+// when it exceeds the depth.
 package pipeline
 
 import "fmt"
@@ -96,15 +98,56 @@ func Schedule(cfg Config, instrs []Instr) (*Result, error) {
 	return res, nil
 }
 
-// StepLaw is the closed-form the step engine uses: ops + max(depth,
-// memLatency when any shared reference was issued in the final memory
-// cycle). Schedule must agree with it for back-to-back slices.
-func StepLaw(cfg Config, totalOps int, anyMem bool) int {
-	drain := cfg.Depth
-	if anyMem && cfg.MemLatency-1 > drain {
-		drain = cfg.MemLatency - 1
+// Step is what the step cost law reads of one processor group's share of a
+// step.
+type Step struct {
+	// Ops and ScalarOps count the operation slices issued: one per lane of
+	// a thick instruction, one per flow-level instruction.
+	Ops, ScalarOps int64
+	// Fetches counts instruction fetches; a group that fetched nothing was
+	// idle and pays no fill.
+	Fetches int64
+	// AnyShared reports a latency-hidden (PRAM-mode) shared-memory
+	// reference, MaxDist the largest group-to-module distance among them.
+	AnyShared bool
+	MaxDist   int
+	// Stall is the sum of the latencies NUMA-mode references paid inline.
+	Stall int64
+}
+
+// Cost is the law's price for a Step, split the way the statistics report it.
+type Cost struct {
+	OpsCycles int64 // issue cycles: Ops + ScalarOps
+	Overhead  int64 // pipeline fill, or the hidden memory latency if longer
+	Cycles    int64 // OpsCycles + Overhead + Stall
+}
+
+// StepCost is the step cost law of the extended PRAM-NUMA model, the one
+// both the step engine and the cost analyzer charge: a group's step costs
+// its operation slices, plus max(pipeline fill, latency of the farthest
+// hidden shared reference), plus the NUMA stalls. cfg.MemLatency is the
+// latency at distance zero; a reference at distance d takes MemLatency + d.
+//
+// Against Schedule the law is exact for steps without shared references.
+// With one it counts the latency from the end of the reference's issue
+// cycle, where Schedule counts from its start, so for a step whose last
+// slice is a reference the law charges max(Depth, L) and Schedule
+// max(Depth, L-1): one cycle more whenever the latency is not hidden by the
+// fill. A reference followed by other slices is cheaper still in Schedule,
+// which lets them hide it; the law conservatively does not look at where in
+// the step the reference was issued.
+func StepCost(cfg Config, s Step) Cost {
+	c := Cost{OpsCycles: s.Ops + s.ScalarOps}
+	if s.Fetches > 0 {
+		c.Overhead = int64(cfg.Depth)
+		if s.AnyShared {
+			if lat := int64(cfg.MemLatency + s.MaxDist); lat > c.Overhead {
+				c.Overhead = lat
+			}
+		}
 	}
-	return totalOps + drain
+	c.Cycles = c.OpsCycles + c.Overhead + s.Stall
+	return c
 }
 
 // Utilization returns the fraction of issue slots doing operation work

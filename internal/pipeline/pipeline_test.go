@@ -98,35 +98,84 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// Property: the slice-level schedule agrees with the closed-form step law
-// whenever memory references are issued in the final instruction (the step
-// engine's conservative assumption).
-func TestScheduleMatchesStepLaw(t *testing.T) {
+// Property: the step cost law against the slice-level schedule, over random
+// instruction lists and random depth/latency. Without a shared reference
+// the two agree exactly. With the reference in the final instruction — the
+// law's conservative assumption about where it sits — the law charges
+// max(Depth, L) after the last slice and the schedule max(Depth, L-1),
+// because the schedule counts the latency from the start of the issue cycle
+// and the law from its end: one cycle apart exactly when the latency is not
+// hidden by the fill (at the default Depth 4, L 8: 8 against 7), and equal
+// to the schedule of a reference one cycle slower. A reference anywhere
+// earlier can only make the schedule cheaper.
+func TestStepCostAgainstSchedule(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		c := Config{Depth: rng.Intn(10), MemLatency: rng.Intn(14)}
+		dist := rng.Intn(4)
 		n := 1 + rng.Intn(6)
-		var instrs []Instr
-		total := 0
-		for i := 0; i < n; i++ {
-			th := rng.Intn(10)
-			instrs = append(instrs, Instr{Flow: i, Thickness: th})
-			total += th
+		instrs := make([]Instr, n)
+		step := Step{Fetches: int64(n), MaxDist: dist}
+		for i := range instrs {
+			instrs[i] = Instr{Flow: i, Thickness: rng.Intn(10)}
+			if instrs[i].Thickness == 1 {
+				step.ScalarOps++
+			} else {
+				step.Ops += int64(instrs[i].Thickness)
+			}
 		}
-		// Mark the final instruction a memory reference half the time.
-		anyMem := rng.Intn(2) == 0
-		if anyMem && instrs[n-1].Thickness > 0 {
-			instrs[n-1].MemRef = true
-		} else {
-			anyMem = false
+		sched := func(c Config) int64 {
+			res, err := Schedule(c, instrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(res.Cycles)
 		}
-		res, err := Schedule(cfg(), instrs)
-		if err != nil {
+		if got := StepCost(c, step); got.Cycles != sched(c) ||
+			got.OpsCycles != step.Ops+step.ScalarOps || got.Overhead != int64(c.Depth) {
+			t.Logf("seed %d: no reference: law %+v, schedule %d", seed, got, sched(c))
 			return false
 		}
-		return res.Cycles == StepLaw(cfg(), total, anyMem)
+
+		// The final instruction references shared memory at distance dist.
+		if instrs[n-1].Thickness == 0 {
+			instrs[n-1].Thickness = 2
+			step.Ops += 2
+		}
+		instrs[n-1].MemRef = true
+		step.AnyShared = true
+		law := StepCost(c, step).Cycles
+		lat := c.MemLatency + dist
+		gap := int64(0)
+		if lat > c.Depth {
+			gap = 1
+		}
+		atDist := Config{Depth: c.Depth, MemLatency: lat}
+		if law != sched(atDist)+gap || law != sched(Config{Depth: c.Depth, MemLatency: lat + 1}) {
+			t.Logf("seed %d: final reference: law %d, schedule %d, gap %d", seed, law, sched(atDist), gap)
+			return false
+		}
+
+		// The same reference issued first instead: later slices hide it.
+		instrs[0], instrs[n-1] = instrs[n-1], instrs[0]
+		if sched(atDist) > law {
+			t.Logf("seed %d: early reference: schedule %d exceeds law %d", seed, sched(atDist), law)
+			return false
+		}
+
+		// NUMA stalls add on top, cycle for cycle.
+		step.Stall = int64(rng.Intn(50))
+		return StepCost(c, step).Cycles == law+step.Stall
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An idle group (nothing fetched) pays no fill.
+func TestStepCostIdleGroup(t *testing.T) {
+	if got := StepCost(cfg(), Step{}); got != (Cost{}) {
+		t.Fatalf("idle group costs %+v", got)
 	}
 }
 

@@ -9,6 +9,7 @@ package sema
 import (
 	"fmt"
 
+	"tcfpram/internal/isa"
 	"tcfpram/internal/lang"
 )
 
@@ -252,8 +253,54 @@ func (c *checker) globalsPass() error {
 	return nil
 }
 
-// constFold evaluates constant expressions (literals, unary minus/not,
-// binary arithmetic on constants).
+// binaryOps is the one table from tcf-e binary operators to the ALU opcode
+// that computes them. The boolean connectives && and || are absent: they
+// are not ISA ops (codegen lowers them to an SNE/SNE/AND|OR sequence).
+var binaryOps = map[lang.TokKind]isa.Op{
+	lang.TokPlus:    isa.ADD,
+	lang.TokMinus:   isa.SUB,
+	lang.TokStar:    isa.MUL,
+	lang.TokSlash:   isa.DIV,
+	lang.TokPercent: isa.MOD,
+	lang.TokAmp:     isa.AND,
+	lang.TokPipe:    isa.OR,
+	lang.TokCaret:   isa.XOR,
+	lang.TokShl:     isa.SHL,
+	lang.TokShr:     isa.SHR,
+	lang.TokLt:      isa.SLT,
+	lang.TokLe:      isa.SLE,
+	lang.TokGt:      isa.SGT,
+	lang.TokGe:      isa.SGE,
+	lang.TokEq:      isa.SEQ,
+	lang.TokNe:      isa.SNE,
+}
+
+// BinaryOp returns the ALU opcode of a tcf-e binary operator. Code
+// generation emits it and every constant folder evaluates it with isa.Eval,
+// so a folded expression and the same expression computed at run time
+// cannot differ.
+func BinaryOp(op lang.TokKind) (isa.Op, bool) {
+	alu, ok := binaryOps[op]
+	return alu, ok
+}
+
+// FoldUnary evaluates a tcf-e unary operator on a constant as the code
+// codegen emits for it would: NEG, NOT, and SEQ against zero for '!'.
+func FoldUnary(op lang.TokKind, v int64) (int64, bool) {
+	switch op {
+	case lang.TokMinus:
+		return isa.EvalUnary(isa.NEG, v), true
+	case lang.TokTilde:
+		return isa.EvalUnary(isa.NOT, v), true
+	case lang.TokBang:
+		return isa.Eval(isa.SEQ, v, 0), true
+	}
+	return 0, false
+}
+
+// constFold evaluates the constant expressions a global initializer may
+// use: literals, the unary operators, and arithmetic and shifts on
+// constants.
 func constFold(e lang.Expr) (int64, bool) {
 	switch e := e.(type) {
 	case *lang.IntLit:
@@ -263,17 +310,7 @@ func constFold(e lang.Expr) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		switch e.Op {
-		case lang.TokMinus:
-			return -v, true
-		case lang.TokTilde:
-			return ^v, true
-		case lang.TokBang:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
+		return FoldUnary(e.Op, v)
 	case *lang.Binary:
 		a, ok1 := constFold(e.X)
 		b, ok2 := constFold(e.Y)
@@ -281,40 +318,12 @@ func constFold(e lang.Expr) (int64, bool) {
 			return 0, false
 		}
 		switch e.Op {
-		case lang.TokPlus:
-			return a + b, true
-		case lang.TokMinus:
-			return a - b, true
-		case lang.TokStar:
-			return a * b, true
-		case lang.TokSlash:
-			if b == 0 {
-				return 0, true
-			}
-			return a / b, true
-		case lang.TokPercent:
-			if b == 0 {
-				return 0, true
-			}
-			return a % b, true
-		// Shifts clamp to [0,63], matching the machine ALU.
-		case lang.TokShl:
-			return a << clampShift(b), true
-		case lang.TokShr:
-			return a >> clampShift(b), true
+		case lang.TokPlus, lang.TokMinus, lang.TokStar, lang.TokSlash, lang.TokPercent,
+			lang.TokShl, lang.TokShr:
+			return isa.Eval(binaryOps[e.Op], a, b), true
 		}
 	}
 	return 0, false
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
 }
 
 func (c *checker) funcsPass() error {

@@ -56,11 +56,28 @@ func TestPredictiveAdmissionReasons(t *testing.T) {
 		})
 	}
 
-	// The same tenant envelope admits programs that fit it.
-	_, ts := newTestServer(t, Options{Tenants: map[string]Limits{"caged": lim}})
-	status, _, resp := post(t, ts, "caged", runRequest{Source: validSrc})
-	if status != 200 || resp.Outcome != outcomeOK {
-		t.Fatalf("within-quota program rejected: %d %q (%s)", status, resp.Outcome, resp.Error)
+	// The same tenant envelope admits programs that fit it — including one
+	// that references its 64 shared words more often (1280 times) than the
+	// shared-memory quota has words.
+	rereadSrc := `shared int src[64] @ 100;
+func main() { #64; int i = 0; thick int acc = 0; while (i < 20) { acc = acc + src[tid]; i = i + 1; } print(radd(acc)); }`
+	admits := []struct {
+		name string
+		lim  Limits
+		req  runRequest
+	}{
+		{"fits", lim, runRequest{Source: validSrc}},
+		{"rereads", Limits{MaxSteps: 1 << 16, MaxThickness: 128, MaxSharedWords: 1024},
+			runRequest{Source: rereadSrc, SharedWords: 1024}},
+	}
+	for _, tc := range admits {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Options{Tenants: map[string]Limits{"caged": tc.lim}})
+			status, _, resp := post(t, ts, "caged", tc.req)
+			if status != 200 || resp.Outcome != outcomeOK {
+				t.Fatalf("within-quota program rejected: %d %q (%s)", status, resp.Outcome, resp.Error)
+			}
+		})
 	}
 }
 

@@ -656,10 +656,11 @@ func costParamsFor(cfg machine.Config) analysis.CostParams {
 }
 
 // predictionOverQuota returns a non-empty reason when the prediction's
-// lower bounds prove the run must exceed the tenant's quotas: steps,
-// thickness, or distinct shared words referenced. Lower bounds are sound
-// for unresolved analyses too, so this never rejects a program the quotas
-// could still admit.
+// lower bounds prove the run must exceed the tenant's step or thickness
+// quota. Lower bounds are sound for unresolved analyses too, so this never
+// rejects a program the quotas could still admit. The shared-memory quota
+// needs no prediction: buildConfig caps the memory size itself, and a
+// reference beyond it reads zero or is dropped.
 func predictionOverQuota(rep *analysis.CostReport, lim Limits) string {
 	if rep == nil {
 		return ""
@@ -669,15 +670,6 @@ func predictionOverQuota(rep *analysis.CostReport, lim Limits) string {
 	}
 	if lim.MaxThickness > 0 && rep.MaxThickness.Min > int64(lim.MaxThickness) {
 		return fmt.Sprintf("predicted flow thickness %s exceeds the tenant quota %d", rep.MaxThickness, lim.MaxThickness)
-	}
-	if lim.MaxSharedWords > 0 {
-		var words int64
-		for _, w := range rep.WordsPerModule {
-			words += w
-		}
-		if words > int64(lim.MaxSharedWords) {
-			return fmt.Sprintf("predicted shared-memory footprint %d words exceeds the tenant quota %d", words, lim.MaxSharedWords)
-		}
 	}
 	return ""
 }

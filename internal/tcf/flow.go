@@ -183,12 +183,18 @@ func (f *Flow) VectorAllocated(r isa.Reg) bool {
 
 // Lane reads lane i of register r, treating scalar registers as broadcast
 // (every lane observes the common value) — the paper's improved utilization
-// of data-parallel execution: identical values need no replication.
+// of data-parallel execution: identical values need no replication. Vector
+// reads beyond the lane count (possible only for flow-level instructions on
+// thin flows) yield zero.
 func (f *Flow) Lane(r isa.Reg, i int) int64 {
 	if r.IsScalar() {
 		return f.scalars[r.Index()]
 	}
-	return f.Vector(r)[i]
+	v := f.Vector(r)
+	if i >= len(v) {
+		return 0
+	}
+	return v[i]
 }
 
 // SetLane writes lane i of register r. Writing a scalar register from lane
