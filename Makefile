@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke benchall table figures net examples fuzz lint detlint vet serve serve-test dataflow-test clean
+.PHONY: all build test race bench-smoke bench-compile benchall table figures net examples fuzz fmtcheck lint detlint vet serve serve-test dataflow-test clean
 
 # Pinned linter versions, fetched on demand with `go run` so the repo adds
 # no module dependencies. Bump deliberately; CI uses the same pins.
@@ -26,6 +26,13 @@ race:
 # `test` never compile; run this when an internal/ API it imports changes.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-compile runs the compile path's per-layer benchmarks (lexer to fused
+# program, over internal/lang/testdata/cold.te) at a fixed small iteration
+# count, as CI's bench job does; raise -benchtime for numbers worth reading.
+bench-compile:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x \
+		./internal/lang ./internal/sema ./internal/analysis ./internal/codegen ./internal/fuse
 
 # benchall runs the paper-figure benchmarks of bench_test.go/ablation_test.go.
 benchall:
@@ -56,10 +63,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=30s ./internal/analysis/
 	$(GO) test -fuzz=FuzzCostAnalyze -fuzztime=30s ./internal/analysis/
 
-# lint runs the pinned static checkers on top of go vet (requires network
-# access the first time, to fetch the pinned tools), then the in-tree
-# determinism linter over the engine packages.
-lint:
+# fmtcheck fails, naming the files, when gofmt would change any.
+fmtcheck:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# lint checks formatting, then runs the pinned static checkers on top of go
+# vet (requires network access the first time, to fetch the pinned tools),
+# then the in-tree determinism linter over the engine packages.
+lint: fmtcheck
 	$(GO) vet ./...
 	$(GO) run $(STATICCHECK) ./...
 	$(GO) run $(GOVULNCHECK) ./...

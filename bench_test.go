@@ -361,18 +361,12 @@ func main() {
     }
 }
 `
-	m, err := NewMachine(DefaultConfig(SingleInstruction))
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = m
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mm, err := NewMachine(DefaultConfig(SingleInstruction))
+		m, err := NewMachine(DefaultConfig(SingleInstruction))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := mm.LoadSource("bench", src); err != nil {
+		if err := m.LoadSource("bench", src); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -115,7 +115,7 @@ func run(args []string, out, errw io.Writer) int {
 			if *errorsOnly && d.Severity < diag.Error {
 				continue
 			}
-			d.Pos.Line += u.lineOff
+			d.Pos.Line += int32(u.lineOff)
 			all = append(all, d)
 		}
 		if *cost {
@@ -134,8 +134,8 @@ func run(args []string, out, errw io.Writer) int {
 		for _, d := range all {
 			rep.Findings = append(rep.Findings, jsonFinding{
 				File:     d.File,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Col,
+				Line:     int(d.Pos.Line),
+				Col:      int(d.Pos.Col),
 				Severity: d.Severity.String(),
 				Check:    d.Check,
 				Message:  d.Msg,

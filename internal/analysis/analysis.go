@@ -40,31 +40,21 @@ type Options struct {
 	Variant variant.Kind
 }
 
-// Analyze runs all checks over a sema-checked program.
-func Analyze(prog *lang.Program, info *sema.Info, opts Options) []diag.Diagnostic {
-	a := &analyzer{
-		opts:      opts,
-		prog:      prog,
-		info:      info,
-		callThick: map[string]thickState{},
-	}
-	a.buildGlobalConst()
+// Analyze runs all checks over a sema-checked program (the first argument
+// is the program info was checked from, info.Prog; the checks read it
+// there). What they need to know of the program is in its facts tables
+// (facts.go), built here in one walk; the thickness ceiling stays with info
+// for Cost.
+func Analyze(_ *lang.Program, info *sema.Info, opts Options) []diag.Diagnostic {
+	a := &analyzer{opts: opts, pf: buildFacts(info)}
+	info.Derived(func() any { return a.pf.ceiling })
 	a.checkPlacements()
-
-	// main runs with thickness 1; everything else inherits the join of its
-	// (analyzed) call sites, so callers go first.
-	a.callThick["main"] = thickState{seen: true, t: thick{known: true, n: 1}}
-	order, reached := a.callOrder()
-	for _, name := range order {
-		a.analyzeFunc(info.Funcs[name])
-	}
-	// Functions unreachable from main are still checked, with unknown
-	// entry thickness; by running last their call sites cannot pollute the
-	// thickness of functions the program actually uses.
-	for _, fd := range prog.Funcs {
-		if !reached[fd.Name] {
-			a.analyzeFunc(info.Funcs[fd.Name])
-		}
+	for _, ff := range a.pf.order {
+		a.checkBlocks(ff)
+		a.liveness(ff)
+		a.reportUnreachable(ff)
+		a.checkParallel(ff)
+		a.checkBounds(ff)
 	}
 	diag.Sort(a.diags)
 	return a.diags
@@ -135,16 +125,8 @@ func frontendDiag(file string, err error, check string) diag.Diagnostic {
 
 type analyzer struct {
 	opts  Options
-	prog  *lang.Program
-	info  *sema.Info
+	pf    *progFacts
 	diags []diag.Diagnostic
-
-	// callThick joins the flow thickness observed at analyzed call sites of
-	// each function, keyed by function name.
-	callThick map[string]thickState
-	// globalConst holds memory-scalar globals that are provably constant:
-	// initialized once, never assigned, never targeted by &.
-	globalConst map[*sema.Sym]int64
 }
 
 // report appends a diagnostic (stamping the file name) and returns a
@@ -153,218 +135,4 @@ func (a *analyzer) report(d diag.Diagnostic) *diag.Diagnostic {
 	d.File = a.opts.File
 	a.diags = append(a.diags, d)
 	return &a.diags[len(a.diags)-1]
-}
-
-// buildGlobalConst finds memory-scalar globals whose value cannot change:
-// their initializer word (or 0) participates in constant folding.
-func (a *analyzer) buildGlobalConst() {
-	a.globalConst = map[*sema.Sym]int64{}
-	mutated := map[*sema.Sym]bool{}
-	lang.Inspect(a.prog, func(n any) bool {
-		switch n := n.(type) {
-		case *lang.AssignStmt:
-			if sym := a.info.Syms[n.LHS]; sym != nil {
-				mutated[sym] = true
-			}
-		case *lang.AddrOf:
-			if sym := a.info.Syms[n]; sym != nil {
-				mutated[sym] = true
-			}
-		}
-		return true
-	})
-	for _, g := range a.prog.Globals {
-		sym := a.info.Syms[g]
-		if sym == nil || sym.Space == lang.SpaceReg || sym.ArrayLen >= 0 || mutated[sym] {
-			continue
-		}
-		v := int64(0)
-		switch {
-		case g.InitExpr != nil:
-			fv, ok := foldPlain(g.InitExpr)
-			if !ok {
-				continue // sema requires const global inits; stay safe anyway
-			}
-			v = fv
-		case len(g.InitList) > 0:
-			v = g.InitList[0]
-		}
-		a.globalConst[sym] = v
-	}
-}
-
-// callOrder returns the functions reachable from main in caller-before-
-// callee order (sema rejects recursion, so the call graph is a DAG).
-func (a *analyzer) callOrder() (order []string, reached map[string]bool) {
-	reached = map[string]bool{}
-	var visit func(name string)
-	var post []string
-	visit = func(name string) {
-		if reached[name] {
-			return
-		}
-		fi := a.info.Funcs[name]
-		if fi == nil {
-			return
-		}
-		reached[name] = true
-		for _, callee := range fi.Calls {
-			visit(callee)
-		}
-		post = append(post, name)
-	}
-	visit("main")
-	// Post-order lists callees first; reverse for callers-first.
-	for i := len(post) - 1; i >= 0; i-- {
-		order = append(order, post[i])
-	}
-	return order, reached
-}
-
-// funcAnalysis is the per-function analysis state.
-type funcAnalysis struct {
-	a     *analyzer
-	fn    *lang.FuncDecl
-	g     *cfg
-	entry thick
-
-	thickIn map[*cfgBlock]thickState
-
-	// constEnv maps provably-constant scalar symbols (locals with a single
-	// constant initialization, plus constant globals) to their value.
-	constEnv map[*sema.Sym]int64
-	// singleDef maps thick registers with exactly one definition to the
-	// defining expression, for copy propagation in the index classifier.
-	singleDef map[*sema.Sym]lang.Expr
-}
-
-func (a *analyzer) analyzeFunc(fi *sema.FuncInfo) {
-	if fi == nil || fi.Decl == nil {
-		return
-	}
-	fa := &funcAnalysis{
-		a:     a,
-		fn:    fi.Decl,
-		entry: a.callThick[fi.Decl.Name].t,
-	}
-	fa.buildEnv()
-	fa.g = buildCFG(fi.Decl)
-	fa.thicknessDataflow()
-	fa.checkBlocks()
-	fa.liveness()
-	fa.reportUnreachable()
-	fa.checkParallel()
-	fa.checkBounds()
-}
-
-// buildEnv computes the function's constant environment and the
-// single-definition table used by the index classifier.
-func (fa *funcAnalysis) buildEnv() {
-	fa.constEnv = map[*sema.Sym]int64{}
-	for sym, v := range fa.a.globalConst {
-		fa.constEnv[sym] = v
-	}
-	fa.singleDef = map[*sema.Sym]lang.Expr{}
-	if fa.fn.Body == nil {
-		return
-	}
-	defCount := map[*sema.Sym]int{}
-	lang.Inspect(fa.fn.Body, func(n any) bool {
-		switch n := n.(type) {
-		case *lang.VarDecl:
-			if sym := fa.a.info.Syms[n]; sym != nil && sym.Space == lang.SpaceReg {
-				defCount[sym]++
-			}
-		case *lang.AssignStmt:
-			if id, ok := n.LHS.(*lang.Ident); ok {
-				if sym := fa.a.info.Syms[id]; sym != nil && sym.Space == lang.SpaceReg {
-					defCount[sym]++
-				}
-			}
-		}
-		return true
-	})
-	// Source order matters: a later constant local may fold through an
-	// earlier one. Inspect visits in source order.
-	lang.Inspect(fa.fn.Body, func(n any) bool {
-		decl, ok := n.(*lang.VarDecl)
-		if !ok || decl.InitExpr == nil {
-			return true
-		}
-		sym := fa.a.info.Syms[decl]
-		if sym == nil || sym.Space != lang.SpaceReg || defCount[sym] != 1 {
-			return true
-		}
-		if sym.Thick {
-			fa.singleDef[sym] = decl.InitExpr
-		} else if v, folded := fa.fold(decl.InitExpr); folded {
-			fa.constEnv[sym] = v
-		}
-		return true
-	})
-}
-
-// checkBlocks replays every reachable block over its entry thickness,
-// running the per-statement discipline and thickness-sanity checks and
-// propagating flow thickness into call sites.
-func (fa *funcAnalysis) checkBlocks() {
-	for _, bl := range fa.g.blocks {
-		if !bl.reachable {
-			continue
-		}
-		t := fa.thickIn[bl].t
-		for _, s := range bl.stmts {
-			fa.checkStmt(s, t)
-			t = transferThick(fa, s, t)
-		}
-		for _, e := range bl.exprs {
-			for _, acc := range collectExprAccesses(fa, e) {
-				fa.checkAccess(acc, t)
-			}
-			fa.propagateCalls(e, t)
-		}
-	}
-}
-
-func collectExprAccesses(fa *funcAnalysis, e lang.Expr) []access {
-	var out []access
-	fa.exprAccesses(e, func(a access) { out = append(out, a) })
-	return out
-}
-
-func (fa *funcAnalysis) checkStmt(s lang.Stmt, t thick) {
-	switch s := s.(type) {
-	case *lang.ThickStmt:
-		if v, ok := fa.fold(s.X); ok {
-			if v == 0 {
-				fa.a.report(diag.New(s.Pos, diag.Warning, "zero-thickness",
-					"thickness set to the constant 0: no threads execute the region that follows"))
-			} else if v < 0 {
-				fa.a.report(diag.New(s.Pos, diag.Error, "negative-thickness",
-					"thickness set to the constant %d; the machine rejects negative thickness", v))
-			}
-		}
-	case *lang.NumaStmt:
-		if v, ok := fa.fold(s.X); ok && v <= 0 {
-			fa.a.report(diag.New(s.Pos, diag.Warning, "zero-thickness",
-				"NUMA bunch length is the constant %d; it must be positive to make progress", v))
-		}
-	}
-	for _, acc := range fa.stmtAccesses(s) {
-		fa.checkAccess(acc, t)
-	}
-	fa.propagateCalls(s, t)
-}
-
-// propagateCalls joins the current flow thickness into the entry state of
-// every user function called from n.
-func (fa *funcAnalysis) propagateCalls(n any, t thick) {
-	lang.Inspect(n, func(m any) bool {
-		if c, ok := m.(*lang.Call); ok {
-			if fa.a.info.Funcs[c.Name] != nil {
-				fa.a.callThick[c.Name] = fa.a.callThick[c.Name].join(t)
-			}
-		}
-		return true
-	})
 }

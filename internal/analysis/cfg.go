@@ -7,17 +7,21 @@ import (
 // cfgBlock is one basic block of the flow-level CFG: a run of leaf
 // statements executed in order, followed by zero or more trailing
 // expressions (branch conditions, switch subjects and case values,
-// parallel-arm thickness expressions) evaluated at the block's end.
+// parallel-arm thickness expressions) evaluated at the block's end. Both
+// carry the facts the walk that built the graph collected about them.
 type cfgBlock struct {
-	id    int
-	stmts []lang.Stmt
-	exprs []lang.Expr
+	id     int
+	leaves []leaf
+	tails  []tail
 
 	succs, preds []*cfgBlock
+	edges        [4]*cfgBlock // room for the first two of each
 
 	// arm is set on the entry block of a parallel arm: thickness inside the
-	// arm is the arm's declared thickness, not the parent flow's.
+	// arm is the arm's declared thickness (armThick, once the function's
+	// constants are known), not the parent flow's.
 	arm       *lang.ParArm
+	armThick  thick
 	reachable bool
 }
 
@@ -27,7 +31,6 @@ type cfgBlock struct {
 // out of constant conditions are pruned, so code behind `if (0)` or after
 // `while (1)` shows up as unreachable.
 type cfg struct {
-	fn     *lang.FuncDecl
 	entry  *cfgBlock
 	exit   *cfgBlock
 	blocks []*cfgBlock
@@ -35,201 +38,6 @@ type cfg struct {
 
 type loopCtx struct {
 	brk, cont *cfgBlock
-}
-
-type cfgBuilder struct {
-	g     *cfg
-	cur   *cfgBlock
-	loops []loopCtx
-}
-
-func buildCFG(fn *lang.FuncDecl) *cfg {
-	g := &cfg{fn: fn}
-	b := &cfgBuilder{g: g}
-	g.entry = b.newBlock()
-	g.exit = b.newBlock()
-	b.cur = g.entry
-	if fn.Body != nil {
-		for _, s := range fn.Body.Stmts {
-			b.stmt(s)
-		}
-	}
-	b.edge(b.cur, g.exit)
-	g.markReachable()
-	return g
-}
-
-func (b *cfgBuilder) newBlock() *cfgBlock {
-	bl := &cfgBlock{id: len(b.g.blocks)}
-	b.g.blocks = append(b.g.blocks, bl)
-	return bl
-}
-
-func (b *cfgBuilder) edge(from, to *cfgBlock) {
-	from.succs = append(from.succs, to)
-	to.preds = append(to.preds, from)
-}
-
-// terminate ends the current block with an edge to target (exit for
-// return/halt, a loop block for break/continue) and opens a fresh,
-// predecessor-less block: any statements appended there are unreachable.
-func (b *cfgBuilder) terminate(target *cfgBlock) {
-	b.edge(b.cur, target)
-	b.cur = b.newBlock()
-}
-
-func (b *cfgBuilder) stmt(s lang.Stmt) {
-	switch s := s.(type) {
-	case *lang.BlockStmt:
-		for _, sub := range s.Stmts {
-			b.stmt(sub)
-		}
-	case *lang.VarDecl, *lang.AssignStmt, *lang.ExprStmt,
-		*lang.ThickStmt, *lang.NumaStmt, *lang.BarrierStmt:
-		b.cur.stmts = append(b.cur.stmts, s)
-	case *lang.IfStmt:
-		b.cur.exprs = append(b.cur.exprs, s.Cond)
-		cond := b.cur
-		cv, isConst := foldPlain(s.Cond)
-		after := b.newBlock()
-		thenB := b.newBlock()
-		if !isConst || cv != 0 {
-			b.edge(cond, thenB)
-		}
-		b.cur = thenB
-		b.stmt(s.Then)
-		b.edge(b.cur, after)
-		if s.Else != nil {
-			elseB := b.newBlock()
-			if !isConst || cv == 0 {
-				b.edge(cond, elseB)
-			}
-			b.cur = elseB
-			b.stmt(s.Else)
-			b.edge(b.cur, after)
-		} else if !isConst || cv == 0 {
-			b.edge(cond, after)
-		}
-		b.cur = after
-	case *lang.WhileStmt:
-		head := b.newBlock()
-		b.edge(b.cur, head)
-		head.exprs = append(head.exprs, s.Cond)
-		cv, isConst := foldPlain(s.Cond)
-		body := b.newBlock()
-		after := b.newBlock()
-		if !isConst || cv != 0 {
-			b.edge(head, body)
-		}
-		if !isConst || cv == 0 {
-			b.edge(head, after)
-		}
-		b.loops = append(b.loops, loopCtx{brk: after, cont: head})
-		b.cur = body
-		b.stmt(s.Body)
-		b.edge(b.cur, head)
-		b.loops = b.loops[:len(b.loops)-1]
-		b.cur = after
-	case *lang.ForStmt:
-		if s.Init != nil {
-			b.stmt(s.Init)
-		}
-		head := b.newBlock()
-		b.edge(b.cur, head)
-		body := b.newBlock()
-		post := b.newBlock()
-		after := b.newBlock()
-		if s.Cond != nil {
-			head.exprs = append(head.exprs, s.Cond)
-			cv, isConst := foldPlain(s.Cond)
-			if !isConst || cv != 0 {
-				b.edge(head, body)
-			}
-			if !isConst || cv == 0 {
-				b.edge(head, after)
-			}
-		} else {
-			b.edge(head, body)
-		}
-		b.loops = append(b.loops, loopCtx{brk: after, cont: post})
-		b.cur = body
-		b.stmt(s.Body)
-		b.edge(b.cur, post)
-		b.loops = b.loops[:len(b.loops)-1]
-		b.cur = post
-		if s.Post != nil {
-			b.stmt(s.Post)
-		}
-		b.edge(b.cur, head)
-		b.cur = after
-	case *lang.SwitchStmt:
-		b.cur.exprs = append(b.cur.exprs, s.Subject)
-		subj := b.cur
-		after := b.newBlock()
-		hasDefault := false
-		for i := range s.Cases {
-			cs := &s.Cases[i]
-			if cs.Values == nil {
-				hasDefault = true
-			}
-			subj.exprs = append(subj.exprs, cs.Values...)
-			cb := b.newBlock()
-			b.edge(subj, cb)
-			b.cur = cb
-			for _, sub := range cs.Body {
-				b.stmt(sub)
-			}
-			b.edge(b.cur, after)
-		}
-		if !hasDefault {
-			b.edge(subj, after)
-		}
-		b.cur = after
-	case *lang.ParallelStmt:
-		pre := b.cur
-		join := b.newBlock()
-		for i := range s.Arms {
-			arm := &s.Arms[i]
-			pre.exprs = append(pre.exprs, arm.Thick)
-			ab := b.newBlock()
-			ab.arm = arm
-			b.edge(pre, ab)
-			// Arms run as separate flows: break/continue cannot cross the
-			// split (sema enforces this), so the loop stack is hidden.
-			saved := b.loops
-			b.loops = nil
-			b.cur = ab
-			b.stmt(arm.Body)
-			b.edge(b.cur, join)
-			b.loops = saved
-		}
-		if len(s.Arms) == 0 {
-			b.edge(pre, join)
-		}
-		b.cur = join
-	case *lang.ReturnStmt:
-		b.cur.stmts = append(b.cur.stmts, s)
-		b.terminate(b.g.exit)
-	case *lang.HaltStmt:
-		b.cur.stmts = append(b.cur.stmts, s)
-		b.terminate(b.g.exit)
-	case *lang.BreakStmt:
-		if n := len(b.loops); n > 0 {
-			b.terminate(b.loops[n-1].brk)
-		} else {
-			b.terminate(b.g.exit)
-		}
-	case *lang.ContinueStmt:
-		if n := len(b.loops); n > 0 {
-			b.terminate(b.loops[n-1].cont)
-		} else {
-			b.terminate(b.g.exit)
-		}
-	default:
-		// Unknown statement kinds (future AST growth) conservatively join
-		// the current block.
-		b.cur.stmts = append(b.cur.stmts, s)
-	}
 }
 
 func (g *cfg) markReachable() {

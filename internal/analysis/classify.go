@@ -47,27 +47,32 @@ func foldPlain(e lang.Expr) (int64, bool) {
 }
 
 // fold evaluates e using the function's constant environment: literals,
-// known-constant scalar variables, and operators with ALU semantics.
-func (fa *funcAnalysis) fold(e lang.Expr) (int64, bool) {
+// known-constant scalar variables (registers with a single constant
+// definition, constant globals), and operators with ALU semantics.
+func (ff *funcFacts) fold(e lang.Expr) (int64, bool) {
 	switch e := e.(type) {
 	case *lang.IntLit:
 		return e.Val, true
 	case *lang.Ident:
-		if sym := fa.a.info.Syms[e]; sym != nil {
-			if v, ok := fa.constEnv[sym]; ok {
-				return v, true
-			}
+		sym := ff.pf.info.SymOf(e)
+		switch {
+		case sym == nil: // a builtin
+			return 0, false
+		case sym.Space == lang.SpaceReg:
+			c := ff.regConst[sym.Index]
+			return c.v, c.ok
 		}
-		return 0, false
+		c := ff.pf.globalConst[sym.Index]
+		return c.v, c.ok
 	case *lang.Unary:
-		v, ok := fa.fold(e.X)
+		v, ok := ff.fold(e.X)
 		if !ok {
 			return 0, false
 		}
 		return sema.FoldUnary(e.Op, v)
 	case *lang.Binary:
-		a, ok1 := fa.fold(e.X)
-		b, ok2 := fa.fold(e.Y)
+		a, ok1 := ff.fold(e.X)
+		b, ok2 := ff.fold(e.Y)
 		if !ok1 || !ok2 {
 			return 0, false
 		}
@@ -132,14 +137,14 @@ const maxClassifyDepth = 24
 // classify determines the thread→value shape of an index expression. It is
 // deliberately conservative: anything it cannot prove is idxUnknown, and
 // only provable collisions are ever reported.
-func (fa *funcAnalysis) classify(e lang.Expr, depth int) idxInfo {
+func (ff *funcFacts) classify(e lang.Expr, depth int) idxInfo {
 	if depth > maxClassifyDepth || e == nil {
 		return unknownIdx()
 	}
 	// Scalar-kinded expressions are flow-common by the type system: every
 	// thread sees the same value regardless of the expression's shape.
-	if k, ok := fa.a.info.Kinds[e]; ok && k == sema.KindScalar {
-		if v, folded := fa.fold(e); folded {
+	if k, ok := ff.pf.info.KindOf(e); ok && k == sema.KindScalar {
+		if v, folded := ff.fold(e); folded {
 			return commonVal(v)
 		}
 		return commonAny()
@@ -151,7 +156,7 @@ func (fa *funcAnalysis) classify(e lang.Expr, depth int) idxInfo {
 		if e.Name == "tid" {
 			return idxInfo{kind: idxAffine, coef: 1, off: 0, offKnown: true}
 		}
-		sym := fa.a.info.Syms[e]
+		sym := ff.pf.info.SymOf(e)
 		if sym == nil {
 			return unknownIdx()
 		}
@@ -159,12 +164,12 @@ func (fa *funcAnalysis) classify(e lang.Expr, depth int) idxInfo {
 			return commonAny()
 		}
 		// Thick register with a single defining expression: propagate.
-		if def, ok := fa.singleDef[sym]; ok {
-			return fa.classify(def, depth+1)
+		if def := ff.singleDef[sym.Index]; def != nil {
+			return ff.classify(def, depth+1)
 		}
 		return unknownIdx()
 	case *lang.Unary:
-		x := fa.classify(e.X, depth+1)
+		x := ff.classify(e.X, depth+1)
 		switch e.Op {
 		case lang.TokMinus:
 			switch x.kind {
@@ -205,13 +210,13 @@ func (fa *funcAnalysis) classify(e lang.Expr, depth int) idxInfo {
 		}
 		return unknownIdx()
 	case *lang.Binary:
-		return fa.combine(e.Op, fa.classify(e.X, depth+1), fa.classify(e.Y, depth+1))
+		return combine(e.Op, ff.classify(e.X, depth+1), ff.classify(e.Y, depth+1))
 	}
 	return unknownIdx()
 }
 
 // combine merges two classified operands under a binary operator.
-func (fa *funcAnalysis) combine(op lang.TokKind, x, y idxInfo) idxInfo {
+func combine(op lang.TokKind, x, y idxInfo) idxInfo {
 	// Comparisons and boolean connectives produce at most two distinct
 	// values whenever either side is classifiable at all.
 	switch op {

@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"tcfpram/internal/codegen"
@@ -214,7 +214,13 @@ func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 		return rep
 	}
 
-	ceil, ceilKnown := staticThickCeiling(c, p.Variant)
+	// The static thickness ceiling stands in whenever abstract execution
+	// cannot finish. It is a fact of the checked program, independent of
+	// the machine: the vet gate's run has it ready.
+	var ceiling thick
+	if c.Info != nil && c.Info.Prog != nil {
+		ceiling = thickCeiling(c.Info)
+	}
 
 	pol, err := variant.PolicyFor(p.Variant)
 	if err != nil {
@@ -233,8 +239,8 @@ func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 		rep.Steps = minOnly(1)
 		rep.Cycles = minOnly(1)
 		rep.InstrFetches = minOnly(1)
-		if ceilKnown {
-			rep.MaxThickness = Bound{Min: 1, Max: ceil}
+		if ceiling.known {
+			rep.MaxThickness = Bound{Min: 1, Max: ceiling.n}
 		} else {
 			rep.MaxThickness = minOnly(1)
 		}
@@ -244,10 +250,10 @@ func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 	ex := newCostExec(c, p, pol, shape)
 	ex.run(rep)
 
-	if !rep.Resolved && ceilKnown && rep.MaxThickness.Max < 0 {
+	if !rep.Resolved && ceiling.known && rep.MaxThickness.Max < 0 {
 		// The dataflow ceiling still bounds thickness even when abstract
 		// execution could not finish.
-		rep.MaxThickness.Max = ceil
+		rep.MaxThickness.Max = ceiling.n
 	}
 	return rep
 }
@@ -259,70 +265,6 @@ func CostSource(name, src string, params CostParams) (*CostReport, error) {
 		return nil, err
 	}
 	return Cost(c, params), nil
-}
-
-// staticThickCeiling computes the maximum thickness any flow can reach, by
-// running the tcfvet CFG + thickness dataflow over every function reachable
-// from main and joining every reachable block state and parallel-arm
-// thickness. It reports ok=false when any reachable state is unknown (a
-// thickness set from a non-constant expression).
-func staticThickCeiling(c *codegen.Compiled, kind variant.Kind) (int64, bool) {
-	info := c.Info
-	if info == nil || info.Prog == nil {
-		return 0, false
-	}
-	a := &analyzer{
-		opts:      Options{Variant: kind},
-		prog:      info.Prog,
-		info:      info,
-		callThick: map[string]thickState{},
-	}
-	a.buildGlobalConst()
-	a.callThick["main"] = thickState{seen: true, t: thick{known: true, n: 1}}
-	order, _ := a.callOrder()
-
-	ceil, ok := int64(1), true
-	note := func(t thick) {
-		if !t.known {
-			ok = false
-			return
-		}
-		if t.n > ceil {
-			ceil = t.n
-		}
-	}
-	for _, name := range order {
-		fi := info.Funcs[name]
-		if fi == nil || fi.Decl == nil {
-			continue
-		}
-		fa := &funcAnalysis{a: a, fn: fi.Decl, entry: a.callThick[name].t}
-		fa.buildEnv()
-		fa.g = buildCFG(fi.Decl)
-		fa.thicknessDataflow()
-		for _, bl := range fa.g.blocks {
-			st, seen := fa.thickIn[bl]
-			if !seen || !bl.reachable {
-				continue
-			}
-			note(st.t)
-			note(fa.blockOutThick(bl))
-			// Join call-site thickness into callees, as checkBlocks does,
-			// so the dataflow seeds functions in caller-first order.
-			t := st.t
-			for _, s := range bl.stmts {
-				fa.propagateCalls(s, t)
-				t = transferThick(fa, s, t)
-			}
-			for _, e := range bl.exprs {
-				fa.propagateCalls(e, t)
-			}
-			if bl.arm != nil {
-				note(fa.armThick(bl.arm))
-			}
-		}
-	}
-	return ceil, ok
 }
 
 // Render formats a report for terminal output.
@@ -373,15 +315,13 @@ func (r *CostReport) Render() string {
 	return b.String()
 }
 
-// pagesOf flattens a page set into a sorted slice.
-func pagesOf(set map[int64]struct{}) []int64 {
-	if len(set) == 0 {
-		return nil
+// pagesOf lists a page set in ascending order.
+func pagesOf(set bitset) []int64 {
+	var out []int64
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int64(w*64+bits.TrailingZeros64(word)))
+		}
 	}
-	out := make([]int64, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"tcfpram/internal/codegen"
@@ -121,23 +122,45 @@ func (f *absFlow) setThickness(t int64) {
 // peeks read zero and pokes are dropped, exactly like mem.Shared.Peek/Poke
 // and mem.Local. Once the tracking budget is exceeded or a bulk symbolic
 // write lands, values degrade to unknown — cost accounting stays exact.
+//
+// Tracked words live in chunks of 64 found through a map; the lanes of a
+// thick access walk neighbouring addresses, so the chunk of the previous
+// access is tried first and the map is consulted once per chunk, not once
+// per word.
 type absMem struct {
-	words  map[int64]aval
-	size   int64
-	budget int
-	lost   bool
+	chunks  map[int64]*memChunk
+	last    *memChunk
+	lastIdx int64
+	tracked int // words held
+	size    int64
+	budget  int
+	lost    bool
+}
+
+// memChunk holds the words [64*idx, 64*idx+64) that have been written.
+type memChunk struct {
+	present uint64
+	vals    [64]aval
 }
 
 func newAbsMem(size int64, budget int) absMem {
-	return absMem{words: make(map[int64]aval), size: size, budget: budget}
+	return absMem{chunks: make(map[int64]*memChunk), lastIdx: -1, size: size, budget: budget}
+}
+
+// chunk returns the chunk of addr, nil if no word of it is tracked.
+func (m *absMem) chunk(addr int64) *memChunk {
+	if idx := addr >> 6; idx != m.lastIdx {
+		m.last, m.lastIdx = m.chunks[idx], idx
+	}
+	return m.last
 }
 
 func (m *absMem) peek(addr int64) aval {
 	if addr < 0 || addr >= m.size {
 		return known(0)
 	}
-	if v, ok := m.words[addr]; ok {
-		return v
+	if c := m.chunk(addr); c != nil && c.present&(1<<(addr&63)) != 0 {
+		return c.vals[addr&63]
 	}
 	if m.lost {
 		return unknown
@@ -149,15 +172,25 @@ func (m *absMem) poke(addr int64, v aval) {
 	if addr < 0 || addr >= m.size {
 		return
 	}
-	if _, ok := m.words[addr]; !ok && len(m.words) >= m.budget {
-		m.lost = true
-		return
+	c, bit := m.chunk(addr), uint64(1)<<(addr&63)
+	if c == nil || c.present&bit == 0 {
+		if m.tracked >= m.budget {
+			m.lost = true
+			return
+		}
+		if c == nil {
+			c = new(memChunk)
+			m.chunks[addr>>6], m.last = c, c
+		}
+		c.present |= bit
+		m.tracked++
 	}
-	m.words[addr] = v
+	c.vals[addr&63] = v
 }
 
 func (m *absMem) loseAll() {
-	clear(m.words)
+	clear(m.chunks)
+	m.last, m.lastIdx, m.tracked = nil, -1, 0
 	m.lost = true
 }
 
@@ -213,8 +246,8 @@ type absGroup struct {
 	index             int
 	resident, pending []*absFlow
 	local             absMem
-	readPages         map[int64]struct{}
-	writePages        map[int64]struct{}
+	readPages         bitset // shared pages the group's flows read and wrote
+	writePages        bitset
 	cnt               costCounters
 	writes            []absWrite
 	contribs          []absContrib
@@ -309,13 +342,15 @@ func newCostExec(c *codegen.Compiled, p CostParams, pol variant.Policy, _ varian
 		}
 		ex.dist[gi] = row
 	}
+	// Page sets are bitsets over the pages of shared memory.
+	pageWords := ((p.SharedWords+mem.PageWords-1)>>mem.PageShift + 63) / 64
 	ex.groups = make([]*absGroup, p.Groups)
 	for gi := range ex.groups {
 		ex.groups[gi] = &absGroup{
 			index:      gi,
 			local:      newAbsMem(int64(p.LocalWords), p.MaxTrackedWords),
-			readPages:  make(map[int64]struct{}),
-			writePages: make(map[int64]struct{}),
+			readPages:  make(bitset, pageWords),
+			writePages: make(bitset, pageWords),
 			fwd:        make(map[int64]aval),
 		}
 	}
@@ -733,11 +768,11 @@ func (ex *costExec) notePage(g *absGroup, addr int64, write bool) {
 	if addr < 0 || addr >= int64(ex.p.SharedWords) {
 		return
 	}
-	pg := addr >> mem.PageShift
+	pg := int32(addr >> mem.PageShift)
 	if write {
-		g.writePages[pg] = struct{}{}
+		g.writePages.add(pg)
 	} else {
-		g.readPages[pg] = struct{}{}
+		g.readPages.add(pg)
 	}
 }
 
@@ -781,11 +816,11 @@ func (ex *costExec) notePageBulk(g *absGroup, base, stride int64, w int, write b
 		ex.footLost = true
 		return
 	}
-	for pg := loPg; pg <= hiPg; pg++ {
+	for pg := int32(loPg); pg <= int32(hiPg); pg++ {
 		if write {
-			g.writePages[pg] = struct{}{}
+			g.writePages.add(pg)
 		} else {
-			g.readPages[pg] = struct{}{}
+			g.readPages.add(pg)
 		}
 	}
 }
@@ -1319,19 +1354,20 @@ func (ex *costExec) fill(rep *CostReport, resolved bool, reason, note string) {
 	n := len(ex.groups)
 	rep.GroupReadPages = make([][]int64, n)
 	rep.GroupWritePages = make([][]int64, n)
-	all := make(map[int64]struct{})
+	touched := 0 // pages any group read or wrote
+	for w := range ex.groups[0].readPages {
+		var all uint64
+		for _, g := range ex.groups {
+			all |= g.readPages[w] | g.writePages[w]
+		}
+		touched += bits.OnesCount64(all)
+	}
 	for i, g := range ex.groups {
 		rep.GroupReadPages[i] = pagesOf(g.readPages)
 		rep.GroupWritePages[i] = pagesOf(g.writePages)
-		for pg := range g.readPages {
-			all[pg] = struct{}{}
-		}
-		for pg := range g.writePages {
-			all[pg] = struct{}{}
-		}
 	}
 	if resolved && !ex.footLost {
-		rep.FootprintPages = exactBound(int64(len(all)))
+		rep.FootprintPages = exactBound(int64(touched))
 		total := 0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -1347,17 +1383,14 @@ func (ex *costExec) fill(rep *CostReport, resolved bool, reason, note string) {
 			"%d/%d group pairs provably independent at page granularity: dataflow run-ahead between them never blocks on a shared-page frontier",
 			len(rep.IndependentGroupPairs), total)
 	} else {
-		rep.FootprintPages = minOnly(int64(len(all)))
+		rep.FootprintPages = minOnly(int64(touched))
 		rep.ScheduleNote = "footprint incomplete; no group independence proven"
 	}
 }
 
-func pagesDisjoint(a, b map[int64]struct{}) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for pg := range a {
-		if _, ok := b[pg]; ok {
+func pagesDisjoint(a, b bitset) bool {
+	for w := range a {
+		if a[w]&b[w] != 0 {
 			return false
 		}
 	}

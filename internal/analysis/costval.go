@@ -81,6 +81,21 @@ func (v *avec) lane(i int) aval {
 	return unknown
 }
 
+// concrete reports whether every lane is known and the vector is within the
+// cap: whether materialize would return an image. at then reads lane i < n
+// of the image without building it.
+func (v *avec) concrete(cap int) bool { return v.n <= cap && v.kind != cvUnk }
+
+func (v *avec) at(i int) int64 {
+	switch v.kind {
+	case cvUni:
+		return v.base
+	case cvAff:
+		return v.base + int64(i)*v.stride
+	}
+	return v.vals[i]
+}
+
 // materialize returns a concrete lane image, or nil when the vector holds
 // unknown lanes or exceeds the cap.
 func (v *avec) materialize(cap int) []int64 {
@@ -255,13 +270,12 @@ func aluVec(op isa.Op, a, b *avec, cap int) *avec {
 			}
 		}
 	}
-	av, bv := a.materialize(cap), b.materialize(cap)
-	if av == nil || bv == nil {
+	if !a.concrete(cap) || !b.concrete(cap) {
 		return unkVec(n)
 	}
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = isa.Eval(op, av[i], bv[i])
+		out[i] = isa.Eval(op, a.at(i), b.at(i))
 	}
 	return concVec(out)
 }
@@ -296,16 +310,15 @@ func selVec(cond, then, els *avec, cap int) *avec {
 		}
 		return els
 	}
-	cv, tv, ev := cond.materialize(cap), then.materialize(cap), els.materialize(cap)
-	if cv == nil || tv == nil || ev == nil {
+	if !cond.concrete(cap) || !then.concrete(cap) || !els.concrete(cap) {
 		return unkVec(n)
 	}
 	out := make([]int64, n)
 	for i := range out {
-		if cv[i] != 0 {
-			out[i] = tv[i]
+		if cond.at(i) != 0 {
+			out[i] = then.at(i)
 		} else {
-			out[i] = ev[i]
+			out[i] = els.at(i)
 		}
 	}
 	return concVec(out)

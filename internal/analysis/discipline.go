@@ -11,18 +11,21 @@ import (
 
 // access is one shared/local-memory access a statement performs: which
 // symbol, whether it writes, whether the access is thick (one address per
-// thread) and the classification of its index expression.
+// thread) and the classification of its index expression. The walk records
+// the access with its index expression (nil: a scalar variable, index 0);
+// solve classifies it.
 type access struct {
-	pos   lang.Pos
-	sym   *sema.Sym
-	write bool
-	thick bool
-	idx   idxInfo
+	pos     lang.Pos
+	sym     *sema.Sym
+	write   bool
+	thick   bool
+	idxExpr lang.Expr
+	idx     idxInfo
 }
 
 // addrRange resolves the access to a [lo,hi) word interval when possible:
 // the exact word for flow-common indices, the whole array otherwise.
-func (acc access) addrRange() (lo, hi int64) {
+func (acc *access) addrRange() (lo, hi int64) {
 	if acc.idx.kind == idxCommon && acc.idx.valKnown {
 		lo = acc.sym.Addr + acc.idx.val
 		return lo, lo + 1
@@ -37,103 +40,72 @@ func (acc access) addrRange() (lo, hi int64) {
 	return acc.sym.Addr, acc.sym.Addr + 1
 }
 
-func (fa *funcAnalysis) memSym(n any) *sema.Sym {
-	sym := fa.a.info.Syms[n]
-	if sym != nil && sym.Space != lang.SpaceReg {
-		return sym
-	}
-	return nil
-}
-
-// stmtAccesses collects the memory accesses of one leaf statement,
-// mirroring codegen's access widths: a store through an index is thick iff
-// the index or the stored value is thick; a load through an index is thick
-// iff the index is thick; scalar-variable accesses are always scalar.
-// Multioperation intrinsics are exempt — concurrent combining is their
-// point — so &-arguments contribute no access (their index expressions,
-// evaluated in registers, still do).
-func (fa *funcAnalysis) stmtAccesses(s lang.Stmt) []access {
-	var out []access
-	add := func(a access) { out = append(out, a) }
-	switch s := s.(type) {
-	case *lang.VarDecl:
-		fa.exprAccesses(s.InitExpr, add)
-	case *lang.AssignStmt:
-		fa.exprAccesses(s.RHS, add)
-		switch lhs := s.LHS.(type) {
-		case *lang.Ident:
-			if sym := fa.memSym(lhs); sym != nil {
-				if s.Op != lang.TokAssign {
-					add(access{pos: lhs.Pos, sym: sym, idx: commonVal(0)})
-				}
-				add(access{pos: lhs.Pos, sym: sym, write: true, idx: commonVal(0)})
-			}
-		case *lang.Index:
-			fa.exprAccesses(lhs.Idx, add)
-			if sym := fa.memSym(lhs); sym != nil {
-				idxThick := fa.a.info.Kinds[lhs.Idx] == sema.KindThick
-				rhsThick := fa.a.info.Kinds[s.RHS] == sema.KindThick
-				ci := fa.classify(lhs.Idx, 0)
-				if s.Op != lang.TokAssign {
-					add(access{pos: lhs.Pos, sym: sym, thick: idxThick, idx: ci})
-				}
-				add(access{pos: lhs.Pos, sym: sym, write: true,
-					thick: idxThick || rhsThick, idx: ci})
-			}
+// checkBlocks replays every reachable block over its entry thickness,
+// running the per-statement discipline and thickness-sanity checks.
+func (a *analyzer) checkBlocks(ff *funcFacts) {
+	for _, bl := range ff.g.blocks {
+		if !bl.reachable {
+			continue
 		}
-	case *lang.ExprStmt:
-		fa.exprAccesses(s.X, add)
-	case *lang.ThickStmt:
-		fa.exprAccesses(s.X, add)
-	case *lang.NumaStmt:
-		fa.exprAccesses(s.X, add)
-	case *lang.ReturnStmt:
-		fa.exprAccesses(s.X, add)
+		t := ff.thickIn[bl.id].t
+		for i := range bl.leaves {
+			lf := &bl.leaves[i]
+			a.checkThickness(lf)
+			a.checkAccesses(ff, lf.sites, t)
+			t = lf.transfer(t)
+		}
+		for i := range bl.tails {
+			a.checkAccesses(ff, bl.tails[i].sites, t)
+		}
 	}
-	return out
 }
 
-// exprAccesses collects the loads an expression performs.
-func (fa *funcAnalysis) exprAccesses(e lang.Expr, add func(access)) {
-	if e == nil {
+// checkThickness flags thickness and bunch-length statements whose operand
+// is a constant the machine cannot make progress with.
+func (a *analyzer) checkThickness(lf *leaf) {
+	if !lf.thickKnown {
 		return
 	}
-	lang.Inspect(e, func(n any) bool {
-		switch n := n.(type) {
-		case *lang.Index:
-			if sym := fa.memSym(n); sym != nil {
-				add(access{pos: n.Pos, sym: sym,
-					thick: fa.a.info.Kinds[n.Idx] == sema.KindThick,
-					idx:   fa.classify(n.Idx, 0)})
-			}
-		case *lang.Ident:
-			if sym := fa.memSym(n); sym != nil {
-				add(access{pos: n.Pos, sym: sym, idx: commonVal(0)})
-			}
-		}
-		return true
-	})
+	v, pos := lf.thickVal, lf.stmt.GetPos()
+	switch {
+	case lf.thickOp == thickSet && v == 0:
+		a.report(diag.New(pos, diag.Warning, "zero-thickness",
+			"thickness set to the constant 0: no threads execute the region that follows"))
+	case lf.thickOp == thickSet && v < 0:
+		a.report(diag.New(pos, diag.Error, "negative-thickness",
+			"thickness set to the constant %d; the machine rejects negative thickness", v))
+	case lf.thickOp == thickNuma && v <= 0:
+		a.report(diag.New(pos, diag.Warning, "zero-thickness",
+			"NUMA bunch length is the constant %d; it must be positive to make progress", v))
+	}
 }
 
-// checkAccess reports a discipline violation when one thick instruction
-// provably touches the same word from two threads in one step.
-func (fa *funcAnalysis) checkAccess(acc access, t thick) {
-	d := fa.a.opts.Discipline
-	if !d.Checks() || !acc.thick || !acc.idx.collides(t) {
+// checkAccesses reports a discipline violation for every access of sites in
+// which one thick instruction provably touches the same word from two
+// threads in one step.
+func (a *analyzer) checkAccesses(ff *funcFacts, sites span, t thick) {
+	d := a.opts.Discipline
+	if !d.Checks() {
 		return
 	}
-	if acc.write {
-		fa.reportAccess(acc, t, "concurrent-write",
-			"concurrent write to %s under %s: %s")
-	} else if d == mem.DisciplineEREW {
-		fa.reportAccess(acc, t, "concurrent-read",
-			"concurrent read of %s under %s: %s")
+	for i := sites.lo; i < sites.hi; i++ {
+		acc := &ff.sites[i]
+		if !acc.thick || !acc.idx.collides(t) {
+			continue
+		}
+		if acc.write {
+			a.reportAccess(acc, t, "concurrent-write",
+				"concurrent write to %s under %s: %s")
+		} else if d == mem.DisciplineEREW {
+			a.reportAccess(acc, t, "concurrent-read",
+				"concurrent read of %s under %s: %s")
+		}
 	}
 }
 
-func (fa *funcAnalysis) reportAccess(acc access, t thick, check, format string) {
-	d := fa.a.report(diag.New(acc.pos, diag.Error, check, format,
-		acc.sym.Name, fa.a.opts.Discipline, collideWhy(acc.idx, t)))
+func (a *analyzer) reportAccess(acc *access, t thick, check, format string) {
+	d := a.report(diag.New(acc.pos, diag.Error, check, format,
+		acc.sym.Name, a.opts.Discipline, collideWhy(acc.idx, t)))
 	d.Addr, d.AddrEnd = acc.addrRange()
 }
 
@@ -152,65 +124,54 @@ func collideWhy(i idxInfo, t thick) string {
 	return "the index provably collides"
 }
 
-// checkParallel walks the function body and, for every parallel statement,
-// checks arm thickness sanity, barriers inside arms on lockstep variants,
-// and constant-address conflicts between sibling arms (arms run as
-// concurrent flows, so same-step accesses to one word are possible).
-func (fa *funcAnalysis) checkParallel() {
-	lockstep := fa.a.opts.Variant.Props().Lockstep
-	var walk func(n any, inArm bool)
-	walk = func(n any, inArm bool) {
-		lang.Inspect(n, func(m any) bool {
-			switch m := m.(type) {
-			case *lang.BarrierStmt:
-				if inArm && lockstep {
-					fa.a.report(diag.New(m.Pos, diag.Warning, "barrier-in-parallel",
-						"barrier inside a parallel arm: on lockstep variants sibling arms "+
-							"advance one instruction per step and a barrier here can deadlock "+
-							"arms of different lengths"))
-				}
-			case *lang.ParallelStmt:
-				fa.checkParallelStmt(m)
-				for i := range m.Arms {
-					walk(m.Arms[i].Body, true)
-				}
-				return false // arms handled above
-			}
-			return true
-		})
+// checkParallel checks, for every parallel statement of the function, arm
+// thickness sanity and constant-address conflicts between sibling arms
+// (arms run as concurrent flows, so same-step accesses to one word are
+// possible), and flags barriers inside arms on lockstep variants.
+func (a *analyzer) checkParallel(ff *funcFacts) {
+	if a.opts.Variant.Props().Lockstep {
+		for _, b := range ff.armBarriers {
+			a.report(diag.New(b.Pos, diag.Warning, "barrier-in-parallel",
+				"barrier inside a parallel arm: on lockstep variants sibling arms "+
+					"advance one instruction per step and a barrier here can deadlock "+
+					"arms of different lengths"))
+		}
 	}
-	if fa.fn.Body != nil {
-		walk(fa.fn.Body, false)
+	for i := range ff.pars {
+		a.checkParallelStmt(ff, &ff.pars[i])
 	}
 }
 
-func (fa *funcAnalysis) checkParallelStmt(p *lang.ParallelStmt) {
+func (a *analyzer) checkParallelStmt(ff *funcFacts, p *parFacts) {
 	// Arm thickness sanity.
-	for i := range p.Arms {
-		arm := &p.Arms[i]
-		if v, ok := fa.fold(arm.Thick); ok {
+	for i := range p.stmt.Arms {
+		arm := &p.stmt.Arms[i]
+		if v, ok := ff.fold(arm.Thick); ok {
 			if v == 0 {
-				fa.a.report(diag.New(arm.Pos, diag.Warning, "zero-thickness",
+				a.report(diag.New(arm.Pos, diag.Warning, "zero-thickness",
 					"parallel arm with constant thickness 0 spawns no threads"))
 			} else if v < 0 {
-				fa.a.report(diag.New(arm.Pos, diag.Error, "negative-thickness",
+				a.report(diag.New(arm.Pos, diag.Error, "negative-thickness",
 					"parallel arm thickness is the constant %d; the machine rejects negative thickness", v))
 			}
 		}
 	}
-	d := fa.a.opts.Discipline
+	d := a.opts.Discipline
 	if !d.Checks() {
 		return
 	}
-	// Constant-address conflict check between sibling arms.
+	// Constant-address conflict check between sibling arms: every access
+	// in an arm body whose address is a compile-time constant (flow-common
+	// known index or scalar variable).
 	type armAcc struct {
 		arm  int
 		addr int64
-		acc  access
+		acc  *access
 	}
 	var all []armAcc
-	for i := range p.Arms {
-		for _, acc := range fa.constAddrAccesses(p.Arms[i].Body) {
+	for i, sp := range p.arms {
+		for k := sp.lo; k < sp.hi; k++ {
+			acc := &ff.sites[k]
 			lo, hi := acc.addrRange()
 			if hi != lo+1 || acc.idx.kind != idxCommon || !acc.idx.valKnown {
 				continue
@@ -218,35 +179,43 @@ func (fa *funcAnalysis) checkParallelStmt(p *lang.ParallelStmt) {
 			all = append(all, armAcc{arm: i, addr: lo, acc: acc})
 		}
 	}
-	seen := map[string]bool{}
+	type pairKey struct {
+		addr  int64
+		arm   int
+		check string
+	}
+	var seen map[pairKey]bool
 	for i := 0; i < len(all); i++ {
 		for j := i + 1; j < len(all); j++ {
-			a, b := all[i], all[j]
-			if a.arm == b.arm || a.addr != b.addr {
+			x, y := all[i], all[j]
+			if x.arm == y.arm || x.addr != y.addr {
 				continue
 			}
 			var check string
 			switch {
-			case a.acc.write && b.acc.write:
+			case x.acc.write && y.acc.write:
 				check = "concurrent-write"
-			case a.acc.write || b.acc.write:
+			case x.acc.write || y.acc.write:
 				check = "read-write-overlap"
 			case d == mem.DisciplineEREW:
 				check = "concurrent-read"
 			default:
 				continue
 			}
-			key := fmt.Sprintf("%d:%d:%s", a.addr, b.arm, check)
+			key := pairKey{x.addr, y.arm, check}
 			if seen[key] {
 				continue
 			}
+			if seen == nil {
+				seen = map[pairKey]bool{}
+			}
 			seen[key] = true
-			dg := fa.a.report(diag.New(b.acc.pos, diag.Warning, check,
+			dg := a.report(diag.New(y.acc.pos, diag.Warning, check,
 				"parallel arms may %s %s (word %d) in the same step under %s: "+
 					"sibling arm access at %s",
-				pairVerb(a.acc.write, b.acc.write), b.acc.sym.Name, a.addr,
-				d, a.acc.pos))
-			dg.Addr, dg.AddrEnd = a.addr, a.addr+1
+				pairVerb(x.acc.write, y.acc.write), y.acc.sym.Name, x.addr,
+				d, x.acc.pos))
+			dg.Addr, dg.AddrEnd = x.addr, x.addr+1
 		}
 	}
 }
@@ -259,32 +228,4 @@ func pairVerb(w1, w2 bool) string {
 		return "read and write"
 	}
 	return "both read"
-}
-
-// constAddrAccesses collects every access in an arm body whose address is a
-// compile-time constant (flow-common known index or scalar variable).
-func (fa *funcAnalysis) constAddrAccesses(body lang.Stmt) []access {
-	var out []access
-	add := func(a access) { out = append(out, a) }
-	lang.Inspect(body, func(n any) bool {
-		if s, ok := n.(lang.Stmt); ok {
-			switch s.(type) {
-			case *lang.VarDecl, *lang.AssignStmt, *lang.ExprStmt,
-				*lang.ThickStmt, *lang.NumaStmt, *lang.ReturnStmt:
-				for _, acc := range fa.stmtAccesses(s) {
-					add(acc)
-				}
-				return false // stmtAccesses covered the subtree
-			}
-			return true
-		}
-		if e, ok := n.(lang.Expr); ok {
-			// Trailing expressions of control statements (conditions,
-			// subjects, nested arm thicknesses) reach here directly.
-			fa.exprAccesses(e, add)
-			return false
-		}
-		return true
-	})
-	return out
 }

@@ -8,46 +8,27 @@ import (
 // checkBounds flags constant indices that provably land outside their
 // array, and constant non-zero indexing of scalar memory variables (which
 // silently aliases a neighboring word).
-func (fa *funcAnalysis) checkBounds() {
-	if fa.fn.Body == nil {
-		return
-	}
-	lang.Inspect(fa.fn.Body, func(n any) bool {
-		switch n := n.(type) {
-		case *lang.Index:
-			fa.checkIndex(n.Pos, n, n.Idx, diag.Error)
-		case *lang.AddrOf:
-			if n.Idx != nil {
-				// Address computation: out-of-range is still suspicious
-				// (multiops write through it) but kept a warning.
-				fa.checkIndex(n.Pos, n, n.Idx, diag.Warning)
-			}
+func (a *analyzer) checkBounds(ff *funcFacts) {
+	for i := range ff.indexes {
+		ix := &ff.indexes[i]
+		sym := ix.sym
+		v, ok := ff.fold(ix.idx)
+		if !ok {
+			continue
 		}
-		return true
-	})
-}
-
-func (fa *funcAnalysis) checkIndex(pos lang.Pos, node any, idx lang.Expr, sev diag.Severity) {
-	sym := fa.memSym(node)
-	if sym == nil {
-		return
-	}
-	v, ok := fa.fold(idx)
-	if !ok {
-		return
-	}
-	if sym.ArrayLen < 0 {
-		if v != 0 {
-			d := fa.a.report(diag.New(pos, diag.Warning, "index-out-of-range",
-				"indexing scalar variable %s with constant %d accesses a neighboring word", sym.Name, v))
+		if sym.ArrayLen < 0 {
+			if v != 0 {
+				d := a.report(diag.New(ix.pos, diag.Warning, "index-out-of-range",
+					"indexing scalar variable %s with constant %d accesses a neighboring word", sym.Name, v))
+				d.Addr, d.AddrEnd = sym.Addr+v, sym.Addr+v+1
+			}
+			continue
+		}
+		if v < 0 || v >= int64(sym.ArrayLen) {
+			d := a.report(diag.New(ix.pos, ix.sev, "index-out-of-range",
+				"constant index %d is out of range for %s[%d]", v, sym.Name, sym.ArrayLen))
 			d.Addr, d.AddrEnd = sym.Addr+v, sym.Addr+v+1
 		}
-		return
-	}
-	if v < 0 || v >= int64(sym.ArrayLen) {
-		d := fa.a.report(diag.New(pos, sev, "index-out-of-range",
-			"constant index %d is out of range for %s[%d]", v, sym.Name, sym.ArrayLen))
-		d.Addr, d.AddrEnd = sym.Addr+v, sym.Addr+v+1
 	}
 }
 
@@ -59,12 +40,9 @@ func (a *analyzer) checkPlacements() {
 		lo   int64
 		hi   int64
 	}
-	bySpace := map[lang.Space][]region{}
-	for _, g := range a.prog.Globals {
-		sym := a.info.Syms[g]
-		if sym == nil || sym.Space == lang.SpaceReg {
-			continue
-		}
+	var bySpace [lang.SpaceLocal + 1][]region
+	for _, sym := range a.pf.info.Globals {
+		g := sym.Decl
 		n := int64(1)
 		if sym.ArrayLen >= 0 {
 			n = int64(sym.ArrayLen)
@@ -87,24 +65,10 @@ func (a *analyzer) checkPlacements() {
 					d := a.report(diag.New(y.decl.Pos, diag.Warning, "address-overlap",
 						"@ placement of %s (words %d..%d) overlaps %s (words %d..%d)",
 						y.decl.Name, y.lo, y.hi-1, x.decl.Name, x.lo, x.hi-1))
-					lo, hi := maxI64(x.lo, y.lo), minI64(x.hi, y.hi)
+					lo, hi := max(x.lo, y.lo), min(x.hi, y.hi)
 					d.Addr, d.AddrEnd = lo, hi
 				}
 			}
 		}
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,105 +3,68 @@ package analysis
 import (
 	"tcfpram/internal/diag"
 	"tcfpram/internal/lang"
-	"tcfpram/internal/sema"
 )
 
-// stmtDef returns the register symbol a leaf statement defines, if any, and
-// whether the definition is a plain `=` assignment (the only kind reported
-// as a dead store; declarations and compound assignments are exempt).
-func (fa *funcAnalysis) stmtDef(s lang.Stmt) (sym *sema.Sym, plain bool) {
-	switch s := s.(type) {
-	case *lang.VarDecl:
-		sym := fa.a.info.Syms[s]
-		if sym != nil && sym.Space == lang.SpaceReg {
-			return sym, false
-		}
-	case *lang.AssignStmt:
-		if id, ok := s.LHS.(*lang.Ident); ok {
-			sym := fa.a.info.Syms[id]
-			if sym != nil && sym.Space == lang.SpaceReg {
-				return sym, s.Op == lang.TokAssign
-			}
-		}
-	}
-	return nil, false
-}
+// bitset is a set of small dense ids: register symbols by Sym.Index here,
+// pages of shared memory in the cost executor.
+type bitset []uint64
 
-// forEachUse calls f for every register symbol a leaf statement reads. The
-// left-hand side of a plain `=` assignment is not a use; a compound
-// assignment's LHS is (old value is loaded), and an indexed LHS uses the
-// symbols in its index expression.
-func (fa *funcAnalysis) forEachUse(s lang.Stmt, f func(*sema.Sym)) {
-	use := func(n any) { fa.exprUses(n, f) }
-	switch s := s.(type) {
-	case *lang.VarDecl:
-		use(s.InitExpr)
-	case *lang.AssignStmt:
-		use(s.RHS)
-		switch lhs := s.LHS.(type) {
-		case *lang.Ident:
-			if s.Op != lang.TokAssign {
-				if sym := fa.a.info.Syms[lhs]; sym != nil && sym.Space == lang.SpaceReg {
-					f(sym)
-				}
-			}
-		case *lang.Index:
-			use(lhs.Idx)
-			if s.Op != lang.TokAssign {
-				// Memory LHS: old value comes from memory, not a register,
-				// but the index is evaluated (already handled above).
-				_ = lhs
-			}
-		}
-	case *lang.ExprStmt:
-		use(s.X)
-	case *lang.ThickStmt:
-		use(s.X)
-	case *lang.NumaStmt:
-		use(s.X)
-	case *lang.ReturnStmt:
-		use(s.X)
-	}
-}
-
-// exprUses calls f for every register symbol read inside an expression.
-func (fa *funcAnalysis) exprUses(n any, f func(*sema.Sym)) {
-	if n == nil {
-		return
-	}
-	e, ok := n.(lang.Expr)
-	if !ok || e == nil {
-		return
-	}
-	lang.Inspect(e, func(n any) bool {
-		if id, ok := n.(*lang.Ident); ok {
-			if sym := fa.a.info.Syms[id]; sym != nil && sym.Space == lang.SpaceReg {
-				f(sym)
-			}
-		}
-		return true
-	})
-}
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) add(i int32)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) del(i int32)      { b[i>>6] &^= 1 << (i & 63) }
 
 // liveness runs a backward fixpoint computing, for each block, the set of
 // register symbols live at block exit; then reports dead stores: plain `=`
 // assignments to registers whose value is never read afterwards.
-func (fa *funcAnalysis) liveness() {
-	out := make(map[*cfgBlock]map[*sema.Sym]bool, len(fa.g.blocks))
-	for _, bl := range fa.g.blocks {
-		out[bl] = map[*sema.Sym]bool{}
+//
+// A block's transfer function is live-in = gen ∪ (live-out − kill); gen and
+// kill come from one backward pass over the block's recorded uses and
+// definitions, and the fixpoint is word operations on bitsets.
+func (a *analyzer) liveness(ff *funcFacts) {
+	blocks := ff.g.blocks
+	words := (ff.fi.NumRegs + 63) / 64
+	if words == 0 {
+		return // no register to be dead
 	}
-	changed := true
-	for changed {
+	sets := make(bitset, 3*words*len(blocks)+words)
+	set := func(k, id int) bitset { return sets[(3*id+k)*words : (3*id+k+1)*words] }
+	gen := func(bl *cfgBlock) bitset { return set(0, bl.id) }
+	kill := func(bl *cfgBlock) bitset { return set(1, bl.id) }
+	out := func(bl *cfgBlock) bitset { return set(2, bl.id) }
+	live := sets[3*words*len(blocks):]
+
+	for _, bl := range blocks {
+		g, k := gen(bl), kill(bl)
+		for i := len(bl.tails) - 1; i >= 0; i-- {
+			for _, u := range ff.uses[bl.tails[i].uses.lo:bl.tails[i].uses.hi] {
+				g.add(u)
+			}
+		}
+		for i := len(bl.leaves) - 1; i >= 0; i-- {
+			lf := &bl.leaves[i]
+			if lf.def >= 0 && (lf.plain || lf.decl) {
+				g.del(lf.def)
+				k.add(lf.def)
+			}
+			for _, u := range ff.uses[lf.uses.lo:lf.uses.hi] {
+				g.add(u)
+			}
+		}
+	}
+
+	for changed := true; changed; {
 		changed = false
-		for i := len(fa.g.blocks) - 1; i >= 0; i-- {
-			bl := fa.g.blocks[i]
-			in := fa.blockLiveIn(bl, out[bl], nil)
+		for i := len(blocks) - 1; i >= 0; i-- {
+			bl := blocks[i]
+			g, k, o := gen(bl), kill(bl), out(bl)
+			for w := range live {
+				live[w] = g[w] | o[w]&^k[w]
+			}
 			for _, pred := range bl.preds {
-				po := out[pred]
-				for sym := range in {
-					if !po[sym] {
-						po[sym] = true
+				po := out(pred)
+				for w := range live {
+					if live[w]&^po[w] != 0 {
+						po[w] |= live[w]
 						changed = true
 					}
 				}
@@ -111,93 +74,68 @@ func (fa *funcAnalysis) liveness() {
 
 	// Reporting pass: replay each reachable block backward and flag plain
 	// stores into dead registers.
-	for _, bl := range fa.g.blocks {
+	for _, bl := range blocks {
 		if !bl.reachable {
 			continue
 		}
-		fa.blockLiveIn(bl, out[bl], func(s *lang.AssignStmt, sym *sema.Sym) {
-			// A store whose right-hand side calls a function still has
-			// effects; only the binding is dead, which is too noisy to flag.
-			hasCall := false
-			lang.Inspect(s.RHS, func(n any) bool {
-				if _, ok := n.(*lang.Call); ok {
-					hasCall = true
-				}
-				return true
-			})
-			if hasCall {
-				return
-			}
-			fa.a.report(diag.New(s.Pos, diag.Warning, "dead-store",
-				"value assigned to %s is never used", sym.Name))
-		})
-	}
-}
-
-// blockLiveIn computes the live-in set of a block from its live-out set,
-// optionally reporting dead plain stores through deadf.
-func (fa *funcAnalysis) blockLiveIn(bl *cfgBlock, liveOut map[*sema.Sym]bool,
-	deadf func(*lang.AssignStmt, *sema.Sym)) map[*sema.Sym]bool {
-	live := make(map[*sema.Sym]bool, len(liveOut))
-	for sym := range liveOut {
-		live[sym] = true
-	}
-	for i := len(bl.exprs) - 1; i >= 0; i-- {
-		fa.exprUses(bl.exprs[i], func(sym *sema.Sym) { live[sym] = true })
-	}
-	for i := len(bl.stmts) - 1; i >= 0; i-- {
-		s := bl.stmts[i]
-		sym, plain := fa.stmtDef(s)
-		if sym != nil {
-			if plain && !live[sym] && deadf != nil {
-				deadf(s.(*lang.AssignStmt), sym)
-			}
-			if plain || isDecl(s) {
-				delete(live, sym)
+		copy(live, out(bl))
+		for i := len(bl.tails) - 1; i >= 0; i-- {
+			for _, u := range ff.uses[bl.tails[i].uses.lo:bl.tails[i].uses.hi] {
+				live.add(u)
 			}
 		}
-		fa.forEachUse(s, func(sym *sema.Sym) { live[sym] = true })
+		for i := len(bl.leaves) - 1; i >= 0; i-- {
+			lf := &bl.leaves[i]
+			if lf.def >= 0 {
+				// A store whose right-hand side calls a function still has
+				// effects; only the binding is dead, which is too noisy to
+				// flag.
+				if lf.plain && !live.has(lf.def) && !lf.call {
+					a.report(diag.New(lf.stmt.GetPos(), diag.Warning, "dead-store",
+						"value assigned to %s is never used", lf.stmt.(*lang.AssignStmt).LHS.(*lang.Ident).Name))
+				}
+				if lf.plain || lf.decl {
+					live.del(lf.def)
+				}
+			}
+			for _, u := range ff.uses[lf.uses.lo:lf.uses.hi] {
+				live.add(u)
+			}
+		}
 	}
-	return live
-}
-
-func isDecl(s lang.Stmt) bool {
-	_, ok := s.(*lang.VarDecl)
-	return ok
 }
 
 // reportUnreachable flags statements in blocks the CFG cannot reach: code
 // after halt/return/break/continue and branches behind constant conditions.
 // Only the first statement of each unreachable region is reported.
-func (fa *funcAnalysis) reportUnreachable() {
-	reported := map[*cfgBlock]bool{}
-	for _, bl := range fa.g.blocks {
+func (a *analyzer) reportUnreachable(ff *funcFacts) {
+	var reported []bool // by block id, allocated at the first finding
+	for _, bl := range ff.g.blocks {
 		// Blocks are in creation (≈ source) order, so the first
 		// statement-bearing block of a region is seen before the blocks
 		// markRegion suppresses. Empty blocks carry nothing to point at.
-		if bl.reachable || reported[bl] || len(bl.stmts) == 0 {
+		if bl.reachable || len(bl.leaves) == 0 || reported != nil && reported[bl.id] {
 			continue
 		}
-		fa.reportUnreachableAt(bl)
+		if reported == nil {
+			reported = make([]bool, len(ff.g.blocks))
+		}
+		a.report(diag.New(bl.leaves[0].stmt.GetPos(), diag.Warning, "unreachable-code", "unreachable code"))
 		markRegion(bl, reported)
 	}
 }
 
-func (fa *funcAnalysis) reportUnreachableAt(bl *cfgBlock) {
-	fa.a.report(diag.New(bl.stmts[0].GetPos(), diag.Warning, "unreachable-code", "unreachable code"))
-}
-
 // markRegion suppresses duplicate reports for blocks downstream of an
 // already-reported unreachable region.
-func markRegion(root *cfgBlock, reported map[*cfgBlock]bool) {
+func markRegion(root *cfgBlock, reported []bool) {
 	work := []*cfgBlock{root}
-	reported[root] = true
+	reported[root.id] = true
 	for len(work) > 0 {
 		bl := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, s := range bl.succs {
-			if !s.reachable && !reported[s] {
-				reported[s] = true
+			if !s.reachable && !reported[s.id] {
+				reported[s.id] = true
 				work = append(work, s)
 			}
 		}

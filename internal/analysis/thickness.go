@@ -1,9 +1,5 @@
 package analysis
 
-import (
-	"tcfpram/internal/lang"
-)
-
 // thick is the thickness-analysis lattice value: either a known constant
 // thread count or unknown.
 type thick struct {
@@ -36,61 +32,57 @@ func (s thickState) join(t thick) thickState {
 // thickness at entry to every block. Thickness changes at `thickness N;`
 // statements, `numa` statements (thickness 1 per bunch flow) and on entry
 // to parallel arms (the arm's declared thickness).
-func (fa *funcAnalysis) thicknessDataflow() {
-	fa.thickIn = make(map[*cfgBlock]thickState, len(fa.g.blocks))
-	fa.thickIn[fa.g.entry] = thickState{seen: true, t: fa.entry}
+func (ff *funcFacts) thicknessDataflow() {
+	g := ff.g
+	ff.thickIn = make([]thickState, len(g.blocks))
+	ff.thickIn[g.entry.id] = thickState{seen: true, t: ff.entry}
 
-	work := []*cfgBlock{fa.g.entry}
-	inWork := map[*cfgBlock]bool{fa.g.entry: true}
+	work := make([]*cfgBlock, 1, len(g.blocks))
+	work[0] = g.entry
+	inWork := make([]bool, len(g.blocks))
+	inWork[g.entry.id] = true
 	for len(work) > 0 {
 		bl := work[0]
 		work = work[1:]
-		inWork[bl] = false
+		inWork[bl.id] = false
 
-		out := fa.blockOutThick(bl)
+		out := ff.blockOutThick(bl)
 		for _, succ := range bl.succs {
 			in := out
 			if succ.arm != nil {
-				in = fa.armThick(succ.arm)
+				in = succ.armThick
 			}
-			old := fa.thickIn[succ]
+			old := ff.thickIn[succ.id]
 			next := old.join(in)
 			if next != old {
-				fa.thickIn[succ] = next
-				if !inWork[succ] {
+				ff.thickIn[succ.id] = next
+				if !inWork[succ.id] {
 					work = append(work, succ)
-					inWork[succ] = true
+					inWork[succ.id] = true
 				}
 			}
 		}
 	}
 }
 
-// armThick evaluates a parallel arm's declared thickness.
-func (fa *funcAnalysis) armThick(arm *lang.ParArm) thick {
-	if v, ok := fa.fold(arm.Thick); ok {
-		return thick{known: true, n: v}
-	}
-	return thick{}
-}
-
 // blockOutThick replays a block's statements over its entry thickness.
-func (fa *funcAnalysis) blockOutThick(bl *cfgBlock) thick {
-	t := fa.thickIn[bl].t
-	for _, s := range bl.stmts {
-		t = transferThick(fa, s, t)
+func (ff *funcFacts) blockOutThick(bl *cfgBlock) thick {
+	t := ff.thickIn[bl.id].t
+	for i := range bl.leaves {
+		t = bl.leaves[i].transfer(t)
 	}
 	return t
 }
 
-func transferThick(fa *funcAnalysis, s lang.Stmt, t thick) thick {
-	switch s := s.(type) {
-	case *lang.ThickStmt:
-		if v, ok := fa.fold(s.X); ok {
-			return thick{known: true, n: v}
+// transfer is the thickness after the statement, given the one before it.
+func (lf *leaf) transfer(t thick) thick {
+	switch lf.thickOp {
+	case thickSet:
+		if lf.thickKnown {
+			return thick{known: true, n: lf.thickVal}
 		}
 		return thick{}
-	case *lang.NumaStmt:
+	case thickNuma:
 		// NUMA execution turns the flow into single-thread bunches.
 		return thick{known: true, n: 1}
 	}

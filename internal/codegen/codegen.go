@@ -14,6 +14,8 @@ package codegen
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"sync"
 
 	"tcfpram/internal/isa"
 	"tcfpram/internal/lang"
@@ -53,45 +55,62 @@ func CompileSource(name, src string) (*Compiled, error) {
 }
 
 // CompileChecked compiles an already-checked program.
+//
+// Every function is compiled once. Where a function's frame starts in the
+// register files depends on the frame sizes of all its callers, and a
+// frame's size is known only when the function is compiled; so the code is
+// emitted with frame-relative registers (see relS) and, when all sizes and
+// with them all frame bases are known, relocated in place.
 func CompileChecked(info *sema.Info) (*Compiled, error) {
-	// Pass 1: measure frame sizes with zero bases.
-	sizes := map[string]frameSize{}
-	for _, fn := range info.Prog.Funcs {
-		g := newGen(info, isa.NewBuilder("measure"), map[string]int{})
-		fr, err := g.compileFunc(fn, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		sizes[fn.Name] = fr.size()
+	buf := instrScratch.Get().(*[]isa.Instr)
+	if *buf == nil {
+		// A new buffer starts near the size programs come to: about one
+		// instruction for every two AST nodes.
+		*buf = make([]isa.Instr, 0, info.Prog.NumNodes/2+16)
 	}
-	// Bases: topological order over the call DAG; base(f) = max frame end
-	// of any caller.
-	sBase, vBase, err := frameBases(info, sizes)
-	if err != nil {
-		return nil, err
-	}
-	// Pass 2: emit for real. main first so that the entry label is PC 0.
-	b := isa.NewBuilder("tcf-e")
+	b := isa.NewBuilderIn("tcf-e", *buf)
+	defer func() {
+		// The program got a copy; the buffer goes back empty, zeroed and
+		// as large as this compilation made it.
+		used := b.Instrs()
+		clear(used)
+		*buf = used[:0]
+		instrScratch.Put(buf)
+	}()
 	for _, d := range info.Data {
 		b.Data(d.Addr, d.Words...)
 	}
-	g := newGen(info, b, sBase)
-	ordered := orderedFuncs(info)
-	for _, fn := range ordered {
-		if _, err := g.compileFunc(fn, sBase[fn.Name], vBase[fn.Name]); err != nil {
+	// Emit: main first so that the entry label is PC 0.
+	g := &gen{info: info, b: b, frames: make([]frame, len(info.FuncList))}
+	for _, fn := range orderedFuncs(info) {
+		if err := g.compileFunc(fn); err != nil {
 			return nil, err
 		}
 	}
+	// Bases: topological order over the call DAG; base(f) = max frame end
+	// of any caller.
+	if err := g.frameBases(); err != nil {
+		return nil, err
+	}
+	g.relocate()
 	p, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
+	// The program gets a copy of exactly its size; the scratch buffer
+	// serves the next compilation.
+	p.Instrs = append(make([]isa.Instr, 0, len(p.Instrs)), p.Instrs...)
 	return &Compiled{Program: p, Info: info, LocalData: info.LocalData}, nil
 }
 
+// instrScratch holds the buffers programs are emitted into: a compilation
+// that finds one emits without growing anything.
+var instrScratch = sync.Pool{New: func() any { return new([]isa.Instr) }}
+
 // orderedFuncs returns main first, then the rest in declaration order.
 func orderedFuncs(info *sema.Info) []*lang.FuncDecl {
-	out := []*lang.FuncDecl{info.Prog.Func("main")}
+	out := make([]*lang.FuncDecl, 0, len(info.Prog.Funcs))
+	out = append(out, info.Prog.Func("main"))
 	for _, fn := range info.Prog.Funcs {
 		if fn.Name != "main" {
 			out = append(out, fn)
@@ -100,67 +119,118 @@ func orderedFuncs(info *sema.Info) []*lang.FuncDecl {
 	return out
 }
 
-type frameSize struct{ s, v int }
-
 // frameBases assigns register frame bases so callee frames start after all
 // caller frames.
-func frameBases(info *sema.Info, sizes map[string]frameSize) (sBase, vBase map[string]int, err error) {
-	sBase = map[string]int{}
-	vBase = map[string]int{}
+func (g *gen) frameBases() error {
 	// Longest-path layering over the call DAG, iterated to fixpoint (the
 	// graph is small and acyclic).
-	names := make([]string, 0, len(info.Funcs))
-	for name := range info.Funcs {
-		names = append(names, name)
+	byName := make([]*frame, len(g.frames))
+	for i := range g.frames {
+		byName[i] = &g.frames[i]
 	}
-	sort.Strings(names)
+	sort.Slice(byName, func(i, j int) bool { return byName[i].name < byName[j].name })
 	for changed := true; changed; {
 		changed = false
-		for _, name := range names {
-			fi := info.Funcs[name]
-			for _, callee := range fi.Calls {
-				sEnd := sBase[name] + sizes[name].s
-				vEnd := vBase[name] + sizes[name].v
-				if sBase[callee] < sEnd {
-					sBase[callee] = sEnd
+		for _, fr := range byName {
+			sEnd, vEnd := fr.sBase+fr.sSize(), fr.vBase+fr.vSize()
+			for _, name := range g.info.Funcs[fr.name].Calls {
+				callee := &g.frames[g.info.Funcs[name].Index]
+				if callee.sBase < sEnd {
+					callee.sBase = sEnd
 					changed = true
 				}
-				if vBase[callee] < vEnd {
-					vBase[callee] = vEnd
+				if callee.vBase < vEnd {
+					callee.vBase = vEnd
 					changed = true
 				}
 			}
 		}
 	}
-	for _, name := range names {
-		if sBase[name]+sizes[name].s > isa.NumSRegs {
-			return nil, nil, fmt.Errorf("codegen: scalar register file exhausted in %s (need %d of %d); flatten the call chain or use fewer variables",
-				name, sBase[name]+sizes[name].s, isa.NumSRegs)
+	for _, fr := range byName {
+		if fr.sBase+fr.sSize() > isa.NumSRegs {
+			return fmt.Errorf("codegen: scalar register file exhausted in %s (need %d of %d); flatten the call chain or use fewer variables",
+				fr.name, fr.sBase+fr.sSize(), isa.NumSRegs)
 		}
-		if vBase[name]+sizes[name].v > isa.NumVRegs {
-			return nil, nil, fmt.Errorf("codegen: thick register file exhausted in %s (need %d of %d)",
-				name, vBase[name]+sizes[name].v, isa.NumVRegs)
+		if fr.vBase+fr.vSize() > isa.NumVRegs {
+			return fmt.Errorf("codegen: thick register file exhausted in %s (need %d of %d)",
+				fr.name, fr.vBase+fr.vSize(), isa.NumVRegs)
 		}
 	}
-	return sBase, vBase, nil
+	return nil
+}
+
+// Frame-relative registers. Until the frame bases are known, emitted code
+// names a register of the function's own frame by its slot, as a value of
+// isa.Reg beyond the register files: relS+k is scalar slot k, relV+k thick
+// slot k. A register of a callee's frame (a parameter or the return value,
+// at a call site) is relCallee in the code and a calleeRef beside it.
+const (
+	relS      isa.Reg = 0x40
+	relV      isa.Reg = 0x80
+	relCallee isa.Reg = 0xC0
+	relSlots          = 0x40 // slots a relative register can name; more saturate, and fail in frameBases
+)
+
+// calleeRef says which register the relCallee in Rd (or, for !rd, Ra) of the
+// instruction at pc stands for: scalar slot slot of function callee's frame.
+type calleeRef struct {
+	pc     int
+	rd     bool
+	callee int
+	slot   int
+}
+
+// relocate replaces the frame-relative registers of the emitted code.
+func (g *gen) relocate() {
+	instrs := g.b.Instrs()
+	for i := range g.frames {
+		fr := &g.frames[i]
+		fix := func(r *isa.Reg) {
+			switch {
+			case *r >= relV && *r < relCallee:
+				*r = isa.V(fr.vBase + int(*r-relV))
+			case *r >= relS && *r < relV:
+				*r = isa.S(fr.sBase + int(*r-relS))
+			}
+		}
+		for pc := fr.start; pc < fr.end; pc++ {
+			in := &instrs[pc]
+			fix(&in.Rd)
+			fix(&in.Ra)
+			fix(&in.Rb)
+			fix(&in.Rc)
+			for a := range in.Arms {
+				fix(&in.Arms[a].Thick)
+			}
+		}
+	}
+	for _, ref := range g.calleeRefs {
+		r := isa.S(g.frames[ref.callee].sBase + ref.slot)
+		if ref.rd {
+			instrs[ref.pc].Rd = r
+		} else {
+			instrs[ref.pc].Ra = r
+		}
+	}
 }
 
 // frame tracks register allocation within one function.
 type frame struct {
 	name         string
-	sBase, vBase int
-	sVar         map[*sema.Sym]int
-	vVar         map[*sema.Sym]int
-	sCount       int
-	vCount       int
-	sTemp, sMax  int
-	vTemp, vMax  int
-	retSlot      int // scalar slot of the return value (-1 if none)
+	start, end   int // the function's code is [start, end)
+	sBase, vBase int // set by frameBases
+	// slot maps a register symbol (by Sym.Index) to 1 + its slot in the
+	// scalar or thick part of the frame; 0: none yet.
+	slot        []int
+	sCount      int
+	vCount      int
+	sTemp, sMax int
+	vTemp, vMax int
+	retSlot     int // scalar slot of the return value (-1 if none)
 }
 
-func (fr *frame) size() frameSize {
-	return frameSize{s: fr.sCount + fr.sMax, v: fr.vCount + fr.vMax}
-}
+func (fr *frame) sSize() int { return fr.sCount + fr.sMax }
+func (fr *frame) vSize() int { return fr.vCount + fr.vMax }
 
 type gen struct {
 	info   *sema.Info
@@ -169,13 +239,9 @@ type gen struct {
 	labels int
 	// loops is the enclosing-loop label stack for break/continue.
 	loops []loopLabels
-	// calleeSBase maps function name to its scalar frame base (zero map in
-	// the measuring pass; the real layout in the emit pass).
-	calleeSBase map[string]int
-}
-
-func newGen(info *sema.Info, b *isa.Builder, sBases map[string]int) *gen {
-	return &gen{info: info, b: b, calleeSBase: sBases}
+	// frames holds every function's frame, by FuncInfo.Index.
+	frames     []frame
+	calleeRefs []calleeRef
 }
 
 // loopLabels are the jump targets of the innermost loop.
@@ -186,7 +252,7 @@ type loopLabels struct {
 
 func (g *gen) label(prefix string) string {
 	g.labels++
-	return fmt.Sprintf(".%s%d", prefix, g.labels)
+	return "." + prefix + strconv.Itoa(g.labels)
 }
 
 func (g *gen) errf(pos lang.Pos, format string, args ...any) error {
@@ -196,44 +262,23 @@ func (g *gen) errf(pos lang.Pos, format string, args ...any) error {
 // ---- frame register helpers ----
 
 func (g *gen) sVarReg(sym *sema.Sym) isa.Reg {
-	slot, ok := g.fr.sVar[sym]
-	if !ok {
-		slot = g.fr.sCount
+	if g.fr.slot[sym.Index] == 0 {
 		g.fr.sCount++
-		g.fr.sVar[sym] = slot
+		g.fr.slot[sym.Index] = g.fr.sCount
 	}
-	return g.sReg(slot)
+	return g.sReg(g.fr.slot[sym.Index] - 1)
 }
 
 func (g *gen) vVarReg(sym *sema.Sym) isa.Reg {
-	slot, ok := g.fr.vVar[sym]
-	if !ok {
-		slot = g.fr.vCount
+	if g.fr.slot[sym.Index] == 0 {
 		g.fr.vCount++
-		g.fr.vVar[sym] = slot
+		g.fr.slot[sym.Index] = g.fr.vCount
 	}
-	return g.vReg(slot)
+	return g.vReg(g.fr.slot[sym.Index] - 1)
 }
 
-func (g *gen) sReg(slot int) isa.Reg {
-	idx := g.fr.sBase + slot
-	if idx >= isa.NumSRegs {
-		// Pass 2 has validated totals; this guards pass-1 overflow with
-		// a deferred error via panic/recover-free saturation: report at
-		// Build time by emitting S15 (validation in frameBases catches
-		// the real overflow).
-		idx = isa.NumSRegs - 1
-	}
-	return isa.S(idx)
-}
-
-func (g *gen) vReg(slot int) isa.Reg {
-	idx := g.fr.vBase + slot
-	if idx >= isa.NumVRegs {
-		idx = isa.NumVRegs - 1
-	}
-	return isa.V(idx)
-}
+func (g *gen) sReg(slot int) isa.Reg { return relS + isa.Reg(min(slot, relSlots-1)) }
+func (g *gen) vReg(slot int) isa.Reg { return relV + isa.Reg(min(slot, relSlots-1)) }
 
 // temp allocation (stack discipline within the expression being compiled).
 
@@ -270,7 +315,7 @@ type value struct {
 }
 
 func immVal(v int64) value   { return value{imm: v, isImm: true} }
-func regVal(r isa.Reg) value { return value{reg: r, thick: r.IsVector()} }
+func regVal(r isa.Reg) value { return value{reg: r, thick: r >= relV && r < relCallee} }
 
 // materialize puts v into a register (scalar for immediates).
 func (g *gen) materialize(v value) isa.Reg {
@@ -284,13 +329,10 @@ func (g *gen) materialize(v value) isa.Reg {
 
 // ---- function compilation ----
 
-func (g *gen) compileFunc(fn *lang.FuncDecl, sBase, vBase int) (*frame, error) {
+func (g *gen) compileFunc(fn *lang.FuncDecl) error {
 	fi := g.info.Funcs[fn.Name]
-	g.fr = &frame{
-		name: fn.Name, sBase: sBase, vBase: vBase,
-		sVar: map[*sema.Sym]int{}, vVar: map[*sema.Sym]int{},
-		retSlot: -1,
-	}
+	g.fr = &g.frames[fi.Index]
+	*g.fr = frame{name: fn.Name, start: g.b.PC(), slot: make([]int, fi.NumRegs), retSlot: -1}
 	if fi.Returns {
 		g.fr.retSlot = g.fr.sCount
 		g.fr.sCount++
@@ -300,7 +342,7 @@ func (g *gen) compileFunc(fn *lang.FuncDecl, sBase, vBase int) (*frame, error) {
 	}
 	g.b.Label(funcLabel(fn.Name))
 	if err := g.stmt(fn.Body); err != nil {
-		return nil, err
+		return err
 	}
 	// Fallthrough epilogue.
 	if fn.Name == "main" {
@@ -308,7 +350,8 @@ func (g *gen) compileFunc(fn *lang.FuncDecl, sBase, vBase int) (*frame, error) {
 	} else {
 		g.b.Op(isa.RET)
 	}
-	return g.fr, nil
+	g.fr.end = g.b.PC()
+	return nil
 }
 
 func funcLabel(name string) string {
@@ -318,27 +361,9 @@ func funcLabel(name string) string {
 	return "fn_" + name
 }
 
-// paramReg returns the register of callee's i'th parameter given its frame
-// base (recomputed from the same deterministic layout).
-func (g *gen) calleeFrameLayout(name string) (retReg isa.Reg, params []isa.Reg) {
-	// The layout mirrors compileFunc: [ret?][params...].
-	fi := g.info.Funcs[name]
-	base := g.calleeSBase[name]
-	slot := 0
-	if fi.Returns {
-		retReg = isa.S(min(base+slot, isa.NumSRegs-1))
-		slot++
-	}
-	for range fi.Params {
-		params = append(params, isa.S(min(base+slot, isa.NumSRegs-1)))
-		slot++
-	}
-	return retReg, params
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// calleeReg records that the instruction emitted last names, in Rd or Ra,
+// scalar slot slot of fi's frame. The layout mirrors compileFunc:
+// [ret?][params...].
+func (g *gen) calleeReg(fi *sema.FuncInfo, slot int, rd bool) {
+	g.calleeRefs = append(g.calleeRefs, calleeRef{pc: g.b.PC() - 1, rd: rd, callee: fi.Index, slot: slot})
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/variant"
 )
@@ -92,5 +93,35 @@ func TestCorpus(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunLengthsTileBlocks holds the two descriptions of fused runs in
+// internal/isa to each other on compiled programs: isa.RunLengths, which
+// the fused backend reads, must count down along every Fused block of
+// isa.Blocks and be 1 at every boundary.
+func TestRunLengthsTileBlocks(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.te"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, filepath.Join("..", "lang", "testdata", "cold.te"))
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := CompileSource(file, string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		rl := isa.RunLengths(c.Program)
+		for _, b := range isa.Blocks(c.Program) {
+			for pc := b.Start; pc < b.End; pc++ {
+				if want := b.End - pc; rl[pc] != want {
+					t.Fatalf("%s: run length %d at pc %d of block %+v, want %d", file, rl[pc], pc, b, want)
+				}
+			}
+		}
 	}
 }

@@ -24,7 +24,7 @@ func (g *gen) destFor(thick bool) isa.Reg {
 
 // exprThick reports whether sema typed e as thick.
 func (g *gen) exprThick(e lang.Expr) bool {
-	return g.info.Kinds[e] == sema.KindThick
+	return g.info.IsThick(e)
 }
 
 func (g *gen) expr(e lang.Expr) (value, error) {
@@ -58,7 +58,7 @@ func (g *gen) identExpr(e *lang.Ident) (value, error) {
 		g.b.Id(op, dst)
 		return regVal(dst), nil
 	}
-	sym := g.info.Syms[e]
+	sym := g.info.SymOf(e)
 	if sym.Space != lang.SpaceReg {
 		// Memory scalar: load the word.
 		load := isa.LD
@@ -179,7 +179,7 @@ func (g *gen) binaryExpr(e *lang.Binary) (value, error) {
 }
 
 func (g *gen) indexExpr(e *lang.Index) (value, error) {
-	sym := g.info.Syms[e]
+	sym := g.info.SymOf(e)
 	load := isa.LD
 	if sym.Space == lang.SpaceLocal {
 		load = isa.LDL
@@ -197,7 +197,7 @@ func (g *gen) indexExpr(e *lang.Index) (value, error) {
 }
 
 func (g *gen) addrOfExpr(e *lang.AddrOf) (value, error) {
-	sym := g.info.Syms[e]
+	sym := g.info.SymOf(e)
 	if e.Idx == nil {
 		return immVal(sym.Addr), nil
 	}
@@ -304,7 +304,11 @@ func (g *gen) callExpr(e *lang.Call) (value, error) {
 	}
 	// User function call.
 	fi := g.info.Funcs[e.Name]
-	retReg, params := g.calleeFrameLayout(e.Name)
+	// The callee's frame starts [ret?][params...].
+	firstParam := 0
+	if fi.Returns {
+		firstParam = 1
+	}
 	// Evaluate arguments into caller temps first (argument expressions may
 	// themselves call functions whose frames overlap the callee's).
 	m := g.mark()
@@ -317,7 +321,9 @@ func (g *gen) callExpr(e *lang.Call) (value, error) {
 		temps[i] = v
 	}
 	for i, v := range temps {
-		g.storeTo(params[i], v)
+		// A callee's registers are never the caller's: always a move.
+		g.storeTo(relCallee, v)
+		g.calleeReg(fi, firstParam+i, true)
 	}
 	g.b.Call(funcLabel(e.Name))
 	g.release(m)
@@ -325,7 +331,8 @@ func (g *gen) callExpr(e *lang.Call) (value, error) {
 		// Copy out: the callee's return slot may be reused by a following
 		// call to the same or a deeper function.
 		dst := g.allocS()
-		g.b.Mov(dst, retReg)
+		g.b.Mov(dst, relCallee)
+		g.calleeReg(fi, 0, false)
 		return regVal(dst), nil
 	}
 	return value{}, nil

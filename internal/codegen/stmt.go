@@ -104,7 +104,7 @@ func (g *gen) stmt(s lang.Stmt) error {
 }
 
 func (g *gen) varDecl(d *lang.VarDecl) error {
-	sym := g.info.Syms[d]
+	sym := g.info.SymOf(d)
 	var dst isa.Reg
 	if sym.Thick {
 		dst = g.vVarReg(sym)
@@ -156,7 +156,7 @@ func (g *gen) assign(s *lang.AssignStmt) error {
 	defer g.release(m)
 	switch lhs := s.LHS.(type) {
 	case *lang.Ident:
-		sym := g.info.Syms[lhs]
+		sym := g.info.SymOf(lhs)
 		if sym.Space != lang.SpaceReg {
 			return g.assignMemScalar(s, sym)
 		}
@@ -220,7 +220,7 @@ func (g *gen) assignMemScalar(s *lang.AssignStmt, sym *sema.Sym) error {
 
 // assignElement handles a[idx] op= rhs for shared/local arrays.
 func (g *gen) assignElement(s *lang.AssignStmt, lhs *lang.Index) error {
-	sym := g.info.Syms[lhs]
+	sym := g.info.SymOf(lhs)
 	store, load := isa.ST, isa.LD
 	if sym.Space == lang.SpaceLocal {
 		store, load = isa.STL, isa.LDL

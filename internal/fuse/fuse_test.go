@@ -105,13 +105,13 @@ func TestKernMatchesReference(t *testing.T) {
 	var instrs []isa.Instr
 	for _, op := range alu {
 		instrs = append(instrs,
-			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Rb: isa.V(2)},             // vec,vec
-			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Rb: isa.S(1)},             // vec,scalar
-			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.S(0), Rb: isa.V(2)},             // scalar,vec
-			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.S(0), Rb: isa.S(1)},             // scalar,scalar
-			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Imm: 7, HasImm: true},     // vec,imm
-			isa.Instr{Op: op, Rd: isa.S(2), Ra: isa.V(1), Rb: isa.V(2)},             // scalar dest
-			isa.Instr{Op: op, Rd: isa.S(2), Ra: isa.S(0), Imm: -3, HasImm: true},    // scalar dest, imm
+			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Rb: isa.V(2)},          // vec,vec
+			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Rb: isa.S(1)},          // vec,scalar
+			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.S(0), Rb: isa.V(2)},          // scalar,vec
+			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.S(0), Rb: isa.S(1)},          // scalar,scalar
+			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Imm: 7, HasImm: true},  // vec,imm
+			isa.Instr{Op: op, Rd: isa.S(2), Ra: isa.V(1), Rb: isa.V(2)},          // scalar dest
+			isa.Instr{Op: op, Rd: isa.S(2), Ra: isa.S(0), Imm: -3, HasImm: true}, // scalar dest, imm
 		)
 	}
 	instrs = append(instrs,

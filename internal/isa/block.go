@@ -144,17 +144,16 @@ func Blocks(p *Program) []Block {
 // Fusible with no interior branch target, so an engine may execute them as
 // one superinstruction. Every suffix of a run is itself a run (a branch may
 // land mid-block), so rl decreases by one along a run; fusion boundaries
-// have rl == 1.
+// have rl == 1. The runs are the Fused blocks of Blocks, read off the
+// leaders back to front without building the block list.
 func RunLengths(p *Program) []int {
 	n := p.Len()
 	rl := make([]int, n)
-	for _, b := range Blocks(p) {
-		if !b.Fused {
-			rl[b.Start] = 1
-			continue
-		}
-		for pc := b.Start; pc < b.End; pc++ {
-			rl[pc] = b.End - pc
+	lead := leaders(p)
+	for pc := n - 1; pc >= 0; pc-- {
+		rl[pc] = 1
+		if pc+1 < n && !lead[pc+1] && p.Instrs[pc].Op.Fusible() && p.Instrs[pc+1].Op.Fusible() {
+			rl[pc] += rl[pc+1]
 		}
 	}
 	return rl

@@ -78,13 +78,13 @@ func TestBlocksBranchTargetSplitsRun(t *testing.T) {
 	// A backward branch lands in the middle of what would otherwise be one
 	// fused run: the target must start its own block.
 	b := NewBuilder("branch")
-	b.Ldi(S(0), 4)                 // 0
-	b.Label("loop")                //
-	b.Ldi(V(0), 7)                 // 1  <- branch target
-	b.ALUI(ADD, V(1), V(0), 1)     // 2
-	b.ALUI(SUB, S(0), S(0), 1)     // 3
-	b.Branch(BNEZ, S(0), "loop")   // 4
-	b.Op(HALT)                     // 5
+	b.Ldi(S(0), 4)               // 0
+	b.Label("loop")              //
+	b.Ldi(V(0), 7)               // 1  <- branch target
+	b.ALUI(ADD, V(1), V(0), 1)   // 2
+	b.ALUI(SUB, S(0), S(0), 1)   // 3
+	b.Branch(BNEZ, S(0), "loop") // 4
+	b.Op(HALT)                   // 5
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

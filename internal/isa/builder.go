@@ -11,22 +11,37 @@ type Builder struct {
 	instrs []Instr
 	labels map[string]int
 	data   []DataSeg
-	// fixups maps instruction index -> label to resolve into Target, and
-	// (for SPLIT) arm index -> label.
-	fixups    map[int]string
-	armFixups map[int]map[int]string
-	errs      []error
+	// fixups lists the label references to resolve at Build time, in
+	// emission order.
+	fixups []fixup
+	errs   []error
+}
+
+// fixup says that the instruction at pc refers to label: in Target, or for
+// arm >= 0 in the Target of that SPLIT arm.
+type fixup struct {
+	pc, arm int
+	label   string
 }
 
 // NewBuilder returns an empty Builder for a program with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{
-		name:      name,
-		labels:    make(map[string]int),
-		fixups:    make(map[int]string),
-		armFixups: make(map[int]map[int]string),
-	}
+	return &Builder{name: name, labels: make(map[string]int)}
 }
+
+// NewBuilderIn is NewBuilder emitting into buf, which it overwrites from
+// the start and outgrows by reallocating: a caller that keeps a buffer
+// between programs (and copies each program's instructions out) builds
+// without growing anything.
+func NewBuilderIn(name string, buf []Instr) *Builder {
+	b := NewBuilder(name)
+	b.instrs = buf[:0]
+	return b
+}
+
+// Instrs returns the instructions emitted so far. The slice is the
+// builder's own: a caller may patch operands in place before Build.
+func (b *Builder) Instrs() []Instr { return b.instrs }
 
 func (b *Builder) errf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf("isa: builder %s: %s", b.name, fmt.Sprintf(format, args...)))
@@ -135,19 +150,19 @@ func (b *Builder) Reduce(op Op, s, v Reg) *Builder {
 
 // Branch emits BEQZ/BNEZ cond, label.
 func (b *Builder) Branch(op Op, cond Reg, label string) *Builder {
-	b.fixups[len(b.instrs)] = label
+	b.fixups = append(b.fixups, fixup{len(b.instrs), -1, label})
 	return b.Emit(Instr{Op: op, Ra: cond, Sym: label, Target: -1})
 }
 
 // Jmp emits JMP label.
 func (b *Builder) Jmp(label string) *Builder {
-	b.fixups[len(b.instrs)] = label
+	b.fixups = append(b.fixups, fixup{len(b.instrs), -1, label})
 	return b.Emit(Instr{Op: JMP, Sym: label, Target: -1})
 }
 
 // Call emits CALL label.
 func (b *Builder) Call(label string) *Builder {
-	b.fixups[len(b.instrs)] = label
+	b.fixups = append(b.fixups, fixup{len(b.instrs), -1, label})
 	return b.Emit(Instr{Op: CALL, Sym: label, Target: -1})
 }
 
@@ -183,12 +198,13 @@ func ArmReg(s Reg, label string) Arm { return Arm{Thick: s, Label: label} }
 // Split emits a SPLIT with the given arms.
 func (b *Builder) Split(arms ...Arm) *Builder {
 	in := Instr{Op: SPLIT}
-	af := make(map[int]string, len(arms))
-	for i, a := range arms {
-		in.Arms = append(in.Arms, SplitArm{Thick: a.Thick, ThickImm: a.ThickImm, Target: -1, Sym: a.Label})
-		af[i] = a.Label
+	if len(arms) > 0 {
+		in.Arms = make([]SplitArm, len(arms))
 	}
-	b.armFixups[len(b.instrs)] = af
+	for i, a := range arms {
+		in.Arms[i] = SplitArm{Thick: a.Thick, ThickImm: a.ThickImm, Target: -1, Sym: a.Label}
+		b.fixups = append(b.fixups, fixup{len(b.instrs), i, a.Label})
+	}
 	return b.Emit(in)
 }
 
@@ -212,20 +228,17 @@ func (b *Builder) Build() (*Program, error) {
 		return nil, b.errs[0]
 	}
 	p := &Program{Name: b.name, Instrs: b.instrs, Labels: b.labels, Data: b.data}
-	for idx, label := range b.fixups {
-		pc, ok := b.labels[label]
-		if !ok {
-			return nil, fmt.Errorf("isa: builder %s: undefined label %q at pc %d", b.name, label, idx)
-		}
-		p.Instrs[idx].Target = pc
-	}
-	for idx, arms := range b.armFixups {
-		for ai, label := range arms {
-			pc, ok := b.labels[label]
-			if !ok {
-				return nil, fmt.Errorf("isa: builder %s: undefined SPLIT label %q at pc %d", b.name, label, idx)
-			}
-			p.Instrs[idx].Arms[ai].Target = pc
+	for _, f := range b.fixups {
+		pc, ok := b.labels[f.label]
+		switch {
+		case !ok && f.arm < 0:
+			return nil, fmt.Errorf("isa: builder %s: undefined label %q at pc %d", b.name, f.label, f.pc)
+		case !ok:
+			return nil, fmt.Errorf("isa: builder %s: undefined SPLIT label %q at pc %d", b.name, f.label, f.pc)
+		case f.arm < 0:
+			p.Instrs[f.pc].Target = pc
+		default:
+			p.Instrs[f.pc].Arms[f.arm].Target = pc
 		}
 	}
 	if err := p.Validate(); err != nil {

@@ -24,50 +24,67 @@ func (s Space) String() string {
 	return "space?"
 }
 
+// node is what every statement and expression node shares: its source
+// position and its number.
+type node struct {
+	Pos Pos
+	id  int32
+}
+
+// GetPos returns the node's source position.
+func (n *node) GetPos() Pos { return n.Pos }
+
+// ID returns the node's number. The parser numbers the nodes of a program
+// densely, 0 ≤ ID < Program.NumNodes, so that later passes keep what they
+// learn about a node in a slice indexed by ID instead of a map keyed by the
+// node.
+func (n *node) ID() int { return int(n.id) }
+
 // Expr is an expression node.
 type Expr interface {
 	exprNode()
 	GetPos() Pos
+	ID() int
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
-	Pos Pos
+	node
 	Val int64
 }
 
 // Ident references a variable or builtin (tid, fid, thickness, nproc,
 // ngroups, gid, pid).
 type Ident struct {
-	Pos  Pos
+	node
 	Name string
 }
 
 // Unary is -x, !x or ~x.
 type Unary struct {
-	Pos Pos
-	Op  TokKind
-	X   Expr
+	node
+	Op TokKind
+	X  Expr
 }
 
 // Binary is a binary operation; && and || evaluate both sides (no
 // short-circuit: conditions are flow-level scalars).
 type Binary struct {
-	Pos  Pos
+	node
 	Op   TokKind
 	X, Y Expr
 }
 
 // Index is a[i].
 type Index struct {
-	Pos  Pos
+	node
 	Name string
 	Idx  Expr
 }
 
 // AddrOf is &a[i] (or &a, the base address).
 type AddrOf struct {
-	Pos  Pos
+	node
 	Name string
 	Idx  Expr // nil for &a
 }
@@ -75,14 +92,14 @@ type AddrOf struct {
 // Call invokes a user function or an intrinsic (mpadd/mpand/mpor/mpmax/
 // mpmin, madd/mand/mor/mmax/mmin, radd/rand/ror/rmax/rmin, print, prints).
 type Call struct {
-	Pos  Pos
+	node
 	Name string
 	Args []Expr
 }
 
 // StrLit is a string literal (prints only).
 type StrLit struct {
-	Pos Pos
+	node
 	Val string
 }
 
@@ -95,19 +112,11 @@ func (e *AddrOf) exprNode() {}
 func (e *Call) exprNode()   {}
 func (e *StrLit) exprNode() {}
 
-func (e *IntLit) GetPos() Pos { return e.Pos }
-func (e *Ident) GetPos() Pos  { return e.Pos }
-func (e *Unary) GetPos() Pos  { return e.Pos }
-func (e *Binary) GetPos() Pos { return e.Pos }
-func (e *Index) GetPos() Pos  { return e.Pos }
-func (e *AddrOf) GetPos() Pos { return e.Pos }
-func (e *Call) GetPos() Pos   { return e.Pos }
-func (e *StrLit) GetPos() Pos { return e.Pos }
-
 // Stmt is a statement node.
 type Stmt interface {
 	stmtNode()
 	GetPos() Pos
+	ID() int
 }
 
 // VarDecl declares a variable. Top-level declarations live in shared (the
@@ -115,7 +124,7 @@ type Stmt interface {
 // constant initializer; in-function declarations live in registers (thick
 // or flow-common) and may have a runtime initializer expression.
 type VarDecl struct {
-	Pos      Pos
+	node
 	Name     string
 	Thick    bool
 	Space    Space
@@ -127,7 +136,7 @@ type VarDecl struct {
 
 // AssignStmt is lvalue op= expr (op TokAssign for plain =).
 type AssignStmt struct {
-	Pos Pos
+	node
 	LHS Expr // *Ident or *Index
 	Op  TokKind
 	RHS Expr
@@ -135,13 +144,13 @@ type AssignStmt struct {
 
 // ExprStmt evaluates an expression for effect (intrinsic calls).
 type ExprStmt struct {
-	Pos Pos
-	X   Expr
+	node
+	X Expr
 }
 
 // IfStmt: the whole flow takes one branch; Cond must be scalar.
 type IfStmt struct {
-	Pos  Pos
+	node
 	Cond Expr
 	Then Stmt
 	Else Stmt // may be nil
@@ -149,14 +158,14 @@ type IfStmt struct {
 
 // WhileStmt loops at flow level.
 type WhileStmt struct {
-	Pos  Pos
+	node
 	Cond Expr
 	Body Stmt
 }
 
 // ForStmt is for (init; cond; post) body.
 type ForStmt struct {
-	Pos  Pos
+	node
 	Init Stmt // *AssignStmt or *VarDecl, may be nil
 	Cond Expr // may be nil (infinite)
 	Post Stmt // *AssignStmt, may be nil
@@ -165,7 +174,7 @@ type ForStmt struct {
 
 // BlockStmt is { ... }.
 type BlockStmt struct {
-	Pos   Pos
+	node
 	Stmts []Stmt
 }
 
@@ -179,33 +188,33 @@ type ParArm struct {
 // ParallelStmt splits the flow into one child TCF per arm and joins them at
 // the end of the statement.
 type ParallelStmt struct {
-	Pos  Pos
+	node
 	Arms []ParArm
 }
 
 // ThickStmt is the thickness statement "#expr;".
 type ThickStmt struct {
-	Pos Pos
-	X   Expr
+	node
+	X Expr
 }
 
 // NumaStmt is "#1/expr;", declaring NUMA execution with bunch length expr.
 type NumaStmt struct {
-	Pos Pos
-	X   Expr
+	node
+	X Expr
 }
 
 // BarrierStmt is "barrier;".
-type BarrierStmt struct{ Pos Pos }
+type BarrierStmt struct{ node }
 
 // ReturnStmt returns from a flow-level function.
 type ReturnStmt struct {
-	Pos Pos
-	X   Expr // may be nil
+	node
+	X Expr // may be nil
 }
 
 // HaltStmt terminates the flow.
-type HaltStmt struct{ Pos Pos }
+type HaltStmt struct{ node }
 
 // SwitchCase is one arm of a switch: Values nil marks the default case.
 // There is no fallthrough — exactly one arm executes (the whole flow takes
@@ -219,16 +228,16 @@ type SwitchCase struct {
 // SwitchStmt selects one arm by comparing the scalar subject against the
 // case values in order.
 type SwitchStmt struct {
-	Pos     Pos
+	node
 	Subject Expr
 	Cases   []SwitchCase
 }
 
 // BreakStmt leaves the innermost enclosing loop.
-type BreakStmt struct{ Pos Pos }
+type BreakStmt struct{ node }
 
 // ContinueStmt jumps to the next iteration of the innermost loop.
-type ContinueStmt struct{ Pos Pos }
+type ContinueStmt struct{ node }
 
 func (s *VarDecl) stmtNode()      {}
 func (s *AssignStmt) stmtNode()   {}
@@ -247,23 +256,6 @@ func (s *SwitchStmt) stmtNode()   {}
 func (s *BreakStmt) stmtNode()    {}
 func (s *ContinueStmt) stmtNode() {}
 
-func (s *VarDecl) GetPos() Pos      { return s.Pos }
-func (s *AssignStmt) GetPos() Pos   { return s.Pos }
-func (s *ExprStmt) GetPos() Pos     { return s.Pos }
-func (s *IfStmt) GetPos() Pos       { return s.Pos }
-func (s *WhileStmt) GetPos() Pos    { return s.Pos }
-func (s *ForStmt) GetPos() Pos      { return s.Pos }
-func (s *BlockStmt) GetPos() Pos    { return s.Pos }
-func (s *ParallelStmt) GetPos() Pos { return s.Pos }
-func (s *ThickStmt) GetPos() Pos    { return s.Pos }
-func (s *NumaStmt) GetPos() Pos     { return s.Pos }
-func (s *BarrierStmt) GetPos() Pos  { return s.Pos }
-func (s *ReturnStmt) GetPos() Pos   { return s.Pos }
-func (s *HaltStmt) GetPos() Pos     { return s.Pos }
-func (s *SwitchStmt) GetPos() Pos   { return s.Pos }
-func (s *BreakStmt) GetPos() Pos    { return s.Pos }
-func (s *ContinueStmt) GetPos() Pos { return s.Pos }
-
 // FuncDecl is a flow-level function: when a flow of thickness T calls it,
 // the function is called once with T implicit threads (Section 2.2).
 // Parameters are flow-common scalars.
@@ -278,6 +270,9 @@ type FuncDecl struct {
 type Program struct {
 	Globals []*VarDecl
 	Funcs   []*FuncDecl
+	// NumNodes is the number of statement and expression nodes: every
+	// node's ID is below it.
+	NumNodes int
 }
 
 // Func returns the function named name, or nil.

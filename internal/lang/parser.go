@@ -1,14 +1,36 @@
 package lang
 
-
+import "math"
 
 // Parse builds the AST of a tcf-e compilation unit.
+//
+// The parser pulls tokens from the lexer as it goes. A lexical error
+// anywhere in the source is reported before any syntax error, as if the
+// whole source had been tokenized first: when parsing fails, the rest of
+// the source is scanned for one.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	if len(src) > math.MaxInt32 {
+		return nil, errTooLarge
+	}
+	p := &parser{lex: lexer{src: src, line: 1}}
+	p.scan(&p.tok)
+	prog, err := p.program()
+	if err != nil {
+		for p.tok.Kind != TokEOF {
+			p.scan(&p.tok)
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	prog.NumNodes = int(p.nodes)
+	return prog, nil
+}
+
+func (p *parser) program() (*Program, error) {
 	prog := &Program{}
 	for !p.at(TokEOF) {
 		switch {
@@ -25,24 +47,95 @@ func Parse(src string) (*Program, error) {
 			}
 			prog.Globals = append(prog.Globals, d)
 		default:
-			return nil, p.errf("expected declaration, got %s", p.cur())
+			return nil, p.errf("expected declaration, got %s", p.describe(p.tok))
 		}
 	}
 	return prog, nil
 }
 
-type parser struct {
-	toks []Token
-	pos  int
+// ptok is a token as the parser sees it: with its position.
+type ptok struct {
+	Token
+	Pos Pos
 }
 
-func (p *parser) cur() Token        { return p.toks[p.pos] }
-func (p *parser) at(k TokKind) bool { return p.cur().Kind == k }
+type parser struct {
+	lex lexer
+	// tok is the current token and ahead, when hasAhead, the one after it
+	// (the NUMA statement's "#1/" needs two tokens of lookahead).
+	tok      ptok
+	ahead    ptok
+	hasAhead bool
+	// lexErr is the first lexical error; the token stream ends there.
+	lexErr error
+	nodes  int32
 
-func (p *parser) next() Token {
-	t := p.toks[p.pos]
+	// The nodes that make up most of a program come from slabs.
+	idents   slab[Ident]
+	intLits  slab[IntLit]
+	binaries slab[Binary]
+	indexes  slab[Index]
+	assigns  slab[AssignStmt]
+}
+
+// slab hands out zeroed T's from chunks of growing size: the nodes of an AST
+// live and die together, so one allocation serves dozens of them.
+type slab[T any] struct {
+	free   []T
+	chunks uint
+}
+
+func (s *slab[T]) alloc() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, 8<<min(s.chunks, 3))
+		s.chunks++
+	}
+	t := &s.free[0]
+	s.free = s.free[1:]
+	return t
+}
+
+// scan reads the next token from the lexer into *tok. The first lexical
+// error ends the token stream.
+func (p *parser) scan(tok *ptok) {
+	if p.lexErr == nil {
+		if tok.Pos, p.lexErr = p.lex.next(&tok.Token); p.lexErr == nil {
+			return
+		}
+	}
+	*tok = ptok{}
+}
+
+// node numbers a new AST node at pos.
+func (p *parser) node(pos Pos) node {
+	p.nodes++
+	return node{Pos: pos, id: p.nodes - 1}
+}
+
+func (p *parser) at(k TokKind) bool { return p.tok.Kind == k }
+
+// text is a token's spelling; describe renders it for a message.
+func (p *parser) text(t ptok) string     { return t.Text(p.lex.src) }
+func (p *parser) describe(t ptok) string { return t.Describe(p.lex.src) }
+func (p *parser) intValue(t ptok) int64  { return t.IntValue(p.lex.src) }
+
+// peek returns the token after the current one.
+func (p *parser) peek() ptok {
+	if !p.hasAhead {
+		p.scan(&p.ahead)
+		p.hasAhead = true
+	}
+	return p.ahead
+}
+
+func (p *parser) next() ptok {
+	t := p.tok
 	if t.Kind != TokEOF {
-		p.pos++
+		if p.hasAhead {
+			p.tok, p.hasAhead = p.ahead, false
+		} else {
+			p.scan(&p.tok)
+		}
 	}
 	return t
 }
@@ -55,15 +148,15 @@ func (p *parser) accept(k TokKind) bool {
 	return false
 }
 
-func (p *parser) expect(k TokKind) (Token, error) {
+func (p *parser) expect(k TokKind) (ptok, error) {
 	if !p.at(k) {
-		return Token{}, p.errf("expected %s, got %s", k, p.cur())
+		return ptok{}, p.errf("expected %s, got %s", k, p.describe(p.tok))
 	}
 	return p.next(), nil
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return posErrf(p.cur().Pos, format, args...)
+	return posErrf(p.tok.Pos, format, args...)
 }
 
 // varDecl parses
@@ -73,7 +166,7 @@ func (p *parser) errf(format string, args ...any) error {
 //
 // Top-level register-space declarations are rejected by sema, not here.
 func (p *parser) varDecl(topLevel bool) (*VarDecl, error) {
-	d := &VarDecl{Pos: p.cur().Pos, ArrayLen: -1, Addr: -1, Space: SpaceReg}
+	d := &VarDecl{node: p.node(p.tok.Pos), ArrayLen: -1, Addr: -1, Space: SpaceReg}
 	if topLevel {
 		d.Space = SpaceShared
 	}
@@ -92,16 +185,17 @@ func (p *parser) varDecl(topLevel bool) (*VarDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Name = name.Text
+	d.Name = p.text(name)
 	if p.accept(TokLBracket) {
 		n, err := p.expect(TokInt)
 		if err != nil {
 			return nil, err
 		}
-		if n.Int <= 0 {
+		length := p.intValue(n)
+		if length <= 0 {
 			return nil, posErrf(n.Pos, "array %s needs positive length", d.Name)
 		}
-		d.ArrayLen = int(n.Int)
+		d.ArrayLen = int(length)
 		if _, err := p.expect(TokRBracket); err != nil {
 			return nil, err
 		}
@@ -112,7 +206,7 @@ func (p *parser) varDecl(topLevel bool) (*VarDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.Addr = a.Int
+		d.Addr = p.intValue(a)
 		if neg {
 			d.Addr = -d.Addr
 		}
@@ -126,7 +220,7 @@ func (p *parser) varDecl(topLevel bool) (*VarDecl, error) {
 				if err != nil {
 					return nil, err
 				}
-				val := v.Int
+				val := p.intValue(v)
 				if neg {
 					val = -val
 				}
@@ -153,13 +247,13 @@ func (p *parser) varDecl(topLevel bool) (*VarDecl, error) {
 }
 
 func (p *parser) funcDecl() (*FuncDecl, error) {
-	fn := &FuncDecl{Pos: p.cur().Pos}
+	fn := &FuncDecl{Pos: p.tok.Pos}
 	p.next() // func
 	name, err := p.expect(TokIdent)
 	if err != nil {
 		return nil, err
 	}
-	fn.Name = name.Text
+	fn.Name = p.text(name)
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
@@ -168,7 +262,7 @@ func (p *parser) funcDecl() (*FuncDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		fn.Params = append(fn.Params, param.Text)
+		fn.Params = append(fn.Params, p.text(param))
 		if !p.accept(TokComma) {
 			break
 		}
@@ -185,7 +279,7 @@ func (p *parser) funcDecl() (*FuncDecl, error) {
 }
 
 func (p *parser) block() (*BlockStmt, error) {
-	b := &BlockStmt{Pos: p.cur().Pos}
+	b := &BlockStmt{node: p.node(p.tok.Pos)}
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
@@ -225,28 +319,28 @@ func (p *parser) stmt() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &BarrierStmt{Pos: pos}, nil
+		return &BarrierStmt{node: p.node(pos)}, nil
 	case p.at(TokKwHalt):
 		pos := p.next().Pos
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &HaltStmt{Pos: pos}, nil
+		return &HaltStmt{node: p.node(pos)}, nil
 	case p.at(TokKwBreak):
 		pos := p.next().Pos
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &BreakStmt{Pos: pos}, nil
+		return &BreakStmt{node: p.node(pos)}, nil
 	case p.at(TokKwContinue):
 		pos := p.next().Pos
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &ContinueStmt{Pos: pos}, nil
+		return &ContinueStmt{node: p.node(pos)}, nil
 	case p.at(TokKwReturn):
 		pos := p.next().Pos
-		r := &ReturnStmt{Pos: pos}
+		r := &ReturnStmt{node: p.node(pos)}
 		if !p.at(TokSemi) {
 			e, err := p.expr()
 			if err != nil {
@@ -272,12 +366,12 @@ func (p *parser) stmt() (Stmt, error) {
 // simpleStmt parses an assignment or expression statement without the
 // trailing semicolon (shared with for-headers).
 func (p *parser) simpleStmt() (Stmt, error) {
-	pos := p.cur().Pos
+	pos := p.tok.Pos
 	e, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if op := p.cur().Kind; isAssignOp(op) {
+	if op := p.tok.Kind; isAssignOp(op) {
 		p.next()
 		switch e.(type) {
 		case *Ident, *Index:
@@ -288,9 +382,11 @@ func (p *parser) simpleStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AssignStmt{Pos: pos, LHS: e, Op: op, RHS: rhs}, nil
+		s := p.assigns.alloc()
+		*s = AssignStmt{node: p.node(pos), LHS: e, Op: op, RHS: rhs}
+		return s, nil
 	}
-	return &ExprStmt{Pos: pos, X: e}, nil
+	return &ExprStmt{node: p.node(pos), X: e}, nil
 }
 
 func isAssignOp(k TokKind) bool {
@@ -319,7 +415,7 @@ func (p *parser) ifStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &IfStmt{Pos: pos, Cond: cond, Then: then}
+	s := &IfStmt{node: p.node(pos), Cond: cond, Then: then}
 	if p.accept(TokKwElse) {
 		s.Else, err = p.stmt()
 		if err != nil {
@@ -345,7 +441,7 @@ func (p *parser) whileStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WhileStmt{Pos: pos, Cond: cond, Body: body}, nil
+	return &WhileStmt{node: p.node(pos), Cond: cond, Body: body}, nil
 }
 
 func (p *parser) forStmt() (Stmt, error) {
@@ -353,7 +449,7 @@ func (p *parser) forStmt() (Stmt, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	s := &ForStmt{Pos: pos}
+	s := &ForStmt{node: p.node(pos)}
 	var err error
 	if !p.at(TokSemi) {
 		if p.at(TokKwInt) || p.at(TokKwThick) {
@@ -413,9 +509,9 @@ func (p *parser) switchStmt() (Stmt, error) {
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
-	s := &SwitchStmt{Pos: pos, Subject: subject}
+	s := &SwitchStmt{node: p.node(pos), Subject: subject}
 	for !p.at(TokRBrace) {
-		c := SwitchCase{Pos: p.cur().Pos}
+		c := SwitchCase{Pos: p.tok.Pos}
 		switch {
 		case p.accept(TokKwCase):
 			for {
@@ -458,9 +554,9 @@ func (p *parser) parallelStmt() (Stmt, error) {
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
-	s := &ParallelStmt{Pos: pos}
+	s := &ParallelStmt{node: p.node(pos)}
 	for !p.at(TokRBrace) {
-		armPos := p.cur().Pos
+		armPos := p.tok.Pos
 		if _, err := p.expect(TokHash); err != nil {
 			return nil, err
 		}
@@ -490,7 +586,7 @@ func (p *parser) parallelStmt() (Stmt, error) {
 func (p *parser) thickOrNuma() (Stmt, error) {
 	pos := p.next().Pos // '#'
 	// Lookahead for the literal "1 /" prefix marking NUMA.
-	if p.at(TokInt) && p.cur().Int == 1 && p.toks[p.pos+1].Kind == TokSlash {
+	if p.at(TokInt) && p.intValue(p.tok) == 1 && p.peek().Kind == TokSlash {
 		p.next() // 1
 		p.next() // /
 		e, err := p.expr()
@@ -500,7 +596,7 @@ func (p *parser) thickOrNuma() (Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return &NumaStmt{Pos: pos, X: e}, nil
+		return &NumaStmt{node: p.node(pos), X: e}, nil
 	}
 	e, err := p.expr()
 	if err != nil {
@@ -509,12 +605,14 @@ func (p *parser) thickOrNuma() (Stmt, error) {
 	if _, err := p.expect(TokSemi); err != nil {
 		return nil, err
 	}
-	return &ThickStmt{Pos: pos, X: e}, nil
+	return &ThickStmt{node: p.node(pos), X: e}, nil
 }
 
 // Expression parsing: precedence climbing.
 
-var binPrec = map[TokKind]int{
+// binPrec is the precedence of the binary operators; 0 for every other
+// token kind.
+var binPrec = [...]int{
 	TokOrOr:    1,
 	TokAndAnd:  2,
 	TokPipe:    3,
@@ -543,36 +641,38 @@ func (p *parser) binExpr(minPrec int) (Expr, error) {
 		return nil, err
 	}
 	for {
-		op := p.cur().Kind
-		prec, ok := binPrec[op]
-		if !ok || prec < minPrec {
+		op := p.tok.Kind
+		if int(op) >= len(binPrec) || binPrec[op] < minPrec {
 			return lhs, nil
 		}
+		prec := binPrec[op]
 		pos := p.next().Pos
 		rhs, err := p.binExpr(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &Binary{Pos: pos, Op: op, X: lhs, Y: rhs}
+		b := p.binaries.alloc()
+		*b = Binary{node: p.node(pos), Op: op, X: lhs, Y: rhs}
+		lhs = b
 	}
 }
 
 func (p *parser) unary() (Expr, error) {
-	switch p.cur().Kind {
+	switch p.tok.Kind {
 	case TokMinus, TokBang, TokTilde:
 		tok := p.next()
 		x, err := p.unary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Pos: tok.Pos, Op: tok.Kind, X: x}, nil
+		return &Unary{node: p.node(tok.Pos), Op: tok.Kind, X: x}, nil
 	case TokAmp:
 		pos := p.next().Pos
 		name, err := p.expect(TokIdent)
 		if err != nil {
 			return nil, err
 		}
-		a := &AddrOf{Pos: pos, Name: name.Text}
+		a := &AddrOf{node: p.node(pos), Name: p.text(name)}
 		if p.accept(TokLBracket) {
 			a.Idx, err = p.expr()
 			if err != nil {
@@ -588,14 +688,16 @@ func (p *parser) unary() (Expr, error) {
 }
 
 func (p *parser) primary() (Expr, error) {
-	tok := p.cur()
+	tok := p.tok
 	switch tok.Kind {
 	case TokInt:
 		p.next()
-		return &IntLit{Pos: tok.Pos, Val: tok.Int}, nil
+		lit := p.intLits.alloc()
+		*lit = IntLit{node: p.node(tok.Pos), Val: p.intValue(tok)}
+		return lit, nil
 	case TokString:
 		p.next()
-		return &StrLit{Pos: tok.Pos, Val: tok.Str}, nil
+		return &StrLit{node: p.node(tok.Pos), Val: tok.StringValue(p.lex.src)}, nil
 	case TokLParen:
 		p.next()
 		e, err := p.expr()
@@ -610,7 +712,7 @@ func (p *parser) primary() (Expr, error) {
 		p.next()
 		switch {
 		case p.accept(TokLParen):
-			c := &Call{Pos: tok.Pos, Name: tok.Text}
+			c := &Call{node: p.node(tok.Pos), Name: p.text(tok)}
 			for !p.at(TokRParen) {
 				a, err := p.expr()
 				if err != nil {
@@ -633,10 +735,14 @@ func (p *parser) primary() (Expr, error) {
 			if _, err := p.expect(TokRBracket); err != nil {
 				return nil, err
 			}
-			return &Index{Pos: tok.Pos, Name: tok.Text, Idx: idx}, nil
+			ix := p.indexes.alloc()
+			*ix = Index{node: p.node(tok.Pos), Name: p.text(tok), Idx: idx}
+			return ix, nil
 		default:
-			return &Ident{Pos: tok.Pos, Name: tok.Text}, nil
+			id := p.idents.alloc()
+			*id = Ident{node: p.node(tok.Pos), Name: p.text(tok)}
+			return id, nil
 		}
 	}
-	return nil, p.errf("expected expression, got %s", tok)
+	return nil, p.errf("expected expression, got %s", p.describe(tok))
 }

@@ -8,6 +8,7 @@ package sema
 
 import (
 	"fmt"
+	"sync"
 
 	"tcfpram/internal/isa"
 	"tcfpram/internal/lang"
@@ -47,6 +48,12 @@ type Sym struct {
 	Addr     int64 // memory address (Shared/Local spaces)
 	IsParam  bool
 	FuncName string // owning function ("" for globals)
+	// Index numbers the symbol densely within its family: a register
+	// symbol among its function's (parameters first, then declarations in
+	// source order; below FuncInfo.NumRegs), a global among the program's
+	// (its place in Info.Globals). Per-symbol tables of later passes are
+	// slices indexed by it.
+	Index int
 }
 
 // Kind returns the value kind of reading the symbol.
@@ -63,23 +70,65 @@ type FuncInfo struct {
 	Params  []*Sym
 	Returns bool // some return carries a value
 	Calls   []string
+	// Index is the function's place in Info.FuncList (declaration order).
+	Index int
+	// NumRegs is the number of register symbols (parameters and local
+	// declarations): every one's Sym.Index is below it.
+	NumRegs int
 }
 
 // Info is the analysis result consumed by codegen.
 type Info struct {
 	Prog  *lang.Program
 	Funcs map[string]*FuncInfo
-	// Syms maps every resolved *lang.Ident, *lang.Index, *lang.AddrOf and
-	// *lang.VarDecl to its symbol.
-	Syms map[any]*Sym
-	// Kinds maps every expression to its value kind.
-	Kinds map[lang.Expr]Kind
+	// FuncList holds the functions in declaration order.
+	FuncList []*FuncInfo
+	// Globals holds the global symbols in declaration order.
+	Globals []*Sym
+	// syms and kinds are the two side tables of the AST, indexed by node
+	// ID: the symbol of every resolved *lang.Ident, *lang.Index,
+	// *lang.AddrOf and *lang.VarDecl, and 1 + the value kind of every
+	// expression (0: the expression was given none).
+	syms  []*Sym
+	kinds []uint8
 	// Data are the preloaded shared-memory segments from initializers.
 	Data []DataSeg
 	// LocalData are per-group local-memory preloads.
 	LocalData []DataSeg
 	// SharedTop is the first shared address after static allocation.
 	SharedTop int64
+
+	derivedOnce sync.Once
+	derived     any
+}
+
+// SymOf returns the symbol n resolved to: n is a *lang.Ident, *lang.Index,
+// *lang.AddrOf or *lang.VarDecl of the checked program. It is nil for a
+// builtin identifier and for any other node.
+func (i *Info) SymOf(n interface{ ID() int }) *Sym { return i.syms[n.ID()] }
+
+// KindOf returns the value kind of expression e; ok is false for the few
+// expressions that have none (the target of an assignment).
+func (i *Info) KindOf(e lang.Expr) (k Kind, ok bool) {
+	v := i.kinds[e.ID()]
+	if v == 0 {
+		return KindScalar, false
+	}
+	return Kind(v - 1), true
+}
+
+// IsThick reports whether expression e is thread-wise.
+func (i *Info) IsThick(e lang.Expr) bool { return i.kinds[e.ID()] == uint8(KindThick)+1 }
+
+// Derived returns what build returned the first time Derived was called on
+// this Info. It is the place for what a later pass works out from the
+// checked program alone and wants worked out once (internal/analysis keeps
+// the thickness ceiling here, so that the cost analysis takes it from the
+// vet gate's run of the same compilation); it may be called concurrently.
+// What it holds lives as long as the Info: keep it small.
+func (i *Info) Derived(build func() any) any {
+	i.derivedOnce.Do(func() { i.derived = build() })
+	return i.derived
 }
 
 // DataSeg is an initialized memory region.
@@ -135,12 +184,14 @@ const autoBase = 8192
 func Check(prog *lang.Program) (*Info, error) {
 	c := &checker{
 		info: &Info{
-			Prog:  prog,
-			Funcs: map[string]*FuncInfo{},
-			Syms:  map[any]*Sym{},
-			Kinds: map[lang.Expr]Kind{},
+			Prog:     prog,
+			Funcs:    make(map[string]*FuncInfo, len(prog.Funcs)),
+			FuncList: make([]*FuncInfo, 0, len(prog.Funcs)),
+			Globals:  make([]*Sym, 0, len(prog.Globals)),
+			syms:     make([]*Sym, prog.NumNodes),
+			kinds:    make([]uint8, prog.NumNodes),
 		},
-		globals:   map[string]*Sym{},
+		globals:   make(map[string]*Sym, len(prog.Globals)),
 		nextAddr:  autoBase,
 		nextLocal: 0,
 	}
@@ -163,9 +214,11 @@ type checker struct {
 	nextAddr  int64
 	nextLocal int64
 
-	// Per-function state.
+	// Per-function state: the register symbols in scope, innermost last,
+	// and where in locals each open scope starts.
 	fn        *FuncInfo
-	scopes    []map[string]*Sym
+	locals    []*Sym
+	scopes    []int
 	loopDepth int
 }
 
@@ -201,7 +254,7 @@ func (c *checker) globalsPass() error {
 		if d.ArrayLen >= 0 {
 			words = int64(d.ArrayLen)
 		}
-		sym := &Sym{Name: d.Name, Decl: d, Space: d.Space, ArrayLen: d.ArrayLen}
+		sym := &Sym{Name: d.Name, Decl: d, Space: d.Space, ArrayLen: d.ArrayLen, Index: len(c.info.Globals)}
 		switch d.Space {
 		case lang.SpaceShared:
 			if d.Addr >= 0 {
@@ -248,7 +301,8 @@ func (c *checker) globalsPass() error {
 			}
 		}
 		c.globals[d.Name] = sym
-		c.info.Syms[d] = sym
+		c.info.Globals = append(c.info.Globals, sym)
+		c.info.syms[d.ID()] = sym
 	}
 	return nil
 }
@@ -327,20 +381,22 @@ func constFold(e lang.Expr) (int64, bool) {
 }
 
 func (c *checker) funcsPass() error {
-	seen := map[string]bool{}
 	for _, fn := range c.info.Prog.Funcs {
-		if seen[fn.Name] {
+		if _, dup := c.info.Funcs[fn.Name]; dup {
 			return errf(fn.Pos, "duplicate function %s", fn.Name)
 		}
-		seen[fn.Name] = true
 		if IsIntrinsic(fn.Name) || IsBuiltinIdent(fn.Name) {
 			return errf(fn.Pos, "function %s shadows a builtin", fn.Name)
 		}
-		fi := &FuncInfo{Decl: fn}
-		for _, p := range fn.Params {
-			fi.Params = append(fi.Params, &Sym{Name: p, ArrayLen: -1, IsParam: true, FuncName: fn.Name})
+		fi := &FuncInfo{Decl: fn, Index: len(c.info.FuncList), NumRegs: len(fn.Params)}
+		if len(fn.Params) > 0 {
+			fi.Params = make([]*Sym, len(fn.Params))
+			for i, p := range fn.Params {
+				fi.Params[i] = &Sym{Name: p, ArrayLen: -1, IsParam: true, FuncName: fn.Name, Index: i}
+			}
 		}
 		c.info.Funcs[fn.Name] = fi
+		c.info.FuncList = append(c.info.FuncList, fi)
 	}
 	if _, ok := c.info.Funcs["main"]; !ok {
 		return errf(lang.Pos{Line: 1, Col: 1}, "program has no main function")
@@ -350,21 +406,21 @@ func (c *checker) funcsPass() error {
 	}
 	// Pre-pass: a function "returns a value" if any of its returns carries
 	// one; calls must see this regardless of declaration order.
-	for _, fn := range c.info.Prog.Funcs {
-		c.info.Funcs[fn.Name].Returns = hasValueReturn(fn.Body)
+	for _, fi := range c.info.FuncList {
+		fi.Returns = hasValueReturn(fi.Decl.Body)
 	}
-	for _, fn := range c.info.Prog.Funcs {
-		fi := c.info.Funcs[fn.Name]
+	for _, fi := range c.info.FuncList {
+		fn := fi.Decl
 		c.fn = fi
-		c.scopes = []map[string]*Sym{{}}
+		c.locals, c.scopes = c.locals[:0], append(c.scopes[:0], 0)
 		for _, p := range fi.Params {
-			if _, dup := c.scopes[0][p.Name]; dup {
+			if c.inScope(p.Name) {
 				return errf(fn.Pos, "duplicate parameter %s", p.Name)
 			}
 			if IsBuiltinIdent(p.Name) || IsIntrinsic(p.Name) {
 				return errf(fn.Pos, "parameter %s shadows a builtin", p.Name)
 			}
-			c.scopes[0][p.Name] = p
+			c.locals = append(c.locals, p)
 		}
 		if err := c.stmt(fn.Body); err != nil {
 			return err
@@ -382,26 +438,26 @@ func (c *checker) recursionPass() error {
 		gray  = 1
 		black = 2
 	)
-	color := map[string]int{}
-	var visit func(name string) error
-	visit = func(name string) error {
-		switch color[name] {
+	color := make([]uint8, len(c.info.FuncList))
+	var visit func(fi *FuncInfo) error
+	visit = func(fi *FuncInfo) error {
+		switch color[fi.Index] {
 		case gray:
-			return errf(c.info.Funcs[name].Decl.Pos, "recursive call cycle through %s (recursion is not supported: registers are statically allocated)", name)
+			return errf(fi.Decl.Pos, "recursive call cycle through %s (recursion is not supported: registers are statically allocated)", fi.Decl.Name)
 		case black:
 			return nil
 		}
-		color[name] = gray
-		for _, callee := range c.info.Funcs[name].Calls {
-			if err := visit(callee); err != nil {
+		color[fi.Index] = gray
+		for _, callee := range fi.Calls {
+			if err := visit(c.info.Funcs[callee]); err != nil {
 				return err
 			}
 		}
-		color[name] = black
+		color[fi.Index] = black
 		return nil
 	}
-	for name := range c.info.Funcs {
-		if err := visit(name); err != nil {
+	for _, fi := range c.info.FuncList {
+		if err := visit(fi); err != nil {
 			return err
 		}
 	}
@@ -440,13 +496,29 @@ func hasValueReturn(s lang.Stmt) bool {
 	return false
 }
 
-func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]*Sym{}) }
-func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) pushScope() { c.scopes = append(c.scopes, len(c.locals)) }
+func (c *checker) popScope() {
+	c.locals = c.locals[:c.scopes[len(c.scopes)-1]]
+	c.scopes = c.scopes[:len(c.scopes)-1]
+}
 
+// inScope reports whether the innermost scope declares name.
+func (c *checker) inScope(name string) bool {
+	for _, s := range c.locals[c.scopes[len(c.scopes)-1]:] {
+		if s.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// lookup resolves name: the innermost declaration in scope, else a global.
+// A function holds a handful of register symbols, so the scopes are one
+// short slice searched from its end.
 func (c *checker) lookup(name string) *Sym {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if s, ok := c.scopes[i][name]; ok {
-			return s
+	for i := len(c.locals) - 1; i >= 0; i-- {
+		if c.locals[i].Name == name {
+			return c.locals[i]
 		}
 	}
 	return c.globals[name]
@@ -621,15 +693,14 @@ func (c *checker) localDecl(d *lang.VarDecl) error {
 	if d.InitList != nil {
 		return errf(d.Pos, "register variable %s cannot take an initializer list", d.Name)
 	}
-	scope := c.scopes[len(c.scopes)-1]
-	if _, dup := scope[d.Name]; dup {
+	if c.inScope(d.Name) {
 		return errf(d.Pos, "duplicate variable %s in this scope", d.Name)
 	}
 	if IsBuiltinIdent(d.Name) || IsIntrinsic(d.Name) {
 		return errf(d.Pos, "%s shadows a builtin", d.Name)
 	}
 	sym := &Sym{Name: d.Name, Decl: d, Space: lang.SpaceReg, Thick: d.Thick,
-		ArrayLen: -1, FuncName: c.fn.Decl.Name}
+		ArrayLen: -1, FuncName: c.fn.Decl.Name, Index: c.fn.NumRegs}
 	if d.InitExpr != nil {
 		k, err := c.expr(d.InitExpr)
 		if err != nil {
@@ -639,8 +710,9 @@ func (c *checker) localDecl(d *lang.VarDecl) error {
 			return errf(d.Pos, "cannot initialize scalar %s with a thick value", d.Name)
 		}
 	}
-	scope[d.Name] = sym
-	c.info.Syms[d] = sym
+	c.fn.NumRegs++
+	c.locals = append(c.locals, sym)
+	c.info.syms[d.ID()] = sym
 	return nil
 }
 
@@ -664,7 +736,7 @@ func (c *checker) assign(s *lang.AssignStmt) error {
 		if sym.ArrayLen >= 0 {
 			return errf(lhs.Pos, "cannot assign whole array %s", lhs.Name)
 		}
-		c.info.Syms[lhs] = sym
+		c.info.syms[lhs.ID()] = sym
 		lk := sym.Kind()
 		if sym.Space != lang.SpaceReg {
 			lk = KindScalar // memory scalar word
@@ -681,7 +753,7 @@ func (c *checker) assign(s *lang.AssignStmt) error {
 		if sym.ArrayLen < 0 && sym.Space == lang.SpaceReg {
 			return errf(lhs.Pos, "%s is not an array", lhs.Name)
 		}
-		c.info.Syms[lhs] = sym
+		c.info.syms[lhs.ID()] = sym
 		ik, err := c.expr(lhs.Idx)
 		if err != nil {
 			return err
@@ -703,7 +775,7 @@ func (c *checker) expr(e lang.Expr) (Kind, error) {
 	if err != nil {
 		return k, err
 	}
-	c.info.Kinds[e] = k
+	c.info.kinds[e.ID()] = uint8(k) + 1
 	return k, nil
 }
 
@@ -724,7 +796,7 @@ func (c *checker) exprKind(e lang.Expr) (Kind, error) {
 		if sym.ArrayLen >= 0 {
 			return KindScalar, errf(e.Pos, "array %s used as a value (index it or take &%s)", e.Name, e.Name)
 		}
-		c.info.Syms[e] = sym
+		c.info.syms[e.ID()] = sym
 		if sym.Space != lang.SpaceReg {
 			return KindScalar, nil
 		}
@@ -755,7 +827,7 @@ func (c *checker) exprKind(e lang.Expr) (Kind, error) {
 		if sym.ArrayLen < 0 && sym.Space == lang.SpaceReg {
 			return KindScalar, errf(e.Pos, "%s is not an array", e.Name)
 		}
-		c.info.Syms[e] = sym
+		c.info.syms[e.ID()] = sym
 		ik, err := c.expr(e.Idx)
 		if err != nil {
 			return ik, err
@@ -772,7 +844,7 @@ func (c *checker) exprKind(e lang.Expr) (Kind, error) {
 		if sym.Space == lang.SpaceReg {
 			return KindScalar, errf(e.Pos, "cannot take the address of register variable %s", e.Name)
 		}
-		c.info.Syms[e] = sym
+		c.info.syms[e.ID()] = sym
 		if e.Idx == nil {
 			return KindScalar, nil
 		}
@@ -799,7 +871,7 @@ func (c *checker) call(e *lang.Call) (Kind, error) {
 			if _, ok := e.Args[0].(*lang.StrLit); !ok {
 				return sig.result, errf(e.Pos, "prints expects a string literal")
 			}
-			c.info.Kinds[e.Args[0]] = KindVoid
+			c.info.kinds[e.Args[0].ID()] = uint8(KindVoid) + 1
 			return sig.result, nil
 		}
 		for i, a := range e.Args {

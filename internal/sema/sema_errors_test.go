@@ -78,7 +78,7 @@ func TestErrorTable(t *testing.T) {
 			if !errors.As(err, &se) {
 				t.Fatalf("error is not a positioned *sema.Error: %v", err)
 			}
-			if se.Pos.Line != tc.wantLine {
+			if int(se.Pos.Line) != tc.wantLine {
 				t.Fatalf("error at line %d, want line %d: %v", se.Pos.Line, tc.wantLine, err)
 			}
 			if se.Pos.Col < 1 {

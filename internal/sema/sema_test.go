@@ -44,7 +44,7 @@ func main() { }
 `)
 	var a, b, c, d, e *Sym
 	for _, g := range info.Prog.Globals {
-		sym := info.Syms[g]
+		sym := info.SymOf(g)
 		switch g.Name {
 		case "a":
 			a = sym
@@ -101,11 +101,11 @@ func main() {
 }
 `)
 	thickCount, scalarCount := 0, 0
-	for _, k := range info.Kinds {
-		switch k {
-		case KindThick:
+	for _, v := range info.kinds {
+		switch v {
+		case uint8(KindThick) + 1:
 			thickCount++
-		case KindScalar:
+		case uint8(KindScalar) + 1:
 			scalarCount++
 		}
 	}

@@ -560,7 +560,7 @@ func (m *Machine) symbol(name string) (sym symInfo, err error) {
 	}
 	for _, d := range m.compiled.Info.Prog.Globals {
 		if d.Name == name {
-			s := m.compiled.Info.Syms[d]
+			s := m.compiled.Info.SymOf(d)
 			return symInfo{Addr: s.Addr, ArrayLen: s.ArrayLen}, nil
 		}
 	}
