@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench-compile benchall table figures net examples fuzz fmtcheck lint detlint vet serve serve-test dataflow-test clean
+.PHONY: all build test race bench-smoke bench-compile bench-engine benchall table figures net examples fuzz fmtcheck lint detlint vet serve serve-test dataflow-test clean
 
 # Pinned linter versions, fetched on demand with `go run` so the repo adds
 # no module dependencies. Bump deliberately; CI uses the same pins.
@@ -34,6 +34,13 @@ bench-compile:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x \
 		./internal/lang ./internal/sema ./internal/analysis ./internal/codegen ./internal/fuse
 
+# bench-engine runs the step commit's per-layer benchmarks (BenchmarkApplyStep
+# in internal/mem, BenchmarkResolve in internal/multiop, 2^17 references per
+# step in the shapes of tcfbench's probes), as CI's bench job does; they
+# report ns/ref and allocs per step.
+bench-engine:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x ./internal/mem ./internal/multiop
+
 # benchall runs the paper-figure benchmarks of bench_test.go/ablation_test.go.
 benchall:
 	$(GO) test -bench=. -benchmem ./...
@@ -62,6 +69,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=30s ./internal/analysis/
 	$(GO) test -fuzz=FuzzCostAnalyze -fuzztime=30s ./internal/analysis/
+	$(GO) test -race -fuzz=FuzzApplyStepVsSorted -fuzztime=20s ./internal/mem/
+	$(GO) test -fuzz=FuzzResolveVsSorted -fuzztime=20s ./internal/multiop/
 
 # fmtcheck fails, naming the files, when gofmt would change any.
 fmtcheck:

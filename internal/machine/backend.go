@@ -3,7 +3,6 @@ package machine
 import (
 	"tcfpram/internal/isa"
 	"tcfpram/internal/mem"
-	"tcfpram/internal/multiop"
 	"tcfpram/internal/pipeline"
 	"tcfpram/internal/tcf"
 )
@@ -60,7 +59,7 @@ func (bk *backend) merge() (int64, error) {
 			return 0, x.err
 		}
 		gc := m.foldGroup(x.g.Index, &x.groupCounters,
-			x.writes, x.contribs, x.outputs, x.events, x.accs)
+			x.writes, &x.combining, x.outputs, x.events, x.accs)
 		if gc > stepCycles {
 			stepCycles = gc
 		}
@@ -77,17 +76,15 @@ func (bk *backend) merge() (int64, error) {
 // (reading published step packets); both call it in group-index order,
 // which is what makes the two schedulers bit-identical.
 func (m *Machine) foldGroup(gi int, c *groupCounters,
-	writes []mem.Write, contribs []pendingContrib, outputs []Output,
+	writes []mem.Write, comb *combining, outputs []Output,
 	events []deferredEvent, accs []discAcc) int64 {
 	m.shared.BufferWrites(writes)
-	for i := range contribs {
-		pc := &contribs[i]
-		cb := pc.c
-		if pc.hasRoute {
-			m.routes = append(m.routes, pc.route)
-			cb.Dest = len(m.routes) - 1
+	if comb.refs > 0 {
+		routeBase := len(m.routes)
+		m.routes = append(m.routes, comb.routes...)
+		for k, cs := range comb.contribs {
+			m.combiners[k].AddAll(cs, routeBase)
 		}
-		m.combiners[multiop.KindIndex(pc.kind)].Add(cb)
 	}
 	m.stepOutputs = append(m.stepOutputs, outputs...)
 	m.stepEvents = append(m.stepEvents, events...)
@@ -123,7 +120,7 @@ func (m *Machine) foldGroup(gi int, c *groupCounters,
 	m.stats.Stages[StageMemory].Cycles += overhead + c.stall + c.faultStall
 	m.stats.Stages[StageMemory].Events += c.sharedReads + c.sharedWrites +
 		c.localReads + c.localWrites + c.multiopRefs
-	m.stats.Stages[StageCommit].Events += int64(len(writes) + len(contribs))
+	m.stats.Stages[StageCommit].Events += int64(len(writes) + comb.refs)
 	return gc
 }
 
@@ -141,9 +138,8 @@ func (bk *backend) commit() error {
 			continue
 		}
 		finals, prefixes := comb.Resolve(m.shared.Peek)
-		//detlint:ignore each iteration pokes a distinct address, so order cannot be observed
-		for addr, v := range finals {
-			m.shared.Poke(addr, v)
+		for _, f := range finals {
+			m.shared.Poke(f.Addr, f.Val)
 		}
 		for _, p := range prefixes {
 			rt := &m.routes[p.Dest]

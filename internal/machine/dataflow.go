@@ -64,13 +64,13 @@ const dfRing = 8
 type dfPacket struct {
 	groupCounters
 
-	writes   []mem.Write
-	contribs []pendingContrib
-	events   []deferredEvent
-	outputs  []Output
-	slices   []SliceExec
-	accs     []discAcc
-	err      error
+	writes []mem.Write
+	combining
+	events  []deferredEvent
+	outputs []Output
+	slices  []SliceExec
+	accs    []discAcc
+	err     error
 
 	// pages is the deduplicated set of frontier pages the step's writes
 	// touch — published before the packet, committed with it.
@@ -347,7 +347,7 @@ func (m *Machine) dfCommitStep(k int64, pkts []*dfPacket, strict bool) (finished
 			m.runErr = p.err
 			return false, p.err
 		}
-		if gc := m.foldGroup(gi, &p.groupCounters, p.writes, p.contribs, p.outputs, p.events, p.accs); gc > stepCycles {
+		if gc := m.foldGroup(gi, &p.groupCounters, p.writes, &p.combining, p.outputs, p.events, p.accs); gc > stepCycles {
 			stepCycles = gc
 		}
 		hazard = hazard || p.hazard
@@ -450,7 +450,7 @@ func (m *Machine) dfPublish(b *dfBoard, x *groupExec, g *Group, gi int, n int64,
 	p := &b.rings[gi][n%dfRing]
 	p.groupCounters = x.groupCounters
 	p.writes, x.writes = x.writes, p.writes[:0]
-	p.contribs, x.contribs = x.contribs, p.contribs[:0]
+	p.combining, x.combining = x.combining, p.combining
 	p.events, x.events = x.events, p.events[:0]
 	p.outputs, x.outputs = x.outputs, p.outputs[:0]
 	p.slices, x.slices = x.slices, p.slices[:0]
@@ -482,7 +482,7 @@ func (m *Machine) dfPublish(b *dfBoard, x *groupExec, g *Group, gi int, n int64,
 		}
 	}
 	p.ready = ready
-	p.hazard = p.err != nil || len(p.events) > 0 || len(p.contribs) > 0 || p.barriers > 0
+	p.hazard = p.err != nil || len(p.events) > 0 || p.refs > 0 || p.barriers > 0
 	p.fence = doneSeen || len(g.Buf.Pending) > 0
 
 	m.dfFront.Publish(n, p.pages)

@@ -165,19 +165,7 @@ func (x *groupExec) fusedLaneRange(f *tcf.Flow, fi *fuse.Instr, first, n int) bo
 
 	case isa.ST:
 		row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
-		var av, bv []int64
-		var bs int64
-		base := in.Imm
-		if in.Ra.IsVector() {
-			av = f.Vector(in.Ra)
-		} else if in.Ra != isa.RegNone {
-			base += f.Scalar(in.Ra)
-		}
-		if in.Rb.IsVector() {
-			bv = f.Vector(in.Rb)
-		} else {
-			bs = f.Scalar(in.Rb)
-		}
+		av, bv, base, bs := storeOperands(f, in)
 		writes := slices.Grow(x.writes, n)
 		fid := f.ID
 		maxDist := x.maxDist

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"tcfpram/internal/fuse"
@@ -57,15 +58,44 @@ type prefixRoute struct {
 	lane int
 }
 
-// pendingContrib is a combining contribution gathered during the parallel
-// phase, before the global combiners see it. The route is stored by value
-// (hasRoute distinguishes plain multioperations) so accumulating
-// contributions never allocates.
-type pendingContrib struct {
-	kind     isa.Op
-	c        multiop.Contribution
-	route    prefixRoute
-	hasRoute bool
+// combining is the combining traffic one group (or lane chunk, or dataflow
+// step packet) generated in a step, per kind and already in the form the
+// combiners take. A multiprefix participant's Dest indexes routes; refs
+// counts the contributions, so that the many steps without any skip the
+// per-kind walks.
+type combining struct {
+	contribs [len(multiop.Kinds)][]multiop.Contribution
+	routes   []prefixRoute
+	refs     int
+}
+
+func (c *combining) reset() {
+	if c.refs == 0 {
+		return
+	}
+	for k := range c.contribs {
+		c.contribs[k] = c.contribs[k][:0]
+	}
+	c.routes, c.refs = c.routes[:0], 0
+}
+
+// absorb appends o's traffic behind c's own, its route indices shifted past
+// c's routes.
+func (c *combining) absorb(o *combining) {
+	if o.refs == 0 {
+		return
+	}
+	base := len(c.routes)
+	c.routes, c.refs = append(c.routes, o.routes...), c.refs+o.refs
+	for k, cs := range o.contribs {
+		from := len(c.contribs[k])
+		c.contribs[k] = append(c.contribs[k], cs...)
+		for i := from; base > 0 && i < len(c.contribs[k]); i++ {
+			if ct := &c.contribs[k][i]; ct.WantPrefix {
+				ct.Dest += base
+			}
+		}
+	}
 }
 
 // eventKind tags deferred cross-flow events processed after the parallel
@@ -165,11 +195,11 @@ type groupExec struct {
 	// one gets an independent deterministic fault decision.
 	refSeq int64
 
-	writes   []mem.Write
-	contribs []pendingContrib
-	events   []deferredEvent
-	outputs  []Output
-	slices   []SliceExec
+	writes []mem.Write
+	combining
+	events  []deferredEvent
+	outputs []Output
+	slices  []SliceExec
 
 	// disc caches "the memory-discipline cross-checker records this step"
 	// (Config.MemDiscipline checks and the plan is lockstep); accs is the
@@ -203,7 +233,7 @@ func (x *groupExec) reset(plan StepPlan) {
 	x.groupCounters = groupCounters{}
 	x.refSeq = 0
 	x.writes = x.writes[:0]
-	x.contribs = x.contribs[:0]
+	x.combining.reset()
 	x.events = x.events[:0]
 	x.outputs = x.outputs[:0]
 	x.slices = x.slices[:0]
@@ -223,7 +253,7 @@ func (x *groupExec) resetLaneWorker(refSeq, step int64) {
 	x.groupCounters = groupCounters{}
 	x.refSeq = refSeq
 	x.writes = x.writes[:0]
-	x.contribs = x.contribs[:0]
+	x.combining.reset()
 	// Lane workers only exist under lockstep plans (execLanes never fans
 	// out in immediate mode), so the parent's lockstep gate is implied.
 	x.disc = x.m.cfg.MemDiscipline.Checks()
@@ -237,7 +267,7 @@ func (x *groupExec) resetLaneWorker(refSeq, step int64) {
 // merged buffers are byte-for-byte what serial execution would have built.
 func (x *groupExec) mergeLaneWorker(w *groupExec) {
 	x.writes = append(x.writes, w.writes...)
-	x.contribs = append(x.contribs, w.contribs...)
+	x.combining.absorb(&w.combining)
 	x.accs = append(x.accs, w.accs...)
 	x.ops += w.ops
 	x.sharedReads += w.sharedReads
@@ -414,45 +444,73 @@ func (x *groupExec) execLane(f *tcf.Flow, in isa.Instr, i, seq int) {
 	case in.Op == isa.STL:
 		x.localWrites++
 		x.g.Local.Write(effAddr(f, in, i), f.Lane(in.Rb, i))
-	case in.Op.IsMultiop():
+	case in.Op.IsMultiop() || in.Op.IsMultiprefix():
+		if !x.immediate {
+			x.combineLanes(f, in, i, 1, seq)
+			return
+		}
+		// XMT-style semantics: combine against the current state, lane
+		// order within the flow.
 		x.multiopRefs++
 		addr := effAddr(f, in, i)
 		x.noteShared(addr, f.Mode == tcf.NUMA)
-		kind := in.Op.CombineKind()
-		val := f.Lane(in.Rb, i)
-		if x.immediate {
-			// XMT-style semantics: combine against the current state,
-			// lane order within the flow.
-			x.m.shared.Poke(addr, multiop.Apply(kind, x.m.shared.Peek(addr), val))
-			return
+		cur, val := x.m.shared.Peek(addr), f.Lane(in.Rb, i)
+		if in.Op.IsMultiprefix() {
+			f.SetLane(in.Rd, i, cur) // Rd may be Rb: val is read first
 		}
-		x.contribs = append(x.contribs, pendingContrib{
-			kind: kind,
-			c: multiop.Contribution{Addr: addr, Val: val,
-				Key: multiop.Key{Flow: f.ID, Thread: i, Seq: seq}},
-		})
-	case in.Op.IsMultiprefix():
-		x.multiopRefs++
-		addr := effAddr(f, in, i)
-		x.noteShared(addr, f.Mode == tcf.NUMA)
-		kind := in.Op.CombineKind()
-		val := f.Lane(in.Rb, i)
-		if x.immediate {
-			cur := x.m.shared.Peek(addr)
-			f.SetLane(in.Rd, i, cur)
-			x.m.shared.Poke(addr, multiop.Apply(kind, cur, val))
-			return
-		}
-		x.contribs = append(x.contribs, pendingContrib{
-			kind: kind,
-			c: multiop.Contribution{Addr: addr, Val: val,
-				Key: multiop.Key{Flow: f.ID, Thread: i, Seq: seq}, WantPrefix: true},
-			route:    prefixRoute{flow: f, reg: in.Rd, lane: i},
-			hasRoute: true,
-		})
+		x.m.shared.Poke(addr, multiop.Apply(in.Op.CombineKind(), cur, val))
 	default:
 		x.failf("flow %d: opcode %s has no lane semantics", f.ID, in.Op)
 	}
+}
+
+// storeOperands hoists the operands of a store-shaped instruction (ST, the
+// multioperations and multiprefixes) out of its lane loop: lane i references
+// base, plus av[i] when the address register is thread-wise, with the value
+// bv[i], or the flow-common bs when bv is nil.
+func storeOperands(f *tcf.Flow, in *isa.Instr) (av, bv []int64, base, bs int64) {
+	base = in.Imm
+	if in.Ra.IsVector() {
+		av = f.Vector(in.Ra)
+	} else if in.Ra != isa.RegNone {
+		base += f.Scalar(in.Ra)
+	}
+	if in.Rb.IsVector() {
+		bv = f.Vector(in.Rb)
+	} else {
+		bs = f.Scalar(in.Rb)
+	}
+	return av, bv, base, bs
+}
+
+// combineLanes buffers the combining contributions of lanes [first, first+n)
+// of a multioperation or multiprefix for the step-boundary resolution, each
+// multiprefix lane with the route its prefix comes back on.
+func (x *groupExec) combineLanes(f *tcf.Flow, in isa.Instr, first, n, seq int) {
+	av, bv, base, bs := storeOperands(f, &in)
+	prefix, numa := in.Op.IsMultiprefix(), f.Mode == tcf.NUMA
+	k := multiop.KindIndex(in.Op.CombineKind())
+	cs := slices.Grow(x.contribs[k], n)
+	if prefix {
+		x.routes = slices.Grow(x.routes, n)
+	}
+	for i := first; i < first+n; i++ {
+		ct := multiop.Contribution{Addr: base, Val: bs, Key: multiop.Key{Flow: f.ID, Thread: i, Seq: seq}}
+		if av != nil {
+			ct.Addr += av[i]
+		}
+		if bv != nil {
+			ct.Val = bv[i]
+		}
+		x.noteShared(ct.Addr, numa)
+		if prefix {
+			ct.WantPrefix, ct.Dest = true, len(x.routes)
+			x.routes = append(x.routes, prefixRoute{flow: f, reg: in.Rd, lane: i})
+		}
+		cs = append(cs, ct)
+	}
+	x.contribs[k], x.refs = cs, x.refs+n
+	x.multiopRefs += int64(n)
 }
 
 // execLaneRange executes lanes [first, first+n) of a sliceable instruction
@@ -558,19 +616,7 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in isa.Instr, first, n int)
 			}
 		}
 	case in.Op == isa.ST:
-		var av, bv []int64
-		var bs int64
-		base := in.Imm
-		if in.Ra.IsVector() {
-			av = f.Vector(in.Ra)
-		} else if in.Ra != isa.RegNone {
-			base += f.Scalar(in.Ra)
-		}
-		if in.Rb.IsVector() {
-			bv = f.Vector(in.Rb)
-		} else {
-			bs = f.Scalar(in.Rb)
-		}
+		av, bv, base, bs := storeOperands(f, &in)
 		for i := first; i < end; i++ {
 			addr := base
 			if av != nil {
@@ -582,6 +628,8 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in isa.Instr, first, n int)
 			}
 			x.storeShared(f, addr, val, i, 0)
 		}
+	case (in.Op.IsMultiop() || in.Op.IsMultiprefix()) && !x.immediate:
+		x.combineLanes(f, in, first, n, 0)
 	default:
 		for i := first; i < end; i++ {
 			x.execLane(f, in, i, 0)

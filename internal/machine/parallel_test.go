@@ -118,47 +118,65 @@ func TestLaneParallelActuallyChunks(t *testing.T) {
 
 // TestStepLoopSteadyStateAllocs is the 0 allocs/step gate: with tracing
 // disabled, the steady-state step loop performs zero heap allocations per
-// step once the arenas are warm, on both backends.
+// step once the arenas are warm, on both backends — over dense stores
+// ("steady") and over the step commit's sort-free scratch ("commit":
+// conflicting stores arriving out of address order, a madd onto eight
+// addresses and an mpadd onto one, so the write tables and the combiners'
+// accumulators are held to the gate too).
 func TestStepLoopSteadyStateAllocs(t *testing.T) {
-	b := isa.NewBuilder("steady")
-	b.Label("main")
-	b.SetThickImm(64)
-	b.Id(isa.TID, isa.V(0))
-	b.Ldi(isa.S(1), 1<<30)
-	b.Label("loop")
-	b.ALUI(isa.ADD, isa.V(1), isa.V(1), 1)
-	b.St(isa.V(0), laneParOutBase, isa.V(1))
-	b.ALUI(isa.SUB, isa.S(1), isa.S(1), 1)
-	b.Branch(isa.BNEZ, isa.S(1), "loop")
-	b.Halt()
-	prog := b.MustBuild()
-	for _, backend := range []Backend{BackendInterp, BackendFused} {
-		t.Run(backend.String(), func(t *testing.T) {
-			cfg := Default(variant.SingleInstruction)
-			cfg.Backend = backend
-			m, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.LoadProgram(prog); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Boot(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 64; i++ { // warm the arenas
-				if err := m.Step(); err != nil {
+	loop := func(name string, body func(b *isa.Builder)) *isa.Program {
+		b := isa.NewBuilder(name)
+		b.Label("main")
+		b.SetThickImm(64)
+		b.Id(isa.TID, isa.V(0))
+		b.ALUI(isa.MUL, isa.V(2), isa.V(0), 37)
+		b.ALUI(isa.AND, isa.V(2), isa.V(2), 7) // eight addresses, scattered over the lanes
+		b.Ldi(isa.S(1), 1<<30)
+		b.Label("loop")
+		b.ALUI(isa.ADD, isa.V(1), isa.V(1), 1)
+		body(b)
+		b.ALUI(isa.SUB, isa.S(1), isa.S(1), 1)
+		b.Branch(isa.BNEZ, isa.S(1), "loop")
+		b.Halt()
+		return b.MustBuild()
+	}
+	progs := []*isa.Program{
+		loop("steady", func(b *isa.Builder) { b.St(isa.V(0), laneParOutBase, isa.V(1)) }),
+		loop("commit", func(b *isa.Builder) {
+			b.St(isa.V(2), laneParOutBase, isa.V(1))
+			b.Multi(isa.MADD, isa.V(2), laneParOutBase+64, isa.V(1))
+			b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, laneParOutBase+128, isa.V(1))
+		}),
+	}
+	for _, prog := range progs {
+		for _, backend := range []Backend{BackendInterp, BackendFused} {
+			t.Run(prog.Name+"/"+backend.String(), func(t *testing.T) {
+				cfg := Default(variant.SingleInstruction)
+				cfg.Backend = backend
+				m, err := New(cfg)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			allocs := testing.AllocsPerRun(200, func() {
-				if err := m.Step(); err != nil {
+				if err := m.LoadProgram(prog); err != nil {
 					t.Fatal(err)
+				}
+				if err := m.Boot(); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 64; i++ { // warm the arenas
+					if err := m.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				allocs := testing.AllocsPerRun(200, func() {
+					if err := m.Step(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs > 0.1 {
+					t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
 				}
 			})
-			if allocs > 0.1 {
-				t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
-			}
-		})
+		}
 	}
 }

@@ -6,6 +6,7 @@
 package mem
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
@@ -53,14 +54,18 @@ func (p Policy) String() string {
 // Priority (and is the deterministic choice under Arbitrary) and combines
 // earlier in a multioperation — the ordered multiprefix of the paper's
 // prefix(...) primitive. multiop.Key is this type.
+//
+// The engine gives every reference of a step its own key. Should two writes
+// to one address carry equal keys all the same, the one buffered earlier
+// wins.
 type Key struct {
 	Flow   int // flow id
 	Thread int // thread index within the flow
 	Seq    int // issue sequence within the thread (NUMA bunches issue many)
 }
 
-// Compare orders keys lexicographically. It and CompareRefs are the
-// comparators of the step's resolution sorts, written to inline into them.
+// Compare orders keys lexicographically. It and CompareRefs are written to
+// inline into the step's resolution loops.
 func (k Key) Compare(o Key) int {
 	a, b := k.Seq, o.Seq
 	if k.Flow != o.Flow {
@@ -101,6 +106,13 @@ type Write struct {
 }
 
 func compareWrites(a, b Write) int { return CompareRefs(a.Addr, a.Key, b.Addr, b.Key) }
+
+// shardApplied is the outcome of resolving one shard: the distinct addresses
+// written and the Common-policy conflicts among its writes.
+type shardApplied struct {
+	done      int64
+	conflicts []Conflict
+}
 
 // Conflict records a Common-policy violation: two same-step writes to Addr
 // with different values.
@@ -175,6 +187,13 @@ type Shared struct {
 	// shards[m] buffers the step's writes whose home module is m. The
 	// per-shard backing arrays are retained across steps.
 	shards [][]Write
+	// applied[m] is what resolving shards[m] produced, collected and cleared
+	// by ApplyStep; tabs holds one resolution table per shard worker (one in
+	// all when shards resolve serially), next and wg hand the shards out.
+	applied []shardApplied
+	tabs    []AddrTable
+	next    atomic.Int64
+	wg      sync.WaitGroup
 	// bwScratch holds BufferWrites' per-module counts/cursors between its
 	// two passes (lazily sized, retained across calls).
 	bwScratch []int
@@ -204,7 +223,8 @@ func NewShared(words, modules int, policy Policy) (*Shared, error) {
 		size:    int64(words),
 		modules: modules, policy: policy,
 		remap: remap, failed: make([]bool, modules),
-		shards: make([][]Write, modules),
+		shards:  make([][]Write, modules),
+		applied: make([]shardApplied, modules),
 	}, nil
 }
 
@@ -416,11 +436,10 @@ func (s *Shared) BufferWrite(addr, val int64, key Key) {
 
 // BufferWrites buffers a batch of stores with the per-call overhead (range
 // check, parallel-mode page touch, module lookup) amortized over the batch.
-// The result is identical to calling BufferWrite per element in order: shard
-// resolution sorts each shard by (addr, key) in ApplyStep, so insertion
-// order never matters. Two passes — count per module, grow each shard once,
-// fill by index — so the hot loop stores plain values instead of running an
-// append (with its slice-header write barrier) per element.
+// The result is identical to calling BufferWrite per element in order. Two
+// passes — count per module, grow each shard once, fill by index — so the
+// hot loop stores plain values instead of running an append (with its
+// slice-header write barrier) per element.
 func (s *Shared) BufferWrites(ws []Write) {
 	if len(s.bwScratch) < s.modules {
 		s.bwScratch = make([]int, s.modules)
@@ -469,9 +488,10 @@ func (s *Shared) PendingWrites() int {
 }
 
 // ApplyStep resolves the buffered writes of the step against the policy and
-// applies the winners. It returns the Common-policy conflicts (empty under
-// Arbitrary/Priority), ordered by address. The write buffer is cleared (its
-// capacity is retained for the next step).
+// applies the winners: per address the write with the lowest key, and among
+// writes of equal key the one buffered first. It returns the Common-policy
+// conflicts (empty under Arbitrary/Priority), ordered by address. The write
+// buffer is cleared (its capacity is retained for the next step).
 func (s *Shared) ApplyStep() []Conflict {
 	total := 0
 	for _, sh := range s.shards {
@@ -481,104 +501,133 @@ func (s *Shared) ApplyStep() []Conflict {
 		return nil
 	}
 
-	var conflicts []Conflict
-	if s.par && total >= applyParallelMin && s.modules > 1 {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > s.modules {
-			workers = s.modules
-		}
-		perShard := make([][]Conflict, s.modules)
-		done := make([]int64, s.modules)
-		var next atomic.Int64
-		var wg sync.WaitGroup
+	workers := 1
+	if s.par && total >= applyParallelMin {
+		// Two at least, even on a single-proc runtime: SetParallel asks for
+		// the concurrent path, and tests of it must not depend on GOMAXPROCS.
+		workers = min(max(2, runtime.GOMAXPROCS(0)), s.modules)
+	}
+	for len(s.tabs) < workers {
+		s.tabs = append(s.tabs, AddrTable{})
+	}
+	if workers > 1 {
+		s.next.Store(0)
+		s.wg.Add(workers)
 		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= s.modules {
-						return
-					}
-					perShard[i], done[i] = s.applyShard(s.shards[i])
-				}
-			}()
+			go s.applyWorker(&s.tabs[w])
 		}
-		wg.Wait()
-		for i := 0; i < s.modules; i++ {
-			conflicts = append(conflicts, perShard[i]...)
-			s.writesDone += done[i]
+		s.wg.Wait()
+	} else {
+		for i := range s.shards {
+			s.applyShard(i, &s.tabs[0])
 		}
+	}
+
+	var conflicts []Conflict
+	for i := range s.applied {
+		a := &s.applied[i]
+		s.writesDone += a.done
+		conflicts = append(conflicts, a.conflicts...)
+		*a = shardApplied{}
+		s.shards[i] = s.shards[i][:0]
+	}
+	if len(conflicts) > 1 {
 		// Shards interleave the address space (addr mod modules), so the
 		// per-shard address order must be merged into a global one; the
 		// stable sort preserves the within-address key order.
-		slices.SortStableFunc(conflicts, func(a, b Conflict) int {
-			if a.Addr < b.Addr {
-				return -1
-			}
-			if a.Addr > b.Addr {
-				return 1
-			}
-			return 0
-		})
-	} else {
-		for i := range s.shards {
-			cs, done := s.applyShard(s.shards[i])
-			conflicts = append(conflicts, cs...)
-			s.writesDone += done
-		}
-		slices.SortStableFunc(conflicts, func(a, b Conflict) int {
-			if a.Addr < b.Addr {
-				return -1
-			}
-			if a.Addr > b.Addr {
-				return 1
-			}
-			return 0
-		})
+		slices.SortStableFunc(conflicts, func(a, b Conflict) int { return cmp.Compare(a.Addr, b.Addr) })
 	}
-
 	s.stepWrites += int64(total)
-	for i := range s.shards {
-		s.shards[i] = s.shards[i][:0]
-	}
 	return conflicts
 }
 
-// applyShard resolves one shard: sort by (addr, key), detect Common
-// conflicts, apply the lowest-keyed write per address. In parallel mode all
-// pages touched were materialized by BufferWrite, so ensurePage below never
-// mutates the page table and concurrent shards (disjoint address sets) are
-// race-free; in serial mode ensurePage materializes lazily here.
-func (s *Shared) applyShard(ws []Write) (conflicts []Conflict, done int64) {
-	if len(ws) == 0 {
-		return nil, 0
-	}
-	// Bulk store kernels emit writes in ascending thread (= address) order,
-	// so shards very often arrive sorted; the O(n) check beats re-sorting.
-	if !slices.IsSortedFunc(ws, compareWrites) {
-		slices.SortFunc(ws, compareWrites)
-	}
-	pgIdx, pg := int64(-1), []int64(nil)
-	for i := 0; i < len(ws); {
-		j := i + 1
-		for j < len(ws) && ws[j].Addr == ws[i].Addr {
-			if s.policy == Common && ws[j].Val != ws[i].Val {
-				conflicts = append(conflicts, Conflict{Addr: ws[i].Addr, A: ws[i].Val, B: ws[j].Val})
-			}
-			j++
+// applyWorker resolves shards, claimed one at a time, on its own table.
+func (s *Shared) applyWorker(tab *AddrTable) {
+	defer s.wg.Done()
+	for {
+		i := int(s.next.Add(1)) - 1
+		if i >= s.modules {
+			return
 		}
-		// Lowest key wins (deterministic Arbitrary; exact Priority). The
-		// address order makes the page change rarely; cache it.
-		a := ws[i].Addr
+		s.applyShard(i, tab)
+	}
+}
+
+// applyShard resolves shard i into s.applied[i]. Bulk store kernels emit
+// writes in ascending thread (= address) order, so shards very often arrive
+// sorted by (addr, key) and one scan over the address runs resolves them.
+// Any other arrival order resolves through the table, without sorting; only
+// a Common-policy disagreement, which ends the run, is reported from sorted
+// order. In parallel mode all pages touched were materialized by
+// BufferWrite, so ensurePage never mutates the page table and concurrent
+// shards (disjoint address sets) are race-free; in serial mode it
+// materializes lazily here.
+func (s *Shared) applyShard(i int, tab *AddrTable) {
+	ws := s.shards[i]
+	if len(ws) == 0 {
+		return
+	}
+	out := &s.applied[i]
+	if !slices.IsSortedFunc(ws, compareWrites) {
+		if done, agreed := s.applyUnsorted(ws, tab); agreed {
+			out.done = done
+			return
+		}
+		slices.SortStableFunc(ws, compareWrites)
+	}
+	done, pgIdx, pg := int64(0), int64(-1), []int64(nil)
+	for lo := 0; lo < len(ws); {
+		hi := lo + 1
+		for hi < len(ws) && ws[hi].Addr == ws[lo].Addr {
+			if s.policy == Common && ws[hi].Val != ws[lo].Val {
+				out.conflicts = append(out.conflicts, Conflict{Addr: ws[lo].Addr, A: ws[lo].Val, B: ws[hi].Val})
+			}
+			hi++
+		}
+		// The first write of the run wins. The address order makes the page
+		// change rarely; cache it.
+		a := ws[lo].Addr
 		if idx := a >> PageShift; idx != pgIdx {
 			pgIdx, pg = idx, s.ensurePage(a)
 		}
-		pg[a&(PageWords-1)] = ws[i].Val
+		pg[a&(PageWords-1)] = ws[lo].Val
 		done++
-		i = j
+		lo = hi
 	}
-	return conflicts, done
+	out.done = done
+}
+
+// applyUnsorted resolves ws in one pass in arrival order: the table maps each
+// address to its winning write so far, a later write replaces it only with a
+// strictly lower key, and every new winner is stored at once, so memory ends
+// holding the final winners. It returns the number of distinct addresses, and
+// false when, under Common, two writes to one address disagree: the caller
+// then resolves again from sorted order, which stores the same winners.
+func (s *Shared) applyUnsorted(ws []Write, tab *AddrTable) (done int64, agreed bool) {
+	slots := tab.Reset(len(ws))
+	mask := len(slots) - 1
+	common := s.policy == Common
+	for i := range ws {
+		w := &ws[i]
+		h := tab.Home(w.Addr)
+		for slots[h] != 0 && ws[slots[h]-1].Addr != w.Addr {
+			h = (h + 1) & mask
+		}
+		if slots[h] == 0 {
+			done++
+		} else {
+			best := &ws[slots[h]-1]
+			if common && best.Val != w.Val {
+				return 0, false
+			}
+			if !w.Key.Less(best.Key) {
+				continue
+			}
+		}
+		slots[h] = int32(i + 1)
+		s.ensurePage(w.Addr)[w.Addr&(PageWords-1)] = w.Val
+	}
+	return done, true
 }
 
 // Stats reports cumulative access counts.

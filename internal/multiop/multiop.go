@@ -44,14 +44,26 @@ type Result struct {
 	Prefix int64
 }
 
+// Final is the value a step's combining traffic leaves in one word.
+type Final struct {
+	Addr int64
+	Val  int64
+}
+
 // Combiner accumulates one step's combining traffic for a single combining
 // operator (ADD, AND, OR, MAX or MIN, expressed as the isa opcode).
 type Combiner struct {
 	kind isa.Op
 	cs   []Contribution
-	// finals and prefixes are reused across Resolve calls so steady-state
-	// steps allocate nothing.
-	finals   map[int64]int64
+	// wantPrefix and unordered record what Add saw this step: a multiprefix
+	// participant, and a key lower than the one added before it. Only both
+	// together make Resolve order the traffic first.
+	wantPrefix, unordered bool
+	// finals (the per-address accumulators, in first-touch order), their
+	// address table and prefixes are reused across Resolve calls so
+	// steady-state steps allocate nothing.
+	finals   []Final
+	tab      mem.AddrTable
 	prefixes []Result
 }
 
@@ -93,7 +105,33 @@ func NewCombinerBank() [len(Kinds)]*Combiner {
 func (c *Combiner) Kind() isa.Op { return c.kind }
 
 // Add records a contribution.
-func (c *Combiner) Add(ct Contribution) { c.cs = append(c.cs, ct) }
+func (c *Combiner) Add(ct Contribution) {
+	c.cs = append(c.cs, ct)
+	c.note(len(c.cs)-1, 0)
+}
+
+// AddAll records cs as Add would one by one, shifting the Dest of every
+// multiprefix participant by destBase: callers that gather traffic in
+// several arenas number their routes per arena.
+func (c *Combiner) AddAll(cs []Contribution, destBase int) {
+	i := len(c.cs)
+	c.cs = append(c.cs, cs...)
+	for ; i < len(c.cs); i++ {
+		c.note(i, destBase)
+	}
+}
+
+// note records what the arrival of c.cs[i] tells Resolve.
+func (c *Combiner) note(i, destBase int) {
+	ct := &c.cs[i]
+	if i > 0 && ct.Key.Less(c.cs[i-1].Key) {
+		c.unordered = true
+	}
+	if ct.WantPrefix {
+		c.wantPrefix = true
+		ct.Dest += destBase
+	}
+}
 
 // Len returns the number of recorded contributions.
 func (c *Combiner) Len() int { return len(c.cs) }
@@ -101,7 +139,10 @@ func (c *Combiner) Len() int { return len(c.cs) }
 // Reset discards any recorded contributions, keeping the backing arenas. A
 // run that stops between Add and Resolve (quota abort, cancellation) leaves
 // traffic behind; pooled machines clear it here before reuse.
-func (c *Combiner) Reset() { c.cs = c.cs[:0] }
+func (c *Combiner) Reset() {
+	c.cs = c.cs[:0]
+	c.wantPrefix, c.unordered = false, false
+}
 
 // Apply combines a pair under the given operator: the ALU operation of that
 // opcode, restricted to the combining kinds.
@@ -111,40 +152,48 @@ func Apply(kind isa.Op, a, b int64) int64 {
 }
 
 // Resolve combines all contributions against the read function (pre-step
-// memory state), returning the final value per touched address and the
-// prefix results for WantPrefix contributions. The contribution order is
-// (Flow, Thread, Seq); the prefix a participant sees is the combined value
-// of the memory word and all lower-keyed contributions. The step's traffic
-// is cleared. The returned map and slice are owned by the Combiner and
-// valid only until the next Resolve call.
-func (c *Combiner) Resolve(read func(addr int64) int64) (finals map[int64]int64, prefixes []Result) {
+// memory state), returning the final value per touched address, in the order
+// the addresses were first touched, and the prefix results for WantPrefix
+// contributions. The prefix a participant sees is the combined value of the
+// memory word and all lower-keyed contributions to it. The operators are
+// commutative and associative, so the finals need no order at all and one
+// pass in arrival order folds them; prefixes need key order, which the
+// engine's lanes arrive in — traffic is sorted by key only when a multiprefix
+// participant is present and Add saw keys out of order. The step's traffic
+// is cleared. The returned slices are owned by the Combiner and valid only
+// until the next Resolve call.
+func (c *Combiner) Resolve(read func(addr int64) int64) (finals []Final, prefixes []Result) {
 	if len(c.cs) == 0 {
 		return nil, nil
 	}
-	slices.SortFunc(c.cs, func(a, b Contribution) int {
-		return mem.CompareRefs(a.Addr, a.Key, b.Addr, b.Key)
-	})
-	if c.finals == nil {
-		c.finals = make(map[int64]int64)
-	} else {
-		clear(c.finals)
+	if c.wantPrefix && c.unordered {
+		slices.SortFunc(c.cs, func(a, b Contribution) int { return a.Key.Compare(b.Key) })
 	}
+	slots := c.tab.Reset(len(c.cs))
+	mask := len(slots) - 1
+	c.finals = c.finals[:0]
 	c.prefixes = c.prefixes[:0]
 	apply := isa.EvalFn(c.kind)
-	for i := 0; i < len(c.cs); {
-		addr := c.cs[i].Addr
-		acc := read(addr)
-		j := i
-		for ; j < len(c.cs) && c.cs[j].Addr == addr; j++ {
-			if c.cs[j].WantPrefix {
-				c.prefixes = append(c.prefixes, Result{Key: c.cs[j].Key, Dest: c.cs[j].Dest, Prefix: acc})
+	var acc *Final // the accumulator of the contribution before, most often this one's too
+	for i := range c.cs {
+		ct := &c.cs[i]
+		if acc == nil || acc.Addr != ct.Addr {
+			h := c.tab.Home(ct.Addr)
+			for slots[h] != 0 && c.finals[slots[h]-1].Addr != ct.Addr {
+				h = (h + 1) & mask
 			}
-			acc = apply(acc, c.cs[j].Val)
+			if slots[h] == 0 {
+				c.finals = append(c.finals, Final{Addr: ct.Addr, Val: read(ct.Addr)})
+				slots[h] = int32(len(c.finals))
+			}
+			acc = &c.finals[slots[h]-1]
 		}
-		c.finals[addr] = acc
-		i = j
+		if ct.WantPrefix {
+			c.prefixes = append(c.prefixes, Result{Key: ct.Key, Dest: ct.Dest, Prefix: acc.Val})
+		}
+		acc.Val = apply(acc.Val, ct.Val)
 	}
-	c.cs = c.cs[:0]
+	c.Reset()
 	return c.finals, c.prefixes
 }
 

@@ -2,6 +2,7 @@ package multiop
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -64,8 +65,8 @@ func TestMultioperationSum(t *testing.T) {
 	if len(prefixes) != 0 {
 		t.Fatalf("no prefixes requested, got %d", len(prefixes))
 	}
-	if finals[10] != 100+36 {
-		t.Fatalf("final = %d, want 136", finals[10])
+	if len(finals) != 1 || finals[0] != (Final{Addr: 10, Val: 100 + 36}) {
+		t.Fatalf("finals = %v, want 136 at 10", finals)
 	}
 }
 
@@ -77,8 +78,8 @@ func TestMultiprefixOrderedByKey(t *testing.T) {
 		c.Add(Contribution{Addr: 5, Val: 1, Key: Key{Thread: i}, WantPrefix: true, Dest: i})
 	}
 	finals, prefixes := c.Resolve(func(int64) int64 { return 0 })
-	if finals[5] != 4 {
-		t.Fatalf("final = %d, want 4", finals[5])
+	if len(finals) != 1 || finals[0] != (Final{Addr: 5, Val: 4}) {
+		t.Fatalf("finals = %v, want 4 at 5", finals)
 	}
 	if len(prefixes) != 4 {
 		t.Fatalf("got %d prefixes", len(prefixes))
@@ -101,7 +102,7 @@ func TestMultiprefixSeparateAddresses(t *testing.T) {
 	c.Add(Contribution{Addr: 1, Val: 10, Key: Key{Thread: 0}, WantPrefix: true})
 	c.Add(Contribution{Addr: 2, Val: 20, Key: Key{Thread: 1}, WantPrefix: true})
 	finals, prefixes := c.Resolve(func(addr int64) int64 { return addr * 100 })
-	if finals[1] != 110 || finals[2] != 220 {
+	if !slices.Equal(finals, []Final{{1, 110}, {2, 220}}) {
 		t.Fatalf("finals = %v", finals)
 	}
 	if prefixes[0].Prefix != 100 || prefixes[1].Prefix != 200 {
@@ -111,10 +112,14 @@ func TestMultiprefixSeparateAddresses(t *testing.T) {
 
 func TestResolveClearsState(t *testing.T) {
 	c := NewCombiner(isa.ADD)
-	c.Add(Contribution{Addr: 1, Val: 1})
+	c.Add(Contribution{Addr: 1, Val: 1, Key: Key{Thread: 1}, WantPrefix: true})
+	c.Add(Contribution{Addr: 1, Val: 1, Key: Key{Thread: 0}})
+	if !c.wantPrefix || !c.unordered {
+		t.Fatal("Add should have noted a multiprefix and an out-of-order key")
+	}
 	c.Resolve(func(int64) int64 { return 0 })
-	if c.Len() != 0 {
-		t.Fatal("combiner should be empty after resolve")
+	if c.Len() != 0 || c.wantPrefix || c.unordered {
+		t.Fatal("combiner should be empty, its arrival-order state cleared, after resolve")
 	}
 	finals, _ := c.Resolve(func(int64) int64 { return 0 })
 	if finals != nil {
@@ -150,7 +155,7 @@ func TestMultiprefixMatchesSequentialScan(t *testing.T) {
 			}
 			acc += vals[i]
 		}
-		return finals[7] == acc
+		return len(finals) == 1 && finals[0] == Final{Addr: 7, Val: acc}
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -177,7 +182,7 @@ func TestResolveEqualsFold(t *testing.T) {
 		for _, v := range vals {
 			want = Apply(kind, want, v)
 		}
-		return finals[3] == want
+		return len(finals) == 1 && finals[0] == Final{Addr: 3, Val: want}
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
