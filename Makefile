@@ -34,12 +34,15 @@ bench-compile:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x \
 		./internal/lang ./internal/sema ./internal/analysis ./internal/codegen ./internal/fuse
 
-# bench-engine runs the step commit's per-layer benchmarks (BenchmarkApplyStep
-# in internal/mem, BenchmarkResolve in internal/multiop, 2^17 references per
-# step in the shapes of tcfbench's probes), as CI's bench job does; they
-# report ns/ref and allocs per step.
+# bench-engine runs the step engine's per-layer benchmarks, as CI's bench job
+# does: the step commit's (BenchmarkApplyStep in internal/mem, BenchmarkResolve
+# in internal/multiop, 2^17 references per step in the shapes of tcfbench's
+# probes; ns/ref and allocs per step) and the step loop's fixed cost
+# (BenchmarkStepFixedCost in internal/machine: one busy group of four, 2048
+# queued flows, 2048 flows created and retired, 16 flows at a barrier; ns/step
+# and allocs per step).
 bench-engine:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x ./internal/mem ./internal/multiop
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x ./internal/mem ./internal/multiop ./internal/machine
 
 # benchall runs the paper-figure benchmarks of bench_test.go/ablation_test.go.
 benchall:

@@ -14,6 +14,7 @@
 package fuse
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"tcfpram/internal/isa"
@@ -93,20 +94,17 @@ type Program struct {
 	Code []Instr
 }
 
-// Compile builds the fused program for p. It never fails: opcodes the
-// compiler cannot kernelize keep Class assignments that route them through
-// the interpreter's own paths, so compiled execution is defined exactly
-// where interpreted execution is.
-func Compile(p *isa.Program) *Program {
-	rl := isa.RunLengths(p)
-	code := make([]Instr, p.Len())
+// Decode appends to dst p's per-PC table without kernels: the source
+// instruction, its execution class and its thickness/sliceability facts, each
+// derived from the opcode metadata once here so that the step engine never
+// re-derives them per executed instruction. This is the whole table the
+// interpreter backend reads; Compile adds the kernels and run lengths of the
+// fused one. dst lets a machine that reloads programs keep one array.
+func Decode(dst []Instr, p *isa.Program) []Instr {
+	dst = slices.Grow(dst[:0], p.Len())
 	for pc := range p.Instrs {
-		in := p.Instrs[pc]
-		fi := &code[pc]
-		fi.In = in
-		fi.Thick = in.Thick()
-		fi.Sliceable = in.Sliceable()
-		fi.Run = 1
+		in := &p.Instrs[pc]
+		fi := Instr{In: *in, Thick: in.Thick(), Sliceable: in.Sliceable(), Run: 1}
 		info := in.Op.Info()
 		switch {
 		case info.Control:
@@ -117,8 +115,23 @@ func Compile(p *isa.Program) *Program {
 			fi.Class = ClassAtomic
 		default:
 			fi.Class = ClassReg
+		}
+		dst = append(dst, fi)
+	}
+	return dst
+}
+
+// Compile builds the fused program for p. It never fails: opcodes the
+// compiler cannot kernelize keep Class assignments that route them through
+// the interpreter's own paths, so compiled execution is defined exactly
+// where interpreted execution is.
+func Compile(p *isa.Program) *Program {
+	rl := isa.RunLengths(p)
+	code := Decode(nil, p)
+	for pc := range code {
+		if fi := &code[pc]; fi.Class == ClassReg {
 			fi.Run = rl[pc]
-			fi.Kern = compileKern(in)
+			fi.Kern = compileKern(fi.In)
 		}
 	}
 	return &Program{Src: p, Code: code}

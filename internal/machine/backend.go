@@ -16,29 +16,55 @@ type backend struct {
 	m *Machine
 }
 
-// generate runs the operation-generation stage: every group executes its
-// resident flows' share of the step under the plan's shape. Immediate
-// semantics must execute groups serially (they touch memory directly);
-// lockstep groups are independent within a step, so group 0 runs inline
-// while the rest go to the worker pool.
+// generate runs the operation-generation stage: every group with a ready
+// resident executes its flows' share of the step under the plan's shape.
+// Immediate semantics must execute groups serially (they touch memory
+// directly); lockstep groups are independent within a step, so the first
+// busy group runs inline while the rest go to the worker pool.
 func (bk *backend) generate(plan StepPlan) {
 	m := bk.m
-	execs := m.execs
-	for _, x := range execs {
-		x.reset(plan)
-	}
-	if plan.Lockstep && m.cfg.Parallel && len(execs) > 1 {
-		m.wg.Add(len(execs) - 1)
-		for _, x := range execs[1:] {
+	pooled := plan.Lockstep && m.cfg.Parallel
+	var inline *groupExec
+	for _, x := range m.execs {
+		if !x.begin(plan) {
+			continue
+		}
+		switch {
+		case !pooled:
+			x.runGroup()
+		case inline == nil:
+			inline = x
+		default:
+			m.wg.Add(1)
 			groupPool.submit(poolJob{grp: x, wg: &m.wg})
 		}
-		execs[0].runGroup()
-		m.wg.Wait()
-	} else {
-		for _, x := range execs {
-			x.runGroup()
-		}
 	}
+	if inline != nil {
+		inline.runGroup()
+		m.wg.Wait()
+	}
+}
+
+// begin opens the step for this group and reports whether it has anything to
+// generate. A group without a ready resident costs the step nothing: its
+// step would fetch nothing, so every counter it would fold is zero and the
+// step law prices it at zero cycles (pipeline.StepCost) — all that is left
+// of it is the rotation cursor a rotating policy advances per step, and the
+// zeroing, once, of an arena that still holds an earlier step.
+func (x *groupExec) begin(plan StepPlan) bool {
+	buf := &x.g.Buf
+	if buf.anyReadyResident() {
+		x.reset(plan)
+		return true
+	}
+	if n := len(buf.Resident); plan.Rotate && n > 0 {
+		buf.rotateStart(n)
+	}
+	if !x.idle {
+		x.reset(plan)
+		x.idle = true
+	}
+	return false
 }
 
 // merge folds the groups' arenas into the machine deterministically (group
@@ -54,6 +80,9 @@ func (bk *backend) merge() (int64, error) {
 	m.discAccs = m.discAccs[:0]
 	var stepCycles int64
 	for _, x := range m.execs {
+		if x.idle {
+			continue
+		}
 		if x.err != nil {
 			m.runErr = x.err
 			return 0, x.err
@@ -114,6 +143,7 @@ func (m *Machine) foldGroup(gi int, c *groupCounters,
 	m.stats.Reroutes += c.reroutes
 	m.stats.Barriers += c.barriers
 	m.stats.LaneChunks += c.laneChunks
+	m.live -= c.done
 
 	m.stats.Stages[StageOpGen].Cycles += opsCycles
 	m.stats.Stages[StageOpGen].Events += c.fetches
@@ -155,7 +185,7 @@ func (bk *backend) commit() error {
 // at reset: every policy's discipline (single-instruction, budgeted
 // balanced slices, multi-instruction windows) is one pass of the same loop.
 func (x *groupExec) runGroup() {
-	plan := x.plan
+	plan := &x.plan
 	n := len(x.g.Buf.Resident)
 	if n == 0 {
 		return
@@ -183,7 +213,7 @@ func (x *groupExec) runGroup() {
 // the plan's Slice discipline lets thick instructions continue across
 // steps. budget is decremented by the operation slices consumed (only
 // meaningful when plan.Budget > 0).
-func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan StepPlan, budget *int) {
+func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan *StepPlan, budget *int) {
 	for k := 0; k < plan.Window; k++ {
 		if f.State != tcf.Ready || x.err != nil {
 			return
@@ -196,7 +226,7 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan StepPlan, budget *int) {
 			*budget -= x.execNUMABunch(f, slot, n)
 			return
 		}
-		if fp := x.m.fprog; fp != nil && !plan.Slice {
+		if x.m.fused() && !plan.Slice {
 			// Fused straight-line run: consecutive register instructions
 			// execute back to back through their compiled kernels, up to the
 			// remaining window. Sliced plans keep the generic path — every
@@ -206,28 +236,34 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan StepPlan, budget *int) {
 				continue
 			}
 		}
-		in, ok := x.fetch(f)
-		if !ok {
+		fi := x.fetch(f)
+		if fi == nil {
 			return
+		}
+		// The instruction's width in operation slices. Only control
+		// instructions change a flow's lane count and they are one slice
+		// wide, so the width holds across the execution below.
+		w := 1
+		if fi.Thick {
+			w = f.Lanes()
 		}
 		if plan.PerThreadFetch {
 			// XMT threads carry their own program counters: instruction
 			// delivery is per thread, so a thickness-u instruction costs u
 			// fetches (Table 1's per-thread fetch discipline), unlike the
 			// fetch-once TCF variants.
-			if extra := int64(width(f, in) - 1); extra > 0 {
+			if extra := int64(w - 1); extra > 0 {
 				x.fetches += extra
 				f.InstrFetches += extra
 			}
 		}
-		if plan.Slice && in.Sliceable() {
-			w := width(f, in)
+		if plan.Slice && fi.Sliceable {
 			n := w - f.Offset
 			if plan.Budget > 0 && n > *budget {
 				n = *budget
 			}
-			x.record(f, slot, in, f.Offset, n, false)
-			x.execLaneRange(f, in, f.Offset, n)
+			x.record(f, slot, fi.In.Op, f.Offset, n, false)
+			x.execLaneRange(f, &fi.In, f.Offset, n)
 			x.ops += int64(n)
 			*budget -= n
 			f.Offset += n
@@ -239,13 +275,13 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan StepPlan, budget *int) {
 		}
 		// Without lockstep, synchronization ops end the flow's window: the
 		// spawned/joined population must settle at the step boundary.
-		stop := !plan.Lockstep && in.Op.Info().Control &&
-			(in.Op == isa.SPLIT || in.Op == isa.JOIN || in.Op == isa.BAR || in.Op == isa.HALT)
-		x.execWhole(f, slot, in)
+		op := fi.In.Op
+		stop := !plan.Lockstep && (op == isa.SPLIT || op == isa.JOIN || op == isa.BAR || op == isa.HALT)
+		x.execWhole(f, slot, fi, w)
 		if plan.Budget > 0 {
 			// Atomic instructions complete in one step; charge their full
 			// width against the budget.
-			*budget -= width(f, in)
+			*budget -= w
 		}
 		if stop {
 			return

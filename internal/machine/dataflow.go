@@ -403,14 +403,12 @@ func (m *Machine) dfCommitStep(k int64, pkts []*dfPacket, strict bool) (finished
 			(m.stats.TaskSwitches - switchesBefore)
 
 	if parked {
-		if !m.anyReadyAnywhere() {
-			m.releaseBarriers()
-		}
+		ready := m.anyReadyAnywhere() || m.releaseBarriers()
 		m.finishStep(stepCycles, stagesBefore, discR, discW, pkts)
-		if m.liveFlows() == 0 {
+		if m.live == 0 {
 			return true, nil
 		}
-		if !m.anyReadyAnywhere() {
+		if !ready {
 			return false, m.failw(ErrDeadlock, "step %d: deadlock: live flows but none ready (missing JOIN?)", m.stats.Steps)
 		}
 		return false, nil
@@ -476,14 +474,14 @@ func (m *Machine) dfPublish(b *dfBoard, x *groupExec, g *Group, gi int, n int64,
 			doneSeen = true
 		}
 	}
-	for _, f := range g.Buf.Pending {
-		if f.State == tcf.Ready {
+	for i, q := 0, &g.Buf.Pending; i < q.Len(); i++ {
+		if q.At(i).State == tcf.Ready {
 			ready++
 		}
 	}
 	p.ready = ready
 	p.hazard = p.err != nil || len(p.events) > 0 || p.refs > 0 || p.barriers > 0
-	p.fence = doneSeen || len(g.Buf.Pending) > 0
+	p.fence = doneSeen || g.Buf.Pending.Len() > 0
 
 	m.dfFront.Publish(n, p.pages)
 	b.publish(gi, n, p.hazard)

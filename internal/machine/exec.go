@@ -34,76 +34,88 @@ type StepRecord struct {
 	DiscWrites int64
 }
 
-// fetch reads the instruction at f.PC, counting the fetch; a PC past the end
-// halts the flow (falling off the program).
-func (x *groupExec) fetch(f *tcf.Flow) (isa.Instr, bool) {
-	if f.PC < 0 || f.PC >= x.m.prog.Len() {
+// fetch returns the table entry of the instruction at f.PC, counting the
+// fetch; a PC past the end halts the flow (falling off the program) and
+// yields nil.
+func (x *groupExec) fetch(f *tcf.Flow) *fuse.Instr {
+	code := x.m.code
+	if uint(f.PC) >= uint(len(code)) {
 		x.halt(f)
-		return isa.Instr{}, false
+		return nil
 	}
 	x.fetches++
 	f.InstrFetches++
-	return x.m.prog.At(f.PC), true
+	return &code[f.PC]
 }
 
-// execWhole executes one fetched instruction across its full width.
-func (x *groupExec) execWhole(f *tcf.Flow, slot int, in isa.Instr) {
-	if fp := x.m.fprog; fp != nil {
-		x.execWholeFused(f, slot, in, &fp.Code[f.PC])
-		return
-	}
+// execWhole executes one fetched instruction across its full width w (in
+// operation slices). Class and thickness were decided when the program was
+// loaded; a register instruction with a compiled kernel (fused backend) runs
+// it, everything else takes the reference paths.
+func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
+	in := &fi.In
 	if fragmentUnsafe(f, in) {
 		x.failf("flow %d: %s funnels thread-wise data into flow-common state inside an auto-split fragment; disable AutoSplitThreshold for this program", f.ID, in.Op)
 		return
 	}
-	if in.Op.Info().Control {
-		x.record(f, slot, in, 0, 1, f.Mode == tcf.NUMA)
+	x.record(f, slot, in.Op, 0, w, f.Mode == tcf.NUMA)
+	switch {
+	case fi.Class == fuse.ClassControl:
 		x.scalarOps++
 		x.applyControl(f, in)
 		return
-	}
-	w := width(f, in)
-	if !in.Sliceable() {
-		x.record(f, slot, in, 0, w, f.Mode == tcf.NUMA)
-		x.execAtomic(f, in)
+	case fi.Sliceable:
+		x.execLanes(f, in, w)
+		x.ops += int64(w)
+	default:
+		// Flow-level: a thin operation (through its kernel, if it has one),
+		// a reduction, an output.
+		if fi.Kern != nil {
+			fi.Kern(x.fenv, f, 0, 1)
+		} else {
+			x.execAtomic(f, in)
+		}
 		if w <= 1 {
 			x.scalarOps++
 		} else {
 			x.ops += int64(w)
 		}
-		f.PC++
-		return
 	}
-	x.record(f, slot, in, 0, w, f.Mode == tcf.NUMA)
-	x.execLanes(f, in, w)
-	x.ops += int64(w)
 	f.PC++
 }
 
 // execNUMABunch executes up to n consecutive instructions of a NUMA-mode
 // flow (thickness 1/T) with sequential semantics. It returns the number of
-// instructions executed.
+// instructions executed. Under buffered (lockstep) semantics the flow's own
+// same-step stores forward to its later loads; a bunch that stores nothing
+// pays for neither the table nor its clearing.
 func (x *groupExec) execNUMABunch(f *tcf.Flow, slot, n int) int {
-	if !x.immediate {
-		if x.fwd == nil {
-			x.fwd = make(map[int64]int64, 16)
-		}
-		clear(x.fwd)
-		x.fwdOn = true
-		defer func() { x.fwdOn = false }()
+	if x.immediate {
+		return x.numaBunch(f, slot, n)
 	}
+	if len(x.fwd) > 0 {
+		clear(x.fwd)
+	}
+	x.fwdOn = true
+	executed := x.numaBunch(f, slot, n)
+	x.fwdOn = false
+	return executed
+}
+
+func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) int {
 	executed := 0
 	for k := 0; k < n; k++ {
 		if f.State != tcf.Ready || x.err != nil {
 			break
 		}
-		in, ok := x.fetch(f)
-		if !ok {
+		fi := x.fetch(f)
+		if fi == nil {
 			break
 		}
+		in := &fi.In
 		executed++
-		if in.Op.Info().Control {
-			x.record(f, slot, in, 0, 1, true)
+		if fi.Class == fuse.ClassControl {
+			x.record(f, slot, in.Op, 0, 1, true)
 			x.scalarOps++
 			x.applyControl(f, in)
 			// Mode/structure changes end the bunch; plain branches and
@@ -114,44 +126,42 @@ func (x *groupExec) execNUMABunch(f *tcf.Flow, slot, n int) int {
 			}
 			continue
 		}
-		if fp := x.m.fprog; fp != nil {
-			if fi := &fp.Code[f.PC]; fi.Class == fuse.ClassReg && fi.Kern != nil {
-				// Fused straight-line run: consecutive register instructions
-				// of the bunch execute back to back through their compiled
-				// kernels, with per-instruction fetch and trace accounting.
-				x.record(f, slot, in, 0, 1, true)
-				fi.Kern(x.fenv, f, 0, 1)
-				if fi.Thick {
+		if fi.Kern != nil {
+			// Fused straight-line run: consecutive register instructions of
+			// the bunch execute back to back through their compiled kernels,
+			// with per-instruction fetch and trace accounting.
+			x.record(f, slot, in.Op, 0, 1, true)
+			fi.Kern(x.fenv, f, 0, 1)
+			if fi.Thick {
+				x.ops++
+			} else {
+				x.scalarOps++
+			}
+			f.PC++
+			for fi.Run > 1 && k+1 < n {
+				fj := &x.m.code[f.PC]
+				if fj.Kern == nil {
+					break
+				}
+				k++
+				executed++
+				x.fetches++
+				f.InstrFetches++
+				x.record(f, slot, fj.In.Op, 0, 1, true)
+				fj.Kern(x.fenv, f, 0, 1)
+				if fj.Thick {
 					x.ops++
 				} else {
 					x.scalarOps++
 				}
 				f.PC++
-				for fi.Run > 1 && k+1 < n {
-					fj := &fp.Code[f.PC]
-					if fj.Class != fuse.ClassReg || fj.Kern == nil {
-						break
-					}
-					k++
-					executed++
-					x.fetches++
-					f.InstrFetches++
-					x.record(f, slot, fj.In, 0, 1, true)
-					fj.Kern(x.fenv, f, 0, 1)
-					if fj.Thick {
-						x.ops++
-					} else {
-						x.scalarOps++
-					}
-					f.PC++
-					fi = fj
-				}
-				continue
+				fi = fj
 			}
+			continue
 		}
-		x.record(f, slot, in, 0, 1, true)
+		x.record(f, slot, in.Op, 0, 1, true)
 		seq := k
-		if !in.Sliceable() {
+		if !fi.Sliceable {
 			x.execAtomic(f, in)
 			x.scalarOps++
 		} else {
@@ -169,12 +179,12 @@ func (x *groupExec) execNUMABunch(f *tcf.Flow, slot, n int) int {
 }
 
 // record appends a trace slice when tracing is enabled.
-func (x *groupExec) record(f *tcf.Flow, slot int, in isa.Instr, first, lanes int, numa bool) {
+func (x *groupExec) record(f *tcf.Flow, slot int, op isa.Op, first, lanes int, numa bool) {
 	if !x.m.cfg.TraceEnabled {
 		return
 	}
 	x.slices = append(x.slices, SliceExec{
-		Group: x.g.Index, Slot: slot, Flow: f.ID, PC: f.PC, Op: in.Op,
+		Group: x.g.Index, Slot: slot, Flow: f.ID, PC: f.PC, Op: op,
 		FirstLane: first, Lanes: lanes, NUMA: numa,
 	})
 }
@@ -183,6 +193,7 @@ func (x *groupExec) record(f *tcf.Flow, slot int, in isa.Instr, first, lanes int
 // change: the container resumes at this PC once all fragments arrive.
 func (x *groupExec) rejoinFragment(f *tcf.Flow) {
 	f.State = tcf.Done
+	x.done++
 	x.events = append(x.events, deferredEvent{kind: evFragmentRejoin, flow: f, pc: f.PC})
 }
 
@@ -193,14 +204,15 @@ func (x *groupExec) halt(f *tcf.Flow) {
 		return
 	}
 	f.State = tcf.Done
+	x.done++
 	if f.Parent != nil {
 		x.events = append(x.events, deferredEvent{kind: evChildDone, flow: f})
 	}
 }
 
 // applyControl executes a control instruction (flow-level).
-func (x *groupExec) applyControl(f *tcf.Flow, in isa.Instr) {
-	props := x.m.policy.Props()
+func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
+	props := &x.m.props
 	switch in.Op {
 	case isa.JMP:
 		f.PC = in.Target
@@ -303,7 +315,7 @@ func (x *groupExec) applyControl(f *tcf.Flow, in isa.Instr) {
 			x.rejoinFragment(f)
 			return
 		}
-		ev := deferredEvent{kind: evSplit, flow: f}
+		ev := deferredEvent{kind: evSplit, flow: f, arms: make([]armSpec, 0, len(in.Arms))}
 		for _, arm := range in.Arms {
 			t := arm.ThickImm
 			if arm.Thick != isa.RegNone {

@@ -302,7 +302,7 @@ func TestListingRendering(t *testing.T) {
 
 func TestJoinWithoutParentJustHalts(t *testing.T) {
 	m := mustRun(t, variant.SingleInstruction, "main:\nJOIN", nil)
-	if m.liveFlows() != 0 {
+	if m.liveFlowsScan() != 0 {
 		t.Fatal("JOIN without parent should halt the flow")
 	}
 }

@@ -10,14 +10,69 @@ import (
 // resident flows feeding the pipeline, plus the pending queue of flows
 // (tasks) beyond the buffer capacity. All residency transitions go through
 // its methods; the frontend charges the policy's task-switch costs around
-// them.
+// them. Between them the buffers hold every live flow of the machine: a flow
+// enters one when it is created and leaves only when compaction drops it
+// Done.
 type StorageBuf struct {
 	Resident []*tcf.Flow
-	Pending  []*tcf.Flow
+	Pending  flowQueue
 
 	// rrStart rotates the slot a rotating policy (Balanced) serves first,
 	// so a thick flow cannot starve its slot-mates of the operation budget.
 	rrStart int
+}
+
+// flowQueue is the pending queue: a ring whose array survives rotation and
+// Reset, so a recycled machine queues up to its previous peak without
+// allocating. len(buf) is zero or a power of two.
+type flowQueue struct {
+	buf     []*tcf.Flow
+	head, n int
+}
+
+// Len returns the number of queued flows.
+func (q *flowQueue) Len() int { return q.n }
+
+// At returns the i-th queued flow, 0 being the head.
+func (q *flowQueue) At(i int) *tcf.Flow { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *flowQueue) push(f *tcf.Flow) {
+	if q.n == len(q.buf) {
+		grown := make([]*tcf.Flow, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.At(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = f
+	q.n++
+}
+
+func (q *flowQueue) pop() *tcf.Flow {
+	f := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return f
+}
+
+// flows returns the queued flows, head first, in a slice of their own.
+func (q *flowQueue) flows() []*tcf.Flow {
+	fs := make([]*tcf.Flow, q.n)
+	for i := range fs {
+		fs[i] = q.At(i)
+	}
+	return fs
+}
+
+// anyReady reports whether a queued flow could execute.
+func (q *flowQueue) anyReady() bool {
+	for i := 0; i < q.n; i++ {
+		if q.At(i).State == tcf.Ready {
+			return true
+		}
+	}
+	return false
 }
 
 // Live returns the number of not-Done resident flows.
@@ -32,7 +87,18 @@ func (b *StorageBuf) Live() int {
 }
 
 // Load returns resident-not-done plus pending flows (placement pressure).
-func (b *StorageBuf) Load() int { return b.Live() + len(b.Pending) }
+func (b *StorageBuf) Load() int { return b.Live() + b.Pending.Len() }
+
+// anyReadyResident reports whether a resident flow can execute this step —
+// whether the group has anything to generate at all.
+func (b *StorageBuf) anyReadyResident() bool {
+	for _, f := range b.Resident {
+		if f.State == tcf.Ready {
+			return true
+		}
+	}
+	return false
+}
 
 // rotateStart returns the slot to serve first this step and advances the
 // rotation.
@@ -47,7 +113,7 @@ func (b *StorageBuf) place(f *tcf.Flow, slots int) {
 	if len(b.Resident) < slots {
 		b.Resident = append(b.Resident, f)
 	} else {
-		b.Pending = append(b.Pending, f)
+		b.Pending.push(f)
 	}
 }
 
@@ -59,62 +125,56 @@ func (b *StorageBuf) demoteReady() bool {
 			continue
 		}
 		b.Resident = append(b.Resident[:i], b.Resident[i+1:]...)
-		b.Pending = append(b.Pending, f)
+		b.Pending.push(f)
 		return true
 	}
 	return false
 }
 
-// dropDone compacts Done flows out of the buffer.
+// dropDone compacts Done flows out of the buffer; a buffer without one is
+// only read.
 func (b *StorageBuf) dropDone() {
-	keep := b.Resident[:0]
-	for _, f := range b.Resident {
-		if f.State != tcf.Done {
-			keep = append(keep, f)
+	keep := 0
+	for i, f := range b.Resident {
+		if f.State == tcf.Done {
+			continue
 		}
+		if keep != i {
+			b.Resident[keep] = f
+		}
+		keep++
 	}
-	b.Resident = keep
+	b.Resident = b.Resident[:keep]
 }
 
 // promote moves the queue head into a free slot, reporting whether it did.
 func (b *StorageBuf) promote(slots int) bool {
-	if len(b.Resident) >= slots || len(b.Pending) == 0 {
+	if len(b.Resident) >= slots || b.Pending.Len() == 0 {
 		return false
 	}
-	b.Resident = append(b.Resident, b.Pending[0])
-	b.Pending = b.Pending[1:]
+	b.Resident = append(b.Resident, b.Pending.pop())
 	return true
 }
 
-// pendingReady reports whether any queued flow could execute.
-func (b *StorageBuf) pendingReady() bool {
-	for _, f := range b.Pending {
-		if f.State == tcf.Ready {
+// displaceBlocked, while a queued flow could execute, parks one
+// blocked/waiting resident at the back of the pending queue and promotes the
+// queue head in its place, reporting whether a displacement happened. The
+// residents are looked at first: they are at most Tp, the queue is unbounded.
+func (b *StorageBuf) displaceBlocked() bool {
+	if b.Pending.Len() == 0 {
+		return false
+	}
+	for i, f := range b.Resident {
+		if f.State == tcf.Blocked || f.State == tcf.Waiting {
+			if !b.Pending.anyReady() {
+				return false
+			}
+			b.Resident[i] = b.Pending.pop()
+			b.Pending.push(f)
 			return true
 		}
 	}
 	return false
-}
-
-// displaceBlocked parks one blocked/waiting resident at the back of the
-// pending queue and promotes the queue head in its place, reporting whether
-// a displacement happened.
-func (b *StorageBuf) displaceBlocked() bool {
-	idx := -1
-	for i, f := range b.Resident {
-		if f.State == tcf.Blocked || f.State == tcf.Waiting {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return false
-	}
-	displaced := b.Resident[idx]
-	next := b.Pending[0]
-	b.Pending = append(b.Pending[1:], displaced)
-	b.Resident[idx] = next
-	return true
 }
 
 // frontend is the TCF-storage-buffer stage of the Figure 13 pipeline. It
@@ -148,7 +208,6 @@ func (fr *frontend) prepare() (StepPlan, error) {
 func (fr *frontend) place(f *tcf.Flow, g int) {
 	m := fr.m
 	f.Home = g
-	m.homeGroup[f.ID] = g
 	m.groups[g].Buf.place(f, m.cfg.ProcsPerGroup)
 }
 
@@ -182,6 +241,7 @@ func (fr *frontend) retireEvents() error {
 					// Auto-split container: the fragments were the rest
 					// of its execution.
 					parent.State = tcf.Done
+					m.live--
 					if parent.Parent != nil {
 						m.stepEvents = append(m.stepEvents, deferredEvent{kind: evChildDone, flow: parent})
 					}
@@ -265,10 +325,7 @@ func (fr *frontend) preempt() {
 		return
 	}
 	for _, g := range m.groups {
-		if len(g.Buf.Pending) == 0 {
-			continue
-		}
-		if g.Buf.demoteReady() {
+		if g.Buf.Pending.Len() > 0 && g.Buf.demoteReady() {
 			m.stats.TaskSwitches++
 			m.stats.TaskSwitchCycles += m.policy.PreemptCycles(m.cfg.ProcsPerGroup)
 		}
@@ -300,7 +357,7 @@ func (fr *frontend) compactGroup(g *Group) {
 	// this, a barrier across an oversubscribed task set deadlocks
 	// (blocked flows hold every slot while the tasks that must still
 	// reach the barrier sit in the queue).
-	for g.Buf.pendingReady() && g.Buf.displaceBlocked() {
+	for g.Buf.displaceBlocked() {
 		fr.noteTaskSwitch()
 	}
 }
@@ -321,7 +378,7 @@ func (fr *frontend) noteTaskSwitch() {
 // thickness does not exceed the threshold.
 func (m *Machine) SplitPlan(thickness int) ([]int, error) {
 	th := m.cfg.AutoSplitThreshold
-	if th <= 0 || thickness <= th || !m.policy.Props().ControlParallel {
+	if th <= 0 || thickness <= th || !m.props.ControlParallel {
 		return nil, nil
 	}
 	return sched.Fragment(thickness, th)

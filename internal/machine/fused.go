@@ -14,8 +14,7 @@ import (
 // runGroup/runFlow loop all six variant policies share — only the innermost
 // execution switches change:
 //
-//   - execWhole routes through the compiled instruction's class instead of
-//     re-deriving it from opcode metadata every step;
+//   - execWhole runs a thin register instruction through its kernel;
 //   - execLaneRange routes lane ranges (including lane-parallel chunks)
 //     through compiled kernels and bulk memory kernels;
 //   - runFlow and execNUMABunch walk fused straight-line runs — several
@@ -26,67 +25,6 @@ import (
 // refSeq accounting, discipline records, combining traffic, trace slices —
 // executes on exactly the interpreter's code paths, which is what makes the
 // two backends bit-identical (the corpus and chaos differentials prove it).
-
-// execWholeFused is execWhole on a compiled instruction: the class and
-// thickness discrimination was done at compile time.
-func (x *groupExec) execWholeFused(f *tcf.Flow, slot int, in isa.Instr, fi *fuse.Instr) {
-	if fragmentUnsafe(f, in) {
-		x.failf("flow %d: %s funnels thread-wise data into flow-common state inside an auto-split fragment; disable AutoSplitThreshold for this program", f.ID, in.Op)
-		return
-	}
-	switch fi.Class {
-	case fuse.ClassControl:
-		x.record(f, slot, in, 0, 1, f.Mode == tcf.NUMA)
-		x.scalarOps++
-		x.applyControl(f, in)
-
-	case fuse.ClassReg:
-		if !fi.Thick {
-			x.record(f, slot, in, 0, 1, f.Mode == tcf.NUMA)
-			if fi.Kern != nil {
-				fi.Kern(x.fenv, f, 0, 1)
-			} else {
-				x.execAtomic(f, in)
-			}
-			x.scalarOps++
-			f.PC++
-			return
-		}
-		w := f.Lanes()
-		x.record(f, slot, in, 0, w, f.Mode == tcf.NUMA)
-		x.execLanes(f, in, w)
-		x.ops += int64(w)
-		f.PC++
-
-	case fuse.ClassMem:
-		if !fi.Thick {
-			x.record(f, slot, in, 0, 1, f.Mode == tcf.NUMA)
-			x.execAtomic(f, in)
-			x.scalarOps++
-			f.PC++
-			return
-		}
-		w := f.Lanes()
-		x.record(f, slot, in, 0, w, f.Mode == tcf.NUMA)
-		x.execLanes(f, in, w)
-		x.ops += int64(w)
-		f.PC++
-
-	default: // fuse.ClassAtomic
-		w := 1
-		if fi.Thick {
-			w = f.Lanes()
-		}
-		x.record(f, slot, in, 0, w, f.Mode == tcf.NUMA)
-		x.execAtomic(f, in)
-		if w <= 1 {
-			x.scalarOps++
-		} else {
-			x.ops += int64(w)
-		}
-		f.PC++
-	}
-}
 
 // fusedLaneRange executes lanes [first, first+n) of the compiled instruction
 // at f.PC, returning false when the caller must fall back to the
@@ -213,13 +151,13 @@ func (x *groupExec) fusedLaneRange(f *tcf.Flow, fi *fuse.Instr, first, n int) bo
 // caller must take the generic path (not a register run, a fragment — whose
 // safety check lives there — or a lane range wide enough to fan out to the
 // chunk pool).
-func (x *groupExec) runFusedRun(f *tcf.Flow, slot int, plan StepPlan, budget *int, maxInstrs int) int {
-	fp := x.m.fprog
-	if f.PC < 0 || f.PC >= len(fp.Code) || f.IsFragment {
+func (x *groupExec) runFusedRun(f *tcf.Flow, slot int, plan *StepPlan, budget *int, maxInstrs int) int {
+	code := x.m.code
+	if uint(f.PC) >= uint(len(code)) || f.IsFragment {
 		return 0
 	}
-	fi := &fp.Code[f.PC]
-	if fi.Class != fuse.ClassReg || fi.Kern == nil {
+	fi := &code[f.PC]
+	if fi.Kern == nil {
 		return 0
 	}
 	// Lane ranges at or above the chunking threshold take the generic path,
@@ -266,8 +204,8 @@ func (x *groupExec) runFusedRun(f *tcf.Flow, slot int, plan StepPlan, budget *in
 		if consumed >= maxInstrs || fi.Run <= 1 {
 			break
 		}
-		fi = &fp.Code[f.PC]
-		if fi.Class != fuse.ClassReg || fi.Kern == nil {
+		fi = &code[f.PC]
+		if fi.Kern == nil {
 			break
 		}
 	}

@@ -112,7 +112,7 @@ func TestFusedResetReuse(t *testing.T) {
 	if err := fresh.LoadProgram(prog); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.fprog == nil {
+	if len(fresh.code) != prog.Len() {
 		t.Fatal("fused backend did not compile at LoadProgram")
 	}
 	if _, err := fresh.Run(); err != nil {
@@ -121,13 +121,13 @@ func TestFusedResetReuse(t *testing.T) {
 	want := snapshotOf(fresh)
 
 	fresh.Reset()
-	if fresh.fprog != nil {
+	if fresh.code != nil {
 		t.Fatal("Reset kept the compiled program")
 	}
 	if err := fresh.LoadProgram(prog); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.fprog == nil {
+	if len(fresh.code) != prog.Len() {
 		t.Fatal("reload did not recompile")
 	}
 	if _, err := fresh.Run(); err != nil {

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -32,11 +31,16 @@ type Group struct {
 type Machine struct {
 	cfg    Config
 	policy variant.Policy
+	props  variant.Properties // policy.Props(), fetched once at New
 	shape  variant.StepShape
 	prog   *isa.Program
-	// fprog is the compiled program of the fused backend (Config.Backend ==
-	// BackendFused), built at LoadProgram/Restore; nil under the interpreter.
-	fprog *fuse.Program
+	// code is the loaded program's per-PC table, built at LoadProgram/Restore
+	// and the only form in which the step engine reads instructions: under
+	// the interpreter the decoded facts alone, in the machine's own array
+	// (decoded, kept across loads); under BackendFused the shared, read-only
+	// compiled program with its kernels.
+	code    []fuse.Instr
+	decoded []fuse.Instr
 
 	front frontend
 	back  backend
@@ -44,10 +48,18 @@ type Machine struct {
 	shared *mem.Shared
 	groups []*Group
 
-	flows      map[int]*tcf.Flow
-	flowList   []*tcf.Flow // same flows in creation (= id) order: the per-step scans iterate this, not the map
-	homeGroup  map[int]int // flow id -> group index
-	nextFlowID int
+	// flowList holds every flow ever created, indexed by id (ids are dense
+	// creation order). Nothing on the per-step path walks it: live counts the
+	// flows not yet Done — up in newFlow, down where foldGroup folds a group's
+	// terminations and where retireEvents completes an auto-split container —
+	// and the groups' storage buffers hold exactly those flows.
+	flowList []*tcf.Flow
+	live     int
+	// slab is the unused rest of the chunk flows are handed out from, so a
+	// program of many flows allocates per chunk, not per flow. Chunks stay
+	// at 16 flows (17 KB): in chunks of 256 the run's flows were large
+	// objects and raised the peak resident set of engine-flows by a tenth.
+	slab []tcf.Flow
 
 	combiners [len(multiop.Kinds)]*multiop.Combiner
 
@@ -99,13 +111,12 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
 	m := &Machine{
-		cfg:       c,
-		policy:    pol,
-		shape:     pol.Shape(c.machineShape()),
-		shared:    shared,
-		flows:     make(map[int]*tcf.Flow, 8),
-		flowList:  make([]*tcf.Flow, 0, 8),
-		homeGroup: make(map[int]int, 8),
+		cfg:      c,
+		policy:   pol,
+		props:    pol.Props(),
+		shape:    pol.Shape(c.machineShape()),
+		shared:   shared,
+		flowList: make([]*tcf.Flow, 0, 8),
 	}
 	m.front.m = m
 	m.back.m = m
@@ -167,21 +178,16 @@ func (m *Machine) Outputs() []Output { return m.output }
 // Trace returns the recorded step trace (TraceEnabled configs only).
 func (m *Machine) Trace() []*StepRecord { return m.trace }
 
-// Flows returns all flows ever created, sorted by id.
-func (m *Machine) Flows() []*tcf.Flow {
-	out := append([]*tcf.Flow(nil), m.flowList...)
-	slices.SortFunc(out, func(a, b *tcf.Flow) int { return cmp.Compare(a.ID, b.ID) })
-	return out
-}
-
-// addFlow registers f in both flow containers.
-func (m *Machine) addFlow(f *tcf.Flow) {
-	m.flows[f.ID] = f
-	m.flowList = append(m.flowList, f)
-}
+// Flows returns all flows ever created, in id order.
+func (m *Machine) Flows() []*tcf.Flow { return slices.Clone(m.flowList) }
 
 // Flow returns the flow with the given id, or nil.
-func (m *Machine) Flow(id int) *tcf.Flow { return m.flows[id] }
+func (m *Machine) Flow(id int) *tcf.Flow {
+	if id < 0 || id >= len(m.flowList) {
+		return nil
+	}
+	return m.flowList[id]
+}
 
 // LoadProgram installs p and preloads its data segments into shared memory.
 func (m *Machine) LoadProgram(p *isa.Program) error {
@@ -193,13 +199,23 @@ func (m *Machine) LoadProgram(p *isa.Program) error {
 			return fmt.Errorf("machine: loading %s: %w", p.Name, err)
 		}
 	}
-	m.prog = p
-	m.fprog = nil
-	if m.cfg.Backend == BackendFused {
-		m.fprog = fuse.Cached(p)
-	}
+	m.setProgram(p)
 	return nil
 }
+
+// setProgram installs p with its per-PC table.
+func (m *Machine) setProgram(p *isa.Program) {
+	m.prog = p
+	if m.fused() {
+		m.code = fuse.Cached(p).Code
+	} else {
+		m.decoded = fuse.Decode(m.decoded, p)
+		m.code = m.decoded
+	}
+}
+
+// fused reports whether the compiled backend's kernels are in the table.
+func (m *Machine) fused() bool { return m.cfg.Backend == BackendFused }
 
 // Program returns the loaded program.
 func (m *Machine) Program() *isa.Program { return m.prog }
@@ -207,26 +223,18 @@ func (m *Machine) Program() *isa.Program { return m.prog }
 // newFlow allocates a flow and registers it on group g (resident if a slot
 // is free, otherwise pending).
 func (m *Machine) newFlow(pc, thickness, g int) *tcf.Flow {
-	f := tcf.New(m.nextFlowID, pc, thickness)
-	m.nextFlowID++
-	m.addFlow(f)
+	if len(m.slab) == 0 {
+		m.slab = make([]tcf.Flow, min(16, max(4, len(m.flowList))))
+	}
+	f := &m.slab[0]
+	m.slab = m.slab[1:]
+	f.Init(len(m.flowList), pc, thickness)
+	m.flowList = append(m.flowList, f)
 	m.front.place(f, g)
 	m.stats.FlowsCreated++
-	if live := m.liveFlows(); live > m.stats.MaxLiveFlows {
-		m.stats.MaxLiveFlows = live
-	}
+	m.live++
+	m.stats.MaxLiveFlows = max(m.stats.MaxLiveFlows, m.live)
 	return f
-}
-
-// liveFlows counts flows not yet Done.
-func (m *Machine) liveFlows() int {
-	n := 0
-	for _, f := range m.flowList {
-		if f.State != tcf.Done {
-			n++
-		}
-	}
-	return n
 }
 
 // Boot creates the initial flow population the variant's policy prescribes:
@@ -241,7 +249,7 @@ func (m *Machine) Boot() error {
 	if m.prog == nil {
 		return fmt.Errorf("machine: Boot before LoadProgram")
 	}
-	if len(m.flows) != 0 {
+	if len(m.flowList) != 0 {
 		return fmt.Errorf("machine: already booted")
 	}
 	entry := m.prog.Entry()
@@ -256,10 +264,7 @@ func (m *Machine) Done() bool {
 	if m.halted || m.runErr != nil {
 		return true
 	}
-	if len(m.flows) == 0 {
-		return false
-	}
-	return m.liveFlows() == 0
+	return len(m.flowList) != 0 && m.live == 0
 }
 
 // Err returns the runtime error that stopped the machine, if any.
@@ -274,7 +279,7 @@ func (m *Machine) Run() (*Stats, error) { return m.RunContext(context.Background
 // ErrCanceled. The progress watchdog (Config.WatchdogSteps) also runs here,
 // converting silent livelock into an error wrapping ErrDeadlock.
 func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
-	if len(m.flows) == 0 {
+	if len(m.flowList) == 0 {
 		if err := m.Boot(); err != nil {
 			return nil, err
 		}

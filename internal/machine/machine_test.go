@@ -479,14 +479,14 @@ double:
 
 func TestRetOnEmptyStackHalts(t *testing.T) {
 	m := mustRun(t, variant.SingleInstruction, "main:\nRET", nil)
-	if m.liveFlows() != 0 {
+	if m.liveFlowsScan() != 0 {
 		t.Fatal("RET on empty stack should terminate the flow")
 	}
 }
 
 func TestFallingOffProgramHalts(t *testing.T) {
 	m := mustRun(t, variant.SingleInstruction, "main:\nNOP", nil)
-	if m.liveFlows() != 0 {
+	if m.liveFlowsScan() != 0 {
 		t.Fatal("flow should halt at program end")
 	}
 }

@@ -1,0 +1,433 @@
+package machine
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"tcfpram/internal/codegen"
+	"tcfpram/internal/isa"
+	"tcfpram/internal/sema"
+	"tcfpram/internal/tcf"
+	"tcfpram/internal/variant"
+)
+
+// The scans the step loop used to run every step, kept as the oracle the
+// counters and buffer walks are held to: both go over every flow ever
+// created.
+
+func (m *Machine) liveFlowsScan() int {
+	n := 0
+	for _, f := range m.flowList {
+		if f.State != tcf.Done {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *Machine) anyReadyScan() bool {
+	for _, f := range m.flowList {
+		if f.State == tcf.Ready {
+			return true
+		}
+	}
+	return false
+}
+
+// checkOccupancy asserts, at a step boundary, that the live counter and the
+// buffer walk agree with the scans and that every live flow sits in exactly
+// one storage buffer.
+func checkOccupancy(t *testing.T, m *Machine) {
+	t.Helper()
+	if got, want := m.live, m.liveFlowsScan(); got != want {
+		t.Fatalf("step %d: live counter %d, scan finds %d", m.stats.Steps, got, want)
+	}
+	if got, want := m.anyReadyAnywhere(), m.anyReadyScan(); got != want {
+		t.Fatalf("step %d: buffers say ready=%v, scan says %v", m.stats.Steps, got, want)
+	}
+	if m.runErr == nil && m.Done() != (m.liveFlowsScan() == 0) {
+		t.Fatalf("step %d: Done()=%v with %d live flows", m.stats.Steps, m.Done(), m.liveFlowsScan())
+	}
+	held := make(map[*tcf.Flow]int)
+	for _, g := range m.groups {
+		for _, f := range g.Buf.Resident {
+			held[f]++
+		}
+		for i := 0; i < g.Buf.Pending.Len(); i++ {
+			held[g.Buf.Pending.At(i)]++
+		}
+	}
+	for _, f := range m.flowList {
+		if f.State != tcf.Done && held[f] != 1 {
+			t.Fatalf("step %d: live %v is in %d storage buffers", m.stats.Steps, f, held[f])
+		}
+	}
+}
+
+// occupancyShape is a tcf-e program and the configuration it runs under.
+type occupancyShape struct {
+	src   string
+	tweak func(*Config)
+}
+
+// occupancyShapes are small versions of tcfbench's flow kernels plus an
+// auto-split shape.
+func occupancyShapes() map[string]occupancyShape {
+	arms := func(n int, arm string) string { return strings.Repeat(arm+" ", n) }
+	var tree func(node, level int) string
+	tree = func(node, level int) string {
+		s := fmt.Sprintf("tree[%d] = %d; ", node, node*7+level)
+		if level == 4 {
+			return s
+		}
+		return s + fmt.Sprintf("parallel { #1: { %s} #1: { %s} } ", tree(2*node+1, level+1), tree(2*node+2, level+1))
+	}
+	return map[string]occupancyShape{
+		"multitask": {src: `
+shared int results[160] @ 1024;
+func main() {
+    parallel { ` + arms(40, "#4: work();") + `}
+    #160;
+    print(radd(results[tid]));
+}
+func work() {
+    thick int slot = (fid - 1) * 4 + tid;
+    results[slot] = fid * 5 + tid;
+    results[slot] = results[slot] * 3 + 1;
+}`},
+		"multitask-timeslice": {tweak: func(c *Config) { c.TimeSliceSteps = 2 }, src: `
+shared int results[80] @ 1024;
+func main() {
+    parallel { ` + arms(40, "#2: work();") + `}
+    #80;
+    print(radd(results[tid]));
+}
+func work() {
+    thick int slot = (fid - 1) * 2 + tid;
+    for (int i = 0; i < fid % 5 + 1; i += 1) {
+        results[slot] = results[slot] * 3 + i;
+    }
+}`},
+		"splitjoin-tree": {src: `
+shared int tree[31] @ 1024;
+func main() {
+    ` + tree(0, 0) + `
+    #31;
+    print(radd(tree[tid]));
+}`},
+		"barrier-ring": {src: `
+shared int ring[16] @ 1024;
+shared int seen[16] @ 1040;
+func main() {
+    parallel { ` + arms(16, "#1: node();") + `}
+    #16;
+    print(radd(seen[tid] * (tid + 1)));
+}
+func node() {
+    int me = fid - 1;
+    int acc = 0;
+    for (int r = 0; r < 5; r += 1) {
+        ring[(me + 1) & 15] = me * 3 + r;
+        barrier;
+        acc += ring[me];
+        barrier;
+    }
+    seen[me] = acc;
+}`},
+		"barrier-oversubscribed": {src: `
+shared int cell[24] @ 1024;
+func main() {
+    parallel { ` + arms(24, "#1: node();") + `}
+    #24;
+    print(radd(cell[tid]));
+}
+func node() {
+    int me = fid - 1;
+    for (int r = 0; r < 3; r += 1) {
+        cell[(me + 5) % 24] = me + r;
+        barrier;
+    }
+}`},
+		"auto-split": {tweak: func(c *Config) { c.AutoSplitThreshold = 16 }, src: `
+shared int a[96] @ 1024;
+func main() {
+    #96;
+    a[tid] = tid * 3 + 1;
+    #1;
+    int s = 5;
+    #80;
+    a[tid] = a[tid] + s;
+    #16;
+    print(radd(a[tid * 6]));
+}`},
+	}
+}
+
+// TestOccupancyCountersMatchScans steps every corpus program and the small
+// flow shapes under all six variants and holds the O(1) bookkeeping to the
+// scans after every Step. Programs a variant cannot run stop with an error;
+// the counters must be right up to and including the failing step.
+func TestOccupancyCountersMatchScans(t *testing.T) {
+	type job struct {
+		name  string
+		prog  *isa.Program
+		local []sema.DataSeg
+		tweak func(*Config)
+	}
+	var jobs []job
+	files, err := filepath.Glob(filepath.Join("..", "codegen", "testdata", "*.te"))
+	if err != nil || len(files) < 16 {
+		t.Fatalf("corpus: %d programs, %v", len(files), err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := codegen.CompileSource(file, string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{name: filepath.Base(file), prog: c.Program, local: c.LocalData})
+	}
+	for name, sh := range occupancyShapes() {
+		c, err := codegen.CompileSource(name, sh.src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		jobs = append(jobs, job{name: name, prog: c.Program, tweak: sh.tweak})
+	}
+	completed := 0
+	for _, j := range jobs {
+		for _, kind := range variant.Kinds() {
+			t.Run(fmt.Sprintf("%s/%v", j.name, kind), func(t *testing.T) {
+				cfg := Default(kind)
+				cfg.MaxSteps = 20000
+				if j.tweak != nil {
+					j.tweak(&cfg)
+				}
+				m, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.LoadProgram(j.prog); err != nil {
+					t.Fatal(err)
+				}
+				for _, seg := range j.local {
+					for g := 0; g < cfg.Groups; g++ {
+						if err := m.LocalMem(g).Load(seg.Addr, seg.Words); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := m.Boot(); err != nil {
+					t.Fatal(err)
+				}
+				checkOccupancy(t, m)
+				for !m.Done() && m.stats.Steps < cfg.MaxSteps {
+					err := m.Step()
+					checkOccupancy(t, m)
+					if err != nil {
+						return
+					}
+				}
+				if m.Done() {
+					completed++
+				}
+			})
+		}
+	}
+	if completed < len(jobs) {
+		t.Fatalf("only %d of %d program × variant runs completed; the walk proved little", completed, len(jobs)*len(variant.Kinds()))
+	}
+}
+
+// TestFlowQueueIsFIFOAcrossWrapAndGrowth: the ring must hand flows back in
+// arrival order whatever its head position and however often it grew.
+func TestFlowQueueIsFIFOAcrossWrapAndGrowth(t *testing.T) {
+	var q flowQueue
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.push(&tcf.Flow{ID: next})
+			next++
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			if f := q.pop(); f.ID != want {
+				t.Fatalf("popped flow %d, want %d", f.ID, want)
+			}
+			want++
+		}
+	}
+	push(5)
+	pop(3)
+	push(6) // wraps inside the first array of 8
+	pop(4)
+	push(20) // grows with the head mid-array
+	for i := 0; i < q.Len(); i++ {
+		if id := q.At(i).ID; id != want+i {
+			t.Fatalf("At(%d) = flow %d, want %d", i, id, want+i)
+		}
+	}
+	pop(q.Len())
+	if q.Len() != 0 || next != want {
+		t.Fatalf("queue holds %d flows after draining, pushed %d, popped %d", q.Len(), next, want)
+	}
+}
+
+// TestPendingQueueSurvivesReset: a 64-task program queues 48 flows behind
+// the 16 slots and rotates them; run again on the Reset machine, the queues
+// must be the same arrays — rotation and Reset keep the storage.
+func TestPendingQueueSurvivesReset(t *testing.T) {
+	b := isa.NewBuilder("tasks")
+	b.Label("main")
+	arms := make([]isa.Arm, 64)
+	for i := range arms {
+		arms[i] = isa.ArmImm(1, "task")
+	}
+	b.Split(arms...)
+	b.Halt()
+	b.Label("task")
+	b.Id(isa.FID, isa.S(1))
+	b.St(isa.S(1), 1024, isa.S(1))
+	b.Op(isa.BAR)
+	b.St(isa.S(1), 2048, isa.S(1))
+	b.Op(isa.JOIN)
+	prog := b.MustBuild()
+
+	m, err := New(Default(variant.SingleInstruction))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		t.Helper()
+		if err := m.LoadProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if m.stats.TaskSwitches < 48 {
+			t.Fatalf("only %d task switches: the queues never rotated", m.stats.TaskSwitches)
+		}
+	}
+	run()
+	first := make([]**tcf.Flow, len(m.groups))
+	sizes := make([]int, len(m.groups))
+	for i, g := range m.groups {
+		if len(g.Buf.Pending.buf) < 8 {
+			t.Fatalf("group %d queue holds %d entries after 64 tasks", i, len(g.Buf.Pending.buf))
+		}
+		first[i], sizes[i] = &g.Buf.Pending.buf[0], len(g.Buf.Pending.buf)
+	}
+	m.Reset()
+	run()
+	for i, g := range m.groups {
+		if &g.Buf.Pending.buf[0] != first[i] || len(g.Buf.Pending.buf) != sizes[i] {
+			t.Fatalf("group %d: the second run reallocated its pending queue (%d entries, was %d)",
+				i, len(g.Buf.Pending.buf), sizes[i])
+		}
+	}
+}
+
+// spinTasks is a program of n thickness-thick tasks that never finish: each
+// round a task bumps a register and, with barrier set, parks at a BAR, so the
+// tasks beyond the machine's slots rotate through the storage buffers every
+// step. The step loop's fixed cost is all there is to it.
+func spinTasks(name string, n int, thick int64, barrier bool) *isa.Program {
+	b := isa.NewBuilder(name)
+	b.Label("main")
+	arms := make([]isa.Arm, n)
+	for i := range arms {
+		arms[i] = isa.ArmImm(thick, "task")
+	}
+	b.Split(arms...)
+	b.Halt()
+	b.Label("task")
+	b.Ldi(isa.S(1), 1<<40)
+	b.Label("round")
+	b.ALUI(isa.ADD, isa.V(1), isa.V(1), 1)
+	if barrier {
+		b.Op(isa.BAR)
+	}
+	b.ALUI(isa.SUB, isa.S(1), isa.S(1), 1)
+	b.Branch(isa.BNEZ, isa.S(1), "round")
+	b.Op(isa.JOIN)
+	return b.MustBuild()
+}
+
+// BenchmarkStepFixedCost times one Step of programs whose lanes do next to
+// nothing, so that what a step costs besides its operations shows: a machine
+// with one busy group of four, 2048 queued flows behind 16 slots, the
+// creation and retirement of 2048 flows, and 16 flows at a barrier every
+// other step with every group busy. One op is one step; split_2048 restarts
+// its program (Reset, load, boot) inside the measurement whenever it
+// completes, since creating the flows is the cost it is there for.
+func BenchmarkStepFixedCost(b *testing.B) {
+	oneFlow := isa.NewBuilder("one_of_four_groups")
+	oneFlow.Label("main")
+	oneFlow.SetThickImm(16)
+	oneFlow.Label("loop")
+	oneFlow.ALUI(isa.ADD, isa.V(1), isa.V(1), 1)
+	oneFlow.Jmp("loop")
+
+	burst := isa.NewBuilder("split_2048")
+	burst.Label("main")
+	arms := make([]isa.Arm, 2048)
+	for i := range arms {
+		arms[i] = isa.ArmImm(1, "task")
+	}
+	burst.Split(arms...)
+	burst.Halt()
+	burst.Label("task")
+	burst.Id(isa.FID, isa.S(1))
+	burst.Op(isa.JOIN)
+
+	for _, prog := range []*isa.Program{
+		oneFlow.MustBuild(),
+		spinTasks("pending_2048", 2048, 4, false),
+		burst.MustBuild(),
+		spinTasks("barrier_16", 16, 1, true),
+	} {
+		b.Run(prog.Name, func(b *testing.B) {
+			cfg := Default(variant.SingleInstruction)
+			cfg.MaxSteps = 1 << 40
+			m, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			start := func() {
+				m.Reset()
+				if err := m.LoadProgram(prog); err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Boot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			step := func() {
+				if m.Done() {
+					start()
+				}
+				if err := m.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			start()
+			for i := 0; i < 300; i++ { // past creation, arenas and queues grown
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
+		})
+	}
+}

@@ -12,22 +12,13 @@ import (
 	"tcfpram/internal/tcf"
 )
 
-// width returns the number of operation slices the instruction occupies for
-// this flow: Lanes() for thick instructions, 1 for flow-level ones.
-func width(f *tcf.Flow, in isa.Instr) int {
-	if in.Thick() {
-		return f.Lanes()
-	}
-	return 1
-}
-
 // fragmentUnsafe reports whether an instruction cannot execute correctly in
 // an auto-split fragment: anything funnelling thread-wise data into the
 // flow-common scalar state would act on the fragment's lanes only
 // (reductions, and scalar-destination operations with thread-wise sources —
 // the lane-0 extract). The OS may only fragment flows whose continuation is
 // free of such instructions; the machine fails loudly otherwise.
-func fragmentUnsafe(f *tcf.Flow, in isa.Instr) bool {
+func fragmentUnsafe(f *tcf.Flow, in *isa.Instr) bool {
 	if !f.IsFragment {
 		return false
 	}
@@ -152,6 +143,10 @@ type groupCounters struct {
 	multiopRefs  int64
 	barriers     int64
 	laneChunks   int64
+
+	// done counts the flows this group's step took to Done; the fold takes
+	// them off Machine.live in (step, group) order under either scheduler.
+	done int
 }
 
 // groupExec carries the per-group execution state of one step. Groups run
@@ -168,6 +163,10 @@ type groupExec struct {
 
 	// plan is the StepPlan stamped at reset; runGroup executes it.
 	plan StepPlan
+	// idle marks an arena zeroed for a group without a ready resident and
+	// not written since: such a group is neither reset, run nor folded
+	// (backend.generate), and a trace reads zero cycles and no slices off it.
+	idle bool
 	// immediate caches !plan.Lockstep: XMT-style memory semantics where
 	// loads see the current state and stores apply instantly.
 	immediate bool
@@ -209,7 +208,8 @@ type groupExec struct {
 
 	// fwd is the store-to-load forwarding table of the flow currently
 	// executing a NUMA bunch (its own same-step shared stores). The map is
-	// allocated once and cleared per bunch; fwdOn gates lookups.
+	// allocated at the first such store and cleared by the next bunch that
+	// finds it non-empty; fwdOn gates lookups.
 	fwd   map[int64]int64
 	fwdOn bool
 
@@ -227,6 +227,7 @@ type groupExec struct {
 // allocation.
 func (x *groupExec) reset(plan StepPlan) {
 	x.plan = plan
+	x.idle = false
 	x.immediate = !plan.Lockstep
 	x.step = plan.Step
 	x.df = x.m.dfFront
@@ -351,7 +352,7 @@ func (x *groupExec) loadShared(f *tcf.Flow, addr int64, lane int) int64 {
 	if x.immediate {
 		return x.m.shared.Peek(addr)
 	}
-	if x.fwdOn {
+	if x.fwdOn && len(x.fwd) > 0 {
 		if v, ok := x.fwd[addr]; ok {
 			return v
 		}
@@ -379,12 +380,15 @@ func (x *groupExec) storeShared(f *tcf.Flow, addr, val int64, lane, seq int) {
 	x.writes = append(x.writes, mem.Write{Addr: addr, Val: val,
 		Key: mem.Key{Flow: f.ID, Thread: lane, Seq: seq}})
 	if x.fwdOn {
+		if x.fwd == nil {
+			x.fwd = make(map[int64]int64, 16)
+		}
 		x.fwd[addr] = val
 	}
 }
 
 // effAddr computes the effective address of a memory operand for lane i.
-func effAddr(f *tcf.Flow, in isa.Instr, i int) int64 {
+func effAddr(f *tcf.Flow, in *isa.Instr, i int) int64 {
 	if in.Ra == isa.RegNone {
 		return in.Imm
 	}
@@ -392,7 +396,7 @@ func effAddr(f *tcf.Flow, in isa.Instr, i int) int64 {
 }
 
 // execLane executes lane i of an elementwise instruction.
-func (x *groupExec) execLane(f *tcf.Flow, in isa.Instr, i, seq int) {
+func (x *groupExec) execLane(f *tcf.Flow, in *isa.Instr, i, seq int) {
 	switch {
 	case in.Op == isa.LDI:
 		f.SetLane(in.Rd, i, in.Imm)
@@ -486,8 +490,8 @@ func storeOperands(f *tcf.Flow, in *isa.Instr) (av, bv []int64, base, bs int64) 
 // combineLanes buffers the combining contributions of lanes [first, first+n)
 // of a multioperation or multiprefix for the step-boundary resolution, each
 // multiprefix lane with the route its prefix comes back on.
-func (x *groupExec) combineLanes(f *tcf.Flow, in isa.Instr, first, n, seq int) {
-	av, bv, base, bs := storeOperands(f, &in)
+func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) {
+	av, bv, base, bs := storeOperands(f, in)
 	prefix, numa := in.Op.IsMultiprefix(), f.Mode == tcf.NUMA
 	k := multiop.KindIndex(in.Op.CombineKind())
 	cs := slices.Grow(x.contribs[k], n)
@@ -518,8 +522,8 @@ func (x *groupExec) combineLanes(f *tcf.Flow, in isa.Instr, first, n, seq int) {
 // the compiled kernel (or bulk memory kernel) when one applies; every other
 // case — and the whole interpreter backend — takes the reference per-lane
 // path below.
-func (x *groupExec) execLaneRange(f *tcf.Flow, in isa.Instr, first, n int) {
-	if fp := x.m.fprog; fp != nil && x.fusedLaneRange(f, &fp.Code[f.PC], first, n) {
+func (x *groupExec) execLaneRange(f *tcf.Flow, in *isa.Instr, first, n int) {
+	if x.m.fused() && x.fusedLaneRange(f, &x.m.code[f.PC], first, n) {
 		return
 	}
 	x.execLaneRangeInterp(f, in, first, n)
@@ -530,7 +534,7 @@ func (x *groupExec) execLaneRange(f *tcf.Flow, in isa.Instr, first, n int) {
 // the lane loop. Vector operands of a sliceable instruction always span the
 // full lane count (Flow.Vector sizes them to Lanes()), so the bulk loops
 // index directly.
-func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in isa.Instr, first, n int) {
+func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in *isa.Instr, first, n int) {
 	end := first + n
 	switch {
 	case in.Op.IsBinaryALU() && in.Rd.IsVector():
@@ -616,7 +620,7 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in isa.Instr, first, n int)
 			}
 		}
 	case in.Op == isa.ST:
-		av, bv, base, bs := storeOperands(f, &in)
+		av, bv, base, bs := storeOperands(f, in)
 		for i := first; i < end; i++ {
 			addr := base
 			if av != nil {
@@ -639,7 +643,7 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in isa.Instr, first, n int)
 
 // execAtomic executes flow-level instructions: reductions, prints, and the
 // degenerate scalar forms. Control instructions are handled by the caller.
-func (x *groupExec) execAtomic(f *tcf.Flow, in isa.Instr) {
+func (x *groupExec) execAtomic(f *tcf.Flow, in *isa.Instr) {
 	switch {
 	case in.Op.IsReduction():
 		kind := in.Op.CombineKind()

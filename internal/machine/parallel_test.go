@@ -122,7 +122,9 @@ func TestLaneParallelActuallyChunks(t *testing.T) {
 // ("steady") and over the step commit's sort-free scratch ("commit":
 // conflicting stores arriving out of address order, a madd onto eight
 // addresses and an mpadd onto one, so the write tables and the combiners'
-// accumulators are held to the gate too).
+// accumulators are held to the gate too) and over 64 flows rotating through
+// the 16 slots at a barrier every round ("flows": once the flows exist, the
+// storage buffers' queues and the barrier release allocate nothing).
 func TestStepLoopSteadyStateAllocs(t *testing.T) {
 	loop := func(name string, body func(b *isa.Builder)) *isa.Program {
 		b := isa.NewBuilder(name)
@@ -147,6 +149,7 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 			b.Multi(isa.MADD, isa.V(2), laneParOutBase+64, isa.V(1))
 			b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, laneParOutBase+128, isa.V(1))
 		}),
+		spinTasks("flows", 64, 1, true),
 	}
 	for _, prog := range progs {
 		for _, backend := range []Backend{BackendInterp, BackendFused} {

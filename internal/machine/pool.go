@@ -66,7 +66,7 @@ var groupPool, lanePool workPool
 type laneChunk struct {
 	w        *groupExec
 	f        *tcf.Flow
-	in       isa.Instr
+	in       *isa.Instr
 	first, n int
 }
 
@@ -79,7 +79,7 @@ func (c *laneChunk) run() {
 // higher lanes' LDLs within the instruction on colliding addresses), so they
 // stay serial; everything else either buffers its effects (ST, multiops) or
 // writes a private lane slot.
-func laneParallelOK(in isa.Instr) bool {
+func laneParallelOK(in *isa.Instr) bool {
 	switch in.Op {
 	case isa.LDL, isa.STL:
 		return false
@@ -91,7 +91,7 @@ func laneParallelOK(in isa.Instr) bool {
 // issues — the per-chunk refSeq stride that keeps fault-plan decisions
 // identical to serial execution. Every lane of a given sliceable op issues
 // the same count (0 or 1), which is what makes the stride exact.
-func refsPerLane(in isa.Instr) int64 {
+func refsPerLane(in *isa.Instr) int64 {
 	if in.Op == isa.LD || in.Op == isa.ST || in.Op.IsMultiop() || in.Op.IsMultiprefix() {
 		return 1
 	}
@@ -102,7 +102,7 @@ func refsPerLane(in isa.Instr) int64 {
 // will access, mirroring exactly which registers serial execution touches.
 // Lane chunks then index the backing arrays concurrently without ever
 // hitting Flow's lazy vector allocation.
-func touchOperands(f *tcf.Flow, in isa.Instr) {
+func touchOperands(f *tcf.Flow, in *isa.Instr) {
 	touch := func(r isa.Reg) {
 		if r.IsVector() {
 			f.Vector(r)
@@ -145,7 +145,7 @@ func touchOperands(f *tcf.Flow, in isa.Instr) {
 // the configured threshold. Results are bit-identical to the serial loop:
 // chunk buffers merge in lane order, and each chunk's refSeq starts at the
 // value serial execution would have reached at its first lane.
-func (x *groupExec) execLanes(f *tcf.Flow, in isa.Instr, w int) {
+func (x *groupExec) execLanes(f *tcf.Flow, in *isa.Instr, w int) {
 	th := x.m.cfg.LaneParallelThreshold
 	if th <= 0 || !x.m.cfg.Parallel || x.immediate || w < th || !laneParallelOK(in) {
 		x.execLaneRange(f, in, 0, w)

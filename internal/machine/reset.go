@@ -15,11 +15,10 @@ import "fmt"
 // it. Reset must not run concurrently with Step/Run.
 func (m *Machine) Reset() {
 	m.prog = nil
-	m.fprog = nil
-	clear(m.flows)
+	m.code = nil
 	m.flowList = m.flowList[:0]
-	clear(m.homeGroup)
-	m.nextFlowID = 0
+	m.live = 0
+	m.slab = nil
 
 	m.shared.Reset()
 	for _, g := range m.groups {
@@ -60,10 +59,13 @@ func (m *Machine) Reset() {
 }
 
 // reset empties the storage buffer and rewinds its rotation, keeping the
-// slot backing arrays.
+// slot and queue backing arrays.
 func (b *StorageBuf) reset() {
 	b.Resident = b.Resident[:0]
-	b.Pending = b.Pending[:0]
+	for b.Pending.Len() > 0 {
+		b.Pending.pop()
+	}
+	b.Pending.head = 0
 	b.rrStart = 0
 }
 
@@ -75,7 +77,7 @@ func (b *StorageBuf) reset() {
 // limits. Limits may only change while no flows exist (before Boot, or
 // right after Reset).
 func (m *Machine) SetLimits(maxSteps int64, maxThickness int) error {
-	if len(m.flows) != 0 {
+	if len(m.flowList) != 0 {
 		return fmt.Errorf("machine: SetLimits on a booted machine")
 	}
 	if maxThickness < 0 {
@@ -96,7 +98,7 @@ func (m *Machine) SetLimits(maxSteps int64, maxThickness int) error {
 // clears the wiring. Like SetLimits, it may only change while no flows
 // exist (before Boot, or right after Reset).
 func (m *Machine) SetCheckpointing(every int64, sink CheckpointSink) error {
-	if len(m.flows) != 0 {
+	if len(m.flowList) != 0 {
 		return fmt.Errorf("machine: SetCheckpointing on a booted machine")
 	}
 	if every < 0 {

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"tcfpram/internal/checkpoint"
-	"tcfpram/internal/fuse"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/tcf"
 )
@@ -102,17 +101,16 @@ func (m *Machine) Snapshot(w io.Writer) error {
 	}
 
 	e.Section("flows")
-	flows := m.Flows()
-	e.Int(len(flows))
-	for _, f := range flows {
+	e.Int(len(m.flowList))
+	for _, f := range m.flowList {
 		f.EncodeTo(e)
 	}
-	e.Int(m.nextFlowID)
+	e.Int(len(m.flowList)) // the next flow id
 
 	e.Section("bufs")
 	for _, g := range m.groups {
 		e.Ints(flowIDs(g.Buf.Resident))
-		e.Ints(flowIDs(g.Buf.Pending))
+		e.Ints(flowIDs(g.Buf.Pending.flows()))
 		e.Int(g.Buf.rrStart)
 	}
 
@@ -207,14 +205,11 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 		// Set directly rather than through LoadProgram: the shared image in
 		// the snapshot is the post-load state, so re-applying the program's
 		// data segments would clobber whatever the run wrote over them.
-		m.prog = p
 		// Backend is deliberately absent from the snapshot fingerprint: both
 		// backends are bit-identical, so a checkpoint taken under one resumes
 		// under the other (and the chaos cross-backend differential proves
 		// the resumed run identical either way).
-		if m.cfg.Backend == BackendFused {
-			m.fprog = fuse.Cached(p)
-		}
+		m.setProgram(p)
 	}
 
 	d.Section("shared")
@@ -237,42 +232,59 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 	if nFlows < 0 || nFlows > 1<<24 {
 		return nil, fmt.Errorf("machine: snapshot flow count %d out of range", nFlows)
 	}
-	parents := make(map[int]int, nFlows)
+	// Flow ids index flowList, so the flows must come as 0..n-1 in order —
+	// which is how Snapshot writes them.
+	var parents []int
 	for i := 0; i < nFlows; i++ {
 		f, parent, err := tcf.DecodeFlow(d)
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := m.flows[f.ID]; dup {
+		if f.ID >= 0 && f.ID < i {
 			return nil, fmt.Errorf("machine: snapshot has duplicate flow id %d", f.ID)
+		}
+		if f.ID != i {
+			return nil, fmt.Errorf("machine: snapshot flow ids are not 0..%d in order: flow %d at position %d", nFlows-1, f.ID, i)
 		}
 		if f.Home < 0 || f.Home >= len(m.groups) {
 			return nil, fmt.Errorf("machine: snapshot flow %d home group %d outside [0,%d)", f.ID, f.Home, len(m.groups))
 		}
-		m.addFlow(f)
-		m.homeGroup[f.ID] = f.Home
-		if parent >= 0 {
-			parents[f.ID] = parent
+		m.flowList = append(m.flowList, f)
+		parents = append(parents, parent)
+		if f.State != tcf.Done {
+			m.live++
 		}
 	}
-	m.nextFlowID = d.Int()
-	//detlint:ignore each iteration links a distinct flow's parent, so order cannot be observed
+	next := d.Int()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if next != nFlows {
+		return nil, fmt.Errorf("machine: snapshot next flow id %d after %d flows", next, nFlows)
+	}
 	for id, pid := range parents {
-		p, ok := m.flows[pid]
-		if !ok {
+		if pid < 0 {
+			continue
+		}
+		p := m.Flow(pid)
+		if p == nil {
 			return nil, fmt.Errorf("machine: snapshot flow %d references missing parent %d", id, pid)
 		}
-		m.flows[id].Parent = p
+		m.flowList[id].Parent = p
 	}
 
 	d.Section("bufs")
 	for _, g := range m.groups {
 		var err error
-		if g.Buf.Resident, err = m.flowsByID(d.Ints(), g.Buf.Resident); err != nil {
+		if g.Buf.Resident, err = m.flowsByID(d.Ints()); err != nil {
 			return nil, err
 		}
-		if g.Buf.Pending, err = m.flowsByID(d.Ints(), g.Buf.Pending); err != nil {
+		pending, err := m.flowsByID(d.Ints())
+		if err != nil {
 			return nil, err
+		}
+		for _, f := range pending {
+			g.Buf.Pending.push(f)
 		}
 		g.Buf.rrStart = d.Int()
 	}
@@ -301,17 +313,15 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// flowsByID resolves ids into the given (recycled) flow slice.
-func (m *Machine) flowsByID(ids []int, into []*tcf.Flow) ([]*tcf.Flow, error) {
-	into = into[:0]
-	for _, id := range ids {
-		f, ok := m.flows[id]
-		if !ok {
+// flowsByID resolves a storage buffer's flow ids.
+func (m *Machine) flowsByID(ids []int) ([]*tcf.Flow, error) {
+	flows := make([]*tcf.Flow, len(ids))
+	for i, id := range ids {
+		if flows[i] = m.Flow(id); flows[i] == nil {
 			return nil, fmt.Errorf("machine: snapshot storage buffer references missing flow %d", id)
 		}
-		into = append(into, f)
 	}
-	return into, nil
+	return flows, nil
 }
 
 func flowIDs(fs []*tcf.Flow) []int {

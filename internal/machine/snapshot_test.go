@@ -10,6 +10,7 @@ import (
 
 	"tcfpram/internal/fault"
 	"tcfpram/internal/isa"
+	"tcfpram/internal/tcf"
 	"tcfpram/internal/variant"
 )
 
@@ -256,6 +257,68 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 		if _, err := Restore(bytes.NewReader(mut), cfg); err == nil {
 			t.Fatalf("bit flip at %d accepted", flip)
 		}
+	}
+}
+
+// TestRestoreRejectsBadFlowIDs: flow ids index the machine's flow list, so a
+// snapshot whose flows are not 0..n-1 in order, or that names a flow that is
+// not there, must come back as an error — never a panic or an index out of
+// range. Each case damages a mid-run machine (split parent waiting on two
+// children) in memory and snapshots it, so the container and its checksum
+// are valid and only Restore's own checks stand in the way.
+func TestRestoreRejectsBadFlowIDs(t *testing.T) {
+	prog := isa.MustAssemble("split-print", resetPrograms["split-print"])
+	cfg := Default(variant.SingleInstruction)
+	cases := []struct {
+		name   string
+		damage func(m *Machine)
+		want   string
+	}{
+		{"duplicate", func(m *Machine) { m.flowList[2].ID = 1 }, "duplicate flow id 1"},
+		{"gap", func(m *Machine) { m.flowList[2].ID = 7 }, "not 0..2 in order"},
+		{"out-of-order", func(m *Machine) { m.flowList[1].ID, m.flowList[2].ID = 2, 1 }, "not 0..2 in order"},
+		{"negative", func(m *Machine) { m.flowList[0].ID = -1 }, "not 0..2 in order"},
+		{"dangling parent", func(m *Machine) { m.flowList[1].Parent = &tcf.Flow{ID: 99} }, "missing parent 99"},
+		{"dangling resident", func(m *Machine) {
+			b := &m.groups[3].Buf
+			b.Resident = append(b.Resident, &tcf.Flow{ID: 99})
+		}, "missing flow 99"},
+		{"dangling pending", func(m *Machine) { m.groups[0].Buf.Pending.push(&tcf.Flow{ID: -5}) }, "missing flow -5"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.LoadProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			stepN(t, m, 1)
+			if len(m.flowList) != 3 || m.live != 3 {
+				t.Fatalf("want 3 live flows after the split, have %d of %d", m.live, len(m.flowList))
+			}
+			var good bytes.Buffer
+			if err := m.Snapshot(&good); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Restore(bytes.NewReader(good.Bytes()), cfg)
+			if err != nil {
+				t.Fatalf("undamaged snapshot refused: %v", err)
+			}
+			if r.live != 3 || r.live != r.liveFlowsScan() {
+				t.Fatalf("restored live count %d, scan finds %d", r.live, r.liveFlowsScan())
+			}
+			tc.damage(m)
+			var bad bytes.Buffer
+			if err := m.Snapshot(&bad); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Restore(bytes.NewReader(bad.Bytes()), cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

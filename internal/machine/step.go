@@ -25,7 +25,7 @@ type StepPlan struct {
 // All per-step state lives in arenas on the Machine: the steady-state step
 // loop allocates nothing (with tracing disabled).
 func (m *Machine) Step() error {
-	if m.prog == nil || len(m.flows) == 0 {
+	if m.prog == nil || len(m.flowList) == 0 {
 		return m.failf("Step before LoadProgram/Boot")
 	}
 	if m.runErr != nil {
@@ -81,14 +81,12 @@ func (m *Machine) runStep(plan StepPlan) error {
 
 	// Barrier release: only when no flow anywhere can still run toward
 	// the barrier and at least one is blocked at a BAR.
-	if !m.anyReadyAnywhere() {
-		m.releaseBarriers()
-	}
+	ready := m.anyReadyAnywhere() || m.releaseBarriers()
 
 	m.finishStep(stepCycles, stagesBefore, discR, discW, nil)
 
 	// Liveness: if nothing can ever run again, fail loudly.
-	if m.liveFlows() > 0 && !m.anyReadyAnywhere() {
+	if m.live > 0 && !ready {
 		return m.failw(ErrDeadlock, "step %d: deadlock: live flows but none ready (missing JOIN?)", m.stats.Steps)
 	}
 	return nil
@@ -118,14 +116,25 @@ func (m *Machine) auditDiscipline() (discR, discW int64, err error) {
 	return discR, discW, nil
 }
 
-// releaseBarriers unblocks every BAR-parked flow. Callers have established
-// that no flow anywhere can still run toward the barrier.
-func (m *Machine) releaseBarriers() {
-	for _, f := range m.flowList {
+// releaseBarriers unblocks every BAR-parked flow and reports whether there
+// was one — whether a flow is ready now. Callers have established that no
+// flow anywhere can still run toward the barrier. Every live flow is in some
+// group's storage buffer, so the buffers are all there is to walk.
+func (m *Machine) releaseBarriers() (released bool) {
+	release := func(f *tcf.Flow) {
 		if f.State == tcf.Blocked {
-			f.State = tcf.Ready
+			f.State, released = tcf.Ready, true
 		}
 	}
+	for _, g := range m.groups {
+		for _, f := range g.Buf.Resident {
+			release(f)
+		}
+		for i, q := 0, &g.Buf.Pending; i < q.Len(); i++ {
+			release(q.At(i))
+		}
+	}
+	return released
 }
 
 // finishStep closes the step's books: the cycle floor, cumulative counters,
@@ -210,9 +219,16 @@ func (m *Machine) finishStep(stepCycles int64, stagesBefore [NumStages]StageStat
 	m.output = append(m.output, m.stepOutputs...)
 }
 
+// anyReadyAnywhere reports whether any flow can execute: residents first (at
+// most P*Tp, and where a ready flow usually is), then the queues.
 func (m *Machine) anyReadyAnywhere() bool {
-	for _, f := range m.flowList {
-		if f.State == tcf.Ready {
+	for _, g := range m.groups {
+		if g.Buf.anyReadyResident() {
+			return true
+		}
+	}
+	for _, g := range m.groups {
+		if g.Buf.Pending.anyReady() {
 			return true
 		}
 	}

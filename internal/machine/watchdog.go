@@ -63,8 +63,8 @@ func (d *watchdog) observe(m *Machine) bool {
 	return false
 }
 
-// stateDigest combines the per-flow state digests order-independently (the
-// flow map iterates in arbitrary order), covering the complete architectural
+// stateDigest combines the per-flow state digests (XOR: a flow's digest
+// carries its id, so no order is needed), covering the complete architectural
 // state that can evolve during a quiet stretch: with no memory traffic, no
 // flow events and no outputs, registers, PCs and flow bookkeeping are the
 // only state the machine can change.

@@ -116,12 +116,19 @@ type Flow struct {
 // New returns a Ready PRAM-mode flow with the given id, entry PC and
 // thickness.
 func New(id, pc, thickness int) *Flow {
+	f := new(Flow)
+	f.Init(id, pc, thickness)
+	return f
+}
+
+// Init makes f what New returns, in place: for an owner that allocates its
+// flows in chunks.
+func (f *Flow) Init(id, pc, thickness int) {
 	if thickness < 0 {
 		panic("tcf: negative thickness")
 	}
-	f := &Flow{ID: id, PC: pc, Thickness: thickness, TotalThickness: thickness, Bunch: 1, ResumePC: -1}
+	*f = Flow{ID: id, PC: pc, Thickness: thickness, TotalThickness: thickness, Bunch: 1, ResumePC: -1}
 	f.noteRegWords()
-	return f
 }
 
 // Lanes returns the number of data-parallel lanes an instruction of this
