@@ -28,19 +28,23 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-compile runs the compile path's per-layer benchmarks (lexer to fused
-# program, over internal/lang/testdata/cold.te) at a fixed small iteration
-# count, as CI's bench job does; raise -benchtime for numbers worth reading.
+# program, over internal/lang/testdata/cold.te). It is a smoke at
+# -benchtime=20x, as CI's bench job runs it, and gates nothing: raise
+# -benchtime and alternate two checkouts for numbers worth reading.
 bench-compile:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x \
 		./internal/lang ./internal/sema ./internal/analysis ./internal/codegen ./internal/fuse
 
-# bench-engine runs the step engine's per-layer benchmarks, as CI's bench job
-# does: the step commit's (BenchmarkApplyStep in internal/mem, BenchmarkResolve
-# in internal/multiop, 2^17 references per step in the shapes of tcfbench's
-# probes; ns/ref and allocs per step) and the step loop's fixed cost
-# (BenchmarkStepFixedCost in internal/machine: one busy group of four, 2048
-# queued flows, 2048 flows created and retired, 16 flows at a barrier; ns/step
-# and allocs per step).
+# bench-engine runs the step engine's per-layer benchmarks: the step commit's
+# (BenchmarkApplyStep in internal/mem — unit stride, stride 2, two runs
+# disjoint and overlapping, an 8-way scatter, 2048 runs of 4 — and
+# BenchmarkResolve in internal/multiop — few addresses, one address with
+# prefixes, two flows on one address; 2^17 references per step through the
+# write and combining logs; ns/ref, B/ref buffered and allocs per step) and the
+# step loop's fixed cost (BenchmarkStepFixedCost in internal/machine: one busy
+# group of four, 2048 queued flows, 2048 flows created and retired, 16 flows
+# at a barrier; ns/step and allocs per step). It is a smoke at -benchtime=20x,
+# as CI's bench job runs it, and gates nothing.
 bench-engine:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x ./internal/mem ./internal/multiop ./internal/machine
 

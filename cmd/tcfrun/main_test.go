@@ -297,6 +297,9 @@ func main() {
 	if !strings.Contains(out.String(), "sched=dataflow") {
 		t.Fatalf("-stages header missing sched:\n%s", out.String())
 	}
+	if !strings.Contains(out.String(), "commit: runs=1 direct_words=8 tabled_words=0 sorted_fallbacks=0") {
+		t.Fatalf("-stages misses the commit's routes:\n%s", out.String())
+	}
 
 	if err := run([]string{"-sched", "bogus", path}, &out); err == nil {
 		t.Fatal("expected error for unknown -sched")

@@ -6,16 +6,20 @@ import (
 	"testing"
 
 	"tcfpram/internal/codegen"
+	"tcfpram/internal/fault"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/variant"
 )
 
 // commitPrograms are tcfbench's three commit-bound kernels (bench/gen:
 // scatter-crcw, histogram, scan) at small thickness, still thick enough for
-// mem.Shared's parallel shard resolution to engage, plus the same traffic
-// from several flows at once, whose arms land on different groups: their
-// contributions reach the combiners out of key order and their multiprefix
-// routes are numbered per group.
+// mem.Shared's parallel resolution to engage, plus the same traffic from
+// several flows at once, whose arms land on different groups — their runs
+// reach the combiners out of key order — and "routes", whose arms between
+// them put every kind of run into one step: a unit-stride store, a stride-2
+// store, two flows storing into overlapping ranges, a scatter, a NUMA bunch
+// that loads back what it just stored, and madd and mpadd from two flows onto
+// one word each.
 var commitPrograms = map[string]string{
 	"scatter-crcw": `
 shared int dst[512] @ 1024;
@@ -73,13 +77,80 @@ func work() {
         dst[(slot * 11) & 15] = slot + i;
     }
 }`,
+	"routes": `
+shared int unit[256] @ 1024;
+shared int strided[512] @ 1280;
+shared int over[128] @ 1792;
+shared int scat[64] @ 1920;
+shared int chain[16] @ 1984;
+shared int total @ 2000;
+shared int word @ 2001;
+shared int out[128] @ 2048;
+func main() {
+    parallel {
+        #128: dense();
+        #128: stride2();
+        #96: overlap(0);
+        #96: overlap(32);
+        #64: scatter();
+        #1: bunch();
+        #64: combine(0);
+        #64: combine(64);
+    }
+    #512;
+    print(radd(strided[tid] * (tid + 1)));
+    #256;
+    print(radd(unit[tid] * (tid + 1)));
+    #128;
+    print(radd(over[tid] * (tid + 1)) + radd(out[tid]));
+    #64;
+    print(radd(scat[tid] * (tid + 1)));
+    #16;
+    print(radd(chain[tid] * (tid + 1)));
+    #1;
+    print(total);
+    print(word);
+}
+func dense() {
+    for (int i = 0; i < 4; i += 1) {
+        unit[tid + 128 * (i & 1)] = tid * 3 + i;
+    }
+}
+func stride2() {
+    for (int i = 0; i < 4; i += 1) {
+        strided[tid * 2 + (i & 1)] = tid + i * 100;
+    }
+}
+func overlap(off) {
+    for (int i = 0; i < 4; i += 1) {
+        over[off + tid] = off * 1000 + tid + i;
+    }
+}
+func scatter() {
+    for (int i = 0; i < 4; i += 1) {
+        scat[(tid * 37 + i * 11) & 63] = tid + i;
+    }
+}
+func bunch() {
+    #1/8;
+    for (int i = 0; i < 8; i += 1) {
+        chain[i] = i * 7 + 1;
+        chain[i + 8] = chain[i] + chain[(i + 7) & 7];
+    }
+}
+func combine(base) {
+    for (int i = 0; i < 4; i += 1) {
+        out[base + tid] = mpadd(&total, tid + i);
+        madd(&word, 1 + i);
+    }
+}`,
 }
 
 // TestStepCommitDifferential runs the commit-bound programs across backend ×
-// scheduler × Parallel × lane threshold and demands outputs, memory and every
-// model-level statistic bit-identical to the serial lockstep interpreter:
-// the sort-free write resolution and combining must not depend on how the
-// step's references were gathered.
+// scheduler × Parallel × lane threshold × fault plan and demands outputs,
+// memory and every model-level statistic bit-identical to the serial lockstep
+// interpreter under the same plan: what a step commits must not depend on how
+// its references were gathered, nor on the route its runs took.
 func TestStepCommitDifferential(t *testing.T) {
 	for name, src := range commitPrograms {
 		t.Run(name, func(t *testing.T) {
@@ -87,28 +158,31 @@ func TestStepCommitDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantStats := run(t, c, variant.SingleInstruction, nil)
-			if len(want.outputs) == 0 {
-				t.Fatal("program printed nothing")
-			}
-			for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendFused} {
-				for _, sched := range []machine.Sched{machine.SchedLockstep, machine.SchedDataflow} {
-					for _, par := range []bool{false, true} {
-						for _, lanes := range []int{0, 1, 300} {
-							cell := fmt.Sprintf("%v/%v/parallel=%v/lanes=%d", backend, sched, par, lanes)
-							got, gotStats := runCfg(t, c, variant.SingleInstruction, nil, func(cfg *machine.Config) {
-								cfg.Backend, cfg.Sched, cfg.Parallel, cfg.LaneParallelThreshold = backend, sched, par, lanes
-							})
-							if !reflect.DeepEqual(want.outputs, got.outputs) {
-								t.Fatalf("%s: outputs %v, want %v", cell, got.outputs, want.outputs)
-							}
-							if !reflect.DeepEqual(want.memory, got.memory) {
-								t.Fatalf("%s: shared memory diverged", cell)
-							}
-							a, b := *wantStats, *gotStats
-							a.LaneChunks, b.LaneChunks = 0, 0
-							if !reflect.DeepEqual(a, b) {
-								t.Fatalf("%s: stats diverged:\nwant %+v\ngot  %+v", cell, a, b)
+			groups := machine.Default(variant.SingleInstruction).Groups
+			for pi, plan := range []*fault.Plan{nil, fault.Random(1, groups, groups)} {
+				want, wantStats := run(t, c, variant.SingleInstruction, plan)
+				if len(want.outputs) == 0 {
+					t.Fatal("program printed nothing")
+				}
+				for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendFused} {
+					for _, sched := range []machine.Sched{machine.SchedLockstep, machine.SchedDataflow} {
+						for _, par := range []bool{false, true} {
+							for _, lanes := range []int{0, 1, 300} {
+								cell := fmt.Sprintf("plan %d/%v/%v/parallel=%v/lanes=%d", pi, backend, sched, par, lanes)
+								got, gotStats := runCfg(t, c, variant.SingleInstruction, plan, func(cfg *machine.Config) {
+									cfg.Backend, cfg.Sched, cfg.Parallel, cfg.LaneParallelThreshold = backend, sched, par, lanes
+								})
+								if !reflect.DeepEqual(want.outputs, got.outputs) {
+									t.Fatalf("%s: outputs %v, want %v", cell, got.outputs, want.outputs)
+								}
+								if !reflect.DeepEqual(want.memory, got.memory) {
+									t.Fatalf("%s: shared memory diverged", cell)
+								}
+								a, b := *wantStats, *gotStats
+								a.LaneChunks, b.LaneChunks = 0, 0
+								if !reflect.DeepEqual(a, b) {
+									t.Fatalf("%s: stats diverged:\nwant %+v\ngot  %+v", cell, a, b)
+								}
 							}
 						}
 					}

@@ -68,15 +68,14 @@ func (x *groupExec) begin(plan StepPlan) bool {
 }
 
 // merge folds the groups' arenas into the machine deterministically (group
-// order): buffered writes and combining contributions move toward the
-// commit stage, outputs and deferred events are collected, statistics and
-// per-stage attribution accumulate, and the step's cycle count is the
-// maximum over groups.
+// order): the memory and the combiners take the groups' write and combining
+// logs by pointer, for the commit stage to resolve where they lie, outputs
+// and deferred events are collected, statistics and per-stage attribution
+// accumulate, and the step's cycle count is the maximum over groups.
 func (bk *backend) merge() (int64, error) {
 	m := bk.m
 	m.stepOutputs = m.stepOutputs[:0]
 	m.stepEvents = m.stepEvents[:0]
-	m.routes = m.routes[:0]
 	m.discAccs = m.discAccs[:0]
 	var stepCycles int64
 	for _, x := range m.execs {
@@ -85,10 +84,11 @@ func (bk *backend) merge() (int64, error) {
 		}
 		if x.err != nil {
 			m.runErr = x.err
+			m.discardStep()
 			return 0, x.err
 		}
 		gc := m.foldGroup(x.g.Index, &x.groupCounters,
-			x.writes, &x.combining, x.outputs, x.events, x.accs)
+			&x.writes, &x.combining, x.outputs, x.events, x.accs)
 		if gc > stepCycles {
 			stepCycles = gc
 		}
@@ -96,23 +96,21 @@ func (bk *backend) merge() (int64, error) {
 	return stepCycles, nil
 }
 
-// foldGroup folds one group's generated step into the machine: buffered
-// writes and combining contributions move toward the commit stage, outputs
-// and deferred events are collected, statistics and per-stage attribution
+// foldGroup folds one group's generated step into the machine: its write and
+// combining logs are handed, not copied, to the commit stage, outputs and
+// deferred events are collected, statistics and per-stage attribution
 // accumulate. It returns the group's cycle count for the step (the step's
 // cycle count is the maximum over groups). Shared by the lockstep merge
 // (reading the groupExec arenas directly) and the dataflow committer
 // (reading published step packets); both call it in group-index order,
 // which is what makes the two schedulers bit-identical.
 func (m *Machine) foldGroup(gi int, c *groupCounters,
-	writes []mem.Write, comb *combining, outputs []Output,
+	writes *mem.WriteLog, comb *combining, outputs []Output,
 	events []deferredEvent, accs []discAcc) int64 {
-	m.shared.BufferWrites(writes)
+	m.shared.BufferLog(writes)
 	if comb.refs > 0 {
-		routeBase := len(m.routes)
-		m.routes = append(m.routes, comb.routes...)
-		for k, cs := range comb.contribs {
-			m.combiners[k].AddAll(cs, routeBase)
+		for k := range comb.logs {
+			m.combiners[k].AddLog(&comb.logs[k])
 		}
 	}
 	m.stepOutputs = append(m.stepOutputs, outputs...)
@@ -150,13 +148,23 @@ func (m *Machine) foldGroup(gi int, c *groupCounters,
 	m.stats.Stages[StageMemory].Cycles += overhead + c.stall + c.faultStall
 	m.stats.Stages[StageMemory].Events += c.sharedReads + c.sharedWrites +
 		c.localReads + c.localWrites + c.multiopRefs
-	m.stats.Stages[StageCommit].Events += int64(len(writes) + comb.refs)
+	m.stats.Stages[StageCommit].Events += int64(writes.Len() + comb.refs)
 	return gc
 }
 
+// discardStep drops the traffic already folded of a step that will not
+// commit: the memory retains the groups' logs by pointer, and neither they nor
+// the combiners' contributions may reach a later step or run.
+func (m *Machine) discardStep() {
+	m.shared.DiscardStep()
+	for _, c := range m.combiners {
+		c.Reset()
+	}
+}
+
 // commit is the writeback stage: buffered writes apply with the configured
-// concurrent-write policy, and combining traffic resolves with prefix
-// results routed back into the participating lanes.
+// concurrent-write policy, and combining traffic resolves, every multiprefix
+// run receiving its prefixes in the lanes of its destination register.
 func (bk *backend) commit() error {
 	m := bk.m
 	conflicts := m.shared.ApplyStep()
@@ -167,13 +175,9 @@ func (bk *backend) commit() error {
 		if comb.Len() == 0 {
 			continue
 		}
-		finals, prefixes := comb.Resolve(m.shared.Peek)
+		finals, _ := comb.Resolve(m.shared.Peek)
 		for _, f := range finals {
 			m.shared.Poke(f.Addr, f.Val)
-		}
-		for _, p := range prefixes {
-			rt := &m.routes[p.Dest]
-			rt.flow.Vector(rt.reg)[rt.lane] = p.Prefix
 		}
 	}
 	return nil

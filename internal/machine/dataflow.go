@@ -64,7 +64,7 @@ const dfRing = 8
 type dfPacket struct {
 	groupCounters
 
-	writes []mem.Write
+	writes mem.WriteLog
 	combining
 	events  []deferredEvent
 	outputs []Output
@@ -336,7 +336,6 @@ func (m *Machine) dfCommitStep(k int64, pkts []*dfPacket, strict bool) (finished
 	stagesBefore := m.stats.Stages
 	m.stepOutputs = m.stepOutputs[:0]
 	m.stepEvents = m.stepEvents[:0]
-	m.routes = m.routes[:0]
 	m.discAccs = m.discAccs[:0]
 
 	var stepCycles int64
@@ -345,9 +344,10 @@ func (m *Machine) dfCommitStep(k int64, pkts []*dfPacket, strict bool) (finished
 	for gi, p := range pkts {
 		if p.err != nil {
 			m.runErr = p.err
+			m.discardStep()
 			return false, p.err
 		}
-		if gc := m.foldGroup(gi, &p.groupCounters, p.writes, &p.combining, p.outputs, p.events, p.accs); gc > stepCycles {
+		if gc := m.foldGroup(gi, &p.groupCounters, &p.writes, &p.combining, p.outputs, p.events, p.accs); gc > stepCycles {
 			stepCycles = gc
 		}
 		hazard = hazard || p.hazard
@@ -356,6 +356,7 @@ func (m *Machine) dfCommitStep(k int64, pkts []*dfPacket, strict bool) (finished
 
 	discR, discW, err := m.auditDiscipline()
 	if err != nil {
+		m.discardStep()
 		return false, err
 	}
 	if err := m.back.commit(); err != nil {
@@ -447,7 +448,7 @@ func (m *Machine) dfRunner(b *dfBoard, gi int, start int64) {
 func (m *Machine) dfPublish(b *dfBoard, x *groupExec, g *Group, gi int, n int64, pageMark []int64) bool {
 	p := &b.rings[gi][n%dfRing]
 	p.groupCounters = x.groupCounters
-	p.writes, x.writes = x.writes, p.writes[:0]
+	p.writes, x.writes = x.writes, p.writes
 	p.combining, x.combining = x.combining, p.combining
 	p.events, x.events = x.events, p.events[:0]
 	p.outputs, x.outputs = x.outputs, p.outputs[:0]
@@ -457,8 +458,8 @@ func (m *Machine) dfPublish(b *dfBoard, x *groupExec, g *Group, gi int, n int64,
 
 	p.pages = p.pages[:0]
 	mark := n + 1
-	for i := range p.writes {
-		if pg := m.dfFront.PageOf(p.writes[i].Addr); pg >= 0 && pageMark[pg] != mark {
+	for _, addr := range p.writes.Addrs {
+		if pg := m.dfFront.PageOf(addr); pg >= 0 && pageMark[pg] != mark {
 			pageMark[pg] = mark
 			p.pages = append(p.pages, int32(pg))
 		}

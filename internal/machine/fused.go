@@ -1,11 +1,8 @@
 package machine
 
 import (
-	"slices"
-
 	"tcfpram/internal/fuse"
 	"tcfpram/internal/isa"
-	"tcfpram/internal/mem"
 	"tcfpram/internal/tcf"
 )
 
@@ -104,38 +101,16 @@ func (x *groupExec) fusedLaneRange(f *tcf.Flow, fi *fuse.Instr, first, n int) bo
 	case isa.ST:
 		row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
 		av, bv, base, bs := storeOperands(f, in)
-		writes := slices.Grow(x.writes, n)
-		fid := f.ID
+		// One run, two column fills.
+		addrs, vals := x.writes.Open(f.ID, 0, first, n)
+		fillColumn(addrs, av, first, base)
+		fillColumn(vals, bv, first, bs)
 		maxDist := x.maxDist
-		i := first
-		for ; i < end && maxDist < rowMax; i++ {
-			addr := base
-			if av != nil {
-				addr += av[i]
-			}
-			val := bs
-			if bv != nil {
-				val = bv[i]
-			}
-			if d := row[sh.ModuleOf(addr)]; d > maxDist {
+		for i := 0; i < n && maxDist < rowMax; i++ {
+			if d := row[sh.ModuleOf(addrs[i])]; d > maxDist {
 				maxDist = d
 			}
-			writes = append(writes, mem.Write{Addr: addr, Val: val,
-				Key: mem.Key{Flow: fid, Thread: i, Seq: 0}})
 		}
-		for ; i < end; i++ {
-			addr := base
-			if av != nil {
-				addr += av[i]
-			}
-			val := bs
-			if bv != nil {
-				val = bv[i]
-			}
-			writes = append(writes, mem.Write{Addr: addr, Val: val,
-				Key: mem.Key{Flow: fid, Thread: i, Seq: 0}})
-		}
-		x.writes = writes
 		x.maxDist = maxDist
 		x.anyShared = true
 		x.sharedWrites += int64(n)

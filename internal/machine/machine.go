@@ -71,7 +71,6 @@ type Machine struct {
 	dist        []int
 	stepOutputs []Output
 	stepEvents  []deferredEvent
-	routes      []prefixRoute
 	discAccs    []discAcc // step's recorded accesses (Config.MemDiscipline)
 	wg          sync.WaitGroup
 
@@ -171,6 +170,10 @@ func (m *Machine) LocalMem(g int) *mem.Local { return m.groups[g].Local }
 
 // Stats returns the accumulated statistics.
 func (m *Machine) Stats() *Stats { return &m.stats }
+
+// CommitStats returns the routes the step commit's stores took: host-side
+// counters of the simulator, not statistics of the simulated machine.
+func (m *Machine) CommitStats() mem.CommitStats { return m.shared.CommitStats() }
 
 // Outputs returns the PRINT/PRINTS records in deterministic order.
 func (m *Machine) Outputs() []Output { return m.output }

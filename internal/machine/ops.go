@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"tcfpram/internal/fuse"
@@ -41,52 +40,36 @@ func fragmentUnsafe(f *tcf.Flow, in *isa.Instr) bool {
 	return false
 }
 
-// prefixRoute records where a multiprefix result must be delivered at the
-// end of the step.
-type prefixRoute struct {
-	flow *tcf.Flow
-	reg  isa.Reg
-	lane int
-}
-
 // combining is the combining traffic one group (or lane chunk, or dataflow
-// step packet) generated in a step, per kind and already in the form the
-// combiners take. A multiprefix participant's Dest indexes routes; refs
-// counts the contributions, so that the many steps without any skip the
-// per-kind walks.
+// step packet) generated in a step: one log per kind, which the combiners
+// retain by pointer from the fold to the commit. A multiprefix run carries
+// the stretch of the flow's destination register its prefixes come back
+// into. refs counts the references, so that the many steps without any skip
+// the per-kind walks.
 type combining struct {
-	contribs [len(multiop.Kinds)][]multiop.Contribution
-	routes   []prefixRoute
-	refs     int
+	logs [len(multiop.Kinds)]multiop.Log
+	refs int
 }
 
 func (c *combining) reset() {
 	if c.refs == 0 {
 		return
 	}
-	for k := range c.contribs {
-		c.contribs[k] = c.contribs[k][:0]
+	for k := range c.logs {
+		c.logs[k].Reset()
 	}
-	c.routes, c.refs = c.routes[:0], 0
+	c.refs = 0
 }
 
-// absorb appends o's traffic behind c's own, its route indices shifted past
-// c's routes.
+// absorb appends o's traffic behind c's own.
 func (c *combining) absorb(o *combining) {
 	if o.refs == 0 {
 		return
 	}
-	base := len(c.routes)
-	c.routes, c.refs = append(c.routes, o.routes...), c.refs+o.refs
-	for k, cs := range o.contribs {
-		from := len(c.contribs[k])
-		c.contribs[k] = append(c.contribs[k], cs...)
-		for i := from; base > 0 && i < len(c.contribs[k]); i++ {
-			if ct := &c.contribs[k][i]; ct.WantPrefix {
-				ct.Dest += base
-			}
-		}
+	for k := range o.logs {
+		c.logs[k].AppendLog(&o.logs[k])
 	}
+	c.refs += o.refs
 }
 
 // eventKind tags deferred cross-flow events processed after the parallel
@@ -194,7 +177,7 @@ type groupExec struct {
 	// one gets an independent deterministic fault decision.
 	refSeq int64
 
-	writes []mem.Write
+	writes mem.WriteLog
 	combining
 	events  []deferredEvent
 	outputs []Output
@@ -233,7 +216,7 @@ func (x *groupExec) reset(plan StepPlan) {
 	x.df = x.m.dfFront
 	x.groupCounters = groupCounters{}
 	x.refSeq = 0
-	x.writes = x.writes[:0]
+	x.writes.Reset()
 	x.combining.reset()
 	x.events = x.events[:0]
 	x.outputs = x.outputs[:0]
@@ -253,7 +236,7 @@ func (x *groupExec) resetLaneWorker(refSeq, step int64) {
 	x.df = x.m.dfFront
 	x.groupCounters = groupCounters{}
 	x.refSeq = refSeq
-	x.writes = x.writes[:0]
+	x.writes.Reset()
 	x.combining.reset()
 	// Lane workers only exist under lockstep plans (execLanes never fans
 	// out in immediate mode), so the parent's lockstep gate is implied.
@@ -267,7 +250,7 @@ func (x *groupExec) resetLaneWorker(refSeq, step int64) {
 // lane order: called for chunks 1..n-1 after chunk 0 ran inline, so the
 // merged buffers are byte-for-byte what serial execution would have built.
 func (x *groupExec) mergeLaneWorker(w *groupExec) {
-	x.writes = append(x.writes, w.writes...)
+	x.writes.AppendLog(&w.writes)
 	x.combining.absorb(&w.combining)
 	x.accs = append(x.accs, w.accs...)
 	x.ops += w.ops
@@ -377,8 +360,7 @@ func (x *groupExec) storeShared(f *tcf.Flow, addr, val int64, lane, seq int) {
 		x.m.shared.Poke(addr, val)
 		return
 	}
-	x.writes = append(x.writes, mem.Write{Addr: addr, Val: val,
-		Key: mem.Key{Flow: f.ID, Thread: lane, Seq: seq}})
+	x.writes.Append(addr, val, mem.Key{Flow: f.ID, Thread: lane, Seq: seq})
 	if x.fwdOn {
 		if x.fwd == nil {
 			x.fwd = make(map[int64]int64, 16)
@@ -487,33 +469,43 @@ func storeOperands(f *tcf.Flow, in *isa.Instr) (av, bv []int64, base, bs int64) 
 	return av, bv, base, bs
 }
 
-// combineLanes buffers the combining contributions of lanes [first, first+n)
-// of a multioperation or multiprefix for the step-boundary resolution, each
-// multiprefix lane with the route its prefix comes back on.
+// fillColumn fills dst, one word per lane from lane first on, with an operand
+// storeOperands hoisted: the flow-common c, plus v's lane when the register
+// is thread-wise.
+func fillColumn(dst, v []int64, first int, c int64) {
+	switch {
+	case v == nil:
+		for i := range dst {
+			dst[i] = c
+		}
+	case c == 0:
+		copy(dst, v[first:])
+	default:
+		for i, e := range v[first : first+len(dst)] {
+			dst[i] = e + c
+		}
+	}
+}
+
+// combineLanes buffers the combining references of lanes [first, first+n)
+// of a multioperation or multiprefix for the step-boundary resolution: one
+// run, two column fills, and for a multiprefix the lanes of Rd its prefixes
+// come back into. No instruction of the flow runs between here and the
+// commit, so the register's lanes stay where they are.
 func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) {
 	av, bv, base, bs := storeOperands(f, in)
-	prefix, numa := in.Op.IsMultiprefix(), f.Mode == tcf.NUMA
-	k := multiop.KindIndex(in.Op.CombineKind())
-	cs := slices.Grow(x.contribs[k], n)
-	if prefix {
-		x.routes = slices.Grow(x.routes, n)
+	run := multiop.Run{Run: mem.Run{Flow: f.ID, Seq: seq, Thread0: first, N: n}}
+	if in.Op.IsMultiprefix() {
+		run.Prefix = f.Vector(in.Rd)[first : first+n]
 	}
-	for i := first; i < first+n; i++ {
-		ct := multiop.Contribution{Addr: base, Val: bs, Key: multiop.Key{Flow: f.ID, Thread: i, Seq: seq}}
-		if av != nil {
-			ct.Addr += av[i]
-		}
-		if bv != nil {
-			ct.Val = bv[i]
-		}
-		x.noteShared(ct.Addr, numa)
-		if prefix {
-			ct.WantPrefix, ct.Dest = true, len(x.routes)
-			x.routes = append(x.routes, prefixRoute{flow: f, reg: in.Rd, lane: i})
-		}
-		cs = append(cs, ct)
+	addrs, vals := x.logs[multiop.KindIndex(in.Op.CombineKind())].Open(run)
+	fillColumn(addrs, av, first, base)
+	fillColumn(vals, bv, first, bs)
+	numa := f.Mode == tcf.NUMA
+	for _, addr := range addrs {
+		x.noteShared(addr, numa)
 	}
-	x.contribs[k], x.refs = cs, x.refs+n
+	x.refs += n
 	x.multiopRefs += int64(n)
 }
 

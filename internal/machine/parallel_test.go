@@ -7,6 +7,7 @@ package machine
 // per-reference fault decisions).
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -124,12 +125,15 @@ func TestLaneParallelActuallyChunks(t *testing.T) {
 // addresses and an mpadd onto one, so the write tables and the combiners'
 // accumulators are held to the gate too) and over 64 flows rotating through
 // the 16 slots at a barrier every round ("flows": once the flows exist, the
-// storage buffers' queues and the barrier release allocate nothing).
+// storage buffers' queues and the barrier release allocate nothing) and over
+// a thick dense store and mpadd ("thick": the write and combining logs, the
+// commit's spans and, under Parallel, the lane chunks' logs and their merge
+// are retained arenas too). Every program runs serially and with Parallel.
 func TestStepLoopSteadyStateAllocs(t *testing.T) {
-	loop := func(name string, body func(b *isa.Builder)) *isa.Program {
+	loop := func(name string, thick int64, body func(b *isa.Builder)) *isa.Program {
 		b := isa.NewBuilder(name)
 		b.Label("main")
-		b.SetThickImm(64)
+		b.SetThickImm(thick)
 		b.Id(isa.TID, isa.V(0))
 		b.ALUI(isa.MUL, isa.V(2), isa.V(0), 37)
 		b.ALUI(isa.AND, isa.V(2), isa.V(2), 7) // eight addresses, scattered over the lanes
@@ -143,8 +147,12 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 		return b.MustBuild()
 	}
 	progs := []*isa.Program{
-		loop("steady", func(b *isa.Builder) { b.St(isa.V(0), laneParOutBase, isa.V(1)) }),
-		loop("commit", func(b *isa.Builder) {
+		loop("steady", 64, func(b *isa.Builder) { b.St(isa.V(0), laneParOutBase, isa.V(1)) }),
+		loop("thick", 4096, func(b *isa.Builder) {
+			b.St(isa.V(0), laneParOutBase, isa.V(1))
+			b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, laneParAuxAddr, isa.V(1))
+		}),
+		loop("commit", 64, func(b *isa.Builder) {
 			b.St(isa.V(2), laneParOutBase, isa.V(1))
 			b.Multi(isa.MADD, isa.V(2), laneParOutBase+64, isa.V(1))
 			b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, laneParOutBase+128, isa.V(1))
@@ -153,33 +161,35 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 	}
 	for _, prog := range progs {
 		for _, backend := range []Backend{BackendInterp, BackendFused} {
-			t.Run(prog.Name+"/"+backend.String(), func(t *testing.T) {
-				cfg := Default(variant.SingleInstruction)
-				cfg.Backend = backend
-				m, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.LoadProgram(prog); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Boot(); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 64; i++ { // warm the arenas
-					if err := m.Step(); err != nil {
+			for _, par := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%v/parallel=%v", prog.Name, backend, par), func(t *testing.T) {
+					cfg := Default(variant.SingleInstruction)
+					cfg.Backend, cfg.Parallel, cfg.LaneParallelThreshold = backend, par, 512
+					m, err := New(cfg)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				allocs := testing.AllocsPerRun(200, func() {
-					if err := m.Step(); err != nil {
+					if err := m.LoadProgram(prog); err != nil {
 						t.Fatal(err)
+					}
+					if err := m.Boot(); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 64; i++ { // warm the arenas
+						if err := m.Step(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					allocs := testing.AllocsPerRun(200, func() {
+						if err := m.Step(); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if allocs > 0.1 {
+						t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
 					}
 				})
-				if allocs > 0.1 {
-					t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
-				}
-			})
+			}
 		}
 	}
 }

@@ -4,8 +4,9 @@ import "fmt"
 
 // Reset returns the machine to its just-built state while keeping every
 // internal arena: shared-memory pages are zeroed in place, the group
-// execution arenas, write shards and combiner buffers are truncated, and
-// flows, statistics, outputs and traces are discarded. The next
+// execution arenas are truncated, the traffic the memory and the combiners
+// retain of a step that never committed is dropped, and flows, statistics,
+// outputs and traces are discarded. The next
 // LoadProgram/Run on a Reset machine is bit-identical to the same run on a
 // fresh machine with the same Config — the property the serve-layer machine
 // pool is built on (and that TestPoolReuseBitIdentity proves).
@@ -34,7 +35,6 @@ func (m *Machine) Reset() {
 
 	m.stepOutputs = m.stepOutputs[:0]
 	m.stepEvents = m.stepEvents[:0]
-	m.routes = m.routes[:0]
 	m.discAccs = m.discAccs[:0]
 
 	perOps, perCycles := m.stats.PerGroupOps, m.stats.PerGroupCycles

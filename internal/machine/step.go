@@ -50,6 +50,7 @@ func (m *Machine) runStep(plan StepPlan) error {
 
 	discR, discW, err := m.auditDiscipline()
 	if err != nil {
+		m.discardStep()
 		return err
 	}
 

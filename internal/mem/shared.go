@@ -6,13 +6,9 @@
 package mem
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
-	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrBadSize reports a nonpositive memory size or module count. The
@@ -107,13 +103,6 @@ type Write struct {
 
 func compareWrites(a, b Write) int { return CompareRefs(a.Addr, a.Key, b.Addr, b.Key) }
 
-// shardApplied is the outcome of resolving one shard: the distinct addresses
-// written and the Common-policy conflicts among its writes.
-type shardApplied struct {
-	done      int64
-	conflicts []Conflict
-}
-
 // Conflict records a Common-policy violation: two same-step writes to Addr
 // with different values.
 type Conflict struct {
@@ -150,10 +139,6 @@ func HomeModule(addr int64, modules int) int {
 	return int(((addr % m) + m) % m)
 }
 
-// applyParallelMin is the buffered-write count below which ApplyStep resolves
-// shards serially; small steps stay allocation- and goroutine-free.
-const applyParallelMin = 2048
-
 // Shared is the emulated shared memory: Words words spread over Modules
 // modules with low-order interleaving (module = addr mod Modules), the
 // standard ESM address hashing approximation.
@@ -161,10 +146,8 @@ const applyParallelMin = 2048
 // The backing store is paged and lazily allocated: unwritten pages read as
 // zero without ever being materialized.
 //
-// Buffered step writes are sharded by home memory module; ApplyStep resolves
-// the shards independently (in parallel when SetParallel(true) and the step
-// is write-heavy) with identical results to a global resolution, because a
-// word's writes all land in one shard and shards touch disjoint words.
+// A step's stores stay in the write logs of whoever generated them
+// (WriteLog); ApplyStep resolves the retained logs in place (commit.go).
 //
 // Modules can fail-stop (FailModule): every module's contents are mirrored,
 // so a failure remaps the dead module's traffic onto the lowest-indexed
@@ -176,7 +159,7 @@ type Shared struct {
 	size    int64     // total words
 	modules int
 	policy  Policy
-	par     bool // resolve write shards on multiple goroutines
+	par     bool // resolve contended writes on multiple goroutines
 
 	// remap[m] is the module serving traffic addressed to m (identity
 	// until failover); failed marks dead modules.
@@ -184,19 +167,17 @@ type Shared struct {
 	failed    []bool
 	failovers int64
 
-	// shards[m] buffers the step's writes whose home module is m. The
-	// per-shard backing arrays are retained across steps.
-	shards [][]Write
-	// applied[m] is what resolving shards[m] produced, collected and cleared
-	// by ApplyStep; tabs holds one resolution table per shard worker (one in
-	// all when shards resolve serially), next and wg hand the shards out.
-	applied []shardApplied
-	tabs    []AddrTable
-	next    atomic.Int64
+	// logs are the step's write logs in buffering order, retained by pointer
+	// from BufferLog until ApplyStep (or Reset, or DiscardStep) drops them;
+	// own is the log BufferWrite(s) fill, resolved behind them. The rest is
+	// ApplyStep's retained scratch (commit.go).
+	logs    []*WriteLog
+	own     WriteLog
+	spans   []span
+	order   []spanLo
+	workers []tableWorker
 	wg      sync.WaitGroup
-	// bwScratch holds BufferWrites' per-module counts/cursors between its
-	// two passes (lazily sized, retained across calls).
-	bwScratch []int
+	commits CommitStats
 
 	// Counters.
 	reads      int64
@@ -223,15 +204,14 @@ func NewShared(words, modules int, policy Policy) (*Shared, error) {
 		size:    int64(words),
 		modules: modules, policy: policy,
 		remap: remap, failed: make([]bool, modules),
-		shards:  make([][]Write, modules),
-		applied: make([]shardApplied, modules),
 	}, nil
 }
 
 // Reset restores the memory to its zeroed initial state while keeping the
-// materialized pages and the write-shard backing arrays — the reuse that
-// makes pooled machines cheap. Pages are zeroed in place, the failover
-// remap returns to identity, dead modules revive, and all counters clear.
+// materialized pages and the commit's scratch — the reuse that makes pooled
+// machines cheap. Pages are zeroed in place, the failover remap returns to
+// identity, dead modules revive, a step left uncommitted is dropped, and all
+// counters clear.
 // The resulting state is observably identical to a fresh NewShared.
 func (s *Shared) Reset() {
 	for _, p := range s.pages {
@@ -244,14 +224,14 @@ func (s *Shared) Reset() {
 	}
 	clear(s.failed)
 	s.failovers = 0
-	for i := range s.shards {
-		s.shards[i] = s.shards[i][:0]
-	}
+	s.DiscardStep()
+	s.commits = CommitStats{}
 	s.reads, s.writesDone, s.stepWrites = 0, 0, 0
 }
 
-// SetParallel enables multi-goroutine shard resolution in ApplyStep. Results
-// are bit-identical either way; only wall-clock changes.
+// SetParallel lets ApplyStep resolve a step's contended writes on several
+// goroutines, by home module. Results are bit-identical either way; only
+// wall-clock changes.
 func (s *Shared) SetParallel(on bool) { s.par = on }
 
 // Size returns the number of words.
@@ -416,218 +396,6 @@ func (s *Shared) Load(addr int64, words []int64) error {
 		addr += int64(n)
 	}
 	return nil
-}
-
-// BufferWrite records a store to be applied at the end of the step, bucketed
-// by its home memory module. Out-of-range stores are dropped. In parallel
-// mode the target page is materialized here, in serial context, so that the
-// concurrent shard resolution of ApplyStep never mutates the page table;
-// serial resolution materializes pages lazily in applyShard instead.
-func (s *Shared) BufferWrite(addr, val int64, key Key) {
-	if !s.InRange(addr) {
-		return
-	}
-	if s.par {
-		s.ensurePage(addr)
-	}
-	m := s.HomeModuleOf(addr)
-	s.shards[m] = append(s.shards[m], Write{Addr: addr, Val: val, Key: key})
-}
-
-// BufferWrites buffers a batch of stores with the per-call overhead (range
-// check, parallel-mode page touch, module lookup) amortized over the batch.
-// The result is identical to calling BufferWrite per element in order. Two
-// passes — count per module, grow each shard once, fill by index — so the
-// hot loop stores plain values instead of running an append (with its
-// slice-header write barrier) per element.
-func (s *Shared) BufferWrites(ws []Write) {
-	if len(s.bwScratch) < s.modules {
-		s.bwScratch = make([]int, s.modules)
-	}
-	cur := s.bwScratch[:s.modules]
-	clear(cur)
-	for i := range ws {
-		w := &ws[i]
-		if !s.InRange(w.Addr) {
-			continue
-		}
-		if s.par {
-			s.ensurePage(w.Addr)
-		}
-		cur[s.HomeModuleOf(w.Addr)]++
-	}
-	for m, n := range cur {
-		if n == 0 {
-			continue
-		}
-		sh := s.shards[m]
-		cur[m] = len(sh) // becomes the fill cursor
-		if need := len(sh) + n; need > cap(sh) {
-			sh = append(make([]Write, 0, max(need, 2*cap(sh))), sh...)
-		}
-		s.shards[m] = sh[:len(sh)+n]
-	}
-	for i := range ws {
-		w := &ws[i]
-		if !s.InRange(w.Addr) {
-			continue
-		}
-		m := s.HomeModuleOf(w.Addr)
-		s.shards[m][cur[m]] = *w
-		cur[m]++
-	}
-}
-
-// PendingWrites returns the number of writes buffered in the current step.
-func (s *Shared) PendingWrites() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh)
-	}
-	return n
-}
-
-// ApplyStep resolves the buffered writes of the step against the policy and
-// applies the winners: per address the write with the lowest key, and among
-// writes of equal key the one buffered first. It returns the Common-policy
-// conflicts (empty under Arbitrary/Priority), ordered by address. The write
-// buffer is cleared (its capacity is retained for the next step).
-func (s *Shared) ApplyStep() []Conflict {
-	total := 0
-	for _, sh := range s.shards {
-		total += len(sh)
-	}
-	if total == 0 {
-		return nil
-	}
-
-	workers := 1
-	if s.par && total >= applyParallelMin {
-		// Two at least, even on a single-proc runtime: SetParallel asks for
-		// the concurrent path, and tests of it must not depend on GOMAXPROCS.
-		workers = min(max(2, runtime.GOMAXPROCS(0)), s.modules)
-	}
-	for len(s.tabs) < workers {
-		s.tabs = append(s.tabs, AddrTable{})
-	}
-	if workers > 1 {
-		s.next.Store(0)
-		s.wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go s.applyWorker(&s.tabs[w])
-		}
-		s.wg.Wait()
-	} else {
-		for i := range s.shards {
-			s.applyShard(i, &s.tabs[0])
-		}
-	}
-
-	var conflicts []Conflict
-	for i := range s.applied {
-		a := &s.applied[i]
-		s.writesDone += a.done
-		conflicts = append(conflicts, a.conflicts...)
-		*a = shardApplied{}
-		s.shards[i] = s.shards[i][:0]
-	}
-	if len(conflicts) > 1 {
-		// Shards interleave the address space (addr mod modules), so the
-		// per-shard address order must be merged into a global one; the
-		// stable sort preserves the within-address key order.
-		slices.SortStableFunc(conflicts, func(a, b Conflict) int { return cmp.Compare(a.Addr, b.Addr) })
-	}
-	s.stepWrites += int64(total)
-	return conflicts
-}
-
-// applyWorker resolves shards, claimed one at a time, on its own table.
-func (s *Shared) applyWorker(tab *AddrTable) {
-	defer s.wg.Done()
-	for {
-		i := int(s.next.Add(1)) - 1
-		if i >= s.modules {
-			return
-		}
-		s.applyShard(i, tab)
-	}
-}
-
-// applyShard resolves shard i into s.applied[i]. Bulk store kernels emit
-// writes in ascending thread (= address) order, so shards very often arrive
-// sorted by (addr, key) and one scan over the address runs resolves them.
-// Any other arrival order resolves through the table, without sorting; only
-// a Common-policy disagreement, which ends the run, is reported from sorted
-// order. In parallel mode all pages touched were materialized by
-// BufferWrite, so ensurePage never mutates the page table and concurrent
-// shards (disjoint address sets) are race-free; in serial mode it
-// materializes lazily here.
-func (s *Shared) applyShard(i int, tab *AddrTable) {
-	ws := s.shards[i]
-	if len(ws) == 0 {
-		return
-	}
-	out := &s.applied[i]
-	if !slices.IsSortedFunc(ws, compareWrites) {
-		if done, agreed := s.applyUnsorted(ws, tab); agreed {
-			out.done = done
-			return
-		}
-		slices.SortStableFunc(ws, compareWrites)
-	}
-	done, pgIdx, pg := int64(0), int64(-1), []int64(nil)
-	for lo := 0; lo < len(ws); {
-		hi := lo + 1
-		for hi < len(ws) && ws[hi].Addr == ws[lo].Addr {
-			if s.policy == Common && ws[hi].Val != ws[lo].Val {
-				out.conflicts = append(out.conflicts, Conflict{Addr: ws[lo].Addr, A: ws[lo].Val, B: ws[hi].Val})
-			}
-			hi++
-		}
-		// The first write of the run wins. The address order makes the page
-		// change rarely; cache it.
-		a := ws[lo].Addr
-		if idx := a >> PageShift; idx != pgIdx {
-			pgIdx, pg = idx, s.ensurePage(a)
-		}
-		pg[a&(PageWords-1)] = ws[lo].Val
-		done++
-		lo = hi
-	}
-	out.done = done
-}
-
-// applyUnsorted resolves ws in one pass in arrival order: the table maps each
-// address to its winning write so far, a later write replaces it only with a
-// strictly lower key, and every new winner is stored at once, so memory ends
-// holding the final winners. It returns the number of distinct addresses, and
-// false when, under Common, two writes to one address disagree: the caller
-// then resolves again from sorted order, which stores the same winners.
-func (s *Shared) applyUnsorted(ws []Write, tab *AddrTable) (done int64, agreed bool) {
-	slots := tab.Reset(len(ws))
-	mask := len(slots) - 1
-	common := s.policy == Common
-	for i := range ws {
-		w := &ws[i]
-		h := tab.Home(w.Addr)
-		for slots[h] != 0 && ws[slots[h]-1].Addr != w.Addr {
-			h = (h + 1) & mask
-		}
-		if slots[h] == 0 {
-			done++
-		} else {
-			best := &ws[slots[h]-1]
-			if common && best.Val != w.Val {
-				return 0, false
-			}
-			if !w.Key.Less(best.Key) {
-				continue
-			}
-		}
-		slots[h] = int32(i + 1)
-		s.ensurePage(w.Addr)[w.Addr&(PageWords-1)] = w.Val
-	}
-	return done, true
 }
 
 // Stats reports cumulative access counts.

@@ -12,8 +12,8 @@ import (
 // that are unmaterialized or all-zero are skipped — they read as zero either
 // way, so materialization state is not observable and need not survive.
 //
-// The write shards must be empty (snapshots are taken at step boundaries,
-// after ApplyStep); buffered writes are an error, not state to serialize.
+// No write log may be pending (snapshots are taken at step boundaries, after
+// ApplyStep); buffered writes are an error, not state to serialize.
 func (s *Shared) EncodeTo(e *checkpoint.Encoder) error {
 	if n := s.PendingWrites(); n != 0 {
 		return fmt.Errorf("mem: snapshot with %d buffered writes (not at a step boundary)", n)

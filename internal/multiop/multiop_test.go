@@ -114,12 +114,11 @@ func TestResolveClearsState(t *testing.T) {
 	c := NewCombiner(isa.ADD)
 	c.Add(Contribution{Addr: 1, Val: 1, Key: Key{Thread: 1}, WantPrefix: true})
 	c.Add(Contribution{Addr: 1, Val: 1, Key: Key{Thread: 0}})
-	if !c.wantPrefix || !c.unordered {
-		t.Fatal("Add should have noted a multiprefix and an out-of-order key")
+	if _, prefixes := c.Resolve(func(int64) int64 { return 0 }); len(prefixes) != 1 || prefixes[0].Prefix != 1 {
+		t.Fatalf("prefixes = %v, want the one of thread 1 behind thread 0's contribution", prefixes)
 	}
-	c.Resolve(func(int64) int64 { return 0 })
-	if c.Len() != 0 || c.wantPrefix || c.unordered {
-		t.Fatal("combiner should be empty, its arrival-order state cleared, after resolve")
+	if c.Len() != 0 {
+		t.Fatal("combiner should be empty after resolve")
 	}
 	finals, _ := c.Resolve(func(int64) int64 { return 0 })
 	if finals != nil {

@@ -572,6 +572,15 @@ type symInfo struct {
 	ArrayLen int
 }
 
+// CommitStats counts the routes the step commit's stores took (runs, words
+// stored directly, words resolved through the table, sorted fallbacks):
+// host-side counters of the simulator, not simulated statistics.
+type CommitStats = mem.CommitStats
+
+// CommitStats returns the commit's route counters: what `tcfrun -stages`
+// prints under the stage table.
+func (m *Machine) CommitStats() CommitStats { return m.inner.CommitStats() }
+
 // StageTable renders the cumulative Figure 13 per-stage cost attribution of
 // the run so far (always available; no tracing required).
 func (m *Machine) StageTable() string { return trace.StageTable(m.inner.Stats()) }
