@@ -43,10 +43,15 @@ bench-compile:
 # write and combining logs; ns/ref, B/ref buffered and allocs per step) and the
 # step loop's fixed cost (BenchmarkStepFixedCost in internal/machine: one busy
 # group of four, 2048 queued flows, 2048 flows created and retired, 16 flows
-# at a barrier; ns/step and allocs per step). It is a smoke at -benchtime=20x,
-# as CI's bench job runs it, and gates nothing.
+# at a barrier; ns/step and allocs per step; BenchmarkResetRun: Reset, load and
+# a whole run on one machine, a thick register file and 2048 thin flows; ns/op
+# and B/op across Reset) and the lane kernels' (BenchmarkBulk in internal/isa
+# — the bulk forms next to the per-lane call they replaced — and BenchmarkKern
+# in internal/fuse — one compiled kernel per operand shape at 4 and 2^17
+# lanes; ns/lane). It is a smoke at -benchtime=20x, as CI's bench job runs it,
+# and gates nothing.
 bench-engine:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x ./internal/mem ./internal/multiop ./internal/machine
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x ./internal/mem ./internal/multiop ./internal/machine ./internal/isa ./internal/fuse
 
 # benchall runs the paper-figure benchmarks of bench_test.go/ablation_test.go.
 benchall:
@@ -78,6 +83,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCostAnalyze -fuzztime=30s ./internal/analysis/
 	$(GO) test -race -fuzz=FuzzApplyStepVsSorted -fuzztime=20s ./internal/mem/
 	$(GO) test -fuzz=FuzzResolveVsSorted -fuzztime=20s ./internal/multiop/
+	$(GO) test -fuzz=FuzzBulkVsEval -fuzztime=20s ./internal/isa/
 
 # fmtcheck fails, naming the files, when gofmt would change any.
 fmtcheck:

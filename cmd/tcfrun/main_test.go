@@ -4,6 +4,7 @@ import (
 	"tcfpram/internal/isa"
 
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -306,6 +307,34 @@ func main() {
 	}
 }
 
+// TestStagesKernelCoverage: -stages prints, under the commit's routes, how
+// the run's lanes were generated — the interpreter's LD and ST lane by lane,
+// everything in bulk and four instructions inside register runs on the fused
+// backend — and where its two vector banks (64 lanes: the register arena's
+// smallest) came from.
+func TestStagesKernelCoverage(t *testing.T) {
+	path := write(t, "p.te", `
+shared int c[64] @ 300;
+func main() {
+    #64;
+    c[tid] = tid * 3;
+    print(radd(c[tid]));
+}
+`)
+	for backend, want := range map[string]string{
+		"interp": "kernels: bulk_lanes=256 per_lane_lanes=128 run_instrs=0 banks_reused=0 banks_allocated=2",
+		"fused":  "kernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=4 banks_reused=0 banks_allocated=2",
+	} {
+		var out bytes.Buffer
+		if err := run([]string{"-backend", backend, "-stages", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), want+"\n") {
+			t.Fatalf("-backend %s -stages: want the line %q in\n%s", backend, want, out.String())
+		}
+	}
+}
+
 // TestResumeFlagErrors: -resume rejects a program argument, a missing file,
 // and a mismatched machine shape.
 func TestResumeFlagErrors(t *testing.T) {
@@ -338,31 +367,36 @@ func TestResumeFlagErrors(t *testing.T) {
 	}
 }
 
+// TestPredictFlag: the prediction agrees with the measurement at thickness 8,
+// whose vector banks are the allocator's and whose load is eight lanes, and at
+// 64, the register arena's shortest bank.
 func TestPredictFlag(t *testing.T) {
-	path := write(t, "p.te", `
-shared int src[8] @ 100 = {3, 1, 4, 1, 5, 9, 2, 6};
+	for _, thick := range []int{8, 64} {
+		path := write(t, "p.te", fmt.Sprintf(`
+shared int src[%[1]d] @ 100 = {3, 1, 4, 1, 5, 9, 2, 6};
 func main() {
-    #8;
+    #%[1]d;
     thick int v = src[tid];
     print(radd(v));
 }
-`)
-	var out bytes.Buffer
-	if err := run([]string{"-predict", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "prediction for") {
-		t.Fatalf("missing prediction table:\n%s", s)
-	}
-	// The cost analyzer mirrors the engine exactly: every field must agree.
-	if strings.Contains(s, "BOUND VIOLATED") {
-		t.Fatalf("lower bound exceeded measurement:\n%s", s)
-	}
-	for _, line := range strings.Split(s, "\n") {
-		f := strings.Fields(line)
-		if len(f) == 4 && strings.HasSuffix(f[3], "%") && f[3] != "0%" {
-			t.Errorf("nonzero prediction error: %q", line)
+`, thick))
+		var out bytes.Buffer
+		if err := run([]string{"-predict", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		s := out.String()
+		if !strings.Contains(s, "prediction for") {
+			t.Fatalf("missing prediction table:\n%s", s)
+		}
+		// The cost analyzer mirrors the engine exactly: every field must agree.
+		if strings.Contains(s, "BOUND VIOLATED") {
+			t.Fatalf("lower bound exceeded measurement:\n%s", s)
+		}
+		for _, line := range strings.Split(s, "\n") {
+			f := strings.Fields(line)
+			if len(f) == 4 && strings.HasSuffix(f[3], "%") && f[3] != "0%" {
+				t.Errorf("thickness %d: nonzero prediction error: %q", thick, line)
+			}
 		}
 	}
 }

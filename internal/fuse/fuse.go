@@ -79,8 +79,10 @@ type Instr struct {
 	Sliceable bool
 	// Run is the length of the fused straight-line run starting at this PC
 	// (≥ 1; > 1 only for ClassReg). The engine may execute instructions
-	// [pc, pc+Run) back to back without surfacing: the run contains no
-	// control transfer, no memory reference and no interior branch target.
+	// [pc, pc+Run) back to back without surfacing, as far as the variant
+	// policy's window reaches — one instruction under five of the six: the
+	// run contains no control transfer, no memory reference and no interior
+	// branch target.
 	Run int
 	// Kern is the compiled lane kernel (ClassReg, nil when the opcode has
 	// no lane semantics — the engine falls back and reports the same error

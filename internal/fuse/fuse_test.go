@@ -63,10 +63,13 @@ func refLane(env Env, f *tcf.Flow, in isa.Instr, i int) int64 {
 	case in.Op == isa.NOT:
 		return ^val(in.Ra)
 	case in.Op == isa.SEL:
+		// As the engine's execLane: Rc is read on every lane, Rb on a
+		// selecting one — and reading a thread-wise register allocates it.
+		v := val(in.Rc)
 		if val(in.Ra) != 0 {
-			return val(in.Rb)
+			v = val(in.Rb)
 		}
-		return val(in.Rc)
+		return v
 	case in.Op == isa.TID:
 		if f.Mode == tcf.NUMA {
 			return 0
@@ -96,8 +99,11 @@ func refLane(env Env, f *tcf.Flow, in isa.Instr, i int) int64 {
 }
 
 // TestKernMatchesReference drives every compiled kernel shape against the
-// per-lane reference: all binary ALU opcodes across the four operand shapes,
-// the unaries, SEL, and the identity sources — vector and scalar destination.
+// per-lane reference at thickness 1, 4 and 300: all binary ALU opcodes across
+// the operand shapes (vv, vs, sv, broadcast, immediate, scalar destination),
+// the unaries, SEL in every mix of thread-wise and flow-common operands, and
+// the identity sources. The whole flow is compared, so a kernel that
+// allocates a register the reference leaves alone fails too.
 func TestKernMatchesReference(t *testing.T) {
 	alu := []isa.Op{isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD, isa.AND, isa.OR,
 		isa.XOR, isa.SHL, isa.SHR, isa.MIN, isa.MAX,
@@ -106,10 +112,14 @@ func TestKernMatchesReference(t *testing.T) {
 	for _, op := range alu {
 		instrs = append(instrs,
 			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Rb: isa.V(2)},          // vec,vec
+			isa.Instr{Op: op, Rd: isa.V(1), Ra: isa.V(1), Rb: isa.V(2)},          // vec,vec into a
+			isa.Instr{Op: op, Rd: isa.V(2), Ra: isa.V(1), Rb: isa.V(2)},          // vec,vec into b
 			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Rb: isa.S(1)},          // vec,scalar
+			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Rb: isa.S(3)},          // vec,scalar
 			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.S(0), Rb: isa.V(2)},          // scalar,vec
 			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.S(0), Rb: isa.S(1)},          // scalar,scalar
 			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.V(1), Imm: 7, HasImm: true},  // vec,imm
+			isa.Instr{Op: op, Rd: isa.V(0), Ra: isa.S(0), Imm: 70, HasImm: true}, // scalar,imm
 			isa.Instr{Op: op, Rd: isa.S(2), Ra: isa.V(1), Rb: isa.V(2)},          // scalar dest
 			isa.Instr{Op: op, Rd: isa.S(2), Ra: isa.S(0), Imm: -3, HasImm: true}, // scalar dest, imm
 		)
@@ -121,10 +131,19 @@ func TestKernMatchesReference(t *testing.T) {
 		isa.Instr{Op: isa.MOV, Rd: isa.V(0), Ra: isa.S(0)},
 		isa.Instr{Op: isa.MOV, Rd: isa.S(2), Ra: isa.V(1)},
 		isa.Instr{Op: isa.NEG, Rd: isa.V(0), Ra: isa.V(1)},
+		isa.Instr{Op: isa.NOT, Rd: isa.V(1), Ra: isa.V(1)},
 		isa.Instr{Op: isa.NOT, Rd: isa.V(0), Ra: isa.S(0)},
 		isa.Instr{Op: isa.NEG, Rd: isa.S(2), Ra: isa.S(1)},
 		isa.Instr{Op: isa.SEL, Rd: isa.V(0), Ra: isa.V(3), Rb: isa.V(1), Rc: isa.V(2)},
+		isa.Instr{Op: isa.SEL, Rd: isa.V(1), Ra: isa.V(3), Rb: isa.V(1), Rc: isa.S(3)},
+		isa.Instr{Op: isa.SEL, Rd: isa.V(3), Ra: isa.V(3), Rb: isa.S(0), Rc: isa.V(2)},
+		isa.Instr{Op: isa.SEL, Rd: isa.V(0), Ra: isa.V(3), Rb: isa.S(0), Rc: isa.S(3)},
+		isa.Instr{Op: isa.SEL, Rd: isa.V(0), Ra: isa.V(3), Rb: isa.V(5), Rc: isa.V(2)}, // Rb never written
+		isa.Instr{Op: isa.SEL, Rd: isa.V(0), Ra: isa.V(4), Rb: isa.V(5), Rc: isa.V(2)}, // … and never selected
+		isa.Instr{Op: isa.SEL, Rd: isa.V(0), Ra: isa.S(0), Rb: isa.V(1), Rc: isa.V(5)}, // flow-common selector, set
+		isa.Instr{Op: isa.SEL, Rd: isa.V(0), Ra: isa.S(1), Rb: isa.V(5), Rc: isa.S(3)}, // … and clear
 		isa.Instr{Op: isa.SEL, Rd: isa.S(2), Ra: isa.S(0), Rb: isa.S(1), Rc: isa.S(3)},
+		isa.Instr{Op: isa.SEL, Rd: isa.S(2), Ra: isa.V(3), Rb: isa.V(1), Rc: isa.V(2)},
 		isa.Instr{Op: isa.TID, Rd: isa.V(0)},
 		isa.Instr{Op: isa.TID, Rd: isa.S(2)},
 		isa.Instr{Op: isa.FID, Rd: isa.V(0)},
@@ -136,51 +155,57 @@ func TestKernMatchesReference(t *testing.T) {
 	)
 
 	env := Env{Group: 2, Groups: 4, Procs: 16}
-	const lanes = 8
-	newFlow := func() *tcf.Flow {
+	// Operand values chosen to hit the edge semantics: zero divisors,
+	// out-of-range shifts, negative values, zero/non-zero selectors.
+	vals := []int64{7, -3, 0, 64, -1, 100, 2, 9}
+	divs := []int64{2, 0, -1, 65, 1, 0, -64, 3}
+	newFlow := func(lanes int, numa bool) *tcf.Flow {
 		f := tcf.New(3, 0, lanes)
 		f.TidOffset = 5
-		// Operand values chosen to hit the edge semantics: zero divisors,
-		// out-of-range shifts, negative values, zero/non-zero selectors.
-		va, vb, vc, sel := f.Vector(isa.V(1)), f.Vector(isa.V(2)), f.Vector(isa.V(3)), f.Vector(isa.V(3))
-		_ = vc
-		vals := []int64{7, -3, 0, 64, -1, 100, 2, 9}
-		divs := []int64{2, 0, -1, 65, 1, 0, -64, 3}
+		va, vb, sel := f.Vector(isa.V(1)), f.Vector(isa.V(2)), f.Vector(isa.V(3))
+		f.Vector(isa.V(4)) // an all-zero selector
 		for i := 0; i < lanes; i++ {
-			va[i] = vals[i]
-			vb[i] = divs[i]
+			va[i] = vals[i%8] + int64(i/8)
+			vb[i] = divs[i%8]
 			sel[i] = int64(i % 2)
 		}
 		f.SetScalar(isa.S(0), -17)
 		f.SetScalar(isa.S(1), 0)
 		f.SetScalar(isa.S(3), 23)
+		if numa {
+			f.EnterNUMA(2)
+		}
 		return f
 	}
 
-	for _, in := range instrs {
-		kern := compileKern(in)
-		if kern == nil {
-			t.Fatalf("%s %s: no kernel", in.Op, in.Rd)
-			continue
+	for _, lanes := range []int{1, 4, 300} {
+		modes := []bool{false}
+		if lanes == 1 {
+			modes = append(modes, true) // NUMA mode has one lane
 		}
-		got, want := newFlow(), newFlow()
-		kern(env, got, 0, lanes)
-		if in.Rd.IsVector() {
-			dst := want.Vector(in.Rd)
-			for i := 0; i < lanes; i++ {
-				dst[i] = refLane(env, want, in, i)
+		for _, in := range instrs {
+			kern := compileKern(in)
+			if kern == nil {
+				t.Fatalf("%s %s: no kernel", in.Op, in.Rd)
 			}
-			g, w := got.Vector(in.Rd), want.Vector(in.Rd)
-			for i := range w {
-				if g[i] != w[i] {
-					t.Fatalf("%s (d=%s a=%s b=%s imm=%v): lane %d = %d, want %d",
-						in.Op, in.Rd, in.Ra, in.Rb, in.HasImm, i, g[i], w[i])
+			for _, numa := range modes {
+				got, want := newFlow(lanes, numa), newFlow(lanes, numa)
+				if in.Rd.IsVector() {
+					kern(env, got, 0, lanes)
+					res := make([]int64, lanes)
+					for i := range res {
+						res[i] = refLane(env, want, in, i)
+					}
+					copy(want.Vector(in.Rd), res)
+				} else {
+					kern(env, got, 0, 1)
+					want.SetScalar(in.Rd, refLane(env, want, in, 0))
 				}
-			}
-		} else {
-			w := refLane(env, want, in, 0)
-			if g := got.Scalar(in.Rd); g != w {
-				t.Fatalf("%s (scalar dest): got %d, want %d", in.Op, g, w)
+				if got.StateDigest() != want.StateDigest() || got.RegWordsPeak != want.RegWordsPeak {
+					t.Fatalf("%s (d=%s a=%s b=%s c=%s imm=%v) at thickness %d, numa=%v: flow state diverges from the per-lane reference:\n got %v, %d words\nwant %v, %d words",
+						in.Op, in.Rd, in.Ra, in.Rb, in.Rc, in.HasImm, lanes, numa,
+						got.Lane(in.Rd, lanes-1), got.RegWordsPeak, want.Lane(in.Rd, lanes-1), want.RegWordsPeak)
+				}
 			}
 		}
 	}

@@ -25,6 +25,8 @@ func slt(a, b int64) int64 { return b2i(a < b) }
 func sle(a, b int64) int64 { return b2i(a <= b) }
 func sgt(a, b int64) int64 { return b2i(a > b) }
 func sge(a, b int64) int64 { return b2i(a >= b) }
+func neg(a int64) int64    { return -a }
+func not(a int64) int64    { return ^a }
 
 func div(a, b int64) int64 {
 	if b == 0 {
@@ -164,9 +166,9 @@ func EvalFn(op Op) func(a, b int64) int64 {
 func EvalUnary(op Op, a int64) int64 {
 	switch op {
 	case NEG:
-		return -a
+		return neg(a)
 	case NOT:
-		return ^a
+		return not(a)
 	}
 	panic("isa: EvalUnary on " + op.String())
 }

@@ -72,6 +72,7 @@ func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 		// a reduction, an output.
 		if fi.Kern != nil {
 			fi.Kern(x.fenv, f, 0, 1)
+			x.kern.BulkLanes++
 		} else {
 			x.execAtomic(f, in)
 		}
@@ -90,20 +91,22 @@ func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 // same-step stores forward to its later loads; a bunch that stores nothing
 // pays for neither the table nor its clearing.
 func (x *groupExec) execNUMABunch(f *tcf.Flow, slot, n int) int {
-	if x.immediate {
-		return x.numaBunch(f, slot, n)
-	}
 	if len(x.fwd) > 0 {
 		clear(x.fwd)
 	}
-	x.fwdOn = true
-	executed := x.numaBunch(f, slot, n)
+	x.fwdOn = !x.immediate
+	executed, kerns := x.numaBunch(f, slot, n)
 	x.fwdOn = false
+	// Counted per bunch, not per instruction: a NUMA chain is nothing but
+	// such instructions.
+	x.kern.BulkLanes += kerns
+	x.kern.RunInstrs += kerns
 	return executed
 }
 
-func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) int {
-	executed := 0
+// numaBunch returns the instructions executed and how many of them ran
+// through their compiled kernels.
+func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) (executed int, kerns int64) {
 	for k := 0; k < n; k++ {
 		if f.State != tcf.Ready || x.err != nil {
 			break
@@ -122,7 +125,7 @@ func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) int {
 			// calls continue executing consecutive instructions.
 			switch in.Op {
 			case isa.SETTHICK, isa.NUMA, isa.PRAM, isa.SPLIT, isa.BAR, isa.JOIN, isa.HALT:
-				return executed
+				return executed, kerns
 			}
 			continue
 		}
@@ -132,6 +135,7 @@ func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) int {
 			// with per-instruction fetch and trace accounting.
 			x.record(f, slot, in.Op, 0, 1, true)
 			fi.Kern(x.fenv, f, 0, 1)
+			kerns++
 			if fi.Thick {
 				x.ops++
 			} else {
@@ -149,6 +153,7 @@ func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) int {
 				f.InstrFetches++
 				x.record(f, slot, fj.In.Op, 0, 1, true)
 				fj.Kern(x.fenv, f, 0, 1)
+				kerns++
 				if fj.Thick {
 					x.ops++
 				} else {
@@ -172,10 +177,10 @@ func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) int {
 		// Combining operations resolve at the step boundary; end the
 		// bunch so the next instruction observes their results.
 		if !x.immediate && (in.Op.IsMultiop() || in.Op.IsMultiprefix()) {
-			return executed
+			return executed, kerns
 		}
 	}
-	return executed
+	return executed, kerns
 }
 
 // record appends a trace slice when tracing is enabled.

@@ -14,9 +14,17 @@ import (
 //   - execWhole runs a thin register instruction through its kernel;
 //   - execLaneRange routes lane ranges (including lane-parallel chunks)
 //     through compiled kernels and bulk memory kernels;
-//   - runFlow and execNUMABunch walk fused straight-line runs — several
-//     register instructions back to back with registers untouched by any
-//     step machinery in between.
+//   - runFlow and execNUMABunch walk fused straight-line runs.
+//
+// How long a run gets is the policy's business: five of the six policies
+// stamp Window 1, so under them a "run" is one register instruction, retired
+// by runFusedRun without the generic dispatch; runs chain — several register
+// instructions back to back with no step machinery in between — only under
+// the multi-instruction policy's window and inside a NUMA bunch. What the
+// backend consists of on thick lanes is therefore its per-instruction
+// kernels (operand shape resolved at fuse.Compile, one call into isa's bulk
+// form for it) and the bulk LD/ST below; the register arithmetic itself is
+// the same bulk forms the interpreter's range loop calls.
 //
 // Everything the run boundary owns — shared references, fault decisions,
 // refSeq accounting, discipline records, combining traffic, trace slices —
@@ -66,8 +74,17 @@ func (x *groupExec) fusedLaneRange(f *tcf.Flow, fi *fuse.Instr, first, n int) bo
 		if in.Ra.IsVector() {
 			av := f.Vector(in.Ra)
 			imm := in.Imm
-			rd := sh.Reader()
 			i := first
+			// Addresses that ascend by one from the first lane on and stay in
+			// range — a[tid+c], whatever instruction computed them — are read
+			// page-wise. The first break sends the remaining lanes through the
+			// cursor below.
+			if base, k := av[first]+imm, consecutive(av[first:end]); sh.InRange(base) && sh.InRange(base+int64(k-1)) {
+				maxDist = sh.MaxOverRun(row, maxDist, base, k)
+				sh.PeekRun(dst[first:first+k], base)
+				i += k
+			}
+			rd := sh.Reader()
 			for ; i < end && maxDist < rowMax; i++ {
 				addr := av[i] + imm
 				if d := row[sh.ModuleOf(addr)]; d > maxDist {
@@ -119,10 +136,20 @@ func (x *groupExec) fusedLaneRange(f *tcf.Flow, fi *fuse.Instr, first, n int) bo
 	return false
 }
 
+// consecutive returns the length of the longest prefix of the non-empty a
+// whose elements ascend by one.
+func consecutive(a []int64) int {
+	k := 1
+	for k < len(a) && a[k] == a[k-1]+1 {
+		k++
+	}
+	return k
+}
+
 // runFusedRun executes the fused straight-line run starting at f.PC: up to
-// maxInstrs register instructions back to back via their compiled kernels,
-// with per-instruction fetch, trace and budget accounting identical to the
-// generic loop. It returns the number of window slots consumed; 0 means the
+// maxInstrs register instructions (one, under a Window-1 policy) back to back
+// via their compiled kernels, with per-instruction fetch, trace and budget
+// accounting identical to the generic loop. It returns the number of window slots consumed; 0 means the
 // caller must take the generic path (not a register run, a fragment — whose
 // safety check lives there — or a lane range wide enough to fan out to the
 // chunk pool).
@@ -166,6 +193,8 @@ func (x *groupExec) runFusedRun(f *tcf.Flow, slot int, plan *StepPlan, budget *i
 			})
 		}
 		fi.Kern(x.fenv, f, 0, w)
+		x.kern.BulkLanes += int64(w)
+		x.kern.RunInstrs++
 		if fi.Thick {
 			x.ops += int64(w)
 		} else {

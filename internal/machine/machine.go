@@ -60,6 +60,10 @@ type Machine struct {
 	// at 16 flows (17 KB): in chunks of 256 the run's flows were large
 	// objects and raised the peak resident set of engine-flows by a tenth.
 	slab []tcf.Flow
+	// regs is the register arena the flows' vector banks come from and, at
+	// Reset, go back to. It survives Reset like every other arena, holds at
+	// most SharedWords words, and is no part of a snapshot.
+	regs *tcf.RegArena
 
 	combiners [len(multiop.Kinds)]*multiop.Combiner
 
@@ -116,6 +120,7 @@ func New(cfg Config) (*Machine, error) {
 		shape:    pol.Shape(c.machineShape()),
 		shared:   shared,
 		flowList: make([]*tcf.Flow, 0, 8),
+		regs:     tcf.NewRegArena(c.SharedWords),
 	}
 	m.front.m = m
 	m.back.m = m
@@ -175,6 +180,42 @@ func (m *Machine) Stats() *Stats { return &m.stats }
 // counters of the simulator, not statistics of the simulated machine.
 func (m *Machine) CommitStats() mem.CommitStats { return m.shared.CommitStats() }
 
+// KernelStats counts how the run's operation slices were generated and where
+// its vector banks came from, since the machine was built or Reset: lanes
+// that ran in a bulk form (a compiled kernel, a bulk LD/ST, a bulk form of the
+// interpreter's range loop), lanes that ran one at a time on the per-lane
+// reference path, instructions retired inside the fused backend's register
+// runs, and the banks the register arena handed out again or had to
+// allocate (banks too short for the arena are not counted). Host-side
+// counters like CommitStats: in no snapshot and no simulated statistic.
+type KernelStats struct {
+	BulkLanes, PerLaneLanes, RunInstrs, BanksReused, BanksAllocated int64
+}
+
+func (k KernelStats) String() string {
+	return fmt.Sprintf("kernels: bulk_lanes=%d per_lane_lanes=%d run_instrs=%d banks_reused=%d banks_allocated=%d",
+		k.BulkLanes, k.PerLaneLanes, k.RunInstrs, k.BanksReused, k.BanksAllocated)
+}
+
+// KernelStats returns the kernel-coverage counters. Not to be called while
+// the machine steps.
+func (m *Machine) KernelStats() KernelStats {
+	var k KernelStats
+	add := func(x *groupExec) {
+		k.BulkLanes += x.kern.BulkLanes
+		k.PerLaneLanes += x.kern.PerLaneLanes
+		k.RunInstrs += x.kern.RunInstrs
+	}
+	for _, x := range m.execs {
+		add(x)
+		for _, w := range x.lw {
+			add(w)
+		}
+	}
+	k.BanksReused, k.BanksAllocated = m.regs.Counts()
+	return k
+}
+
 // Outputs returns the PRINT/PRINTS records in deterministic order.
 func (m *Machine) Outputs() []Output { return m.output }
 
@@ -232,6 +273,7 @@ func (m *Machine) newFlow(pc, thickness, g int) *tcf.Flow {
 	f := &m.slab[0]
 	m.slab = m.slab[1:]
 	f.Init(len(m.flowList), pc, thickness)
+	f.Regs = m.regs
 	m.flowList = append(m.flowList, f)
 	m.front.place(f, g)
 	m.stats.FlowsCreated++

@@ -169,6 +169,11 @@ type groupExec struct {
 
 	groupCounters
 
+	// kern counts, for Machine.KernelStats, how this arena's operation slices
+	// were generated. Host-side, cumulative over the run: cleared by
+	// Machine.Reset, not by the per-step reset.
+	kern KernelStats
+
 	// rowMax is the largest group→module distance in this group's row of
 	// the distance table — the saturation bound for maxDist, set at build.
 	rowMax int
@@ -379,6 +384,7 @@ func effAddr(f *tcf.Flow, in *isa.Instr, i int) int64 {
 
 // execLane executes lane i of an elementwise instruction.
 func (x *groupExec) execLane(f *tcf.Flow, in *isa.Instr, i, seq int) {
+	x.kern.PerLaneLanes++
 	switch {
 	case in.Op == isa.LDI:
 		f.SetLane(in.Rd, i, in.Imm)
@@ -516,83 +522,26 @@ func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) 
 // path below.
 func (x *groupExec) execLaneRange(f *tcf.Flow, in *isa.Instr, first, n int) {
 	if x.m.fused() && x.fusedLaneRange(f, &x.m.code[f.PC], first, n) {
+		x.kern.BulkLanes += int64(n)
 		return
 	}
 	x.execLaneRangeInterp(f, in, first, n)
 }
 
 // execLaneRangeInterp is the reference lane-range loop — exactly the serial
-// execLane loop, but the hot op classes hoist register-file lookups out of
-// the lane loop. Vector operands of a sliceable instruction always span the
-// full lane count (Flow.Vector sizes them to Lanes()), so the bulk loops
-// index directly.
+// execLane loop, but the hot register classes run as isa's bulk forms over the
+// range and the memory classes hoist register-file lookups out of the lane
+// loop. Vector operands of a sliceable instruction always span the full lane
+// count (Flow.Vector sizes them to Lanes()), so both index directly.
 func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in *isa.Instr, first, n int) {
 	end := first + n
+	if in.Rd.IsVector() && regLaneRange(f, in, first, end) {
+		x.kern.BulkLanes += int64(n)
+		return
+	}
 	switch {
-	case in.Op.IsBinaryALU() && in.Rd.IsVector():
-		dst := f.Vector(in.Rd)
-		var av, bv []int64
-		var as, bs int64
-		if in.Ra.IsVector() {
-			av = f.Vector(in.Ra)
-		} else {
-			as = f.Scalar(in.Ra)
-		}
-		switch {
-		case in.HasImm:
-			bs = in.Imm
-		case in.Rb.IsVector():
-			bv = f.Vector(in.Rb)
-		default:
-			bs = f.Scalar(in.Rb)
-		}
-		op := in.Op
-		switch {
-		case av != nil && bv != nil:
-			for i := first; i < end; i++ {
-				dst[i] = isa.Eval(op, av[i], bv[i])
-			}
-		case av != nil:
-			for i := first; i < end; i++ {
-				dst[i] = isa.Eval(op, av[i], bs)
-			}
-		case bv != nil:
-			for i := first; i < end; i++ {
-				dst[i] = isa.Eval(op, as, bv[i])
-			}
-		default:
-			v := isa.Eval(op, as, bs)
-			for i := first; i < end; i++ {
-				dst[i] = v
-			}
-		}
-	case in.Op == isa.LDI && in.Rd.IsVector():
-		dst := f.Vector(in.Rd)
-		for i := first; i < end; i++ {
-			dst[i] = in.Imm
-		}
-	case in.Op == isa.MOV && in.Rd.IsVector():
-		dst := f.Vector(in.Rd)
-		if in.Ra.IsVector() {
-			copy(dst[first:end], f.Vector(in.Ra)[first:end])
-		} else {
-			v := f.Scalar(in.Ra)
-			for i := first; i < end; i++ {
-				dst[i] = v
-			}
-		}
-	case in.Op == isa.TID && in.Rd.IsVector():
-		dst := f.Vector(in.Rd)
-		if f.Mode == tcf.NUMA {
-			for i := first; i < end; i++ {
-				dst[i] = 0
-			}
-		} else {
-			for i := first; i < end; i++ {
-				dst[i] = int64(f.TidOffset + i)
-			}
-		}
 	case in.Op == isa.LD && in.Rd.IsVector():
+		x.kern.PerLaneLanes += int64(n)
 		dst := f.Vector(in.Rd)
 		if in.Ra.IsVector() {
 			av := f.Vector(in.Ra)
@@ -612,6 +561,7 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in *isa.Instr, first, n int
 			}
 		}
 	case in.Op == isa.ST:
+		x.kern.PerLaneLanes += int64(n)
 		av, bv, base, bs := storeOperands(f, in)
 		for i := first; i < end; i++ {
 			addr := base
@@ -625,6 +575,7 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in *isa.Instr, first, n int
 			x.storeShared(f, addr, val, i, 0)
 		}
 	case (in.Op.IsMultiop() || in.Op.IsMultiprefix()) && !x.immediate:
+		x.kern.BulkLanes += int64(n)
 		x.combineLanes(f, in, first, n, 0)
 	default:
 		for i := first; i < end; i++ {
@@ -633,18 +584,58 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in *isa.Instr, first, n int
 	}
 }
 
+// regLaneRange executes lanes [first, end) of a register instruction with a
+// thread-wise destination through isa's bulk forms, picking the form by
+// operand shape as fuse.compileKern does once per program; it reports false
+// for an opcode it leaves to the per-lane path.
+func regLaneRange(f *tcf.Flow, in *isa.Instr, first, end int) bool {
+	switch {
+	case in.Op.IsBinaryALU():
+		dst := f.Vector(in.Rd)[first:end]
+		aVec, bVec := in.Ra.IsVector(), !in.HasImm && in.Rb.IsVector()
+		bs := in.Imm
+		if !in.HasImm && !bVec {
+			bs = f.Scalar(in.Rb)
+		}
+		switch {
+		case aVec && bVec:
+			isa.EvalVV(in.Op, dst, f.Vector(in.Ra)[first:end], f.Vector(in.Rb)[first:end])
+		case aVec:
+			isa.EvalVS(in.Op, dst, f.Vector(in.Ra)[first:end], bs)
+		case bVec:
+			isa.EvalSV(in.Op, dst, f.Scalar(in.Ra), f.Vector(in.Rb)[first:end])
+		default:
+			isa.Fill(dst, isa.Eval(in.Op, f.Scalar(in.Ra), bs))
+		}
+	case in.Op == isa.LDI:
+		isa.Fill(f.Vector(in.Rd)[first:end], in.Imm)
+	case in.Op == isa.MOV:
+		dst := f.Vector(in.Rd)[first:end]
+		if in.Ra.IsVector() {
+			copy(dst, f.Vector(in.Ra)[first:end])
+		} else {
+			isa.Fill(dst, f.Scalar(in.Ra))
+		}
+	case in.Op == isa.TID:
+		dst := f.Vector(in.Rd)[first:end]
+		if f.Mode == tcf.NUMA {
+			isa.Fill(dst, 0)
+		} else {
+			isa.Iota(dst, int64(f.TidOffset+first))
+		}
+	default:
+		return false
+	}
+	return true
+}
+
 // execAtomic executes flow-level instructions: reductions, prints, and the
 // degenerate scalar forms. Control instructions are handled by the caller.
 func (x *groupExec) execAtomic(f *tcf.Flow, in *isa.Instr) {
 	switch {
 	case in.Op.IsReduction():
 		kind := in.Op.CombineKind()
-		apply := isa.EvalFn(kind)
-		acc := multiop.Identity(kind)
-		for _, e := range f.Vector(in.Ra) {
-			acc = apply(acc, e)
-		}
-		f.SetScalar(in.Rd, acc)
+		f.SetScalar(in.Rd, isa.Reduce(kind, multiop.Identity(kind), f.Vector(in.Ra)))
 	case in.Op == isa.PRINT:
 		out := Output{Flow: f.ID, Step: x.step}
 		switch {

@@ -128,7 +128,10 @@ func TestLaneParallelActuallyChunks(t *testing.T) {
 // storage buffers' queues and the barrier release allocate nothing) and over
 // a thick dense store and mpadd ("thick": the write and combining logs, the
 // commit's spans and, under Parallel, the lane chunks' logs and their merge
-// are retained arenas too). Every program runs serially and with Parallel.
+// are retained arenas too) and over thick register arithmetic in every operand
+// shape ("alu": the lane kernels and the interpreter's bulk forms allocate
+// nothing). Every program runs serially and with Parallel, and then once more
+// after a Reset, when every vector bank must come out of the register arena.
 func TestStepLoopSteadyStateAllocs(t *testing.T) {
 	loop := func(name string, thick int64, body func(b *isa.Builder)) *isa.Program {
 		b := isa.NewBuilder(name)
@@ -158,6 +161,15 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 			b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, laneParOutBase+128, isa.V(1))
 		}),
 		spinTasks("flows", 64, 1, true),
+		loop("alu", 4096, func(b *isa.Builder) {
+			b.ALU(isa.ADD, isa.V(3), isa.V(1), isa.V(2))
+			b.ALU(isa.SUB, isa.V(4), isa.S(1), isa.V(3))
+			b.ALU(isa.SHR, isa.V(5), isa.V(4), isa.S(1))
+			b.ALUI(isa.SLT, isa.V(6), isa.V(5), 9)
+			b.Unary(isa.NEG, isa.V(7), isa.V(6))
+			b.Sel(isa.V(8), isa.V(6), isa.V(7), isa.S(1))
+			b.Mov(isa.V(9), isa.V(8))
+		}),
 	}
 	for _, prog := range progs {
 		for _, backend := range []Backend{BackendInterp, BackendFused} {
@@ -169,17 +181,20 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := m.LoadProgram(prog); err != nil {
-						t.Fatal(err)
-					}
-					if err := m.Boot(); err != nil {
-						t.Fatal(err)
-					}
-					for i := 0; i < 64; i++ { // warm the arenas
-						if err := m.Step(); err != nil {
+					warm := func() {
+						if err := m.LoadProgram(prog); err != nil {
 							t.Fatal(err)
 						}
+						if err := m.Boot(); err != nil {
+							t.Fatal(err)
+						}
+						for i := 0; i < 64; i++ { // warm the arenas
+							if err := m.Step(); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
+					warm()
 					allocs := testing.AllocsPerRun(200, func() {
 						if err := m.Step(); err != nil {
 							t.Fatal(err)
@@ -187,6 +202,11 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 					})
 					if allocs > 0.1 {
 						t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
+					}
+					m.Reset()
+					warm()
+					if ks := m.KernelStats(); ks.BanksAllocated != 0 || ks.BanksReused == 0 && prog.Name != "flows" { // whose banks are one lane: the allocator's
+						t.Fatalf("the run after Reset allocated %d vector banks and reused %d, want every bank reused", ks.BanksAllocated, ks.BanksReused)
 					}
 				})
 			}

@@ -1,0 +1,341 @@
+package machine
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"tcfpram/internal/isa"
+	"tcfpram/internal/variant"
+)
+
+// thickALU is a flow of the given thickness that writes eight vector
+// registers through every operand shape and stores one of them: a register
+// file of 8×thick words that a run leaves non-zero.
+func thickALU(thick int64) *isa.Program {
+	b := isa.NewBuilder("thick-alu")
+	b.Label("main")
+	b.SetThickImm(thick)
+	b.Id(isa.TID, isa.V(0))
+	b.Ldi(isa.S(1), 3)
+	b.ALUI(isa.MUL, isa.V(1), isa.V(0), 37)
+	b.ALU(isa.ADD, isa.V(2), isa.V(1), isa.V(0))
+	b.ALU(isa.SUB, isa.V(3), isa.S(1), isa.V(2))
+	b.ALU(isa.SHR, isa.V(4), isa.V(3), isa.S(1))
+	b.ALU(isa.SLT, isa.V(5), isa.V(4), isa.V(1))
+	b.ALUI(isa.XOR, isa.V(6), isa.V(5), -1)
+	b.ALU(isa.MAX, isa.V(7), isa.V(6), isa.V(2))
+	b.St(isa.V(0), laneParOutBase, isa.V(7))
+	b.Halt()
+	return b.MustBuild()
+}
+
+// BenchmarkResetRun times Reset, load and a whole run on one machine, run
+// after run — what a pooled machine does — for a thick register file (eight
+// banks of 2^15 lanes) and for 2048 thin flows with a bank of four lanes each.
+// B/op is what a run allocates once the machine is warm.
+func BenchmarkResetRun(b *testing.B) {
+	for _, prog := range []*isa.Program{
+		thickALU(1 << 15),
+		spinTasks("flows", 2048, 4, false),
+	} {
+		name := "thick"
+		if prog.Name == "flows" {
+			name = "flows"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := Default(variant.SingleInstruction)
+			cfg.Backend = BackendFused
+			cfg.MaxSteps = 64         // the spinning tasks never finish: a bounded run
+			cfg.SharedWords = 1 << 19 // the arena keeps no more words than the memory has
+			m, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run := func() {
+				m.Reset()
+				if err := m.LoadProgram(prog); err != nil {
+					b.Fatal(err)
+				}
+				m.Run()
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
+// regrowSrc reads registers no instruction wrote, hides lanes behind a
+// narrower thickness and uncovers them again, outgrows its banks and splits
+// into arms that allocate their own — every way a flow comes by register
+// lanes — at thicknesses whose banks a thickALU(4096) run left behind dirty.
+const regrowSrc = `
+main:
+    LDI S0, 4000
+    SETTHICK S0
+    ADD V1, V9, 1        ; V9 never written: reads as zero
+    TID V0
+    MUL V2, V0, 5
+    LDI S0, 2000
+    SETTHICK S0          ; lanes 2000.. of V0, V1, V2, V9 hidden
+    ADD V2, V2, 100
+    LDI S0, 3000
+    SETTHICK S0          ; lanes 2000..2999 come back as they were
+    RADD S3, V2
+    PRINT S3
+    LDI S0, 4096
+    SETTHICK S0          ; banks replaced: lanes 3000..3999 come back, 4000.. are zero
+    RADD S3, V2
+    PRINT S3
+    TID V3
+    ADD V4, V3, V9
+    ST V3+700, V4
+    SPLIT 4096 -> wide, 3000 -> narrow
+    RMAX S3, V1
+    PRINT S3
+    HALT
+wide:
+    TID V0
+    ADD V5, V7, V0       ; V7 never written
+    ST V0+5000, V5
+    JOIN
+narrow:
+    TID V0
+    MUL V6, V0, 3
+    MADD 9500, V6
+    JOIN
+`
+
+// machineBytes is m's snapshot.
+func machineBytes(t *testing.T, m *Machine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestResetReusesRegisterBanks: a machine whose register arena holds the
+// dirty banks of an earlier run is, step for step, the machine that never ran
+// anything — snapshot bytes (registers with their lengths, RegWordsPeak,
+// statistics) and flow digests after every step, outputs and Stats at the
+// end — on both backends, serially and with Parallel lane chunks. The banks
+// must really have been reused for that to mean anything.
+func TestResetReusesRegisterBanks(t *testing.T) {
+	dirty, prog := thickALU(1<<12), isa.MustAssemble("regrow", regrowSrc)
+	for _, backend := range []Backend{BackendInterp, BackendFused} {
+		for _, par := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/parallel=%v", backend, par), func(t *testing.T) {
+				cfg := Default(variant.SingleInstruction)
+				cfg.Backend, cfg.Parallel, cfg.LaneParallelThreshold = backend, par, 512
+				boot := func(m *Machine) {
+					t.Helper()
+					if err := m.LoadProgram(prog); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Boot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fresh, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reused, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := reused.LoadProgram(dirty); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := reused.Run(); err != nil {
+					t.Fatal(err)
+				}
+				reused.Reset()
+				boot(fresh)
+				boot(reused)
+				for step := 0; !fresh.Done(); step++ {
+					if err := fresh.Step(); err != nil {
+						t.Fatal(err)
+					}
+					if err := reused.Step(); err != nil {
+						t.Fatal(err)
+					}
+					for id, f := range fresh.Flows() {
+						if g := reused.Flow(id); g == nil || g.StateDigest() != f.StateDigest() {
+							t.Fatalf("step %d: flow %d diverges on the reused machine", step, id)
+						}
+					}
+					if !bytes.Equal(machineBytes(t, reused), machineBytes(t, fresh)) {
+						t.Fatalf("step %d: snapshot of the reused machine differs from the fresh one's", step)
+					}
+				}
+				if got, want := snapshotOf(reused), snapshotOf(fresh); !reflect.DeepEqual(got, want) {
+					t.Fatalf("reused run differs from fresh\ngot  %+v\nwant %+v", got.stats, want.stats)
+				}
+				if len(fresh.Outputs()) != 3 {
+					t.Fatalf("%d outputs, want 3", len(fresh.Outputs()))
+				}
+				if ks := reused.KernelStats(); ks.BanksReused < 8 {
+					t.Fatalf("the reused machine took %d banks from its arena, want the 8 the first run left: %v", ks.BanksReused, ks)
+				}
+				if ks := fresh.KernelStats(); ks.BanksReused > 5 {
+					// Only the banks its own growing registers handed back.
+					t.Fatalf("the fresh machine reused %d banks: %v", ks.BanksReused, ks)
+				}
+			})
+		}
+	}
+}
+
+// TestRegisterArenaIsBounded: the arena keeps what the last run used, and
+// never more than the machine's shared memory holds. A rerun of a 2^16-lane
+// program finds its register file whole where it fits, cut to SharedWords
+// where it does not, and nothing of it after thin runs, which pin no bank.
+func TestRegisterArenaIsBounded(t *testing.T) {
+	thick, thin := thickALU(1<<16), thickALU(4)
+	run := func(m *Machine, p *isa.Program) KernelStats {
+		t.Helper()
+		if err := m.LoadProgram(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		defer m.Reset()
+		return m.KernelStats()
+	}
+	for _, tc := range []struct {
+		shared int
+		kept   int64
+	}{
+		{1 << 20, 8}, // eight banks of 2^16 words
+		{1 << 18, 4}, // as many of them as the bound admits
+	} {
+		cfg := Default(variant.SingleInstruction)
+		cfg.SharedWords = tc.shared
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(m, thick)
+		if ks := run(m, thick); ks.BanksReused != tc.kept || ks.BanksAllocated != 8-tc.kept {
+			t.Errorf("SharedWords %d: the thick rerun found %d banks and allocated %d, want %d and %d", tc.shared, ks.BanksReused, ks.BanksAllocated, tc.kept, 8-tc.kept)
+		}
+		for i := 0; i < 3; i++ {
+			run(m, thin)
+		}
+		if ks := run(m, thick); ks.BanksReused != 0 || ks.BanksAllocated != 8 {
+			t.Errorf("SharedWords %d: after thin runs the arena still lent %d thick banks (%d allocated)", tc.shared, ks.BanksReused, ks.BanksAllocated)
+		}
+	}
+}
+
+// growTouchSrc splits into arms that stand on different groups and, step for
+// step, do opposite things to the register arena: the grow arms double their
+// thickness, each doubling replacing two banks of 64 lanes or more whose
+// lanes must move over, while the touch arms write registers nobody wrote
+// yet and so take, clear and fill whatever bank is free at that moment.
+const growTouchSrc = `
+main:
+    SPLIT 64 -> grow, 64 -> touch, 64 -> grow, 64 -> touch
+    PRINT S0
+    HALT
+grow:
+    TID V0
+    MUL V1, V0, 7
+    SETTHICK 128
+    ADD V1, V1, V0
+    SETTHICK 256
+    ADD V1, V1, V0
+    SETTHICK 512
+    ADD V1, V1, V0
+    SETTHICK 1024
+    RADD S3, V1
+    PRINT S3
+    JOIN
+touch:
+    TID V0
+    NOP
+    ADD V2, V0, 2
+    SUB V3, V0, 3
+    ADD V4, V0, 4
+    SUB V5, V0, 5
+    ADD V6, V0, 6
+    SUB V7, V0, 7
+    RADD S3, V7
+    PRINT S3
+    NOP
+    JOIN
+`
+
+// TestParallelGroupsShareRegisterArena: with groups on goroutines of their
+// own, growing and first-touching registers in the same steps, every flow is
+// after every step what it is on the serial machine — a bank replaced by a
+// larger one is lendable only once its lanes are copied out. Run under -race
+// (make race), where handing it back earlier is reported even when the lanes
+// happen to survive.
+func TestParallelGroupsShareRegisterArena(t *testing.T) {
+	prog := isa.MustAssemble("grow-touch", growTouchSrc)
+	for _, backend := range []Backend{BackendInterp, BackendFused} {
+		t.Run(backend.String(), func(t *testing.T) {
+			boot := func(par bool) *Machine {
+				t.Helper()
+				cfg := Default(variant.SingleInstruction)
+				cfg.Backend, cfg.Parallel = backend, par
+				cfg.LaneParallelThreshold = 1 << 20 // groups only: Stats.LaneChunks counts the host's chunks
+				m, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.LoadProgram(prog); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Boot(); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			serial, parallel := boot(false), boot(true)
+			for run := 0; run < 20; run++ {
+				homes := map[int]bool{}
+				for step := 0; !serial.Done(); step++ {
+					if err := serial.Step(); err != nil {
+						t.Fatal(err)
+					}
+					if err := parallel.Step(); err != nil {
+						t.Fatal(err)
+					}
+					for id, f := range serial.Flows() {
+						if g := parallel.Flow(id); g == nil || g.StateDigest() != f.StateDigest() {
+							t.Fatalf("run %d step %d: flow %d diverges under Parallel", run, step, id)
+						}
+						homes[f.Home] = true
+					}
+				}
+				if len(homes) < 4 {
+					t.Fatalf("the arms stand on %d groups, want one each: nothing ran concurrently", len(homes))
+				}
+				if got, want := snapshotOf(parallel), snapshotOf(serial); !reflect.DeepEqual(got, want) {
+					t.Fatalf("run %d: Parallel run differs from serial\ngot  %+v\nwant %+v", run, got.stats, want.stats)
+				}
+				// Again, on arenas that now hold the run's banks.
+				for _, m := range []*Machine{serial, parallel} {
+					m.Reset()
+					if err := m.LoadProgram(prog); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Boot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

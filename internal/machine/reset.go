@@ -5,8 +5,9 @@ import "fmt"
 // Reset returns the machine to its just-built state while keeping every
 // internal arena: shared-memory pages are zeroed in place, the group
 // execution arenas are truncated, the traffic the memory and the combiners
-// retain of a step that never committed is dropped, and flows, statistics,
-// outputs and traces are discarded. The next
+// retain of a step that never committed is dropped, the flows' vector banks
+// go back to the register arena, and flows, statistics, outputs and traces
+// are discarded. The next
 // LoadProgram/Run on a Reset machine is bit-identical to the same run on a
 // fresh machine with the same Config — the property the serve-layer machine
 // pool is built on (and that TestPoolReuseBitIdentity proves).
@@ -17,6 +18,7 @@ import "fmt"
 func (m *Machine) Reset() {
 	m.prog = nil
 	m.code = nil
+	m.regs.Recycle()
 	m.flowList = m.flowList[:0]
 	m.live = 0
 	m.slab = nil
@@ -31,6 +33,10 @@ func (m *Machine) Reset() {
 	}
 	for _, x := range m.execs {
 		x.err = nil
+		x.kern = KernelStats{}
+		for _, w := range x.lw {
+			w.kern = KernelStats{}
+		}
 	}
 
 	m.stepOutputs = m.stepOutputs[:0]

@@ -249,6 +249,7 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 		if f.Home < 0 || f.Home >= len(m.groups) {
 			return nil, fmt.Errorf("machine: snapshot flow %d home group %d outside [0,%d)", f.ID, f.Home, len(m.groups))
 		}
+		m.regs.Adopt(f)
 		m.flowList = append(m.flowList, f)
 		parents = append(parents, parent)
 		if f.State != tcf.Done {

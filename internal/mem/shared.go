@@ -252,6 +252,17 @@ func (s *Shared) ModuleOf(addr int64) int {
 // HomeModuleOf returns the module addr interleaves onto before failover.
 func (s *Shared) HomeModuleOf(addr int64) int { return HomeModule(addr, s.modules) }
 
+// MaxOverRun returns the largest of cur and weight[ModuleOf(a)] over the n
+// consecutive addresses a from addr on. Words interleave over the modules one
+// by one, so the first Modules() addresses of a run meet every module the run
+// meets; that is for this file, which defines the interleaving, to know.
+func (s *Shared) MaxOverRun(weight []int, cur int, addr int64, n int) int {
+	for i := 0; i < min(n, s.modules); i++ {
+		cur = max(cur, weight[s.ModuleOf(addr+int64(i))])
+	}
+	return cur
+}
+
 // ModuleFailed reports whether module m has fail-stopped.
 func (s *Shared) ModuleFailed(m int) bool {
 	return m >= 0 && m < s.modules && s.failed[m]
@@ -377,6 +388,21 @@ func (r *Reader) Peek(addr int64) int64 {
 	return r.pg[addr&(PageWords-1)]
 }
 
+// PeekRun is Peek over the consecutive in-range addresses addr, addr+1, …,
+// one per word of dst, page-wise: the read-side twin of the commit's storeRun.
+func (s *Shared) PeekRun(dst []int64, addr int64) {
+	for len(dst) > 0 {
+		off := int(addr & (PageWords - 1))
+		n := min(len(dst), PageWords-off)
+		if p := s.page(addr); p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, addr = dst[n:], addr+int64(n)
+	}
+}
+
 // Poke writes immediately without buffering (program loading, tests).
 func (s *Shared) Poke(addr int64, val int64) {
 	if s.InRange(addr) {
@@ -419,17 +445,6 @@ func (s *Shared) Snapshot(addr int64, n int) []int64 {
 	if hi > s.size {
 		hi = s.size
 	}
-	for a := lo; a < hi; {
-		p := s.page(a)
-		off := a & (PageWords - 1)
-		end := a - off + PageWords // first word past this page
-		if end > hi {
-			end = hi
-		}
-		if p != nil {
-			copy(out[a-addr:hi-addr], p[off:off+(end-a)])
-		}
-		a = end
-	}
+	s.PeekRun(out[lo-addr:hi-addr], lo)
 	return out
 }

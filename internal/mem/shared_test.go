@@ -305,6 +305,38 @@ func TestModuleFailoverUnrecoverable(t *testing.T) {
 	}
 }
 
+// TestMaxOverRunMatchesPerAddress: the shortcut for a run of consecutive
+// addresses — look at one address per module — is the per-address maximum,
+// for module counts that are and are not powers of two, for runs shorter and
+// longer than the module count, and with failed modules remapped.
+func TestMaxOverRunMatchesPerAddress(t *testing.T) {
+	for _, modules := range []int{1, 4, 6, 7} {
+		s := mustShared(t, 256, modules, Arbitrary)
+		weight := make([]int, modules)
+		for m := range weight {
+			weight[m] = (m*5 + 3) % 11
+		}
+		for fail := -1; fail < modules-1; fail++ {
+			if fail >= 0 {
+				if err := s.FailModule(modules - 1 - fail); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for addr := int64(0); addr < 20; addr++ {
+				for n := 1; n <= 2*modules+1; n++ {
+					want := 2
+					for a := addr; a < addr+int64(n); a++ {
+						want = max(want, weight[s.ModuleOf(a)])
+					}
+					if got := s.MaxOverRun(weight, 2, addr, n); got != want {
+						t.Fatalf("%d modules, %d failed, run of %d from %d: %d, want %d", modules, fail+1, n, addr, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSharedPagedBacking exercises the lazy page table: reads of untouched
 // pages return zero without materializing anything, and writes land on the
 // right page.

@@ -72,9 +72,12 @@ type Flow struct {
 
 	// Register state. Scalar registers are the flow-common registers; the
 	// thread-wise bank is allocated lazily per register and sized to the
-	// current thickness.
+	// current thickness. Regs is where banks come from and go back to (nil:
+	// the allocator); it is the owning machine's, and no part of the flow's
+	// architectural state.
 	scalars [isa.NumSRegs]int64
 	vectors [isa.NumVRegs][]int64
+	Regs    *RegArena
 
 	// Flow-level call stack (Section 2.2: a call stack is related to each
 	// parallel control flow, not to each thread).
@@ -168,18 +171,22 @@ func (f *Flow) SetScalars(s [isa.NumSRegs]int64) { f.scalars = s }
 // Vector returns the thread-wise bank of register r sized to the current
 // lane count, allocating (zeroed) on first use.
 func (f *Flow) Vector(r isa.Reg) []int64 {
+	if lanes := f.Lanes(); r.IsVector() && len(f.vectors[r]) >= lanes {
+		return f.vectors[r][:lanes]
+	}
+	return f.growVector(r)
+}
+
+// growVector is Vector where the bank is missing or shorter than the lane
+// count, kept apart so that the common path, which every lane kernel takes
+// per operand, stays a bounds check and a reslice.
+func (f *Flow) growVector(r isa.Reg) []int64 {
 	if !r.IsVector() {
 		panic(fmt.Sprintf("tcf: Vector(%s) on non-vector register", r))
 	}
-	lanes := f.Lanes()
-	v := f.vectors[r.Index()]
-	if len(v) < lanes {
-		nv := make([]int64, lanes)
-		copy(nv, v)
-		f.vectors[r.Index()] = nv
-		f.noteRegWords()
-	}
-	return f.vectors[r.Index()][:lanes]
+	f.Regs.grow(&f.vectors[r], f.Lanes())
+	f.noteRegWords()
+	return f.vectors[r]
 }
 
 // VectorAllocated reports whether register r has lanes allocated (used by
@@ -215,10 +222,11 @@ func (f *Flow) SetLane(r isa.Reg, i int, v int64) {
 	f.Vector(r)[i] = v
 }
 
-// SetThickness switches the flow to PRAM mode with the given thickness.
-// Vector registers keep their first min(old,new) lanes and zero-extend — the
-// nested thick block semantics where a new thickness opens a fresh lane
-// space.
+// SetThickness switches the flow to PRAM mode with the given thickness. An
+// allocated vector register shorter than t is extended with zero lanes; one
+// longer than t keeps every lane it has, the lanes beyond t hidden until a
+// later thickness uncovers them with the values they held. Hidden lanes are
+// architectural state: the snapshot and the state digest carry them.
 func (f *Flow) SetThickness(t int) error {
 	if t < 0 {
 		return fmt.Errorf("tcf: flow %d: negative thickness %d", f.ID, t)
@@ -227,10 +235,8 @@ func (f *Flow) SetThickness(t int) error {
 	f.Thickness = t
 	f.TotalThickness = t
 	for r := range f.vectors {
-		if f.vectors[r] != nil && len(f.vectors[r]) < t {
-			nv := make([]int64, t)
-			copy(nv, f.vectors[r])
-			f.vectors[r] = nv
+		if v := f.vectors[r]; v != nil && len(v) < t {
+			f.Regs.grow(&f.vectors[r], t)
 		}
 	}
 	f.noteRegWords()

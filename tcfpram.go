@@ -581,6 +581,16 @@ type CommitStats = mem.CommitStats
 // prints under the stage table.
 func (m *Machine) CommitStats() CommitStats { return m.inner.CommitStats() }
 
+// KernelStats counts how the run's operation slices were generated (in bulk
+// forms or lane by lane), the instructions retired inside fused register
+// runs and the register banks reused or allocated: host-side counters of the
+// simulator, not simulated statistics.
+type KernelStats = machine.KernelStats
+
+// KernelStats returns the kernel-coverage counters: what `tcfrun -stages`
+// prints under the commit's routes.
+func (m *Machine) KernelStats() KernelStats { return m.inner.KernelStats() }
+
 // StageTable renders the cumulative Figure 13 per-stage cost attribution of
 // the run so far (always available; no tracing required).
 func (m *Machine) StageTable() string { return trace.StageTable(m.inner.Stats()) }
