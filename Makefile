@@ -43,9 +43,11 @@ bench-compile:
 # write and combining logs; ns/ref, B/ref buffered and allocs per step) and the
 # step loop's fixed cost (BenchmarkStepFixedCost in internal/machine: one busy
 # group of four, 2048 queued flows, 2048 flows created and retired, 16 flows
-# at a barrier; ns/step and allocs per step; BenchmarkResetRun: Reset, load and
-# a whole run on one machine, a thick register file and 2048 thin flows; ns/op
-# and B/op across Reset) and the lane kernels' (BenchmarkBulk in internal/isa
+# at a barrier, one scalar flow, a NUMA bunch of eight, and a store, a
+# multioperation and an output every step; ns/step and allocs per step;
+# BenchmarkResetRun: Reset, load and a whole run on one machine, a thick
+# register file, 2048 thin flows and a program of three steps; ns/op and B/op
+# across Reset) and the lane kernels' (BenchmarkBulk in internal/isa
 # — the bulk forms next to the per-lane call they replaced — and BenchmarkKern
 # in internal/fuse — one compiled kernel per operand shape at 4 and 2^17
 # lanes; ns/lane). It is a smoke at -benchtime=20x, as CI's bench job runs it,

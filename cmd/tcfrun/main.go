@@ -254,7 +254,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "mem[%d:%d] = %v\n", addr, addr+int64(n), m.Words(addr, n))
 	}
 	if *showStages {
-		fmt.Fprintf(out, "backend=%s sched=%s\n%s\n%s\n%s\n", backend, sched, m.StageTable(), m.CommitStats(), m.KernelStats())
+		fmt.Fprintf(out, "backend=%s sched=%s\n%s\n%s\n%s\n%s\n", backend, sched, m.StageTable(), m.CommitStats(), m.KernelStats(), m.TailStats())
 	}
 	if *showTrace {
 		fmt.Fprintln(out, m.Timeline())

@@ -308,10 +308,15 @@ func main() {
 }
 
 // TestStagesKernelCoverage: -stages prints, under the commit's routes, how
-// the run's lanes were generated — the interpreter's LD and ST lane by lane,
-// everything in bulk and four instructions inside register runs on the fused
-// backend — and where its two vector banks (64 lanes: the register arena's
-// smallest) came from.
+// the run's lanes were generated — everything in bulk on both backends, the LD
+// and the ST included, since the bulk LD/ST is the shared range loop's and no
+// longer the fused backend's alone (the per-lane loops remain for fault plans,
+// discipline checks, NUMA mode and immediate semantics); four instructions
+// inside register runs on the fused backend — and where its two vector banks
+// (64 lanes: the register arena's smallest) came from. Under them the tail
+// line: of the ten steps one had stores to commit, one left a buffer to
+// compact (the flow halted), none had two outputs to order, and the one
+// flow's chunk was allocated.
 func TestStagesKernelCoverage(t *testing.T) {
 	path := write(t, "p.te", `
 shared int c[64] @ 300;
@@ -322,9 +327,10 @@ func main() {
 }
 `)
 	for backend, want := range map[string]string{
-		"interp": "kernels: bulk_lanes=256 per_lane_lanes=128 run_instrs=0 banks_reused=0 banks_allocated=2",
+		"interp": "kernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=0 banks_reused=0 banks_allocated=2",
 		"fused":  "kernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=4 banks_reused=0 banks_allocated=2",
 	} {
+		want += "\ntail: steps=10 commits=1 compactions=1 output_sorts=0 flows_reused=0 flows_allocated=1"
 		var out bytes.Buffer
 		if err := run([]string{"-backend", backend, "-stages", path}, &out); err != nil {
 			t.Fatal(err)

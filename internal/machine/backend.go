@@ -21,7 +21,7 @@ type backend struct {
 // Immediate semantics must execute groups serially (they touch memory
 // directly); lockstep groups are independent within a step, so the first
 // busy group runs inline while the rest go to the worker pool.
-func (bk *backend) generate(plan StepPlan) {
+func (bk *backend) generate(plan *StepPlan) {
 	m := bk.m
 	pooled := plan.Lockstep && m.cfg.Parallel
 	var inline *groupExec
@@ -51,7 +51,7 @@ func (bk *backend) generate(plan StepPlan) {
 // step law prices it at zero cycles (pipeline.StepCost) — all that is left
 // of it is the rotation cursor a rotating policy advances per step, and the
 // zeroing, once, of an arena that still holds an earlier step.
-func (x *groupExec) begin(plan StepPlan) bool {
+func (x *groupExec) begin(plan *StepPlan) bool {
 	buf := &x.g.Buf
 	if buf.anyReadyResident() {
 		x.reset(plan)
@@ -74,9 +74,7 @@ func (x *groupExec) begin(plan StepPlan) bool {
 // accumulate, and the step's cycle count is the maximum over groups.
 func (bk *backend) merge() (int64, error) {
 	m := bk.m
-	m.stepOutputs = m.stepOutputs[:0]
-	m.stepEvents = m.stepEvents[:0]
-	m.discAccs = m.discAccs[:0]
+	m.beginFold()
 	var stepCycles int64
 	for _, x := range m.execs {
 		if x.idle {
@@ -96,26 +94,46 @@ func (bk *backend) merge() (int64, error) {
 	return stepCycles, nil
 }
 
+// beginFold empties what the fold of a step collects.
+func (m *Machine) beginFold() {
+	m.stepOutputs = m.stepOutputs[:0]
+	m.stepEvents = m.stepEvents[:0]
+	m.discAccs = m.discAccs[:0]
+	m.stepTraffic = 0
+}
+
 // foldGroup folds one group's generated step into the machine: its write and
 // combining logs are handed, not copied, to the commit stage, outputs and
 // deferred events are collected, statistics and per-stage attribution
-// accumulate. It returns the group's cycle count for the step (the step's
-// cycle count is the maximum over groups). Shared by the lockstep merge
-// (reading the groupExec arenas directly) and the dataflow committer
-// (reading published step packets); both call it in group-index order,
-// which is what makes the two schedulers bit-identical.
+// accumulate. Only what the group produced is handed on, and the words and
+// references handed to the commit are totalled in stepTraffic for it. It
+// returns the group's cycle count for the step (the step's cycle count is the
+// maximum over groups). Shared by the lockstep merge (reading the groupExec
+// arenas directly) and the dataflow committer (reading published step
+// packets); both call it in group-index order, which is what makes the two
+// schedulers bit-identical.
 func (m *Machine) foldGroup(gi int, c *groupCounters,
 	writes *mem.WriteLog, comb *combining, outputs []Output,
 	events []deferredEvent, accs []discAcc) int64 {
-	m.shared.BufferLog(writes)
+	traffic := writes.Len() + comb.refs
+	m.stepTraffic += traffic
+	if writes.Len() > 0 {
+		m.shared.BufferLog(writes)
+	}
 	if comb.refs > 0 {
 		for k := range comb.logs {
 			m.combiners[k].AddLog(&comb.logs[k])
 		}
 	}
-	m.stepOutputs = append(m.stepOutputs, outputs...)
-	m.stepEvents = append(m.stepEvents, events...)
-	m.discAccs = append(m.discAccs, accs...)
+	if len(outputs) > 0 {
+		m.stepOutputs = append(m.stepOutputs, outputs...)
+	}
+	if len(events) > 0 {
+		m.stepEvents = append(m.stepEvents, events...)
+	}
+	if len(accs) > 0 {
+		m.discAccs = append(m.discAccs, accs...)
+	}
 
 	cost := pipeline.StepCost(
 		pipeline.Config{Depth: m.cfg.PipelineDepth, MemLatency: m.cfg.MemLatencyBase},
@@ -148,7 +166,7 @@ func (m *Machine) foldGroup(gi int, c *groupCounters,
 	m.stats.Stages[StageMemory].Cycles += overhead + c.stall + c.faultStall
 	m.stats.Stages[StageMemory].Events += c.sharedReads + c.sharedWrites +
 		c.localReads + c.localWrites + c.multiopRefs
-	m.stats.Stages[StageCommit].Events += int64(writes.Len() + comb.refs)
+	m.stats.Stages[StageCommit].Events += int64(traffic)
 	return gc
 }
 
@@ -164,9 +182,16 @@ func (m *Machine) discardStep() {
 
 // commit is the writeback stage: buffered writes apply with the configured
 // concurrent-write policy, and combining traffic resolves, every multiprefix
-// run receiving its prefixes in the lanes of its destination register.
+// run receiving its prefixes in the lanes of its destination register. A step
+// that folded no store and no combining reference has nothing to write back
+// and skips the stage — unless the memory holds stores from elsewhere (the
+// BufferWrite adapters), which commit with this step as they always did.
 func (bk *backend) commit() error {
 	m := bk.m
+	if m.stepTraffic == 0 && m.shared.PendingWrites() == 0 {
+		return nil
+	}
+	m.tail.Commits++
 	conflicts := m.shared.ApplyStep()
 	if len(conflicts) > 0 {
 		return m.failf("step %d: %s", m.stats.Steps, conflicts[0])
@@ -189,7 +214,7 @@ func (bk *backend) commit() error {
 // at reset: every policy's discipline (single-instruction, budgeted
 // balanced slices, multi-instruction windows) is one pass of the same loop.
 func (x *groupExec) runGroup() {
-	plan := &x.plan
+	plan := x.plan
 	n := len(x.g.Buf.Resident)
 	if n == 0 {
 		return

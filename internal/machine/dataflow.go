@@ -79,8 +79,8 @@ type dfPacket struct {
 	// hazard: retiring this step can mutate another group's state (events,
 	// barrier, combining traffic, or an error stops the run).
 	hazard bool
-	// fence: compacting this group's buffer after this step is not a no-op
-	// (a flow went Done, or pending flows are queued).
+	// fence: the group's buffer needs compaction after this step
+	// (StorageBuf.needsCompaction, as the runner saw it).
 	fence bool
 	// ready counts the group's Ready flows (resident and pending) right
 	// after generation; the committer sums these instead of scanning the
@@ -334,9 +334,7 @@ func (m *Machine) runDataflow(ctx context.Context) (*Stats, error) {
 // run completed (no live flows remain).
 func (m *Machine) dfCommitStep(k int64, pkts []*dfPacket, strict bool) (finished bool, err error) {
 	stagesBefore := m.stats.Stages
-	m.stepOutputs = m.stepOutputs[:0]
-	m.stepEvents = m.stepEvents[:0]
-	m.discAccs = m.discAccs[:0]
+	m.beginFold()
 
 	var stepCycles int64
 	hazard := false
@@ -386,9 +384,9 @@ func (m *Machine) dfCommitStep(k int64, pkts []*dfPacket, strict bool) (finished
 	if parked {
 		m.front.compact()
 	} else {
-		// Only fenced groups (whose runners hold at the boundary) compact;
-		// for every other group compaction is provably a no-op this step, so
-		// skipping it is charge-identical to the lockstep sweep.
+		// Only fenced groups (whose runners hold at the boundary) compact:
+		// the runners of the others are mid-step and their buffers not to be
+		// read, and their packets say what needsCompaction said — no.
 		for gi, p := range pkts {
 			if p.fence {
 				m.front.compactGroup(m.groups[gi])
@@ -430,11 +428,13 @@ func (m *Machine) dfRunner(b *dfBoard, gi int, start int64) {
 	// needs clearing between steps.
 	pageMark := make([]int64, m.dfFront.Pages())
 	parkAfter := false
+	plan := StepPlan{StepShape: m.plan.StepShape} // the runner's own: it runs ahead of the machine's
 	for n := start; ; n++ {
 		if !b.waitGenerate(gi, n, parkAfter) {
 			return
 		}
-		x.reset(StepPlan{StepShape: m.shape, Step: n})
+		plan.Step = n
+		x.reset(&plan)
 		x.runGroup()
 		parkAfter = m.dfPublish(b, x, g, gi, n, pageMark)
 	}
@@ -466,13 +466,9 @@ func (m *Machine) dfPublish(b *dfBoard, x *groupExec, g *Group, gi int, n int64,
 	}
 
 	ready := 0
-	doneSeen := false
 	for _, f := range g.Buf.Resident {
-		switch f.State {
-		case tcf.Ready:
+		if f.State == tcf.Ready {
 			ready++
-		case tcf.Done:
-			doneSeen = true
 		}
 	}
 	for i, q := 0, &g.Buf.Pending; i < q.Len(); i++ {
@@ -482,7 +478,7 @@ func (m *Machine) dfPublish(b *dfBoard, x *groupExec, g *Group, gi int, n int64,
 	}
 	p.ready = ready
 	p.hazard = p.err != nil || len(p.events) > 0 || p.refs > 0 || p.barriers > 0
-	p.fence = doneSeen || g.Buf.Pending.Len() > 0
+	p.fence = g.Buf.needsCompaction()
 
 	m.dfFront.Publish(n, p.pages)
 	b.publish(gi, n, p.hazard)

@@ -197,7 +197,7 @@ func (x *groupExec) record(f *tcf.Flow, slot int, op isa.Op, first, lanes int, n
 // rejoinFragment ends an auto-split fragment at a thickness/mode/structure
 // change: the container resumes at this PC once all fragments arrive.
 func (x *groupExec) rejoinFragment(f *tcf.Flow) {
-	f.State = tcf.Done
+	x.g.Buf.retire(f)
 	x.done++
 	x.events = append(x.events, deferredEvent{kind: evFragmentRejoin, flow: f, pc: f.PC})
 }
@@ -208,7 +208,7 @@ func (x *groupExec) halt(f *tcf.Flow) {
 	if f.State == tcf.Done {
 		return
 	}
-	f.State = tcf.Done
+	x.g.Buf.retire(f)
 	x.done++
 	if f.Parent != nil {
 		x.events = append(x.events, deferredEvent{kind: evChildDone, flow: f})

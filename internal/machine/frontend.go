@@ -20,7 +20,26 @@ type StorageBuf struct {
 	// rrStart rotates the slot a rotating policy (Balanced) serves first,
 	// so a thick flow cannot starve its slot-mates of the operation budget.
 	rrStart int
+
+	// doneSeen: a flow of this buffer went Done (retire) and dropDone has not
+	// run since, or a queued flow took a slot Done. It is written by whoever
+	// runs the group's step — the group's goroutine under Parallel, its runner
+	// under the dataflow scheduler — and between steps by the goroutine that
+	// retires events and compacts, never by two at once; no part of a snapshot.
+	doneSeen bool
 }
+
+// retire takes f, a flow of this buffer, to Done.
+func (b *StorageBuf) retire(f *tcf.Flow) {
+	f.State = tcf.Done
+	b.doneSeen = true
+}
+
+// needsCompaction reports whether compactGroup could change the buffer:
+// without a Done resident to drop and without a queued flow to promote or to
+// displace a blocked resident with, it is the identity. The lockstep sweep
+// skips such a buffer and a dataflow runner runs on past it unfenced.
+func (b *StorageBuf) needsCompaction() bool { return b.doneSeen || b.Pending.Len() > 0 }
 
 // flowQueue is the pending queue: a ring whose array survives rotation and
 // Reset, so a recycled machine queues up to its previous peak without
@@ -134,6 +153,7 @@ func (b *StorageBuf) demoteReady() bool {
 // dropDone compacts Done flows out of the buffer; a buffer without one is
 // only read.
 func (b *StorageBuf) dropDone() {
+	b.doneSeen = false
 	keep := 0
 	for i, f := range b.Resident {
 		if f.State == tcf.Done {
@@ -147,12 +167,23 @@ func (b *StorageBuf) dropDone() {
 	b.Resident = b.Resident[:keep]
 }
 
+// popPending takes the queue head for a slot. An auto-split container can
+// complete while it is queued, where dropDone does not look: it takes its slot
+// Done, and the next compaction has to drop it.
+func (b *StorageBuf) popPending() *tcf.Flow {
+	f := b.Pending.pop()
+	if f.State == tcf.Done {
+		b.doneSeen = true
+	}
+	return f
+}
+
 // promote moves the queue head into a free slot, reporting whether it did.
 func (b *StorageBuf) promote(slots int) bool {
 	if len(b.Resident) >= slots || b.Pending.Len() == 0 {
 		return false
 	}
-	b.Resident = append(b.Resident, b.Pending.pop())
+	b.Resident = append(b.Resident, b.popPending())
 	return true
 }
 
@@ -169,7 +200,7 @@ func (b *StorageBuf) displaceBlocked() bool {
 			if !b.Pending.anyReady() {
 				return false
 			}
-			b.Resident[i] = b.Pending.pop()
+			b.Resident[i] = b.popPending()
 			b.Pending.push(f)
 			return true
 		}
@@ -189,19 +220,20 @@ type frontend struct {
 
 // prepare opens a step: fail-stop fault events fire at the boundary (a dead
 // module's traffic fails over to a mirrored spare before any reference of
-// this step), then the policy's step shape is stamped into the plan handed
-// to the backend.
-func (fr *frontend) prepare() (StepPlan, error) {
+// this step), then the step index is stamped into the plan handed to the
+// backend.
+func (fr *frontend) prepare() (*StepPlan, error) {
 	m := fr.m
 	if plan := m.cfg.FaultPlan; plan != nil {
 		for _, mod := range plan.ModuleFailuresAt(m.stats.Steps) {
 			if err := m.shared.FailModule(mod); err != nil {
-				return StepPlan{}, m.failw(ErrFaultUnrecoverable, "step %d: %v", m.stats.Steps, err)
+				return nil, m.failw(ErrFaultUnrecoverable, "step %d: %v", m.stats.Steps, err)
 			}
 			m.stats.Failovers++
 		}
 	}
-	return StepPlan{StepShape: m.shape, Step: m.stats.Steps}, nil
+	m.plan.Step = m.stats.Steps
+	return &m.plan, nil
 }
 
 // place registers f on group g's storage buffer.
@@ -240,7 +272,7 @@ func (fr *frontend) retireEvents() error {
 				if parent.ResumePC < 0 {
 					// Auto-split container: the fragments were the rest
 					// of its execution.
-					parent.State = tcf.Done
+					m.groups[parent.Home].Buf.retire(parent)
 					m.live--
 					if parent.Parent != nil {
 						m.stepEvents = append(m.stepEvents, deferredEvent{kind: evChildDone, flow: parent})
@@ -334,20 +366,24 @@ func (fr *frontend) preempt() {
 
 // compact drops Done flows from the TCF buffers and promotes pending flows
 // into freed slots — the zero-cost task switch of the TCF variants
-// (Table 1): rotating the TCF storage buffer costs no cycles there.
+// (Table 1): rotating the TCF storage buffer costs no cycles there. A buffer
+// compaction would leave as it is (needsCompaction) is not entered.
 func (fr *frontend) compact() {
 	for _, g := range fr.m.groups {
-		fr.compactGroup(g)
+		if g.Buf.needsCompaction() {
+			fr.compactGroup(g)
+		}
 	}
 }
 
-// compactGroup compacts one group's buffer. The dataflow committer calls it
-// per group (in group-index order, like compact) so it can skip groups whose
-// runners are mid-step — safe exactly because compaction is a no-op for
-// them: no flow of theirs went Done this step and their pending queue is
-// empty, or their runner would have fenced itself to the step boundary.
+// compactGroup compacts one group's buffer. Both schedulers compact, in
+// group-index order, exactly the buffers that need it: the lockstep sweep asks
+// needsCompaction at the step boundary; the dataflow committer, which may not
+// read the buffer of a group whose runner is mid-step, takes the answer the
+// runner published with the step (dfPacket.fence) and fenced itself on.
 func (fr *frontend) compactGroup(g *Group) {
 	m := fr.m
+	m.tail.Compactions++
 	g.Buf.dropDone()
 	for g.Buf.promote(m.cfg.ProcsPerGroup) {
 		fr.noteTaskSwitch()

@@ -32,8 +32,12 @@ type Machine struct {
 	cfg    Config
 	policy variant.Policy
 	props  variant.Properties // policy.Props(), fetched once at New
-	shape  variant.StepShape
-	prog   *isa.Program
+	// plan is the plan of the lockstep step under way: the policy's step
+	// shape, fixed at New, and the step index frontend.prepare stamps. The
+	// groups' arenas refer to it; a struct of this size handed down by value
+	// was an eighth of a thin step.
+	plan StepPlan
+	prog *isa.Program
 	// code is the loaded program's per-PC table, built at LoadProgram/Restore
 	// and the only form in which the step engine reads instructions: under
 	// the interpreter the decoded facts alone, in the machine's own array
@@ -59,7 +63,15 @@ type Machine struct {
 	// program of many flows allocates per chunk, not per flow. Chunks stay
 	// at 16 flows (17 KB): in chunks of 256 the run's flows were large
 	// objects and raised the peak resident set of engine-flows by a tenth.
-	slab []tcf.Flow
+	// chunks are the first chunks the machine drew, keptFlows flows between
+	// them and never more than maxKeptFlows: they survive Reset, and the next
+	// run draws them again, oldest first (nextChunk), before it allocates.
+	// reusable is what keptFlows was at the last Reset.
+	slab      []tcf.Flow
+	chunks    [][]tcf.Flow
+	nextChunk int
+	keptFlows int
+	reusable  int
 	// regs is the register arena the flows' vector banks come from and, at
 	// Reset, go back to. It survives Reset like every other arena, holds at
 	// most SharedWords words, and is no part of a snapshot.
@@ -76,6 +88,9 @@ type Machine struct {
 	stepOutputs []Output
 	stepEvents  []deferredEvent
 	discAccs    []discAcc // step's recorded accesses (Config.MemDiscipline)
+	// stepTraffic is the number of store words and combining references the
+	// step's fold handed to the memory and the combiners.
+	stepTraffic int
 	wg          sync.WaitGroup
 
 	// dfFront is the dataflow scheduler's per-page dependency frontier,
@@ -84,6 +99,7 @@ type Machine struct {
 	dfFront *mem.Frontier
 
 	stats  Stats
+	tail   TailStats
 	output []Output
 
 	halted  bool
@@ -117,7 +133,7 @@ func New(cfg Config) (*Machine, error) {
 		cfg:      c,
 		policy:   pol,
 		props:    pol.Props(),
-		shape:    pol.Shape(c.machineShape()),
+		plan:     StepPlan{StepShape: pol.Shape(c.machineShape())},
 		shared:   shared,
 		flowList: make([]*tcf.Flow, 0, 8),
 		regs:     tcf.NewRegArena(c.SharedWords),
@@ -216,6 +232,32 @@ func (m *Machine) KernelStats() KernelStats {
 	return k
 }
 
+// TailStats counts what the stages behind operation generation had to do
+// since the machine was built or Reset: the steps taken, those among them that
+// had stores or combining references to commit, the storage buffers compacted
+// (a step may compact several groups', or none), the steps whose outputs
+// needed ordering, and the flows that were drawn from chunks an earlier run
+// left or had to be allocated. Host-side counters like CommitStats: in no
+// snapshot and no simulated statistic.
+type TailStats struct {
+	Steps, Commits, Compactions, OutputSorts, FlowsReused, FlowsAllocated int64
+}
+
+func (s TailStats) String() string {
+	return fmt.Sprintf("tail: steps=%d commits=%d compactions=%d output_sorts=%d flows_reused=%d flows_allocated=%d",
+		s.Steps, s.Commits, s.Compactions, s.OutputSorts, s.FlowsReused, s.FlowsAllocated)
+}
+
+// TailStats returns the tail-stage counters. Not to be called while the
+// machine steps.
+func (m *Machine) TailStats() TailStats {
+	s := m.tail
+	// Flows fill the chunks in id order, the kept ones first.
+	s.FlowsReused = int64(min(len(m.flowList), m.reusable))
+	s.FlowsAllocated = int64(len(m.flowList)) - s.FlowsReused
+	return s
+}
+
 // Outputs returns the PRINT/PRINTS records in deterministic order.
 func (m *Machine) Outputs() []Output { return m.output }
 
@@ -264,17 +306,41 @@ func (m *Machine) fused() bool { return m.cfg.Backend == BackendFused }
 // Program returns the loaded program.
 func (m *Machine) Program() *isa.Program { return m.prog }
 
-// newFlow allocates a flow and registers it on group g (resident if a slot
-// is free, otherwise pending).
-func (m *Machine) newFlow(pc, thickness, g int) *tcf.Flow {
+// maxKeptFlows bounds the flows whose chunks a machine keeps across Reset:
+// about 78 KB of flows, which hold what their last run left in them — banks
+// under the register arena's minimum, call stacks — until Init or DecodeFrom
+// overwrites it. A run of more flows allocates the rest and drops them.
+const maxKeptFlows = 64
+
+// nextFlow returns the storage of the run's next flow, holding whatever an
+// earlier run left there, and appends it to flowList: its id is its index.
+func (m *Machine) nextFlow() *tcf.Flow {
 	if len(m.slab) == 0 {
-		m.slab = make([]tcf.Flow, min(16, max(4, len(m.flowList))))
+		if m.nextChunk < len(m.chunks) {
+			m.slab = m.chunks[m.nextChunk]
+			m.nextChunk++
+		} else {
+			m.slab = make([]tcf.Flow, min(16, max(4, len(m.flowList))))
+			if m.keptFlows+len(m.slab) <= maxKeptFlows {
+				m.chunks = append(m.chunks, m.slab)
+				m.nextChunk++
+				m.keptFlows += len(m.slab)
+			}
+		}
 	}
 	f := &m.slab[0]
 	m.slab = m.slab[1:]
-	f.Init(len(m.flowList), pc, thickness)
-	f.Regs = m.regs
 	m.flowList = append(m.flowList, f)
+	return f
+}
+
+// newFlow creates a flow and registers it on group g (resident if a slot is
+// free, otherwise pending).
+func (m *Machine) newFlow(pc, thickness, g int) *tcf.Flow {
+	id := len(m.flowList)
+	f := m.nextFlow()
+	f.Init(id, pc, thickness)
+	f.Regs = m.regs
 	m.front.place(f, g)
 	m.stats.FlowsCreated++
 	m.live++
@@ -332,7 +398,7 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 	// The dataflow scheduler applies to lockstep step shapes; immediate
 	// (XMT-style) semantics serialize memory within the step and keep the
 	// lockstep engine. Manual Step() always steps lockstep.
-	if m.cfg.Sched == SchedDataflow && m.shape.Lockstep {
+	if m.cfg.Sched == SchedDataflow && m.plan.Lockstep {
 		return m.runDataflow(ctx)
 	}
 	wd := newWatchdog(m.cfg.WatchdogSteps)

@@ -1,9 +1,12 @@
 package machine
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -163,21 +166,85 @@ func main() {
     #16;
     print(radd(a[tid * 6]));
 }`},
+		// 24 tasks on 16 slots, each of which goes overly thick: a container
+		// waiting for its fragments is displaced to the queue by a task that
+		// can run, completes there when the last fragment halts, and comes
+		// back into a slot Done.
+		"auto-split-queued": {tweak: func(c *Config) { c.AutoSplitThreshold = 16 }, src: `
+shared int a[960] @ 1024;
+func main() {
+    parallel { ` + arms(24, "#1: work();") + `}
+    #16;
+    print(radd(a[tid * 60 + 7]));
+}
+func work() {
+    int me = fid - 1;
+    int spin = 0;
+    for (int i = 0; i < me % 5; i += 1) { spin += i; }
+    #40;
+    a[me * 40 + tid] = tid + me + spin * 0;
+}`},
 	}
 }
 
-// TestOccupancyCountersMatchScans steps every corpus program and the small
-// flow shapes under all six variants and holds the O(1) bookkeeping to the
-// scans after every Step. Programs a variant cannot run stop with an error;
-// the counters must be right up to and including the failing step.
-func TestOccupancyCountersMatchScans(t *testing.T) {
-	type job struct {
-		name  string
-		prog  *isa.Program
-		local []sema.DataSeg
-		tweak func(*Config)
+// checkTail asserts, at a step boundary, what compacting every buffer,
+// committing and ordering outputs on every step would have left behind — the
+// stages the step loop enters only for a step that has something for them. A
+// flow that is Done stands only in a buffer marked for compaction; a free slot
+// has no queue behind it; a blocked or waiting resident has no ready flow
+// queued behind it, unless the step ended in a barrier release (released),
+// which comes after compaction; the memory and the combiners retain nothing;
+// and the step's outputs (from firstOut on) are what a stable sort by flow of
+// the groups' outputs, concatenated in group order, gives.
+func checkTail(t *testing.T, m *Machine, firstOut int, released bool) {
+	t.Helper()
+	step := m.stats.Steps
+	for _, g := range m.groups {
+		b := &g.Buf
+		queued := b.Pending.flows()
+		readyQueued := false
+		for _, f := range queued {
+			readyQueued = readyQueued || f.State == tcf.Ready
+		}
+		for _, f := range append(queued, b.Resident...) {
+			if f.State == tcf.Done && !b.needsCompaction() {
+				t.Fatalf("step %d: group %d holds %v Done and is not marked for compaction", step, g.Index, f)
+			}
+		}
+		if len(queued) > 0 && len(b.Resident) < m.cfg.ProcsPerGroup {
+			t.Fatalf("step %d: group %d has %d flows queued behind a free slot", step, g.Index, len(queued))
+		}
+		for _, f := range b.Resident {
+			if (f.State == tcf.Blocked || f.State == tcf.Waiting) && readyQueued && !released {
+				t.Fatalf("step %d: group %d keeps %v resident with a ready flow queued", step, g.Index, f)
+			}
+		}
 	}
-	var jobs []job
+	if n := m.shared.PendingWrites(); n != 0 {
+		t.Fatalf("step %d: the memory retains %d stores", step, n)
+	}
+	for k, c := range m.combiners {
+		if c.Len() != 0 {
+			t.Fatalf("step %d: combiner %d retains %d references", step, k, c.Len())
+		}
+	}
+	var want []Output
+	for _, x := range m.execs {
+		if !x.idle {
+			want = append(want, x.outputs...)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].Flow < want[j].Flow })
+	if got := m.output[firstOut:]; !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+		t.Fatalf("step %d: outputs %v, want %v", step, got, want)
+	}
+}
+
+// tailJobs are the programs the tail tests step: the corpus and the flow
+// shapes.
+func tailJobs(t *testing.T) []tailJob {
+	t.Helper()
+	var jobs []tailJob
 	files, err := filepath.Glob(filepath.Join("..", "codegen", "testdata", "*.te"))
 	if err != nil || len(files) < 16 {
 		t.Fatalf("corpus: %d programs, %v", len(files), err)
@@ -191,15 +258,114 @@ func TestOccupancyCountersMatchScans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, job{name: filepath.Base(file), prog: c.Program, local: c.LocalData})
+		jobs = append(jobs, tailJob{name: filepath.Base(file), prog: c.Program, local: c.LocalData})
 	}
 	for name, sh := range occupancyShapes() {
 		c, err := codegen.CompileSource(name, sh.src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		jobs = append(jobs, job{name: name, prog: c.Program, tweak: sh.tweak})
+		jobs = append(jobs, tailJob{name: name, prog: c.Program, tweak: sh.tweak})
 	}
+	return jobs
+}
+
+type tailJob struct {
+	name  string
+	prog  *isa.Program
+	local []sema.DataSeg
+	tweak func(*Config)
+}
+
+// boot builds a machine for the job under cfg and boots it.
+func (j tailJob) boot(t *testing.T, cfg Config) *Machine {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.bootOn(t, m)
+	return m
+}
+
+// bootOn loads the job into m, a machine just built or Reset, and boots it.
+func (j tailJob) bootOn(t *testing.T, m *Machine) {
+	t.Helper()
+	if err := m.LoadProgram(j.prog); err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range j.local {
+		for _, g := range m.groups {
+			if err := g.Local.Load(seg.Addr, seg.Words); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.Boot(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStepTailInvariants steps the corpus and the flow shapes under all six
+// variants, both backends, serially and with Parallel, and holds the skipped
+// tail stages to checkTail after every Step. The auto-split-queued shape must
+// really bring a Done container out of a queue into a slot: that is the one
+// way a buffer comes to need compaction without a flow of it having run.
+func TestStepTailInvariants(t *testing.T) {
+	doneFromQueue := 0
+	for _, j := range tailJobs(t) {
+		for _, kind := range variant.Kinds() {
+			for _, backend := range []Backend{BackendInterp, BackendFused} {
+				for _, par := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%v/%v/parallel=%v", j.name, kind, backend, par), func(t *testing.T) {
+						cfg := Default(kind)
+						cfg.MaxSteps = 20000
+						cfg.Backend, cfg.Parallel, cfg.LaneParallelThreshold = backend, par, 32
+						if j.tweak != nil {
+							j.tweak(&cfg)
+						}
+						m := j.boot(t, cfg)
+						var blocked []*tcf.Flow
+						for !m.Done() && m.stats.Steps < cfg.MaxSteps {
+							blocked = blocked[:0]
+							for _, f := range m.flowList {
+								if f.State == tcf.Blocked {
+									blocked = append(blocked, f)
+								}
+							}
+							firstOut := len(m.output)
+							if err := m.Step(); err != nil {
+								return
+							}
+							released := false
+							for _, f := range blocked {
+								released = released || f.State == tcf.Ready
+							}
+							checkTail(t, m, firstOut, released)
+							for _, g := range m.groups {
+								for _, f := range g.Buf.Resident {
+									if f.State == tcf.Done { // compaction drops every other
+										doneFromQueue++
+									}
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+	if doneFromQueue == 0 {
+		t.Fatal("no auto-split container ever came out of a queue Done: the trap was not stepped through")
+	}
+}
+
+// TestOccupancyCountersMatchScans steps every corpus program and the small
+// flow shapes under all six variants and holds the O(1) bookkeeping to the
+// scans after every Step. Programs a variant cannot run stop with an error;
+// the counters must be right up to and including the failing step.
+func TestOccupancyCountersMatchScans(t *testing.T) {
+	jobs := tailJobs(t)
 	completed := 0
 	for _, j := range jobs {
 		for _, kind := range variant.Kinds() {
@@ -209,23 +375,7 @@ func TestOccupancyCountersMatchScans(t *testing.T) {
 				if j.tweak != nil {
 					j.tweak(&cfg)
 				}
-				m, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.LoadProgram(j.prog); err != nil {
-					t.Fatal(err)
-				}
-				for _, seg := range j.local {
-					for g := 0; g < cfg.Groups; g++ {
-						if err := m.LocalMem(g).Load(seg.Addr, seg.Words); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if err := m.Boot(); err != nil {
-					t.Fatal(err)
-				}
+				m := j.boot(t, cfg)
 				checkOccupancy(t, m)
 				for !m.Done() && m.stats.Steps < cfg.MaxSteps {
 					err := m.Step()
@@ -242,6 +392,66 @@ func TestOccupancyCountersMatchScans(t *testing.T) {
 	}
 	if completed < len(jobs) {
 		t.Fatalf("only %d of %d program × variant runs completed; the walk proved little", completed, len(jobs)*len(variant.Kinds()))
+	}
+}
+
+// TestRestoreMarksBuffersUnsettled: the mark a buffer carries for compaction
+// is not in a snapshot, so a restored machine must look at every buffer once.
+// Snapshots taken after every step of runs whose flows terminate in several
+// groups in one step — and of the run that has a Done container standing in a
+// slot at step boundaries — are restored and stepped on: after every further
+// step the machine is, byte for byte, the uninterrupted run's, and run on
+// under the dataflow scheduler it ends as that run ends.
+func TestRestoreMarksBuffersUnsettled(t *testing.T) {
+	for _, j := range tailJobs(t) {
+		if j.name != "multitask" && j.name != "auto-split-queued" {
+			continue
+		}
+		cfg := Default(variant.SingleInstruction)
+		cfg.SharedWords = 1 << 12 // a snapshot a step and a restore for each: keep them small
+		if j.tweak != nil {
+			j.tweak(&cfg)
+		}
+		whole := j.boot(t, cfg)
+		var after [][]byte // after[k]: the machine after k+1 steps
+		for !whole.Done() {
+			if err := whole.Step(); err != nil {
+				t.Fatal(err)
+			}
+			after = append(after, machineBytes(t, whole))
+		}
+		for k := range after {
+			m, err := Restore(bytes.NewReader(after[k]), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first compaction is where a missing mark shows; the steps
+			// behind it are checked through the end state.
+			for n := k + 1; n < len(after); n++ {
+				if n > k+3 {
+					if _, err := m.Run(); err != nil {
+						t.Fatal(err)
+					}
+					n = len(after) - 1
+				} else if err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(machineBytes(t, m), after[n]) {
+					t.Fatalf("%s: restored after step %d, the machine differs after step %d", j.name, k+1, n+1)
+				}
+			}
+			dcfg := cfg
+			dcfg.Sched = SchedDataflow
+			if m, err = Restore(bytes.NewReader(after[k]), dcfg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatalf("%s: restored after step %d, dataflow: %v", j.name, k+1, err)
+			}
+			if !bytes.Equal(machineBytes(t, m), after[len(after)-1]) {
+				t.Fatalf("%s: restored after step %d and run on under the dataflow scheduler, the machine ends differently", j.name, k+1)
+			}
+		}
 	}
 }
 
@@ -365,9 +575,14 @@ func spinTasks(name string, n int, thick int64, barrier bool) *isa.Program {
 // nothing, so that what a step costs besides its operations shows: a machine
 // with one busy group of four, 2048 queued flows behind 16 slots, the
 // creation and retirement of 2048 flows, and 16 flows at a barrier every
-// other step with every group busy. One op is one step; split_2048 restarts
-// its program (Reset, load, boot) inside the measurement whenever it
-// completes, since creating the flows is the cost it is there for.
+// other step with every group busy; then the steps the tail of the pipeline
+// has nothing to do for — one thin flow of register and branch instructions
+// (scalar_loop, the corpus' collatz), a NUMA flow running bunches of eight —
+// and the steps it does have work for, which must cost what that work costs:
+// a store, a multioperation, an output every step. One op is one step;
+// split_2048 and print_every_step restart their program (Reset, load, boot)
+// inside the measurement whenever it completes — creating the flows is the
+// cost the one is there for, and the other's outputs must not pile up.
 func BenchmarkStepFixedCost(b *testing.B) {
 	oneFlow := isa.NewBuilder("one_of_four_groups")
 	oneFlow.Label("main")
@@ -388,11 +603,38 @@ func BenchmarkStepFixedCost(b *testing.B) {
 	burst.Id(isa.FID, isa.S(1))
 	burst.Op(isa.JOIN)
 
+	// loop is a flow of the given thickness running body 14 times, a
+	// countdown and a branch, rounds times over (forever, for rounds 0).
+	loop := func(name string, thick, rounds int64, prologue, body func(b *isa.Builder)) *isa.Program {
+		b := isa.NewBuilder(name)
+		b.Label("main")
+		b.SetThickImm(thick)
+		b.Id(isa.TID, isa.V(0))
+		b.Ldi(isa.S(1), rounds)
+		if prologue != nil {
+			prologue(b)
+		}
+		b.Label("loop")
+		for i := 0; i < 14; i++ {
+			body(b)
+		}
+		b.ALUI(isa.SUB, isa.S(1), isa.S(1), 1)
+		b.Branch(isa.BNEZ, isa.S(1), "loop")
+		b.Halt()
+		return b.MustBuild()
+	}
+	scalar := func(b *isa.Builder) { b.ALUI(isa.ADD, isa.S(2), isa.S(2), 3) }
+
 	for _, prog := range []*isa.Program{
 		oneFlow.MustBuild(),
 		spinTasks("pending_2048", 2048, 4, false),
 		burst.MustBuild(),
 		spinTasks("barrier_16", 16, 1, true),
+		loop("scalar_loop", 1, 0, nil, scalar),
+		loop("numa_bunch_8", 1, 0, func(b *isa.Builder) { b.NumaImm(8) }, scalar),
+		loop("store_every_step", 16, 0, nil, func(b *isa.Builder) { b.St(isa.V(0), laneParOutBase, isa.V(0)) }),
+		loop("madd_every_step", 16, 0, nil, func(b *isa.Builder) { b.Multi(isa.MADD, isa.V(0), laneParOutBase, isa.V(0)) }),
+		loop("print_every_step", 1, 64, nil, func(b *isa.Builder) { b.Print(isa.S(1)) }),
 	} {
 		b.Run(prog.Name, func(b *testing.B) {
 			cfg := Default(variant.SingleInstruction)

@@ -145,7 +145,7 @@ type groupExec struct {
 	fenv fuse.Env
 
 	// plan is the StepPlan stamped at reset; runGroup executes it.
-	plan StepPlan
+	plan *StepPlan
 	// idle marks an arena zeroed for a group without a ready resident and
 	// not written since: such a group is neither reset, run nor folded
 	// (backend.generate), and a trace reads zero cycles and no slices off it.
@@ -213,7 +213,7 @@ type groupExec struct {
 
 // reset prepares the arena for a new step under plan, keeping every
 // allocation.
-func (x *groupExec) reset(plan StepPlan) {
+func (x *groupExec) reset(plan *StepPlan) {
 	x.plan = plan
 	x.idle = false
 	x.immediate = !plan.Lockstep
@@ -493,6 +493,113 @@ func fillColumn(dst, v []int64, first int, c int64) {
 	}
 }
 
+// bulkMemRange executes lanes [first, first+n) of a shared-memory LD or ST
+// as one bulk operation, for either backend, returning false when the caller
+// must take the per-lane reference path (the oracle for refSeq accounting,
+// discipline records, forwarding and NUMA stalls).
+func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool {
+	// Bulk shared-memory kernels engage only on the uniform fast path:
+	// fault-free, no discipline recording, lockstep (buffered) semantics,
+	// PRAM mode, no store-to-load forwarding. Per-reference bookkeeping is
+	// then loop-invariant — refSeq never advances without a fault plan — so
+	// hoisting it out of the lane loop is observationally identical. Under
+	// the dataflow scheduler loads take the reference path too: loadShared
+	// is where the per-page frontier gate lives (the bulk ST below stays
+	// engaged — buffered stores need no gating).
+	if n <= 0 || x.m.cfg.FaultPlan != nil || x.disc || x.immediate || x.fwdOn || f.Mode == tcf.NUMA {
+		return false
+	}
+	if x.df != nil && in.Op == isa.LD {
+		return false
+	}
+	end := first + n
+	sh := x.m.shared
+	// maxDist only grows toward the group's row maximum; once it saturates
+	// the per-lane module lookup is dead work, so the loops below drop it.
+	rowMax := x.rowMax
+	switch in.Op {
+	case isa.LD:
+		if !in.Rd.IsVector() {
+			return false
+		}
+		row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
+		dst := f.Vector(in.Rd)
+		maxDist := x.maxDist
+		if in.Ra.IsVector() {
+			av := f.Vector(in.Ra)
+			imm := in.Imm
+			i := first
+			// Addresses that ascend by one from the first lane on and stay in
+			// range — a[tid+c], whatever instruction computed them — are read
+			// page-wise. The first break sends the remaining lanes through the
+			// cursor below.
+			if base, k := av[first]+imm, consecutive(av[first:end]); sh.InRange(base) && sh.InRange(base+int64(k-1)) {
+				maxDist = sh.MaxOverRun(row, maxDist, base, k)
+				sh.PeekRun(dst[first:first+k], base)
+				i += k
+			}
+			rd := sh.Reader()
+			for ; i < end && maxDist < rowMax; i++ {
+				addr := av[i] + imm
+				if d := row[sh.ModuleOf(addr)]; d > maxDist {
+					maxDist = d
+				}
+				dst[i] = rd.Peek(addr)
+			}
+			for ; i < end; i++ {
+				dst[i] = rd.Peek(av[i] + imm)
+			}
+		} else {
+			// Flow-common broadcast: one word, fetched once per lane in the
+			// reference path; the module distance is the same every time.
+			base := in.Imm
+			if in.Ra != isa.RegNone {
+				base += f.Scalar(in.Ra)
+			}
+			if d := row[sh.ModuleOf(base)]; d > maxDist {
+				maxDist = d
+			}
+			v := sh.Peek(base)
+			for i := first; i < end; i++ {
+				dst[i] = v
+			}
+		}
+		x.maxDist = maxDist
+		x.anyShared = true
+		x.sharedReads += int64(n)
+		return true
+
+	case isa.ST:
+		row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
+		av, bv, base, bs := storeOperands(f, in)
+		// One run, two column fills.
+		addrs, vals := x.writes.Open(f.ID, 0, first, n)
+		fillColumn(addrs, av, first, base)
+		fillColumn(vals, bv, first, bs)
+		maxDist := x.maxDist
+		for i := 0; i < n && maxDist < rowMax; i++ {
+			if d := row[sh.ModuleOf(addrs[i])]; d > maxDist {
+				maxDist = d
+			}
+		}
+		x.maxDist = maxDist
+		x.anyShared = true
+		x.sharedWrites += int64(n)
+		return true
+	}
+	return false
+}
+
+// consecutive returns the length of the longest prefix of the non-empty a
+// whose elements ascend by one.
+func consecutive(a []int64) int {
+	k := 1
+	for k < len(a) && a[k] == a[k-1]+1 {
+		k++
+	}
+	return k
+}
+
 // combineLanes buffers the combining references of lanes [first, first+n)
 // of a multioperation or multiprefix for the step-boundary resolution: one
 // run, two column fills, and for a multiprefix the lanes of Rd its prefixes
@@ -517,9 +624,8 @@ func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) 
 
 // execLaneRange executes lanes [first, first+n) of a sliceable instruction
 // with seq 0, in lane order. Under the fused backend the range runs through
-// the compiled kernel (or bulk memory kernel) when one applies; every other
-// case — and the whole interpreter backend — takes the reference per-lane
-// path below.
+// the compiled kernel when the instruction has one; every other case — and
+// the whole interpreter backend — takes the range loop below.
 func (x *groupExec) execLaneRange(f *tcf.Flow, in *isa.Instr, first, n int) {
 	if x.m.fused() && x.fusedLaneRange(f, &x.m.code[f.PC], first, n) {
 		x.kern.BulkLanes += int64(n)
@@ -528,14 +634,17 @@ func (x *groupExec) execLaneRange(f *tcf.Flow, in *isa.Instr, first, n int) {
 	x.execLaneRangeInterp(f, in, first, n)
 }
 
-// execLaneRangeInterp is the reference lane-range loop — exactly the serial
-// execLane loop, but the hot register classes run as isa's bulk forms over the
-// range and the memory classes hoist register-file lookups out of the lane
-// loop. Vector operands of a sliceable instruction always span the full lane
-// count (Flow.Vector sizes them to Lanes()), so both index directly.
+// execLaneRangeInterp is the lane-range loop — the serial execLane loop in
+// effect, but the hot register classes run as isa's bulk forms over the range,
+// a shared LD or ST on the uniform fast path as one bulk operation
+// (bulkMemRange), and the per-lane memory loops, which stay as the reference
+// path, hoist register-file lookups out of the lane loop. Vector operands of a
+// sliceable instruction always span the full lane count (Flow.Vector sizes
+// them to Lanes()), so both index directly.
 func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in *isa.Instr, first, n int) {
 	end := first + n
-	if in.Rd.IsVector() && regLaneRange(f, in, first, end) {
+	if in.Rd.IsVector() && regLaneRange(f, in, first, end) ||
+		(in.Op == isa.LD || in.Op == isa.ST) && x.bulkMemRange(f, in, first, n) {
 		x.kern.BulkLanes += int64(n)
 		return
 	}

@@ -131,7 +131,8 @@ func TestLaneParallelActuallyChunks(t *testing.T) {
 // are retained arenas too) and over thick register arithmetic in every operand
 // shape ("alu": the lane kernels and the interpreter's bulk forms allocate
 // nothing). Every program runs serially and with Parallel, and then once more
-// after a Reset, when every vector bank must come out of the register arena.
+// after a Reset, when every vector bank must come out of the register arena
+// and the one flow out of the chunk the first run drew.
 func TestStepLoopSteadyStateAllocs(t *testing.T) {
 	loop := func(name string, thick int64, body func(b *isa.Builder)) *isa.Program {
 		b := isa.NewBuilder(name)
@@ -207,6 +208,9 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 					warm()
 					if ks := m.KernelStats(); ks.BanksAllocated != 0 || ks.BanksReused == 0 && prog.Name != "flows" { // whose banks are one lane: the allocator's
 						t.Fatalf("the run after Reset allocated %d vector banks and reused %d, want every bank reused", ks.BanksAllocated, ks.BanksReused)
+					}
+					if ts := m.TailStats(); ts.FlowsAllocated != 0 && prog.Name != "flows" { // whose 65th flow is past what a machine keeps
+						t.Fatalf("the run after Reset allocated a flow chunk: %v", ts)
 					}
 				})
 			}

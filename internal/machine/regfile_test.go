@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tcfpram/internal/isa"
@@ -33,16 +34,23 @@ func thickALU(thick int64) *isa.Program {
 
 // BenchmarkResetRun times Reset, load and a whole run on one machine, run
 // after run — what a pooled machine does — for a thick register file (eight
-// banks of 2^15 lanes) and for 2048 thin flows with a bank of four lanes each.
-// B/op is what a run allocates once the machine is warm.
+// banks of 2^15 lanes), for 2048 thin flows with a bank of four lanes each and
+// for a program of three steps, which is all Reset, load and boot. B/op is
+// what a run allocates once the machine is warm.
 func BenchmarkResetRun(b *testing.B) {
+	tiny := isa.NewBuilder("tiny")
+	tiny.Label("main")
+	tiny.Ldi(isa.S(1), 7)
+	tiny.St(isa.RegNone, laneParOutBase, isa.S(1))
+	tiny.Halt()
 	for _, prog := range []*isa.Program{
 		thickALU(1 << 15),
 		spinTasks("flows", 2048, 4, false),
+		tiny.MustBuild(),
 	} {
-		name := "thick"
-		if prog.Name == "flows" {
-			name = "flows"
+		name := prog.Name
+		if name == "thick-alu" {
+			name = "thick"
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := Default(variant.SingleInstruction)
@@ -190,6 +198,140 @@ func TestResetReusesRegisterBanks(t *testing.T) {
 					t.Fatalf("the fresh machine reused %d banks: %v", ks.BanksReused, ks)
 				}
 			})
+		}
+	}
+}
+
+// flowDebris leaves behind every kind of flow: 66 tasks that call a function
+// and never return from it — the odd ones go overly thick there and complete
+// as auto-split containers of three fragments each, the even ones halt in NUMA
+// mode — so 166 flows with call stacks, small banks, modes, parents and
+// fragment offsets stay in the chunks they were built in.
+func flowDebris() *isa.Program {
+	return isa.MustAssemble("flow-debris", `
+main:
+    SPLIT `+strings.TrimSuffix(strings.Repeat("1 -> task, ", 66), ", ")+`
+    HALT
+task:
+    CALL deep
+    JOIN
+deep:
+    FID S1
+    AND S2, S1, 1
+    BEQZ S2, numa
+    SETTHICK 40
+    TID V0
+    ADD V1, V0, S1
+    ST V0+6000, V1
+    HALT
+numa:
+    NUMA 4
+    ADD S3, S1, 1
+    ST S1+7000, S3
+    ADD S3, S3, 1
+    HALT
+`)
+}
+
+// TestResetReusesFlowChunks: a machine whose flow chunks hold the remains of
+// an earlier run — or of a run it was restored into the middle of — is, after
+// Reset and step for step, the machine that never ran anything: snapshot bytes
+// after the steps of every corpus program, on both backends, serially and
+// with Parallel. The flows must really have been built in the old chunks.
+func TestResetReusesFlowChunks(t *testing.T) {
+	debris, jobs := flowDebris(), tailJobs(t)
+	for _, backend := range []Backend{BackendInterp, BackendFused} {
+		for _, par := range []bool{false, true} {
+			for _, viaRestore := range []bool{false, true} {
+				if viaRestore && (par || backend != BackendInterp) {
+					continue // how the chunks were dirtied does not depend on either
+				}
+				t.Run(fmt.Sprintf("%v/parallel=%v/restored=%v", backend, par, viaRestore), func(t *testing.T) {
+					cfg := Default(variant.SingleInstruction)
+					cfg.Backend, cfg.Parallel, cfg.AutoSplitThreshold = backend, par, 16
+					cfg.SharedWords = 1 << 13 // a snapshot a step, of two machines: keep them small
+					reused, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := reused.LoadProgram(debris); err != nil {
+						t.Fatal(err)
+					}
+					if viaRestore {
+						stepN(t, reused, 6) // fragments exist, tasks are mid-call
+						if reused, err = Restore(bytes.NewReader(machineBytes(t, reused)), cfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := reused.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if n := len(reused.flowList); n != 166 {
+						t.Fatalf("the debris run made %d flows, want 166", n)
+					}
+					fresh, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, j := range jobs {
+						if j.tweak != nil {
+							continue // a shape with a configuration of its own
+						}
+						for _, m := range []*Machine{reused, fresh} {
+							m.Reset()
+							j.bootOn(t, m)
+						}
+						for step := 0; !fresh.Done(); step++ {
+							errF, errR := fresh.Step(), reused.Step()
+							if (errF == nil) != (errR == nil) {
+								t.Fatalf("%s step %d: fresh stops with %v, reused with %v", j.name, step, errF, errR)
+							}
+							if errF != nil {
+								break
+							}
+							// Every step while flows are being made, then now and then.
+							if (step < 64 || step%32 == 0 || fresh.Done()) &&
+								!bytes.Equal(machineBytes(t, reused), machineBytes(t, fresh)) {
+								t.Fatalf("%s step %d: snapshot of the machine with reused flow chunks differs from the fresh one's", j.name, step)
+							}
+						}
+						if ts := reused.TailStats(); ts.FlowsAllocated != 0 || ts.FlowsReused != int64(len(reused.flowList)) {
+							t.Fatalf("%s: %v for %d flows on a machine that kept %d", j.name, ts, len(reused.flowList), maxKeptFlows)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFlowChunksAreBounded: whatever a run drew, Reset keeps the first
+// maxKeptFlows flows' worth of chunks and a rerun allocates the rest again.
+func TestFlowChunksAreBounded(t *testing.T) {
+	prog := spinTasks("flows", 2048, 1, false)
+	cfg := Default(variant.SingleInstruction)
+	cfg.MaxSteps = 8
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		if err := m.LoadProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		m.Run() // MaxSteps ends it: the tasks spin
+		ts := m.TailStats()
+		if want := int64(min(run, 1) * maxKeptFlows); ts.FlowsReused != want || ts.FlowsReused+ts.FlowsAllocated != 2049 {
+			t.Fatalf("run %d: %v, want %d of 2049 flows reused", run, ts, want)
+		}
+		m.Reset()
+		kept := 0
+		for _, c := range m.chunks {
+			kept += len(c)
+		}
+		if kept != m.keptFlows || kept > maxKeptFlows || m.slab != nil {
+			t.Fatalf("run %d: Reset keeps %d flows in %d chunks (accounted: %d) and a slab of %d, bound %d",
+				run, kept, len(m.chunks), m.keptFlows, len(m.slab), maxKeptFlows)
 		}
 	}
 }

@@ -6,22 +6,24 @@ import "fmt"
 // internal arena: shared-memory pages are zeroed in place, the group
 // execution arenas are truncated, the traffic the memory and the combiners
 // retain of a step that never committed is dropped, the flows' vector banks
-// go back to the register arena, and flows, statistics, outputs and traces
-// are discarded. The next
-// LoadProgram/Run on a Reset machine is bit-identical to the same run on a
-// fresh machine with the same Config — the property the serve-layer machine
-// pool is built on (and that TestPoolReuseBitIdentity proves).
+// go back to the register arena, the first chunks of flows (maxKeptFlows) stay
+// for the next run to build its flows in, and statistics, outputs and traces
+// are discarded. The next LoadProgram/Run on a Reset machine is bit-identical
+// to the same run on a fresh machine with the same Config — the property the
+// serve-layer machine pool is built on (and that TestPoolReuseBitIdentity
+// proves).
 //
-// Reset invalidates everything previously handed out by this machine:
-// Stats, Outputs, Trace and Shared snapshots must be copied before calling
-// it. Reset must not run concurrently with Step/Run.
+// Reset invalidates everything previously handed out by this machine: Stats,
+// Outputs, Trace and Shared snapshots must be copied before calling it, and a
+// *tcf.Flow obtained from Flow or Flows is the next run's to overwrite. Reset
+// must not run concurrently with Step/Run.
 func (m *Machine) Reset() {
 	m.prog = nil
 	m.code = nil
 	m.regs.Recycle()
 	m.flowList = m.flowList[:0]
 	m.live = 0
-	m.slab = nil
+	m.slab, m.nextChunk, m.reusable = nil, 0, m.keptFlows
 
 	m.shared.Reset()
 	for _, g := range m.groups {
@@ -47,6 +49,7 @@ func (m *Machine) Reset() {
 	clear(perOps)
 	clear(perCycles)
 	m.stats = Stats{PerGroupOps: perOps, PerGroupCycles: perCycles}
+	m.tail = TailStats{}
 
 	m.output = m.output[:0]
 	m.halted = false
@@ -73,6 +76,7 @@ func (b *StorageBuf) reset() {
 	}
 	b.Pending.head = 0
 	b.rrStart = 0
+	b.doneSeen = false
 }
 
 // SetLimits adjusts the per-run governance bounds of the machine without

@@ -236,7 +236,8 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 	// which is how Snapshot writes them.
 	var parents []int
 	for i := 0; i < nFlows; i++ {
-		f, parent, err := tcf.DecodeFlow(d)
+		f := m.nextFlow()
+		parent, err := f.DecodeFrom(d)
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +251,6 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("machine: snapshot flow %d home group %d outside [0,%d)", f.ID, f.Home, len(m.groups))
 		}
 		m.regs.Adopt(f)
-		m.flowList = append(m.flowList, f)
 		parents = append(parents, parent)
 		if f.State != tcf.Done {
 			m.live++
@@ -277,10 +277,10 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 	d.Section("bufs")
 	for _, g := range m.groups {
 		var err error
-		if g.Buf.Resident, err = m.flowsByID(d.Ints()); err != nil {
+		if g.Buf.Resident, err = m.flowsByID(d.Ints(), g.Index); err != nil {
 			return nil, err
 		}
-		pending, err := m.flowsByID(d.Ints())
+		pending, err := m.flowsByID(d.Ints(), g.Index)
 		if err != nil {
 			return nil, err
 		}
@@ -288,6 +288,9 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 			g.Buf.Pending.push(f)
 		}
 		g.Buf.rrStart = d.Int()
+		// Not in the snapshot, and a Done flow may hold a slot at a step
+		// boundary (popPending): the first compaction looks.
+		g.Buf.doneSeen = true
 	}
 
 	d.Section("stats")
@@ -314,12 +317,17 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// flowsByID resolves a storage buffer's flow ids.
-func (m *Machine) flowsByID(ids []int) ([]*tcf.Flow, error) {
+// flowsByID resolves the flow ids of group g's storage buffer. A flow stands
+// in the buffer of its home group and no other: retiring one marks that
+// buffer.
+func (m *Machine) flowsByID(ids []int, g int) ([]*tcf.Flow, error) {
 	flows := make([]*tcf.Flow, len(ids))
 	for i, id := range ids {
 		if flows[i] = m.Flow(id); flows[i] == nil {
 			return nil, fmt.Errorf("machine: snapshot storage buffer references missing flow %d", id)
+		}
+		if flows[i].Home != g {
+			return nil, fmt.Errorf("machine: snapshot has flow %d of group %d in the storage buffer of group %d", id, flows[i].Home, g)
 		}
 	}
 	return flows, nil

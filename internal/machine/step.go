@@ -10,8 +10,8 @@ import (
 )
 
 // StepPlan is the hand-off structure between the pipeline stages of one
-// step: the frontend stamps the policy's step shape and the step index, the
-// backend executes it. It is the only coupling between the two halves of
+// step: the policy's step shape and the step index the frontend stamps, which
+// the backend executes. It is the only coupling between the two halves of
 // the engine.
 type StepPlan struct {
 	variant.StepShape
@@ -39,7 +39,7 @@ func (m *Machine) Step() error {
 }
 
 // runStep drives the staged pipeline for one prepared plan.
-func (m *Machine) runStep(plan StepPlan) error {
+func (m *Machine) runStep(plan *StepPlan) error {
 	stagesBefore := m.stats.Stages
 
 	m.back.generate(plan)
@@ -139,7 +139,8 @@ func (m *Machine) releaseBarriers() (released bool) {
 }
 
 // finishStep closes the step's books: the cycle floor, cumulative counters,
-// trace/stage-observer emission, and the deterministic output ordering.
+// trace/stage-observer emission, and the deterministic output ordering — of
+// which a step without output needs none and a step with one output no sort.
 // pkts selects where the per-group trace data (group cycles, slices) comes
 // from: nil reads the groupExec arenas (lockstep), non-nil reads the
 // dataflow committer's step packets — the nil case must stay branch-only so
@@ -150,6 +151,7 @@ func (m *Machine) finishStep(stepCycles int64, stagesBefore [NumStages]StageStat
 	}
 	m.stats.Cycles += stepCycles
 	m.stats.Steps++
+	m.tail.Steps++
 
 	if m.cfg.TraceEnabled || m.cfg.StageObserver != nil {
 		var delta [NumStages]StageStats
@@ -216,8 +218,13 @@ func (m *Machine) finishStep(stepCycles int64, stagesBefore [NumStages]StageStat
 
 	// Deterministic output ordering within the step: by flow id, then by
 	// emission order.
-	slices.SortStableFunc(m.stepOutputs, func(a, b Output) int { return cmp.Compare(a.Flow, b.Flow) })
-	m.output = append(m.output, m.stepOutputs...)
+	if len(m.stepOutputs) > 1 {
+		m.tail.OutputSorts++
+		slices.SortStableFunc(m.stepOutputs, func(a, b Output) int { return cmp.Compare(a.Flow, b.Flow) })
+	}
+	if len(m.stepOutputs) > 0 {
+		m.output = append(m.output, m.stepOutputs...)
+	}
 }
 
 // anyReadyAnywhere reports whether any flow can execute: residents first (at

@@ -45,11 +45,11 @@ func (f *Flow) EncodeTo(e *checkpoint.Encoder) {
 	e.Varint(f.RegWordsPeak)
 }
 
-// DecodeFlow reads one flow written by EncodeTo, returning it together with
-// its parent's flow id (-1 for none); the caller resolves the id to a
-// pointer after all flows are decoded.
-func DecodeFlow(d *checkpoint.Decoder) (*Flow, int, error) {
-	f := &Flow{}
+// DecodeFrom makes f, whatever it held, the flow EncodeTo wrote, and returns
+// its parent's flow id (-1 for none); the caller resolves the id to a pointer
+// after all flows are decoded.
+func (f *Flow) DecodeFrom(d *checkpoint.Decoder) (int, error) {
+	*f = Flow{}
 	f.ID = d.Int()
 	f.PC = d.Int()
 	f.Mode = Mode(d.Int())
@@ -58,19 +58,19 @@ func DecodeFlow(d *checkpoint.Decoder) (*Flow, int, error) {
 	f.State = State(d.Int())
 	scalars := d.Int64s()
 	if err := d.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if f.Mode != PRAM && f.Mode != NUMA {
-		return nil, 0, fmt.Errorf("tcf: snapshot flow %d: bad mode %d", f.ID, int(f.Mode))
+		return 0, fmt.Errorf("tcf: snapshot flow %d: bad mode %d", f.ID, int(f.Mode))
 	}
 	if f.State < Ready || f.State > Done {
-		return nil, 0, fmt.Errorf("tcf: snapshot flow %d: bad state %d", f.ID, int(f.State))
+		return 0, fmt.Errorf("tcf: snapshot flow %d: bad state %d", f.ID, int(f.State))
 	}
 	if f.Thickness < 0 {
-		return nil, 0, fmt.Errorf("tcf: snapshot flow %d: negative thickness %d", f.ID, f.Thickness)
+		return 0, fmt.Errorf("tcf: snapshot flow %d: negative thickness %d", f.ID, f.Thickness)
 	}
 	if len(scalars) != 0 && len(scalars) != isa.NumSRegs {
-		return nil, 0, fmt.Errorf("tcf: snapshot flow %d: %d scalar registers, want %d", f.ID, len(scalars), isa.NumSRegs)
+		return 0, fmt.Errorf("tcf: snapshot flow %d: %d scalar registers, want %d", f.ID, len(scalars), isa.NumSRegs)
 	}
 	copy(f.scalars[:], scalars)
 	for r := range f.vectors {
@@ -91,7 +91,7 @@ func DecodeFlow(d *checkpoint.Decoder) (*Flow, int, error) {
 	f.InstrFetches = d.Varint()
 	f.RegWordsPeak = d.Varint()
 	if err := d.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return f, parent, nil
+	return parent, nil
 }

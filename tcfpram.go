@@ -591,6 +591,17 @@ type KernelStats = machine.KernelStats
 // prints under the commit's routes.
 func (m *Machine) KernelStats() KernelStats { return m.inner.KernelStats() }
 
+// TailStats counts what the stages behind operation generation had to do:
+// steps taken, steps that had traffic to commit, storage buffers compacted,
+// steps whose outputs needed ordering, and flows built in chunks an earlier
+// run left versus allocated. Host-side counters of the simulator, not
+// simulated statistics.
+type TailStats = machine.TailStats
+
+// TailStats returns the tail-stage counters: what `tcfrun -stages` prints
+// under the kernel coverage.
+func (m *Machine) TailStats() TailStats { return m.inner.TailStats() }
+
 // StageTable renders the cumulative Figure 13 per-stage cost attribution of
 // the run so far (always available; no tracing required).
 func (m *Machine) StageTable() string { return trace.StageTable(m.inner.Stats()) }
