@@ -16,7 +16,7 @@
 // edges, bit-identical to lockstep), machine shape (-groups, -procs), and
 // diagnostics (-trace, -gantt, -dis).
 // -vet statically analyzes a tcf-e program before running it (errors abort
-// the run); -predict runs the static cost analyzer and prints the predicted
+// the run); -predict runs the cost analyzer and prints the predicted
 // bounds next to the measured statistics (with per-field error) after the
 // run; -discipline erew|crew enables the runtime memory-discipline
 // cross-checker, stopping the run on same-step conflicts the selected PRAM

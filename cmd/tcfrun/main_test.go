@@ -394,7 +394,7 @@ func main() {
 		if !strings.Contains(s, "prediction for") {
 			t.Fatalf("missing prediction table:\n%s", s)
 		}
-		// The cost analyzer mirrors the engine exactly: every field must agree.
+		// The cost analyzer runs the engine: every field must agree.
 		if strings.Contains(s, "BOUND VIOLATED") {
 			t.Fatalf("lower bound exceeded measurement:\n%s", s)
 		}

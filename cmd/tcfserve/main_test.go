@@ -53,7 +53,7 @@ func TestServeSIGTERMIntegration(t *testing.T) {
 	go func() {
 		done <- run([]string{
 			"-addr", "127.0.0.1:0",
-			"-max-steps", "2000",
+			"-max-steps", "20000",
 			"-max-wall-clock", "5s",
 			"-drain-timeout", "2s",
 			"-quiet",
@@ -88,20 +88,21 @@ func TestServeSIGTERMIntegration(t *testing.T) {
 		}
 	}
 
-	// Hostile: a quota burner (the default tenant step quota is 2000 via
-	// the flag above) and a vet-rejected discipline violation. The spin
-	// loop is statically resolvable, so the cost predictor bounces it at
-	// admission with 412; the balanced variant's step shape is not
-	// modeled, so the same program there is admitted and dies on the
-	// runtime quota as before.
-	burner := `shared int b[1] @ 900; func main() { int n = 0; while (1) { n += 1; b[0] = n; } }`
-	status, out := postJSON(t, client, url, "hostile", map[string]any{"source": burner})
-	if status != http.StatusPreconditionFailed || out["outcome"] != "predicted-over-quota" {
-		t.Fatalf("quota burner (predicted): status %d outcome %v", status, out["outcome"])
-	}
-	status, out = postJSON(t, client, url, "hostile", map[string]any{
-		"source": burner, "variant": "balanced",
+	// Hostile: a program asking for more thickness than the default tenant
+	// quota (64Ki), a quota burner, and a vet-rejected discipline violation.
+	// The thickness demand is proven by the cost predictor, which bounces the
+	// program at admission with 412. The step quota (20000 via the flag
+	// above) lies beyond the predictor's fuel, as the production default
+	// does: the spin loop's prediction runs dry, the program is admitted and
+	// dies on the runtime quota.
+	status, out := postJSON(t, client, url, "hostile", map[string]any{
+		"source": `func main() { #131072; thick int v = tid; print(radd(v)); }`,
 	})
+	if status != http.StatusPreconditionFailed || out["outcome"] != "predicted-over-quota" {
+		t.Fatalf("thickness hog (predicted): status %d outcome %v", status, out["outcome"])
+	}
+	burner := `shared int b[1] @ 900; func main() { int n = 0; while (1) { n += 1; b[0] = n; } }`
+	status, out = postJSON(t, client, url, "hostile", map[string]any{"source": burner})
 	if status != http.StatusForbidden || out["outcome"] != "quota-exceeded" {
 		t.Fatalf("quota burner (runtime): status %d outcome %v", status, out["outcome"])
 	}

@@ -14,10 +14,10 @@
 // checked-in golden file and the exit status reports the comparison, so CI
 // fails on *new* findings rather than on known ones.
 //
-// With -cost each unit that compiles is also run through the static cost
-// analyzer (predicted steps, cycles, memory footprint and the
-// dataflow-schedulability verdict). With -json both findings and cost
-// reports are emitted as one machine-readable JSON document.
+// With -cost each unit that compiles is also run through the cost analyzer
+// (predicted steps, cycles, traffic and flow population, read off a fuelled
+// run of the step engine). With -json both findings and cost reports are
+// emitted as one machine-readable JSON document.
 //
 // Exit status is stable for scripting: 0 when clean, 1 when findings were
 // reported (or -expect mismatched), 2 on usage errors (bad flags, bad

@@ -71,7 +71,7 @@ func TestCostHumanOutput(t *testing.T) {
 	if code != exitClean {
 		t.Fatalf("exit code %d: %s", code, out)
 	}
-	for _, want := range []string{"steps", "cycles", "resolved", "schedule"} {
+	for _, want := range []string{"steps", "cycles", "resolved"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("cost render missing %q:\n%s", want, out)
 		}

@@ -29,11 +29,10 @@ func foldLit(v int64) string {
 // foldProgram builds, for one operator, a program that evaluates it on every
 // operand of the grid (pair, for a binary operator) twice: on literals,
 // which every constant folder on the way folds, and on the same values
-// loaded from memory, which only the machine — and the cost analyzer's
-// value domain — compute. It prints both results of each evaluation and
-// branches on whether any pair differed, so the analyzer resolves the
-// program exactly only if it computed the run-time values as the machine
-// did.
+// loaded from memory, which only the machine computes. It prints both
+// results of each evaluation and branches on whether any pair differed, so
+// the cost analyzer's run predicts the program exactly only if it computed
+// the run-time values as the measured run did.
 func foldProgram(op string, binary bool) string {
 	var b strings.Builder
 	// in[i] + adj[i] is grid value i: MinInt64 cannot be written in an
@@ -70,9 +69,8 @@ func foldProgram(op string, binary bool) string {
 // TestFoldedEqualsRuntime is the cross-layer check on instruction semantics:
 // for every tcf-e operator and every operand of the grid, the constant the
 // folders produce and the word the machine computes from run-time values are
-// the same, on both backends, and the cost analyzer — whose value domain
-// computes the run-time side a third time — predicts the run with zero
-// error.
+// the same, on both backends, and the cost analyzer — a run of its own —
+// predicts the run with zero error.
 func TestFoldedEqualsRuntime(t *testing.T) {
 	binary := []string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
 		"<", "<=", ">", ">=", "==", "!=", "&&", "||"}

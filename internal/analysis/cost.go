@@ -1,24 +1,24 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
-	"math/bits"
 	"strings"
 
 	"tcfpram/internal/codegen"
+	"tcfpram/internal/machine"
+	"tcfpram/internal/mem"
 	"tcfpram/internal/topology"
 	"tcfpram/internal/variant"
 )
 
-// This file is the public face of the static cost analyzer: predicted
-// step/cycle/traffic bounds for a compiled tcf-e program under the extended
-// PRAM-NUMA cost model, computed without building a machine. The heavy
-// lifting is the abstract executor in costexec.go, which mirrors the step
-// engine's cost equations (pipeline fill, latency hiding, NUMA stalls,
-// Table 1 task-switch/flow-branch rates) over the compressed value domain
-// of costval.go; the CFG + thickness dataflow that tcfvet already owns
-// provides the static thickness ceiling that stands in whenever abstract
-// execution cannot finish.
+// This file is the cost analyzer: a prediction is a fuelled run. Cost builds
+// the machine the parameters describe, loads the compiled program and steps
+// the engine itself until the program ends or a budget is spent, and reads
+// the report off machine.Stats — so a resolved prediction is the statistics
+// of a run, for every variant, and cannot disagree with the engine. The CFG +
+// thickness dataflow that tcfvet owns provides the static thickness ceiling
+// that stands in whenever the fuel runs out first.
 
 // Bound is a predicted [Min, Max] interval. Max == -1 means the analyzer
 // could not bound the quantity from above; Min is always a sound lower
@@ -44,118 +44,123 @@ func (b Bound) String() string {
 	return fmt.Sprintf("[%d,%d]", b.Min, b.Max)
 }
 
-// CostParams describes the machine the prediction is for (mirroring the
-// behavior-relevant machine.Config fields) plus the analysis budgets.
+// CostParams describes the machine the prediction is for — each shape field
+// is the machine.Config field of the same name, with the same meaning and
+// the same default for a zero value — plus the three budgets of the run.
 type CostParams struct {
-	Variant        variant.Kind
-	Groups         int
-	ProcsPerGroup  int
-	SharedWords    int
-	LocalWords     int
-	PipelineDepth  int
-	MemLatencyBase int
-	VectorWidth    int
-	MaxThickness   int
-	// Topology is the group↔module distance metric; nil selects the
-	// machine default (a bidirectional ring of Groups nodes).
-	Topology topology.Topology
+	Variant            variant.Kind
+	Groups             int
+	ProcsPerGroup      int
+	SharedWords        int
+	LocalWords         int
+	Topology           topology.Topology
+	WritePolicy        mem.Policy
+	PipelineDepth      int
+	MemLatencyBase     int
+	BalancedBound      int
+	MultiInstrWindow   int
+	VectorWidth        int
+	TimeSliceSteps     int64
+	AutoSplitThreshold int
+	MaxThickness       int
 
-	// MaxSteps bounds abstract machine steps before the analyzer gives up
-	// with lower bounds only (default 1<<20).
+	// MaxSteps bounds the steps of the run before the analyzer gives up with
+	// lower bounds only (default 1<<20).
 	MaxSteps int64
-	// MaxConcreteLanes caps per-register lane materialization; thicker
-	// vectors stay in the compressed domain or degrade to unknown
-	// (default 1<<16).
+	// MaxConcreteLanes is the widest flow the analysis will materialise: a
+	// thickness request above it stops the run unresolved, before a lane of
+	// it is allocated (default 1<<16).
 	MaxConcreteLanes int
-	// MaxTrackedWords caps the abstract shared/local memory image; past
-	// it, written values are dropped (costs stay exact, values degrade)
-	// (default 1<<20).
-	MaxTrackedWords int
-	// MaxLaneWork caps total abstract lane-operations (instruction width
-	// summed over all executed instructions) before the analyzer gives up
-	// with lower bounds only (default 1<<26).
+	// MaxLaneWork bounds the run's operation slices plus instruction fetches
+	// before the analyzer gives up with lower bounds only (default 1<<26). It
+	// is checked between steps, so a run overshoots it by at most one step.
 	MaxLaneWork int64
 }
 
-// DefaultCostParams returns parameters matching machine.Default(kind).
-func DefaultCostParams(kind variant.Kind) CostParams {
-	groups := 4
-	if kind == variant.FixedThickness {
-		groups = 1
-	}
+// ParamsFor describes cfg's machine to the analyzer, so that a prediction
+// and a run are of the same machine shape. The budgets stay at their
+// defaults. Of cfg's run bounds only MaxThickness is carried; its backend,
+// scheduler, Parallel, fault plan, discipline checker and observers are not:
+// the first three change nothing a report holds and the others are not part
+// of what a program costs.
+func ParamsFor(cfg machine.Config) CostParams {
 	return CostParams{
-		Variant:        kind,
-		Groups:         groups,
-		ProcsPerGroup:  4,
-		SharedWords:    1 << 16,
-		LocalWords:     1 << 12,
-		PipelineDepth:  4,
-		MemLatencyBase: 8,
+		Variant:            cfg.Variant,
+		Groups:             cfg.Groups,
+		ProcsPerGroup:      cfg.ProcsPerGroup,
+		SharedWords:        cfg.SharedWords,
+		LocalWords:         cfg.LocalWords,
+		Topology:           cfg.Topology,
+		WritePolicy:        cfg.WritePolicy,
+		PipelineDepth:      cfg.PipelineDepth,
+		MemLatencyBase:     cfg.MemLatencyBase,
+		BalancedBound:      cfg.BalancedBound,
+		MultiInstrWindow:   cfg.MultiInstrWindow,
+		VectorWidth:        cfg.VectorWidth,
+		TimeSliceSteps:     cfg.TimeSliceSteps,
+		AutoSplitThreshold: cfg.AutoSplitThreshold,
+		MaxThickness:       cfg.MaxThickness,
 	}
 }
 
-func (p *CostParams) normalize() error {
-	if p.Groups <= 0 {
-		p.Groups = 4
-		if p.Variant == variant.FixedThickness {
-			p.Groups = 1
+// DefaultCostParams returns parameters matching machine.Default(kind).
+func DefaultCostParams(kind variant.Kind) CostParams { return ParamsFor(machine.Default(kind)) }
+
+// boot builds the machine the run steps — p's shape under the thickness cap
+// maxThickness, serial and lockstep, with no fault plan, discipline checker,
+// watchdog or observer attached — loaded with c and booted. It runs the
+// compiled kernels: the per-PC table comes from fuse.Cached, where a run of
+// the same program that follows the prediction, as an admitted request's
+// does, finds it compiled.
+func (p *CostParams) boot(c *codegen.Compiled, maxThickness int) (*machine.Machine, error) {
+	m, err := machine.New(machine.Config{
+		Variant:            p.Variant,
+		Backend:            machine.BackendFused,
+		Groups:             p.Groups,
+		ProcsPerGroup:      p.ProcsPerGroup,
+		SharedWords:        p.SharedWords,
+		LocalWords:         p.LocalWords,
+		Topology:           p.Topology,
+		WritePolicy:        p.WritePolicy,
+		PipelineDepth:      p.PipelineDepth,
+		MemLatencyBase:     p.MemLatencyBase,
+		BalancedBound:      p.BalancedBound,
+		MultiInstrWindow:   p.MultiInstrWindow,
+		VectorWidth:        p.VectorWidth,
+		TimeSliceSteps:     p.TimeSliceSteps,
+		AutoSplitThreshold: p.AutoSplitThreshold,
+		MaxThickness:       maxThickness,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := m.LoadProgram(c.Program); err != nil {
+		return nil, err
+	}
+	for _, seg := range c.LocalData {
+		for g := 0; g < m.Config().Groups; g++ {
+			if err := m.LocalMem(g).Load(seg.Addr, seg.Words); err != nil {
+				return nil, err
+			}
 		}
 	}
-	if p.ProcsPerGroup <= 0 {
-		p.ProcsPerGroup = 4
-	}
-	if p.SharedWords <= 0 {
-		p.SharedWords = 1 << 16
-	}
-	if p.LocalWords <= 0 {
-		p.LocalWords = 1 << 12
-	}
-	if p.PipelineDepth <= 0 {
-		p.PipelineDepth = 4
-	}
-	if p.MemLatencyBase < 0 {
-		return fmt.Errorf("analysis: negative MemLatencyBase")
-	}
-	if p.VectorWidth <= 0 {
-		p.VectorWidth = p.ProcsPerGroup
-	}
-	if p.Topology == nil {
-		ring, err := topology.NewRing(p.Groups)
-		if err != nil {
-			return fmt.Errorf("analysis: %w", err)
-		}
-		p.Topology = ring
-	}
-	if p.Topology.Size() != p.Groups {
-		return fmt.Errorf("analysis: topology size %d != groups %d", p.Topology.Size(), p.Groups)
-	}
-	if p.MaxSteps <= 0 {
-		p.MaxSteps = 1 << 20
-	}
-	if p.MaxConcreteLanes <= 0 {
-		p.MaxConcreteLanes = 1 << 16
-	}
-	if p.MaxTrackedWords <= 0 {
-		p.MaxTrackedWords = 1 << 20
-	}
-	if p.MaxLaneWork <= 0 {
-		p.MaxLaneWork = 1 << 26
-	}
-	return nil
+	return m, m.Boot()
 }
 
 // CostReport is the predicted cost of one program on one machine shape.
-// When Resolved is true every bound is exact: the abstract executor ran the
-// program to completion and the predictions equal the measured Stats of a
-// real run on either backend under either scheduler. Otherwise Reason says
-// what stopped the analysis and every bound is a sound lower bound.
+// When Resolved is true every bound is exact: the run ended, and the
+// predictions are the Stats of any run of that machine, on either backend,
+// serial or Parallel. Otherwise Reason says which budget stopped the run and
+// every bound is a sound lower bound: the statistics only grow, and the run
+// got that far.
 type CostReport struct {
 	Program  string `json:"program"`
 	Variant  string `json:"variant"`
 	Resolved bool   `json:"resolved"`
 	Reason   string `json:"reason,omitempty"`
-	// Note flags predicted abnormal terminations (deadlock, runtime
-	// errors): the bounds are still exact up to the predicted stop.
+	// Note is the engine's error when the run ended abnormally (deadlock, an
+	// instruction the variant refuses, the machine's own thickness limit): the
+	// bounds are exact up to that stop.
 	Note string `json:"note,omitempty"`
 
 	Steps            Bound `json:"steps"`
@@ -177,83 +182,96 @@ type CostReport struct {
 	Joins            Bound `json:"joins"`
 	FlowsCreated     Bound `json:"flows_created"`
 	MaxLiveFlows     Bound `json:"max_live_flows"`
-	MaxThickness     Bound `json:"max_thickness"`
-
-	// Shared-memory footprint at the memory system's page granularity
-	// (mem.PageWords), the same-step write-collision estimate, and
-	// WordsPerModule: the number of shared references (not distinct words;
-	// the JSON key is historical) each memory module served.
-	FootprintPages Bound   `json:"footprint_pages"`
-	WordsPerModule []int64 `json:"words_per_module,omitempty"`
-	WriteConflicts Bound   `json:"write_conflicts"`
-
-	// GroupReadPages/GroupWritePages are the shared pages each group's
-	// flows touched; IndependentGroupPairs lists group pairs whose page
-	// sets never alias (writes of one never meet reads or writes of the
-	// other) — the static proof the dataflow scheduler needs that
-	// run-ahead between the pair can never be ordered by a frontier wait.
-	GroupReadPages        [][]int64 `json:"group_read_pages,omitempty"`
-	GroupWritePages       [][]int64 `json:"group_write_pages,omitempty"`
-	IndependentGroupPairs [][2]int  `json:"independent_group_pairs,omitempty"`
-	ScheduleNote          string    `json:"schedule_note,omitempty"`
+	// MaxThickness is the widest thickness the program asked for, also when
+	// the thickness cap refused it.
+	MaxThickness Bound `json:"max_thickness"`
 }
 
 // Cost predicts the execution cost of a compiled program under params.
 func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 	p := params
+	if p.MaxSteps <= 0 {
+		p.MaxSteps = 1 << 20
+	}
+	if p.MaxConcreteLanes <= 0 {
+		p.MaxConcreteLanes = 1 << 16
+	}
+	if p.MaxLaneWork <= 0 {
+		p.MaxLaneWork = 1 << 26
+	}
 	rep := &CostReport{Variant: p.Variant.String()}
-	if c != nil && c.Program != nil {
-		rep.Program = c.Program.Name
-	}
-	if err := p.normalize(); err != nil {
-		rep.Reason = err.Error()
-		return rep
-	}
 	if c == nil || c.Program == nil {
 		rep.Reason = "no compiled program"
 		return rep
 	}
-
-	// The static thickness ceiling stands in whenever abstract execution
-	// cannot finish. It is a fact of the checked program, independent of
-	// the machine: the vet gate's run has it ready.
-	var ceiling thick
-	if c.Info != nil && c.Info.Prog != nil {
-		ceiling = thickCeiling(c.Info)
+	rep.Program = c.Program.Name
+	// The run's thickness cap is the tighter of the machine's own limit and
+	// the analysis's lane cap: a refusal by the one is a fault of the program
+	// on that machine, by the other a budget stop.
+	limit, budget := p.MaxConcreteLanes, true
+	if p.MaxThickness > 0 && p.MaxThickness <= limit {
+		limit, budget = p.MaxThickness, false
 	}
-
-	pol, err := variant.PolicyFor(p.Variant)
+	m, err := p.boot(c, limit)
 	if err != nil {
 		rep.Reason = err.Error()
 		return rep
 	}
-	shape := pol.Shape(variant.MachineShape{
-		Groups: p.Groups, ProcsPerGroup: p.ProcsPerGroup,
-		VectorWidth: p.VectorWidth,
-	})
-	if !shape.Lockstep || shape.Window != 1 || shape.Budget != 0 || shape.Slice || shape.PerThreadFetch {
-		// The Balanced and XMT step shapes slice instructions across steps
-		// or fetch per thread; the abstract executor models the lockstep
-		// single-instruction shapes only. Fall back to the static pass.
-		rep.Reason = fmt.Sprintf("variant %s: step shape not supported by the abstract executor (static bounds only)", p.Variant)
-		rep.Steps = minOnly(1)
-		rep.Cycles = minOnly(1)
-		rep.InstrFetches = minOnly(1)
-		if ceiling.known {
-			rep.MaxThickness = Bound{Min: 1, Max: ceiling.n}
-		} else {
-			rep.MaxThickness = minOnly(1)
+
+	st := m.Stats()
+	for err == nil && rep.Reason == "" && !m.Done() {
+		switch {
+		case st.Steps >= p.MaxSteps:
+			rep.Reason = fmt.Sprintf("step budget exhausted (%d steps)", p.MaxSteps)
+		case st.Ops+st.ScalarOps+st.InstrFetches > p.MaxLaneWork:
+			rep.Reason = fmt.Sprintf("lane-work budget exhausted (%d operation slices and fetches)", p.MaxLaneWork)
+		default:
+			err = m.Step()
 		}
-		return rep
+	}
+	demand := m.KernelStats().MaxThickness
+	switch {
+	case err == nil:
+	case budget && errors.Is(err, machine.ErrThicknessLimit):
+		rep.Reason = fmt.Sprintf("thickness %d exceeds the widest flow the analysis materialises (%d lanes)", demand, p.MaxConcreteLanes)
+	default:
+		rep.Note = err.Error()
 	}
 
-	ex := newCostExec(c, p, pol, shape)
-	ex.run(rep)
-
-	if !rep.Resolved && ceiling.known && rep.MaxThickness.Max < 0 {
-		// The dataflow ceiling still bounds thickness even when abstract
-		// execution could not finish.
-		rep.MaxThickness.Max = ceiling.n
+	rep.Resolved = rep.Reason == ""
+	mk := exactBound
+	if !rep.Resolved {
+		mk = minOnly
+	}
+	rep.Steps = mk(st.Steps)
+	rep.Cycles = mk(st.Cycles)
+	rep.Ops = mk(st.Ops)
+	rep.ScalarOps = mk(st.ScalarOps)
+	rep.InstrFetches = mk(st.InstrFetches)
+	rep.SharedReads = mk(st.SharedReads)
+	rep.SharedWrites = mk(st.SharedWrites)
+	rep.LocalReads = mk(st.LocalReads)
+	rep.LocalWrites = mk(st.LocalWrites)
+	rep.MultiopRefs = mk(st.MultiopRefs)
+	rep.OverheadCycles = mk(st.OverheadCycles)
+	rep.StallCycles = mk(st.StallCycles)
+	rep.FlowBranchCycles = mk(st.FlowBranchCycles)
+	rep.TaskSwitchCycles = mk(st.TaskSwitchCycles)
+	rep.Barriers = mk(st.Barriers)
+	rep.Splits = mk(st.Splits)
+	rep.Joins = mk(st.Joins)
+	rep.FlowsCreated = mk(st.FlowsCreated)
+	rep.MaxLiveFlows = mk(int64(st.MaxLiveFlows))
+	rep.MaxThickness = mk(demand)
+	if !rep.Resolved && c.Info != nil && c.Info.Prog != nil {
+		// The static thickness ceiling is a fact of the checked program,
+		// independent of the machine (the vet gate's run has it ready), and
+		// still bounds thickness where the run could not finish. A thread
+		// machine boots wider flows than a program that never sets a
+		// thickness mentions.
+		if ceiling := thickCeiling(c.Info); ceiling.known {
+			rep.MaxThickness.Max = max(ceiling.n, demand)
+		}
 	}
 	return rep
 }
@@ -301,27 +319,5 @@ func (r *CostReport) Render() string {
 	row("splits", r.Splits)
 	row("max-thickness", r.MaxThickness)
 	row("max-live-flows", r.MaxLiveFlows)
-	row("footprint-pages", r.FootprintPages)
-	row("write-conflicts", r.WriteConflicts)
-	if len(r.WordsPerModule) > 0 {
-		fmt.Fprintf(&b, "  %-18s %v\n", "refs-per-module", r.WordsPerModule)
-	}
-	if len(r.IndependentGroupPairs) > 0 {
-		fmt.Fprintf(&b, "  %-18s %v\n", "independent-pairs", r.IndependentGroupPairs)
-	}
-	if r.ScheduleNote != "" {
-		fmt.Fprintf(&b, "  %-18s %s\n", "schedule", r.ScheduleNote)
-	}
 	return b.String()
-}
-
-// pagesOf lists a page set in ascending order.
-func pagesOf(set bitset) []int64 {
-	var out []int64
-	for w, word := range set {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, int64(w*64+bits.TrailingZeros64(word)))
-		}
-	}
-	return out
 }

@@ -9,14 +9,12 @@ import (
 	"tcfpram/internal/variant"
 )
 
-// fuzzParams keeps abstract execution cheap enough for the fuzzer while
-// still exercising every degradation path (step fuel, lane budget, value
-// materialization caps).
+// fuzzParams keeps the run cheap enough for the fuzzer while still
+// exercising every stop (step fuel, lane budget, lane cap).
 func fuzzParams() analysis.CostParams {
 	p := analysis.DefaultCostParams(variant.SingleInstruction)
 	p.MaxSteps = 2048
 	p.MaxConcreteLanes = 256
-	p.MaxTrackedWords = 4096
 	p.MaxLaneWork = 1 << 16
 	return p
 }

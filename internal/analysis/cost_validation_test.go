@@ -1,11 +1,11 @@
-// Validation gate for the static cost analyzer: over the whole tcf-e
-// corpus, on every variant the abstract executor supports, across BOTH
-// backends (interp, fused) and BOTH schedulers (lockstep, dataflow), a
-// resolved prediction must equal the measured Stats field for field.
+// Validation gate for the cost analyzer: over the whole tcf-e corpus, on all
+// six variants, across BOTH backends (interp, fused), BOTH schedulers
+// (lockstep, dataflow) and Parallel off and on, a resolved prediction must
+// equal the measured Stats field for field.
 //
 // The documented tolerance band is therefore ZERO for resolved
-// predictions: the analyzer mirrors the engine's cost equations exactly,
-// and any drift between the two is a bug in one of them. Unresolved
+// predictions: the prediction is one serial lockstep run, and every other
+// configuration of the engine must agree with it. Unresolved
 // predictions (analysis budget stops) must still be sound lower bounds.
 package analysis_test
 
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"tcfpram/internal/analysis"
@@ -21,16 +20,6 @@ import (
 	"tcfpram/internal/machine"
 	"tcfpram/internal/variant"
 )
-
-// supportedKinds are the lockstep single-instruction step shapes the
-// abstract executor models (cost.go falls back to static bounds for
-// Balanced and MultiInstruction).
-var supportedKinds = []variant.Kind{
-	variant.SingleInstruction,
-	variant.SingleOperation,
-	variant.ConfigurableSingleOperation,
-	variant.FixedThickness,
-}
 
 func corpusFiles(tb testing.TB) []string {
 	tb.Helper()
@@ -59,11 +48,12 @@ func compileCorpus(tb testing.TB, path string) *codegen.Compiled {
 
 // measure runs the program on the real engine and returns the measured
 // stats plus the run error (capability rejections, runtime errors).
-func measure(tb testing.TB, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, sched machine.Sched) (*machine.Stats, error) {
+func measure(tb testing.TB, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, sched machine.Sched, parallel bool) (*machine.Stats, error) {
 	tb.Helper()
 	cfg := machine.Default(kind)
 	cfg.Backend = backend
 	cfg.Sched = sched
+	cfg.Parallel = parallel
 	m, err := machine.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -130,46 +120,54 @@ func TestCostPredictionsMatchMeasuredStats(t *testing.T) {
 	scheds := []machine.Sched{machine.SchedLockstep, machine.SchedDataflow}
 	for _, path := range corpusFiles(t) {
 		c := compileCorpus(t, path)
-		for _, kind := range supportedKinds {
+		for _, kind := range variant.Kinds() {
 			rep := analysis.Cost(c, analysis.DefaultCostParams(kind))
 			for _, backend := range backends {
 				for _, sched := range scheds {
-					name := fmt.Sprintf("%s/%s/%v/%v", filepath.Base(path), kind, backend, sched)
-					t.Run(name, func(t *testing.T) {
-						st, runErr := measure(t, c, kind, backend, sched)
-						if runErr != nil {
-							// The engine rejected or aborted the program; the
-							// analyzer must have predicted an abnormal stop
-							// (or given up), never a clean resolution.
-							if rep.Resolved && rep.Note == "" {
-								t.Fatalf("engine error %q but analyzer predicted a clean run", runErr)
-							}
-							return
-						}
-						rows := statRows(st)
-						bounds := reportBounds(rep)
-						if rep.Resolved {
-							if rep.Note != "" {
-								t.Fatalf("predicted runtime error %q but the run finished cleanly", rep.Note)
-							}
-							for i, row := range rows {
-								if !bounds[i].Exact() || bounds[i].Min != row.v {
-									t.Errorf("%s: predicted %v, measured %d", row.name, bounds[i], row.v)
-								}
-							}
-							return
-						}
-						// Unresolved predictions must still be sound lower
-						// bounds on the measured run.
-						for i, row := range rows {
-							if bounds[i].Min > row.v {
-								t.Errorf("%s: lower bound %d exceeds measured %d (reason %q)",
-									row.name, bounds[i].Min, row.v, rep.Reason)
-							}
-						}
-					})
+					for _, parallel := range []bool{false, true} {
+						name := fmt.Sprintf("%s/%s/%v/%v/parallel=%v", filepath.Base(path), kind, backend, sched, parallel)
+						t.Run(name, func(t *testing.T) {
+							st, runErr := measure(t, c, kind, backend, sched, parallel)
+							checkPrediction(t, rep, st, runErr)
+						})
+					}
 				}
 			}
+		}
+	}
+}
+
+// checkPrediction holds rep to one run's statistics and error.
+func checkPrediction(t *testing.T, rep *analysis.CostReport, st *machine.Stats, runErr error) {
+	t.Helper()
+	if runErr != nil {
+		// The engine rejected or aborted the program; the analyzer must
+		// have predicted an abnormal stop (or given up), never a clean
+		// resolution.
+		if rep.Resolved && rep.Note == "" {
+			t.Fatalf("engine error %q but analyzer predicted a clean run", runErr)
+		}
+		return
+	}
+	rows := statRows(st)
+	bounds := reportBounds(rep)
+	if rep.Resolved {
+		if rep.Note != "" {
+			t.Fatalf("predicted runtime error %q but the run finished cleanly", rep.Note)
+		}
+		for i, row := range rows {
+			if !bounds[i].Exact() || bounds[i].Min != row.v {
+				t.Errorf("%s: predicted %v, measured %d", row.name, bounds[i], row.v)
+			}
+		}
+		return
+	}
+	// Unresolved predictions must still be sound lower bounds on the
+	// measured run.
+	for i, row := range rows {
+		if bounds[i].Min > row.v {
+			t.Errorf("%s: lower bound %d exceeds measured %d (reason %q)",
+				row.name, bounds[i].Min, row.v, rep.Reason)
 		}
 	}
 }
@@ -183,59 +181,6 @@ func TestCostResolvesCorpus(t *testing.T) {
 		rep := analysis.Cost(c, analysis.DefaultCostParams(variant.SingleInstruction))
 		if !rep.Resolved {
 			t.Errorf("%s: not resolved: %s", filepath.Base(path), rep.Reason)
-		}
-	}
-}
-
-// TestCostIndependentPairsSafe cross-checks the dataflow-schedulability
-// verdict: for every corpus program, a pair reported independent must have
-// disjoint write-vs-read/write page sets in the report itself.
-func TestCostIndependentPairsSafe(t *testing.T) {
-	for _, path := range corpusFiles(t) {
-		c := compileCorpus(t, path)
-		rep := analysis.Cost(c, analysis.DefaultCostParams(variant.SingleInstruction))
-		if !rep.Resolved {
-			continue
-		}
-		pageSet := func(ps []int64) map[int64]bool {
-			m := make(map[int64]bool, len(ps))
-			for _, p := range ps {
-				m[p] = true
-			}
-			return m
-		}
-		for _, pair := range rep.IndependentGroupPairs {
-			i, j := pair[0], pair[1]
-			wi, wj := pageSet(rep.GroupWritePages[i]), pageSet(rep.GroupWritePages[j])
-			ri, rj := pageSet(rep.GroupReadPages[i]), pageSet(rep.GroupReadPages[j])
-			for p := range wi {
-				if rj[p] || wj[p] {
-					t.Errorf("%s: pair %v aliases page %d", filepath.Base(path), pair, p)
-				}
-			}
-			for p := range wj {
-				if ri[p] {
-					t.Errorf("%s: pair %v aliases page %d", filepath.Base(path), pair, p)
-				}
-			}
-		}
-	}
-}
-
-// TestCostUnsupportedShapesFallBack checks Balanced and MultiInstruction
-// degrade to static Min-only bounds instead of pretending exactness.
-func TestCostUnsupportedShapesFallBack(t *testing.T) {
-	c := compileCorpus(t, filepath.Join("..", "codegen", "testdata", "reduce.te"))
-	for _, kind := range []variant.Kind{variant.Balanced, variant.MultiInstruction} {
-		rep := analysis.Cost(c, analysis.DefaultCostParams(kind))
-		if rep.Resolved {
-			t.Fatalf("%v: unsupported shape reported resolved", kind)
-		}
-		if !strings.Contains(rep.Reason, "step shape") {
-			t.Fatalf("%v: unexpected reason %q", kind, rep.Reason)
-		}
-		if rep.MaxThickness.Max < 0 {
-			t.Fatalf("%v: static thickness ceiling missing: %+v", kind, rep.MaxThickness)
 		}
 	}
 }

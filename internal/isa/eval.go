@@ -2,7 +2,7 @@ package isa
 
 // Integer instruction semantics. This file is their only definition: the
 // interpreter and the fused kernels execute through it, the constant
-// folders and the cost analyzer's value domain predict through it.
+// folders predict through it.
 //
 // The simulated ALU is trap-free, because a thick instruction runs the same
 // operation on every lane and one lane's operand must not abort the flow:

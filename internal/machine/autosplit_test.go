@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"tcfpram/internal/tcf"
 	"tcfpram/internal/variant"
@@ -321,6 +323,54 @@ main:
 	m2, _ := New(cfg)
 	m2.LoadProgram(mustAsm(t, src))
 	if _, err := m2.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFragment(t *testing.T) {
+	got, err := fragment(10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{4, 4, 2}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fragment(10,4) = %v", got)
+		}
+	}
+	if got, err := fragment(0, 4); err != nil || len(got) != 1 || got[0] != 0 {
+		t.Fatalf("fragment(0,4) = %v, %v", got, err)
+	}
+	if got, err := fragment(3, 4); err != nil || len(got) != 1 || got[0] != 3 {
+		t.Fatalf("fragment(3,4) = %v, %v", got, err)
+	}
+	for _, c := range []struct{ u, bound int }{{1, 0}, {-1, 2}} {
+		if out, err := fragment(c.u, c.bound); out != nil || !errors.Is(err, errBadParam) {
+			t.Errorf("fragment(%d,%d) = (%v, %v), want errBadParam", c.u, c.bound, out, err)
+		}
+	}
+}
+
+// Properties: fragments sum to u, each within (0, bound] except the empty
+// case, and count = ceil(u/bound).
+func TestFragmentProperties(t *testing.T) {
+	prop := func(u uint16, bound uint8) bool {
+		b := int(bound%16) + 1
+		uu := int(u % 2048)
+		fr, err := fragment(uu, b)
+		if err != nil {
+			return false
+		}
+		sum := 0
+		for _, f := range fr {
+			sum += f
+			if f > b || (f <= 0 && uu != 0) {
+				return false
+			}
+		}
+		return sum == uu && len(fr) == max(1, (uu+b-1)/b)
+	}
+	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }

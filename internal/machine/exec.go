@@ -259,6 +259,7 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 			x.failf("flow %d: SETTHICK to negative thickness %d", f.ID, t)
 			return
 		}
+		x.kern.MaxThickness = max(x.kern.MaxThickness, t)
 		if lim := x.m.cfg.MaxThickness; lim > 0 && t > int64(lim) {
 			x.failw(ErrThicknessLimit, "flow %d: SETTHICK to %d exceeds MaxThickness=%d", f.ID, t, lim)
 			return
@@ -330,6 +331,7 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 				x.failf("flow %d: SPLIT arm with negative thickness %d", f.ID, t)
 				return
 			}
+			x.kern.MaxThickness = max(x.kern.MaxThickness, t)
 			if lim := x.m.cfg.MaxThickness; lim > 0 && t > int64(lim) {
 				x.failw(ErrThicknessLimit, "flow %d: SPLIT arm thickness %d exceeds MaxThickness=%d", f.ID, t, lim)
 				return

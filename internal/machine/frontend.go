@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"errors"
+	"fmt"
+
 	"tcfpram/internal/isa"
-	"tcfpram/internal/sched"
 	"tcfpram/internal/tcf"
 )
 
@@ -316,17 +318,44 @@ func (fr *frontend) retireEvents() error {
 	return nil
 }
 
+// errBadParam is wrapped by fragment when it is handed an impossible
+// parameter.
+var errBadParam = errors.New("bad parameter")
+
+// fragment splits a flow of thickness u into fragments of at most bound
+// lanes each — the OS-level splitting of overly thick flows that the
+// balanced single-instruction execution requires (Section 3.3), and the one
+// definition of fragment sizing. A zero u yields a single empty fragment. A
+// non-positive bound or negative u returns an error wrapping errBadParam.
+func fragment(u, bound int) ([]int, error) {
+	if bound <= 0 {
+		return nil, fmt.Errorf("bound must be positive, got %d: %w", bound, errBadParam)
+	}
+	if u < 0 {
+		return nil, fmt.Errorf("negative thickness %d: %w", u, errBadParam)
+	}
+	if u == 0 {
+		return []int{0}, nil
+	}
+	out := make([]int, 0, (u+bound-1)/bound)
+	for u > 0 {
+		n := min(u, bound)
+		out = append(out, n)
+		u -= n
+	}
+	return out, nil
+}
+
 // splitOverThick is the balanced splitting of overly thick flows (Section
-// 3.3): the continuation of f runs as threshold-sized fragments allocated
-// across the least-loaded groups, with internal/sched as the single source
-// of truth for fragment sizing; f completes when they all rejoin. Each
-// fragment pays the TCF flow-branch cost (the R common registers are copied
-// into it) regardless of variant — auto-splitting only exists on the
-// thickness-aware variants.
+// 3.3): the continuation of f runs as threshold-sized fragments (fragment)
+// allocated across the least-loaded groups; f completes when they all
+// rejoin. Each fragment pays the TCF flow-branch cost (the R common
+// registers are copied into it) regardless of variant — auto-splitting only
+// exists on the thickness-aware variants.
 func (fr *frontend) splitOverThick(f *tcf.Flow, thick int) error {
 	m := fr.m
 	m.stats.AutoSplits++
-	frags, err := sched.Fragment(thick, m.cfg.AutoSplitThreshold)
+	frags, err := fragment(thick, m.cfg.AutoSplitThreshold)
 	if err != nil {
 		return m.failf("auto-split of flow %d: %v", f.ID, err)
 	}
@@ -417,5 +446,5 @@ func (m *Machine) SplitPlan(thickness int) ([]int, error) {
 	if th <= 0 || thickness <= th || !m.props.ControlParallel {
 		return nil, nil
 	}
-	return sched.Fragment(thickness, th)
+	return fragment(thickness, th)
 }

@@ -202,10 +202,14 @@ func (m *Machine) CommitStats() mem.CommitStats { return m.shared.CommitStats() 
 // interpreter's range loop), lanes that ran one at a time on the per-lane
 // reference path, instructions retired inside the fused backend's register
 // runs, and the banks the register arena handed out again or had to
-// allocate (banks too short for the arena are not counted). Host-side
-// counters like CommitStats: in no snapshot and no simulated statistic.
+// allocate (banks too short for the arena are not counted). MaxThickness is
+// the widest thickness a flow was created with or asked for, also when
+// Config.MaxThickness refused it: what the cost analyzer reports as the
+// program's demand. Host-side counters like CommitStats: in no snapshot and
+// no simulated statistic.
 type KernelStats struct {
 	BulkLanes, PerLaneLanes, RunInstrs, BanksReused, BanksAllocated int64
+	MaxThickness                                                    int64
 }
 
 func (k KernelStats) String() string {
@@ -221,6 +225,7 @@ func (m *Machine) KernelStats() KernelStats {
 		k.BulkLanes += x.kern.BulkLanes
 		k.PerLaneLanes += x.kern.PerLaneLanes
 		k.RunInstrs += x.kern.RunInstrs
+		k.MaxThickness = max(k.MaxThickness, x.kern.MaxThickness)
 	}
 	for _, x := range m.execs {
 		add(x)
@@ -342,6 +347,8 @@ func (m *Machine) newFlow(pc, thickness, g int) *tcf.Flow {
 	f.Init(id, pc, thickness)
 	f.Regs = m.regs
 	m.front.place(f, g)
+	kern := &m.execs[g].kern
+	kern.MaxThickness = max(kern.MaxThickness, int64(thickness))
 	m.stats.FlowsCreated++
 	m.live++
 	m.stats.MaxLiveFlows = max(m.stats.MaxLiveFlows, m.live)

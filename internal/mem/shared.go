@@ -120,7 +120,7 @@ func (c Conflict) String() string {
 // words = 8 KiB per page, small enough to stay in the allocator's size
 // classes (32 KiB pages fell into the large-object path, whose span setup
 // dominated short-lived machines). It is also the granularity of Frontier's
-// dependency tracking and of the cost analyzer's footprint.
+// dependency tracking.
 const (
 	PageShift = 10
 	PageWords = 1 << PageShift

@@ -34,53 +34,28 @@ type cacheEntry struct {
 	compiled *codegen.Compiled
 	err      error // codegen failure after a clean vet
 
-	// costs memoizes static cost predictions per machine shape, computed
-	// from the already-compiled program (the vet gate's single parse): the
-	// predictive-admission pass never re-parses source.
+	// costs memoizes cost predictions per machine shape and budgets,
+	// computed from the already-compiled program (the vet gate's single
+	// parse): the predictive-admission pass never re-parses source.
 	costMu sync.Mutex
-	costs  map[costKey]*analysis.CostReport
-}
-
-// costKey is the machine shape a cost prediction depends on. Topology is
-// derived from Groups (the machine default ring), so the shape fields pin
-// the prediction completely.
-type costKey struct {
-	variant        variant.Kind
-	groups         int
-	procs          int
-	sharedWords    int
-	localWords     int
-	pipelineDepth  int
-	memLatencyBase int
-	vectorWidth    int
-	maxSteps       int64
+	costs  map[analysis.CostParams]*analysis.CostReport
 }
 
 // cost returns the memoized cost prediction of this entry's program for the
-// given analysis parameters (which must use the default ring topology).
+// given analysis parameters, which are the memo key and so must be
+// comparable: the default topology (nil), as every poolable config has.
 // Only valid on entries holding a compiled program.
 func (e *cacheEntry) cost(params analysis.CostParams) *analysis.CostReport {
-	key := costKey{
-		variant:        params.Variant,
-		groups:         params.Groups,
-		procs:          params.ProcsPerGroup,
-		sharedWords:    params.SharedWords,
-		localWords:     params.LocalWords,
-		pipelineDepth:  params.PipelineDepth,
-		memLatencyBase: params.MemLatencyBase,
-		vectorWidth:    params.VectorWidth,
-		maxSteps:       params.MaxSteps,
-	}
 	e.costMu.Lock()
 	defer e.costMu.Unlock()
-	if rep, ok := e.costs[key]; ok {
+	if rep, ok := e.costs[params]; ok {
 		return rep
 	}
 	rep := analysis.Cost(e.compiled, params)
 	if e.costs == nil {
-		e.costs = make(map[costKey]*analysis.CostReport)
+		e.costs = make(map[analysis.CostParams]*analysis.CostReport)
 	}
-	e.costs[key] = rep
+	e.costs[params] = rep
 	return rep
 }
 

@@ -82,8 +82,8 @@ func main() { #64; int i = 0; thick int acc = 0; while (i < 20) { acc = acc + sr
 }
 
 // TestPredictionMetricsTrackRuns: clean runs with an exact prediction feed
-// the predicted-vs-actual accounting, and — the analyzer being an exact
-// mirror of the engine — the error must be zero.
+// the predicted-vs-actual accounting, and — the prediction and the run being
+// two runs of one deterministic machine — the error must be zero.
 func TestPredictionMetricsTrackRuns(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	for i := 0; i < 3; i++ {
@@ -102,12 +102,12 @@ func TestPredictionMetricsTrackRuns(t *testing.T) {
 	}
 }
 
-// TestUnresolvedPredictionAdmits: a program the analyzer cannot bound (an
-// unsupported step shape) must be admitted and governed by the runtime
-// quotas exactly as before.
+// TestUnresolvedPredictionAdmits: a program the analyzer cannot bound (its
+// thickness demand comes after the admission fuel is spent) must be admitted
+// and governed by the runtime quotas exactly as before.
 func TestUnresolvedPredictionAdmits(t *testing.T) {
-	s, ts := newTestServer(t, Options{Tenants: map[string]Limits{"caged": cagedLimits()}})
-	status, _, resp := post(t, ts, "caged", runRequest{Source: thickSrc, Variant: "balanced"})
+	s, ts := newTestServer(t, Options{Tenants: map[string]Limits{"deep": deepLimits()}})
+	status, _, resp := post(t, ts, "deep", runRequest{Source: lateThickSrc})
 	if status != 403 || resp.Outcome != outcomeQuota {
 		t.Fatalf("status %d outcome %q (%s), want runtime 403 %q",
 			status, resp.Outcome, resp.Error, outcomeQuota)

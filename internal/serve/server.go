@@ -51,8 +51,8 @@ const (
 	outcomeVetRejected  = "vet-rejected"
 	outcomeCompileError = "compile-error"
 	outcomeQuota        = "quota-exceeded"
-	// outcomePredictedQuota rejects a run whose statically predicted cost
-	// provably exceeds the tenant's quota, before any machine is pooled
+	// outcomePredictedQuota rejects a run whose predicted cost provably
+	// exceeds the tenant's quota, before any machine is pooled
 	// (HTTP 412: the precondition "fits the quota" failed at admission).
 	outcomePredictedQuota = "predicted-over-quota"
 	outcomeDeadline       = "deadline"
@@ -597,12 +597,12 @@ func (s *Server) runAdmitted(reqCtx context.Context, req *runRequest, tenantName
 		return errResp, status
 	}
 
-	// Predictive admission: run the static cost analyzer (memoized per
-	// program and machine shape on the cache entry) and reject jobs whose
-	// provable lower bounds already exceed the tenant's quota — before any
-	// machine is pooled. Only exact-or-lower-bound violations reject; an
-	// analysis that cannot bound the program admits it and lets the runtime
-	// quotas govern as before.
+	// Predictive admission: run the cost analyzer (memoized per program and
+	// machine shape on the cache entry) and reject jobs whose provable lower
+	// bounds already exceed the tenant's quota — before any machine is
+	// pooled. Only exact-or-lower-bound violations reject; an analysis that
+	// cannot bound the program admits it and lets the runtime quotas govern
+	// as before.
 	rep := entry.cost(costParamsFor(cfg))
 	if why := predictionOverQuota(rep, lim); why != "" {
 		return &runResponse{
@@ -619,8 +619,8 @@ func (s *Server) runAdmitted(reqCtx context.Context, req *runRequest, tenantName
 	return s.execute(reqCtx, lease, entry, req, tenantName, lim, diag.Render(entry.diags), rep, runID)
 }
 
-// Admission-time analysis budgets: the cost pass runs inline on the request
-// path (memoized per program and shape), so its abstract step fuel and lane
+// Admission-time analysis budgets: the cost run happens inline on the
+// request path (memoized per program and shape), so its step fuel and lane
 // work are kept far below the analyzer's offline defaults. A step-quota
 // violation stays provable whenever the quota is below the fuel cap;
 // heavier programs simply stay unresolved and fall through to the runtime
@@ -630,25 +630,15 @@ const (
 	admitMaxLaneWork = 1 << 22
 )
 
-// costParamsFor derives cost-analysis parameters from the pooled-machine
-// config. MaxThickness is deliberately left unbounded so the prediction
-// reports the program's true thickness demand (compared against the quota
-// by predictionOverQuota); the abstract step budget is clamped just past
-// the tenant's step quota so a violation stays provable without letting the
-// analyzer run unboundedly long.
+// costParamsFor is the pooled-machine config as the cost analyzer sees it,
+// under the admission budgets. The tenant's thickness quota rides along as
+// the machine's own limit: the prediction reports what the program asked
+// for, refused or not, and predictionOverQuota compares that against the
+// quota. The step budget is clamped just past the tenant's step quota so a
+// violation stays provable without running longer than it takes to prove it.
 func costParamsFor(cfg machine.Config) analysis.CostParams {
-	p := analysis.CostParams{
-		Variant:        cfg.Variant,
-		Groups:         cfg.Groups,
-		ProcsPerGroup:  cfg.ProcsPerGroup,
-		SharedWords:    cfg.SharedWords,
-		LocalWords:     cfg.LocalWords,
-		PipelineDepth:  cfg.PipelineDepth,
-		MemLatencyBase: cfg.MemLatencyBase,
-		VectorWidth:    cfg.VectorWidth,
-		MaxSteps:       admitMaxSteps,
-		MaxLaneWork:    admitMaxLaneWork,
-	}
+	p := analysis.ParamsFor(cfg)
+	p.MaxSteps, p.MaxLaneWork = admitMaxSteps, admitMaxLaneWork
 	if cfg.MaxSteps > 0 && cfg.MaxSteps < admitMaxSteps {
 		p.MaxSteps = cfg.MaxSteps + 1
 	}

@@ -64,11 +64,31 @@ func main() {
 	a[tid] = tid;
 }
 `
+
+	// lateThickSrc asks for the same thickness only after more steps than
+	// the admission-time prediction has fuel for (admitMaxSteps).
+	lateThickSrc = `
+shared int a[64] @ 100;
+func main() {
+	int i = 0;
+	while (i < 6000) { i += 1; }
+	#64;
+	a[tid] = tid;
+}
+`
 )
 
 // cagedLimits is a tight tenant envelope used to provoke quota outcomes.
 func cagedLimits() Limits {
 	return Limits{MaxSteps: 300, MaxThickness: 8, MaxWallClock: 5 * time.Second}
+}
+
+// deepLimits is the caged thickness quota under a step quota beyond the
+// admission-time prediction's fuel, as the production default is: a long
+// program's prediction runs dry, the program is admitted, and the runtime
+// quotas govern it.
+func deepLimits() Limits {
+	return Limits{MaxSteps: 2 * admitMaxSteps, MaxThickness: 8, MaxWallClock: 5 * time.Second}
 }
 
 // slowLimits allows a huge step budget but a tiny wall clock, so spinSrc
@@ -171,7 +191,7 @@ func TestRunPeekMemory(t *testing.T) {
 // the HTTP status and outcome string of each.
 func TestOutcomeStatusMapping(t *testing.T) {
 	s, ts := newTestServer(t, Options{
-		Tenants: map[string]Limits{"caged": cagedLimits(), "slow": slowLimits()},
+		Tenants: map[string]Limits{"caged": cagedLimits(), "deep": deepLimits(), "slow": slowLimits()},
 	})
 	s.hookLoaded = func(tenant, name string) {
 		if name == "bomb" {
@@ -196,14 +216,15 @@ func TestOutcomeStatusMapping(t *testing.T) {
 		{name: "bad-discipline", req: runRequest{Source: validSrc, Discipline: "nope"}, status: 400, outcome: outcomeBadRequest},
 		{name: "shape-cap", req: runRequest{Source: validSrc, Groups: 4096}, status: 400, outcome: outcomeBadRequest},
 		{name: "peek-range", req: runRequest{Source: validSrc, Peek: []peekRange{{Addr: -1, N: 4}}}, status: 400, outcome: outcomeBadRequest},
-		// On the TCF variant the cost analyzer resolves both programs, so
-		// the quota violation is proven at admission (412, no machine
-		// pooled); on balanced — a step shape the analyzer does not model —
-		// the same programs are admitted and die on the runtime quota (403).
+		// Within its fuel the cost analyzer proves the quota violation at
+		// admission (412, no machine pooled) — on every variant; where the
+		// violation lies beyond the fuel the program is admitted and dies on
+		// the runtime quota (403).
 		{name: "steps-quota-predicted", tenant: "caged", req: runRequest{Source: spinSrc}, status: 412, outcome: outcomePredictedQuota},
-		{name: "steps-quota-runtime", tenant: "caged", req: runRequest{Source: spinSrc, Variant: "balanced"}, status: 403, outcome: outcomeQuota},
+		{name: "steps-quota-predicted-balanced", tenant: "caged", req: runRequest{Source: spinSrc, Variant: "balanced"}, status: 412, outcome: outcomePredictedQuota},
+		{name: "steps-quota-runtime", tenant: "deep", req: runRequest{Source: spinSrc}, status: 403, outcome: outcomeQuota},
 		{name: "thickness-quota-predicted", tenant: "caged", req: runRequest{Source: thickSrc}, status: 412, outcome: outcomePredictedQuota},
-		{name: "thickness-quota-runtime", tenant: "caged", req: runRequest{Source: thickSrc, Variant: "balanced"}, status: 403, outcome: outcomeQuota},
+		{name: "thickness-quota-runtime", tenant: "deep", req: runRequest{Source: lateThickSrc}, status: 403, outcome: outcomeQuota},
 		{name: "memory-quota", tenant: "caged", req: runRequest{Source: validSrc, SharedWords: 1 << 21}, status: 403, outcome: outcomeQuota},
 		{name: "deadline", tenant: "slow", req: runRequest{Source: spinSrc}, status: 408, outcome: outcomeDeadline},
 		{name: "runtime-discipline-fault", req: runRequest{Source: faultSrc, Discipline: "crew"}, status: 409, outcome: outcomeRuntimeFault},
@@ -412,7 +433,7 @@ func TestAdversarialLoad(t *testing.T) {
 		MaxConcurrent: 2,
 		MaxQueue:      4,
 		QueueWait:     5 * time.Second,
-		Tenants:       map[string]Limits{"caged": cagedLimits(), "slow": slowLimits()},
+		Tenants:       map[string]Limits{"caged": cagedLimits(), "deep": deepLimits(), "slow": slowLimits()},
 	})
 	s.hookLoaded = func(tenant, name string) {
 		if name == "bomb" {
@@ -440,7 +461,7 @@ func TestAdversarialLoad(t *testing.T) {
 		{req: runRequest{Source: validSrc}, status: 200, outcome: outcomeOK},
 		{req: runRequest{Source: `func main() { print(7 * 6); }`}, status: 200, outcome: outcomeOK},
 		{tenant: "caged", req: runRequest{Source: spinSrc}, status: 412, outcome: outcomePredictedQuota},
-		{tenant: "caged", req: runRequest{Source: thickSrc, Variant: "balanced"}, status: 403, outcome: outcomeQuota},
+		{tenant: "deep", req: runRequest{Source: lateThickSrc}, status: 403, outcome: outcomeQuota},
 		{tenant: "slow", req: runRequest{Source: spinSrc}, status: 408, outcome: outcomeDeadline},
 		{req: runRequest{Source: vetBadSrc}, status: 422, outcome: outcomeVetRejected},
 		{req: runRequest{Source: parseBadSrc}, status: 400, outcome: outcomeCompileError},

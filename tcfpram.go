@@ -238,12 +238,11 @@ func RenderDiagnostics(ds []Diagnostic) string { return diag.Render(ds) }
 // DiagnosticsHaveErrors reports whether any finding has error severity.
 func DiagnosticsHaveErrors(ds []Diagnostic) bool { return diag.HasErrors(ds) }
 
-// CostReport is the static cost analyzer's prediction for one program on
-// one machine shape: predicted step/cycle/traffic bounds under the extended
-// PRAM-NUMA cost model, shared-memory footprint, and the group-independence
-// verdict the dataflow scheduler consumes. When Resolved is true every
-// bound is exact and equals the measured Stats of a real run (on either
-// backend, under either scheduler).
+// CostReport is the cost analyzer's prediction for one program on one
+// machine shape: step/cycle/traffic bounds under the extended PRAM-NUMA cost
+// model, read off a fuelled run of the step engine. When Resolved is true
+// every bound is exact and equals the measured Stats of a real run (on
+// either backend, under either scheduler, serial or Parallel).
 type CostReport = analysis.CostReport
 
 // CostBound is one predicted [Min, Max] interval of a CostReport.
@@ -256,31 +255,19 @@ type CostParams = analysis.CostParams
 // CostParamsFor derives cost-prediction parameters from a machine Config,
 // so a prediction and a run describe the same machine shape. Analysis
 // budgets stay at their defaults.
-func CostParamsFor(cfg Config) CostParams {
-	return CostParams{
-		Variant:        cfg.Variant,
-		Groups:         cfg.Groups,
-		ProcsPerGroup:  cfg.ProcsPerGroup,
-		SharedWords:    cfg.SharedWords,
-		LocalWords:     cfg.LocalWords,
-		PipelineDepth:  cfg.PipelineDepth,
-		MemLatencyBase: cfg.MemLatencyBase,
-		VectorWidth:    cfg.VectorWidth,
-		MaxThickness:   cfg.MaxThickness,
-		Topology:       cfg.Topology,
-	}
-}
+func CostParamsFor(cfg Config) CostParams { return analysis.ParamsFor(cfg) }
 
-// PredictCost statically predicts the cost of tcf-e source on the machine
-// cfg describes, without building a machine.
+// PredictCost predicts the cost of tcf-e source on the machine cfg
+// describes: it compiles the source and runs it on a machine of that shape
+// under the analysis budgets.
 func PredictCost(name, src string, cfg Config) (*CostReport, error) {
 	return analysis.CostSource(name, src, CostParamsFor(cfg))
 }
 
 // PredictCost predicts the cost of the loaded program on this machine's
-// configuration. The machine must have a program loaded and not yet run
-// (the prediction itself never mutates the machine, so calling it after a
-// run is also fine).
+// configuration. The machine must have a program loaded; the prediction
+// runs on a machine of its own and never touches this one, so it may be
+// called before or after a run.
 func (m *Machine) PredictCost() (*CostReport, error) {
 	if m.compiled == nil || m.compiled.Program == nil {
 		return nil, fmt.Errorf("tcfpram: no program loaded")
@@ -288,22 +275,16 @@ func (m *Machine) PredictCost() (*CostReport, error) {
 	return analysis.Cost(m.compiled, CostParamsFor(m.inner.Config())), nil
 }
 
-// PredictionTable renders a predicted-vs-measured comparison, one row per
-// statistic: the predicted bound, the measured value, and — for exact
-// predictions — the signed relative error. st may be nil (prediction only,
-// e.g. when the run aborted before producing stats).
-func PredictionTable(rep *CostReport, st *Stats) string {
-	if rep == nil {
-		return ""
-	}
-	if st == nil {
-		return rep.Render()
-	}
-	rows := []struct {
-		name      string
-		predicted CostBound
-		measured  int64
-	}{
+// predictionRow pairs one predicted bound with the statistic it predicts.
+type predictionRow struct {
+	name      string
+	predicted CostBound
+	measured  int64
+}
+
+// predictionRows lines rep up against st, statistic by statistic.
+func predictionRows(rep *CostReport, st *Stats) []predictionRow {
+	return []predictionRow{
 		{"steps", rep.Steps, st.Steps},
 		{"cycles", rep.Cycles, st.Cycles},
 		{"ops", rep.Ops, st.Ops},
@@ -324,6 +305,19 @@ func PredictionTable(rep *CostReport, st *Stats) string {
 		{"flows-created", rep.FlowsCreated, st.FlowsCreated},
 		{"max-live-flows", rep.MaxLiveFlows, int64(st.MaxLiveFlows)},
 	}
+}
+
+// PredictionTable renders a predicted-vs-measured comparison, one row per
+// statistic: the predicted bound, the measured value, and — for exact
+// predictions — the signed relative error. st may be nil (prediction only,
+// e.g. when the run aborted before producing stats).
+func PredictionTable(rep *CostReport, st *Stats) string {
+	if rep == nil {
+		return ""
+	}
+	if st == nil {
+		return rep.Render()
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "prediction for %s (%s)", rep.Program, rep.Variant)
 	if !rep.Resolved {
@@ -334,7 +328,7 @@ func PredictionTable(rep *CostReport, st *Stats) string {
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "  %-20s %12s %12s %10s\n", "stat", "predicted", "measured", "error")
-	for _, r := range rows {
+	for _, r := range predictionRows(rep, st) {
 		errCol := "-"
 		switch {
 		case r.predicted.Exact():
@@ -583,8 +577,9 @@ func (m *Machine) CommitStats() CommitStats { return m.inner.CommitStats() }
 
 // KernelStats counts how the run's operation slices were generated (in bulk
 // forms or lane by lane), the instructions retired inside fused register
-// runs and the register banks reused or allocated: host-side counters of the
-// simulator, not simulated statistics.
+// runs, the register banks reused or allocated and the widest thickness a
+// flow asked for: host-side counters of the simulator, not simulated
+// statistics.
 type KernelStats = machine.KernelStats
 
 // KernelStats returns the kernel-coverage counters: what `tcfrun -stages`

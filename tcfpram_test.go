@@ -8,6 +8,8 @@ import (
 
 	"strings"
 	"testing"
+
+	"tcfpram/internal/mem"
 )
 
 const addSrc = `
@@ -327,5 +329,66 @@ func TestFaultPlanPreservesResults(t *testing.T) {
 	if faultyStats.Cycles <= cleanStats.Cycles {
 		t.Fatalf("recoverable faults should cost cycles: %d vs %d",
 			faultyStats.Cycles, cleanStats.Cycles)
+	}
+}
+
+// TestPredictionFollowsMachineShape: every Config field that changes what a
+// program costs reaches the prediction. For each of the five the analyzer's
+// parameters once dropped, set off its default on a program that exercises
+// it, PredictCost equals the run field for field — the error included.
+func TestPredictionFollowsMachineShape(t *testing.T) {
+	tasks := "func main() {\n    int i = 0;\n    parallel {\n" +
+		strings.Repeat("        #1: while (i < 12) { i += 1; }\n", 20) + "    }\n}\n"
+	const thick = `
+shared int a[32] @ 100;
+func main() {
+    #32;
+    a[tid] = tid * 2 + 1;
+}
+`
+	for _, tc := range []struct {
+		name    string
+		variant Variant
+		tweak   func(*Config)
+		src     string
+	}{
+		{"AutoSplitThreshold", SingleInstruction, func(c *Config) { c.AutoSplitThreshold = 8 }, thick},
+		{"TimeSliceSteps", SingleInstruction, func(c *Config) { c.TimeSliceSteps = 4 }, tasks},
+		{"BalancedBound", Balanced, func(c *Config) { c.BalancedBound = 2 }, thick},
+		{"MultiInstrWindow", MultiInstruction, func(c *Config) { c.MultiInstrWindow = 2 }, thick},
+		{"WritePolicy", SingleInstruction, func(c *Config) { c.WritePolicy = mem.Common },
+			"shared int w[1] @ 100;\nfunc main() {\n    #4;\n    w[tid * 0] = tid;\n}\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, _, err := RunSource(DefaultConfig(tc.variant), tc.name, tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(tc.variant)
+			tc.tweak(&cfg)
+			m, _, runErr := RunSource(cfg, tc.name, tc.src)
+			if m == nil {
+				t.Fatal(runErr)
+			}
+			st := m.Stats()
+			if runErr == nil && st.Steps == base.Stats().Steps && st.Cycles == base.Stats().Cycles {
+				t.Fatalf("the program does not exercise %s: %d steps, %d cycles either way", tc.name, st.Steps, st.Cycles)
+			}
+			rep, err := m.PredictCost()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Resolved {
+				t.Fatalf("not resolved: %s", rep.Reason)
+			}
+			if runErr == nil && rep.Note != "" || runErr != nil && rep.Note != runErr.Error() {
+				t.Errorf("predicted stop %q, the run's %v", rep.Note, runErr)
+			}
+			for _, f := range predictionRows(rep, st) {
+				if !f.predicted.Exact() || f.predicted.Min != f.measured {
+					t.Errorf("%s: predicted %s, measured %d", f.name, f.predicted, f.measured)
+				}
+			}
+		})
 	}
 }
