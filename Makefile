@@ -50,10 +50,14 @@ bench-compile:
 # across Reset) and the lane kernels' (BenchmarkBulk in internal/isa
 # — the bulk forms next to the per-lane call they replaced — and BenchmarkKern
 # in internal/fuse — one compiled kernel per operand shape at 4 and 2^17
-# lanes; ns/lane). It is a smoke at -benchtime=20x, as CI's bench job runs it,
-# and gates nothing.
+# lanes; ns/lane), then what a flow's lifecycle costs through the facade
+# (BenchmarkTable1_FlowBranch and BenchmarkS4g_Multitask of the root package;
+# B/op and allocs/op are the figures: split_2048 above is the same cost per
+# step). It is a smoke at -benchtime=20x, as CI's bench job runs it, and gates
+# nothing.
 bench-engine:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x ./internal/mem ./internal/multiop ./internal/machine ./internal/isa ./internal/fuse
+	$(GO) test -run '^$$' -bench 'BenchmarkTable1_FlowBranch|BenchmarkS4g_Multitask' -benchmem -benchtime=20x .
 
 # benchall runs the paper-figure benchmarks of bench_test.go/ablation_test.go.
 benchall:
@@ -86,6 +90,7 @@ fuzz:
 	$(GO) test -race -fuzz=FuzzApplyStepVsSorted -fuzztime=20s ./internal/mem/
 	$(GO) test -fuzz=FuzzResolveVsSorted -fuzztime=20s ./internal/multiop/
 	$(GO) test -fuzz=FuzzBulkVsEval -fuzztime=20s ./internal/isa/
+	$(GO) test -fuzz=FuzzRestore -fuzztime=30s ./internal/chaos/
 
 # fmtcheck fails, naming the files, when gofmt would change any.
 fmtcheck:

@@ -330,7 +330,7 @@ func main() {
 		"interp": "kernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=0 banks_reused=0 banks_allocated=2",
 		"fused":  "kernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=4 banks_reused=0 banks_allocated=2",
 	} {
-		want += "\ntail: steps=10 commits=1 compactions=1 output_sorts=0 flows_reused=0 flows_allocated=1"
+		want += "\ntail: steps=10 commits=1 compactions=1 output_sorts=0 flows_reused=0 flows_allocated=1 thin_words=0 tables=1"
 		var out bytes.Buffer
 		if err := run([]string{"-backend", backend, "-stages", path}, &out); err != nil {
 			t.Fatal(err)

@@ -2,15 +2,19 @@ package chaos
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"hash/fnv"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/fault"
 	"tcfpram/internal/machine"
+	"tcfpram/internal/mem"
 	"tcfpram/internal/variant"
 )
 
@@ -64,9 +68,13 @@ func resultOf(m *machine.Machine) result {
 
 // runKilled executes the program up to the kill step, serializes the machine,
 // discards it, restores from the snapshot bytes, and runs the restored
-// machine to completion — the crash-recovery path end to end.
+// machine to completion — the crash-recovery path end to end. Both machines
+// are Reset under mem.ResetAudit when they are done with: neither the run that
+// was cut short nor the one that began as a snapshot may leave a word behind.
 func runKilled(tb testing.TB, c *codegen.Compiled, cfg machine.Config, kill int64) (result, *machine.Stats) {
 	tb.Helper()
+	mem.ResetAudit.Store(true)
+	defer mem.ResetAudit.Store(false)
 	m := buildRun(tb, c, cfg)
 	if err := m.Boot(); err != nil {
 		tb.Fatal(err)
@@ -80,6 +88,7 @@ func runKilled(tb testing.TB, c *codegen.Compiled, cfg machine.Config, kill int6
 	if err := m.Snapshot(&buf); err != nil {
 		tb.Fatalf("snapshot at step %d: %v", m.Stats().Steps, err)
 	}
+	m.Reset()
 	r, err := machine.Restore(bytes.NewReader(buf.Bytes()), cfg)
 	if err != nil {
 		tb.Fatalf("restore at step %d: %v", kill, err)
@@ -87,7 +96,10 @@ func runKilled(tb testing.TB, c *codegen.Compiled, cfg machine.Config, kill int6
 	if _, err := r.Run(); err != nil {
 		tb.Fatalf("resumed run (killed at %d): %v", kill, err)
 	}
-	return resultOf(r), r.Stats()
+	res, stats := resultOf(r), *r.Stats()
+	stats.PerGroupOps, stats.PerGroupCycles = slices.Clone(stats.PerGroupOps), slices.Clone(stats.PerGroupCycles)
+	r.Reset()
+	return res, &stats
 }
 
 // TestChaosKillAndResumeDifferential is the crash-recovery invariant: for
@@ -219,4 +231,70 @@ func TestChaosDoubleKillAndResume(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reseal gives snap a trailer that matches its body, so that a mutation of
+// the body gets past the checksum and is judged by the decoders themselves.
+func reseal(snap []byte) []byte {
+	if len(snap) < 8 {
+		return snap
+	}
+	body := len(snap) - 8
+	out := bytes.Clone(snap)
+	binary.LittleEndian.PutUint64(out[body:], crc64.Checksum(out[:body], crc64.MakeTable(crc64.ECMA)))
+	return out
+}
+
+// FuzzRestore holds machine.Restore to what a reader of untrusted bytes owes:
+// for any input — snapshots of corpus runs cut in the middle, mutated, as they
+// are and with the checksum made good again — it returns an error or a machine,
+// never panics, indexes out of range or allocates by a forged length; and a
+// machine it does return is a fixed point: its snapshot restores, and the
+// restored machine's snapshot is the same bytes.
+func FuzzRestore(f *testing.F) {
+	cfg := machine.Default(variant.SingleInstruction)
+	cfg.AutoSplitThreshold = 16 // fragments and containers among the flows
+	for _, file := range corpusFiles(f) {
+		c := compile(f, file)
+		oracle := buildRun(f, c, cfg)
+		if _, err := oracle.Run(); err != nil {
+			f.Fatal(err)
+		}
+		m := buildRun(f, c, cfg)
+		if err := m.Boot(); err != nil {
+			f.Fatal(err)
+		}
+		for m.Stats().Steps < oracle.Stats().Steps/2 {
+			if err := m.Step(); err != nil {
+				f.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := m.Snapshot(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		for _, in := range [][]byte{snap, reseal(snap)} {
+			m, err := machine.Restore(bytes.NewReader(in), cfg)
+			if err != nil {
+				continue
+			}
+			var first, second bytes.Buffer
+			if err := m.Snapshot(&first); err != nil {
+				continue // restored into a state that is not a step boundary's: refused
+			}
+			again, err := machine.Restore(bytes.NewReader(first.Bytes()), cfg)
+			if err != nil {
+				t.Fatalf("the snapshot of a restored machine does not restore: %v", err)
+			}
+			if err := again.Snapshot(&second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Fatal("the snapshot of a restored machine is not a fixed point of restore and snapshot")
+			}
+		}
+	})
 }

@@ -26,9 +26,15 @@ import (
 // underlying I/O error) wrap it.
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 
-// maxBlob bounds one length-prefixed byte string or slice so a corrupted
-// length cannot drive a multi-gigabyte allocation before the checksum check.
-const maxBlob = 1 << 30
+// maxBlob bounds one length-prefixed byte string or slice, and firstAlloc the
+// elements allocated for one on the word of its length prefix alone — more
+// than any register bank or memory page a machine writes holds. A longer one
+// doubles as its elements arrive, so a corrupted length cannot drive a
+// multi-gigabyte allocation before the data runs out.
+const (
+	maxBlob    = 1 << 30
+	firstAlloc = 1 << 20
+)
 
 // crcTable is the ECMA polynomial table shared by Encoder and Decoder.
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -275,8 +281,13 @@ func (d *Decoder) Bytes() []byte {
 		d.fail("byte string length %d exceeds limit", n)
 		return nil
 	}
-	b := make([]byte, n)
+	b := make([]byte, min(n, firstAlloc))
 	d.full(b)
+	for d.err == nil && uint64(len(b)) < n {
+		have := len(b)
+		b = append(b, make([]byte, min(n-uint64(have), uint64(have)))...)
+		d.full(b[have:])
+	}
 	if d.err != nil {
 		return nil
 	}
@@ -303,8 +314,11 @@ func (d *Decoder) Int64s() []int64 {
 	if n == 0 {
 		return nil
 	}
-	vs := make([]int64, n)
-	for i := range vs {
+	vs := make([]int64, min(n, firstAlloc))
+	for i := uint64(0); i < n; i++ {
+		if i == uint64(len(vs)) {
+			vs = append(vs, make([]int64, min(n-i, i))...)
+		}
 		vs[i] = unzigzag(d.uvarintRaw())
 		if d.err != nil {
 			return nil

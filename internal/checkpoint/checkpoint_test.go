@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -126,6 +127,65 @@ func TestDecoderDetectsTruncation(t *testing.T) {
 	d.Bytes()
 	if err := d.Close(); err == nil {
 		t.Fatal("truncation went undetected")
+	}
+}
+
+// TestDecoderForgedLengthAllocatesByData: a length prefix is a claim, not a
+// reservation. A slice or byte string that announces 2^29 elements and brings
+// a few fails when its data runs out, having allocated for firstAlloc elements
+// and not for the number it gave; one that is as long as it says, beyond
+// firstAlloc, arrives whole.
+func TestDecoderForgedLengthAllocatesByData(t *testing.T) {
+	for _, tag := range []byte{tagInt64s, tagBytes} {
+		var buf bytes.Buffer
+		e := NewEncoder(&buf, "TESTMAGC", 1)
+		if err := e.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		forged := append(buf.Bytes(), tag, 0x80, 0x80, 0x80, 0x80, 0x02, 1, 2, 3) // 2^29 of them
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := NewDecoder(bytes.NewReader(forged), "TESTMAGC")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag == tagInt64s {
+			d.Int64s()
+		} else {
+			d.Bytes()
+		}
+		runtime.ReadMemStats(&after)
+		if d.Err() == nil {
+			t.Fatalf("tag %#x: a slice of 2^29 elements decoded from three bytes", tag)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 10*firstAlloc {
+			t.Fatalf("tag %#x: %d bytes allocated for a forged length, want no more than %d elements' worth", tag, got, firstAlloc)
+		}
+	}
+
+	long := make([]int64, 3*firstAlloc+5)
+	for i := range long {
+		long[i] = int64(i) - 7
+	}
+	var buf bytes.Buffer
+	e := NewEncoder(&buf, "TESTMAGC", 1)
+	e.Int64s(long)
+	e.Bytes(bytes.Repeat([]byte{1, 2, 3}, firstAlloc))
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDecoder(&buf, "TESTMAGC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Int64s(); !reflect.DeepEqual(got, long) {
+		t.Fatalf("a slice of %d elements came back as one of %d", len(long), len(got))
+	}
+	if got := d.Bytes(); len(got) != 3*firstAlloc || got[len(got)-1] != 3 {
+		t.Fatalf("a byte string of %d came back as one of %d", 3*firstAlloc, len(got))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

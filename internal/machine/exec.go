@@ -215,6 +215,16 @@ func (x *groupExec) halt(f *tcf.Flow) {
 	}
 }
 
+// armThickness returns the thickness the split arm asks for of parent f: an
+// immediate or a common register of f's, which stands unchanged while f waits
+// for the arms it splits into.
+func armThickness(f *tcf.Flow, arm isa.SplitArm) int64 {
+	if arm.Thick != isa.RegNone {
+		return f.Scalar(arm.Thick)
+	}
+	return arm.ThickImm
+}
+
 // applyControl executes a control instruction (flow-level).
 func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 	props := &x.m.props
@@ -321,12 +331,8 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 			x.rejoinFragment(f)
 			return
 		}
-		ev := deferredEvent{kind: evSplit, flow: f, arms: make([]armSpec, 0, len(in.Arms))}
 		for _, arm := range in.Arms {
-			t := arm.ThickImm
-			if arm.Thick != isa.RegNone {
-				t = f.Scalar(arm.Thick)
-			}
+			t := armThickness(f, arm)
 			if t < 0 {
 				x.failf("flow %d: SPLIT arm with negative thickness %d", f.ID, t)
 				return
@@ -336,12 +342,11 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 				x.failw(ErrThicknessLimit, "flow %d: SPLIT arm thickness %d exceeds MaxThickness=%d", f.ID, t, lim)
 				return
 			}
-			ev.arms = append(ev.arms, armSpec{thick: int(t), pc: arm.Target})
 		}
 		f.State = tcf.Waiting
 		f.ResumePC = f.PC + 1
-		f.LiveChildren = len(ev.arms)
-		x.events = append(x.events, ev)
+		f.LiveChildren = len(in.Arms)
+		x.events = append(x.events, deferredEvent{kind: evSplit, flow: f, arms: in.Arms})
 	case isa.JOIN:
 		x.halt(f)
 	case isa.BAR:

@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tcfpram/internal/isa"
 	"tcfpram/internal/tcf"
@@ -23,25 +24,26 @@ type StorageBuf struct {
 	// so a thick flow cannot starve its slot-mates of the operation budget.
 	rrStart int
 
-	// doneSeen: a flow of this buffer went Done (retire) and dropDone has not
-	// run since, or a queued flow took a slot Done. It is written by whoever
-	// runs the group's step — the group's goroutine under Parallel, its runner
-	// under the dataflow scheduler — and between steps by the goroutine that
-	// retires events and compacts, never by two at once; no part of a snapshot.
-	doneSeen bool
+	// done counts the residents that are Done: flows that went Done in their
+	// slot (retire) since dropDone last ran, and queued flows that took a slot
+	// Done. It is written by whoever runs the group's step — the group's
+	// goroutine under Parallel, its runner under the dataflow scheduler — and
+	// between steps by the goroutine that retires events and compacts, never
+	// by two at once; it is derived from the flows and in no snapshot.
+	done int
 }
 
-// retire takes f, a flow of this buffer, to Done.
+// retire takes f, a resident flow of this buffer, to Done.
 func (b *StorageBuf) retire(f *tcf.Flow) {
 	f.State = tcf.Done
-	b.doneSeen = true
+	b.done++
 }
 
 // needsCompaction reports whether compactGroup could change the buffer:
 // without a Done resident to drop and without a queued flow to promote or to
 // displace a blocked resident with, it is the identity. The lockstep sweep
 // skips such a buffer and a dataflow runner runs on past it unfenced.
-func (b *StorageBuf) needsCompaction() bool { return b.doneSeen || b.Pending.Len() > 0 }
+func (b *StorageBuf) needsCompaction() bool { return b.done > 0 || b.Pending.Len() > 0 }
 
 // flowQueue is the pending queue: a ring whose array survives rotation and
 // Reset, so a recycled machine queues up to its previous peak without
@@ -97,15 +99,7 @@ func (q *flowQueue) anyReady() bool {
 }
 
 // Live returns the number of not-Done resident flows.
-func (b *StorageBuf) Live() int {
-	n := 0
-	for _, f := range b.Resident {
-		if f.State != tcf.Done {
-			n++
-		}
-	}
-	return n
-}
+func (b *StorageBuf) Live() int { return len(b.Resident) - b.done }
 
 // Load returns resident-not-done plus pending flows (placement pressure).
 func (b *StorageBuf) Load() int { return b.Live() + b.Pending.Len() }
@@ -155,7 +149,7 @@ func (b *StorageBuf) demoteReady() bool {
 // dropDone compacts Done flows out of the buffer; a buffer without one is
 // only read.
 func (b *StorageBuf) dropDone() {
-	b.doneSeen = false
+	b.done = 0
 	keep := 0
 	for i, f := range b.Resident {
 		if f.State == tcf.Done {
@@ -175,7 +169,7 @@ func (b *StorageBuf) dropDone() {
 func (b *StorageBuf) popPending() *tcf.Flow {
 	f := b.Pending.pop()
 	if f.State == tcf.Done {
-		b.doneSeen = true
+		b.done++
 	}
 	return f
 }
@@ -273,8 +267,14 @@ func (fr *frontend) retireEvents() error {
 			if parent.LiveChildren == 0 && parent.State == tcf.Waiting {
 				if parent.ResumePC < 0 {
 					// Auto-split container: the fragments were the rest
-					// of its execution.
-					m.groups[parent.Home].Buf.retire(parent)
+					// of its execution. It may have been displaced into the
+					// queue while it waited, which counts it until it is
+					// popped.
+					if buf := &m.groups[parent.Home].Buf; slices.Contains(buf.Resident, parent) {
+						buf.retire(parent)
+					} else {
+						parent.State = tcf.Done
+					}
 					m.live--
 					if parent.Parent != nil {
 						m.stepEvents = append(m.stepEvents, deferredEvent{kind: evChildDone, flow: parent})
@@ -302,9 +302,9 @@ func (fr *frontend) retireEvents() error {
 			}
 		case evSplit:
 			m.stats.Splits++
-			for _, arm := range ev.arms {
+			for i, arm := range ev.arms {
 				g := fr.leastLoaded()
-				child := m.newFlow(arm.pc, arm.thick, g)
+				child := m.newFlow(arm.Target, int(armThickness(ev.flow, arm)), g, len(ev.arms)-1-i)
 				child.Parent = ev.flow
 				child.SetScalars(ev.flow.Scalars())
 				// Flow branch cost (Table 1), charged at the policy's
@@ -361,9 +361,9 @@ func (fr *frontend) splitOverThick(f *tcf.Flow, thick int) error {
 	}
 	f.LiveChildren = len(frags)
 	offset := 0
-	for _, size := range frags {
+	for i, size := range frags {
 		g := fr.leastLoaded()
-		child := m.newFlow(f.PC, size, g)
+		child := m.newFlow(f.PC, size, g, len(frags)-1-i)
 		child.Parent = f
 		child.SetScalars(f.Scalars())
 		child.IsFragment = true

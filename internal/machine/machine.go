@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"tcfpram/internal/fuse"
 	"tcfpram/internal/isa"
@@ -60,21 +61,27 @@ type Machine struct {
 	flowList []*tcf.Flow
 	live     int
 	// slab is the unused rest of the chunk flows are handed out from, so a
-	// program of many flows allocates per chunk, not per flow. Chunks stay
-	// at 16 flows (17 KB): in chunks of 256 the run's flows were large
-	// objects and raised the peak resident set of engine-flows by a tenth.
-	// chunks are the first chunks the machine drew, keptFlows flows between
-	// them and never more than maxKeptFlows: they survive Reset, and the next
-	// run draws them again, oldest first (nextChunk), before it allocates.
+	// program of many flows allocates per chunk, not per flow: a chunk is 4 to
+	// 16 flows (4.6 KB), or as many as whoever draws the next flow is about to
+	// draw — the arms of a split come as one block. chunks are the first
+	// chunks the machine drew, keptFlows flows between them and never more
+	// than maxKeptFlows: they survive Reset, and the next run draws them again,
+	// oldest first (nextChunk), before it allocates. Their flows hold what the
+	// last run left in them — links to a parent among them, to a table and a
+	// call stack in the first chunks of the register arena — until they are
+	// drawn again: slabStale says the slab is such a chunk, whose flows are
+	// zeroed as they are handed out; the allocator zeroed the others.
 	// reusable is what keptFlows was at the last Reset.
 	slab      []tcf.Flow
+	slabStale bool
 	chunks    [][]tcf.Flow
 	nextChunk int
 	keptFlows int
 	reusable  int
-	// regs is the register arena the flows' vector banks come from and, at
-	// Reset, go back to. It survives Reset like every other arena, holds at
-	// most SharedWords words, and is no part of a snapshot.
+	// regs is the register arena the flows' header tables, vector banks and
+	// call stacks come from and, at Reset, go back to. It survives Reset like
+	// every other arena, holds at most SharedWords words, and is no part of a
+	// snapshot.
 	regs *tcf.RegArena
 
 	combiners [len(multiop.Kinds)]*multiop.Combiner
@@ -201,8 +208,8 @@ func (m *Machine) CommitStats() mem.CommitStats { return m.shared.CommitStats() 
 // that ran in a bulk form (a compiled kernel, a bulk LD/ST, a bulk form of the
 // interpreter's range loop), lanes that ran one at a time on the per-lane
 // reference path, instructions retired inside the fused backend's register
-// runs, and the banks the register arena handed out again or had to
-// allocate (banks too short for the arena are not counted). MaxThickness is
+// runs, and the banks the register arena lent out again or had to allocate
+// (the shorter ones it bumps are TailStats'). MaxThickness is
 // the widest thickness a flow was created with or asked for, also when
 // Config.MaxThickness refused it: what the cost analyzer reports as the
 // program's demand. Host-side counters like CommitStats: in no snapshot and
@@ -233,7 +240,8 @@ func (m *Machine) KernelStats() KernelStats {
 			add(w)
 		}
 	}
-	k.BanksReused, k.BanksAllocated = m.regs.Counts()
+	c := m.regs.Counts()
+	k.BanksReused, k.BanksAllocated = c.BanksReused, c.BanksAllocated
 	return k
 }
 
@@ -241,16 +249,19 @@ func (m *Machine) KernelStats() KernelStats {
 // since the machine was built or Reset: the steps taken, those among them that
 // had stores or combining references to commit, the storage buffers compacted
 // (a step may compact several groups', or none), the steps whose outputs
-// needed ordering, and the flows that were drawn from chunks an earlier run
-// left or had to be allocated. Host-side counters like CommitStats: in no
-// snapshot and no simulated statistic.
+// needed ordering, the flows that were drawn from chunks an earlier run left
+// or had to be allocated, and what those flows drew from the register arena
+// below the size it lends bank by bank: words bumped for thin banks and call
+// stacks, and header tables attached. Host-side counters like CommitStats: in
+// no snapshot and no simulated statistic.
 type TailStats struct {
 	Steps, Commits, Compactions, OutputSorts, FlowsReused, FlowsAllocated int64
+	ThinWords, Tables                                                     int64
 }
 
 func (s TailStats) String() string {
-	return fmt.Sprintf("tail: steps=%d commits=%d compactions=%d output_sorts=%d flows_reused=%d flows_allocated=%d",
-		s.Steps, s.Commits, s.Compactions, s.OutputSorts, s.FlowsReused, s.FlowsAllocated)
+	return fmt.Sprintf("tail: steps=%d commits=%d compactions=%d output_sorts=%d flows_reused=%d flows_allocated=%d thin_words=%d tables=%d",
+		s.Steps, s.Commits, s.Compactions, s.OutputSorts, s.FlowsReused, s.FlowsAllocated, s.ThinWords, s.Tables)
 }
 
 // TailStats returns the tail-stage counters. Not to be called while the
@@ -260,6 +271,8 @@ func (m *Machine) TailStats() TailStats {
 	// Flows fill the chunks in id order, the kept ones first.
 	s.FlowsReused = int64(min(len(m.flowList), m.reusable))
 	s.FlowsAllocated = int64(len(m.flowList)) - s.FlowsReused
+	c := m.regs.Counts()
+	s.ThinWords, s.Tables = c.ThinWords, c.Tables
 	return s
 }
 
@@ -311,39 +324,50 @@ func (m *Machine) fused() bool { return m.cfg.Backend == BackendFused }
 // Program returns the loaded program.
 func (m *Machine) Program() *isa.Program { return m.prog }
 
-// maxKeptFlows bounds the flows whose chunks a machine keeps across Reset:
-// about 78 KB of flows, which hold what their last run left in them — banks
-// under the register arena's minimum, call stacks — until Init or DecodeFrom
-// overwrites it. A run of more flows allocates the rest and drops them.
-const maxKeptFlows = 64
+// maxKeptFlows bounds the flows whose chunks a machine keeps across Reset, by
+// their bytes: 78 KB of flows, 256 of them. A run of more flows allocates the
+// rest and drops them.
+const (
+	maxKeptFlowBytes = 78 << 10
+	maxKeptFlows     = maxKeptFlowBytes / int(unsafe.Sizeof(tcf.Flow{}))
+)
 
-// nextFlow returns the storage of the run's next flow, holding whatever an
-// earlier run left there, and appends it to flowList: its id is its index.
-func (m *Machine) nextFlow() *tcf.Flow {
+// nextFlow returns the zeroed storage of the run's next flow and appends it to
+// flowList: its id is its index. more is how many flows the caller will draw
+// right after this one: a chunk that has to be allocated holds them all.
+func (m *Machine) nextFlow(more int) *tcf.Flow {
 	if len(m.slab) == 0 {
-		if m.nextChunk < len(m.chunks) {
+		if m.slabStale = m.nextChunk < len(m.chunks); m.slabStale {
 			m.slab = m.chunks[m.nextChunk]
 			m.nextChunk++
 		} else {
-			m.slab = make([]tcf.Flow, min(16, max(4, len(m.flowList))))
-			if m.keptFlows+len(m.slab) <= maxKeptFlows {
+			// The first maxKeptFlows flows lie in chunks that are kept whole.
+			n, room := max(1+more, min(16, max(4, len(m.flowList)))), maxKeptFlows-m.keptFlows
+			if room > 0 {
+				n = min(n, room)
+			}
+			m.slab = make([]tcf.Flow, n)
+			if room > 0 {
 				m.chunks = append(m.chunks, m.slab)
 				m.nextChunk++
-				m.keptFlows += len(m.slab)
+				m.keptFlows += n
 			}
 		}
 	}
 	f := &m.slab[0]
+	if m.slabStale {
+		*f = tcf.Flow{}
+	}
 	m.slab = m.slab[1:]
 	m.flowList = append(m.flowList, f)
 	return f
 }
 
 // newFlow creates a flow and registers it on group g (resident if a slot is
-// free, otherwise pending).
-func (m *Machine) newFlow(pc, thickness, g int) *tcf.Flow {
+// free, otherwise pending); more as for nextFlow.
+func (m *Machine) newFlow(pc, thickness, g, more int) *tcf.Flow {
 	id := len(m.flowList)
-	f := m.nextFlow()
+	f := m.nextFlow(more)
 	f.Init(id, pc, thickness)
 	f.Regs = m.regs
 	m.front.place(f, g)
@@ -371,8 +395,9 @@ func (m *Machine) Boot() error {
 		return fmt.Errorf("machine: already booted")
 	}
 	entry := m.prog.Entry()
-	for _, bf := range m.policy.BootFlows(m.cfg.machineShape()) {
-		m.newFlow(entry, bf.Thickness, bf.Group)
+	boot := m.policy.BootFlows(m.cfg.machineShape())
+	for i, bf := range boot {
+		m.newFlow(entry, bf.Thickness, bf.Group, len(boot)-1-i)
 	}
 	return nil
 }

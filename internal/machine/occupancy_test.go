@@ -56,8 +56,15 @@ func checkOccupancy(t *testing.T, m *Machine) {
 	}
 	held := make(map[*tcf.Flow]int)
 	for _, g := range m.groups {
+		live := 0
 		for _, f := range g.Buf.Resident {
 			held[f]++
+			if f.State != tcf.Done {
+				live++
+			}
+		}
+		if got := g.Buf.Live(); got != live {
+			t.Fatalf("step %d: group %d counts %d live residents, scan finds %d", m.stats.Steps, g.Index, got, live)
 		}
 		for i := 0; i < g.Buf.Pending.Len(); i++ {
 			held[g.Buf.Pending.At(i)]++
@@ -571,6 +578,63 @@ func spinTasks(name string, n int, thick int64, barrier bool) *isa.Program {
 	return b.MustBuild()
 }
 
+// splitBurst splits into n arms that end at once: scalar arms of thickness one
+// that read their flow id, or, with registers set, arms of thickness four that
+// call a routine which fills two thread-wise registers — a header table, two
+// thin banks and a call stack a flow.
+func splitBurst(name string, n int, registers bool) *isa.Program {
+	b := isa.NewBuilder(name)
+	b.Label("main")
+	arms := make([]isa.Arm, n)
+	for i := range arms {
+		arms[i] = isa.ArmImm(1, "task")
+		if registers {
+			arms[i] = isa.ArmImm(4, "task")
+		}
+	}
+	b.Split(arms...)
+	b.Halt()
+	b.Label("task")
+	if registers {
+		b.Call("work")
+		b.Op(isa.JOIN)
+		b.Label("work")
+		b.Id(isa.TID, isa.V(1))
+		b.ALUI(isa.ADD, isa.V(2), isa.V(1), 1)
+		b.Op(isa.RET)
+	} else {
+		b.Id(isa.FID, isa.S(1))
+		b.Op(isa.JOIN)
+	}
+	return b.MustBuild()
+}
+
+// splitTree is a binary tree of splits, depth levels deep: every node but the
+// leaves splits into two arms of thickness one and joins them.
+func splitTree(depth int) *isa.Program {
+	b := isa.NewBuilder("split_tree")
+	b.Label("main")
+	var node func(level int, label string)
+	node = func(level int, label string) {
+		if level == depth {
+			b.Id(isa.FID, isa.S(1))
+			return
+		}
+		l, r := label+"l", label+"r"
+		b.Split(isa.ArmImm(1, l), isa.ArmImm(1, r))
+		b.Jmp(label + "done")
+		for _, arm := range []string{l, r} {
+			b.Label(arm)
+			node(level+1, arm)
+			b.Op(isa.JOIN)
+		}
+		b.Label(label + "done")
+	}
+	node(0, "n")
+	b.Halt()
+	return b.MustBuild()
+}
+
 // BenchmarkStepFixedCost times one Step of programs whose lanes do next to
 // nothing, so that what a step costs besides its operations shows: a machine
 // with one busy group of four, 2048 queued flows behind 16 slots, the
@@ -590,18 +654,6 @@ func BenchmarkStepFixedCost(b *testing.B) {
 	oneFlow.Label("loop")
 	oneFlow.ALUI(isa.ADD, isa.V(1), isa.V(1), 1)
 	oneFlow.Jmp("loop")
-
-	burst := isa.NewBuilder("split_2048")
-	burst.Label("main")
-	arms := make([]isa.Arm, 2048)
-	for i := range arms {
-		arms[i] = isa.ArmImm(1, "task")
-	}
-	burst.Split(arms...)
-	burst.Halt()
-	burst.Label("task")
-	burst.Id(isa.FID, isa.S(1))
-	burst.Op(isa.JOIN)
 
 	// loop is a flow of the given thickness running body 14 times, a
 	// countdown and a branch, rounds times over (forever, for rounds 0).
@@ -628,7 +680,7 @@ func BenchmarkStepFixedCost(b *testing.B) {
 	for _, prog := range []*isa.Program{
 		oneFlow.MustBuild(),
 		spinTasks("pending_2048", 2048, 4, false),
-		burst.MustBuild(),
+		splitBurst("split_2048", 2048, false),
 		spinTasks("barrier_16", 16, 1, true),
 		loop("scalar_loop", 1, 0, nil, scalar),
 		loop("numa_bunch_8", 1, 0, func(b *isa.Builder) { b.NumaImm(8) }, scalar),

@@ -87,17 +87,12 @@ const (
 	evFragmentRejoin
 )
 
-type armSpec struct {
-	thick int
-	pc    int
-}
-
 type deferredEvent struct {
 	kind  eventKind
-	flow  *tcf.Flow // split parent, finished child, or auto-split victim
-	arms  []armSpec
-	thick int // evAutoSplit: the logical thickness to fragment
-	pc    int // evFragmentRejoin: where the container resumes
+	flow  *tcf.Flow      // split parent, finished child, or auto-split victim
+	arms  []isa.SplitArm // evSplit: the instruction's arms, validated
+	thick int            // evAutoSplit: the logical thickness to fragment
+	pc    int            // evFragmentRejoin: where the container resumes
 }
 
 // groupCounters is the per-step statistics block of one group's execution —

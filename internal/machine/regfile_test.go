@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tcfpram/internal/isa"
+	"tcfpram/internal/tcf"
 	"tcfpram/internal/variant"
 )
 
@@ -329,9 +332,92 @@ func TestFlowChunksAreBounded(t *testing.T) {
 		for _, c := range m.chunks {
 			kept += len(c)
 		}
-		if kept != m.keptFlows || kept > maxKeptFlows || m.slab != nil {
-			t.Fatalf("run %d: Reset keeps %d flows in %d chunks (accounted: %d) and a slab of %d, bound %d",
-				run, kept, len(m.chunks), m.keptFlows, len(m.slab), maxKeptFlows)
+		if kept != m.keptFlows || kept*int(unsafe.Sizeof(tcf.Flow{})) > maxKeptFlowBytes || m.slab != nil {
+			t.Fatalf("run %d: Reset keeps %d flows of %d bytes in %d chunks (accounted: %d) and a slab of %d, bound 78 KB",
+				run, kept, unsafe.Sizeof(tcf.Flow{}), len(m.chunks), m.keptFlows, len(m.slab))
+		}
+	}
+}
+
+// TestFlowFootprint: a flow that computes on its common registers alone costs
+// the host what Table 1 says it holds — the R common registers, its control
+// state and the links of its split — not the headers of 32 banks it never
+// asks for.
+func TestFlowFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(tcf.Flow{}); size > 320 {
+		t.Fatalf("a flow is %d bytes, want at most 320: %d common registers and no bank headers", size, isa.NumSRegs)
+	}
+}
+
+// TestFlowLifecycleAllocs: creating, branching and retiring flows is paid for
+// once. The second run of a burst of 2048 flows with tables, thin banks and
+// call stacks, and of a split/join tree of 511, allocates less than one object
+// per ten flows it creates; and what the machine retains afterwards is bounded
+// by what the last run used, not by the largest it ever ran: 78 KB of flows,
+// and in the register arena no more words than the memory has after the burst,
+// the first chunk of each region after a run of one flow.
+func TestFlowLifecycleAllocs(t *testing.T) {
+	cfg := Default(variant.SingleInstruction)
+	burst := splitBurst("burst", 2048, true)
+	for _, prog := range []*isa.Program{burst, splitTree(8)} {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var allocs uint64
+		for run := 0; run < 2; run++ {
+			m.Reset()
+			if err := m.LoadProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Boot(); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for !m.Done() {
+				if err := m.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			allocs = after.Mallocs - before.Mallocs
+		}
+		flows := len(m.flowList)
+		t.Logf("%s: %d objects for %d flows on the second run", prog.Name, allocs, flows)
+		if flows < 500 || float64(allocs) >= 0.1*float64(flows) {
+			t.Errorf("%s: the second run allocated %d objects for %d flows, want under one per ten", prog.Name, allocs, flows)
+		}
+		if ts := m.TailStats(); prog == burst && (ts.Tables != 2048 || ts.ThinWords != 2048*(4+4+1)) {
+			t.Errorf("%s: %v, want a table, two banks of four lanes and one return address a task", prog.Name, ts)
+		}
+	}
+
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := func() (flowBytes int, arenaWords int64) {
+		m.Reset()
+		for _, c := range m.chunks {
+			flowBytes += len(c) * int(unsafe.Sizeof(tcf.Flow{}))
+		}
+		return flowBytes, m.regs.Counts().HeldWords
+	}
+	for _, prog := range []*isa.Program{burst, isa.MustAssemble("one", "main:\n LDI S0, 1\n PRINT S0\n HALT\n")} {
+		if err := m.LoadProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		flowBytes, arenaWords := retained()
+		wantWords := int64(cfg.SharedWords)
+		if prog != burst {
+			wantWords = 16 + 4*3 // the regions' first chunks
+		}
+		if flowBytes > maxKeptFlowBytes || arenaWords > wantWords {
+			t.Errorf("after %s: %d bytes of flows and %d words of registers retained, want at most %d and %d", prog.Name, flowBytes, arenaWords, maxKeptFlowBytes, wantWords)
 		}
 	}
 }
@@ -367,6 +453,9 @@ func TestRegisterArenaIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		run(m, thick)
+		if held := m.regs.Counts().HeldWords; held > int64(tc.shared) {
+			t.Errorf("SharedWords %d: the arena holds %d words", tc.shared, held)
+		}
 		if ks := run(m, thick); ks.BanksReused != tc.kept || ks.BanksAllocated != 8-tc.kept {
 			t.Errorf("SharedWords %d: the thick rerun found %d banks and allocated %d, want %d and %d", tc.shared, ks.BanksReused, ks.BanksAllocated, tc.kept, 8-tc.kept)
 		}

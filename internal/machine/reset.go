@@ -3,15 +3,15 @@ package machine
 import "fmt"
 
 // Reset returns the machine to its just-built state while keeping every
-// internal arena: shared-memory pages are zeroed in place, the group
-// execution arenas are truncated, the traffic the memory and the combiners
-// retain of a step that never committed is dropped, the flows' vector banks
-// go back to the register arena, the first chunks of flows (maxKeptFlows) stay
-// for the next run to build its flows in, and statistics, outputs and traces
-// are discarded. The next LoadProgram/Run on a Reset machine is bit-identical
-// to the same run on a fresh machine with the same Config — the property the
-// serve-layer machine pool is built on (and that TestPoolReuseBitIdentity
-// proves).
+// internal arena: the shared-memory pages and local blocks the run wrote are
+// zeroed, the group execution arenas are truncated, the traffic the memory and
+// the combiners retain of a step that never committed is dropped, the flows'
+// registers and call stacks go back to the register arena, the first chunks of
+// flows (maxKeptFlows) stay for the next run to build its flows in, and
+// statistics, outputs and traces are discarded. The next LoadProgram/Run on a Reset
+// machine is bit-identical to the same run on a fresh machine with the same
+// Config — the property the serve-layer machine pool is built on (and that
+// TestPoolReuseBitIdentity proves).
 //
 // Reset invalidates everything previously handed out by this machine: Stats,
 // Outputs, Trace and Shared snapshots must be copied before calling it, and a
@@ -76,7 +76,7 @@ func (b *StorageBuf) reset() {
 	}
 	b.Pending.head = 0
 	b.rrStart = 0
-	b.doneSeen = false
+	b.done = 0
 }
 
 // SetLimits adjusts the per-run governance bounds of the machine without

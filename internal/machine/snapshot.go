@@ -236,7 +236,7 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 	// which is how Snapshot writes them.
 	var parents []int
 	for i := 0; i < nFlows; i++ {
-		f := m.nextFlow()
+		f := m.nextFlow(0) // chunk by chunk: the count is not to be trusted with a block
 		parent, err := f.DecodeFrom(d)
 		if err != nil {
 			return nil, err
@@ -289,8 +289,12 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 		}
 		g.Buf.rrStart = d.Int()
 		// Not in the snapshot, and a Done flow may hold a slot at a step
-		// boundary (popPending): the first compaction looks.
-		g.Buf.doneSeen = true
+		// boundary (popPending).
+		for _, f := range g.Buf.Resident {
+			if f.State == tcf.Done {
+				g.Buf.done++
+			}
+		}
 	}
 
 	d.Section("stats")
@@ -306,7 +310,7 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 	if nOut < 0 || nOut > 1<<26 {
 		return nil, fmt.Errorf("machine: snapshot output count %d out of range", nOut)
 	}
-	for i := 0; i < nOut; i++ {
+	for i := 0; i < nOut && d.Err() == nil; i++ {
 		o := Output{Flow: d.Int(), Step: d.Varint(), Values: d.Int64s(), Text: d.String()}
 		m.output = append(m.output, o)
 	}

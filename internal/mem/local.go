@@ -10,6 +10,7 @@ type Local struct {
 	group int
 	size  int
 	words []int64 // allocated lazily on first write/preload
+	dirty bool    // written or preloaded since the last Reset
 
 	reads  int64
 	writes int64
@@ -25,20 +26,27 @@ func NewLocal(group, words int) (*Local, error) {
 	return &Local{group: group, size: words}, nil
 }
 
-// Reset zeroes the block in place (keeping the backing store) and clears the
-// access counters, restoring the observable state of a fresh NewLocal.
+// Reset zeroes the block in place (keeping the backing store) if it was
+// written since the last Reset, and clears the access counters, restoring the
+// observable state of a fresh NewLocal.
 func (l *Local) Reset() {
-	if l.words != nil {
+	if l.dirty {
 		clear(l.words)
+		l.dirty = false
+	}
+	if ResetAudit.Load() {
+		auditZero(fmt.Sprintf("local block %d", l.group), l.words)
 	}
 	l.reads, l.writes = 0, 0
 }
 
-// ensure materializes the backing store.
+// ensure returns the backing store for writing, materialized: every store to
+// the block goes through here.
 func (l *Local) ensure() []int64 {
 	if l.words == nil {
 		l.words = make([]int64, l.size)
 	}
+	l.dirty = true
 	return l.words
 }
 

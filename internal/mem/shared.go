@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrBadSize reports a nonpositive memory size or module count. The
@@ -155,8 +156,15 @@ func HomeModule(addr int64, modules int) int {
 // locality (and hence latency) of the remapped references changes. With no
 // survivor left the failure is unrecoverable.
 type Shared struct {
-	pages   [][]int64 // lazily materialized PageWords-sized pages
-	size    int64     // total words
+	// pages holds, by page index, the PageWords-sized pages written since the
+	// memory was built or Reset, and written lists their indices: all that may
+	// hold a non-zero word, and all that Reset clears. A page that is not there
+	// reads as zero. clean are the pages earlier runs materialized, zeroed,
+	// for the next first write to whatever address.
+	pages   [][]int64
+	written []int32
+	clean   [][]int64
+	size    int64 // total words
 	modules int
 	policy  Policy
 	par     bool // resolve contended writes on multiple goroutines
@@ -209,14 +217,25 @@ func NewShared(words, modules int, policy Policy) (*Shared, error) {
 
 // Reset restores the memory to its zeroed initial state while keeping the
 // materialized pages and the commit's scratch — the reuse that makes pooled
-// machines cheap. Pages are zeroed in place, the failover remap returns to
-// identity, dead modules revive, a step left uncommitted is dropped, and all
-// counters clear.
-// The resulting state is observably identical to a fresh NewShared.
+// machines cheap. The pages written since the last Reset are zeroed and set
+// aside (the others are zero already), the failover remap returns to identity,
+// dead modules revive, a step left uncommitted is dropped, and all counters
+// clear. The resulting state is observably identical to a fresh NewShared.
 func (s *Shared) Reset() {
-	for _, p := range s.pages {
-		if p != nil {
-			clear(p)
+	for _, i := range s.written {
+		clear(s.pages[i])
+		s.clean = append(s.clean, s.pages[i])
+		s.pages[i] = nil
+	}
+	s.written = s.written[:0]
+	if ResetAudit.Load() {
+		for i, p := range s.pages {
+			if p != nil {
+				panic(fmt.Sprintf("mem: Reset left shared page %d in place: a page materialized past the written list", i))
+			}
+		}
+		for _, p := range s.clean {
+			auditZero("a shared page set aside", p)
 		}
 	}
 	for i := range s.remap {
@@ -227,6 +246,21 @@ func (s *Shared) Reset() {
 	s.DiscardStep()
 	s.commits = CommitStats{}
 	s.reads, s.writesDone, s.stepWrites = 0, 0, 0
+}
+
+// ResetAudit makes every Reset of a Shared or a Local check, after it cleared
+// what it has listed as written, that no materialized word is left non-zero,
+// and panic if one is: the oracle of the lists, for tests that reuse memories
+// to switch on. A word that survives a Reset is one tenant's data in the next
+// tenant's run.
+var ResetAudit atomic.Bool
+
+func auditZero(what string, words []int64) {
+	for i, w := range words {
+		if w != 0 {
+			panic(fmt.Sprintf("mem: Reset left %s word %d = %d: a write that went past the written list", what, i, w))
+		}
+	}
 }
 
 // SetParallel lets ApplyStep resolve a step's contended writes on several
@@ -313,17 +347,24 @@ func (s *Shared) page(addr int64) []int64 {
 	return s.pages[addr>>PageShift]
 }
 
-// ensurePage materializes the page backing addr and returns it.
+// ensurePage returns the page backing addr for writing: every store to a page
+// goes through here. The first one since the last Reset puts a zeroed page in
+// place and lists it.
 func (s *Shared) ensurePage(addr int64) []int64 {
-	if s.pages == nil {
-		s.pages = make([][]int64, (s.size+PageWords-1)>>PageShift)
+	if p := s.page(addr); p != nil {
+		return p
+	}
+	s.EnsurePageTable()
+	var p []int64
+	if k := len(s.clean) - 1; k >= 0 {
+		p, s.clean[k] = s.clean[k], nil
+		s.clean = s.clean[:k]
+	} else {
+		p = make([]int64, PageWords)
 	}
 	i := addr >> PageShift
-	p := s.pages[i]
-	if p == nil {
-		p = make([]int64, PageWords)
-		s.pages[i] = p
-	}
+	s.pages[i] = p
+	s.written = append(s.written, int32(i))
 	return p
 }
 

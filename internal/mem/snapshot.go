@@ -95,9 +95,6 @@ func (s *Shared) DecodeFrom(d *checkpoint.Decoder) error {
 	if n < 0 || n > nPages {
 		return fmt.Errorf("mem: snapshot page count %d outside [0,%d]", n, nPages)
 	}
-	if n > 0 && s.pages == nil {
-		s.pages = make([][]int64, nPages)
-	}
 	for k := 0; k < n; k++ {
 		i := d.Int()
 		words := d.Int64s()
@@ -110,10 +107,7 @@ func (s *Shared) DecodeFrom(d *checkpoint.Decoder) error {
 		if len(words) != PageWords {
 			return fmt.Errorf("mem: snapshot page %d holds %d words, want %d", i, len(words), PageWords)
 		}
-		if s.pages[i] == nil {
-			s.pages[i] = make([]int64, PageWords)
-		}
-		copy(s.pages[i], words)
+		copy(s.ensurePage(int64(i)<<PageShift), words)
 	}
 	return d.Err()
 }

@@ -13,6 +13,7 @@ import (
 
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/machine"
+	"tcfpram/internal/mem"
 	"tcfpram/internal/variant"
 )
 
@@ -102,6 +103,9 @@ func main() {
 // and the shared-memory image. Reuse after quota-faulted and canceled runs
 // is part of the schedule.
 func TestPoolReuseBitIdentity(t *testing.T) {
+	// Every Release resets a machine: none may leave a word for the next lease.
+	mem.ResetAudit.Store(true)
+	t.Cleanup(func() { mem.ResetAudit.Store(false) })
 	progs := corpusPrograms(t)
 	spin := spinCompiled(t)
 	cfg := machine.Default(variant.SingleInstruction)

@@ -72,16 +72,21 @@ type Flow struct {
 
 	// Register state. Scalar registers are the flow-common registers; the
 	// thread-wise bank is allocated lazily per register and sized to the
-	// current thickness. Regs is where banks come from and go back to (nil:
-	// the allocator); it is the owning machine's, and no part of the flow's
+	// current thickness. vectors is the table of bank headers, attached on the
+	// first use of a thread-wise register and only as long as the highest
+	// register used asks for (a register beyond it holds no bank): a flow that
+	// computes on its common registers alone never has one. Regs is where the
+	// table, the banks and the call stack come from and go back to (nil: the
+	// allocator); it is the owning machine's, and no part of the flow's
 	// architectural state.
 	scalars [isa.NumSRegs]int64
-	vectors [isa.NumVRegs][]int64
+	vectors [][]int64
 	Regs    *RegArena
 
 	// Flow-level call stack (Section 2.2: a call stack is related to each
-	// parallel control flow, not to each thread).
-	CallStack []int
+	// parallel control flow, not to each thread): return addresses, innermost
+	// last.
+	CallStack []int64
 
 	// Split/join bookkeeping.
 	Parent       *Flow
@@ -124,14 +129,17 @@ func New(id, pc, thickness int) *Flow {
 	return f
 }
 
-// Init makes f what New returns, in place: for an owner that allocates its
-// flows in chunks.
+// Init makes f, a zero Flow, what New returns, in place: for an owner that
+// allocates its flows in chunks and hands every one out zeroed, so that a flow
+// is written once.
 func (f *Flow) Init(id, pc, thickness int) {
 	if thickness < 0 {
 		panic("tcf: negative thickness")
 	}
-	*f = Flow{ID: id, PC: pc, Thickness: thickness, TotalThickness: thickness, Bunch: 1, ResumePC: -1}
-	f.noteRegWords()
+	f.ID, f.PC = id, pc
+	f.Thickness, f.TotalThickness = thickness, thickness
+	f.Bunch, f.ResumePC = 1, -1
+	f.RegWordsPeak = isa.NumSRegs
 }
 
 // Lanes returns the number of data-parallel lanes an instruction of this
@@ -171,8 +179,10 @@ func (f *Flow) SetScalars(s [isa.NumSRegs]int64) { f.scalars = s }
 // Vector returns the thread-wise bank of register r sized to the current
 // lane count, allocating (zeroed) on first use.
 func (f *Flow) Vector(r isa.Reg) []int64 {
-	if lanes := f.Lanes(); r.IsVector() && len(f.vectors[r]) >= lanes {
-		return f.vectors[r][:lanes]
+	if int(r) < len(f.vectors) {
+		if v, lanes := f.vectors[r], f.Lanes(); len(v) >= lanes {
+			return v[:lanes]
+		}
 	}
 	return f.growVector(r)
 }
@@ -184,15 +194,44 @@ func (f *Flow) growVector(r isa.Reg) []int64 {
 	if !r.IsVector() {
 		panic(fmt.Sprintf("tcf: Vector(%s) on non-vector register", r))
 	}
-	f.Regs.grow(&f.vectors[r], f.Lanes())
-	f.noteRegWords()
+	lanes := f.Lanes()
+	if lanes == 0 {
+		return nil // no lanes: nothing to allocate
+	}
+	f.growBank(int(r), lanes)
 	return f.vectors[r]
+}
+
+// growBank extends register r's bank to n >= 1 lanes, which is more than it
+// has. Banks never shrink, so the words the flow holds are the most it ever
+// held, and the peak moves by what the bank gained.
+func (f *Flow) growBank(r, n int) {
+	want := r + 1
+	if n >= minBank {
+		// The arena notes where a bank it lends is held: its header may not
+		// move afterwards, and a whole table never does.
+		want = isa.NumVRegs
+	}
+	if len(f.vectors) < want {
+		f.Regs.attach(&f.vectors, want)
+	}
+	f.RegWordsPeak += int64(n - len(f.vectors[r]))
+	f.Regs.grow(&f.vectors[r], n)
+}
+
+// bank returns register r's bank at its allocated length, hidden lanes
+// included; nil if it has none.
+func (f *Flow) bank(r int) []int64 {
+	if r < len(f.vectors) {
+		return f.vectors[r]
+	}
+	return nil
 }
 
 // VectorAllocated reports whether register r has lanes allocated (used by
 // register accounting without forcing allocation).
 func (f *Flow) VectorAllocated(r isa.Reg) bool {
-	return r.IsVector() && f.vectors[r.Index()] != nil
+	return r.IsVector() && f.bank(int(r)) != nil
 }
 
 // Lane reads lane i of register r, treating scalar registers as broadcast
@@ -234,12 +273,11 @@ func (f *Flow) SetThickness(t int) error {
 	f.Mode = PRAM
 	f.Thickness = t
 	f.TotalThickness = t
-	for r := range f.vectors {
+	for r := 0; r < len(f.vectors); r++ {
 		if v := f.vectors[r]; v != nil && len(v) < t {
-			f.Regs.grow(&f.vectors[r], t)
+			f.growBank(r, t)
 		}
 	}
-	f.noteRegWords()
 	return nil
 }
 
@@ -263,7 +301,11 @@ func (f *Flow) LeavePRAM() {
 }
 
 // Call pushes the return address onto the flow-level call stack.
-func (f *Flow) Call(returnPC int) { f.CallStack = append(f.CallStack, returnPC) }
+func (f *Flow) Call(returnPC int) {
+	n := len(f.CallStack)
+	f.Regs.grow(&f.CallStack, n+1)
+	f.CallStack[n] = int64(returnPC)
+}
 
 // Ret pops the return address; it reports false on empty stack (treated as
 // flow termination by the engine).
@@ -273,7 +315,7 @@ func (f *Flow) Ret() (int, bool) {
 	}
 	pc := f.CallStack[len(f.CallStack)-1]
 	f.CallStack = f.CallStack[:len(f.CallStack)-1]
-	return pc, true
+	return int(pc), true
 }
 
 // StateDigest returns a 64-bit mixture of the flow's complete architectural
@@ -306,11 +348,12 @@ func (f *Flow) StateDigest() uint64 {
 	for _, v := range f.scalars {
 		mix(uint64(v))
 	}
-	for r := range f.vectors {
-		for _, v := range f.vectors[r] {
+	for r := 0; r < isa.NumVRegs; r++ {
+		bank := f.bank(r)
+		for _, v := range bank {
 			mix(uint64(v))
 		}
-		mix(uint64(len(f.vectors[r])))
+		mix(uint64(len(bank)))
 	}
 	for _, pc := range f.CallStack {
 		mix(uint64(pc))
@@ -322,16 +365,10 @@ func (f *Flow) StateDigest() uint64 {
 // RegWords returns the current register-file words held by the flow.
 func (f *Flow) RegWords() int64 {
 	n := int64(isa.NumSRegs)
-	for r := range f.vectors {
-		n += int64(len(f.vectors[r]))
+	for _, bank := range f.vectors {
+		n += int64(len(bank))
 	}
 	return n
-}
-
-func (f *Flow) noteRegWords() {
-	if w := f.RegWords(); w > f.RegWordsPeak {
-		f.RegWordsPeak = w
-	}
 }
 
 func (f *Flow) String() string {

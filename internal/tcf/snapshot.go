@@ -21,14 +21,10 @@ func (f *Flow) EncodeTo(e *checkpoint.Encoder) {
 	e.Int(f.Bunch)
 	e.Int(int(f.State))
 	e.Int64s(f.scalars[:])
-	for r := range f.vectors {
-		e.Int64s(f.vectors[r])
+	for r := 0; r < isa.NumVRegs; r++ {
+		e.Int64s(f.bank(r))
 	}
-	callStack := make([]int64, len(f.CallStack))
-	for i, pc := range f.CallStack {
-		callStack[i] = int64(pc)
-	}
-	e.Int64s(callStack)
+	e.Int64s(f.CallStack)
 	parent := -1
 	if f.Parent != nil {
 		parent = f.Parent.ID
@@ -47,7 +43,8 @@ func (f *Flow) EncodeTo(e *checkpoint.Encoder) {
 
 // DecodeFrom makes f, whatever it held, the flow EncodeTo wrote, and returns
 // its parent's flow id (-1 for none); the caller resolves the id to a pointer
-// after all flows are decoded.
+// after all flows are decoded. The flow gets a header table only if a register
+// of it holds lanes.
 func (f *Flow) DecodeFrom(d *checkpoint.Decoder) (int, error) {
 	*f = Flow{}
 	f.ID = d.Int()
@@ -73,13 +70,15 @@ func (f *Flow) DecodeFrom(d *checkpoint.Decoder) (int, error) {
 		return 0, fmt.Errorf("tcf: snapshot flow %d: %d scalar registers, want %d", f.ID, len(scalars), isa.NumSRegs)
 	}
 	copy(f.scalars[:], scalars)
-	for r := range f.vectors {
-		f.vectors[r] = d.Int64s()
+	for r := 0; r < isa.NumVRegs; r++ {
+		if bank := d.Int64s(); bank != nil {
+			if f.vectors == nil {
+				f.vectors = make([][]int64, isa.NumVRegs)
+			}
+			f.vectors[r] = bank
+		}
 	}
-	callStack := d.Int64s()
-	for _, pc := range callStack {
-		f.CallStack = append(f.CallStack, int(pc))
-	}
+	f.CallStack = d.Int64s()
 	parent := d.Int()
 	f.LiveChildren = d.Int()
 	f.ResumePC = d.Int()
