@@ -91,6 +91,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzResolveVsSorted -fuzztime=20s ./internal/multiop/
 	$(GO) test -fuzz=FuzzBulkVsEval -fuzztime=20s ./internal/isa/
 	$(GO) test -fuzz=FuzzRestore -fuzztime=30s ./internal/chaos/
+	$(GO) test -fuzz=FuzzLattice -fuzztime=90s ./internal/chaos/
 
 # fmtcheck fails, naming the files, when gofmt would change any.
 fmtcheck:
@@ -128,11 +129,13 @@ serve:
 serve-test:
 	$(GO) test -race -count=1 ./internal/serve ./cmd/tcfserve ./cmd/tcfrun
 
-# dataflow-test runs the dataflow-vs-lockstep differential suite race-enabled
-# (corpus, chaos, stacked concurrency, checkpoint cross-restore, fuzz seeds)
-# — the same gate CI's dataflow-differential job enforces.
+# dataflow-test runs the lattice's dataflow rows (every program and variant,
+# both backends, fault plans, lane chunking, kill and cross-scheduler restore)
+# and the targeted dataflow tests race-enabled — the same gate CI's
+# dataflow-differential job enforces.
 dataflow-test:
-	$(GO) test -race -count=1 -run 'Dataflow|Sched' ./internal/chaos ./internal/machine ./internal/serve ./cmd/tcfrun
+	$(GO) test -race -count=1 -run 'TestLattice/.*/.*/dataflow' ./internal/chaos
+	$(GO) test -race -count=1 -run 'Dataflow|Sched' ./internal/machine ./internal/serve ./cmd/tcfrun
 
 clean:
 	rm -f test_output.txt bench_output.txt

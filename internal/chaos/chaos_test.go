@@ -1,25 +1,18 @@
-// Package chaos is the fault-injection equivalence harness: every tcf-e
-// corpus program must produce bit-identical results under any recoverable
-// fault plan — faults may only cost cycles. This is the system-level
-// guarantee behind internal/fault; the per-layer mechanics are tested in
-// internal/network, internal/mem and internal/machine.
+// Package chaos is the engine's differential lattice (lattice_test.go): every
+// program of one list, on every variant it runs on, under a table of engine
+// configurations and lifecycles, with and without recoverable fault plans,
+// must match the serial per-lane interpreter exactly — faults may only cost
+// cycles, and no engine mechanism may be observable at all. FuzzRestore holds
+// Restore to untrusted bytes.
 package chaos
 
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"tcfpram/internal/codegen"
-	"tcfpram/internal/fault"
-	"tcfpram/internal/machine"
-	"tcfpram/internal/variant"
 )
-
-// snapshotWords bounds the shared-memory prefix compared between runs; the
-// corpus allocates all of its data well below this.
-const snapshotWords = 4096
 
 // corpusFiles returns every tcf-e corpus program, sorted.
 func corpusFiles(tb testing.TB) []string {
@@ -34,212 +27,20 @@ func corpusFiles(tb testing.TB) []string {
 	return files
 }
 
-// result is everything observable about one run: printed values and the
-// shared-memory image. Cycle counts deliberately excluded.
-type result struct {
-	outputs []int64
-	memory  []int64
-}
-
-// run executes one compiled corpus program under the given plan (nil = fault
-// free) and returns its observable result plus the statistics.
-func run(tb testing.TB, c *codegen.Compiled, kind variant.Kind, plan *fault.Plan) (result, *machine.Stats) {
-	tb.Helper()
-	return runCfg(tb, c, kind, plan, nil)
-}
-
-// runCfg is run with an extra configuration hook applied before the machine
-// is built.
-func runCfg(tb testing.TB, c *codegen.Compiled, kind variant.Kind, plan *fault.Plan, tweak func(*machine.Config)) (result, *machine.Stats) {
-	tb.Helper()
-	cfg := machine.Default(kind)
-	cfg.FaultPlan = plan
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := m.LoadProgram(c.Program); err != nil {
-		tb.Fatal(err)
-	}
-	for _, seg := range c.LocalData {
-		for g := 0; g < cfg.Groups; g++ {
-			if err := m.LocalMem(g).Load(seg.Addr, seg.Words); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
-	if _, err := m.Run(); err != nil {
-		tb.Fatalf("%v under plan %+v: %v", kind, plan, err)
-	}
-	var r result
-	for _, o := range m.Outputs() {
-		r.outputs = append(r.outputs, o.Values...)
-	}
-	r.memory = m.Shared().Snapshot(0, snapshotWords)
-	return r, m.Stats()
-}
-
 func compile(tb testing.TB, file string) *codegen.Compiled {
 	tb.Helper()
 	src, err := os.ReadFile(file)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c, err := codegen.CompileSource(file, string(src))
+	return compileSrc(tb, file, string(src))
+}
+
+func compileSrc(tb testing.TB, name, src string) *codegen.Compiled {
+	tb.Helper()
+	c, err := codegen.CompileSource(name, src)
 	if err != nil {
-		tb.Fatalf("compile %s: %v", file, err)
+		tb.Fatalf("compile %s: %v", name, err)
 	}
 	return c
-}
-
-// TestChaosEquivalence is the degradation invariant: every corpus program,
-// on every lockstep-comparable variant, under several distinct recoverable
-// fault plans, produces exactly the fault-free outputs and memory image.
-// Only cycle counts may differ — and the recovery counters must show the
-// faults actually fired.
-func TestChaosEquivalence(t *testing.T) {
-	kinds := []variant.Kind{variant.SingleInstruction, variant.Balanced, variant.MultiInstruction}
-	groups := machine.Default(variant.SingleInstruction).Groups
-	plans := []*fault.Plan{
-		fault.Random(1, groups, groups),
-		fault.Random(2, groups, groups),
-		fault.Random(3, groups, groups),
-	}
-	var retransmits, reroutes, failovers, extraCycles int64
-	for _, file := range corpusFiles(t) {
-		file := file
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			c := compile(t, file)
-			for _, kind := range kinds {
-				clean, cleanStats := run(t, c, kind, nil)
-				for i, plan := range plans {
-					faulty, stats := run(t, c, kind, plan)
-					if !reflect.DeepEqual(clean.outputs, faulty.outputs) {
-						t.Fatalf("%v plan %d: outputs diverged:\nclean  %v\nfaulty %v",
-							kind, i, clean.outputs, faulty.outputs)
-					}
-					if !reflect.DeepEqual(clean.memory, faulty.memory) {
-						t.Fatalf("%v plan %d: shared memory diverged", kind, i)
-					}
-					retransmits += stats.Retransmits
-					reroutes += stats.Reroutes
-					failovers += stats.Failovers
-					extraCycles += stats.Cycles - cleanStats.Cycles
-				}
-			}
-		})
-	}
-	if retransmits == 0 {
-		t.Fatal("no retransmissions across the whole chaos sweep; plans injected nothing")
-	}
-	if reroutes == 0 {
-		t.Fatal("no re-routes across the whole chaos sweep; route faults never fired")
-	}
-	if failovers == 0 {
-		t.Fatal("no module failovers across the whole chaos sweep; fail-stop faults never fired")
-	}
-	if extraCycles <= 0 {
-		t.Fatal("faults cost no cycles in aggregate; recovery is suspiciously free")
-	}
-}
-
-// TestChaosLaneParallelDifferential proves the pooled step engine with lane
-// chunking forced on (threshold 1 splits every sliceable thick instruction)
-// is bit-identical to the serial engine on every corpus program — with and
-// without recoverable fault plans, so chunk-level refSeq bases reproduce the
-// serial fault-decision stream exactly.
-func TestChaosLaneParallelDifferential(t *testing.T) {
-	groups := machine.Default(variant.SingleInstruction).Groups
-	plans := []*fault.Plan{
-		nil,
-		fault.Random(1, groups, groups),
-		fault.Random(2, groups, groups),
-	}
-	laneParallel := func(c *machine.Config) {
-		c.Parallel = true
-		c.LaneParallelThreshold = 1
-	}
-	var laneChunks int64
-	for _, file := range corpusFiles(t) {
-		file := file
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			c := compile(t, file)
-			for i, plan := range plans {
-				serial, serialStats := run(t, c, variant.SingleInstruction, plan)
-				par, parStats := runCfg(t, c, variant.SingleInstruction, plan, laneParallel)
-				if !reflect.DeepEqual(serial.outputs, par.outputs) {
-					t.Fatalf("plan %d: outputs diverged:\nserial   %v\nparallel %v",
-						i, serial.outputs, par.outputs)
-				}
-				if !reflect.DeepEqual(serial.memory, par.memory) {
-					t.Fatalf("plan %d: shared memory diverged", i)
-				}
-				// All model-level statistics must match; only the wall-clock
-				// chunk counter may differ between the two engines.
-				laneChunks += parStats.LaneChunks
-				a, b := *serialStats, *parStats
-				a.LaneChunks, b.LaneChunks = 0, 0
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("plan %d: stats diverged:\nserial   %+v\nparallel %+v", i, a, b)
-				}
-			}
-		})
-	}
-	if laneChunks == 0 {
-		t.Fatal("lane chunking never engaged across the corpus; the differential proved nothing")
-	}
-}
-
-// TestChaosDeterminism re-runs one program under the same plan and demands
-// identical statistics: fault injection is a pure function of the seed.
-func TestChaosDeterminism(t *testing.T) {
-	files := corpusFiles(t)
-	groups := machine.Default(variant.SingleInstruction).Groups
-	c := compile(t, files[0])
-	plan := fault.Random(7, groups, groups)
-	_, a := run(t, c, variant.SingleInstruction, plan)
-	_, b := run(t, c, variant.SingleInstruction, plan)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same plan, different stats:\n%+v\n%+v", a, b)
-	}
-}
-
-// FuzzChaos fuzzes the equivalence invariant over (plan seed, program):
-// any recoverable random plan on any corpus program must reproduce the
-// fault-free result exactly.
-func FuzzChaos(f *testing.F) {
-	files := corpusFiles(f)
-	compiled := make([]*codegen.Compiled, len(files))
-	for i, file := range files {
-		compiled[i] = compile(f, file)
-	}
-	clean := make([]result, len(files))
-	for i := range compiled {
-		clean[i], _ = run(f, compiled[i], variant.SingleInstruction, nil)
-	}
-	groups := machine.Default(variant.SingleInstruction).Groups
-
-	for seed := int64(0); seed < 4; seed++ {
-		for idx := 0; idx < len(files); idx += 5 {
-			f.Add(seed, idx)
-		}
-	}
-	f.Fuzz(func(t *testing.T, seed int64, idx int) {
-		if idx < 0 {
-			idx = -(idx + 1)
-		}
-		idx %= len(files)
-		plan := fault.Random(seed, groups, groups)
-		faulty, _ := run(t, compiled[idx], variant.SingleInstruction, plan)
-		if !reflect.DeepEqual(clean[idx].outputs, faulty.outputs) {
-			t.Fatalf("%s seed %d: outputs diverged:\nclean  %v\nfaulty %v",
-				files[idx], seed, clean[idx].outputs, faulty.outputs)
-		}
-		if !reflect.DeepEqual(clean[idx].memory, faulty.memory) {
-			t.Fatalf("%s seed %d: shared memory diverged", files[idx], seed)
-		}
-	})
 }

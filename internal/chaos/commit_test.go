@@ -1,16 +1,5 @@
 package chaos
 
-import (
-	"fmt"
-	"reflect"
-	"testing"
-
-	"tcfpram/internal/codegen"
-	"tcfpram/internal/fault"
-	"tcfpram/internal/machine"
-	"tcfpram/internal/variant"
-)
-
 // commitPrograms are tcfbench's three commit-bound kernels (bench/gen:
 // scatter-crcw, histogram, scan) at small thickness, still thick enough for
 // mem.Shared's parallel resolution to engage, plus the same traffic from
@@ -19,7 +8,9 @@ import (
 // them put every kind of run into one step: a unit-stride store, a stride-2
 // store, two flows storing into overlapping ranges, a scatter, a NUMA bunch
 // that loads back what it just stored, and madd and mpadd from two flows onto
-// one word each.
+// one word each. The lattice runs them on single-instruction: what a step
+// commits must not depend on how its references were gathered, nor on the
+// route its runs took.
 var commitPrograms = map[string]string{
 	"scatter-crcw": `
 shared int dst[512] @ 1024;
@@ -144,50 +135,4 @@ func combine(base) {
         madd(&word, 1 + i);
     }
 }`,
-}
-
-// TestStepCommitDifferential runs the commit-bound programs across backend ×
-// scheduler × Parallel × lane threshold × fault plan and demands outputs,
-// memory and every model-level statistic bit-identical to the serial lockstep
-// interpreter under the same plan: what a step commits must not depend on how
-// its references were gathered, nor on the route its runs took.
-func TestStepCommitDifferential(t *testing.T) {
-	for name, src := range commitPrograms {
-		t.Run(name, func(t *testing.T) {
-			c, err := codegen.CompileSource(name, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			groups := machine.Default(variant.SingleInstruction).Groups
-			for pi, plan := range []*fault.Plan{nil, fault.Random(1, groups, groups)} {
-				want, wantStats := run(t, c, variant.SingleInstruction, plan)
-				if len(want.outputs) == 0 {
-					t.Fatal("program printed nothing")
-				}
-				for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendFused} {
-					for _, sched := range []machine.Sched{machine.SchedLockstep, machine.SchedDataflow} {
-						for _, par := range []bool{false, true} {
-							for _, lanes := range []int{0, 1, 300} {
-								cell := fmt.Sprintf("plan %d/%v/%v/parallel=%v/lanes=%d", pi, backend, sched, par, lanes)
-								got, gotStats := runCfg(t, c, variant.SingleInstruction, plan, func(cfg *machine.Config) {
-									cfg.Backend, cfg.Sched, cfg.Parallel, cfg.LaneParallelThreshold = backend, sched, par, lanes
-								})
-								if !reflect.DeepEqual(want.outputs, got.outputs) {
-									t.Fatalf("%s: outputs %v, want %v", cell, got.outputs, want.outputs)
-								}
-								if !reflect.DeepEqual(want.memory, got.memory) {
-									t.Fatalf("%s: shared memory diverged", cell)
-								}
-								a, b := *wantStats, *gotStats
-								a.LaneChunks, b.LaneChunks = 0, 0
-								if !reflect.DeepEqual(a, b) {
-									t.Fatalf("%s: stats diverged:\nwant %+v\ngot  %+v", cell, a, b)
-								}
-							}
-						}
-					}
-				}
-			}
-		})
-	}
 }

@@ -21,12 +21,17 @@ import (
 // Backend selects the step-engine execution backend. Both backends are
 // bit-identical in every architectural respect — outputs, statistics, fault
 // decisions, discipline verdicts, checkpoints — and differ only in wall
-// clock; the interpreter is the reference (oracle) implementation.
+// clock. Both run isa's bulk lane forms and the shared bulk LD/ST; the
+// per-lane reference path behind them, the oracle internal/chaos holds every
+// configuration to, is reached under a non-nil FaultPlan or a checking
+// MemDiscipline.
 type Backend int
 
 const (
-	// BackendInterp is the reference interpreter: per-operation dispatch
-	// through the generic exec switch.
+	// BackendInterp is the interpreter: each instruction dispatched from the
+	// decoded per-PC table, its lanes through isa's bulk forms and the shared
+	// bulk LD/ST — or, under a non-nil FaultPlan or a checking MemDiscipline,
+	// through the per-lane reference path.
 	BackendInterp Backend = iota
 	// BackendFused precompiles the program (internal/fuse) into per-run
 	// fused closures with operand shapes resolved at load time; memory and
@@ -160,7 +165,9 @@ type Config struct {
 	// fail-stop with spare failover). Faults change cycle counts only;
 	// results are identical to the fault-free run unless the plan is
 	// unrecoverable, which surfaces as ErrFaultUnrecoverable. Nil runs
-	// fault-free.
+	// fault-free. A non-nil plan, even an empty one, also sends every shared
+	// reference down the per-lane reference path, where each draws its own
+	// fault decision; an empty plan is how the tests reach that path.
 	FaultPlan *fault.Plan
 
 	// Parallel executes groups on separate goroutines within a step.

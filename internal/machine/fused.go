@@ -29,7 +29,8 @@ import (
 // Everything the run boundary owns — shared references, fault decisions,
 // refSeq accounting, discipline records, combining traffic, trace slices —
 // executes on exactly the interpreter's code paths, which is what makes the
-// two backends bit-identical (the corpus and chaos differentials prove it).
+// two backends bit-identical (internal/chaos's lattice holds both to one
+// oracle).
 
 // fusedLaneRange executes lanes [first, first+n) of the compiled instruction
 // at f.PC through its kernel, returning false when it has none: memory and

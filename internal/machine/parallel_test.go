@@ -1,121 +1,20 @@
 package machine
 
-// Lane-parallel determinism: partitioning a thick instruction's lanes across
-// the worker pool must be unobservable — outputs, the memory image and every
-// statistic except LaneChunks are bit-identical to serial execution, with
-// and without fault injection (chunked refSeq bases must reproduce the exact
-// per-reference fault decisions).
-
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
-	"tcfpram/internal/fault"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/variant"
 )
 
+// Shapes the step-loop, traffic and register-file tests share: a ragged
+// thickness above the lane threshold, an output region and a combining word.
 const (
-	laneParThickness = 513 // odd: the last chunk is ragged
-	laneParInputBase = 8000
+	laneParThickness = 513
 	laneParOutBase   = 2000
-	laneParPrefixOut = 4000
 	laneParAuxAddr   = 900
 )
-
-// laneParProgram exercises every lane-parallel op class at a thickness well
-// above the test threshold: per-lane loads, vector ALU, a multiprefix, two
-// stores, a reduction and a scalar print.
-func laneParProgram(t *testing.T) *isa.Program {
-	t.Helper()
-	input := make([]int64, laneParThickness)
-	for i := range input {
-		input[i] = int64(i*7%23 - 11)
-	}
-	b := isa.NewBuilder("lanepar")
-	b.Label("main")
-	b.Data(laneParInputBase, input...)
-	b.SetThickImm(laneParThickness)
-	b.Id(isa.TID, isa.V(0))
-	b.Ld(isa.V(1), isa.V(0), laneParInputBase)
-	b.ALUI(isa.MUL, isa.V(2), isa.V(1), 3)
-	b.ALU(isa.ADD, isa.V(2), isa.V(2), isa.V(0))
-	b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, laneParAuxAddr, isa.V(1))
-	b.St(isa.V(0), laneParOutBase, isa.V(2))
-	b.St(isa.V(0), laneParPrefixOut, isa.V(3))
-	b.Reduce(isa.RADD, isa.S(1), isa.V(2))
-	b.Print(isa.S(1))
-	b.Halt()
-	return b.MustBuild()
-}
-
-// runLanePar executes the program under one configuration and returns the
-// observable result plus statistics (LaneChunks zeroed — it is the one
-// legitimate difference between serial and lane-parallel runs).
-func runLanePar(t *testing.T, tweak func(*Config)) ([]Output, []int64, Stats) {
-	t.Helper()
-	cfg := Default(variant.SingleInstruction)
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadProgram(laneParProgram(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := *m.Stats()
-	st.LaneChunks = 0
-	return m.Outputs(), m.Shared().Snapshot(0, 16384), st
-}
-
-func TestLaneParallelBitIdentical(t *testing.T) {
-	plans := []*fault.Plan{nil, fault.Random(1, 4, 4), fault.Random(2, 4, 4)}
-	for pi, plan := range plans {
-		plan := plan
-		serialOut, serialMem, serialStats := runLanePar(t, func(c *Config) { c.FaultPlan = plan })
-		parOut, parMem, parStats := runLanePar(t, func(c *Config) {
-			c.FaultPlan = plan
-			c.Parallel = true
-			c.LaneParallelThreshold = 64
-		})
-		if !reflect.DeepEqual(serialOut, parOut) {
-			t.Fatalf("plan %d: outputs diverged:\nserial   %v\nparallel %v", pi, serialOut, parOut)
-		}
-		if !reflect.DeepEqual(serialMem, parMem) {
-			t.Fatalf("plan %d: memory image diverged", pi)
-		}
-		if !reflect.DeepEqual(serialStats, parStats) {
-			t.Fatalf("plan %d: stats diverged:\nserial   %+v\nparallel %+v", pi, serialStats, parStats)
-		}
-	}
-}
-
-// TestLaneParallelActuallyChunks guards the test above against silently
-// degenerating to the serial path.
-func TestLaneParallelActuallyChunks(t *testing.T) {
-	cfg := Default(variant.SingleInstruction)
-	cfg.Parallel = true
-	cfg.LaneParallelThreshold = 64
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadProgram(laneParProgram(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Stats().LaneChunks == 0 {
-		t.Fatal("no lane chunks recorded; the parallel path never engaged")
-	}
-}
 
 // TestStepLoopSteadyStateAllocs is the 0 allocs/step gate: with tracing
 // disabled, the steady-state step loop performs zero heap allocations per

@@ -207,8 +207,8 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 		// data segments would clobber whatever the run wrote over them.
 		// Backend is deliberately absent from the snapshot fingerprint: both
 		// backends are bit-identical, so a checkpoint taken under one resumes
-		// under the other (and the chaos cross-backend differential proves
-		// the resumed run identical either way).
+		// under the other (internal/chaos's kill rows restore into the other
+		// backend and hold the resumed run to the oracle).
 		m.setProgram(p)
 	}
 
