@@ -28,12 +28,13 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-compile runs the compile path's per-layer benchmarks (lexer to fused
-# program, over internal/lang/testdata/cold.te). It is a smoke at
-# -benchtime=20x, as CI's bench job runs it, and gates nothing: raise
-# -benchtime and alternate two checkouts for numbers worth reading.
+# program, over internal/lang/testdata/cold.te) and BenchmarkServeCold, the
+# whole cold request through the tcfserve handler with the same program. It
+# is a smoke at -benchtime=20x, as CI's bench job runs it, and gates nothing:
+# raise -benchtime and alternate two checkouts for numbers worth reading.
 bench-compile:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x \
-		./internal/lang ./internal/sema ./internal/analysis ./internal/codegen ./internal/fuse
+		./internal/lang ./internal/sema ./internal/analysis ./internal/codegen ./internal/fuse ./internal/serve
 
 # bench-engine runs the step engine's per-layer benchmarks: the step commit's
 # (BenchmarkApplyStep in internal/mem — unit stride, stride 2, two runs

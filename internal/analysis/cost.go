@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -12,11 +13,13 @@ import (
 	"tcfpram/internal/variant"
 )
 
-// This file is the cost analyzer: a prediction is a fuelled run. Cost builds
-// the machine the parameters describe, loads the compiled program and steps
-// the engine itself until the program ends or a budget is spent, and reads
-// the report off machine.Stats — so a resolved prediction is the statistics
-// of a run, for every variant, and cannot disagree with the engine. The CFG +
+// This file is the cost analyzer: a prediction is a fuelled run. CostOn runs
+// the engine over a machine of the shape the parameters describe, loaded with
+// the compiled program, until the program ends or a budget is spent, and
+// reads the report off machine.Stats — so a resolved prediction is the
+// statistics of a run, for every variant, and cannot disagree with the
+// engine. Cost runs it on a fresh machine, the execution server on the
+// machine it leased for the request. The CFG +
 // thickness dataflow that tcfvet owns provides the static thickness ceiling
 // that stands in whenever the fuel runs out first.
 
@@ -106,13 +109,42 @@ func ParamsFor(cfg machine.Config) CostParams {
 // DefaultCostParams returns parameters matching machine.Default(kind).
 func DefaultCostParams(kind variant.Kind) CostParams { return ParamsFor(machine.Default(kind)) }
 
-// boot builds the machine the run steps — p's shape under the thickness cap
-// maxThickness, serial and lockstep, with no fault plan, discipline checker,
-// watchdog or observer attached — loaded with c and booted. It runs the
-// compiled kernels: the per-PC table comes from fuse.Cached, where a run of
-// the same program that follows the prediction, as an admitted request's
-// does, finds it compiled.
-func (p *CostParams) boot(c *codegen.Compiled, maxThickness int) (*machine.Machine, error) {
+// withBudgets returns p with its zero budgets at their defaults.
+func (p CostParams) withBudgets() CostParams {
+	if p.MaxSteps <= 0 {
+		p.MaxSteps = 1 << 20
+	}
+	if p.MaxConcreteLanes <= 0 {
+		p.MaxConcreteLanes = 1 << 16
+	}
+	if p.MaxLaneWork <= 0 {
+		p.MaxLaneWork = 1 << 26
+	}
+	return p
+}
+
+// laneCapped says the run's thickness cap, the tighter of the machine's own
+// limit and the analysis's lane cap, is the lane cap: a refusal then is a
+// budget stop, not a fault of the program on that machine.
+func (p *CostParams) laneCapped() bool {
+	return p.MaxThickness <= 0 || p.MaxThickness > p.MaxConcreteLanes
+}
+
+// spent is the run's stop: the step or the lane-work budget is exhausted.
+func (p *CostParams) spent(m *machine.Machine) bool {
+	st := m.Stats()
+	return st.Steps >= p.MaxSteps || st.Ops+st.ScalarOps+st.InstrFetches > p.MaxLaneWork
+}
+
+// boot builds Cost's fresh machine — p's shape under its thickness cap,
+// serial, lockstep and fused, with no fault plan, discipline checker,
+// watchdog or observer and its step quota at the step budget — loaded with
+// c and booted. The execution server builds none: it runs CostOn on a lease.
+func (p *CostParams) boot(c *codegen.Compiled) (*machine.Machine, error) {
+	maxThickness := p.MaxThickness
+	if p.laneCapped() {
+		maxThickness = p.MaxConcreteLanes
+	}
 	m, err := machine.New(machine.Config{
 		Variant:            p.Variant,
 		Backend:            machine.BackendFused,
@@ -130,6 +162,7 @@ func (p *CostParams) boot(c *codegen.Compiled, maxThickness int) (*machine.Machi
 		TimeSliceSteps:     p.TimeSliceSteps,
 		AutoSplitThreshold: p.AutoSplitThreshold,
 		MaxThickness:       maxThickness,
+		MaxSteps:           p.MaxSteps,
 	})
 	if err != nil {
 		return nil, err
@@ -187,52 +220,40 @@ type CostReport struct {
 	MaxThickness Bound `json:"max_thickness"`
 }
 
-// Cost predicts the execution cost of a compiled program under params.
+// Cost predicts the execution cost of a compiled program under params: it
+// boots a fresh machine and runs CostOn over it.
 func Cost(c *codegen.Compiled, params CostParams) *CostReport {
-	p := params
-	if p.MaxSteps <= 0 {
-		p.MaxSteps = 1 << 20
-	}
-	if p.MaxConcreteLanes <= 0 {
-		p.MaxConcreteLanes = 1 << 16
-	}
-	if p.MaxLaneWork <= 0 {
-		p.MaxLaneWork = 1 << 26
-	}
-	rep := &CostReport{Variant: p.Variant.String()}
+	p := params.withBudgets()
 	if c == nil || c.Program == nil {
-		rep.Reason = "no compiled program"
-		return rep
+		return &CostReport{Variant: p.Variant.String(), Reason: "no compiled program"}
 	}
-	rep.Program = c.Program.Name
-	// The run's thickness cap is the tighter of the machine's own limit and
-	// the analysis's lane cap: a refusal by the one is a fault of the program
-	// on that machine, by the other a budget stop.
-	limit, budget := p.MaxConcreteLanes, true
-	if p.MaxThickness > 0 && p.MaxThickness <= limit {
-		limit, budget = p.MaxThickness, false
-	}
-	m, err := p.boot(c, limit)
+	m, err := p.boot(c)
 	if err != nil {
-		rep.Reason = err.Error()
-		return rep
+		return &CostReport{Program: c.Program.Name, Variant: p.Variant.String(), Reason: err.Error()}
 	}
+	rep, _ := CostOn(context.Background(), m, c, p)
+	return rep
+}
 
+// CostOn is the prediction run: it runs m — params' shape under Cost's
+// thickness cap, loaded with c, on any backend, scheduler or run bounds —
+// until c ends, a budget is spent or the run fails, and returns the report
+// read off m and the run's error. The report is Cost's wherever the run
+// stops where Cost's would: not on ctx, a lower step quota, the watchdog or
+// the discipline checker. After a budget stop RunContext continues the run.
+func CostOn(ctx context.Context, m *machine.Machine, c *codegen.Compiled, params CostParams) (*CostReport, error) {
+	p := params.withBudgets()
+	_, err := m.RunUntil(ctx, p.spent)
 	st := m.Stats()
-	for err == nil && rep.Reason == "" && !m.Done() {
-		switch {
-		case st.Steps >= p.MaxSteps:
-			rep.Reason = fmt.Sprintf("step budget exhausted (%d steps)", p.MaxSteps)
-		case st.Ops+st.ScalarOps+st.InstrFetches > p.MaxLaneWork:
-			rep.Reason = fmt.Sprintf("lane-work budget exhausted (%d operation slices and fetches)", p.MaxLaneWork)
-		default:
-			err = m.Step()
-		}
-	}
 	demand := m.KernelStats().MaxThickness
+	rep := &CostReport{Program: c.Program.Name, Variant: p.Variant.String()}
 	switch {
+	case err == nil && m.Done():
+	case err == nil && st.Steps >= p.MaxSteps:
+		rep.Reason = fmt.Sprintf("step budget exhausted (%d steps)", p.MaxSteps)
 	case err == nil:
-	case budget && errors.Is(err, machine.ErrThicknessLimit):
+		rep.Reason = fmt.Sprintf("lane-work budget exhausted (%d operation slices and fetches)", p.MaxLaneWork)
+	case p.laneCapped() && errors.Is(err, machine.ErrThicknessLimit):
 		rep.Reason = fmt.Sprintf("thickness %d exceeds the widest flow the analysis materialises (%d lanes)", demand, p.MaxConcreteLanes)
 	default:
 		rep.Note = err.Error()
@@ -273,7 +294,7 @@ func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 			rep.MaxThickness.Max = max(ceiling.n, demand)
 		}
 	}
-	return rep
+	return rep, err
 }
 
 // CostSource compiles tcf-e source and predicts its cost.

@@ -265,6 +265,7 @@ func (m *Machine) runDataflow(ctx context.Context) (*Stats, error) {
 		b.pauseAt = m.dfPauseTarget(start)
 	}
 	wd := newWatchdog(m.cfg.WatchdogSteps)
+	done := ctx.Done()
 
 	var runners sync.WaitGroup
 	for gi := range m.execs {
@@ -280,8 +281,8 @@ func (m *Machine) runDataflow(ctx context.Context) (*Stats, error) {
 		// every runner is parked here (step k is not yet released), so the
 		// watchdog's state digest and the fault plan's module failures act on
 		// the same machine state they would under lockstep.
-		if err := ctx.Err(); err != nil {
-			m.runErr = fmt.Errorf("machine: %w after %d steps: %v", ErrCanceled, m.stats.Steps, err)
+		if done != nil && canceled(done) {
+			m.runErr = fmt.Errorf("machine: %w after %d steps: %v", ErrCanceled, m.stats.Steps, ctx.Err())
 			break
 		}
 		if k >= m.cfg.MaxSteps {

@@ -421,7 +421,13 @@ func (m *Machine) Run() (*Stats, error) { return m.RunContext(context.Background
 // between steps, and a canceled run stops with an error wrapping
 // ErrCanceled. The progress watchdog (Config.WatchdogSteps) also runs here,
 // converting silent livelock into an error wrapping ErrDeadlock.
-func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
+func (m *Machine) RunContext(ctx context.Context) (*Stats, error) { return m.RunUntil(ctx, nil) }
+
+// RunUntil is RunContext that also stops, with no error, at the first step
+// boundary where stop holds (checked first), so a later call continues the
+// run. With a stop it steps lockstep under SchedDataflow too, as Step does.
+// Each call starts its own watchdog: at most a later livelock verdict.
+func (m *Machine) RunUntil(ctx context.Context, stop func(*Machine) bool) (*Stats, error) {
 	if len(m.flowList) == 0 {
 		if err := m.Boot(); err != nil {
 			return nil, err
@@ -429,14 +435,18 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 	}
 	// The dataflow scheduler applies to lockstep step shapes; immediate
 	// (XMT-style) semantics serialize memory within the step and keep the
-	// lockstep engine. Manual Step() always steps lockstep.
-	if m.cfg.Sched == SchedDataflow && m.plan.Lockstep {
+	// lockstep engine.
+	if stop == nil && m.cfg.Sched == SchedDataflow && m.plan.Lockstep {
 		return m.runDataflow(ctx)
 	}
+	done := ctx.Done()
 	wd := newWatchdog(m.cfg.WatchdogSteps)
 	for !m.Done() {
-		if err := ctx.Err(); err != nil {
-			m.runErr = fmt.Errorf("machine: %w after %d steps: %v", ErrCanceled, m.stats.Steps, err)
+		if stop != nil && stop(m) {
+			break
+		}
+		if done != nil && canceled(done) {
+			m.runErr = fmt.Errorf("machine: %w after %d steps: %v", ErrCanceled, m.stats.Steps, ctx.Err())
 			break
 		}
 		if m.stats.Steps >= m.cfg.MaxSteps {
@@ -463,6 +473,17 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 		}
 	}
 	return &m.stats, m.runErr
+}
+
+// canceled is the run loops' per-step context check: a non-blocking receive,
+// where ctx.Err() locks a cancelable context's mutex.
+func canceled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // progressMark summarizes the observable work of the run: memory traffic

@@ -34,29 +34,30 @@ type cacheEntry struct {
 	compiled *codegen.Compiled
 	err      error // codegen failure after a clean vet
 
-	// costs memoizes cost predictions per machine shape and budgets,
-	// computed from the already-compiled program (the vet gate's single
-	// parse): the predictive-admission pass never re-parses source.
+	// costs memoizes cost predictions per machine shape and budgets, made by
+	// the first request's fuelled run of the already-compiled program (the
+	// vet gate's single parse): predictive admission never re-parses source.
 	costMu sync.Mutex
 	costs  map[analysis.CostParams]*analysis.CostReport
 }
 
 // cost returns the memoized cost prediction of this entry's program for the
-// given analysis parameters, which are the memo key and so must be
-// comparable: the default topology (nil), as every poolable config has.
-// Only valid on entries holding a compiled program.
+// given analysis parameters, or nil. The parameters are the memo key and so
+// must be comparable: the default topology (nil), as every poolable config has.
 func (e *cacheEntry) cost(params analysis.CostParams) *analysis.CostReport {
 	e.costMu.Lock()
 	defer e.costMu.Unlock()
-	if rep, ok := e.costs[params]; ok {
-		return rep
-	}
-	rep := analysis.Cost(e.compiled, params)
+	return e.costs[params]
+}
+
+// memoCost memoizes rep for params; concurrent misses store equal reports.
+func (e *cacheEntry) memoCost(params analysis.CostParams, rep *analysis.CostReport) {
+	e.costMu.Lock()
+	defer e.costMu.Unlock()
 	if e.costs == nil {
 		e.costs = make(map[analysis.CostParams]*analysis.CostReport)
 	}
 	e.costs[params] = rep
-	return rep
 }
 
 // ProgramCache memoizes vet+compile results keyed by source hash with

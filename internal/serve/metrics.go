@@ -155,9 +155,9 @@ type PredictionCounters struct {
 	ExactRuns     int64 `json:"exact_runs"`
 	// CycleErrorSum is Σ|predicted − measured| cycles over PredictedRuns;
 	// MeasuredCycleSum is the matching Σ measured cycles, so
-	// CycleErrorSum/MeasuredCycleSum is the mean relative error. The
-	// prediction and the served run are two runs of one deterministic
-	// machine: anything but zero here is nondeterminism in the engine.
+	// CycleErrorSum/MeasuredCycleSum is the mean relative error. A served
+	// run is its prediction's own run or, on a memo hit, a rerun of one
+	// deterministic machine: anything but zero is nondeterminism.
 	CycleErrorSum    int64 `json:"cycle_error_sum"`
 	MeasuredCycleSum int64 `json:"measured_cycle_sum"`
 }

@@ -77,6 +77,8 @@ type MachinePool struct {
 	misses   int64 // leases that built a new machine
 	discards int64 // leases dropped as poisoned (panic during a run)
 	full     int64 // releases dropped because the idle set was full
+
+	hookRelease func(m *machine.Machine) // test seam: sees each released machine before its Reset
 }
 
 // NewMachinePool builds a pool keeping at most maxIdlePerKey machines per
@@ -133,8 +135,11 @@ func (l *Lease) Release() {
 		return
 	}
 	l.done = true
-	l.M.Reset()
 	p := l.pool
+	if p.hookRelease != nil {
+		p.hookRelease(l.M)
+	}
+	l.M.Reset()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.closed && len(p.idle[l.key]) < p.maxIdle {

@@ -1,31 +1,55 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"tcfpram"
+	"tcfpram/internal/analysis"
+	"tcfpram/internal/machine"
+	"tcfpram/internal/mem"
+	"tcfpram/internal/variant"
 )
 
 // TestPredictiveAdmissionBeforePooling is the admission-soundness gate: a
 // job whose predicted cost provably exceeds the tenant quota must bounce
-// with 412 before any machine is built or pooled, and the outcome must be
-// counted under its own metric.
+// with 412, on both quota dimensions, and the outcome must be counted under
+// its own metric. The first request makes the prediction on the one machine
+// it leases, runs it for at most the admission fuel and returns it Reset to
+// the pool; the repeat answers from the memoized prediction and leases
+// nothing.
 func TestPredictiveAdmissionBeforePooling(t *testing.T) {
-	s, ts := newTestServer(t, Options{
-		Tenants: map[string]Limits{"caged": cagedLimits()},
-	})
+	for _, src := range []string{thickSrc, spinSrc} {
+		s, ts := newTestServer(t, Options{
+			Tenants: map[string]Limits{"caged": cagedLimits()},
+		})
+		var ran []int64
+		s.pool.hookRelease = func(m *machine.Machine) { ran = append(ran, m.TailStats().Steps) }
 
-	status, _, resp := post(t, ts, "caged", runRequest{Source: thickSrc})
-	if status != 412 || resp.Outcome != outcomePredictedQuota {
-		t.Fatalf("status %d outcome %q (%s), want 412 %q",
-			status, resp.Outcome, resp.Error, outcomePredictedQuota)
-	}
-	m := s.Metrics()
-	if m.Pool.Hits != 0 || m.Pool.Misses != 0 || m.Pool.Idle != 0 {
-		t.Fatalf("a machine was pooled for a predicted-over-quota job: %+v", m.Pool)
-	}
-	if m.Outcomes[outcomePredictedQuota] != 1 || m.Prediction.RejectedOverQuota != 1 {
-		t.Fatalf("rejection not counted: %+v / %+v", m.Outcomes, m.Prediction)
+		for i := 0; i < 2; i++ {
+			status, _, resp := post(t, ts, "caged", runRequest{Source: src})
+			if status != 412 || resp.Outcome != outcomePredictedQuota {
+				t.Fatalf("request %d: status %d outcome %q (%s), want 412 %q",
+					i, status, resp.Outcome, resp.Error, outcomePredictedQuota)
+			}
+		}
+		m := s.Metrics()
+		if m.Pool.Hits+m.Pool.Misses != 1 || m.Pool.Idle != 1 || m.Pool.Discards != 0 {
+			t.Fatalf("want one lease, returned to the pool: %+v", m.Pool)
+		}
+		if len(ran) != 1 || ran[0] > admitMaxSteps {
+			t.Fatalf("steps run on released leases %v, want one lease of at most %d", ran, admitMaxSteps)
+		}
+		if m.Outcomes[outcomePredictedQuota] != 2 || m.Prediction.RejectedOverQuota != 2 {
+			t.Fatalf("rejections not counted: %+v / %+v", m.Outcomes, m.Prediction)
+		}
 	}
 }
 
@@ -116,5 +140,169 @@ func TestUnresolvedPredictionAdmits(t *testing.T) {
 	// predicted-vs-actual accounting.
 	if p := s.Metrics().Prediction; p.PredictedRuns != 0 {
 		t.Fatalf("unresolved prediction counted as predicted run: %+v", p)
+	}
+}
+
+// longSrc runs past the admission fuel (admitMaxSteps) before it writes
+// memory, so the answer to a miss comes from the fuel's continuation.
+const longSrc = `
+shared int a[64] @ 100;
+func main() {
+	int i = 0;
+	while (i < 6000) { i += 1; }
+	#64;
+	a[tid] = tid + i;
+}
+`
+
+// facadeAnswer is the /run answer a run of src through the tcfpram facade
+// gives on cfg: the reference a served run must equal.
+func facadeAnswer(t *testing.T, cfg machine.Config, name, src string, peek []peekRange) runResponse {
+	t.Helper()
+	m, err := tcfpram.NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadSource(name, src); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Run()
+	if err != nil {
+		return runResponse{Error: err.Error()}
+	}
+	resp := runResponse{
+		Outcome: outcomeOK, Tenant: "anon", Steps: st.Steps, Cycles: st.Cycles, StageCycles: map[string]int64{},
+		CachedProg: true, PooledMach: true, SharedReads: st.SharedReads, SharedWrites: st.SharedWrites,
+	}
+	for i := range st.Stages {
+		resp.StageCycles[machine.Stage(i).String()] = st.Stages[i].Cycles
+	}
+	for _, o := range m.Outputs() {
+		resp.Outputs = append(resp.Outputs, outputJSON{Flow: o.Flow, Step: o.Step, Values: o.Values, Text: o.Text})
+	}
+	for _, p := range peek {
+		resp.Memory = append(resp.Memory, peekResult{Addr: p.Addr, Values: m.Words(p.Addr, p.N)})
+	}
+	return resp
+}
+
+// TestMissRunsOnce: a cost-memo miss runs its program once — the admission
+// fuel and its continuation on the one machine it leases — and answers byte
+// for byte what the memo hit after it and a run through the facade answer.
+// The 16-program corpus runs on every variant, both backends and both
+// schedulers, and longSrc, longer than the fuel, on both backends and both
+// schedulers. Every memoized prediction is analysis.Cost's.
+func TestMissRunsOnce(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "codegen", "testdata", "*.te"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus programs: %v", err)
+	}
+	type prog struct{ name, src string }
+	var corpus []prog
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, prog{filepath.Base(f), string(src)})
+	}
+	long := append(corpus, prog{"long.te", longSrc})
+
+	peek := []peekRange{{Addr: 0, N: 1024}}
+	for _, vk := range variant.Kinds() {
+		for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendFused} {
+			for _, sched := range []machine.Sched{machine.SchedLockstep, machine.SchedDataflow} {
+				// A server of its own: the cost memo is keyed by neither
+				// backend nor scheduler.
+				s, ts := newTestServer(t, Options{})
+				lim := s.limitsFor("anon")
+				var ran []int64
+				s.pool.hookRelease = func(m *machine.Machine) { ran = append(ran, m.TailStats().Steps) }
+				// answer posts req, a repeat when hit is set, and checks that
+				// it ran the program once on one lease.
+				answer := func(req runRequest, hit bool) (runResponse, []byte) {
+					t.Helper()
+					ran = nil
+					before := s.Metrics().Pool
+					status, _, resp := post(t, ts, "", req)
+					resp.WallClock = ""
+					js, err := json.Marshal(resp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resp.Outcome == outcomeVetRejected {
+						return resp, js
+					}
+					after := s.Metrics().Pool
+					if leases := after.Hits + after.Misses - before.Hits - before.Misses; leases != 1 {
+						t.Fatalf("%s hit=%v: %d leases, want 1", req.Name, hit, leases)
+					}
+					if status == http.StatusOK && (len(ran) != 1 || ran[0] != resp.Steps) {
+						t.Fatalf("%s hit=%v: the lease ran %v steps, the answer says %d", req.Name, hit, ran, resp.Steps)
+					}
+					return resp, js
+				}
+				req := runRequest{Variant: vk.String(), Backend: backend.String(), Sched: sched.String(), Peek: peek}
+				// Both answers below come off a pooled machine.
+				post(t, ts, "", runRequest{Source: validSrc, Variant: req.Variant, Backend: req.Backend, Sched: req.Sched})
+				cfg, errResp, _ := s.buildConfig(&req, vk, mem.DisciplineOff, lim)
+				if errResp != nil {
+					t.Fatal(errResp.Error)
+				}
+				params := costParamsFor(cfg)
+				progs := corpus
+				if vk == variant.SingleInstruction {
+					progs = long
+				}
+				for _, p := range progs {
+					name, src := p.name, p.src
+					req.Name, req.Source = name, src
+					miss, missJS := answer(req, false)
+					_, hitJS := answer(req, true)
+					if !bytes.Equal(missJS, hitJS) {
+						t.Fatalf("%s on %v/%v/%v: the miss answered\n%s\nthe hit\n%s", name, vk, backend, sched, missJS, hitJS)
+					}
+					if miss.Outcome == outcomeVetRejected {
+						continue
+					}
+					if name == "long.te" && miss.Steps <= admitMaxSteps {
+						t.Fatalf("long.te on %v/%v: %d steps, not past the admission fuel", backend, sched, miss.Steps)
+					}
+					want := facadeAnswer(t, cfg, name, src, peek)
+					if want.Error != "" {
+						if miss.Error != want.Error {
+							t.Fatalf("%s on %v/%v/%v: served error %q, facade error %q", name, vk, backend, sched, miss.Error, want.Error)
+						}
+					} else if wantJS, _ := json.Marshal(want); !bytes.Equal(missJS, wantJS) {
+						t.Fatalf("%s on %v/%v/%v: served\n%s\nfacade\n%s", name, vk, backend, sched, missJS, wantJS)
+					}
+					entry := s.cache.Get(src, vk, mem.DisciplineCREW)
+					if got, want := entry.cost(params), analysis.Cost(entry.compiled, params); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s on %v/%v/%v: memoized prediction\n%+v\nanalysis.Cost\n%+v", name, vk, backend, sched, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWideQuotaPrediction: under a thickness quota above the analysis's
+// default lane cap (2^16) the admission fuel materialises the flows the
+// quota admits, on the lease and in the memoized prediction alike, which
+// stays analysis.Cost's.
+func TestWideQuotaPrediction(t *testing.T) {
+	s, ts := newTestServer(t, Options{Tenants: map[string]Limits{"wide": {MaxThickness: 1 << 17}}})
+	src := `func main() { #100000; thick int v = tid; print(radd(v)); }`
+	if status, _, resp := post(t, ts, "wide", runRequest{Source: src}); status != http.StatusOK {
+		t.Fatalf("status %d outcome %q (%s)", status, resp.Outcome, resp.Error)
+	}
+	cfg, errResp, _ := s.buildConfig(&runRequest{}, variant.SingleInstruction, mem.DisciplineOff, s.limitsFor("wide"))
+	if errResp != nil {
+		t.Fatal(errResp.Error)
+	}
+	params := costParamsFor(cfg)
+	entry := s.cache.Get(src, variant.SingleInstruction, mem.DisciplineCREW)
+	if got, want := entry.cost(params), analysis.Cost(entry.compiled, params); !reflect.DeepEqual(got, want) || !got.Resolved {
+		t.Fatalf("memoized prediction\n%+v\nanalysis.Cost\n%+v", got, want)
 	}
 }

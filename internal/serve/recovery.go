@@ -14,6 +14,8 @@ import (
 	"sync"
 	"time"
 
+	"tcfpram/internal/analysis"
+	"tcfpram/internal/diag"
 	"tcfpram/internal/machine"
 )
 
@@ -233,20 +235,26 @@ func (s *Server) recoverRun(rec *journalRecord) (*runResponse, int) {
 // resumeFromCheckpoint restores the run's machine from its last checkpoint
 // and runs it to completion under a fresh wall-clock deadline. ok=false
 // means the checkpoint was absent or unusable and the caller should re-run
-// from scratch instead.
+// from scratch instead. A checkpoint may come from the prediction's fuel, so
+// the run first takes predictive admission again: 412 as it answered live.
 func (s *Server) resumeFromCheckpoint(rec *journalRecord, lim Limits) (*runResponse, int, bool) {
 	f, err := os.Open(rec.Ckpt)
 	if err != nil {
 		return nil, 0, false
 	}
 	defer f.Close()
-	vk, _, runDisc, errResp, _ := parseRunOptions(rec.Req)
+	vk, vetDisc, runDisc, errResp, _ := parseRunOptions(rec.Req)
 	if errResp != nil {
 		return nil, 0, false
 	}
 	cfg, errResp, _ := s.buildConfig(rec.Req, vk, runDisc, lim)
 	if errResp != nil {
 		return nil, 0, false
+	}
+	entry := s.cache.Get(rec.Req.Source, vk, vetDisc)
+	if why := predictionOverQuota(analysis.Cost(entry.compiled, costParamsFor(cfg)), lim); why != "" {
+		resp, status := overQuota(why, diag.Render(entry.diags))
+		return resp, status, true
 	}
 	m, err := machine.Restore(f, cfg)
 	if err != nil {

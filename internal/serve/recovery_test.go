@@ -304,6 +304,55 @@ func TestRecoveryResumeFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoveryFuelCheckpointOverQuota: a miss makes its prediction on the
+// leased machine, checkpointing as it goes, so a crash can leave behind a
+// checkpoint of a run that predictive admission goes on to reject. The
+// restarted server must answer that run 412, exactly as the live server did,
+// rather than resume it into a runtime quota error.
+func TestRecoveryFuelCheckpointOverQuota(t *testing.T) {
+	tenants := map[string]Limits{"caged": cagedLimits()}
+	// soonThickSrc is lateThickSrc asking for its thickness within the caged
+	// step quota, after the run has checkpointed.
+	soonThickSrc := strings.Replace(lateThickSrc, "6000", "10", 1)
+	for _, src := range []string{soonThickSrc, spinSrc} {
+		live, liveTS := newRecoveredServer(t, Options{RecoverDir: t.TempDir(), CheckpointEverySteps: 1, Tenants: tenants})
+		var ckpt []byte
+		live.pool.hookRelease = func(*machine.Machine) {
+			ckpt, _ = os.ReadFile(live.ckptPath("fuel-1"))
+		}
+		req := runRequest{Name: "fuel", Source: src}
+		status, _, want := postID(t, liveTS, "caged", "fuel-1", req)
+		if status != http.StatusPreconditionFailed || ckpt == nil {
+			t.Fatalf("live run: %d %q (%s), checkpoint %d bytes", status, want.Outcome, want.Error, len(ckpt))
+		}
+
+		// The crash window: accept journaled, the fuel's checkpoint on disk.
+		dir := t.TempDir()
+		s1, err := NewRecovered(Options{RecoverDir: dir, Tenants: tenants})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.journal.append(&journalRecord{
+			Kind: "accept", ID: "fuel-1", Tenant: "caged",
+			SrcHash: hashSource(req.Source), Ckpt: s1.ckptPath("fuel-1"), Req: &req,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s1.ckptPath("fuel-1"), ckpt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s1.journal.Close()
+
+		_, ts := newRecoveredServer(t, Options{RecoverDir: dir, Tenants: tenants})
+		status2, _, got := postID(t, ts, "caged", "fuel-1", req)
+		gotJS, _ := json.Marshal(got)
+		wantJS, _ := json.Marshal(want)
+		if status2 != status || !bytes.Equal(gotJS, wantJS) {
+			t.Fatalf("recovered answer %d %s, live answer %d %s", status2, gotJS, status, wantJS)
+		}
+	}
+}
+
 // TestRecoveryCheckpointsWritten: a live run in recovery mode writes
 // periodic checkpoints and counts them in /metrics.
 func TestRecoveryCheckpointsWritten(t *testing.T) {

@@ -7,15 +7,17 @@
 //
 //	admission (bounded queue, load shedding, per-tenant concurrency)
 //	→ vet gate (tcfvet static analysis, single-flight compile cache)
-//	→ machine pool (Reset-reuse keyed by config shape)
-//	→ governed run (MaxSteps, MaxThickness, wall-clock deadline, watchdog)
+//	→ lease (machine pool: Reset-reuse keyed by config shape)
+//	→ fuelled run (the cost prediction on the lease, unless memoized)
+//	→ quota check (predictive admission)
+//	→ continue (MaxSteps, MaxThickness, wall-clock deadline, watchdog)
 //	→ metrics (per-outcome counts, Figure 13 per-stage cycle attribution)
 //
 // Every failure mode maps to a distinct HTTP status so clients can react
 // mechanically: 429 means back off (Retry-After is set), 403 means the
-// program exceeded its tenant's quota while running, 412 means the static
-// cost analyzer proved it would exceed the quota (rejected at admission,
-// before a machine is pooled), 422 means tcfvet rejected it, 503 means the
+// program exceeded its tenant's quota while running, 412 means the cost
+// prediction proved it would exceed the quota (rejected at admission, within
+// the prediction's fuel), 422 means tcfvet rejected it, 503 means the
 // server is draining. Request panics are isolated: the machine is
 // discarded, the client gets a 500, and the server keeps serving.
 package serve
@@ -52,7 +54,7 @@ const (
 	outcomeCompileError = "compile-error"
 	outcomeQuota        = "quota-exceeded"
 	// outcomePredictedQuota rejects a run whose predicted cost provably
-	// exceeds the tenant's quota, before any machine is pooled
+	// exceeds the tenant's quota, before it runs past the prediction's fuel
 	// (HTTP 412: the precondition "fits the quota" failed at admission).
 	outcomePredictedQuota = "predicted-over-quota"
 	outcomeDeadline       = "deadline"
@@ -597,26 +599,28 @@ func (s *Server) runAdmitted(reqCtx context.Context, req *runRequest, tenantName
 		return errResp, status
 	}
 
-	// Predictive admission: run the cost analyzer (memoized per program and
-	// machine shape on the cache entry) and reject jobs whose provable lower
-	// bounds already exceed the tenant's quota — before any machine is
-	// pooled. Only exact-or-lower-bound violations reject; an analysis that
-	// cannot bound the program admits it and lets the runtime quotas govern
-	// as before.
-	rep := entry.cost(costParamsFor(cfg))
+	// Predictive admission: reject jobs whose provable lower bounds already
+	// exceed the tenant's quota. A prediction memoized per program and
+	// machine shape on the cache entry does so before any machine is leased;
+	// without one, execute makes it on the leased machine. Only
+	// exact-or-lower-bound violations reject; an analysis that cannot bound
+	// the program admits it and lets the runtime quotas govern as before.
+	params := costParamsFor(cfg)
+	rep := entry.cost(params)
 	if why := predictionOverQuota(rep, lim); why != "" {
-		return &runResponse{
-			Outcome:     outcomePredictedQuota,
-			Error:       why,
-			Diagnostics: diag.Render(entry.diags),
-		}, http.StatusPreconditionFailed
+		return overQuota(why, diag.Render(entry.diags))
 	}
 
 	lease, err := s.pool.Get(cfg)
 	if err != nil {
 		return &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
 	}
-	return s.execute(reqCtx, lease, entry, req, tenantName, lim, diag.Render(entry.diags), rep, runID)
+	return s.execute(reqCtx, lease, entry, req, tenantName, lim, diag.Render(entry.diags), params, rep, runID)
+}
+
+// overQuota is the 412 answer of predictive admission.
+func overQuota(why, diags string) (*runResponse, int) {
+	return &runResponse{Outcome: outcomePredictedQuota, Error: why, Diagnostics: diags}, http.StatusPreconditionFailed
 }
 
 // Admission-time analysis budgets: the cost run happens inline on the
@@ -631,14 +635,14 @@ const (
 )
 
 // costParamsFor is the pooled-machine config as the cost analyzer sees it,
-// under the admission budgets. The tenant's thickness quota rides along as
-// the machine's own limit: the prediction reports what the program asked
-// for, refused or not, and predictionOverQuota compares that against the
-// quota. The step budget is clamped just past the tenant's step quota so a
-// violation stays provable without running longer than it takes to prove it.
+// under the admission budgets. The tenant's thickness quota is the machine's
+// limit and the lane cap, as on the lease: the prediction reports what the
+// program asked for, refused or not, for predictionOverQuota to compare with
+// the quota. The step budget is clamped just past the tenant's step quota so
+// a violation stays provable without running longer than it takes to prove it.
 func costParamsFor(cfg machine.Config) analysis.CostParams {
 	p := analysis.ParamsFor(cfg)
-	p.MaxSteps, p.MaxLaneWork = admitMaxSteps, admitMaxLaneWork
+	p.MaxSteps, p.MaxLaneWork, p.MaxConcreteLanes = admitMaxSteps, admitMaxLaneWork, cfg.MaxThickness
 	if cfg.MaxSteps > 0 && cfg.MaxSteps < admitMaxSteps {
 		p.MaxSteps = cfg.MaxSteps + 1
 	}
@@ -741,11 +745,12 @@ func watchdogFor(maxSteps int64) int64 {
 }
 
 // execute runs the compiled program on the leased machine under the
-// tenant's limits. Panics are contained here: the lease is discarded (its
-// machine state can't be trusted) and the client gets a 500. In recovery
-// mode (runID non-empty) the machine checkpoints itself periodically so a
-// process crash can resume the run instead of losing it.
-func (s *Server) execute(reqCtx context.Context, lease *Lease, entry *cacheEntry, req *runRequest, tenantName string, lim Limits, diags string, rep *analysis.CostReport, runID string) (resp *runResponse, status int) {
+// tenant's limits, its admission fuel first when no prediction is memoized
+// (rep nil). Panics are contained here: the lease is discarded (its machine
+// state can't be trusted) and the client gets a 500. In recovery mode (runID
+// non-empty) the machine checkpoints itself periodically so a process crash
+// can resume the run instead of losing it.
+func (s *Server) execute(reqCtx context.Context, lease *Lease, entry *cacheEntry, req *runRequest, tenantName string, lim Limits, diags string, params analysis.CostParams, rep *analysis.CostReport, runID string) (resp *runResponse, status int) {
 	defer func() {
 		if p := recover(); p != nil {
 			lease.Discard()
@@ -798,8 +803,26 @@ func (s *Server) execute(reqCtx context.Context, lease *Lease, entry *cacheEntry
 	defer stopAfter()
 
 	start := time.Now()
-	stats, runErr := m.RunContext(ctx)
+	var runErr error
+	if rep == nil {
+		// A clean or thickness-quota stop leaves a fresh machine's report; for
+		// any other (context, watchdog, checker, checkpoint, a step quota below
+		// the fuel) analysis.Cost reruns the fuel on a fresh machine and decides.
+		rep, runErr = analysis.CostOn(ctx, m, entry.compiled, params)
+		if runErr != nil && !errors.Is(runErr, machine.ErrThicknessLimit) {
+			rep = analysis.Cost(entry.compiled, params)
+		}
+		entry.memoCost(params, rep)
+		if why := predictionOverQuota(rep, lim); why != "" {
+			lease.Release()
+			return overQuota(why, diags)
+		}
+	}
+	if runErr == nil {
+		_, runErr = m.RunContext(ctx)
+	}
 	wall := time.Since(start)
+	stats := m.Stats()
 	s.metrics.observe(stats)
 	s.metrics.observePrediction(rep, stats, runErr)
 	s.metrics.runNanos.Add(wall.Nanoseconds())
