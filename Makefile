@@ -136,7 +136,7 @@ serve-test:
 # dataflow-differential job enforces.
 dataflow-test:
 	$(GO) test -race -count=1 -run 'TestLattice/.*/.*/dataflow' ./internal/chaos
-	$(GO) test -race -count=1 -run 'Dataflow|Sched' ./internal/machine ./internal/serve ./cmd/tcfrun
+	$(GO) test -race -count=1 -run 'Dataflow|Sched' ./internal/machine
 
 clean:
 	rm -f test_output.txt bench_output.txt

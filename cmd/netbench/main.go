@@ -5,8 +5,7 @@
 // fault plans of increasing intensity and reports the throughput/latency
 // degradation curve plus the recovery work (retransmissions, re-routes)
 // that kept delivery lossless. A closing section reports the step-engine
-// throughput of the vector-add workload under -backend interp|fused and
-// -sched lockstep|dataflow.
+// throughput of the vector-add workload on the fused backend.
 //
 // Usage:
 //
@@ -45,8 +44,6 @@ func run() error {
 	seed := flag.Int64("seed", 1, "traffic and fault seed")
 	patterns := flag.String("patterns", "", "comma-separated traffic patterns (default: all)")
 	faults := flag.Bool("faults", false, "sweep fault intensity and report degradation curves")
-	backendName := flag.String("backend", "", "step-engine backend for the machine throughput section: interp|fused")
-	schedName := flag.String("sched", "", "step scheduler for the machine throughput section: lockstep|dataflow")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
@@ -122,26 +119,18 @@ func run() error {
 
 	// Step-engine throughput: the interconnect above is the substrate the
 	// machine's shared references ride on, so close with the end-to-end step
-	// rate of the Section 4 vector-add workload under the selected backend.
-	backend, err := machine.ParseBackend(*backendName)
-	if err != nil {
-		return err
-	}
-	sched, err := machine.ParseSched(*schedName)
-	if err != nil {
-		return err
-	}
+	// rate of the Section 4 vector-add workload.
 	const vecSize, reps = 1024, 64
 	start := time.Now()
 	var steps int64
 	for i := 0; i < reps; i++ {
 		m := exper.MustRun(variant.SingleInstruction,
 			workload.VectorAdd(workload.StyleTCF, vecSize, 16, 0),
-			func(c *machine.Config) { c.Backend = backend; c.Sched = sched })
+			func(c *machine.Config) { c.Backend = machine.BackendFused })
 		steps += m.Stats().Steps
 	}
 	el := time.Since(start)
-	fmt.Printf("\nstep-engine throughput, vector add (%d lanes) x %d runs, backend=%s sched=%s\n", vecSize, reps, backend, sched)
+	fmt.Printf("\nstep-engine throughput, vector add (%d lanes) x %d runs\n", vecSize, reps)
 	fmt.Printf("steps=%d elapsed=%v steps/sec=%.0f\n", steps, el.Round(time.Millisecond), float64(steps)/el.Seconds())
 
 	if *faults {

@@ -9,12 +9,8 @@
 //	echo 'func main() { print(42); }' | tcfrun -lang tcfe -
 //
 // Flags select the variant (-variant tcf|balanced|xmt|esm|pram-numa|simd),
-// the step-engine backend (-backend interp|fused; fused runs precompiled
-// instruction-run closures, bit-identical to the interpreter), the step
-// scheduler (-sched lockstep|dataflow; dataflow lets independent TCF groups
-// run ahead of each other, synchronizing only at shared-memory dependency
-// edges, bit-identical to lockstep), machine shape (-groups, -procs), and
-// diagnostics (-trace, -gantt, -dis).
+// machine shape (-groups, -procs), and diagnostics (-trace, -gantt, -dis).
+// Programs run on the fused backend under the lockstep scheduler.
 // -vet statically analyzes a tcf-e program before running it (errors abort
 // the run); -predict runs the cost analyzer and prints the predicted
 // bounds next to the measured statistics (with per-field error) after the
@@ -57,8 +53,6 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tcfrun", flag.ContinueOnError)
 	variantName := fs.String("variant", "tcf", "execution variant: tcf|balanced|xmt|esm|pram-numa|simd (or full names)")
-	backendName := fs.String("backend", "", "step-engine backend: interp|fused (default interp)")
-	schedName := fs.String("sched", "", "step scheduler: lockstep|dataflow (default lockstep)")
 	groups := fs.Int("groups", 0, "processor groups P (0 = variant default)")
 	procs := fs.Int("procs", 0, "TCF processor slots per group Tp (0 = default)")
 	bound := fs.Int("bound", 0, "balanced variant operation bound b (0 = default)")
@@ -104,16 +98,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	cfg := tcfpram.DefaultConfig(kind)
-	backend, err := tcfpram.ParseBackend(*backendName)
-	if err != nil {
-		return err
-	}
-	cfg.Backend = backend
-	sched, err := tcfpram.ParseSched(*schedName)
-	if err != nil {
-		return err
-	}
-	cfg.Sched = sched
+	cfg.Backend = tcfpram.BackendFused
 	if *groups > 0 {
 		cfg.Groups = *groups
 	}
@@ -254,7 +239,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "mem[%d:%d] = %v\n", addr, addr+int64(n), m.Words(addr, n))
 	}
 	if *showStages {
-		fmt.Fprintf(out, "backend=%s sched=%s\n%s\n%s\n%s\n%s\n", backend, sched, m.StageTable(), m.CommitStats(), m.KernelStats(), m.TailStats())
+		fmt.Fprintf(out, "%s\n%s\n%s\n%s\n", m.StageTable(), m.CommitStats(), m.KernelStats(), m.TailStats())
 	}
 	if *showTrace {
 		fmt.Fprintln(out, m.Timeline())

@@ -49,30 +49,25 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// ParseBackend parses a backend name ("interp" or "fused").
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "interp", "":
-		return BackendInterp, nil
-	case "fused":
-		return BackendFused, nil
-	}
-	return 0, fmt.Errorf("machine: unknown backend %q (want interp or fused)", s)
-}
-
 // Config describes a machine instance.
 type Config struct {
 	// Variant selects the execution model (Section 3.2).
 	Variant variant.Kind
 
 	// Backend selects the execution backend (BackendInterp by default; see
-	// Backend). Results are bit-identical across backends.
+	// Backend). Results are bit-identical across backends. No command or
+	// server request chooses it: tcfrun, netbench and tcfserve always set
+	// BackendFused, and only library callers, the internal/chaos lattice and
+	// the benchmark module set it themselves.
 	Backend Backend
 
 	// Sched selects the step scheduling discipline (SchedLockstep by
 	// default; see Sched). Results are bit-identical across schedulers:
 	// SchedDataflow overlaps the groups' step generation across step
-	// boundaries but commits in the exact lockstep order.
+	// boundaries but commits in the exact lockstep order. No command or
+	// server request chooses it: every entry point a user reaches runs
+	// lockstep, and only library callers, the internal/chaos lattice and the
+	// benchmark module set it.
 	Sched Sched
 
 	// Groups is P, the number of processor groups (physical pipelines).

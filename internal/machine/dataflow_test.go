@@ -317,23 +317,9 @@ func TestDataflowManualStepThenRun(t *testing.T) {
 	}
 }
 
-// TestSchedParseAndConfig covers the Sched knob itself: parsing, rendering,
-// and config validation.
-func TestSchedParseAndConfig(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Sched
-	}{
-		{"", SchedLockstep}, {"lockstep", SchedLockstep}, {"dataflow", SchedDataflow},
-	} {
-		got, err := ParseSched(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseSched(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseSched("bogus"); err == nil {
-		t.Fatal("ParseSched accepted bogus")
-	}
+// TestSchedConfig covers the Sched knob itself: rendering and config
+// validation.
+func TestSchedConfig(t *testing.T) {
 	if SchedLockstep.String() != "lockstep" || SchedDataflow.String() != "dataflow" {
 		t.Fatal("Sched.String misrenders")
 	}

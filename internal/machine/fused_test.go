@@ -7,24 +7,9 @@ import (
 	"tcfpram/internal/variant"
 )
 
-func TestParseBackend(t *testing.T) {
-	cases := []struct {
-		s    string
-		want Backend
-		ok   bool
-	}{
-		{"interp", BackendInterp, true},
-		{"", BackendInterp, true},
-		{"fused", BackendFused, true},
-		{"jit", 0, false},
-		{"Fused", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseBackend(c.s)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseBackend(%q) = %v, %v; want %v, ok=%v", c.s, got, err, c.want, c.ok)
-		}
-	}
+// TestBackendConfig covers the Backend knob itself: rendering and config
+// validation.
+func TestBackendConfig(t *testing.T) {
 	if BackendInterp.String() != "interp" || BackendFused.String() != "fused" {
 		t.Errorf("Backend.String: %q, %q", BackendInterp, BackendFused)
 	}

@@ -35,14 +35,3 @@ func (s Sched) String() string {
 	}
 	return fmt.Sprintf("Sched(%d)", int(s))
 }
-
-// ParseSched parses a scheduler name ("lockstep" or "dataflow").
-func ParseSched(s string) (Sched, error) {
-	switch s {
-	case "lockstep", "":
-		return SchedLockstep, nil
-	case "dataflow":
-		return SchedDataflow, nil
-	}
-	return 0, fmt.Errorf("machine: unknown scheduler %q (want lockstep or dataflow)", s)
-}

@@ -12,11 +12,11 @@ import (
 )
 
 // BenchmarkServeCold is one compile-cache miss through the handler: every
-// iteration sends internal/lang/testdata/cold.te to /run on the fused
-// backend under a first line not sent before, so the request pays the whole
-// cold path — JSON decode, vet, compile, the fuelled run and its
-// continuation, the answer — and nothing of the HTTP transport. Request
-// bodies are built before the timer starts.
+// iteration sends internal/lang/testdata/cold.te to /run under a first
+// line not sent before, so the request pays the whole cold path — JSON
+// decode, vet, compile, the fuelled run and its continuation, the answer —
+// and nothing of the HTTP transport. Request bodies are built before the
+// timer starts.
 func BenchmarkServeCold(b *testing.B) {
 	src, err := os.ReadFile(filepath.Join("..", "lang", "testdata", "cold.te"))
 	if err != nil {
@@ -24,7 +24,7 @@ func BenchmarkServeCold(b *testing.B) {
 	}
 	bodies := make([][]byte, b.N)
 	for i := range bodies {
-		if bodies[i], err = json.Marshal(runRequest{Source: fmt.Sprintf("// cold %d\n%s", i, src), Backend: "fused"}); err != nil {
+		if bodies[i], err = json.Marshal(runRequest{Source: fmt.Sprintf("// cold %d\n%s", i, src)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,6 +13,9 @@ import (
 // field that survives Reset. The per-run governance bounds (MaxSteps,
 // MaxThickness) are deliberately excluded — they are re-stamped on every
 // lease through SetLimits, so tenants with different quotas share one pool.
+// The server leases one backend and scheduler only, but a MachinePool is
+// also leased directly, under either backend (bench/layers.go), so both stay
+// in the key.
 type poolKey struct {
 	variant       variant.Kind
 	backend       machine.Backend
@@ -169,17 +172,12 @@ func (p *MachinePool) Close() {
 }
 
 // PoolCounters is a point-in-time snapshot of the pool's reuse accounting.
-// IdleByBackend and IdleBySched split the idle machines by step-engine
-// backend and scheduler so mixed pools (tenants with different backend or
-// scheduler defaults) stay observable through /metrics.
 type PoolCounters struct {
-	Hits          int64          `json:"hits"`
-	Misses        int64          `json:"misses"`
-	Discards      int64          `json:"discards"`
-	Full          int64          `json:"full"`
-	Idle          int            `json:"idle"`
-	IdleByBackend map[string]int `json:"idle_by_backend,omitempty"`
-	IdleBySched   map[string]int `json:"idle_by_sched,omitempty"`
+	Hits     int64 `json:"hits"`
+	Misses   int64 `json:"misses"`
+	Discards int64 `json:"discards"`
+	Full     int64 `json:"full"`
+	Idle     int   `json:"idle"`
 }
 
 // Counters returns the pool's reuse accounting.
@@ -187,21 +185,8 @@ func (p *MachinePool) Counters() PoolCounters {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	idle := 0
-	byBackend := make(map[string]int)
-	bySched := make(map[string]int)
-	for key, list := range p.idle {
+	for _, list := range p.idle {
 		idle += len(list)
-		if len(list) > 0 {
-			byBackend[key.backend.String()] += len(list)
-			bySched[key.sched.String()] += len(list)
-		}
 	}
-	if len(byBackend) == 0 {
-		byBackend = nil
-	}
-	if len(bySched) == 0 {
-		bySched = nil
-	}
-	return PoolCounters{Hits: p.hits, Misses: p.misses, Discards: p.discards, Full: p.full,
-		Idle: idle, IdleByBackend: byBackend, IdleBySched: bySched}
+	return PoolCounters{Hits: p.hits, Misses: p.misses, Discards: p.discards, Full: p.full, Idle: idle}
 }

@@ -189,9 +189,8 @@ func facadeAnswer(t *testing.T, cfg machine.Config, name, src string, peek []pee
 // TestMissRunsOnce: a cost-memo miss runs its program once — the admission
 // fuel and its continuation on the one machine it leases — and answers byte
 // for byte what the memo hit after it and a run through the facade answer.
-// The 16-program corpus runs on every variant, both backends and both
-// schedulers, and longSrc, longer than the fuel, on both backends and both
-// schedulers. Every memoized prediction is analysis.Cost's.
+// The 16-program corpus runs on every variant, and longSrc, longer than the
+// fuel, on the tcf variant. Every memoized prediction is analysis.Cost's.
 func TestMissRunsOnce(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "codegen", "testdata", "*.te"))
 	if err != nil || len(files) == 0 {
@@ -209,78 +208,72 @@ func TestMissRunsOnce(t *testing.T) {
 	long := append(corpus, prog{"long.te", longSrc})
 
 	peek := []peekRange{{Addr: 0, N: 1024}}
+	s, ts := newTestServer(t, Options{})
+	lim := s.limitsFor("anon")
+	var ran []int64
+	s.pool.hookRelease = func(m *machine.Machine) { ran = append(ran, m.TailStats().Steps) }
+	// answer posts req, a repeat when hit is set, and checks that it ran the
+	// program once on one lease.
+	answer := func(req runRequest, hit bool) (runResponse, []byte) {
+		t.Helper()
+		ran = nil
+		before := s.Metrics().Pool
+		status, _, resp := post(t, ts, "", req)
+		resp.WallClock = ""
+		js, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Outcome == outcomeVetRejected {
+			return resp, js
+		}
+		after := s.Metrics().Pool
+		if leases := after.Hits + after.Misses - before.Hits - before.Misses; leases != 1 {
+			t.Fatalf("%s hit=%v: %d leases, want 1", req.Name, hit, leases)
+		}
+		if status == http.StatusOK && (len(ran) != 1 || ran[0] != resp.Steps) {
+			t.Fatalf("%s hit=%v: the lease ran %v steps, the answer says %d", req.Name, hit, ran, resp.Steps)
+		}
+		return resp, js
+	}
 	for _, vk := range variant.Kinds() {
-		for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendFused} {
-			for _, sched := range []machine.Sched{machine.SchedLockstep, machine.SchedDataflow} {
-				// A server of its own: the cost memo is keyed by neither
-				// backend nor scheduler.
-				s, ts := newTestServer(t, Options{})
-				lim := s.limitsFor("anon")
-				var ran []int64
-				s.pool.hookRelease = func(m *machine.Machine) { ran = append(ran, m.TailStats().Steps) }
-				// answer posts req, a repeat when hit is set, and checks that
-				// it ran the program once on one lease.
-				answer := func(req runRequest, hit bool) (runResponse, []byte) {
-					t.Helper()
-					ran = nil
-					before := s.Metrics().Pool
-					status, _, resp := post(t, ts, "", req)
-					resp.WallClock = ""
-					js, err := json.Marshal(resp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if resp.Outcome == outcomeVetRejected {
-						return resp, js
-					}
-					after := s.Metrics().Pool
-					if leases := after.Hits + after.Misses - before.Hits - before.Misses; leases != 1 {
-						t.Fatalf("%s hit=%v: %d leases, want 1", req.Name, hit, leases)
-					}
-					if status == http.StatusOK && (len(ran) != 1 || ran[0] != resp.Steps) {
-						t.Fatalf("%s hit=%v: the lease ran %v steps, the answer says %d", req.Name, hit, ran, resp.Steps)
-					}
-					return resp, js
+		req := runRequest{Variant: vk.String(), Peek: peek}
+		// Both answers below come off a pooled machine.
+		post(t, ts, "", runRequest{Source: validSrc, Variant: req.Variant})
+		cfg, errResp, _ := s.buildConfig(&req, vk, mem.DisciplineOff, lim)
+		if errResp != nil {
+			t.Fatal(errResp.Error)
+		}
+		params := costParamsFor(cfg)
+		progs := corpus
+		if vk == variant.SingleInstruction {
+			progs = long
+		}
+		for _, p := range progs {
+			name, src := p.name, p.src
+			req.Name, req.Source = name, src
+			miss, missJS := answer(req, false)
+			_, hitJS := answer(req, true)
+			if !bytes.Equal(missJS, hitJS) {
+				t.Fatalf("%s on %v: the miss answered\n%s\nthe hit\n%s", name, vk, missJS, hitJS)
+			}
+			if miss.Outcome == outcomeVetRejected {
+				continue
+			}
+			if name == "long.te" && miss.Steps <= admitMaxSteps {
+				t.Fatalf("long.te: %d steps, not past the admission fuel", miss.Steps)
+			}
+			want := facadeAnswer(t, cfg, name, src, peek)
+			if want.Error != "" {
+				if miss.Error != want.Error {
+					t.Fatalf("%s on %v: served error %q, facade error %q", name, vk, miss.Error, want.Error)
 				}
-				req := runRequest{Variant: vk.String(), Backend: backend.String(), Sched: sched.String(), Peek: peek}
-				// Both answers below come off a pooled machine.
-				post(t, ts, "", runRequest{Source: validSrc, Variant: req.Variant, Backend: req.Backend, Sched: req.Sched})
-				cfg, errResp, _ := s.buildConfig(&req, vk, mem.DisciplineOff, lim)
-				if errResp != nil {
-					t.Fatal(errResp.Error)
-				}
-				params := costParamsFor(cfg)
-				progs := corpus
-				if vk == variant.SingleInstruction {
-					progs = long
-				}
-				for _, p := range progs {
-					name, src := p.name, p.src
-					req.Name, req.Source = name, src
-					miss, missJS := answer(req, false)
-					_, hitJS := answer(req, true)
-					if !bytes.Equal(missJS, hitJS) {
-						t.Fatalf("%s on %v/%v/%v: the miss answered\n%s\nthe hit\n%s", name, vk, backend, sched, missJS, hitJS)
-					}
-					if miss.Outcome == outcomeVetRejected {
-						continue
-					}
-					if name == "long.te" && miss.Steps <= admitMaxSteps {
-						t.Fatalf("long.te on %v/%v: %d steps, not past the admission fuel", backend, sched, miss.Steps)
-					}
-					want := facadeAnswer(t, cfg, name, src, peek)
-					if want.Error != "" {
-						if miss.Error != want.Error {
-							t.Fatalf("%s on %v/%v/%v: served error %q, facade error %q", name, vk, backend, sched, miss.Error, want.Error)
-						}
-					} else if wantJS, _ := json.Marshal(want); !bytes.Equal(missJS, wantJS) {
-						t.Fatalf("%s on %v/%v/%v: served\n%s\nfacade\n%s", name, vk, backend, sched, missJS, wantJS)
-					}
-					entry := s.cache.Get(src, vk, mem.DisciplineCREW)
-					if got, want := entry.cost(params), analysis.Cost(entry.compiled, params); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s on %v/%v/%v: memoized prediction\n%+v\nanalysis.Cost\n%+v", name, vk, backend, sched, got, want)
-					}
-				}
+			} else if wantJS, _ := json.Marshal(want); !bytes.Equal(missJS, wantJS) {
+				t.Fatalf("%s on %v: served\n%s\nfacade\n%s", name, vk, missJS, wantJS)
+			}
+			entry := s.cache.Get(src, vk, mem.DisciplineCREW)
+			if got, want := entry.cost(params), analysis.Cost(entry.compiled, params); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s on %v: memoized prediction\n%+v\nanalysis.Cost\n%+v", name, vk, got, want)
 			}
 		}
 	}

@@ -3,7 +3,10 @@
 // statistics and memory snapshots from a governed run on the extended
 // PRAM-NUMA machine.
 //
-// The request path is a fixed pipeline:
+// Every request runs one engine configuration — the fused backend, the
+// lockstep scheduler, serial lanes — so a request chooses its program,
+// variant, discipline and machine shape, never its engine. The request path
+// is a fixed pipeline:
 //
 //	admission (bounded queue, load shedding, per-tenant concurrency)
 //	→ vet gate (tcfvet static analysis, single-flight compile cache)
@@ -79,15 +82,6 @@ type Limits struct {
 	MaxSourceBytes int
 	// MaxInFlight caps the tenant's concurrent runs (→ 429).
 	MaxInFlight int
-	// Backend is the tenant's default step-engine backend ("interp" or
-	// "fused"; empty inherits the server default, which is interp). A
-	// request may override it per run with its own "backend" field.
-	Backend string
-	// Sched is the tenant's default step scheduler ("lockstep" or
-	// "dataflow"; empty inherits the server default, which is lockstep).
-	// A request may override it per run with its own "sched" field. The
-	// schedulers are bit-identical; this only trades wall clock.
-	Sched string
 }
 
 func defaultLimits() Limits {
@@ -120,12 +114,6 @@ func (l Limits) withDefaults(d Limits) Limits {
 	}
 	if l.MaxInFlight <= 0 {
 		l.MaxInFlight = d.MaxInFlight
-	}
-	if l.Backend == "" {
-		l.Backend = d.Backend
-	}
-	if l.Sched == "" {
-		l.Sched = d.Sched
 	}
 	return l
 }
@@ -344,12 +332,6 @@ type runRequest struct {
 	// runtime cross-checker (default "crew" for vet, off at runtime when
 	// empty).
 	Discipline string `json:"discipline"`
-	// Backend selects the step-engine backend ("interp" or "fused"; empty
-	// takes the tenant's default).
-	Backend string `json:"backend"`
-	// Sched selects the step scheduler ("lockstep" or "dataflow"; empty
-	// takes the tenant's default).
-	Sched string `json:"sched"`
 	// Machine shape; zero fields take the variant defaults, capped by the
 	// server's MaxGroups/MaxProcs and the tenant's MaxSharedWords.
 	Groups      int `json:"groups"`
@@ -672,24 +654,7 @@ func predictionOverQuota(rep *analysis.CostReport, lim Limits) string {
 // and the tenant's quota, returning the pooled-machine configuration.
 func (s *Server) buildConfig(req *runRequest, vk variant.Kind, runDisc mem.Discipline, lim Limits) (machine.Config, *runResponse, int) {
 	cfg := machine.Default(vk)
-	backendName := req.Backend
-	if backendName == "" {
-		backendName = lim.Backend
-	}
-	backend, err := machine.ParseBackend(backendName)
-	if err != nil {
-		return cfg, &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
-	}
-	cfg.Backend = backend
-	schedName := req.Sched
-	if schedName == "" {
-		schedName = lim.Sched
-	}
-	sched, err := machine.ParseSched(schedName)
-	if err != nil {
-		return cfg, &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
-	}
-	cfg.Sched = sched
+	cfg.Backend = machine.BackendFused
 	if req.Groups > 0 {
 		cfg.Groups = req.Groups
 	}

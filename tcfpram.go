@@ -129,10 +129,6 @@ const (
 	BackendFused = machine.BackendFused
 )
 
-// ParseBackend resolves a backend name ("interp" or "fused"; "" means
-// interp).
-func ParseBackend(s string) (Backend, error) { return machine.ParseBackend(s) }
-
 // Sched selects the step scheduler (Config.Sched): the global-lockstep step
 // loop, or the dataflow scheduler that lets TCF groups run ahead
 // independently and synchronize only at actual shared-memory dependency
@@ -147,10 +143,6 @@ const (
 	// results in deterministic lockstep order.
 	SchedDataflow = machine.SchedDataflow
 )
-
-// ParseSched resolves a scheduler name ("lockstep" or "dataflow"; "" means
-// lockstep).
-func ParseSched(s string) (Sched, error) { return machine.ParseSched(s) }
 
 // FaultPlan is a deterministic, seeded fault schedule for Config.FaultPlan:
 // reference loss with retransmission, route detours, and memory-module
