@@ -180,6 +180,12 @@ func TestServeFlagErrors(t *testing.T) {
 	if err := run([]string{"-addr", "256.256.256.256:99999"}, &buf, nil); err == nil {
 		t.Fatal("unlistenable address accepted")
 	}
+	// Every tenant runs the one engine configuration: no engine flags.
+	for _, flag := range []string{"-backend", "-sched"} {
+		if err := run([]string{flag, "fused"}, &buf, nil); err == nil || !strings.Contains(err.Error(), "not defined: "+flag) {
+			t.Fatalf("%s: got %v, want an undefined-flag error", flag, err)
+		}
+	}
 }
 
 // TestMain doubles the test binary as a real tcfserve process for the
