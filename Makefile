@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench-compile bench-engine benchall table figures net examples fuzz fmtcheck lint detlint vet serve serve-test dataflow-test clean
+.PHONY: all build test race bench-smoke bench-compile bench-engine benchall table figures net examples fuzz fmtcheck lint detlint vet serve serve-test clean
 
 # Pinned linter versions, fetched on demand with `go run` so the repo adds
 # no module dependencies. Bump deliberately; CI uses the same pins.
@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBulkVsEval -fuzztime=20s ./internal/isa/
 	$(GO) test -fuzz=FuzzRestore -fuzztime=30s ./internal/chaos/
 	$(GO) test -fuzz=FuzzLattice -fuzztime=90s ./internal/chaos/
+	$(GO) test -fuzz=FuzzRunBody -fuzztime=30s ./internal/serve/
 
 # fmtcheck fails, naming the files, when gofmt would change any.
 fmtcheck:
@@ -129,14 +130,6 @@ serve:
 
 serve-test:
 	$(GO) test -race -count=1 ./internal/serve ./cmd/tcfserve ./cmd/tcfrun
-
-# dataflow-test runs the lattice's dataflow rows (every program and variant,
-# both backends, fault plans, lane chunking, kill and cross-scheduler restore)
-# and the targeted dataflow tests race-enabled — the same gate CI's
-# dataflow-differential job enforces.
-dataflow-test:
-	$(GO) test -race -count=1 -run 'TestLattice/.*/.*/dataflow' ./internal/chaos
-	$(GO) test -race -count=1 -run 'Dataflow|Sched' ./internal/machine
 
 clean:
 	rm -f test_output.txt bench_output.txt

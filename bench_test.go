@@ -268,12 +268,12 @@ func BenchmarkS4h_Allocation(b *testing.B) {
 
 // ---- Engine throughput (simulator performance, not paper claims) ----
 
-// BenchmarkEngine_StepThroughput measures the step engines on a workload
+// BenchmarkEngine_StepThroughput measures the step engine on a workload
 // where scaling is actually possible: eight independent TCFs spread across
 // the groups, each looping over its own memory slice (the old single-flow
 // vector add occupied one group, so the parallel engine had nothing to
-// overlap). The serial sub-benchmark is the baseline; the engine variants
-// report their serial-vs-X speedup as a metric.
+// overlap). The serial sub-benchmark is the baseline; the parallel one
+// reports its serial-vs-parallel speedup as a metric.
 func BenchmarkEngine_StepThroughput(b *testing.B) {
 	w := workload.GroupParallel(8, 512, 100)
 	var serialNs float64
@@ -283,7 +283,6 @@ func BenchmarkEngine_StepThroughput(b *testing.B) {
 	}{
 		{"serial", nil},
 		{"parallel", func(c *machine.Config) { c.Parallel = true }},
-		{"dataflow", func(c *machine.Config) { c.Sched = machine.SchedDataflow }},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -10,7 +10,7 @@
 //
 // Flags select the variant (-variant tcf|balanced|xmt|esm|pram-numa|simd),
 // machine shape (-groups, -procs), and diagnostics (-trace, -gantt, -dis).
-// Programs run on the fused backend under the lockstep scheduler.
+// Programs run on the fused backend.
 // -vet statically analyzes a tcf-e program before running it (errors abort
 // the run); -predict runs the cost analyzer and prints the predicted
 // bounds next to the measured statistics (with per-field error) after the

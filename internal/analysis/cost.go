@@ -83,8 +83,8 @@ type CostParams struct {
 // ParamsFor describes cfg's machine to the analyzer, so that a prediction
 // and a run are of the same machine shape. The budgets stay at their
 // defaults. Of cfg's run bounds only MaxThickness is carried; its backend,
-// scheduler, Parallel, fault plan, discipline checker and observers are not:
-// the first three change nothing a report holds and the others are not part
+// Parallel, fault plan, discipline checker and observers are not: the first
+// two change nothing a report holds and the others are not part
 // of what a program costs.
 func ParamsFor(cfg machine.Config) CostParams {
 	return CostParams{
@@ -236,7 +236,7 @@ func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 }
 
 // CostOn is the prediction run: it runs m — params' shape under Cost's
-// thickness cap, loaded with c, on any backend, scheduler or run bounds —
+// thickness cap, loaded with c, on any backend or run bounds —
 // until c ends, a budget is spent or the run fails, and returns the report
 // read off m and the run's error. The report is Cost's wherever the run
 // stops where Cost's would: not on ctx, a lower step quota, the watchdog or

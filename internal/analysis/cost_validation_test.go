@@ -1,7 +1,6 @@
 // Validation gate for the cost analyzer: over the whole tcf-e corpus, on all
-// six variants, across BOTH backends (interp, fused), BOTH schedulers
-// (lockstep, dataflow) and Parallel off and on, a resolved prediction must
-// equal the measured Stats field for field.
+// six variants, across BOTH backends (interp, fused) and Parallel off and
+// on, a resolved prediction must equal the measured Stats field for field.
 //
 // The documented tolerance band is therefore ZERO for resolved
 // predictions: the prediction is one serial lockstep run, and every other
@@ -48,11 +47,10 @@ func compileCorpus(tb testing.TB, path string) *codegen.Compiled {
 
 // measure runs the program on the real engine and returns the measured
 // stats plus the run error (capability rejections, runtime errors).
-func measure(tb testing.TB, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, sched machine.Sched, parallel bool) (*machine.Stats, error) {
+func measure(tb testing.TB, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, parallel bool) (*machine.Stats, error) {
 	tb.Helper()
 	cfg := machine.Default(kind)
 	cfg.Backend = backend
-	cfg.Sched = sched
 	cfg.Parallel = parallel
 	m, err := machine.New(cfg)
 	if err != nil {
@@ -117,20 +115,17 @@ func reportBounds(rep *analysis.CostReport) []analysis.Bound {
 // TestCostPredictionsMatchMeasuredStats is the corpus validation gate.
 func TestCostPredictionsMatchMeasuredStats(t *testing.T) {
 	backends := []machine.Backend{machine.BackendInterp, machine.BackendFused}
-	scheds := []machine.Sched{machine.SchedLockstep, machine.SchedDataflow}
 	for _, path := range corpusFiles(t) {
 		c := compileCorpus(t, path)
 		for _, kind := range variant.Kinds() {
 			rep := analysis.Cost(c, analysis.DefaultCostParams(kind))
 			for _, backend := range backends {
-				for _, sched := range scheds {
-					for _, parallel := range []bool{false, true} {
-						name := fmt.Sprintf("%s/%s/%v/%v/parallel=%v", filepath.Base(path), kind, backend, sched, parallel)
-						t.Run(name, func(t *testing.T) {
-							st, runErr := measure(t, c, kind, backend, sched, parallel)
-							checkPrediction(t, rep, st, runErr)
-						})
-					}
+				for _, parallel := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/%v/parallel=%v", filepath.Base(path), kind, backend, parallel)
+					t.Run(name, func(t *testing.T) {
+						st, runErr := measure(t, c, kind, backend, parallel)
+						checkPrediction(t, rep, st, runErr)
+					})
 				}
 			}
 		}

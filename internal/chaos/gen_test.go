@@ -158,9 +158,7 @@ func genDiffProgram(seed int64) entry {
 			tweak: func(c *machine.Config) { small(c); c.AutoSplitThreshold = 4 }})
 	}
 	e := diffEntry(fmt.Sprintf("gen-diff-%d", seed), b, shapes, want, wantAux)
-	if e.quick = []string{"interp", "lanes"}; seed <= genSeeds/2 {
-		e.quick = append(e.quick, "dataflow")
-	}
+	e.quick = []string{"interp", "lanes"}
 	return e
 }
 

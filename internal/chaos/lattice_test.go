@@ -388,9 +388,8 @@ func (s *killSink) Checkpoint(_ int64, snapshot func(io.Writer) error) error {
 }
 
 // killed is the crash-recovery lifecycle: the run is killed by its checkpoint
-// sink at a step k seeded from the cell, anywhere in the run (a dataflow run
-// drains to that boundary first), restored into the configuration as changed
-// by into and run on; with times = 2, k is folded into the run's first half,
+// sink at a step k seeded from the cell, anywhere in the run, restored into
+// the configuration as changed by into and run on; with times = 2, k is folded into the run's first half,
 // and the restored run is killed again at 2k and restored back. Snapshots
 // taken at one step of a cell must be the same bytes, whichever row took them
 // (the fold keeps k for half the cells), and every Reset is audited.
@@ -483,10 +482,8 @@ func lanes(n int) func(*machine.Config) {
 }
 
 var (
-	fused    = func(c *machine.Config) { c.Backend = machine.BackendFused }
-	dataflow = func(c *machine.Config) { c.Sched = machine.SchedDataflow }
-	lockstep = func(c *machine.Config) { c.Sched = machine.SchedLockstep }
-	traced   = func(c *machine.Config) { c.TraceEnabled = true }
+	fused  = func(c *machine.Config) { c.Backend = machine.BackendFused }
+	traced = func(c *machine.Config) { c.TraceEnabled = true }
 
 	cleanOnly = []int{clean}
 	both      = []int{clean, faulty}
@@ -504,23 +501,21 @@ var (
 	completed = func(_, _ *outcome) bool { return true }
 )
 
-// rows is the lattice: a covering set of backend × scheduler × Parallel × lane
-// threshold × fault plan × lifecycle — every pair of backend, scheduler and
-// Parallel is some row's — not the product.
+// rows is the lattice: a covering set of backend × Parallel × lane threshold ×
+// fault plan × lifecycle — every pair of backend and Parallel is some row's —
+// not the product.
 var rows = []row{
 	{name: "interp", life: fresh, plans: cleanOnly},
 	{name: "fused", delta: fused, life: fresh, plans: both, engaged: faultsFired},
-	{name: "dataflow", delta: with(dataflow, traced), life: fresh, plans: both, engaged: faultsFired},
 	{name: "lanes", delta: lanes(1), life: fresh, plans: both, free: laneChunks, engaged: chunked},
 	{name: "fused-lanes", delta: with(fused, lanes(1)), life: fresh, plans: cleanOnly, free: laneChunks, engaged: chunked},
-	{name: "fused-dataflow-lanes300", delta: with(fused, dataflow, lanes(300), traced), life: fresh, plans: cleanOnly, free: laneChunks, engaged: chunked},
+	{name: "fused-lanes300", delta: with(fused, lanes(300), traced), life: fresh, plans: cleanOnly, free: laneChunks, engaged: chunked},
 	{name: "step", life: stepped, plans: cleanOnly, engaged: moreBulk, atLeast: 12},
 	{name: "crew-step", delta: func(c *machine.Config) { c.MemDiscipline = mem.DisciplineCREW }, life: stepped, plans: cleanOnly,
 		free: discAccesses, engaged: completed, atLeast: 8, drops: machine.ErrDisciplineViolation},
 	{name: "fused-reset", delta: fused, life: reset, plans: cleanOnly},
 	{name: "kill", life: killed(1, fused), plans: both, engaged: crossed},
-	// Fault-free: under a plan dataflow steps strictly, and kill's bytes would hold little.
-	{name: "dataflow-kill2", delta: dataflow, life: killed(2, with(fused, lockstep, lanes(1))), plans: cleanOnly, free: laneChunks, engaged: chunked},
+	{name: "kill2", life: killed(2, with(fused, lanes(1))), plans: cleanOnly, free: laneChunks, engaged: chunked},
 }
 
 // hold runs row r in cell c and holds what it shows to the oracle; it reports
@@ -540,7 +535,7 @@ func hold(t *testing.T, r row, c *cell) bool {
 	}
 	recycle(got.memory)
 	// Every row chunking lanes at one threshold makes the same fan-out decisions,
-	// whatever its backend or scheduler (a killed run counts two configurations').
+	// whatever its backend (a killed run counts two configurations').
 	if cfg.Parallel && got.kill == 0 {
 		if n, ok := c.chunks[cfg.LaneParallelThreshold]; ok && n != got.stats.LaneChunks {
 			t.Fatalf("%s: %d lane chunks, another row at threshold %d took %d", c.name, got.stats.LaneChunks, cfg.LaneParallelThreshold, n)

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"tcfpram/internal/isa"
-	"tcfpram/internal/mem"
 	"tcfpram/internal/pipeline"
 	"tcfpram/internal/tcf"
 )
@@ -74,7 +73,10 @@ func (x *groupExec) begin(plan *StepPlan) bool {
 // accumulate, and the step's cycle count is the maximum over groups.
 func (bk *backend) merge() (int64, error) {
 	m := bk.m
-	m.beginFold()
+	m.stepOutputs = m.stepOutputs[:0]
+	m.stepEvents = m.stepEvents[:0]
+	m.discAccs = m.discAccs[:0]
+	m.stepTraffic = 0
 	var stepCycles int64
 	for _, x := range m.execs {
 		if x.idle {
@@ -85,21 +87,11 @@ func (bk *backend) merge() (int64, error) {
 			m.discardStep()
 			return 0, x.err
 		}
-		gc := m.foldGroup(x.g.Index, &x.groupCounters,
-			&x.writes, &x.combining, x.outputs, x.events, x.accs)
-		if gc > stepCycles {
+		if gc := m.foldGroup(x); gc > stepCycles {
 			stepCycles = gc
 		}
 	}
 	return stepCycles, nil
-}
-
-// beginFold empties what the fold of a step collects.
-func (m *Machine) beginFold() {
-	m.stepOutputs = m.stepOutputs[:0]
-	m.stepEvents = m.stepEvents[:0]
-	m.discAccs = m.discAccs[:0]
-	m.stepTraffic = 0
 }
 
 // foldGroup folds one group's generated step into the machine: its write and
@@ -108,31 +100,27 @@ func (m *Machine) beginFold() {
 // accumulate. Only what the group produced is handed on, and the words and
 // references handed to the commit are totalled in stepTraffic for it. It
 // returns the group's cycle count for the step (the step's cycle count is the
-// maximum over groups). Shared by the lockstep merge (reading the groupExec
-// arenas directly) and the dataflow committer (reading published step
-// packets); both call it in group-index order, which is what makes the two
-// schedulers bit-identical.
-func (m *Machine) foldGroup(gi int, c *groupCounters,
-	writes *mem.WriteLog, comb *combining, outputs []Output,
-	events []deferredEvent, accs []discAcc) int64 {
-	traffic := writes.Len() + comb.refs
+// maximum over groups). merge calls it in group-index order.
+func (m *Machine) foldGroup(x *groupExec) int64 {
+	c, gi := &x.groupCounters, x.g.Index
+	traffic := x.writes.Len() + x.refs
 	m.stepTraffic += traffic
-	if writes.Len() > 0 {
-		m.shared.BufferLog(writes)
+	if x.writes.Len() > 0 {
+		m.shared.BufferLog(&x.writes)
 	}
-	if comb.refs > 0 {
-		for k := range comb.logs {
-			m.combiners[k].AddLog(&comb.logs[k])
+	if x.refs > 0 {
+		for k := range x.logs {
+			m.combiners[k].AddLog(&x.logs[k])
 		}
 	}
-	if len(outputs) > 0 {
-		m.stepOutputs = append(m.stepOutputs, outputs...)
+	if len(x.outputs) > 0 {
+		m.stepOutputs = append(m.stepOutputs, x.outputs...)
 	}
-	if len(events) > 0 {
-		m.stepEvents = append(m.stepEvents, events...)
+	if len(x.events) > 0 {
+		m.stepEvents = append(m.stepEvents, x.events...)
 	}
-	if len(accs) > 0 {
-		m.discAccs = append(m.discAccs, accs...)
+	if len(x.accs) > 0 {
+		m.discAccs = append(m.discAccs, x.accs...)
 	}
 
 	cost := pipeline.StepCost(

@@ -61,13 +61,11 @@ type Config struct {
 	// the benchmark module set it themselves.
 	Backend Backend
 
-	// Sched selects the step scheduling discipline (SchedLockstep by
-	// default; see Sched). Results are bit-identical across schedulers:
-	// SchedDataflow overlaps the groups' step generation across step
-	// boundaries but commits in the exact lockstep order. No command or
-	// server request chooses it: every entry point a user reaches runs
-	// lockstep, and only library callers, the internal/chaos lattice and the
-	// benchmark module set it.
+	// Sched is read by nothing but New's range check: both values build the
+	// one lockstep machine.
+	//
+	// Deprecated: kept only for the benchmark module, which still assigns
+	// it (ROADMAP item 1).
 	Sched Sched
 
 	// Groups is P, the number of processor groups (physical pipelines).
@@ -296,7 +294,7 @@ func (c Config) normalize() (Config, error) {
 	if c.Backend != BackendInterp && c.Backend != BackendFused {
 		return c, fmt.Errorf("machine: unknown backend %d", int(c.Backend))
 	}
-	if c.Sched != SchedLockstep && c.Sched != SchedDataflow {
+	if !c.Sched.known() {
 		return c, fmt.Errorf("machine: unknown scheduler %d", int(c.Sched))
 	}
 	return c, nil

@@ -27,9 +27,9 @@ type StorageBuf struct {
 	// done counts the residents that are Done: flows that went Done in their
 	// slot (retire) since dropDone last ran, and queued flows that took a slot
 	// Done. It is written by whoever runs the group's step — the group's
-	// goroutine under Parallel, its runner under the dataflow scheduler — and
-	// between steps by the goroutine that retires events and compacts, never
-	// by two at once; it is derived from the flows and in no snapshot.
+	// goroutine under Parallel — and between steps by the goroutine that
+	// retires events and compacts, never by two at once; it is derived from
+	// the flows and in no snapshot.
 	done int
 }
 
@@ -39,10 +39,9 @@ func (b *StorageBuf) retire(f *tcf.Flow) {
 	b.done++
 }
 
-// needsCompaction reports whether compactGroup could change the buffer:
-// without a Done resident to drop and without a queued flow to promote or to
-// displace a blocked resident with, it is the identity. The lockstep sweep
-// skips such a buffer and a dataflow runner runs on past it unfenced.
+// needsCompaction reports whether compaction could change the buffer: without
+// a Done resident to drop and without a queued flow to promote or to displace
+// a blocked resident with, it is the identity, and frontend.compact skips it.
 func (b *StorageBuf) needsCompaction() bool { return b.done > 0 || b.Pending.Len() > 0 }
 
 // flowQueue is the pending queue: a ring whose array survives rotation and
@@ -398,32 +397,24 @@ func (fr *frontend) preempt() {
 // (Table 1): rotating the TCF storage buffer costs no cycles there. A buffer
 // compaction would leave as it is (needsCompaction) is not entered.
 func (fr *frontend) compact() {
-	for _, g := range fr.m.groups {
-		if g.Buf.needsCompaction() {
-			fr.compactGroup(g)
-		}
-	}
-}
-
-// compactGroup compacts one group's buffer. Both schedulers compact, in
-// group-index order, exactly the buffers that need it: the lockstep sweep asks
-// needsCompaction at the step boundary; the dataflow committer, which may not
-// read the buffer of a group whose runner is mid-step, takes the answer the
-// runner published with the step (dfPacket.fence) and fenced itself on.
-func (fr *frontend) compactGroup(g *Group) {
 	m := fr.m
-	m.tail.Compactions++
-	g.Buf.dropDone()
-	for g.Buf.promote(m.cfg.ProcsPerGroup) {
-		fr.noteTaskSwitch()
-	}
-	// Flows parked at a barrier (or waiting on children) do not
-	// execute; displace them so queued ready tasks can run — without
-	// this, a barrier across an oversubscribed task set deadlocks
-	// (blocked flows hold every slot while the tasks that must still
-	// reach the barrier sit in the queue).
-	for g.Buf.displaceBlocked() {
-		fr.noteTaskSwitch()
+	for _, g := range m.groups {
+		if !g.Buf.needsCompaction() {
+			continue
+		}
+		m.tail.Compactions++
+		g.Buf.dropDone()
+		for g.Buf.promote(m.cfg.ProcsPerGroup) {
+			fr.noteTaskSwitch()
+		}
+		// Flows parked at a barrier (or waiting on children) do not
+		// execute; displace them so queued ready tasks can run — without
+		// this, a barrier across an oversubscribed task set deadlocks
+		// (blocked flows hold every slot while the tasks that must still
+		// reach the barrier sit in the queue).
+		for g.Buf.displaceBlocked() {
+			fr.noteTaskSwitch()
+		}
 	}
 }
 

@@ -18,6 +18,17 @@ func TestBackendConfig(t *testing.T) {
 	}
 }
 
+// TestSchedConfig covers the deprecated Sched knob: rendering and New's
+// range check, which is all that is left of it.
+func TestSchedConfig(t *testing.T) {
+	if SchedLockstep.String() != "lockstep" || SchedDataflow.String() != "dataflow" {
+		t.Error("Sched.String misrenders")
+	}
+	if _, err := New(Config{Variant: variant.SingleInstruction, Groups: 1, ProcsPerGroup: 1, Sched: Sched(99)}); err == nil {
+		t.Error("New accepted an unknown scheduler")
+	}
+}
+
 // TestFusedResetReuse: the fused backend compiles at LoadProgram, and Reset
 // drops the compiled program with the source program. That the re-run matches
 // a fresh machine is the lattice's fused-reset row (internal/chaos).

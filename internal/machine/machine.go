@@ -100,11 +100,6 @@ type Machine struct {
 	stepTraffic int
 	wg          sync.WaitGroup
 
-	// dfFront is the dataflow scheduler's per-page dependency frontier,
-	// non-nil only while runDataflow drives the machine; groupExec.reset
-	// captures it so generation gates shared reads on the write frontier.
-	dfFront *mem.Frontier
-
 	stats  Stats
 	tail   TailStats
 	output []Output
@@ -425,19 +420,12 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) { return m.Run
 
 // RunUntil is RunContext that also stops, with no error, at the first step
 // boundary where stop holds (checked first), so a later call continues the
-// run. With a stop it steps lockstep under SchedDataflow too, as Step does.
-// Each call starts its own watchdog: at most a later livelock verdict.
+// run. Each call starts its own watchdog: at most a later livelock verdict.
 func (m *Machine) RunUntil(ctx context.Context, stop func(*Machine) bool) (*Stats, error) {
 	if len(m.flowList) == 0 {
 		if err := m.Boot(); err != nil {
 			return nil, err
 		}
-	}
-	// The dataflow scheduler applies to lockstep step shapes; immediate
-	// (XMT-style) semantics serialize memory within the step and keep the
-	// lockstep engine.
-	if stop == nil && m.cfg.Sched == SchedDataflow && m.plan.Lockstep {
-		return m.runDataflow(ctx)
 	}
 	done := ctx.Done()
 	wd := newWatchdog(m.cfg.WatchdogSteps)

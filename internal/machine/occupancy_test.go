@@ -407,8 +407,7 @@ func TestOccupancyCountersMatchScans(t *testing.T) {
 // Snapshots taken after every step of runs whose flows terminate in several
 // groups in one step — and of the run that has a Done container standing in a
 // slot at step boundaries — are restored and stepped on: after every further
-// step the machine is, byte for byte, the uninterrupted run's, and run on
-// under the dataflow scheduler it ends as that run ends.
+// step the machine is, byte for byte, the uninterrupted run's.
 func TestRestoreMarksBuffersUnsettled(t *testing.T) {
 	for _, j := range tailJobs(t) {
 		if j.name != "multitask" && j.name != "auto-split-queued" {
@@ -446,17 +445,6 @@ func TestRestoreMarksBuffersUnsettled(t *testing.T) {
 				if !bytes.Equal(machineBytes(t, m), after[n]) {
 					t.Fatalf("%s: restored after step %d, the machine differs after step %d", j.name, k+1, n+1)
 				}
-			}
-			dcfg := cfg
-			dcfg.Sched = SchedDataflow
-			if m, err = Restore(bytes.NewReader(after[k]), dcfg); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Run(); err != nil {
-				t.Fatalf("%s: restored after step %d, dataflow: %v", j.name, k+1, err)
-			}
-			if !bytes.Equal(machineBytes(t, m), after[len(after)-1]) {
-				t.Fatalf("%s: restored after step %d and run on under the dataflow scheduler, the machine ends differently", j.name, k+1)
 			}
 		}
 	}

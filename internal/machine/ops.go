@@ -40,8 +40,8 @@ func fragmentUnsafe(f *tcf.Flow, in *isa.Instr) bool {
 	return false
 }
 
-// combining is the combining traffic one group (or lane chunk, or dataflow
-// step packet) generated in a step: one log per kind, which the combiners
+// combining is the combining traffic one group (or lane chunk) generated in
+// a step: one log per kind, which the combiners
 // retain by pointer from the fold to the commit. A multiprefix run carries
 // the stretch of the flow's destination register its prefixes come back
 // into. refs counts the references, so that the many steps without any skip
@@ -96,9 +96,8 @@ type deferredEvent struct {
 }
 
 // groupCounters is the per-step statistics block of one group's execution —
-// every scalar the merge stage folds into Stats. It is split out of
-// groupExec so the dataflow scheduler can snapshot it into a step packet
-// with one struct copy; the lockstep engine reads it off the exec directly.
+// every scalar the merge stage folds into Stats — split out of groupExec so
+// that reset zeroes it with one assignment.
 type groupCounters struct {
 	ops       int64
 	scalarOps int64
@@ -123,7 +122,7 @@ type groupCounters struct {
 	laneChunks   int64
 
 	// done counts the flows this group's step took to Done; the fold takes
-	// them off Machine.live in (step, group) order under either scheduler.
+	// them off Machine.live in group order.
 	done int
 }
 
@@ -149,18 +148,9 @@ type groupExec struct {
 	// loads see the current state and stores apply instantly.
 	immediate bool
 
-	// step is the step index this arena is generating — identical to the
-	// machine's committed Steps under lockstep, but ahead of it when the
-	// dataflow scheduler lets this group run ahead. Everything step-indexed
-	// on the generation path (fault decisions, PRINT provenance) reads
-	// this, never m.stats.Steps.
+	// step is the step index this arena is generating, the plan's Step: what
+	// fault decisions and PRINT provenance on the generation path read.
 	step int64
-
-	// df gates shared reads on the write frontier when the dataflow
-	// scheduler is active (nil under lockstep): a read of a page with
-	// uncommitted writes from an earlier step blocks until the committer
-	// catches up, preserving the pre-step memory image exactly.
-	df *mem.Frontier
 
 	groupCounters
 
@@ -213,7 +203,6 @@ func (x *groupExec) reset(plan *StepPlan) {
 	x.idle = false
 	x.immediate = !plan.Lockstep
 	x.step = plan.Step
-	x.df = x.m.dfFront
 	x.groupCounters = groupCounters{}
 	x.refSeq = 0
 	x.writes.Reset()
@@ -233,7 +222,6 @@ func (x *groupExec) reset(plan *StepPlan) {
 func (x *groupExec) resetLaneWorker(refSeq, step int64) {
 	x.immediate = false
 	x.step = step
-	x.df = x.m.dfFront
 	x.groupCounters = groupCounters{}
 	x.refSeq = refSeq
 	x.writes.Reset()
@@ -339,12 +327,6 @@ func (x *groupExec) loadShared(f *tcf.Flow, addr int64, lane int) int64 {
 		if v, ok := x.fwd[addr]; ok {
 			return v
 		}
-	}
-	if x.df != nil {
-		// Dataflow scheduling: block until every earlier step's write to
-		// this page has committed, so the Peek below sees exactly the
-		// pre-step image lockstep execution would.
-		x.df.WaitRead(x.df.PageOf(addr), x.step)
 	}
 	return x.m.shared.Peek(addr)
 }
@@ -497,14 +479,8 @@ func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool 
 	// fault-free, no discipline recording, lockstep (buffered) semantics,
 	// PRAM mode, no store-to-load forwarding. Per-reference bookkeeping is
 	// then loop-invariant — refSeq never advances without a fault plan — so
-	// hoisting it out of the lane loop is observationally identical. Under
-	// the dataflow scheduler loads take the reference path too: loadShared
-	// is where the per-page frontier gate lives (the bulk ST below stays
-	// engaged — buffered stores need no gating).
+	// hoisting it out of the lane loop is observationally identical.
 	if n <= 0 || x.m.cfg.FaultPlan != nil || x.disc || x.immediate || x.fwdOn || f.Mode == tcf.NUMA {
-		return false
-	}
-	if x.df != nil && in.Op == isa.LD {
 		return false
 	}
 	end := first + n

@@ -84,7 +84,7 @@ func (m *Machine) runStep(plan *StepPlan) error {
 	// the barrier and at least one is blocked at a BAR.
 	ready := m.anyReadyAnywhere() || m.releaseBarriers()
 
-	m.finishStep(stepCycles, stagesBefore, discR, discW, nil)
+	m.finishStep(stepCycles, stagesBefore, discR, discW)
 
 	// Liveness: if nothing can ever run again, fail loudly.
 	if m.live > 0 && !ready {
@@ -141,11 +141,7 @@ func (m *Machine) releaseBarriers() (released bool) {
 // finishStep closes the step's books: the cycle floor, cumulative counters,
 // trace/stage-observer emission, and the deterministic output ordering — of
 // which a step without output needs none and a step with one output no sort.
-// pkts selects where the per-group trace data (group cycles, slices) comes
-// from: nil reads the groupExec arenas (lockstep), non-nil reads the
-// dataflow committer's step packets — the nil case must stay branch-only so
-// the lockstep step loop remains allocation-free.
-func (m *Machine) finishStep(stepCycles int64, stagesBefore [NumStages]StageStats, discR, discW int64, pkts []*dfPacket) {
+func (m *Machine) finishStep(stepCycles int64, stagesBefore [NumStages]StageStats, discR, discW int64) {
 	if stepCycles == 0 {
 		stepCycles = 1
 	}
@@ -175,34 +171,16 @@ func (m *Machine) finishStep(stepCycles int64, stagesBefore [NumStages]StageStat
 			rec.Step, rec.Cycles, rec.Stages = m.stats.Steps-1, stepCycles, delta
 			rec.DiscReads, rec.DiscWrites = discR, discW
 			n := 0
-			if pkts == nil {
-				for _, x := range m.execs {
-					n += len(x.slices)
-				}
-			} else {
-				for _, p := range pkts {
-					if p != nil {
-						n += len(p.slices)
-					}
-				}
+			for _, x := range m.execs {
+				n += len(x.slices)
 			}
 			if len(m.sliceArena) < n {
 				m.sliceArena = make([]SliceExec, max(n, min(128, max(16, 2*len(m.trace)))))
 			}
 			rec.Slices, m.sliceArena = m.sliceArena[:0:n], m.sliceArena[n:]
-			if pkts == nil {
-				for _, x := range m.execs {
-					rec.GroupCycles[x.g.Index] = x.ops + x.scalarOps + x.stall
-					rec.Slices = append(rec.Slices, x.slices...)
-				}
-			} else {
-				for gi, p := range pkts {
-					if p == nil {
-						continue
-					}
-					rec.GroupCycles[gi] = p.ops + p.scalarOps + p.stall
-					rec.Slices = append(rec.Slices, p.slices...)
-				}
+			for _, x := range m.execs {
+				rec.GroupCycles[x.g.Index] = x.ops + x.scalarOps + x.stall
+				rec.Slices = append(rec.Slices, x.slices...)
 			}
 			if m.trace == nil {
 				m.trace = make([]*StepRecord, 0, 16)

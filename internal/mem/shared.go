@@ -120,8 +120,7 @@ func (c Conflict) String() string {
 // a few hundred words never pays for zeroing the whole address space. 1024
 // words = 8 KiB per page, small enough to stay in the allocator's size
 // classes (32 KiB pages fell into the large-object path, whose span setup
-// dominated short-lived machines). It is also the granularity of Frontier's
-// dependency tracking.
+// dominated short-lived machines).
 const (
 	PageShift = 10
 	PageWords = 1 << PageShift
@@ -349,12 +348,14 @@ func (s *Shared) page(addr int64) []int64 {
 
 // ensurePage returns the page backing addr for writing: every store to a page
 // goes through here. The first one since the last Reset puts a zeroed page in
-// place and lists it.
+// place and lists it; the first one ever builds the page table.
 func (s *Shared) ensurePage(addr int64) []int64 {
 	if p := s.page(addr); p != nil {
 		return p
 	}
-	s.EnsurePageTable()
+	if s.pages == nil {
+		s.pages = make([][]int64, (s.size+PageWords-1)>>PageShift)
+	}
 	var p []int64
 	if k := len(s.clean) - 1; k >= 0 {
 		p, s.clean[k] = s.clean[k], nil
@@ -366,18 +367,6 @@ func (s *Shared) ensurePage(addr int64) []int64 {
 	s.pages[i] = p
 	s.written = append(s.written, int32(i))
 	return p
-}
-
-// EnsurePageTable materializes the page table (not the pages) eagerly. The
-// dataflow scheduler calls this once before its runners start: with the
-// table in place, ensurePage only ever stores into a fixed slot of it, so a
-// committer materializing a page races with nothing — concurrent readers of
-// *other* slots touch disjoint memory, and readers of the same slot are
-// ordered behind the commit by the Frontier handshake.
-func (s *Shared) EnsurePageTable() {
-	if s.pages == nil {
-		s.pages = make([][]int64, (s.size+PageWords-1)>>PageShift)
-	}
 }
 
 // Read returns the word at addr as of the start of the current step.

@@ -3,10 +3,9 @@
 // statistics and memory snapshots from a governed run on the extended
 // PRAM-NUMA machine.
 //
-// Every request runs one engine configuration — the fused backend, the
-// lockstep scheduler, serial lanes — so a request chooses its program,
-// variant, discipline and machine shape, never its engine. The request path
-// is a fixed pipeline:
+// Every request runs one engine configuration — the fused backend, serial
+// lanes — so a request chooses its program, variant, discipline and machine
+// shape, never its engine. The request path is a fixed pipeline:
 //
 //	admission (bounded queue, load shedding, per-tenant concurrency)
 //	→ vet gate (tcfvet static analysis, single-flight compile cache)
@@ -677,7 +676,8 @@ func (s *Server) buildConfig(req *runRequest, vk variant.Kind, runDisc mem.Disci
 		}, http.StatusForbidden
 	}
 	for _, p := range req.Peek {
-		if p.N <= 0 || p.N > maxPeekWords || p.Addr < 0 || p.Addr+int64(p.N) > int64(cfg.SharedWords) {
+		// Addr is compared against the last start that fits: Addr+N overflows.
+		if p.N <= 0 || p.N > maxPeekWords || p.Addr < 0 || p.Addr > int64(cfg.SharedWords-p.N) {
 			return cfg, &runResponse{
 				Outcome: outcomeBadRequest,
 				Error:   fmt.Sprintf("peek [%d,%d) out of range (max %d words within %d)", p.Addr, p.Addr+int64(p.N), maxPeekWords, cfg.SharedWords),

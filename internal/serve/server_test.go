@@ -216,10 +216,11 @@ func TestOutcomeStatusMapping(t *testing.T) {
 		{name: "bad-discipline", req: runRequest{Source: validSrc, Discipline: "nope"}, status: 400, outcome: outcomeBadRequest},
 		{name: "shape-cap", req: runRequest{Source: validSrc, Groups: 4096}, status: 400, outcome: outcomeBadRequest},
 		{name: "peek-range", req: runRequest{Source: validSrc, Peek: []peekRange{{Addr: -1, N: 4}}}, status: 400, outcome: outcomeBadRequest},
+		{name: "peek-overflow", req: runRequest{Source: validSrc, Peek: []peekRange{{Addr: 1<<63 - 1, N: 4}}}, status: 400, outcome: outcomeBadRequest},
 		// Within its fuel the cost analyzer proves the quota violation at
-		// admission (412, no machine pooled) — on every variant; where the
-		// violation lies beyond the fuel the program is admitted and dies on
-		// the runtime quota (403).
+		// admission (412: the fuel runs on one leased machine, released to the
+		// pool) — on every variant; where the violation lies beyond the fuel
+		// the program is admitted and dies on the runtime quota (403).
 		{name: "steps-quota-predicted", tenant: "caged", req: runRequest{Source: spinSrc}, status: 412, outcome: outcomePredictedQuota},
 		{name: "steps-quota-predicted-balanced", tenant: "caged", req: runRequest{Source: spinSrc, Variant: "balanced"}, status: 412, outcome: outcomePredictedQuota},
 		{name: "steps-quota-runtime", tenant: "deep", req: runRequest{Source: spinSrc}, status: 403, outcome: outcomeQuota},

@@ -219,18 +219,13 @@ func TestCrossVariantEquivalence(t *testing.T) {
 	}
 }
 
-// TestGroupParallel verifies the multi-group throughput workload under every
-// engine configuration the step-throughput benchmark sweeps: serial lockstep,
-// the pooled lockstep engine, and the dataflow scheduler.
+// TestGroupParallel verifies the multi-group throughput workload under both
+// engine configurations the step-throughput benchmark sweeps, serial and
+// pooled, and on Balanced.
 func TestGroupParallel(t *testing.T) {
 	w := GroupParallel(8, 64, 12)
-	runOn(t, variant.SingleInstruction, w, nil)
 	runOn(t, variant.SingleInstruction, w, func(c *machine.Config) { c.Parallel = true })
-	runOn(t, variant.SingleInstruction, w, func(c *machine.Config) {
-		c.Parallel = true
-		c.Sched = machine.SchedDataflow
-	})
-	runOn(t, variant.Balanced, w, func(c *machine.Config) { c.Sched = machine.SchedDataflow })
+	runOn(t, variant.Balanced, w, nil)
 	m := runOn(t, variant.SingleInstruction, w, nil)
 	if m.Stats().Splits == 0 {
 		t.Fatal("group-parallel workload never split; it cannot exercise multiple groups")

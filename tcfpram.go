@@ -129,18 +129,17 @@ const (
 	BackendFused = machine.BackendFused
 )
 
-// Sched selects the step scheduler (Config.Sched): the global-lockstep step
-// loop, or the dataflow scheduler that lets TCF groups run ahead
-// independently and synchronize only at actual shared-memory dependency
-// edges. The two are bit-identical on every program — outputs, memory,
-// statistics, traces and checkpoints; the lockstep engine is the oracle.
+// Sched is the type of Config.Sched, which nothing reads: the machine has
+// one step loop, and both values run it.
+//
+// Deprecated: kept only for the benchmark module, which still assigns it
+// (ROADMAP item 1).
 type Sched = machine.Sched
 
 const (
-	// SchedLockstep advances every group in global lockstep (the default).
+	// Deprecated: see Sched.
 	SchedLockstep = machine.SchedLockstep
-	// SchedDataflow runs one generator goroutine per group, committing
-	// results in deterministic lockstep order.
+	// Deprecated: see Sched.
 	SchedDataflow = machine.SchedDataflow
 )
 
@@ -234,7 +233,7 @@ func DiagnosticsHaveErrors(ds []Diagnostic) bool { return diag.HasErrors(ds) }
 // machine shape: step/cycle/traffic bounds under the extended PRAM-NUMA cost
 // model, read off a fuelled run of the step engine. When Resolved is true
 // every bound is exact and equals the measured Stats of a real run (on
-// either backend, under either scheduler, serial or Parallel).
+// either backend, serial or Parallel).
 type CostReport = analysis.CostReport
 
 // CostBound is one predicted [Min, Max] interval of a CostReport.
