@@ -1,6 +1,7 @@
 // Validation gate for the cost analyzer: over the whole tcf-e corpus, on all
 // six variants, across BOTH backends (interp, fused) and Parallel off and
-// on, a resolved prediction must equal the measured Stats field for field.
+// on, on a fresh machine and on a Reset one, a resolved prediction must
+// equal the measured Stats field for field.
 //
 // The documented tolerance band is therefore ZERO for resolved
 // predictions: the prediction is one serial lockstep run, and every other
@@ -17,6 +18,7 @@ import (
 	"tcfpram/internal/analysis"
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/machine"
+	"tcfpram/internal/mem"
 	"tcfpram/internal/variant"
 )
 
@@ -46,15 +48,21 @@ func compileCorpus(tb testing.TB, path string) *codegen.Compiled {
 }
 
 // measure runs the program on the real engine and returns the measured
-// stats plus the run error (capability rejections, runtime errors).
-func measure(tb testing.TB, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, parallel bool) (*machine.Stats, error) {
+// stats plus the run error (capability rejections, runtime errors). A nil m
+// is a fresh machine of the configuration; otherwise m, which has run
+// before, is Reset and runs it, as a pooled machine does in tcfserve.
+func measure(tb testing.TB, m *machine.Machine, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, parallel bool) (*machine.Machine, *machine.Stats, error) {
 	tb.Helper()
 	cfg := machine.Default(kind)
 	cfg.Backend = backend
 	cfg.Parallel = parallel
-	m, err := machine.New(cfg)
-	if err != nil {
-		tb.Fatal(err)
+	if m != nil {
+		m.Reset()
+	} else {
+		var err error
+		if m, err = machine.New(cfg); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	if err := m.LoadProgram(c.Program); err != nil {
 		tb.Fatal(err)
@@ -67,7 +75,7 @@ func measure(tb testing.TB, c *codegen.Compiled, kind variant.Kind, backend mach
 		}
 	}
 	_, runErr := m.Run()
-	return m.Stats(), runErr
+	return m, m.Stats(), runErr
 }
 
 // statRows flattens the Stats fields the analyzer predicts, in report
@@ -112,8 +120,19 @@ func reportBounds(rep *analysis.CostReport) []analysis.Bound {
 	}
 }
 
-// TestCostPredictionsMatchMeasuredStats is the corpus validation gate.
+// TestCostPredictionsMatchMeasuredStats is the corpus validation gate. Each
+// configuration is measured twice: on a fresh machine, and on the machine
+// that ran the previous corpus program under it (this program, for the
+// first), Reset under mem.ResetAudit.
 func TestCostPredictionsMatchMeasuredStats(t *testing.T) {
+	mem.ResetAudit.Store(true)
+	t.Cleanup(func() { mem.ResetAudit.Store(false) })
+	type config struct {
+		kind     variant.Kind
+		backend  machine.Backend
+		parallel bool
+	}
+	used := map[config]*machine.Machine{}
 	backends := []machine.Backend{machine.BackendInterp, machine.BackendFused}
 	for _, path := range corpusFiles(t) {
 		c := compileCorpus(t, path)
@@ -121,10 +140,21 @@ func TestCostPredictionsMatchMeasuredStats(t *testing.T) {
 			rep := analysis.Cost(c, analysis.DefaultCostParams(kind))
 			for _, backend := range backends {
 				for _, parallel := range []bool{false, true} {
+					k := config{kind, backend, parallel}
 					name := fmt.Sprintf("%s/%s/%v/parallel=%v", filepath.Base(path), kind, backend, parallel)
 					t.Run(name, func(t *testing.T) {
-						st, runErr := measure(t, c, kind, backend, parallel)
-						checkPrediction(t, rep, st, runErr)
+						t.Run("fresh", func(t *testing.T) {
+							m, st, runErr := measure(t, nil, c, kind, backend, parallel)
+							if used[k] == nil {
+								used[k] = m
+							}
+							checkPrediction(t, rep, st, runErr)
+						})
+						t.Run("reset", func(t *testing.T) {
+							m, st, runErr := measure(t, used[k], c, kind, backend, parallel)
+							used[k] = m
+							checkPrediction(t, rep, st, runErr)
+						})
 					})
 				}
 			}
