@@ -29,7 +29,8 @@ bench-smoke:
 
 # bench-compile runs the compile path's per-layer benchmarks (lexer to fused
 # program, over internal/lang/testdata/cold.te) and BenchmarkServeCold, the
-# whole cold request through the tcfserve handler with the same program. It
+# whole cold request through the tcfserve handler with the same program, and
+# the live heap a compile-cache entry of it holds (retained-KB/entry). It
 # is a smoke at -benchtime=20x, as CI's bench job runs it, and gates nothing:
 # raise -benchtime and alternate two checkouts for numbers worth reading.
 bench-compile:

@@ -43,11 +43,15 @@ type Options struct {
 // Analyze runs all checks over a sema-checked program (the first argument
 // is the program info was checked from, info.Prog; the checks read it
 // there). What they need to know of the program is in its facts tables
-// (facts.go), built here in one walk; the thickness ceiling stays with info
-// for Cost.
+// (facts.go), built here in one walk and dropped when it returns.
 func Analyze(_ *lang.Program, info *sema.Info, opts Options) []diag.Diagnostic {
+	ds, _ := analyze(info, opts)
+	return ds
+}
+
+// analyze is Analyze, returning also the thickness ceiling its tables found.
+func analyze(info *sema.Info, opts Options) ([]diag.Diagnostic, thick) {
 	a := &analyzer{opts: opts, pf: buildFacts(info)}
-	info.Derived(func() any { return a.pf.ceiling })
 	a.checkPlacements()
 	for _, ff := range a.pf.order {
 		a.checkBlocks(ff)
@@ -57,7 +61,7 @@ func Analyze(_ *lang.Program, info *sema.Info, opts Options) []diag.Diagnostic {
 		a.checkBounds(ff)
 	}
 	diag.Sort(a.diags)
-	return a.diags
+	return a.diags, a.pf.ceiling
 }
 
 // AnalyzeSource parses, checks and analyzes source text. Front-end
@@ -83,8 +87,11 @@ func AnalyzeSource(file, src string, opts Options) []diag.Diagnostic {
 // vet gate uses: AnalyzeSource followed by codegen.CompileSource would
 // parse and type-check the program twice.
 //
-// A nil compiled result with a nil error means the program was rejected by
-// the diagnostics; a non-nil error is a codegen failure after a clean vet.
+// The compiled result is a load image: it records the analyzer's thickness
+// ceiling and drops Info, so the AST, the checked program and the facts
+// tables are garbage once this returns. A nil compiled result with a nil
+// error means the program was rejected by the diagnostics; a non-nil error is
+// a codegen failure after a clean vet.
 func AnalyzeAndCompile(file, src string, opts Options) ([]diag.Diagnostic, *codegen.Compiled, error) {
 	opts.File = file
 	prog, err := lang.Parse(src)
@@ -95,7 +102,7 @@ func AnalyzeAndCompile(file, src string, opts Options) ([]diag.Diagnostic, *code
 	if err != nil {
 		return []diag.Diagnostic{frontendDiag(file, err, "sema")}, nil, nil
 	}
-	ds := Analyze(prog, info, opts)
+	ds, ceiling := analyze(info, opts)
 	if diag.HasErrors(ds) {
 		return ds, nil, nil
 	}
@@ -104,6 +111,7 @@ func AnalyzeAndCompile(file, src string, opts Options) ([]diag.Diagnostic, *code
 		return ds, nil, cerr
 	}
 	c.Program.Name = file
+	c.Info, c.ThickCeiling = nil, ceiling.recorded()
 	return ds, c, nil
 }
 

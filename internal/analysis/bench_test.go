@@ -8,7 +8,6 @@ import (
 
 	"tcfpram/internal/analysis"
 	"tcfpram/internal/codegen"
-	"tcfpram/internal/fuse"
 	"tcfpram/internal/lang"
 	"tcfpram/internal/mem"
 	"tcfpram/internal/sema"
@@ -56,16 +55,15 @@ func BenchmarkAnalyze(b *testing.B) {
 	}
 }
 
-// BenchmarkCost predicts the cost of a program the vet gate has analyzed,
-// as admission does: the thickness ceiling is there. Every iteration builds a
-// machine and runs the program on it; the kernels are compiled once
-// (fuse.Cached), so BenchmarkFuseCompile's share is not in here.
+// BenchmarkCost predicts the cost of the load image the vet gate compiled,
+// as admission does: the thickness ceiling is recorded on it. Every iteration
+// builds a machine, compiles the kernels into it (BenchmarkFuseCompile's
+// share) and runs the program on it.
 func BenchmarkCost(b *testing.B) {
-	c, err := codegen.CompileSource("cold.te", coldSource(b))
-	if err != nil {
-		b.Fatal(err)
+	ds, c, err := analysis.AnalyzeAndCompile("cold.te", coldSource(b), serveVet)
+	if err != nil || c == nil {
+		b.Fatal(err, ds)
 	}
-	analysis.Analyze(c.Info.Prog, c.Info, serveVet)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -93,12 +91,11 @@ func frontend(tb testing.TB, src string) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	// The admitted run continues the cost run on its machine, which compiled
+	// the kernels when it loaded the program.
 	if rep := analysis.Cost(c, serveCost); !rep.Resolved {
 		tb.Fatal(rep.Reason)
 	}
-	// The load of the admitted run: it finds the program the cost run
-	// compiled.
-	fuse.Cached(c.Program)
 }
 
 // BenchmarkFrontend is the whole path: the sum the per-package benchmarks

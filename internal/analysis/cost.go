@@ -284,14 +284,14 @@ func CostOn(ctx context.Context, m *machine.Machine, c *codegen.Compiled, params
 	rep.FlowsCreated = mk(st.FlowsCreated)
 	rep.MaxLiveFlows = mk(int64(st.MaxLiveFlows))
 	rep.MaxThickness = mk(demand)
-	if !rep.Resolved && c.Info != nil && c.Info.Prog != nil {
+	if !rep.Resolved {
 		// The static thickness ceiling is a fact of the checked program,
-		// independent of the machine (the vet gate's run has it ready), and
-		// still bounds thickness where the run could not finish. A thread
-		// machine boots wider flows than a program that never sets a
-		// thickness mentions.
-		if ceiling := thickCeiling(c.Info); ceiling.known {
-			rep.MaxThickness.Max = max(ceiling.n, demand)
+		// independent of the machine (the vet gate recorded it), and still
+		// bounds thickness where the run could not finish. A thread machine
+		// boots wider flows than a program that never sets a thickness
+		// mentions.
+		if ceiling := thickCeiling(c); ceiling > 0 {
+			rep.MaxThickness.Max = max(ceiling, demand)
 		}
 	}
 	return rep, err

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"tcfpram/internal/codegen"
 	"tcfpram/internal/diag"
 	"tcfpram/internal/lang"
 	"tcfpram/internal/sema"
@@ -16,11 +17,10 @@ import (
 // folded, its accesses classified and its thickness dataflow solved.
 //
 // Every vet check of an Analyze run reads the tables instead of walking the
-// AST again. They live as long as the run: a compiled program sits in the
-// server's cache with its *sema.Info, and the tables are as large as the
-// AST. What outlives them is the one fact Cost needs, the thickness ceiling,
-// kept with the Info (sema.Info.Derived) so that it is worked out once per
-// checked program.
+// AST again. They live as long as the run, and they are as large as the AST.
+// What outlives them is the one fact Cost needs, the thickness ceiling:
+// AnalyzeAndCompile records it on the compiled program, whose load image is
+// all the server's cache keeps.
 
 // span is a half-open index range into one of a funcFacts' flat tables.
 type span struct{ lo, hi int32 }
@@ -139,10 +139,22 @@ type progFacts struct {
 	ceiling thick
 }
 
-// thickCeiling returns the thickness ceiling of a checked program: the one
-// an Analyze run left with the Info, or else that of tables built for it.
-func thickCeiling(info *sema.Info) thick {
-	return info.Derived(func() any { return buildFacts(info).ceiling }).(thick)
+// thickCeiling returns c's thickness ceiling, encoded as
+// codegen.Compiled.ThickCeiling is: the one the vet gate recorded, or else
+// that of tables built for c's checked program (0 when c has neither).
+func thickCeiling(c *codegen.Compiled) int64 {
+	if c.ThickCeiling == 0 && c.Info != nil && c.Info.Prog != nil {
+		return buildFacts(c.Info).ceiling.recorded()
+	}
+	return c.ThickCeiling
+}
+
+// recorded is t as codegen.Compiled.ThickCeiling holds it.
+func (t thick) recorded() int64 {
+	if !t.known {
+		return -1
+	}
+	return t.n
 }
 
 func buildFacts(info *sema.Info) *progFacts {

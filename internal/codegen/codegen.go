@@ -25,10 +25,16 @@ import (
 // Compiled is the result of compilation.
 type Compiled struct {
 	Program *isa.Program
-	Info    *sema.Info
+	// Info is the checked program; nil in a load image, which keeps only
+	// what a machine loads.
+	Info *sema.Info
 	// LocalData must be preloaded into every group's local memory before
 	// running (initializers of `local` globals).
 	LocalData []sema.DataSeg
+	// ThickCeiling is the static thickness ceiling the vet gate recorded:
+	// 0 when the program did not pass through it, -1 when no flow's
+	// thickness could be bounded.
+	ThickCeiling int64
 }
 
 // Compile type-checks and compiles a parsed program.

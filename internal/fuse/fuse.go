@@ -15,7 +15,6 @@ package fuse
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"tcfpram/internal/isa"
 	"tcfpram/internal/tcf"
@@ -92,7 +91,6 @@ type Instr struct {
 
 // Program is a compiled program: one Instr per source PC.
 type Program struct {
-	Src  *isa.Program
 	Code []Instr
 }
 
@@ -128,33 +126,25 @@ func Decode(dst []Instr, p *isa.Program) []Instr {
 // the interpreter's own paths, so compiled execution is defined exactly
 // where interpreted execution is.
 func Compile(p *isa.Program) *Program {
+	return &Program{Code: CompileTo(nil, p)}
+}
+
+// CompileTo builds Compile's per-PC table in dst, as Decode builds its own:
+// a machine compiles every program it loads into the one array it keeps.
+func CompileTo(dst []Instr, p *isa.Program) []Instr {
 	rl := isa.RunLengths(p)
-	code := Decode(nil, p)
-	for pc := range code {
-		if fi := &code[pc]; fi.Class == ClassReg {
+	dst = Decode(dst, p)
+	for pc := range dst {
+		if fi := &dst[pc]; fi.Class == ClassReg {
 			fi.Run = rl[pc]
 			fi.Kern = compileKern(fi.In)
 		}
 	}
-	return &Program{Src: p, Code: code}
+	return dst
 }
 
-// lastCompiled is a single-entry cache for Cached: programs are immutable
-// once built, and the common machine lifecycles (benchmark harnesses
-// rebuilding one figure workload, pooled servers reloading a tenant program)
-// reload the same *isa.Program over and over. One entry keeps the cache
-// bounded; misses just compile.
-var lastCompiled atomic.Pointer[Program]
-
-// Cached returns the fused program for p, reusing the most recently compiled
-// program when it was built from the same *isa.Program. The returned Program
-// is shared and must be treated as read-only (the engine already does: it
-// only ever reads Code).
-func Cached(p *isa.Program) *Program {
-	if fp := lastCompiled.Load(); fp != nil && fp.Src == p {
-		return fp
-	}
-	fp := Compile(p)
-	lastCompiled.Store(fp)
-	return fp
-}
+// Cached returns Compile(p).
+//
+// Deprecated: machines compile their tables in place (CompileTo); use
+// Compile.
+func Cached(p *isa.Program) *Program { return Compile(p) }

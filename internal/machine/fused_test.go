@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"tcfpram/internal/isa"
@@ -62,5 +63,62 @@ func TestFusedResetReuse(t *testing.T) {
 	}
 	if _, err := fresh.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFusedTableReload: a fused machine compiles each program it loads into
+// the one per-PC array it keeps. Loading a long program, a short one and the
+// long one again, every run matches a fresh machine's and the table is
+// exactly as long as the program: no kernel of the long program survives past
+// the short one's end.
+func TestFusedTableReload(t *testing.T) {
+	long := isa.MustAssemble("long", `
+main:
+    LDI S0, 16
+    SETTHICK S0
+    TID V0
+    LDI S1, 5
+loop:
+    ADD V1, V0, 3
+    MUL V2, V1, V1
+    SUB V3, V2, V0
+    XOR V4, V3, V1
+    SHL V5, V4, 1
+    ADD V0, V5, V0
+    SUB S1, S1, 1
+    BNEZ S1, loop
+    ST V0+400, V0
+    HALT
+`)
+	short := isa.MustAssemble("short", vectorAddSrc)
+	cfg := Default(variant.SingleInstruction)
+	cfg.Backend = BackendFused
+	run := func(m *Machine, p *isa.Program) runSnapshot {
+		t.Helper()
+		if err := m.LoadProgram(p); err != nil {
+			t.Fatal(err)
+		}
+		if len(m.code) != p.Len() {
+			t.Fatalf("%s: table of %d instructions for a program of %d", p.Name, len(m.code), p.Len())
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		return snapshotOf(m)
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []*isa.Program{long, short, long} {
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := run(fresh, p)
+		if got := run(m, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("load %d (%s): reloaded run differs from fresh\ngot  %+v\nwant %+v", i, p.Name, got.stats, want.stats)
+		}
+		m.Reset()
 	}
 }

@@ -40,10 +40,10 @@ type Machine struct {
 	plan StepPlan
 	prog *isa.Program
 	// code is the loaded program's per-PC table, built at LoadProgram/Restore
-	// and the only form in which the step engine reads instructions: under
-	// the interpreter the decoded facts alone, in the machine's own array
-	// (decoded, kept across loads); under BackendFused the shared, read-only
-	// compiled program with its kernels.
+	// in the machine's own array (decoded, kept across loads) and the only
+	// form in which the step engine reads instructions: under the interpreter
+	// the decoded facts alone, under BackendFused the compiled program with
+	// its kernels.
 	code    []fuse.Instr
 	decoded []fuse.Instr
 
@@ -306,11 +306,11 @@ func (m *Machine) LoadProgram(p *isa.Program) error {
 func (m *Machine) setProgram(p *isa.Program) {
 	m.prog = p
 	if m.fused() {
-		m.code = fuse.Cached(p).Code
+		m.decoded = fuse.CompileTo(m.decoded, p)
 	} else {
 		m.decoded = fuse.Decode(m.decoded, p)
-		m.code = m.decoded
 	}
+	m.code = m.decoded
 }
 
 // fused reports whether the compiled backend's kernels are in the table.

@@ -8,7 +8,6 @@ package sema
 
 import (
 	"fmt"
-	"sync"
 
 	"tcfpram/internal/isa"
 	"tcfpram/internal/lang"
@@ -97,9 +96,6 @@ type Info struct {
 	LocalData []DataSeg
 	// SharedTop is the first shared address after static allocation.
 	SharedTop int64
-
-	derivedOnce sync.Once
-	derived     any
 }
 
 // SymOf returns the symbol n resolved to: n is a *lang.Ident, *lang.Index,
@@ -119,17 +115,6 @@ func (i *Info) KindOf(e lang.Expr) (k Kind, ok bool) {
 
 // IsThick reports whether expression e is thread-wise.
 func (i *Info) IsThick(e lang.Expr) bool { return i.kinds[e.ID()] == uint8(KindThick)+1 }
-
-// Derived returns what build returned the first time Derived was called on
-// this Info. It is the place for what a later pass works out from the
-// checked program alone and wants worked out once (internal/analysis keeps
-// the thickness ceiling here, so that the cost analysis takes it from the
-// vet gate's run of the same compilation); it may be called concurrently.
-// What it holds lives as long as the Info: keep it small.
-func (i *Info) Derived(build func() any) any {
-	i.derivedOnce.Do(func() { i.derived = build() })
-	return i.derived
-}
 
 // DataSeg is an initialized memory region.
 type DataSeg struct {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"tcfpram/internal/analysis"
 	"tcfpram/internal/codegen"
@@ -20,19 +21,20 @@ type cacheKey struct {
 	discipline mem.Discipline
 }
 
-// cacheEntry is the memoized outcome of vetting and compiling one program.
-// Failures are cached exactly like successes so a hostile client resending
-// a broken program pays one compile, total. The entry is immutable after
-// done closes, except for the cost memo behind costMu.
+// cacheEntry is the memoized outcome of vetting and compiling one program:
+// its diagnostics and the load image of the compiled program, nothing of the
+// front end. Failures are cached exactly like successes so a hostile client
+// resending a broken program pays one compile, total. The entry is immutable
+// after done closes, except for the cost memo behind costMu.
 type cacheEntry struct {
 	done chan struct{}
 
-	diags    []diag.Diagnostic
-	rejected bool // vet or frontend errors; compiled is nil
-	frontend bool // the rejection is a parse/sema failure, not an analyzer finding
+	diags    string // rendered once, as every answer carries them
+	rejected bool   // vet or frontend errors; compiled is nil
+	frontend bool   // the rejection is a parse/sema failure, not an analyzer finding
 
-	compiled *codegen.Compiled
-	err      error // codegen failure after a clean vet
+	compiled *codegen.Compiled // a load image: Info is nil
+	err      error             // codegen failure after a clean vet
 
 	// costs memoizes cost predictions per machine shape and budgets, made by
 	// the first request's fuelled run of the already-compiled program (the
@@ -87,7 +89,7 @@ func NewProgramCache(maxEntries int) *ProgramCache {
 // content-derived file name so identical sources submitted under different
 // client names share one entry byte for byte.
 func (c *ProgramCache) Get(src string, vk variant.Kind, disc mem.Discipline) *cacheEntry {
-	key := cacheKey{srcHash: sha256.Sum256([]byte(src)), variant: vk, discipline: disc}
+	key := cacheKey{srcHash: sourceDigest(src), variant: vk, discipline: disc}
 
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -114,17 +116,26 @@ func (c *ProgramCache) Get(src string, vk variant.Kind, disc mem.Discipline) *ca
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	// One parse serves vet, compile and the later cost passes:
-	// AnalyzeAndCompile type-checks the source once and compiles that same
-	// checked program.
+	// One parse serves vet and compile: AnalyzeAndCompile type-checks the
+	// source once, compiles that same checked program and returns its load
+	// image, with the thickness ceiling the later cost passes need.
 	name := fmt.Sprintf("%x.te", key.srcHash[:6])
-	e.diags, e.compiled, e.err = analysis.AnalyzeAndCompile(name, src, analysis.Options{Discipline: disc, Variant: vk})
-	if e.compiled == nil && e.err == nil {
+	ds, compiled, err := analysis.AnalyzeAndCompile(name, src, analysis.Options{Discipline: disc, Variant: vk})
+	e.diags, e.compiled, e.err = diag.Render(ds), compiled, err
+	if compiled == nil && err == nil {
 		e.rejected = true
-		e.frontend = len(e.diags) == 1 && (e.diags[0].Check == "parse" || e.diags[0].Check == "sema")
+		e.frontend = len(ds) == 1 && (ds[0].Check == "parse" || ds[0].Check == "sema")
 	}
 	close(e.done)
 	return e
+}
+
+// sourceDigest is the SHA-256 of src, hashed in place: the cache key is
+// shared across tenants, so it must resist collisions one tenant could aim
+// at another's program. sha256 only reads its input, and a []byte(src)
+// conversion, or an io.WriteString into a hash.Hash, copies the whole source.
+func sourceDigest(src string) [sha256.Size]byte {
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(src), len(src)))
 }
 
 // CacheCounters is a point-in-time snapshot of the cache accounting.

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"tcfpram/internal/analysis"
+	"tcfpram/internal/lang"
 	"tcfpram/internal/mem"
+	"tcfpram/internal/sema"
 	"tcfpram/internal/variant"
 )
 
@@ -69,6 +73,67 @@ func TestCacheKeyedByDiscipline(t *testing.T) {
 	if crcw.rejected {
 		t.Fatal("CRCW rejected a legal concurrent write")
 	}
+}
+
+// TestCacheEntryHoldsLoadImage: a cache entry of cold.te, its cost memo
+// filled by a served request, reaches nothing of the front end — no type of
+// lang, sema or analysis but the values of a load image and a cost report.
+func TestCacheEntryHoldsLoadImage(t *testing.T) {
+	s := New(Options{})
+	serveBody(t, s.Handler(), coldBodies(t, 1)[0])
+	if n := s.cache.Counters().Entries; n != 1 {
+		t.Fatalf("%d cache entries, want 1", n)
+	}
+	var e *cacheEntry
+	for _, e = range s.cache.entries { // the one entry
+	}
+	if e.compiled == nil || e.compiled.ThickCeiling == 0 || len(e.costs) != 1 {
+		t.Fatalf("entry without a program, its thickness ceiling or a memoized cost: %+v", e)
+	}
+	allowed := map[reflect.Type]bool{
+		reflect.TypeOf(sema.DataSeg{}):        true,
+		reflect.TypeOf(lang.Pos{}):            true,
+		reflect.TypeOf(analysis.CostParams{}): true,
+		reflect.TypeOf(analysis.CostReport{}): true,
+		reflect.TypeOf(analysis.Bound{}):      true,
+	}
+	frontEnd := map[string]bool{
+		reflect.TypeOf(sema.Info{}).PkgPath():           true,
+		reflect.TypeOf(lang.Program{}).PkgPath():        true,
+		reflect.TypeOf(analysis.CostReport{}).PkgPath(): true,
+	}
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		if frontEnd[v.Type().PkgPath()] && !allowed[v.Type()] {
+			t.Fatalf("%s reaches a %v", path, v.Type())
+		}
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() && !seen[v.Pointer()] {
+				seen[v.Pointer()] = true
+				walk(v.Elem(), "(*"+path+")")
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem(), path)
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key(), path+"{key}")
+				walk(it.Value(), fmt.Sprintf("%s[%v]", path, it.Key()))
+			}
+		}
+	}
+	walk(reflect.ValueOf(e), "entry")
 }
 
 // TestCacheEviction: the cache stays bounded, evicting settled entries.

@@ -13,6 +13,7 @@ import (
 
 	"tcfpram"
 	"tcfpram/internal/analysis"
+	"tcfpram/internal/codegen"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/mem"
 	"tcfpram/internal/variant"
@@ -276,6 +277,35 @@ func TestMissRunsOnce(t *testing.T) {
 				t.Fatalf("%s on %v: memoized prediction\n%+v\nanalysis.Cost\n%+v", name, vk, got, want)
 			}
 		}
+	}
+}
+
+// TestUnresolvedPredictionCeiling: a program that sets its thickness only
+// after the admission fuel is spent gets an unresolved prediction bounded by
+// the static thickness ceiling. The cache entry holds no checked program; its
+// memoized report, MaxThickness.Max included, is what analysis.Cost reports
+// for the same program compiled with its checked program.
+func TestUnresolvedPredictionCeiling(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	if status, _, resp := post(t, ts, "", runRequest{Source: longSrc}); status != http.StatusOK {
+		t.Fatalf("status %d outcome %q (%s)", status, resp.Outcome, resp.Error)
+	}
+	cfg, errResp, _ := s.buildConfig(&runRequest{}, variant.SingleInstruction, mem.DisciplineOff, s.limitsFor("anon"))
+	if errResp != nil {
+		t.Fatal(errResp.Error)
+	}
+	params := costParamsFor(cfg)
+	entry := s.cache.Get(longSrc, variant.SingleInstruction, mem.DisciplineCREW)
+	got := entry.cost(params)
+	if got == nil || got.Resolved || got.MaxThickness.Max != 64 {
+		t.Fatalf("memoized prediction %+v, want unresolved with max thickness at most 64", got)
+	}
+	c, err := codegen.CompileSource(entry.compiled.Program.Name, longSrc)
+	if err != nil || c.Info == nil || entry.compiled.Info != nil {
+		t.Fatalf("compile: %v; checked program with it: %v, in the cache: %v", err, c.Info != nil, entry.compiled.Info != nil)
+	}
+	if want := analysis.Cost(c, params); !reflect.DeepEqual(got, want) {
+		t.Fatalf("memoized prediction\n%+v\nanalysis.Cost\n%+v", got, want)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"tcfpram/internal/analysis"
-	"tcfpram/internal/diag"
 	"tcfpram/internal/machine"
 )
 
@@ -119,7 +118,7 @@ func newRunID() string {
 
 // hashSource is the journal's source integrity stamp.
 func hashSource(src string) string {
-	h := sha256.Sum256([]byte(src))
+	h := sourceDigest(src)
 	return hex.EncodeToString(h[:])
 }
 
@@ -253,7 +252,7 @@ func (s *Server) resumeFromCheckpoint(rec *journalRecord, lim Limits) (*runRespo
 	}
 	entry := s.cache.Get(rec.Req.Source, vk, vetDisc)
 	if why := predictionOverQuota(analysis.Cost(entry.compiled, costParamsFor(cfg)), lim); why != "" {
-		resp, status := overQuota(why, diag.Render(entry.diags))
+		resp, status := overQuota(why, entry.diags)
 		return resp, status, true
 	}
 	m, err := machine.Restore(f, cfg)

@@ -38,7 +38,6 @@ import (
 
 	"tcfpram/internal/analysis"
 	"tcfpram/internal/checkpoint"
-	"tcfpram/internal/diag"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/mem"
 	"tcfpram/internal/variant"
@@ -568,7 +567,7 @@ func (s *Server) runAdmitted(reqCtx context.Context, req *runRequest, tenantName
 		return &runResponse{
 			Outcome:     outcome,
 			Error:       "program rejected before execution",
-			Diagnostics: diag.Render(entry.diags),
+			Diagnostics: entry.diags,
 		}, status
 	}
 	if entry.err != nil {
@@ -589,14 +588,14 @@ func (s *Server) runAdmitted(reqCtx context.Context, req *runRequest, tenantName
 	params := costParamsFor(cfg)
 	rep := entry.cost(params)
 	if why := predictionOverQuota(rep, lim); why != "" {
-		return overQuota(why, diag.Render(entry.diags))
+		return overQuota(why, entry.diags)
 	}
 
 	lease, err := s.pool.Get(cfg)
 	if err != nil {
 		return &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
 	}
-	return s.execute(reqCtx, lease, entry, req, tenantName, lim, diag.Render(entry.diags), params, rep, runID)
+	return s.execute(reqCtx, lease, entry, req, tenantName, lim, entry.diags, params, rep, runID)
 }
 
 // overQuota is the 412 answer of predictive admission.
