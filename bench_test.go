@@ -302,8 +302,7 @@ func BenchmarkEngine_StepThroughput(b *testing.B) {
 // step on a long-lived machine (construction excluded): a thick loop body
 // that stores every iteration. With tracing disabled this must run at
 // zero allocations per step — the arenas absorb all step-local state
-// (machine.TestStepLoopSteadyStateAllocs gates that in tier-1, on both
-// backends, which are both measured here).
+// (machine.TestStepLoopSteadyStateAllocs gates that in tier-1).
 func BenchmarkEngine_StepLoop(b *testing.B) {
 	src := `
 shared int c[64] @ 300;
@@ -314,34 +313,29 @@ func main() {
     }
 }
 `
-	for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendFused} {
-		b.Run(backend.String(), func(b *testing.B) {
-			cfg := DefaultConfig(SingleInstruction)
-			cfg.Backend = backend
-			m, err := NewMachine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := m.LoadSource("bench", src); err != nil {
-				b.Fatal(err)
-			}
-			if err := m.Boot(); err != nil {
-				b.Fatal(err)
-			}
-			// Warm the arenas past their high-water mark before measuring.
-			for i := 0; i < 64; i++ {
-				if err := m.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := DefaultConfig(SingleInstruction)
+	m, err := NewMachine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.LoadSource("bench", src); err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Boot(); err != nil {
+		b.Fatal(err)
+	}
+	// Warm the arenas past their high-water mark before measuring.
+	for i := 0; i < 64; i++ {
+		if err := m.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

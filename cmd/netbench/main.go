@@ -5,7 +5,7 @@
 // fault plans of increasing intensity and reports the throughput/latency
 // degradation curve plus the recovery work (retransmissions, re-routes)
 // that kept delivery lossless. A closing section reports the step-engine
-// throughput of the vector-add workload on the fused backend.
+// throughput of the vector-add workload.
 //
 // Usage:
 //
@@ -23,7 +23,6 @@ import (
 
 	"tcfpram/internal/exper"
 	"tcfpram/internal/fault"
-	"tcfpram/internal/machine"
 	"tcfpram/internal/network"
 	"tcfpram/internal/profiling"
 	"tcfpram/internal/variant"
@@ -125,8 +124,7 @@ func run() error {
 	var steps int64
 	for i := 0; i < reps; i++ {
 		m := exper.MustRun(variant.SingleInstruction,
-			workload.VectorAdd(workload.StyleTCF, vecSize, 16, 0),
-			func(c *machine.Config) { c.Backend = machine.BackendFused })
+			workload.VectorAdd(workload.StyleTCF, vecSize, 16, 0), nil)
 		steps += m.Stats().Steps
 	}
 	el := time.Since(start)

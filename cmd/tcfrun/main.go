@@ -10,7 +10,6 @@
 //
 // Flags select the variant (-variant tcf|balanced|xmt|esm|pram-numa|simd),
 // machine shape (-groups, -procs), and diagnostics (-trace, -gantt, -dis).
-// Programs run on the fused backend.
 // -vet statically analyzes a tcf-e program before running it (errors abort
 // the run); -predict runs the cost analyzer and prints the predicted
 // bounds next to the measured statistics (with per-field error) after the
@@ -98,7 +97,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	cfg := tcfpram.DefaultConfig(kind)
-	cfg.Backend = tcfpram.BackendFused
 	if *groups > 0 {
 		cfg.Groups = *groups
 	}

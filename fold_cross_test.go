@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"tcfpram"
+	"tcfpram/internal/codegen"
+	"tcfpram/internal/machine"
 )
 
 // foldGrid is the operand grid of TestFoldedEqualsRuntime: zero, ±1, the
@@ -66,10 +68,46 @@ func foldProgram(op string, binary bool) string {
 	return b.String()
 }
 
+// foldEngines are the two machines TestFoldedEqualsRuntime runs a program on:
+// the facade's, whose fused kernels compute the run-time values, and the
+// per-lane reference (machine.NewReference), which computes them through
+// isa.Eval lane by lane. Each returns the printed words and the Stats.
+var foldEngines = []struct {
+	name string
+	run  func(cfg tcfpram.Config, name, src string) ([]int64, *tcfpram.Stats, error)
+}{
+	{"reference", func(cfg tcfpram.Config, name, src string) ([]int64, *tcfpram.Stats, error) {
+		c, err := codegen.CompileSource(name, src)
+		if err != nil {
+			return nil, nil, err
+		}
+		m, err := machine.NewReference(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := m.LoadProgram(c.Program); err != nil { // the programs have no local data
+			return nil, nil, err
+		}
+		st, err := m.Run()
+		var out []int64
+		for _, o := range m.Outputs() {
+			out = append(out, o.Values...)
+		}
+		return out, st, err
+	}},
+	{"production", func(cfg tcfpram.Config, name, src string) ([]int64, *tcfpram.Stats, error) {
+		m, st, err := tcfpram.RunSource(cfg, name, src)
+		if err != nil {
+			return nil, st, err
+		}
+		return m.PrintedValues(), st, nil
+	}},
+}
+
 // TestFoldedEqualsRuntime is the cross-layer check on instruction semantics:
 // for every tcf-e operator and every operand of the grid, the constant the
 // folders produce and the word the machine computes from run-time values are
-// the same, on both backends, and the cost analyzer — a run of its own —
+// the same, on both engines, and the cost analyzer — a run of its own —
 // predicts the run with zero error.
 func TestFoldedEqualsRuntime(t *testing.T) {
 	binary := []string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
@@ -84,20 +122,18 @@ func TestFoldedEqualsRuntime(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			src := foldProgram(op, isBinary)
 			var first []int64
-			for _, backend := range []tcfpram.Backend{tcfpram.BackendInterp, tcfpram.BackendFused} {
+			for _, eng := range foldEngines {
 				cfg := tcfpram.DefaultConfig(tcfpram.SingleInstruction)
-				cfg.Backend = backend
-				m, st, err := tcfpram.RunSource(cfg, name, src)
+				out, st, err := eng.run(cfg, name, src)
 				if err != nil {
-					t.Fatalf("%s: %v", backend, err)
+					t.Fatalf("%s: %v", eng.name, err)
 				}
-				out := m.PrintedValues()
 				n := len(foldGrid)
 				if isBinary {
 					n *= len(foldGrid)
 				}
 				if len(out) != 2*n+1 {
-					t.Fatalf("%s: %d printed values, want %d", backend, len(out), 2*n+1)
+					t.Fatalf("%s: %d printed values, want %d", eng.name, len(out), 2*n+1)
 				}
 				for i := 0; i < n; i++ {
 					if out[2*i] != out[2*i+1] {
@@ -106,13 +142,13 @@ func TestFoldedEqualsRuntime(t *testing.T) {
 							x, y = foldGrid[i/len(foldGrid)], foldGrid[i%len(foldGrid)]
 						}
 						t.Errorf("%s: operator %s on (%d, %d): folded %d, run-time %d",
-							backend, op, x, y, out[2*i], out[2*i+1])
+							eng.name, op, x, y, out[2*i], out[2*i+1])
 					}
 				}
 				if first == nil {
 					first = out
 				} else if fmt.Sprint(out) != fmt.Sprint(first) {
-					t.Errorf("backends print different words:\n%v\n%v", first, out)
+					t.Errorf("the engines print different words:\n%v\n%v", first, out)
 				}
 
 				rep, err := tcfpram.PredictCost(name, src, cfg)
@@ -135,7 +171,7 @@ func TestFoldedEqualsRuntime(t *testing.T) {
 					{"shared reads", rep.SharedReads, st.SharedReads},
 				} {
 					if f.predicted.Min != f.measured || f.predicted.Max != f.measured {
-						t.Errorf("%s: predicted %s %s, measured %d", backend, f.what, f.predicted, f.measured)
+						t.Errorf("%s: predicted %s %s, measured %d", eng.name, f.what, f.predicted, f.measured)
 					}
 				}
 			}

@@ -82,10 +82,10 @@ type CostParams struct {
 
 // ParamsFor describes cfg's machine to the analyzer, so that a prediction
 // and a run are of the same machine shape. The budgets stay at their
-// defaults. Of cfg's run bounds only MaxThickness is carried; its backend,
-// Parallel, fault plan, discipline checker and observers are not: the first
-// two change nothing a report holds and the others are not part
-// of what a program costs.
+// defaults. Of cfg's run bounds only MaxThickness is carried; its Parallel,
+// fault plan, discipline checker and observers are not: the first changes
+// nothing a report holds and the others are not part of what a program
+// costs.
 func ParamsFor(cfg machine.Config) CostParams {
 	return CostParams{
 		Variant:            cfg.Variant,
@@ -137,7 +137,7 @@ func (p *CostParams) spent(m *machine.Machine) bool {
 }
 
 // boot builds Cost's fresh machine — p's shape under its thickness cap,
-// serial, lockstep and fused, with no fault plan, discipline checker,
+// serial and lockstep, with no fault plan, discipline checker,
 // watchdog or observer and its step quota at the step budget — loaded with
 // c and booted. The execution server builds none: it runs CostOn on a lease.
 func (p *CostParams) boot(c *codegen.Compiled) (*machine.Machine, error) {
@@ -147,7 +147,6 @@ func (p *CostParams) boot(c *codegen.Compiled) (*machine.Machine, error) {
 	}
 	m, err := machine.New(machine.Config{
 		Variant:            p.Variant,
-		Backend:            machine.BackendFused,
 		Groups:             p.Groups,
 		ProcsPerGroup:      p.ProcsPerGroup,
 		SharedWords:        p.SharedWords,
@@ -182,9 +181,9 @@ func (p *CostParams) boot(c *codegen.Compiled) (*machine.Machine, error) {
 
 // CostReport is the predicted cost of one program on one machine shape.
 // When Resolved is true every bound is exact: the run ended, and the
-// predictions are the Stats of any run of that machine, on either backend,
-// serial or Parallel. Otherwise Reason says which budget stopped the run and
-// every bound is a sound lower bound: the statistics only grow, and the run
+// predictions are the Stats of any run of that machine, serial or Parallel.
+// Otherwise Reason says which budget stopped the run and every bound is a
+// sound lower bound: the statistics only grow, and the run
 // got that far.
 type CostReport struct {
 	Program  string `json:"program"`
@@ -236,7 +235,7 @@ func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 }
 
 // CostOn is the prediction run: it runs m — params' shape under Cost's
-// thickness cap, loaded with c, on any backend or run bounds —
+// thickness cap, loaded with c, under any run bounds —
 // until c ends, a budget is spent or the run fails, and returns the report
 // read off m and the run's error. The report is Cost's wherever the run
 // stops where Cost's would: not on ctx, a lower step quota, the watchdog or

@@ -1,7 +1,8 @@
 // Validation gate for the cost analyzer: over the whole tcf-e corpus, on all
-// six variants, across BOTH backends (interp, fused) and Parallel off and
-// on, on a fresh machine and on a Reset one, a resolved prediction must
-// equal the measured Stats field for field.
+// six variants, on the production machine and on the per-lane reference
+// (machine.NewReference), with Parallel off and on, on a fresh machine and on
+// a Reset one, a resolved prediction must equal the measured Stats field for
+// field.
 //
 // The documented tolerance band is therefore ZERO for resolved
 // predictions: the prediction is one serial lockstep run, and every other
@@ -47,20 +48,27 @@ func compileCorpus(tb testing.TB, path string) *codegen.Compiled {
 	return c
 }
 
-// measure runs the program on the real engine and returns the measured
-// stats plus the run error (capability rejections, runtime errors). A nil m
-// is a fresh machine of the configuration; otherwise m, which has run
-// before, is Reset and runs it, as a pooled machine does in tcfserve.
-func measure(tb testing.TB, m *machine.Machine, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, parallel bool) (*machine.Machine, *machine.Stats, error) {
+// engine is one of the two machines a configuration is measured on.
+type engine struct {
+	name string
+	new  func(machine.Config) (*machine.Machine, error)
+}
+
+var engines = []engine{{"reference", machine.NewReference}, {"production", machine.New}}
+
+// measure runs the program on the engine and returns the measured stats plus
+// the run error (capability rejections, runtime errors). A nil m is a fresh
+// machine of the configuration; otherwise m, which has run before, is Reset
+// and runs it, as a pooled machine does in tcfserve.
+func measure(tb testing.TB, m *machine.Machine, c *codegen.Compiled, kind variant.Kind, eng engine, parallel bool) (*machine.Machine, *machine.Stats, error) {
 	tb.Helper()
 	cfg := machine.Default(kind)
-	cfg.Backend = backend
 	cfg.Parallel = parallel
 	if m != nil {
 		m.Reset()
 	} else {
 		var err error
-		if m, err = machine.New(cfg); err != nil {
+		if m, err = eng.new(cfg); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -129,29 +137,28 @@ func TestCostPredictionsMatchMeasuredStats(t *testing.T) {
 	t.Cleanup(func() { mem.ResetAudit.Store(false) })
 	type config struct {
 		kind     variant.Kind
-		backend  machine.Backend
+		engine   string
 		parallel bool
 	}
 	used := map[config]*machine.Machine{}
-	backends := []machine.Backend{machine.BackendInterp, machine.BackendFused}
 	for _, path := range corpusFiles(t) {
 		c := compileCorpus(t, path)
 		for _, kind := range variant.Kinds() {
 			rep := analysis.Cost(c, analysis.DefaultCostParams(kind))
-			for _, backend := range backends {
+			for _, eng := range engines {
 				for _, parallel := range []bool{false, true} {
-					k := config{kind, backend, parallel}
-					name := fmt.Sprintf("%s/%s/%v/parallel=%v", filepath.Base(path), kind, backend, parallel)
+					k := config{kind, eng.name, parallel}
+					name := fmt.Sprintf("%s/%s/%s/parallel=%v", filepath.Base(path), kind, eng.name, parallel)
 					t.Run(name, func(t *testing.T) {
 						t.Run("fresh", func(t *testing.T) {
-							m, st, runErr := measure(t, nil, c, kind, backend, parallel)
+							m, st, runErr := measure(t, nil, c, kind, eng, parallel)
 							if used[k] == nil {
 								used[k] = m
 							}
 							checkPrediction(t, rep, st, runErr)
 						})
 						t.Run("reset", func(t *testing.T) {
-							m, st, runErr := measure(t, used[k], c, kind, backend, parallel)
+							m, st, runErr := measure(t, used[k], c, kind, eng, parallel)
 							used[k] = m
 							checkPrediction(t, rep, st, runErr)
 						})

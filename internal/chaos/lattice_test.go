@@ -33,12 +33,11 @@ var tcfKinds, siOnly = allKinds[:3], allKinds[:1]
 // when it has one, its own reference, which the fault-free oracle of every
 // shape is held to.
 type entry struct {
-	name      string
-	c         *codegen.Compiled
-	shapes    []shape
-	check     func(*machine.Machine) error
-	unrelated string   // the engine bug that keeps the shapes from relate's relations
-	quick     []string // when set, the only rows the entry runs in, fault-free
+	name   string
+	c      *codegen.Compiled
+	shapes []shape
+	check  func(*machine.Machine) error
+	quick  []string // when set, the only rows the entry runs in, fault-free
 }
 
 // shape is one machine a program runs on: a variant's default configuration
@@ -240,18 +239,30 @@ func compare(got, want *outcome, free func(*machine.Stats)) error {
 	return nil
 }
 
-// oracleConfig is the reference every row is held to: the serial lockstep
-// interpreter on the per-lane path, tracing. Without a fault plan it gets an
-// empty one: a non-nil Config.FaultPlan, the one selector of that path the
-// machine has, sends every shared reference through the per-lane loops
-// (bulkMemRange declines, as each reference under a plan draws its own fault
-// decision), and an empty plan injects nothing.
-func oracleConfig(cfg machine.Config) machine.Config {
+// buildOracle builds the machine every row is held to: the per-lane reference
+// (machine.NewReference) of the cell's serial configuration, tracing, loaded
+// with c. It runs every lane through isa.Eval and every shared reference on
+// its own, so the rows' kernels, isa's bulk forms and the bulk LD/ST are
+// checked against code they do not share.
+func buildOracle(tb testing.TB, c *codegen.Compiled, cfg machine.Config) *machine.Machine {
+	tb.Helper()
 	cfg.TraceEnabled = true
-	if cfg.FaultPlan == nil {
-		cfg.FaultPlan = &fault.Plan{}
+	return buildReference(tb, c, cfg)
+}
+
+// builder makes the machine a row runs: buildRun the production one,
+// buildReference the per-lane reference.
+type builder func(tb testing.TB, c *codegen.Compiled, cfg machine.Config) *machine.Machine
+
+// buildReference is machine.NewReference of cfg, loaded with c.
+func buildReference(tb testing.TB, c *codegen.Compiled, cfg machine.Config) *machine.Machine {
+	tb.Helper()
+	m, err := machine.NewReference(cfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return cfg
+	loadInto(tb, m, c)
+	return m
 }
 
 // faultCosts zeroes the Stats a recoverable fault may change: when the run
@@ -304,7 +315,7 @@ func newCells(t testing.TB, e, other *entry, s shape, plan int64) []*cell {
 		if seed != 0 {
 			cfg.FaultPlan = fault.Random(seed, cfg.Groups, cfg.Groups)
 		}
-		m := buildRun(t, e.c, oracleConfig(cfg))
+		m := buildOracle(t, e.c, cfg)
 		_, err := m.Run()
 		c := &cell{name: fmt.Sprintf("%s/%s/plan %d", e.name, s.name, seed), e: e, other: other, cfg: cfg,
 			oracle: observe(m, err), snaps: map[int64]uint64{}, chunks: map[int]int64{}}
@@ -326,21 +337,22 @@ func newCells(t testing.TB, e, other *entry, s shape, plan int64) []*cell {
 	return cells
 }
 
-// lifecycle runs a row's configuration of a cell's program and returns what
-// it showed, or nil when the row cannot run the cell.
-type lifecycle func(t *testing.T, c *cell, cfg machine.Config) *outcome
+// lifecycle runs a row's configuration of a cell's program on the machines
+// build makes and returns what it showed, or nil when the row cannot run the
+// cell.
+type lifecycle func(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome
 
 // fresh is one Run on a new machine.
-func fresh(t *testing.T, c *cell, cfg machine.Config) *outcome {
-	m := buildRun(t, c.e.c, cfg)
+func fresh(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
+	m := build(t, c.e.c, cfg)
 	_, err := m.Run()
 	return observe(m, err)
 }
 
 // stepped boots the row's machine beside the oracle's and steps the two
 // together, holding every flow's state digest to the oracle's after each step.
-func stepped(t *testing.T, c *cell, cfg machine.Config) *outcome {
-	ref, m := buildRun(t, c.e.c, oracleConfig(c.cfg)), buildRun(t, c.e.c, cfg)
+func stepped(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
+	ref, m := buildOracle(t, c.e.c, c.cfg), build(t, c.e.c, cfg)
 	if err := errors.Join(ref.Boot(), m.Boot()); err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +373,10 @@ func stepped(t *testing.T, c *cell, cfg machine.Config) *outcome {
 
 // reset runs the cell's program on a machine Reset after running the next
 // program of the list on it, the Reset audited for a word left behind.
-func reset(t *testing.T, c *cell, cfg machine.Config) *outcome {
+func reset(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
 	mem.ResetAudit.Store(true)
 	defer mem.ResetAudit.Store(false)
-	m := buildRun(t, c.other.c, cfg)
+	m := build(t, c.other.c, cfg)
 	_, _ = m.Run() // its result, a refusal included, is only dirt to clear here
 	m.Reset()
 	loadInto(t, m, c.e.c)
@@ -387,14 +399,17 @@ func (s *killSink) Checkpoint(_ int64, snapshot func(io.Writer) error) error {
 	return errKilled
 }
 
-// killed is the crash-recovery lifecycle: the run is killed by its checkpoint
-// sink at a step k seeded from the cell, anywhere in the run, restored into
-// the configuration as changed by into and run on; with times = 2, k is folded into the run's first half,
-// and the restored run is killed again at 2k and restored back. Snapshots
-// taken at one step of a cell must be the same bytes, whichever row took them
-// (the fold keeps k for half the cells), and every Reset is audited.
+// killed is the crash-recovery lifecycle: the run, on the machine build
+// makes, is killed by its checkpoint sink at a step k seeded from the cell,
+// anywhere in the run, restored — into the production machine, as a snapshot
+// does not say which machine took it — in the configuration as changed by
+// into (the same one when into is nil) and run on; with times = 2, k is
+// folded into the run's first half, and the restored run is killed again at
+// 2k and restored back. Snapshots taken at one step of a cell must be the
+// same bytes, whichever row and machine took them (the fold keeps k for half
+// the cells), and every Reset is audited.
 func killed(times int, into func(*machine.Config)) lifecycle {
-	return func(t *testing.T, c *cell, cfg machine.Config) *outcome {
+	return func(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
 		total := c.oracle.stats.Steps
 		if total < 1+int64(times) {
 			return nil
@@ -410,7 +425,7 @@ func killed(times int, into func(*machine.Config)) lifecycle {
 		var faults int64
 		for i := 0; ; i++ {
 			run := cfg
-			if i%2 == 1 {
+			if i%2 == 1 && into != nil {
 				into(&run)
 			}
 			if i < times {
@@ -418,7 +433,7 @@ func killed(times int, into func(*machine.Config)) lifecycle {
 			}
 			var err error
 			if i == 0 {
-				m = buildRun(t, c.e.c, run)
+				m = build(t, c.e.c, run)
 			} else if m, err = machine.Restore(bytes.NewReader(sink.snap.Bytes()), run); err != nil {
 				t.Fatalf("%s: restore at step %d: %v", c.name, int64(i)*k, err)
 			}
@@ -458,6 +473,7 @@ func faultEvents(s *machine.Stats) int64 { return s.Retransmits + s.Reroutes + s
 // (clean, faulty).
 type row struct {
 	name    string
+	build   builder // the machine the row runs; buildRun when nil
 	delta   func(*machine.Config)
 	life    lifecycle
 	plans   []int
@@ -482,7 +498,6 @@ func lanes(n int) func(*machine.Config) {
 }
 
 var (
-	fused  = func(c *machine.Config) { c.Backend = machine.BackendFused }
 	traced = func(c *machine.Config) { c.TraceEnabled = true }
 
 	cleanOnly = []int{clean}
@@ -501,21 +516,23 @@ var (
 	completed = func(_, _ *outcome) bool { return true }
 )
 
-// rows is the lattice: a covering set of backend × Parallel × lane threshold ×
-// fault plan × lifecycle — every pair of backend and Parallel is some row's —
-// not the product.
+// rows is the lattice: a covering set of machine × Parallel × lane threshold
+// × fault plan × lifecycle, not the product. A row runs the production
+// machine unless it names the reference: ref-lanes holds the oracle's own
+// per-lane path to it under lane chunking, ref-kill restores a snapshot the
+// reference took into the production machine.
 var rows = []row{
-	{name: "interp", life: fresh, plans: cleanOnly},
-	{name: "fused", delta: fused, life: fresh, plans: both, engaged: faultsFired},
+	{name: "fresh", life: fresh, plans: both, engaged: faultsFired},
 	{name: "lanes", delta: lanes(1), life: fresh, plans: both, free: laneChunks, engaged: chunked},
-	{name: "fused-lanes", delta: with(fused, lanes(1)), life: fresh, plans: cleanOnly, free: laneChunks, engaged: chunked},
-	{name: "fused-lanes300", delta: with(fused, lanes(300), traced), life: fresh, plans: cleanOnly, free: laneChunks, engaged: chunked},
+	{name: "lanes300", delta: with(lanes(300), traced), life: fresh, plans: cleanOnly, free: laneChunks, engaged: chunked},
 	{name: "step", life: stepped, plans: cleanOnly, engaged: moreBulk, atLeast: 12},
 	{name: "crew-step", delta: func(c *machine.Config) { c.MemDiscipline = mem.DisciplineCREW }, life: stepped, plans: cleanOnly,
 		free: discAccesses, engaged: completed, atLeast: 8, drops: machine.ErrDisciplineViolation},
-	{name: "fused-reset", delta: fused, life: reset, plans: cleanOnly},
-	{name: "kill", life: killed(1, fused), plans: both, engaged: crossed},
-	{name: "kill2", life: killed(2, with(fused, lanes(1))), plans: cleanOnly, free: laneChunks, engaged: chunked},
+	{name: "reset", life: reset, plans: cleanOnly},
+	{name: "kill", life: killed(1, nil), plans: both, engaged: crossed},
+	{name: "kill2", life: killed(2, lanes(1)), plans: cleanOnly, free: laneChunks, engaged: chunked},
+	{name: "ref-lanes", build: buildReference, delta: lanes(1), life: fresh, plans: both, free: laneChunks, engaged: chunked},
+	{name: "ref-kill", build: buildReference, life: killed(1, nil), plans: both, engaged: crossed},
 }
 
 // hold runs row r in cell c and holds what it shows to the oracle; it reports
@@ -526,7 +543,11 @@ func hold(t *testing.T, r row, c *cell) bool {
 	if r.delta != nil {
 		r.delta(&cfg)
 	}
-	got := r.life(t, c, cfg)
+	build := r.build
+	if build == nil {
+		build = buildRun
+	}
+	got := r.life(t, c, cfg, build)
 	if got == nil || r.drops != nil && errors.Is(got.err, r.drops) {
 		return false
 	}
@@ -534,8 +555,8 @@ func hold(t *testing.T, r row, c *cell) bool {
 		t.Fatalf("%s: %v", c.name, err)
 	}
 	recycle(got.memory)
-	// Every row chunking lanes at one threshold makes the same fan-out decisions,
-	// whatever its backend (a killed run counts two configurations').
+	// Every row chunking lanes at one threshold makes the same fan-out decisions
+	// (a killed run counts two configurations').
 	if cfg.Parallel && got.kill == 0 {
 		if n, ok := c.chunks[cfg.LaneParallelThreshold]; ok && n != got.stats.LaneChunks {
 			t.Fatalf("%s: %d lane chunks, another row at threshold %d took %d", c.name, got.stats.LaneChunks, cfg.LaneParallelThreshold, n)
@@ -636,12 +657,7 @@ func TestLattice(t *testing.T) {
 					}
 				})
 			}
-			t.Run("variants", func(t *testing.T) {
-				if e.unrelated != "" {
-					t.Skip(e.unrelated)
-				}
-				relate(t, e.shapes, oracles)
-			})
+			t.Run("variants", func(t *testing.T) { relate(t, e.shapes, oracles) })
 			for _, o := range oracles {
 				if o != nil {
 					recycle(o.memory)

@@ -1,16 +1,18 @@
-// Package fuse is the compiled backend's per-flow block compiler: at program
-// load time it partitions each straight-line instruction run (discovered by
-// isa.Blocks) into superinstructions — precompiled Go closures that execute
-// an entire run over a lane range with operand shapes resolved once, at
-// compile time, instead of re-decoded on every step.
+// Package fuse builds the per-PC table the step engine executes. At program
+// load, CompileTo gives every pure register operation a kernel — a Go
+// closure with its operand shape (thread-wise, flow-common, immediate)
+// resolved once, calling isa's bulk form for that shape over a lane range —
+// and records at every PC the length of the straight-line run of such
+// operations starting there (isa.RunLengths), which the engine may retire
+// back to back.
 //
-// The compiled program carries, per PC, the instruction's execution class,
-// its precomputed thickness/sliceability properties, the length of the fused
-// run starting there, and (for pure register operations) a kernel closure.
-// The step engine stays the single owner of everything step-resolved: memory
-// references, combining traffic, fault decisions, discipline records and
-// trace accounting all happen in the engine at run boundaries, which is what
-// keeps the compiled backend bit-identical to the interpreter.
+// Each entry also carries the instruction's execution class and its
+// precomputed thickness and sliceability. The step engine stays the single
+// owner of everything step-resolved: memory references, combining traffic,
+// fault decisions, discipline records and trace accounting all happen in the
+// engine at run boundaries. Decode builds the same table without kernels:
+// the machine's per-lane reference (machine.NewReference) runs on it, so
+// every kernel is checked against isa.Eval lane by lane.
 package fuse
 
 import (
@@ -62,8 +64,7 @@ type Env struct {
 
 // Kern executes lanes [first, end) of one register operation on f. Kernels
 // never touch memory, combining or flow structure; their effects are exactly
-// the interpreter's per-lane semantics for the instruction they were
-// compiled from.
+// the per-lane semantics of the instruction they were compiled from.
 type Kern func(env Env, f *tcf.Flow, first, end int)
 
 // Instr is one compiled instruction.
@@ -83,9 +84,9 @@ type Instr struct {
 	// run contains no control transfer, no memory reference and no interior
 	// branch target.
 	Run int
-	// Kern is the compiled lane kernel (ClassReg, nil when the opcode has
-	// no lane semantics — the engine falls back and reports the same error
-	// the interpreter would).
+	// Kern is the compiled lane kernel (ClassReg; nil in a Decode table, and
+	// when the opcode has no lane semantics — the engine then takes its
+	// per-lane path, which reports the error).
 	Kern Kern
 }
 
@@ -98,8 +99,8 @@ type Program struct {
 // instruction, its execution class and its thickness/sliceability facts, each
 // derived from the opcode metadata once here so that the step engine never
 // re-derives them per executed instruction. This is the whole table the
-// interpreter backend reads; Compile adds the kernels and run lengths of the
-// fused one. dst lets a machine that reloads programs keep one array.
+// per-lane reference reads; CompileTo adds the kernels and run lengths. dst
+// lets a machine that reloads programs keep one array.
 func Decode(dst []Instr, p *isa.Program) []Instr {
 	dst = slices.Grow(dst[:0], p.Len())
 	for pc := range p.Instrs {
@@ -121,10 +122,10 @@ func Decode(dst []Instr, p *isa.Program) []Instr {
 	return dst
 }
 
-// Compile builds the fused program for p. It never fails: opcodes the
-// compiler cannot kernelize keep Class assignments that route them through
-// the interpreter's own paths, so compiled execution is defined exactly
-// where interpreted execution is.
+// Compile builds the compiled program for p. It never fails: opcodes the
+// compiler cannot kernelize keep a nil Kern, which routes them through the
+// engine's per-lane paths, so compiled execution is defined exactly where
+// the reference is.
 func Compile(p *isa.Program) *Program {
 	return &Program{Code: CompileTo(nil, p)}
 }

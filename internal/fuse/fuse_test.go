@@ -40,7 +40,7 @@ func TestCompileClasses(t *testing.T) {
 	}
 }
 
-// refLane is the interpreter's per-lane semantics for the register ops the
+// refLane is the per-lane semantics of the register ops the
 // kernels cover, written independently as the test oracle.
 func refLane(env Env, f *tcf.Flow, in isa.Instr, i int) int64 {
 	val := func(r isa.Reg) int64 {

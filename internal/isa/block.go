@@ -1,6 +1,6 @@
 package isa
 
-// Block discovery for the compiled (fused) backend: a program partitions
+// Block discovery for the engine's fused runs: a program partitions
 // into straight-line instruction runs bounded by control transfers, branch
 // targets and memory-resolution boundaries. A run of Fusible instructions
 // can execute as one superinstruction — no memory system, combining network,
@@ -45,7 +45,7 @@ func (in Instr) Sliceable() bool {
 // traffic, no output, and no flow-level control or structure effect. Every
 // other opcode is a fusion boundary — it interacts with step-resolved
 // machinery (shared/local memory, combiners, the output buffer) or with the
-// flow population, so a compiled backend must surface at it.
+// flow population, so a fused run must end at it.
 func (op Op) Fusible() bool {
 	info := op.Info()
 	if info.Control || info.MemRef || info.LocalRef {

@@ -1,8 +1,8 @@
 package isa
 
 // Integer instruction semantics. This file is their only definition: the
-// interpreter and the fused kernels execute through it, the constant
-// folders predict through it.
+// machine's fused kernels and its per-lane reference execute through it, the
+// constant folders predict through it.
 //
 // The simulated ALU is trap-free, because a thick instruction runs the same
 // operation on every lane and one lane's operand must not abort the flow:

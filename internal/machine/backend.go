@@ -243,7 +243,7 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan *StepPlan, budget *int) 
 			*budget -= x.execNUMABunch(f, slot, n)
 			return
 		}
-		if x.m.fused() && !plan.Slice {
+		if !plan.Slice {
 			// Fused straight-line run: consecutive register instructions
 			// execute back to back through their compiled kernels, up to the
 			// remaining window. Sliced plans keep the generic path — every
@@ -280,7 +280,7 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan *StepPlan, budget *int) 
 				n = *budget
 			}
 			x.record(f, slot, fi.In.Op, f.Offset, n, false)
-			x.execLaneRange(f, &fi.In, f.Offset, n)
+			x.execLaneRange(f, fi, f.Offset, n)
 			x.ops += int64(n)
 			*budget -= n
 			f.Offset += n

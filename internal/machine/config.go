@@ -18,24 +18,21 @@ import (
 	"tcfpram/internal/variant"
 )
 
-// Backend selects the step-engine execution backend. Both backends are
-// bit-identical in every architectural respect — outputs, statistics, fault
-// decisions, discipline verdicts, checkpoints — and differ only in wall
-// clock. Both run isa's bulk lane forms and the shared bulk LD/ST; the
-// per-lane reference path behind them, the oracle internal/chaos holds every
-// configuration to, is reached under a non-nil FaultPlan or a checking
-// MemDiscipline.
+// Backend once selected the step engine's execution backend. The machine has
+// one: the per-PC table internal/fuse compiles at load, whose kernels run
+// the register instructions. Both values build that same machine and nothing
+// reads Config.Backend; the per-lane reference the tests hold it to is
+// NewReference.
+//
+// Deprecated: the type, its constants and Config.Backend remain only because
+// the benchmark module still assigns them; they go with the field (ROADMAP
+// item 1).
 type Backend int
 
 const (
-	// BackendInterp is the interpreter: each instruction dispatched from the
-	// decoded per-PC table, its lanes through isa's bulk forms and the shared
-	// bulk LD/ST — or, under a non-nil FaultPlan or a checking MemDiscipline,
-	// through the per-lane reference path.
+	// Deprecated: see Backend.
 	BackendInterp Backend = iota
-	// BackendFused precompiles the program (internal/fuse) into per-run
-	// fused closures with operand shapes resolved at load time; memory and
-	// fault machinery are touched only at run boundaries.
+	// Deprecated: see Backend. Builds the same machine as BackendInterp.
 	BackendFused
 )
 
@@ -54,11 +51,11 @@ type Config struct {
 	// Variant selects the execution model (Section 3.2).
 	Variant variant.Kind
 
-	// Backend selects the execution backend (BackendInterp by default; see
-	// Backend). Results are bit-identical across backends. No command or
-	// server request chooses it: tcfrun, netbench and tcfserve always set
-	// BackendFused, and only library callers, the internal/chaos lattice and
-	// the benchmark module set it themselves.
+	// Backend is read by nothing but New's range check: both values build the
+	// one machine.
+	//
+	// Deprecated: kept only for the benchmark module, which still assigns it
+	// (ROADMAP item 1).
 	Backend Backend
 
 	// Sched is read by nothing but New's range check: both values build the
@@ -158,9 +155,8 @@ type Config struct {
 	// fail-stop with spare failover). Faults change cycle counts only;
 	// results are identical to the fault-free run unless the plan is
 	// unrecoverable, which surfaces as ErrFaultUnrecoverable. Nil runs
-	// fault-free. A non-nil plan, even an empty one, also sends every shared
-	// reference down the per-lane reference path, where each draws its own
-	// fault decision; an empty plan is how the tests reach that path.
+	// fault-free. Under a plan every shared reference is issued on its own,
+	// since each draws its own fault decision: bulk LD and ST stand aside.
 	FaultPlan *fault.Plan
 
 	// Parallel executes groups on separate goroutines within a step.

@@ -3,6 +3,7 @@ package machine
 import (
 	"tcfpram/internal/fuse"
 	"tcfpram/internal/isa"
+	"tcfpram/internal/mem"
 	"tcfpram/internal/tcf"
 )
 
@@ -50,8 +51,8 @@ func (x *groupExec) fetch(f *tcf.Flow) *fuse.Instr {
 
 // execWhole executes one fetched instruction across its full width w (in
 // operation slices). Class and thickness were decided when the program was
-// loaded; a register instruction with a compiled kernel (fused backend) runs
-// it, everything else takes the reference paths.
+// loaded; a register instruction with a compiled kernel runs it, everything
+// else — on a reference machine every instruction — takes the reference paths.
 func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 	in := &fi.In
 	if fragmentUnsafe(f, in) {
@@ -65,7 +66,7 @@ func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 		x.applyControl(f, in)
 		return
 	case fi.Sliceable:
-		x.execLanes(f, in, w)
+		x.execLanes(f, fi, w)
 		x.ops += int64(w)
 	default:
 		// Flow-level: a thin operation (through its kernel, if it has one),
@@ -88,15 +89,21 @@ func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 // execNUMABunch executes up to n consecutive instructions of a NUMA-mode
 // flow (thickness 1/T) with sequential semantics. It returns the number of
 // instructions executed. Under buffered (lockstep) semantics the flow's own
-// same-step stores forward to its later loads; a bunch that stores nothing
-// pays for neither the table nor its clearing.
+// same-step stores forward to its later loads, and the step commits one store
+// per word the bunch stored, its last, in the order the words were first
+// stored; a bunch that stores nothing pays for neither the table nor its
+// clearing.
 func (x *groupExec) execNUMABunch(f *tcf.Flow, slot, n int) int {
-	if len(x.fwd) > 0 {
+	if len(x.fwdAddrs) > 0 {
+		x.fwdAddrs = x.fwdAddrs[:0]
 		clear(x.fwd)
 	}
 	x.fwdOn = !x.immediate
 	executed, kerns := x.numaBunch(f, slot, n)
 	x.fwdOn = false
+	for i, addr := range x.fwdAddrs {
+		x.writes.Append(addr, x.fwd[addr], mem.Key{Flow: f.ID, Seq: i})
+	}
 	// Counted per bunch, not per instruction: a NUMA chain is nothing but
 	// such instructions.
 	x.kern.BulkLanes += kerns

@@ -556,3 +556,39 @@ func TestSplitThicknessConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNUMABunchKeepsLastStore: a NUMA bunch executes its instructions with
+// sequential semantics (Section 3.1), so of two stores it makes to one word in
+// one step the later stays — under arbitrary CRCW, and under Common, where the
+// two are no conflict — on the production machine and on the reference.
+func TestNUMABunchKeepsLastStore(t *testing.T) {
+	b := isa.NewBuilder("numa-store-twice")
+	b.Label("main")
+	b.NumaImm(4)
+	b.Ldi(isa.S(1), 7)
+	b.St(isa.RegNone, 900, isa.S(1))
+	b.Ldi(isa.S(1), 9)
+	b.St(isa.RegNone, 900, isa.S(1))
+	b.Op(isa.PRAM)
+	b.Halt()
+	prog := b.MustBuild()
+	for _, policy := range []mem.Policy{mem.Arbitrary, mem.Common} {
+		for _, eng := range engines {
+			cfg := Default(variant.SingleInstruction)
+			cfg.WritePolicy = policy
+			m, err := eng.new(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.LoadProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatalf("%v, %v: %v", policy, eng, err)
+			}
+			if got := m.Shared().Peek(900); got != 9 {
+				t.Errorf("%v, %v: word 900 = %d after the bunch, want the last store's 9", policy, eng, got)
+			}
+		}
+	}
+}

@@ -8,14 +8,53 @@ import (
 	"tcfpram/internal/variant"
 )
 
-// TestBackendConfig covers the Backend knob itself: rendering and config
-// validation.
+// engine is one of the two machines a test builds for a configuration: the
+// per-lane reference or the production machine. A test that holds both to a
+// property runs each in a subtest named after it.
+type engine struct {
+	name string
+	new  func(Config) (*Machine, error)
+}
+
+func (e engine) String() string { return e.name }
+
+var engines = []engine{{"reference", NewReference}, {"production", New}}
+
+// TestBackendConfig covers the deprecated Backend knob: rendering, New's
+// range check, and that both values build the one machine, which loads a
+// program with its kernels — NewReference's without.
 func TestBackendConfig(t *testing.T) {
 	if BackendInterp.String() != "interp" || BackendFused.String() != "fused" {
 		t.Errorf("Backend.String: %q, %q", BackendInterp, BackendFused)
 	}
 	if _, err := New(Config{Variant: variant.SingleInstruction, Groups: 1, ProcsPerGroup: 1, Backend: Backend(9)}); err == nil {
 		t.Error("New accepted an unknown backend")
+	}
+	prog := isa.MustAssemble("va", vectorAddSrc)
+	kernels := func(m *Machine, err error) (n int) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		for _, fi := range m.code {
+			if fi.Kern != nil {
+				n++
+			}
+		}
+		return n
+	}
+	cfg := Default(variant.SingleInstruction)
+	cfg.Backend = BackendInterp
+	interp := kernels(New(cfg))
+	cfg.Backend = BackendFused
+	if fused := kernels(New(cfg)); interp == 0 || fused != interp {
+		t.Errorf("kernels loaded: %d under %v, %d under %v", interp, BackendInterp, fused, BackendFused)
+	}
+	if ref := kernels(NewReference(cfg)); ref != 0 {
+		t.Errorf("the reference loaded %d kernels", ref)
 	}
 }
 
@@ -30,13 +69,12 @@ func TestSchedConfig(t *testing.T) {
 	}
 }
 
-// TestFusedResetReuse: the fused backend compiles at LoadProgram, and Reset
-// drops the compiled program with the source program. That the re-run matches
-// a fresh machine is the lattice's fused-reset row (internal/chaos).
+// TestFusedResetReuse: the machine compiles at LoadProgram, and Reset drops
+// the compiled program with the source program. That the re-run matches a
+// fresh machine is the lattice's reset row (internal/chaos).
 func TestFusedResetReuse(t *testing.T) {
 	prog := isa.MustAssemble("va", vectorAddSrc)
 	cfg := Default(variant.SingleInstruction)
-	cfg.Backend = BackendFused
 	fresh, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,14 +83,14 @@ func TestFusedResetReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(fresh.code) != prog.Len() {
-		t.Fatal("fused backend did not compile at LoadProgram")
+		t.Fatal("the machine did not compile at LoadProgram")
 	}
 	if _, err := fresh.Run(); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh.Reset()
-	if fresh.code != nil {
+	if len(fresh.code) != 0 {
 		t.Fatal("Reset kept the compiled program")
 	}
 	if err := fresh.LoadProgram(prog); err != nil {
@@ -66,7 +104,7 @@ func TestFusedResetReuse(t *testing.T) {
 	}
 }
 
-// TestFusedTableReload: a fused machine compiles each program it loads into
+// TestFusedTableReload: a machine compiles each program it loads into
 // the one per-PC array it keeps. Loading a long program, a short one and the
 // long one again, every run matches a fresh machine's and the table is
 // exactly as long as the program: no kernel of the long program survives past
@@ -92,7 +130,6 @@ loop:
 `)
 	short := isa.MustAssemble("short", vectorAddSrc)
 	cfg := Default(variant.SingleInstruction)
-	cfg.Backend = BackendFused
 	run := func(m *Machine, p *isa.Program) runSnapshot {
 		t.Helper()
 		if err := m.LoadProgram(p); err != nil {

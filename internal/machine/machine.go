@@ -39,13 +39,15 @@ type Machine struct {
 	// was an eighth of a thin step.
 	plan StepPlan
 	prog *isa.Program
-	// code is the loaded program's per-PC table, built at LoadProgram/Restore
-	// in the machine's own array (decoded, kept across loads) and the only
-	// form in which the step engine reads instructions: under the interpreter
-	// the decoded facts alone, under BackendFused the compiled program with
-	// its kernels.
-	code    []fuse.Instr
-	decoded []fuse.Instr
+	// code is the loaded program's per-PC table, compiled at
+	// LoadProgram/Restore into the array the machine keeps across loads
+	// (Reset truncates it), and the only form in which the step engine reads
+	// instructions.
+	code []fuse.Instr
+	// reference marks a NewReference machine: its table carries no kernels
+	// and execLaneRange never calls bulkMemRange, so every lane runs on the
+	// per-lane path.
+	reference bool
 
 	front frontend
 	back  backend
@@ -182,6 +184,22 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
+// NewReference builds the machine New builds for cfg as the per-lane
+// reference the tests hold it to: every instruction executes lane by lane
+// through isa.Eval and the per-reference memory paths, where New's machine
+// runs compiled kernels and bulk LD/ST. The two agree on everything a run
+// shows — outputs, memory, statistics, step records, snapshots — except
+// KernelStats. Being the reference is no part of the configuration: not of
+// a snapshot (Restore builds New's machine) nor of a pool's key.
+func NewReference(cfg Config) (*Machine, error) {
+	m, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.reference = true
+	return m, nil
+}
+
 // Config returns the effective configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
@@ -200,15 +218,14 @@ func (m *Machine) CommitStats() mem.CommitStats { return m.shared.CommitStats() 
 
 // KernelStats counts how the run's operation slices were generated and where
 // its vector banks came from, since the machine was built or Reset: lanes
-// that ran in a bulk form (a compiled kernel, a bulk LD/ST, a bulk form of the
-// interpreter's range loop), lanes that ran one at a time on the per-lane
-// reference path, instructions retired inside the fused backend's register
-// runs, and the banks the register arena lent out again or had to allocate
-// (the shorter ones it bumps are TailStats'). MaxThickness is
-// the widest thickness a flow was created with or asked for, also when
-// Config.MaxThickness refused it: what the cost analyzer reports as the
-// program's demand. Host-side counters like CommitStats: in no snapshot and
-// no simulated statistic.
+// that ran in a bulk form (a compiled kernel, a bulk LD/ST, a combining run),
+// lanes that ran one at a time on the per-lane reference path, instructions
+// retired inside fused register runs, and the banks the register arena lent
+// out again or had to allocate (the shorter ones it bumps are TailStats').
+// MaxThickness is the widest thickness a flow was created with or asked for,
+// also when Config.MaxThickness refused it: what the cost analyzer reports
+// as the program's demand. Host-side counters like CommitStats: in no
+// snapshot and no simulated statistic.
 type KernelStats struct {
 	BulkLanes, PerLaneLanes, RunInstrs, BanksReused, BanksAllocated int64
 	MaxThickness                                                    int64
@@ -305,16 +322,12 @@ func (m *Machine) LoadProgram(p *isa.Program) error {
 // setProgram installs p with its per-PC table.
 func (m *Machine) setProgram(p *isa.Program) {
 	m.prog = p
-	if m.fused() {
-		m.decoded = fuse.CompileTo(m.decoded, p)
+	if m.reference {
+		m.code = fuse.Decode(m.code, p)
 	} else {
-		m.decoded = fuse.Decode(m.decoded, p)
+		m.code = fuse.CompileTo(m.code, p)
 	}
-	m.code = m.decoded
 }
-
-// fused reports whether the compiled backend's kernels are in the table.
-func (m *Machine) fused() bool { return m.cfg.Backend == BackendFused }
 
 // Program returns the loaded program.
 func (m *Machine) Program() *isa.Program { return m.prog }

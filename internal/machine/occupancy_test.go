@@ -314,7 +314,7 @@ func (j tailJob) bootOn(t *testing.T, m *Machine) {
 }
 
 // TestStepTailInvariants steps the corpus and the flow shapes under all six
-// variants, both backends, serially and with Parallel, and holds the skipped
+// variants, both engines, serially and with Parallel, and holds the skipped
 // tail stages to checkTail after every Step. The auto-split-queued shape must
 // really bring a Done container out of a queue into a slot: that is the one
 // way a buffer comes to need compaction without a flow of it having run.
@@ -322,16 +322,20 @@ func TestStepTailInvariants(t *testing.T) {
 	doneFromQueue := 0
 	for _, j := range tailJobs(t) {
 		for _, kind := range variant.Kinds() {
-			for _, backend := range []Backend{BackendInterp, BackendFused} {
+			for _, eng := range engines {
 				for _, par := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/%v/%v/parallel=%v", j.name, kind, backend, par), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%v/%v/parallel=%v", j.name, kind, eng, par), func(t *testing.T) {
 						cfg := Default(kind)
 						cfg.MaxSteps = 20000
-						cfg.Backend, cfg.Parallel, cfg.LaneParallelThreshold = backend, par, 32
+						cfg.Parallel, cfg.LaneParallelThreshold = par, 32
 						if j.tweak != nil {
 							j.tweak(&cfg)
 						}
-						m := j.boot(t, cfg)
+						m, err := eng.new(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						j.bootOn(t, m)
 						var blocked []*tcf.Flow
 						for !m.Done() && m.stats.Steps < cfg.MaxSteps {
 							blocked = blocked[:0]

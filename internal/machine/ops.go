@@ -134,8 +134,8 @@ type groupExec struct {
 	m *Machine
 	g *Group
 
-	// fenv is the group's compiled-kernel environment (fused backend):
-	// everything a fuse.Kern may read besides the flow itself.
+	// fenv is the group's compiled-kernel environment: everything a fuse.Kern
+	// may read besides the flow itself.
 	fenv fuse.Env
 
 	// plan is the StepPlan stamped at reset; runGroup executes it.
@@ -179,12 +179,16 @@ type groupExec struct {
 	disc bool
 	accs []discAcc
 
-	// fwd is the store-to-load forwarding table of the flow currently
-	// executing a NUMA bunch (its own same-step shared stores). The map is
-	// allocated at the first such store and cleared by the next bunch that
-	// finds it non-empty; fwdOn gates lookups.
-	fwd   map[int64]int64
-	fwdOn bool
+	// fwd holds the shared stores of the flow currently executing a NUMA
+	// bunch under buffered semantics: the last value of every word it stored,
+	// which its later loads see, and fwdAddrs those words in the order of
+	// their first store. The bunch runs with sequential semantics, so when it
+	// ends the step buffers one store per word, the last (execNUMABunch). The
+	// map is allocated at the first such store and cleared by the next bunch
+	// that finds it non-empty; fwdOn gates lookups.
+	fwd      map[int64]int64
+	fwdAddrs []int64
+	fwdOn    bool
 
 	// Lane-parallel state: lw holds one private worker arena per lane
 	// chunk (chunk 0 runs inline on this groupExec), chunks the dispatch
@@ -331,8 +335,9 @@ func (x *groupExec) loadShared(f *tcf.Flow, addr int64, lane int) int64 {
 	return x.m.shared.Peek(addr)
 }
 
-// storeShared buffers (or immediately applies) a shared-memory write.
-func (x *groupExec) storeShared(f *tcf.Flow, addr, val int64, lane, seq int) {
+// storeShared buffers (or immediately applies) a shared-memory write; inside
+// a NUMA bunch it goes to the bunch's forwarding table instead.
+func (x *groupExec) storeShared(f *tcf.Flow, addr, val int64, lane int) {
 	x.sharedWrites++
 	if x.disc {
 		x.accs = append(x.accs, discAcc{addr: addr, flow: f.ID, lane: lane, pc: f.PC, write: true})
@@ -342,13 +347,17 @@ func (x *groupExec) storeShared(f *tcf.Flow, addr, val int64, lane, seq int) {
 		x.m.shared.Poke(addr, val)
 		return
 	}
-	x.writes.Append(addr, val, mem.Key{Flow: f.ID, Thread: lane, Seq: seq})
-	if x.fwdOn {
-		if x.fwd == nil {
-			x.fwd = make(map[int64]int64, 16)
-		}
-		x.fwd[addr] = val
+	if !x.fwdOn {
+		x.writes.Append(addr, val, mem.Key{Flow: f.ID, Thread: lane})
+		return
 	}
+	if x.fwd == nil {
+		x.fwd = make(map[int64]int64, 16)
+	}
+	if _, ok := x.fwd[addr]; !ok {
+		x.fwdAddrs = append(x.fwdAddrs, addr)
+	}
+	x.fwd[addr] = val
 }
 
 // effAddr computes the effective address of a memory operand for lane i.
@@ -406,7 +415,7 @@ func (x *groupExec) execLane(f *tcf.Flow, in *isa.Instr, i, seq int) {
 	case in.Op == isa.LD:
 		f.SetLane(in.Rd, i, x.loadShared(f, effAddr(f, in, i), i))
 	case in.Op == isa.ST:
-		x.storeShared(f, effAddr(f, in, i), f.Lane(in.Rb, i), i, seq)
+		x.storeShared(f, effAddr(f, in, i), f.Lane(in.Rb, i), i)
 	case in.Op == isa.LDL:
 		x.localReads++
 		f.SetLane(in.Rd, i, x.g.Local.Read(effAddr(f, in, i)))
@@ -471,9 +480,9 @@ func fillColumn(dst, v []int64, first int, c int64) {
 }
 
 // bulkMemRange executes lanes [first, first+n) of a shared-memory LD or ST
-// as one bulk operation, for either backend, returning false when the caller
-// must take the per-lane reference path (the oracle for refSeq accounting,
-// discipline records, forwarding and NUMA stalls).
+// as one bulk operation, returning false when the caller must take the
+// per-lane reference path (refSeq accounting, discipline records, forwarding
+// and NUMA stalls). A reference machine never calls it.
 func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool {
 	// Bulk shared-memory kernels engage only on the uniform fast path:
 	// fault-free, no discipline recording, lockstep (buffered) semantics,
@@ -594,28 +603,23 @@ func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) 
 }
 
 // execLaneRange executes lanes [first, first+n) of a sliceable instruction
-// with seq 0, in lane order. Under the fused backend the range runs through
-// the compiled kernel when the instruction has one; every other case — and
-// the whole interpreter backend — takes the range loop below.
-func (x *groupExec) execLaneRange(f *tcf.Flow, in *isa.Instr, first, n int) {
-	if x.m.fused() && x.fusedLaneRange(f, &x.m.code[f.PC], first, n) {
+// with seq 0, in lane order: a register instruction through its compiled
+// kernel, a shared LD or ST on the uniform fast path as one bulk operation
+// (bulkMemRange), a combining instruction as one buffered run, and everything
+// else — on a reference machine every register instruction too — on the
+// per-lane reference path, whose memory loops hoist the register-file lookups
+// out of the lane loop. Vector operands of a sliceable instruction always span
+// the full lane count (Flow.Vector sizes them to Lanes()), so both index
+// directly.
+func (x *groupExec) execLaneRange(f *tcf.Flow, fi *fuse.Instr, first, n int) {
+	if fi.Kern != nil {
+		fi.Kern(x.fenv, f, first, first+n)
 		x.kern.BulkLanes += int64(n)
 		return
 	}
-	x.execLaneRangeInterp(f, in, first, n)
-}
-
-// execLaneRangeInterp is the lane-range loop — the serial execLane loop in
-// effect, but the hot register classes run as isa's bulk forms over the range,
-// a shared LD or ST on the uniform fast path as one bulk operation
-// (bulkMemRange), and the per-lane memory loops, which stay as the reference
-// path, hoist register-file lookups out of the lane loop. Vector operands of a
-// sliceable instruction always span the full lane count (Flow.Vector sizes
-// them to Lanes()), so both index directly.
-func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in *isa.Instr, first, n int) {
+	in := &fi.In
 	end := first + n
-	if in.Rd.IsVector() && regLaneRange(f, in, first, end) ||
-		(in.Op == isa.LD || in.Op == isa.ST) && x.bulkMemRange(f, in, first, n) {
+	if (in.Op == isa.LD || in.Op == isa.ST) && !x.m.reference && x.bulkMemRange(f, in, first, n) {
 		x.kern.BulkLanes += int64(n)
 		return
 	}
@@ -652,7 +656,7 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in *isa.Instr, first, n int
 			if bv != nil {
 				val = bv[i]
 			}
-			x.storeShared(f, addr, val, i, 0)
+			x.storeShared(f, addr, val, i)
 		}
 	case (in.Op.IsMultiop() || in.Op.IsMultiprefix()) && !x.immediate:
 		x.kern.BulkLanes += int64(n)
@@ -662,51 +666,6 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in *isa.Instr, first, n int
 			x.execLane(f, in, i, 0)
 		}
 	}
-}
-
-// regLaneRange executes lanes [first, end) of a register instruction with a
-// thread-wise destination through isa's bulk forms, picking the form by
-// operand shape as fuse.compileKern does once per program; it reports false
-// for an opcode it leaves to the per-lane path.
-func regLaneRange(f *tcf.Flow, in *isa.Instr, first, end int) bool {
-	switch {
-	case in.Op.IsBinaryALU():
-		dst := f.Vector(in.Rd)[first:end]
-		aVec, bVec := in.Ra.IsVector(), !in.HasImm && in.Rb.IsVector()
-		bs := in.Imm
-		if !in.HasImm && !bVec {
-			bs = f.Scalar(in.Rb)
-		}
-		switch {
-		case aVec && bVec:
-			isa.EvalVV(in.Op, dst, f.Vector(in.Ra)[first:end], f.Vector(in.Rb)[first:end])
-		case aVec:
-			isa.EvalVS(in.Op, dst, f.Vector(in.Ra)[first:end], bs)
-		case bVec:
-			isa.EvalSV(in.Op, dst, f.Scalar(in.Ra), f.Vector(in.Rb)[first:end])
-		default:
-			isa.Fill(dst, isa.Eval(in.Op, f.Scalar(in.Ra), bs))
-		}
-	case in.Op == isa.LDI:
-		isa.Fill(f.Vector(in.Rd)[first:end], in.Imm)
-	case in.Op == isa.MOV:
-		dst := f.Vector(in.Rd)[first:end]
-		if in.Ra.IsVector() {
-			copy(dst, f.Vector(in.Ra)[first:end])
-		} else {
-			isa.Fill(dst, f.Scalar(in.Ra))
-		}
-	case in.Op == isa.TID:
-		dst := f.Vector(in.Rd)[first:end]
-		if f.Mode == tcf.NUMA {
-			isa.Fill(dst, 0)
-		} else {
-			isa.Iota(dst, int64(f.TidOffset+first))
-		}
-	default:
-		return false
-	}
-	return true
 }
 
 // execAtomic executes flow-level instructions: reductions, prints, and the

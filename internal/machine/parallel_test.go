@@ -18,8 +18,8 @@ const (
 
 // TestStepLoopSteadyStateAllocs is the 0 allocs/step gate: with tracing
 // disabled, the steady-state step loop performs zero heap allocations per
-// step once the arenas are warm, on both backends — over dense stores
-// ("steady") and over the step commit's sort-free scratch ("commit":
+// step once the arenas are warm — over dense stores ("steady") and over the
+// step commit's sort-free scratch ("commit":
 // conflicting stores arriving out of address order, a madd onto eight
 // addresses and an mpadd onto one, so the write tables and the combiners'
 // accumulators are held to the gate too) and over 64 flows rotating through
@@ -28,10 +28,10 @@ const (
 // a thick dense store and mpadd ("thick": the write and combining logs, the
 // commit's spans and, under Parallel, the lane chunks' logs and their merge
 // are retained arenas too) and over thick register arithmetic in every operand
-// shape ("alu": the lane kernels and the interpreter's bulk forms allocate
-// nothing). Every program runs serially and with Parallel, and then once more
-// after a Reset, when every vector bank must come out of the register arena
-// and the one flow out of the chunk the first run drew.
+// shape ("alu": the lane kernels allocate nothing). Every program runs
+// serially and with Parallel, and then once more after a Reset, when every
+// vector bank must come out of the register arena and the one flow out of the
+// chunk the first run drew.
 func TestStepLoopSteadyStateAllocs(t *testing.T) {
 	loop := func(name string, thick int64, body func(b *isa.Builder)) *isa.Program {
 		b := isa.NewBuilder(name)
@@ -72,47 +72,45 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 		}),
 	}
 	for _, prog := range progs {
-		for _, backend := range []Backend{BackendInterp, BackendFused} {
-			for _, par := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%v/parallel=%v", prog.Name, backend, par), func(t *testing.T) {
-					cfg := Default(variant.SingleInstruction)
-					cfg.Backend, cfg.Parallel, cfg.LaneParallelThreshold = backend, par, 512
-					m, err := New(cfg)
-					if err != nil {
+		for _, par := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/parallel=%v", prog.Name, par), func(t *testing.T) {
+				cfg := Default(variant.SingleInstruction)
+				cfg.Parallel, cfg.LaneParallelThreshold = par, 512
+				m, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				warm := func() {
+					if err := m.LoadProgram(prog); err != nil {
 						t.Fatal(err)
 					}
-					warm := func() {
-						if err := m.LoadProgram(prog); err != nil {
-							t.Fatal(err)
-						}
-						if err := m.Boot(); err != nil {
-							t.Fatal(err)
-						}
-						for i := 0; i < 64; i++ { // warm the arenas
-							if err := m.Step(); err != nil {
-								t.Fatal(err)
-							}
-						}
+					if err := m.Boot(); err != nil {
+						t.Fatal(err)
 					}
-					warm()
-					allocs := testing.AllocsPerRun(200, func() {
+					for i := 0; i < 64; i++ { // warm the arenas
 						if err := m.Step(); err != nil {
 							t.Fatal(err)
 						}
-					})
-					if allocs > 0.1 {
-						t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
 					}
-					m.Reset()
-					warm()
-					if ks := m.KernelStats(); ks.BanksAllocated != 0 || ks.BanksReused == 0 && prog.Name != "flows" { // whose banks are one lane: the allocator's
-						t.Fatalf("the run after Reset allocated %d vector banks and reused %d, want every bank reused", ks.BanksAllocated, ks.BanksReused)
-					}
-					if ts := m.TailStats(); ts.FlowsAllocated != 0 && prog.Name != "flows" { // whose 65th flow is past what a machine keeps
-						t.Fatalf("the run after Reset allocated a flow chunk: %v", ts)
+				}
+				warm()
+				allocs := testing.AllocsPerRun(200, func() {
+					if err := m.Step(); err != nil {
+						t.Fatal(err)
 					}
 				})
-			}
+				if allocs > 0.1 {
+					t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
+				}
+				m.Reset()
+				warm()
+				if ks := m.KernelStats(); ks.BanksAllocated != 0 || ks.BanksReused == 0 && prog.Name != "flows" { // whose banks are one lane: the allocator's
+					t.Fatalf("the run after Reset allocated %d vector banks and reused %d, want every bank reused", ks.BanksAllocated, ks.BanksReused)
+				}
+				if ts := m.TailStats(); ts.FlowsAllocated != 0 && prog.Name != "flows" { // whose 65th flow is past what a machine keeps
+					t.Fatalf("the run after Reset allocated a flow chunk: %v", ts)
+				}
+			})
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 
+	"tcfpram/internal/fuse"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/tcf"
 )
@@ -66,12 +67,12 @@ var groupPool, lanePool workPool
 type laneChunk struct {
 	w        *groupExec
 	f        *tcf.Flow
-	in       *isa.Instr
+	fi       *fuse.Instr
 	first, n int
 }
 
 func (c *laneChunk) run() {
-	c.w.execLaneRange(c.f, c.in, c.first, c.n)
+	c.w.execLaneRange(c.f, c.fi, c.first, c.n)
 }
 
 // laneParallelOK reports whether the lanes of in may execute concurrently.
@@ -145,10 +146,11 @@ func touchOperands(f *tcf.Flow, in *isa.Instr) {
 // the configured threshold. Results are bit-identical to the serial loop:
 // chunk buffers merge in lane order, and each chunk's refSeq starts at the
 // value serial execution would have reached at its first lane.
-func (x *groupExec) execLanes(f *tcf.Flow, in *isa.Instr, w int) {
+func (x *groupExec) execLanes(f *tcf.Flow, fi *fuse.Instr, w int) {
+	in := &fi.In
 	th := x.m.cfg.LaneParallelThreshold
 	if th <= 0 || !x.m.cfg.Parallel || x.immediate || w < th || !laneParallelOK(in) {
-		x.execLaneRange(f, in, 0, w)
+		x.execLaneRange(f, fi, 0, w)
 		return
 	}
 
@@ -164,7 +166,7 @@ func (x *groupExec) execLanes(f *tcf.Flow, in *isa.Instr, w int) {
 	n := (w + chunks - 1) / chunks // lanes per chunk
 	chunks = (w + n - 1) / n       // drop empty trailing chunks
 	if chunks < 2 {
-		x.execLaneRange(f, in, 0, w)
+		x.execLaneRange(f, fi, 0, w)
 		return
 	}
 
@@ -187,12 +189,12 @@ func (x *groupExec) execLanes(f *tcf.Flow, in *isa.Instr, w int) {
 		}
 		wk := x.lw[c-1]
 		wk.resetLaneWorker(base+int64(first)*refs, x.step)
-		x.chunks[c-1] = laneChunk{w: wk, f: f, in: in, first: first, n: size}
+		x.chunks[c-1] = laneChunk{w: wk, f: f, fi: fi, first: first, n: size}
 		lanePool.submit(poolJob{lane: &x.chunks[c-1], wg: &x.wg})
 	}
 	// Chunk 0 runs inline on this arena, so its writes land first — the
 	// worker merges below then restore exact serial order.
-	x.execLaneRange(f, in, 0, n)
+	x.execLaneRange(f, fi, 0, n)
 	x.wg.Wait()
 	for c := 1; c < chunks; c++ {
 		x.mergeLaneWorker(x.lw[c-1])

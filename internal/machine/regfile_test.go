@@ -57,7 +57,6 @@ func BenchmarkResetRun(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			cfg := Default(variant.SingleInstruction)
-			cfg.Backend = BackendFused
 			cfg.MaxSteps = 64         // the spinning tasks never finish: a bounded run
 			cfg.SharedWords = 1 << 19 // the arena keeps no more words than the memory has
 			m, err := New(cfg)
@@ -136,15 +135,15 @@ func machineBytes(t *testing.T, m *Machine) []byte {
 // dirty banks of an earlier run is, step for step, the machine that never ran
 // anything — snapshot bytes (registers with their lengths, RegWordsPeak,
 // statistics) and flow digests after every step, outputs and Stats at the
-// end — on both backends, serially and with Parallel lane chunks. The banks
+// end — on both engines, serially and with Parallel lane chunks. The banks
 // must really have been reused for that to mean anything.
 func TestResetReusesRegisterBanks(t *testing.T) {
 	dirty, prog := thickALU(1<<12), isa.MustAssemble("regrow", regrowSrc)
-	for _, backend := range []Backend{BackendInterp, BackendFused} {
+	for _, eng := range engines {
 		for _, par := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/parallel=%v", backend, par), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%v/parallel=%v", eng, par), func(t *testing.T) {
 				cfg := Default(variant.SingleInstruction)
-				cfg.Backend, cfg.Parallel, cfg.LaneParallelThreshold = backend, par, 512
+				cfg.Parallel, cfg.LaneParallelThreshold = par, 512
 				boot := func(m *Machine) {
 					t.Helper()
 					if err := m.LoadProgram(prog); err != nil {
@@ -154,11 +153,11 @@ func TestResetReusesRegisterBanks(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				fresh, err := New(cfg)
+				fresh, err := eng.new(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reused, err := New(cfg)
+				reused, err := eng.new(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -239,21 +238,22 @@ numa:
 // TestResetReusesFlowChunks: a machine whose flow chunks hold the remains of
 // an earlier run — or of a run it was restored into the middle of — is, after
 // Reset and step for step, the machine that never ran anything: snapshot bytes
-// after the steps of every corpus program, on both backends, serially and
-// with Parallel. The flows must really have been built in the old chunks.
+// after the steps of every corpus program, on both engines, serially and
+// with Parallel (restored: production only, the machine Restore builds). The
+// flows must really have been built in the old chunks.
 func TestResetReusesFlowChunks(t *testing.T) {
 	debris, jobs := flowDebris(), tailJobs(t)
-	for _, backend := range []Backend{BackendInterp, BackendFused} {
+	for _, eng := range engines {
 		for _, par := range []bool{false, true} {
 			for _, viaRestore := range []bool{false, true} {
-				if viaRestore && (par || backend != BackendInterp) {
+				if viaRestore && (par || eng.name != "production") {
 					continue // how the chunks were dirtied does not depend on either
 				}
-				t.Run(fmt.Sprintf("%v/parallel=%v/restored=%v", backend, par, viaRestore), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%v/parallel=%v/restored=%v", eng, par, viaRestore), func(t *testing.T) {
 					cfg := Default(variant.SingleInstruction)
-					cfg.Backend, cfg.Parallel, cfg.AutoSplitThreshold = backend, par, 16
+					cfg.Parallel, cfg.AutoSplitThreshold = par, 16
 					cfg.SharedWords = 1 << 13 // a snapshot a step, of two machines: keep them small
-					reused, err := New(cfg)
+					reused, err := eng.new(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -272,7 +272,7 @@ func TestResetReusesFlowChunks(t *testing.T) {
 					if n := len(reused.flowList); n != 166 {
 						t.Fatalf("the debris run made %d flows, want 166", n)
 					}
-					fresh, err := New(cfg)
+					fresh, err := eng.new(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -514,14 +514,14 @@ touch:
 // happen to survive.
 func TestParallelGroupsShareRegisterArena(t *testing.T) {
 	prog := isa.MustAssemble("grow-touch", growTouchSrc)
-	for _, backend := range []Backend{BackendInterp, BackendFused} {
-		t.Run(backend.String(), func(t *testing.T) {
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
 			boot := func(par bool) *Machine {
 				t.Helper()
 				cfg := Default(variant.SingleInstruction)
-				cfg.Backend, cfg.Parallel = backend, par
+				cfg.Parallel = par
 				cfg.LaneParallelThreshold = 1 << 20 // groups only: Stats.LaneChunks counts the host's chunks
-				m, err := New(cfg)
+				m, err := eng.new(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

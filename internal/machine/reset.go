@@ -19,7 +19,7 @@ import "fmt"
 // must not run concurrently with Step/Run.
 func (m *Machine) Reset() {
 	m.prog = nil
-	m.code = nil
+	m.code = m.code[:0]
 	m.regs.Recycle()
 	m.flowList = m.flowList[:0]
 	m.live = 0

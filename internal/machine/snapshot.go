@@ -205,10 +205,6 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 		// Set directly rather than through LoadProgram: the shared image in
 		// the snapshot is the post-load state, so re-applying the program's
 		// data segments would clobber whatever the run wrote over them.
-		// Backend is deliberately absent from the snapshot fingerprint: both
-		// backends are bit-identical, so a checkpoint taken under one resumes
-		// under the other (internal/chaos's kill rows restore into the other
-		// backend and hold the resumed run to the oracle).
 		m.setProgram(p)
 	}
 

@@ -45,11 +45,11 @@ func thickTrafficProgram(rounds int64) *isa.Program {
 // (mem.TestSnapshotRefusesPendingLog, here through Machine.Snapshot).
 func TestResetDropsRetainedTraffic(t *testing.T) {
 	prog := thickTrafficProgram(5)
-	for _, backend := range []Backend{BackendInterp, BackendFused} {
+	for _, eng := range engines {
 		for _, par := range []bool{false, true} {
 			cfg := Default(variant.SingleInstruction)
-			cfg.Backend, cfg.Parallel, cfg.LaneParallelThreshold = backend, par, 64
-			fresh, err := New(cfg)
+			cfg.Parallel, cfg.LaneParallelThreshold = par, 64
+			fresh, err := eng.new(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestResetDropsRetainedTraffic(t *testing.T) {
 			}
 			want := snapshotOf(fresh)
 
-			m, err := New(cfg)
+			m, err := eng.new(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestResetDropsRetainedTraffic(t *testing.T) {
 					pending += c.Len()
 				}
 				if pending != laneParThickness {
-					t.Fatalf("%v parallel=%v stop %d: %d references retained after the fold, want %d", backend, par, stopAt, pending, laneParThickness)
+					t.Fatalf("%v parallel=%v stop %d: %d references retained after the fold, want %d", eng, par, stopAt, pending, laneParThickness)
 				}
 				if m.shared.PendingWrites() > 0 {
 					if err := m.Snapshot(io.Discard); err == nil || !strings.Contains(err.Error(), "buffered writes") {
@@ -112,7 +112,7 @@ func TestResetDropsRetainedTraffic(t *testing.T) {
 			got := snapshotOf(m)
 			got.stats.LaneChunks, want.stats.LaneChunks = 0, 0
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v parallel=%v: the run after the aborted steps differs from a fresh machine's\ngot  %+v\nwant %+v", backend, par, got.stats, want.stats)
+				t.Fatalf("%v parallel=%v: the run after the aborted steps differs from a fresh machine's\ngot  %+v\nwant %+v", eng, par, got.stats, want.stats)
 			}
 		}
 	}

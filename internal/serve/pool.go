@@ -13,11 +13,8 @@ import (
 // field that survives Reset. The per-run governance bounds (MaxSteps,
 // MaxThickness) are deliberately excluded — they are re-stamped on every
 // lease through SetLimits, so tenants with different quotas share one pool.
-// The server leases one backend only, but a MachinePool is also leased
-// directly, under either backend (bench/layers.go), so it stays in the key.
 type poolKey struct {
 	variant       variant.Kind
-	backend       machine.Backend
 	groups, procs int
 	sharedWords   int
 	localWords    int
@@ -44,7 +41,6 @@ func keyOf(cfg machine.Config) (poolKey, error) {
 	}
 	return poolKey{
 		variant:       cfg.Variant,
-		backend:       cfg.Backend,
 		groups:        cfg.Groups,
 		procs:         cfg.ProcsPerGroup,
 		sharedWords:   cfg.SharedWords,

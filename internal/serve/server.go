@@ -3,9 +3,9 @@
 // statistics and memory snapshots from a governed run on the extended
 // PRAM-NUMA machine.
 //
-// Every request runs one engine configuration — the fused backend, serial
-// lanes — so a request chooses its program, variant, discipline and machine
-// shape, never its engine. The request path is a fixed pipeline:
+// Every request runs the one engine, with serial lanes, so a request chooses
+// its program, variant, discipline and machine shape, never its engine. The
+// request path is a fixed pipeline:
 //
 //	admission (bounded queue, load shedding, per-tenant concurrency)
 //	→ vet gate (tcfvet static analysis, single-flight compile cache)
@@ -652,7 +652,6 @@ func predictionOverQuota(rep *analysis.CostReport, lim Limits) string {
 // and the tenant's quota, returning the pooled-machine configuration.
 func (s *Server) buildConfig(req *runRequest, vk variant.Kind, runDisc mem.Discipline, lim Limits) (machine.Config, *runResponse, int) {
 	cfg := machine.Default(vk)
-	cfg.Backend = machine.BackendFused
 	if req.Groups > 0 {
 		cfg.Groups = req.Groups
 	}

@@ -116,16 +116,17 @@ func ParseVariant(s string) (Variant, error) { return variant.ParseKind(s) }
 // one.
 type Config = machine.Config
 
-// Backend selects the step-engine execution strategy (Config.Backend): the
-// reference interpreter, or the fused-block compiled backend that runs
-// straight-line tcf-e instruction runs as precompiled Go closures. The two
-// are bit-identical on every program; the interpreter is the oracle.
+// Backend is the type of Config.Backend, which nothing reads: the machine has
+// one engine, and both values build it.
+//
+// Deprecated: kept only for the benchmark module, which still assigns it
+// (ROADMAP item 1).
 type Backend = machine.Backend
 
 const (
-	// BackendInterp is the reference interpreter (the default).
+	// Deprecated: see Backend.
 	BackendInterp = machine.BackendInterp
-	// BackendFused runs fuse-compiled kernels and bulk memory fast paths.
+	// Deprecated: see Backend.
 	BackendFused = machine.BackendFused
 )
 
@@ -232,8 +233,8 @@ func DiagnosticsHaveErrors(ds []Diagnostic) bool { return diag.HasErrors(ds) }
 // CostReport is the cost analyzer's prediction for one program on one
 // machine shape: step/cycle/traffic bounds under the extended PRAM-NUMA cost
 // model, read off a fuelled run of the step engine. When Resolved is true
-// every bound is exact and equals the measured Stats of a real run (on
-// either backend, serial or Parallel).
+// every bound is exact and equals the measured Stats of a real run (serial
+// or Parallel).
 type CostReport = analysis.CostReport
 
 // CostBound is one predicted [Min, Max] interval of a CostReport.
