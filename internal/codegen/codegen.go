@@ -205,8 +205,9 @@ func (g *gen) relocate() {
 			fix(&in.Ra)
 			fix(&in.Rb)
 			fix(&in.Rc)
-			for a := range in.Arms {
-				fix(&in.Arms[a].Thick)
+			arms := g.b.Arms(*in)
+			for a := range arms {
+				fix(&arms[a].Thick)
 			}
 		}
 	}

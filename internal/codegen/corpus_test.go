@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcfpram/internal/fuse"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/variant"
@@ -96,10 +97,10 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-// TestRunLengthsTileBlocks holds the two descriptions of fused runs in
-// internal/isa to each other on compiled programs: isa.RunLengths, which
-// the fused backend reads, must count down along every Fused block of
-// isa.Blocks and be 1 at every boundary.
+// TestRunLengthsTileBlocks holds the descriptions of fused runs to each
+// other on compiled programs: isa.RunLengths must count down along every
+// Fused block of isa.Blocks and be 1 at every boundary, and the run lengths
+// fuse.Compile records in place, which the engine reads, must equal it.
 func TestRunLengthsTileBlocks(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.te"))
 	if err != nil {
@@ -116,6 +117,11 @@ func TestRunLengthsTileBlocks(t *testing.T) {
 			t.Fatalf("%s: %v", file, err)
 		}
 		rl := isa.RunLengths(c.Program)
+		for pc, fi := range fuse.Compile(c.Program).Code {
+			if fi.Run != rl[pc] {
+				t.Fatalf("%s: fused run length %d at pc %d, isa.RunLengths %d", file, fi.Run, pc, rl[pc])
+			}
+		}
 		for _, b := range isa.Blocks(c.Program) {
 			for pc := b.Start; pc < b.End; pc++ {
 				if want := b.End - pc; rl[pc] != want {

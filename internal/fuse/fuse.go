@@ -132,12 +132,18 @@ func Compile(p *isa.Program) *Program {
 
 // CompileTo builds Compile's per-PC table in dst, as Decode builds its own:
 // a machine compiles every program it loads into the one array it keeps.
+//
+// The run lengths are isa.RunLengths', computed in place back to front: a
+// run extends into the next PC when that is a register operation no branch
+// lands on.
 func CompileTo(dst []Instr, p *isa.Program) []Instr {
-	rl := isa.RunLengths(p)
 	dst = Decode(dst, p)
-	for pc := range dst {
+	lead := isa.Leaders(p)
+	for pc := len(dst) - 1; pc >= 0; pc-- {
 		if fi := &dst[pc]; fi.Class == ClassReg {
-			fi.Run = rl[pc]
+			if next := pc + 1; next < len(dst) && !lead[next] && dst[next].Class == ClassReg {
+				fi.Run += dst[next].Run
+			}
 			fi.Kern = compileKern(fi.In)
 		}
 	}

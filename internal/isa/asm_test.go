@@ -62,18 +62,19 @@ done:
 		t.Fatal(err)
 	}
 	b := p.Instrs[1]
-	if b.Op != BNEZ || b.Target != p.Labels["body"] {
+	if b.Op != BNEZ || int(b.Target) != p.Labels["body"] {
 		t.Fatalf("BNEZ target %d, want %d", b.Target, p.Labels["body"])
 	}
 	sp := p.Instrs[3]
-	if sp.Op != SPLIT || len(sp.Arms) != 2 {
+	arms := p.Arms(sp)
+	if sp.Op != SPLIT || len(arms) != 2 {
 		t.Fatalf("bad SPLIT: %+v", sp)
 	}
-	if sp.Arms[0].Thick != RegNone || sp.Arms[0].ThickImm != 8 || sp.Arms[0].Target != p.Labels["armA"] {
-		t.Fatalf("bad arm 0: %+v", sp.Arms[0])
+	if arms[0].Thick != RegNone || arms[0].ThickImm != 8 || arms[0].Target != p.Labels["armA"] {
+		t.Fatalf("bad arm 0: %+v", arms[0])
 	}
-	if sp.Arms[1].Thick != S(1) || sp.Arms[1].Target != p.Labels["armB"] {
-		t.Fatalf("bad arm 1: %+v", sp.Arms[1])
+	if arms[1].Thick != S(1) || arms[1].Target != p.Labels["armB"] {
+		t.Fatalf("bad arm 1: %+v", arms[1])
 	}
 }
 
@@ -82,7 +83,7 @@ func TestAssemblePrints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Instrs[0].Op != PRINTS || p.Instrs[0].Sym != "hello, world" {
+	if p.Instrs[0].Op != PRINTS || p.Sym(p.Instrs[0]) != "hello, world" {
 		t.Fatalf("bad PRINTS: %+v", p.Instrs[0])
 	}
 }
@@ -96,8 +97,8 @@ func TestAssembleComments(t *testing.T) {
 	if p.Len() != 4 {
 		t.Fatalf("got %d instructions, want 4", p.Len())
 	}
-	if p.Instrs[2].Sym != "a;b//c" {
-		t.Fatalf("comment stripping corrupted string: %q", p.Instrs[2].Sym)
+	if s := p.Sym(p.Instrs[2]); s != "a;b//c" {
+		t.Fatalf("comment stripping corrupted string: %q", s)
 	}
 }
 
@@ -229,9 +230,9 @@ func TestDisassembleAssembleRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: length %d != %d", trial, p2.Len(), p.Len())
 		}
 		for pc := range p.Instrs {
-			a, bI := p.Instrs[pc], p2.Instrs[pc]
-			if a.String() != bI.String() {
-				t.Fatalf("trial %d pc %d: %q != %q", trial, pc, a.String(), bI.String())
+			a, bI := p.format(p.Instrs[pc]), p2.format(p2.Instrs[pc])
+			if a != bI {
+				t.Fatalf("trial %d pc %d: %q != %q", trial, pc, a, bI)
 			}
 		}
 	}

@@ -75,11 +75,11 @@ type Block struct {
 // Len returns the number of instructions in the block.
 func (b Block) Len() int { return b.End - b.Start }
 
-// leaders marks every PC that must start a new block: the program entry,
+// Leaders marks every PC that must start a new block: the program entry,
 // every control-transfer target (branch, call, split arm), and every
 // call-return continuation (CALL pushes PC+1, so PC+1 is reachable
 // non-sequentially).
-func leaders(p *Program) []bool {
+func Leaders(p *Program) []bool {
 	lead := make([]bool, p.Len()+1)
 	if p.Len() > 0 {
 		lead[p.Entry()] = true
@@ -93,13 +93,13 @@ func leaders(p *Program) []bool {
 	for pc, in := range p.Instrs {
 		switch in.Op.Info().Args {
 		case ArgsTgt, ArgsCondTgt:
-			mark(in.Target)
+			mark(int(in.Target))
 			mark(pc + 1) // fall-through / continuation after the transfer
 			if in.Op == CALL {
 				mark(pc + 1)
 			}
 		case ArgsSplit:
-			for _, arm := range in.Arms {
+			for _, arm := range p.Arms(in) {
 				mark(arm.Target)
 			}
 			mark(pc + 1) // the parent's resume PC
@@ -121,7 +121,7 @@ func Blocks(p *Program) []Block {
 	if n == 0 {
 		return nil
 	}
-	lead := leaders(p)
+	lead := Leaders(p)
 	var blocks []Block
 	for pc := 0; pc < n; {
 		if !p.Instrs[pc].Op.Fusible() {
@@ -149,7 +149,7 @@ func Blocks(p *Program) []Block {
 func RunLengths(p *Program) []int {
 	n := p.Len()
 	rl := make([]int, n)
-	lead := leaders(p)
+	lead := Leaders(p)
 	for pc := n - 1; pc >= 0; pc-- {
 		rl[pc] = 1
 		if pc+1 < n && !lead[pc+1] && p.Instrs[pc].Op.Fusible() && p.Instrs[pc+1].Op.Fusible() {

@@ -11,17 +11,12 @@ type Builder struct {
 	instrs []Instr
 	labels map[string]int
 	data   []DataSeg
-	// fixups lists the label references to resolve at Build time, in
-	// emission order.
-	fixups []fixup
+	// syms and splits are the side tables of the program (Program.Syms,
+	// Program.Splits). A label reference is the label in them and the
+	// target -1, until Build resolves it.
+	syms   []string
+	splits [][]SplitArm
 	errs   []error
-}
-
-// fixup says that the instruction at pc refers to label: in Target, or for
-// arm >= 0 in the Target of that SPLIT arm.
-type fixup struct {
-	pc, arm int
-	label   string
 }
 
 // NewBuilder returns an empty Builder for a program with the given name.
@@ -42,6 +37,19 @@ func NewBuilderIn(name string, buf []Instr) *Builder {
 // Instrs returns the instructions emitted so far. The slice is the
 // builder's own: a caller may patch operands in place before Build.
 func (b *Builder) Instrs() []Instr { return b.instrs }
+
+// Arms returns the arms of an emitted SPLIT, which a caller may patch in
+// place before Build, as it may the instructions.
+func (b *Builder) Arms(in Instr) []SplitArm { return armsOf(b.splits, in) }
+
+// sym adds s to the symbol table and returns its Instr.Aux; "" is none.
+func (b *Builder) sym(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	b.syms = append(b.syms, s)
+	return uint32(len(b.syms))
+}
 
 func (b *Builder) errf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf("isa: builder %s: %s", b.name, fmt.Sprintf(format, args...)))
@@ -150,20 +158,17 @@ func (b *Builder) Reduce(op Op, s, v Reg) *Builder {
 
 // Branch emits BEQZ/BNEZ cond, label.
 func (b *Builder) Branch(op Op, cond Reg, label string) *Builder {
-	b.fixups = append(b.fixups, fixup{len(b.instrs), -1, label})
-	return b.Emit(Instr{Op: op, Ra: cond, Sym: label, Target: -1})
+	return b.Emit(Instr{Op: op, Ra: cond, Aux: b.sym(label), Target: -1})
 }
 
 // Jmp emits JMP label.
 func (b *Builder) Jmp(label string) *Builder {
-	b.fixups = append(b.fixups, fixup{len(b.instrs), -1, label})
-	return b.Emit(Instr{Op: JMP, Sym: label, Target: -1})
+	return b.Emit(Instr{Op: JMP, Aux: b.sym(label), Target: -1})
 }
 
 // Call emits CALL label.
 func (b *Builder) Call(label string) *Builder {
-	b.fixups = append(b.fixups, fixup{len(b.instrs), -1, label})
-	return b.Emit(Instr{Op: CALL, Sym: label, Target: -1})
+	return b.Emit(Instr{Op: CALL, Aux: b.sym(label), Target: -1})
 }
 
 // SetThick emits SETTHICK s.
@@ -199,11 +204,12 @@ func ArmReg(s Reg, label string) Arm { return Arm{Thick: s, Label: label} }
 func (b *Builder) Split(arms ...Arm) *Builder {
 	in := Instr{Op: SPLIT}
 	if len(arms) > 0 {
-		in.Arms = make([]SplitArm, len(arms))
-	}
-	for i, a := range arms {
-		in.Arms[i] = SplitArm{Thick: a.Thick, ThickImm: a.ThickImm, Target: -1, Sym: a.Label}
-		b.fixups = append(b.fixups, fixup{len(b.instrs), i, a.Label})
+		sa := make([]SplitArm, len(arms))
+		for i, a := range arms {
+			sa[i] = SplitArm{Thick: a.Thick, ThickImm: a.ThickImm, Target: -1, Sym: a.Label}
+		}
+		b.splits = append(b.splits, sa)
+		in.Aux = uint32(len(b.splits))
 	}
 	return b.Emit(in)
 }
@@ -217,7 +223,7 @@ func (b *Builder) PrintImm(v int64) *Builder {
 }
 
 // Prints emits PRINTS "s".
-func (b *Builder) Prints(s string) *Builder { return b.Emit(Instr{Op: PRINTS, Sym: s}) }
+func (b *Builder) Prints(s string) *Builder { return b.Emit(Instr{Op: PRINTS, Aux: b.sym(s)}) }
 
 // Halt emits HALT.
 func (b *Builder) Halt() *Builder { return b.Op(HALT) }
@@ -227,18 +233,29 @@ func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	p := &Program{Name: b.name, Instrs: b.instrs, Labels: b.labels, Data: b.data}
-	for _, f := range b.fixups {
-		pc, ok := b.labels[f.label]
-		switch {
-		case !ok && f.arm < 0:
-			return nil, fmt.Errorf("isa: builder %s: undefined label %q at pc %d", b.name, f.label, f.pc)
-		case !ok:
-			return nil, fmt.Errorf("isa: builder %s: undefined SPLIT label %q at pc %d", b.name, f.label, f.pc)
-		case f.arm < 0:
-			p.Instrs[f.pc].Target = pc
-		default:
-			p.Instrs[f.pc].Arms[f.arm].Target = pc
+	p := &Program{Name: b.name, Instrs: b.instrs, Labels: b.labels, Data: b.data, Syms: b.syms, Splits: b.splits}
+	for pc := range p.Instrs {
+		in := &p.Instrs[pc]
+		switch in.Op.Info().Args {
+		case ArgsTgt, ArgsCondTgt:
+			if in.Target == -1 {
+				t, ok := b.labels[p.Sym(*in)]
+				if !ok {
+					return nil, fmt.Errorf("isa: builder %s: undefined label %q at pc %d", b.name, p.Sym(*in), pc)
+				}
+				in.Target = int32(t)
+			}
+		case ArgsSplit:
+			arms := p.Arms(*in)
+			for i := range arms {
+				if arms[i].Target == -1 {
+					t, ok := b.labels[arms[i].Sym]
+					if !ok {
+						return nil, fmt.Errorf("isa: builder %s: undefined SPLIT label %q at pc %d", b.name, arms[i].Sym, pc)
+					}
+					arms[i].Target = t
+				}
+			}
 		}
 	}
 	if err := p.Validate(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -50,9 +51,10 @@ func Encode(p *Program) []byte {
 		b.WriteByte(flags)
 		putVarint(&b, in.Imm)
 		putUvarint(&b, uint64(in.Target+1))
-		putString(&b, in.Sym)
-		putUvarint(&b, uint64(len(in.Arms)))
-		for _, arm := range in.Arms {
+		putString(&b, p.Sym(in))
+		arms := p.Arms(in)
+		putUvarint(&b, uint64(len(arms)))
+		for _, arm := range arms {
 			b.WriteByte(byte(arm.Thick))
 			putVarint(&b, arm.ThickImm)
 			putUvarint(&b, uint64(arm.Target+1))
@@ -91,11 +93,24 @@ func Decode(data []byte) (*Program, error) {
 	}
 	p := &Program{Labels: map[string]int{}}
 	p.Name = r.string()
-	n := int(r.uvarint())
-	if r.err == nil && n > len(data) {
+	// Every count is checked against the object's length before anything
+	// is allocated for it, and every target against the instruction count
+	// before it is narrowed to int32; the count itself fits an int32, and
+	// so does every side-table index, as no table outgrows the program.
+	n := r.uvarint()
+	if r.err == nil && n > uint64(min(len(data), math.MaxInt32)) {
 		return nil, fmt.Errorf("isa: corrupt TCFB: %d instructions in %d bytes", n, len(data))
 	}
-	for i := 0; i < n && r.err == nil; i++ {
+	// target reads a target+1 field: 0 marks none, anything else must name
+	// an instruction of the program.
+	target := func(pc int) (int, error) {
+		t := r.uvarint()
+		if r.err == nil && t > n {
+			return 0, fmt.Errorf("isa: corrupt TCFB: pc %d: target %d outside the program's %d instructions", pc, t-1, n)
+		}
+		return int(t) - 1, nil
+	}
+	for i := 0; i < int(n) && r.err == nil; i++ {
 		var in Instr
 		in.Op = Op(r.byte())
 		in.Rd = Reg(r.byte())
@@ -105,43 +120,63 @@ func Decode(data []byte) (*Program, error) {
 		flags := r.byte()
 		in.HasImm = flags&1 != 0
 		in.Imm = r.varint()
-		in.Target = int(r.uvarint()) - 1
-		in.Sym = r.string()
-		arms := int(r.uvarint())
-		if r.err == nil && arms > len(data) {
+		t, err := target(i)
+		if err != nil {
+			return nil, err
+		}
+		in.Target = int32(t)
+		if sym := r.string(); sym != "" {
+			if in.Op == SPLIT {
+				return nil, fmt.Errorf("isa: corrupt TCFB: pc %d: SPLIT with a symbol", i)
+			}
+			p.Syms = append(p.Syms, sym)
+			in.Aux = uint32(len(p.Syms))
+		}
+		arms := r.uvarint()
+		if r.err == nil && arms > uint64(len(data)) {
 			return nil, fmt.Errorf("isa: corrupt TCFB: %d arms", arms)
 		}
-		for a := 0; a < arms && r.err == nil; a++ {
+		if r.err == nil && arms > 0 && in.Op != SPLIT {
+			return nil, fmt.Errorf("isa: corrupt TCFB: pc %d: %d arms on a non-SPLIT", i, arms)
+		}
+		var sa []SplitArm
+		for a := 0; a < int(arms) && r.err == nil; a++ {
 			var arm SplitArm
 			arm.Thick = Reg(r.byte())
 			arm.ThickImm = r.varint()
-			arm.Target = int(r.uvarint()) - 1
+			if arm.Target, err = target(i); err != nil {
+				return nil, err
+			}
 			arm.Sym = r.string()
-			in.Arms = append(in.Arms, arm)
+			sa = append(sa, arm)
+		}
+		if sa != nil {
+			p.Splits = append(p.Splits, sa)
+			in.Aux = uint32(len(p.Splits))
 		}
 		p.Instrs = append(p.Instrs, in)
 	}
-	labels := int(r.uvarint())
-	if r.err == nil && labels > len(data) {
+	labels := r.uvarint()
+	if r.err == nil && labels > uint64(len(data)) {
 		return nil, fmt.Errorf("isa: corrupt TCFB: %d labels", labels)
 	}
-	for i := 0; i < labels && r.err == nil; i++ {
+	for i := 0; i < int(labels) && r.err == nil; i++ {
 		name := r.string()
 		pc := int(r.uvarint())
 		p.Labels[name] = pc
 	}
-	segs := int(r.uvarint())
-	if r.err == nil && segs > len(data) {
+	segs := r.uvarint()
+	if r.err == nil && segs > uint64(len(data)) {
 		return nil, fmt.Errorf("isa: corrupt TCFB: %d data segments", segs)
 	}
-	for i := 0; i < segs && r.err == nil; i++ {
+	for i := 0; i < int(segs) && r.err == nil; i++ {
 		var d DataSeg
 		d.Addr = r.varint()
-		words := int(r.uvarint())
-		if r.err == nil && words > len(data)*8 {
+		words := r.uvarint()
+		if r.err == nil && words > uint64(len(data)*8) {
 			return nil, fmt.Errorf("isa: corrupt TCFB: %d words", words)
 		}
-		for w := 0; w < words && r.err == nil; w++ {
+		for w := 0; w < int(words) && r.err == nil; w++ {
 			d.Words = append(d.Words, r.varint())
 		}
 		p.Data = append(p.Data, d)
@@ -232,10 +267,10 @@ func (r *binReader) varint() int64 {
 }
 
 func (r *binReader) string() string {
-	n := int(r.uvarint())
-	if r.err != nil || n > len(r.data)-r.off {
+	n := r.uvarint()
+	if r.err != nil || n > uint64(len(r.data)-r.off) {
 		r.fail("string")
 		return ""
 	}
-	return string(r.bytes(n))
+	return string(r.bytes(int(n)))
 }

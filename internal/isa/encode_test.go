@@ -1,7 +1,9 @@
 package isa
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -38,17 +40,12 @@ func programsEqual(t *testing.T, a, b *Program) {
 	}
 	for i := range a.Instrs {
 		x, y := a.Instrs[i], b.Instrs[i]
-		if x.Op != y.Op || x.Rd != y.Rd || x.Ra != y.Ra || x.Rb != y.Rb || x.Rc != y.Rc ||
-			x.Imm != y.Imm || x.HasImm != y.HasImm || x.Target != y.Target || x.Sym != y.Sym {
+		if a.Sym(x) != b.Sym(y) || !slices.Equal(a.Arms(x), b.Arms(y)) {
+			t.Fatalf("instr %d: symbol %q != %q or arms %+v != %+v", i, a.Sym(x), b.Sym(y), a.Arms(x), b.Arms(y))
+		}
+		x.Aux, y.Aux = 0, 0
+		if x != y {
 			t.Fatalf("instr %d: %+v != %+v", i, x, y)
-		}
-		if len(x.Arms) != len(y.Arms) {
-			t.Fatalf("instr %d arm count", i)
-		}
-		for j := range x.Arms {
-			if x.Arms[j] != y.Arms[j] {
-				t.Fatalf("instr %d arm %d: %+v != %+v", i, j, x.Arms[j], y.Arms[j])
-			}
 		}
 	}
 	if len(a.Labels) != len(b.Labels) {
@@ -137,5 +134,62 @@ func TestEncodeDeterministic(t *testing.T) {
 	a, b := Encode(p), Encode(p)
 	if string(a) != string(b) {
 		t.Fatal("encoding is not deterministic")
+	}
+}
+
+// rawObject encodes a one-instruction TCFB object field by field, so that a
+// test can write values Encode never would: target1 is the target+1 field,
+// arms the target+1 field of each SPLIT arm.
+func rawObject(op Op, target1 uint64, sym string, arms ...uint64) []byte {
+	var b bytes.Buffer
+	b.WriteString(binMagic)
+	b.WriteByte(binVersion)
+	putString(&b, "raw")
+	putUvarint(&b, 1)
+	b.Write([]byte{byte(op), byte(RegNone), byte(S(0)), byte(RegNone), byte(RegNone), 0})
+	putVarint(&b, 0)
+	putUvarint(&b, target1)
+	putString(&b, sym)
+	putUvarint(&b, uint64(len(arms)))
+	for _, t := range arms {
+		b.WriteByte(byte(RegNone))
+		putVarint(&b, 1)
+		putUvarint(&b, t)
+		putString(&b, "")
+	}
+	putUvarint(&b, 0) // labels
+	putUvarint(&b, 0) // data segments
+	return b.Bytes()
+}
+
+// TestDecodeNarrowsSafely: Decode reads every target into the 32-bit fields
+// of the load image only after checking it names an instruction of the
+// program, and takes a symbol or arms only where the side tables can hold
+// them.
+func TestDecodeNarrowsSafely(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"jmp-self", rawObject(JMP, 1, ""), true},
+		{"jmp-2^32+5", rawObject(JMP, 1<<32+6, ""), false},
+		{"jmp-past-end", rawObject(JMP, 2, ""), false},
+		{"nop-2^31", rawObject(NOP, 1<<31+1, ""), false},
+		{"prints", rawObject(PRINTS, 0, "hi"), true},
+		{"split", rawObject(SPLIT, 1, "", 1), true},
+		{"split-arm-2^32+5", rawObject(SPLIT, 1, "", 1<<32+6), false},
+		{"split-arm-past-end", rawObject(SPLIT, 1, "", 1, 2), false},
+		{"split-with-symbol", rawObject(SPLIT, 1, "x", 1), false},
+		{"arms-on-jmp", rawObject(JMP, 1, "", 1), false},
+	} {
+		p, err := Decode(c.data)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: accepted %v, want %v (%v)", c.name, err == nil, c.ok, err)
+			continue
+		}
+		if err == nil && !bytes.Equal(Encode(p), c.data) {
+			t.Errorf("%s: re-encodes differently", c.name)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzAssemble checks the assembler never panics and that anything it
 // accepts disassembles to source it accepts again.
@@ -29,11 +32,14 @@ func FuzzAssemble(f *testing.F) {
 }
 
 // FuzzDecode checks the TCFB decoder never panics or over-allocates on
-// corrupt input, and that valid objects re-encode identically.
+// corrupt input, and that encoding is a fixpoint: an accepted object
+// re-encodes to bytes that decode and encode to themselves.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte("TCFB"))
 	f.Add(Encode(MustAssemble("s", "main:\nHALT")))
 	f.Add(Encode(MustAssemble("s", sampleProgram)))
+	f.Add(rawObject(JMP, 1<<32+6, "")) // a target of 2^32+5
+	f.Add(rawObject(SPLIT, 1, "", 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {
@@ -44,8 +50,8 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted object fails: %v", err)
 		}
-		if q.Len() != p.Len() {
-			t.Fatal("re-encode changed instruction count")
+		if again := Encode(q); !bytes.Equal(again, blob) {
+			t.Fatalf("encoding is not a fixpoint:\n%x\n%x", blob, again)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,6 +20,12 @@ type SplitArm struct {
 
 // Instr is one machine instruction. A single Instr executes across the whole
 // thickness of the flow that runs it (one "TCF instruction" of the paper).
+//
+// It is a fixed-format 24-byte word without pointers, as the instruction
+// memory of a TCF processor holds it: the variable-length parts — the arms
+// of a SPLIT, the literal of PRINTS and the label a control transfer names —
+// live in side tables of the Program, which Aux indexes. An array of them is
+// therefore never scanned by the garbage collector.
 type Instr struct {
 	Op Op
 
@@ -27,25 +34,28 @@ type Instr struct {
 	Rb Reg // second source
 	Rc Reg // third source (SEL only)
 
-	// Imm is the immediate operand: the second ALU source when HasImm, the
-	// address displacement for memory ops, or the literal for LDI /
-	// SETTHICK / NUMA / PRINT.
-	Imm    int64
+	// HasImm is the instruction's one flag: Imm is the second ALU source
+	// (or the source of PRINT, SETTHICK and NUMA) instead of a register.
 	HasImm bool
 
 	// Target is the resolved instruction index for control transfers.
-	Target int
+	Target int32
 
-	// Arms holds the SPLIT arms.
-	Arms []SplitArm
+	// Aux indexes the program's side tables, 0 meaning none: Aux-1 is the
+	// index of a SPLIT's arms in Program.Splits and of any other
+	// instruction's symbol in Program.Syms (see Program.Arms and
+	// Program.Sym).
+	Aux uint32
 
-	// Sym carries the label name of Target (for display) or the literal of
-	// PRINTS.
-	Sym string
+	// Imm is the immediate operand: the second ALU source when HasImm, the
+	// address displacement for memory ops, or the literal for LDI /
+	// SETTHICK / NUMA / PRINT.
+	Imm int64
 }
 
-// String renders the instruction in assembler syntax.
-func (in Instr) String() string {
+// format renders in in assembler syntax, naming every target with
+// targetName.
+func (p *Program) format(in Instr) string {
 	info := in.Op.Info()
 	var b strings.Builder
 	b.WriteString(info.Name)
@@ -65,12 +75,6 @@ func (in Instr) String() string {
 			return base.String()
 		}
 		return fmt.Sprintf("%s%+d", base, imm)
-	}
-	tgt := func() string {
-		if in.Sym != "" {
-			return in.Sym
-		}
-		return "@" + strconv.Itoa(in.Target)
 	}
 	src := func() string {
 		if in.HasImm {
@@ -116,19 +120,16 @@ func (in Instr) String() string {
 		arg(in.Ra.String())
 	case ArgsCondTgt:
 		arg(in.Ra.String())
-		arg(tgt())
+		arg(targetName(p.Sym(in), int(in.Target)))
 	case ArgsTgt:
-		arg(tgt())
+		arg(targetName(p.Sym(in), int(in.Target)))
 	case ArgsSrc:
 		arg(src())
 	case ArgsStr:
-		arg(strconv.Quote(in.Sym))
+		arg(strconv.Quote(p.Sym(in)))
 	case ArgsSplit:
-		for _, a := range in.Arms {
-			t := a.Sym
-			if t == "" {
-				t = "@" + strconv.Itoa(a.Target)
-			}
+		for _, a := range p.Arms(in) {
+			t := targetName(a.Sym, a.Target)
 			if a.Thick != RegNone {
 				arg(a.Thick.String() + " -> " + t)
 			} else {
@@ -152,6 +153,12 @@ type Program struct {
 	Instrs []Instr
 	Labels map[string]int
 	Data   []DataSeg
+
+	// Syms and Splits are the side tables Instr.Aux indexes: the symbol of
+	// an instruction (the literal of PRINTS, the label of a control
+	// transfer's target) and the arms of a SPLIT.
+	Syms   []string
+	Splits [][]SplitArm
 }
 
 // Len returns the number of instructions.
@@ -160,12 +167,45 @@ func (p *Program) Len() int { return len(p.Instrs) }
 // At returns the instruction at pc.
 func (p *Program) At(pc int) Instr { return p.Instrs[pc] }
 
+// Sym returns in's symbol: the literal of PRINTS, or the label a control
+// transfer was written against; "" when it has none.
+func (p *Program) Sym(in Instr) string {
+	if in.Op == SPLIT || in.Aux == 0 {
+		return ""
+	}
+	return p.Syms[in.Aux-1]
+}
+
+// Arms returns the arms of a SPLIT, nil for any other instruction. The
+// slice is the program's own.
+func (p *Program) Arms(in Instr) []SplitArm { return armsOf(p.Splits, in) }
+
+func armsOf(splits [][]SplitArm, in Instr) []SplitArm {
+	if in.Op != SPLIT || in.Aux == 0 {
+		return nil
+	}
+	return splits[in.Aux-1]
+}
+
 // Entry returns the PC of label "main" if present, else 0.
 func (p *Program) Entry() int {
 	if pc, ok := p.Labels["main"]; ok {
 		return pc
 	}
 	return 0
+}
+
+// targetName names the target of a control transfer or SPLIT arm: the
+// label it was written against, or the "L<pc>" label the disassembly
+// synthesizes for an anonymous one.
+func targetName(sym string, target int) string {
+	switch {
+	case sym != "":
+		return sym
+	case target < 0:
+		return "@" + strconv.Itoa(target)
+	}
+	return "L" + strconv.Itoa(target)
 }
 
 // Disassemble renders the whole program as reassemblable source. Control
@@ -189,34 +229,25 @@ func (p *Program) render(withPC bool) string {
 		sort.Strings(byPC[pc])
 	}
 	// Synthesize labels for anonymous targets so the output reassembles.
-	synth := func(in *Instr) {
-		fix := func(sym *string, target int) {
-			if *sym != "" || target < 0 {
-				return
-			}
-			name := "L" + strconv.Itoa(target)
-			*sym = name
-			found := false
-			for _, l := range byPC[target] {
-				if l == name {
-					found = true
-				}
-			}
-			if !found {
-				byPC[target] = append(byPC[target], name)
-			}
+	synth := func(sym string, target int) {
+		if sym != "" || target < 0 {
+			return
 		}
-		fix(&in.Sym, in.Target)
-		for i := range in.Arms {
-			fix(&in.Arms[i].Sym, in.Arms[i].Target)
+		if name := targetName(sym, target); !slices.Contains(byPC[target], name) {
+			byPC[target] = append(byPC[target], name)
 		}
 	}
-	instrs := make([]Instr, len(p.Instrs))
-	copy(instrs, p.Instrs)
-	for i := range instrs {
-		info := instrs[i].Op.Info()
-		if info.Args == ArgsCondTgt || info.Args == ArgsTgt || info.Args == ArgsSplit {
-			synth(&instrs[i])
+	for _, in := range p.Instrs {
+		switch in.Op.Info().Args {
+		case ArgsCondTgt, ArgsTgt:
+			synth(p.Sym(in), int(in.Target))
+		case ArgsSplit:
+			// A SPLIT's own Target (0 unless set) is labelled as a
+			// transfer's is: the disassembly goldens carry that label.
+			synth("", int(in.Target))
+			for _, a := range p.Arms(in) {
+				synth(a.Sym, a.Target)
+			}
 		}
 	}
 	var b strings.Builder
@@ -227,14 +258,14 @@ func (p *Program) render(withPC bool) string {
 		}
 		b.WriteByte('\n')
 	}
-	for pc, in := range instrs {
+	for pc, in := range p.Instrs {
 		for _, l := range byPC[pc] {
 			fmt.Fprintf(&b, "%s:\n", l)
 		}
 		if withPC {
-			fmt.Fprintf(&b, "%4d    %s\n", pc, in.String())
+			fmt.Fprintf(&b, "%4d    %s\n", pc, p.format(in))
 		} else {
-			fmt.Fprintf(&b, "    %s\n", in.String())
+			fmt.Fprintf(&b, "    %s\n", p.format(in))
 		}
 	}
 	return b.String()
@@ -251,7 +282,10 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("isa: %s: pc %d (%s): %s", p.Name, pc, p.Instrs[pc].Op, fmt.Sprintf(format, args...))
 	}
 	target := func(pc, t int) error {
-		return check(pc, t >= 0 && t < len(p.Instrs), "target %d out of range [0,%d)", t, len(p.Instrs))
+		if t >= 0 && t < len(p.Instrs) {
+			return nil // before the arguments are boxed for the message
+		}
+		return check(pc, false, "target %d out of range [0,%d)", t, len(p.Instrs))
 	}
 	for pc, in := range p.Instrs {
 		if !in.Op.Valid() {
@@ -259,6 +293,14 @@ func (p *Program) Validate() error {
 		}
 		info := in.Op.Info()
 		var err error
+		if in.Op == SPLIT {
+			err = check(pc, int(in.Aux) <= len(p.Splits), "arms index %d out of range [0,%d]", in.Aux, len(p.Splits))
+		} else {
+			err = check(pc, int(in.Aux) <= len(p.Syms), "symbol index %d out of range [0,%d]", in.Aux, len(p.Syms))
+		}
+		if err != nil {
+			return err
+		}
 		switch info.Args {
 		case ArgsNone, ArgsStr:
 		case ArgsDImm, ArgsD:
@@ -295,10 +337,10 @@ func (p *Program) Validate() error {
 		case ArgsCondTgt:
 			err = check(pc, in.Ra.IsScalar(), "branch condition %s must be scalar (flow-level control)", in.Ra)
 			if err == nil {
-				err = target(pc, in.Target)
+				err = target(pc, int(in.Target))
 			}
 		case ArgsTgt:
-			err = target(pc, in.Target)
+			err = target(pc, int(in.Target))
 		case ArgsSrc:
 			if !in.HasImm {
 				err = check(pc, in.Ra.Valid(), "invalid source %s", in.Ra)
@@ -311,8 +353,9 @@ func (p *Program) Validate() error {
 				err = check(pc, in.Imm >= 1, "NUMA bunch length %d must be >= 1", in.Imm)
 			}
 		case ArgsSplit:
-			err = check(pc, len(in.Arms) >= 1, "SPLIT needs at least one arm")
-			for _, a := range in.Arms {
+			arms := p.Arms(in)
+			err = check(pc, len(arms) >= 1, "SPLIT needs at least one arm")
+			for _, a := range arms {
 				if err != nil {
 					break
 				}

@@ -10,6 +10,13 @@
 // selects exactly one path through a control statement (Section 2.2).
 // Thread-dependent choice is expressed through thickness manipulation
 // (SETTHICK), the parallel statement (SPLIT/JOIN), or predication (SEL).
+//
+// A Program is a load image in the shape of the paper's instruction memory:
+// every Instr is a fixed-format 24-byte word without pointers, and what
+// varies in length — the arms of a SPLIT, the literal of PRINTS, the label a
+// control transfer names — lives in the program's side tables (Syms,
+// Splits), which Instr.Aux indexes. Builder, Assemble and Decode fill them;
+// Encode writes the same TCFB object bytes either way.
 package isa
 
 import "fmt"

@@ -237,22 +237,22 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 	props := &x.m.props
 	switch in.Op {
 	case isa.JMP:
-		f.PC = in.Target
+		f.PC = int(in.Target)
 	case isa.BEQZ:
 		if f.Scalar(in.Ra) == 0 {
-			f.PC = in.Target
+			f.PC = int(in.Target)
 		} else {
 			f.PC++
 		}
 	case isa.BNEZ:
 		if f.Scalar(in.Ra) != 0 {
-			f.PC = in.Target
+			f.PC = int(in.Target)
 		} else {
 			f.PC++
 		}
 	case isa.CALL:
 		f.Call(f.PC + 1)
-		f.PC = in.Target
+		f.PC = int(in.Target)
 	case isa.RET:
 		if pc, ok := f.Ret(); ok {
 			f.PC = pc
@@ -338,7 +338,8 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 			x.rejoinFragment(f)
 			return
 		}
-		for _, arm := range in.Arms {
+		arms := x.m.prog.Arms(*in)
+		for _, arm := range arms {
 			t := armThickness(f, arm)
 			if t < 0 {
 				x.failf("flow %d: SPLIT arm with negative thickness %d", f.ID, t)
@@ -352,8 +353,8 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 		}
 		f.State = tcf.Waiting
 		f.ResumePC = f.PC + 1
-		f.LiveChildren = len(in.Arms)
-		x.events = append(x.events, deferredEvent{kind: evSplit, flow: f, arms: in.Arms})
+		f.LiveChildren = len(arms)
+		x.events = append(x.events, deferredEvent{kind: evSplit, flow: f, arms: arms})
 	case isa.JOIN:
 		x.halt(f)
 	case isa.BAR:

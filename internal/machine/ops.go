@@ -687,7 +687,7 @@ func (x *groupExec) execAtomic(f *tcf.Flow, in *isa.Instr) {
 		}
 		x.outputs = append(x.outputs, out)
 	case in.Op == isa.PRINTS:
-		x.outputs = append(x.outputs, Output{Flow: f.ID, Step: x.step, Text: in.Sym})
+		x.outputs = append(x.outputs, Output{Flow: f.ID, Step: x.step, Text: x.m.prog.Sym(*in)})
 	case in.Op == isa.NOP:
 	default:
 		x.execLane(f, in, 0, 0)

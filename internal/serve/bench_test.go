@@ -74,9 +74,9 @@ func liveHeap() uint64 {
 // Allocation budget of one cold.te request through the handler on a warm
 // server: a compile-cache miss whose machine comes from the pool. It took
 // 531 KB while every load compiled a fused table of its own and the source
-// was copied to be hashed; it now takes about 418 KB, and the budget is a
-// tenth above that.
-const coldRequestBytesBudget = 460 << 10
+// was copied to be hashed, and 418 KB while an instruction was 72 bytes; it
+// now takes about 360 KB, and the budget is a tenth above that.
+const coldRequestBytesBudget = 396 << 10
 
 // TestColdRequestAllocBudget is the served counterpart of
 // analysis.TestFrontendAllocBudget. Under the race detector, whose sync.Pool

@@ -9,6 +9,7 @@ import (
 	"tcfpram/internal/analysis"
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/diag"
+	"tcfpram/internal/isa"
 	"tcfpram/internal/mem"
 	"tcfpram/internal/variant"
 )
@@ -35,6 +36,7 @@ type cacheEntry struct {
 
 	compiled *codegen.Compiled // a load image: Info is nil
 	err      error             // codegen failure after a clean vet
+	bytes    int64             // footprint, charged to the cache's byte budget
 
 	// costs memoizes cost predictions per machine shape and budgets, made by
 	// the first request's fuelled run of the already-compiled program (the
@@ -62,26 +64,68 @@ func (e *cacheEntry) memoCost(params analysis.CostParams, rep *analysis.CostRepo
 	e.costs[params] = rep
 }
 
+// footprint is what a settled entry is charged against the cache's byte
+// budget: its rendered diagnostics and its load image — instructions, side
+// tables, labels and data words. It is computed from lengths and type
+// sizes, not read off the heap, so equal programs cost the same everywhere.
+func (e *cacheEntry) footprint() int64 {
+	const str = int(unsafe.Sizeof("")) // a string header
+	n := len(e.diags)
+	if c := e.compiled; c != nil {
+		p := c.Program
+		n += len(p.Instrs) * int(unsafe.Sizeof(isa.Instr{}))
+		for _, s := range p.Syms {
+			n += str + len(s)
+		}
+		for _, arms := range p.Splits {
+			n += int(unsafe.Sizeof(arms))
+			for _, a := range arms {
+				n += int(unsafe.Sizeof(a)) + len(a.Sym)
+			}
+		}
+		for name := range p.Labels {
+			n += str + len(name) + int(unsafe.Sizeof(0))
+		}
+		for _, d := range p.Data {
+			n += 8 * len(d.Words)
+		}
+		for _, d := range c.LocalData {
+			n += 8 * len(d.Words)
+		}
+	}
+	return int64(n)
+}
+
 // ProgramCache memoizes vet+compile results keyed by source hash with
 // single-flight semantics: concurrent requests for the same program share
 // one compilation, with the followers blocking on the leader's done channel.
+// It is bounded twice: by entries, and by the bytes its settled entries'
+// footprints add up to.
 type ProgramCache struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
-	max     int
+	mu       sync.Mutex
+	entries  map[cacheKey]*cacheEntry
+	max      int
+	maxBytes int64
+	bytes    int64 // footprints of the settled entries
 
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
+// entryBudget is the mean footprint per entry the byte bound allows: twice
+// what a 1 000-instruction program's load image takes, so that typical
+// programs stay bound by count and one huge program cannot hold the memory
+// of hundreds.
+const entryBudget = 64 << 10
+
 // NewProgramCache builds a cache bounded to maxEntries programs
-// (minimum 16).
+// (minimum 16) and to maxEntries × 64 KiB of footprint.
 func NewProgramCache(maxEntries int) *ProgramCache {
 	if maxEntries < 16 {
 		maxEntries = 16
 	}
-	return &ProgramCache{entries: make(map[cacheKey]*cacheEntry), max: maxEntries}
+	return &ProgramCache{entries: make(map[cacheKey]*cacheEntry), max: maxEntries, maxBytes: int64(maxEntries) * entryBudget}
 }
 
 // Get returns the vet+compile result for src, computing it exactly once per
@@ -99,17 +143,9 @@ func (c *ProgramCache) Get(src string, vk variant.Kind, disc mem.Discipline) *ca
 		return e
 	}
 	c.misses++
-	if len(c.entries) >= c.max {
-		// Evict one settled entry; map order is as good as random here.
-		for k, e := range c.entries {
-			select {
-			case <-e.done:
-			default:
-				continue // never evict an in-flight compilation
-			}
-			delete(c.entries, k)
-			c.evictions++
-			break
+	for len(c.entries) >= c.max || c.bytes > c.maxBytes {
+		if !c.evictOne() {
+			break // every entry is in flight
 		}
 	}
 	e := &cacheEntry{done: make(chan struct{})}
@@ -126,8 +162,29 @@ func (c *ProgramCache) Get(src string, vk variant.Kind, disc mem.Discipline) *ca
 		e.rejected = true
 		e.frontend = len(ds) == 1 && (ds[0].Check == "parse" || ds[0].Check == "sema")
 	}
+	e.bytes = e.footprint()
+	c.mu.Lock()
+	c.bytes += e.bytes // before done closes: a settled entry is counted
+	c.mu.Unlock()
 	close(e.done)
 	return e
+}
+
+// evictOne evicts one settled entry, in map order, which is as good as
+// random here, and reports whether there was one. c.mu is held.
+func (c *ProgramCache) evictOne() bool {
+	for k, e := range c.entries {
+		select {
+		case <-e.done:
+		default:
+			continue // never evict an in-flight compilation
+		}
+		delete(c.entries, k)
+		c.bytes -= e.bytes
+		c.evictions++
+		return true
+	}
+	return false
 }
 
 // sourceDigest is the SHA-256 of src, hashed in place: the cache key is
@@ -144,11 +201,12 @@ type CacheCounters struct {
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`
+	Bytes     int64 `json:"bytes"` // footprint of the settled entries
 }
 
 // Counters returns the cache accounting.
 func (c *ProgramCache) Counters() CacheCounters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheCounters{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries)}
+	return CacheCounters{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries), Bytes: c.bytes}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -77,7 +78,9 @@ func TestCacheKeyedByDiscipline(t *testing.T) {
 
 // TestCacheEntryHoldsLoadImage: a cache entry of cold.te, its cost memo
 // filled by a served request, reaches nothing of the front end — no type of
-// lang, sema or analysis but the values of a load image and a cost report.
+// lang, sema or analysis but the values of a load image and a cost report —
+// and its footprint stays within 40 KB (29 KB, 24 KB of it the 1 014
+// instructions of 24 bytes).
 func TestCacheEntryHoldsLoadImage(t *testing.T) {
 	s := New(Options{})
 	serveBody(t, s.Handler(), coldBodies(t, 1)[0])
@@ -90,6 +93,10 @@ func TestCacheEntryHoldsLoadImage(t *testing.T) {
 	if e.compiled == nil || e.compiled.ThickCeiling == 0 || len(e.costs) != 1 {
 		t.Fatalf("entry without a program, its thickness ceiling or a memoized cost: %+v", e)
 	}
+	if e.bytes > 40<<10 || e.bytes != s.cache.Counters().Bytes {
+		t.Fatalf("footprint %d bytes (cache counts %d), want at most 40 KB", e.bytes, s.cache.Counters().Bytes)
+	}
+	t.Logf("cold.te entry: %d instructions, footprint %d bytes", e.compiled.Program.Len(), e.bytes)
 	allowed := map[reflect.Type]bool{
 		reflect.TypeOf(sema.DataSeg{}):        true,
 		reflect.TypeOf(lang.Pos{}):            true,
@@ -134,6 +141,30 @@ func TestCacheEntryHoldsLoadImage(t *testing.T) {
 		}
 	}
 	walk(reflect.ValueOf(e), "entry")
+}
+
+// TestCacheEvictsByBytes: a program whose load image outweighs the whole
+// byte budget is evicted by the next miss although the count bound has
+// room, and an in-flight compilation is never evicted.
+func TestCacheEvictsByBytes(t *testing.T) {
+	c := NewProgramCache(16)
+	inFlight := &cacheEntry{done: make(chan struct{})}
+	c.entries[cacheKey{}] = inFlight // no source hashes to the zero key
+	hostile := c.Get("func main() {\n"+strings.Repeat("\tprint(1);\n", 100_000)+"}\n", variant.SingleInstruction, mem.DisciplineCREW)
+	if hostile.compiled == nil || hostile.compiled.Program.Len() < 100_000 {
+		t.Fatalf("the hostile program did not compile to 100k instructions: %+v", hostile)
+	}
+	if cc := c.Counters(); cc.Bytes != hostile.bytes || cc.Bytes <= c.maxBytes {
+		t.Fatalf("a %d-instruction entry within a %d-byte budget: %+v", hostile.compiled.Program.Len(), c.maxBytes, cc)
+	}
+	c.Get(validSrc, variant.SingleInstruction, mem.DisciplineCREW)
+	cc := c.Counters()
+	if cc.Evictions != 1 || cc.Entries != 2 || cc.Bytes > c.maxBytes {
+		t.Fatalf("the hostile entry was not evicted by bytes: %+v", cc)
+	}
+	if c.entries[cacheKey{}] != inFlight {
+		t.Fatal("an in-flight compilation was evicted")
+	}
 }
 
 // TestCacheEviction: the cache stays bounded, evicting settled entries.
