@@ -268,34 +268,11 @@ func BenchmarkS4h_Allocation(b *testing.B) {
 
 // ---- Engine throughput (simulator performance, not paper claims) ----
 
-// BenchmarkEngine_StepThroughput measures the step engine on a workload
-// where scaling is actually possible: eight independent TCFs spread across
-// the groups, each looping over its own memory slice (the old single-flow
-// vector add occupied one group, so the parallel engine had nothing to
-// overlap). The serial sub-benchmark is the baseline; the parallel one
-// reports its serial-vs-parallel speedup as a metric.
+// BenchmarkEngine_StepThroughput measures the step engine on eight
+// independent TCFs spread across the groups, each looping over its own memory
+// slice: every group busy in every step.
 func BenchmarkEngine_StepThroughput(b *testing.B) {
-	w := workload.GroupParallel(8, 512, 100)
-	var serialNs float64
-	cases := []struct {
-		name  string
-		tweak func(*machine.Config)
-	}{
-		{"serial", nil},
-		{"parallel", func(c *machine.Config) { c.Parallel = true }},
-	}
-	for _, tc := range cases {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			benchWorkload(b, variant.SingleInstruction, w, tc.tweak)
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if tc.name == "serial" {
-				serialNs = ns
-			} else if serialNs > 0 {
-				b.ReportMetric(serialNs/ns, "speedup")
-			}
-		})
-	}
+	benchWorkload(b, variant.SingleInstruction, workload.GroupParallel(8, 512, 100), nil)
 }
 
 // BenchmarkEngine_StepLoop measures the steady-state cost of one machine

@@ -82,10 +82,9 @@ type CostParams struct {
 
 // ParamsFor describes cfg's machine to the analyzer, so that a prediction
 // and a run are of the same machine shape. The budgets stay at their
-// defaults. Of cfg's run bounds only MaxThickness is carried; its Parallel,
-// fault plan, discipline checker and observers are not: the first changes
-// nothing a report holds and the others are not part of what a program
-// costs.
+// defaults. Of cfg's run bounds only MaxThickness is carried; its fault
+// plan, discipline checker and observers are not: they are not part of what
+// a program costs.
 func ParamsFor(cfg machine.Config) CostParams {
 	return CostParams{
 		Variant:            cfg.Variant,
@@ -181,7 +180,7 @@ func (p *CostParams) boot(c *codegen.Compiled) (*machine.Machine, error) {
 
 // CostReport is the predicted cost of one program on one machine shape.
 // When Resolved is true every bound is exact: the run ended, and the
-// predictions are the Stats of any run of that machine, serial or Parallel.
+// predictions are the Stats of any run of that machine.
 // Otherwise Reason says which budget stopped the run and every bound is a
 // sound lower bound: the statistics only grow, and the run
 // got that far.

@@ -25,7 +25,8 @@ const (
 
 // generators are the seeded program sources of the lattice, FuzzLattice's
 // last program slots. TestLattice runs genSeeds seeds of each, past fullSeeds
-// quick: in the rows of what the deleted differentials ran them in, as many.
+// quick: fault-free, in fresh and, for gen-diff, in step, which holds the
+// per-lane state of its thick registers to the oracle's after every step.
 var generators = []func(seed int64) entry{genDiffProgram, genNUMADiff}
 
 const genSeeds, fullSeeds = 60, 3
@@ -158,7 +159,7 @@ func genDiffProgram(seed int64) entry {
 			tweak: func(c *machine.Config) { small(c); c.AutoSplitThreshold = 4 }})
 	}
 	e := diffEntry(fmt.Sprintf("gen-diff-%d", seed), b, shapes, want, wantAux)
-	e.quick = []string{"fresh", "lanes"}
+	e.quick = []string{"fresh", "step"}
 	return e
 }
 

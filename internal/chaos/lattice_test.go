@@ -72,9 +72,9 @@ func main() {
     print(radd(c[tid] * (tid & 7)));
 }`
 
-// laneParSrc exercises every lane-parallel op class at a thickness of 513,
-// whose last lane chunk is ragged: per-lane loads, vector ALU, a multiprefix,
-// two stores, a reduction and a scalar print.
+// laneParSrc exercises every op class of a thick instruction at a thickness
+// of 513, one lane past a multiple of a register bank's 64: per-lane loads,
+// vector ALU, a multiprefix, two stores, a reduction and a scalar print.
 const laneParSrc = `
 shared int in[513] @ 8000;
 shared int out[513] @ 2000;
@@ -90,7 +90,7 @@ func main() {
 }`
 
 // programs is the lattice's one program list: the tcf-e corpus on every
-// variant; the commit-bound, gather and lane-parallel programs and three
+// variant; the commit-bound, gather and 513-lane programs and three
 // workload kernels at 2^10 on single-instruction; the occupancy cases on the
 // variants and machine shapes that idle their groups; and genSeeds seeds of
 // each generator, quick past the first fullSeeds.
@@ -134,8 +134,10 @@ func programs(tb testing.TB) []entry {
 
 // outcome is everything a run shows: the error that stopped it, its outputs,
 // the whole shared memory, Stats, a digest of its step records, and — not
-// compared — how many lanes the bulk kernels ran and, for a kill row, the step
-// it was first killed at and how many faults had fired by its last kill.
+// compared — how many lanes the bulk kernels ran, for a kill row the step it
+// was first killed at and how many faults had fired by its last kill, for
+// the abort row the step quota that stopped the program before it, and for
+// the checkpoint row how many of its snapshots a kill row took too.
 type outcome struct {
 	err                error
 	outputs            []machine.Output
@@ -144,6 +146,8 @@ type outcome struct {
 	trace              uint64 // traceSum, 0 when the run did not trace
 	bulk               int64
 	kill, faultsAtKill int64
+	quota              int64
+	sharedSnaps        int
 }
 
 // images recycles the shared-memory images of the runs: hold drops each once
@@ -281,11 +285,10 @@ func faultCosts(s *machine.Stats) {
 type cell struct {
 	name   string
 	e      *entry
-	other  *entry // the program a reset row runs first
+	other  *entry // the program the reset and abort rows run first
 	cfg    machine.Config
 	oracle *outcome
 	snaps  map[int64]uint64 // kill step → hash of the snapshot taken there
-	chunks map[int]int64    // lane threshold → LaneChunks of a Parallel run
 }
 
 // The two cells of a (program, shape): without a fault plan, and under the
@@ -318,7 +321,7 @@ func newCells(t testing.TB, e, other *entry, s shape, plan int64) []*cell {
 		m := buildOracle(t, e.c, cfg)
 		_, err := m.Run()
 		c := &cell{name: fmt.Sprintf("%s/%s/plan %d", e.name, s.name, seed), e: e, other: other, cfg: cfg,
-			oracle: observe(m, err), snaps: map[int64]uint64{}, chunks: map[int]int64{}}
+			oracle: observe(m, err), snaps: map[int64]uint64{}}
 		cells = append(cells, c)
 		if seed == 0 {
 			if e.check != nil {
@@ -384,6 +387,35 @@ func reset(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
 	return observe(m, err)
 }
 
+// aborted is the way a quota-stopped tcfserve lease goes back into the pool:
+// the next program of the list runs under a step quota seeded from the cell
+// until ErrMaxSteps stops it mid-run, the machine is Reset, under
+// mem.ResetAudit, and given the row's limits back, and the cell's program runs
+// on it. A quota the other program finishes within leaves the row unengaged
+// in the cell.
+func aborted(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
+	mem.ResetAudit.Store(true)
+	defer mem.ResetAudit.Store(false)
+	quota := 1 + int64(hash([]byte(c.name))%uint64(max(1, c.oracle.stats.Steps)))
+	m := build(t, c.other.c, cfg)
+	if err := m.SetLimits(quota, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, err := m.Run()
+	stopped := errors.Is(err, machine.ErrMaxSteps)
+	m.Reset()
+	if err := m.SetLimits(cfg.MaxSteps, cfg.MaxThickness); err != nil {
+		t.Fatal(err)
+	}
+	loadInto(t, m, c.e.c)
+	_, err = m.Run()
+	o := observe(m, err)
+	if stopped {
+		o.quota = quota
+	}
+	return o
+}
+
 // errKilled is what a kill row's checkpoint sink answers: the run stops at
 // the step boundary the snapshot was taken at, as a crash there would stop it.
 var errKilled = errors.New("killed")
@@ -402,13 +434,12 @@ func (s *killSink) Checkpoint(_ int64, snapshot func(io.Writer) error) error {
 // killed is the crash-recovery lifecycle: the run, on the machine build
 // makes, is killed by its checkpoint sink at a step k seeded from the cell,
 // anywhere in the run, restored — into the production machine, as a snapshot
-// does not say which machine took it — in the configuration as changed by
-// into (the same one when into is nil) and run on; with times = 2, k is
-// folded into the run's first half, and the restored run is killed again at
-// 2k and restored back. Snapshots taken at one step of a cell must be the
+// does not say which machine took it — in the same configuration and run on;
+// with times = 2, k is folded into the run's first half, and the restored run
+// is killed again at 2k and restored again. Snapshots taken at one step of a cell must be the
 // same bytes, whichever row and machine took them (the fold keeps k for half
 // the cells), and every Reset is audited.
-func killed(times int, into func(*machine.Config)) lifecycle {
+func killed(times int) lifecycle {
 	return func(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
 		total := c.oracle.stats.Steps
 		if total < 1+int64(times) {
@@ -425,9 +456,6 @@ func killed(times int, into func(*machine.Config)) lifecycle {
 		var faults int64
 		for i := 0; ; i++ {
 			run := cfg
-			if i%2 == 1 && into != nil {
-				into(&run)
-			}
 			if i < times {
 				run.CheckpointEvery, run.CheckpointSink = k, sink
 			}
@@ -448,16 +476,60 @@ func killed(times int, into func(*machine.Config)) lifecycle {
 				t.Fatalf("%s: kill %d at step %d never came: %v", c.name, i+1, int64(i+1)*k, err)
 			}
 			faults = faultEvents(m.Stats())
-			// A Parallel run's snapshot carries the lane chunks it took.
-			if step, sum := m.Stats().Steps, hash(sink.snap.Bytes()); !run.Parallel {
-				if prev, ok := c.snaps[step]; ok && prev != sum {
-					t.Fatalf("%s: the snapshot at step %d is not the bytes another row took there", c.name, step)
-				}
-				c.snaps[step] = sum
+			step, sum := m.Stats().Steps, hash(sink.snap.Bytes())
+			if prev, ok := c.snaps[step]; ok && prev != sum {
+				t.Fatalf("%s: the snapshot at step %d is not the bytes another row took there", c.name, step)
 			}
+			c.snaps[step] = sum
 			m.Reset()
 		}
 	}
+}
+
+// snapSink is the checkpoint row's sink: it takes every snapshot, holds it to
+// the bytes a kill row took at its step, and lets the run go on.
+type snapSink struct {
+	c      *cell
+	snap   bytes.Buffer
+	shared int
+	err    error
+}
+
+func (s *snapSink) Checkpoint(step int64, snapshot func(io.Writer) error) error {
+	s.snap.Reset()
+	if err := snapshot(&s.snap); err != nil {
+		return err
+	}
+	sum := hash(s.snap.Bytes())
+	if prev, ok := s.c.snaps[step]; !ok {
+		s.c.snaps[step] = sum
+	} else if prev != sum {
+		s.err = fmt.Errorf("the snapshot at step %d is not the bytes another row took there", step)
+	} else {
+		s.shared++
+	}
+	return nil
+}
+
+// checkpointed is a recoverable tcfserve run: it checkpoints every k steps,
+// k seeded from the cell as the kill row's, and goes on. Taking the
+// snapshots must not change the run, and each must be the bytes every other
+// row took at its step.
+func checkpointed(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
+	total := c.oracle.stats.Steps
+	if total < 2 {
+		return nil
+	}
+	sink := &snapSink{c: c}
+	cfg.CheckpointEvery, cfg.CheckpointSink = 1+int64(hash([]byte(c.name))%uint64(total-1)), sink
+	m := build(t, c.e.c, cfg)
+	_, err := m.Run()
+	if sink.err != nil {
+		t.Fatalf("%s: %v", c.name, sink.err)
+	}
+	o := observe(m, err)
+	o.sharedSnaps = sink.shared
+	return o
 }
 
 func hash(b []byte) uint64 {
@@ -483,56 +555,42 @@ type row struct {
 	drops   error // a run that stops on it leaves its program out of the row
 }
 
-func with(deltas ...func(*machine.Config)) func(*machine.Config) {
-	return func(c *machine.Config) {
-		for _, d := range deltas {
-			d(c)
-		}
-	}
-}
-
-// lanes turns on the pooled step engine and chunks lanes from a thickness of
-// n on.
-func lanes(n int) func(*machine.Config) {
-	return func(c *machine.Config) { c.Parallel, c.LaneParallelThreshold = true, n }
-}
-
 var (
 	traced = func(c *machine.Config) { c.TraceEnabled = true }
 
 	cleanOnly = []int{clean}
 	both      = []int{clean, faulty}
 
-	laneChunks   = func(s *machine.Stats) { s.LaneChunks = 0 }
 	discAccesses = func(s *machine.Stats) { s.DiscReads, s.DiscWrites = 0, 0 }
 
 	faultsFired = func(got, _ *outcome) bool {
 		s := got.stats
 		return s.Retransmits > 0 && s.Reroutes > 0 && s.Failovers > 0 && s.FaultStallCycles > 0
 	}
-	chunked   = func(got, _ *outcome) bool { return got.stats.LaneChunks > 0 }
-	moreBulk  = func(got, oracle *outcome) bool { return got.bulk > oracle.bulk }
-	crossed   = func(got, _ *outcome) bool { return faultEvents(&got.stats) > got.faultsAtKill }
-	completed = func(_, _ *outcome) bool { return true }
+	moreBulk     = func(got, oracle *outcome) bool { return got.bulk > oracle.bulk }
+	crossed      = func(got, _ *outcome) bool { return faultEvents(&got.stats) > got.faultsAtKill }
+	completed    = func(_, _ *outcome) bool { return true }
+	quotaStopped = func(got, _ *outcome) bool { return got.quota > 0 }
+	snapsShared  = func(got, _ *outcome) bool { return got.sharedSnaps > 0 }
 )
 
-// rows is the lattice: a covering set of machine × Parallel × lane threshold
-// × fault plan × lifecycle, not the product. A row runs the production
-// machine unless it names the reference: ref-lanes holds the oracle's own
-// per-lane path to it under lane chunking, ref-kill restores a snapshot the
-// reference took into the production machine.
+// rows is the lattice: a covering set of machine × fault plan × lifecycle,
+// not the product. A row runs the production machine unless it names the
+// reference: ref-kill restores a snapshot the reference took into the
+// production machine. checkpoint comes after the kill rows, so the
+// snapshots it takes are held to theirs.
 var rows = []row{
 	{name: "fresh", life: fresh, plans: both, engaged: faultsFired},
-	{name: "lanes", delta: lanes(1), life: fresh, plans: both, free: laneChunks, engaged: chunked},
-	{name: "lanes300", delta: with(lanes(300), traced), life: fresh, plans: cleanOnly, free: laneChunks, engaged: chunked},
+	{name: "traced", delta: traced, life: fresh, plans: cleanOnly},
 	{name: "step", life: stepped, plans: cleanOnly, engaged: moreBulk, atLeast: 12},
 	{name: "crew-step", delta: func(c *machine.Config) { c.MemDiscipline = mem.DisciplineCREW }, life: stepped, plans: cleanOnly,
 		free: discAccesses, engaged: completed, atLeast: 8, drops: machine.ErrDisciplineViolation},
 	{name: "reset", life: reset, plans: cleanOnly},
-	{name: "kill", life: killed(1, nil), plans: both, engaged: crossed},
-	{name: "kill2", life: killed(2, lanes(1)), plans: cleanOnly, free: laneChunks, engaged: chunked},
-	{name: "ref-lanes", build: buildReference, delta: lanes(1), life: fresh, plans: both, free: laneChunks, engaged: chunked},
-	{name: "ref-kill", build: buildReference, life: killed(1, nil), plans: both, engaged: crossed},
+	{name: "abort", life: aborted, plans: both, engaged: quotaStopped},
+	{name: "kill", life: killed(1), plans: both, engaged: crossed},
+	{name: "kill2", life: killed(2), plans: cleanOnly},
+	{name: "ref-kill", build: buildReference, life: killed(1), plans: both, engaged: crossed},
+	{name: "checkpoint", life: checkpointed, plans: both, engaged: snapsShared},
 }
 
 // hold runs row r in cell c and holds what it shows to the oracle; it reports
@@ -555,14 +613,6 @@ func hold(t *testing.T, r row, c *cell) bool {
 		t.Fatalf("%s: %v", c.name, err)
 	}
 	recycle(got.memory)
-	// Every row chunking lanes at one threshold makes the same fan-out decisions
-	// (a killed run counts two configurations').
-	if cfg.Parallel && got.kill == 0 {
-		if n, ok := c.chunks[cfg.LaneParallelThreshold]; ok && n != got.stats.LaneChunks {
-			t.Fatalf("%s: %d lane chunks, another row at threshold %d took %d", c.name, got.stats.LaneChunks, cfg.LaneParallelThreshold, n)
-		}
-		c.chunks[cfg.LaneParallelThreshold] = got.stats.LaneChunks
-	}
 	return r.engaged != nil && r.engaged(got, c.oracle)
 }
 

@@ -1,8 +1,8 @@
 // Package lint implements detlint, a determinism linter for the engine
 // packages. The machine simulator's contract is bit-identical replay:
 // identical programs and configs must produce identical Stats, outputs and
-// snapshots across runs, machine reuse and Parallel. Three Go constructs break
-// that silently, so they are banned from the deterministic packages:
+// snapshots across runs and machine reuse. Three Go constructs break that
+// silently, so they are banned from the deterministic packages:
 //
 //   - ranging over a map with iteration variables (Go randomizes map
 //     iteration order per run);

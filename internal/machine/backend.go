@@ -16,31 +16,13 @@ type backend struct {
 }
 
 // generate runs the operation-generation stage: every group with a ready
-// resident executes its flows' share of the step under the plan's shape.
-// Immediate semantics must execute groups serially (they touch memory
-// directly); lockstep groups are independent within a step, so the first
-// busy group runs inline while the rest go to the worker pool.
+// resident executes its flows' share of the step under the plan's shape, one
+// group after another on the stepping goroutine.
 func (bk *backend) generate(plan *StepPlan) {
-	m := bk.m
-	pooled := plan.Lockstep && m.cfg.Parallel
-	var inline *groupExec
-	for _, x := range m.execs {
-		if !x.begin(plan) {
-			continue
-		}
-		switch {
-		case !pooled:
+	for _, x := range bk.m.execs {
+		if x.begin(plan) {
 			x.runGroup()
-		case inline == nil:
-			inline = x
-		default:
-			m.wg.Add(1)
-			groupPool.submit(poolJob{grp: x, wg: &m.wg})
 		}
-	}
-	if inline != nil {
-		inline.runGroup()
-		m.wg.Wait()
 	}
 }
 
@@ -146,7 +128,6 @@ func (m *Machine) foldGroup(x *groupExec) int64 {
 	m.stats.Retransmits += c.retransmits
 	m.stats.Reroutes += c.reroutes
 	m.stats.Barriers += c.barriers
-	m.stats.LaneChunks += c.laneChunks
 	m.live -= c.done
 
 	m.stats.Stages[StageOpGen].Cycles += opsCycles

@@ -159,17 +159,12 @@ type Config struct {
 	// since each draws its own fault decision: bulk LD and ST stand aside.
 	FaultPlan *fault.Plan
 
-	// Parallel executes groups on separate goroutines within a step.
-	// Results are identical either way; this only changes wall-clock.
+	// Parallel is read by nothing: every step runs its groups, lanes and
+	// commit on the stepping goroutine.
+	//
+	// Deprecated: kept only for the benchmark module, which still assigns
+	// it (ROADMAP item 1).
 	Parallel bool
-
-	// LaneParallelThreshold gates lane-level parallelism inside a group:
-	// when Parallel is set and a sliceable thick instruction spans at least
-	// this many lanes, the lane range is partitioned across the worker pool
-	// with per-chunk buffers merged in lane order, keeping results
-	// bit-identical to serial execution. 0 defaults to 256; negative
-	// disables lane parallelism (groups still parallelize).
-	LaneParallelThreshold int
 
 	// TraceEnabled records per-slice execution for the trace package.
 	TraceEnabled bool
@@ -269,9 +264,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 1 << 22
-	}
-	if c.LaneParallelThreshold == 0 {
-		c.LaneParallelThreshold = 256
 	}
 	if c.WatchdogSteps < 0 {
 		return c, fmt.Errorf("machine: negative WatchdogSteps %d", c.WatchdogSteps)

@@ -67,9 +67,9 @@ func (v *DisciplineViolation) Unwrap() error { return ErrDisciplineViolation }
 
 // checkDiscipline audits the step's recorded accesses and returns the first
 // violation, or nil. The accesses are sorted by (address, writes-first,
-// flow, lane, pc), so the reported pair is deterministic regardless of
-// group- or lane-parallel recording order; each equal-address run is then
-// scanned in O(run length).
+// flow, lane, pc), so the reported pair is deterministic regardless of the
+// groups' recording order; each equal-address run is then scanned in O(run
+// length).
 func (m *Machine) checkDiscipline() *DisciplineViolation {
 	if len(m.discAccs) == 0 {
 		return nil

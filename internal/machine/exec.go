@@ -66,7 +66,7 @@ func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 		x.applyControl(f, in)
 		return
 	case fi.Sliceable:
-		x.execLanes(f, fi, w)
+		x.execLaneRange(f, fi, 0, w)
 		x.ops += int64(w)
 	default:
 		// Flow-level: a thin operation (through its kernel, if it has one),

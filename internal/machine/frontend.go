@@ -26,10 +26,9 @@ type StorageBuf struct {
 
 	// done counts the residents that are Done: flows that went Done in their
 	// slot (retire) since dropDone last ran, and queued flows that took a slot
-	// Done. It is written by whoever runs the group's step — the group's
-	// goroutine under Parallel — and between steps by the goroutine that
-	// retires events and compacts, never by two at once; it is derived from
-	// the flows and in no snapshot.
+	// Done. It is written by the group's step and between steps by the
+	// event retirement and compaction; it is derived from the flows and in
+	// no snapshot.
 	done int
 }
 

@@ -9,8 +9,8 @@ import "tcfpram/internal/tcf"
 // six variant policies share; the kernels enter it at three places:
 //
 //   - runFusedRun retires register runs without the generic dispatch;
-//   - execWhole and execLaneRange run a register instruction's lanes, lane
-//     chunks included, through its kernel;
+//   - execWhole and execLaneRange run a register instruction's lanes through
+//     its kernel;
 //   - numaBunch walks runs inside a NUMA bunch.
 //
 // How long a run gets is the policy's business: five of the six policies
@@ -33,7 +33,7 @@ import "tcfpram/internal/tcf"
 // accounting identical to the generic loop. It returns the number of window
 // slots consumed; 0 means the caller must take the generic path (not a
 // register run, a reference machine, a fragment — whose safety check lives
-// there — or a lane range wide enough to fan out to the chunk pool).
+// there).
 func (x *groupExec) runFusedRun(f *tcf.Flow, slot int, plan *StepPlan, budget *int, maxInstrs int) int {
 	code := x.m.code
 	if uint(f.PC) >= uint(len(code)) || f.IsFragment {
@@ -43,10 +43,6 @@ func (x *groupExec) runFusedRun(f *tcf.Flow, slot int, plan *StepPlan, budget *i
 	if fi.Kern == nil {
 		return 0
 	}
-	// Lane ranges at or above the chunking threshold take the generic path,
-	// where execLanes fans them out to the worker pool.
-	chunky := x.m.cfg.Parallel && !x.immediate && x.m.cfg.LaneParallelThreshold > 0
-	th := x.m.cfg.LaneParallelThreshold
 	numa := f.Mode == tcf.NUMA
 	trace := x.m.cfg.TraceEnabled
 	consumed := 0
@@ -54,9 +50,6 @@ func (x *groupExec) runFusedRun(f *tcf.Flow, slot int, plan *StepPlan, budget *i
 		w := 1
 		if fi.Thick {
 			w = f.Lanes()
-		}
-		if fi.Thick && chunky && w >= th {
-			break
 		}
 		x.fetches++
 		f.InstrFetches++

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"tcfpram/internal/fuse"
@@ -100,7 +99,6 @@ type Machine struct {
 	// stepTraffic is the number of store words and combining references the
 	// step's fold handed to the memory and the combiners.
 	stepTraffic int
-	wg          sync.WaitGroup
 
 	stats  Stats
 	tail   TailStats
@@ -145,7 +143,6 @@ func New(cfg Config) (*Machine, error) {
 	m.front.m = m
 	m.back.m = m
 	m.combiners = multiop.NewCombinerBank()
-	m.shared.SetParallel(c.Parallel)
 	m.stats.PerGroupOps = make([]int64, c.Groups)
 	m.stats.PerGroupCycles = make([]int64, c.Groups)
 	// One backing array per kind: the per-group structs are small and
@@ -240,17 +237,11 @@ func (k KernelStats) String() string {
 // the machine steps.
 func (m *Machine) KernelStats() KernelStats {
 	var k KernelStats
-	add := func(x *groupExec) {
+	for _, x := range m.execs {
 		k.BulkLanes += x.kern.BulkLanes
 		k.PerLaneLanes += x.kern.PerLaneLanes
 		k.RunInstrs += x.kern.RunInstrs
 		k.MaxThickness = max(k.MaxThickness, x.kern.MaxThickness)
-	}
-	for _, x := range m.execs {
-		add(x)
-		for _, w := range x.lw {
-			add(w)
-		}
 	}
 	c := m.regs.Counts()
 	k.BanksReused, k.BanksAllocated = c.BanksReused, c.BanksAllocated

@@ -578,19 +578,6 @@ main:
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	run := func(par bool) []int64 {
-		m := mustRun(t, variant.SingleInstruction, vectorAddSrc, func(c *Config) { c.Parallel = par })
-		return m.Shared().Snapshot(300, 8)
-	}
-	s, p := run(false), run(true)
-	for i := range s {
-		if s[i] != p[i] {
-			t.Fatalf("parallel/serial divergence at %d: %d vs %d", i, s[i], p[i])
-		}
-	}
-}
-
 func TestBalancedMatchesSingleInstructionResults(t *testing.T) {
 	for _, src := range []string{vectorAddSrc} {
 		a := mustRun(t, variant.SingleInstruction, src, nil).Shared().Snapshot(300, 8)

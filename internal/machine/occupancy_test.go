@@ -2,7 +2,9 @@ package machine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/isa"
+	"tcfpram/internal/mem"
 	"tcfpram/internal/sema"
 	"tcfpram/internal/tcf"
 	"tcfpram/internal/variant"
@@ -314,20 +317,25 @@ func (j tailJob) bootOn(t *testing.T, m *Machine) {
 }
 
 // TestStepTailInvariants steps the corpus and the flow shapes under all six
-// variants, both engines, serially and with Parallel, and holds the skipped
-// tail stages to checkTail after every Step. The auto-split-queued shape must
-// really bring a Done container out of a queue into a slot: that is the one
-// way a buffer comes to need compaction without a flow of it having run.
+// variants and both engines, and holds the skipped tail stages to checkTail
+// after every Step, on a fresh machine and on one Reset after the next job
+// of the list was stopped mid-run by a step quota (abort: a quota-stopped
+// tcfserve lease back in the pool; the stop leaves flows queued, blocked and
+// mid-call for Reset to clear). The auto-split-queued shape must really bring
+// a Done container out of a queue into a slot: that is the one way a buffer
+// comes to need compaction without a flow of it having run.
 func TestStepTailInvariants(t *testing.T) {
-	doneFromQueue := 0
-	for _, j := range tailJobs(t) {
+	jobs := tailJobs(t)
+	doneFromQueue, aborts, stopped := 0, 0, 0
+	for i, j := range jobs {
+		other := jobs[(i+1)%len(jobs)]
 		for _, kind := range variant.Kinds() {
 			for _, eng := range engines {
-				for _, par := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/%v/%v/parallel=%v", j.name, kind, eng, par), func(t *testing.T) {
+				for _, life := range []string{"fresh", "abort"} {
+					name := fmt.Sprintf("%s/%v/%v/%s", j.name, kind, eng, life)
+					t.Run(name, func(t *testing.T) {
 						cfg := Default(kind)
 						cfg.MaxSteps = 20000
-						cfg.Parallel, cfg.LaneParallelThreshold = par, 32
 						if j.tweak != nil {
 							j.tweak(&cfg)
 						}
@@ -335,32 +343,16 @@ func TestStepTailInvariants(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						j.bootOn(t, m)
-						var blocked []*tcf.Flow
-						for !m.Done() && m.stats.Steps < cfg.MaxSteps {
-							blocked = blocked[:0]
-							for _, f := range m.flowList {
-								if f.State == tcf.Blocked {
-									blocked = append(blocked, f)
-								}
-							}
-							firstOut := len(m.output)
-							if err := m.Step(); err != nil {
-								return
-							}
-							released := false
-							for _, f := range blocked {
-								released = released || f.State == tcf.Ready
-							}
-							checkTail(t, m, firstOut, released)
-							for _, g := range m.groups {
-								for _, f := range g.Buf.Resident {
-									if f.State == tcf.Done { // compaction drops every other
-										doneFromQueue++
-									}
-								}
+						if life == "abort" {
+							mem.ResetAudit.Store(true)
+							defer mem.ResetAudit.Store(false)
+							aborts++
+							if other.abortOn(t, m, name) {
+								stopped++
 							}
 						}
+						j.bootOn(t, m)
+						doneFromQueue += stepTail(t, m)
 					})
 				}
 			}
@@ -369,40 +361,119 @@ func TestStepTailInvariants(t *testing.T) {
 	if doneFromQueue == 0 {
 		t.Fatal("no auto-split container ever came out of a queue Done: the trap was not stepped through")
 	}
+	if aborts == len(jobs)*len(variant.Kinds())*len(engines) && stopped == 0 {
+		t.Fatal("no quota stopped a job mid-run: the abort runs were fresh ones")
+	}
+}
+
+// abortOn runs the job on m, a machine just built, under a step quota of 1
+// to 32 seeded from name, Resets m and gives it back its configuration's
+// limits, as tcfserve returns a quota-stopped lease to its pool. It reports
+// whether the quota stopped the job mid-run.
+func (j tailJob) abortOn(t *testing.T, m *Machine, name string) bool {
+	t.Helper()
+	limits := m.cfg
+	if err := m.SetLimits(1+int64(crc32.ChecksumIEEE([]byte(name))%32), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadProgram(j.prog); err != nil {
+		t.Fatal(err)
+	}
+	_, err := m.Run()
+	m.Reset()
+	if err := m.SetLimits(limits.MaxSteps, limits.MaxThickness); err != nil {
+		t.Fatal(err)
+	}
+	return errors.Is(err, ErrMaxSteps)
+}
+
+// stepTail steps a booted machine to the end of its run, or to its error,
+// holding it to checkTail after every Step, and returns how often a Done
+// container stood in a slot at a step boundary.
+func stepTail(t *testing.T, m *Machine) (doneFromQueue int) {
+	t.Helper()
+	var blocked []*tcf.Flow
+	for !m.Done() && m.stats.Steps < m.cfg.MaxSteps {
+		blocked = blocked[:0]
+		for _, f := range m.flowList {
+			if f.State == tcf.Blocked {
+				blocked = append(blocked, f)
+			}
+		}
+		firstOut := len(m.output)
+		if err := m.Step(); err != nil {
+			return doneFromQueue
+		}
+		released := false
+		for _, f := range blocked {
+			released = released || f.State == tcf.Ready
+		}
+		checkTail(t, m, firstOut, released)
+		for _, g := range m.groups {
+			for _, f := range g.Buf.Resident {
+				if f.State == tcf.Done { // compaction drops every other
+					doneFromQueue++
+				}
+			}
+		}
+	}
+	return doneFromQueue
 }
 
 // TestOccupancyCountersMatchScans steps every corpus program and the small
 // flow shapes under all six variants and holds the O(1) bookkeeping to the
-// scans after every Step. Programs a variant cannot run stop with an error;
-// the counters must be right up to and including the failing step.
+// scans after every Step, on a fresh machine and on one Reset after the next
+// job was stopped mid-run by a step quota (abort), whose counters Reset must
+// bring back to zero with live flows behind them. Programs a variant cannot
+// run stop with an error; the counters must be right up to and including the
+// failing step.
 func TestOccupancyCountersMatchScans(t *testing.T) {
 	jobs := tailJobs(t)
-	completed := 0
-	for _, j := range jobs {
+	completed, aborts, stopped := 0, 0, 0
+	for i, j := range jobs {
+		other := jobs[(i+1)%len(jobs)]
 		for _, kind := range variant.Kinds() {
-			t.Run(fmt.Sprintf("%s/%v", j.name, kind), func(t *testing.T) {
-				cfg := Default(kind)
-				cfg.MaxSteps = 20000
-				if j.tweak != nil {
-					j.tweak(&cfg)
-				}
-				m := j.boot(t, cfg)
-				checkOccupancy(t, m)
-				for !m.Done() && m.stats.Steps < cfg.MaxSteps {
-					err := m.Step()
-					checkOccupancy(t, m)
-					if err != nil {
-						return
+			for _, life := range []string{"fresh", "abort"} {
+				name := fmt.Sprintf("%s/%v/%s", j.name, kind, life)
+				t.Run(name, func(t *testing.T) {
+					cfg := Default(kind)
+					cfg.MaxSteps = 20000
+					if j.tweak != nil {
+						j.tweak(&cfg)
 					}
-				}
-				if m.Done() {
-					completed++
-				}
-			})
+					m, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if life == "abort" {
+						mem.ResetAudit.Store(true)
+						defer mem.ResetAudit.Store(false)
+						aborts++
+						if other.abortOn(t, m, name) {
+							stopped++
+						}
+					}
+					j.bootOn(t, m)
+					checkOccupancy(t, m)
+					for !m.Done() && m.stats.Steps < cfg.MaxSteps {
+						err := m.Step()
+						checkOccupancy(t, m)
+						if err != nil {
+							return
+						}
+					}
+					if m.Done() && life == "fresh" {
+						completed++
+					}
+				})
+			}
 		}
 	}
 	if completed < len(jobs) {
 		t.Fatalf("only %d of %d program × variant runs completed; the walk proved little", completed, len(jobs)*len(variant.Kinds()))
+	}
+	if aborts == len(jobs)*len(variant.Kinds()) && stopped == 0 {
+		t.Fatal("no quota stopped a job mid-run: the abort runs were fresh ones")
 	}
 }
 
@@ -676,8 +747,8 @@ func BenchmarkStepFixedCost(b *testing.B) {
 		spinTasks("barrier_16", 16, 1, true),
 		loop("scalar_loop", 1, 0, nil, scalar),
 		loop("numa_bunch_8", 1, 0, func(b *isa.Builder) { b.NumaImm(8) }, scalar),
-		loop("store_every_step", 16, 0, nil, func(b *isa.Builder) { b.St(isa.V(0), laneParOutBase, isa.V(0)) }),
-		loop("madd_every_step", 16, 0, nil, func(b *isa.Builder) { b.Multi(isa.MADD, isa.V(0), laneParOutBase, isa.V(0)) }),
+		loop("store_every_step", 16, 0, nil, func(b *isa.Builder) { b.St(isa.V(0), outBase, isa.V(0)) }),
+		loop("madd_every_step", 16, 0, nil, func(b *isa.Builder) { b.Multi(isa.MADD, isa.V(0), outBase, isa.V(0)) }),
 		loop("print_every_step", 1, 64, nil, func(b *isa.Builder) { b.Print(isa.S(1)) }),
 	} {
 		b.Run(prog.Name, func(b *testing.B) {

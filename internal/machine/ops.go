@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sync"
 
 	"tcfpram/internal/fuse"
 	"tcfpram/internal/isa"
@@ -40,12 +39,11 @@ func fragmentUnsafe(f *tcf.Flow, in *isa.Instr) bool {
 	return false
 }
 
-// combining is the combining traffic one group (or lane chunk) generated in
-// a step: one log per kind, which the combiners
-// retain by pointer from the fold to the commit. A multiprefix run carries
-// the stretch of the flow's destination register its prefixes come back
-// into. refs counts the references, so that the many steps without any skip
-// the per-kind walks.
+// combining is the combining traffic one group generated in a step: one log
+// per kind, which the combiners retain by pointer from the fold to the
+// commit. A multiprefix run carries the stretch of the flow's destination
+// register its prefixes come back into. refs counts the references, so that
+// the many steps without any skip the per-kind walks.
 type combining struct {
 	logs [len(multiop.Kinds)]multiop.Log
 	refs int
@@ -61,19 +59,8 @@ func (c *combining) reset() {
 	c.refs = 0
 }
 
-// absorb appends o's traffic behind c's own.
-func (c *combining) absorb(o *combining) {
-	if o.refs == 0 {
-		return
-	}
-	for k := range o.logs {
-		c.logs[k].AppendLog(&o.logs[k])
-	}
-	c.refs += o.refs
-}
-
-// eventKind tags deferred cross-flow events processed after the parallel
-// phase.
+// eventKind tags deferred cross-flow events processed after operation
+// generation.
 type eventKind int
 
 const (
@@ -119,7 +106,6 @@ type groupCounters struct {
 	localWrites  int64
 	multiopRefs  int64
 	barriers     int64
-	laneChunks   int64
 
 	// done counts the flows this group's step took to Done; the fold takes
 	// them off Machine.live in group order.
@@ -127,9 +113,9 @@ type groupCounters struct {
 }
 
 // groupExec carries the per-group execution state of one step. Groups run
-// independently (optionally on separate goroutines); their outputs are
-// merged deterministically afterwards. One arena per group lives on the
-// Machine and is reset — never reallocated — every step.
+// independently of each other within a step; their outputs are merged
+// deterministically afterwards. One arena per group lives on the Machine and
+// is reset — never reallocated — every step.
 type groupExec struct {
 	m *Machine
 	g *Group
@@ -190,13 +176,6 @@ type groupExec struct {
 	fwdAddrs []int64
 	fwdOn    bool
 
-	// Lane-parallel state: lw holds one private worker arena per lane
-	// chunk (chunk 0 runs inline on this groupExec), chunks the dispatch
-	// records handed to the pool.
-	lw     []*groupExec
-	chunks []laneChunk
-	wg     sync.WaitGroup
-
 	err error
 }
 
@@ -218,50 +197,6 @@ func (x *groupExec) reset(plan *StepPlan) {
 	x.accs = x.accs[:0]
 	x.fwdOn = false
 	x.err = nil
-}
-
-// resetLaneWorker prepares a worker clone for one lane chunk whose shared
-// references start at refSeq (the parent's sequence at the chunk's first
-// lane, keeping fault decisions identical to serial execution).
-func (x *groupExec) resetLaneWorker(refSeq, step int64) {
-	x.immediate = false
-	x.step = step
-	x.groupCounters = groupCounters{}
-	x.refSeq = refSeq
-	x.writes.Reset()
-	x.combining.reset()
-	// Lane workers only exist under lockstep plans (execLanes never fans
-	// out in immediate mode), so the parent's lockstep gate is implied.
-	x.disc = x.m.cfg.MemDiscipline.Checks()
-	x.accs = x.accs[:0]
-	x.fwdOn = false
-	x.err = nil
-}
-
-// mergeLaneWorker folds a completed chunk's effects back into the parent in
-// lane order: called for chunks 1..n-1 after chunk 0 ran inline, so the
-// merged buffers are byte-for-byte what serial execution would have built.
-func (x *groupExec) mergeLaneWorker(w *groupExec) {
-	x.writes.AppendLog(&w.writes)
-	x.combining.absorb(&w.combining)
-	x.accs = append(x.accs, w.accs...)
-	x.ops += w.ops
-	x.sharedReads += w.sharedReads
-	x.sharedWrites += w.sharedWrites
-	x.localReads += w.localReads
-	x.localWrites += w.localWrites
-	x.multiopRefs += w.multiopRefs
-	x.stall += w.stall
-	x.faultStall += w.faultStall
-	x.retransmits += w.retransmits
-	x.reroutes += w.reroutes
-	x.anyShared = x.anyShared || w.anyShared
-	if w.maxDist > x.maxDist {
-		x.maxDist = w.maxDist
-	}
-	if x.err == nil && w.err != nil {
-		x.err = w.err
-	}
 }
 
 func (x *groupExec) failf(format string, args ...any) {

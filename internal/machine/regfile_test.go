@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -30,7 +31,7 @@ func thickALU(thick int64) *isa.Program {
 	b.ALU(isa.SLT, isa.V(5), isa.V(4), isa.V(1))
 	b.ALUI(isa.XOR, isa.V(6), isa.V(5), -1)
 	b.ALU(isa.MAX, isa.V(7), isa.V(6), isa.V(2))
-	b.St(isa.V(0), laneParOutBase, isa.V(7))
+	b.St(isa.V(0), outBase, isa.V(7))
 	b.Halt()
 	return b.MustBuild()
 }
@@ -44,7 +45,7 @@ func BenchmarkResetRun(b *testing.B) {
 	tiny := isa.NewBuilder("tiny")
 	tiny.Label("main")
 	tiny.Ldi(isa.S(1), 7)
-	tiny.St(isa.RegNone, laneParOutBase, isa.S(1))
+	tiny.St(isa.RegNone, outBase, isa.S(1))
 	tiny.Halt()
 	for _, prog := range []*isa.Program{
 		thickALU(1 << 15),
@@ -135,15 +136,16 @@ func machineBytes(t *testing.T, m *Machine) []byte {
 // dirty banks of an earlier run is, step for step, the machine that never ran
 // anything — snapshot bytes (registers with their lengths, RegWordsPeak,
 // statistics) and flow digests after every step, outputs and Stats at the
-// end — on both engines, serially and with Parallel lane chunks. The banks
-// must really have been reused for that to mean anything.
+// end — on both engines, after the earlier run ran to its end and after a
+// step quota stopped it with all eight of its banks held by a live flow
+// (aborted: Reset must take them back from the flow). The banks must really
+// have been reused for that to mean anything.
 func TestResetReusesRegisterBanks(t *testing.T) {
 	dirty, prog := thickALU(1<<12), isa.MustAssemble("regrow", regrowSrc)
 	for _, eng := range engines {
-		for _, par := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/parallel=%v", eng, par), func(t *testing.T) {
+		for _, life := range []string{"ran", "aborted"} {
+			t.Run(eng.String()+"/"+life, func(t *testing.T) {
 				cfg := Default(variant.SingleInstruction)
-				cfg.Parallel, cfg.LaneParallelThreshold = par, 512
 				boot := func(m *Machine) {
 					t.Helper()
 					if err := m.LoadProgram(prog); err != nil {
@@ -161,13 +163,21 @@ func TestResetReusesRegisterBanks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if life == "aborted" {
+					if err := reused.SetLimits(10, 0); err != nil { // up to the MAX, the eighth bank
+						t.Fatal(err)
+					}
+				}
 				if err := reused.LoadProgram(dirty); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := reused.Run(); err != nil {
+				if _, err := reused.Run(); (err != nil) != (life == "aborted") || err != nil && !errors.Is(err, ErrMaxSteps) {
 					t.Fatal(err)
 				}
 				reused.Reset()
+				if err := reused.SetLimits(cfg.MaxSteps, cfg.MaxThickness); err != nil {
+					t.Fatal(err)
+				}
 				boot(fresh)
 				boot(reused)
 				for step := 0; !fresh.Done(); step++ {
@@ -236,74 +246,86 @@ numa:
 }
 
 // TestResetReusesFlowChunks: a machine whose flow chunks hold the remains of
-// an earlier run — or of a run it was restored into the middle of — is, after
-// Reset and step for step, the machine that never ran anything: snapshot bytes
-// after the steps of every corpus program, on both engines, serially and
-// with Parallel (restored: production only, the machine Restore builds). The
-// flows must really have been built in the old chunks.
+// an earlier run — or of a run it was restored into the middle of, or of one
+// a step quota stopped in the middle (aborted), its flows live and mid-call —
+// is, after Reset and step for step, the machine that never ran anything:
+// snapshot bytes after the steps of every corpus program, on both engines
+// (restored and aborted: production only, as how the chunks were dirtied does
+// not depend on the engine). The flows must really have been built in the old
+// chunks.
 func TestResetReusesFlowChunks(t *testing.T) {
 	debris, jobs := flowDebris(), tailJobs(t)
 	for _, eng := range engines {
-		for _, par := range []bool{false, true} {
-			for _, viaRestore := range []bool{false, true} {
-				if viaRestore && (par || eng.name != "production") {
-					continue // how the chunks were dirtied does not depend on either
-				}
-				t.Run(fmt.Sprintf("%v/parallel=%v/restored=%v", eng, par, viaRestore), func(t *testing.T) {
-					cfg := Default(variant.SingleInstruction)
-					cfg.Parallel, cfg.AutoSplitThreshold = par, 16
-					cfg.SharedWords = 1 << 13 // a snapshot a step, of two machines: keep them small
-					reused, err := eng.new(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := reused.LoadProgram(debris); err != nil {
-						t.Fatal(err)
-					}
-					if viaRestore {
-						stepN(t, reused, 6) // fragments exist, tasks are mid-call
-						if reused, err = Restore(bytes.NewReader(machineBytes(t, reused)), cfg); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if _, err := reused.Run(); err != nil {
-						t.Fatal(err)
-					}
-					if n := len(reused.flowList); n != 166 {
-						t.Fatalf("the debris run made %d flows, want 166", n)
-					}
-					fresh, err := eng.new(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, j := range jobs {
-						if j.tweak != nil {
-							continue // a shape with a configuration of its own
-						}
-						for _, m := range []*Machine{reused, fresh} {
-							m.Reset()
-							j.bootOn(t, m)
-						}
-						for step := 0; !fresh.Done(); step++ {
-							errF, errR := fresh.Step(), reused.Step()
-							if (errF == nil) != (errR == nil) {
-								t.Fatalf("%s step %d: fresh stops with %v, reused with %v", j.name, step, errF, errR)
-							}
-							if errF != nil {
-								break
-							}
-							// Every step while flows are being made, then now and then.
-							if (step < 64 || step%32 == 0 || fresh.Done()) &&
-								!bytes.Equal(machineBytes(t, reused), machineBytes(t, fresh)) {
-								t.Fatalf("%s step %d: snapshot of the machine with reused flow chunks differs from the fresh one's", j.name, step)
-							}
-						}
-						if ts := reused.TailStats(); ts.FlowsAllocated != 0 || ts.FlowsReused != int64(len(reused.flowList)) {
-							t.Fatalf("%s: %v for %d flows on a machine that kept %d", j.name, ts, len(reused.flowList), maxKeptFlows)
-						}
-					}
-				})
+		for _, dirt := range []string{"restored=false", "restored=true", "aborted"} {
+			viaRestore := dirt == "restored=true"
+			if dirt != "restored=false" && eng.name != "production" {
+				continue
 			}
+			t.Run(fmt.Sprintf("%v/%s", eng, dirt), func(t *testing.T) {
+				cfg := Default(variant.SingleInstruction)
+				cfg.AutoSplitThreshold = 16
+				cfg.SharedWords = 1 << 13 // a snapshot a step, of two machines: keep them small
+				reused, err := eng.new(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := reused.LoadProgram(debris); err != nil {
+					t.Fatal(err)
+				}
+				if viaRestore {
+					stepN(t, reused, 6) // fragments exist, tasks are mid-call
+					if reused, err = Restore(bytes.NewReader(machineBytes(t, reused)), cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if dirt == "aborted" {
+					if err := reused.SetLimits(26, 0); err != nil { // all 166 flows made, 127 live
+						t.Fatal(err)
+					}
+				}
+				if _, err := reused.Run(); (err != nil) != (dirt == "aborted") || err != nil && !errors.Is(err, ErrMaxSteps) {
+					t.Fatal(err)
+				}
+				if n := len(reused.flowList); n != 166 {
+					t.Fatalf("the debris run made %d flows, want 166", n)
+				}
+				if dirt == "aborted" {
+					reused.Reset()
+					if err := reused.SetLimits(cfg.MaxSteps, cfg.MaxThickness); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fresh, err := eng.new(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, j := range jobs {
+					if j.tweak != nil {
+						continue // a shape with a configuration of its own
+					}
+					for _, m := range []*Machine{reused, fresh} {
+						m.Reset()
+						j.bootOn(t, m)
+					}
+					for step := 0; !fresh.Done(); step++ {
+						errF, errR := fresh.Step(), reused.Step()
+						if (errF == nil) != (errR == nil) {
+							t.Fatalf("%s step %d: fresh stops with %v, reused with %v", j.name, step, errF, errR)
+						}
+						if errF != nil {
+							break
+						}
+						// Every step while flows are being made, then now and then.
+						if (step < 64 || step%32 == 0 || fresh.Done()) &&
+							!bytes.Equal(machineBytes(t, reused), machineBytes(t, fresh)) {
+							t.Fatalf("%s step %d: snapshot of the machine with reused flow chunks differs from the fresh one's", j.name, step)
+						}
+					}
+					if ts := reused.TailStats(); ts.FlowsAllocated != 0 || ts.FlowsReused != int64(len(reused.flowList)) {
+						t.Fatalf("%s: %v for %d flows on a machine that kept %d", j.name, ts, len(reused.flowList), maxKeptFlows)
+					}
+				}
+			})
 		}
 	}
 }
@@ -465,108 +487,5 @@ func TestRegisterArenaIsBounded(t *testing.T) {
 		if ks := run(m, thick); ks.BanksReused != 0 || ks.BanksAllocated != 8 {
 			t.Errorf("SharedWords %d: after thin runs the arena still lent %d thick banks (%d allocated)", tc.shared, ks.BanksReused, ks.BanksAllocated)
 		}
-	}
-}
-
-// growTouchSrc splits into arms that stand on different groups and, step for
-// step, do opposite things to the register arena: the grow arms double their
-// thickness, each doubling replacing two banks of 64 lanes or more whose
-// lanes must move over, while the touch arms write registers nobody wrote
-// yet and so take, clear and fill whatever bank is free at that moment.
-const growTouchSrc = `
-main:
-    SPLIT 64 -> grow, 64 -> touch, 64 -> grow, 64 -> touch
-    PRINT S0
-    HALT
-grow:
-    TID V0
-    MUL V1, V0, 7
-    SETTHICK 128
-    ADD V1, V1, V0
-    SETTHICK 256
-    ADD V1, V1, V0
-    SETTHICK 512
-    ADD V1, V1, V0
-    SETTHICK 1024
-    RADD S3, V1
-    PRINT S3
-    JOIN
-touch:
-    TID V0
-    NOP
-    ADD V2, V0, 2
-    SUB V3, V0, 3
-    ADD V4, V0, 4
-    SUB V5, V0, 5
-    ADD V6, V0, 6
-    SUB V7, V0, 7
-    RADD S3, V7
-    PRINT S3
-    NOP
-    JOIN
-`
-
-// TestParallelGroupsShareRegisterArena: with groups on goroutines of their
-// own, growing and first-touching registers in the same steps, every flow is
-// after every step what it is on the serial machine — a bank replaced by a
-// larger one is lendable only once its lanes are copied out. Run under -race
-// (make race), where handing it back earlier is reported even when the lanes
-// happen to survive.
-func TestParallelGroupsShareRegisterArena(t *testing.T) {
-	prog := isa.MustAssemble("grow-touch", growTouchSrc)
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			boot := func(par bool) *Machine {
-				t.Helper()
-				cfg := Default(variant.SingleInstruction)
-				cfg.Parallel = par
-				cfg.LaneParallelThreshold = 1 << 20 // groups only: Stats.LaneChunks counts the host's chunks
-				m, err := eng.new(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.LoadProgram(prog); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Boot(); err != nil {
-					t.Fatal(err)
-				}
-				return m
-			}
-			serial, parallel := boot(false), boot(true)
-			for run := 0; run < 20; run++ {
-				homes := map[int]bool{}
-				for step := 0; !serial.Done(); step++ {
-					if err := serial.Step(); err != nil {
-						t.Fatal(err)
-					}
-					if err := parallel.Step(); err != nil {
-						t.Fatal(err)
-					}
-					for id, f := range serial.Flows() {
-						if g := parallel.Flow(id); g == nil || g.StateDigest() != f.StateDigest() {
-							t.Fatalf("run %d step %d: flow %d diverges under Parallel", run, step, id)
-						}
-						homes[f.Home] = true
-					}
-				}
-				if len(homes) < 4 {
-					t.Fatalf("the arms stand on %d groups, want one each: nothing ran concurrently", len(homes))
-				}
-				if got, want := snapshotOf(parallel), snapshotOf(serial); !reflect.DeepEqual(got, want) {
-					t.Fatalf("run %d: Parallel run differs from serial\ngot  %+v\nwant %+v", run, got.stats, want.stats)
-				}
-				// Again, on arenas that now hold the run's banks.
-				for _, m := range []*Machine{serial, parallel} {
-					m.Reset()
-					if err := m.LoadProgram(prog); err != nil {
-						t.Fatal(err)
-					}
-					if err := m.Boot(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }

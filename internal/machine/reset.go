@@ -36,9 +36,6 @@ func (m *Machine) Reset() {
 	for _, x := range m.execs {
 		x.err = nil
 		x.kern = KernelStats{}
-		for _, w := range x.lw {
-			w.kern = KernelStats{}
-		}
 	}
 
 	m.stepOutputs = m.stepOutputs[:0]

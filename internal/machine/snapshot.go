@@ -135,8 +135,9 @@ func (m *Machine) Snapshot(w io.Writer) error {
 // limits, discipline, fault plan, topology distances) is validated against
 // the snapshot, and a mismatch fails with an error naming the field — a
 // resumed run on a different machine would silently diverge otherwise.
-// Result-neutral fields (Parallel, LaneParallelThreshold, TraceEnabled,
-// StageObserver, CheckpointEvery/CheckpointSink) are free to differ.
+// Result-neutral fields (TraceEnabled, StageObserver,
+// CheckpointEvery/CheckpointSink, and the inert Backend, Sched and Parallel)
+// are free to differ.
 //
 // The snapshot embeds the program, so no separate load is needed; the
 // restored machine continues with Step/RunContext exactly where the
@@ -354,7 +355,9 @@ func distHash(dist []int) uint64 {
 	return h.Sum64()
 }
 
-// encodeStats writes every Stats field in declaration order.
+// encodeStats writes every Stats field in declaration order. The slot of the
+// deprecated LaneChunks is written 0 and skipped on decode, so snapshot bytes
+// keep their layout.
 func encodeStats(e *checkpoint.Encoder, s *Stats) {
 	e.Int64s([]int64{
 		s.Steps, s.Cycles, s.Ops, s.ScalarOps, s.InstrFetches,
@@ -362,7 +365,7 @@ func encodeStats(e *checkpoint.Encoder, s *Stats) {
 		s.DiscReads, s.DiscWrites, s.OverheadCycles, s.StallCycles,
 		s.FaultStallCycles, s.Retransmits, s.Reroutes, s.Failovers,
 		s.FlowsCreated, s.Splits, s.AutoSplits, s.Joins, s.FlowBranchCycles,
-		s.TaskSwitches, s.TaskSwitchCycles, s.Barriers, s.LaneChunks,
+		s.TaskSwitches, s.TaskSwitchCycles, s.Barriers, 0,
 		int64(s.MaxLiveFlows),
 	})
 	e.Int64s(s.PerGroupOps)
@@ -388,7 +391,7 @@ func decodeStats(d *checkpoint.Decoder, s *Stats) error {
 	s.DiscReads, s.DiscWrites, s.OverheadCycles, s.StallCycles = vs[10], vs[11], vs[12], vs[13]
 	s.FaultStallCycles, s.Retransmits, s.Reroutes, s.Failovers = vs[14], vs[15], vs[16], vs[17]
 	s.FlowsCreated, s.Splits, s.AutoSplits, s.Joins, s.FlowBranchCycles = vs[18], vs[19], vs[20], vs[21], vs[22]
-	s.TaskSwitches, s.TaskSwitchCycles, s.Barriers, s.LaneChunks = vs[23], vs[24], vs[25], vs[26]
+	s.TaskSwitches, s.TaskSwitchCycles, s.Barriers = vs[23], vs[24], vs[25]
 	s.MaxLiveFlows = int(vs[27])
 	for _, tgt := range []*[]int64{&s.PerGroupOps, &s.PerGroupCycles} {
 		got := d.Int64s()

@@ -197,8 +197,7 @@ func TestRestoreConfigMismatch(t *testing.T) {
 
 	// Result-neutral knobs may differ freely.
 	free := cfg
-	free.Parallel = true
-	free.LaneParallelThreshold = 8
+	free.TraceEnabled = true
 	if _, err := Restore(bytes.NewReader(buf.Bytes()), free); err != nil {
 		t.Fatalf("result-neutral config change rejected: %v", err)
 	}

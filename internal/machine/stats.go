@@ -43,9 +43,11 @@ type Stats struct {
 
 	Barriers int64
 
-	// LaneChunks counts lane ranges executed as parallel chunks (including
-	// the chunk run inline by the dispatching group). Wall-clock accounting
-	// only; lane parallelism never changes results.
+	// LaneChunks is always 0: no step splits a lane range any more. It
+	// keeps its snapshot slot, so snapshot bytes do not move.
+	//
+	// Deprecated: kept only for the benchmark module, which still reads it
+	// (ROADMAP item 1).
 	LaneChunks int64
 
 	MaxLiveFlows int

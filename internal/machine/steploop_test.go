@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"testing"
 
 	"tcfpram/internal/isa"
@@ -9,11 +8,12 @@ import (
 )
 
 // Shapes the step-loop, traffic and register-file tests share: a ragged
-// thickness above the lane threshold, an output region and a combining word.
+// thickness (no multiple of a bank's 64 lanes), an output region and a
+// combining word.
 const (
-	laneParThickness = 513
-	laneParOutBase   = 2000
-	laneParAuxAddr   = 900
+	raggedThickness = 513
+	outBase         = 2000
+	auxAddr         = 900
 )
 
 // TestStepLoopSteadyStateAllocs is the 0 allocs/step gate: with tracing
@@ -25,13 +25,14 @@ const (
 // accumulators are held to the gate too) and over 64 flows rotating through
 // the 16 slots at a barrier every round ("flows": once the flows exist, the
 // storage buffers' queues and the barrier release allocate nothing) and over
-// a thick dense store and mpadd ("thick": the write and combining logs, the
-// commit's spans and, under Parallel, the lane chunks' logs and their merge
-// are retained arenas too) and over thick register arithmetic in every operand
-// shape ("alu": the lane kernels allocate nothing). Every program runs
-// serially and with Parallel, and then once more after a Reset, when every
-// vector bank must come out of the register arena and the one flow out of the
-// chunk the first run drew.
+// a thick dense store and mpadd ("thick": the write and combining logs and
+// the commit's spans are retained arenas too) and over thick register
+// arithmetic in every operand shape ("alu": the lane kernels allocate
+// nothing). Every program runs on a fresh machine, and then on the same
+// machine Reset in the middle of that run, as a pooled machine comes back
+// from a stopped lease: there the gate holds again, and every vector bank
+// must come out of the register arena and the one flow out of the chunk the
+// first run drew.
 func TestStepLoopSteadyStateAllocs(t *testing.T) {
 	loop := func(name string, thick int64, body func(b *isa.Builder)) *isa.Program {
 		b := isa.NewBuilder(name)
@@ -50,15 +51,15 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 		return b.MustBuild()
 	}
 	progs := []*isa.Program{
-		loop("steady", 64, func(b *isa.Builder) { b.St(isa.V(0), laneParOutBase, isa.V(1)) }),
+		loop("steady", 64, func(b *isa.Builder) { b.St(isa.V(0), outBase, isa.V(1)) }),
 		loop("thick", 4096, func(b *isa.Builder) {
-			b.St(isa.V(0), laneParOutBase, isa.V(1))
-			b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, laneParAuxAddr, isa.V(1))
+			b.St(isa.V(0), outBase, isa.V(1))
+			b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, auxAddr, isa.V(1))
 		}),
 		loop("commit", 64, func(b *isa.Builder) {
-			b.St(isa.V(2), laneParOutBase, isa.V(1))
-			b.Multi(isa.MADD, isa.V(2), laneParOutBase+64, isa.V(1))
-			b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, laneParOutBase+128, isa.V(1))
+			b.St(isa.V(2), outBase, isa.V(1))
+			b.Multi(isa.MADD, isa.V(2), outBase+64, isa.V(1))
+			b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, outBase+128, isa.V(1))
 		}),
 		spinTasks("flows", 64, 1, true),
 		loop("alu", 4096, func(b *isa.Builder) {
@@ -72,28 +73,25 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 		}),
 	}
 	for _, prog := range progs {
-		for _, par := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/parallel=%v", prog.Name, par), func(t *testing.T) {
-				cfg := Default(variant.SingleInstruction)
-				cfg.Parallel, cfg.LaneParallelThreshold = par, 512
-				m, err := New(cfg)
-				if err != nil {
+		t.Run(prog.Name, func(t *testing.T) {
+			m, err := New(Default(variant.SingleInstruction))
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := func(t *testing.T) {
+				if err := m.LoadProgram(prog); err != nil {
 					t.Fatal(err)
 				}
-				warm := func() {
-					if err := m.LoadProgram(prog); err != nil {
+				if err := m.Boot(); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 64; i++ { // warm the arenas
+					if err := m.Step(); err != nil {
 						t.Fatal(err)
-					}
-					if err := m.Boot(); err != nil {
-						t.Fatal(err)
-					}
-					for i := 0; i < 64; i++ { // warm the arenas
-						if err := m.Step(); err != nil {
-							t.Fatal(err)
-						}
 					}
 				}
-				warm()
+			}
+			gate := func(t *testing.T) {
 				allocs := testing.AllocsPerRun(200, func() {
 					if err := m.Step(); err != nil {
 						t.Fatal(err)
@@ -102,15 +100,22 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 				if allocs > 0.1 {
 					t.Fatalf("steady-state step loop allocates %.2f objects/step, want 0", allocs)
 				}
+			}
+			t.Run("fresh", func(t *testing.T) {
+				warm(t)
+				gate(t)
+			})
+			t.Run("reset", func(t *testing.T) {
 				m.Reset()
-				warm()
+				warm(t)
 				if ks := m.KernelStats(); ks.BanksAllocated != 0 || ks.BanksReused == 0 && prog.Name != "flows" { // whose banks are one lane: the allocator's
 					t.Fatalf("the run after Reset allocated %d vector banks and reused %d, want every bank reused", ks.BanksAllocated, ks.BanksReused)
 				}
 				if ts := m.TailStats(); ts.FlowsAllocated != 0 && prog.Name != "flows" { // whose 65th flow is past what a machine keeps
 					t.Fatalf("the run after Reset allocated a flow chunk: %v", ts)
 				}
+				gate(t)
 			})
-		}
+		})
 	}
 }

@@ -20,7 +20,7 @@ import (
 func thickTrafficProgram(rounds int64) *isa.Program {
 	b := isa.NewBuilder("thick-traffic")
 	b.Label("main")
-	b.SetThickImm(laneParThickness)
+	b.SetThickImm(raggedThickness)
 	b.Id(isa.TID, isa.V(0))
 	b.ALUI(isa.MUL, isa.V(2), isa.V(0), 37)
 	b.ALUI(isa.AND, isa.V(2), isa.V(2), 63)
@@ -46,74 +46,70 @@ func thickTrafficProgram(rounds int64) *isa.Program {
 func TestResetDropsRetainedTraffic(t *testing.T) {
 	prog := thickTrafficProgram(5)
 	for _, eng := range engines {
-		for _, par := range []bool{false, true} {
-			cfg := Default(variant.SingleInstruction)
-			cfg.Parallel, cfg.LaneParallelThreshold = par, 64
-			fresh, err := eng.new(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.LoadProgram(prog); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fresh.Run(); err != nil {
-				t.Fatal(err)
-			}
-			want := snapshotOf(fresh)
+		cfg := Default(variant.SingleInstruction)
+		fresh, err := eng.new(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.LoadProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := snapshotOf(fresh)
 
-			m, err := eng.new(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Steps 6 and 8 of the program are the first round's dense store
-			// and its multiprefix.
-			for _, stopAt := range []int{6, 8} {
-				if err := m.LoadProgram(prog); err != nil {
-					t.Fatal(err)
-				}
-				stepN(t, m, stopAt)
-				plan, err := m.front.prepare()
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.back.generate(plan)
-				if _, err := m.back.merge(); err != nil {
-					t.Fatal(err)
-				}
-				pending := m.shared.PendingWrites()
-				for _, c := range m.combiners {
-					pending += c.Len()
-				}
-				if pending != laneParThickness {
-					t.Fatalf("%v parallel=%v stop %d: %d references retained after the fold, want %d", eng, par, stopAt, pending, laneParThickness)
-				}
-				if m.shared.PendingWrites() > 0 {
-					if err := m.Snapshot(io.Discard); err == nil || !strings.Contains(err.Error(), "buffered writes") {
-						t.Fatalf("snapshot with a retained log: err = %v, want the buffered-writes refusal", err)
-					}
-				}
-
-				m.Reset()
-				if n := m.shared.PendingWrites(); n != 0 {
-					t.Fatalf("%d writes retained across Reset", n)
-				}
-				for _, c := range m.combiners {
-					if c.Len() != 0 {
-						t.Fatalf("%d %s references retained across Reset", c.Len(), c.Kind())
-					}
-				}
-			}
+		m, err := eng.new(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Steps 6 and 8 of the program are the first round's dense store
+		// and its multiprefix.
+		for _, stopAt := range []int{6, 8} {
 			if err := m.LoadProgram(prog); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.Run(); err != nil {
+			stepN(t, m, stopAt)
+			plan, err := m.front.prepare()
+			if err != nil {
 				t.Fatal(err)
 			}
-			got := snapshotOf(m)
-			got.stats.LaneChunks, want.stats.LaneChunks = 0, 0
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v parallel=%v: the run after the aborted steps differs from a fresh machine's\ngot  %+v\nwant %+v", eng, par, got.stats, want.stats)
+			m.back.generate(plan)
+			if _, err := m.back.merge(); err != nil {
+				t.Fatal(err)
 			}
+			pending := m.shared.PendingWrites()
+			for _, c := range m.combiners {
+				pending += c.Len()
+			}
+			if pending != raggedThickness {
+				t.Fatalf("%v stop %d: %d references retained after the fold, want %d", eng, stopAt, pending, raggedThickness)
+			}
+			if m.shared.PendingWrites() > 0 {
+				if err := m.Snapshot(io.Discard); err == nil || !strings.Contains(err.Error(), "buffered writes") {
+					t.Fatalf("snapshot with a retained log: err = %v, want the buffered-writes refusal", err)
+				}
+			}
+
+			m.Reset()
+			if n := m.shared.PendingWrites(); n != 0 {
+				t.Fatalf("%d writes retained across Reset", n)
+			}
+			for _, c := range m.combiners {
+				if c.Len() != 0 {
+					t.Fatalf("%d %s references retained across Reset", c.Len(), c.Kind())
+				}
+			}
+		}
+		if err := m.LoadProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := snapshotOf(m)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: the run after the aborted steps differs from a fresh machine's\ngot  %+v\nwant %+v", eng, got.stats, want.stats)
 		}
 	}
 }

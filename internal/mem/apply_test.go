@@ -128,8 +128,8 @@ func instrBatch(rng *rand.Rand, words, n int, spread uint8) (flat []Write, start
 }
 
 // bufferInstrs buffers flat, instruction by instruction, into one to three
-// logs (as groups fold theirs in order), each instruction as one run, as lane
-// chunks merged back, or store by store.
+// logs (as groups fold theirs in order), each instruction as one run, as a
+// run cut in two and appended back together, or store by store.
 func bufferInstrs(rng *rand.Rand, s *Shared, flat []Write, starts []int) {
 	logs := make([]*WriteLog, 1+rng.Intn(3))
 	for i := range logs {
@@ -183,7 +183,7 @@ func applyStepTabled(s *Shared) []Conflict {
 }
 
 // FuzzApplyStepVsSorted holds ApplyStep to the sort-and-scan oracle over
-// policy × module count × serial/parallel, on single writes in four arrival
+// policy × module count, on single writes in four arrival
 // orders (conflicting, out-of-range and equal-keyed) through BufferWrite(s)
 // and on instruction-shaped traffic through write logs with fuzzed run
 // structure, over two steps so the retained scratch is reused; and the direct
@@ -191,21 +191,19 @@ func applyStepTabled(s *Shared) []Conflict {
 func FuzzApplyStepVsSorted(f *testing.F) {
 	for arrival := 0; arrival < numArrivals; arrival++ {
 		for policy := 0; policy < 3; policy++ {
-			f.Add(int64(arrival*3+policy), uint8(policy), uint8(1+arrival*2), arrival%2 == 0, uint8(arrival), uint16(300*(1+policy)), uint8(5*policy))
-			f.Add(int64(arrival*3+policy), uint8(policy), uint8(1+arrival*2), arrival%2 == 1, uint8(numArrivals+arrival), uint16(700*(1+policy)), uint8(3*policy))
+			f.Add(int64(arrival*3+policy), uint8(policy), uint8(1+arrival*2), uint8(arrival), uint16(300*(1+policy)), uint8(5*policy))
+			f.Add(int64(arrival*3+policy), uint8(policy), uint8(1+arrival*2), uint8(numArrivals+arrival), uint16(700*(1+policy)), uint8(3*policy))
 		}
 	}
-	f.Add(int64(77), uint8(0), uint8(4), true, uint8(arriveShuffled), uint16(6000), uint8(0))
-	f.Add(int64(78), uint8(2), uint8(7), true, uint8(arriveInterleaved), uint16(5000), uint8(1))
-	f.Add(int64(79), uint8(1), uint8(4), true, uint8(numArrivals), uint16(8000), uint8(9))
-	f.Fuzz(func(t *testing.T, seed int64, policySel, modules uint8, par bool, shape uint8, n uint16, spread uint8) {
+	f.Add(int64(77), uint8(0), uint8(4), uint8(arriveShuffled), uint16(6000), uint8(0))
+	f.Add(int64(78), uint8(2), uint8(7), uint8(arriveInterleaved), uint16(5000), uint8(1))
+	f.Add(int64(79), uint8(1), uint8(4), uint8(numArrivals), uint16(8000), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, policySel, modules, shape uint8, n uint16, spread uint8) {
 		const words = 1 << 12
 		policy := Policy(policySel % 3)
 		rng := rand.New(rand.NewSource(seed))
 		s := mustShared(t, words, 1+int(modules%16), policy)
 		tabled := mustShared(t, words, 1+int(modules%16), policy)
-		s.SetParallel(par)
-		tabled.SetParallel(par)
 		var total sortedStep
 		for step := 0; step < 2; step++ {
 			var batch []Write
@@ -274,34 +272,31 @@ func TestApplyRoutesAgree(t *testing.T) {
 		},
 	}
 	for name, build := range shapes {
-		for _, par := range []bool{false, true} {
-			direct, tabled := mustShared(t, words, 4, Common), mustShared(t, words, 4, Common)
-			var l WriteLog
-			build(&l)
-			for _, s := range []*Shared{direct, tabled} {
-				s.SetParallel(par)
-				s.BufferLog(&l)
-			}
-			if c := direct.ApplyStep(); c != nil {
-				t.Fatalf("%s: direct route reports conflicts %v", name, c)
-			}
-			if c := applyStepTabled(tabled); c != nil {
-				t.Fatalf("%s: tabled route reports conflicts %v", name, c)
-			}
-			if cs := direct.CommitStats(); cs.DirectWords != int64(l.Len()) || cs.TabledWords != 0 {
-				t.Fatalf("%s: %+v, want all %d words direct", name, cs, l.Len())
-			}
-			if cs := tabled.CommitStats(); cs.TabledWords != int64(l.Len()) || cs.DirectWords != 0 {
-				t.Fatalf("%s: %+v, want all %d words tabled", name, cs, l.Len())
-			}
-			if !slices.Equal(direct.Snapshot(0, words), tabled.Snapshot(0, words)) {
-				t.Fatalf("%s: the routes left different memory", name)
-			}
-			_, dd, di := direct.Stats()
-			_, td, ti := tabled.Stats()
-			if dd != td || di != ti || dd != int64(l.Len()) {
-				t.Fatalf("%s: write counters %d/%d direct, %d/%d tabled, want %d", name, dd, di, td, ti, l.Len())
-			}
+		direct, tabled := mustShared(t, words, 4, Common), mustShared(t, words, 4, Common)
+		var l WriteLog
+		build(&l)
+		for _, s := range []*Shared{direct, tabled} {
+			s.BufferLog(&l)
+		}
+		if c := direct.ApplyStep(); c != nil {
+			t.Fatalf("%s: direct route reports conflicts %v", name, c)
+		}
+		if c := applyStepTabled(tabled); c != nil {
+			t.Fatalf("%s: tabled route reports conflicts %v", name, c)
+		}
+		if cs := direct.CommitStats(); cs.DirectWords != int64(l.Len()) || cs.TabledWords != 0 {
+			t.Fatalf("%s: %+v, want all %d words direct", name, cs, l.Len())
+		}
+		if cs := tabled.CommitStats(); cs.TabledWords != int64(l.Len()) || cs.DirectWords != 0 {
+			t.Fatalf("%s: %+v, want all %d words tabled", name, cs, l.Len())
+		}
+		if !slices.Equal(direct.Snapshot(0, words), tabled.Snapshot(0, words)) {
+			t.Fatalf("%s: the routes left different memory", name)
+		}
+		_, dd, di := direct.Stats()
+		_, td, ti := tabled.Stats()
+		if dd != td || di != ti || dd != int64(l.Len()) {
+			t.Fatalf("%s: write counters %d/%d direct, %d/%d tabled, want %d", name, dd, di, td, ti, l.Len())
 		}
 	}
 }
@@ -337,11 +332,11 @@ func strideRun(l *WriteLog, flow int, base, stride int64, n int) {
 	}
 }
 
-// TestApplyStepParallelSteadyStateAllocs holds the parallel branch to its
-// retained arena: no per-step result slices, tables or counters.
-func TestApplyStepParallelSteadyStateAllocs(t *testing.T) {
+// TestApplyStepSteadyStateAllocs holds the tabled route to its retained
+// table: a scattered step allocates no per-step result slices, tables or
+// counters.
+func TestApplyStepSteadyStateAllocs(t *testing.T) {
 	s := mustShared(t, 1<<14, 4, Arbitrary)
-	s.SetParallel(true)
 	ws := conflictWrites(1 << 13)
 	step := func() {
 		s.BufferWrites(ws)
@@ -349,7 +344,7 @@ func TestApplyStepParallelSteadyStateAllocs(t *testing.T) {
 	}
 	step()
 	if got := testing.AllocsPerRun(50, step); got >= 1 {
-		t.Fatalf("parallel ApplyStep allocates %.1f objects per step", got)
+		t.Fatalf("ApplyStep allocates %.1f objects per step", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 )
 
@@ -22,11 +21,6 @@ import (
 // sort, so winners, the equal-key rule (the write buffered first wins),
 // counters and conflicts are those of sorting everything by (address, key).
 // Which route a run takes is a property of its addresses alone.
-
-// applyParallelMin is the tabled-write count below which ApplyStep resolves
-// on the calling goroutine even under SetParallel; small steps stay
-// goroutine-free.
-const applyParallelMin = 2048
 
 // CommitStats counts what ApplyStep has done since the memory was built or
 // Reset: the runs it was handed, the in-range words it stored directly and
@@ -70,25 +64,17 @@ type winner struct {
 	span, at int32
 }
 
-// tableWorker is the retained scratch of one goroutine of the tabled route —
-// an open-addressing table of winners, linear probing, at most half full —
-// and its outcome: the distinct addresses it wrote, and whether its writes
-// agreed under Common.
-type tableWorker struct {
-	slots    []winner
-	distinct int64
-	agreed   bool
-}
-
-// reset empties the table, sized for addrs ≥ 1 addresses: a power of two, at
-// least twice as many. It returns the shift that takes a hash to its home slot.
-func (tw *tableWorker) reset(addrs int) (shift uint) {
+// resetTable empties the tabled route's table — open addressing, linear
+// probing, at most half full — sized for addrs ≥ 1 addresses: a power of two,
+// at least twice as many. It returns the shift that takes a hash to its home
+// slot.
+func (s *Shared) resetTable(addrs int) (shift uint) {
 	b := bits.Len(uint(2*addrs - 1))
-	if size := 1 << b; cap(tw.slots) < size {
-		tw.slots = make([]winner, size)
+	if size := 1 << b; cap(s.table) < size {
+		s.table = make([]winner, size)
 	} else {
-		tw.slots = tw.slots[:size]
-		clear(tw.slots)
+		s.table = s.table[:size]
+		clear(s.table)
 	}
 	return uint(64 - b)
 }
@@ -273,7 +259,7 @@ func (s *Shared) commit() []Conflict {
 	done := int64(issued - tabled)
 	var conflicts []Conflict
 	if tabled > 0 {
-		distinct, agreed := s.resolveTabled(tabled, addrs)
+		distinct, agreed := s.resolveTabled(addrs)
 		if !agreed {
 			distinct, conflicts = s.resolveSorted(tabled)
 			s.commits.SortedFallbacks++
@@ -310,66 +296,20 @@ func (s *Shared) storeRun(sp *span) {
 	}
 }
 
-// resolveTabled resolves the n in-range words, on at most addrs addresses, of
-// the runs not stored directly, on one goroutine or — under SetParallel, for
-// a large n — on several that share the words out by home module. It returns
-// the number of distinct addresses written, and false when, under Common, two
-// writes to one address disagree: the caller then resolves again from sorted
-// order, which stores the same winners.
-func (s *Shared) resolveTabled(n, addrs int) (distinct int64, agreed bool) {
-	workers := 1
-	if s.par && n >= applyParallelMin {
-		// Two at least, even on a single-proc runtime: SetParallel asks for
-		// the concurrent path, and tests of it must not depend on GOMAXPROCS.
-		workers = min(max(2, runtime.GOMAXPROCS(0)), s.modules)
-	}
-	for len(s.workers) < workers {
-		s.workers = append(s.workers, tableWorker{})
-	}
-	if workers > 1 {
-		// Concurrent workers must find every page in place: only this
-		// goroutine may change the page table.
-		for i := range s.spans {
-			if sp := &s.spans[i]; !sp.direct {
-				for _, a := range sp.addrs {
-					if s.InRange(a) {
-						s.ensurePage(a)
-					}
-				}
-			}
-		}
-		s.wg.Add(workers - 1)
-		for w := 1; w < workers; w++ {
-			go s.tableShare(w, workers, addrs, true)
-		}
-	}
-	s.tableShare(0, workers, addrs, false)
-	s.wg.Wait()
-	agreed = true
-	for w := range s.workers[:workers] {
-		distinct += s.workers[w].distinct
-		agreed = agreed && s.workers[w].agreed
-	}
-	return distinct, agreed
-}
-
-// tableShare is worker w's part of the tabled route: the words whose home
-// module falls to it, in buffering order. The table maps each address to its
-// winning write so far, a later write replaces it only with a strictly lower
-// key, and every new winner is stored at once, so memory ends holding the
-// final winners. Workers touch disjoint words and only materialized pages.
-func (s *Shared) tableShare(w, workers, addrs int, async bool) {
-	if async {
-		defer s.wg.Done()
-	}
-	tw := &s.workers[w]
-	shift := tw.reset(addrs)
-	slots := tw.slots
+// resolveTabled resolves the in-range words, on at most addrs addresses, of
+// the runs not stored directly, in buffering order. The table maps each
+// address to its winning write so far, a later write replaces it only with a
+// strictly lower key, and every new winner is stored at once, so memory ends
+// holding the final winners. It returns the number of distinct addresses
+// written, and false when, under Common, two writes to one address disagree:
+// the caller then resolves again from sorted order, which stores the same
+// winners.
+func (s *Shared) resolveTabled(addrs int) (distinct int64, agreed bool) {
+	shift := s.resetTable(addrs)
+	slots := s.table
 	mask := len(slots) - 1
 	common := s.policy == Common
 	pgIdx, pg := int64(-1), []int64(nil) // the page stored to last
-	distinct := int64(0)                 // counted here, not in tw: workers lie side by side
-	tw.agreed = false
 	for i := range s.spans {
 		sp := &s.spans[i]
 		if sp.direct {
@@ -377,7 +317,7 @@ func (s *Shared) tableShare(w, workers, addrs int, async bool) {
 		}
 		vals := sp.vals
 		for j, a := range sp.addrs {
-			if !s.InRange(a) || workers > 1 && HomeModule(a, s.modules)%workers != w {
+			if !s.InRange(a) {
 				continue
 			}
 			// Fibonacci hashing spreads strided addresses over the table.
@@ -392,7 +332,7 @@ func (s *Shared) tableShare(w, workers, addrs int, async bool) {
 				best.addr = a
 				distinct++
 			} else if common && pg[a&(PageWords-1)] != vals[j] {
-				return
+				return distinct, false
 			} else if !sp.run.Key(j).Less(s.spans[best.span-1].run.Key(int(best.at))) {
 				continue
 			}
@@ -400,7 +340,7 @@ func (s *Shared) tableShare(w, workers, addrs int, async bool) {
 			pg[a&(PageWords-1)] = vals[j]
 		}
 	}
-	tw.distinct, tw.agreed = distinct, true
+	return distinct, true
 }
 
 // resolveSorted resolves the tabled runs' n in-range words the long way —

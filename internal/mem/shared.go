@@ -8,7 +8,6 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -166,7 +165,6 @@ type Shared struct {
 	size    int64 // total words
 	modules int
 	policy  Policy
-	par     bool // resolve contended writes on multiple goroutines
 
 	// remap[m] is the module serving traffic addressed to m (identity
 	// until failover); failed marks dead modules.
@@ -182,8 +180,7 @@ type Shared struct {
 	own     WriteLog
 	spans   []span
 	order   []spanLo
-	workers []tableWorker
-	wg      sync.WaitGroup
+	table   []winner
 	commits CommitStats
 
 	// Counters.
@@ -261,11 +258,6 @@ func auditZero(what string, words []int64) {
 		}
 	}
 }
-
-// SetParallel lets ApplyStep resolve a step's contended writes on several
-// goroutines, by home module. Results are bit-identical either way; only
-// wall-clock changes.
-func (s *Shared) SetParallel(on bool) { s.par = on }
 
 // Size returns the number of words.
 func (s *Shared) Size() int { return int(s.size) }

@@ -170,45 +170,37 @@ func TestPolicyString(t *testing.T) {
 
 // Property: the winner of a write set is the value carried by the minimal
 // key, for every address, independent of insertion order — and among writes
-// of equal minimal key, the one buffered first. Serial and parallel
-// resolution both hold it; the parallel batches are large enough to engage
-// the shard workers.
+// of equal minimal key, the one buffered first.
 func TestResolutionMatchesMinKey(t *testing.T) {
-	for _, par := range []bool{false, true} {
-		prop := func(seed int64, n uint8) bool {
-			rng := rand.New(rand.NewSource(seed))
-			s := mustShared(t, 8, 2, Arbitrary)
-			s.SetParallel(par)
-			count := int(n%40) + 1
-			if par {
-				count += applyParallelMin
+	prop := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := mustShared(t, 8, 2, Arbitrary)
+		count := int(n%40) + 1
+		ws := make([]Write, count)
+		for i := range ws {
+			ws[i] = Write{
+				Addr: int64(rng.Intn(8)),
+				Val:  int64(rng.Intn(1000)),
+				Key:  Key{Flow: rng.Intn(4), Thread: rng.Intn(4), Seq: rng.Intn(4)},
 			}
-			ws := make([]Write, count)
+			s.BufferWrite(ws[i].Addr, ws[i].Val, ws[i].Key)
+		}
+		s.ApplyStep()
+		for addr := int64(0); addr < 8; addr++ {
+			var best *Write
 			for i := range ws {
-				ws[i] = Write{
-					Addr: int64(rng.Intn(8)),
-					Val:  int64(rng.Intn(1000)),
-					Key:  Key{Flow: rng.Intn(4), Thread: rng.Intn(4), Seq: rng.Intn(4)},
-				}
-				s.BufferWrite(ws[i].Addr, ws[i].Val, ws[i].Key)
-			}
-			s.ApplyStep()
-			for addr := int64(0); addr < 8; addr++ {
-				var best *Write
-				for i := range ws {
-					if x := &ws[i]; x.Addr == addr && (best == nil || x.Key.Less(best.Key)) {
-						best = x // strictly lower only: the earliest of equal keys stays
-					}
-				}
-				if best != nil && s.Peek(addr) != best.Val {
-					return false
+				if x := &ws[i]; x.Addr == addr && (best == nil || x.Key.Less(best.Key)) {
+					best = x // strictly lower only: the earliest of equal keys stays
 				}
 			}
-			return true
+			if best != nil && s.Peek(addr) != best.Val {
+				return false
+			}
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-			t.Fatalf("parallel=%v: %v", par, err)
-		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -394,16 +386,15 @@ func TestSnapshotPagedAndClamped(t *testing.T) {
 	}
 }
 
-// TestApplyStepShardedMatchesSerial cross-checks the sharded serial and
-// parallel resolutions against each other and against the sort-and-scan
-// reference on random write batches, for every policy. The batches are full
-// of writes with equal (addr, key) and different values, so the tie rule —
-// earliest buffered wins — is what keeps the three in agreement.
-func TestApplyStepShardedMatchesSerial(t *testing.T) {
+// TestApplyStepTiesMatchSorted cross-checks ApplyStep against the
+// sort-and-scan reference on random write batches, for every policy. The
+// batches are full of writes with equal (addr, key) and different values, so
+// the tie rule — earliest buffered wins — is what keeps the two in agreement.
+func TestApplyStepTiesMatchSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, policy := range []Policy{Arbitrary, Priority, Common} {
 		for round := 0; round < 20; round++ {
-			n := 1 + rng.Intn(6000) // straddles applyParallelMin
+			n := 1 + rng.Intn(6000)
 			batch := make([]Write, n)
 			for i := range batch {
 				batch[i] = Write{
@@ -413,14 +404,11 @@ func TestApplyStepShardedMatchesSerial(t *testing.T) {
 				}
 			}
 			want := resolveSorted(policy, 512, batch)
-			for _, par := range []bool{false, true} {
-				s := mustShared(t, 512, 5, policy)
-				s.SetParallel(par)
-				for _, b := range batch {
-					s.BufferWrite(b.Addr, b.Val, b.Key)
-				}
-				want.check(t, s, s.ApplyStep())
+			s := mustShared(t, 512, 5, policy)
+			for _, b := range batch {
+				s.BufferWrite(b.Addr, b.Val, b.Key)
 			}
+			want.check(t, s, s.ApplyStep())
 		}
 	}
 }

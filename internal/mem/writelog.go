@@ -67,8 +67,8 @@ func (l *WriteLog) Open(flow, seq, thread0, n int) (addrs, vals []int64) {
 	return l.Addrs[at:], l.Vals[at:]
 }
 
-// AppendLog buffers o's stores behind l's own, in o's order. A lane chunk's
-// run that continues the chunk before it becomes one run again.
+// AppendLog buffers o's stores behind l's own, in o's order. A first run of
+// o that continues l's last run becomes one run with it.
 func (l *WriteLog) AppendLog(o *WriteLog) {
 	if len(o.Runs) == 0 {
 		return

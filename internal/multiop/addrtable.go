@@ -8,7 +8,7 @@ import "math/bits"
 // zero is empty, and the caller walks the probe sequence itself because only
 // it knows which address an index stands for. The backing array is retained
 // across steps and grows to the largest batch seen. (The write commit of
-// internal/mem keeps its winners in the slots themselves: mem.tableWorker.)
+// internal/mem keeps its winners in the slots themselves: mem.Shared.table.)
 type addrTable struct {
 	slots []int32
 	shift uint

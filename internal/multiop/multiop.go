@@ -92,13 +92,6 @@ func (l *Log) Open(r Run) (addrs, vals []int64) {
 	return l.Addrs[at:], l.Vals[at:]
 }
 
-// AppendLog records o's traffic behind l's own, in o's order.
-func (l *Log) AppendLog(o *Log) {
-	l.Runs = append(l.Runs, o.Runs...)
-	l.Addrs = append(l.Addrs, o.Addrs...)
-	l.Vals = append(l.Vals, o.Vals...)
-}
-
 // runRef is one run in the order Resolve folds it: its header and where its
 // references lie.
 type runRef struct {

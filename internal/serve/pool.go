@@ -28,8 +28,6 @@ type poolKey struct {
 	autoSplit     int
 	watchdog      int64
 	discipline    mem.Discipline
-	parallel      bool
-	laneThreshold int
 }
 
 // keyOf projects a Config onto its pool identity. Configurations carrying
@@ -55,8 +53,6 @@ func keyOf(cfg machine.Config) (poolKey, error) {
 		autoSplit:     cfg.AutoSplitThreshold,
 		watchdog:      cfg.WatchdogSteps,
 		discipline:    cfg.MemDiscipline,
-		parallel:      cfg.Parallel,
-		laneThreshold: cfg.LaneParallelThreshold,
 	}, nil
 }
 

@@ -2,7 +2,6 @@ package tcf
 
 import (
 	"math/bits"
-	"sync"
 
 	"tcfpram/internal/isa"
 )
@@ -24,12 +23,11 @@ import (
 //
 // The arena is bounded: Recycle keeps no chunk and no bank the run before it
 // did not use, never more words in banks than that run's registers held, and
-// never more than limit words in all. Flows of different groups grow registers
-// concurrently under Config.Parallel, hence the lock; storage changes hands
-// per register, not per step, and a bank is in the free stack only while no
-// register refers to it.
+// never more than limit words in all. Storage changes hands per register, not
+// per step, and a bank is in the free stack only while no register refers to
+// it. The arena is not safe for concurrent use: the machine grows registers on
+// the one goroutine that steps it.
 type RegArena struct {
-	mu    sync.Mutex
 	free  [][]int64 // last in, first out
 	words int       // capacity held in free
 	limit int
@@ -76,8 +74,6 @@ func NewRegArena(limit int) *RegArena {
 
 // Counts returns the arena's counters.
 func (a *RegArena) Counts() ArenaCounts {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	c := a.counts
 	c.HeldWords = int64(a.words + a.kept)
 	return c
@@ -90,8 +86,7 @@ func (a *RegArena) Counts() ArenaCounts {
 // with capacity to double in before it is bumped again; a long one is the
 // newest free bank if that is large enough — it is whenever the run asks as
 // the run before it did, see Recycle — and the bank it replaces becomes free
-// after the lanes are out of it, not before: another group may take a free
-// bank and clear it at any moment.
+// after the lanes are out of it.
 func (a *RegArena) grow(reg *[]int64, n int) {
 	old := *reg
 	if cap(old) >= n {
@@ -104,10 +99,8 @@ func (a *RegArena) grow(reg *[]int64, n int) {
 	case a == nil:
 	case n < minBank:
 		room := min(1<<bits.Len(uint(n-1)), minBank-1)
-		a.mu.Lock()
 		v = a.thin.take(room)[:n]
 		a.counts.ThinWords += int64(room)
-		a.mu.Unlock()
 	default:
 		v = a.take(reg, n)
 	}
@@ -119,9 +112,7 @@ func (a *RegArena) grow(reg *[]int64, n int) {
 	copy(v, old)
 	*reg = v
 	if a != nil && cap(old) >= minBank {
-		a.mu.Lock()
 		a.keep(old)
-		a.mu.Unlock()
 	}
 }
 
@@ -134,10 +125,8 @@ func (a *RegArena) attach(table *[][]int64, want int) {
 	if a == nil {
 		t = make([][]int64, n)
 	} else {
-		a.mu.Lock()
 		t = a.headers.take(n)
 		a.counts.Tables++
-		a.mu.Unlock()
 		clear(t)
 	}
 	copy(t, *table)
@@ -148,8 +137,6 @@ func (a *RegArena) attach(table *[][]int64, want int) {
 // hold one yet, and returns the newest free bank cut to n lanes, or nil if
 // that bank is too small or there is none.
 func (a *RegArena) take(reg *[]int64, n int) (v []int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if cap(*reg) < minBank {
 		a.lent = append(a.lent, reg) // once: a register's bank never shrinks
 	}
@@ -193,8 +180,6 @@ func (a *RegArena) Adopt(f *Flow) {
 // are truncated to the chunks the run reached. Not to be called concurrently
 // with anything that uses the flows or the arena.
 func (a *RegArena) Recycle() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	clear(a.free)
 	a.free = a.free[:0]
 	a.words, a.kept, a.counts = 0, 0, ArenaCounts{}

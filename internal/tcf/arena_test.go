@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"tcfpram/internal/checkpoint"
@@ -153,49 +152,52 @@ func TestRegArenaRecycle(t *testing.T) {
 	}
 }
 
-// TestRegArenaConcurrentGrow: flows of different groups grow registers on the
-// same arena at once, as they do under Config.Parallel. A register that
+// TestRegArenaInterleavedGrow: flows of different groups grow registers on
+// the same arena in turn, as the groups of one step do. A register that
 // outgrows its bank keeps its lanes although the other flows take every free
 // bank they find, clear it and write it: the replaced bank is free only once
-// its lanes are out of it (under -race a bank handed back earlier shows as a
-// data race, without it as lost lanes).
-func TestRegArenaConcurrentGrow(t *testing.T) {
+// its lanes are out of it.
+func TestRegArenaInterleavedGrow(t *testing.T) {
 	a := NewRegArena(1 << 20)
-	var wg sync.WaitGroup
-	for id := 1; id <= 4; id++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 200; round++ {
-				f := New(id, 0, minBank)
-				f.Regs = a
-				for r, had := 1, 0; f.Thickness <= 8*minBank; r++ {
-					v := f.Vector(isa.V(0))
-					for i, x := range v {
-						want := int64(0)
-						if i < had {
-							want = int64(id)
-						}
-						if x != want {
-							t.Errorf("flow %d at thickness %d: lane %d reads %d, want %d", id, f.Thickness, i, x, want)
-							return
-						}
-						v[i] = int64(id)
+	for round := 0; round < 200; round++ {
+		var flows [4]*Flow
+		var had, next [4]int
+		for i := range flows {
+			flows[i] = New(i+1, 0, minBank)
+			flows[i].Regs = a
+			next[i] = 1
+		}
+		for grown := true; grown; {
+			grown = false
+			for i, f := range flows {
+				id := int64(i + 1)
+				if f.Thickness > 8*minBank {
+					continue
+				}
+				grown = true
+				v := f.Vector(isa.V(0))
+				for l, x := range v {
+					want := int64(0)
+					if l < had[i] {
+						want = id
 					}
-					w := f.Vector(isa.V(r)) // a first touch: takes what the others hand back
-					for i := range w {
-						w[i] = -int64(id)
+					if x != want {
+						t.Fatalf("flow %d at thickness %d: lane %d reads %d, want %d", id, f.Thickness, l, x, want)
 					}
-					had = f.Thickness
-					if err := f.SetThickness(2 * had); err != nil {
-						t.Error(err)
-						return
-					}
+					v[l] = id
+				}
+				w := f.Vector(isa.V(next[i])) // a first touch: takes what the others hand back
+				for l := range w {
+					w[l] = -id
+				}
+				next[i]++
+				had[i] = f.Thickness
+				if err := f.SetThickness(2 * had[i]); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}()
+		}
 	}
-	wg.Wait()
 }
 
 // modelFlow is the register file as the architecture defines it and nothing
@@ -363,48 +365,51 @@ func TestRegisterFileAgainstModel(t *testing.T) {
 	}
 }
 
-// TestRegArenaConcurrentThinGrow is TestRegArenaConcurrentGrow below minBank
-// and across it: flows of different groups touch and widen thin registers and
-// push call stacks on one arena at once, each keeping its own lanes while the
-// bump regions hand out the words next to them.
-func TestRegArenaConcurrentThinGrow(t *testing.T) {
+// TestRegArenaInterleavedThinGrow is TestRegArenaInterleavedGrow below
+// minBank and across it: flows of different groups touch and widen thin
+// registers and push call stacks on one arena in turn, each keeping its own
+// lanes while the bump regions hand out the words next to them.
+func TestRegArenaInterleavedThinGrow(t *testing.T) {
 	a := NewRegArena(1 << 16)
-	var wg sync.WaitGroup
-	for id := 1; id <= 4; id++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 300; round++ {
-				f := New(id, 0, 1)
-				f.Regs = a
-				for had := 0; f.Thickness <= 2*minBank; {
-					for r := 0; r < 3+id; r++ {
-						v := f.Vector(isa.V(r))
-						for i, x := range v {
-							want := int64(0)
-							if i < had {
-								want = int64(id*100 + r)
-							}
-							if x != want {
-								t.Errorf("flow %d at thickness %d: V%d lane %d reads %d, want %d", id, f.Thickness, r, i, x, want)
-								return
-							}
-							v[i] = int64(id*100 + r)
+	for round := 0; round < 300; round++ {
+		var flows [4]*Flow
+		var had [4]int
+		for i := range flows {
+			flows[i] = New(i+1, 0, 1)
+			flows[i].Regs = a
+		}
+		for grown := true; grown; {
+			grown = false
+			for i, f := range flows {
+				id := i + 1
+				if f.Thickness > 2*minBank {
+					continue
+				}
+				grown = true
+				for r := 0; r < 3+id; r++ {
+					v := f.Vector(isa.V(r))
+					for l, x := range v {
+						want := int64(0)
+						if l < had[i] {
+							want = int64(id*100 + r)
 						}
-					}
-					f.Call(f.Thickness)
-					had = f.Thickness
-					if err := f.SetThickness(had + 1 + had/3); err != nil {
-						t.Error(err)
-						return
+						if x != want {
+							t.Fatalf("flow %d at thickness %d: V%d lane %d reads %d, want %d", id, f.Thickness, r, l, x, want)
+						}
+						v[l] = int64(id*100 + r)
 					}
 				}
-				if n := len(f.CallStack); n == 0 || f.CallStack[0] != 1 {
-					t.Errorf("flow %d: call stack %v lost its first return address", id, f.CallStack)
-					return
+				f.Call(f.Thickness)
+				had[i] = f.Thickness
+				if err := f.SetThickness(had[i] + 1 + had[i]/3); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}()
+		}
+		for i, f := range flows {
+			if n := len(f.CallStack); n == 0 || f.CallStack[0] != 1 {
+				t.Fatalf("flow %d: call stack %v lost its first return address", i+1, f.CallStack)
+			}
+		}
 	}
-	wg.Wait()
 }

@@ -506,9 +506,7 @@ func Multitask(k, thickness int) Workload {
 // iterating a private scalar chain (x -> 3x+1) over its own disjoint slice
 // of BaseC for `iters` rounds — the multi-group engine-throughput workload.
 // There are no cross-arm dependencies: every arm reads and writes only its
-// own region, so a step engine that runs groups on worker pools can scale
-// with cores, while the step barrier pays a global synchronization every
-// step.
+// own region, so every group has work in every step.
 func GroupParallel(arms, thickness, iters int) Workload {
 	size := arms * thickness
 	checkSize(size)

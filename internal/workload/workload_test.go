@@ -219,12 +219,10 @@ func TestCrossVariantEquivalence(t *testing.T) {
 	}
 }
 
-// TestGroupParallel verifies the multi-group throughput workload under both
-// engine configurations the step-throughput benchmark sweeps, serial and
-// pooled, and on Balanced.
+// TestGroupParallel verifies the multi-group throughput workload the
+// step-throughput benchmark runs, on SingleInstruction and on Balanced.
 func TestGroupParallel(t *testing.T) {
 	w := GroupParallel(8, 64, 12)
-	runOn(t, variant.SingleInstruction, w, func(c *machine.Config) { c.Parallel = true })
 	runOn(t, variant.Balanced, w, nil)
 	m := runOn(t, variant.SingleInstruction, w, nil)
 	if m.Stats().Splits == 0 {

@@ -233,8 +233,7 @@ func DiagnosticsHaveErrors(ds []Diagnostic) bool { return diag.HasErrors(ds) }
 // CostReport is the cost analyzer's prediction for one program on one
 // machine shape: step/cycle/traffic bounds under the extended PRAM-NUMA cost
 // model, read off a fuelled run of the step engine. When Resolved is true
-// every bound is exact and equals the measured Stats of a real run (serial
-// or Parallel).
+// every bound is exact and equals the measured Stats of a real run.
 type CostReport = analysis.CostReport
 
 // CostBound is one predicted [Min, Max] interval of a CostReport.
