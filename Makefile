@@ -66,7 +66,7 @@ benchall:
 	$(GO) test -bench=. -benchmem ./...
 
 table:
-	$(GO) run ./cmd/tablegen
+	$(GO) run ./cmd/figgen table1
 
 figures:
 	$(GO) run ./cmd/figgen all

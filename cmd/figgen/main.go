@@ -5,8 +5,8 @@
 //
 //	figgen <target|all>
 //
-// Targets: fig1..fig13 (the paper's figures), autosplit (Section 3.3 OS
-// splitting), storage (Section 3.3 intermediate-result storage), scaling
+// Targets: table1 (the paper's Table 1, measured at u=16, k=8), fig1..fig13
+// (the paper's figures), autosplit (Section 3.3 OS splitting), storage (Section 3.3 intermediate-result storage), scaling
 // (machine-size sweep), summary (cross-variant kernel matrix), s4 (the
 // Section 4 programming comparisons).
 package main
@@ -44,6 +44,17 @@ func emit(which string, out io.Writer) error {
 	match := func(name string) bool { return all || which == name }
 	any := false
 
+	if match("table1") {
+		any = true
+		header(fmt.Sprintf("Table 1 — key properties and measured primitive costs (P=%d, Tp=%d, R=%d, b=%d)",
+			exper.P, exper.Tp, exper.R, exper.B))
+		const u, k = 16, 8
+		rows, err := exper.Table1(k, u)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(out, exper.FormatTable1(rows, u))
+	}
 	if match("fig1") {
 		any = true
 		header("Figure 1 — ESM substrate: distance-aware network under uniform random traffic")
@@ -223,7 +234,7 @@ func emit(which string, out io.Writer) error {
 			h.TApp, h.VerticalCycles, h.HorizontalCycles, h.Speedup)
 	}
 	if !any {
-		return fmt.Errorf("unknown figure %q (want fig1..fig13, autosplit, storage, scaling, summary, s4, or all)", which)
+		return fmt.Errorf("unknown figure %q (want table1, fig1..fig13, autosplit, storage, scaling, summary, s4, or all)", which)
 	}
 	return nil
 }

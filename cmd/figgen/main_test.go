@@ -8,6 +8,7 @@ import (
 
 func TestEmitTargets(t *testing.T) {
 	cases := map[string]string{
+		"table1":    "task switch",
 		"fig2":      "step speedup",
 		"fig7":      "Single-instruction variant",
 		"fig8":      "Balanced variant",

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,14 +11,17 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
 
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/fault"
+	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/mem"
+	"tcfpram/internal/serve"
 	"tcfpram/internal/variant"
 	"tcfpram/internal/workload"
 )
@@ -135,9 +139,9 @@ func programs(tb testing.TB) []entry {
 // outcome is everything a run shows: the error that stopped it, its outputs,
 // the whole shared memory, Stats, a digest of its step records, and — not
 // compared — how many lanes the bulk kernels ran, for a kill row the step it
-// was first killed at and how many faults had fired by its last kill, for
-// the abort row the step quota that stopped the program before it, and for
-// the checkpoint row how many of its snapshots a kill row took too.
+// was first killed at and how many faults had fired by its last kill, for a
+// reuse row whether the program before it stopped the way the row stops it,
+// and for the checkpoint row how many of its snapshots a kill row took too.
 type outcome struct {
 	err                error
 	outputs            []machine.Output
@@ -146,7 +150,7 @@ type outcome struct {
 	trace              uint64 // traceSum, 0 when the run did not trace
 	bulk               int64
 	kill, faultsAtKill int64
-	quota              int64
+	stopped            bool
 	sharedSnaps        int
 }
 
@@ -374,45 +378,239 @@ func stepped(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome 
 	return observe(m, err)
 }
 
-// reset runs the cell's program on a machine Reset after running the next
-// program of the list on it, the Reset audited for a word left behind.
-func reset(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
-	mem.ResetAudit.Store(true)
-	defer mem.ResetAudit.Store(false)
-	m := build(t, c.other.c, cfg)
-	_, _ = m.Run() // its result, a refusal included, is only dirt to clear here
-	m.Reset()
-	loadInto(t, m, c.e.c)
-	_, err := m.Run()
-	return observe(m, err)
+// reused is the lifecycle of a machine that goes back into a tcfserve pool:
+// dirty runs another program on the machine build makes and stops it, the
+// machine is Reset, under mem.ResetAudit, and given the row's limits back, and
+// the cell's program runs on it. dirty returns the machine to reuse — the one
+// it built or one it restored — and whether the program stopped the way the
+// row is about, which is when the row engages.
+func reused(dirty func(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool)) lifecycle {
+	return func(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
+		mem.ResetAudit.Store(true)
+		defer mem.ResetAudit.Store(false)
+		m, stopped := dirty(t, c, cfg, build)
+		m.Reset()
+		if err := m.SetLimits(cfg.MaxSteps, cfg.MaxThickness); err != nil {
+			t.Fatal(err)
+		}
+		loadInto(t, m, c.e.c)
+		_, err := m.Run()
+		o := observe(m, err)
+		o.stopped = stopped
+		return o
+	}
 }
 
-// aborted is the way a quota-stopped tcfserve lease goes back into the pool:
-// the next program of the list runs under a step quota seeded from the cell
-// until ErrMaxSteps stops it mid-run, the machine is Reset, under
-// mem.ResetAudit, and given the row's limits back, and the cell's program runs
-// on it. A quota the other program finishes within leaves the row unengaged
-// in the cell.
-func aborted(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
-	mem.ResetAudit.Store(true)
-	defer mem.ResetAudit.Store(false)
-	quota := 1 + int64(hash([]byte(c.name))%uint64(max(1, c.oracle.stats.Steps)))
+// seededStep is the step of the other program at which a reuse row stops it,
+// seeded from the cell: anywhere in a run as long as the cell's.
+func seededStep(c *cell) int64 {
+	return 1 + int64(hash([]byte(c.name))%uint64(max(1, c.oracle.stats.Steps)))
+}
+
+// ranOther runs the next program of the list to its end, a refusal included:
+// its result is only dirt to clear.
+func ranOther(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool) {
 	m := build(t, c.other.c, cfg)
-	if err := m.SetLimits(quota, 0); err != nil {
+	_, _ = m.Run()
+	return m, true
+}
+
+// quotaStopped runs the next program of the list under a step quota until
+// ErrMaxSteps stops it mid-run: a quota-stopped tcfserve lease. On a faulty
+// cell the row engages only where a memory module failed over before the
+// stop, which the Reset must revive.
+func quotaStopped(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool) {
+	m := build(t, c.other.c, cfg)
+	if err := m.SetLimits(seededStep(c), 0); err != nil {
 		t.Fatal(err)
 	}
 	_, err := m.Run()
+	return m, errors.Is(err, machine.ErrMaxSteps) && (cfg.FaultPlan == nil || m.Stats().Failovers > 0)
+}
+
+// canceled cancels the next program of the list's RunContext at the seeded
+// step, as a tcfserve request's deadline does.
+func canceled(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool) {
+	m, at := build(t, c.other.c, cfg), seededStep(c)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := m.RunUntil(ctx, func(m *machine.Machine) bool {
+		if m.Stats().Steps >= at {
+			cancel()
+		}
+		return false
+	})
+	return m, errors.Is(err, machine.ErrCanceled)
+}
+
+// waiting starts a program of the reuse rows: a seeded wait of one to eight
+// loop rounds, and a base address seeded from the cell below words-128.
+func waiting(c *cell, name string, words int) (*isa.Builder, int64) {
+	seed := hash([]byte(c.name))
+	b := isa.NewBuilder(name)
+	b.Label("main")
+	b.Ldi(isa.S(1), int64(1+seed%8))
+	b.Label("wait")
+	b.ALUI(isa.SUB, isa.S(1), isa.S(1), 1)
+	b.Branch(isa.BNEZ, isa.S(1), "wait")
+	return b, int64(seed % uint64(words-128))
+}
+
+// failingProgram stops on a runtime error in the middle of a step: after the
+// wait, four arms start together, and in their second step two store a thick
+// vector and one adds into a combining word while the third sets a negative
+// thickness, so the groups before its own have folded their traffic when it
+// fails.
+func failingProgram(c *cell, words int) *codegen.Compiled {
+	b, base := waiting(c, "failing", words)
+	b.Ldi(isa.S(5), -1)
+	b.Split(isa.ArmImm(64, "store"), isa.ArmImm(64, "combine"), isa.ArmImm(1, "fail"), isa.ArmImm(64, "store"))
+	b.Halt()
+	b.Label("store")
+	b.Id(isa.TID, isa.V(0))
+	b.St(isa.V(0), base, isa.V(0))
+	b.Op(isa.JOIN)
+	b.Label("combine")
+	b.Id(isa.TID, isa.V(0))
+	b.Multi(isa.MADD, isa.RegNone, base+100, isa.V(0))
+	b.Op(isa.JOIN)
+	b.Label("fail")
+	b.Op(isa.NOP)
+	b.SetThick(isa.S(5))
+	b.Op(isa.JOIN)
+	return &codegen.Compiled{Program: b.MustBuild()}
+}
+
+// failed runs failingProgram to its runtime error.
+func failed(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool) {
+	m := build(t, failingProgram(c, cfg.SharedWords), cfg)
+	_, err := m.Run()
+	return m, err != nil && strings.Contains(err.Error(), "negative thickness")
+}
+
+// panicObserver panics from inside a step once the machine is at step at:
+// the panic unwinds out of Run with live flows, filled storage buffers and
+// the step's books half closed, the state tcfserve recovers a panic in.
+type panicObserver struct{ at int64 }
+
+func (p *panicObserver) ObserveStage(step int64, _ machine.Stage, _ machine.StageStats) {
+	if p.at > 0 && step >= p.at {
+		panic("injected mid-step panic")
+	}
+}
+
+// panicked runs the next program of the list until a stage observer panics
+// at the seeded step, and recovers the panic. The observer stays on the
+// machine, disarmed: a configuration without it would be another machine.
+func panicked(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool) {
+	obs := &panicObserver{at: seededStep(c)}
+	cfg.StageObserver = obs
+	m := build(t, c.other.c, cfg)
+	defer func() { obs.at = 0 }()
+	return m, func() (p bool) {
+		defer func() { p = recover() != nil }()
+		_, _ = m.Run()
+		return false
+	}()
+}
+
+// discardedProgram ends in a step the discipline checker discards: after the
+// wait it stores a 16-lane vector, then stores again with two lanes to each
+// word, a concurrent write no exclusive-write discipline admits.
+func discardedProgram(c *cell, words int) *codegen.Compiled {
+	b, base := waiting(c, "discarded", words)
+	b.SetThickImm(16)
+	b.Id(isa.TID, isa.V(0))
+	b.St(isa.V(0), base, isa.V(0))
+	b.ALUI(isa.SHR, isa.V(1), isa.V(0), 1)
+	b.St(isa.V(1), base+32, isa.V(0))
+	b.Halt()
+	return &codegen.Compiled{Program: b.MustBuild()}
+}
+
+// discarded runs discardedProgram until the checker discards its step.
+func discarded(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool) {
+	m := build(t, discardedProgram(c, cfg.SharedWords), cfg)
+	_, err := m.Run()
+	return m, errors.Is(err, machine.ErrDisciplineViolation)
+}
+
+// restoredOther steps the next program of the list to the seeded step,
+// restores its snapshot into a new machine, Resets that one — it holds only
+// pages the restore wrote — restores again, runs three more steps and
+// abandons the run, as a recovered tcfserve run that fails after its restore
+// is abandoned.
+func restoredOther(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool) {
+	src := build(t, c.other.c, cfg)
+	if err := src.Boot(); err != nil {
+		return src, false
+	}
+	for at := seededStep(c); src.Stats().Steps < at; {
+		if src.Done() || src.Step() != nil {
+			return src, false
+		}
+	}
+	if src.Done() {
+		return src, false
+	}
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		t.Fatalf("%s: snapshot: %v", c.name, err)
+	}
+	restore := func() *machine.Machine {
+		m, err := machine.Restore(bytes.NewReader(snap.Bytes()), cfg)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", c.name, err)
+		}
+		return m
+	}
+	restore().Reset()
+	m := restore()
+	for range 3 {
+		if m.Done() || m.Step() != nil {
+			break
+		}
+	}
+	return m, true
+}
+
+// pooled is a tcfserve lease: a serve.MachinePool of one machine leases it,
+// the next program of the list runs on it under the seeded step quota, the
+// lease is Released — the pool's Reset — and the next Get must hand the same
+// machine back, which runs the cell's program with the row's limits stamped
+// on, every Reset audited. The row engages where the quota stopped the first
+// lease. A pool keys no machine with a fault plan, so faulty cells are not
+// the row's.
+func pooled(t *testing.T, c *cell, cfg machine.Config, _ builder) *outcome {
+	if cfg.FaultPlan != nil {
+		return nil
+	}
+	mem.ResetAudit.Store(true)
+	defer mem.ResetAudit.Store(false)
+	pool := serve.NewMachinePool(1)
+	lease := func(maxSteps int64, prog *codegen.Compiled) *serve.Lease {
+		l, err := pool.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.M.SetLimits(maxSteps, cfg.MaxThickness); err != nil {
+			t.Fatal(err)
+		}
+		loadInto(t, l.M, prog)
+		return l
+	}
+	first := lease(seededStep(c), c.other.c)
+	_, err := first.M.RunContext(context.Background())
 	stopped := errors.Is(err, machine.ErrMaxSteps)
-	m.Reset()
-	if err := m.SetLimits(cfg.MaxSteps, cfg.MaxThickness); err != nil {
-		t.Fatal(err)
+	first.Release()
+	l := lease(cfg.MaxSteps, c.e.c)
+	if !l.Pooled || l.M != first.M {
+		t.Fatalf("%s: the second lease was not the first one's machine", c.name)
 	}
-	loadInto(t, m, c.e.c)
-	_, err = m.Run()
-	o := observe(m, err)
-	if stopped {
-		o.quota = quota
-	}
+	_, err = l.M.RunContext(context.Background())
+	o := observe(l.M, err)
+	o.stopped = stopped
+	l.Release()
 	return o
 }
 
@@ -431,21 +629,33 @@ func (s *killSink) Checkpoint(_ int64, snapshot func(io.Writer) error) error {
 	return errKilled
 }
 
+// killStep is the step a kill row kills the cell's run at, and the checkpoint
+// row's period: seeded from the cell, anywhere in the run, the last step
+// included when the run completes. A kill there restores a finished machine,
+// whose snapshot RunContext takes when the period divides the run.
+func killStep(c *cell) int64 {
+	last := c.oracle.stats.Steps
+	if c.oracle.err != nil {
+		last-- // the step a run stops in takes no snapshot
+	}
+	return 1 + int64(hash([]byte(c.name))%uint64(max(1, last)))
+}
+
 // killed is the crash-recovery lifecycle: the run, on the machine build
-// makes, is killed by its checkpoint sink at a step k seeded from the cell,
-// anywhere in the run, restored — into the production machine, as a snapshot
-// does not say which machine took it — in the same configuration and run on;
-// with times = 2, k is folded into the run's first half, and the restored run
-// is killed again at 2k and restored again. Snapshots taken at one step of a cell must be the
-// same bytes, whichever row and machine took them (the fold keeps k for half
-// the cells), and every Reset is audited.
+// makes, is killed by its checkpoint sink at k = killStep, restored — into
+// the production machine, as a snapshot does not say which machine took it —
+// in the same configuration and run on; with times = 2, k is folded into the
+// run's first half, and the restored run is killed again at 2k and restored
+// again. Snapshots taken at one step of a cell must be the same bytes,
+// whichever row and machine took them (the fold keeps k for half the cells),
+// and every Reset is audited.
 func killed(times int) lifecycle {
 	return func(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
 		total := c.oracle.stats.Steps
 		if total < 1+int64(times) {
 			return nil
 		}
-		k := 1 + int64(hash([]byte(c.name))%uint64(total-1))
+		k := killStep(c)
 		if times == 2 {
 			k = 1 + (k-1)%((total-1)/2)
 		}
@@ -511,17 +721,16 @@ func (s *snapSink) Checkpoint(step int64, snapshot func(io.Writer) error) error 
 	return nil
 }
 
-// checkpointed is a recoverable tcfserve run: it checkpoints every k steps,
-// k seeded from the cell as the kill row's, and goes on. Taking the
-// snapshots must not change the run, and each must be the bytes every other
-// row took at its step.
+// checkpointed is a recoverable tcfserve run: it checkpoints every killStep
+// steps and goes on. Taking the snapshots must not change the run, and each
+// must be the bytes every other row took at its step.
 func checkpointed(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
 	total := c.oracle.stats.Steps
 	if total < 2 {
 		return nil
 	}
 	sink := &snapSink{c: c}
-	cfg.CheckpointEvery, cfg.CheckpointSink = 1+int64(hash([]byte(c.name))%uint64(total-1)), sink
+	cfg.CheckpointEvery, cfg.CheckpointSink = killStep(c), sink
 	m := build(t, c.e.c, cfg)
 	_, err := m.Run()
 	if sink.err != nil {
@@ -557,6 +766,7 @@ type row struct {
 
 var (
 	traced = func(c *machine.Config) { c.TraceEnabled = true }
+	crew   = func(c *machine.Config) { c.MemDiscipline = mem.DisciplineCREW }
 
 	cleanOnly = []int{clean}
 	both      = []int{clean, faulty}
@@ -567,11 +777,11 @@ var (
 		s := got.stats
 		return s.Retransmits > 0 && s.Reroutes > 0 && s.Failovers > 0 && s.FaultStallCycles > 0
 	}
-	moreBulk     = func(got, oracle *outcome) bool { return got.bulk > oracle.bulk }
-	crossed      = func(got, _ *outcome) bool { return faultEvents(&got.stats) > got.faultsAtKill }
-	completed    = func(_, _ *outcome) bool { return true }
-	quotaStopped = func(got, _ *outcome) bool { return got.quota > 0 }
-	snapsShared  = func(got, _ *outcome) bool { return got.sharedSnaps > 0 }
+	moreBulk    = func(got, oracle *outcome) bool { return got.bulk > oracle.bulk }
+	crossed     = func(got, _ *outcome) bool { return faultEvents(&got.stats) > got.faultsAtKill }
+	completed   = func(_, _ *outcome) bool { return true }
+	stopped     = func(got, _ *outcome) bool { return got.stopped }
+	snapsShared = func(got, _ *outcome) bool { return got.sharedSnaps > 0 }
 )
 
 // rows is the lattice: a covering set of machine × fault plan × lifecycle,
@@ -583,10 +793,17 @@ var rows = []row{
 	{name: "fresh", life: fresh, plans: both, engaged: faultsFired},
 	{name: "traced", delta: traced, life: fresh, plans: cleanOnly},
 	{name: "step", life: stepped, plans: cleanOnly, engaged: moreBulk, atLeast: 12},
-	{name: "crew-step", delta: func(c *machine.Config) { c.MemDiscipline = mem.DisciplineCREW }, life: stepped, plans: cleanOnly,
+	{name: "crew-step", delta: crew, life: stepped, plans: cleanOnly,
 		free: discAccesses, engaged: completed, atLeast: 8, drops: machine.ErrDisciplineViolation},
-	{name: "reset", life: reset, plans: cleanOnly},
-	{name: "abort", life: aborted, plans: both, engaged: quotaStopped},
+	{name: "reset", life: reused(ranOther), plans: cleanOnly},
+	{name: "abort", life: reused(quotaStopped), plans: both, engaged: stopped},
+	{name: "cancel", life: reused(canceled), plans: cleanOnly, engaged: stopped},
+	{name: "error", life: reused(failed), plans: cleanOnly, engaged: stopped},
+	{name: "panic", life: reused(panicked), plans: cleanOnly, engaged: stopped},
+	{name: "discard", delta: crew, life: reused(discarded), plans: cleanOnly,
+		free: discAccesses, engaged: stopped, atLeast: 8, drops: machine.ErrDisciplineViolation},
+	{name: "restored", life: reused(restoredOther), plans: cleanOnly, engaged: stopped},
+	{name: "pooled", life: pooled, plans: cleanOnly, engaged: stopped},
 	{name: "kill", life: killed(1), plans: both, engaged: crossed},
 	{name: "kill2", life: killed(2), plans: cleanOnly},
 	{name: "ref-kill", build: buildReference, life: killed(1), plans: both, engaged: crossed},
@@ -728,7 +945,7 @@ func TestLattice(t *testing.T) {
 // FuzzLattice fuzzes the lattice over (seed, program, variant, row, plan):
 // program indexes the program list and then the generators, which build from
 // seed; variant indexes the program's shapes; plan is a fault-plan seed, 0 for
-// none.
+// none, for the rows that run in faulty cells.
 func FuzzLattice(f *testing.F) {
 	progs := programs(f)
 	for i := range rows { // every row, every variant of a corpus program

@@ -6,20 +6,17 @@ import (
 	"tcfpram/internal/tcf"
 )
 
-// backend is the execution half of the Figure 13 pipeline: thickness-driven
+// The backend is the execution half of the Figure 13 pipeline: thickness-driven
 // operation generation across the groups, deterministic merging of their
 // buffered memory traffic, and the step-boundary commit (buffered writes +
 // multioperation resolution). It consumes the StepPlan the frontend
 // prepared; nothing in it branches on the variant kind.
-type backend struct {
-	m *Machine
-}
 
 // generate runs the operation-generation stage: every group with a ready
 // resident executes its flows' share of the step under the plan's shape, one
 // group after another on the stepping goroutine.
-func (bk *backend) generate(plan *StepPlan) {
-	for _, x := range bk.m.execs {
+func (m *Machine) generate(plan *StepPlan) {
+	for _, x := range m.execs {
 		if x.begin(plan) {
 			x.runGroup()
 		}
@@ -53,8 +50,7 @@ func (x *groupExec) begin(plan *StepPlan) bool {
 // logs by pointer, for the commit stage to resolve where they lie, outputs
 // and deferred events are collected, statistics and per-stage attribution
 // accumulate, and the step's cycle count is the maximum over groups.
-func (bk *backend) merge() (int64, error) {
-	m := bk.m
+func (m *Machine) merge() (int64, error) {
 	m.stepOutputs = m.stepOutputs[:0]
 	m.stepEvents = m.stepEvents[:0]
 	m.discAccs = m.discAccs[:0]
@@ -155,8 +151,7 @@ func (m *Machine) discardStep() {
 // that folded no store and no combining reference has nothing to write back
 // and skips the stage — unless the memory holds stores from elsewhere (the
 // BufferWrite adapters), which commit with this step as they always did.
-func (bk *backend) commit() error {
-	m := bk.m
+func (m *Machine) commit() error {
 	if m.stepTraffic == 0 && m.shared.PendingWrites() == 0 {
 		return nil
 	}

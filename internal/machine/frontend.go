@@ -40,7 +40,7 @@ func (b *StorageBuf) retire(f *tcf.Flow) {
 
 // needsCompaction reports whether compaction could change the buffer: without
 // a Done resident to drop and without a queued flow to promote or to displace
-// a blocked resident with, it is the identity, and frontend.compact skips it.
+// a blocked resident with, it is the identity, and compact skips it.
 func (b *StorageBuf) needsCompaction() bool { return b.done > 0 || b.Pending.Len() > 0 }
 
 // flowQueue is the pending queue: a ring whose array survives rotation and
@@ -202,22 +202,20 @@ func (b *StorageBuf) displaceBlocked() bool {
 	return false
 }
 
-// frontend is the TCF-storage-buffer stage of the Figure 13 pipeline. It
+// ---- frontend ----
+//
+// The frontend is the TCF-storage-buffer stage of the Figure 13 pipeline. It
 // owns flow residency across the groups' StorageBufs, task-switch
 // accounting (charged at the policy's Table 1 rates), and the in-machine
 // balanced splitting/rejoin of overly thick flows. Each step it prepares a
 // StepPlan for the backend and retires the step's cross-flow events
 // afterwards.
-type frontend struct {
-	m *Machine
-}
 
 // prepare opens a step: fail-stop fault events fire at the boundary (a dead
 // module's traffic fails over to a mirrored spare before any reference of
 // this step), then the step index is stamped into the plan handed to the
 // backend.
-func (fr *frontend) prepare() (*StepPlan, error) {
-	m := fr.m
+func (m *Machine) prepare() (*StepPlan, error) {
 	if plan := m.cfg.FaultPlan; plan != nil {
 		for _, mod := range plan.ModuleFailuresAt(m.stats.Steps) {
 			if err := m.shared.FailModule(mod); err != nil {
@@ -231,17 +229,16 @@ func (fr *frontend) prepare() (*StepPlan, error) {
 }
 
 // place registers f on group g's storage buffer.
-func (fr *frontend) place(f *tcf.Flow, g int) {
-	m := fr.m
+func (m *Machine) place(f *tcf.Flow, g int) {
 	f.Home = g
 	m.groups[g].Buf.place(f, m.cfg.ProcsPerGroup)
 }
 
 // leastLoaded picks the group with minimum load (ties: lowest index), the
 // horizontal allocation rule of Section 4.
-func (fr *frontend) leastLoaded() int {
+func (m *Machine) leastLoaded() int {
 	best, bestLoad := 0, int(^uint(0)>>1)
-	for i, g := range fr.m.groups {
+	for i, g := range m.groups {
 		if l := g.Buf.Load(); l < bestLoad {
 			best, bestLoad = i, l
 		}
@@ -253,8 +250,7 @@ func (fr *frontend) leastLoaded() int {
 // terminations, splits, fragment rejoins and OS auto-splits. Indexed
 // iteration over m.stepEvents: completing an auto-split container can
 // cascade a further evChildDone for its own parent.
-func (fr *frontend) retireEvents() error {
-	m := fr.m
+func (m *Machine) retireEvents() error {
 	for i := 0; i < len(m.stepEvents); i++ {
 		ev := m.stepEvents[i]
 		switch ev.kind {
@@ -295,13 +291,13 @@ func (fr *frontend) retireEvents() error {
 				parent.PC = ev.pc
 			}
 		case evAutoSplit:
-			if err := fr.splitOverThick(ev.flow, ev.thick); err != nil {
+			if err := m.splitOverThick(ev.flow, ev.thick); err != nil {
 				return err
 			}
 		case evSplit:
 			m.stats.Splits++
 			for i, arm := range ev.arms {
-				g := fr.leastLoaded()
+				g := m.leastLoaded()
 				child := m.newFlow(arm.Target, int(armThickness(ev.flow, arm)), g, len(ev.arms)-1-i)
 				child.Parent = ev.flow
 				child.SetScalars(ev.flow.Scalars())
@@ -350,8 +346,7 @@ func fragment(u, bound int) ([]int, error) {
 // rejoin. Each fragment pays the TCF flow-branch cost (the R common
 // registers are copied into it) regardless of variant — auto-splitting only
 // exists on the thickness-aware variants.
-func (fr *frontend) splitOverThick(f *tcf.Flow, thick int) error {
-	m := fr.m
+func (m *Machine) splitOverThick(f *tcf.Flow, thick int) error {
 	m.stats.AutoSplits++
 	frags, err := fragment(thick, m.cfg.AutoSplitThreshold)
 	if err != nil {
@@ -360,7 +355,7 @@ func (fr *frontend) splitOverThick(f *tcf.Flow, thick int) error {
 	f.LiveChildren = len(frags)
 	offset := 0
 	for i, size := range frags {
-		g := fr.leastLoaded()
+		g := m.leastLoaded()
 		child := m.newFlow(f.PC, size, g, len(frags)-1-i)
 		child.Parent = f
 		child.SetScalars(f.Scalars())
@@ -377,8 +372,7 @@ func (fr *frontend) splitOverThick(f *tcf.Flow, thick int) error {
 // queue when the time-slice quantum expires, giving queued tasks a turn —
 // preemptive time-shared multitasking with TCFs as tasks, charged at the
 // policy's preemption rate.
-func (fr *frontend) preempt() {
-	m := fr.m
+func (m *Machine) preempt() {
 	q := m.cfg.TimeSliceSteps
 	if q <= 0 || m.stats.Steps == 0 || m.stats.Steps%q != 0 {
 		return
@@ -395,8 +389,7 @@ func (fr *frontend) preempt() {
 // into freed slots — the zero-cost task switch of the TCF variants
 // (Table 1): rotating the TCF storage buffer costs no cycles there. A buffer
 // compaction would leave as it is (needsCompaction) is not entered.
-func (fr *frontend) compact() {
-	m := fr.m
+func (m *Machine) compact() {
 	for _, g := range m.groups {
 		if !g.Buf.needsCompaction() {
 			continue
@@ -404,7 +397,7 @@ func (fr *frontend) compact() {
 		m.tail.Compactions++
 		g.Buf.dropDone()
 		for g.Buf.promote(m.cfg.ProcsPerGroup) {
-			fr.noteTaskSwitch()
+			m.noteTaskSwitch()
 		}
 		// Flows parked at a barrier (or waiting on children) do not
 		// execute; displace them so queued ready tasks can run — without
@@ -412,7 +405,7 @@ func (fr *frontend) compact() {
 		// (blocked flows hold every slot while the tasks that must still
 		// reach the barrier sit in the queue).
 		for g.Buf.displaceBlocked() {
-			fr.noteTaskSwitch()
+			m.noteTaskSwitch()
 		}
 	}
 }
@@ -420,8 +413,7 @@ func (fr *frontend) compact() {
 // noteTaskSwitch accounts one task rotation at the policy's Table 1 rate:
 // free for TCF variants, O(1) for XMT spawning, a full Tp-context switch
 // for the thread machines.
-func (fr *frontend) noteTaskSwitch() {
-	m := fr.m
+func (m *Machine) noteTaskSwitch() {
 	m.stats.TaskSwitches++
 	m.stats.TaskSwitchCycles += m.policy.TaskSwitchCycles(m.cfg.ProcsPerGroup)
 }

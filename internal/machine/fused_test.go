@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"reflect"
 	"testing"
 
 	"tcfpram/internal/isa"
@@ -106,9 +105,9 @@ func TestFusedResetReuse(t *testing.T) {
 
 // TestFusedTableReload: a machine compiles each program it loads into
 // the one per-PC array it keeps. Loading a long program, a short one and the
-// long one again, every run matches a fresh machine's and the table is
-// exactly as long as the program: no kernel of the long program survives past
-// the short one's end.
+// long one again, the table is exactly as long as the program: no kernel of
+// the long program survives past the short one's end. That each run matches
+// a fresh machine's is the lattice's reset row (internal/chaos).
 func TestFusedTableReload(t *testing.T) {
 	long := isa.MustAssemble("long", `
 main:
@@ -129,9 +128,11 @@ loop:
     HALT
 `)
 	short := isa.MustAssemble("short", vectorAddSrc)
-	cfg := Default(variant.SingleInstruction)
-	run := func(m *Machine, p *isa.Program) runSnapshot {
-		t.Helper()
+	m, err := New(Default(variant.SingleInstruction))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*isa.Program{long, short, long} {
 		if err := m.LoadProgram(p); err != nil {
 			t.Fatal(err)
 		}
@@ -140,21 +141,6 @@ loop:
 		}
 		if _, err := m.Run(); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
-		}
-		return snapshotOf(m)
-	}
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range []*isa.Program{long, short, long} {
-		fresh, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := run(fresh, p)
-		if got := run(m, p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("load %d (%s): reloaded run differs from fresh\ngot  %+v\nwant %+v", i, p.Name, got.stats, want.stats)
 		}
 		m.Reset()
 	}

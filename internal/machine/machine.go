@@ -33,7 +33,7 @@ type Machine struct {
 	policy variant.Policy
 	props  variant.Properties // policy.Props(), fetched once at New
 	// plan is the plan of the lockstep step under way: the policy's step
-	// shape, fixed at New, and the step index frontend.prepare stamps. The
+	// shape, fixed at New, and the step index prepare stamps. The
 	// groups' arenas refer to it; a struct of this size handed down by value
 	// was an eighth of a thin step.
 	plan StepPlan
@@ -47,9 +47,6 @@ type Machine struct {
 	// and execLaneRange never calls bulkMemRange, so every lane runs on the
 	// per-lane path.
 	reference bool
-
-	front frontend
-	back  backend
 
 	shared *mem.Shared
 	groups []*Group
@@ -140,8 +137,6 @@ func New(cfg Config) (*Machine, error) {
 		flowList: make([]*tcf.Flow, 0, 8),
 		regs:     tcf.NewRegArena(c.SharedWords),
 	}
-	m.front.m = m
-	m.back.m = m
 	m.combiners = multiop.NewCombinerBank()
 	m.stats.PerGroupOps = make([]int64, c.Groups)
 	m.stats.PerGroupCycles = make([]int64, c.Groups)
@@ -369,7 +364,7 @@ func (m *Machine) newFlow(pc, thickness, g, more int) *tcf.Flow {
 	f := m.nextFlow(more)
 	f.Init(id, pc, thickness)
 	f.Regs = m.regs
-	m.front.place(f, g)
+	m.place(f, g)
 	kern := &m.execs[g].kern
 	kern.MaxThickness = max(kern.MaxThickness, int64(thickness))
 	m.stats.FlowsCreated++

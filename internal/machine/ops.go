@@ -128,7 +128,7 @@ type groupExec struct {
 	plan *StepPlan
 	// idle marks an arena zeroed for a group without a ready resident and
 	// not written since: such a group is neither reset, run nor folded
-	// (backend.generate), and a trace reads zero cycles and no slices off it.
+	// (Machine.generate), and a trace reads zero cycles and no slices off it.
 	idle bool
 	// immediate caches !plan.Lockstep: XMT-style memory semantics where
 	// loads see the current state and stores apply instantly.

@@ -122,6 +122,25 @@ narrow:
     JOIN
 `
 
+// runSnapshot is everything a finished run shows: Stats, outputs and the
+// whole shared memory.
+type runSnapshot struct {
+	stats   Stats
+	outputs []Output
+	memory  []int64
+}
+
+func snapshotOf(m *Machine) runSnapshot {
+	st := *m.Stats()
+	st.PerGroupOps = append([]int64(nil), st.PerGroupOps...)
+	st.PerGroupCycles = append([]int64(nil), st.PerGroupCycles...)
+	return runSnapshot{
+		stats:   st,
+		outputs: append([]Output(nil), m.Outputs()...),
+		memory:  m.Shared().Snapshot(0, m.Config().SharedWords),
+	}
+}
+
 // machineBytes is m's snapshot.
 func machineBytes(t *testing.T, m *Machine) []byte {
 	t.Helper()

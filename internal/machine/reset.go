@@ -10,8 +10,9 @@ import "fmt"
 // flows (maxKeptFlows) stay for the next run to build its flows in, and
 // statistics, outputs and traces are discarded. The next LoadProgram/Run on a Reset
 // machine is bit-identical to the same run on a fresh machine with the same
-// Config — the property the serve-layer machine pool is built on (and that
-// TestPoolReuseBitIdentity proves).
+// Config — the property the serve-layer machine pool is built on, which the
+// differential lattice's reuse rows (internal/chaos: reset, abort, cancel,
+// error, panic, discard, restored, pooled) hold after every way a run stops.
 //
 // Reset invalidates everything previously handed out by this machine: Stats,
 // Outputs, Trace and Shared snapshots must be copied before calling it, and a

@@ -34,6 +34,23 @@ func (s *memSink) Checkpoint(step int64, snap func(w io.Writer) error) error {
 	return nil
 }
 
+// splitPrintSrc splits into two arms that store their lanes and join.
+const splitPrintSrc = `
+main:
+    SPLIT 2 -> left, 3 -> right
+    LDI S1, 7
+    ST S1+600, S1
+    HALT
+left:
+    TID V0
+    ST V0+610, V0
+    JOIN
+right:
+    TID V0
+    ST V0+620, V0
+    JOIN
+`
+
 // stepN boots m and advances at most n steps (stopping early when done).
 func stepN(t *testing.T, m *Machine, n int) {
 	t.Helper()
@@ -43,112 +60,6 @@ func stepN(t *testing.T, m *Machine, n int) {
 	for i := 0; i < n && !m.Done(); i++ {
 		if err := m.Step(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
-		}
-	}
-}
-
-// TestSnapshotRestoreBitIdentity: snapshot mid-run, restore into a new
-// machine, run to completion — outputs, memory image and the full Stats must
-// match the uninterrupted oracle at every kill point.
-func TestSnapshotRestoreBitIdentity(t *testing.T) {
-	for name, src := range resetPrograms {
-		t.Run(name, func(t *testing.T) {
-			prog := isa.MustAssemble(name, src)
-			for _, kind := range []variant.Kind{variant.SingleInstruction, variant.Balanced, variant.MultiInstruction} {
-				cfg := Default(kind)
-				oracle, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := oracle.LoadProgram(prog); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := oracle.Run(); err != nil {
-					t.Fatalf("%v oracle: %v", kind, err)
-				}
-				want := snapshotOf(oracle)
-				total := int(oracle.Stats().Steps)
-
-				for kill := 0; kill <= total; kill++ {
-					m, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := m.LoadProgram(prog); err != nil {
-						t.Fatal(err)
-					}
-					stepN(t, m, kill)
-					var buf bytes.Buffer
-					if err := m.Snapshot(&buf); err != nil {
-						t.Fatalf("%v kill=%d: snapshot: %v", kind, kill, err)
-					}
-					r, err := Restore(bytes.NewReader(buf.Bytes()), cfg)
-					if err != nil {
-						t.Fatalf("%v kill=%d: restore: %v", kind, kill, err)
-					}
-					if _, err := r.Run(); err != nil {
-						t.Fatalf("%v kill=%d: resumed run: %v", kind, kill, err)
-					}
-					if got := snapshotOf(r); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v kill=%d: resumed run differs from oracle\ngot  %+v\nwant %+v",
-							kind, kill, got.stats, want.stats)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSnapshotRestoreWithFaultPlan: the fault plan's decisions are pure
-// functions of (seed, step, seq), so a restored run must replay exactly the
-// faults the uninterrupted run saw — same Retransmits, same Failovers, same
-// cycle counts.
-func TestSnapshotRestoreWithFaultPlan(t *testing.T) {
-	prog := isa.MustAssemble("vector-add", vectorAddSrc)
-	cfg := Default(variant.SingleInstruction)
-	cfg.FaultPlan = &fault.Plan{
-		Seed:        42,
-		MemDropRate: 0.25, // aggressive: every run sees retransmission stalls
-		Modules:     []fault.ModuleFault{{Module: 1, Step: 2}},
-	}
-
-	oracle, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.LoadProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotOf(oracle)
-	if oracle.Stats().Retransmits == 0 && oracle.Stats().Failovers == 0 {
-		t.Fatal("fault plan injected nothing; test is vacuous")
-	}
-
-	for kill := 1; kill < int(oracle.Stats().Steps); kill++ {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.LoadProgram(prog); err != nil {
-			t.Fatal(err)
-		}
-		stepN(t, m, kill)
-		var buf bytes.Buffer
-		if err := m.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Restore(bytes.NewReader(buf.Bytes()), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got := snapshotOf(r); !reflect.DeepEqual(got, want) {
-			t.Fatalf("kill=%d: faulted resume differs\ngot  %+v\nwant %+v", kill, got.stats, want.stats)
 		}
 	}
 }
@@ -266,7 +177,7 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 // children) in memory and snapshots it, so the container and its checksum
 // are valid and only Restore's own checks stand in the way.
 func TestRestoreRejectsBadFlowIDs(t *testing.T) {
-	prog := isa.MustAssemble("split-print", resetPrograms["split-print"])
+	prog := isa.MustAssemble("split-print", splitPrintSrc)
 	cfg := Default(variant.SingleInstruction)
 	cases := []struct {
 		name   string
@@ -322,26 +233,13 @@ func TestRestoreRejectsBadFlowIDs(t *testing.T) {
 }
 
 // TestRunContextCheckpointing: the CheckpointEvery trigger fires at exact
-// step multiples, the last snapshot resumes bit-identically, and a sink
-// failure stops the run.
+// step multiples, every snapshot restores at the step it was taken, and a
+// sink failure stops the run. That a checkpointed run and a resumed one are
+// the uninterrupted run is the lattice's checkpoint and kill rows
+// (internal/chaos).
 func TestRunContextCheckpointing(t *testing.T) {
-	prog := isa.MustAssemble("multiop", resetPrograms["multiop"])
+	prog := isa.MustAssemble("multiop", multiopSrc)
 	cfg := Default(variant.SingleInstruction)
-
-	oracle, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.LoadProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotOf(oracle)
-	if oracle.Stats().Steps < 4 {
-		t.Fatalf("program too short (%d steps) to exercise checkpointing", oracle.Stats().Steps)
-	}
 
 	sink := &memSink{}
 	ckpt := cfg
@@ -357,9 +255,6 @@ func TestRunContextCheckpointing(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshotOf(m); !reflect.DeepEqual(got, want) {
-		t.Fatalf("checkpointing changed results\ngot  %+v\nwant %+v", got.stats, want.stats)
-	}
 	if len(sink.snaps) == 0 {
 		t.Fatal("no checkpoints written")
 	}
@@ -367,22 +262,12 @@ func TestRunContextCheckpointing(t *testing.T) {
 		if s%2 != 0 {
 			t.Fatalf("checkpoint %d at step %d, want a multiple of CheckpointEvery", i, s)
 		}
-	}
-
-	// Resume from every snapshot written along the way.
-	for i, snap := range sink.snaps {
-		r, err := Restore(bytes.NewReader(snap), cfg)
+		r, err := Restore(bytes.NewReader(sink.snaps[i]), cfg)
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
-		if r.Stats().Steps != sink.steps[i] {
-			t.Fatalf("snapshot %d restored at step %d, want %d", i, r.Stats().Steps, sink.steps[i])
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatalf("snapshot %d resume: %v", i, err)
-		}
-		if got := snapshotOf(r); !reflect.DeepEqual(got, want) {
-			t.Fatalf("snapshot %d: resumed run differs from oracle", i)
+		if r.Stats().Steps != s {
+			t.Fatalf("snapshot %d restored at step %d, want %d", i, r.Stats().Steps, s)
 		}
 	}
 
@@ -400,6 +285,18 @@ func TestRunContextCheckpointing(t *testing.T) {
 		t.Fatalf("sink failure err = %v, want the sink's error", err)
 	}
 }
+
+// multiopSrc loads eight words and adds them into one.
+const multiopSrc = `
+.data 100: 1 2 3 4 5 6 7 8
+main:
+    LDI S0, 8
+    SETTHICK S0
+    TID V0
+    LD V1, V0+100
+    MADD 500, V1
+    HALT
+`
 
 // TestSetCheckpointingGuards: rejected once flows exist; cleared by Reset.
 func TestSetCheckpointingGuards(t *testing.T) {
@@ -435,7 +332,7 @@ func TestSetCheckpointingGuards(t *testing.T) {
 // TestRestoredMachineIsSnapshottable: a restored machine can itself be
 // snapshotted and restored (checkpoint chains across repeated crashes).
 func TestRestoredMachineIsSnapshottable(t *testing.T) {
-	prog := isa.MustAssemble("split-print", resetPrograms["split-print"])
+	prog := isa.MustAssemble("split-print", splitPrintSrc)
 	cfg := Default(variant.SingleInstruction)
 	oracle, err := New(cfg)
 	if err != nil {

@@ -31,7 +31,7 @@ func (m *Machine) Step() error {
 	if m.runErr != nil {
 		return m.runErr
 	}
-	plan, err := m.front.prepare()
+	plan, err := m.prepare()
 	if err != nil {
 		return err
 	}
@@ -42,8 +42,8 @@ func (m *Machine) Step() error {
 func (m *Machine) runStep(plan *StepPlan) error {
 	stagesBefore := m.stats.Stages
 
-	m.back.generate(plan)
-	stepCycles, err := m.back.merge()
+	m.generate(plan)
+	stepCycles, err := m.merge()
 	if err != nil {
 		return err
 	}
@@ -54,7 +54,7 @@ func (m *Machine) runStep(plan *StepPlan) error {
 		return err
 	}
 
-	if err := m.back.commit(); err != nil {
+	if err := m.commit(); err != nil {
 		return err
 	}
 
@@ -63,15 +63,15 @@ func (m *Machine) runStep(plan *StepPlan) error {
 	// costs into the step's critical path.
 	branchBefore := m.stats.FlowBranchCycles
 	eventsBefore := m.stats.Splits + m.stats.Joins + m.stats.AutoSplits
-	if err := m.front.retireEvents(); err != nil {
+	if err := m.retireEvents(); err != nil {
 		return err
 	}
 	stepCycles += m.stats.FlowBranchCycles - branchBefore
 
 	switchBefore := m.stats.TaskSwitchCycles
 	switchesBefore := m.stats.TaskSwitches
-	m.front.preempt()
-	m.front.compact()
+	m.preempt()
+	m.compact()
 	stepCycles += m.stats.TaskSwitchCycles - switchBefore
 
 	m.stats.Stages[StageFrontend].Cycles +=

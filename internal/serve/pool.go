@@ -58,7 +58,9 @@ func keyOf(cfg machine.Config) (poolKey, error) {
 
 // MachinePool reuses machines across requests, keyed by configuration shape.
 // Reuse depends on machine.Reset being bit-identical to a fresh build — the
-// property TestPoolReuseBitIdentity proves against the whole tcf-e corpus.
+// property the differential lattice's pooled row (internal/chaos) holds on
+// every program and variant of its list: a lease stopped by its quota,
+// Released, and leased again.
 type MachinePool struct {
 	mu      sync.Mutex
 	idle    map[poolKey][]*machine.Machine

@@ -1,27 +1,18 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
 	"runtime"
 	"sync"
 	"testing"
 )
 
-// TestPanicRecoveryBitIdentity: after the serve layer recovers a mid-run
-// panic (discarding the poisoned machine), the very next runs on the same
-// server must be bit-identical to runs on a server that never panicked —
-// and the panic path must not leak goroutines.
-func TestPanicRecoveryBitIdentity(t *testing.T) {
-	peek := []peekRange{{Addr: 300, N: 8}}
-
-	_, oracleTS := newTestServer(t, Options{})
-	_, _, oracle := post(t, oracleTS, "", runRequest{Source: ckptSrc, Peek: peek})
-	if oracle.Outcome != outcomeOK {
-		t.Fatalf("oracle: %q (%s)", oracle.Outcome, oracle.Error)
-	}
-
+// TestPanicRecoveryDiscardsLease: the serve layer recovers a mid-run panic
+// by discarding the poisoned machine, never pooling it; the runs after it
+// succeed, and the panic path leaks no goroutines. That a machine Reset after
+// a panic would run as a fresh one is the lattice's panic row
+// (internal/chaos).
+func TestPanicRecoveryDiscardsLease(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	s.hookLoaded = func(tenant, name string) {
 		if name == "bomb" {
@@ -38,18 +29,9 @@ func TestPanicRecoveryBitIdentity(t *testing.T) {
 		if status != http.StatusInternalServerError || resp.Outcome != outcomePanic {
 			t.Fatalf("panic %d: %d %q", i, status, resp.Outcome)
 		}
-		status, _, resp = post(t, ts, "", runRequest{Source: ckptSrc, Peek: peek})
+		status, _, resp = post(t, ts, "", runRequest{Source: ckptSrc})
 		if status != http.StatusOK {
 			t.Fatalf("run after panic %d: %d %q (%s)", i, status, resp.Outcome, resp.Error)
-		}
-		if resp.Steps != oracle.Steps || resp.Cycles != oracle.Cycles {
-			t.Fatalf("after panic %d: stats diverged: steps %d/%d cycles %d/%d",
-				i, resp.Steps, oracle.Steps, resp.Cycles, oracle.Cycles)
-		}
-		gotMem, _ := json.Marshal(resp.Memory)
-		wantMem, _ := json.Marshal(oracle.Memory)
-		if !bytes.Equal(gotMem, wantMem) {
-			t.Fatalf("after panic %d: memory diverged: %s vs %s", i, gotMem, wantMem)
 		}
 	}
 	if d := s.Metrics().Pool.Discards; d != 3 {

@@ -1,7 +1,7 @@
 // Conformance suite for the variant.Policy interface: every registered
 // policy must (a) declare the step shape and boot population its Section
 // 3.2 variant prescribes, (b) charge exactly the Table 1 costs that
-// cmd/tablegen emits for its column, and (c) drive the staged engine over
+// figgen table1 emits for its column, and (c) drive the staged engine over
 // the tcf-e corpus such that the measured Stats decompose according to the
 // policy's cost model — or reject the program with a typed capability
 // error when the corpus uses a feature the variant lacks.
@@ -99,7 +99,7 @@ func TestPolicyRegistry(t *testing.T) {
 }
 
 // TestPolicyCostsMatchTable1 cross-checks each policy's cost methods
-// against the Table 1 columns emitted by cmd/tablegen (exper.Table1 on the
+// against the Table 1 columns emitted by figgen table1 (exper.Table1 on the
 // reference P=4, Tp=4, R=16, b=4 machine): the measured-or-analytic task
 // switch and flow branch costs must equal the policy's rates, and the
 // measured fetches per thick instruction must follow the policy's fetch
