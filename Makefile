@@ -55,11 +55,13 @@ bench-compile:
 # lanes; ns/lane), then what a flow's lifecycle costs through the facade
 # (BenchmarkTable1_FlowBranch and BenchmarkS4g_Multitask of the root package;
 # B/op and allocs/op are the figures: split_2048 above is the same cost per
-# step). It is a smoke at -benchtime=20x, as CI's bench job runs it, and gates
-# nothing.
+# step), and what a reused machine pays to load a compiled object
+# (BenchmarkLoadBinary of the root package: Reset + LoadBinary of a 2048-arm
+# parallel statement and of cold.te; ns/op and allocs/op). It is a smoke at
+# -benchtime=20x, as CI's bench job runs it, and gates nothing.
 bench-engine:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=20x ./internal/mem ./internal/multiop ./internal/machine ./internal/isa ./internal/fuse
-	$(GO) test -run '^$$' -bench 'BenchmarkTable1_FlowBranch|BenchmarkS4g_Multitask' -benchmem -benchtime=20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTable1_FlowBranch|BenchmarkS4g_Multitask|BenchmarkLoadBinary' -benchmem -benchtime=20x .
 
 # benchall runs the paper-figure benchmarks of bench_test.go/ablation_test.go.
 benchall:

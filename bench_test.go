@@ -8,6 +8,9 @@ package tcfpram
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tcfpram/internal/exper"
@@ -339,6 +342,70 @@ func main() {
 		if err := m.LoadSource("bench", src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// parallelSource is a program of one parallel statement with arms arms of
+// thickness 4, each calling one function: Section 4's multitask shape, the
+// shape whose load is mostly its SPLIT.
+func parallelSource(arms int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "shared int r[%d] @ 16384;\nfunc main() {\n    parallel {\n", arms*4)
+	for i := 0; i < arms; i++ {
+		b.WriteString("        #4: work();\n")
+	}
+	b.WriteString("    }\n}\nfunc work() {\n    thick int slot = (fid - 1) * 4 + tid;\n    r[slot] = fid + tid;\n}\n")
+	return b.String()
+}
+
+// loadObjects compiles the objects BenchmarkLoadBinary loads: a 2048-arm
+// parallel statement and internal/lang/testdata/cold.te.
+func loadObjects(tb testing.TB) (names []string, objs [][]byte) {
+	tb.Helper()
+	cold, err := os.ReadFile(filepath.Join("internal", "lang", "testdata", "cold.te"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, p := range []struct{ name, src string }{
+		{"parallel-2048", parallelSource(2048)},
+		{"cold", string(cold)},
+	} {
+		m, err := NewMachine(DefaultConfig(SingleInstruction))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := m.LoadSource(p.name, p.src); err != nil {
+			tb.Fatal(err)
+		}
+		obj, err := m.EncodeProgram()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		names, objs = append(names, p.name), append(objs, obj)
+	}
+	return names, objs
+}
+
+// BenchmarkLoadBinary is the set-up a reused machine pays per execution of
+// a compiled object: Reset, then LoadBinary (decode, validate, compile the
+// per-PC table, preload the data). ns/op and allocs/op are the figures.
+func BenchmarkLoadBinary(b *testing.B) {
+	names, objs := loadObjects(b)
+	for i, obj := range objs {
+		b.Run(names[i], func(b *testing.B) {
+			m, err := NewMachine(DefaultConfig(SingleInstruction))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Reset()
+				if err := m.LoadBinary(obj); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

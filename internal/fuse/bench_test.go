@@ -54,10 +54,10 @@ func BenchmarkKern(b *testing.B) {
 						v[i] = int64(i%7 - r)
 					}
 				}
-				kern := code[pc].Kern
+				fi := &code[pc]
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					kern(fuse.Env{}, f, 0, lanes)
+					fi.Kern(fuse.Env{}, &fi.In, f, 0, lanes)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lanes), "ns/lane")
 			})

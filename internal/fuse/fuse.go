@@ -1,10 +1,11 @@
 // Package fuse builds the per-PC table the step engine executes. At program
-// load, CompileTo gives every pure register operation a kernel — a Go
-// closure with its operand shape (thread-wise, flow-common, immediate)
-// resolved once, calling isa's bulk form for that shape over a lane range —
-// and records at every PC the length of the straight-line run of such
-// operations starting there (isa.RunLengths), which the engine may retire
-// back to back.
+// load, CompileTo gives every pure register operation a kernel — a top-level
+// function of the instruction, chosen once by its operand shape
+// (thread-wise, flow-common, immediate), calling isa's bulk form for that
+// shape over a lane range — and records at every PC the length of the
+// straight-line run of such operations starting there (isa.RunLengths),
+// which the engine may retire back to back. The table is data: compiling a
+// program allocates nothing but the table itself.
 //
 // Each entry also carries the instruction's execution class and its
 // precomputed thickness and sliceability. The step engine stays the single
@@ -62,10 +63,11 @@ type Env struct {
 	Procs  int // P*Tp (NPROC)
 }
 
-// Kern executes lanes [first, end) of one register operation on f. Kernels
-// never touch memory, combining or flow structure; their effects are exactly
-// the per-lane semantics of the instruction they were compiled from.
-type Kern func(env Env, f *tcf.Flow, first, end int)
+// Kern executes lanes [first, end) of the register operation in on f; in is
+// the instruction of the table entry that holds the kernel. Kernels never
+// touch memory, combining or flow structure; their effects are exactly the
+// per-lane semantics of in.
+type Kern func(env Env, in *isa.Instr, f *tcf.Flow, first, end int)
 
 // Instr is one compiled instruction.
 type Instr struct {
@@ -84,9 +86,9 @@ type Instr struct {
 	// run contains no control transfer, no memory reference and no interior
 	// branch target.
 	Run int
-	// Kern is the compiled lane kernel (ClassReg; nil in a Decode table, and
-	// when the opcode has no lane semantics — the engine then takes its
-	// per-lane path, which reports the error).
+	// Kern is the lane kernel, called with &In (ClassReg; nil in a Decode
+	// table, and when the opcode has no lane semantics — the engine then
+	// takes its per-lane path, which reports the error).
 	Kern Kern
 }
 
@@ -95,31 +97,58 @@ type Program struct {
 	Code []Instr
 }
 
-// Decode appends to dst p's per-PC table without kernels: the source
-// instruction, its execution class and its thickness/sliceability facts, each
-// derived from the opcode metadata once here so that the step engine never
-// re-derives them per executed instruction. This is the whole table the
-// per-lane reference reads; CompileTo adds the kernels and run lengths. dst
-// lets a machine that reloads programs keep one array.
-func Decode(dst []Instr, p *isa.Program) []Instr {
-	dst = slices.Grow(dst[:0], p.Len())
-	for pc := range p.Instrs {
-		in := &p.Instrs[pc]
-		fi := Instr{In: *in, Thick: in.Thick(), Sliceable: in.Sliceable(), Run: 1}
-		info := in.Op.Info()
+// opFacts are what Decode reads off an opcode, derived from isa's opcode
+// metadata once for every byte value.
+var opFacts = func() (t [256]struct {
+	class Class
+	// atomic: a thick instruction of the opcode still runs flow-atomically
+	// (reductions, PRINT), so it is never sliced.
+	atomic bool
+}) {
+	for i := range t {
+		op := isa.Op(i)
+		info := op.Info()
 		switch {
 		case info.Control:
-			fi.Class = ClassControl
+			t[i].class = ClassControl
 		case info.MemRef || info.LocalRef:
-			fi.Class = ClassMem
-		case !in.Op.Fusible():
-			fi.Class = ClassAtomic
+			t[i].class = ClassMem
+		case !op.Fusible():
+			t[i].class = ClassAtomic
 		default:
-			fi.Class = ClassReg
+			t[i].class = ClassReg
 		}
-		dst = append(dst, fi)
+		t[i].atomic = op.IsReduction() || op == isa.PRINT
+	}
+	return t
+}()
+
+// Decode appends to dst p's per-PC table without kernels: the source
+// instruction, its execution class and its thickness/sliceability facts, each
+// derived here once so that the step engine never re-derives them per
+// executed instruction. This is the whole table the per-lane reference
+// reads; CompileTo adds the kernels and run lengths. dst lets a machine that
+// reloads programs keep one array.
+func Decode(dst []Instr, p *isa.Program) []Instr {
+	n := p.Len()
+	dst = slices.Grow(dst[:0], n)[:n]
+	for pc := range dst {
+		decode(&dst[pc], &p.Instrs[pc])
 	}
 	return dst
+}
+
+// decode fills the entry fi of in without a kernel, field by field: an
+// entry that is overwritten whole is copied with write barriers.
+func decode(fi *Instr, in *isa.Instr) {
+	facts := &opFacts[in.Op]
+	thick := in.Thick()
+	fi.In = *in
+	fi.Class = facts.class
+	fi.Thick = thick
+	fi.Sliceable = thick && !facts.atomic
+	fi.Run = 1
+	fi.Kern = nil
 }
 
 // Compile builds the compiled program for p. It never fails: opcodes the
@@ -132,20 +161,33 @@ func Compile(p *isa.Program) *Program {
 
 // CompileTo builds Compile's per-PC table in dst, as Decode builds its own:
 // a machine compiles every program it loads into the one array it keeps.
+// It allocates nothing when dst has room for p.
 //
-// The run lengths are isa.RunLengths', computed in place back to front: a
-// run extends into the next PC when that is a register operation no branch
-// lands on.
+// The run lengths are isa.RunLengths', computed in the one pass that fills
+// the table, back to front: a run extends into the next PC when that is a
+// register operation no branch lands on. The leaders (isa.VisitLeaders) are
+// marked in the table beforehand, by a run length of -1, which no entry has
+// until its turn comes.
 func CompileTo(dst []Instr, p *isa.Program) []Instr {
-	dst = Decode(dst, p)
-	lead := isa.Leaders(p)
-	for pc := len(dst) - 1; pc >= 0; pc-- {
-		if fi := &dst[pc]; fi.Class == ClassReg {
-			if next := pc + 1; next < len(dst) && !lead[next] && dst[next].Class == ClassReg {
+	n := p.Len()
+	dst = slices.Grow(dst[:0], n)[:n]
+	isa.VisitLeaders(p, func(pc int) {
+		if pc < n {
+			dst[pc].Run = -1
+		}
+	})
+	nextLead := true
+	for pc := n - 1; pc >= 0; pc-- {
+		fi := &dst[pc]
+		lead := fi.Run == -1
+		decode(fi, &p.Instrs[pc])
+		if fi.Class == ClassReg {
+			if next := pc + 1; next < n && !nextLead && dst[next].Class == ClassReg {
 				fi.Run += dst[next].Run
 			}
-			fi.Kern = compileKern(fi.In)
+			fi.Kern = kernOf(fi.In)
 		}
+		nextLead = lead
 	}
 	return dst
 }

@@ -184,21 +184,21 @@ func TestKernMatchesReference(t *testing.T) {
 			modes = append(modes, true) // NUMA mode has one lane
 		}
 		for _, in := range instrs {
-			kern := compileKern(in)
+			kern := kernOf(in)
 			if kern == nil {
 				t.Fatalf("%s %s: no kernel", in.Op, in.Rd)
 			}
 			for _, numa := range modes {
 				got, want := newFlow(lanes, numa), newFlow(lanes, numa)
 				if in.Rd.IsVector() {
-					kern(env, got, 0, lanes)
+					kern(env, &in, got, 0, lanes)
 					res := make([]int64, lanes)
 					for i := range res {
 						res[i] = refLane(env, want, in, i)
 					}
 					copy(want.Vector(in.Rd), res)
 				} else {
-					kern(env, got, 0, 1)
+					kern(env, &in, got, 0, 1)
 					want.SetScalar(in.Rd, refLane(env, want, in, 0))
 				}
 				if got.StateDigest() != want.StateDigest() || got.RegWordsPeak != want.RegWordsPeak {
@@ -224,8 +224,8 @@ func TestKernPartialRange(t *testing.T) {
 	for i := range dst {
 		dst[i] = -1
 	}
-	kern := compileKern(isa.Instr{Op: isa.ADD, Rd: isa.V(0), Ra: isa.V(1), Imm: 1, HasImm: true})
-	kern(Env{}, f, 2, 5)
+	in := isa.Instr{Op: isa.ADD, Rd: isa.V(0), Ra: isa.V(1), Imm: 1, HasImm: true}
+	kernOf(in)(Env{}, &in, f, 2, 5)
 	for i := 0; i < lanes; i++ {
 		want := int64(-1)
 		if i >= 2 && i < 5 {

@@ -5,114 +5,62 @@ import (
 	"tcfpram/internal/tcf"
 )
 
-// compileKern builds the lane kernel for a register-class instruction,
-// resolving the operand shape (thread-wise, flow-common, immediate) once: a
-// kernel is one call into isa's bulk form for that shape over the lanes it is
-// handed, or one scalar evaluation when the destination is flow-common.
-// Returns nil for opcodes without lane semantics.
-func compileKern(in isa.Instr) Kern {
-	op, rd, ra, rb, rc := in.Op, in.Rd, in.Ra, in.Rb, in.Rc
+// The kernels are top-level functions of the instruction they execute: the
+// table stores one per register instruction, chosen by kernOf from the
+// operand shape (thread-wise, flow-common, immediate), and the engine hands
+// it the instruction's own word. Compiling a program therefore builds no
+// closures — a kernel is data, a code pointer — and each kernel is one call
+// into isa's bulk form for its shape over the lanes it is handed, or one
+// scalar evaluation when the destination is flow-common.
+
+// kernOf returns the lane kernel of a register-class instruction, nil for
+// opcodes without lane semantics.
+func kernOf(in isa.Instr) Kern {
+	op, rd, ra := in.Op, in.Rd, in.Ra
 	// Flow-common destinations are most of what a thin flow executes: for the
-	// common opcodes their kernels stay one closure deep.
+	// common opcodes their kernels read the instruction and nothing else.
 	switch {
 	case op == isa.LDI:
-		imm := in.Imm
 		if rd.IsVector() {
-			return func(_ Env, f *tcf.Flow, first, end int) { isa.Fill(f.Vector(rd)[first:end], imm) }
+			return fillV
 		}
-		return func(_ Env, f *tcf.Flow, first, end int) { f.SetScalar(rd, imm) }
+		return ldiS
 
 	case op == isa.MOV:
 		switch {
 		case rd.IsVector() && ra.IsVector():
-			return func(_ Env, f *tcf.Flow, first, end int) {
-				copy(f.Vector(rd)[first:end], f.Vector(ra)[first:end])
-			}
+			return movVV
 		case rd.IsVector():
-			return func(_ Env, f *tcf.Flow, first, end int) { isa.Fill(f.Vector(rd)[first:end], f.Scalar(ra)) }
+			return movVS
 		}
-		return func(_ Env, f *tcf.Flow, first, end int) { f.SetScalar(rd, f.Lane(ra, 0)) }
+		return movS
 
 	case op == isa.NEG, op == isa.NOT:
 		if rd.IsVector() && ra.IsVector() {
-			return func(_ Env, f *tcf.Flow, first, end int) {
-				isa.EvalUnaryV(op, f.Vector(rd)[first:end], f.Vector(ra)[first:end])
-			}
+			return unaryVV
 		}
-		return fillKern(rd, func(_ Env, f *tcf.Flow) int64 { return isa.EvalUnary(op, f.Lane(ra, 0)) })
+		return fillKern(rd)
 
 	case op.IsBinaryALU():
 		return binKern(in)
 
 	case op == isa.SEL:
-		if !rd.IsVector() {
-			return func(_ Env, f *tcf.Flow, first, end int) {
-				v := f.Lane(rc, 0)
-				if f.Lane(ra, 0) != 0 {
-					v = f.Lane(rb, 0)
-				}
-				f.SetScalar(rd, v)
-			}
+		switch {
+		case !rd.IsVector():
+			return selS
+		case !ra.IsVector():
+			return selVS
 		}
-		// The reference reads Rc on every lane and Rb on a selecting one, and
-		// reading a thread-wise register allocates it: Rb is touched as there.
-		if !ra.IsVector() {
-			return func(_ Env, f *tcf.Flow, first, end int) {
-				src, s := operand(f, rc, first, end)
-				if f.Scalar(ra) != 0 {
-					src, s = operand(f, rb, first, end)
-				}
-				if dst := f.Vector(rd)[first:end]; src != nil {
-					copy(dst, src)
-				} else {
-					isa.Fill(dst, s)
-				}
-			}
-		}
-		return func(_ Env, f *tcf.Flow, first, end int) {
-			no, ns := operand(f, rc, first, end)
-			cond := f.Vector(ra)[first:end]
-			var yes []int64
-			var ys int64
-			if !rb.IsVector() || f.VectorAllocated(rb) || isa.Reduce(isa.OR, 0, cond) != 0 {
-				yes, ys = operand(f, rb, first, end)
-			}
-			isa.SelectV(f.Vector(rd)[first:end], cond, yes, no, ys, ns)
-		}
+		return selVV
 
 	case op == isa.TID:
-		// Fragments of an auto-split flow carry their logical thread-index
-		// offset; the single NUMA-mode thread is thread 0.
 		if rd.IsVector() {
-			return func(_ Env, f *tcf.Flow, first, end int) {
-				dst := f.Vector(rd)[first:end]
-				if f.Mode == tcf.NUMA {
-					isa.Fill(dst, 0)
-				} else {
-					isa.Iota(dst, int64(f.TidOffset+first))
-				}
-			}
+			return tidV
 		}
-		return func(_ Env, f *tcf.Flow, first, end int) {
-			if f.Mode == tcf.NUMA {
-				f.SetScalar(rd, 0)
-			} else {
-				f.SetScalar(rd, int64(f.TidOffset))
-			}
-		}
+		return tidS
 
-	case op == isa.FID:
-		return fillKern(rd, func(_ Env, f *tcf.Flow) int64 { return int64(f.ID) })
-	case op == isa.THICK:
-		return fillKern(rd, func(_ Env, f *tcf.Flow) int64 { return int64(f.TotalThickness) })
-	case op == isa.GID:
-		return fillKern(rd, func(env Env, _ *tcf.Flow) int64 { return int64(env.Group) })
-	case op == isa.PID:
-		return fillKern(rd, func(_ Env, f *tcf.Flow) int64 { return int64(f.Home) })
-	case op == isa.NPROC:
-		return fillKern(rd, func(env Env, _ *tcf.Flow) int64 { return int64(env.Procs) })
-	case op == isa.NGRP:
-		return fillKern(rd, func(env Env, _ *tcf.Flow) int64 { return int64(env.Groups) })
+	case op == isa.FID, op == isa.THICK, op == isa.GID, op == isa.PID, op == isa.NPROC, op == isa.NGRP:
+		return fillKern(rd)
 	}
 	return nil
 }
@@ -126,60 +74,181 @@ func operand(f *tcf.Flow, r isa.Reg, first, end int) ([]int64, int64) {
 	return nil, f.Scalar(r)
 }
 
-// fillKern stores one value per instruction, computed from the flow and the
-// environment: broadcast over the lanes of a thread-wise destination, or into
-// a flow-common one.
-func fillKern(rd isa.Reg, val func(Env, *tcf.Flow) int64) Kern {
+// fillKern stores one value per instruction (value): broadcast over the
+// lanes of a thread-wise destination, or into a flow-common one.
+func fillKern(rd isa.Reg) Kern {
 	if rd.IsVector() {
-		return func(env Env, f *tcf.Flow, first, end int) {
-			isa.Fill(f.Vector(rd)[first:end], val(env, f))
-		}
+		return fillV
 	}
-	return func(env Env, f *tcf.Flow, first, end int) { f.SetScalar(rd, val(env, f)) }
+	return fillS
 }
 
-// binKern compiles a binary ALU instruction: the shape picks the bulk form,
-// and a closure over lanes captures the opcode, never a per-lane function. A
-// flow-common destination (lane 0 semantics), or a thread-wise one with two
-// flow-common sources, is one scalar evaluation.
+// value is the one word an instruction of fillKern stores, computed from
+// the instruction, the flow and the environment.
+func value(env Env, in *isa.Instr, f *tcf.Flow) int64 {
+	switch in.Op {
+	case isa.LDI:
+		return in.Imm
+	case isa.NEG, isa.NOT:
+		return isa.EvalUnary(in.Op, f.Lane(in.Ra, 0))
+	case isa.FID:
+		return int64(f.ID)
+	case isa.THICK:
+		return int64(f.TotalThickness)
+	case isa.GID:
+		return int64(env.Group)
+	case isa.PID:
+		return int64(f.Home)
+	case isa.NPROC:
+		return int64(env.Procs)
+	case isa.NGRP:
+		return int64(env.Groups)
+	}
+	panic("fuse: no value for " + in.Op.String())
+}
+
+func fillV(env Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	isa.Fill(f.Vector(in.Rd)[first:end], value(env, in, f))
+}
+
+func fillS(env Env, in *isa.Instr, f *tcf.Flow, _, _ int) { f.SetScalar(in.Rd, value(env, in, f)) }
+
+func ldiS(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) { f.SetScalar(in.Rd, in.Imm) }
+
+func movVV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	copy(f.Vector(in.Rd)[first:end], f.Vector(in.Ra)[first:end])
+}
+
+func movVS(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	isa.Fill(f.Vector(in.Rd)[first:end], f.Scalar(in.Ra))
+}
+
+func movS(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) { f.SetScalar(in.Rd, f.Lane(in.Ra, 0)) }
+
+func unaryVV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	isa.EvalUnaryV(in.Op, f.Vector(in.Rd)[first:end], f.Vector(in.Ra)[first:end])
+}
+
+func selS(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) {
+	v := f.Lane(in.Rc, 0)
+	if f.Lane(in.Ra, 0) != 0 {
+		v = f.Lane(in.Rb, 0)
+	}
+	f.SetScalar(in.Rd, v)
+}
+
+// The reference reads Rc on every lane and Rb on a selecting one, and
+// reading a thread-wise register allocates it: selVS and selVV touch Rb as
+// it does.
+
+func selVS(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	src, s := operand(f, in.Rc, first, end)
+	if f.Scalar(in.Ra) != 0 {
+		src, s = operand(f, in.Rb, first, end)
+	}
+	if dst := f.Vector(in.Rd)[first:end]; src != nil {
+		copy(dst, src)
+	} else {
+		isa.Fill(dst, s)
+	}
+}
+
+func selVV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	no, ns := operand(f, in.Rc, first, end)
+	cond := f.Vector(in.Ra)[first:end]
+	var yes []int64
+	var ys int64
+	if rb := in.Rb; !rb.IsVector() || f.VectorAllocated(rb) || isa.Reduce(isa.OR, 0, cond) != 0 {
+		yes, ys = operand(f, rb, first, end)
+	}
+	isa.SelectV(f.Vector(in.Rd)[first:end], cond, yes, no, ys, ns)
+}
+
+// Fragments of an auto-split flow carry their logical thread-index offset;
+// the single NUMA-mode thread is thread 0.
+
+func tidV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	dst := f.Vector(in.Rd)[first:end]
+	if f.Mode == tcf.NUMA {
+		isa.Fill(dst, 0)
+	} else {
+		isa.Iota(dst, int64(f.TidOffset+first))
+	}
+}
+
+func tidS(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) {
+	if f.Mode == tcf.NUMA {
+		f.SetScalar(in.Rd, 0)
+	} else {
+		f.SetScalar(in.Rd, int64(f.TidOffset))
+	}
+}
+
+// binKern picks a binary ALU instruction's kernel: the shape picks the bulk
+// form, which takes the opcode, never a per-lane function. A flow-common
+// destination (lane 0 semantics), or a thread-wise one with two flow-common
+// sources, is one scalar evaluation.
 func binKern(in isa.Instr) Kern {
-	op, rd, ra, rb := in.Op, in.Rd, in.Ra, in.Rb
-	imm, hasImm := in.Imm, in.HasImm
-	aVec := ra.IsVector()
-	bVec := !hasImm && rb.IsVector()
+	aVec := in.Ra.IsVector()
+	bVec := !in.HasImm && in.Rb.IsVector()
 	switch {
-	case !rd.IsVector():
-		// One evaluation per instruction, and most of what a thin flow
-		// executes: resolved to the operator here, not through Eval's switch
-		// on every step.
-		fn := isa.EvalFn(op)
-		if hasImm {
-			return func(_ Env, f *tcf.Flow, first, end int) { f.SetScalar(rd, fn(f.Lane(ra, 0), imm)) }
-		}
-		return func(_ Env, f *tcf.Flow, first, end int) { f.SetScalar(rd, fn(f.Lane(ra, 0), f.Lane(rb, 0))) }
+	case !in.Rd.IsVector() && in.HasImm:
+		return binSI
+	case !in.Rd.IsVector():
+		return binSR
 	case !aVec && !bVec:
-		return func(_ Env, f *tcf.Flow, first, end int) {
-			b := imm
-			if !hasImm {
-				b = f.Scalar(rb)
-			}
-			isa.Fill(f.Vector(rd)[first:end], isa.Eval(op, f.Scalar(ra), b))
-		}
+		return binFill
 	case aVec && bVec:
-		return func(_ Env, f *tcf.Flow, first, end int) {
-			isa.EvalVV(op, f.Vector(rd)[first:end], f.Vector(ra)[first:end], f.Vector(rb)[first:end])
-		}
+		return binVV
 	case aVec:
-		return func(_ Env, f *tcf.Flow, first, end int) {
-			b := imm
-			if !hasImm {
-				b = f.Scalar(rb)
-			}
-			isa.EvalVS(op, f.Vector(rd)[first:end], f.Vector(ra)[first:end], b)
-		}
-	default:
-		return func(_ Env, f *tcf.Flow, first, end int) {
-			isa.EvalSV(op, f.Vector(rd)[first:end], f.Scalar(ra), f.Vector(rb)[first:end])
+		return binVS
+	}
+	return binSV
+}
+
+// binB is the flow-common second operand: the immediate or the register.
+func binB(in *isa.Instr, f *tcf.Flow) int64 {
+	if in.HasImm {
+		return in.Imm
+	}
+	return f.Scalar(in.Rb)
+}
+
+// evalFns is isa.EvalFn of every binary ALU opcode, resolved once: the
+// scalar kernels below make one indirect call per instruction, as a closure
+// over EvalFn did, rather than a call through Eval's switch.
+var evalFns = func() (t [256]func(a, b int64) int64) {
+	for op := range isa.NumOps {
+		if isa.Op(op).IsBinaryALU() {
+			t[op] = isa.EvalFn(isa.Op(op))
 		}
 	}
+	return t
+}()
+
+// binSI and binSR are one evaluation per instruction, and most of what a
+// thin flow executes.
+
+func binSI(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) {
+	f.SetScalar(in.Rd, evalFns[in.Op](f.Lane(in.Ra, 0), in.Imm))
+}
+
+func binSR(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) {
+	f.SetScalar(in.Rd, evalFns[in.Op](f.Lane(in.Ra, 0), f.Lane(in.Rb, 0)))
+}
+
+func binFill(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	isa.Fill(f.Vector(in.Rd)[first:end], isa.Eval(in.Op, f.Scalar(in.Ra), binB(in, f)))
+}
+
+func binVV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	isa.EvalVV(in.Op, f.Vector(in.Rd)[first:end], f.Vector(in.Ra)[first:end], f.Vector(in.Rb)[first:end])
+}
+
+func binVS(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	isa.EvalVS(in.Op, f.Vector(in.Rd)[first:end], f.Vector(in.Ra)[first:end], binB(in, f))
+}
+
+func binSV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
+	isa.EvalSV(in.Op, f.Vector(in.Rd)[first:end], f.Scalar(in.Ra), f.Vector(in.Rb)[first:end])
 }

@@ -61,19 +61,26 @@ done:
 	if err != nil {
 		t.Fatal(err)
 	}
+	label := func(name string) int {
+		pc, ok := p.Label(name)
+		if !ok {
+			t.Fatalf("no label %q", name)
+		}
+		return pc
+	}
 	b := p.Instrs[1]
-	if b.Op != BNEZ || int(b.Target) != p.Labels["body"] {
-		t.Fatalf("BNEZ target %d, want %d", b.Target, p.Labels["body"])
+	if b.Op != BNEZ || int(b.Target) != label("body") {
+		t.Fatalf("BNEZ target %d, want %d", b.Target, label("body"))
 	}
 	sp := p.Instrs[3]
 	arms := p.Arms(sp)
 	if sp.Op != SPLIT || len(arms) != 2 {
 		t.Fatalf("bad SPLIT: %+v", sp)
 	}
-	if arms[0].Thick != RegNone || arms[0].ThickImm != 8 || arms[0].Target != p.Labels["armA"] {
+	if arms[0].Thick != RegNone || arms[0].ThickImm != 8 || arms[0].Target != label("armA") {
 		t.Fatalf("bad arm 0: %+v", arms[0])
 	}
-	if arms[1].Thick != S(1) || arms[1].Target != p.Labels["armB"] {
+	if arms[1].Thick != S(1) || arms[1].Target != label("armB") {
 		t.Fatalf("bad arm 1: %+v", arms[1])
 	}
 }

@@ -75,41 +75,43 @@ type Block struct {
 // Len returns the number of instructions in the block.
 func (b Block) Len() int { return b.End - b.Start }
 
-// Leaders marks every PC that must start a new block: the program entry,
+// leaders marks every PC that must start a new block: the program entry,
 // every control-transfer target (branch, call, split arm), and every
 // call-return continuation (CALL pushes PC+1, so PC+1 is reachable
 // non-sequentially).
-func Leaders(p *Program) []bool {
+func leaders(p *Program) []bool {
 	lead := make([]bool, p.Len()+1)
-	if p.Len() > 0 {
-		lead[p.Entry()] = true
-		lead[0] = true
-	}
-	mark := func(pc int) {
-		if pc >= 0 && pc < len(lead) {
-			lead[pc] = true
-		}
-	}
-	for pc, in := range p.Instrs {
-		switch in.Op.Info().Args {
-		case ArgsTgt, ArgsCondTgt:
-			mark(int(in.Target))
-			mark(pc + 1) // fall-through / continuation after the transfer
-			if in.Op == CALL {
-				mark(pc + 1)
-			}
-		case ArgsSplit:
-			for _, arm := range p.Arms(in) {
-				mark(arm.Target)
-			}
-			mark(pc + 1) // the parent's resume PC
-		default:
-			if in.Op.Info().Control {
-				mark(pc + 1)
-			}
-		}
-	}
+	VisitLeaders(p, func(pc int) { lead[pc] = true })
 	return lead
+}
+
+// VisitLeaders calls mark with every PC leaders marks, some more than once,
+// each in [0, p.Len()], allocating nothing.
+func VisitLeaders(p *Program, mark func(pc int)) {
+	visit := func(pc int) {
+		if pc >= 0 && pc <= p.Len() {
+			mark(pc)
+		}
+	}
+	visit(0)
+	visit(p.Entry())
+	for pc := range p.Instrs {
+		in := &p.Instrs[pc]
+		switch info := in.Op.Info(); info.Args {
+		case ArgsTgt, ArgsCondTgt:
+			visit(int(in.Target))
+			visit(pc + 1) // fall-through / continuation after the transfer
+		case ArgsSplit:
+			for _, arm := range p.Arms(*in) {
+				visit(arm.Target)
+			}
+			visit(pc + 1) // the parent's resume PC
+		default:
+			if info.Control {
+				visit(pc + 1)
+			}
+		}
+	}
 }
 
 // Blocks partitions p into straight-line runs: maximal sequences of Fusible
@@ -121,7 +123,7 @@ func Blocks(p *Program) []Block {
 	if n == 0 {
 		return nil
 	}
-	lead := Leaders(p)
+	lead := leaders(p)
 	var blocks []Block
 	for pc := 0; pc < n; {
 		if !p.Instrs[pc].Op.Fusible() {
@@ -149,7 +151,7 @@ func Blocks(p *Program) []Block {
 func RunLengths(p *Program) []int {
 	n := p.Len()
 	rl := make([]int, n)
-	lead := Leaders(p)
+	lead := leaders(p)
 	for pc := n - 1; pc >= 0; pc-- {
 		rl[pc] = 1
 		if pc+1 < n && !lead[pc+1] && p.Instrs[pc].Op.Fusible() && p.Instrs[pc+1].Op.Fusible() {

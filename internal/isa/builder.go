@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Builder assembles a Program instruction by instruction, with forward label
@@ -9,7 +10,7 @@ import (
 type Builder struct {
 	name   string
 	instrs []Instr
-	labels map[string]int
+	labels []Label // in definition order until Build sorts them by name
 	data   []DataSeg
 	// syms and splits are the side tables of the program (Program.Syms,
 	// Program.Splits). A label reference is the label in them and the
@@ -21,7 +22,7 @@ type Builder struct {
 
 // NewBuilder returns an empty Builder for a program with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, labels: make(map[string]int)}
+	return &Builder{name: name}
 }
 
 // NewBuilderIn is NewBuilder emitting into buf, which it overwrites from
@@ -58,12 +59,9 @@ func (b *Builder) errf(format string, args ...any) {
 // PC returns the index the next emitted instruction will have.
 func (b *Builder) PC() int { return len(b.instrs) }
 
-// Label defines name at the current PC.
+// Label defines name at the current PC. A name defined twice fails Build.
 func (b *Builder) Label(name string) *Builder {
-	if _, dup := b.labels[name]; dup {
-		b.errf("duplicate label %q", name)
-	}
-	b.labels[name] = len(b.instrs)
+	b.labels = append(b.labels, Label{Name: name, PC: len(b.instrs)})
 	return b
 }
 
@@ -228,18 +226,20 @@ func (b *Builder) Prints(s string) *Builder { return b.Emit(Instr{Op: PRINTS, Au
 // Halt emits HALT.
 func (b *Builder) Halt() *Builder { return b.Op(HALT) }
 
-// Build resolves labels and returns the validated program.
+// Build resolves labels and returns the validated program, whose Labels
+// are the builder's, sorted by name.
 func (b *Builder) Build() (*Program, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
+	slices.SortFunc(b.labels, byName)
 	p := &Program{Name: b.name, Instrs: b.instrs, Labels: b.labels, Data: b.data, Syms: b.syms, Splits: b.splits}
 	for pc := range p.Instrs {
 		in := &p.Instrs[pc]
 		switch in.Op.Info().Args {
 		case ArgsTgt, ArgsCondTgt:
 			if in.Target == -1 {
-				t, ok := b.labels[p.Sym(*in)]
+				t, ok := p.Label(p.Sym(*in))
 				if !ok {
 					return nil, fmt.Errorf("isa: builder %s: undefined label %q at pc %d", b.name, p.Sym(*in), pc)
 				}
@@ -249,7 +249,7 @@ func (b *Builder) Build() (*Program, error) {
 			arms := p.Arms(*in)
 			for i := range arms {
 				if arms[i].Target == -1 {
-					t, ok := b.labels[arms[i].Sym]
+					t, ok := p.Label(arms[i].Sym)
 					if !ok {
 						return nil, fmt.Errorf("isa: builder %s: undefined SPLIT label %q at pc %d", b.name, arms[i].Sym, pc)
 					}

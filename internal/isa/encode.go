@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Binary object format for assembled TCF programs ("TCFB"): a deterministic,
@@ -61,15 +60,10 @@ func Encode(p *Program) []byte {
 			putString(&b, arm.Sym)
 		}
 	}
-	names := make([]string, 0, len(p.Labels))
-	for name := range p.Labels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	putUvarint(&b, uint64(len(names)))
-	for _, name := range names {
-		putString(&b, name)
-		putUvarint(&b, uint64(p.Labels[name]))
+	putUvarint(&b, uint64(len(p.Labels)))
+	for _, l := range p.Labels {
+		putString(&b, l.Name)
+		putUvarint(&b, uint64(l.PC))
 	}
 	putUvarint(&b, uint64(len(p.Data)))
 	for _, d := range p.Data {
@@ -82,23 +76,42 @@ func Encode(p *Program) []byte {
 	return b.Bytes()
 }
 
+// The fewest bytes an instruction, a SPLIT arm, a label and a data segment
+// take in an object: what a count is checked against before the table it
+// sizes is allocated.
+const (
+	minInstrBytes = 10 // six bytes, then imm, target+1, sym length and arm count
+	minArmBytes   = 4  // thickReg, thickImm, target+1 and sym length
+	minLabelBytes = 2  // name length and pc
+	minSegBytes   = 2  // addr and word count
+)
+
 // Decode parses a TCFB object and validates the program.
+//
+// Every table is allocated once, at the size the object gives for it, and
+// every string of the program — its name, symbols and label names — is a
+// substring of one copy of the object.
 func Decode(data []byte) (*Program, error) {
+	if uint64(len(data)) > math.MaxUint32 {
+		return nil, fmt.Errorf("isa: TCFB object too large (%d bytes, 4 GiB or more)", len(data))
+	}
 	r := &binReader{data: data}
-	if string(r.bytes(4)) != binMagic {
+	if string(r.next(4)) != binMagic {
 		return nil, fmt.Errorf("isa: not a TCFB object")
 	}
 	if v := r.byte(); v != binVersion {
 		return nil, fmt.Errorf("isa: unsupported TCFB version %d", v)
 	}
-	p := &Program{Labels: map[string]int{}}
+	r.text = string(data)
+	p := &Program{}
 	p.Name = r.string()
-	// Every count is checked against the object's length before anything
-	// is allocated for it, and every target against the instruction count
-	// before it is narrowed to int32; the count itself fits an int32, and
-	// so does every side-table index, as no table outgrows the program.
+	// Every count is checked against the bytes left in the object before
+	// anything is allocated for it, and every target against the
+	// instruction count before it is narrowed to int32; the count itself
+	// fits an int32, and so does every side-table index, as no table
+	// outgrows the program.
 	n := r.uvarint()
-	if r.err == nil && n > uint64(min(len(data), math.MaxInt32)) {
+	if r.err == nil && n > uint64(min(r.left()/minInstrBytes, math.MaxInt32)) {
 		return nil, fmt.Errorf("isa: corrupt TCFB: %d instructions in %d bytes", n, len(data))
 	}
 	// target reads a target+1 field: 0 marks none, anything else must name
@@ -110,76 +123,100 @@ func Decode(data []byte) (*Program, error) {
 		}
 		return int(t) - 1, nil
 	}
-	for i := 0; i < int(n) && r.err == nil; i++ {
-		var in Instr
-		in.Op = Op(r.byte())
-		in.Rd = Reg(r.byte())
-		in.Ra = Reg(r.byte())
-		in.Rb = Reg(r.byte())
-		in.Rc = Reg(r.byte())
-		flags := r.byte()
-		in.HasImm = flags&1 != 0
+	if r.err == nil {
+		p.Instrs = make([]Instr, n)
+	}
+	// A symbol's Aux is first the offset of its field in the object, plus
+	// one; the symbol table is allocated once they are counted.
+	syms := 0
+	for i := range p.Instrs {
+		if r.err != nil {
+			break
+		}
+		in := &p.Instrs[i]
+		if f := r.next(6); f != nil {
+			in.Op, in.Rd, in.Ra, in.Rb, in.Rc = Op(f[0]), Reg(f[1]), Reg(f[2]), Reg(f[3]), Reg(f[4])
+			in.HasImm = f[5]&1 != 0
+		}
 		in.Imm = r.varint()
 		t, err := target(i)
 		if err != nil {
 			return nil, err
 		}
 		in.Target = int32(t)
-		if sym := r.string(); sym != "" {
+		if off := r.off; r.string() != "" {
 			if in.Op == SPLIT {
 				return nil, fmt.Errorf("isa: corrupt TCFB: pc %d: SPLIT with a symbol", i)
 			}
-			p.Syms = append(p.Syms, sym)
-			in.Aux = uint32(len(p.Syms))
+			in.Aux = uint32(off) + 1
+			syms++
 		}
 		arms := r.uvarint()
-		if r.err == nil && arms > uint64(len(data)) {
+		if r.err == nil && arms > uint64(r.left()/minArmBytes) {
 			return nil, fmt.Errorf("isa: corrupt TCFB: %d arms", arms)
 		}
 		if r.err == nil && arms > 0 && in.Op != SPLIT {
 			return nil, fmt.Errorf("isa: corrupt TCFB: pc %d: %d arms on a non-SPLIT", i, arms)
 		}
-		var sa []SplitArm
-		for a := 0; a < int(arms) && r.err == nil; a++ {
-			var arm SplitArm
+		if r.err != nil || arms == 0 {
+			continue
+		}
+		sa := make([]SplitArm, arms)
+		for a := range sa {
+			arm := &sa[a]
 			arm.Thick = Reg(r.byte())
 			arm.ThickImm = r.varint()
 			if arm.Target, err = target(i); err != nil {
 				return nil, err
 			}
 			arm.Sym = r.string()
-			sa = append(sa, arm)
 		}
-		if sa != nil {
-			p.Splits = append(p.Splits, sa)
-			in.Aux = uint32(len(p.Splits))
+		p.Splits = append(p.Splits, sa)
+		in.Aux = uint32(len(p.Splits))
+	}
+	if syms > 0 && r.err == nil {
+		end := r.off
+		p.Syms = make([]string, 0, syms)
+		for i := range p.Instrs {
+			if in := &p.Instrs[i]; in.Op != SPLIT && in.Aux != 0 {
+				r.off = int(in.Aux - 1)
+				p.Syms = append(p.Syms, r.string())
+				in.Aux = uint32(len(p.Syms))
+			}
 		}
-		p.Instrs = append(p.Instrs, in)
+		r.off = end
 	}
 	labels := r.uvarint()
-	if r.err == nil && labels > uint64(len(data)) {
+	if r.err == nil && labels > uint64(r.left()/minLabelBytes) {
 		return nil, fmt.Errorf("isa: corrupt TCFB: %d labels", labels)
 	}
-	for i := 0; i < int(labels) && r.err == nil; i++ {
-		name := r.string()
-		pc := int(r.uvarint())
-		p.Labels[name] = pc
+	if r.err == nil && labels > 0 {
+		p.Labels = make([]Label, labels)
+		for i := range p.Labels {
+			p.Labels[i] = Label{Name: r.string(), PC: int(r.uvarint())}
+		}
 	}
 	segs := r.uvarint()
-	if r.err == nil && segs > uint64(len(data)) {
+	if r.err == nil && segs > uint64(r.left()/minSegBytes) {
 		return nil, fmt.Errorf("isa: corrupt TCFB: %d data segments", segs)
 	}
-	for i := 0; i < int(segs) && r.err == nil; i++ {
-		var d DataSeg
+	if r.err == nil && segs > 0 {
+		p.Data = make([]DataSeg, segs)
+	}
+	for i := range p.Data {
+		d := &p.Data[i]
 		d.Addr = r.varint()
 		words := r.uvarint()
-		if r.err == nil && words > uint64(len(data)*8) {
+		if r.err != nil {
+			break
+		}
+		if words > uint64(r.left()) {
 			return nil, fmt.Errorf("isa: corrupt TCFB: %d words", words)
 		}
-		for w := 0; w < int(words) && r.err == nil; w++ {
-			d.Words = append(d.Words, r.varint())
+		d.Words = make([]int64, words)
+		for w := range d.Words {
+			d.Words[w] = r.varint()
 		}
-		p.Data = append(p.Data, d)
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("isa: corrupt TCFB: %w", r.err)
@@ -208,8 +245,13 @@ func putString(b *bytes.Buffer, s string) {
 	b.WriteString(s)
 }
 
+// binReader reads an object front to back. Strings are substrings of text,
+// the one copy of the object. The first failed read records err and moves
+// off to the end of the object, so that every later read fails too and
+// returns a zero value.
 type binReader struct {
 	data []byte
+	text string
 	off  int
 	err  error
 }
@@ -217,32 +259,41 @@ type binReader struct {
 func (r *binReader) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("truncated %s at offset %d", what, r.off)
+		r.off = len(r.data)
 	}
 }
+
+// left is the number of bytes not yet read.
+func (r *binReader) left() int { return len(r.data) - r.off }
 
 func (r *binReader) byte() byte {
-	if r.err != nil || r.off >= len(r.data) {
-		r.fail("byte")
-		return 0
+	if r.off < len(r.data) {
+		v := r.data[r.off]
+		r.off++
+		return v
 	}
-	v := r.data[r.off]
-	r.off++
-	return v
+	r.fail("byte")
+	return 0
 }
 
-func (r *binReader) bytes(n int) []byte {
-	if r.err != nil || r.off+n > len(r.data) {
-		r.fail("bytes")
-		return make([]byte, n)
+// next returns the next n bytes, or nil when the object has fewer.
+func (r *binReader) next(n int) []byte {
+	if n <= r.left() {
+		v := r.data[r.off : r.off+n]
+		r.off += n
+		return v
 	}
-	v := r.data[r.off : r.off+n]
-	r.off += n
-	return v
+	r.fail("bytes")
+	return nil
 }
 
+// uvarint and varint read a one-byte value — most of an object's — without
+// calling into encoding/binary.
 func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
+	if r.off < len(r.data) && r.data[r.off] < 0x80 {
+		v := r.data[r.off]
+		r.off++
+		return uint64(v)
 	}
 	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
@@ -254,8 +305,10 @@ func (r *binReader) uvarint() uint64 {
 }
 
 func (r *binReader) varint() int64 {
-	if r.err != nil {
-		return 0
+	if r.off < len(r.data) && r.data[r.off] < 0x80 {
+		u := r.data[r.off]
+		r.off++
+		return int64(u>>1) ^ -int64(u&1) // zigzag
 	}
 	v, n := binary.Varint(r.data[r.off:])
 	if n <= 0 {
@@ -268,9 +321,11 @@ func (r *binReader) varint() int64 {
 
 func (r *binReader) string() string {
 	n := r.uvarint()
-	if r.err != nil || n > uint64(len(r.data)-r.off) {
+	if n > uint64(r.left()) {
 		r.fail("string")
 		return ""
 	}
-	return string(r.bytes(int(n)))
+	s := r.text[r.off : r.off+int(n)]
+	r.off += int(n)
+	return s
 }

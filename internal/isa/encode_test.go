@@ -2,6 +2,7 @@ package isa
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -48,13 +49,8 @@ func programsEqual(t *testing.T, a, b *Program) {
 			t.Fatalf("instr %d: %+v != %+v", i, x, y)
 		}
 	}
-	if len(a.Labels) != len(b.Labels) {
-		t.Fatalf("label count")
-	}
-	for name, pc := range a.Labels {
-		if b.Labels[name] != pc {
-			t.Fatalf("label %q: %d != %d", name, pc, b.Labels[name])
-		}
+	if !slices.Equal(a.Labels, b.Labels) {
+		t.Fatalf("labels %v != %v", a.Labels, b.Labels)
 	}
 	if len(a.Data) != len(b.Data) {
 		t.Fatalf("data count")
@@ -71,11 +67,17 @@ func programsEqual(t *testing.T, a, b *Program) {
 	}
 }
 
-// Property: Encode/Decode round-trips arbitrary valid programs exactly.
+// Property: Encode/Decode round-trips arbitrary valid programs exactly, and
+// a parallel statement of 2048 arms.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 60; trial++ {
-		p := buildRandomProgram(rng)
+	for trial := 0; trial <= 60; trial++ {
+		var p *Program
+		if trial < 60 {
+			p = buildRandomProgram(rng)
+		} else {
+			p = splitProgram(2048)
+		}
 		blob := Encode(p)
 		q, err := Decode(blob)
 		if err != nil {
@@ -162,6 +164,39 @@ func rawObject(op Op, target1 uint64, sym string, arms ...uint64) []byte {
 	return b.Bytes()
 }
 
+// labelObject is a one-instruction object (HALT) whose label table is
+// written field by field, in the order given.
+func labelObject(labels ...Label) []byte {
+	obj := rawObject(HALT, 0, "")
+	var b bytes.Buffer
+	b.Write(obj[:len(obj)-2]) // the empty label and data tables
+	putUvarint(&b, uint64(len(labels)))
+	for _, l := range labels {
+		putString(&b, l.Name)
+		putUvarint(&b, uint64(l.PC))
+	}
+	putUvarint(&b, 0)
+	return b.Bytes()
+}
+
+// splitProgram is a parallel statement of arms arms, each to a JOIN of its
+// own label: the shape of a program of many thin TCFs.
+func splitProgram(arms int) *Program {
+	b := NewBuilder("split")
+	b.Label("main")
+	as := make([]Arm, arms)
+	for i := range as {
+		as[i] = ArmImm(4, fmt.Sprintf("arm%d", i))
+	}
+	b.Split(as...)
+	b.Halt()
+	for i := range as {
+		b.Label(as[i].Label)
+		b.Op(JOIN)
+	}
+	return b.MustBuild()
+}
+
 // TestDecodeNarrowsSafely: Decode reads every target into the 32-bit fields
 // of the load image only after checking it names an instruction of the
 // program, and takes a symbol or arms only where the side tables can hold
@@ -182,6 +217,12 @@ func TestDecodeNarrowsSafely(t *testing.T) {
 		{"split-arm-past-end", rawObject(SPLIT, 1, "", 1, 2), false},
 		{"split-with-symbol", rawObject(SPLIT, 1, "x", 1), false},
 		{"arms-on-jmp", rawObject(JMP, 1, "", 1), false},
+		{"split-arms-truncated", truncatedArms(), false},
+		{"labels", labelObject(Label{"a", 0}, Label{"main", 1}), true},
+		{"labels-unsorted", labelObject(Label{"main", 0}, Label{"a", 0}), false},
+		{"labels-duplicate", labelObject(Label{"a", 0}, Label{"a", 1}), false},
+		{"label-past-end", labelObject(Label{"a", 2}), false},
+		{"label-2^64-1", labelObject(Label{"a", -1}), false},
 	} {
 		p, err := Decode(c.data)
 		if (err == nil) != c.ok {
@@ -190,6 +231,31 @@ func TestDecodeNarrowsSafely(t *testing.T) {
 		}
 		if err == nil && !bytes.Equal(Encode(p), c.data) {
 			t.Errorf("%s: re-encodes differently", c.name)
+		}
+	}
+}
+
+// truncatedArms is a SPLIT of three arms cut in its second.
+func truncatedArms() []byte {
+	obj := rawObject(SPLIT, 1, "", 1, 1, 1)
+	return obj[:len(obj)-2-6]
+}
+
+// TestValidateAllocatesNothing: checking a valid program allocates nothing,
+// so a load pays for its validation in time only.
+func TestValidateAllocatesNothing(t *testing.T) {
+	progs := []*Program{MustAssemble("s", sampleProgram), splitProgram(2048)}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 8; i++ {
+		progs = append(progs, buildRandomProgram(rng))
+	}
+	for _, p := range progs {
+		if n := testing.AllocsPerRun(10, func() {
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Validate makes %v allocations, want 0", p.Name, n)
 		}
 	}
 }

@@ -40,6 +40,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add(Encode(MustAssemble("s", sampleProgram)))
 	f.Add(rawObject(JMP, 1<<32+6, "")) // a target of 2^32+5
 	f.Add(rawObject(SPLIT, 1, "", 1))
+	f.Add(Encode(splitProgram(2048)))
+	f.Add(labelObject(Label{"main", 0}, Label{"a", 0})) // unsorted
+	f.Add(labelObject(Label{"a", 0}, Label{"a", 1}))    // duplicate
+	f.Add(labelObject(Label{"a", 0}, Label{"main", 2})) // past the end
+	f.Add(truncatedArms())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {

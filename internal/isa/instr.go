@@ -3,7 +3,6 @@ package isa
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -147,11 +146,20 @@ type DataSeg struct {
 	Words []int64
 }
 
+// Label names the instruction at PC (len(Instrs) names the end of the
+// program).
+type Label struct {
+	Name string
+	PC   int
+}
+
 // Program is an assembled TCF program.
 type Program struct {
 	Name   string
 	Instrs []Instr
-	Labels map[string]int
+	// Labels are sorted by name, each name once: the table TCFB stores, so
+	// a decoded program is looked up without hashing (Program.Label).
+	Labels []Label
 	Data   []DataSeg
 
 	// Syms and Splits are the side tables Instr.Aux indexes: the symbol of
@@ -187,12 +195,22 @@ func armsOf(splits [][]SplitArm, in Instr) []SplitArm {
 	return splits[in.Aux-1]
 }
 
+// byName orders labels by name, the order of Program.Labels.
+func byName(a, b Label) int { return strings.Compare(a.Name, b.Name) }
+
+// Label returns the PC of the label name, by binary search of Labels.
+func (p *Program) Label(name string) (pc int, ok bool) {
+	i, ok := slices.BinarySearchFunc(p.Labels, Label{Name: name}, byName)
+	if !ok {
+		return 0, false
+	}
+	return p.Labels[i].PC, true
+}
+
 // Entry returns the PC of label "main" if present, else 0.
 func (p *Program) Entry() int {
-	if pc, ok := p.Labels["main"]; ok {
-		return pc
-	}
-	return 0
+	pc, _ := p.Label("main")
+	return pc
 }
 
 // targetName names the target of a control transfer or SPLIT arm: the
@@ -221,12 +239,10 @@ func (p *Program) Listing() string {
 }
 
 func (p *Program) render(withPC bool) string {
+	// Labels are in name order, so each PC's list is too.
 	byPC := make(map[int][]string)
-	for name, pc := range p.Labels {
-		byPC[pc] = append(byPC[pc], name)
-	}
-	for pc := range byPC {
-		sort.Strings(byPC[pc])
+	for _, l := range p.Labels {
+		byPC[l.PC] = append(byPC[l.PC], l.Name)
 	}
 	// Synthesize labels for anonymous targets so the output reassembles.
 	synth := func(sym string, target int) {
@@ -273,114 +289,141 @@ func (p *Program) render(withPC bool) string {
 
 // Validate checks structural well-formedness: register classes per operand
 // slot, resolved in-range targets, scalar branch conditions (the flow-level
-// control rule of Section 2.2), and SPLIT arm sanity.
+// control rule of Section 2.2), SPLIT arm sanity and labels in name order.
+// A valid program is checked without allocating: every condition is tested
+// before its message's arguments are boxed.
 func (p *Program) Validate() error {
-	check := func(pc int, cond bool, format string, args ...any) error {
-		if cond {
-			return nil
-		}
-		return fmt.Errorf("isa: %s: pc %d (%s): %s", p.Name, pc, p.Instrs[pc].Op, fmt.Sprintf(format, args...))
-	}
-	target := func(pc, t int) error {
-		if t >= 0 && t < len(p.Instrs) {
-			return nil // before the arguments are boxed for the message
-		}
-		return check(pc, false, "target %d out of range [0,%d)", t, len(p.Instrs))
-	}
-	for pc, in := range p.Instrs {
+	for pc := range p.Instrs {
+		in := &p.Instrs[pc]
 		if !in.Op.Valid() {
 			return fmt.Errorf("isa: %s: pc %d: invalid opcode %d", p.Name, pc, in.Op)
 		}
-		info := in.Op.Info()
-		var err error
-		if in.Op == SPLIT {
-			err = check(pc, int(in.Aux) <= len(p.Splits), "arms index %d out of range [0,%d]", in.Aux, len(p.Splits))
-		} else {
-			err = check(pc, int(in.Aux) <= len(p.Syms), "symbol index %d out of range [0,%d]", in.Aux, len(p.Syms))
-		}
-		if err != nil {
-			return err
-		}
-		switch info.Args {
-		case ArgsNone, ArgsStr:
-		case ArgsDImm, ArgsD:
-			err = check(pc, in.Rd.Valid(), "invalid destination %s", in.Rd)
-		case ArgsDA:
-			if err = check(pc, in.Rd.Valid(), "invalid destination %s", in.Rd); err == nil {
-				err = check(pc, in.Ra.Valid(), "invalid source %s", in.Ra)
-			}
-		case ArgsDAB:
-			err = check(pc, in.Rd.Valid() && in.Ra.Valid() && (in.HasImm || in.Rb.Valid()),
-				"invalid operands %s, %s, %s", in.Rd, in.Ra, in.Rb)
-		case ArgsDABC:
-			err = check(pc, in.Rd.Valid() && in.Ra.Valid() && in.Rb.Valid() && in.Rc.Valid(),
-				"invalid operands")
-		// Memory address bases may be RegNone for absolute addressing
-		// (effective address = Imm).
-		case ArgsDMem:
-			err = check(pc, in.Rd.Valid() && (in.Ra.Valid() || in.Ra == RegNone),
-				"invalid operands %s, %s", in.Rd, in.Ra)
-		case ArgsMemB:
-			err = check(pc, (in.Ra.Valid() || in.Ra == RegNone) && in.Rb.Valid(),
-				"invalid operands %s, %s", in.Ra, in.Rb)
-		case ArgsDMemB:
-			err = check(pc, in.Rd.Valid() && (in.Ra.Valid() || in.Ra == RegNone) && in.Rb.Valid(),
-				"invalid operands")
-			if err == nil {
-				err = check(pc, in.Rd.IsVector(), "multiprefix destination %s must be thread-wise", in.Rd)
-			}
-		case ArgsSV:
-			err = check(pc, in.Rd.IsScalar(), "reduction destination %s must be scalar", in.Rd)
-			if err == nil {
-				err = check(pc, in.Ra.IsVector(), "reduction source %s must be thread-wise", in.Ra)
-			}
-		case ArgsCondTgt:
-			err = check(pc, in.Ra.IsScalar(), "branch condition %s must be scalar (flow-level control)", in.Ra)
-			if err == nil {
-				err = target(pc, int(in.Target))
-			}
-		case ArgsTgt:
-			err = target(pc, int(in.Target))
-		case ArgsSrc:
-			if !in.HasImm {
-				err = check(pc, in.Ra.Valid(), "invalid source %s", in.Ra)
-				if err == nil && (in.Op == SETTHICK || in.Op == NUMA) {
-					err = check(pc, in.Ra.IsScalar(), "%s source %s must be scalar", in.Op, in.Ra)
-				}
-			} else if in.Op == SETTHICK {
-				err = check(pc, in.Imm >= 0, "negative thickness %d", in.Imm)
-			} else if in.Op == NUMA {
-				err = check(pc, in.Imm >= 1, "NUMA bunch length %d must be >= 1", in.Imm)
-			}
-		case ArgsSplit:
-			arms := p.Arms(in)
-			err = check(pc, len(arms) >= 1, "SPLIT needs at least one arm")
-			for _, a := range arms {
-				if err != nil {
-					break
-				}
-				if a.Thick != RegNone {
-					err = check(pc, a.Thick.IsScalar(), "SPLIT arm thickness %s must be scalar", a.Thick)
-				} else {
-					err = check(pc, a.ThickImm >= 0, "negative SPLIT arm thickness %d", a.ThickImm)
-				}
-				if err == nil {
-					err = target(pc, a.Target)
-				}
-			}
-		}
-		if err != nil {
+		if err := p.validateInstr(pc, in); err != nil {
 			return err
 		}
 	}
-	for name, pc := range p.Labels {
-		if pc < 0 || pc > len(p.Instrs) {
-			return fmt.Errorf("isa: %s: label %q out of range", p.Name, name)
+	for i, l := range p.Labels {
+		if l.PC < 0 || l.PC > len(p.Instrs) {
+			return fmt.Errorf("isa: %s: label %q out of range", p.Name, l.Name)
+		}
+		if i > 0 && p.Labels[i-1].Name >= l.Name {
+			if p.Labels[i-1].Name == l.Name {
+				return fmt.Errorf("isa: %s: duplicate label %q", p.Name, l.Name)
+			}
+			return fmt.Errorf("isa: %s: label %q out of name order", p.Name, l.Name)
 		}
 	}
 	for _, d := range p.Data {
 		if d.Addr < 0 {
 			return fmt.Errorf("isa: %s: negative data address %d", p.Name, d.Addr)
+		}
+	}
+	return nil
+}
+
+// errorf reports a malformed instruction at pc.
+func (p *Program) errorf(pc int, format string, args ...any) error {
+	return fmt.Errorf("isa: %s: pc %d (%s): %s", p.Name, pc, p.Instrs[pc].Op, fmt.Sprintf(format, args...))
+}
+
+// checkTarget reports a target outside the program.
+func (p *Program) checkTarget(pc, t int) error {
+	if t >= 0 && t < len(p.Instrs) {
+		return nil
+	}
+	return p.errorf(pc, "target %d out of range [0,%d)", t, len(p.Instrs))
+}
+
+// validateInstr checks the operands of the instruction at pc, whose opcode
+// is valid.
+func (p *Program) validateInstr(pc int, in *Instr) error {
+	if in.Op == SPLIT {
+		if int(in.Aux) > len(p.Splits) {
+			return p.errorf(pc, "arms index %d out of range [0,%d]", in.Aux, len(p.Splits))
+		}
+	} else if int(in.Aux) > len(p.Syms) {
+		return p.errorf(pc, "symbol index %d out of range [0,%d]", in.Aux, len(p.Syms))
+	}
+	// Memory address bases may be RegNone for absolute addressing
+	// (effective address = Imm).
+	base := in.Ra.Valid() || in.Ra == RegNone
+	switch in.Op.Info().Args {
+	case ArgsNone, ArgsStr:
+	case ArgsDImm, ArgsD:
+		if !in.Rd.Valid() {
+			return p.errorf(pc, "invalid destination %s", in.Rd)
+		}
+	case ArgsDA:
+		if !in.Rd.Valid() {
+			return p.errorf(pc, "invalid destination %s", in.Rd)
+		}
+		if !in.Ra.Valid() {
+			return p.errorf(pc, "invalid source %s", in.Ra)
+		}
+	case ArgsDAB:
+		if !in.Rd.Valid() || !in.Ra.Valid() || !in.HasImm && !in.Rb.Valid() {
+			return p.errorf(pc, "invalid operands %s, %s, %s", in.Rd, in.Ra, in.Rb)
+		}
+	case ArgsDABC:
+		if !in.Rd.Valid() || !in.Ra.Valid() || !in.Rb.Valid() || !in.Rc.Valid() {
+			return p.errorf(pc, "invalid operands")
+		}
+	case ArgsDMem:
+		if !in.Rd.Valid() || !base {
+			return p.errorf(pc, "invalid operands %s, %s", in.Rd, in.Ra)
+		}
+	case ArgsMemB:
+		if !base || !in.Rb.Valid() {
+			return p.errorf(pc, "invalid operands %s, %s", in.Ra, in.Rb)
+		}
+	case ArgsDMemB:
+		if !in.Rd.Valid() || !base || !in.Rb.Valid() {
+			return p.errorf(pc, "invalid operands")
+		}
+		if !in.Rd.IsVector() {
+			return p.errorf(pc, "multiprefix destination %s must be thread-wise", in.Rd)
+		}
+	case ArgsSV:
+		if !in.Rd.IsScalar() {
+			return p.errorf(pc, "reduction destination %s must be scalar", in.Rd)
+		}
+		if !in.Ra.IsVector() {
+			return p.errorf(pc, "reduction source %s must be thread-wise", in.Ra)
+		}
+	case ArgsCondTgt:
+		if !in.Ra.IsScalar() {
+			return p.errorf(pc, "branch condition %s must be scalar (flow-level control)", in.Ra)
+		}
+		return p.checkTarget(pc, int(in.Target))
+	case ArgsTgt:
+		return p.checkTarget(pc, int(in.Target))
+	case ArgsSrc:
+		switch {
+		case !in.HasImm && !in.Ra.Valid():
+			return p.errorf(pc, "invalid source %s", in.Ra)
+		case !in.HasImm && (in.Op == SETTHICK || in.Op == NUMA) && !in.Ra.IsScalar():
+			return p.errorf(pc, "%s source %s must be scalar", in.Op, in.Ra)
+		case in.HasImm && in.Op == SETTHICK && in.Imm < 0:
+			return p.errorf(pc, "negative thickness %d", in.Imm)
+		case in.HasImm && in.Op == NUMA && in.Imm < 1:
+			return p.errorf(pc, "NUMA bunch length %d must be >= 1", in.Imm)
+		}
+	case ArgsSplit:
+		arms := p.Arms(*in)
+		if len(arms) == 0 {
+			return p.errorf(pc, "SPLIT needs at least one arm")
+		}
+		for i := range arms {
+			a := &arms[i]
+			if a.Thick != RegNone && !a.Thick.IsScalar() {
+				return p.errorf(pc, "SPLIT arm thickness %s must be scalar", a.Thick)
+			}
+			if a.Thick == RegNone && a.ThickImm < 0 {
+				return p.errorf(pc, "negative SPLIT arm thickness %d", a.ThickImm)
+			}
+			if err := p.checkTarget(pc, a.Target); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

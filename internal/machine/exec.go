@@ -72,7 +72,7 @@ func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 		// Flow-level: a thin operation (through its kernel, if it has one),
 		// a reduction, an output.
 		if fi.Kern != nil {
-			fi.Kern(x.fenv, f, 0, 1)
+			fi.Kern(x.fenv, &fi.In, f, 0, 1)
 			x.kern.BulkLanes++
 		} else {
 			x.execAtomic(f, in)
@@ -141,7 +141,7 @@ func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) (executed int, kerns int
 			// the bunch execute back to back through their compiled kernels,
 			// with per-instruction fetch and trace accounting.
 			x.record(f, slot, in.Op, 0, 1, true)
-			fi.Kern(x.fenv, f, 0, 1)
+			fi.Kern(x.fenv, &fi.In, f, 0, 1)
 			kerns++
 			if fi.Thick {
 				x.ops++
@@ -159,7 +159,7 @@ func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) (executed int, kerns int
 				x.fetches++
 				f.InstrFetches++
 				x.record(f, slot, fj.In.Op, 0, 1, true)
-				fj.Kern(x.fenv, f, 0, 1)
+				fj.Kern(x.fenv, &fj.In, f, 0, 1)
 				kerns++
 				if fj.Thick {
 					x.ops++

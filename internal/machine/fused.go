@@ -65,7 +65,7 @@ func (x *groupExec) runFusedRun(f *tcf.Flow, slot int, plan *StepPlan, budget *i
 				FirstLane: 0, Lanes: w, NUMA: numa,
 			})
 		}
-		fi.Kern(x.fenv, f, 0, w)
+		fi.Kern(x.fenv, &fi.In, f, 0, w)
 		x.kern.BulkLanes += int64(w)
 		x.kern.RunInstrs++
 		if fi.Thick {

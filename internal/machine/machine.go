@@ -296,6 +296,21 @@ func (m *Machine) LoadProgram(p *isa.Program) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
+	return m.load(p)
+}
+
+// LoadBinary decodes a TCFB object and loads its program as LoadProgram
+// does. The program is validated once, by isa.Decode.
+func (m *Machine) LoadBinary(data []byte) (*isa.Program, error) {
+	p, err := isa.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return p, m.load(p)
+}
+
+// load preloads the data segments of the valid program p and installs it.
+func (m *Machine) load(p *isa.Program) error {
 	for _, d := range p.Data {
 		if err := m.shared.Load(d.Addr, d.Words); err != nil {
 			return fmt.Errorf("machine: loading %s: %w", p.Name, err)

@@ -485,24 +485,32 @@ func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool 
 		return true
 
 	case isa.ST:
-		row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
 		av, bv, base, bs := storeOperands(f, in)
 		// One run, two column fills.
 		addrs, vals := x.writes.Open(f.ID, 0, first, n)
 		fillColumn(addrs, av, first, base)
 		fillColumn(vals, bv, first, bs)
-		maxDist := x.maxDist
-		for i := 0; i < n && maxDist < rowMax; i++ {
-			if d := row[sh.ModuleOf(addrs[i])]; d > maxDist {
-				maxDist = d
-			}
-		}
-		x.maxDist = maxDist
-		x.anyShared = true
+		x.noteRow(addrs)
 		x.sharedWrites += int64(n)
 		return true
 	}
 	return false
+}
+
+// noteRow is noteShared for the non-empty PRAM-mode references addrs
+// without a fault plan, where noting one is no more than raising maxDist:
+// the module lookups stop once maxDist reaches the group's row maximum.
+func (x *groupExec) noteRow(addrs []int64) {
+	row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
+	sh := x.m.shared
+	maxDist := x.maxDist
+	for i := 0; i < len(addrs) && maxDist < x.rowMax; i++ {
+		if d := row[sh.ModuleOf(addrs[i])]; d > maxDist {
+			maxDist = d
+		}
+	}
+	x.maxDist = maxDist
+	x.anyShared = true
 }
 
 // consecutive returns the length of the longest prefix of the non-empty a
@@ -529,9 +537,13 @@ func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) 
 	addrs, vals := x.logs[multiop.KindIndex(in.Op.CombineKind())].Open(run)
 	fillColumn(addrs, av, first, base)
 	fillColumn(vals, bv, first, bs)
-	numa := f.Mode == tcf.NUMA
-	for _, addr := range addrs {
-		x.noteShared(addr, numa)
+	// The reference notes every reference, which holds noteRow to it.
+	if numa := f.Mode == tcf.NUMA; numa || x.m.cfg.FaultPlan != nil || x.m.reference {
+		for _, addr := range addrs {
+			x.noteShared(addr, numa)
+		}
+	} else if n > 0 {
+		x.noteRow(addrs)
 	}
 	x.refs += n
 	x.multiopRefs += int64(n)
@@ -548,7 +560,7 @@ func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) 
 // directly.
 func (x *groupExec) execLaneRange(f *tcf.Flow, fi *fuse.Instr, first, n int) {
 	if fi.Kern != nil {
-		fi.Kern(x.fenv, f, first, first+n)
+		fi.Kern(x.fenv, &fi.In, f, first, first+n)
 		x.kern.BulkLanes += int64(n)
 		return
 	}

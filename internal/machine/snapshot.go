@@ -196,11 +196,8 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		p, err := isa.Decode(data)
+		p, err := isa.Decode(data) // which validates it
 		if err != nil {
-			return nil, fmt.Errorf("machine: snapshot program: %w", err)
-		}
-		if err := p.Validate(); err != nil {
 			return nil, fmt.Errorf("machine: snapshot program: %w", err)
 		}
 		// Set directly rather than through LoadProgram: the shared image in

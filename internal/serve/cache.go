@@ -83,8 +83,8 @@ func (e *cacheEntry) footprint() int64 {
 				n += int(unsafe.Sizeof(a)) + len(a.Sym)
 			}
 		}
-		for name := range p.Labels {
-			n += str + len(name) + int(unsafe.Sizeof(0))
+		for _, l := range p.Labels {
+			n += int(unsafe.Sizeof(l)) + len(l.Name)
 		}
 		for _, d := range p.Data {
 			n += 8 * len(d.Words)

@@ -42,16 +42,19 @@ func TestPanicRecoveryDiscardsLease(t *testing.T) {
 
 // TestConcurrentBadSourceSingleCompile: many concurrent requests for the
 // same broken program share ONE compile — the failure is memoized exactly
-// like a success — and the pile-up leaves no goroutines behind.
+// like a success — and the pile-up leaves no goroutines behind. The tenant
+// admits all n at once: what is tested is the single flight, not the
+// tenant's cap on runs in flight.
 func TestConcurrentBadSourceSingleCompile(t *testing.T) {
-	s, ts := newTestServer(t, Options{MaxConcurrent: 8, MaxQueue: 64, QueueWait: 0})
+	const n = 16
+	s, ts := newTestServer(t, Options{MaxConcurrent: 8, MaxQueue: 64, QueueWait: 0,
+		DefaultLimits: Limits{MaxInFlight: n}})
 
 	// Warm-up and baselines.
 	post(t, ts, "", runRequest{Source: validSrc})
 	baseline := runtime.NumGoroutine()
 	c0 := s.Metrics().Cache
 
-	const n = 16
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)

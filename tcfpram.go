@@ -404,11 +404,8 @@ func (m *Machine) LoadAssembly(name, src string) error {
 
 // LoadBinary loads a TCFB object (produced by cmd/tcfas or isa.Encode).
 func (m *Machine) LoadBinary(data []byte) error {
-	p, err := isa.Decode(data)
+	p, err := m.inner.LoadBinary(data)
 	if err != nil {
-		return err
-	}
-	if err := m.inner.LoadProgram(p); err != nil {
 		return err
 	}
 	m.compiled = &codegen.Compiled{Program: p}

@@ -240,6 +240,33 @@ func TestLoadBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// loadBinaryAllocBudget bounds the allocations of Reset + LoadBinary of a
+// 2048-arm parallel statement's object on a reused machine. They were 18 067
+// while every symbol, label and arm was allocated on its own, labels went
+// into a map and every load validated twice, boxing Validate's arguments;
+// they now come to 8, the program's tables and one copy of the object.
+const loadBinaryAllocBudget = 32
+
+// TestLoadBinaryAllocBudget holds a load to the cost of its program's own
+// tables (BenchmarkLoadBinary's parallel-2048 object).
+func TestLoadBinaryAllocBudget(t *testing.T) {
+	_, objs := loadObjects(t)
+	m, err := NewMachine(DefaultConfig(SingleInstruction))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		m.Reset()
+		if err := m.LoadBinary(objs[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Reset + LoadBinary (parallel-2048): %v allocations", allocs)
+	if allocs > loadBinaryAllocBudget {
+		t.Errorf("Reset + LoadBinary makes %v allocations, budget %d", allocs, loadBinaryAllocBudget)
+	}
+}
+
 func TestFacadeErrorPaths(t *testing.T) {
 	if _, err := NewMachine(Config{Variant: SingleInstruction, Groups: -1}); err == nil {
 		t.Fatal("bad config accepted")
