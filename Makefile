@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench-compile bench-engine benchall table figures net examples fuzz fmtcheck lint detlint vet serve serve-test clean
+.PHONY: all build test race stress-tier1 bench-smoke bench-compile bench-engine benchall table figures net examples fuzz fmtcheck lint detlint vet serve serve-test clean
 
 # Pinned linter versions, fetched on demand with `go run` so the repo adds
 # no module dependencies. Bump deliberately; CI uses the same pins.
@@ -20,6 +20,13 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./...
+
+# stress-tier1 runs tier-1 N times (default 20) with -cpu 1,2 under a
+# concurrent `go test ./internal/chaos` loop and reports failures per test
+# (scripts/stress-tier1.sh). A tier-1 test must pass every run.
+N ?= 20
+stress-tier1:
+	N=$(N) GO=$(GO) sh scripts/stress-tier1.sh
 
 # bench-smoke builds, vets and smoke-tests tcfbench (bench/, the repository's
 # benchmark: `go run -C bench .`). It is a module of its own that `build` and
@@ -39,14 +46,17 @@ bench-compile:
 
 # bench-engine runs the step engine's per-layer benchmarks: the step commit's
 # (BenchmarkApplyStep in internal/mem — unit stride, stride 2, two runs
-# disjoint and overlapping, an 8-way scatter, 2048 runs of 4 — and
-# BenchmarkResolve in internal/multiop — few addresses, one address with
-# prefixes, two flows on one address; 2^17 references per step through the
-# write and combining logs; ns/ref, B/ref buffered and allocs per step) and the
-# step loop's fixed cost (BenchmarkStepFixedCost in internal/machine: one busy
-# group of four, 2048 queued flows, 2048 flows created and retired, 16 flows
-# at a barrier, one scalar flow, a NUMA bunch of eight, and a store, a
-# multioperation and an output every step; ns/step and allocs per step;
+# disjoint and overlapping (direct; indexed), engine-thick's scatter-crcw,
+# 2^17 writes 8-way onto 2^14 words (indexed), 2048 runs of 4 — and
+# BenchmarkResolve in internal/multiop — engine-thick's histogram, 256
+# addresses, and scan, one address with prefixes (indexed), two flows on one
+# address, 256 addresses 4096 words apart (hashed); 2^17 references per step
+# through the write and combining logs; ns/ref, B/ref buffered and allocs per
+# step) and the step loop's fixed cost (BenchmarkStepFixedCost in
+# internal/machine: one busy group of four, 2048 queued flows, 2048 flows
+# created and retired, 16 flows at a barrier, one scalar flow, a NUMA bunch
+# of eight, and a store, a multioperation and an output every step; ns/step
+# and allocs per step;
 # BenchmarkResetRun: Reset, load and a whole run on one machine, a thick
 # register file, 2048 thin flows and a program of three steps; ns/op and B/op
 # across Reset) and the lane kernels' (BenchmarkBulk in internal/isa

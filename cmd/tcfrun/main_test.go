@@ -300,7 +300,8 @@ func main() {
     print(radd(c[tid]));
 }
 `)
-	want := "commit: runs=1 direct_words=64 tabled_words=0 sorted_fallbacks=0" +
+	want := "commit: runs=1 direct_words=64 tabled_words=0 indexed_words=0 sorted_fallbacks=0" +
+		"\ncombine: refs=0 accumulators=0 indexed_refs=0" +
 		"\nkernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=4 banks_reused=0 banks_allocated=2" +
 		"\ntail: steps=10 commits=1 compactions=1 output_sorts=0 flows_reused=0 flows_allocated=1 thin_words=0 tables=1"
 	var out bytes.Buffer
@@ -309,6 +310,36 @@ func main() {
 	}
 	if !strings.Contains(out.String(), want+"\n") {
 		t.Fatalf("-stages: want the line %q in\n%s", want, out.String())
+	}
+}
+
+// TestStagesCombineCounts: -stages counts a step's combining references, one
+// accumulator per word they meet and the references resolved through the
+// index — a madd of 64 lanes onto 8 words and an mpadd onto one word, both
+// compact — and the commit's scattered stores, 64 onto 16 words, as indexed.
+func TestStagesCombineCounts(t *testing.T) {
+	path := write(t, "p.te", `
+shared int h[16] @ 300;
+shared int total @ 400;
+func main() {
+    #64;
+    madd(&h[tid & 7], tid);
+    thick int p = mpadd(&total, 1);
+    h[tid & 15] = p;
+    print(radd(h[tid & 15]));
+}
+`)
+	var out bytes.Buffer
+	if err := run([]string{"-stages", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"commit: runs=1 direct_words=0 tabled_words=64 indexed_words=64 sorted_fallbacks=0\n",
+		"combine: refs=128 accumulators=9 indexed_refs=128\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("-stages: want the line %q in\n%s", want, out.String())
+		}
 	}
 }
 

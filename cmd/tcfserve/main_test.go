@@ -46,7 +46,10 @@ func postJSON(t *testing.T, client *http.Client, url, tenant string, body map[st
 // TestServeSIGTERMIntegration is the end-to-end smoke: boot the real server
 // on a loopback port, drive corpus programs plus hostile ones (quota
 // exceeding, vet-rejected) over HTTP, then SIGTERM the process and assert a
-// clean drain with no leaked goroutines.
+// clean drain with no leaked goroutines. Every wait is on something the test
+// observes — the listen address, run's return, the goroutine count — and
+// its deadline only bounds the report; the corpus programs run for
+// milliseconds against the 5 s wall clock.
 func TestServeSIGTERMIntegration(t *testing.T) {
 	addrCh := make(chan string, 1)
 	done := make(chan error, 1)
@@ -300,7 +303,10 @@ func TestServeSIGKILLCrashRecovery(t *testing.T) {
 		}
 	}()
 
-	// Wait for the run's first durable checkpoint, then pull the plug.
+	// Wait for the run's first durable checkpoint, then pull the plug. The
+	// run goes on for seconds after it, so the kill lands mid-run unless
+	// this process stays descheduled for that long; a loaded host slows the
+	// child's run too, which only widens the window.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		snaps, err := filepath.Glob(filepath.Join(dir, "ckpt-*.snap"))

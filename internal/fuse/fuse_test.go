@@ -212,27 +212,43 @@ func TestKernMatchesReference(t *testing.T) {
 }
 
 // TestKernPartialRange checks kernels respect [first, end): lanes outside the
-// range must be untouched — the property lane chunking is built on.
+// range must be untouched — the property lane chunking is built on — over
+// ranges from lane 0 and from later lanes, shorter than, as long as and
+// longer than one unrolled iteration; TID numbers the lanes from the flow's
+// offset, a fragment's too.
 func TestKernPartialRange(t *testing.T) {
-	const lanes = 8
-	f := tcf.New(0, 0, lanes)
-	src := f.Vector(isa.V(1))
-	for i := range src {
-		src[i] = int64(10 + i)
-	}
-	dst := f.Vector(isa.V(0))
-	for i := range dst {
-		dst[i] = -1
-	}
-	in := isa.Instr{Op: isa.ADD, Rd: isa.V(0), Ra: isa.V(1), Imm: 1, HasImm: true}
-	kernOf(in)(Env{}, &in, f, 2, 5)
-	for i := 0; i < lanes; i++ {
-		want := int64(-1)
-		if i >= 2 && i < 5 {
-			want = int64(10+i) + 1
-		}
-		if dst[i] != want {
-			t.Fatalf("lane %d = %d, want %d", i, dst[i], want)
+	const lanes = 12
+	for _, in := range []isa.Instr{
+		{Op: isa.ADD, Rd: isa.V(0), Ra: isa.V(1), Imm: 1, HasImm: true},
+		{Op: isa.TID, Rd: isa.V(0)},
+	} {
+		for _, offset := range []int{0, 100} {
+			for _, r := range [][2]int{{2, 5}, {0, 4}, {3, 7}, {1, 10}, {0, lanes}} {
+				f := tcf.New(0, 0, lanes)
+				f.TidOffset = offset
+				src := f.Vector(isa.V(1))
+				for i := range src {
+					src[i] = int64(10 + i)
+				}
+				dst := f.Vector(isa.V(0))
+				for i := range dst {
+					dst[i] = -1
+				}
+				kernOf(in)(Env{}, &in, f, r[0], r[1])
+				for i := 0; i < lanes; i++ {
+					want := int64(-1)
+					switch {
+					case i < r[0] || i >= r[1]:
+					case in.Op == isa.TID:
+						want = int64(offset + i)
+					default:
+						want = int64(10+i) + 1
+					}
+					if dst[i] != want {
+						t.Fatalf("%s, offset %d, lanes [%d, %d): lane %d = %d, want %d", in.Op, offset, r[0], r[1], i, dst[i], want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -61,7 +61,7 @@ func checkBulk(t *testing.T, name string, a, b []int64, form func(dst, a, b []in
 // unary, select, fill and iota forms the same way.
 func TestBulkAgreesWithEval(t *testing.T) {
 	g := len(evalGrid)
-	for _, n := range []int{0, 1, 7, 64} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
 		for k := 0; k < g*g; k += max(n, 1) {
 			a, b := gridLanes(n, k)
 			for _, op := range binaryALU {

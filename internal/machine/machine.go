@@ -208,6 +208,17 @@ func (m *Machine) Stats() *Stats { return &m.stats }
 // counters of the simulator, not statistics of the simulated machine.
 func (m *Machine) CommitStats() mem.CommitStats { return m.shared.CommitStats() }
 
+// CombineStats sums the combiners' counters: the combining references
+// resolved, their accumulators and the references resolved by index.
+// Host-side counters like CommitStats.
+func (m *Machine) CombineStats() multiop.Stats {
+	var s multiop.Stats
+	for _, c := range m.combiners {
+		s = s.Add(c.Stats())
+	}
+	return s
+}
+
 // KernelStats counts how the run's operation slices were generated and where
 // its vector banks came from, since the machine was built or Reset: lanes
 // that ran in a bulk form (a compiled kernel, a bulk LD/ST, a combining run),

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"tcfpram/internal/fuse"
 	"tcfpram/internal/isa"
@@ -398,20 +399,32 @@ func storeOperands(f *tcf.Flow, in *isa.Instr) (av, bv []int64, base, bs int64) 
 
 // fillColumn fills dst, one word per lane from lane first on, with an operand
 // storeOperands hoisted: the flow-common c, plus v's lane when the register
-// is thread-wise.
+// is thread-wise. It is a lane kernel: the bulk forms' Fill and ADD.
 func fillColumn(dst, v []int64, first int, c int64) {
 	switch {
 	case v == nil:
-		for i := range dst {
-			dst[i] = c
-		}
+		isa.Fill(dst, c)
 	case c == 0:
 		copy(dst, v[first:])
 	default:
-		for i, e := range v[first : first+len(dst)] {
-			dst[i] = e + c
-		}
+		isa.EvalVS(isa.ADD, dst, v[first:], c)
 	}
+}
+
+// fillAddrs is fillColumn for a column of addresses, which also returns the
+// interval [lo, hi] they span, learnt in the same pass.
+func fillAddrs(dst, v []int64, first int, c int64) (lo, hi int64) {
+	if v == nil {
+		isa.Fill(dst, c)
+		return c, c
+	}
+	lo, hi = math.MaxInt64, math.MinInt64
+	for i, e := range v[first : first+len(dst)] {
+		a := e + c
+		dst[i] = a
+		lo, hi = min(lo, a), max(hi, a)
+	}
+	return lo, hi
 }
 
 // bulkMemRange executes lanes [first, first+n) of a shared-memory LD or ST
@@ -499,12 +512,16 @@ func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool 
 
 // noteRow is noteShared for the non-empty PRAM-mode references addrs
 // without a fault plan, where noting one is no more than raising maxDist:
-// the module lookups stop once maxDist reaches the group's row maximum.
+// the module lookups stop once maxDist reaches the group's row maximum, and
+// an address that repeats the one before it, already noted, is not looked up.
 func (x *groupExec) noteRow(addrs []int64) {
 	row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
 	sh := x.m.shared
 	maxDist := x.maxDist
 	for i := 0; i < len(addrs) && maxDist < x.rowMax; i++ {
+		if i > 0 && addrs[i] == addrs[i-1] {
+			continue
+		}
 		if d := row[sh.ModuleOf(addrs[i])]; d > maxDist {
 			maxDist = d
 		}
@@ -534,8 +551,9 @@ func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) 
 	if in.Op.IsMultiprefix() {
 		run.Prefix = f.Vector(in.Rd)[first : first+n]
 	}
-	addrs, vals := x.logs[multiop.KindIndex(in.Op.CombineKind())].Open(run)
-	fillColumn(addrs, av, first, base)
+	l := &x.logs[multiop.KindIndex(in.Op.CombineKind())]
+	addrs, vals := l.Open(run)
+	l.Bound(fillAddrs(addrs, av, first, base))
 	fillColumn(vals, bv, first, bs)
 	// The reference notes every reference, which holds noteRow to it.
 	if numa := f.Mode == tcf.NUMA; numa || x.m.cfg.FaultPlan != nil || x.m.reference {

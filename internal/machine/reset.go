@@ -33,6 +33,7 @@ func (m *Machine) Reset() {
 	}
 	for _, c := range m.combiners {
 		c.Reset()
+		c.ClearStats()
 	}
 	for _, x := range m.execs {
 		x.err = nil

@@ -93,7 +93,7 @@ func scatterBatch(rng *rand.Rand, n, addrs int, spread, arrival uint8) []Write {
 }
 
 // instrBatch is the stores of a few thick instructions, flattened in issue
-// order, and where each instruction's begin: strides 0, 1, 2 and -1 and
+// order, and where each instruction's begin: strides 0, 1, 2, -1 and 7 and
 // scattered addresses, by up to three flows, the second and later
 // instructions starting adjacent to, inside or away from the one before, some
 // reaching out of range at either end of memory, some repeating the keys of
@@ -105,7 +105,7 @@ func instrBatch(rng *rand.Rand, words, n int, spread uint8) (flat []Write, start
 		if k == 0 || rng.Intn(4) > 0 { // else the keys of the one before: the earlier position must win
 			key = Key{Flow: rng.Intn(3), Thread: rng.Intn(4), Seq: rng.Intn(2)}
 		}
-		stride := []int64{0, 1, 1, 2, -1, 99}[rng.Intn(6)]
+		stride := []int64{0, 1, 1, 2, -1, 7, 99}[rng.Intn(7)]
 		lanes := rng.Intn(n + 1)
 		starts = append(starts, len(flat))
 		for j := 0; j < lanes; j++ {
@@ -170,24 +170,27 @@ func bufferInstrs(rng *rand.Rand, s *Shared, flat []Write, starts []int) {
 	}
 }
 
-// applyStepTabled is ApplyStep with every run sent through the table: what
-// the direct route must agree with.
-func applyStepTabled(s *Shared) []Conflict {
+// applyStepVia is ApplyStep with every run sent through the table, indexed
+// or hashed as r says: what the direct route and the other tabled one must
+// agree with.
+func applyStepVia(s *Shared, r route) []Conflict {
 	if !s.classify() {
 		return nil
 	}
 	for i := range s.spans {
 		s.spans[i].direct = false
 	}
-	return s.commit()
+	return s.commit(r)
 }
 
 // FuzzApplyStepVsSorted holds ApplyStep to the sort-and-scan oracle over
 // policy × module count, on single writes in four arrival
 // orders (conflicting, out-of-range and equal-keyed) through BufferWrite(s)
 // and on instruction-shaped traffic through write logs with fuzzed run
-// structure, over two steps so the retained scratch is reused; and the direct
-// route to the tabled one on a second memory fed the same.
+// structure, over two steps so the retained scratch is reused; and the route
+// ApplyStep picks to both tabled routes, every run indexed and every run
+// hashed, on two more memories fed the same. Few addresses for many writes
+// make a compact interval, many for few a sparse one.
 func FuzzApplyStepVsSorted(f *testing.F) {
 	for arrival := 0; arrival < numArrivals; arrival++ {
 		for policy := 0; policy < 3; policy++ {
@@ -198,12 +201,15 @@ func FuzzApplyStepVsSorted(f *testing.F) {
 	f.Add(int64(77), uint8(0), uint8(4), uint8(arriveShuffled), uint16(6000), uint8(0))
 	f.Add(int64(78), uint8(2), uint8(7), uint8(arriveInterleaved), uint16(5000), uint8(1))
 	f.Add(int64(79), uint8(1), uint8(4), uint8(numArrivals), uint16(8000), uint8(9))
+	f.Add(int64(80), uint8(0), uint8(2), uint8(arriveShuffled), uint16(40), uint8(200))  // sparse
+	f.Add(int64(81), uint8(2), uint8(2), uint8(arriveInterleaved), uint16(60), uint8(0)) // Common, one value, sparse
 	f.Fuzz(func(t *testing.T, seed int64, policySel, modules, shape uint8, n uint16, spread uint8) {
 		const words = 1 << 12
 		policy := Policy(policySel % 3)
 		rng := rand.New(rand.NewSource(seed))
 		s := mustShared(t, words, 1+int(modules%16), policy)
-		tabled := mustShared(t, words, 1+int(modules%16), policy)
+		indexed := mustShared(t, words, 1+int(modules%16), policy)
+		hashed := mustShared(t, words, 1+int(modules%16), policy)
 		var total sortedStep
 		for step := 0; step < 2; step++ {
 			var batch []Write
@@ -230,7 +236,7 @@ func FuzzApplyStepVsSorted(f *testing.F) {
 				want.done += total.done
 				want.issued += total.issued
 			}
-			for _, m := range []*Shared{s, tabled} {
+			for _, m := range []*Shared{s, indexed, hashed} {
 				switch {
 				case starts != nil:
 					bufferInstrs(rand.New(rand.NewSource(seed+int64(step))), m, batch, starts)
@@ -243,62 +249,128 @@ func FuzzApplyStepVsSorted(f *testing.F) {
 				}
 			}
 			want.check(t, s, s.ApplyStep())
-			want.check(t, tabled, applyStepTabled(tabled))
-			if cs := s.CommitStats(); cs.DirectWords+cs.TabledWords != want.issued {
-				t.Fatalf("commit routes count %d+%d words, %d were issued", cs.DirectWords, cs.TabledWords, want.issued)
+			want.check(t, indexed, applyStepVia(indexed, routeIndexed))
+			want.check(t, hashed, applyStepVia(hashed, routeHashed))
+			if cs := s.CommitStats(); cs.DirectWords+cs.TabledWords != want.issued || cs.IndexedWords > cs.TabledWords {
+				t.Fatalf("commit routes count %d+%d words (%d indexed), %d were issued", cs.DirectWords, cs.TabledWords, cs.IndexedWords, want.issued)
+			}
+			if cs := indexed.CommitStats(); cs.IndexedWords != cs.TabledWords {
+				t.Fatalf("forced index took %d of %d tabled words", cs.IndexedWords, cs.TabledWords)
 			}
 			total = want
 		}
 	})
 }
 
-// TestApplyRoutesAgree forces traffic the commit stores directly — unit
-// stride, stride 2, two flows on adjacent ranges, a run per page — through the
-// table as well: both routes must leave the same memory and counters, and the
-// unforced one must really have gone direct.
+// TestApplyRoutesAgree forces traffic each route would take — unit stride,
+// stride 2, two flows on adjacent ranges, a run per page (direct); a scatter
+// of eight writers a word, flows overlapping (indexed); two flows interleaved
+// at stride 13, a run's writers of a word far apart (hashed) — through both
+// tabled routes as well, under each policy: all must leave the same memory,
+// conflicts and counters, and the unforced commit must really have taken its
+// route.
 func TestApplyRoutesAgree(t *testing.T) {
 	const words = 1 << 14
-	shapes := map[string]func(l *WriteLog){
-		"unit_stride": func(l *WriteLog) { strideRun(l, 0, 100, 1, 5000) },
-		"stride_2":    func(l *WriteLog) { strideRun(l, 0, 100, 2, 5000) },
-		"adjacent_flows": func(l *WriteLog) {
+	shapes := []struct {
+		name, route string
+		build       func(l *WriteLog)
+	}{
+		{"unit_stride", "direct", func(l *WriteLog) { strideRun(l, 0, 100, 1, 5000) }},
+		{"stride_2", "direct", func(l *WriteLog) { strideRun(l, 0, 100, 2, 5000) }},
+		{"adjacent_flows", "direct", func(l *WriteLog) {
 			strideRun(l, 1, 3000, 1, 1500)
 			strideRun(l, 0, 1500, 1, 1500)
-		},
-		"run_per_page": func(l *WriteLog) {
+		}},
+		{"run_per_page", "direct", func(l *WriteLog) {
 			for f := 0; f < 8; f++ {
 				strideRun(l, f, int64(f)*PageWords+1000, 1, 48) // each crosses a page boundary
 			}
-		},
+		}},
+		{"scatter_8way", "indexed", func(l *WriteLog) {
+			addrs, vals := l.Open(0, 0, 0, 8192)
+			for i, w := range conflictWrites(8192) {
+				addrs[i], vals[i] = w.Addr-8192, w.Val%5
+			}
+		}},
+		{"overlapping_flows", "indexed", func(l *WriteLog) {
+			strideRun(l, 2, 600, 1, 900)
+			strideRun(l, 0, 100, 1, 900)
+			strideRun(l, 1, 400, 2, 300)
+		}},
+		{"strided_flows", "hashed", func(l *WriteLog) {
+			strideRun(l, 0, 10, 13, 1000)
+			strideRun(l, 1, 15, 13, 1000)
+		}},
+		{"far_repeats", "hashed", func(l *WriteLog) {
+			addrs, vals := l.Open(3, 1, 5, 600)
+			for i := range addrs {
+				addrs[i], vals[i] = int64(i%300)*53-20, int64(i%7) // some below memory
+			}
+		}},
 	}
-	for name, build := range shapes {
-		direct, tabled := mustShared(t, words, 4, Common), mustShared(t, words, 4, Common)
-		var l WriteLog
-		build(&l)
-		for _, s := range []*Shared{direct, tabled} {
-			s.BufferLog(&l)
-		}
-		if c := direct.ApplyStep(); c != nil {
-			t.Fatalf("%s: direct route reports conflicts %v", name, c)
-		}
-		if c := applyStepTabled(tabled); c != nil {
-			t.Fatalf("%s: tabled route reports conflicts %v", name, c)
-		}
-		if cs := direct.CommitStats(); cs.DirectWords != int64(l.Len()) || cs.TabledWords != 0 {
-			t.Fatalf("%s: %+v, want all %d words direct", name, cs, l.Len())
-		}
-		if cs := tabled.CommitStats(); cs.TabledWords != int64(l.Len()) || cs.DirectWords != 0 {
-			t.Fatalf("%s: %+v, want all %d words tabled", name, cs, l.Len())
-		}
-		if !slices.Equal(direct.Snapshot(0, words), tabled.Snapshot(0, words)) {
-			t.Fatalf("%s: the routes left different memory", name)
-		}
-		_, dd, di := direct.Stats()
-		_, td, ti := tabled.Stats()
-		if dd != td || di != ti || dd != int64(l.Len()) {
-			t.Fatalf("%s: write counters %d/%d direct, %d/%d tabled, want %d", name, dd, di, td, ti, l.Len())
+	for _, sh := range shapes {
+		for policy := Policy(0); policy < 3; policy++ {
+			var l WriteLog
+			sh.build(&l)
+			auto := mustShared(t, words, 4, policy)
+			indexed, hashed := mustShared(t, words, 4, policy), mustShared(t, words, 4, policy)
+			for _, s := range []*Shared{auto, indexed, hashed} {
+				s.BufferLog(&l)
+			}
+			conflicts := auto.ApplyStep()
+			if c := applyStepVia(indexed, routeIndexed); !slices.Equal(c, conflicts) {
+				t.Fatalf("%s: conflicts %v indexed, %v", sh.name, c, conflicts)
+			}
+			if c := applyStepVia(hashed, routeHashed); !slices.Equal(c, conflicts) {
+				t.Fatalf("%s: conflicts %v hashed, %v", sh.name, c, conflicts)
+			}
+			cs := auto.CommitStats()
+			var took string
+			switch {
+			case cs.TabledWords == 0:
+				took = "direct"
+			case cs.IndexedWords == cs.TabledWords && cs.DirectWords == 0:
+				took = "indexed"
+			case cs.IndexedWords == 0 && cs.DirectWords == 0:
+				took = "hashed"
+			}
+			if cs.SortedFallbacks > 0 {
+				took = "sorted"
+			}
+			want := sh.route
+			if len(conflicts) > 0 {
+				want = "sorted"
+			}
+			if took != want {
+				t.Fatalf("%s: %+v, want every word %s", sh.name, cs, want)
+			}
+			for _, s := range []*Shared{indexed, hashed} {
+				if cs := s.CommitStats(); cs.DirectWords != 0 || cs.TabledWords != cs.DirectWords+int64(inRange(l.Addrs, words)) {
+					t.Fatalf("%s: %+v, want every in-range word tabled", sh.name, cs)
+				}
+			}
+			mem := auto.Snapshot(0, words)
+			_, dd, di := auto.Stats()
+			for r, s := range map[string]*Shared{"indexed": indexed, "hashed": hashed} {
+				if !slices.Equal(s.Snapshot(0, words), mem) {
+					t.Fatalf("%s: the %s route left different memory", sh.name, r)
+				}
+				if _, d, i := s.Stats(); d != dd || i != di {
+					t.Fatalf("%s: write counters %d/%d %s, %d/%d %s", sh.name, d, i, r, dd, di, took)
+				}
+			}
 		}
 	}
+}
+
+// inRange counts the addresses of a memory of the given words.
+func inRange(addrs []int64, words int) (n int) {
+	for _, a := range addrs {
+		if a >= 0 && a < int64(words) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSnapshotRefusesPendingLog: a log retained for a step that has not

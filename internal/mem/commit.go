@@ -16,27 +16,29 @@ import (
 // there either, so every one of its writes is the only writer of its word and
 // wins under any policy: the run is stored straight into the pages (direct).
 // All other traffic — overlapping runs, addresses that repeat or descend,
-// out-of-range words to drop — resolves through a hash table in buffering
-// order (tabled), and a Common disagreement found there through a stable
+// out-of-range words to drop — resolves in buffering order through a table of
+// claims, one per word (tabled): indexed by a − lo when the tabled words'
+// interval [lo, hi] is compact, at most indexSpread words per tabled word,
+// and hashed otherwise. A Common disagreement found there goes to a stable
 // sort, so winners, the equal-key rule (the write buffered first wins),
 // counters and conflicts are those of sorting everything by (address, key).
 // Which route a run takes is a property of its addresses alone.
 
 // CommitStats counts what ApplyStep has done since the memory was built or
 // Reset: the runs it was handed, the in-range words it stored directly and
-// resolved through the table, and the steps a Common disagreement sent to the
-// sorted scan. Host-side bookkeeping only: it is in no snapshot and no
-// simulated statistic.
+// resolved through the table — IndexedWords of those through the index — and
+// the steps a Common disagreement sent to the sorted scan. Host-side
+// bookkeeping only: it is in no snapshot and no simulated statistic.
 type CommitStats struct {
-	Runs, DirectWords, TabledWords, SortedFallbacks int64
+	Runs, DirectWords, TabledWords, IndexedWords, SortedFallbacks int64
 }
 
 // CommitStats returns the commit's route counters.
 func (s *Shared) CommitStats() CommitStats { return s.commits }
 
 func (c CommitStats) String() string {
-	return fmt.Sprintf("commit: runs=%d direct_words=%d tabled_words=%d sorted_fallbacks=%d",
-		c.Runs, c.DirectWords, c.TabledWords, c.SortedFallbacks)
+	return fmt.Sprintf("commit: runs=%d direct_words=%d tabled_words=%d indexed_words=%d sorted_fallbacks=%d",
+		c.Runs, c.DirectWords, c.TabledWords, c.IndexedWords, c.SortedFallbacks)
 }
 
 // span is one run as the commit sees it: its header, its stretch of its log's
@@ -56,15 +58,29 @@ type spanLo struct {
 	i  int32
 }
 
-// winner is a slot of the tabled route's table: the lowest-keyed write to addr
-// seen so far, as the span (index+1, zero marking an empty slot) and the
-// offset in it that give its key. Its value is the word in memory.
+// claim is the lowest-keyed write to one word seen so far in the step: the
+// span (index+1, zero marking no write yet) and the offset in it that give
+// its key. Its value is the word in memory.
+type claim struct{ span, at int32 }
+
+// winner is a slot of the hashed route's table: a claim and its word.
 type winner struct {
-	addr     int64
-	span, at int32
+	addr int64
+	claim
 }
 
-// resetTable empties the tabled route's table — open addressing, linear
+// indexSpread is how many words of interval per tabled word the indexed
+// route may clear: beyond it the hash is cheaper.
+const indexSpread = 4
+
+// Compact reports whether n references to addresses in [lo, hi], lo ≤ hi,
+// resolve by index rather than by hash: at most indexSpread words of
+// interval each. The combiners of internal/multiop decide by it too.
+func Compact(lo, hi int64, n int) bool {
+	return uint64(hi-lo) < indexSpread*uint64(n)
+}
+
+// resetTable empties the hashed route's table — open addressing, linear
 // probing, at most half full — sized for addrs ≥ 1 addresses: a power of two,
 // at least twice as many. It returns the shift that takes a hash to its home
 // slot.
@@ -77,6 +93,16 @@ func (s *Shared) resetTable(addrs int) (shift uint) {
 		clear(s.table)
 	}
 	return uint(64 - b)
+}
+
+// resetIndex empties the indexed route's claims for an interval of n words.
+func (s *Shared) resetIndex(n int) {
+	if cap(s.index) < n {
+		s.index = make([]claim, n)
+	} else {
+		s.index = s.index[:n]
+		clear(s.index)
+	}
 }
 
 // BufferLog hands the memory a step's log, to be committed by ApplyStep in
@@ -146,8 +172,18 @@ func (s *Shared) ApplyStep() []Conflict {
 	if !s.classify() {
 		return nil
 	}
-	return s.commit()
+	return s.commit(routeAuto)
 }
+
+// route is how commit resolves the tabled words: by the interval's spread, or
+// — for tests that hold the routes to each other — always one way.
+type route uint8
+
+const (
+	routeAuto route = iota
+	routeIndexed
+	routeHashed
+)
 
 // classify fills s.spans from the buffered logs and decides each run's
 // route. It reports whether the step buffered anything.
@@ -241,11 +277,13 @@ func (s *Shared) markOverlaps() {
 }
 
 // commit stores the classified runs, counts the step and releases its logs.
-func (s *Shared) commit() []Conflict {
+func (s *Shared) commit(r route) []Conflict {
 	// addrs bounds the distinct addresses of the tabled words: a run has no
 	// more of them than words, nor than its interval is long. It sizes the
-	// table, so that contended traffic resolves in one that stays in cache.
+	// hashed table, so that contended traffic resolves in one that stays in
+	// cache. [lo, hi] is the tabled words' interval.
 	issued, tabled, addrs := 0, 0, 0
+	lo, hi := int64(math.MaxInt64), int64(-1)
 	for i := range s.spans {
 		sp := &s.spans[i]
 		issued += sp.words
@@ -254,12 +292,17 @@ func (s *Shared) commit() []Conflict {
 		} else if sp.words > 0 {
 			tabled += sp.words
 			addrs += int(min(int64(sp.words), sp.hi-sp.lo+1))
+			lo, hi = min(lo, sp.lo), max(hi, sp.hi)
 		}
 	}
 	done := int64(issued - tabled)
 	var conflicts []Conflict
 	if tabled > 0 {
-		distinct, agreed := s.resolveTabled(addrs)
+		indexed := r == routeIndexed || r == routeAuto && Compact(lo, hi, tabled)
+		if indexed {
+			s.commits.IndexedWords += int64(tabled)
+		}
+		distinct, agreed := s.resolveTabled(indexed, addrs, lo, hi)
 		if !agreed {
 			distinct, conflicts = s.resolveSorted(tabled)
 			s.commits.SortedFallbacks++
@@ -296,17 +339,24 @@ func (s *Shared) storeRun(sp *span) {
 	}
 }
 
-// resolveTabled resolves the in-range words, on at most addrs addresses, of
-// the runs not stored directly, in buffering order. The table maps each
-// address to its winning write so far, a later write replaces it only with a
-// strictly lower key, and every new winner is stored at once, so memory ends
-// holding the final winners. It returns the number of distinct addresses
-// written, and false when, under Common, two writes to one address disagree:
-// the caller then resolves again from sorted order, which stores the same
-// winners.
-func (s *Shared) resolveTabled(addrs int) (distinct int64, agreed bool) {
-	shift := s.resetTable(addrs)
-	slots := s.table
+// resolveTabled resolves the in-range words of the runs not stored directly,
+// which lie in [lo, hi], in buffering order: through s.index over that
+// interval when indexed, and otherwise through the hashed table sized for
+// addrs addresses. Each word's claim holds its winning write so far; a later write
+// replaces it only with a strictly lower key — never one of the same run,
+// whose keys ascend with the lane — and every new winner is stored at once,
+// so memory ends holding the final winners. It returns the number of distinct
+// addresses written, and false when, under Common, two writes to one address
+// disagree: the caller then resolves again from sorted order, which stores
+// the same winners.
+func (s *Shared) resolveTabled(indexed bool, addrs int, lo, hi int64) (distinct int64, agreed bool) {
+	var shift uint
+	if indexed {
+		s.resetIndex(int(hi - lo + 1))
+	} else {
+		shift = s.resetTable(addrs)
+	}
+	index, slots := s.index, s.table
 	mask := len(slots) - 1
 	common := s.policy == Common
 	pgIdx, pg := int64(-1), []int64(nil) // the page stored to last
@@ -317,26 +367,41 @@ func (s *Shared) resolveTabled(addrs int) (distinct int64, agreed bool) {
 		}
 		vals := sp.vals
 		for j, a := range sp.addrs {
-			if !s.InRange(a) {
-				continue
+			var c *claim
+			if indexed {
+				// The interval holds every in-range word and no other.
+				k := uint64(a - lo)
+				if k >= uint64(len(index)) {
+					continue
+				}
+				c = &index[k]
+			} else {
+				if !s.InRange(a) {
+					continue
+				}
+				// Fibonacci hashing spreads strided addresses over the table.
+				h := int(uint64(a) * 0x9E3779B97F4A7C15 >> shift)
+				for slots[h].span != 0 && slots[h].addr != a {
+					h = (h + 1) & mask
+				}
+				slots[h].addr = a
+				c = &slots[h].claim
 			}
-			// Fibonacci hashing spreads strided addresses over the table.
-			h := int(uint64(a) * 0x9E3779B97F4A7C15 >> shift)
-			for slots[h].span != 0 && slots[h].addr != a {
-				h = (h + 1) & mask
+			if c.span == 0 {
+				distinct++
+			} else {
+				won := &s.spans[c.span-1]
+				if common && won.vals[c.at] != vals[j] {
+					return distinct, false
+				}
+				if int(c.span) == i+1 || !sp.run.Key(j).Less(won.run.Key(int(c.at))) {
+					continue
+				}
 			}
+			c.span, c.at = int32(i+1), int32(j)
 			if idx := a >> PageShift; idx != pgIdx {
 				pgIdx, pg = idx, s.ensurePage(a)
 			}
-			if best := &slots[h]; best.span == 0 {
-				best.addr = a
-				distinct++
-			} else if common && pg[a&(PageWords-1)] != vals[j] {
-				return distinct, false
-			} else if !sp.run.Key(j).Less(s.spans[best.span-1].run.Key(int(best.at))) {
-				continue
-			}
-			slots[h].span, slots[h].at = int32(i+1), int32(j)
 			pg[a&(PageWords-1)] = vals[j]
 		}
 	}

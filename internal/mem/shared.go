@@ -181,6 +181,7 @@ type Shared struct {
 	spans   []span
 	order   []spanLo
 	table   []winner
+	index   []claim
 	commits CommitStats
 
 	// Counters.

@@ -12,6 +12,7 @@ package multiop
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"tcfpram/internal/isa"
@@ -67,9 +68,16 @@ func (r *Run) last() Key  { return r.Key(r.N - 1) }
 // values, holding the runs' references back to back in arrival order. Whoever
 // generates a step owns its logs; Combiner.AddLog retains a pointer until
 // Resolve, so the owner empties a log only when the next step begins.
+//
+// The filler may report, run by run, the interval its addresses span (Bound),
+// which it learns while filling the column; a log whose every run is bounded
+// gives Resolve the interval without another pass over the addresses.
 type Log struct {
 	Addrs, Vals []int64
 	Runs        []Run
+	// lo and hi bound the addresses of the first bounded references.
+	lo, hi  int64
+	bounded int
 }
 
 // Len returns the number of references.
@@ -80,6 +88,21 @@ func (l *Log) Len() int { return len(l.Addrs) }
 func (l *Log) Reset() {
 	clear(l.Runs)
 	l.Addrs, l.Vals, l.Runs = l.Addrs[:0], l.Vals[:0], l.Runs[:0]
+	l.bounded = 0
+}
+
+// Bound reports that the addresses of the run opened last lie in [lo, hi].
+// It is a promise Resolve relies on: an address outside it panics there.
+func (l *Log) Bound(lo, hi int64) { l.widen(lo, hi, l.Runs[len(l.Runs)-1].N) }
+
+// widen counts n more references as bounded, within [lo, hi].
+func (l *Log) widen(lo, hi int64, n int) {
+	if l.bounded == 0 {
+		l.lo, l.hi = lo, hi
+	} else {
+		l.lo, l.hi = min(l.lo, lo), max(l.hi, hi)
+	}
+	l.bounded += n
 }
 
 // Open records the run r and returns its stretch of each column, r.N long,
@@ -120,7 +143,32 @@ type Combiner struct {
 	finals   []Final
 	tab      addrTable
 	prefixes []Result
+
+	stats Stats
 }
+
+// Stats counts what a combiner has resolved since it was built or its
+// counters were cleared: references, accumulators (one per address and
+// step) and the references resolved through the index. Host-side bookkeeping
+// only: it is in no snapshot and no simulated statistic.
+type Stats struct {
+	Refs, Accumulators, IndexedRefs int64
+}
+
+// Add sums two counts.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{Refs: s.Refs + o.Refs, Accumulators: s.Accumulators + o.Accumulators, IndexedRefs: s.IndexedRefs + o.IndexedRefs}
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("combine: refs=%d accumulators=%d indexed_refs=%d", s.Refs, s.Accumulators, s.IndexedRefs)
+}
+
+// Stats returns the combiner's counters.
+func (c *Combiner) Stats() Stats { return c.stats }
+
+// ClearStats zeroes the combiner's counters.
+func (c *Combiner) ClearStats() { c.stats = Stats{} }
 
 // Kinds lists the combining operators, expressed as isa opcodes, in the
 // order a step resolves their traffic.
@@ -180,6 +228,7 @@ func (c *Combiner) Add(ct Contribution) {
 	}
 	l.Addrs = append(l.Addrs, ct.Addr)
 	l.Vals = append(l.Vals, ct.Val)
+	l.widen(ct.Addr, ct.Addr, 1)
 	c.dests = append(c.dests, ct.Dest)
 }
 
@@ -232,36 +281,71 @@ func Apply(kind isa.Op, a, b int64) int64 {
 // and a run starts below the end of the one before it. The step's traffic is
 // cleared. The returned slices are owned by the Combiner and valid only
 // until the next Resolve call.
+//
+// An address finds its accumulator by its offset in the step's interval when
+// every log is bounded and the interval is compact (mem.Compact), as the
+// write commit's tabled words do, and by its hash otherwise, in a table that
+// grows with the addresses met.
 func (c *Combiner) Resolve(read func(addr int64) int64) (finals []Final, prefixes []Result) {
-	n := c.gather()
+	n, lo, hi := c.gather()
 	if n == 0 {
 		return nil, nil
 	}
-	slots := c.tab.reset(n)
+	indexed := lo <= hi && mem.Compact(lo, hi, n)
+	var slots []int32
+	if indexed {
+		slots = c.tab.index(int(hi - lo + 1))
+		c.stats.IndexedRefs += int64(n)
+	} else {
+		slots = c.tab.reset(minSlots)
+	}
 	mask := len(slots) - 1
 	c.finals = c.finals[:0]
 	c.prefixes = c.prefixes[:0]
+	add := c.kind == isa.ADD
 	apply := isa.EvalFn(c.kind)
-	var acc *Final // the accumulator of the reference before, most often this one's too
+	// acc is the accumulator of the reference before, most often this one's
+	// too; while the address repeats its value is carried in v.
+	var acc *Final
+	var v int64
 	for i := range c.refs {
 		ref := &c.refs[i]
 		addrs, vals := ref.log.Addrs[ref.off:ref.off+ref.N], ref.log.Vals[ref.off:ref.off+ref.N]
 		for j, a := range addrs {
 			if acc == nil || acc.Addr != a {
-				h := c.tab.home(a)
-				for slots[h] != 0 && c.finals[slots[h]-1].Addr != a {
-					h = (h + 1) & mask
+				if acc != nil {
+					acc.Val = v
 				}
-				if slots[h] == 0 {
+				var h int
+				if indexed {
+					h = int(a - lo)
+				} else {
+					h = c.tab.home(a)
+					for slots[h] != 0 && c.finals[slots[h]-1].Addr != a {
+						h = (h + 1) & mask
+					}
+				}
+				if k := slots[h]; k != 0 {
+					acc = &c.finals[k-1]
+				} else {
 					c.finals = append(c.finals, Final{Addr: a, Val: read(a)})
 					slots[h] = int32(len(c.finals))
+					acc = &c.finals[len(c.finals)-1]
+					if !indexed && 2*len(c.finals) > len(slots) {
+						slots = c.tab.rehash(c.finals)
+						mask = len(slots) - 1
+					}
 				}
-				acc = &c.finals[slots[h]-1]
+				v = acc.Val
 			}
 			if ref.Prefix != nil {
-				ref.Prefix[j] = acc.Val
+				ref.Prefix[j] = v
 			}
-			acc.Val = apply(acc.Val, vals[j])
+			if add {
+				v += vals[j]
+			} else {
+				v = apply(v, vals[j])
+			}
 		}
 		if ref.log == &c.own && ref.Prefix != nil {
 			// Add's contributions: echo each prefix with its key and Dest.
@@ -272,20 +356,25 @@ func (c *Combiner) Resolve(read func(addr int64) int64) (finals []Final, prefixe
 			}
 		}
 	}
+	acc.Val = v
+	c.stats.Refs += int64(n)
+	c.stats.Accumulators += int64(len(c.finals))
 	c.Reset()
 	return c.finals, c.prefixes
 }
 
 // gather fills c.refs with the step's runs in the order to fold them and
-// returns the number of their references.
-func (c *Combiner) gather() (n int) {
+// returns the number of their references and the interval [lo, hi] their
+// addresses lie in — empty, lo > hi, when a log is not bounded throughout.
+func (c *Combiner) gather() (n int, lo, hi int64) {
 	c.refs = c.refs[:0]
 	if c.own.Len() > 0 {
 		// Room for the prefixes Add's contributions asked for.
 		c.pvals = slices.Grow(c.pvals[:0], c.own.Len())[:c.own.Len()]
 		c.logs = append(c.logs, &c.own)
 	}
-	prefix, ordered := false, true
+	prefix, ordered, bounded := false, true, true
+	lo, hi = math.MaxInt64, math.MinInt64
 	var end Key // of the run before
 	for _, l := range c.logs {
 		off := 0
@@ -300,11 +389,16 @@ func (c *Combiner) gather() (n int) {
 			off += r.N
 		}
 		n += off
+		bounded = bounded && l.bounded == off
+		lo, hi = min(lo, l.lo), max(hi, l.hi)
 	}
 	if prefix && !ordered {
 		c.sortRefs()
 	}
-	return n
+	if !bounded {
+		return n, 1, 0
+	}
+	return n, lo, hi
 }
 
 // sortRefs puts c.refs in key order. Runs whose key ranges interleave (one

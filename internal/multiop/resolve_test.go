@@ -33,7 +33,8 @@ func resolveSorted(kind isa.Op, cs []Contribution, read func(int64) int64) (fina
 // in one to three logs (groups fold theirs in order), consecutive
 // contributions of one flow and sequence by ascending threads — alike in
 // wanting a prefix, their Dests consecutive — as one run or, at the rng's
-// whim, as several. A multiprefix run delivers into got, at its Dests.
+// whim, as several, most of them bounded by the interval of their addresses.
+// A multiprefix run delivers into got, at its Dests.
 func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 	logs := make([]*Log, 1+rng.Intn(3))
 	for i := range logs {
@@ -51,9 +52,13 @@ func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 		if cs[from].WantPrefix {
 			run.Prefix = got[cs[from].Dest:][:to-from]
 		}
-		addrs, vals := logs[from*len(logs)/len(cs)].Open(run)
+		l := logs[from*len(logs)/len(cs)]
+		addrs, vals := l.Open(run)
 		for i, ct := range cs[from:to] {
 			addrs[i], vals[i] = ct.Addr, ct.Val
+		}
+		if rng.Intn(8) > 0 {
+			l.Bound(slices.Min(addrs), slices.Max(addrs))
 		}
 		from = to
 	}
@@ -63,11 +68,15 @@ func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 }
 
 // FuzzResolveVsSorted holds Resolve to the sort-and-fold oracle over the five
-// kinds × prefix/plain mixes × one/few/many addresses × in-order/out-of-order
-// keys × single contributions through Add / runs through logs: identical
-// finals (each address once, in first-touch order) and identical prefixes —
-// returned as Results to Add's callers, delivered in place to a log's runs —
-// over two steps so the retained table, accumulators and run order are reused.
+// kinds × prefix/plain mixes × one/few/some/many addresses anywhere in the
+// int64 range × in-order/out-of-order keys × single contributions through
+// Add / runs through logs: identical finals (each address once, in
+// first-touch order) and identical prefixes — returned as Results to Add's
+// callers, delivered in place to a log's runs — over two steps so the
+// retained table, accumulators and run order are reused. Few addresses make a
+// compact interval, which resolves by index when every log is bounded, and
+// many a sparse one; so do some once there are more than a few hundred
+// references.
 func FuzzResolveVsSorted(f *testing.F) {
 	for k := range Kinds {
 		f.Add(int64(k), uint8(k), uint8(k), uint8(k*60), k%2 == 0, k%2 == 1, uint16(40*(k+1)))
@@ -76,10 +85,18 @@ func FuzzResolveVsSorted(f *testing.F) {
 	f.Add(int64(9), uint8(0), uint8(0), uint8(255), false, false, uint16(3000))
 	f.Add(int64(10), uint8(3), uint8(2), uint8(128), true, false, uint16(3000))
 	f.Add(int64(11), uint8(0), uint8(0), uint8(255), true, true, uint16(3000))
+	f.Add(int64(12), uint8(3), uint8(2), uint8(0), false, true, uint16(2000))  // MAX, compact
+	f.Add(int64(13), uint8(4), uint8(2), uint8(90), true, true, uint16(100))   // MIN, sparse
+	f.Add(int64(14), uint8(1), uint8(3), uint8(200), false, true, uint16(900)) // AND, many
+	f.Add(int64(15), uint8(2), uint8(0), uint8(255), true, true, uint16(4000)) // OR, prefixes onto one word
 	f.Fuzz(func(t *testing.T, seed int64, kindSel, addrSel, prefixShare uint8, shuffle, logged bool, n uint16) {
 		kind := Kinds[int(kindSel)%len(Kinds)]
 		rng := rand.New(rand.NewSource(seed))
-		addrs := []int{1, 5, 1 << 20}[int(addrSel)%3]
+		addrs := []int{1, 5, 700, 1 << 20}[int(addrSel)%4]
+		base := []int64{0, -350, 1 << 40, -1 << 63, 1<<63 - 700}[rng.Intn(5)]
+		if addrs == 1<<20 {
+			base = 0
+		}
 		read := func(addr int64) int64 { return addr*7 - 3 }
 		c := NewCombiner(kind)
 		for step := 0; step < 2; step++ {
@@ -96,7 +113,7 @@ func FuzzResolveVsSorted(f *testing.F) {
 					want = rng.Intn(256) < int(prefixShare)
 				}
 				cs[i] = Contribution{
-					Addr:       int64(rng.Intn(addrs)),
+					Addr:       base + int64(rng.Intn(addrs)),
 					Val:        int64(rng.Intn(2000) - 1000),
 					Key:        Key{Flow: i / 64, Thread: i % 64, Seq: step},
 					WantPrefix: want,
@@ -207,33 +224,105 @@ func TestResolveInterleavedRuns(t *testing.T) {
 	}
 }
 
+// TestResolveRoutes: a step's traffic resolves by index exactly when every
+// log is bounded and the interval compact — 300 references on 64 words
+// through a bounded log or through Add — and by hash otherwise: a log not
+// bounded, or the same references spread 1000 words apart; the counters say
+// which, and both routes fold to the same finals and prefixes.
+func TestResolveRoutes(t *testing.T) {
+	var want []int64
+	for _, tc := range []struct {
+		name           string
+		spread         int64
+		bound, viaAdd  bool
+		indexed, accum int64
+	}{
+		{"bounded", 1, true, false, 300, 64},
+		{"add", 1, false, true, 300, 64},
+		{"unbounded", 1, false, false, 0, 64},
+		{"sparse", 1000, true, false, 0, 64}, // reads as the others: 1000 % 3 == 1
+	} {
+		c := NewCombiner(isa.MAX)
+		got := make([]int64, 300)
+		var l Log
+		for r := 0; r < 3; r++ {
+			run := Run{Run: mem.Run{Flow: r, N: 100}, Prefix: got[100*r : 100*r+100]}
+			if tc.viaAdd {
+				for i := 0; i < 100; i++ {
+					c.Add(Contribution{Addr: 5 + int64((i*7+r)%64)*tc.spread, Val: int64(i ^ r), Key: Key{Flow: r, Thread: i}, WantPrefix: true, Dest: 100*r + i})
+				}
+				continue
+			}
+			addrs, vals := l.Open(run)
+			for i := range addrs {
+				addrs[i], vals[i] = 5+int64((i*7+r)%64)*tc.spread, int64(i^r)
+			}
+			if tc.bound {
+				l.Bound(slices.Min(addrs), slices.Max(addrs))
+			}
+		}
+		c.AddLog(&l)
+		finals, prefixes := c.Resolve(func(a int64) int64 { return a % 3 })
+		for _, p := range prefixes {
+			got[p.Dest] = p.Prefix
+		}
+		if st := c.Stats(); st != (Stats{Refs: 300, Accumulators: tc.accum, IndexedRefs: tc.indexed}) {
+			t.Errorf("%s: %v", tc.name, st)
+		}
+		for _, f := range finals {
+			got = append(got, f.Val)
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Errorf("%s: prefixes and finals %v, want %v", tc.name, got, want)
+		}
+	}
+}
+
 // BenchmarkResolve times a step's combining traffic from the log to its
-// finals — the column fills, AddLog, Resolve — on 2^17 references shaped as
-// the engine issues them: few_addr (histogram: one madd run onto 256
-// addresses), one_addr_prefix (scan: one mpadd run onto one word, every lane's
-// prefix delivered in place) and two_flows_one_addr (the same from two flows
-// of half the thickness, the higher flow's run arriving first). B/ref is what
-// a step buffers per reference: two column words and its share of a header.
+// finals — the column fills with the interval learnt on the way, AddLog,
+// Resolve — on 2^17 references shaped as the engine issues them: few_addr
+// (engine-thick's histogram: one madd run onto 256 addresses), one_addr_prefix
+// (its scan: one mpadd run onto one word, every lane's prefix delivered in
+// place), two_flows_one_addr (the same from two flows of half the thickness,
+// the higher flow's run arriving first) and few_addr_sparse (256 addresses
+// 4096 words apart, which the hash resolves). B/ref is what a step buffers per
+// reference: two column words and its share of a header.
 func BenchmarkResolve(b *testing.B) {
 	const T = 1 << 17
 	read := func(int64) int64 { return 0 }
 	dest := make([]int64, T)
-	run := func(l *Log, flow, n int, prefix []int64, addr func(t int) int64) {
-		addrs, vals := l.Open(Run{Run: mem.Run{Flow: flow, N: n}, Prefix: prefix})
-		for t := range addrs {
-			addrs[t], vals[t] = addr(t), int64(t&1023)
+	column := func(addr func(t int) int64) []int64 {
+		c := make([]int64, T)
+		for t := range c {
+			c[t] = addr(t)
 		}
+		return c
+	}
+	few, one := column(func(t int) int64 { return int64((t * 40503) & 255) }), column(func(int) int64 { return 7 })
+	sparse := column(func(t int) int64 { return int64((t*40503)&255) << 12 })
+	// run fills one run's columns as the engine does, from a register.
+	run := func(l *Log, flow int, prefix []int64, src []int64) {
+		addrs, vals := l.Open(Run{Run: mem.Run{Flow: flow, N: len(src)}, Prefix: prefix})
+		lo, hi := src[0], src[0]
+		for t, a := range src {
+			addrs[t], vals[t] = a, int64(t&1023)
+			lo, hi = min(lo, a), max(hi, a)
+		}
+		l.Bound(lo, hi)
 	}
 	for _, c := range []struct {
 		name string
 		fill func(l *Log)
 	}{
-		{"few_addr", func(l *Log) { run(l, 0, T, nil, func(t int) int64 { return int64((t * 40503) & 255) }) }},
-		{"one_addr_prefix", func(l *Log) { run(l, 0, T, dest, func(int) int64 { return 7 }) }},
+		{"few_addr", func(l *Log) { run(l, 0, nil, few) }},
+		{"one_addr_prefix", func(l *Log) { run(l, 0, dest, one) }},
 		{"two_flows_one_addr", func(l *Log) {
-			run(l, 1, T/2, dest[T/2:], func(int) int64 { return 7 })
-			run(l, 0, T/2, dest[:T/2], func(int) int64 { return 7 })
+			run(l, 1, dest[T/2:], one[T/2:])
+			run(l, 0, dest[:T/2], one[:T/2])
 		}},
+		{"few_addr_sparse", func(l *Log) { run(l, 0, nil, sparse) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			comb := NewCombiner(isa.ADD)

@@ -98,6 +98,8 @@ func TestColdRequestAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := int64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	t.Logf("cold request (cold.te): %d allocations, %d KB", allocs, bytes>>10)
+	// Both counts are this process's allocations, which no load changes;
+	// the bytes are skipped under -race, whose instrumentation allocates.
 	bi, _ := debug.ReadBuildInfo()
 	race := bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 	if bytes > coldRequestBytesBudget && !race {

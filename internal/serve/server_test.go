@@ -140,6 +140,11 @@ func postRaw(t *testing.T, ts *httptest.Server, tenant string, body []byte) (int
 // settleGoroutines polls until the process is back to at most want
 // goroutines, dumping stacks on timeout. Callers capture want after a
 // warm-up run, because the machine's worker pools live for the process.
+// It waits on what it can observe, the goroutine count; the callers have
+// already closed or drained what those goroutines serve, so they exit
+// without waiting on anything but the scheduler, and the deadline only
+// bounds how long a real leak takes to report, not how fast a loaded host
+// must be.
 func settleGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -318,6 +323,9 @@ func TestTenantConcurrencyCap(t *testing.T) {
 // and queued waiters are shed after QueueWait.
 func TestLoadShedding(t *testing.T) {
 	release := make(chan struct{})
+	// The queued waiter cannot be admitted before its QueueWait runs out,
+	// however slow the host: the hook holds the blocked run until the
+	// waiter's answer is in.
 	s, ts := newTestServer(t, Options{
 		MaxConcurrent: 1,
 		MaxQueue:      1,
@@ -387,6 +395,9 @@ func TestDrain(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return s.running.Load() == 1 })
 
+	// The spin run cannot end on its own (2^40 steps, 30 s of wall clock),
+	// so the drain deadline is what ends it, however slow the host; the 5 s
+	// below only bound the report if Drain never returns.
 	drained := make(chan struct{})
 	go func() {
 		s.Drain(100 * time.Millisecond)
@@ -450,7 +461,10 @@ func TestAdversarialLoad(t *testing.T) {
 	// Per program class: the status and outcome it must produce when it
 	// gets a slot. A 429 is additionally legal for every class that
 	// reaches admission (global shed or the tenant's in-flight cap —
-	// queued requests count against it).
+	// queued requests count against it). No class depends on the host's
+	// speed: the deadline class spins, so it always outlives its 100 ms;
+	// the others finish in milliseconds against 5 s wall clocks; and a
+	// request a slow host leaves queued past QueueWait is a legal 429.
 	type kind struct {
 		tenant  string
 		req     runRequest
@@ -609,6 +623,8 @@ func TestLegacyEngineKeysIgnored(t *testing.T) {
 	})
 }
 
+// waitFor polls cond, a state the test can observe; the deadline only bounds
+// how long a condition that never holds takes to report.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -42,6 +42,7 @@ import (
 	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/mem"
+	"tcfpram/internal/multiop"
 	"tcfpram/internal/trace"
 	"tcfpram/internal/variant"
 )
@@ -555,13 +556,23 @@ type symInfo struct {
 }
 
 // CommitStats counts the routes the step commit's stores took (runs, words
-// stored directly, words resolved through the table, sorted fallbacks):
-// host-side counters of the simulator, not simulated statistics.
+// stored directly, words resolved through the table and those of them by
+// index, sorted fallbacks): host-side counters of the simulator, not
+// simulated statistics.
 type CommitStats = mem.CommitStats
 
 // CommitStats returns the commit's route counters: what `tcfrun -stages`
 // prints under the stage table.
 func (m *Machine) CommitStats() CommitStats { return m.inner.CommitStats() }
+
+// CombineStats counts the combining references resolved, their accumulators
+// (one per address and step) and the references resolved by index: host-side
+// counters of the simulator, not simulated statistics.
+type CombineStats = multiop.Stats
+
+// CombineStats returns the combiners' counters: what `tcfrun -stages` prints
+// under the commit's.
+func (m *Machine) CombineStats() CombineStats { return m.inner.CombineStats() }
 
 // KernelStats counts how the run's operation slices were generated (in bulk
 // forms or lane by lane), the instructions retired inside fused register

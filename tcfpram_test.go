@@ -307,6 +307,9 @@ func TestRunContextCancellation(t *testing.T) {
 	if err := m.LoadAssembly("spin", "main:\n    JMP main\n"); err != nil {
 		t.Fatal(err)
 	}
+	// The program spins until canceled, so the sleep only decides when the
+	// cancellation comes; the 5 s below bound a step loop that ignores it,
+	// thousands of times the few steps a loaded host takes to notice.
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
