@@ -45,7 +45,8 @@ bench-compile:
 		./internal/lang ./internal/sema ./internal/analysis ./internal/codegen ./internal/fuse ./internal/serve
 
 # bench-engine runs the step engine's per-layer benchmarks: the step commit's
-# (BenchmarkApplyStep in internal/mem — unit stride, stride 2, two runs
+# (BenchmarkApplyStep in internal/mem — unit stride, the same run marked
+# dense, stride 2, two runs
 # disjoint and overlapping (direct; indexed), engine-thick's scatter-crcw,
 # 2^17 writes 8-way onto 2^14 words (indexed), 2048 runs of 4 — and
 # BenchmarkResolve in internal/multiop — engine-thick's histogram, 256
@@ -61,8 +62,8 @@ bench-compile:
 # register file, 2048 thin flows and a program of three steps; ns/op and B/op
 # across Reset) and the lane kernels' (BenchmarkBulk in internal/isa
 # — the bulk forms next to the per-lane call they replaced — and BenchmarkKern
-# in internal/fuse — one compiled kernel per operand shape at 4 and 2^17
-# lanes; ns/lane), then what a flow's lifecycle costs through the facade
+# in internal/fuse — one compiled kernel per operand shape, and the affine
+# chain TID, MUL, ADD, LD, ST, at 4 and 2^17 lanes; ns/lane), then what a flow's lifecycle costs through the facade
 # (BenchmarkTable1_FlowBranch and BenchmarkS4g_Multitask of the root package;
 # B/op and allocs/op are the figures: split_2048 above is the same cost per
 # step), and what a reused machine pays to load a compiled object
@@ -104,6 +105,7 @@ fuzz:
 	$(GO) test -race -fuzz=FuzzApplyStepVsSorted -fuzztime=20s ./internal/mem/
 	$(GO) test -fuzz=FuzzResolveVsSorted -fuzztime=20s ./internal/multiop/
 	$(GO) test -fuzz=FuzzBulkVsEval -fuzztime=20s ./internal/isa/
+	$(GO) test -fuzz=FuzzAffineVsColumns -fuzztime=20s ./internal/fuse/
 	$(GO) test -fuzz=FuzzRestore -fuzztime=30s ./internal/chaos/
 	$(GO) test -fuzz=FuzzLattice -fuzztime=90s ./internal/chaos/
 	$(GO) test -fuzz=FuzzRunBody -fuzztime=30s ./internal/serve/

@@ -286,8 +286,10 @@ func TestEngineFlagsRejected(t *testing.T) {
 // generated — everything in bulk, the LD and the ST included (the per-lane
 // loops remain for fault plans, discipline checks, NUMA mode and immediate
 // semantics); four instructions inside the fused backend's register runs —
-// and where its two vector banks (64 lanes: the register arena's smallest)
-// came from. Under them the tail
+// where its two vector banks (64 lanes: the register arena's smallest)
+// came from, and the four columns the three TIDs and the MUL left to affine
+// forms, none of which a reader materialised: the ST and the LD read
+// their addresses, and the ST its values, from the forms. Under them the tail
 // line: of the ten steps one had stores to commit, one left a buffer to
 // compact (the flow halted), none had two outputs to order, and the one
 // flow's chunk was allocated.
@@ -302,7 +304,7 @@ func main() {
 `)
 	want := "commit: runs=1 direct_words=64 tabled_words=0 indexed_words=0 sorted_fallbacks=0" +
 		"\ncombine: refs=0 accumulators=0 indexed_refs=0" +
-		"\nkernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=4 banks_reused=0 banks_allocated=2" +
+		"\nkernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=4 banks_reused=0 banks_allocated=2 columns_skipped=4 columns_materialised=0" +
 		"\ntail: steps=10 commits=1 compactions=1 output_sorts=0 flows_reused=0 flows_allocated=1 thin_words=0 tables=1"
 	var out bytes.Buffer
 	if err := run([]string{"-stages", path}, &out); err != nil {
@@ -310,6 +312,41 @@ func main() {
 	}
 	if !strings.Contains(out.String(), want+"\n") {
 		t.Fatalf("-stages: want the line %q in\n%s", want, out.String())
+	}
+}
+
+// TestStagesAffineCounts: on a saxpy-shaped program of 256 lanes -stages
+// counts the columns the index arithmetic left to affine forms — the three
+// TIDs and two MUL/ADD pairs of the prologue, three TIDs in each of the three
+// iterations and the one before the sum: 19 — and the three a reader made
+// the flow materialise after all: the SHR, the XOR and the AND of the
+// prologue. The loop's LDs and ST read their addresses from the forms, and
+// the five ST runs commit directly.
+func TestStagesAffineCounts(t *testing.T) {
+	path := write(t, "saxpy.te", `
+shared int x[256] @ 16384;
+shared int y[256] @ 16640;
+func main() {
+    #256;
+    x[tid] = ((tid * 7 + 3) ^ (tid >> 3)) & 1023;
+    y[tid] = (tid * 5 + 7) & 1023;
+    for (int i = 0; i < 3; i += 1) {
+        y[tid] = y[tid] + (3 + i) * x[tid];
+    }
+    print(radd(y[tid]));
+}
+`)
+	var out bytes.Buffer
+	if err := run([]string{"-stages", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"commit: runs=5 direct_words=1280 tabled_words=0 ",
+		" columns_skipped=19 columns_materialised=3\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("-stages: want %q in\n%s", want, out.String())
+		}
 	}
 }
 

@@ -93,11 +93,54 @@ func main() {
     print(radd(x));
 }`
 
+// affineSrc computes on thread indices at 80 to 300 lanes, where the lane
+// kernels keep registers in affine form: TID-indexed stores and loads,
+// addresses of stride 2, a shift then an XOR, which the form cannot take, and
+// an mpadd of the thread index, in a loop that changes the thickness; then,
+// at the auto-split threshold of affineShapes, an index that outlives two
+// thickness changes: a narrower one, under which its form covers every lane
+// and hides some, and back, which uncovers them.
+const affineSrc = `
+shared int a[512] @ 1024;
+shared int b[512] @ 1536;
+shared int c[512] @ 2048;
+shared int total @ 3000;
+func main() {
+    #256;
+    a[tid] = tid * 3 + 1;
+    b[tid * 2] = tid - 5;
+    b[tid * 2 + 1] = (tid << 3) ^ tid;
+    for (int i = 0; i < 3; i += 1) {
+        #256 - i * 64;
+        c[tid + i * 64] = a[tid * 2 + i] + b[tid + 1] + mpadd(&total, tid);
+    }
+    #100;
+    thick int k = tid * 2 + 1;
+    #80;
+    c[tid + 300] = k + a[k];
+    #100;
+    c[tid + 400] = k + b[tid];
+    #1;
+    print(total);
+    print(c[0] + c[299] + c[399]);
+}`
+
+// affineShapes are the machines affineSrc runs on: every variant — the three
+// with a fixed thread set stop at its first #, as their oracles do —
+// Balanced slicing instructions into stretches of 100 lanes, and auto-split
+// into fragments of at most 100.
+var affineShapes = append(on(allKinds, small),
+	shape{name: "balanced-100", kind: variant.Balanced,
+		tweak: func(c *machine.Config) { small(c); c.BalancedBound = 100 }},
+	shape{name: "single-instruction-autosplit100", kind: variant.SingleInstruction,
+		tweak: func(c *machine.Config) { small(c); c.AutoSplitThreshold = 100 }})
+
 // programs is the lattice's one program list: the tcf-e corpus on every
 // variant; the commit-bound, gather and 513-lane programs and three
-// workload kernels at 2^10 on single-instruction; the occupancy cases on the
-// variants and machine shapes that idle their groups; and genSeeds seeds of
-// each generator, quick past the first fullSeeds.
+// workload kernels at 2^10 on single-instruction; the affine program on
+// affineShapes; the occupancy cases on the variants and machine shapes that
+// idle their groups; and genSeeds seeds of each generator, quick past the
+// first fullSeeds.
 func programs(tb testing.TB) []entry {
 	tb.Helper()
 	var es []entry
@@ -114,6 +157,7 @@ func programs(tb testing.TB) []entry {
 	for _, name := range names {
 		es = append(es, entry{name: name, c: compileSrc(tb, name, srcs[name]), shapes: on(siOnly, nil)})
 	}
+	es = append(es, entry{name: "affine", c: compileSrc(tb, "affine", affineSrc), shapes: affineShapes})
 	for _, oc := range occupancyCases {
 		es = append(es, entry{name: oc.name, c: compileSrc(tb, oc.name, oc.src), shapes: on(oc.kinds, oc.tweak), check: occupancyCheck(tb, oc.name)})
 	}
@@ -965,4 +1009,27 @@ func FuzzLattice(f *testing.F) {
 		cs := newCells(t, e, &progs[at(p+1, len(progs))], e.shapes[at(kind, len(e.shapes))], plan)
 		hold(t, rows[at(r, len(rows))], cs[len(cs)-1])
 	})
+}
+
+// TestAffineEntryTakesForms: the affine entry engages what it is there for.
+// On every shape that runs it past its first # the production machine
+// leaves columns to affine forms and materialises some of them — except
+// Balanced at its default bound, which slices every instruction of the
+// program — and the auto-split shape splits.
+func TestAffineEntryTakesForms(t *testing.T) {
+	c := compileSrc(t, "affine", affineSrc)
+	for _, s := range affineShapes {
+		cfg := machine.Default(s.kind)
+		s.tweak(&cfg)
+		m := buildRun(t, c, cfg)
+		if _, err := m.Run(); err != nil || s.name == "balanced" {
+			continue // a fixed thread set, or no instruction whole
+		}
+		if ks := m.KernelStats(); ks.ColumnsSkipped == 0 || ks.ColumnsMaterialised == 0 {
+			t.Errorf("%s: %v", s.name, ks)
+		}
+		if cfg.AutoSplitThreshold > 0 && m.Stats().AutoSplits == 0 {
+			t.Errorf("%s: never split", s.name)
+		}
+	}
 }

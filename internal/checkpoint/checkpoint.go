@@ -112,13 +112,24 @@ func (e *Encoder) String(s string) { e.Bytes([]byte(s)) }
 
 // Int64s writes a length-prefixed slice of signed varints.
 func (e *Encoder) Int64s(vs []int64) {
-	e.raw([]byte{tagInt64s})
-	n := binary.PutUvarint(e.buf[:], uint64(len(vs)))
-	e.raw(e.buf[:n])
+	e.Int64sLen(len(vs))
 	for _, v := range vs {
-		n := binary.PutUvarint(e.buf[:], zigzag(v))
-		e.raw(e.buf[:n])
+		e.Int64sElem(v)
 	}
+}
+
+// Int64sLen begins what Int64s writes for a slice of n elements, which n
+// calls of Int64sElem then write: for a writer that computes them.
+func (e *Encoder) Int64sLen(n int) {
+	e.raw([]byte{tagInt64s})
+	k := binary.PutUvarint(e.buf[:], uint64(n))
+	e.raw(e.buf[:k])
+}
+
+// Int64sElem writes the next element of the slice Int64sLen began.
+func (e *Encoder) Int64sElem(v int64) {
+	n := binary.PutUvarint(e.buf[:], zigzag(v))
+	e.raw(e.buf[:n])
 }
 
 // Ints writes a length-prefixed slice of ints.

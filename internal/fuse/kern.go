@@ -12,6 +12,12 @@ import (
 // closures — a kernel is data, a code pointer — and each kernel is one call
 // into isa's bulk form for its shape over the lanes it is handed, or one
 // scalar evaluation when the destination is flow-common.
+//
+// A kernel reads its sources before it takes its destination (tcf.Flow.Dest),
+// so that a destination in affine form, overwritten whole, is dropped without
+// being materialised; TID, MOV and ADD, SUB, MUL and SHL by a flow-common
+// operand write an affine form where their sources are one (tcf.Flow.SetAffine),
+// and leave the column unwritten.
 
 // kernOf returns the lane kernel of a register-class instruction, nil for
 // opcodes without lane semantics.
@@ -108,7 +114,8 @@ func value(env Env, in *isa.Instr, f *tcf.Flow) int64 {
 }
 
 func fillV(env Env, in *isa.Instr, f *tcf.Flow, first, end int) {
-	isa.Fill(f.Vector(in.Rd)[first:end], value(env, in, f))
+	v := value(env, in, f)
+	isa.Fill(f.Dest(in.Rd, first, end), v)
 }
 
 func fillS(env Env, in *isa.Instr, f *tcf.Flow, _, _ int) { f.SetScalar(in.Rd, value(env, in, f)) }
@@ -116,17 +123,22 @@ func fillS(env Env, in *isa.Instr, f *tcf.Flow, _, _ int) { f.SetScalar(in.Rd, v
 func ldiS(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) { f.SetScalar(in.Rd, in.Imm) }
 
 func movVV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
-	copy(f.Vector(in.Rd)[first:end], f.Vector(in.Ra)[first:end])
+	if base, stride, ok := f.Affine(in.Ra); ok && f.SetAffine(in.Rd, first, end, base, stride) {
+		return
+	}
+	src := f.Vector(in.Ra)[first:end]
+	copy(f.Dest(in.Rd, first, end), src)
 }
 
 func movVS(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
-	isa.Fill(f.Vector(in.Rd)[first:end], f.Scalar(in.Ra))
+	isa.Fill(f.Dest(in.Rd, first, end), f.Scalar(in.Ra))
 }
 
 func movS(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) { f.SetScalar(in.Rd, f.Lane(in.Ra, 0)) }
 
 func unaryVV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
-	isa.EvalUnaryV(in.Op, f.Vector(in.Rd)[first:end], f.Vector(in.Ra)[first:end])
+	src := f.Vector(in.Ra)[first:end]
+	isa.EvalUnaryV(in.Op, f.Dest(in.Rd, first, end), src)
 }
 
 func selS(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) {
@@ -146,7 +158,7 @@ func selVS(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
 	if f.Scalar(in.Ra) != 0 {
 		src, s = operand(f, in.Rb, first, end)
 	}
-	if dst := f.Vector(in.Rd)[first:end]; src != nil {
+	if dst := f.Dest(in.Rd, first, end); src != nil {
 		copy(dst, src)
 	} else {
 		isa.Fill(dst, s)
@@ -161,18 +173,19 @@ func selVV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
 	if rb := in.Rb; !rb.IsVector() || f.VectorAllocated(rb) || isa.Reduce(isa.OR, 0, cond) != 0 {
 		yes, ys = operand(f, rb, first, end)
 	}
-	isa.SelectV(f.Vector(in.Rd)[first:end], cond, yes, no, ys, ns)
+	isa.SelectV(f.Dest(in.Rd, first, end), cond, yes, no, ys, ns)
 }
 
 // Fragments of an auto-split flow carry their logical thread-index offset;
 // the single NUMA-mode thread is thread 0.
 
 func tidV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
-	dst := f.Vector(in.Rd)[first:end]
+	base, stride := int64(f.TidOffset), int64(1)
 	if f.Mode == tcf.NUMA {
-		isa.Fill(dst, 0)
-	} else {
-		isa.Iota(dst, int64(f.TidOffset+first))
+		base, stride = 0, 0
+	}
+	if !f.SetAffine(in.Rd, first, end, base, stride) {
+		isa.Ramp(f.Dest(in.Rd, first, end), base+stride*int64(first), stride)
 	}
 }
 
@@ -238,17 +251,66 @@ func binSR(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) {
 }
 
 func binFill(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
-	isa.Fill(f.Vector(in.Rd)[first:end], isa.Eval(in.Op, f.Scalar(in.Ra), binB(in, f)))
+	v := isa.Eval(in.Op, f.Scalar(in.Ra), binB(in, f))
+	isa.Fill(f.Dest(in.Rd, first, end), v)
 }
 
 func binVV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
-	isa.EvalVV(in.Op, f.Vector(in.Rd)[first:end], f.Vector(in.Ra)[first:end], f.Vector(in.Rb)[first:end])
+	a, b := f.Vector(in.Ra)[first:end], f.Vector(in.Rb)[first:end]
+	isa.EvalVV(in.Op, f.Dest(in.Rd, first, end), a, b)
 }
 
 func binVS(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
-	isa.EvalVS(in.Op, f.Vector(in.Rd)[first:end], f.Vector(in.Ra)[first:end], binB(in, f))
+	c := binB(in, f)
+	if base, stride, ok := f.Affine(in.Ra); ok {
+		if base, stride, ok := affineVS(in.Op, base, stride, c); ok && f.SetAffine(in.Rd, first, end, base, stride) {
+			return
+		}
+	}
+	a := f.Vector(in.Ra)[first:end]
+	isa.EvalVS(in.Op, f.Dest(in.Rd, first, end), a, c)
 }
 
 func binSV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
-	isa.EvalSV(in.Op, f.Vector(in.Rd)[first:end], f.Scalar(in.Ra), f.Vector(in.Rb)[first:end])
+	c := f.Scalar(in.Ra)
+	if base, stride, ok := f.Affine(in.Rb); ok {
+		if base, stride, ok := affineSV(in.Op, c, base, stride); ok && f.SetAffine(in.Rd, first, end, base, stride) {
+			return
+		}
+	}
+	b := f.Vector(in.Rb)[first:end]
+	isa.EvalSV(in.Op, f.Dest(in.Rd, first, end), c, b)
+}
+
+// affineVS is the form of op on the lanes base + stride·i and the flow-common
+// c: exact under int64 wrap-around for ADD, SUB, MUL and SHL by 0–63, the
+// shifts that are a multiplication by a power of two. It reports false for
+// every other operation.
+func affineVS(op isa.Op, base, stride, c int64) (int64, int64, bool) {
+	switch op {
+	case isa.ADD:
+		return base + c, stride, true
+	case isa.SUB:
+		return base - c, stride, true
+	case isa.MUL:
+		return base * c, stride * c, true
+	case isa.SHL:
+		if c >= 0 && c < 64 {
+			return base << c, stride << c, true
+		}
+	}
+	return 0, 0, false
+}
+
+// affineSV is affineVS with c on the left: ADD, SUB and MUL.
+func affineSV(op isa.Op, c, base, stride int64) (int64, int64, bool) {
+	switch op {
+	case isa.ADD:
+		return c + base, stride, true
+	case isa.SUB:
+		return c - base, -stride, true
+	case isa.MUL:
+		return c * base, c * stride, true
+	}
+	return 0, 0, false
 }

@@ -314,15 +314,17 @@ func Fill(dst []int64, v int64) {
 	}
 }
 
-// Iota numbers the lanes of dst from base: TID over a stretch of lanes.
-func Iota(dst []int64, base int64) {
+// Ramp sets dst[i] = base + stride·i, with int64 wrap-around: TID over a
+// stretch of lanes, and the column of any affine register.
+func Ramp(dst []int64, base, stride int64) {
 	n := len(dst) &^ 3
+	s2, s3 := 2*stride, 3*stride
 	for i := 0; i < n; i += 4 {
-		d, v := quad(dst, i), base+int64(i)
-		d[0], d[1], d[2], d[3] = v, v+1, v+2, v+3
+		d, v := quad(dst, i), base+stride*int64(i)
+		d[0], d[1], d[2], d[3] = v, v+stride, v+s2, v+s3
 	}
 	for i := n; i < len(dst); i++ {
-		dst[i] = base + int64(i)
+		dst[i] = base + stride*int64(i)
 	}
 }
 

@@ -113,8 +113,8 @@ func TestBulkAgreesWithEval(t *testing.T) {
 				func(dst, c, _ []int64) { SelectV(dst, c, nil, nil, 5, 6) }, sel(nil, nil, 5, 6))
 			checkBulk(t, "Fill", a, nil,
 				func(dst, _, _ []int64) { Fill(dst, -9) }, func(int) int64 { return -9 })
-			checkBulk(t, "Iota", a, nil,
-				func(dst, _, _ []int64) { Iota(dst, int64(k)-3) }, func(i int) int64 { return int64(k) - 3 + int64(i) })
+			checkBulk(t, "Ramp", a, nil,
+				func(dst, _, _ []int64) { Ramp(dst, int64(k)-3, -7) }, func(i int) int64 { return int64(k) - 3 - 7*int64(i) })
 		}
 	}
 	for op := Op(0); op < opCount; op++ {
@@ -181,8 +181,8 @@ func FuzzBulkVsEval(f *testing.F) {
 func BenchmarkBulk(b *testing.B) {
 	const lanes = 1 << 17
 	dst, x, y := make([]int64, lanes), make([]int64, lanes), make([]int64, lanes)
-	Iota(x, -lanes/2)
-	Iota(y, 1)
+	Ramp(x, -lanes/2, 1)
+	Ramp(y, 1, 1)
 	for _, bc := range []struct {
 		name string
 		run  func()
@@ -195,7 +195,7 @@ func BenchmarkBulk(b *testing.B) {
 		{"sv/SUB", func() { EvalSV(SUB, dst, 3, y) }},
 		{"unary/NEG", func() { EvalUnaryV(NEG, dst, x) }},
 		{"sel", func() { SelectV(dst, x, y, nil, 0, 7) }},
-		{"iota", func() { Iota(dst, 5) }},
+		{"ramp", func() { Ramp(dst, 5, 3) }},
 		{"fill", func() { Fill(dst, 5) }},
 		{"reduce/MAX", func() { dst[0] = Reduce(MAX, -1<<63, x) }},
 		{"evalfn/vs/MUL", func() {

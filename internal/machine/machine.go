@@ -223,20 +223,23 @@ func (m *Machine) CombineStats() multiop.Stats {
 // its vector banks came from, since the machine was built or Reset: lanes
 // that ran in a bulk form (a compiled kernel, a bulk LD/ST, a combining run),
 // lanes that ran one at a time on the per-lane reference path, instructions
-// retired inside fused register runs, and the banks the register arena lent
-// out again or had to allocate (the shorter ones it bumps are TailStats').
-// MaxThickness is the widest thickness a flow was created with or asked for,
+// retired inside fused register runs, the banks the register arena lent
+// out again or had to allocate (the shorter ones it bumps are TailStats'),
+// and the register columns, one per instruction, that an affine form left
+// unwritten (tcf.Flow.SetAffine) and that a reader made the flow materialise
+// after all. MaxThickness is the widest thickness a flow was created with or asked for,
 // also when Config.MaxThickness refused it: what the cost analyzer reports
 // as the program's demand. Host-side counters like CommitStats: in no
 // snapshot and no simulated statistic.
 type KernelStats struct {
 	BulkLanes, PerLaneLanes, RunInstrs, BanksReused, BanksAllocated int64
+	ColumnsSkipped, ColumnsMaterialised                             int64
 	MaxThickness                                                    int64
 }
 
 func (k KernelStats) String() string {
-	return fmt.Sprintf("kernels: bulk_lanes=%d per_lane_lanes=%d run_instrs=%d banks_reused=%d banks_allocated=%d",
-		k.BulkLanes, k.PerLaneLanes, k.RunInstrs, k.BanksReused, k.BanksAllocated)
+	return fmt.Sprintf("kernels: bulk_lanes=%d per_lane_lanes=%d run_instrs=%d banks_reused=%d banks_allocated=%d columns_skipped=%d columns_materialised=%d",
+		k.BulkLanes, k.PerLaneLanes, k.RunInstrs, k.BanksReused, k.BanksAllocated, k.ColumnsSkipped, k.ColumnsMaterialised)
 }
 
 // KernelStats returns the kernel-coverage counters. Not to be called while
@@ -251,6 +254,7 @@ func (m *Machine) KernelStats() KernelStats {
 	}
 	c := m.regs.Counts()
 	k.BanksReused, k.BanksAllocated = c.BanksReused, c.BanksAllocated
+	k.ColumnsSkipped, k.ColumnsMaterialised = c.ColumnsSkipped, c.ColumnsMaterialised
 	return k
 }
 

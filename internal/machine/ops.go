@@ -442,6 +442,7 @@ func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool 
 	}
 	end := first + n
 	sh := x.m.shared
+	row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
 	// maxDist only grows toward the group's row maximum; once it saturates
 	// the per-lane module lookup is dead work, so the loops below drop it.
 	rowMax := x.rowMax
@@ -450,46 +451,51 @@ func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool 
 		if !in.Rd.IsVector() {
 			return false
 		}
-		row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
-		dst := f.Vector(in.Rd)
 		maxDist := x.maxDist
+		var base, stride int64
+		affine := false
 		if in.Ra.IsVector() {
-			av := f.Vector(in.Ra)
-			imm := in.Imm
-			i := first
+			base, stride, affine = f.Affine(in.Ra)
+		}
+		imm := in.Imm
+		switch lo := base + imm + int64(first); {
+		case !in.Ra.IsVector():
+			// Flow-common broadcast: one word, fetched once per lane in the
+			// reference path; the module distance is the same every time.
+			if in.Ra != isa.RegNone {
+				imm += f.Scalar(in.Ra)
+			}
+			if d := row[sh.ModuleOf(imm)]; d > maxDist {
+				maxDist = d
+			}
+			isa.Fill(f.Dest(in.Rd, first, end), sh.Peek(imm))
+		case affine && stride == 1 && sh.InRange(lo) && sh.InRange(lo+int64(n-1)):
+			// An address register in affine form of stride 1 — a[tid+c] —
+			// reads page-wise, without a lane of the address.
+			maxDist = sh.MaxOverRun(row, maxDist, lo, n)
+			sh.PeekRun(f.Dest(in.Rd, first, end), lo)
+		default:
+			av := f.Vector(in.Ra)[first:end]
+			dst := f.Dest(in.Rd, first, end)
+			i := 0
 			// Addresses that ascend by one from the first lane on and stay in
-			// range — a[tid+c], whatever instruction computed them — are read
-			// page-wise. The first break sends the remaining lanes through the
-			// cursor below.
-			if base, k := av[first]+imm, consecutive(av[first:end]); sh.InRange(base) && sh.InRange(base+int64(k-1)) {
+			// range, whatever instruction computed them, are read page-wise too.
+			// The first break sends the remaining lanes through the cursor below.
+			if base, k := av[0]+imm, consecutive(av); sh.InRange(base) && sh.InRange(base+int64(k-1)) {
 				maxDist = sh.MaxOverRun(row, maxDist, base, k)
-				sh.PeekRun(dst[first:first+k], base)
+				sh.PeekRun(dst[:k], base)
 				i += k
 			}
 			rd := sh.Reader()
-			for ; i < end && maxDist < rowMax; i++ {
+			for ; i < n && maxDist < rowMax; i++ {
 				addr := av[i] + imm
 				if d := row[sh.ModuleOf(addr)]; d > maxDist {
 					maxDist = d
 				}
 				dst[i] = rd.Peek(addr)
 			}
-			for ; i < end; i++ {
+			for ; i < n; i++ {
 				dst[i] = rd.Peek(av[i] + imm)
-			}
-		} else {
-			// Flow-common broadcast: one word, fetched once per lane in the
-			// reference path; the module distance is the same every time.
-			base := in.Imm
-			if in.Ra != isa.RegNone {
-				base += f.Scalar(in.Ra)
-			}
-			if d := row[sh.ModuleOf(base)]; d > maxDist {
-				maxDist = d
-			}
-			v := sh.Peek(base)
-			for i := first; i < end; i++ {
-				dst[i] = v
 			}
 		}
 		x.maxDist = maxDist
@@ -498,16 +504,43 @@ func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool 
 		return true
 
 	case isa.ST:
-		av, bv, base, bs := storeOperands(f, in)
-		// One run, two column fills.
+		// One run, two column fills. An address column filled from an affine
+		// form of stride 1, in range, is marked dense for the commit, and its
+		// module distances are those of its first words.
 		addrs, vals := x.writes.Open(f.ID, 0, first, n)
-		fillColumn(addrs, av, first, base)
-		fillColumn(vals, bv, first, bs)
-		x.noteRow(addrs)
+		stride, affine := operandColumn(f, addrs, in.Ra, first, in.Imm)
+		operandColumn(f, vals, in.Rb, first, 0)
+		if lo, hi := addrs[0], addrs[n-1]; affine && stride == 1 && sh.InRange(lo) && sh.InRange(hi) {
+			x.writes.MarkDense(n)
+			x.maxDist = sh.MaxOverRun(row, x.maxDist, lo, n)
+			x.anyShared = true
+		} else {
+			x.noteRow(addrs)
+		}
 		x.sharedWrites += int64(n)
 		return true
 	}
 	return false
+}
+
+// operandColumn fills dst with lanes [first, first+len(dst)) of the operand r
+// plus c: c alone for no register, c plus the value of a flow-common one.
+// A thread-wise register in affine form fills dst from its form, unread and
+// left in it; operandColumn then reports the form's stride.
+func operandColumn(f *tcf.Flow, dst []int64, r isa.Reg, first int, c int64) (stride int64, affine bool) {
+	switch {
+	case r == isa.RegNone:
+		isa.Fill(dst, c)
+	case !r.IsVector():
+		isa.Fill(dst, c+f.Scalar(r))
+	default:
+		if base, stride, ok := f.Affine(r); ok {
+			isa.Ramp(dst, base+c+stride*int64(first), stride)
+			return stride, true
+		}
+		fillColumn(dst, f.Vector(r), first, c)
+	}
+	return 0, false
 }
 
 // noteRow is noteShared for the non-empty PRAM-mode references addrs

@@ -129,7 +129,8 @@ func instrBatch(rng *rand.Rand, words, n int, spread uint8) (flat []Write, start
 
 // bufferInstrs buffers flat, instruction by instruction, into one to three
 // logs (as groups fold theirs in order), each instruction as one run, as a
-// run cut in two and appended back together, or store by store.
+// run cut in two and appended back together, or store by store. Most runs
+// whose addresses ascend by one are marked dense, in range or not.
 func bufferInstrs(rng *rand.Rand, s *Shared, flat []Write, starts []int) {
 	logs := make([]*WriteLog, 1+rng.Intn(3))
 	for i := range logs {
@@ -140,8 +141,13 @@ func bufferInstrs(rng *rand.Rand, s *Shared, flat []Write, starts []int) {
 			return
 		}
 		addrs, vals := l.Open(ws[0].Key.Flow, ws[0].Key.Seq, ws[0].Key.Thread, len(ws))
+		dense := rng.Intn(4) > 0
 		for i, w := range ws {
 			addrs[i], vals[i] = w.Addr, w.Val
+			dense = dense && w.Addr == ws[0].Addr+int64(i)
+		}
+		if dense {
+			l.MarkDense(len(ws))
 		}
 	}
 	for k, from := range starts {
@@ -187,9 +193,9 @@ func applyStepVia(s *Shared, r route) []Conflict {
 // policy × module count, on single writes in four arrival
 // orders (conflicting, out-of-range and equal-keyed) through BufferWrite(s)
 // and on instruction-shaped traffic through write logs with fuzzed run
-// structure, over two steps so the retained scratch is reused; and the route
-// ApplyStep picks to both tabled routes, every run indexed and every run
-// hashed, on two more memories fed the same. Few addresses for many writes
+// structure, dense-marked runs among them, over two steps so the retained
+// scratch is reused; and the route ApplyStep picks to both tabled routes,
+// every run indexed and every run hashed, on two more memories fed the same. Few addresses for many writes
 // make a compact interval, many for few a sparse one.
 func FuzzApplyStepVsSorted(f *testing.F) {
 	for arrival := 0; arrival < numArrivals; arrival++ {
@@ -445,6 +451,7 @@ func BenchmarkApplyStep(b *testing.B) {
 		fill func(l *WriteLog)
 	}{
 		{"unit_stride", func(l *WriteLog) { strideRun(l, 0, 16384, 1, T) }},
+		{"dense", func(l *WriteLog) { strideRun(l, 0, 16384, 1, T); l.MarkDense(T) }},
 		{"stride_2", func(l *WriteLog) { strideRun(l, 0, 16384, 2, T) }},
 		{"two_runs_disjoint", func(l *WriteLog) {
 			strideRun(l, 0, 16384, 1, T/2)

@@ -230,9 +230,17 @@ func (s *Shared) classify() bool {
 }
 
 // scan is the first pass over one run. direct is set for a run in range and
-// strictly ascending; markOverlaps may yet clear it.
+// strictly ascending; markOverlaps may yet clear it. A run marked dense needs
+// no pass when its ends lie in range: its addresses ascend by one between
+// them. One with an end out of range takes the pass like any other.
 func (s *Shared) scan(sp *span) {
 	addrs := sp.addrs
+	if n := len(addrs); sp.run.Dense && n > 0 {
+		if lo, hi := addrs[0], addrs[n-1]; s.InRange(lo) && s.InRange(hi) && hi-lo == int64(n-1) {
+			sp.lo, sp.hi, sp.words, sp.direct = lo, hi, n, true
+			return
+		}
+	}
 	i, prev := 0, int64(-1)
 	for ; i < len(addrs) && addrs[i] > prev && addrs[i] < s.size; i++ {
 		prev = addrs[i]

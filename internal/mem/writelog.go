@@ -5,9 +5,13 @@ import "slices"
 // Run heads the stores one instruction issued in a step: N consecutive
 // entries of the log's columns, written by threads Thread0 … Thread0+N-1 of
 // Flow at issue sequence Seq. The key of a run's i-th write is (Flow,
-// Thread0+i, Seq): derived from the header, never stored per word.
+// Thread0+i, Seq): derived from the header, never stored per word. Dense
+// marks a run whose addresses ascend by one, as its issuer knows without
+// reading them (WriteLog.MarkDense): the commit classifies such a run by its
+// ends, without a pass over its addresses.
 type Run struct {
 	Flow, Seq, Thread0, N int
+	Dense                 bool
 }
 
 // Key returns the key of the run's i-th write.
@@ -44,6 +48,7 @@ func (l *WriteLog) Reset() {
 func (l *WriteLog) extend(k Key, n int) {
 	if last := len(l.Runs) - 1; last >= 0 && l.Runs[last].Continues(k) {
 		l.Runs[last].N += n
+		l.Runs[last].Dense = false
 		return
 	}
 	l.Runs = append(l.Runs, Run{Flow: k.Flow, Seq: k.Seq, Thread0: k.Thread, N: n})
@@ -65,6 +70,15 @@ func (l *WriteLog) Open(flow, seq, thread0, n int) (addrs, vals []int64) {
 	l.Addrs = slices.Grow(l.Addrs, n)[:at+n]
 	l.Vals = slices.Grow(l.Vals, n)[:at+n]
 	return l.Addrs[at:], l.Vals[at:]
+}
+
+// MarkDense marks the last run dense if it holds the n stores the last Open
+// buffered and no others — a run Open extended stays unmarked. The caller
+// vouches that their addresses ascend by one.
+func (l *WriteLog) MarkDense(n int) {
+	if r := &l.Runs[len(l.Runs)-1]; r.N == n {
+		r.Dense = true
+	}
 }
 
 // AppendLog buffers o's stores behind l's own, in o's order. A first run of

@@ -59,12 +59,15 @@ const headerWords = 3
 // ArenaCounts is what the flows drew from an arena since it was built or last
 // recycled — banks of minBank lanes or more lent out again and allocated, words
 // bumped for shorter banks and call stacks, header tables attached (one that
-// grows counts again) — and the words it holds that no flow refers to: the
-// free stack and the chunks Recycle kept.
+// grows counts again) — the columns of its flows' registers that affine forms
+// left unwritten (Flow.SetAffine) and that were materialised after all, one
+// per instruction, and the words it holds that no flow refers to: the free
+// stack and the chunks Recycle kept.
 type ArenaCounts struct {
-	BanksReused, BanksAllocated int64
-	ThinWords, Tables           int64
-	HeldWords                   int64
+	BanksReused, BanksAllocated         int64
+	ThinWords, Tables                   int64
+	ColumnsSkipped, ColumnsMaterialised int64
+	HeldWords                           int64
 }
 
 // NewRegArena returns an empty arena that retains at most limit words.
@@ -190,7 +193,7 @@ func (a *RegArena) Recycle() {
 		reg := a.lent[i]
 		// Capacity beyond what the run used is kept only against the words
 		// of banks that were dropped.
-		if used += len(*reg); a.words+cap(*reg) <= used {
+		if used += len(unveil(*reg)); a.words+cap(*reg) <= used {
 			a.keep(*reg)
 		}
 		*reg = nil

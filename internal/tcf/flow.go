@@ -75,7 +75,8 @@ type Flow struct {
 	// current thickness. vectors is the table of bank headers, attached on the
 	// first use of a thread-wise register and only as long as the highest
 	// register used asks for (a register beyond it holds no bank): a flow that
-	// computes on its common registers alone never has one. Regs is where the
+	// computes on its common registers alone never has one. A header may
+	// present an affine form instead of its bank (affine.go). Regs is where the
 	// table, the banks and the call stack come from and go back to (nil: the
 	// allocator); it is the owning machine's, and no part of the flow's
 	// architectural state.
@@ -177,7 +178,8 @@ func (f *Flow) Scalars() [isa.NumSRegs]int64 { return f.scalars }
 func (f *Flow) SetScalars(s [isa.NumSRegs]int64) { f.scalars = s }
 
 // Vector returns the thread-wise bank of register r sized to the current
-// lane count, allocating (zeroed) on first use.
+// lane count, allocating (zeroed) on first use and materialising an affine
+// form (affine.go).
 func (f *Flow) Vector(r isa.Reg) []int64 {
 	if int(r) < len(f.vectors) {
 		if v, lanes := f.vectors[r], f.Lanes(); len(v) >= lanes {
@@ -187,9 +189,10 @@ func (f *Flow) Vector(r isa.Reg) []int64 {
 	return f.growVector(r)
 }
 
-// growVector is Vector where the bank is missing or shorter than the lane
-// count, kept apart so that the common path, which every lane kernel takes
-// per operand, stays a bounds check and a reslice.
+// growVector is Vector where the bank is missing, shorter than the lane
+// count or veiled by an affine form, kept apart so that the common path,
+// which every lane kernel takes per operand, stays a bounds check and a
+// reslice.
 func (f *Flow) growVector(r isa.Reg) []int64 {
 	if !r.IsVector() {
 		panic(fmt.Sprintf("tcf: Vector(%s) on non-vector register", r))
@@ -197,6 +200,12 @@ func (f *Flow) growVector(r isa.Reg) []int64 {
 	lanes := f.Lanes()
 	if lanes == 0 {
 		return nil // no lanes: nothing to allocate
+	}
+	if _, _, _, ok := f.form(int(r)); ok {
+		f.materialise(int(r))
+		if v := f.vectors[r]; len(v) >= lanes {
+			return v[:lanes]
+		}
 	}
 	f.growBank(int(r), lanes)
 	return f.vectors[r]
@@ -215,15 +224,23 @@ func (f *Flow) growBank(r, n int) {
 	if len(f.vectors) < want {
 		f.Regs.attach(&f.vectors, want)
 	}
+	// A register in affine form grows under its form: the bank is extended
+	// behind the lanes the form covers, and the header presents it again.
+	form := affineHeader(f.vectors[r])
+	f.vectors[r] = unveil(f.vectors[r])
 	f.RegWordsPeak += int64(n - len(f.vectors[r]))
 	f.Regs.grow(&f.vectors[r], n)
+	if form {
+		f.vectors[r] = veil(f.vectors[r])
+	}
 }
 
 // bank returns register r's bank at its allocated length, hidden lanes
-// included; nil if it has none.
+// included; nil if it has none. The lanes an affine form covers hold no
+// values in it.
 func (f *Flow) bank(r int) []int64 {
 	if r < len(f.vectors) {
-		return f.vectors[r]
+		return unveil(f.vectors[r])
 	}
 	return nil
 }
@@ -242,6 +259,21 @@ func (f *Flow) VectorAllocated(r isa.Reg) bool {
 func (f *Flow) Lane(r isa.Reg, i int) int64 {
 	if r.IsScalar() {
 		return f.scalars[r.Index()]
+	}
+	return f.vectorLane(r, i)
+}
+
+// vectorLane is Lane of a thread-wise register, kept apart so that Lane, which
+// the flow-common kernels call per operand, is a check and a load.
+func (f *Flow) vectorLane(r isa.Reg, i int) int64 {
+	if base, stride, n, ok := f.form(int(r)); ok {
+		switch {
+		case i >= f.Lanes():
+			return 0
+		case i < n:
+			return base + stride*int64(i)
+		}
+		return f.bank(int(r))[i]
 	}
 	v := f.Vector(r)
 	if i >= len(v) {
@@ -274,7 +306,7 @@ func (f *Flow) SetThickness(t int) error {
 	f.Thickness = t
 	f.TotalThickness = t
 	for r := 0; r < len(f.vectors); r++ {
-		if v := f.vectors[r]; v != nil && len(v) < t {
+		if v := f.bank(r); v != nil && len(v) < t {
 			f.growBank(r, t)
 		}
 	}
@@ -349,8 +381,13 @@ func (f *Flow) StateDigest() uint64 {
 		mix(uint64(v))
 	}
 	for r := 0; r < isa.NumVRegs; r++ {
+		// The lanes an affine form covers are computed (affine.go).
+		base, stride, n, _ := f.form(r)
+		for i := range n {
+			mix(uint64(base + stride*int64(i)))
+		}
 		bank := f.bank(r)
-		for _, v := range bank {
+		for _, v := range bank[n:] {
 			mix(uint64(v))
 		}
 		mix(uint64(len(bank)))
@@ -365,8 +402,8 @@ func (f *Flow) StateDigest() uint64 {
 // RegWords returns the current register-file words held by the flow.
 func (f *Flow) RegWords() int64 {
 	n := int64(isa.NumSRegs)
-	for _, bank := range f.vectors {
-		n += int64(len(bank))
+	for r := range f.vectors {
+		n += int64(len(f.bank(r)))
 	}
 	return n
 }

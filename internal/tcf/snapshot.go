@@ -22,7 +22,16 @@ func (f *Flow) EncodeTo(e *checkpoint.Encoder) {
 	e.Int(int(f.State))
 	e.Int64s(f.scalars[:])
 	for r := 0; r < isa.NumVRegs; r++ {
-		e.Int64s(f.bank(r))
+		// The lanes an affine form covers are computed (affine.go).
+		base, stride, n, _ := f.form(r)
+		bank := f.bank(r)
+		e.Int64sLen(len(bank))
+		for i := range n {
+			e.Int64sElem(base + stride*int64(i))
+		}
+		for _, v := range bank[n:] {
+			e.Int64sElem(v)
+		}
 	}
 	e.Int64s(f.CallStack)
 	parent := -1
