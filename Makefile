@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress-tier1 bench-smoke bench-compile bench-engine benchall table figures net examples fuzz fmtcheck lint detlint vet serve serve-test clean
+.PHONY: all build test race stress-tier1 mutants bench-smoke bench-compile bench-engine benchall table figures net examples fuzz fmtcheck lint detlint vet serve serve-test clean
 
 # Pinned linter versions, fetched on demand with `go run` so the repo adds
 # no module dependencies. Bump deliberately; CI uses the same pins.
@@ -27,6 +27,16 @@ race:
 N ?= 20
 stress-tier1:
 	N=$(N) GO=$(GO) sh scripts/stress-tier1.sh
+
+# mutants is the mutation ledger's kill run (DESIGN.md §5): every record in
+# internal/chaos/testdata/mutants — a file, exact old→new hunks, the package
+# and the -run regexp of the test that must kill it — is applied with go test
+# -overlay (no module copy), must build and vet, and must fail its test. It
+# prints a kill table; about a minute on 2 cores, two from an empty build
+# cache. Tier-1's
+# TestMutantRecords only checks that each record still applies.
+mutants:
+	$(GO) test -count=1 -timeout 15m -v -run TestMutants ./internal/chaos -mutants
 
 # bench-smoke builds, vets and smoke-tests tcfbench (bench/, the repository's
 # benchmark: `go run -C bench .`). It is a module of its own that `build` and

@@ -9,7 +9,8 @@
 //
 // With no arguments it lints the default deterministic set:
 // internal/machine, internal/mem, internal/fuse, internal/multiop,
-// internal/pipeline.
+// internal/pipeline, internal/tcf (flows, affine forms, StateDigest,
+// EncodeTo) and internal/isa (the bulk lane forms).
 //
 // Exit status: 0 clean, 1 findings, 2 usage or I/O error.
 package main
@@ -38,6 +39,8 @@ var deterministicPackages = []string{
 	"internal/fuse",
 	"internal/multiop",
 	"internal/pipeline",
+	"internal/tcf",
+	"internal/isa",
 }
 
 func main() {

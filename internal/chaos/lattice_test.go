@@ -885,6 +885,9 @@ func hold(t *testing.T, r row, c *cell) bool {
 // variant that refuses a program refuses it under every row: rows compare
 // errors.)
 func relate(t *testing.T, shapes []shape, oracles []*outcome) {
+	if slices.Contains(oracles, nil) {
+		t.Skip("the oracles come from the shapes' subtests: -run the whole program to relate its variants")
+	}
 	values := func(outs []machine.Output) (v [][]int64) {
 		for _, o := range outs {
 			v = append(v, o.Values)
@@ -893,7 +896,7 @@ func relate(t *testing.T, shapes []shape, oracles []*outcome) {
 	}
 	first, printer := -1, -1 // the first shape to complete, the first of those that prints per step
 	for i, o := range oracles {
-		if o == nil || o.err != nil {
+		if o.err != nil {
 			continue
 		}
 		if first < 0 {

@@ -302,18 +302,3 @@ func (c Config) machineShape() variant.MachineShape {
 		VectorWidth:      c.VectorWidth,
 	}
 }
-
-// PolicyShape resolves the variant's registered execution policy and
-// returns the step-execution shape it selects for this configuration
-// (after normalization).
-func (c Config) PolicyShape() (variant.StepShape, error) {
-	n, err := c.normalize()
-	if err != nil {
-		return variant.StepShape{}, err
-	}
-	pol, err := variant.PolicyFor(n.Variant)
-	if err != nil {
-		return variant.StepShape{}, fmt.Errorf("machine: %w", err)
-	}
-	return pol.Shape(n.machineShape()), nil
-}

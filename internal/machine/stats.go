@@ -118,16 +118,6 @@ func (s *Stats) Utilization() float64 {
 	return float64(s.Ops+s.ScalarOps) / total
 }
 
-// FetchesPerInstr returns the measured instruction fetches per completed
-// operation-slice bundle — the "fetches per TCF" row of Table 1 is measured
-// per flow instead (see Flow.InstrFetches).
-func (s *Stats) FetchesPerInstr() float64 {
-	if s.Ops+s.ScalarOps == 0 {
-		return 0
-	}
-	return float64(s.InstrFetches) / float64(s.Ops+s.ScalarOps)
-}
-
 func (s *Stats) String() string {
 	return fmt.Sprintf("steps=%d cycles=%d ops=%d(+%d scalar) fetches=%d util=%.3f shared r/w=%d/%d local r/w=%d/%d flows=%d splits=%d",
 		s.Steps, s.Cycles, s.Ops, s.ScalarOps, s.InstrFetches, s.Utilization(),

@@ -426,21 +426,6 @@ func (c *Combiner) sortRefs() {
 	}
 }
 
-// TreeLatency estimates the combining latency in cycles for n participants
-// combined by a binary combining tree inside the network/memory modules:
-// ceil(log2 n) levels, constant per step as the paper's architectures
-// assume, but exposed so ablation benches can charge it explicitly.
-func TreeLatency(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	l := 0
-	for p := 1; p < n; p <<= 1 {
-		l++
-	}
-	return l
-}
-
 // Identity returns the identity element of the combining operator, the value
 // an empty combining subtree contributes.
 func Identity(kind isa.Op) int64 {

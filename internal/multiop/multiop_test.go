@@ -188,15 +188,6 @@ func TestResolveEqualsFold(t *testing.T) {
 	}
 }
 
-func TestTreeLatency(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10}
-	for n, want := range cases {
-		if got := TreeLatency(n); got != want {
-			t.Errorf("TreeLatency(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestIdentity(t *testing.T) {
 	for _, kind := range []isa.Op{isa.ADD, isa.AND, isa.OR, isa.MAX, isa.MIN} {
 		id := Identity(kind)
