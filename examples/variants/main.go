@@ -51,7 +51,7 @@ func shapeString(v tcfpram.Variant) string {
 		VectorWidth: cfg.ProcsPerGroup,
 	})
 	sync := "lockstep"
-	if !s.Lockstep {
+	if !v.Props().Lockstep {
 		sync = "async"
 	}
 	out := fmt.Sprintf("%s w=%d", sync, s.Window)

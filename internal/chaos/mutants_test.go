@@ -244,10 +244,14 @@ func TestMutants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The overlay goes in GOFLAGS rather than on the command line, so
+			// the test binaries inherit it too: a test that reads the engine's
+			// source, as detlint's does, then reads the mutated file.
+			goFlags := strings.TrimSpace(os.Getenv("GOFLAGS") + " -overlay=" + filepath.Join(dir, "overlay.json"))
 			goTest := func(run string, pkgs ...string) (string, error) {
-				args := append([]string{"test", "-overlay", filepath.Join(dir, "overlay.json"), "-count=1", "-timeout", "3m", "-run", run}, pkgs...)
-				cmd := exec.Command("go", args...)
+				cmd := exec.Command("go", append([]string{"test", "-count=1", "-timeout", "3m", "-run", run}, pkgs...)...)
 				cmd.Dir = root
+				cmd.Env = append(os.Environ(), "GOFLAGS="+goFlags)
 				out, err := cmd.CombinedOutput()
 				return string(out), err
 			}

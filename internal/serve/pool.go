@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"sync"
 
 	"tcfpram/internal/machine"
@@ -89,11 +90,12 @@ func NewMachinePool(maxIdlePerKey int) *MachinePool {
 // after a full Reset, Discard drops it (use after a panic, when the
 // machine's internal state can no longer be trusted).
 type Lease struct {
-	M      *machine.Machine
-	Pooled bool // the lease reused an idle machine
-	key    poolKey
-	pool   *MachinePool
-	done   bool
+	M        *machine.Machine
+	Pooled   bool // the lease reused an idle machine
+	Restored bool // the machine was restored mid-run from a checkpoint
+	key      poolKey
+	pool     *MachinePool
+	done     bool
 }
 
 // Get leases a machine for cfg, reusing an idle one of the same shape when
@@ -120,6 +122,20 @@ func (p *MachinePool) Get(cfg machine.Config) (*Lease, error) {
 		return nil, err
 	}
 	return &Lease{M: m, key: key, pool: p}, nil
+}
+
+// Restore leases a machine for cfg restored from the checkpoint r, booted
+// and loaded; Release pools it like any other.
+func (p *MachinePool) Restore(r io.Reader, cfg machine.Config) (*Lease, error) {
+	key, err := keyOf(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m, err := machine.Restore(r, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Lease{M: m, Restored: true, key: key, pool: p}, nil
 }
 
 // Release resets the machine and returns it to the pool (dropped silently

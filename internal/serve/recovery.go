@@ -12,10 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
-
-	"tcfpram/internal/analysis"
-	"tcfpram/internal/machine"
 )
 
 // journalRecord is one line of the write-ahead run journal. An "accept"
@@ -213,64 +209,14 @@ func (s *Server) initRecovery() error {
 }
 
 // recoverRun finishes one crashed run and returns the response its original
-// request id will answer with from now on.
+// request id will answer with from now on. It resumes from the run's
+// checkpoint when a usable one survives; otherwise the run is deterministic,
+// so re-executing the journaled request from scratch yields the same answer
+// it would have produced.
 func (s *Server) recoverRun(rec *journalRecord) (*runResponse, int) {
 	if rec.Req == nil || hashSource(rec.Req.Source) != rec.SrcHash {
 		return &runResponse{Outcome: outcomeInternal, Error: "journal: accept record failed its source-hash check"},
 			http.StatusInternalServerError
 	}
-	lim := s.limitsFor(rec.Tenant)
-	if rec.Ckpt != "" {
-		if resp, status, ok := s.resumeFromCheckpoint(rec, lim); ok {
-			return resp, status
-		}
-	}
-	// No usable checkpoint: the run is deterministic, so re-executing the
-	// journaled request from scratch yields the same answer it would have
-	// produced.
-	return s.runAdmitted(context.Background(), rec.Req, rec.Tenant, lim, rec.ID)
-}
-
-// resumeFromCheckpoint restores the run's machine from its last checkpoint
-// and runs it to completion under a fresh wall-clock deadline. ok=false
-// means the checkpoint was absent or unusable and the caller should re-run
-// from scratch instead. A checkpoint may come from the prediction's fuel, so
-// the run first takes predictive admission again: 412 as it answered live.
-func (s *Server) resumeFromCheckpoint(rec *journalRecord, lim Limits) (*runResponse, int, bool) {
-	f, err := os.Open(rec.Ckpt)
-	if err != nil {
-		return nil, 0, false
-	}
-	defer f.Close()
-	vk, vetDisc, runDisc, errResp, _ := parseRunOptions(rec.Req)
-	if errResp != nil {
-		return nil, 0, false
-	}
-	cfg, errResp, _ := s.buildConfig(rec.Req, vk, runDisc, lim)
-	if errResp != nil {
-		return nil, 0, false
-	}
-	entry := s.cache.Get(rec.Req.Source, vk, vetDisc)
-	if why := predictionOverQuota(analysis.Cost(entry.compiled, costParamsFor(cfg)), lim); why != "" {
-		resp, status := overQuota(why, entry.diags)
-		return resp, status, true
-	}
-	m, err := machine.Restore(f, cfg)
-	if err != nil {
-		s.opts.Logf("serve: checkpoint %s unusable (%v); re-running %s from scratch", rec.Ckpt, err, rec.ID)
-		return nil, 0, false
-	}
-	s.metrics.restores.Add(1)
-
-	ctx, cancel := context.WithTimeout(context.Background(), lim.MaxWallClock)
-	defer cancel()
-	start := time.Now()
-	stats, runErr := m.RunContext(ctx)
-	wall := time.Since(start)
-	s.metrics.observe(stats)
-	if runErr != nil {
-		outcome, code := mapRunError(runErr, s.baseCtx)
-		return &runResponse{Outcome: outcome, Error: runErr.Error(), WallClock: wall.String()}, code, true
-	}
-	return s.okResponse(m, stats, rec.Req, false, wall, ""), http.StatusOK, true
+	return s.runAdmitted(context.Background(), rec.Req, rec.Tenant, s.limitsFor(rec.Tenant), rec.ID, rec.Ckpt)
 }

@@ -240,67 +240,119 @@ func writeMidRunCheckpoint(t *testing.T, s *Server, req *runRequest, id string) 
 	}
 }
 
+// overlapSrc is ckptSrc with a second array placed over c's last words: the
+// vet gate warns (address-overlap) and admits it, so its answer carries
+// diagnostics.
+var overlapSrc = strings.Replace(ckptSrc, "func main()", "shared int d[4] @ 306;\nfunc main()", 1)
+
 // TestRecoveryResumeFromCheckpoint: when the crashed run left a checkpoint,
 // the restarted server restores the machine from it instead of re-running
-// from scratch, and the finished result is bit-identical to a run that was
-// never interrupted.
+// from scratch, and the finished answer is the one a run that was never
+// interrupted gives, diagnostics included.
 func TestRecoveryResumeFromCheckpoint(t *testing.T) {
-	dir := t.TempDir()
 	peek := []peekRange{{Addr: 300, N: 8}}
+	for _, src := range []string{ckptSrc, overlapSrc} {
+		// Oracle answer from an ordinary, never-crashed server.
+		_, oracleTS := newTestServer(t, Options{})
+		_, _, oracle := post(t, oracleTS, "", runRequest{Source: src, Peek: peek})
+		if oracle.Outcome != outcomeOK {
+			t.Fatalf("oracle: %q (%s)", oracle.Outcome, oracle.Error)
+		}
+		if warns := strings.Contains(oracle.Diagnostics, "address-overlap"); warns != (src == overlapSrc) {
+			t.Fatalf("oracle diagnostics %q", oracle.Diagnostics)
+		}
 
-	// Oracle result from an ordinary, never-crashed server.
-	_, oracleTS := newTestServer(t, Options{})
-	_, _, oracle := post(t, oracleTS, "", runRequest{Source: ckptSrc, Peek: peek})
-	if oracle.Outcome != outcomeOK {
-		t.Fatalf("oracle: %q (%s)", oracle.Outcome, oracle.Error)
+		// The crash window again, this time with the run's checkpoint on disk.
+		dir := t.TempDir()
+		s1, err := NewRecovered(Options{RecoverDir: dir, CheckpointEverySteps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &runRequest{Name: "ckpt", Source: src, Peek: peek}
+		if err := s1.journal.append(&journalRecord{
+			Kind: "accept", ID: "ckpt-1", Tenant: "anon",
+			SrcHash: hashSource(req.Source), Ckpt: s1.ckptPath("ckpt-1"), Req: req,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		writeMidRunCheckpoint(t, s1, req, "ckpt-1")
+		s1.journal.Close()
+
+		s2, ts := newRecoveredServer(t, Options{RecoverDir: dir, CheckpointEverySteps: 1})
+		m := s2.Metrics()
+		if m.Recovery.Restores != 1 {
+			t.Fatalf("restores = %d, want 1 (recovery did not use the checkpoint)", m.Recovery.Restores)
+		}
+		if m.Recovery.RecoveredRuns != 1 {
+			t.Fatalf("recovered runs = %d, want 1", m.Recovery.RecoveredRuns)
+		}
+
+		status, _, resp := postID(t, ts, "", "ckpt-1", runRequest{Source: src})
+		if status != http.StatusOK || resp.Outcome != outcomeOK {
+			t.Fatalf("recovered answer: %d %q (%s)", status, resp.Outcome, resp.Error)
+		}
+		// Bit-identical to the straight-through oracle: diagnostics, outputs,
+		// peeked memory, steps and cycles.
+		if resp.Diagnostics != oracle.Diagnostics {
+			t.Fatalf("diagnostics diverged: %q vs %q", resp.Diagnostics, oracle.Diagnostics)
+		}
+		if resp.Steps != oracle.Steps || resp.Cycles != oracle.Cycles {
+			t.Fatalf("stats diverged: steps %d/%d cycles %d/%d", resp.Steps, oracle.Steps, resp.Cycles, oracle.Cycles)
+		}
+		gotMem, _ := json.Marshal(resp.Memory)
+		wantMem, _ := json.Marshal(oracle.Memory)
+		if !bytes.Equal(gotMem, wantMem) {
+			t.Fatalf("memory diverged: %s vs %s", gotMem, wantMem)
+		}
+		gotOut, _ := json.Marshal(resp.Outputs)
+		wantOut, _ := json.Marshal(oracle.Outputs)
+		if !bytes.Equal(gotOut, wantOut) {
+			t.Fatalf("outputs diverged: %s vs %s", gotOut, wantOut)
+		}
+		// The checkpoint file is deleted once the run is settled.
+		if _, err := os.Stat(s2.ckptPath("ckpt-1")); !os.IsNotExist(err) {
+			t.Fatalf("checkpoint not cleaned up: %v", err)
+		}
 	}
+}
 
-	// The crash window again, this time with the run's checkpoint on disk.
-	s1, err := NewRecovered(Options{RecoverDir: dir, CheckpointEverySteps: 1})
+// TestRecoveryResumePanic: a panic in a resumed run is contained as in a live
+// one. Recovery completes, and the run's id answers 500 "panic" from then on
+// instead of leaving the accept pending for every restart to repeat.
+func TestRecoveryResumePanic(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := NewRecovered(Options{RecoverDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &runRequest{Name: "ckpt", Source: ckptSrc, Peek: peek}
+	req := &runRequest{Name: "boom", Source: ckptSrc}
 	if err := s1.journal.append(&journalRecord{
-		Kind: "accept", ID: "ckpt-1", Tenant: "anon",
-		SrcHash: hashSource(req.Source), Ckpt: s1.ckptPath("ckpt-1"), Req: req,
+		Kind: "accept", ID: "boom-1", Tenant: "anon",
+		SrcHash: hashSource(req.Source), Ckpt: s1.ckptPath("boom-1"), Req: req,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	writeMidRunCheckpoint(t, s1, req, "ckpt-1")
+	writeMidRunCheckpoint(t, s1, req, "boom-1")
 	s1.journal.Close()
 
-	s2, ts := newRecoveredServer(t, Options{RecoverDir: dir, CheckpointEverySteps: 1})
-	m := s2.Metrics()
-	if m.Recovery.Restores != 1 {
-		t.Fatalf("restores = %d, want 1 (recovery did not use the checkpoint)", m.Recovery.Restores)
+	s2 := New(Options{})
+	s2.opts.RecoverDir = dir
+	s2.hookLoaded = func(tenant, name string) {
+		if name == "boom" {
+			panic("injected")
+		}
 	}
-	if m.Recovery.RecoveredRuns != 1 {
-		t.Fatalf("recovered runs = %d, want 1", m.Recovery.RecoveredRuns)
+	if err := s2.initRecovery(); err != nil {
+		t.Fatalf("recovery failed on a panicking run: %v", err)
 	}
-
-	status, _, resp := postID(t, ts, "", "ckpt-1", runRequest{Source: ckptSrc})
-	if status != http.StatusOK || resp.Outcome != outcomeOK {
-		t.Fatalf("recovered answer: %d %q (%s)", status, resp.Outcome, resp.Error)
+	if got := s2.Metrics().Recovery.Restores; got != 1 {
+		t.Fatalf("restores = %d, want 1 (the panic was not in a resumed run)", got)
 	}
-	// Bit-identical to the straight-through oracle: outputs, peeked memory,
-	// steps and cycles.
-	if resp.Steps != oracle.Steps || resp.Cycles != oracle.Cycles {
-		t.Fatalf("stats diverged: steps %d/%d cycles %d/%d", resp.Steps, oracle.Steps, resp.Cycles, oracle.Cycles)
-	}
-	gotMem, _ := json.Marshal(resp.Memory)
-	wantMem, _ := json.Marshal(oracle.Memory)
-	if !bytes.Equal(gotMem, wantMem) {
-		t.Fatalf("memory diverged: %s vs %s", gotMem, wantMem)
-	}
-	gotOut, _ := json.Marshal(resp.Outputs)
-	wantOut, _ := json.Marshal(oracle.Outputs)
-	if !bytes.Equal(gotOut, wantOut) {
-		t.Fatalf("outputs diverged: %s vs %s", gotOut, wantOut)
-	}
-	// The checkpoint file is deleted once the run is settled.
-	if _, err := os.Stat(s2.ckptPath("ckpt-1")); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint not cleaned up: %v", err)
+	ts := httptest.NewServer(s2.Handler())
+	t.Cleanup(ts.Close)
+	status, _, resp := postID(t, ts, "", "boom-1", runRequest{Source: ckptSrc})
+	if status != http.StatusInternalServerError || resp.Outcome != outcomePanic {
+		t.Fatalf("resumed panic answered %d %q (%s), want 500 %q", status, resp.Outcome, resp.Error, outcomePanic)
 	}
 }
 

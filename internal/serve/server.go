@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -515,7 +516,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp, status := s.runAdmitted(r.Context(), &req, tenantName, lim, runID)
+	resp, status := s.runAdmitted(r.Context(), &req, tenantName, lim, runID, "")
 	resp.Tenant = tenantName
 	s.metrics.count(resp.Outcome)
 	if s.journal != nil {
@@ -550,8 +551,10 @@ func parseRunOptions(req *runRequest) (vk variant.Kind, vetDisc, runDisc mem.Dis
 
 // runAdmitted handles the post-admission pipeline: vet gate, config
 // validation, pooled execution. runID is non-empty only in recovery mode,
-// where it names the run's checkpoint file.
-func (s *Server) runAdmitted(reqCtx context.Context, req *runRequest, tenantName string, lim Limits, runID string) (*runResponse, int) {
+// where it names the run's checkpoint file. ckpt is non-empty only for a run
+// a crash interrupted: the checkpoint it left, which the run resumes from
+// when the file is there and usable.
+func (s *Server) runAdmitted(reqCtx context.Context, req *runRequest, tenantName string, lim Limits, runID, ckpt string) (*runResponse, int) {
 	vk, vetDisc, runDisc, errResp, status := parseRunOptions(req)
 	if errResp != nil {
 		return errResp, status
@@ -585,15 +588,39 @@ func (s *Server) runAdmitted(reqCtx context.Context, req *runRequest, tenantName
 	// without one, execute makes it on the leased machine. Only
 	// exact-or-lower-bound violations reject; an analysis that cannot bound
 	// the program admits it and lets the runtime quotas govern as before.
+	// A checkpoint may come from the fuel execute runs on the leased machine,
+	// so a resumed run is predicted before it is restored: 412 as it
+	// answered live.
 	params := costParamsFor(cfg)
 	rep := entry.cost(params)
+	var resume *os.File
+	if ckpt != "" {
+		resume, _ = os.Open(ckpt) // nil when the crash left none
+	}
+	if resume != nil {
+		defer resume.Close()
+		if rep == nil {
+			rep = analysis.Cost(entry.compiled, params)
+			entry.memoCost(params, rep)
+		}
+	}
 	if why := predictionOverQuota(rep, lim); why != "" {
 		return overQuota(why, entry.diags)
 	}
 
-	lease, err := s.pool.Get(cfg)
-	if err != nil {
-		return &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
+	var lease *Lease
+	var err error
+	if resume != nil {
+		if lease, err = s.pool.Restore(resume, cfg); err != nil {
+			s.opts.Logf("serve: checkpoint %s unusable (%v); re-running %s from scratch", ckpt, err, runID)
+		} else {
+			s.metrics.restores.Add(1)
+		}
+	}
+	if lease == nil {
+		if lease, err = s.pool.Get(cfg); err != nil {
+			return &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
+		}
 	}
 	return s.execute(reqCtx, lease, entry, req, tenantName, lim, entry.diags, params, rep, runID)
 }
@@ -712,7 +739,9 @@ func watchdogFor(maxSteps int64) int64 {
 // (rep nil). Panics are contained here: the lease is discarded (its machine
 // state can't be trusted) and the client gets a 500. In recovery mode (runID
 // non-empty) the machine checkpoints itself periodically so a process crash
-// can resume the run instead of losing it.
+// can resume the run instead of losing it. A restored lease's machine holds
+// the program, the limits and the state a crash interrupted and runs on from
+// there; rep is never nil for it.
 func (s *Server) execute(reqCtx context.Context, lease *Lease, entry *cacheEntry, req *runRequest, tenantName string, lim Limits, diags string, params analysis.CostParams, rep *analysis.CostReport, runID string) (resp *runResponse, status int) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -724,32 +753,34 @@ func (s *Server) execute(reqCtx context.Context, lease *Lease, entry *cacheEntry
 	}()
 
 	m := lease.M
-	if err := m.SetLimits(lim.MaxSteps, lim.MaxThickness); err != nil {
-		lease.Discard()
-		return &runResponse{Outcome: outcomeRuntimeFault, Error: err.Error()}, http.StatusConflict
-	}
-	if s.journal != nil && runID != "" {
-		sink := &checkpoint.FileSink{
-			Path:    s.ckptPath(runID),
-			OnWrite: func(int64) { s.metrics.checkpoints.Add(1) },
-		}
-		if err := m.SetCheckpointing(s.opts.CheckpointEverySteps, sink); err != nil {
+	if !lease.Restored {
+		if err := m.SetLimits(lim.MaxSteps, lim.MaxThickness); err != nil {
 			lease.Discard()
-			return &runResponse{Outcome: outcomeInternal, Error: err.Error()}, http.StatusInternalServerError
+			return &runResponse{Outcome: outcomeRuntimeFault, Error: err.Error()}, http.StatusConflict
 		}
-		// The checkpoint only matters if this process dies mid-run; once
-		// execute returns, finishRun journals the answer and deletes it.
-		// (Release → Reset clears the wiring before the machine is pooled.)
-	}
-	if err := m.LoadProgram(entry.compiled.Program); err != nil {
-		lease.Discard()
-		return &runResponse{Outcome: outcomeCompileError, Error: err.Error()}, http.StatusBadRequest
-	}
-	for _, seg := range entry.compiled.LocalData {
-		for g := 0; g < m.Config().Groups; g++ {
-			if err := m.LocalMem(g).Load(seg.Addr, seg.Words); err != nil {
+		if s.journal != nil && runID != "" {
+			sink := &checkpoint.FileSink{
+				Path:    s.ckptPath(runID),
+				OnWrite: func(int64) { s.metrics.checkpoints.Add(1) },
+			}
+			if err := m.SetCheckpointing(s.opts.CheckpointEverySteps, sink); err != nil {
 				lease.Discard()
-				return &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
+				return &runResponse{Outcome: outcomeInternal, Error: err.Error()}, http.StatusInternalServerError
+			}
+			// The checkpoint only matters if this process dies mid-run; once
+			// execute returns, finishRun journals the answer and deletes it.
+			// (Release → Reset clears the wiring before the machine is pooled.)
+		}
+		if err := m.LoadProgram(entry.compiled.Program); err != nil {
+			lease.Discard()
+			return &runResponse{Outcome: outcomeCompileError, Error: err.Error()}, http.StatusBadRequest
+		}
+		for _, seg := range entry.compiled.LocalData {
+			for g := 0; g < m.Config().Groups; g++ {
+				if err := m.LocalMem(g).Load(seg.Addr, seg.Words); err != nil {
+					lease.Discard()
+					return &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
+				}
 			}
 		}
 	}

@@ -14,15 +14,11 @@ type MachineShape struct {
 }
 
 // StepShape is the execution discipline a Policy hands the step engine: how
-// the backend fetches, budgets and synchronizes the operations of one step.
-// Together with the step index it forms the engine's StepPlan, so the whole
-// per-step behavior of a variant is captured by this one structure.
+// the backend fetches and budgets the operations of one step. With the
+// variant's Lockstep property and the step index it forms the engine's
+// StepPlan, so the whole per-step behavior of a variant is captured by that
+// one structure.
 type StepShape struct {
-	// Lockstep retains the PRAM step semantics: memory effects buffer until
-	// the step boundary and flows advance in instruction-level synchrony.
-	// False selects immediate (XMT-style) memory semantics with groups
-	// executed serially.
-	Lockstep bool
 	// Window is the maximum number of TCF instructions one flow executes
 	// per step.
 	Window int
@@ -48,17 +44,13 @@ type BootFlow struct {
 	Thickness int
 }
 
-// Policy is the pluggable execution policy of one Section 3.2 variant: the
-// fetch discipline, operation budget, lockstep rule and boot population the
-// step engine consumes, plus the Table 1 cost properties the frontend
-// charges for task switches and flow branches. The engine itself contains
-// no per-variant conditionals; everything variant-specific flows through
-// this interface.
+// Policy is the execution policy of one Section 3.2 variant: the fetch
+// discipline, operation budget and boot population the step engine
+// consumes, plus the Table 1 costs the frontend charges for task switches
+// and flow branches, which Table 1 prints where no workload measures them.
+// The engine itself contains no per-variant conditionals; everything
+// variant-specific flows through this interface and the variant's Props.
 type Policy interface {
-	// Kind identifies the variant the policy implements.
-	Kind() Kind
-	// Props returns the variant's static qualitative properties.
-	Props() Properties
 	// Shape returns the step-execution discipline for a machine shape.
 	Shape(ms MachineShape) StepShape
 	// BootFlows returns the initial flow population (Section 2.2: TCF
@@ -84,10 +76,8 @@ type Policy interface {
 // thickness-aware TCF variants: buffer rotation is free, a split child
 // inherits the R common registers, and a program boots as a single flow of
 // thickness one.
-type tcfBase struct{ kind Kind }
+type tcfBase struct{}
 
-func (b tcfBase) Kind() Kind                      { return b.kind }
-func (b tcfBase) Props() Properties               { return b.kind.Props() }
 func (tcfBase) TaskSwitchCycles(int) int64        { return 0 }
 func (tcfBase) PreemptCycles(int) int64           { return 0 }
 func (tcfBase) FlowBranchCycles(regs int) int64   { return int64(regs) }
@@ -96,14 +86,12 @@ func (tcfBase) BootFlows(MachineShape) []BootFlow { return []BootFlow{{Group: 0,
 // threadBase is the thread-machine counterpart: the machine boots P*Tp
 // thickness-1 flows (flow id = global thread id), switching a task moves all
 // Tp thread contexts of a slot set, and threads branch in place.
-type threadBase struct{ kind Kind }
+type threadBase struct{}
 
-func (b threadBase) Kind() Kind                  { return b.kind }
-func (b threadBase) Props() Properties           { return b.kind.Props() }
 func (threadBase) TaskSwitchCycles(tp int) int64 { return int64(tp) }
 func (threadBase) PreemptCycles(tp int) int64    { return int64(tp) }
 func (threadBase) FlowBranchCycles(int) int64    { return 1 }
-func (threadBase) Shape(MachineShape) StepShape  { return StepShape{Lockstep: true, Window: 1} }
+func (threadBase) Shape(MachineShape) StepShape  { return StepShape{Window: 1} }
 func (threadBase) BootFlows(ms MachineShape) []BootFlow {
 	out := make([]BootFlow, 0, ms.Groups*ms.ProcsPerGroup)
 	for g := 0; g < ms.Groups; g++ {
@@ -120,7 +108,7 @@ func (threadBase) BootFlows(ms MachineShape) []BootFlow {
 type SingleInstructionPolicy struct{ tcfBase }
 
 func (SingleInstructionPolicy) Shape(MachineShape) StepShape {
-	return StepShape{Lockstep: true, Window: 1}
+	return StepShape{Window: 1}
 }
 
 // BalancedPolicy bounds each group to b operation slices per step;
@@ -129,7 +117,7 @@ func (SingleInstructionPolicy) Shape(MachineShape) StepShape {
 type BalancedPolicy struct{ tcfBase }
 
 func (BalancedPolicy) Shape(ms MachineShape) StepShape {
-	return StepShape{Lockstep: true, Window: 1, Budget: ms.BalancedBound, Rotate: true, Slice: true}
+	return StepShape{Window: 1, Budget: ms.BalancedBound, Rotate: true, Slice: true}
 }
 
 // MultiInstructionPolicy is the XMT-style model: up to MultiInstrWindow
@@ -162,32 +150,20 @@ func (FixedThicknessPolicy) BootFlows(ms MachineShape) []BootFlow {
 	return []BootFlow{{Group: 0, Thickness: ms.VectorWidth}}
 }
 
-var policies [numKinds]Policy
-
-// Register installs p as the policy for its Kind, replacing any previous
-// registration. The six paper variants register themselves at package init;
-// experiments may swap in instrumented wrappers.
-func Register(p Policy) {
-	k := p.Kind()
-	if !k.Valid() {
-		panic(fmt.Sprintf("variant: Register with invalid kind %v", k))
-	}
-	policies[k] = p
+// policies are the six paper variants' policies, indexed by Kind.
+var policies = [numKinds]Policy{
+	SingleInstruction:           SingleInstructionPolicy{},
+	Balanced:                    BalancedPolicy{},
+	MultiInstruction:            MultiInstructionPolicy{},
+	SingleOperation:             SingleOperationPolicy{},
+	ConfigurableSingleOperation: ConfigurableSingleOperationPolicy{},
+	FixedThickness:              FixedThicknessPolicy{},
 }
 
-func init() {
-	Register(SingleInstructionPolicy{tcfBase{SingleInstruction}})
-	Register(BalancedPolicy{tcfBase{Balanced}})
-	Register(MultiInstructionPolicy{tcfBase{MultiInstruction}})
-	Register(SingleOperationPolicy{threadBase{SingleOperation}})
-	Register(ConfigurableSingleOperationPolicy{threadBase{ConfigurableSingleOperation}})
-	Register(FixedThicknessPolicy{threadBase{FixedThickness}})
-}
-
-// PolicyFor returns the registered execution policy for k.
+// PolicyFor returns the execution policy of k.
 func PolicyFor(k Kind) (Policy, error) {
-	if !k.Valid() || policies[k] == nil {
-		return nil, fmt.Errorf("variant: no policy registered for %v", k)
+	if !k.Valid() {
+		return nil, fmt.Errorf("variant: no policy for %v", k)
 	}
 	return policies[k], nil
 }

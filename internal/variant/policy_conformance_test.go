@@ -1,7 +1,7 @@
-// Conformance suite for the variant.Policy interface: every registered
-// policy must (a) declare the step shape and boot population its Section
-// 3.2 variant prescribes, (b) charge exactly the Table 1 costs that
-// figgen table1 emits for its column, and (c) drive the staged engine over
+// Conformance suite for the variant.Policy interface: every policy must
+// (a) declare the step shape and boot population its Section 3.2 variant
+// prescribes, (b) charge exactly the Table 1 costs that figgen table1
+// emits for its column, and (c) drive the staged engine over
 // the tcf-e corpus such that the measured Stats decompose according to the
 // policy's cost model — or reject the program with a typed capability
 // error when the corpus uses a feature the variant lacks.
@@ -43,24 +43,14 @@ func policyFor(tb testing.TB, kind variant.Kind) variant.Policy {
 	return pol
 }
 
-// TestPolicyRegistry checks every Section 3.2 variant has a registered
-// policy whose kind, properties and step shape match the variant's
-// documented discipline.
+// TestPolicyRegistry checks every Section 3.2 variant has a policy whose
+// step shape and boot population match the variant's documented discipline.
 func TestPolicyRegistry(t *testing.T) {
 	ms := variant.MachineShape{Groups: 4, ProcsPerGroup: 4, BalancedBound: 4,
 		MultiInstrWindow: 8, VectorWidth: 16}
 	for _, kind := range variant.Kinds() {
 		pol := policyFor(t, kind)
-		if pol.Kind() != kind {
-			t.Fatalf("policy for %v reports kind %v", kind, pol.Kind())
-		}
-		if pol.Props() != kind.Props() {
-			t.Fatalf("policy for %v disagrees with the static properties", kind)
-		}
 		shape := pol.Shape(ms)
-		if shape.Lockstep != kind.Props().Lockstep {
-			t.Fatalf("%v: shape lockstep %v, props say %v", kind, shape.Lockstep, kind.Props().Lockstep)
-		}
 		boot := pol.BootFlows(ms)
 		switch kind {
 		case variant.SingleInstruction, variant.Balanced, variant.MultiInstruction:
@@ -100,10 +90,10 @@ func TestPolicyRegistry(t *testing.T) {
 
 // TestPolicyCostsMatchTable1 cross-checks each policy's cost methods
 // against the Table 1 columns emitted by figgen table1 (exper.Table1 on the
-// reference P=4, Tp=4, R=16, b=4 machine): the measured-or-analytic task
-// switch and flow branch costs must equal the policy's rates, and the
-// measured fetches per thick instruction must follow the policy's fetch
-// discipline.
+// reference P=4, Tp=4, R=16, b=4 machine): the measured task switch and flow
+// branch costs must equal the policy's rates (the cells no workload
+// measures print those rates), and the measured fetches per thick
+// instruction must follow the policy's fetch discipline.
 func TestPolicyCostsMatchTable1(t *testing.T) {
 	const u = 16
 	rows, err := exper.Table1(8, u)
@@ -128,7 +118,7 @@ func TestPolicyCostsMatchTable1(t *testing.T) {
 			BalancedBound: exper.B, MultiInstrWindow: 8, VectorWidth: u})
 		var wantFetches float64
 		switch {
-		case shape.PerThreadFetch || pol.Props().FixedThreads:
+		case shape.PerThreadFetch || row.Variant.Props().FixedThreads:
 			wantFetches = u
 		case shape.Slice:
 			wantFetches = float64((u + shape.Budget - 1) / shape.Budget)
@@ -180,7 +170,7 @@ func runUnderPolicy(t *testing.T, kind variant.Kind, prog *isa.Program, local []
 		// The only legitimate rejection is a capability the variant lacks
 		// (SETTHICK / SPLIT / NUMA / PRAM on a machine without it), and
 		// only variants missing a capability may reject at all.
-		props := pol.Props()
+		props := kind.Props()
 		if props.VariableThickness && props.ControlParallel && props.NUMAOperation {
 			t.Fatalf("%v rejected a program despite full capabilities: %v", kind, err)
 		}
@@ -191,7 +181,7 @@ func runUnderPolicy(t *testing.T, kind variant.Kind, prog *isa.Program, local []
 	}
 
 	s := m.Stats()
-	props := pol.Props()
+	props := kind.Props()
 	tp := cfg.ProcsPerGroup
 
 	// Task rotation: with no time slicing configured, every switch is a

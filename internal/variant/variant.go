@@ -1,7 +1,7 @@
 // Package variant enumerates the execution-model variants of the extended
-// PRAM-NUMA model (Section 3.2) and carries their static properties and
-// analytic cost estimates — the left-hand side of the paper's Table 1 that
-// the machine measurements are checked against.
+// PRAM-NUMA model (Section 3.2) and carries their static properties and the
+// execution policies the step engine charges: together, each variant's
+// column of the paper's Table 1.
 package variant
 
 import "fmt"
@@ -85,11 +85,9 @@ func (k Kind) Valid() bool { return k >= 0 && k < numKinds }
 // Properties are the qualitative rows of Table 1 plus execution-shape flags
 // the engine needs.
 type Properties struct {
-	Kind Kind
-	// RelatedModel names the existing execution model / architecture the
-	// variant corresponds to (Section 3.2).
-	RelatedModel string
-
+	// UnboundedThreads: the number of implicit threads is the thickness u,
+	// unbounded; otherwise the machine has P*Tp threads.
+	UnboundedThreads bool
 	// VariableThickness: TCFs may change thickness (SETTHICK legal).
 	VariableThickness bool
 	// PRAMOperation / NUMAOperation / MIMD as in Table 1.
@@ -100,43 +98,40 @@ type Properties struct {
 	SequentialVia string
 	// ControlParallel: SPLIT/JOIN supported.
 	ControlParallel bool
-	// Lockstep: instruction-level synchrony of the PRAM model retained.
+	// Lockstep retains the PRAM step semantics: memory effects buffer until
+	// the step boundary and flows advance in instruction-level synchrony.
+	// False selects immediate (XMT-style) memory semantics with groups
+	// executed serially.
 	Lockstep bool
 	// FixedThreads: machine boots a fixed set of thickness-1 flows
 	// (thread programming model, thread id = flow id).
 	FixedThreads bool
 }
 
-var props = map[Kind]Properties{
+var props = [numKinds]Properties{
 	SingleInstruction: {
-		Kind: SingleInstruction, RelatedModel: "extended PRAM-NUMA (this paper)",
-		VariableThickness: true, PRAMOperation: true, NUMAOperation: true,
+		UnboundedThreads: true, VariableThickness: true, PRAMOperation: true, NUMAOperation: true,
 		MIMD: true, SequentialVia: "NUMA", ControlParallel: true, Lockstep: true,
 	},
 	Balanced: {
-		Kind: Balanced, RelatedModel: "extended PRAM-NUMA, balanced scheduling",
-		VariableThickness: true, PRAMOperation: true, NUMAOperation: true,
+		UnboundedThreads: true, VariableThickness: true, PRAMOperation: true, NUMAOperation: true,
 		MIMD: true, SequentialVia: "NUMA", ControlParallel: true, Lockstep: true,
 	},
 	MultiInstruction: {
-		Kind: MultiInstruction, RelatedModel: "XMT",
 		VariableThickness: true, PRAMOperation: false, NUMAOperation: true,
 		MIMD: true, SequentialVia: "single thr.", ControlParallel: true, Lockstep: false,
 	},
 	SingleOperation: {
-		Kind: SingleOperation, RelatedModel: "SB-PRAM / ECLIPSE (interleaved ESM)",
 		VariableThickness: false, PRAMOperation: true, NUMAOperation: false,
 		MIMD: true, SequentialVia: "single thr.", ControlParallel: false, Lockstep: true,
 		FixedThreads: true,
 	},
 	ConfigurableSingleOperation: {
-		Kind: ConfigurableSingleOperation, RelatedModel: "PRAM-NUMA / TOTAL ECLIPSE",
 		VariableThickness: false, PRAMOperation: true, NUMAOperation: true,
 		MIMD: true, SequentialVia: "NUMA", ControlParallel: false, Lockstep: true,
 		FixedThreads: true,
 	},
 	FixedThickness: {
-		Kind: FixedThickness, RelatedModel: "vector/SIMD",
 		VariableThickness: false, PRAMOperation: false, NUMAOperation: false,
 		MIMD: false, SequentialVia: "scalar unit", ControlParallel: false, Lockstep: true,
 	},
@@ -144,88 +139,8 @@ var props = map[Kind]Properties{
 
 // Props returns the static properties of k.
 func (k Kind) Props() Properties {
-	p, ok := props[k]
-	if !ok {
+	if !k.Valid() {
 		panic(fmt.Sprintf("variant: no properties for %v", k))
 	}
-	return p
-}
-
-// AnalyticRow is one column of Table 1 evaluated for a machine configuration
-// (P processor cores, Tp threads/TCF slots per processor, R registers, u the
-// unbounded thickness, b the balanced bound).
-type AnalyticRow struct {
-	Kind Kind
-	// NumTCFs is the number of simultaneously resident TCFs ("P x Tp" for
-	// all variants: the TCF storage block has Tp slots per processor).
-	NumTCFs int
-	// NumThreadsUnbounded is true when the number of implicit threads is
-	// unbounded (u); otherwise NumThreads = P*Tp holds.
-	NumThreadsUnbounded bool
-	NumThreads          int
-	// RegistersPerThreadShared is true when a thread effectively gets
-	// R/u + m words (TCF variants share the common registers across the
-	// thickness); otherwise each thread owns R words.
-	RegistersPerThreadShared bool
-	// FetchesPerTCF: instruction fetches needed to execute one TCF
-	// instruction across its whole thickness u: 1 (single instruction),
-	// ceil(u/b) (balanced), Tp for the thread-based variants (one fetch
-	// per thread executing the same code).
-	FetchesPerTCF func(u int) int
-	// TaskSwitchCost in context words moved: 0 for TCF variants (tasks are
-	// TCFs, switching is a buffer rotation), O(1) for single-threaded
-	// sequential switch, O(Tp) for the thread-based variants.
-	TaskSwitchCost func(tp, r int) int
-	// FlowBranchCost in words copied when a flow splits: O(R) for TCF
-	// variants (children inherit the R common registers), O(1) for thread
-	// machines (threads branch in place).
-	FlowBranchCost func(r int) int
-}
-
-// Analytic returns the Table 1 analytic row for k given the balanced bound b.
-func Analytic(k Kind, p, tp, r, b int) AnalyticRow {
-	ceilDiv := func(a, b int) int { return (a + b - 1) / b }
-	row := AnalyticRow{Kind: k, NumTCFs: p * tp}
-	switch k {
-	case SingleInstruction:
-		row.NumThreadsUnbounded = true
-		row.RegistersPerThreadShared = true
-		row.FetchesPerTCF = func(int) int { return 1 }
-		row.TaskSwitchCost = func(int, int) int { return 0 }
-		row.FlowBranchCost = func(r int) int { return r }
-	case Balanced:
-		row.NumThreadsUnbounded = true
-		row.RegistersPerThreadShared = true
-		row.FetchesPerTCF = func(u int) int {
-			if u <= 0 {
-				return 1
-			}
-			return ceilDiv(u, b)
-		}
-		row.TaskSwitchCost = func(int, int) int { return 0 }
-		row.FlowBranchCost = func(r int) int { return r }
-	case MultiInstruction:
-		row.NumThreads = p * tp
-		row.FetchesPerTCF = func(int) int { return tp }
-		row.TaskSwitchCost = func(int, int) int { return 1 }
-		row.FlowBranchCost = func(int) int { return 1 }
-	case SingleOperation:
-		row.NumThreads = p * tp
-		row.FetchesPerTCF = func(int) int { return tp }
-		row.TaskSwitchCost = func(tp, r int) int { return tp }
-		row.FlowBranchCost = func(int) int { return 1 }
-	case ConfigurableSingleOperation:
-		row.NumThreads = p * tp
-		row.FetchesPerTCF = func(int) int { return tp }
-		row.TaskSwitchCost = func(tp, r int) int { return tp }
-		row.FlowBranchCost = func(int) int { return 1 }
-	case FixedThickness:
-		row.NumThreads = p * tp
-		row.FetchesPerTCF = func(int) int { return tp }
-		row.TaskSwitchCost = func(tp, r int) int { return tp }
-		row.FlowBranchCost = func(int) int { return 1 }
-	default:
-		panic(fmt.Sprintf("variant: no analytic row for %v", k))
-	}
-	return row
+	return props[k]
 }

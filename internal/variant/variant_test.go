@@ -30,14 +30,34 @@ func TestStringAndParseRoundTrip(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	aliases := map[string]Kind{
-		"tcf": SingleInstruction, "xmt": MultiInstruction, "esm": SingleOperation,
-		"pram-numa": ConfigurableSingleOperation, "simd": FixedThickness, "bal": Balanced,
+		"si": SingleInstruction, "bal": Balanced, "mi": MultiInstruction,
+		"so": SingleOperation, "cso": ConfigurableSingleOperation, "ft": FixedThickness,
 	}
 	for a, want := range aliases {
 		got, err := ParseKind(a)
 		if err != nil || got != want {
 			t.Fatalf("alias %q = %v, %v", a, got, err)
 		}
+	}
+}
+
+// TestRelatedModels: each related model a Kind's doc comment names selects
+// that variant by the model's own name.
+func TestRelatedModels(t *testing.T) {
+	models := map[string]Kind{
+		"tcf": SingleInstruction, "xmt": MultiInstruction,
+		"esm": SingleOperation, "sb-pram": SingleOperation,
+		"pram-numa": ConfigurableSingleOperation, "total-eclipse": ConfigurableSingleOperation,
+		"simd": FixedThickness, "vector": FixedThickness,
+	}
+	for m, want := range models {
+		got, err := ParseKind(m)
+		if err != nil || got != want {
+			t.Errorf("related model %q = %v, %v; want %v", m, got, err, want)
+		}
+	}
+	if Kind(42).String() == "" {
+		t.Fatal("unknown kind should still render")
 	}
 }
 
@@ -86,66 +106,6 @@ func TestFixedThreadsFlags(t *testing.T) {
 	}
 }
 
-// Table 1 cost rows, evaluated analytically.
-func TestTable1AnalyticCosts(t *testing.T) {
-	const P, Tp, R, B = 4, 4, 16, 4
-	for _, k := range Kinds() {
-		row := Analytic(k, P, Tp, R, B)
-		if row.NumTCFs != P*Tp {
-			t.Errorf("%v NumTCFs = %d, want %d", k, row.NumTCFs, P*Tp)
-		}
-		switch k {
-		case SingleInstruction, Balanced:
-			if !row.NumThreadsUnbounded {
-				t.Errorf("%v must have unbounded threads", k)
-			}
-			if !row.RegistersPerThreadShared {
-				t.Errorf("%v must share registers across thickness", k)
-			}
-			if got := row.TaskSwitchCost(Tp, R); got != 0 {
-				t.Errorf("%v task switch = %d, want 0", k, got)
-			}
-			if got := row.FlowBranchCost(R); got != R {
-				t.Errorf("%v flow branch = %d, want O(R)=%d", k, got, R)
-			}
-		default:
-			if row.NumThreadsUnbounded {
-				t.Errorf("%v threads must be bounded", k)
-			}
-			if row.NumThreads != P*Tp {
-				t.Errorf("%v NumThreads = %d, want %d", k, row.NumThreads, P*Tp)
-			}
-			if got := row.FlowBranchCost(R); got != 1 {
-				t.Errorf("%v flow branch = %d, want O(1)", k, got)
-			}
-		}
-	}
-	// Fetches per TCF across a thickness-u instruction.
-	for _, u := range []int{1, 3, 4, 5, 16, 17} {
-		if got := Analytic(SingleInstruction, P, Tp, R, B).FetchesPerTCF(u); got != 1 {
-			t.Errorf("single-instruction fetches(%d) = %d, want 1", u, got)
-		}
-		want := (u + B - 1) / B
-		if got := Analytic(Balanced, P, Tp, R, B).FetchesPerTCF(u); got != want {
-			t.Errorf("balanced fetches(%d) = %d, want %d", u, got, want)
-		}
-		if got := Analytic(SingleOperation, P, Tp, R, B).FetchesPerTCF(u); got != Tp {
-			t.Errorf("single-operation fetches(%d) = %d, want Tp=%d", u, got, Tp)
-		}
-	}
-	if got := Analytic(Balanced, P, Tp, R, B).FetchesPerTCF(0); got != 1 {
-		t.Errorf("balanced fetches(0) = %d, want 1", got)
-	}
-	// Thread-machine task switch is O(Tp); multi-instruction (XMT) spawns
-	// from a master thread at O(1).
-	if got := Analytic(SingleOperation, P, Tp, R, B).TaskSwitchCost(Tp, R); got != Tp {
-		t.Errorf("single-operation task switch = %d, want %d", got, Tp)
-	}
-	if got := Analytic(MultiInstruction, P, Tp, R, B).TaskSwitchCost(Tp, R); got != 1 {
-		t.Errorf("multi-instruction task switch = %d, want 1", got)
-	}
-}
-
 func TestPropsPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -153,24 +113,4 @@ func TestPropsPanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	Kind(99).Props()
-}
-
-func TestAnalyticPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Analytic(Kind(99), 1, 1, 1, 1)
-}
-
-func TestRelatedModels(t *testing.T) {
-	for _, k := range Kinds() {
-		if k.Props().RelatedModel == "" {
-			t.Errorf("%v lacks a related model", k)
-		}
-	}
-	if Kind(42).String() == "" {
-		t.Fatal("unknown kind should still render")
-	}
 }

@@ -72,9 +72,9 @@ const (
 // Variants lists all execution variants.
 func Variants() []Variant { return variant.Kinds() }
 
-// Policy is the pluggable execution discipline of a variant: its step shape
-// (lockstep, window, budget, fetch discipline), boot population, and the
-// Table 1 task-switch/flow-branch cost rates the staged engine charges.
+// Policy is the execution discipline of a variant: its step shape (window,
+// budget, fetch discipline), boot population, and the Table 1
+// task-switch/flow-branch cost rates the staged engine charges.
 type Policy = variant.Policy
 
 // StepShape describes how a policy shapes one machine step.
@@ -83,7 +83,7 @@ type StepShape = variant.StepShape
 // MachineShape is the configuration slice a policy consults.
 type MachineShape = variant.MachineShape
 
-// PolicyFor resolves the registered execution policy of a variant.
+// PolicyFor resolves the execution policy of a variant.
 func PolicyFor(v Variant) (Policy, error) { return variant.PolicyFor(v) }
 
 // Stage identifies one stage of the Figure 13 execution pipeline
