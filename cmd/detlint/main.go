@@ -30,19 +30,6 @@ const (
 	exitUsage    = 2
 )
 
-// deterministicPackages is the engine set whose outputs must replay
-// bit-identically; everything the serve layer hashes, journals or diffs
-// flows through these.
-var deterministicPackages = []string{
-	"internal/machine",
-	"internal/mem",
-	"internal/fuse",
-	"internal/multiop",
-	"internal/pipeline",
-	"internal/tcf",
-	"internal/isa",
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -59,7 +46,7 @@ func run(args []string, out, errw io.Writer) int {
 	}
 	dirs := fs.Args()
 	if len(dirs) == 0 {
-		dirs = deterministicPackages
+		dirs = lint.Deterministic
 	}
 	for _, d := range dirs {
 		if st, err := os.Stat(d); err != nil || !st.IsDir() {

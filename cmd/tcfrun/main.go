@@ -237,7 +237,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "mem[%d:%d] = %v\n", addr, addr+int64(n), m.Words(addr, n))
 	}
 	if *showStages {
-		fmt.Fprintf(out, "%s\n%s\n%s\n%s\n%s\n", m.StageTable(), m.CommitStats(), m.CombineStats(), m.KernelStats(), m.TailStats())
+		fmt.Fprintf(out, "%s\n%s\n", m.StageTable(), m.HostCounters())
 	}
 	if *showTrace {
 		fmt.Fprintln(out, m.Timeline())

@@ -83,7 +83,7 @@ type CostParams struct {
 // ParamsFor describes cfg's machine to the analyzer, so that a prediction
 // and a run are of the same machine shape. The budgets stay at their
 // defaults. Of cfg's run bounds only MaxThickness is carried; its fault
-// plan, discipline checker and observers are not: they are not part of what
+// plan, discipline checker and tracing are not: they are not part of what
 // a program costs.
 func ParamsFor(cfg machine.Config) CostParams {
 	return CostParams{
@@ -137,7 +137,7 @@ func (p *CostParams) spent(m *machine.Machine) bool {
 
 // boot builds Cost's fresh machine — p's shape under its thickness cap,
 // serial and lockstep, with no fault plan, discipline checker,
-// watchdog or observer and its step quota at the step budget — loaded with
+// watchdog or tracing and its step quota at the step budget — loaded with
 // c and booted. The execution server builds none: it runs CostOn on a lease.
 func (p *CostParams) boot(c *codegen.Compiled) (*machine.Machine, error) {
 	maxThickness := p.MaxThickness

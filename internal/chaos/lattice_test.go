@@ -532,28 +532,21 @@ func failed(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.
 	return m, err != nil && strings.Contains(err.Error(), "negative thickness")
 }
 
-// panicObserver panics from inside a step once the machine is at step at:
-// the panic unwinds out of Run with live flows, filled storage buffers and
-// the step's books half closed, the state tcfserve recovers a panic in.
-type panicObserver struct{ at int64 }
-
-func (p *panicObserver) ObserveStage(step int64, _ machine.Stage, _ machine.StageStats) {
-	if p.at > 0 && step >= p.at {
-		panic("injected mid-step panic")
-	}
-}
-
-// panicked runs the next program of the list until a stage observer panics
-// at the seeded step, and recovers the panic. The observer stays on the
-// machine, disarmed: a configuration without it would be another machine.
+// panicked runs the next program of the list until its stop function
+// panics at the seeded step boundary, and recovers the panic: it unwinds out
+// of RunUntil with live flows and filled storage buffers, the state tcfserve
+// recovers a panic in.
 func panicked(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool) {
-	obs := &panicObserver{at: seededStep(c)}
-	cfg.StageObserver = obs
+	at := seededStep(c)
 	m := build(t, c.other.c, cfg)
-	defer func() { obs.at = 0 }()
 	return m, func() (p bool) {
 		defer func() { p = recover() != nil }()
-		_, _ = m.Run()
+		_, _ = m.RunUntil(context.Background(), func(m *machine.Machine) bool {
+			if m.Stats().Steps >= at {
+				panic("injected panic at a step boundary")
+			}
+			return false
+		})
 		return false
 	}()
 }

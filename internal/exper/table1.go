@@ -232,5 +232,5 @@ func FormatTable1(rows []Table1Row, u int) string {
 	addRow("NUMA operation", func(r Table1Row) string { return yn(r.Variant.Props().NUMAOperation) })
 	addRow("sequential via", func(r Table1Row) string { return r.Variant.Props().SequentialVia })
 	addRow("MIMD", func(r Table1Row) string { return yn(r.Variant.Props().MIMD) })
-	return t.String() + "(* analytic Table 1 value: the variant's task/branch model is not exercised by the TCF workloads)\n"
+	return t.String() + "(* the rate the variant's policy charges: its task/branch model is not exercised by the TCF workloads)\n"
 }

@@ -172,9 +172,6 @@ type Program struct {
 // Len returns the number of instructions.
 func (p *Program) Len() int { return len(p.Instrs) }
 
-// At returns the instruction at pc.
-func (p *Program) At(pc int) Instr { return p.Instrs[pc] }
-
 // Sym returns in's symbol: the literal of PRINTS, or the label a control
 // transfer was written against; "" when it has none.
 func (p *Program) Sym(in Instr) string {

@@ -52,11 +52,53 @@ func (f Finding) String() string {
 // ignoreDirective marks a line whose findings are suppressed.
 const ignoreDirective = "//detlint:ignore"
 
+// Deterministic is the engine set, relative to the module root, whose
+// outputs must replay bit-identically; everything the serve layer hashes,
+// journals or diffs flows through these.
+var Deterministic = []string{
+	"internal/machine",
+	"internal/mem",
+	"internal/fuse",
+	"internal/multiop",
+	"internal/pipeline",
+	"internal/tcf",
+	"internal/isa",
+}
+
 // Package lints every non-test .go file in dir and returns the findings in
 // file/position order. Test files are exempt: they assert on results, they
 // do not produce them.
 func Package(dir string) ([]Finding, error) {
 	fset := token.NewFileSet()
+	return lintDir(fset, newLenientImporter(fset, dir), dir)
+}
+
+// Packages lints several directories, concatenating the findings. The
+// directories of one module share a file set and an importer, so the
+// standard library and the module's own packages are type-checked once, not
+// once per directory.
+func Packages(dirs []string) ([]Finding, error) {
+	fset := token.NewFileSet()
+	importers := map[string]*lenientImporter{} // by module root
+	var all []Finding
+	for _, dir := range dirs {
+		_, root := findModule(dir)
+		imp := importers[root]
+		if imp == nil {
+			imp = newLenientImporter(fset, dir)
+			importers[root] = imp
+		}
+		fs, err := lintDir(fset, imp, dir)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, fs...)
+	}
+	return all, nil
+}
+
+// lintDir lints the package in dir, resolving its imports through imp.
+func lintDir(fset *token.FileSet, imp types.Importer, dir string) ([]Finding, error) {
 	files, err := parseDir(fset, dir)
 	if err != nil {
 		return nil, err
@@ -70,7 +112,7 @@ func Package(dir string) ([]Finding, error) {
 		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{
-		Importer: newLenientImporter(fset, dir),
+		Importer: imp,
 		// Unresolvable imports make some expressions untypeable; those are
 		// skipped below, so type errors must not abort the lint.
 		Error: func(error) {},
@@ -94,19 +136,6 @@ func Package(dir string) ([]Finding, error) {
 		return a.Column < b.Column
 	})
 	return findings, nil
-}
-
-// Packages lints several directories, concatenating the findings.
-func Packages(dirs []string) ([]Finding, error) {
-	var all []Finding
-	for _, dir := range dirs {
-		fs, err := Package(dir)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, fs...)
-	}
-	return all, nil
 }
 
 // ignoredLines collects the lines covered by detlint:ignore directives: the

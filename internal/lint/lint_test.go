@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -261,5 +262,35 @@ func TestOverlayFromGOFLAGS(t *testing.T) {
 	}
 	if fs[0].Pos.Filename != filepath.Join(dir, "a.go") {
 		t.Fatalf("finding in %s, want the replaced file's own path", fs[0].Pos.Filename)
+	}
+}
+
+// TestPackagesMatchesPackage holds Packages, whose directories of one module
+// share a file set and an importer, to Package, which builds both afresh for
+// each directory: over the default set and the fixtures, whose last finding
+// needs a sibling package's types, the findings are the same.
+func TestPackagesMatchesPackage(t *testing.T) {
+	var dirs []string
+	for _, d := range Deterministic {
+		dirs = append(dirs, filepath.Join("..", "..", d))
+	}
+	dirs = append(dirs, filepath.Join("testdata", "maps"), filepath.Join("testdata", "ranges"))
+	var want []Finding
+	for _, d := range dirs {
+		fs, err := Package(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, fs...)
+	}
+	got, err := Packages(dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Packages:\n%v\nPackage by package:\n%v", got, want)
+	}
+	if r := rules(got); !slices.Equal(r, []string{"math-rand", "time-now", "range-over-map", "range-over-map"}) {
+		t.Fatalf("fixture findings %v", got)
 	}
 }

@@ -169,12 +169,6 @@ type Config struct {
 	// TraceEnabled records per-slice execution for the trace package.
 	TraceEnabled bool
 
-	// StageObserver, when non-nil, receives each step's per-stage cost
-	// attribution (Figure 13 stages) right after the step commits. The
-	// callback runs on the stepping goroutine; observers must not call back
-	// into the machine.
-	StageObserver StageObserver
-
 	// CheckpointEvery, when positive and CheckpointSink is non-nil, makes
 	// RunContext emit a complete machine snapshot (Machine.Snapshot) every
 	// CheckpointEvery steps, at the step boundary. Checkpointing never
@@ -184,15 +178,9 @@ type Config struct {
 	CheckpointEvery int64
 
 	// CheckpointSink receives the periodic snapshots (checkpoint.FileSink
-	// writes them atomically to disk). Like StageObserver, the callback runs
-	// on the stepping goroutine between steps.
+	// writes them atomically to disk). The callback runs on the stepping
+	// goroutine between steps.
 	CheckpointSink CheckpointSink
-}
-
-// StageObserver receives per-step, per-stage cost deltas from the staged
-// engine (see Stats.Stages for the cumulative view).
-type StageObserver interface {
-	ObserveStage(step int64, stage Stage, d StageStats)
 }
 
 // Default returns a small, fully specified configuration for the given

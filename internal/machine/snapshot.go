@@ -44,8 +44,8 @@ type CheckpointSink interface {
 // and per-step reference sequence numbers start from zero at every boundary.
 //
 // Not captured: the step trace (Trace records accumulated so far) and the
-// StageObserver/CheckpointSink wiring — observational state that never feeds
-// back into results.
+// CheckpointSink wiring — observational state that never feeds back into
+// results.
 func (m *Machine) Snapshot(w io.Writer) error {
 	if m.runErr != nil {
 		return fmt.Errorf("machine: snapshot of a failed machine: %w", m.runErr)
@@ -135,9 +135,8 @@ func (m *Machine) Snapshot(w io.Writer) error {
 // limits, discipline, fault plan, topology distances) is validated against
 // the snapshot, and a mismatch fails with an error naming the field — a
 // resumed run on a different machine would silently diverge otherwise.
-// Result-neutral fields (TraceEnabled, StageObserver,
-// CheckpointEvery/CheckpointSink, and the inert Backend, Sched and Parallel)
-// are free to differ.
+// Result-neutral fields (TraceEnabled, CheckpointEvery/CheckpointSink, and
+// the inert Backend, Sched and Parallel) are free to differ.
 //
 // The snapshot embeds the program, so no separate load is needed; the
 // restored machine continues with Step/RunContext exactly where the

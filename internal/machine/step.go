@@ -140,8 +140,8 @@ func (m *Machine) releaseBarriers() (released bool) {
 }
 
 // finishStep closes the step's books: the cycle floor, cumulative counters,
-// trace/stage-observer emission, and the deterministic output ordering — of
-// which a step without output needs none and a step with one output no sort.
+// the trace record, and the deterministic output ordering — of which a step
+// without output needs none and a step with one output no sort.
 func (m *Machine) finishStep(stepCycles int64, stagesBefore [NumStages]StageStats, discR, discW int64) {
 	if stepCycles == 0 {
 		stepCycles = 1
@@ -150,49 +150,41 @@ func (m *Machine) finishStep(stepCycles int64, stagesBefore [NumStages]StageStat
 	m.stats.Steps++
 	m.tail.Steps++
 
-	if m.cfg.TraceEnabled || m.cfg.StageObserver != nil {
-		var delta [NumStages]StageStats
-		for s := range delta {
-			delta[s].Cycles = m.stats.Stages[s].Cycles - stagesBefore[s].Cycles
-			delta[s].Events = m.stats.Stages[s].Events - stagesBefore[s].Events
+	if m.cfg.TraceEnabled {
+		// Chunks grow with the trace so short runs stay cheap and long
+		// runs amortize: 8, then ~len(trace) capped at 256.
+		if len(m.recArena) == 0 {
+			m.recArena = make([]StepRecord, min(256, max(8, len(m.trace))))
 		}
-		if m.cfg.TraceEnabled {
-			// Chunks grow with the trace so short runs stay cheap and long
-			// runs amortize: 8, then ~len(trace) capped at 256.
-			if len(m.recArena) == 0 {
-				m.recArena = make([]StepRecord, min(256, max(8, len(m.trace))))
-			}
-			rec := &m.recArena[0]
-			m.recArena = m.recArena[1:]
-			ng := len(m.groups)
-			if len(m.gcArena) < ng {
-				m.gcArena = make([]int64, min(256, max(8, len(m.trace)))*ng)
-			}
-			rec.GroupCycles, m.gcArena = m.gcArena[:ng:ng], m.gcArena[ng:]
-			rec.Step, rec.Cycles, rec.Stages = m.stats.Steps-1, stepCycles, delta
-			rec.DiscReads, rec.DiscWrites = discR, discW
-			n := 0
-			for _, x := range m.execs {
-				n += len(x.slices)
-			}
-			if len(m.sliceArena) < n {
-				m.sliceArena = make([]SliceExec, max(n, min(128, max(16, 2*len(m.trace)))))
-			}
-			rec.Slices, m.sliceArena = m.sliceArena[:0:n], m.sliceArena[n:]
-			for _, x := range m.execs {
-				rec.GroupCycles[x.g.Index] = x.ops + x.scalarOps + x.stall
-				rec.Slices = append(rec.Slices, x.slices...)
-			}
-			if m.trace == nil {
-				m.trace = make([]*StepRecord, 0, 16)
-			}
-			m.trace = append(m.trace, rec)
+		rec := &m.recArena[0]
+		m.recArena = m.recArena[1:]
+		ng := len(m.groups)
+		if len(m.gcArena) < ng {
+			m.gcArena = make([]int64, min(256, max(8, len(m.trace)))*ng)
 		}
-		if obs := m.cfg.StageObserver; obs != nil {
-			for s := Stage(0); s < NumStages; s++ {
-				obs.ObserveStage(m.stats.Steps-1, s, delta[s])
-			}
+		rec.GroupCycles, m.gcArena = m.gcArena[:ng:ng], m.gcArena[ng:]
+		rec.Step, rec.Cycles = m.stats.Steps-1, stepCycles
+		for s := range rec.Stages {
+			rec.Stages[s].Cycles = m.stats.Stages[s].Cycles - stagesBefore[s].Cycles
+			rec.Stages[s].Events = m.stats.Stages[s].Events - stagesBefore[s].Events
 		}
+		rec.DiscReads, rec.DiscWrites = discR, discW
+		n := 0
+		for _, x := range m.execs {
+			n += len(x.slices)
+		}
+		if len(m.sliceArena) < n {
+			m.sliceArena = make([]SliceExec, max(n, min(128, max(16, 2*len(m.trace)))))
+		}
+		rec.Slices, m.sliceArena = m.sliceArena[:0:n], m.sliceArena[n:]
+		for _, x := range m.execs {
+			rec.GroupCycles[x.g.Index] = x.ops + x.scalarOps + x.stall
+			rec.Slices = append(rec.Slices, x.slices...)
+		}
+		if m.trace == nil {
+			m.trace = make([]*StepRecord, 0, 16)
+		}
+		m.trace = append(m.trace, rec)
 	}
 
 	// Deterministic output ordering within the step: by flow id, then by

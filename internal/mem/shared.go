@@ -266,9 +266,6 @@ func (s *Shared) Size() int { return int(s.size) }
 // Modules returns the number of memory modules.
 func (s *Shared) Modules() int { return s.modules }
 
-// Policy returns the concurrent-write policy.
-func (s *Shared) Policy() Policy { return s.policy }
-
 // ModuleOf returns the module serving addr: low-order interleaving, then the
 // failover remap table.
 func (s *Shared) ModuleOf(addr int64) int {

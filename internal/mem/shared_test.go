@@ -199,7 +199,10 @@ func TestResolutionMatchesMinKey(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	// A fixed source: the run of a lane losing a word its own lower lane
+	// claimed shows in most draws, not all, and mutation record 25 must
+	// die every time.
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -146,9 +146,6 @@ func New(cfg Config) (*Network, error) {
 // Size returns the node count.
 func (n *Network) Size() int { return n.cfg.Width * n.cfg.Height }
 
-// Clock returns the current cycle.
-func (n *Network) Clock() int64 { return n.clock }
-
 // InFlight returns the number of packets not yet delivered (including lost
 // packets waiting for retransmission).
 func (n *Network) InFlight() int { return n.inFlight }

@@ -166,11 +166,6 @@ func (s StorageScheme) String() string {
 	return fmt.Sprintf("StorageScheme(%d)", int(s))
 }
 
-// Schemes lists the three options.
-func Schemes() []StorageScheme {
-	return []StorageScheme{MemoryToMemory, CachedRegisterFile, LocalMemoryOperands}
-}
-
 // CostPerOp estimates the average extra cycles per thread-wise operand
 // access for a kernel of the given thickness with `regsLive` live registers
 // re-touched every instruction, under each scheme. memLatency is the shared

@@ -32,11 +32,11 @@ type poolKey struct {
 }
 
 // keyOf projects a Config onto its pool identity. Configurations carrying
-// non-comparable or run-specific state (custom topology, fault plans, stage
-// observers, tracing) are not poolable.
+// non-comparable or run-specific state (custom topology, fault plans,
+// tracing, checkpointing) are not poolable.
 func keyOf(cfg machine.Config) (poolKey, error) {
-	if cfg.Topology != nil || cfg.FaultPlan != nil || cfg.StageObserver != nil || cfg.TraceEnabled || cfg.CheckpointSink != nil {
-		return poolKey{}, fmt.Errorf("serve: config with topology/faults/observer/trace/checkpointing is not poolable")
+	if cfg.Topology != nil || cfg.FaultPlan != nil || cfg.TraceEnabled || cfg.CheckpointSink != nil {
+		return poolKey{}, fmt.Errorf("serve: config with topology/faults/trace/checkpointing is not poolable")
 	}
 	return poolKey{
 		variant:       cfg.Variant,

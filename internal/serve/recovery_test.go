@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -112,7 +113,7 @@ func TestRecoveryDuplicateInFlight(t *testing.T) {
 	if status != http.StatusConflict || resp.Outcome != outcomeDuplicate {
 		t.Fatalf("duplicate: %d %q", status, resp.Outcome)
 	}
-	if _, ok := RetryAfter(hdr); !ok {
+	if _, err := strconv.Atoi(hdr.Get("Retry-After")); err != nil {
 		t.Fatal("duplicate response has no Retry-After")
 	}
 	close(release)

@@ -947,17 +947,3 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }
-
-// RetryAfter parses a response's Retry-After header (helper for clients and
-// tests).
-func RetryAfter(h http.Header) (time.Duration, bool) {
-	v := h.Get("Retry-After")
-	if v == "" {
-		return 0, false
-	}
-	secs, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, false
-	}
-	return time.Duration(secs) * time.Second, true
-}

@@ -7,11 +7,10 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrBadShape reports an invalid topology shape (nonpositive node count or
-// distance, hypercube dimension out of range). Constructors return it
+// negative distance). Constructors return it
 // (wrapped) instead of panicking: topologies are built from untrusted
 // request parameters on the serve path, so a bad shape must fail the one
 // request, not the process.
@@ -96,23 +95,8 @@ func NewMesh2D(w, h int) (Mesh2D, error) {
 	return Mesh2D{w, h}, nil
 }
 
-// NewSquareMesh returns the smallest square-ish mesh with at least n nodes
-// that has exactly n nodes when n is a perfect square; otherwise it returns
-// a 1×n mesh degenerating to a line. Prefer explicit dimensions.
-func NewSquareMesh(n int) (Mesh2D, error) {
-	if err := checkSize(n); err != nil {
-		return Mesh2D{}, err
-	}
-	s := int(math.Sqrt(float64(n)))
-	if s*s == n {
-		return Mesh2D{s, s}, nil
-	}
-	return Mesh2D{n, 1}, nil
-}
-
-func (m Mesh2D) Name() string     { return fmt.Sprintf("mesh(%dx%d)", m.w, m.h) }
-func (m Mesh2D) Size() int        { return m.w * m.h }
-func (m Mesh2D) Dims() (w, h int) { return m.w, m.h }
+func (m Mesh2D) Name() string { return fmt.Sprintf("mesh(%dx%d)", m.w, m.h) }
+func (m Mesh2D) Size() int    { return m.w * m.h }
 
 // Coord returns the (x, y) position of node i.
 func (m Mesh2D) Coord(i int) (x, y int) { return i % m.w, i / m.w }
@@ -140,9 +124,8 @@ func NewTorus2D(w, h int) (Torus2D, error) {
 	return Torus2D{w, h}, nil
 }
 
-func (t Torus2D) Name() string     { return fmt.Sprintf("torus(%dx%d)", t.w, t.h) }
-func (t Torus2D) Size() int        { return t.w * t.h }
-func (t Torus2D) Dims() (w, h int) { return t.w, t.h }
+func (t Torus2D) Name() string { return fmt.Sprintf("torus(%dx%d)", t.w, t.h) }
+func (t Torus2D) Size() int    { return t.w * t.h }
 
 // Coord returns the (x, y) position of node i.
 func (t Torus2D) Coord(i int) (x, y int) { return i % t.w, i / t.w }
@@ -163,33 +146,6 @@ func (t Torus2D) Distance(g, m int) int {
 }
 
 func (t Torus2D) Diameter() int { return t.w/2 + t.h/2 }
-
-// Hypercube is a binary d-cube of 2^d nodes; distance is Hamming distance.
-type Hypercube struct{ d int }
-
-// NewHypercube returns a hypercube of dimension d (2^d nodes).
-func NewHypercube(d int) (Hypercube, error) {
-	if d < 0 || d > 30 {
-		return Hypercube{}, fmt.Errorf("hypercube dimension %d outside [0,30]: %w", d, ErrBadShape)
-	}
-	return Hypercube{d}, nil
-}
-
-func (h Hypercube) Name() string { return fmt.Sprintf("hypercube(%d)", h.d) }
-func (h Hypercube) Size() int    { return 1 << h.d }
-
-func (h Hypercube) Distance(g, m int) int {
-	checkPair(h, g, m)
-	x := uint32(g ^ m)
-	c := 0
-	for x != 0 {
-		c += int(x & 1)
-		x >>= 1
-	}
-	return c
-}
-
-func (h Hypercube) Diameter() int { return h.d }
 
 // Uniform treats every remote block as equidistant at distance d (a crossbar
 // or an idealized high-bandwidth network); local access is distance 0.
@@ -225,22 +181,6 @@ func (u Uniform) Diameter() int {
 		return 0
 	}
 	return u.d
-}
-
-// AverageDistance returns the mean pairwise distance of t, a useful summary
-// for calibrating latency models.
-func AverageDistance(t Topology) float64 {
-	n := t.Size()
-	if n == 1 {
-		return 0
-	}
-	sum := 0
-	for g := 0; g < n; g++ {
-		for m := 0; m < n; m++ {
-			sum += t.Distance(g, m)
-		}
-	}
-	return float64(sum) / float64(n*n)
 }
 
 func abs(x int) int {

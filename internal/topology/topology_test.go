@@ -11,7 +11,6 @@ func all() []Topology {
 		Must(NewRing(1)), Must(NewRing(2)), Must(NewRing(7)), Must(NewRing(8)),
 		Must(NewMesh2D(1, 1)), Must(NewMesh2D(4, 4)), Must(NewMesh2D(3, 5)),
 		Must(NewTorus2D(4, 4)), Must(NewTorus2D(5, 3)),
-		Must(NewHypercube(0)), Must(NewHypercube(3)), Must(NewHypercube(5)),
 		Must(NewUniform(1, 4)), Must(NewUniform(8, 4)), Must(NewUniform(8, 0)),
 	}
 }
@@ -79,24 +78,9 @@ func TestKnownDistances(t *testing.T) {
 	if to.Distance(0, 3) != 1 || to.Distance(0, 15) != 2 {
 		t.Error("torus distances wrong")
 	}
-	h := Must(NewHypercube(3))
-	if h.Distance(0, 7) != 3 || h.Distance(1, 2) != 2 || h.Distance(5, 5) != 0 {
-		t.Error("hypercube distances wrong")
-	}
 	u := Must(NewUniform(8, 4))
 	if u.Distance(0, 1) != 4 || u.Distance(3, 3) != 0 {
 		t.Error("uniform distances wrong")
-	}
-}
-
-func TestSquareMesh(t *testing.T) {
-	m := Must(NewSquareMesh(16))
-	if w, h := m.Dims(); w != 4 || h != 4 {
-		t.Fatalf("square mesh dims = %dx%d", w, h)
-	}
-	m = Must(NewSquareMesh(6))
-	if m.Size() != 6 {
-		t.Fatalf("non-square fallback size = %d", m.Size())
 	}
 }
 
@@ -112,20 +96,6 @@ func TestTorusWraparoundNeverFartherThanMesh(t *testing.T) {
 	}
 }
 
-func TestAverageDistance(t *testing.T) {
-	if got := AverageDistance(Must(NewUniform(1, 5))); got != 0 {
-		t.Fatalf("avg of singleton = %f", got)
-	}
-	got := AverageDistance(Must(NewUniform(4, 6)))
-	want := 6.0 * 12 / 16 // 12 off-diagonal pairs of 16
-	if got != want {
-		t.Fatalf("avg uniform = %f, want %f", got, want)
-	}
-	if AverageDistance(Must(NewMesh2D(4, 4))) <= 0 {
-		t.Fatal("mesh average distance must be positive")
-	}
-}
-
 func TestConstructorErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -134,11 +104,8 @@ func TestConstructorErrors(t *testing.T) {
 		{"ring(0)", func() error { _, err := NewRing(0); return err }()},
 		{"mesh(0,3)", func() error { _, err := NewMesh2D(0, 3); return err }()},
 		{"torus(3,0)", func() error { _, err := NewTorus2D(3, 0); return err }()},
-		{"hypercube(-1)", func() error { _, err := NewHypercube(-1); return err }()},
-		{"hypercube(31)", func() error { _, err := NewHypercube(31); return err }()},
 		{"uniform(0,1)", func() error { _, err := NewUniform(0, 1); return err }()},
 		{"uniform(4,-1)", func() error { _, err := NewUniform(4, -1); return err }()},
-		{"squaremesh(0)", func() error { _, err := NewSquareMesh(0); return err }()},
 	} {
 		if !errors.Is(tc.err, ErrBadShape) {
 			t.Errorf("%s: err = %v, want ErrBadShape", tc.name, tc.err)

@@ -7,54 +7,26 @@ import (
 	"tcfpram/internal/machine"
 )
 
-// StageCollector accumulates per-step, per-stage cost attribution through
-// the machine's Config.StageObserver hook — the live-streaming counterpart
-// of the cumulative Stats.Stages array. Install it before the run:
-//
-//	var sc trace.StageCollector
-//	cfg.StageObserver = &sc
-type StageCollector struct {
-	Totals [machine.NumStages]machine.StageStats
-	Steps  int64
-}
-
-// ObserveStage implements machine.StageObserver.
-func (c *StageCollector) ObserveStage(step int64, stage machine.Stage, d machine.StageStats) {
-	c.Totals[stage].Cycles += d.Cycles
-	c.Totals[stage].Events += d.Events
-	if stage == machine.Stage(0) {
-		c.Steps++
-	}
-}
-
-func (c *StageCollector) String() string {
-	return formatStages(c.Totals, c.Steps)
-}
-
 // StageTable renders the cumulative per-stage attribution of a finished
 // run: how the simulated cycles and stage events distribute over the
 // Figure 13 pipeline stages (frontend, operation generation, memory
 // resolution, commit).
 func StageTable(s *machine.Stats) string {
-	return formatStages(s.Stages, s.Steps)
-}
-
-func formatStages(stages [machine.NumStages]machine.StageStats, steps int64) string {
 	var totalCycles, totalEvents int64
-	for _, st := range stages {
+	for _, st := range s.Stages {
 		totalCycles += st.Cycles
 		totalEvents += st.Events
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %12s %8s %12s\n", "stage", "cycles", "share", "events")
-	for s := machine.Stage(0); s < machine.NumStages; s++ {
+	for st := machine.Stage(0); st < machine.NumStages; st++ {
 		share := 0.0
 		if totalCycles > 0 {
-			share = float64(stages[s].Cycles) / float64(totalCycles)
+			share = float64(s.Stages[st].Cycles) / float64(totalCycles)
 		}
 		fmt.Fprintf(&b, "%-10s %12d %7.1f%% %12d\n",
-			s, stages[s].Cycles, 100*share, stages[s].Events)
+			st, s.Stages[st].Cycles, 100*share, s.Stages[st].Events)
 	}
-	fmt.Fprintf(&b, "%-10s %12d %8s %12d  (%d steps)\n", "total", totalCycles, "", totalEvents, steps)
+	fmt.Fprintf(&b, "%-10s %12d %8s %12d  (%d steps)\n", "total", totalCycles, "", totalEvents, s.Steps)
 	return b.String()
 }

@@ -151,15 +151,3 @@ func CSV(m *machine.Machine) string {
 	}
 	return b.String()
 }
-
-// GroupOccupancy returns, per group, the total operation slices executed —
-// the load balance view behind the horizontal-allocation discussion.
-func GroupOccupancy(m *machine.Machine) []int {
-	out := make([]int, m.Config().Groups)
-	for _, rec := range m.Trace() {
-		for _, s := range rec.Slices {
-			out[s.Group] += s.Lanes
-		}
-	}
-	return out
-}

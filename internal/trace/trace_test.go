@@ -130,9 +130,46 @@ func TestCSV(t *testing.T) {
 	}
 }
 
+// A traced run's per-step stage deltas add up to the totals Stats.Stages
+// carries: the two places the engine keeps the Figure 13 attribution agree.
+func TestStepStagesSumToTotals(t *testing.T) {
+	for _, c := range []struct {
+		kind  variant.Kind
+		w     workload.Workload
+		tweak func(*machine.Config)
+	}{
+		{variant.SingleInstruction, workload.VectorAdd(workload.StyleTCF, 64, 16, 0), nil},
+		{variant.Balanced, workload.ConditionalHalves(workload.StyleTCF, 64), nil},
+		{variant.MultiInstruction, workload.Allocation(64, 4, 4), nil},
+		{variant.SingleOperation, workload.VectorAdd(workload.StyleThread, 64, 16, 0), nil},
+		{variant.FixedThickness, workload.VectorAdd(workload.StyleSIMD, 64, 0, 8), func(c *machine.Config) {
+			c.ProcsPerGroup = 8
+			c.VectorWidth = 8
+		}},
+	} {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			m := tracedRun(t, c.kind, c.w, c.tweak)
+			var sum [machine.NumStages]machine.StageStats
+			for _, rec := range m.Trace() {
+				for s := range rec.Stages {
+					sum[s].Cycles += rec.Stages[s].Cycles
+					sum[s].Events += rec.Stages[s].Events
+				}
+			}
+			got := m.Stats().Stages
+			if sum != got {
+				t.Fatalf("trace sums to %v, Stats.Stages = %v", sum, got)
+			}
+			if got[machine.StageOpGen].Cycles == 0 {
+				t.Fatal("no operation-generation cycles attributed")
+			}
+		})
+	}
+}
+
 func TestGroupOccupancySpreads(t *testing.T) {
 	m := tracedRun(t, variant.SingleInstruction, workload.Allocation(64, 4, 4), nil)
-	occ := GroupOccupancy(m)
+	occ := m.Stats().PerGroupOps
 	busy := 0
 	for _, o := range occ {
 		if o > 16 {

@@ -42,7 +42,6 @@ import (
 	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/mem"
-	"tcfpram/internal/multiop"
 	"tcfpram/internal/trace"
 	"tcfpram/internal/variant"
 )
@@ -99,15 +98,8 @@ const (
 )
 
 // StageStats is the per-stage cost attribution (see Stats.Stages for the
-// cumulative per-run view and Config.StageObserver for per-step streaming).
+// cumulative per-run view and StepRecord.Stages for each step's share).
 type StageStats = machine.StageStats
-
-// StageObserver receives per-step, per-stage cost deltas from the staged
-// engine; install via Config.StageObserver.
-type StageObserver = machine.StageObserver
-
-// StageCollector is a ready-made StageObserver accumulating stage totals.
-type StageCollector = trace.StageCollector
 
 // ParseVariant resolves a variant name ("tcf", "xmt", "esm", "pram-numa",
 // "simd", "balanced", or the full names).
@@ -555,46 +547,14 @@ type symInfo struct {
 	ArrayLen int
 }
 
-// CommitStats counts the routes the step commit's stores took (runs, words
-// stored directly, words resolved through the table and those of them by
-// index, sorted fallbacks): host-side counters of the simulator, not
-// simulated statistics.
-type CommitStats = mem.CommitStats
-
-// CommitStats returns the commit's route counters: what `tcfrun -stages`
-// prints under the stage table.
-func (m *Machine) CommitStats() CommitStats { return m.inner.CommitStats() }
-
-// CombineStats counts the combining references resolved, their accumulators
-// (one per address and step) and the references resolved by index: host-side
-// counters of the simulator, not simulated statistics.
-type CombineStats = multiop.Stats
-
-// CombineStats returns the combiners' counters: what `tcfrun -stages` prints
-// under the commit's.
-func (m *Machine) CombineStats() CombineStats { return m.inner.CombineStats() }
-
-// KernelStats counts how the run's operation slices were generated (in bulk
-// forms or lane by lane), the instructions retired inside fused register
-// runs, the register banks reused or allocated and the widest thickness a
-// flow asked for: host-side counters of the simulator, not simulated
-// statistics.
-type KernelStats = machine.KernelStats
-
-// KernelStats returns the kernel-coverage counters: what `tcfrun -stages`
-// prints under the commit's routes.
-func (m *Machine) KernelStats() KernelStats { return m.inner.KernelStats() }
-
-// TailStats counts what the stages behind operation generation had to do:
-// steps taken, steps that had traffic to commit, storage buffers compacted,
-// steps whose outputs needed ordering, and flows built in chunks an earlier
-// run left versus allocated. Host-side counters of the simulator, not
-// simulated statistics.
-type TailStats = machine.TailStats
-
-// TailStats returns the tail-stage counters: what `tcfrun -stages` prints
-// under the kernel coverage.
-func (m *Machine) TailStats() TailStats { return m.inner.TailStats() }
+// HostCounters renders the simulator's host-side counters, not simulated
+// statistics, one line each: the routes the step commit's stores took, the
+// combiners' references and accumulators, how operation slices were
+// generated and register banks found, and what the stages behind operation
+// generation had to do. `tcfrun -stages` prints them under the stage table.
+func (m *Machine) HostCounters() string {
+	return fmt.Sprintf("%s\n%s\n%s\n%s", m.inner.CommitStats(), m.inner.CombineStats(), m.inner.KernelStats(), m.inner.TailStats())
+}
 
 // StageTable renders the cumulative Figure 13 per-stage cost attribution of
 // the run so far (always available; no tracing required).

@@ -50,6 +50,27 @@ func TestRunSourceQuickstart(t *testing.T) {
 	}
 }
 
+// HostCounters renders the four host-counter lines `tcfrun -stages` prints
+// under the stage table, in order, and the tail line counts the run's steps.
+func TestHostCounters(t *testing.T) {
+	m, stats, err := RunSource(DefaultConfig(SingleInstruction), "add", addSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(m.HostCounters(), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("%d lines, want 4:\n%s", len(lines), m.HostCounters())
+	}
+	for i, prefix := range []string{"commit: ", "combine: ", "kernels: ", "tail: "} {
+		if !strings.HasPrefix(lines[i], prefix) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], prefix)
+		}
+	}
+	if want := fmt.Sprintf("tail: steps=%d ", stats.Steps); !strings.HasPrefix(lines[3], want) {
+		t.Errorf("tail line = %q, want prefix %q", lines[3], want)
+	}
+}
+
 func TestRunOnEveryVariant(t *testing.T) {
 	// A variant-portable program: plain sequential scalar code.
 	src := `
