@@ -7,11 +7,17 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tcfpram/internal/codegen"
+	"tcfpram/internal/machine"
+	"tcfpram/internal/variant"
 )
 
 // corpusFiles returns every tcf-e corpus program, sorted.
@@ -27,13 +33,40 @@ func corpusFiles(tb testing.TB) []string {
 	return files
 }
 
-func compile(tb testing.TB, file string) *codegen.Compiled {
+// compileCorpus compiles a corpus program and returns its reference: the
+// values its "// EXPECT:" line lists, which every shape that prints as
+// single-instruction does must print in order (relate holds the per-thread
+// variants to those), unless its variant lacks a capability and refused the
+// program, as newCells holds it to.
+func compileCorpus(tb testing.TB, file string) (*codegen.Compiled, func(*machine.Machine) error) {
 	tb.Helper()
 	src, err := os.ReadFile(file)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return compileSrc(tb, file, string(src))
+	_, line, ok := strings.Cut(string(src), "// EXPECT:")
+	if !ok {
+		tb.Fatalf("%s has no // EXPECT: line", file)
+	}
+	line, _, _ = strings.Cut(line, "\n")
+	var want []int64
+	for _, f := range strings.Fields(line) {
+		v, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			tb.Fatalf("%s: bad EXPECT value %q", file, f)
+		}
+		want = append(want, v)
+	}
+	return compileSrc(tb, file, string(src)), func(m *machine.Machine) error {
+		kind := m.Config().Variant
+		if kind == variant.SingleOperation || kind == variant.ConfigurableSingleOperation || m.Err() != nil && !fullCapability(kind) {
+			return nil
+		}
+		if got := printed(m); !slices.Equal(got, want) {
+			return fmt.Errorf("printed %v, EXPECT %v", got, want)
+		}
+		return nil
+	}
 }
 
 func compileSrc(tb testing.TB, name, src string) *codegen.Compiled {

@@ -60,7 +60,7 @@ func FuzzRestore(f *testing.F) {
 	cfg := machine.Default(variant.SingleInstruction)
 	cfg.AutoSplitThreshold = 16 // fragments and containers among the flows
 	for _, file := range corpusFiles(f) {
-		c := compile(f, file)
+		c, _ := compileCorpus(f, file)
 		oracle := buildRun(f, c, cfg)
 		if _, err := oracle.Run(); err != nil {
 			f.Fatal(err)

@@ -1,15 +1,20 @@
 package chaos
 
-// The lattice's generated input: seeded random ISA programs that carry a
-// direct Go evaluation of their result, which the oracle of every variant
-// they run on is held to.
+// The lattice's generated input: seeded random programs that carry a direct
+// Go evaluation of their result, which the oracle of every variant they run
+// on is held to — ISA programs built here, and bench/gen's tcf-e programs,
+// which go through the lexer, sema and codegen.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
+	"testing"
 
+	"tcfpram/bench/gen"
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
@@ -24,12 +29,19 @@ const (
 )
 
 // generators are the seeded program sources of the lattice, FuzzLattice's
-// last program slots. TestLattice runs genSeeds seeds of each, past fullSeeds
+// last program slots. TestLattice runs seeds 1 to seeds of each, past full
 // quick: fault-free, in fresh and, for gen-diff, in step, which holds the
-// per-lane state of its thick registers to the oracle's after every step.
-var generators = []func(seed int64) entry{genDiffProgram, genNUMADiff}
+// per-lane state of its thick registers to the oracle's after every step;
+// gen-tcfe's programs, about a thousand instructions each, in admitted, a
+// fresh run as tcfserve admits it.
+var generators = []struct {
+	build       func(seed int64) entry
+	seeds, full int64
+}{{genDiffProgram, genSeeds, 3}, {genNUMADiff, genSeeds, 3}, {genTCFE, tcfeSeeds, 1}}
 
-const genSeeds, fullSeeds = 60, 3
+// genSeeds is the most seeds any generator runs; gen-tcfe runs fewer, its
+// programs being forty times longer.
+const genSeeds, tcfeSeeds = 60, 40
 
 // small is the shared memory of a generated program, which stores below word
 // 2 500, as the lattice copies the whole image of every run.
@@ -208,4 +220,98 @@ func genNUMADiff(seed int64) entry {
 	// variant must leave the last store in them.
 	e.quick = []string{"fresh"}
 	return e
+}
+
+// genTCFE takes the first program of bench/gen's stream for seed: 150 to 300
+// lines of well-typed tcf-e with helper functions, switch, nested parallel
+// statements, multiprefixes, multioperations and thickness changes up to 32.
+// It is compiled from source and held to the generator's Go reference, which
+// shares no code with the compiler: the values it prints and the words of
+// its Peek ranges. It runs on the three TCF variants and on Balanced at
+// bound 3; the thread variants would stop at its first thickness statement.
+func genTCFE(seed int64) entry {
+	if seed >= 1 && seed <= tcfeSeeds {
+		return tcfeEntries()[seed-1]
+	}
+	return buildTCFE(seed)
+}
+
+// tcfeEntries are the gen-tcfe entries of the seeds TestLattice runs, built
+// once for it, FuzzLattice and TestGeneratedEntriesEngage: generating and
+// compiling them costs as much as running them.
+var tcfeEntries = sync.OnceValue(func() (es []entry) {
+	for seed := int64(1); seed <= tcfeSeeds; seed++ {
+		es = append(es, buildTCFE(seed))
+	}
+	return es
+})
+
+func buildTCFE(seed int64) entry {
+	p := gen.NewGenerator(seed, "lattice").Next()
+	name := fmt.Sprintf("gen-tcfe-%d", seed) // p.Name is gen-lattice-1 for every seed
+	c, err := codegen.CompileSource(name, p.Source)
+	if err != nil {
+		panic(fmt.Sprintf("compile %s: %v\n%s", name, err, p.Source))
+	}
+	return entry{name: name, c: c, shapes: genShapes(tcfKinds, 3), quick: []string{"admitted"},
+		check: func(m *machine.Machine) error {
+			return p.Check(printed(m), func(i int) []int64 { return m.Shared().Snapshot(p.Peek[i].Addr, p.Peek[i].N) })
+		}}
+}
+
+// printed is every value m printed, in order.
+func printed(m *machine.Machine) []int64 {
+	var vs []int64
+	for _, o := range m.Outputs() {
+		vs = append(vs, o.Values...)
+	}
+	return vs
+}
+
+// TestGeneratedEntriesEngage: the gen-tcfe entries exercise what they are in
+// the lattice for. Across the seeds TestLattice runs, single-instruction
+// splits flows and joins them, does multioperations and changes the main
+// flow's thickness, each on three quarters of the seeds, and an auto-split
+// shape splits on at least one: a generator change that empties the
+// programs fails here rather than passing every row.
+func TestGeneratedEntriesEngage(t *testing.T) {
+	var splits, joins, multiops, thickens, autoSplits, autoShapes int
+	for seed := int64(1); seed <= tcfeSeeds; seed++ {
+		e := genTCFE(seed)
+		for _, s := range e.shapes {
+			if s.kind != variant.SingleInstruction {
+				continue
+			}
+			cfg := machine.Default(s.kind)
+			s.tweak(&cfg)
+			m := buildRun(t, e.c, cfg)
+			thickened := false
+			if _, err := m.RunUntil(context.Background(), func(m *machine.Machine) bool {
+				thickened = thickened || m.Flow(0).Thickness != 1
+				return false
+			}); err != nil {
+				t.Fatalf("%s/%s: %v", e.name, s.name, err)
+			}
+			st := m.Stats()
+			if cfg.AutoSplitThreshold > 0 {
+				autoShapes++
+				autoSplits += min(1, int(st.AutoSplits))
+				continue
+			}
+			splits += min(1, int(st.Splits))
+			joins += min(1, int(st.Joins))
+			multiops += min(1, int(st.MultiopRefs))
+			if thickened {
+				thickens++
+			}
+		}
+	}
+	for what, n := range map[string]int{"split": splits, "join": joins, "multioperation": multiops, "thickness change": thickens} {
+		if n < tcfeSeeds*3/4 {
+			t.Errorf("a %s on %d of %d seeds, want three quarters", what, n, tcfeSeeds)
+		}
+	}
+	if autoShapes > 0 && autoSplits == 0 {
+		t.Errorf("no auto-split shape split on any of %d seeds", tcfeSeeds)
+	}
 }

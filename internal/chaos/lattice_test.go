@@ -16,6 +16,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"tcfpram/internal/analysis"
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/fault"
 	"tcfpram/internal/isa"
@@ -136,16 +137,19 @@ var affineShapes = append(on(allKinds, small),
 		tweak: func(c *machine.Config) { small(c); c.AutoSplitThreshold = 100 }})
 
 // programs is the lattice's one program list: the tcf-e corpus on every
-// variant; the commit-bound, gather and 513-lane programs and three
+// variant, each held to its "// EXPECT:" line (to extend it, add a .te file
+// with an EXPECT line to internal/codegen/testdata); the commit-bound, gather
+// and 513-lane programs and three
 // workload kernels at 2^10 on single-instruction; the affine program on
 // affineShapes; the occupancy cases on the variants and machine shapes that
-// idle their groups; and genSeeds seeds of each generator, quick past the
-// first fullSeeds.
+// idle their groups; and the seeds of each generator, quick past its first
+// full.
 func programs(tb testing.TB) []entry {
 	tb.Helper()
 	var es []entry
 	for _, file := range corpusFiles(tb) {
-		es = append(es, entry{name: filepath.Base(file), c: compile(tb, file), shapes: on(allKinds, nil)})
+		c, check := compileCorpus(tb, file)
+		es = append(es, entry{name: filepath.Base(file), c: c, shapes: on(allKinds, nil), check: check})
 	}
 	srcs := maps.Clone(commitPrograms)
 	srcs["gather"], srcs["lane-parallel"] = gatherSrc, laneParSrc
@@ -168,10 +172,13 @@ func programs(tb testing.TB) []entry {
 	} {
 		es = append(es, entry{name: w.Name, c: &codegen.Compiled{Program: w.Program}, shapes: on(siOnly, nil), check: w.Check})
 	}
-	for seed := int64(1); seed <= genSeeds; seed++ {
+	for seed := int64(1); seed <= genSeeds; seed++ { // seed by seed: a cell's other program and plan follow the order
 		for _, gen := range generators {
-			e := gen(seed)
-			if seed <= fullSeeds {
+			if seed > gen.seeds {
+				continue
+			}
+			e := gen.build(seed)
+			if seed <= gen.full {
 				e.quick = nil
 			}
 			es = append(es, e)
@@ -346,11 +353,75 @@ const (
 	faulty
 )
 
+// fullCapability says kind runs every program: it may change thickness,
+// split and switch to NUMA mode.
+func fullCapability(kind variant.Kind) bool {
+	p := kind.Props()
+	return p.VariableThickness && p.ControlParallel && p.NUMAOperation
+}
+
+// costLaw holds a run to its variant's step cost law (Table 1, Figure 13),
+// whether it completed, stopped or ran under faults: a task switch costs the
+// policy's rate, TaskSwitchCycles(Tp) for a rotation and PreemptCycles(Tp)
+// for a time-slice preemption; a split child costs FlowBranchCycles(R) and an
+// auto-split fragment the TCF rate R; a variant without control parallelism
+// never splits, nor does a machine without an auto-split threshold
+// fragment; and every cost and frontend event lands in its one stage.
+func costLaw(m *machine.Machine) error {
+	cfg, s := m.Config(), m.Stats()
+	pol, err := variant.PolicyFor(cfg.Variant)
+	if err != nil {
+		return err
+	}
+	rotate, preempt := pol.TaskSwitchCycles(cfg.ProcsPerGroup), pol.PreemptCycles(cfg.ProcsPerGroup)
+	extra, preempted := s.TaskSwitchCycles-s.TaskSwitches*rotate, int64(0)
+	if cfg.TimeSliceSteps > 0 && preempt != rotate {
+		preempted = extra / (preempt - rotate)
+	}
+	if extra != preempted*(preempt-rotate) || preempted < 0 || preempted > s.TaskSwitches {
+		return fmt.Errorf("%d task switches cost %d cycles, not %d per rotation and %d per preemption", s.TaskSwitches, s.TaskSwitchCycles, rotate, preempt)
+	}
+	var children, fragments int64
+	for _, f := range m.Flows() {
+		switch {
+		case f.IsFragment:
+			fragments++
+		case f.Parent != nil:
+			children++
+		}
+	}
+	if want := children*pol.FlowBranchCycles(isa.NumSRegs) + fragments*isa.NumSRegs; s.FlowBranchCycles != want {
+		return fmt.Errorf("%d split children and %d fragments cost %d flow-branch cycles, the policy's rates %d", children, fragments, s.FlowBranchCycles, want)
+	}
+	if !cfg.Variant.Props().ControlParallel && s.Splits != 0 || cfg.AutoSplitThreshold == 0 && s.AutoSplits != 0 {
+		return fmt.Errorf("%d splits and %d auto-splits on a machine that has neither", s.Splits, s.AutoSplits)
+	}
+	st := &s.Stages
+	for _, c := range []struct {
+		stage     machine.Stage
+		got, want int64
+	}{
+		{machine.StageOpGen, st[machine.StageOpGen].Cycles, s.Ops + s.ScalarOps},
+		{machine.StageOpGen, st[machine.StageOpGen].Events, s.InstrFetches},
+		{machine.StageMemory, st[machine.StageMemory].Cycles, s.OverheadCycles + s.StallCycles + s.FaultStallCycles},
+		{machine.StageFrontend, st[machine.StageFrontend].Cycles, s.FlowBranchCycles + s.TaskSwitchCycles},
+		{machine.StageFrontend, st[machine.StageFrontend].Events, s.Splits + s.Joins + s.AutoSplits + s.TaskSwitches},
+	} {
+		if c.got != c.want {
+			return fmt.Errorf("%v stage: %d cycles or events, its costs %d: %+v", c.stage, c.got, c.want, s.Stages)
+		}
+	}
+	return nil
+}
+
 // newCells runs the oracles of e on s: fault-free and, unless plan is 0,
-// under fault.Random(plan). The fault-free oracle is held to e's own
-// reference, the faulted one to the degradation invariant: faults change
-// when, never what — all but faultCosts and the step records' cycles. (Not
-// "never fewer cycles": a failed-over module's spare may be nearer.)
+// under fault.Random(plan). Every oracle is held to the cost law, and one
+// that stops with an error to the capabilities of its variant: only a
+// variant without every capability refuses a program, and then it says which
+// capability. The fault-free oracle is held to e's own reference, the
+// faulted one to the degradation invariant: faults change when, never what —
+// all but faultCosts and the step records' cycles. (Not "never fewer
+// cycles": a failed-over module's spare may be nearer.)
 func newCells(t testing.TB, e, other *entry, s shape, plan int64) []*cell {
 	t.Helper()
 	seeds := []int64{0}
@@ -366,11 +437,21 @@ func newCells(t testing.TB, e, other *entry, s shape, plan int64) []*cell {
 		if seed != 0 {
 			cfg.FaultPlan = fault.Random(seed, cfg.Groups, cfg.Groups)
 		}
-		m := buildOracle(t, e.c, cfg)
+		build := buildOracle
+		if e.quick != nil {
+			build = buildReference // no quick row traces
+		}
+		m := build(t, e.c, cfg)
 		_, err := m.Run()
 		c := &cell{name: fmt.Sprintf("%s/%s/plan %d", e.name, s.name, seed), e: e, other: other, cfg: cfg,
 			oracle: observe(m, err), snaps: map[int64]uint64{}}
 		cells = append(cells, c)
+		if err := costLaw(m); err != nil {
+			t.Fatalf("%s: the oracle breaks the cost law: %v", c.name, err)
+		}
+		if err != nil && fullCapability(s.kind) == strings.Contains(err.Error(), "unsupported") {
+			t.Fatalf("%s: %v stopped the oracle with %v", c.name, s.kind, err)
+		}
 		if seed == 0 {
 			if e.check != nil {
 				if err := e.check(m); err != nil {
@@ -778,6 +859,73 @@ func checkpointed(t *testing.T, c *cell, cfg machine.Config, build builder) *out
 	return o
 }
 
+// admitted is a tcfserve run admitted on a cost-memo miss (DESIGN.md §13):
+// analysis.CostOn, with ParamsFor the cell's configuration, runs the
+// production machine under the prediction's budgets, the report is held to
+// the oracle (checkReport), and the run goes on on the same machine. Then
+// the quota leg, where the report resolved a clean run of two steps or more:
+// the machine is Reset and loaded again under a quota one step short of the
+// prediction, which must stop it with ErrMaxSteps; the row engages there. A
+// pool keys no machine with a fault plan, so faulty cells are not the row's.
+func admitted(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
+	m := build(t, c.e.c, cfg)
+	rep, err := analysis.CostOn(context.Background(), m, c.e.c, analysis.ParamsFor(cfg))
+	if err := checkReport(rep, c.oracle); err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	if err == nil {
+		_, err = m.RunContext(context.Background())
+	}
+	o := observe(m, err)
+	if steps := rep.Steps.Min; rep.Resolved && rep.Note == "" && steps >= 2 {
+		m.Reset()
+		if err := m.SetLimits(steps-1, cfg.MaxThickness); err != nil {
+			t.Fatal(err)
+		}
+		loadInto(t, m, c.e.c)
+		if _, err := m.Run(); !errors.Is(err, machine.ErrMaxSteps) {
+			t.Fatalf("%s: a quota of %d steps, one short of the prediction, stopped the run with %v", c.name, steps-1, err)
+		}
+		o.stopped = true
+	}
+	return o
+}
+
+// checkReport holds a cost report to the oracle of the run it predicts: a
+// resolved report notes the oracle's error, or none where the oracle
+// completed, and is exact in all 19 bounds, each the oracle's Stats field; an
+// unresolved report's minimums are lower bounds of them.
+func checkReport(rep *analysis.CostReport, oracle *outcome) error {
+	note := ""
+	if oracle.err != nil {
+		note = oracle.err.Error()
+	}
+	if rep.Resolved && rep.Note != note {
+		return fmt.Errorf("the report notes %q, the oracle stopped with %v", rep.Note, oracle.err)
+	}
+	s := &oracle.stats
+	for _, f := range []struct {
+		name string
+		b    analysis.Bound
+		stat int64
+	}{
+		{"steps", rep.Steps, s.Steps}, {"cycles", rep.Cycles, s.Cycles}, {"ops", rep.Ops, s.Ops},
+		{"scalar_ops", rep.ScalarOps, s.ScalarOps}, {"instr_fetches", rep.InstrFetches, s.InstrFetches},
+		{"shared_reads", rep.SharedReads, s.SharedReads}, {"shared_writes", rep.SharedWrites, s.SharedWrites},
+		{"local_reads", rep.LocalReads, s.LocalReads}, {"local_writes", rep.LocalWrites, s.LocalWrites},
+		{"multiop_refs", rep.MultiopRefs, s.MultiopRefs}, {"overhead_cycles", rep.OverheadCycles, s.OverheadCycles},
+		{"stall_cycles", rep.StallCycles, s.StallCycles}, {"flow_branch_cycles", rep.FlowBranchCycles, s.FlowBranchCycles},
+		{"task_switch_cycles", rep.TaskSwitchCycles, s.TaskSwitchCycles}, {"barriers", rep.Barriers, s.Barriers},
+		{"splits", rep.Splits, s.Splits}, {"joins", rep.Joins, s.Joins}, {"flows_created", rep.FlowsCreated, s.FlowsCreated},
+		{"max_live_flows", rep.MaxLiveFlows, int64(s.MaxLiveFlows)},
+	} {
+		if rep.Resolved && (!f.b.Exact() || f.b.Min != f.stat) || f.b.Min > f.stat {
+			return fmt.Errorf("%s: predicted %v, the oracle's %d (%s)", f.name, f.b, f.stat, rep.Reason)
+		}
+	}
+	return nil
+}
+
 func hash(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
@@ -845,6 +993,7 @@ var rows = []row{
 	{name: "kill2", life: killed(2), plans: cleanOnly},
 	{name: "ref-kill", build: buildReference, life: killed(1), plans: both, engaged: crossed},
 	{name: "checkpoint", life: checkpointed, plans: both, engaged: snapsShared},
+	{name: "admitted", life: admitted, plans: cleanOnly, engaged: stopped, atLeast: 60},
 }
 
 // hold runs row r in cell c and holds what it shows to the oracle; it reports
@@ -930,8 +1079,13 @@ func TestLattice(t *testing.T) {
 	progs := programs(t)
 	// row → cells it must run in, cells it ran in, programs it engaged on
 	cells, ran, hits := map[string]int{}, map[string]int{}, map[string]int{}
+	// variant → its shapes, those whose oracles ran, those that completed
+	shapes, oracled, completed := map[variant.Kind]int{}, map[variant.Kind]int{}, map[variant.Kind]int{}
 	for i := range progs {
 		e, other := &progs[i], &progs[(i+1)%len(progs)]
+		for _, s := range e.shapes {
+			shapes[s.kind]++
+		}
 		var rs []row
 		for _, r := range rows {
 			if e.quick == nil || slices.Contains(e.quick, r.name) {
@@ -949,6 +1103,10 @@ func TestLattice(t *testing.T) {
 					}
 					cs := newCells(t, e, other, s, plan)
 					oracles[k] = cs[clean].oracle
+					oracled[s.kind]++
+					if oracles[k].err == nil {
+						completed[s.kind]++
+					}
 					for _, r := range rs {
 						t.Run(r.name, func(t *testing.T) {
 							ran[r.name]++
@@ -980,6 +1138,11 @@ func TestLattice(t *testing.T) {
 			t.Errorf("row %s engaged on %d programs, want %d: it proved nothing", r.name, hits[r.name], max(1, r.atLeast))
 		}
 	}
+	for _, kind := range allKinds {
+		if oracled[kind] == shapes[kind] && completed[kind] == 0 {
+			t.Errorf("no %v oracle completed: the cost law holds on no whole run of it", kind)
+		}
+	}
 }
 
 // FuzzLattice fuzzes the lattice over (seed, program, variant, row, plan):
@@ -996,13 +1159,15 @@ func FuzzLattice(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, program, kind, r int, plan int64) {
 		at := func(i, n int) int { return (i%n + n) % n }
-		all := progs[:len(progs):len(progs)]
-		for _, gen := range generators {
-			all = append(all, gen(seed))
+		p := at(program, len(progs)+len(generators))
+		var e entry
+		if p < len(progs) {
+			e = progs[p]
+		} else {
+			e = generators[p-len(progs)].build(seed)
 		}
-		p := at(program, len(all))
-		e := &all[p]
-		cs := newCells(t, e, &progs[at(p+1, len(progs))], e.shapes[at(kind, len(e.shapes))], plan)
+		e.quick = nil // any row runs here: its oracle traces
+		cs := newCells(t, &e, &progs[at(p+1, len(progs))], e.shapes[at(kind, len(e.shapes))], plan)
 		hold(t, rows[at(r, len(rows))], cs[len(cs)-1])
 	})
 }
