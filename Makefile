@@ -55,8 +55,9 @@ bench-compile:
 		./internal/lang ./internal/sema ./internal/analysis ./internal/codegen ./internal/fuse ./internal/serve
 
 # bench-engine runs the step engine's per-layer benchmarks: the step commit's
-# (BenchmarkApplyStep in internal/mem — unit stride, the same run marked
-# dense, stride 2, two runs
+# (BenchmarkApplyStep in internal/mem — unit stride, the same run by its
+# dense base, and by its dense base with its values in a bank (by_ref: the
+# bulk store's run), stride 2, two runs
 # disjoint and overlapping (direct; indexed), engine-thick's scatter-crcw,
 # 2^17 writes 8-way onto 2^14 words (indexed), 2048 runs of 4 — and
 # BenchmarkResolve in internal/multiop — engine-thick's histogram, 256

@@ -292,7 +292,8 @@ func TestEngineFlagsRejected(t *testing.T) {
 // their addresses, and the ST its values, from the forms. Under them the tail
 // line: of the ten steps one had stores to commit, one left a buffer to
 // compact (the flow halted), none had two outputs to order, and the one
-// flow's chunk was allocated.
+// flow's chunk was allocated. The commit line's run is dense and holds its
+// values by their form: the commit reads both from the run's header.
 func TestStagesKernelCoverage(t *testing.T) {
 	path := write(t, "p.te", `
 shared int c[64] @ 300;
@@ -302,7 +303,7 @@ func main() {
     print(radd(c[tid]));
 }
 `)
-	want := "commit: runs=1 direct_words=64 tabled_words=0 indexed_words=0 sorted_fallbacks=0" +
+	want := "commit: runs=1 direct_words=64 tabled_words=0 indexed_words=0 sorted_fallbacks=0 dense_words=64 ref_words=64" +
 		"\ncombine: refs=0 accumulators=0 indexed_refs=0" +
 		"\nkernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=4 banks_reused=0 banks_allocated=2 columns_skipped=4 columns_materialised=0" +
 		"\ntail: steps=10 commits=1 compactions=1 output_sorts=0 flows_reused=0 flows_allocated=1 thin_words=0 tables=1"
@@ -321,7 +322,8 @@ func main() {
 // iterations and the one before the sum: 19 — and the three a reader made
 // the flow materialise after all: the SHR, the XOR and the AND of the
 // prologue. The loop's LDs and ST read their addresses from the forms, and
-// the five ST runs commit directly.
+// the five ST runs commit directly, each by its dense base and with its
+// values read from the register bank.
 func TestStagesAffineCounts(t *testing.T) {
 	path := write(t, "saxpy.te", `
 shared int x[256] @ 16384;
@@ -341,7 +343,7 @@ func main() {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"commit: runs=5 direct_words=1280 tabled_words=0 ",
+		"commit: runs=5 direct_words=1280 tabled_words=0 indexed_words=0 sorted_fallbacks=0 dense_words=1280 ref_words=1280\n",
 		" columns_skipped=19 columns_materialised=3\n",
 	} {
 		if !strings.Contains(out.String(), want) {
@@ -353,7 +355,8 @@ func main() {
 // TestStagesCombineCounts: -stages counts a step's combining references, one
 // accumulator per word they meet and the references resolved through the
 // index — a madd of 64 lanes onto 8 words and an mpadd onto one word, both
-// compact — and the commit's scattered stores, 64 onto 16 words, as indexed.
+// compact — and the commit's scattered stores, 64 onto 16 words, as indexed,
+// their values read from the register bank the mpadd's prefixes came into.
 func TestStagesCombineCounts(t *testing.T) {
 	path := write(t, "p.te", `
 shared int h[16] @ 300;
@@ -371,7 +374,7 @@ func main() {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"commit: runs=1 direct_words=0 tabled_words=64 indexed_words=64 sorted_fallbacks=0\n",
+		"commit: runs=1 direct_words=0 tabled_words=64 indexed_words=64 sorted_fallbacks=0 dense_words=0 ref_words=64\n",
 		"combine: refs=128 accumulators=9 indexed_refs=128\n",
 	} {
 		if !strings.Contains(out.String(), want) {

@@ -315,3 +315,9 @@ func TestGeneratedEntriesEngage(t *testing.T) {
 		t.Errorf("no auto-split shape split on any of %d seeds", tcfeSeeds)
 	}
 }
+
+// saxpyKernel is tcfbench's saxpy-loop at the given thickness, compiled.
+func saxpyKernel(tb testing.TB, lanes int) *codegen.Compiled {
+	p := gen.ThickKernels(1, gen.ThickShape{Thickness: lanes, SharedWords: 12*lanes + 16384})[0]
+	return compileSrc(tb, p.Name, p.Source)
+}

@@ -1194,3 +1194,45 @@ func TestAffineEntryTakesForms(t *testing.T) {
 		}
 	}
 }
+
+// TestStoresTakeRunForms: the bulk store hands the commit its words where
+// they lie. On the default single-instruction machine the affine entry and
+// saxpy-loop (bench/gen, at 256 lanes) commit words by a dense base and
+// values from a register bank or an affine form; the reference machine and
+// multi-instruction, whose banks may change before the commit, copy every
+// store.
+func TestStoresTakeRunForms(t *testing.T) {
+	saxpy := saxpyKernel(t, 256)
+	for _, c := range []*codegen.Compiled{compileSrc(t, "affine", affineSrc), saxpy} {
+		for _, run := range []struct {
+			kind  variant.Kind
+			ref   bool
+			forms bool
+		}{
+			{variant.SingleInstruction, false, true},
+			{variant.SingleInstruction, true, false},
+			{variant.MultiInstruction, false, false},
+		} {
+			cfg := machine.Default(run.kind)
+			m, err := machine.New(cfg)
+			if run.ref {
+				m, err = machine.NewReference(cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadInto(t, m, c)
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			cs := m.CommitStats()
+			ok := cs.DenseWords == 0 && cs.RefWords == 0
+			if run.forms {
+				ok = cs.DenseWords > 0 && cs.RefWords > 0
+			}
+			if !ok {
+				t.Errorf("%s on %v (reference %t): %v", c.Program.Name, run.kind, run.ref, cs)
+			}
+		}
+	}
+}

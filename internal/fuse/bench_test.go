@@ -93,8 +93,9 @@ var chainCode = fuse.Compile(isa.MustAssemble("chain", `
 // affineChain runs TID, MUL and ADD through their kernels, then an LD of
 // V2 from V0+4096 and an ST of V1 to V0+4096 as the machine's bulk path runs
 // them: the LD page-wise from an affine address of stride 1, the ST into one
-// run of the step's log, both columns filled from forms and the run marked
-// dense; a column address instead is read lane by lane and copied.
+// run of the step's log with the values by their form and the addresses by
+// their dense base; a column address instead is read lane by lane and
+// copied, and column values are referred to in their bank.
 func affineChain(f *tcf.Flow, sh *mem.Shared, log *mem.WriteLog) {
 	for pc := range chainCode {
 		fi := &chainCode[pc]
@@ -111,18 +112,19 @@ func affineChain(f *tcf.Flow, sh *mem.Shared, log *mem.WriteLog) {
 		}
 	}
 	log.Reset()
-	addrs, vals := log.Open(f.ID, 0, 0, n)
-	if base, _, ok := f.Affine(isa.V(0)); ok {
-		isa.Ramp(addrs, base+4096, 1)
-		log.MarkDense(n)
+	r := mem.Run{Issue: mem.Issue{Flow: f.ID, N: n}}
+	if base, stride, ok := f.Affine(isa.V(1)); ok {
+		r.Form, r.VBase, r.VStride = true, base, stride
 	} else {
+		r.Ref = f.Vector(isa.V(1))
+	}
+	if base, _, ok := f.Affine(isa.V(0)); ok {
+		r.Dense, r.Base = true, base+4096
+		log.Open(&r)
+	} else {
+		addrs, _ := log.Open(&r)
 		for i, a := range f.Vector(isa.V(0)) {
 			addrs[i] = a + 4096
 		}
-	}
-	if base, stride, ok := f.Affine(isa.V(1)); ok {
-		isa.Ramp(vals, base, stride)
-	} else {
-		copy(vals, f.Vector(isa.V(1)))
 	}
 }

@@ -2,10 +2,12 @@ package lint
 
 import (
 	"encoding/json"
+	"go/token"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -19,6 +21,32 @@ func writePkg(t *testing.T, files map[string]string) string {
 		}
 	}
 	return dir
+}
+
+// std is one importer for the tests whose throwaway packages import the
+// standard library: it type-checks each standard package from source once
+// for all of them, not once per test. Such a package has no go.mod above it,
+// so nothing else resolves through the importer.
+var std struct {
+	sync.Mutex
+	fset *token.FileSet
+	imp  *lenientImporter
+}
+
+// lintStd is Package for a throwaway package, through std.
+func lintStd(t *testing.T, dir string) []Finding {
+	t.Helper()
+	std.Lock()
+	defer std.Unlock()
+	if std.imp == nil {
+		std.fset = token.NewFileSet()
+		std.imp = newLenientImporter(std.fset, dir)
+	}
+	fs, err := lintDir(std.fset, std.imp, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
 func rules(fs []Finding) []string {
@@ -117,10 +145,7 @@ func stamp() (int64, time.Duration) {
 	return start.UnixNano(), time.Since(start)
 }
 `})
-	fs, err := Package(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := lintStd(t, dir)
 	got := rules(fs)
 	if len(got) != 2 || got[0] != "time-now" || got[1] != "time-now" {
 		t.Fatalf("findings %v, want two time-now", fs)
@@ -155,11 +180,7 @@ import "math/rand"
 
 func f() int { return rand.Int() }
 `})
-	fs, err := Package(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 1 || fs[0].Rule != "math-rand" {
+	if fs := lintStd(t, dir); len(fs) != 1 || fs[0].Rule != "math-rand" {
 		t.Fatalf("findings %v, want one math-rand", fs)
 	}
 }
@@ -255,10 +276,7 @@ func TestOverlayFromGOFLAGS(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Setenv("GOFLAGS", "-mod=mod -overlay="+filepath.Join(over, "overlay.json"))
-	fs, err := Package(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := lintStd(t, dir)
 	if got := rules(fs); len(got) != 1 || got[0] != "time-now" {
 		t.Fatalf("findings %v, want the replacement's time-now", fs)
 	}

@@ -504,17 +504,26 @@ func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool 
 		return true
 
 	case isa.ST:
-		// One run, two column fills. An address column filled from an affine
-		// form of stride 1, in range, is marked dense for the commit, and its
-		// module distances are those of its first words.
-		addrs, vals := x.writes.Open(f.ID, 0, first, n)
-		stride, affine := operandColumn(f, addrs, in.Ra, first, in.Imm)
-		operandColumn(f, vals, in.Rb, first, 0)
-		if lo, hi := addrs[0], addrs[n-1]; affine && stride == 1 && sh.InRange(lo) && sh.InRange(hi) {
-			x.writes.MarkDense(n)
+		// One run, read by the commit where its words lie (mem.Run): the
+		// values in the flow's register bank or as their affine form, and
+		// addresses from a form of stride 1, in range, as the run's dense base,
+		// whose module distances are those of its first words. Nothing
+		// writes the bank before the step commits (DESIGN.md §17).
+		r := mem.Run{Issue: mem.Issue{Flow: f.ID, Thread0: first, N: n}}
+		storeValues(f, &r, in.Rb, first)
+		var base, stride int64
+		affine := false
+		if in.Ra.IsVector() {
+			base, stride, affine = f.Affine(in.Ra)
+		}
+		if lo := base + in.Imm + int64(first); affine && stride == 1 && sh.InRange(lo) && sh.InRange(lo+int64(n-1)) {
+			r.Dense, r.Base = true, lo
+			x.writes.Open(&r)
 			x.maxDist = sh.MaxOverRun(row, x.maxDist, lo, n)
 			x.anyShared = true
 		} else {
+			addrs, _ := x.writes.Open(&r)
+			operandColumn(f, addrs, in.Ra, first, in.Imm)
 			x.noteRow(addrs)
 		}
 		x.sharedWrites += int64(n)
@@ -523,11 +532,30 @@ func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool 
 	return false
 }
 
+// storeValues makes r hold lanes [first, first+r.N) of the store operand v
+// by reference: a flow-common value, or none, as a form of stride 0, a
+// thread-wise register in affine form as its form, unread and left in it,
+// and any other as its lanes of the register's bank.
+func storeValues(f *tcf.Flow, r *mem.Run, v isa.Reg, first int) {
+	switch {
+	case v == isa.RegNone:
+		r.Form = true
+	case !v.IsVector():
+		r.Form, r.VBase = true, f.Scalar(v)
+	default:
+		if base, stride, ok := f.Affine(v); ok {
+			r.Form, r.VBase, r.VStride = true, base+stride*int64(first), stride
+		} else {
+			r.Ref = f.Vector(v)[first : first+r.N]
+		}
+	}
+}
+
 // operandColumn fills dst with lanes [first, first+len(dst)) of the operand r
 // plus c: c alone for no register, c plus the value of a flow-common one.
 // A thread-wise register in affine form fills dst from its form, unread and
-// left in it; operandColumn then reports the form's stride.
-func operandColumn(f *tcf.Flow, dst []int64, r isa.Reg, first int, c int64) (stride int64, affine bool) {
+// left in it.
+func operandColumn(f *tcf.Flow, dst []int64, r isa.Reg, first int, c int64) {
 	switch {
 	case r == isa.RegNone:
 		isa.Fill(dst, c)
@@ -536,11 +564,10 @@ func operandColumn(f *tcf.Flow, dst []int64, r isa.Reg, first int, c int64) (str
 	default:
 		if base, stride, ok := f.Affine(r); ok {
 			isa.Ramp(dst, base+c+stride*int64(first), stride)
-			return stride, true
+			return
 		}
 		fillColumn(dst, f.Vector(r), first, c)
 	}
-	return 0, false
 }
 
 // noteRow is noteShared for the non-empty PRAM-mode references addrs
@@ -580,7 +607,7 @@ func consecutive(a []int64) int {
 // commit, so the register's lanes stay where they are.
 func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) {
 	av, bv, base, bs := storeOperands(f, in)
-	run := multiop.Run{Run: mem.Run{Flow: f.ID, Seq: seq, Thread0: first, N: n}}
+	run := multiop.Run{Issue: mem.Issue{Flow: f.ID, Seq: seq, Thread0: first, N: n}}
 	if in.Op.IsMultiprefix() {
 		run.Prefix = f.Vector(in.Rd)[first : first+n]
 	}

@@ -97,7 +97,7 @@ func scatterBatch(rng *rand.Rand, n, addrs int, spread, arrival uint8) []Write {
 // scattered addresses, by up to three flows, the second and later
 // instructions starting adjacent to, inside or away from the one before, some
 // reaching out of range at either end of memory, some repeating the keys of
-// the one before.
+// the one before; a quarter of them store values in an affine form.
 func instrBatch(rng *rand.Rand, words, n int, spread uint8) (flat []Write, starts []int) {
 	base := int64(rng.Intn(words+16) - 8)
 	var key Key
@@ -108,12 +108,17 @@ func instrBatch(rng *rand.Rand, words, n int, spread uint8) (flat []Write, start
 		stride := []int64{0, 1, 1, 2, -1, 7, 99}[rng.Intn(7)]
 		lanes := rng.Intn(n + 1)
 		starts = append(starts, len(flat))
+		form, vbase, vstride := rng.Intn(4) == 0, int64(rng.Intn(1+int(spread))), int64(rng.Intn(3)-1)
 		for j := 0; j < lanes; j++ {
 			addr := base + int64(j)*stride
 			if stride == 99 {
 				addr = base + int64(rng.Intn(2*lanes))
 			}
-			flat = append(flat, Write{Addr: addr, Val: int64(rng.Intn(1 + int(spread))), Key: Key{Flow: key.Flow, Thread: key.Thread + j, Seq: key.Seq}})
+			val := int64(rng.Intn(1 + int(spread)))
+			if form {
+				val = vbase + vstride*int64(j)
+			}
+			flat = append(flat, Write{Addr: addr, Val: val, Key: Key{Flow: key.Flow, Thread: key.Thread + j, Seq: key.Seq}})
 		}
 		switch rng.Intn(4) {
 		case 0: // adjacent to what a unit stride just wrote
@@ -129,8 +134,13 @@ func instrBatch(rng *rand.Rand, words, n int, spread uint8) (flat []Write, start
 
 // bufferInstrs buffers flat, instruction by instruction, into one to three
 // logs (as groups fold theirs in order), each instruction as one run, as a
-// run cut in two and appended back together, or store by store. Most runs
-// whose addresses ascend by one are marked dense, in range or not.
+// run cut in two and appended back together, or store by store. A run takes
+// any of the forms its words allow, at random: addresses ascending by one —
+// in range or not — as a dense base, values as an affine form when they are
+// in one, and otherwise, by reference, as a slice of a bank the test holds
+// until the commit. A third of the steps buffer the first instruction
+// through BufferWrite, so that every log reaches the memory by AppendLog
+// behind it.
 func bufferInstrs(rng *rand.Rand, s *Shared, flat []Write, starts []int) {
 	logs := make([]*WriteLog, 1+rng.Intn(3))
 	for i := range logs {
@@ -140,18 +150,47 @@ func bufferInstrs(rng *rand.Rand, s *Shared, flat []Write, starts []int) {
 		if len(ws) == 0 {
 			return
 		}
-		addrs, vals := l.Open(ws[0].Key.Flow, ws[0].Key.Seq, ws[0].Key.Thread, len(ws))
-		dense := rng.Intn(4) > 0
+		r := Run{Issue: Issue{Flow: ws[0].Key.Flow, Seq: ws[0].Key.Seq, Thread0: ws[0].Key.Thread, N: len(ws)}}
+		dense, form := rng.Intn(4) > 0, rng.Intn(4) > 0
+		vstride := int64(0)
+		if len(ws) > 1 {
+			vstride = ws[1].Val - ws[0].Val
+		}
 		for i, w := range ws {
-			addrs[i], vals[i] = w.Addr, w.Val
 			dense = dense && w.Addr == ws[0].Addr+int64(i)
+			form = form && w.Val == ws[0].Val+vstride*int64(i)
+		}
+		switch {
+		case form:
+			r.Form, r.VBase, r.VStride = true, ws[0].Val, vstride
+		case rng.Intn(2) == 0:
+			r.Ref = make([]int64, len(ws))
+			for i, w := range ws {
+				r.Ref[i] = w.Val
+			}
 		}
 		if dense {
-			l.MarkDense(len(ws))
+			r.Dense, r.Base = true, ws[0].Addr
+		}
+		addrs, vals := l.Open(&r)
+		for i, w := range ws {
+			if addrs != nil {
+				addrs[i] = w.Addr
+			}
+			if vals != nil {
+				vals[i] = w.Val
+			}
 		}
 	}
-	for k, from := range starts {
-		to := len(flat)
+	k := 0
+	if rng.Intn(3) == 0 && len(starts) > 1 {
+		for _, w := range flat[:starts[1]] {
+			s.BufferWrite(w.Addr, w.Val, w.Key)
+		}
+		k = 1
+	}
+	for ; k < len(starts); k++ {
+		from, to := starts[k], len(flat)
 		if k+1 < len(starts) {
 			to = starts[k+1]
 		}
@@ -193,7 +232,7 @@ func applyStepVia(s *Shared, r route) []Conflict {
 // policy × module count, on single writes in four arrival
 // orders (conflicting, out-of-range and equal-keyed) through BufferWrite(s)
 // and on instruction-shaped traffic through write logs with fuzzed run
-// structure, dense-marked runs among them, over two steps so the retained
+// structure, dense and by-reference runs among copied ones, over two steps so the retained
 // scratch is reused; and the route ApplyStep picks to both tabled routes,
 // every run indexed and every run hashed, on two more memories fed the same. Few addresses for many writes
 // make a compact interval, many for few a sparse one.
@@ -292,8 +331,16 @@ func TestApplyRoutesAgree(t *testing.T) {
 				strideRun(l, f, int64(f)*PageWords+1000, 1, 48) // each crosses a page boundary
 			}
 		}},
+		{"dense_by_ref", "direct", func(l *WriteLog) {
+			denseRun(l, 0, 100, 5000)
+			denseRun(l, 1, 5100, 3000)
+		}},
+		{"dense_overlapping", "indexed", func(l *WriteLog) {
+			denseRun(l, 0, 100, 900)
+			denseRun(l, 1, 500, 900)
+		}},
 		{"scatter_8way", "indexed", func(l *WriteLog) {
-			addrs, vals := l.Open(0, 0, 0, 8192)
+			addrs, vals := l.Open(&Run{Issue: Issue{N: 8192}})
 			for i, w := range conflictWrites(8192) {
 				addrs[i], vals[i] = w.Addr-8192, w.Val%5
 			}
@@ -308,7 +355,7 @@ func TestApplyRoutesAgree(t *testing.T) {
 			strideRun(l, 1, 15, 13, 1000)
 		}},
 		{"far_repeats", "hashed", func(l *WriteLog) {
-			addrs, vals := l.Open(3, 1, 5, 600)
+			addrs, vals := l.Open(&Run{Issue: Issue{Flow: 3, Seq: 1, Thread0: 5, N: 600}})
 			for i := range addrs {
 				addrs[i], vals[i] = int64(i%300)*53-20, int64(i%7) // some below memory
 			}
@@ -351,8 +398,8 @@ func TestApplyRoutesAgree(t *testing.T) {
 				t.Fatalf("%s: %+v, want every word %s", sh.name, cs, want)
 			}
 			for _, s := range []*Shared{indexed, hashed} {
-				if cs := s.CommitStats(); cs.DirectWords != 0 || cs.TabledWords != cs.DirectWords+int64(inRange(l.Addrs, words)) {
-					t.Fatalf("%s: %+v, want every in-range word tabled", sh.name, cs)
+				if c := s.CommitStats(); c.DirectWords != 0 || c.TabledWords != cs.DirectWords+cs.TabledWords || c.DenseWords != cs.DenseWords || c.RefWords != cs.RefWords {
+					t.Fatalf("%s: %+v, want every in-range word tabled", sh.name, c)
 				}
 			}
 			mem := auto.Snapshot(0, words)
@@ -367,16 +414,6 @@ func TestApplyRoutesAgree(t *testing.T) {
 			}
 		}
 	}
-}
-
-// inRange counts the addresses of a memory of the given words.
-func inRange(addrs []int64, words int) (n int) {
-	for _, a := range addrs {
-		if a >= 0 && a < int64(words) {
-			n++
-		}
-	}
-	return n
 }
 
 // TestSnapshotRefusesPendingLog: a log retained for a step that has not
@@ -404,10 +441,21 @@ func TestSnapshotRefusesPendingLog(t *testing.T) {
 // strideRun buffers one instruction of flow: n stores from base on, stride
 // apart, lane j storing j+1.
 func strideRun(l *WriteLog, flow int, base, stride int64, n int) {
-	addrs, vals := l.Open(flow, 0, 0, n)
+	addrs, vals := l.Open(&Run{Issue: Issue{Flow: flow, N: n}})
 	for j := range addrs {
 		addrs[j], vals[j] = base+int64(j)*stride, int64(j+1)
 	}
+}
+
+// denseRun buffers one instruction of flow as the machine's bulk store issues
+// it: n stores from base on by their dense base, lane j storing j+1 from a
+// bank held by reference.
+func denseRun(l *WriteLog, flow int, base int64, n int) {
+	bank := make([]int64, n)
+	for j := range bank {
+		bank[j] = int64(j + 1)
+	}
+	l.Open(&Run{Issue: Issue{Flow: flow, N: n}, Dense: true, Base: base, Ref: bank})
 }
 
 // TestApplyStepSteadyStateAllocs holds the tabled route to its retained
@@ -439,19 +487,32 @@ func conflictWrites(n int) []Write {
 
 // BenchmarkApplyStep times a step's stores from the write log to memory —
 // the column fills, BufferLog, ApplyStep — on 2^17 references (2^13 for the
-// thin shape) shaped as the engine issues them: one dense run (saxpy-loop), a
-// stride-2 run, two flows on adjacent and on overlapping ranges, tcfbench's
-// scatter-crcw, and 2048 flows of thickness 4 storing side by side. B/ref is
-// what a step buffers per store: two column words and its share of a header.
+// thin shape) shaped as the engine issues them: one run of consecutive
+// addresses (saxpy-loop) copied into both columns, by its dense base with its
+// values copied, and by its dense base with its values in a bank (by_ref, no
+// column filled: the engine's bulk store), a stride-2 run, two flows on
+// adjacent and on overlapping ranges, tcfbench's scatter-crcw, and 2048 flows
+// of thickness 4 storing side by side. B/ref is what a step buffers per
+// store: its column words and its share of a header.
 func BenchmarkApplyStep(b *testing.B) {
 	const T = 1 << 17
 	scatter := conflictWrites(T)
+	bank := make([]int64, T)
+	for j := range bank {
+		bank[j] = int64(j + 1)
+	}
 	for _, c := range []struct {
 		name string
 		fill func(l *WriteLog)
 	}{
 		{"unit_stride", func(l *WriteLog) { strideRun(l, 0, 16384, 1, T) }},
-		{"dense", func(l *WriteLog) { strideRun(l, 0, 16384, 1, T); l.MarkDense(T) }},
+		{"dense", func(l *WriteLog) {
+			_, vals := l.Open(&Run{Issue: Issue{N: T}, Dense: true, Base: 16384})
+			for j := range vals {
+				vals[j] = int64(j + 1)
+			}
+		}},
+		{"by_ref", func(l *WriteLog) { l.Open(&Run{Issue: Issue{N: T}, Dense: true, Base: 16384, Ref: bank}) }},
 		{"stride_2", func(l *WriteLog) { strideRun(l, 0, 16384, 2, T) }},
 		{"two_runs_disjoint", func(l *WriteLog) {
 			strideRun(l, 0, 16384, 1, T/2)
@@ -462,7 +523,7 @@ func BenchmarkApplyStep(b *testing.B) {
 			strideRun(l, 1, 16384+T/4, 1, T/2)
 		}},
 		{"scatter_8way", func(l *WriteLog) {
-			addrs, vals := l.Open(0, 0, 0, T)
+			addrs, vals := l.Open(&Run{Issue: Issue{N: T}})
 			for i, w := range scatter {
 				addrs[i], vals[i] = w.Addr, w.Val
 			}
@@ -490,7 +551,7 @@ func BenchmarkApplyStep(b *testing.B) {
 				step()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/refs, "ns/ref")
-			b.ReportMetric((16*refs+float64(len(l.Runs))*float64(unsafe.Sizeof(Run{})))/refs, "B/ref")
+			b.ReportMetric((8*float64(len(l.Addrs)+len(l.Vals))+float64(len(l.Runs))*float64(unsafe.Sizeof(Run{})))/refs, "B/ref")
 		})
 	}
 }

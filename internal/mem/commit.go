@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"tcfpram/internal/isa"
 )
 
 // The step commit. A step's stores reach ApplyStep as write logs, one run per
@@ -22,28 +24,37 @@ import (
 // and hashed otherwise. A Common disagreement found there goes to a stable
 // sort, so winners, the equal-key rule (the write buffered first wins),
 // counters and conflicts are those of sorting everything by (address, key).
-// Which route a run takes is a property of its addresses alone.
+// Which route a run takes is a property of its addresses alone. A run handed
+// by reference — a dense one by its base, values by their register bank or
+// affine form — is read where it lies: the direct route stores its values
+// from there, and only a run that goes to the table has the words it holds by
+// reference written out first (unfold).
 
 // CommitStats counts what ApplyStep has done since the memory was built or
 // Reset: the runs it was handed, the in-range words it stored directly and
-// resolved through the table — IndexedWords of those through the index — and
-// the steps a Common disagreement sent to the sorted scan. Host-side
-// bookkeeping only: it is in no snapshot and no simulated statistic.
+// resolved through the table — IndexedWords of those through the index — the
+// steps a Common disagreement sent to the sorted scan, and the in-range words
+// whose addresses it took from a dense run's base and whose values it read
+// straight from a register bank or an affine form, rather than from a log's
+// columns. Host-side bookkeeping only: it is in no snapshot and no simulated
+// statistic.
 type CommitStats struct {
 	Runs, DirectWords, TabledWords, IndexedWords, SortedFallbacks int64
+	DenseWords, RefWords                                          int64
 }
 
 // CommitStats returns the commit's route counters.
 func (s *Shared) CommitStats() CommitStats { return s.commits }
 
 func (c CommitStats) String() string {
-	return fmt.Sprintf("commit: runs=%d direct_words=%d tabled_words=%d indexed_words=%d sorted_fallbacks=%d",
-		c.Runs, c.DirectWords, c.TabledWords, c.IndexedWords, c.SortedFallbacks)
+	return fmt.Sprintf("commit: runs=%d direct_words=%d tabled_words=%d indexed_words=%d sorted_fallbacks=%d dense_words=%d ref_words=%d",
+		c.Runs, c.DirectWords, c.TabledWords, c.IndexedWords, c.SortedFallbacks, c.DenseWords, c.RefWords)
 }
 
 // span is one run as the commit sees it: its header, its stretch of its log's
-// columns and what the first pass learns about it — how many of its words
-// are in range, and the interval [lo, hi] those cover.
+// columns — nil where the run holds its words by reference, until unfold
+// writes them out — and what the first pass learns about it: how many of its
+// words are in range, and the interval [lo, hi] those cover.
 type span struct {
 	run         *Run
 	addrs, vals []int64
@@ -204,15 +215,21 @@ func (s *Shared) classify() bool {
 	words, ascending, top := 0, true, int64(-1)
 	k := 0
 	for _, l := range s.logs {
-		off := 0
+		addrs, vals := l.Addrs, l.Vals
 		for i := range l.Runs {
 			r, sp := &l.Runs[i], &s.spans[k]
-			sp.run, sp.addrs, sp.vals = r, l.Addrs[off:off+r.N], l.Vals[off:off+r.N]
+			sp.run, sp.addrs, sp.vals = r, nil, r.Ref
+			if !r.Dense {
+				sp.addrs, addrs = addrs[:r.N], addrs[r.N:]
+			}
+			if !r.byRef() {
+				sp.vals, vals = vals[:r.N], vals[r.N:]
+			}
 			s.scan(sp) // sets the rest
 			if sp.words > 0 {
 				words, ascending, top = words+sp.words, ascending && sp.lo > top, max(top, sp.hi)
 			}
-			off, k = off+r.N, k+1
+			k++
 		}
 	}
 	switch {
@@ -230,17 +247,17 @@ func (s *Shared) classify() bool {
 }
 
 // scan is the first pass over one run. direct is set for a run in range and
-// strictly ascending; markOverlaps may yet clear it. A run marked dense needs
-// no pass when its ends lie in range: its addresses ascend by one between
-// them. One with an end out of range takes the pass like any other.
+// strictly ascending; markOverlaps may yet clear it. A dense run needs no
+// pass: its interval is its header's, cut to the memory, and it is direct
+// when nothing was cut.
 func (s *Shared) scan(sp *span) {
-	addrs := sp.addrs
-	if n := len(addrs); sp.run.Dense && n > 0 {
-		if lo, hi := addrs[0], addrs[n-1]; s.InRange(lo) && s.InRange(hi) && hi-lo == int64(n-1) {
-			sp.lo, sp.hi, sp.words, sp.direct = lo, hi, n, true
-			return
-		}
+	if r := sp.run; r.Dense {
+		lo, hi := max(r.Base, 0), min(r.Base+int64(r.N-1), s.size-1)
+		sp.lo, sp.hi, sp.words = lo, hi, int(max(hi-lo+1, 0))
+		sp.direct = sp.words == r.N && r.N > 0
+		return
 	}
+	addrs := sp.addrs
 	i, prev := 0, int64(-1)
 	for ; i < len(addrs) && addrs[i] > prev && addrs[i] < s.size; i++ {
 		prev = addrs[i]
@@ -295,6 +312,12 @@ func (s *Shared) commit(r route) []Conflict {
 	for i := range s.spans {
 		sp := &s.spans[i]
 		issued += sp.words
+		if sp.run.Dense {
+			s.commits.DenseWords += int64(sp.words)
+		}
+		if sp.run.byRef() {
+			s.commits.RefWords += int64(sp.words)
+		}
 		if sp.direct {
 			s.storeRun(sp)
 		} else if sp.words > 0 {
@@ -306,6 +329,7 @@ func (s *Shared) commit(r route) []Conflict {
 	done := int64(issued - tabled)
 	var conflicts []Conflict
 	if tabled > 0 {
+		s.unfold()
 		indexed := r == routeIndexed || r == routeAuto && Compact(lo, hi, tabled)
 		if indexed {
 			s.commits.IndexedWords += int64(tabled)
@@ -326,24 +350,72 @@ func (s *Shared) commit(r route) []Conflict {
 	return conflicts
 }
 
-// storeRun stores a direct run: page-wise copies when its addresses are
-// consecutive (ascending over an interval exactly as long as the run),
-// indexed stores otherwise.
+// unfold writes out, into s.unfolded, the words that the tabled runs hold by
+// reference — a dense run's addresses, an affine form's values — so that the
+// tabled routes read every run from its columns. A bank slice needs no copy.
+func (s *Shared) unfold() {
+	n := 0
+	for i := range s.spans {
+		if sp := &s.spans[i]; !sp.direct && sp.words > 0 {
+			if sp.run.Dense {
+				n += sp.run.N
+			}
+			if sp.run.Form {
+				n += sp.run.N
+			}
+		}
+	}
+	if n == 0 {
+		return
+	}
+	buf := slices.Grow(s.unfolded[:0], n)[:n]
+	s.unfolded = buf
+	for i := range s.spans {
+		sp := &s.spans[i]
+		if r := sp.run; !sp.direct && sp.words > 0 {
+			if r.Dense {
+				sp.addrs, buf = buf[:r.N], buf[r.N:]
+				isa.Ramp(sp.addrs, r.Base, 1)
+			}
+			if r.Form {
+				sp.vals, buf = buf[:r.N], buf[r.N:]
+				isa.Ramp(sp.vals, r.VBase, r.VStride)
+			}
+		}
+	}
+}
+
+// storeRun stores a direct run, every word of which is in range: page-wise
+// copies (or an affine form's ramps) when its addresses are consecutive —
+// ascending over an interval exactly as long as the run, as a dense run's
+// are — indexed stores otherwise.
 func (s *Shared) storeRun(sp *span) {
-	addrs, vals := sp.addrs, sp.vals
-	if sp.hi-sp.lo == int64(len(addrs)-1) {
-		for a := sp.lo; len(vals) > 0; {
-			n := copy(s.ensurePage(a)[a&(PageWords-1):], vals)
-			vals, a = vals[n:], a+int64(n)
+	r, vals := sp.run, sp.vals
+	if sp.hi-sp.lo == int64(r.N-1) {
+		v := r.VBase
+		for a := sp.lo; a <= sp.hi; {
+			pg := s.ensurePage(a)[a&(PageWords-1):]
+			pg = pg[:min(int64(len(pg)), sp.hi-a+1)]
+			if r.Form {
+				isa.Ramp(pg, v, r.VStride)
+				v += r.VStride * int64(len(pg))
+			} else {
+				vals = vals[copy(pg, vals):]
+			}
+			a += int64(len(pg))
 		}
 		return
 	}
 	pgIdx, pg := int64(-1), []int64(nil)
-	for i, a := range addrs {
+	for i, a := range sp.addrs {
 		if idx := a >> PageShift; idx != pgIdx {
 			pgIdx, pg = idx, s.ensurePage(a)
 		}
-		pg[a&(PageWords-1)] = vals[i]
+		if r.Form {
+			pg[a&(PageWords-1)] = r.VBase + r.VStride*int64(i)
+		} else {
+			pg[a&(PageWords-1)] = vals[i]
+		}
 	}
 }
 

@@ -176,13 +176,14 @@ type Shared struct {
 	// from BufferLog until ApplyStep (or Reset, or DiscardStep) drops them;
 	// own is the log BufferWrite(s) fill, resolved behind them. The rest is
 	// ApplyStep's retained scratch (commit.go).
-	logs    []*WriteLog
-	own     WriteLog
-	spans   []span
-	order   []spanLo
-	table   []winner
-	index   []claim
-	commits CommitStats
+	logs     []*WriteLog
+	own      WriteLog
+	spans    []span
+	order    []spanLo
+	table    []winner
+	index    []claim
+	unfolded []int64
+	commits  CommitStats
 
 	// Counters.
 	reads      int64
@@ -241,6 +242,7 @@ func (s *Shared) Reset() {
 	clear(s.failed)
 	s.failovers = 0
 	s.DiscardStep()
+	clear(s.spans[:cap(s.spans)]) // they refer to register banks the next run may not keep
 	s.commits = CommitStats{}
 	s.reads, s.writesDone, s.stepWrites = 0, 0, 0
 }

@@ -2,56 +2,77 @@ package mem
 
 import "slices"
 
-// Run heads the stores one instruction issued in a step: N consecutive
-// entries of the log's columns, written by threads Thread0 … Thread0+N-1 of
-// Flow at issue sequence Seq. The key of a run's i-th write is (Flow,
-// Thread0+i, Seq): derived from the header, never stored per word. Dense
-// marks a run whose addresses ascend by one, as its issuer knows without
-// reading them (WriteLog.MarkDense): the commit classifies such a run by its
-// ends, without a pass over its addresses.
-type Run struct {
+// Issue names the references one instruction issued in a step: N of them, by
+// threads Thread0 … Thread0+N-1 of Flow at issue sequence Seq. The key of the
+// i-th is (Flow, Thread0+i, Seq): derived from the header, never stored per
+// word.
+type Issue struct {
 	Flow, Seq, Thread0, N int
-	Dense                 bool
 }
 
-// Key returns the key of the run's i-th write.
-func (r *Run) Key(i int) Key { return Key{Flow: r.Flow, Thread: r.Thread0 + i, Seq: r.Seq} }
+// Key returns the key of the i-th reference.
+func (r *Issue) Key(i int) Key { return Key{Flow: r.Flow, Thread: r.Thread0 + i, Seq: r.Seq} }
 
 // Continues reports whether a reference with key k continues r: same flow and
 // sequence, the next thread.
-func (r *Run) Continues(k Key) bool {
+func (r *Issue) Continues(k Key) bool {
 	return r.Flow == k.Flow && r.Seq == k.Seq && r.Thread0+r.N == k.Thread
 }
 
+// Run heads the stores one instruction issued in a step and says where their
+// words are. Its addresses are a stretch of N words of the log's Addrs column
+// unless the run is Dense: then they are Base, Base+1, …, Base+N-1 and take no
+// column. Its values are a stretch of N words of Vals unless the run holds
+// them by reference: in Ref, a slice of a register bank that stays as it is
+// until the step commits, or, when Form is set, as the affine form
+// VBase + VStride·i. Whoever opens a by-reference run vouches for that.
+type Run struct {
+	Issue
+	Base           int64
+	Ref            []int64
+	VBase, VStride int64
+	Dense, Form    bool
+}
+
+// copied reports whether both of the run's columns are stretches of its log's.
+func (r *Run) copied() bool { return !r.Dense && r.Ref == nil && !r.Form }
+
+// byRef reports whether the run's values take no stretch of its log's Vals.
+func (r *Run) byRef() bool { return r.Ref != nil || r.Form }
+
 // WriteLog is a step's buffered stores at the granularity the model issues
 // them: one Run header per instruction and two columns, addresses and
-// values, holding the runs' words back to back in buffering order. The sum
-// of the runs' N is the length of both columns. Whoever generates a step owns
-// its log; Shared.BufferLog retains a pointer until ApplyStep has committed
-// it, so the owner truncates it only when the next step begins.
+// values, holding back to back, in buffering order, the words of the runs
+// that take a stretch of them. Whoever generates a step owns its log;
+// Shared.BufferLog retains a pointer until ApplyStep has committed it, so the
+// owner truncates it only when the next step begins.
 type WriteLog struct {
 	Addrs, Vals []int64
 	Runs        []Run
+	n           int // the runs' N, summed
 }
 
 // Len returns the number of buffered stores.
-func (l *WriteLog) Len() int { return len(l.Addrs) }
+func (l *WriteLog) Len() int { return l.n }
 
-// Reset empties the log, keeping its arrays.
+// Reset empties the log, keeping its arrays and dropping the runs' hold on
+// the banks they referred to.
 func (l *WriteLog) Reset() {
-	l.Addrs, l.Vals, l.Runs = l.Addrs[:0], l.Vals[:0], l.Runs[:0]
+	clear(l.Runs)
+	l.Addrs, l.Vals, l.Runs, l.n = l.Addrs[:0], l.Vals[:0], l.Runs[:0], 0
 }
 
 // extend accounts n more stores, the first of key k and the rest of the
-// threads after it, to the open run if they continue it, and to a new run
-// otherwise.
+// threads after it, to the open run if it is copied and they continue it, and
+// to a new copied run otherwise.
 func (l *WriteLog) extend(k Key, n int) {
-	if last := len(l.Runs) - 1; last >= 0 && l.Runs[last].Continues(k) {
+	l.n += n
+	if last := len(l.Runs) - 1; last >= 0 && l.Runs[last].copied() && l.Runs[last].Continues(k) {
 		l.Runs[last].N += n
-		l.Runs[last].Dense = false
 		return
 	}
-	l.Runs = append(l.Runs, Run{Flow: k.Flow, Seq: k.Seq, Thread0: k.Thread, N: n})
+	l.Runs = append(l.Runs, Run{})
+	l.Runs[len(l.Runs)-1].Issue = Issue{Flow: k.Flow, Seq: k.Seq, Thread0: k.Thread, N: n}
 }
 
 // Append buffers one store.
@@ -61,34 +82,44 @@ func (l *WriteLog) Append(addr, val int64, k Key) {
 	l.Vals = append(l.Vals, val)
 }
 
-// Open buffers the n stores of threads thread0 … thread0+n-1 of one
-// instruction and returns their stretch of each column for the caller to
-// fill, every word of it.
-func (l *WriteLog) Open(flow, seq, thread0, n int) (addrs, vals []int64) {
-	l.extend(Key{Flow: flow, Thread: thread0, Seq: seq}, n)
-	at := len(l.Addrs)
-	l.Addrs = slices.Grow(l.Addrs, n)[:at+n]
-	l.Vals = slices.Grow(l.Vals, n)[:at+n]
-	return l.Addrs[at:], l.Vals[at:]
-}
-
-// MarkDense marks the last run dense if it holds the n stores the last Open
-// buffered and no others — a run Open extended stays unmarked. The caller
-// vouches that their addresses ascend by one.
-func (l *WriteLog) MarkDense(n int) {
-	if r := &l.Runs[len(l.Runs)-1]; r.N == n {
-		r.Dense = true
+// Open buffers the run *r and returns the stretches of the columns it takes,
+// r.N words each, for the caller to fill, every word of them: nil for the
+// addresses of a dense run and for values held by reference. A copied run
+// that continues the open copied run extends it.
+func (l *WriteLog) Open(r *Run) (addrs, vals []int64) {
+	if r.copied() {
+		l.extend(r.Key(0), r.N)
+	} else {
+		l.n += r.N
+		l.Runs = append(l.Runs, *r)
 	}
+	if !r.Dense {
+		at := len(l.Addrs)
+		l.Addrs = slices.Grow(l.Addrs, r.N)[:at+r.N]
+		addrs = l.Addrs[at:]
+	}
+	if !r.byRef() {
+		at := len(l.Vals)
+		l.Vals = slices.Grow(l.Vals, r.N)[:at+r.N]
+		vals = l.Vals[at:]
+	}
+	return addrs, vals
 }
 
-// AppendLog buffers o's stores behind l's own, in o's order. A first run of
-// o that continues l's last run becomes one run with it.
+// AppendLog buffers o's stores behind l's own, in o's order; its by-reference
+// runs stay by reference. A first run of o that continues l's last run, both
+// copied, becomes one run with it.
 func (l *WriteLog) AppendLog(o *WriteLog) {
 	if len(o.Runs) == 0 {
 		return
 	}
-	l.extend(o.Runs[0].Key(0), o.Runs[0].N)
-	l.Runs = append(l.Runs, o.Runs[1:]...)
+	runs, n := o.Runs, o.n
+	if runs[0].copied() {
+		l.extend(runs[0].Key(0), runs[0].N)
+		runs, n = runs[1:], n-runs[0].N
+	}
+	l.n += n
+	l.Runs = append(l.Runs, runs...)
 	l.Addrs = append(l.Addrs, o.Addrs...)
 	l.Vals = append(l.Vals, o.Vals...)
 }

@@ -52,11 +52,11 @@ type Final struct {
 
 // Run heads the combining references one instruction issued in a step: N
 // consecutive entries of the log's columns, by threads Thread0 … Thread0+N-1
-// of Flow at sequence Seq, their keys derived as for a mem.Run. A multiprefix
+// of Flow at sequence Seq, their keys derived as for a mem.Issue. A multiprefix
 // run carries where its results go: Prefix[i] receives the running value the
 // i-th reference met. A multioperation run has a nil Prefix.
 type Run struct {
-	mem.Run
+	mem.Issue
 	Prefix []int64
 }
 
@@ -220,7 +220,7 @@ func (c *Combiner) Add(ct Contribution) {
 	if last := len(l.Runs) - 1; last >= 0 && l.Runs[last].Continues(ct.Key) && (l.Runs[last].Prefix != nil) == ct.WantPrefix {
 		l.Runs[last].N++
 	} else {
-		r := Run{Run: mem.Run{Flow: ct.Key.Flow, Seq: ct.Key.Seq, Thread0: ct.Key.Thread, N: 1}}
+		r := Run{Issue: mem.Issue{Flow: ct.Key.Flow, Seq: ct.Key.Seq, Thread0: ct.Key.Thread, N: 1}}
 		if ct.WantPrefix {
 			r.Prefix = wanted
 		}
@@ -413,7 +413,7 @@ func (c *Combiner) sortRefs() {
 			c.refs = c.refs[:0]
 			for _, ref := range whole {
 				for j := 0; j < ref.N; j++ {
-					one := runRef{Run: Run{Run: mem.Run{Flow: ref.Flow, Seq: ref.Seq, Thread0: ref.Thread0 + j, N: 1}}, log: ref.log, off: ref.off + j}
+					one := runRef{Run: Run{Issue: mem.Issue{Flow: ref.Flow, Seq: ref.Seq, Thread0: ref.Thread0 + j, N: 1}}, log: ref.log, off: ref.off + j}
 					if ref.Prefix != nil {
 						one.Prefix = ref.Prefix[j : j+1]
 					}

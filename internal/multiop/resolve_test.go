@@ -48,7 +48,7 @@ func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 			to++
 		}
 		k := cs[from].Key
-		run := Run{Run: mem.Run{Flow: k.Flow, Seq: k.Seq, Thread0: k.Thread, N: to - from}}
+		run := Run{Issue: mem.Issue{Flow: k.Flow, Seq: k.Seq, Thread0: k.Thread, N: to - from}}
 		if cs[from].WantPrefix {
 			run.Prefix = got[cs[from].Dest:][:to-from]
 		}
@@ -205,8 +205,8 @@ func TestResolveInterleavedRuns(t *testing.T) {
 	var l Log
 	late, early := make([]int64, 3), make([]int64, 3)
 	for _, r := range []Run{
-		{Run: mem.Run{Flow: 2, Seq: 1, Thread0: 0, N: 3}, Prefix: late},
-		{Run: mem.Run{Flow: 2, Seq: 0, Thread0: 0, N: 3}, Prefix: early},
+		{Issue: mem.Issue{Flow: 2, Seq: 1, Thread0: 0, N: 3}, Prefix: late},
+		{Issue: mem.Issue{Flow: 2, Seq: 0, Thread0: 0, N: 3}, Prefix: early},
 	} {
 		addrs, vals := l.Open(r)
 		for i := range addrs {
@@ -246,7 +246,7 @@ func TestResolveRoutes(t *testing.T) {
 		got := make([]int64, 300)
 		var l Log
 		for r := 0; r < 3; r++ {
-			run := Run{Run: mem.Run{Flow: r, N: 100}, Prefix: got[100*r : 100*r+100]}
+			run := Run{Issue: mem.Issue{Flow: r, N: 100}, Prefix: got[100*r : 100*r+100]}
 			if tc.viaAdd {
 				for i := 0; i < 100; i++ {
 					c.Add(Contribution{Addr: 5 + int64((i*7+r)%64)*tc.spread, Val: int64(i ^ r), Key: Key{Flow: r, Thread: i}, WantPrefix: true, Dest: 100*r + i})
@@ -304,7 +304,7 @@ func BenchmarkResolve(b *testing.B) {
 	sparse := column(func(t int) int64 { return int64((t*40503)&255) << 12 })
 	// run fills one run's columns as the engine does, from a register.
 	run := func(l *Log, flow int, prefix []int64, src []int64) {
-		addrs, vals := l.Open(Run{Run: mem.Run{Flow: flow, N: len(src)}, Prefix: prefix})
+		addrs, vals := l.Open(Run{Issue: mem.Issue{Flow: flow, N: len(src)}, Prefix: prefix})
 		lo, hi := src[0], src[0]
 		for t, a := range src {
 			addrs[t], vals[t] = a, int64(t&1023)
