@@ -2,7 +2,8 @@ package tcfpram
 
 // Ablation benchmarks for the design choices the paper discusses in Section
 // 3.3: OS-level splitting of overly thick flows, the balanced bound, the
-// topology's distance metric, and the engine's parallel execution.
+// topology's distance metric, the storage of thread-wise intermediate results
+// and the XMT engine's instruction window.
 
 import (
 	"fmt"

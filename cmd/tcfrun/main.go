@@ -113,15 +113,8 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg.MemDiscipline = disc
 
-	// Checkpoint wiring rides in the Config so it applies uniformly to fresh
-	// and restored machines (it is result-neutral: restore ignores it when
-	// comparing the snapshot's config).
-	if *ckptPath != "" {
-		if *ckptEvery <= 0 {
-			return fmt.Errorf("-checkpoint-every must be positive, got %d", *ckptEvery)
-		}
-		cfg.CheckpointEvery = *ckptEvery
-		cfg.CheckpointSink = &tcfpram.FileCheckpointSink{Path: *ckptPath}
+	if *ckptPath != "" && *ckptEvery <= 0 {
+		return fmt.Errorf("-checkpoint-every must be positive, got %d", *ckptEvery)
 	}
 
 	var m *tcfpram.Machine
@@ -208,6 +201,13 @@ func run(args []string, out io.Writer) error {
 	}
 	if *showDis {
 		fmt.Fprintln(out, m.Disassembly())
+	}
+	// Checkpointing is wired onto fresh and restored machines alike: it is
+	// result-neutral, and no part of a snapshot.
+	if *ckptPath != "" {
+		if err := m.SetCheckpointing(*ckptEvery, &tcfpram.FileCheckpointSink{Path: *ckptPath}); err != nil {
+			return err
+		}
 	}
 	// -max-steps and -timeout route through SetLimits and RunContext — the
 	// same governance path the tcfserve execution server stamps per-tenant

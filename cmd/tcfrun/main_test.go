@@ -285,10 +285,9 @@ func TestEngineFlagsRejected(t *testing.T) {
 // stores in one direct run) and under them how the run's lanes were
 // generated — everything in bulk, the LD and the ST included (the per-lane
 // loops remain for fault plans, discipline checks, NUMA mode and immediate
-// semantics); four instructions inside the fused backend's register runs —
-// where its two vector banks (64 lanes: the register arena's smallest)
-// came from, and the four columns the three TIDs and the MUL left to affine
-// forms, none of which a reader materialised: the ST and the LD read
+// semantics); where its two vector banks (64 lanes: the register arena's
+// smallest) came from, and the four columns the three TIDs and the MUL left
+// to affine forms, none of which a reader materialised: the ST and the LD read
 // their addresses, and the ST its values, from the forms. Under them the tail
 // line: of the ten steps one had stores to commit, one left a buffer to
 // compact (the flow halted), none had two outputs to order, and the one
@@ -305,7 +304,7 @@ func main() {
 `)
 	want := "commit: runs=1 direct_words=64 tabled_words=0 indexed_words=0 sorted_fallbacks=0 dense_words=64 ref_words=64" +
 		"\ncombine: refs=0 accumulators=0 indexed_refs=0" +
-		"\nkernels: bulk_lanes=384 per_lane_lanes=0 run_instrs=4 banks_reused=0 banks_allocated=2 columns_skipped=4 columns_materialised=0" +
+		"\nkernels: bulk_lanes=384 per_lane_lanes=0 banks_reused=0 banks_allocated=2 columns_skipped=4 columns_materialised=0" +
 		"\ntail: steps=10 commits=1 compactions=1 output_sorts=0 flows_reused=0 flows_allocated=1 thin_words=0 tables=1"
 	var out bytes.Buffer
 	if err := run([]string{"-stages", path}, &out); err != nil {

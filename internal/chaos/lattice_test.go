@@ -783,15 +783,16 @@ func killed(times int) lifecycle {
 		var m *machine.Machine
 		var faults int64
 		for i := 0; ; i++ {
-			run := cfg
-			if i < times {
-				run.CheckpointEvery, run.CheckpointSink = k, sink
-			}
 			var err error
 			if i == 0 {
-				m = build(t, c.e.c, run)
-			} else if m, err = machine.Restore(bytes.NewReader(sink.snap.Bytes()), run); err != nil {
+				m = build(t, c.e.c, cfg)
+			} else if m, err = machine.Restore(bytes.NewReader(sink.snap.Bytes()), cfg); err != nil {
 				t.Fatalf("%s: restore at step %d: %v", c.name, int64(i)*k, err)
+			}
+			if i < times {
+				if err := m.SetCheckpointing(k, sink); err != nil {
+					t.Fatal(err)
+				}
 			}
 			_, err = m.Run()
 			if i == times {
@@ -848,8 +849,10 @@ func checkpointed(t *testing.T, c *cell, cfg machine.Config, build builder) *out
 		return nil
 	}
 	sink := &snapSink{c: c}
-	cfg.CheckpointEvery, cfg.CheckpointSink = killStep(c), sink
 	m := build(t, c.e.c, cfg)
+	if err := m.SetCheckpointing(killStep(c), sink); err != nil {
+		t.Fatal(err)
+	}
 	_, err := m.Run()
 	if sink.err != nil {
 		t.Fatalf("%s: %v", c.name, sink.err)

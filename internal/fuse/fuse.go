@@ -3,9 +3,9 @@
 // function of the instruction, chosen once by its operand shape
 // (thread-wise, flow-common, immediate), calling isa's bulk form for that
 // shape over a lane range — and records at every PC the length of the
-// straight-line run of such operations starting there (isa.RunLengths),
-// which the engine may retire back to back. The table is data: compiling a
-// program allocates nothing but the table itself.
+// straight-line run of such operations starting there (isa.RunLengths). The
+// engine executes one instruction at a time and reads no run length. The
+// table is data: compiling a program allocates nothing but the table itself.
 //
 // Each entry also carries the instruction's execution class and its
 // precomputed thickness and sliceability. The step engine stays the single
@@ -79,12 +79,11 @@ type Instr struct {
 	// properties, precomputed off the hot path).
 	Thick     bool
 	Sliceable bool
-	// Run is the length of the fused straight-line run starting at this PC
-	// (≥ 1; > 1 only for ClassReg). The engine may execute instructions
-	// [pc, pc+Run) back to back without surfacing, as far as the variant
-	// policy's window reaches — one instruction under five of the six: the
-	// run contains no control transfer, no memory reference and no interior
-	// branch target.
+	// Run is the length of the straight-line run of register operations
+	// starting at this PC (≥ 1; > 1 only for ClassReg): [pc, pc+Run) holds
+	// no control transfer, no memory reference and no interior branch
+	// target. No engine path reads it; it describes the program's shape
+	// (isa.RunLengths).
 	Run int
 	// Kern is the lane kernel, called with &In (ClassReg; nil in a Decode
 	// table, and when the opcode has no lane semantics — the engine then

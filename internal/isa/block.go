@@ -1,6 +1,6 @@
 package isa
 
-// Block discovery for the engine's fused runs: a program partitions
+// Block discovery: a program partitions
 // into straight-line instruction runs bounded by control transfers, branch
 // targets and memory-resolution boundaries. A run of Fusible instructions
 // can execute as one superinstruction — no memory system, combining network,

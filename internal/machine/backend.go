@@ -219,16 +219,6 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan *StepPlan, budget *int) 
 			*budget -= x.execNUMABunch(f, slot, n)
 			return
 		}
-		if !plan.Slice {
-			// Fused straight-line run: consecutive register instructions
-			// execute back to back through their compiled kernels, up to the
-			// remaining window. Sliced plans keep the generic path — every
-			// instruction there is an offset-carrying lane slice.
-			if adv := x.runFusedRun(f, slot, plan, budget, plan.Window-k); adv > 0 {
-				k += adv - 1
-				continue
-			}
-		}
 		fi := x.fetch(f)
 		if fi == nil {
 			return

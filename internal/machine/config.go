@@ -168,19 +168,6 @@ type Config struct {
 
 	// TraceEnabled records per-slice execution for the trace package.
 	TraceEnabled bool
-
-	// CheckpointEvery, when positive and CheckpointSink is non-nil, makes
-	// RunContext emit a complete machine snapshot (Machine.Snapshot) every
-	// CheckpointEvery steps, at the step boundary. Checkpointing never
-	// changes results: restore-then-run is bit-identical to the
-	// uninterrupted run. Disabled checkpointing costs nothing — the step
-	// loop stays allocation-free. A sink error stops the run.
-	CheckpointEvery int64
-
-	// CheckpointSink receives the periodic snapshots (checkpoint.FileSink
-	// writes them atomically to disk). The callback runs on the stepping
-	// goroutine between steps.
-	CheckpointSink CheckpointSink
 }
 
 // Default returns a small, fully specified configuration for the given
@@ -258,9 +245,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.MaxThickness < 0 {
 		return c, fmt.Errorf("machine: negative MaxThickness %d", c.MaxThickness)
-	}
-	if c.CheckpointEvery < 0 {
-		return c, fmt.Errorf("machine: negative CheckpointEvery %d", c.CheckpointEvery)
 	}
 	if c.FaultPlan != nil {
 		if err := c.FaultPlan.Validate(); err != nil {

@@ -51,8 +51,13 @@ func (x *groupExec) fetch(f *tcf.Flow) *fuse.Instr {
 
 // execWhole executes one fetched instruction across its full width w (in
 // operation slices). Class and thickness were decided when the program was
-// loaded; a register instruction with a compiled kernel runs it, everything
-// else — on a reference machine every instruction — takes the reference paths.
+// loaded (fuse.CompileTo): a register instruction runs its compiled kernel,
+// over its lanes through execLaneRange or once for a flow-level one, and
+// everything else takes the reference paths. Memory references, fault
+// decisions, discipline records, combining traffic and trace slices stay
+// outside the kernels. A reference machine's table (fuse.Decode) has no
+// kernels, so there every instruction falls through to execLane: isa.Eval
+// lane by lane, the oracle internal/chaos holds this machine to.
 func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 	in := &fi.In
 	if fragmentUnsafe(f, in) {
@@ -104,10 +109,9 @@ func (x *groupExec) execNUMABunch(f *tcf.Flow, slot, n int) int {
 	for i, addr := range x.fwdAddrs {
 		x.writes.Append(addr, x.fwd[addr], mem.Key{Flow: f.ID, Seq: i})
 	}
-	// Counted per bunch, not per instruction: a NUMA chain is nothing but
-	// such instructions.
+	// Counted per bunch, not per instruction: a NUMA bunch is mostly
+	// kernel instructions.
 	x.kern.BulkLanes += kerns
-	x.kern.RunInstrs += kerns
 	return executed
 }
 
@@ -124,8 +128,8 @@ func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) (executed int, kerns int
 		}
 		in := &fi.In
 		executed++
+		x.record(f, slot, in.Op, 0, 1, true)
 		if fi.Class == fuse.ClassControl {
-			x.record(f, slot, in.Op, 0, 1, true)
 			x.scalarOps++
 			x.applyControl(f, in)
 			// Mode/structure changes end the bunch; plain branches and
@@ -137,11 +141,8 @@ func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) (executed int, kerns int
 			continue
 		}
 		if fi.Kern != nil {
-			// Fused straight-line run: consecutive register instructions of
-			// the bunch execute back to back through their compiled kernels,
-			// with per-instruction fetch and trace accounting.
-			x.record(f, slot, in.Op, 0, 1, true)
-			fi.Kern(x.fenv, &fi.In, f, 0, 1)
+			// A register instruction: its compiled kernel over the one lane.
+			fi.Kern(x.fenv, in, f, 0, 1)
 			kerns++
 			if fi.Thick {
 				x.ops++
@@ -149,35 +150,13 @@ func (x *groupExec) numaBunch(f *tcf.Flow, slot, n int) (executed int, kerns int
 				x.scalarOps++
 			}
 			f.PC++
-			for fi.Run > 1 && k+1 < n {
-				fj := &x.m.code[f.PC]
-				if fj.Kern == nil {
-					break
-				}
-				k++
-				executed++
-				x.fetches++
-				f.InstrFetches++
-				x.record(f, slot, fj.In.Op, 0, 1, true)
-				fj.Kern(x.fenv, &fj.In, f, 0, 1)
-				kerns++
-				if fj.Thick {
-					x.ops++
-				} else {
-					x.scalarOps++
-				}
-				f.PC++
-				fi = fj
-			}
 			continue
 		}
-		x.record(f, slot, in.Op, 0, 1, true)
-		seq := k
 		if !fi.Sliceable {
 			x.execAtomic(f, in)
 			x.scalarOps++
 		} else {
-			x.execLane(f, in, 0, seq)
+			x.execLane(f, in, 0, k)
 			x.ops++
 		}
 		f.PC++

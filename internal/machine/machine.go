@@ -106,6 +106,12 @@ type Machine struct {
 	stepRec *StepRecord // current step's trace record (when tracing)
 	trace   []*StepRecord
 
+	// ckptEvery and ckptSink are the periodic checkpointing SetCheckpointing
+	// wires and Reset clears: every ckptEvery steps, RunContext hands
+	// ckptSink a snapshot.
+	ckptEvery int64
+	ckptSink  CheckpointSink
+
 	// recArena/gcArena chunk-allocate trace records and their GroupCycles
 	// rows so tracing costs ~1 allocation per step instead of several.
 	// Records handed out stay alive through m.trace; Reset drops both.
@@ -223,24 +229,23 @@ func (m *Machine) CombineStats() multiop.Stats {
 // KernelStats counts how the run's operation slices were generated and where
 // its vector banks came from, since the machine was built or Reset: lanes
 // that ran in a bulk form (a compiled kernel, a bulk LD/ST, a combining run),
-// lanes that ran one at a time on the per-lane reference path, instructions
-// retired inside fused register runs, the banks the register arena lent
-// out again or had to allocate (the shorter ones it bumps are TailStats'),
-// and the register columns, one per instruction, that an affine form left
-// unwritten (tcf.Flow.SetAffine) and that a reader made the flow materialise
+// lanes that ran one at a time on the per-lane reference path, the banks the
+// register arena lent out again or had to allocate (the shorter ones it bumps
+// are TailStats'), and the register columns, one per instruction, that an
+// affine form left unwritten (tcf.Flow.SetAffine) and that a reader made the flow materialise
 // after all. MaxThickness is the widest thickness a flow was created with or asked for,
 // also when Config.MaxThickness refused it: what the cost analyzer reports
 // as the program's demand. Host-side counters like CommitStats: in no
 // snapshot and no simulated statistic.
 type KernelStats struct {
-	BulkLanes, PerLaneLanes, RunInstrs, BanksReused, BanksAllocated int64
-	ColumnsSkipped, ColumnsMaterialised                             int64
-	MaxThickness                                                    int64
+	BulkLanes, PerLaneLanes, BanksReused, BanksAllocated int64
+	ColumnsSkipped, ColumnsMaterialised                  int64
+	MaxThickness                                         int64
 }
 
 func (k KernelStats) String() string {
-	return fmt.Sprintf("kernels: bulk_lanes=%d per_lane_lanes=%d run_instrs=%d banks_reused=%d banks_allocated=%d columns_skipped=%d columns_materialised=%d",
-		k.BulkLanes, k.PerLaneLanes, k.RunInstrs, k.BanksReused, k.BanksAllocated, k.ColumnsSkipped, k.ColumnsMaterialised)
+	return fmt.Sprintf("kernels: bulk_lanes=%d per_lane_lanes=%d banks_reused=%d banks_allocated=%d columns_skipped=%d columns_materialised=%d",
+		k.BulkLanes, k.PerLaneLanes, k.BanksReused, k.BanksAllocated, k.ColumnsSkipped, k.ColumnsMaterialised)
 }
 
 // KernelStats returns the kernel-coverage counters. Not to be called while
@@ -250,7 +255,6 @@ func (m *Machine) KernelStats() KernelStats {
 	for _, x := range m.execs {
 		k.BulkLanes += x.kern.BulkLanes
 		k.PerLaneLanes += x.kern.PerLaneLanes
-		k.RunInstrs += x.kern.RunInstrs
 		k.MaxThickness = max(k.MaxThickness, x.kern.MaxThickness)
 	}
 	c := m.regs.Counts()
@@ -479,12 +483,12 @@ func (m *Machine) RunUntil(ctx context.Context, stop func(*Machine) bool) (*Stat
 			m.runErr = err
 			break
 		}
-		// Periodic checkpointing (Config.CheckpointEvery): the snapshot is
+		// Periodic checkpointing (SetCheckpointing): the snapshot is
 		// taken here, at the step boundary, where the machine state is
 		// well-defined. The trigger lives in RunContext rather than Step so
 		// the direct step loop stays allocation-free when disabled.
-		if every := m.cfg.CheckpointEvery; every > 0 && m.cfg.CheckpointSink != nil && m.stats.Steps%every == 0 {
-			if err := m.cfg.CheckpointSink.Checkpoint(m.stats.Steps, m.Snapshot); err != nil {
+		if every := m.ckptEvery; every > 0 && m.ckptSink != nil && m.stats.Steps%every == 0 {
+			if err := m.ckptSink.Checkpoint(m.stats.Steps, m.Snapshot); err != nil {
 				m.runErr = fmt.Errorf("machine: checkpoint at step %d: %w", m.stats.Steps, err)
 				break
 			}

@@ -59,11 +59,9 @@ func (m *Machine) Reset() {
 	m.gcArena = nil
 	m.sliceArena = nil
 
-	// Checkpoint wiring is per-run state stamped through SetCheckpointing
-	// (the sink typically points at a per-run file), so a recycled machine
-	// must not keep writing to the previous run's checkpoint.
-	m.cfg.CheckpointEvery = 0
-	m.cfg.CheckpointSink = nil
+	// Checkpoint wiring is per run (SetCheckpointing).
+	m.ckptEvery = 0
+	m.ckptSink = nil
 }
 
 // reset empties the storage buffer and rewinds its rotation, keeping the
@@ -100,20 +98,22 @@ func (m *Machine) SetLimits(maxSteps int64, maxThickness int) error {
 	return nil
 }
 
-// SetCheckpointing wires (or clears) periodic checkpointing on the machine
-// without rebuilding it — the serve layer stamps each recoverable run's
-// checkpoint file onto a pooled machine this way, mirroring SetLimits.
-// Checkpointing is active only when every > 0 and sink is non-nil; Reset
-// clears the wiring. Like SetLimits, it may only change while no flows
-// exist (before Boot, or right after Reset).
+// SetCheckpointing wires (or clears) periodic checkpointing: while every > 0
+// and sink is non-nil, RunContext hands sink a complete snapshot
+// (Machine.Snapshot) at every step boundary whose step count is a multiple
+// of every, on the stepping goroutine; a sink error stops the run.
+// Checkpointing never changes results — restore-then-run is bit-identical to
+// the uninterrupted run — and unwired it costs the step loop nothing. The
+// wiring is per run and no part of a snapshot: Reset clears it, so a
+// recycled machine does not write to the previous run's file, and a restored
+// machine that is to go on checkpointing is wired again. Unlike SetLimits,
+// whose bounds a snapshot fingerprints, it may be set at any step boundary:
+// before Boot, on a booted or a restored machine.
 func (m *Machine) SetCheckpointing(every int64, sink CheckpointSink) error {
-	if len(m.flowList) != 0 {
-		return fmt.Errorf("machine: SetCheckpointing on a booted machine")
-	}
 	if every < 0 {
-		return fmt.Errorf("machine: negative CheckpointEvery %d", every)
+		return fmt.Errorf("machine: negative checkpoint interval %d", every)
 	}
-	m.cfg.CheckpointEvery = every
-	m.cfg.CheckpointSink = sink
+	m.ckptEvery = every
+	m.ckptSink = sink
 	return nil
 }

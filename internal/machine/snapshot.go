@@ -19,7 +19,7 @@ const (
 )
 
 // CheckpointSink receives periodic machine snapshots from RunContext (see
-// Config.CheckpointEvery). The snapshot callback streams the complete state
+// Machine.SetCheckpointing). The snapshot callback streams the complete state
 // into w; the sink decides where it goes (checkpoint.FileSink writes it
 // atomically to disk). A sink error stops the run.
 type CheckpointSink interface {
@@ -44,8 +44,8 @@ type CheckpointSink interface {
 // and per-step reference sequence numbers start from zero at every boundary.
 //
 // Not captured: the step trace (Trace records accumulated so far) and the
-// CheckpointSink wiring — observational state that never feeds back into
-// results.
+// checkpoint wiring (SetCheckpointing) — observational state that never
+// feeds back into results.
 func (m *Machine) Snapshot(w io.Writer) error {
 	if m.runErr != nil {
 		return fmt.Errorf("machine: snapshot of a failed machine: %w", m.runErr)
@@ -135,8 +135,9 @@ func (m *Machine) Snapshot(w io.Writer) error {
 // limits, discipline, fault plan, topology distances) is validated against
 // the snapshot, and a mismatch fails with an error naming the field — a
 // resumed run on a different machine would silently diverge otherwise.
-// Result-neutral fields (TraceEnabled, CheckpointEvery/CheckpointSink, and
-// the inert Backend, Sched and Parallel) are free to differ.
+// Result-neutral fields (TraceEnabled and the inert Backend, Sched and
+// Parallel) are free to differ. The restored machine checkpoints only once
+// SetCheckpointing wires it.
 //
 // The snapshot embeds the program, so no separate load is needed; the
 // restored machine continues with Step/RunContext exactly where the

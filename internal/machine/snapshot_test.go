@@ -232,7 +232,7 @@ func TestRestoreRejectsBadFlowIDs(t *testing.T) {
 	}
 }
 
-// TestRunContextCheckpointing: the CheckpointEvery trigger fires at exact
+// TestRunContextCheckpointing: the SetCheckpointing trigger fires at exact
 // step multiples, every snapshot restores at the step it was taken, and a
 // sink failure stops the run. That a checkpointed run and a resumed one are
 // the uninterrupted run is the lattice's checkpoint and kill rows
@@ -242,11 +242,11 @@ func TestRunContextCheckpointing(t *testing.T) {
 	cfg := Default(variant.SingleInstruction)
 
 	sink := &memSink{}
-	ckpt := cfg
-	ckpt.CheckpointEvery = 2
-	ckpt.CheckpointSink = sink
-	m, err := New(ckpt)
+	m, err := New(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetCheckpointing(2, sink); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.LoadProgram(prog); err != nil {
@@ -260,7 +260,7 @@ func TestRunContextCheckpointing(t *testing.T) {
 	}
 	for i, s := range sink.steps {
 		if s%2 != 0 {
-			t.Fatalf("checkpoint %d at step %d, want a multiple of CheckpointEvery", i, s)
+			t.Fatalf("checkpoint %d at step %d, want a multiple of 2", i, s)
 		}
 		r, err := Restore(bytes.NewReader(sink.snaps[i]), cfg)
 		if err != nil {
@@ -273,9 +273,11 @@ func TestRunContextCheckpointing(t *testing.T) {
 
 	// A failing sink stops the run with its error.
 	bad := &memSink{fail: errors.New("disk full")}
-	ckpt.CheckpointSink = bad
-	m2, err := New(ckpt)
+	m2, err := New(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.SetCheckpointing(2, bad); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.LoadProgram(prog); err != nil {
@@ -298,20 +300,22 @@ main:
     HALT
 `
 
-// TestSetCheckpointingGuards: rejected once flows exist; cleared by Reset.
+// TestSetCheckpointingGuards: a negative interval is rejected; a booted
+// machine takes the wiring at its step boundary (as a restored one must, to
+// go on checkpointing); Reset clears it.
 func TestSetCheckpointingGuards(t *testing.T) {
 	m, err := New(Default(variant.SingleInstruction))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SetCheckpointing(-1, nil); err == nil {
-		t.Fatal("negative CheckpointEvery accepted")
+		t.Fatal("negative checkpoint interval accepted")
 	}
 	sink := &memSink{}
 	if err := m.SetCheckpointing(4, sink); err != nil {
 		t.Fatal(err)
 	}
-	if m.Config().CheckpointEvery != 4 || m.Config().CheckpointSink == nil {
+	if m.ckptEvery != 4 || m.ckptSink == nil {
 		t.Fatal("SetCheckpointing did not stick")
 	}
 	if err := m.LoadProgram(isa.MustAssemble("t", vectorAddSrc)); err != nil {
@@ -320,11 +324,17 @@ func TestSetCheckpointingGuards(t *testing.T) {
 	if err := m.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetCheckpointing(4, sink); err == nil {
-		t.Fatal("SetCheckpointing accepted on a booted machine")
+	if err := m.SetCheckpointing(1, sink); err != nil {
+		t.Fatalf("SetCheckpointing on a booted machine: %v", err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(sink.steps)) != m.Stats().Steps {
+		t.Fatalf("%d checkpoints over %d steps, want one a step", len(sink.steps), m.Stats().Steps)
 	}
 	m.Reset()
-	if m.Config().CheckpointEvery != 0 || m.Config().CheckpointSink != nil {
+	if m.ckptEvery != 0 || m.ckptSink != nil {
 		t.Fatal("Reset kept the checkpoint wiring")
 	}
 }

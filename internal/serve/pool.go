@@ -33,10 +33,11 @@ type poolKey struct {
 
 // keyOf projects a Config onto its pool identity. Configurations carrying
 // non-comparable or run-specific state (custom topology, fault plans,
-// tracing, checkpointing) are not poolable.
+// tracing) are not poolable; checkpointing is wired per lease
+// (Machine.SetCheckpointing) and cleared by Reset.
 func keyOf(cfg machine.Config) (poolKey, error) {
-	if cfg.Topology != nil || cfg.FaultPlan != nil || cfg.TraceEnabled || cfg.CheckpointSink != nil {
-		return poolKey{}, fmt.Errorf("serve: config with topology/faults/trace/checkpointing is not poolable")
+	if cfg.Topology != nil || cfg.FaultPlan != nil || cfg.TraceEnabled {
+		return poolKey{}, fmt.Errorf("serve: config with topology/faults/trace is not poolable")
 	}
 	return poolKey{
 		variant:       cfg.Variant,

@@ -423,8 +423,8 @@ func (m *Machine) SetLimits(maxSteps int64, maxThickness int) error {
 	return m.inner.SetLimits(maxSteps, maxThickness)
 }
 
-// CheckpointSink receives periodic machine snapshots from a checkpointing
-// run (Config.CheckpointEvery / SetCheckpointing).
+// CheckpointSink receives periodic machine snapshots from a run that
+// SetCheckpointing wired.
 type CheckpointSink = machine.CheckpointSink
 
 // FileCheckpointSink is a CheckpointSink writing each snapshot atomically
@@ -439,9 +439,10 @@ type FileCheckpointSink = checkpoint.FileSink
 // by a runtime error refuses to snapshot.
 func (m *Machine) Snapshot(w io.Writer) error { return m.inner.Snapshot(w) }
 
-// SetCheckpointing wires periodic checkpointing onto an un-booted or freshly
-// Reset machine: every `every` steps the sink receives a complete snapshot.
-// every=0 (or a nil sink) disables. Checkpointing never changes results.
+// SetCheckpointing wires periodic checkpointing at a step boundary — before
+// Boot, or on a booted or restored machine: every `every` steps the sink
+// receives a complete snapshot. every=0 (or a nil sink) disables, and so
+// does Reset. Checkpointing never changes results.
 func (m *Machine) SetCheckpointing(every int64, sink CheckpointSink) error {
 	return m.inner.SetCheckpointing(every, sink)
 }
