@@ -68,7 +68,10 @@ bench-compile:
 # internal/machine: one busy group of four, 2048 queued flows, 2048 flows
 # created and retired, 16 flows at a barrier, one scalar flow, a NUMA bunch
 # of eight, and a store, a multioperation and an output every step; ns/step
-# and allocs per step;
+# and allocs per step; BenchmarkRunLoop: the corpus' collatz, one thin flow
+# for 1423 steps, Reset, loaded and run through RunContext under a background
+# context and in tcfserve's configuration — a deadline context and the
+# watchdog of a 2^20-step quota; ns/step and allocs per run;
 # BenchmarkResetRun: Reset, load and a whole run on one machine, a thick
 # register file, 2048 thin flows and a program of three steps; ns/op and B/op
 # across Reset) and the lane kernels' (BenchmarkBulk in internal/isa

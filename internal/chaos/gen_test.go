@@ -316,6 +316,38 @@ func TestGeneratedEntriesEngage(t *testing.T) {
 	}
 }
 
+// TestAutoSplitNeverWrong: Section 3.3's OS splitting may stop a program it
+// cannot fragment, but never answers wrong. Each gen-tcfe program runs on the
+// three TCF variants with AutoSplitThreshold 8, where most of them split, and
+// every run the machine accepts must pass the generator's check. A guard that
+// lets a fragment print a flow-level value prints it once per fragment
+// ("printed 11 values, want 5").
+func TestAutoSplitNeverWrong(t *testing.T) {
+	var passed, stopped, split int
+	for seed := int64(1); seed <= tcfeSeeds; seed++ {
+		e := genTCFE(seed)
+		for _, kind := range tcfKinds {
+			cfg := machine.Default(kind)
+			small(&cfg)
+			cfg.AutoSplitThreshold = 8
+			m := buildRun(t, e.c, cfg)
+			if _, err := m.Run(); err != nil {
+				stopped++
+				continue
+			}
+			if err := e.check(m); err != nil {
+				t.Errorf("%s on %v: auto-split answered wrong without an error: %v", e.name, kind, err)
+			}
+			passed++
+			split += min(1, int(m.Stats().AutoSplits))
+		}
+	}
+	t.Logf("threshold 8: %d runs pass (%d of them split), %d stop", passed, split, stopped)
+	if split == 0 {
+		t.Error("no accepted run split a flow: the test holds nothing")
+	}
+}
+
 // saxpyKernel is tcfbench's saxpy-loop at the given thickness, compiled.
 func saxpyKernel(tb testing.TB, lanes int) *codegen.Compiled {
 	p := gen.ThickKernels(1, gen.ThickShape{Thickness: lanes, SharedWords: 12*lanes + 16384})[0]

@@ -366,7 +366,11 @@ func fullCapability(kind variant.Kind) bool {
 // for a time-slice preemption; a split child costs FlowBranchCycles(R) and an
 // auto-split fragment the TCF rate R; a variant without control parallelism
 // never splits, nor does a machine without an auto-split threshold
-// fragment; and every cost and frontend event lands in its one stage.
+// fragment; every cost and frontend event lands in its one stage; and under a
+// per-thread fetch (Table 1's XMT discipline) a traced run that completed
+// fetched once per thread of every instruction it executed: InstrFetches is
+// the sum over its trace's slices of max(1, Lanes), a thickness-u
+// instruction u fetches and a thin one, or one of thickness 0, one.
 func costLaw(m *machine.Machine) error {
 	cfg, s := m.Config(), m.Stats()
 	pol, err := variant.PolicyFor(cfg.Variant)
@@ -409,6 +413,19 @@ func costLaw(m *machine.Machine) error {
 	} {
 		if c.got != c.want {
 			return fmt.Errorf("%v stage: %d cycles or events, its costs %d: %+v", c.stage, c.got, c.want, s.Stages)
+		}
+	}
+	shape := pol.Shape(variant.MachineShape{Groups: cfg.Groups, ProcsPerGroup: cfg.ProcsPerGroup,
+		BalancedBound: cfg.BalancedBound, MultiInstrWindow: cfg.MultiInstrWindow, VectorWidth: cfg.VectorWidth})
+	if shape.PerThreadFetch && cfg.TraceEnabled && m.Err() == nil {
+		var threads int64
+		for _, r := range m.Trace() {
+			for _, sl := range r.Slices {
+				threads += int64(max(1, sl.Lanes))
+			}
+		}
+		if s.InstrFetches != threads {
+			return fmt.Errorf("per-thread fetch: %d instruction fetches for %d executed threads", s.InstrFetches, threads)
 		}
 	}
 	return nil

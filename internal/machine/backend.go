@@ -12,15 +12,37 @@ import (
 // multioperation resolution). It consumes the StepPlan the frontend
 // prepared; nothing in it branches on the variant kind.
 
-// generate runs the operation-generation stage: every group with a ready
-// resident executes its flows' share of the step under the plan's shape, one
-// group after another on the stepping goroutine.
-func (m *Machine) generate(plan *StepPlan) {
+// generate runs the operation-generation stage in one pass over the groups:
+// every group with a ready resident executes its flows' share of the step
+// under the plan's shape, one group after another on the stepping goroutine,
+// and is folded (foldGroup) as soon as it has run, so the fold order is the
+// group order. It starts the step's collections afresh, returns the step's
+// cycle count — the maximum over groups — and reports whether a flow it ran
+// is still Ready, which answers the end-of-step readiness test without a scan.
+// A group that fails ends the pass: the groups after it do not run, and what
+// the groups before it folded is discarded with the step.
+func (m *Machine) generate(plan *StepPlan) (stepCycles int64, ready bool, err error) {
+	m.stepOutputs = m.stepOutputs[:0]
+	m.stepEvents = m.stepEvents[:0]
+	m.discAccs = m.discAccs[:0]
+	m.stepTraffic = 0
 	for _, x := range m.execs {
-		if x.begin(plan) {
-			x.runGroup()
+		if !x.begin(plan) {
+			continue
+		}
+		if x.runGroup() {
+			ready = true
+		}
+		if x.err != nil {
+			m.runErr = x.err
+			m.discardStep()
+			return 0, false, x.err
+		}
+		if gc := m.foldGroup(x); gc > stepCycles {
+			stepCycles = gc
 		}
 	}
+	return stepCycles, ready, nil
 }
 
 // begin opens the step for this group and reports whether it has anything to
@@ -45,40 +67,13 @@ func (x *groupExec) begin(plan *StepPlan) bool {
 	return false
 }
 
-// merge folds the groups' arenas into the machine deterministically (group
-// order): the memory and the combiners take the groups' write and combining
-// logs by pointer, for the commit stage to resolve where they lie, outputs
-// and deferred events are collected, statistics and per-stage attribution
-// accumulate, and the step's cycle count is the maximum over groups.
-func (m *Machine) merge() (int64, error) {
-	m.stepOutputs = m.stepOutputs[:0]
-	m.stepEvents = m.stepEvents[:0]
-	m.discAccs = m.discAccs[:0]
-	m.stepTraffic = 0
-	var stepCycles int64
-	for _, x := range m.execs {
-		if x.idle {
-			continue
-		}
-		if x.err != nil {
-			m.runErr = x.err
-			m.discardStep()
-			return 0, x.err
-		}
-		if gc := m.foldGroup(x); gc > stepCycles {
-			stepCycles = gc
-		}
-	}
-	return stepCycles, nil
-}
-
 // foldGroup folds one group's generated step into the machine: its write and
 // combining logs are handed, not copied, to the commit stage, outputs and
 // deferred events are collected, statistics and per-stage attribution
 // accumulate. Only what the group produced is handed on, and the words and
 // references handed to the commit are totalled in stepTraffic for it. It
 // returns the group's cycle count for the step (the step's cycle count is the
-// maximum over groups). merge calls it in group-index order.
+// maximum over groups). generate calls it in group-index order.
 func (m *Machine) foldGroup(x *groupExec) int64 {
 	c, gi := &x.groupCounters, x.g.Index
 	traffic := x.writes.Len() + x.refs
@@ -177,28 +172,37 @@ func (m *Machine) commit() error {
 // runGroup executes this group's share of one step under the plan stamped
 // at reset: every policy's discipline (single-instruction, budgeted
 // balanced slices, multi-instruction windows) is one pass of the same loop.
-func (x *groupExec) runGroup() {
+// It reports whether a flow it ran is still Ready: no later stage of the step
+// takes a Ready flow out of that state, so one is a ready flow at the step's
+// end.
+func (x *groupExec) runGroup() (ready bool) {
 	plan := x.plan
 	n := len(x.g.Buf.Resident)
 	if n == 0 {
-		return
+		return false
 	}
 	start := 0
 	if plan.Rotate {
 		start = x.g.Buf.rotateStart(n)
 	}
 	budget := plan.Budget
-	for k := 0; k < n; k++ {
+	for k, slot := 0, start; k < n; k, slot = k+1, slot+1 {
 		if x.err != nil || (plan.Budget > 0 && budget <= 0) {
 			break
 		}
-		slot := (start + k) % n
+		if slot == n {
+			slot = 0
+		}
 		f := x.g.Buf.Resident[slot]
 		if f.State != tcf.Ready {
 			continue
 		}
 		x.runFlow(f, slot, plan, &budget)
+		if f.State == tcf.Ready {
+			ready = true
+		}
 	}
+	return ready
 }
 
 // runFlow advances one flow by its share of the step: up to Window

@@ -60,8 +60,8 @@ func (x *groupExec) fetch(f *tcf.Flow) *fuse.Instr {
 // lane by lane, the oracle internal/chaos holds this machine to.
 func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 	in := &fi.In
-	if fragmentUnsafe(f, in) {
-		x.failf("flow %d: %s funnels thread-wise data into flow-common state inside an auto-split fragment; disable AutoSplitThreshold for this program", f.ID, in.Op)
+	if f.IsFragment && fragmentUnsafe(in) {
+		x.failf("flow %d: %s is not fragment-safe: inside an auto-split fragment it would act on the fragment's lanes or once per fragment; disable AutoSplitThreshold for this program", f.ID, in.Op)
 		return
 	}
 	x.record(f, slot, in.Op, 0, w, f.Mode == tcf.NUMA)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"unsafe"
 
 	"tcfpram/internal/fuse"
@@ -86,7 +87,7 @@ type Machine struct {
 
 	// Step-engine state, allocated once and reused every step (exec.go):
 	// per-group execution arenas, the flattened group×module distance
-	// table, and the merge scratch slices.
+	// table, and the step's fold scratch slices.
 	execs       []*groupExec
 	nmods       int
 	dist        []int
@@ -455,6 +456,13 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) { return m.Run
 // RunUntil is RunContext that also stops, with no error, at the first step
 // boundary where stop holds (checked first), so a later call continues the
 // run. Each call starts its own watchdog: at most a later livelock verdict.
+//
+// Cancellation costs a step one load of a flag, and nothing for a context
+// that cannot be canceled (ctx.Done() == nil). context.AfterFunc sets the
+// flag when another goroutine cancels, so such a cancel stops the run within
+// a step or so of it. A cancel the stepping goroutine makes itself — before
+// the call, inside stop or inside a checkpoint sink — is read off the context
+// where it is made, so the run stops at that step boundary exactly.
 func (m *Machine) RunUntil(ctx context.Context, stop func(*Machine) bool) (*Stats, error) {
 	if len(m.flowList) == 0 {
 		if err := m.Boot(); err != nil {
@@ -462,12 +470,19 @@ func (m *Machine) RunUntil(ctx context.Context, stop func(*Machine) bool) (*Stat
 		}
 	}
 	done := ctx.Done()
-	wd := newWatchdog(m.cfg.WatchdogSteps)
+	var cancel *atomic.Bool
+	if done != nil {
+		c := new(atomic.Bool)
+		c.Store(canceled(done))
+		defer context.AfterFunc(ctx, func() { c.Store(true) })()
+		cancel = c
+	}
+	wd := newWatchdog(m)
 	for !m.Done() {
 		if stop != nil && stop(m) {
 			break
 		}
-		if done != nil && canceled(done) {
+		if cancel != nil && (cancel.Load() || stop != nil && canceled(done)) {
 			m.runErr = fmt.Errorf("machine: %w after %d steps: %v", ErrCanceled, m.stats.Steps, ctx.Err())
 			break
 		}
@@ -475,7 +490,7 @@ func (m *Machine) RunUntil(ctx context.Context, stop func(*Machine) bool) (*Stat
 			m.runErr = fmt.Errorf("machine: exceeded MaxSteps=%d (livelock?): %w", m.cfg.MaxSteps, ErrMaxSteps)
 			break
 		}
-		if wd.window > 0 && wd.observe(m) {
+		if wd.due(m.stats.Steps) && wd.observe(m) {
 			m.runErr = fmt.Errorf("machine: watchdog: state cycle with no observable work over %d+ steps (silent livelock): %w", wd.window, ErrDeadlock)
 			break
 		}
@@ -492,13 +507,17 @@ func (m *Machine) RunUntil(ctx context.Context, stop func(*Machine) bool) (*Stat
 				m.runErr = fmt.Errorf("machine: checkpoint at step %d: %w", m.stats.Steps, err)
 				break
 			}
+			if cancel != nil && canceled(done) {
+				cancel.Store(true)
+			}
 		}
 	}
 	return &m.stats, m.runErr
 }
 
-// canceled is the run loops' per-step context check: a non-blocking receive,
-// where ctx.Err() locks a cancelable context's mutex.
+// canceled is RunUntil's synchronous read of the context: a non-blocking
+// receive, where ctx.Err() locks a cancelable context's mutex. The loop
+// makes it only where the stepping goroutine itself may have canceled.
 func canceled(done <-chan struct{}) bool {
 	select {
 	case <-done:

@@ -15,16 +15,17 @@ import (
 // an auto-split fragment: anything funnelling thread-wise data into the
 // flow-common scalar state would act on the fragment's lanes only
 // (reductions, and scalar-destination operations with thread-wise sources —
-// the lane-0 extract). The OS may only fragment flows whose continuation is
-// free of such instructions; the machine fails loudly otherwise.
-func fragmentUnsafe(f *tcf.Flow, in *isa.Instr) bool {
-	if !f.IsFragment {
-		return false
-	}
-	if in.Op.IsReduction() {
+// the lane-0 extract), and a flow-level output (PRINTS, a PRINT of an
+// immediate or a scalar) would come out once per fragment. The OS may only
+// fragment flows whose continuation is free of such instructions; the
+// machine fails loudly otherwise. Callers test f.IsFragment first.
+func fragmentUnsafe(in *isa.Instr) bool {
+	switch {
+	case in.Op.IsReduction(), in.Op == isa.PRINTS:
 		return true
-	}
-	if !in.Rd.IsScalar() {
+	case in.Op == isa.PRINT:
+		return in.HasImm || in.Ra.IsScalar()
+	case !in.Rd.IsScalar():
 		return false
 	}
 	switch in.Op.Info().Args {
@@ -84,7 +85,7 @@ type deferredEvent struct {
 }
 
 // groupCounters is the per-step statistics block of one group's execution —
-// every scalar the merge stage folds into Stats — split out of groupExec so
+// every scalar foldGroup adds into Stats — split out of groupExec so
 // that reset zeroes it with one assignment.
 type groupCounters struct {
 	ops       int64
@@ -114,9 +115,9 @@ type groupCounters struct {
 }
 
 // groupExec carries the per-group execution state of one step. Groups run
-// independently of each other within a step; their outputs are merged
-// deterministically afterwards. One arena per group lives on the Machine and
-// is reset — never reallocated — every step.
+// independently of each other within a step; each is folded into the machine
+// as it finishes, in group order. One arena per group lives on the Machine
+// and is reset — never reallocated — every step.
 type groupExec struct {
 	m *Machine
 	g *Group
@@ -162,7 +163,7 @@ type groupExec struct {
 
 	// disc caches "the memory-discipline cross-checker records this step"
 	// (Config.MemDiscipline checks and the plan is lockstep); accs is the
-	// group's reused recording arena, audited after the merge.
+	// group's reused recording arena, audited after generation.
 	disc bool
 	accs []discAcc
 

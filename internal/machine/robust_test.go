@@ -132,19 +132,17 @@ func TestMissingJoinDeadlockMessage(t *testing.T) {
 	}
 }
 
+// TestRunContextCanceledBetweenSteps: a context canceled before the call
+// runs no step.
 func TestRunContextCanceledBetweenSteps(t *testing.T) {
-	cfg := Default(variant.SingleInstruction)
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadProgram(isa.MustAssemble("t", "main:\n    JMP main\n")); err != nil {
-		t.Fatal(err)
-	}
+	m := spinMachine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := m.RunContext(ctx); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if s := m.Stats().Steps; s != 0 {
+		t.Fatalf("a canceled context ran %d steps, want 0", s)
 	}
 }
 

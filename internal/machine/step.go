@@ -21,8 +21,9 @@ type StepPlan struct {
 
 // Step advances the machine by one synchronous step through the Figure 13
 // pipeline: frontend prepare (fault boundary events, plan stamping) →
-// backend operation generation → deterministic merge → memory commit →
-// frontend retire (cross-flow events, task rotation, barrier release).
+// backend operation generation, each group folded in group order as it
+// finishes → memory commit → frontend retire (cross-flow events, task
+// rotation, barrier release).
 // All per-step state lives in arenas on the Machine: the steady-state step
 // loop allocates nothing (with tracing disabled).
 func (m *Machine) Step() error {
@@ -41,10 +42,13 @@ func (m *Machine) Step() error {
 
 // runStep drives the staged pipeline for one prepared plan.
 func (m *Machine) runStep(plan *StepPlan) error {
-	stagesBefore := m.stats.Stages
+	// The per-stage attribution a trace record takes as deltas.
+	var stagesBefore [NumStages]StageStats
+	if m.cfg.TraceEnabled {
+		stagesBefore = m.stats.Stages
+	}
 
-	m.generate(plan)
-	stepCycles, err := m.merge()
+	stepCycles, ready, err := m.generate(plan)
 	if err != nil {
 		return err
 	}
@@ -82,10 +86,11 @@ func (m *Machine) runStep(plan *StepPlan) error {
 			(m.stats.TaskSwitches - switchesBefore)
 
 	// Barrier release: only when no flow anywhere can still run toward
-	// the barrier and at least one is blocked at a BAR.
-	ready := m.anyReadyAnywhere() || m.releaseBarriers()
+	// the barrier and at least one is blocked at a BAR. A flow generation
+	// left Ready is one that can.
+	ready = ready || m.anyReadyAnywhere() || m.releaseBarriers()
 
-	m.finishStep(stepCycles, stagesBefore, discR, discW)
+	m.finishStep(stepCycles, &stagesBefore, discR, discW)
 
 	// Liveness: if nothing can ever run again, fail loudly.
 	if m.live > 0 && !ready {
@@ -142,7 +147,7 @@ func (m *Machine) releaseBarriers() (released bool) {
 // finishStep closes the step's books: the cycle floor, cumulative counters,
 // the trace record, and the deterministic output ordering — of which a step
 // without output needs none and a step with one output no sort.
-func (m *Machine) finishStep(stepCycles int64, stagesBefore [NumStages]StageStats, discR, discW int64) {
+func (m *Machine) finishStep(stepCycles int64, stagesBefore *[NumStages]StageStats, discR, discW int64) {
 	if stepCycles == 0 {
 		stepCycles = 1
 	}

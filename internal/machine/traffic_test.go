@@ -61,8 +61,7 @@ func TestResetDropsRetainedTraffic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.generate(plan)
-			if _, err := m.merge(); err != nil {
+			if _, _, err := m.generate(plan); err != nil {
 				t.Fatal(err)
 			}
 			pending := m.shared.PendingWrites()
@@ -117,11 +116,11 @@ func TestMergeErrorDropsFoldedTraffic(t *testing.T) {
 		t.Fatalf("err = %v, want the failing arm's", err)
 	}
 	if n := m.shared.PendingWrites(); n != 0 {
-		t.Fatalf("%d writes stay retained after the failed merge", n)
+		t.Fatalf("%d writes stay retained after the failed step", n)
 	}
 	for _, c := range m.combiners {
 		if c.Len() != 0 {
-			t.Fatalf("%d %s references stay retained after the failed merge", c.Len(), c.Kind())
+			t.Fatalf("%d %s references stay retained after the failed step", c.Len(), c.Kind())
 		}
 	}
 }

@@ -19,8 +19,16 @@ import "tcfpram/internal/tcf"
 // slides forward with doubling horizons, so a cycle of any period is found
 // within ~2x its length once detection engages. Any observable work resets
 // the detector completely, so the digest is never computed for programs that
-// touch memory at least once per window — the watchdog costs nothing on the
-// non-quiet path.
+// touch memory at least once per window.
+//
+// The progress mark is read only when it can decide something: at a boundary
+// WatchdogSteps after the step the current mark was recorded (due), and at
+// every boundary of a quiet stretch that reached the window. A mark found
+// changed at such a read is recorded at that step, not at the step of the
+// work, so the quiet stretch is measured shorter than it is, never longer:
+// detection engages up to one window later than with a read every step, and
+// never on a stretch that had work in it. Short of the window a step pays one
+// comparison.
 type watchdog struct {
 	window   int64  // quiet steps before cycle detection engages
 	lastMark int64  // progress mark at the last observed work event
@@ -31,20 +39,29 @@ type watchdog struct {
 	armed    bool   // anchor holds a valid digest
 }
 
-func newWatchdog(window int64) watchdog {
-	return watchdog{window: window, lastMark: -1}
+// newWatchdog starts a watchdog of m's Config.WatchdogSteps (disabled at 0)
+// at m's current step, with m's progress mark as the last work seen.
+func newWatchdog(m *Machine) watchdog {
+	d := watchdog{window: m.cfg.WatchdogSteps}
+	if d.window > 0 {
+		d.lastMark, d.markStep = m.progressMark(), m.stats.Steps
+	}
+	return d
 }
 
-// observe is called once per step boundary while the watchdog is enabled. It
-// reports true when the machine provably entered a state cycle with no
-// observable work — silent livelock.
+// due reports whether the boundary of step steps must be observed: the
+// watchdog is enabled and a window has passed since the mark was recorded.
+func (d *watchdog) due(steps int64) bool {
+	return d.window > 0 && steps-d.markStep >= d.window
+}
+
+// observe is called at every step boundary that is due. It reports true when
+// the machine provably entered a state cycle with no observable work —
+// silent livelock.
 func (d *watchdog) observe(m *Machine) bool {
 	if mark := m.progressMark(); mark != d.lastMark {
 		d.lastMark, d.markStep = mark, m.stats.Steps
 		d.armed = false
-		return false
-	}
-	if m.stats.Steps-d.markStep < d.window {
 		return false
 	}
 	dig := m.stateDigest()
