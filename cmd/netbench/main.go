@@ -1,16 +1,13 @@
 // Command netbench exercises the cycle-level interconnect simulator: mesh
 // and torus networks under uniform random and hotspot traffic, sweeping
 // size, load and link capacity — the bandwidth experiments behind the ESM
-// substrate assumption (Figure 1). With -faults it injects deterministic
-// fault plans of increasing intensity and reports the throughput/latency
-// degradation curve plus the recovery work (retransmissions, re-routes)
-// that kept delivery lossless. A closing section reports the step-engine
-// throughput of the vector-add workload.
+// substrate assumption (Figure 1). A closing section reports the
+// step-engine throughput of the vector-add workload.
 //
 // Usage:
 //
 //	netbench [-sizes 2,4,8] [-pernode 16] [-cap 2] [-seed 1]
-//	         [-patterns transpose,tornado] [-faults]
+//	         [-patterns transpose,tornado]
 package main
 
 import (
@@ -22,7 +19,6 @@ import (
 	"time"
 
 	"tcfpram/internal/exper"
-	"tcfpram/internal/fault"
 	"tcfpram/internal/network"
 	"tcfpram/internal/profiling"
 	"tcfpram/internal/variant"
@@ -40,9 +36,8 @@ func run() error {
 	sizes := flag.String("sizes", "2,4,6,8", "comma-separated mesh side lengths")
 	perNode := flag.Int("pernode", 16, "packets injected per node")
 	linkCap := flag.Int("cap", 2, "link capacity (packets per cycle)")
-	seed := flag.Int64("seed", 1, "traffic and fault seed")
+	seed := flag.Int64("seed", 1, "traffic seed")
 	patterns := flag.String("patterns", "", "comma-separated traffic patterns (default: all)")
-	faults := flag.Bool("faults", false, "sweep fault intensity and report degradation curves")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
@@ -130,10 +125,6 @@ func run() error {
 	el := time.Since(start)
 	fmt.Printf("\nstep-engine throughput, vector add (%d lanes) x %d runs\n", vecSize, reps)
 	fmt.Printf("steps=%d elapsed=%v steps/sec=%.0f\n", steps, el.Round(time.Millisecond), float64(steps)/el.Seconds())
-
-	if *faults {
-		return faultSweep(*perNode, *linkCap, *seed)
-	}
 	return nil
 }
 
@@ -151,55 +142,4 @@ func parsePatterns(spec string) ([]network.Pattern, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// faultSweep measures the degradation curve: the same uniform random load
-// under fault plans of increasing drop/corruption intensity plus a fixed set
-// of transient link outages. Delivery stays lossless; latency and cycle
-// counts degrade and the recovery counters show the work spent.
-func faultSweep(perNode, linkCap int, seed int64) error {
-	const side = 8
-	fmt.Printf("\nfault degradation sweep, %dx%d mesh, %d packets/node, link capacity %d, seed %d\n\n",
-		side, side, perNode, linkCap, seed)
-	fmt.Printf("%-10s %-10s %-12s %-12s %-10s %-10s %-10s %-10s\n",
-		"drop rate", "delivered", "avg latency", "latency x", "cycles x", "retransmit", "reroutes", "corrupted")
-
-	var base network.Stats
-	for i, rate := range []float64{0, 0.001, 0.005, 0.01, 0.02, 0.05} {
-		var plan *fault.Plan
-		if rate > 0 {
-			plan = &fault.Plan{
-				Seed:        seed,
-				DropRate:    rate,
-				CorruptRate: rate / 2,
-				Links: []fault.LinkFault{
-					{Node: 9, Dir: 0, Interval: fault.Interval{From: 8, To: 256}},
-					{Node: 27, Dir: 3, Interval: fault.Interval{From: 32, To: 400}},
-					{Node: 44, Dir: 1, Interval: fault.Interval{From: 0, To: 128}},
-				},
-				Routers:      []fault.RouterFault{{Node: 18, Interval: fault.Interval{From: 16, To: 48}}},
-				RetryTimeout: 8,
-				MaxRetries:   20,
-			}
-		}
-		s, err := network.RandomTraffic(network.Config{
-			Kind: network.Mesh2D, Width: side, Height: side, LinkCapacity: linkCap, Faults: plan,
-		}, perNode, seed)
-		if err != nil {
-			return fmt.Errorf("fault sweep at rate %g: %w", rate, err)
-		}
-		if i == 0 {
-			base = s
-		}
-		latX, cycX := 1.0, 1.0
-		if base.AvgLatency > 0 {
-			latX = s.AvgLatency / base.AvgLatency
-		}
-		if base.Cycles > 0 {
-			cycX = float64(s.Cycles) / float64(base.Cycles)
-		}
-		fmt.Printf("%-10.3f %-10d %-12.2f %-12.2f %-10.2f %-10d %-10d %-10d\n",
-			rate, s.Delivered, s.AvgLatency, latX, cycX, s.Retransmits, s.Reroutes, s.Corrupted)
-	}
-	return nil
 }

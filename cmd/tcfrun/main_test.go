@@ -284,10 +284,9 @@ func TestEngineFlagsRejected(t *testing.T) {
 // TestStagesKernelCoverage: -stages prints the commit's routes (the 64
 // stores in one direct run) and under them how the run's lanes were
 // generated — everything in bulk, the LD and the ST included (the per-lane
-// loops remain for fault plans, discipline checks, NUMA mode and immediate
-// semantics); where its two vector banks (64 lanes: the register arena's
-// smallest) came from, and the four columns the three TIDs and the MUL left
-// to affine forms, none of which a reader materialised: the ST and the LD read
+// loops remain for discipline checks, NUMA mode and immediate semantics);
+// where its two vector banks (64 lanes: the register arena's smallest) came
+// from, and the four columns the three TIDs and the MUL left to affine forms, none of which a reader materialised: the ST and the LD read
 // their addresses, and the ST its values, from the forms. Under them the tail
 // line: of the ten steps one had stores to commit, one left a buffer to
 // compact (the flow halted), none had two outputs to order, and the one

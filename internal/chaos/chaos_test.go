@@ -1,8 +1,7 @@
 // Package chaos is the engine's differential lattice (lattice_test.go): every
 // program of one list, on every variant it runs on, under a table of engine
-// configurations and lifecycles, with and without recoverable fault plans,
-// must match the serial per-lane interpreter exactly — faults may only cost
-// cycles, and no engine mechanism may be observable at all. FuzzRestore holds
+// configurations and lifecycles, must match the serial per-lane interpreter
+// exactly — no engine mechanism may be observable at all. FuzzRestore holds
 // Restore to untrusted bytes.
 package chaos
 
@@ -37,7 +36,7 @@ func corpusFiles(tb testing.TB) []string {
 // values its "// EXPECT:" line lists, which every shape that prints as
 // single-instruction does must print in order (relate holds the per-thread
 // variants to those), unless its variant lacks a capability and refused the
-// program, as newCells holds it to.
+// program, as newCell holds it to.
 func compileCorpus(tb testing.TB, file string) (*codegen.Compiled, func(*machine.Machine) error) {
 	tb.Helper()
 	src, err := os.ReadFile(file)

@@ -30,7 +30,7 @@ const (
 
 // generators are the seeded program sources of the lattice, FuzzLattice's
 // last program slots. TestLattice runs seeds 1 to seeds of each, past full
-// quick: fault-free, in fresh and, for gen-diff, in step, which holds the
+// quick: in fresh and, for gen-diff, in step, which holds the
 // per-lane state of its thick registers to the oracle's after every step;
 // gen-tcfe's programs, about a thousand instructions each, in admitted, a
 // fresh run as tcfserve admits it.

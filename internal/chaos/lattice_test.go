@@ -18,7 +18,6 @@ import (
 
 	"tcfpram/internal/analysis"
 	"tcfpram/internal/codegen"
-	"tcfpram/internal/fault"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/mem"
@@ -35,14 +34,14 @@ var allKinds = []variant.Kind{variant.SingleInstruction, variant.Balanced, varia
 var tcfKinds, siOnly = allKinds[:3], allKinds[:1]
 
 // entry is one program of the lattice: its code, the machines it runs on and,
-// when it has one, its own reference, which the fault-free oracle of every
-// shape is held to.
+// when it has one, its own reference, which the oracle of every shape is held
+// to.
 type entry struct {
 	name   string
 	c      *codegen.Compiled
 	shapes []shape
 	check  func(*machine.Machine) error
-	quick  []string // when set, the only rows the entry runs in, fault-free
+	quick  []string // when set, the only rows the entry runs in
 }
 
 // shape is one machine a program runs on: a variant's default configuration
@@ -172,7 +171,7 @@ func programs(tb testing.TB) []entry {
 	} {
 		es = append(es, entry{name: w.Name, c: &codegen.Compiled{Program: w.Program}, shapes: on(siOnly, nil), check: w.Check})
 	}
-	for seed := int64(1); seed <= genSeeds; seed++ { // seed by seed: a cell's other program and plan follow the order
+	for seed := int64(1); seed <= genSeeds; seed++ { // seed by seed: a cell's other program follows the order
 		for _, gen := range generators {
 			if seed > gen.seeds {
 				continue
@@ -189,20 +188,20 @@ func programs(tb testing.TB) []entry {
 
 // outcome is everything a run shows: the error that stopped it, its outputs,
 // the whole shared memory, Stats, a digest of its step records, and — not
-// compared — how many lanes the bulk kernels ran, for a kill row the step it
-// was first killed at and how many faults had fired by its last kill, for a
-// reuse row whether the program before it stopped the way the row stops it,
-// and for the checkpoint row how many of its snapshots a kill row took too.
+// compared — how many lanes the bulk kernels ran, for a kill row how many
+// shared words had been written by its last kill, for a reuse row whether the
+// program before it stopped the way the row stops it, and for the checkpoint
+// row how many of its snapshots a kill row took too.
 type outcome struct {
-	err                error
-	outputs            []machine.Output
-	memory             []int64
-	stats              machine.Stats
-	trace              uint64 // traceSum, 0 when the run did not trace
-	bulk               int64
-	kill, faultsAtKill int64
-	stopped            bool
-	sharedSnaps        int
+	err          error
+	outputs      []machine.Output
+	memory       []int64
+	stats        machine.Stats
+	trace        uint64 // traceSum, 0 when the run did not trace
+	bulk         int64
+	writesAtKill int64
+	stopped      bool
+	sharedSnaps  int
 }
 
 // images recycles the shared-memory images of the runs: hold drops each once
@@ -324,19 +323,9 @@ func buildReference(tb testing.TB, c *codegen.Compiled, cfg machine.Config) *mac
 	return m
 }
 
-// faultCosts zeroes the Stats a recoverable fault may change: when the run
-// did what it did — its cycles — and how it recovered.
-func faultCosts(s *machine.Stats) {
-	s.Cycles, s.OverheadCycles, s.StallCycles, s.PerGroupCycles = 0, 0, 0, nil
-	s.FaultStallCycles, s.Retransmits, s.Reroutes, s.Failovers = 0, 0, 0, 0
-	for i := range s.Stages {
-		s.Stages[i].Cycles = 0
-	}
-}
-
-// cell is one (program, shape, fault plan) of the lattice: its oracle, the
-// configuration rows apply their delta to, and what the rows run in it must
-// agree on among themselves.
+// cell is one (program, shape) of the lattice: its oracle, the configuration
+// rows apply their delta to, and what the rows run in it must agree on among
+// themselves.
 type cell struct {
 	name   string
 	e      *entry
@@ -346,13 +335,6 @@ type cell struct {
 	snaps  map[int64]uint64 // kill step → hash of the snapshot taken there
 }
 
-// The two cells of a (program, shape): without a fault plan, and under the
-// recoverable plan the lattice draws for them.
-const (
-	clean = iota
-	faulty
-)
-
 // fullCapability says kind runs every program: it may change thickness,
 // split and switch to NUMA mode.
 func fullCapability(kind variant.Kind) bool {
@@ -361,9 +343,9 @@ func fullCapability(kind variant.Kind) bool {
 }
 
 // costLaw holds a run to its variant's step cost law (Table 1, Figure 13),
-// whether it completed, stopped or ran under faults: a task switch costs the
-// policy's rate, TaskSwitchCycles(Tp) for a rotation and PreemptCycles(Tp)
-// for a time-slice preemption; a split child costs FlowBranchCycles(R) and an
+// whether it completed or stopped: a task switch costs the policy's rate,
+// TaskSwitchCycles(Tp) for a rotation and PreemptCycles(Tp) for a time-slice
+// preemption; a split child costs FlowBranchCycles(R) and an
 // auto-split fragment the TCF rate R; a variant without control parallelism
 // never splits, nor does a machine without an auto-split threshold
 // fragment; every cost and frontend event lands in its one stage; and under a
@@ -407,7 +389,7 @@ func costLaw(m *machine.Machine) error {
 	}{
 		{machine.StageOpGen, st[machine.StageOpGen].Cycles, s.Ops + s.ScalarOps},
 		{machine.StageOpGen, st[machine.StageOpGen].Events, s.InstrFetches},
-		{machine.StageMemory, st[machine.StageMemory].Cycles, s.OverheadCycles + s.StallCycles + s.FaultStallCycles},
+		{machine.StageMemory, st[machine.StageMemory].Cycles, s.OverheadCycles + s.StallCycles},
 		{machine.StageFrontend, st[machine.StageFrontend].Cycles, s.FlowBranchCycles + s.TaskSwitchCycles},
 		{machine.StageFrontend, st[machine.StageFrontend].Events, s.Splits + s.Joins + s.AutoSplits + s.TaskSwitches},
 	} {
@@ -431,59 +413,36 @@ func costLaw(m *machine.Machine) error {
 	return nil
 }
 
-// newCells runs the oracles of e on s: fault-free and, unless plan is 0,
-// under fault.Random(plan). Every oracle is held to the cost law, and one
-// that stops with an error to the capabilities of its variant: only a
-// variant without every capability refuses a program, and then it says which
-// capability. The fault-free oracle is held to e's own reference, the
-// faulted one to the degradation invariant: faults change when, never what —
-// all but faultCosts and the step records' cycles. (Not "never fewer
-// cycles": a failed-over module's spare may be nearer.)
-func newCells(t testing.TB, e, other *entry, s shape, plan int64) []*cell {
+// newCell runs the oracle of e on s. The oracle is held to the cost law, to
+// e's own reference, and, when it stops with an error, to the capabilities of
+// its variant: only a variant without every capability refuses a program, and
+// then it says which capability.
+func newCell(t testing.TB, e, other *entry, s shape) *cell {
 	t.Helper()
-	seeds := []int64{0}
-	if plan != 0 {
-		seeds = append(seeds, plan)
+	cfg := machine.Default(s.kind)
+	if s.tweak != nil {
+		s.tweak(&cfg)
 	}
-	var cells []*cell
-	for _, seed := range seeds {
-		cfg := machine.Default(s.kind)
-		if s.tweak != nil {
-			s.tweak(&cfg)
-		}
-		if seed != 0 {
-			cfg.FaultPlan = fault.Random(seed, cfg.Groups, cfg.Groups)
-		}
-		build := buildOracle
-		if e.quick != nil {
-			build = buildReference // no quick row traces
-		}
-		m := build(t, e.c, cfg)
-		_, err := m.Run()
-		c := &cell{name: fmt.Sprintf("%s/%s/plan %d", e.name, s.name, seed), e: e, other: other, cfg: cfg,
-			oracle: observe(m, err), snaps: map[int64]uint64{}}
-		cells = append(cells, c)
-		if err := costLaw(m); err != nil {
-			t.Fatalf("%s: the oracle breaks the cost law: %v", c.name, err)
-		}
-		if err != nil && fullCapability(s.kind) == strings.Contains(err.Error(), "unsupported") {
-			t.Fatalf("%s: %v stopped the oracle with %v", c.name, s.kind, err)
-		}
-		if seed == 0 {
-			if e.check != nil {
-				if err := e.check(m); err != nil {
-					t.Fatalf("%s: the oracle fails the program's reference: %v", c.name, err)
-				}
-			}
-			continue
-		}
-		untimed := *c.oracle
-		untimed.trace = 0
-		if err := compare(&untimed, cells[clean].oracle, faultCosts); err != nil {
-			t.Fatalf("%s: the faults changed what the run did, not only when: %v", c.name, err)
+	build := buildOracle
+	if e.quick != nil {
+		build = buildReference // no quick row traces
+	}
+	m := build(t, e.c, cfg)
+	_, err := m.Run()
+	c := &cell{name: e.name + "/" + s.name, e: e, other: other, cfg: cfg,
+		oracle: observe(m, err), snaps: map[int64]uint64{}}
+	if err := costLaw(m); err != nil {
+		t.Fatalf("%s: the oracle breaks the cost law: %v", c.name, err)
+	}
+	if err != nil && fullCapability(s.kind) == strings.Contains(err.Error(), "unsupported") {
+		t.Fatalf("%s: %v stopped the oracle with %v", c.name, s.kind, err)
+	}
+	if e.check != nil {
+		if err := e.check(m); err != nil {
+			t.Fatalf("%s: the oracle fails the program's reference: %v", c.name, err)
 		}
 	}
-	return cells
+	return c
 }
 
 // lifecycle runs a row's configuration of a cell's program on the machines
@@ -558,16 +517,14 @@ func ranOther(t *testing.T, c *cell, cfg machine.Config, build builder) (*machin
 }
 
 // quotaStopped runs the next program of the list under a step quota until
-// ErrMaxSteps stops it mid-run: a quota-stopped tcfserve lease. On a faulty
-// cell the row engages only where a memory module failed over before the
-// stop, which the Reset must revive.
+// ErrMaxSteps stops it mid-run: a quota-stopped tcfserve lease.
 func quotaStopped(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool) {
 	m := build(t, c.other.c, cfg)
 	if err := m.SetLimits(seededStep(c), 0); err != nil {
 		t.Fatal(err)
 	}
 	_, err := m.Run()
-	return m, errors.Is(err, machine.ErrMaxSteps) && (cfg.FaultPlan == nil || m.Stats().Failovers > 0)
+	return m, errors.Is(err, machine.ErrMaxSteps)
 }
 
 // canceled cancels the next program of the list's RunContext at the seeded
@@ -714,12 +671,8 @@ func restoredOther(t *testing.T, c *cell, cfg machine.Config, build builder) (*m
 // lease is Released — the pool's Reset — and the next Get must hand the same
 // machine back, which runs the cell's program with the row's limits stamped
 // on, every Reset audited. The row engages where the quota stopped the first
-// lease. A pool keys no machine with a fault plan, so faulty cells are not
-// the row's.
+// lease.
 func pooled(t *testing.T, c *cell, cfg machine.Config, _ builder) *outcome {
-	if cfg.FaultPlan != nil {
-		return nil
-	}
 	mem.ResetAudit.Store(true)
 	defer mem.ResetAudit.Store(false)
 	pool := serve.NewMachinePool(1)
@@ -783,7 +736,8 @@ func killStep(c *cell) int64 {
 // run's first half, and the restored run is killed again at 2k and restored
 // again. Snapshots taken at one step of a cell must be the same bytes,
 // whichever row and machine took them (the fold keeps k for half the cells),
-// and every Reset is audited.
+// and every Reset is audited. The outcome records the shared words the run had
+// written by its last kill.
 func killed(times int) lifecycle {
 	return func(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
 		total := c.oracle.stats.Steps
@@ -798,7 +752,7 @@ func killed(times int) lifecycle {
 		defer mem.ResetAudit.Store(false)
 		sink := &killSink{}
 		var m *machine.Machine
-		var faults int64
+		var writes int64
 		for i := 0; ; i++ {
 			var err error
 			if i == 0 {
@@ -814,14 +768,14 @@ func killed(times int) lifecycle {
 			_, err = m.Run()
 			if i == times {
 				o := observe(m, err)
-				o.kill, o.faultsAtKill = k, faults
+				o.writesAtKill = writes
 				m.Reset()
 				return o
 			}
 			if !errors.Is(err, errKilled) {
 				t.Fatalf("%s: kill %d at step %d never came: %v", c.name, i+1, int64(i+1)*k, err)
 			}
-			faults = faultEvents(m.Stats())
+			writes = m.Stats().SharedWrites
 			step, sum := m.Stats().Steps, hash(sink.snap.Bytes())
 			if prev, ok := c.snaps[step]; ok && prev != sum {
 				t.Fatalf("%s: the snapshot at step %d is not the bytes another row took there", c.name, step)
@@ -885,8 +839,7 @@ func checkpointed(t *testing.T, c *cell, cfg machine.Config, build builder) *out
 // the oracle (checkReport), and the run goes on on the same machine. Then
 // the quota leg, where the report resolved a clean run of two steps or more:
 // the machine is Reset and loaded again under a quota one step short of the
-// prediction, which must stop it with ErrMaxSteps; the row engages there. A
-// pool keys no machine with a fault plan, so faulty cells are not the row's.
+// prediction, which must stop it with ErrMaxSteps; the row engages there.
 func admitted(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
 	m := build(t, c.e.c, cfg)
 	rep, err := analysis.CostOn(context.Background(), m, c.e.c, analysis.ParamsFor(cfg))
@@ -952,17 +905,13 @@ func hash(b []byte) uint64 {
 	return h.Sum64()
 }
 
-func faultEvents(s *machine.Stats) int64 { return s.Retransmits + s.Reroutes + s.Failovers }
-
 // row is one engine configuration of the lattice: a delta on the oracle's
-// configuration, the lifecycle its runs go through, and the cells it runs in
-// (clean, faulty).
+// configuration, and the lifecycle its runs go through.
 type row struct {
 	name    string
 	build   builder // the machine the row runs; buildRun when nil
 	delta   func(*machine.Config)
 	life    lifecycle
-	plans   []int
 	free    func(*machine.Stats)            // zeroes the Stats fields the row may change
 	engaged func(got, oracle *outcome) bool // must hold on atLeast programs (one when 0) of a pass
 	atLeast int
@@ -973,47 +922,42 @@ var (
 	traced = func(c *machine.Config) { c.TraceEnabled = true }
 	crew   = func(c *machine.Config) { c.MemDiscipline = mem.DisciplineCREW }
 
-	cleanOnly = []int{clean}
-	both      = []int{clean, faulty}
-
 	discAccesses = func(s *machine.Stats) { s.DiscReads, s.DiscWrites = 0, 0 }
 
-	faultsFired = func(got, _ *outcome) bool {
-		s := got.stats
-		return s.Retransmits > 0 && s.Reroutes > 0 && s.Failovers > 0 && s.FaultStallCycles > 0
-	}
-	moreBulk    = func(got, oracle *outcome) bool { return got.bulk > oracle.bulk }
-	crossed     = func(got, _ *outcome) bool { return faultEvents(&got.stats) > got.faultsAtKill }
+	moreBulk = func(got, oracle *outcome) bool { return got.bulk > oracle.bulk }
+	// wroteAfter: the restored run stored to shared memory after its kill, so
+	// the restore carried state a later write had to land on.
+	wroteAfter  = func(got, _ *outcome) bool { return got.stats.SharedWrites > got.writesAtKill }
 	completed   = func(_, _ *outcome) bool { return true }
 	stopped     = func(got, _ *outcome) bool { return got.stopped }
 	snapsShared = func(got, _ *outcome) bool { return got.sharedSnaps > 0 }
 )
 
-// rows is the lattice: a covering set of machine × fault plan × lifecycle,
-// not the product. A row runs the production machine unless it names the
+// rows is the lattice: a covering set of machine × lifecycle, not the
+// product. A row runs the production machine unless it names the
 // reference: ref-kill restores a snapshot the reference took into the
 // production machine. checkpoint comes after the kill rows, so the
 // snapshots it takes are held to theirs.
 var rows = []row{
-	{name: "fresh", life: fresh, plans: both, engaged: faultsFired},
-	{name: "traced", delta: traced, life: fresh, plans: cleanOnly},
-	{name: "step", life: stepped, plans: cleanOnly, engaged: moreBulk, atLeast: 12},
-	{name: "crew-step", delta: crew, life: stepped, plans: cleanOnly,
+	{name: "fresh", life: fresh},
+	{name: "traced", delta: traced, life: fresh},
+	{name: "step", life: stepped, engaged: moreBulk, atLeast: 12},
+	{name: "crew-step", delta: crew, life: stepped,
 		free: discAccesses, engaged: completed, atLeast: 8, drops: machine.ErrDisciplineViolation},
-	{name: "reset", life: reused(ranOther), plans: cleanOnly},
-	{name: "abort", life: reused(quotaStopped), plans: both, engaged: stopped},
-	{name: "cancel", life: reused(canceled), plans: cleanOnly, engaged: stopped},
-	{name: "error", life: reused(failed), plans: cleanOnly, engaged: stopped},
-	{name: "panic", life: reused(panicked), plans: cleanOnly, engaged: stopped},
-	{name: "discard", delta: crew, life: reused(discarded), plans: cleanOnly,
+	{name: "reset", life: reused(ranOther)},
+	{name: "abort", life: reused(quotaStopped), engaged: stopped},
+	{name: "cancel", life: reused(canceled), engaged: stopped},
+	{name: "error", life: reused(failed), engaged: stopped},
+	{name: "panic", life: reused(panicked), engaged: stopped},
+	{name: "discard", delta: crew, life: reused(discarded),
 		free: discAccesses, engaged: stopped, atLeast: 8, drops: machine.ErrDisciplineViolation},
-	{name: "restored", life: reused(restoredOther), plans: cleanOnly, engaged: stopped},
-	{name: "pooled", life: pooled, plans: cleanOnly, engaged: stopped},
-	{name: "kill", life: killed(1), plans: both, engaged: crossed},
-	{name: "kill2", life: killed(2), plans: cleanOnly},
-	{name: "ref-kill", build: buildReference, life: killed(1), plans: both, engaged: crossed},
-	{name: "checkpoint", life: checkpointed, plans: both, engaged: snapsShared},
-	{name: "admitted", life: admitted, plans: cleanOnly, engaged: stopped, atLeast: 60},
+	{name: "restored", life: reused(restoredOther), engaged: stopped},
+	{name: "pooled", life: pooled, engaged: stopped},
+	{name: "kill", life: killed(1), engaged: wroteAfter},
+	{name: "kill2", life: killed(2)},
+	{name: "ref-kill", build: buildReference, life: killed(1), engaged: wroteAfter},
+	{name: "checkpoint", life: checkpointed, engaged: snapsShared},
+	{name: "admitted", life: admitted, engaged: stopped, atLeast: 60},
 }
 
 // hold runs row r in cell c and holds what it shows to the oracle; it reports
@@ -1039,7 +983,7 @@ func hold(t *testing.T, r row, c *cell) bool {
 	return r.engaged != nil && r.engaged(got, c.oracle)
 }
 
-// relate holds one program's fault-free oracles, one per shape, to what the
+// relate holds one program's oracles, one per shape, to what the
 // model says relates them: every shape that completes the program leaves the
 // same shared memory; single-instruction, balanced, multi-instruction and
 // fixed-thickness print the same values; the per-thread variants, listed after
@@ -1093,7 +1037,7 @@ func relate(t *testing.T, shapes []shape, oracles []*outcome) {
 
 // TestLattice is the one differential harness of the engine: every program of
 // the list, on every shape it runs on, under every row, is held to the oracle
-// of its (program, shape, fault plan) by compare. Subtests are
+// of its (program, shape) by compare. Subtests are
 // TestLattice/<program>/<shape>/<row> (DESIGN.md §5).
 func TestLattice(t *testing.T) {
 	progs := programs(t)
@@ -1117,12 +1061,8 @@ func TestLattice(t *testing.T) {
 			oracles, hit := make([]*outcome, len(e.shapes)), map[string]bool{}
 			for k, s := range e.shapes {
 				t.Run(s.name, func(t *testing.T) {
-					plan := int64(1 + (i+k)%3)
-					if e.quick != nil {
-						plan = 0
-					}
-					cs := newCells(t, e, other, s, plan)
-					oracles[k] = cs[clean].oracle
+					c := newCell(t, e, other, s)
+					oracles[k] = c.oracle
 					oracled[s.kind]++
 					if oracles[k].err == nil {
 						completed[s.kind]++
@@ -1130,15 +1070,10 @@ func TestLattice(t *testing.T) {
 					for _, r := range rs {
 						t.Run(r.name, func(t *testing.T) {
 							ran[r.name]++
-							for _, p := range r.plans {
-								if p < len(cs) && hold(t, r, cs[p]) {
-									hit[r.name] = true
-								}
+							if hold(t, r, c) {
+								hit[r.name] = true
 							}
 						})
-					}
-					for _, c := range cs[1:] {
-						recycle(c.oracle.memory)
 					}
 				})
 			}
@@ -1165,19 +1100,18 @@ func TestLattice(t *testing.T) {
 	}
 }
 
-// FuzzLattice fuzzes the lattice over (seed, program, variant, row, plan):
-// program indexes the program list and then the generators, which build from
-// seed; variant indexes the program's shapes; plan is a fault-plan seed, 0 for
-// none, for the rows that run in faulty cells.
+// FuzzLattice fuzzes the lattice over (seed, program, variant, row): program
+// indexes the program list and then the generators, which build from seed;
+// variant indexes the program's shapes.
 func FuzzLattice(f *testing.F) {
 	progs := programs(f)
 	for i := range rows { // every row, every variant of a corpus program
-		f.Add(int64(i), i, i, i, int64(i%3))
+		f.Add(int64(i), i, i, i)
 	}
 	for g := range generators {
-		f.Add(int64(100+g), len(progs)+g, g, g, int64(g))
+		f.Add(int64(100+g), len(progs)+g, g, g)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, program, kind, r int, plan int64) {
+	f.Fuzz(func(t *testing.T, seed int64, program, kind, r int) {
 		at := func(i, n int) int { return (i%n + n) % n }
 		p := at(program, len(progs)+len(generators))
 		var e entry
@@ -1187,8 +1121,8 @@ func FuzzLattice(f *testing.F) {
 			e = generators[p-len(progs)].build(seed)
 		}
 		e.quick = nil // any row runs here: its oracle traces
-		cs := newCells(t, &e, &progs[at(p+1, len(progs))], e.shapes[at(kind, len(e.shapes))], plan)
-		hold(t, rows[at(r, len(rows))], cs[len(cs)-1])
+		c := newCell(t, &e, &progs[at(p+1, len(progs))], e.shapes[at(kind, len(e.shapes))])
+		hold(t, rows[at(r, len(rows))], c)
 	})
 }
 

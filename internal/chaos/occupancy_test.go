@@ -164,7 +164,7 @@ func node() {
 	},
 }
 
-// occupancyRecord is what the fault-free oracle of an occupancy case must
+// occupancyRecord is what the oracle of an occupancy case must
 // reproduce: recorded from the parent of the occupancy-proportional step loop
 // (commit eef45a1), which scanned every flow and ran every group every step —
 // the one reference in the lattice that does not share the idle-group skip it

@@ -10,8 +10,8 @@
 // Each entry also carries the instruction's execution class and its
 // precomputed thickness and sliceability. The step engine stays the single
 // owner of everything step-resolved: memory references, combining traffic,
-// fault decisions, discipline records and trace accounting all happen in the
-// engine at run boundaries. Decode builds the same table without kernels:
+// discipline records and trace accounting all happen in the engine at run
+// boundaries. Decode builds the same table without kernels:
 // the machine's per-lane reference (machine.NewReference) runs on it, so
 // every kernel is checked against isa.Eval lane by lane.
 package fuse

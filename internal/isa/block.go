@@ -6,7 +6,7 @@ package isa
 // can execute as one superinstruction — no memory system, combining network,
 // output buffer or flow-structure interaction can occur inside it, so an
 // engine may execute the whole run back to back and touch the shared-memory
-// resolver and fault machinery only at the run's boundary.
+// resolver only at the run's boundary.
 
 // Thick reports whether the instruction executes one operation per lane of
 // the flow running it (as opposed to a single flow-level operation). The

@@ -101,10 +101,8 @@ func (m *Machine) foldGroup(x *groupExec) int64 {
 		pipeline.Step{Ops: c.ops, ScalarOps: c.scalarOps, Fetches: c.fetches,
 			AnyShared: c.anyShared, MaxDist: c.maxDist, Stall: c.stall})
 	opsCycles, overhead := cost.OpsCycles, cost.Overhead
-	// Fault stalls (retransmissions, detours) come on top of the law.
-	gc := cost.Cycles + c.faultStall
 	m.stats.PerGroupOps[gi] += opsCycles
-	m.stats.PerGroupCycles[gi] += gc
+	m.stats.PerGroupCycles[gi] += cost.Cycles
 	m.stats.Ops += c.ops
 	m.stats.ScalarOps += c.scalarOps
 	m.stats.InstrFetches += c.fetches
@@ -115,19 +113,16 @@ func (m *Machine) foldGroup(x *groupExec) int64 {
 	m.stats.MultiopRefs += c.multiopRefs
 	m.stats.OverheadCycles += overhead
 	m.stats.StallCycles += c.stall
-	m.stats.FaultStallCycles += c.faultStall
-	m.stats.Retransmits += c.retransmits
-	m.stats.Reroutes += c.reroutes
 	m.stats.Barriers += c.barriers
 	m.live -= c.done
 
 	m.stats.Stages[StageOpGen].Cycles += opsCycles
 	m.stats.Stages[StageOpGen].Events += c.fetches
-	m.stats.Stages[StageMemory].Cycles += overhead + c.stall + c.faultStall
+	m.stats.Stages[StageMemory].Cycles += overhead + c.stall
 	m.stats.Stages[StageMemory].Events += c.sharedReads + c.sharedWrites +
 		c.localReads + c.localWrites + c.multiopRefs
 	m.stats.Stages[StageCommit].Events += int64(traffic)
-	return gc
+	return cost.Cycles
 }
 
 // discardStep drops the traffic already folded of a step that will not

@@ -12,7 +12,6 @@ package machine
 import (
 	"fmt"
 
-	"tcfpram/internal/fault"
 	"tcfpram/internal/mem"
 	"tcfpram/internal/topology"
 	"tcfpram/internal/variant"
@@ -150,15 +149,6 @@ type Config struct {
 	// immediate XMT-style semantics serialize memory within the step.
 	MemDiscipline mem.Discipline
 
-	// FaultPlan injects deterministic faults (reference loss with
-	// retransmission stalls, group→module route detours, memory-module
-	// fail-stop with spare failover). Faults change cycle counts only;
-	// results are identical to the fault-free run unless the plan is
-	// unrecoverable, which surfaces as ErrFaultUnrecoverable. Nil runs
-	// fault-free. Under a plan every shared reference is issued on its own,
-	// since each draws its own fault decision: bulk LD and ST stand aside.
-	FaultPlan *fault.Plan
-
 	// Parallel is read by nothing: every step runs its groups, lanes and
 	// commit on the stepping goroutine.
 	//
@@ -245,11 +235,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.MaxThickness < 0 {
 		return c, fmt.Errorf("machine: negative MaxThickness %d", c.MaxThickness)
-	}
-	if c.FaultPlan != nil {
-		if err := c.FaultPlan.Validate(); err != nil {
-			return c, fmt.Errorf("machine: %w", err)
-		}
 	}
 	if c.Backend != BackendInterp && c.Backend != BackendFused {
 		return c, fmt.Errorf("machine: unknown backend %d", int(c.Backend))

@@ -13,9 +13,6 @@ var (
 	ErrMaxSteps = errors.New("max steps exceeded")
 	// ErrCanceled: the RunContext context was canceled between steps.
 	ErrCanceled = errors.New("run canceled")
-	// ErrFaultUnrecoverable: the fault plan exceeded what the recovery
-	// machinery can mask (retries exhausted, or no spare module remains).
-	ErrFaultUnrecoverable = errors.New("unrecoverable fault")
 	// ErrDisciplineViolation: the memory-discipline cross-checker
 	// (Config.MemDiscipline) observed a same-step conflict forbidden by the
 	// selected PRAM model. errors.As against *DisciplineViolation recovers

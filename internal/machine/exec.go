@@ -53,11 +53,11 @@ func (x *groupExec) fetch(f *tcf.Flow) *fuse.Instr {
 // operation slices). Class and thickness were decided when the program was
 // loaded (fuse.CompileTo): a register instruction runs its compiled kernel,
 // over its lanes through execLaneRange or once for a flow-level one, and
-// everything else takes the reference paths. Memory references, fault
-// decisions, discipline records, combining traffic and trace slices stay
-// outside the kernels. A reference machine's table (fuse.Decode) has no
-// kernels, so there every instruction falls through to execLane: isa.Eval
-// lane by lane, the oracle internal/chaos holds this machine to.
+// everything else takes the reference paths. Memory references, discipline
+// records, combining traffic and trace slices stay outside the kernels. A
+// reference machine's table (fuse.Decode) has no kernels, so there every
+// instruction falls through to execLane: isa.Eval lane by lane, the oracle
+// internal/chaos holds this machine to.
 func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 	in := &fi.In
 	if f.IsFragment && fragmentUnsafe(in) {

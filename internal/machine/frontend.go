@@ -211,21 +211,11 @@ func (b *StorageBuf) displaceBlocked() bool {
 // StepPlan for the backend and retires the step's cross-flow events
 // afterwards.
 
-// prepare opens a step: fail-stop fault events fire at the boundary (a dead
-// module's traffic fails over to a mirrored spare before any reference of
-// this step), then the step index is stamped into the plan handed to the
-// backend.
-func (m *Machine) prepare() (*StepPlan, error) {
-	if plan := m.cfg.FaultPlan; plan != nil {
-		for _, mod := range plan.ModuleFailuresAt(m.stats.Steps) {
-			if err := m.shared.FailModule(mod); err != nil {
-				return nil, m.failw(ErrFaultUnrecoverable, "step %d: %v", m.stats.Steps, err)
-			}
-			m.stats.Failovers++
-		}
-	}
+// prepare opens a step: the step index is stamped into the plan handed to
+// the backend.
+func (m *Machine) prepare() *StepPlan {
 	m.plan.Step = m.stats.Steps
-	return &m.plan, nil
+	return &m.plan
 }
 
 // place registers f on group g's storage buffer.

@@ -166,9 +166,8 @@ func New(cfg Config) (*Machine, error) {
 		m.groups[i] = &garr[i]
 		m.execs[i] = &xarr[i]
 	}
-	// Group→module distances never change (failover remaps the module
-	// index, not the metric), so the hot path indexes a flat table instead
-	// of calling into the topology per reference.
+	// Group→module distances never change, so the hot path indexes a flat
+	// table instead of calling into the topology per reference.
 	m.nmods = m.shared.Modules()
 	m.dist = make([]int, c.Groups*m.nmods)
 	for g := 0; g < c.Groups; g++ {

@@ -96,12 +96,6 @@ type groupCounters struct {
 	maxDist   int
 	stall     int64
 
-	// Fault-injection accounting (Config.FaultPlan): retransmission and
-	// detour stalls inflate cycles, never values.
-	faultStall  int64
-	retransmits int64
-	reroutes    int64
-
 	sharedReads  int64
 	sharedWrites int64
 	localReads   int64
@@ -137,7 +131,7 @@ type groupExec struct {
 	immediate bool
 
 	// step is the step index this arena is generating, the plan's Step: what
-	// fault decisions and PRINT provenance on the generation path read.
+	// PRINT provenance on the generation path reads.
 	step int64
 
 	groupCounters
@@ -150,10 +144,6 @@ type groupExec struct {
 	// rowMax is the largest group→module distance in this group's row of
 	// the distance table — the saturation bound for maxDist, set at build.
 	rowMax int
-
-	// refSeq numbers the group's shared references within the step so each
-	// one gets an independent deterministic fault decision.
-	refSeq int64
 
 	writes mem.WriteLog
 	combining
@@ -189,7 +179,6 @@ func (x *groupExec) reset(plan *StepPlan) {
 	x.immediate = !plan.Lockstep
 	x.step = plan.Step
 	x.groupCounters = groupCounters{}
-	x.refSeq = 0
 	x.writes.Reset()
 	x.combining.reset()
 	x.events = x.events[:0]
@@ -214,31 +203,9 @@ func (x *groupExec) failw(sentinel error, format string, args ...any) {
 	}
 }
 
-// noteShared records a shared-memory reference for the latency model. With
-// a fault plan, the reference may detour around a dead route (extra
-// distance) or be lost and retransmitted (backoff stall); both inflate
-// cycles without touching the referenced value.
+// noteShared records a shared-memory reference for the latency model.
 func (x *groupExec) noteShared(addr int64, numaMode bool) {
-	module := x.m.shared.ModuleOf(addr)
-	dist := x.m.dist[x.g.Index*x.m.nmods+module]
-	if plan := x.m.cfg.FaultPlan; plan != nil {
-		step := x.step
-		if plan.RouteDown(x.g.Index, module, step) {
-			dist += plan.Detour()
-			x.reroutes++
-		}
-		x.refSeq++
-		if r, ok := plan.MemRetries(x.g.Index, module, step, x.refSeq); r > 0 {
-			if !ok {
-				x.failw(ErrFaultUnrecoverable,
-					"step %d: shared reference to module %d lost %d times, retries exhausted",
-					step, module, r)
-				return
-			}
-			x.retransmits += int64(r)
-			x.faultStall += plan.RetryPenalty(r)
-		}
-	}
+	dist := x.m.dist[x.g.Index*x.m.nmods+x.m.shared.ModuleOf(addr)]
 	if numaMode {
 		// NUMA-mode references stall inline: base + distance cycles.
 		x.stall += int64(x.m.cfg.MemLatencyBase + dist)
@@ -430,15 +397,15 @@ func fillAddrs(dst, v []int64, first int, c int64) (lo, hi int64) {
 
 // bulkMemRange executes lanes [first, first+n) of a shared-memory LD or ST
 // as one bulk operation, returning false when the caller must take the
-// per-lane reference path (refSeq accounting, discipline records, forwarding
-// and NUMA stalls). A reference machine never calls it.
+// per-lane reference path (discipline records, forwarding and NUMA stalls).
+// A reference machine never calls it.
 func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool {
-	// Bulk shared-memory kernels engage only on the uniform fast path:
-	// fault-free, no discipline recording, lockstep (buffered) semantics,
-	// PRAM mode, no store-to-load forwarding. Per-reference bookkeeping is
-	// then loop-invariant — refSeq never advances without a fault plan — so
-	// hoisting it out of the lane loop is observationally identical.
-	if n <= 0 || x.m.cfg.FaultPlan != nil || x.disc || x.immediate || x.fwdOn || f.Mode == tcf.NUMA {
+	// Bulk shared-memory kernels engage only on the uniform fast path: no
+	// discipline recording, lockstep (buffered) semantics, PRAM mode, no
+	// store-to-load forwarding. A PRAM-mode reference then does no more than
+	// raise maxDist, which depends only on the set of modules the lanes
+	// reach, so noting them out of the lane loop is observationally identical.
+	if n <= 0 || x.disc || x.immediate || x.fwdOn || f.Mode == tcf.NUMA {
 		return false
 	}
 	end := first + n
@@ -571,8 +538,8 @@ func operandColumn(f *tcf.Flow, dst []int64, r isa.Reg, first int, c int64) {
 	}
 }
 
-// noteRow is noteShared for the non-empty PRAM-mode references addrs
-// without a fault plan, where noting one is no more than raising maxDist:
+// noteRow is noteShared for the non-empty PRAM-mode references addrs, where
+// noting one is no more than raising maxDist:
 // the module lookups stop once maxDist reaches the group's row maximum, and
 // an address that repeats the one before it, already noted, is not looked up.
 func (x *groupExec) noteRow(addrs []int64) {
@@ -617,7 +584,7 @@ func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) 
 	l.Bound(fillAddrs(addrs, av, first, base))
 	fillColumn(vals, bv, first, bs)
 	// The reference notes every reference, which holds noteRow to it.
-	if numa := f.Mode == tcf.NUMA; numa || x.m.cfg.FaultPlan != nil || x.m.reference {
+	if numa := f.Mode == tcf.NUMA; numa || x.m.reference {
 		for _, addr := range addrs {
 			x.noteShared(addr, numa)
 		}

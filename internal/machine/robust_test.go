@@ -3,11 +3,9 @@ package machine
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
-	"tcfpram/internal/fault"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/tcf"
 	"tcfpram/internal/variant"
@@ -146,96 +144,10 @@ func TestRunContextCanceledBetweenSteps(t *testing.T) {
 	}
 }
 
-// recoverablePlan exercises all three machine-level fault classes: reference
-// loss with retransmission, route detours, and one module fail-stop.
-func recoverablePlan(seed int64) *fault.Plan {
-	return &fault.Plan{
-		Seed:        seed,
-		MemDropRate: 0.05,
-		Routes: []fault.RouteFault{
-			{Group: 0, Module: 1, Interval: fault.Interval{From: 0, To: 0}},
-			{Group: 2, Module: 3, Interval: fault.Interval{From: 1, To: 40}},
-		},
-		Modules: []fault.ModuleFault{{Module: 2, Step: 2}},
-	}
-}
-
-func TestFaultPlanChangesCyclesNotResults(t *testing.T) {
-	clean := mustRun(t, variant.SingleInstruction, vectorAddSrc, nil)
-	faulty := mustRun(t, variant.SingleInstruction, vectorAddSrc,
-		func(c *Config) { c.FaultPlan = recoverablePlan(9) })
-	checkVectorAdd(t, faulty)
-
-	cs, fs := clean.Stats(), faulty.Stats()
-	if fs.Retransmits == 0 {
-		t.Fatal("5% reference loss caused no retransmissions")
-	}
-	if fs.Reroutes == 0 {
-		t.Fatal("dead routes caused no detours")
-	}
-	if fs.Failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", fs.Failovers)
-	}
-	if fs.FaultStallCycles == 0 {
-		t.Fatal("retransmissions cost no stall cycles")
-	}
-	if fs.Cycles <= cs.Cycles {
-		t.Fatalf("faults should inflate cycles: %d vs clean %d", fs.Cycles, cs.Cycles)
-	}
-	if fs.Steps != cs.Steps {
-		t.Fatalf("recoverable faults must not change the step count: %d vs %d", fs.Steps, cs.Steps)
-	}
-}
-
-func TestFaultPlanDeterministicInSeed(t *testing.T) {
-	run := func(seed int64) *Stats {
-		m := mustRun(t, variant.SingleInstruction, vectorAddSrc,
-			func(c *Config) { c.FaultPlan = recoverablePlan(seed) })
-		return m.Stats()
-	}
-	a, b := run(5), run(5)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same plan seed, different stats:\n%+v\n%+v", a, b)
-	}
-	differs := false
-	for seed := int64(6); seed < 16 && !differs; seed++ {
-		c := run(seed)
-		differs = a.Retransmits != c.Retransmits || a.FaultStallCycles != c.FaultStallCycles
-	}
-	if !differs {
-		t.Fatal("ten different plan seeds produced identical fault stats; seed unused")
-	}
-}
-
-func TestTotalReferenceLossIsUnrecoverable(t *testing.T) {
-	_, err := runSrc(t, variant.SingleInstruction, vectorAddSrc,
-		func(c *Config) { c.FaultPlan = &fault.Plan{Seed: 1, MemDropRate: 1} })
-	if !errors.Is(err, ErrFaultUnrecoverable) {
-		t.Fatalf("want ErrFaultUnrecoverable, got %v", err)
-	}
-}
-
-func TestModuleExhaustionIsUnrecoverable(t *testing.T) {
-	plan := &fault.Plan{Seed: 1}
-	for mod := 0; mod < 4; mod++ {
-		plan.Modules = append(plan.Modules, fault.ModuleFault{Module: mod, Step: 1})
-	}
-	_, err := runSrc(t, variant.SingleInstruction, vectorAddSrc,
-		func(c *Config) { c.FaultPlan = plan })
-	if !errors.Is(err, ErrFaultUnrecoverable) {
-		t.Fatalf("want ErrFaultUnrecoverable, got %v", err)
-	}
-}
-
 func TestInvalidConfigRejected(t *testing.T) {
 	cfg := Default(variant.SingleInstruction)
 	cfg.WatchdogSteps = -1
 	if _, err := New(cfg); err == nil {
 		t.Fatal("negative WatchdogSteps accepted")
-	}
-	cfg = Default(variant.SingleInstruction)
-	cfg.FaultPlan = &fault.Plan{Seed: 1, DropRate: 2}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("out-of-range fault plan accepted")
 	}
 }

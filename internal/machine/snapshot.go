@@ -15,7 +15,7 @@ import (
 // changes; Restore rejects unknown versions instead of guessing.
 const (
 	snapMagic   = "TCFSNAP\x00"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // CheckpointSink receives periodic machine snapshots from RunContext (see
@@ -36,12 +36,10 @@ type CheckpointSink interface {
 // encoding), the shared-memory image, local memories, every flow with its
 // register state and call stack, the storage buffers with their rotation
 // cursors, the statistics, the accumulated outputs, and a fingerprint of the
-// behavior-relevant configuration (including the fault plan and the
-// topology's distance table). Restore on a machine built from an equal
-// Config, then running to completion, is bit-identical to the uninterrupted
-// run: same outputs, same Stats, same fault decisions — the seeded
-// fault.Plan is pure, so restoring Stats.Steps restores the fault cursor,
-// and per-step reference sequence numbers start from zero at every boundary.
+// behavior-relevant configuration (including the topology's distance
+// table). Restore on a machine built from an equal Config, then running to
+// completion, is bit-identical to the uninterrupted run: same outputs, same
+// Stats.
 //
 // Not captured: the step trace (Trace records accumulated so far) and the
 // checkpoint wiring (SetCheckpointing) — observational state that never
@@ -78,7 +76,6 @@ func (m *Machine) Snapshot(w io.Writer) error {
 	e.Varint(c.WatchdogSteps)
 	e.Int(int(c.MemDiscipline))
 	e.Uvarint(distHash(m.dist))
-	e.Uvarint(c.FaultPlan.Fingerprint())
 
 	e.Section("program")
 	if m.prog != nil {
@@ -132,7 +129,7 @@ func (m *Machine) Snapshot(w io.Writer) error {
 // Restore builds a machine from cfg and loads a snapshot previously written
 // by Snapshot into it. cfg must describe the same machine the snapshot was
 // taken on: every behavior-relevant field (shape, variant, latency model,
-// limits, discipline, fault plan, topology distances) is validated against
+// limits, discipline, topology distances) is validated against
 // the snapshot, and a mismatch fails with an error naming the field — a
 // resumed run on a different machine would silently diverge otherwise.
 // Result-neutral fields (TraceEnabled and the inert Backend, Sched and
@@ -180,7 +177,6 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 		{"WatchdogSteps", d.Varint(), c.WatchdogSteps},
 		{"MemDiscipline", int64(d.Int()), int64(c.MemDiscipline)},
 		{"Topology distances", int64(d.Uvarint()), int64(distHash(m.dist))},
-		{"FaultPlan", int64(d.Uvarint()), int64(c.FaultPlan.Fingerprint())},
 	} {
 		if err := d.Err(); err != nil {
 			return nil, err
@@ -353,14 +349,12 @@ func distHash(dist []int) uint64 {
 }
 
 // encodeStats writes every Stats field in declaration order. The slot of the
-// deprecated LaneChunks is written 0 and skipped on decode, so snapshot bytes
-// keep their layout.
+// deprecated LaneChunks is written 0 and skipped on decode.
 func encodeStats(e *checkpoint.Encoder, s *Stats) {
 	e.Int64s([]int64{
 		s.Steps, s.Cycles, s.Ops, s.ScalarOps, s.InstrFetches,
 		s.SharedReads, s.SharedWrites, s.LocalReads, s.LocalWrites, s.MultiopRefs,
 		s.DiscReads, s.DiscWrites, s.OverheadCycles, s.StallCycles,
-		s.FaultStallCycles, s.Retransmits, s.Reroutes, s.Failovers,
 		s.FlowsCreated, s.Splits, s.AutoSplits, s.Joins, s.FlowBranchCycles,
 		s.TaskSwitches, s.TaskSwitchCycles, s.Barriers, 0,
 		int64(s.MaxLiveFlows),
@@ -380,16 +374,15 @@ func decodeStats(d *checkpoint.Decoder, s *Stats) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if len(vs) != 28 {
-		return fmt.Errorf("machine: snapshot stats hold %d scalar counters, want 28", len(vs))
+	if len(vs) != 24 {
+		return fmt.Errorf("machine: snapshot stats hold %d scalar counters, want 24", len(vs))
 	}
 	s.Steps, s.Cycles, s.Ops, s.ScalarOps, s.InstrFetches = vs[0], vs[1], vs[2], vs[3], vs[4]
 	s.SharedReads, s.SharedWrites, s.LocalReads, s.LocalWrites, s.MultiopRefs = vs[5], vs[6], vs[7], vs[8], vs[9]
 	s.DiscReads, s.DiscWrites, s.OverheadCycles, s.StallCycles = vs[10], vs[11], vs[12], vs[13]
-	s.FaultStallCycles, s.Retransmits, s.Reroutes, s.Failovers = vs[14], vs[15], vs[16], vs[17]
-	s.FlowsCreated, s.Splits, s.AutoSplits, s.Joins, s.FlowBranchCycles = vs[18], vs[19], vs[20], vs[21], vs[22]
-	s.TaskSwitches, s.TaskSwitchCycles, s.Barriers = vs[23], vs[24], vs[25]
-	s.MaxLiveFlows = int(vs[27])
+	s.FlowsCreated, s.Splits, s.AutoSplits, s.Joins, s.FlowBranchCycles = vs[14], vs[15], vs[16], vs[17], vs[18]
+	s.TaskSwitches, s.TaskSwitchCycles, s.Barriers = vs[19], vs[20], vs[21]
+	s.MaxLiveFlows = int(vs[23])
 	for _, tgt := range []*[]int64{&s.PerGroupOps, &s.PerGroupCycles} {
 		got := d.Int64s()
 		if err := d.Err(); err != nil {

@@ -3,12 +3,13 @@ package machine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 
-	"tcfpram/internal/fault"
+	"tcfpram/internal/checkpoint"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/tcf"
 	"tcfpram/internal/variant"
@@ -92,7 +93,6 @@ func TestRestoreConfigMismatch(t *testing.T) {
 		{"MemLatencyBase", func(c *Config) { c.MemLatencyBase = 2 }},
 		{"MaxSteps", func(c *Config) { c.MaxSteps = 99 }},
 		{"WatchdogSteps", func(c *Config) { c.WatchdogSteps = 17 }},
-		{"FaultPlan", func(c *Config) { c.FaultPlan = fault.Random(7, 4, 4) }},
 	}
 	for _, tc := range cases {
 		bad := cfg
@@ -111,6 +111,25 @@ func TestRestoreConfigMismatch(t *testing.T) {
 	free.TraceEnabled = true
 	if _, err := Restore(bytes.NewReader(buf.Bytes()), free); err != nil {
 		t.Fatalf("result-neutral config change rejected: %v", err)
+	}
+}
+
+// TestRestoreRefusesOtherVersion: a container of another format version — the
+// version-1 layout with the fault model's slots, or a later one — is refused
+// before any section is read, with an error naming both versions.
+func TestRestoreRefusesOtherVersion(t *testing.T) {
+	for _, v := range []uint64{1, snapVersion + 1} {
+		var buf bytes.Buffer
+		e := checkpoint.NewEncoder(&buf, snapMagic, v)
+		e.Section("config")
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Restore(&buf, Default(variant.SingleInstruction))
+		want := fmt.Sprintf("version %d, this build reads %d", v, snapVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d container: err = %v, want one containing %q", v, err, want)
+		}
 	}
 }
 

@@ -27,12 +27,6 @@ type Stats struct {
 	OverheadCycles int64 // pipeline fill + latency cycles (not doing ops)
 	StallCycles    int64 // NUMA remote-reference stalls
 
-	// Fault recovery (Config.FaultPlan): latency-only, results unchanged.
-	FaultStallCycles int64 // retransmission backoff stalls
-	Retransmits      int64 // shared references lost and resent
-	Reroutes         int64 // shared references detoured around dead routes
-	Failovers        int64 // memory modules failed over to their spare
-
 	FlowsCreated     int64
 	Splits           int64
 	AutoSplits       int64 // OS-level fragmentations of overly thick flows
@@ -75,7 +69,7 @@ const (
 	// fetch and operation-slice execution.
 	StageOpGen
 	// StageMemory is shared/local memory resolution: pipeline/latency
-	// overhead, NUMA stalls and fault-recovery stalls.
+	// overhead and NUMA stalls.
 	StageMemory
 	// StageCommit is writeback at the step boundary: buffered write commit
 	// and multioperation resolution.

@@ -20,7 +20,7 @@ type StepPlan struct {
 }
 
 // Step advances the machine by one synchronous step through the Figure 13
-// pipeline: frontend prepare (fault boundary events, plan stamping) →
+// pipeline: frontend prepare (plan stamping) →
 // backend operation generation, each group folded in group order as it
 // finishes → memory commit → frontend retire (cross-flow events, task
 // rotation, barrier release).
@@ -33,11 +33,7 @@ func (m *Machine) Step() error {
 	if m.runErr != nil {
 		return m.runErr
 	}
-	plan, err := m.prepare()
-	if err != nil {
-		return err
-	}
-	return m.runStep(plan)
+	return m.runStep(m.prepare())
 }
 
 // runStep drives the staged pipeline for one prepared plan.

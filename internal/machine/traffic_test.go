@@ -57,11 +57,7 @@ func TestResetDropsRetainedTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 			stepN(t, m, stopAt)
-			plan, err := m.prepare()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := m.generate(plan); err != nil {
+			if _, _, err := m.generate(m.prepare()); err != nil {
 				t.Fatal(err)
 			}
 			pending := m.shared.PendingWrites()

@@ -147,12 +147,6 @@ func HomeModule(addr int64, modules int) int {
 //
 // A step's stores stay in the write logs of whoever generated them
 // (WriteLog); ApplyStep resolves the retained logs in place (commit.go).
-//
-// Modules can fail-stop (FailModule): every module's contents are mirrored,
-// so a failure remaps the dead module's traffic onto the lowest-indexed
-// surviving module at a step boundary — results are unaffected, only the
-// locality (and hence latency) of the remapped references changes. With no
-// survivor left the failure is unrecoverable.
 type Shared struct {
 	// pages holds, by page index, the PageWords-sized pages written since the
 	// memory was built or Reset, and written lists their indices: all that may
@@ -165,12 +159,6 @@ type Shared struct {
 	size    int64 // total words
 	modules int
 	policy  Policy
-
-	// remap[m] is the module serving traffic addressed to m (identity
-	// until failover); failed marks dead modules.
-	remap     []int
-	failed    []bool
-	failovers int64
 
 	// logs are the step's write logs in buffering order, retained by pointer
 	// from BufferLog until ApplyStep (or Reset, or DiscardStep) drops them;
@@ -200,25 +188,20 @@ func NewShared(words, modules int, policy Policy) (*Shared, error) {
 	if modules <= 0 {
 		return nil, fmt.Errorf("module count %d must be positive: %w", modules, ErrBadSize)
 	}
-	remap := make([]int, modules)
-	for i := range remap {
-		remap[i] = i
-	}
 	// The page table itself materializes on first write: a machine whose
 	// program never touches shared memory pays nothing for it.
 	return &Shared{
 		size:    int64(words),
 		modules: modules, policy: policy,
-		remap: remap, failed: make([]bool, modules),
 	}, nil
 }
 
 // Reset restores the memory to its zeroed initial state while keeping the
 // materialized pages and the commit's scratch — the reuse that makes pooled
 // machines cheap. The pages written since the last Reset are zeroed and set
-// aside (the others are zero already), the failover remap returns to identity,
-// dead modules revive, a step left uncommitted is dropped, and all counters
-// clear. The resulting state is observably identical to a fresh NewShared.
+// aside (the others are zero already), a step left uncommitted is dropped,
+// and all counters clear. The resulting state is observably identical to a
+// fresh NewShared.
 func (s *Shared) Reset() {
 	for _, i := range s.written {
 		clear(s.pages[i])
@@ -236,11 +219,6 @@ func (s *Shared) Reset() {
 			auditZero("a shared page set aside", p)
 		}
 	}
-	for i := range s.remap {
-		s.remap[i] = i
-	}
-	clear(s.failed)
-	s.failovers = 0
 	s.DiscardStep()
 	clear(s.spans[:cap(s.spans)]) // they refer to register banks the next run may not keep
 	s.commits = CommitStats{}
@@ -268,14 +246,8 @@ func (s *Shared) Size() int { return int(s.size) }
 // Modules returns the number of memory modules.
 func (s *Shared) Modules() int { return s.modules }
 
-// ModuleOf returns the module serving addr: low-order interleaving, then the
-// failover remap table.
-func (s *Shared) ModuleOf(addr int64) int {
-	return s.remap[s.HomeModuleOf(addr)]
-}
-
-// HomeModuleOf returns the module addr interleaves onto before failover.
-func (s *Shared) HomeModuleOf(addr int64) int { return HomeModule(addr, s.modules) }
+// ModuleOf returns the module serving addr (HomeModule).
+func (s *Shared) ModuleOf(addr int64) int { return HomeModule(addr, s.modules) }
 
 // MaxOverRun returns the largest of cur and weight[ModuleOf(a)] over the n
 // consecutive addresses a from addr on. Words interleave over the modules one
@@ -286,45 +258,6 @@ func (s *Shared) MaxOverRun(weight []int, cur int, addr int64, n int) int {
 		cur = max(cur, weight[s.ModuleOf(addr+int64(i))])
 	}
 	return cur
-}
-
-// ModuleFailed reports whether module m has fail-stopped.
-func (s *Shared) ModuleFailed(m int) bool {
-	return m >= 0 && m < s.modules && s.failed[m]
-}
-
-// Failovers returns the number of module failovers performed.
-func (s *Shared) Failovers() int64 { return s.failovers }
-
-// FailModule fail-stops module m: its traffic (and any traffic already
-// remapped onto it) moves to the lowest-indexed surviving module. Failing an
-// already-dead module is a no-op. With no survivor the memory is lost and an
-// error is returned.
-func (s *Shared) FailModule(m int) error {
-	if m < 0 || m >= s.modules {
-		return fmt.Errorf("mem: FailModule(%d) outside [0,%d)", m, s.modules)
-	}
-	if s.failed[m] {
-		return nil
-	}
-	s.failed[m] = true
-	spare := -1
-	for i := 0; i < s.modules; i++ {
-		if !s.failed[i] {
-			spare = i
-			break
-		}
-	}
-	if spare < 0 {
-		return fmt.Errorf("mem: module %d failed and no surviving module remains", m)
-	}
-	for i, t := range s.remap {
-		if t == m {
-			s.remap[i] = spare
-		}
-	}
-	s.failovers++
-	return nil
 }
 
 // InRange reports whether addr is a valid word address.

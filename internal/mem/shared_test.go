@@ -250,72 +250,17 @@ func TestLocalMemory(t *testing.T) {
 	}
 }
 
-func TestModuleFailover(t *testing.T) {
-	s := mustShared(t, 64, 4, Arbitrary)
-	for a := int64(0); a < 8; a++ {
-		if s.ModuleOf(a) != s.HomeModuleOf(a) {
-			t.Fatal("remap must start as identity")
-		}
-	}
-	s.Poke(2, 77) // addr 2 interleaves onto module 2
-	if err := s.FailModule(2); err != nil {
-		t.Fatal(err)
-	}
-	if !s.ModuleFailed(2) || s.Failovers() != 1 {
-		t.Fatal("failure not recorded")
-	}
-	if got := s.ModuleOf(2); got != 0 {
-		t.Fatalf("module 2 traffic served by %d, want spare 0", got)
-	}
-	if s.HomeModuleOf(2) != 2 {
-		t.Fatal("home module must not change on failover")
-	}
-	// Failover never touches contents: the spare holds the mirror.
-	if got := s.Peek(2); got != 77 {
-		t.Fatalf("failover lost data: %d", got)
-	}
-	// Chained failure: the spare dies too; both remap to the next survivor.
-	if err := s.FailModule(0); err != nil {
-		t.Fatal(err)
-	}
-	if s.ModuleOf(2) != 1 || s.ModuleOf(0) != 1 {
-		t.Fatalf("chained failover: ModuleOf(2)=%d ModuleOf(0)=%d, want 1,1", s.ModuleOf(2), s.ModuleOf(0))
-	}
-	// Idempotent on an already-dead module.
-	if err := s.FailModule(2); err != nil || s.Failovers() != 2 {
-		t.Fatalf("re-failing dead module: err=%v failovers=%d", err, s.Failovers())
-	}
-}
-
-func TestModuleFailoverUnrecoverable(t *testing.T) {
-	s := mustShared(t, 16, 2, Arbitrary)
-	if err := s.FailModule(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.FailModule(1); err == nil {
-		t.Fatal("last surviving module failed silently")
-	}
-	if err := s.FailModule(7); err == nil {
-		t.Fatal("out-of-range module accepted")
-	}
-}
-
 // TestMaxOverRunMatchesPerAddress: the shortcut for a run of consecutive
 // addresses — look at one address per module — is the per-address maximum,
 // for module counts that are and are not powers of two, for runs shorter and
-// longer than the module count, and with failed modules remapped.
+// longer than the module count, and with the heaviest module at every index.
 func TestMaxOverRunMatchesPerAddress(t *testing.T) {
 	for _, modules := range []int{1, 4, 6, 7} {
 		s := mustShared(t, 256, modules, Arbitrary)
 		weight := make([]int, modules)
-		for m := range weight {
-			weight[m] = (m*5 + 3) % 11
-		}
-		for fail := -1; fail < modules-1; fail++ {
-			if fail >= 0 {
-				if err := s.FailModule(modules - 1 - fail); err != nil {
-					t.Fatal(err)
-				}
+		for rot := 0; rot < modules; rot++ {
+			for m := range weight {
+				weight[m] = ((m+rot)*5 + 3) % 11
 			}
 			for addr := int64(0); addr < 20; addr++ {
 				for n := 1; n <= 2*modules+1; n++ {
@@ -324,7 +269,7 @@ func TestMaxOverRunMatchesPerAddress(t *testing.T) {
 						want = max(want, weight[s.ModuleOf(a)])
 					}
 					if got := s.MaxOverRun(weight, 2, addr, n); got != want {
-						t.Fatalf("%d modules, %d failed, run of %d from %d: %d, want %d", modules, fail+1, n, addr, got, want)
+						t.Fatalf("%d modules, rotation %d, run of %d from %d: %d, want %d", modules, rot, n, addr, got, want)
 					}
 				}
 			}

@@ -7,10 +7,10 @@ import (
 )
 
 // EncodeTo streams the shared memory's step-boundary state into e: shape
-// identity (for restore-time validation), the failover remap, the access
-// counters, and every materialized page that holds a non-zero word. Pages
-// that are unmaterialized or all-zero are skipped — they read as zero either
-// way, so materialization state is not observable and need not survive.
+// identity (for restore-time validation), the access counters, and every
+// materialized page that holds a non-zero word. Pages that are
+// unmaterialized or all-zero are skipped — they read as zero either way, so
+// materialization state is not observable and need not survive.
 //
 // No write log may be pending (snapshots are taken at step boundaries, after
 // ApplyStep); buffered writes are an error, not state to serialize.
@@ -21,15 +21,6 @@ func (s *Shared) EncodeTo(e *checkpoint.Encoder) error {
 	e.Varint(s.size)
 	e.Int(s.modules)
 	e.Int(int(s.policy))
-	e.Ints(s.remap)
-	failed := make([]int64, len(s.failed))
-	for i, f := range s.failed {
-		if f {
-			failed[i] = 1
-		}
-	}
-	e.Int64s(failed)
-	e.Varint(s.failovers)
 	e.Varint(s.reads)
 	e.Varint(s.writesDone)
 	e.Varint(s.stepWrites)
@@ -63,24 +54,6 @@ func (s *Shared) DecodeFrom(d *checkpoint.Decoder) error {
 	if pol := Policy(d.Int()); pol != s.policy {
 		return fmt.Errorf("mem: snapshot write policy %v != machine %v", pol, s.policy)
 	}
-	remap := d.Ints()
-	if len(remap) != len(s.remap) {
-		return fmt.Errorf("mem: snapshot remap length %d != %d", len(remap), len(s.remap))
-	}
-	for i, t := range remap {
-		if t < 0 || t >= s.modules {
-			return fmt.Errorf("mem: snapshot remap[%d]=%d outside [0,%d)", i, t, s.modules)
-		}
-		s.remap[i] = t
-	}
-	failed := d.Int64s()
-	if len(failed) != len(s.failed) {
-		return fmt.Errorf("mem: snapshot failed length %d != %d", len(failed), len(s.failed))
-	}
-	for i, f := range failed {
-		s.failed[i] = f != 0
-	}
-	s.failovers = d.Varint()
 	s.reads = d.Varint()
 	s.writesDone = d.Varint()
 	s.stepWrites = d.Varint()

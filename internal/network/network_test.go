@@ -196,9 +196,6 @@ func TestStatsFields(t *testing.T) {
 	if s.AvgLatency <= 0 || s.MaxLatency < int64(s.AvgLatency) || s.Throughput <= 0 {
 		t.Fatalf("bad stats: %+v", s)
 	}
-	if s.Retransmits != 0 || s.Reroutes != 0 || s.Corrupted != 0 {
-		t.Fatalf("fault counters nonzero without a fault plan: %+v", s)
-	}
 	if Mesh2D.String() != "mesh" || Torus2D.String() != "torus" {
 		t.Fatal("kind names")
 	}
@@ -217,5 +214,64 @@ func TestLatencyGrowsWithSize(t *testing.T) {
 	}
 	if large.AvgLatency <= small.AvgLatency {
 		t.Fatalf("8x8 latency %.2f should exceed 2x2 latency %.2f", large.AvgLatency, small.AvgLatency)
+	}
+}
+
+// TestPinnedStats pins the full Stats of dimension-order routing on 8×8
+// networks: uniform random traffic for two seeds and every pattern, 16
+// packets per node, on a mesh and a torus at link capacity 1 and 2. Any
+// change of routing, arbitration or accounting moves them.
+func TestPinnedStats(t *testing.T) {
+	cases := []struct {
+		kind    Kind
+		cap     int
+		traffic string // "random" or a pattern name
+		seed    int64
+		want    Stats
+	}{
+		{Mesh2D, 1, "random", 1, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 15.9716796875, MaxLatency: 39, AvgHops: 5.388671875, Cycles: 48, Throughput: 0.3333333333333333}},
+		{Mesh2D, 1, "random", 2, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 15.1787109375, MaxLatency: 37, AvgHops: 5.19921875, Cycles: 49, Throughput: 0.32653061224489793}},
+		{Mesh2D, 1, "transpose", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 33.5, MaxLatency: 106, AvgHops: 5.25, Cycles: 121, Throughput: 0.1322314049586777}},
+		{Mesh2D, 1, "bit-reversal", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 38.4609375, MaxLatency: 106, AvgHops: 5.25, Cycles: 121, Throughput: 0.1322314049586777}},
+		{Mesh2D, 1, "neighbor", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 3.75, MaxLatency: 9, AvgHops: 1.75, Cycles: 24, Throughput: 0.6666666666666666}},
+		{Mesh2D, 1, "tornado", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 39.375, MaxLatency: 71, AvgHops: 8, Cycles: 86, Throughput: 0.18604651162790697}},
+		{Mesh2D, 2, "random", 1, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 8.82421875, MaxLatency: 19, AvgHops: 5.388671875, Cycles: 30, Throughput: 0.5333333333333333}},
+		{Mesh2D, 2, "random", 2, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 8.4296875, MaxLatency: 18, AvgHops: 5.19921875, Cycles: 29, Throughput: 0.5517241379310345}},
+		{Mesh2D, 2, "transpose", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 16.546875, MaxLatency: 51, AvgHops: 5.25, Cycles: 66, Throughput: 0.24242424242424243}},
+		{Mesh2D, 2, "bit-reversal", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 18.681640625, MaxLatency: 51, AvgHops: 5.25, Cycles: 66, Throughput: 0.24242424242424243}},
+		{Mesh2D, 2, "neighbor", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 3.75, MaxLatency: 9, AvgHops: 1.75, Cycles: 24, Throughput: 0.6666666666666666}},
+		{Mesh2D, 2, "tornado", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 18.2421875, MaxLatency: 27, AvgHops: 8, Cycles: 42, Throughput: 0.38095238095238093}},
+		{Torus2D, 1, "random", 1, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 10.4208984375, MaxLatency: 28, AvgHops: 4.103515625, Cycles: 35, Throughput: 0.45714285714285713}},
+		{Torus2D, 1, "random", 2, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 10.21484375, MaxLatency: 27, AvgHops: 4.01171875, Cycles: 37, Throughput: 0.43243243243243246}},
+		{Torus2D, 1, "transpose", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 24.4375, MaxLatency: 55, AvgHops: 4, Cycles: 70, Throughput: 0.22857142857142856}},
+		{Torus2D, 1, "bit-reversal", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 25.7216796875, MaxLatency: 54, AvgHops: 4, Cycles: 69, Throughput: 0.2318840579710145}},
+		{Torus2D, 1, "neighbor", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 3, MaxLatency: 3, AvgHops: 1, Cycles: 18, Throughput: 0.8888888888888888}},
+		{Torus2D, 1, "tornado", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 61.6328125, MaxLatency: 81, AvgHops: 8, Cycles: 96, Throughput: 0.16666666666666666}},
+		{Torus2D, 2, "random", 1, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 6.5703125, MaxLatency: 13, AvgHops: 4.103515625, Cycles: 25, Throughput: 0.64}},
+		{Torus2D, 2, "random", 2, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 6.4111328125, MaxLatency: 13, AvgHops: 4.01171875, Cycles: 26, Throughput: 0.6153846153846154}},
+		{Torus2D, 2, "transpose", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 11.9453125, MaxLatency: 26, AvgHops: 4, Cycles: 39, Throughput: 0.41025641025641024}},
+		{Torus2D, 2, "bit-reversal", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 11.8310546875, MaxLatency: 24, AvgHops: 4, Cycles: 38, Throughput: 0.42105263157894735}},
+		{Torus2D, 2, "neighbor", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 3, MaxLatency: 3, AvgHops: 1, Cycles: 18, Throughput: 0.8888888888888888}},
+		{Torus2D, 2, "tornado", 0, Stats{Injected: 1024, Delivered: 1024, Dropped: 0, AvgLatency: 24.1796875, MaxLatency: 33, AvgHops: 8, Cycles: 46, Throughput: 0.34782608695652173}},
+	}
+	for _, c := range cases {
+		cfg := Config{Kind: c.kind, Width: 8, Height: 8, LinkCapacity: c.cap}
+		var got Stats
+		var err error
+		if c.traffic == "random" {
+			got, err = RandomTraffic(cfg, 16, c.seed)
+		} else {
+			p, perr := ParsePattern(c.traffic)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			got, err = PatternTraffic(cfg, p, 16)
+		}
+		if err != nil {
+			t.Fatalf("%s cap %d %s seed %d: %v", c.kind, c.cap, c.traffic, c.seed, err)
+		}
+		if got != c.want {
+			t.Errorf("%s cap %d %s seed %d:\n got %+v\nwant %+v", c.kind, c.cap, c.traffic, c.seed, got, c.want)
+		}
 	}
 }

@@ -32,12 +32,12 @@ type poolKey struct {
 }
 
 // keyOf projects a Config onto its pool identity. Configurations carrying
-// non-comparable or run-specific state (custom topology, fault plans,
-// tracing) are not poolable; checkpointing is wired per lease
+// non-comparable or run-specific state (custom topology, tracing) are not
+// poolable; checkpointing is wired per lease
 // (Machine.SetCheckpointing) and cleared by Reset.
 func keyOf(cfg machine.Config) (poolKey, error) {
-	if cfg.Topology != nil || cfg.FaultPlan != nil || cfg.TraceEnabled {
-		return poolKey{}, fmt.Errorf("serve: config with topology/faults/trace is not poolable")
+	if cfg.Topology != nil || cfg.TraceEnabled {
+		return poolKey{}, fmt.Errorf("serve: config with topology/trace is not poolable")
 	}
 	return poolKey{
 		variant:       cfg.Variant,

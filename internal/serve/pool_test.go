@@ -87,8 +87,7 @@ func TestPoolLeasesAreExclusive(t *testing.T) {
 }
 
 // TestPoolRejectsUnpoolableConfigs: configs carrying run-specific state
-// (topology objects, fault plans, observers, traces) must not enter the
-// pool.
+// (topology objects, observers, traces) must not enter the pool.
 func TestPoolRejectsUnpoolableConfigs(t *testing.T) {
 	pool := NewMachinePool(2)
 	cfg := machine.Default(variant.SingleInstruction)

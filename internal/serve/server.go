@@ -882,8 +882,7 @@ func mapRunError(err error, baseCtx context.Context) (string, int) {
 		}
 		return outcomeDeadline, http.StatusRequestTimeout
 	default:
-		// ErrDeadlock, ErrDisciplineViolation, ErrFaultUnrecoverable and
-		// plain program faults.
+		// ErrDeadlock, ErrDisciplineViolation and plain program faults.
 		return outcomeRuntimeFault, http.StatusConflict
 	}
 }

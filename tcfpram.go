@@ -38,7 +38,6 @@ import (
 	"tcfpram/internal/checkpoint"
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/diag"
-	"tcfpram/internal/fault"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/mem"
@@ -137,28 +136,12 @@ const (
 	SchedDataflow = machine.SchedDataflow
 )
 
-// FaultPlan is a deterministic, seeded fault schedule for Config.FaultPlan:
-// reference loss with retransmission, route detours, and memory-module
-// fail-stop with spare failover. Recoverable plans change cycle counts only;
-// results are identical to the fault-free run.
-type FaultPlan = fault.Plan
-
-// FaultInterval is a half-open activity window of a fault.
-type FaultInterval = fault.Interval
-
-// RandomFaultPlan builds a recoverable fault plan for a machine with the
-// given group count, deterministic in seed.
-func RandomFaultPlan(seed int64, groups int) *FaultPlan {
-	return fault.Random(seed, groups, groups)
-}
-
 // The error taxonomy of Run/RunContext. Abnormal stops wrap exactly one of
 // these; dispatch with errors.Is.
 var (
 	ErrDeadlock            = machine.ErrDeadlock
 	ErrMaxSteps            = machine.ErrMaxSteps
 	ErrCanceled            = machine.ErrCanceled
-	ErrFaultUnrecoverable  = machine.ErrFaultUnrecoverable
 	ErrDisciplineViolation = machine.ErrDisciplineViolation
 	ErrThicknessLimit      = machine.ErrThicknessLimit
 )

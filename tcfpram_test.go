@@ -361,28 +361,6 @@ func TestRunContextAlreadyCanceled(t *testing.T) {
 	}
 }
 
-func TestFaultPlanPreservesResults(t *testing.T) {
-	clean, cleanStats, err := RunSource(DefaultConfig(SingleInstruction), "add", addSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(SingleInstruction)
-	cfg.FaultPlan = RandomFaultPlan(7, cfg.Groups)
-	faulty, faultyStats, err := RunSource(cfg, "add", addSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := clean.Array("c")
-	b, _ := faulty.Array("c")
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("faults changed results: %v vs %v", a, b)
-	}
-	if faultyStats.Cycles <= cleanStats.Cycles {
-		t.Fatalf("recoverable faults should cost cycles: %d vs %d",
-			faultyStats.Cycles, cleanStats.Cycles)
-	}
-}
-
 // TestPredictionFollowsMachineShape: every Config field that changes what a
 // program costs reaches the prediction. For each of the five the analyzer's
 // parameters once dropped, set off its default on a program that exercises
