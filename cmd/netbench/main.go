@@ -2,7 +2,8 @@
 // and torus networks under uniform random and hotspot traffic, sweeping
 // size, load and link capacity — the bandwidth experiments behind the ESM
 // substrate assumption (Figure 1). A closing section reports the
-// step-engine throughput of the vector-add workload.
+// step-engine throughput of the vector-add workload on standard error: it is
+// wall-clock time, so that standard output is the same bytes for a seed.
 //
 // Usage:
 //
@@ -123,8 +124,8 @@ func run() error {
 		steps += m.Stats().Steps
 	}
 	el := time.Since(start)
-	fmt.Printf("\nstep-engine throughput, vector add (%d lanes) x %d runs\n", vecSize, reps)
-	fmt.Printf("steps=%d elapsed=%v steps/sec=%.0f\n", steps, el.Round(time.Millisecond), float64(steps)/el.Seconds())
+	fmt.Fprintf(os.Stderr, "\nstep-engine throughput, vector add (%d lanes) x %d runs\n", vecSize, reps)
+	fmt.Fprintf(os.Stderr, "steps=%d elapsed=%v steps/sec=%.0f\n", steps, el.Round(time.Millisecond), float64(steps)/el.Seconds())
 	return nil
 }
 

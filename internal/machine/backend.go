@@ -19,6 +19,8 @@ import (
 // group order. It starts the step's collections afresh, returns the step's
 // cycle count — the maximum over groups — and reports whether a flow it ran
 // is still Ready, which answers the end-of-step readiness test without a scan.
+// A group without residents whose arena is already zeroed is passed over
+// without a call: it has nothing to run, to rotate or to zero (Invariant 3).
 // A group that fails ends the pass: the groups after it do not run, and what
 // the groups before it folded is discarded with the step.
 func (m *Machine) generate(plan *StepPlan) (stepCycles int64, ready bool, err error) {
@@ -27,12 +29,14 @@ func (m *Machine) generate(plan *StepPlan) (stepCycles int64, ready bool, err er
 	m.discAccs = m.discAccs[:0]
 	m.stepTraffic = 0
 	for _, x := range m.execs {
-		if !x.begin(plan) {
+		if x.idle && len(x.g.Buf.Resident) == 0 {
 			continue
 		}
-		if x.runGroup() {
-			ready = true
+		ran, r := x.runGroup(plan)
+		if !ran {
+			continue
 		}
+		ready = ready || r
 		if x.err != nil {
 			m.runErr = x.err
 			m.discardStep()
@@ -43,28 +47,6 @@ func (m *Machine) generate(plan *StepPlan) (stepCycles int64, ready bool, err er
 		}
 	}
 	return stepCycles, ready, nil
-}
-
-// begin opens the step for this group and reports whether it has anything to
-// generate. A group without a ready resident costs the step nothing: its
-// step would fetch nothing, so every counter it would fold is zero and the
-// step law prices it at zero cycles (pipeline.StepCost) — all that is left
-// of it is the rotation cursor a rotating policy advances per step, and the
-// zeroing, once, of an arena that still holds an earlier step.
-func (x *groupExec) begin(plan *StepPlan) bool {
-	buf := &x.g.Buf
-	if buf.anyReadyResident() {
-		x.reset(plan)
-		return true
-	}
-	if n := len(buf.Resident); plan.Rotate && n > 0 {
-		buf.rotateStart(n)
-	}
-	if !x.idle {
-		x.reset(plan)
-		x.idle = true
-	}
-	return false
 }
 
 // foldGroup folds one group's generated step into the machine: its write and
@@ -96,8 +78,7 @@ func (m *Machine) foldGroup(x *groupExec) int64 {
 		m.discAccs = append(m.discAccs, x.accs...)
 	}
 
-	cost := pipeline.StepCost(
-		pipeline.Config{Depth: m.cfg.PipelineDepth, MemLatency: m.cfg.MemLatencyBase},
+	cost := pipeline.StepCost(m.pipe,
 		pipeline.Step{Ops: c.ops, ScalarOps: c.scalarOps, Fetches: c.fetches,
 			AnyShared: c.anyShared, MaxDist: c.maxDist, Stall: c.stall})
 	opsCycles, overhead := cost.OpsCycles, cost.Overhead
@@ -164,40 +145,51 @@ func (m *Machine) commit() error {
 
 // ---- per-group operation generation ----
 
-// runGroup executes this group's share of one step under the plan stamped
-// at reset: every policy's discipline (single-instruction, budgeted
-// balanced slices, multi-instruction windows) is one pass of the same loop.
-// It reports whether a flow it ran is still Ready: no later stage of the step
-// takes a Ready flow out of that state, so one is a ready flow at the step's
-// end.
-func (x *groupExec) runGroup() (ready bool) {
-	plan := x.plan
-	n := len(x.g.Buf.Resident)
-	if n == 0 {
-		return false
-	}
+// runGroup executes this group's share of one step under plan: every
+// policy's discipline (single-instruction, budgeted balanced slices,
+// multi-instruction windows) is one pass of the same loop, from the slot the
+// rotation serves first. It reports whether the group ran a flow — the arena
+// is reset at the first Ready resident, so a group without one costs the step
+// nothing: its step would fetch nothing, every counter it would fold is zero
+// and the step law prices it at zero cycles (pipeline.StepCost). All that is
+// left of such a group is the rotation cursor a rotating policy advances per
+// step, and the zeroing, once, of an arena that still holds an earlier step
+// (idle). It also reports whether a flow it ran is still Ready: no later stage
+// of the step takes a Ready flow out of that state, so one is a ready flow at
+// the step's end.
+func (x *groupExec) runGroup(plan *StepPlan) (ran, ready bool) {
+	res := x.g.Buf.Resident
+	n := len(res)
 	start := 0
-	if plan.Rotate {
+	if plan.Rotate && n > 0 {
 		start = x.g.Buf.rotateStart(n)
 	}
 	budget := plan.Budget
 	for k, slot := 0, start; k < n; k, slot = k+1, slot+1 {
-		if x.err != nil || (plan.Budget > 0 && budget <= 0) {
-			break
-		}
 		if slot == n {
 			slot = 0
 		}
-		f := x.g.Buf.Resident[slot]
+		f := res[slot]
 		if f.State != tcf.Ready {
 			continue
+		}
+		if !ran {
+			x.reset()
+			ran = true
 		}
 		x.runFlow(f, slot, plan, &budget)
 		if f.State == tcf.Ready {
 			ready = true
 		}
+		if x.err != nil || (plan.Budget > 0 && budget <= 0) {
+			break
+		}
 	}
-	return ready
+	if !ran && !x.idle {
+		x.reset()
+		x.idle = true
+	}
+	return ran, ready
 }
 
 // runFlow advances one flow by its share of the step: up to Window

@@ -218,10 +218,11 @@ func (m *Machine) prepare() *StepPlan {
 	return &m.plan
 }
 
-// place registers f on group g's storage buffer.
+// place registers f on group g's storage buffer, which may queue it.
 func (m *Machine) place(f *tcf.Flow, g int) {
 	f.Home = g
 	m.groups[g].Buf.place(f, m.cfg.ProcsPerGroup)
+	m.unsettled = true
 }
 
 // leastLoaded picks the group with minimum load (ties: lowest index), the
@@ -248,6 +249,7 @@ func (m *Machine) retireEvents() error {
 			parent := ev.flow.Parent
 			parent.LiveChildren--
 			m.stats.Joins++
+			m.chargeFrontend(1, 0)
 			if parent.LiveChildren == 0 && parent.State == tcf.Waiting {
 				if parent.ResumePC < 0 {
 					// Auto-split container: the fragments were the rest
@@ -272,6 +274,7 @@ func (m *Machine) retireEvents() error {
 			parent := ev.flow.Parent
 			parent.LiveChildren--
 			m.stats.Joins++
+			m.chargeFrontend(1, 0)
 			// Fragments are scalar-identical; any of them restores the
 			// container's flow-common state and continuation point.
 			parent.SetScalars(ev.flow.Scalars())
@@ -286,6 +289,7 @@ func (m *Machine) retireEvents() error {
 			}
 		case evSplit:
 			m.stats.Splits++
+			m.chargeFrontend(1, 0)
 			for i, arm := range ev.arms {
 				g := m.leastLoaded()
 				child := m.newFlow(arm.Target, int(armThickness(ev.flow, arm)), g, len(ev.arms)-1-i)
@@ -295,7 +299,9 @@ func (m *Machine) retireEvents() error {
 				// rate: the TCF variants copy the R common registers into
 				// the child, O(R); the XMT-style multi-instruction model
 				// spawns thread contexts in parallel, O(1).
-				m.stats.FlowBranchCycles += m.policy.FlowBranchCycles(isa.NumSRegs)
+				c := m.policy.FlowBranchCycles(isa.NumSRegs)
+				m.stats.FlowBranchCycles += c
+				m.chargeFrontend(0, c)
 			}
 		}
 	}
@@ -338,6 +344,7 @@ func fragment(u, bound int) ([]int, error) {
 // exists on the thickness-aware variants.
 func (m *Machine) splitOverThick(f *tcf.Flow, thick int) error {
 	m.stats.AutoSplits++
+	m.chargeFrontend(1, 0)
 	frags, err := fragment(thick, m.cfg.AutoSplitThreshold)
 	if err != nil {
 		return m.failf("auto-split of flow %d: %v", f.ID, err)
@@ -354,6 +361,7 @@ func (m *Machine) splitOverThick(f *tcf.Flow, thick int) error {
 		child.TotalThickness = thick
 		offset += size
 		m.stats.FlowBranchCycles += int64(isa.NumSRegs)
+		m.chargeFrontend(0, int64(isa.NumSRegs))
 	}
 	return nil
 }
@@ -369,8 +377,7 @@ func (m *Machine) preempt() {
 	}
 	for _, g := range m.groups {
 		if g.Buf.Pending.Len() > 0 && g.Buf.demoteReady() {
-			m.stats.TaskSwitches++
-			m.stats.TaskSwitchCycles += m.policy.PreemptCycles(m.cfg.ProcsPerGroup)
+			m.noteTaskSwitch(m.policy.PreemptCycles(m.cfg.ProcsPerGroup))
 		}
 	}
 }
@@ -378,8 +385,10 @@ func (m *Machine) preempt() {
 // compact drops Done flows from the TCF buffers and promotes pending flows
 // into freed slots — the zero-cost task switch of the TCF variants
 // (Table 1): rotating the TCF storage buffer costs no cycles there. A buffer
-// compaction would leave as it is (needsCompaction) is not entered.
+// compaction would leave as it is (needsCompaction) is not entered, and
+// runStep does not call it on a step that settled no buffer (unsettled).
 func (m *Machine) compact() {
+	m.unsettled = false
 	for _, g := range m.groups {
 		if !g.Buf.needsCompaction() {
 			continue
@@ -387,7 +396,7 @@ func (m *Machine) compact() {
 		m.tail.Compactions++
 		g.Buf.dropDone()
 		for g.Buf.promote(m.cfg.ProcsPerGroup) {
-			m.noteTaskSwitch()
+			m.noteTaskSwitch(m.policy.TaskSwitchCycles(m.cfg.ProcsPerGroup))
 		}
 		// Flows parked at a barrier (or waiting on children) do not
 		// execute; displace them so queued ready tasks can run — without
@@ -395,17 +404,31 @@ func (m *Machine) compact() {
 		// (blocked flows hold every slot while the tasks that must still
 		// reach the barrier sit in the queue).
 		for g.Buf.displaceBlocked() {
-			m.noteTaskSwitch()
+			m.noteTaskSwitch(m.policy.TaskSwitchCycles(m.cfg.ProcsPerGroup))
 		}
+		// A queue left behind, or a Done flow popped into a slot, is
+		// compacted again next step.
+		m.unsettled = m.unsettled || g.Buf.needsCompaction()
 	}
 }
 
-// noteTaskSwitch accounts one task rotation at the policy's Table 1 rate:
-// free for TCF variants, O(1) for XMT spawning, a full Tp-context switch
-// for the thread machines.
-func (m *Machine) noteTaskSwitch() {
+// noteTaskSwitch accounts one task rotation at the policy's Table 1 rate,
+// cycles: free for TCF variants, O(1) for XMT spawning, a full Tp-context
+// switch for the thread machines, the preemption rate when the time slice
+// rotates a ready flow out.
+func (m *Machine) noteTaskSwitch(cycles int64) {
 	m.stats.TaskSwitches++
-	m.stats.TaskSwitchCycles += m.policy.TaskSwitchCycles(m.cfg.ProcsPerGroup)
+	m.stats.TaskSwitchCycles += cycles
+	m.chargeFrontend(1, cycles)
+}
+
+// chargeFrontend books a frontend event — a split, a join, an auto-split or
+// a task switch, as its own counter is taken — and cycles a split or a switch
+// costs into the frontend stage's share of the run (Stats.Stages); runStep
+// adds the stage's cycles of the step to the step's critical path.
+func (m *Machine) chargeFrontend(events, cycles int64) {
+	m.stats.Stages[StageFrontend].Events += events
+	m.stats.Stages[StageFrontend].Cycles += cycles
 }
 
 // SplitPlan previews the frontend's balanced splitting for a flow of the

@@ -11,6 +11,7 @@ import (
 	"tcfpram/internal/isa"
 	"tcfpram/internal/mem"
 	"tcfpram/internal/multiop"
+	"tcfpram/internal/pipeline"
 	"tcfpram/internal/tcf"
 	"tcfpram/internal/variant"
 )
@@ -38,6 +39,8 @@ type Machine struct {
 	// prepare stamps. The groups' arenas refer to it; a struct of this size
 	// handed down by value was an eighth of a thin step.
 	plan StepPlan
+	// pipe is the step cost law's pipeline, fixed at New.
+	pipe pipeline.Config
 	prog *isa.Program
 	// code is the loaded program's per-PC table, compiled at
 	// LoadProgram/Restore into the array the machine keeps across loads
@@ -97,6 +100,13 @@ type Machine struct {
 	// stepTraffic is the number of store words and combining references the
 	// step's fold handed to the memory and the combiners.
 	stepTraffic int
+	// unsettled reports that a storage buffer may need compaction
+	// (StorageBuf.needsCompaction) for a reason other than a flow going Done
+	// in the step under way: a flow was placed (Machine.place), the last
+	// compaction left a queue or a Done flow in a slot, or the machine was
+	// restored. With it clear and Machine.live unchanged by the step, no
+	// buffer needs compaction, and runStep does not enter the stage.
+	unsettled bool
 
 	stats  Stats
 	tail   TailStats
@@ -106,6 +116,9 @@ type Machine struct {
 	runErr  error
 	stepRec *StepRecord // current step's trace record (when tracing)
 	trace   []*StepRecord
+	// traceStages is Stats.Stages at the start of the step under way, taken
+	// only under TraceEnabled: the trace record's per-stage deltas.
+	traceStages [NumStages]StageStats
 
 	// ckptEvery and ckptSink are the periodic checkpointing SetCheckpointing
 	// wires and Reset clears: every ckptEvery steps, RunContext hands
@@ -141,6 +154,7 @@ func New(cfg Config) (*Machine, error) {
 		policy:   pol,
 		props:    props,
 		plan:     StepPlan{StepShape: pol.Shape(c.machineShape()), Lockstep: props.Lockstep},
+		pipe:     pipeline.Config{Depth: c.PipelineDepth, MemLatency: c.MemLatencyBase},
 		shared:   shared,
 		flowList: make([]*tcf.Flow, 0, 8),
 		regs:     tcf.NewRegArena(c.SharedWords),
@@ -162,7 +176,9 @@ func New(cfg Config) (*Machine, error) {
 		}
 		garr[i] = Group{Index: i, Local: local}
 		xarr[i] = groupExec{m: m, g: &garr[i],
-			fenv: fuse.Env{Group: i, Groups: c.Groups, Procs: c.TotalProcessors()}}
+			fenv:      fuse.Env{Group: i, Groups: c.Groups, Procs: c.TotalProcessors()},
+			immediate: !props.Lockstep,
+			disc:      props.Lockstep && c.MemDiscipline.Checks()}
 		m.groups[i] = &garr[i]
 		m.execs[i] = &xarr[i]
 	}
@@ -493,7 +509,9 @@ func (m *Machine) RunUntil(ctx context.Context, stop func(*Machine) bool) (*Stat
 			m.runErr = fmt.Errorf("machine: watchdog: state cycle with no observable work over %d+ steps (silent livelock): %w", wd.window, ErrDeadlock)
 			break
 		}
-		if err := m.Step(); err != nil {
+		// The loop has booted the machine and checked runErr (Done), which
+		// are Step's guards.
+		if err := m.runStep(m.prepare()); err != nil {
 			m.runErr = err
 			break
 		}

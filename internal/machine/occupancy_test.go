@@ -200,7 +200,8 @@ func work() {
 // checkTail asserts, at a step boundary, what compacting every buffer,
 // committing and ordering outputs on every step would have left behind — the
 // stages the step loop enters only for a step that has something for them. A
-// flow that is Done stands only in a buffer marked for compaction; a free slot
+// flow that is Done stands only in a buffer marked for compaction, and a
+// buffer marked for compaction only in a machine marked unsettled; a free slot
 // has no queue behind it; a blocked or waiting resident has no ready flow
 // queued behind it, unless the step ended in a barrier release (released),
 // which comes after compaction; the memory and the combiners retain nothing;
@@ -220,6 +221,9 @@ func checkTail(t *testing.T, m *Machine, firstOut int, released bool) {
 			if f.State == tcf.Done && !b.needsCompaction() {
 				t.Fatalf("step %d: group %d holds %v Done and is not marked for compaction", step, g.Index, f)
 			}
+		}
+		if b.needsCompaction() && !m.unsettled {
+			t.Fatalf("step %d: group %d needs compaction and the machine is not marked unsettled", step, g.Index)
 		}
 		if len(queued) > 0 && len(b.Resident) < m.cfg.ProcsPerGroup {
 			t.Fatalf("step %d: group %d has %d flows queued behind a free slot", step, g.Index, len(queued))

@@ -120,19 +120,14 @@ type groupExec struct {
 	// may read besides the flow itself.
 	fenv fuse.Env
 
-	// plan is the StepPlan stamped at reset; runGroup executes it.
-	plan *StepPlan
 	// idle marks an arena zeroed for a group without a ready resident and
 	// not written since: such a group is neither reset, run nor folded
 	// (Machine.generate), and a trace reads zero cycles and no slices off it.
 	idle bool
-	// immediate caches !plan.Lockstep: XMT-style memory semantics where
-	// loads see the current state and stores apply instantly.
+	// immediate caches !plan.Lockstep, fixed at New: XMT-style memory
+	// semantics where loads see the current state and stores apply
+	// instantly.
 	immediate bool
-
-	// step is the step index this arena is generating, the plan's Step: what
-	// PRINT provenance on the generation path reads.
-	step int64
 
 	groupCounters
 
@@ -151,9 +146,9 @@ type groupExec struct {
 	outputs []Output
 	slices  []SliceExec
 
-	// disc caches "the memory-discipline cross-checker records this step"
-	// (Config.MemDiscipline checks and the plan is lockstep); accs is the
-	// group's reused recording arena, audited after generation.
+	// disc caches "the memory-discipline cross-checker records the steps"
+	// (Config.MemDiscipline checks and the plan is lockstep), fixed at New;
+	// accs is the group's reused recording arena, audited after generation.
 	disc bool
 	accs []discAcc
 
@@ -171,20 +166,15 @@ type groupExec struct {
 	err error
 }
 
-// reset prepares the arena for a new step under plan, keeping every
-// allocation.
-func (x *groupExec) reset(plan *StepPlan) {
-	x.plan = plan
+// reset prepares the arena for a new step, keeping every allocation.
+func (x *groupExec) reset() {
 	x.idle = false
-	x.immediate = !plan.Lockstep
-	x.step = plan.Step
 	x.groupCounters = groupCounters{}
 	x.writes.Reset()
 	x.combining.reset()
 	x.events = x.events[:0]
 	x.outputs = x.outputs[:0]
 	x.slices = x.slices[:0]
-	x.disc = plan.Lockstep && x.m.cfg.MemDiscipline.Checks()
 	x.accs = x.accs[:0]
 	x.fwdOn = false
 	x.err = nil
@@ -669,7 +659,7 @@ func (x *groupExec) execAtomic(f *tcf.Flow, in *isa.Instr) {
 		kind := in.Op.CombineKind()
 		f.SetScalar(in.Rd, isa.Reduce(kind, multiop.Identity(kind), f.Vector(in.Ra)))
 	case in.Op == isa.PRINT:
-		out := Output{Flow: f.ID, Step: x.step}
+		out := Output{Flow: f.ID, Step: x.m.plan.Step}
 		switch {
 		case in.HasImm:
 			out.Values = []int64{in.Imm}
@@ -680,7 +670,7 @@ func (x *groupExec) execAtomic(f *tcf.Flow, in *isa.Instr) {
 		}
 		x.outputs = append(x.outputs, out)
 	case in.Op == isa.PRINTS:
-		x.outputs = append(x.outputs, Output{Flow: f.ID, Step: x.step, Text: x.m.prog.Sym(*in)})
+		x.outputs = append(x.outputs, Output{Flow: f.ID, Step: x.m.plan.Step, Text: x.m.prog.Sym(*in)})
 	case in.Op == isa.NOP:
 	default:
 		x.execLane(f, in, 0, 0)

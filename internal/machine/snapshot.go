@@ -286,6 +286,7 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 			}
 		}
 	}
+	m.unsettled = true
 
 	d.Section("stats")
 	if err := decodeStats(d, &m.stats); err != nil {

@@ -36,23 +36,26 @@ func (m *Machine) Step() error {
 	return m.runStep(m.prepare())
 }
 
-// runStep drives the staged pipeline for one prepared plan.
+// runStep drives the staged pipeline for one prepared plan. Callers have
+// established Step's guards: a booted program and no run error.
 func (m *Machine) runStep(plan *StepPlan) error {
-	// The per-stage attribution a trace record takes as deltas.
-	var stagesBefore [NumStages]StageStats
 	if m.cfg.TraceEnabled {
-		stagesBefore = m.stats.Stages
+		// The per-stage attribution a trace record takes as deltas.
+		m.traceStages = m.stats.Stages
 	}
+	live := m.live
 
 	stepCycles, ready, err := m.generate(plan)
 	if err != nil {
 		return err
 	}
 
-	discR, discW, err := m.auditDiscipline()
-	if err != nil {
-		m.discardStep()
-		return err
+	var discR, discW int64
+	if len(m.discAccs) > 0 {
+		if discR, discW, err = m.auditDiscipline(); err != nil {
+			m.discardStep()
+			return err
+		}
 	}
 
 	if err := m.commit(); err != nil {
@@ -61,32 +64,27 @@ func (m *Machine) runStep(plan *StepPlan) error {
 
 	// Frontend retire: cross-flow events (splits, joins, auto-split
 	// fragmentation and rejoin) and task rotation both charge their Table 1
-	// costs into the step's critical path.
-	branchBefore := m.stats.FlowBranchCycles
-	eventsBefore := m.stats.Splits + m.stats.Joins + m.stats.AutoSplits
-	if err := m.retireEvents(); err != nil {
-		return err
+	// costs into the step's critical path. Each is charged to the frontend
+	// stage where it is counted (chargeFrontend), so a step without one reads
+	// the stage's cycles twice and nothing else.
+	front := m.stats.Stages[StageFrontend].Cycles
+	if len(m.stepEvents) > 0 {
+		if err := m.retireEvents(); err != nil {
+			return err
+		}
 	}
-	stepCycles += m.stats.FlowBranchCycles - branchBefore
-
-	switchBefore := m.stats.TaskSwitchCycles
-	switchesBefore := m.stats.TaskSwitches
 	m.preempt()
-	m.compact()
-	stepCycles += m.stats.TaskSwitchCycles - switchBefore
-
-	m.stats.Stages[StageFrontend].Cycles +=
-		(m.stats.FlowBranchCycles - branchBefore) + (m.stats.TaskSwitchCycles - switchBefore)
-	m.stats.Stages[StageFrontend].Events +=
-		(m.stats.Splits + m.stats.Joins + m.stats.AutoSplits - eventsBefore) +
-			(m.stats.TaskSwitches - switchesBefore)
+	if m.unsettled || m.live != live {
+		m.compact()
+	}
+	stepCycles += m.stats.Stages[StageFrontend].Cycles - front
 
 	// Barrier release: only when no flow anywhere can still run toward
 	// the barrier and at least one is blocked at a BAR. A flow generation
 	// left Ready is one that can.
 	ready = ready || m.anyReadyAnywhere() || m.releaseBarriers()
 
-	m.finishStep(stepCycles, &stagesBefore, discR, discW)
+	m.finishStep(stepCycles, discR, discW)
 
 	// Liveness: if nothing can ever run again, fail loudly.
 	if m.live > 0 && !ready {
@@ -97,11 +95,9 @@ func (m *Machine) runStep(plan *StepPlan) error {
 
 // auditDiscipline runs the memory-discipline audit (Config.MemDiscipline)
 // over the step's recorded access sets, before commit, so a violating step
-// stops the machine without applying its writes.
+// stops the machine without applying its writes. runStep calls it for a step
+// that recorded an access.
 func (m *Machine) auditDiscipline() (discR, discW int64, err error) {
-	if len(m.discAccs) == 0 {
-		return 0, 0, nil
-	}
 	for i := range m.discAccs {
 		if m.discAccs[i].write {
 			discW++
@@ -143,7 +139,7 @@ func (m *Machine) releaseBarriers() (released bool) {
 // finishStep closes the step's books: the cycle floor, cumulative counters,
 // the trace record, and the deterministic output ordering — of which a step
 // without output needs none and a step with one output no sort.
-func (m *Machine) finishStep(stepCycles int64, stagesBefore *[NumStages]StageStats, discR, discW int64) {
+func (m *Machine) finishStep(stepCycles int64, discR, discW int64) {
 	if stepCycles == 0 {
 		stepCycles = 1
 	}
@@ -166,8 +162,8 @@ func (m *Machine) finishStep(stepCycles int64, stagesBefore *[NumStages]StageSta
 		rec.GroupCycles, m.gcArena = m.gcArena[:ng:ng], m.gcArena[ng:]
 		rec.Step, rec.Cycles = m.stats.Steps-1, stepCycles
 		for s := range rec.Stages {
-			rec.Stages[s].Cycles = m.stats.Stages[s].Cycles - stagesBefore[s].Cycles
-			rec.Stages[s].Events = m.stats.Stages[s].Events - stagesBefore[s].Events
+			rec.Stages[s].Cycles = m.stats.Stages[s].Cycles - m.traceStages[s].Cycles
+			rec.Stages[s].Events = m.stats.Stages[s].Events - m.traceStages[s].Events
 		}
 		rec.DiscReads, rec.DiscWrites = discR, discW
 		n := 0

@@ -7,6 +7,7 @@ package machine
 
 import (
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -118,5 +119,57 @@ func TestMergeErrorDropsFoldedTraffic(t *testing.T) {
 		if c.Len() != 0 {
 			t.Fatalf("%d %s references stay retained after the failed step", c.Len(), c.Kind())
 		}
+	}
+}
+
+// TestFailedStepStats pins what a failed step leaves in Stats. Seven arms
+// land on the four groups in placement order (1, 2, 3, 0, 1, 2, 3), so
+// group 3 runs a store arm and then the arm whose negative SETTHICK fails,
+// after groups 0 to 2 ran and folded theirs. The groups before the failing
+// one are in Stats; the failing group's counters, the commit and the
+// frontend retire of that step are not, and the step is not counted.
+func TestFailedStepStats(t *testing.T) {
+	b := isa.NewBuilder("failed-step")
+	b.Label("main")
+	b.Ldi(isa.S(5), -1)
+	b.Split(isa.ArmImm(64, "store"), isa.ArmImm(64, "store"), isa.ArmImm(32, "store"), isa.ArmImm(16, "store"),
+		isa.ArmImm(8, "store"), isa.ArmImm(4, "store"), isa.ArmImm(1, "fail"))
+	b.Halt()
+	b.Label("store")
+	b.Id(isa.TID, isa.V(0))
+	b.St(isa.V(0), 700, isa.V(0))
+	b.Multi(isa.MADD, isa.RegNone, 701, isa.V(0))
+	b.Op(isa.JOIN)
+	b.Label("fail")
+	b.Id(isa.TID, isa.V(0))
+	b.SetThick(isa.S(5))
+	b.Op(isa.JOIN)
+	m, err := New(Default(variant.SingleInstruction))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadProgram(b.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Run()
+	if err == nil || !strings.Contains(err.Error(), "negative thickness") {
+		t.Fatalf("err = %v, want the failing arm's", err)
+	}
+	want := Stats{Steps: 3, Cycles: 198, Ops: 345, ScalarOps: 2, InstrFetches: 14,
+		SharedWrites: 156, OverheadCycles: 54, FlowsCreated: 8, Splits: 1,
+		FlowBranchCycles: 112, MaxLiveFlows: 8,
+		PerGroupOps:    []int64{34, 144, 136, 33},
+		PerGroupCycles: []int64{56, 158, 150, 37},
+		Stages: [NumStages]StageStats{
+			StageFrontend: {Cycles: 112, Events: 1},
+			StageOpGen:    {Cycles: 347, Events: 14},
+			StageMemory:   {Cycles: 54, Events: 156},
+			StageCommit:   {Events: 156},
+		}}
+	if !reflect.DeepEqual(*st, want) {
+		t.Fatalf("Stats after the failed step:\n got %+v\nwant %+v", *st, want)
+	}
+	if !m.Done() {
+		t.Fatal("Done() = false after the failed step")
 	}
 }
