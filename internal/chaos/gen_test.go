@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
+	"tcfpram/internal/mem"
 	"tcfpram/internal/variant"
 )
 
@@ -46,6 +48,10 @@ const genSeeds, tcfeSeeds = 60, 40
 // small is the shared memory of a generated program, which stores below word
 // 2 500, as the lattice copies the whole image of every run.
 func small(c *machine.Config) { c.SharedWords = 1 << 12 }
+
+// autoSplit4 is single-instruction auto-splitting flows thicker than 4.
+var autoSplit4 = shape{name: "single-instruction-autosplit4", kind: variant.SingleInstruction,
+	tweak: func(c *machine.Config) { small(c); c.AutoSplitThreshold = 4 }}
 
 // genShapes are the machines a generated program runs on: kinds, and
 // Balanced once per bound.
@@ -80,8 +86,7 @@ func diffEntry(name string, b *isa.Builder, shapes []shape, want, wantAux []int6
 // thickness computing on vector registers V1..V5 and scalars S1..S2, with
 // loads from a random input array, occasional reductions and multiprefixes,
 // and stores to disjoint per-lane addresses. Balanced runs it at bounds 1, 3
-// and 7; a program without a flow-level reduction (which fragments reject)
-// also runs single-instruction auto-split at thickness 4.
+// and 7, and single-instruction auto-splits it at thickness 4.
 func genDiffProgram(seed int64) entry {
 	rng := rand.New(rand.NewSource(seed))
 	b := isa.NewBuilder("diff")
@@ -112,7 +117,6 @@ func genDiffProgram(seed int64) entry {
 		b.St(isa.V(0), int64(diffOutBase+len(want)), isa.V(v))
 		want = append(want, vregs[v]...)
 	}
-	hasReduction := false
 	aluOps := []isa.Op{isa.ADD, isa.SUB, isa.MUL, isa.AND, isa.OR, isa.XOR,
 		isa.MIN, isa.MAX, isa.SLT, isa.SGT, isa.SEQ}
 	for range 5 + rng.Intn(25) {
@@ -126,7 +130,6 @@ func genDiffProgram(seed int64) entry {
 			b.Ldi(isa.V(d), imm)
 			each(d, func(int) int64 { return imm })
 		case 2: // reduction into a scalar
-			hasReduction = true
 			sd, sr := 1+rng.Intn(2), 1+rng.Intn(5)
 			b.Reduce(isa.RADD, isa.S(sd), isa.V(sr))
 			sregs[sd] = 0
@@ -165,11 +168,7 @@ func genDiffProgram(seed int64) entry {
 	}
 	store(rng.Intn(6)) // so that every program stores something
 	b.Halt()
-	shapes := genShapes([]variant.Kind{variant.SingleInstruction, variant.MultiInstruction}, 1, 3, 7)
-	if !hasReduction {
-		shapes = append(shapes, shape{name: "single-instruction-autosplit4", kind: variant.SingleInstruction,
-			tweak: func(c *machine.Config) { small(c); c.AutoSplitThreshold = 4 }})
-	}
+	shapes := append(genShapes([]variant.Kind{variant.SingleInstruction, variant.MultiInstruction}, 1, 3, 7), autoSplit4)
 	e := diffEntry(fmt.Sprintf("gen-diff-%d", seed), b, shapes, want, wantAux)
 	e.quick = []string{"fresh", "step"}
 	return e
@@ -227,8 +226,9 @@ func genNUMADiff(seed int64) entry {
 // statements, multiprefixes, multioperations and thickness changes up to 32.
 // It is compiled from source and held to the generator's Go reference, which
 // shares no code with the compiler: the values it prints and the words of
-// its Peek ranges. It runs on the three TCF variants and on Balanced at
-// bound 3; the thread variants would stop at its first thickness statement.
+// its Peek ranges. It runs on the three TCF variants, on Balanced at bound 3
+// and auto-split at thickness 4; the thread variants would stop at its first
+// thickness statement.
 func genTCFE(seed int64) entry {
 	if seed >= 1 && seed <= tcfeSeeds {
 		return tcfeEntries()[seed-1]
@@ -253,7 +253,7 @@ func buildTCFE(seed int64) entry {
 	if err != nil {
 		panic(fmt.Sprintf("compile %s: %v\n%s", name, err, p.Source))
 	}
-	return entry{name: name, c: c, shapes: genShapes(tcfKinds, 3), quick: []string{"admitted"},
+	return entry{name: name, c: c, shapes: append(genShapes(tcfKinds, 3), autoSplit4), quick: []string{"admitted"},
 		check: func(m *machine.Machine) error {
 			return p.Check(printed(m), func(i int) []int64 { return m.Shared().Snapshot(p.Peek[i].Addr, p.Peek[i].N) })
 		}}
@@ -316,14 +316,130 @@ func TestGeneratedEntriesEngage(t *testing.T) {
 	}
 }
 
-// TestAutoSplitNeverWrong: Section 3.3's OS splitting may stop a program it
-// cannot fragment, but never answers wrong. Each gen-tcfe program runs on the
-// three TCF variants with AutoSplitThreshold 8, where most of them split, and
-// every run the machine accepts must pass the generator's check. A guard that
-// lets a fragment print a flow-level value prints it once per fragment
-// ("printed 11 values, want 5").
+// TestAutoSplitTransparent: Section 3.3's OS splitting is an implementation
+// detail no program can see. Every gen-tcfe program and every corpus program
+// runs on the three TCF variants at AutoSplitThreshold 4, 8 and 16, and each
+// run must complete, print the values and text the same run unsplit prints,
+// in its order — the flow and step of an output may differ — and leave the
+// same shared memory. The named programs, under the CREW checker, are the
+// ways a fragment used to lose part of its flow — the lanes it should start
+// with, the lanes it should hand back, the call it runs in — or to do twice
+// what the flow does once, and siblings that wait for queued ones. The
+// thresholds must really split: on 40, 32 and 19 of the gen-tcfe seeds on
+// single-instruction.
+func TestAutoSplitTransparent(t *testing.T) {
+	type program struct {
+		name string
+		c    *codegen.Compiled
+		cfg  func(*machine.Config)
+	}
+	crew := func(c *machine.Config) {
+		small(c)
+		c.MemDiscipline = mem.DisciplineCREW
+	}
+	var ps []program
+	for _, n := range []struct{ name, src string }{
+		{"lanes-into-fragments", `
+shared int a[16] @ 1024;
+func main() {
+    #4;
+    thick int v = tid + 100;
+    #16;
+    a[tid] = v;
+}`},
+		{"lanes-out-of-fragments", `
+shared int a[16] @ 1024;
+func main() {
+    #16;
+    thick int v = tid + 100;
+    #4;
+    a[tid] = v;
+}`},
+		{"split-in-a-call", `
+shared int a[16] @ 1024;
+shared int done @ 1100;
+func fill() {
+    #16;
+    a[tid] = tid + 1;
+}
+func main() {
+    fill();
+    #1;
+    done = 7;
+    print(done);
+}`},
+		{"store-once", `
+shared int a[16] @ 1024;
+shared int done @ 1100;
+func main() {
+    #16;
+    a[tid] = tid;
+    done = 7;
+    a[tid] = a[tid] + done;
+}`},
+		{"queued-siblings", `
+shared int a[256] @ 1024;
+shared int b[256] @ 2048;
+func main() {
+    #256;
+    a[tid] = tid * 3;
+    b[tid] = a[(tid + 1) % 256] + a[(tid + 255) % 256];
+    a[tid] = b[(tid * 7) % 256];
+    #1;
+    print(radd(a[tid]));
+}`},
+	} {
+		ps = append(ps, program{n.name, compileSrc(t, n.name, n.src), crew})
+	}
+	for _, file := range corpusFiles(t) {
+		c, _ := compileCorpus(t, file)
+		ps = append(ps, program{filepath.Base(file), c, func(*machine.Config) {}})
+	}
+	firstGen := len(ps)
+	for _, e := range tcfeEntries() {
+		ps = append(ps, program{e.name, e.c, small})
+	}
+	thresholds := []int{4, 8, 16}
+	splitSeeds := make([]int, len(thresholds))
+	for i, p := range ps {
+		for _, kind := range tcfKinds {
+			cfg := machine.Default(kind)
+			p.cfg(&cfg)
+			plain, err := runVisible(t, p.c, cfg)
+			if err != nil {
+				t.Fatalf("%s on %v unsplit: %v", p.name, kind, err)
+			}
+			for k, th := range thresholds {
+				cfg.AutoSplitThreshold = th
+				split, err := runVisible(t, p.c, cfg)
+				if err != nil {
+					t.Errorf("%s on %v at threshold %d stopped: %v", p.name, kind, th, err)
+					continue
+				}
+				if err := plain.same(split); err != nil {
+					t.Errorf("%s on %v at threshold %d: %v", p.name, kind, th, err)
+				}
+				if i >= firstGen && kind == variant.SingleInstruction && split.autoSplits > 0 {
+					splitSeeds[k]++
+				}
+			}
+		}
+	}
+	for k, want := range []int{40, 32, 19} {
+		if splitSeeds[k] != want {
+			t.Errorf("threshold %d split on %d gen-tcfe seeds, want %d", thresholds[k], splitSeeds[k], want)
+		}
+	}
+}
+
+// TestAutoSplitNeverWrong holds auto-split runs to the generator's own check,
+// an oracle that does not lean on the unsplit run TestAutoSplitTransparent
+// compares against. Each gen-tcfe program runs on the three TCF variants with
+// AutoSplitThreshold 8, where most of them split; every run must complete and
+// pass the check. A fragment that prints a flow-level value prints it once
+// per fragment ("printed 11 values, want 5").
 func TestAutoSplitNeverWrong(t *testing.T) {
-	var passed, stopped, split int
+	split := 0
 	for seed := int64(1); seed <= tcfeSeeds; seed++ {
 		e := genTCFE(seed)
 		for _, kind := range tcfKinds {
@@ -332,20 +448,54 @@ func TestAutoSplitNeverWrong(t *testing.T) {
 			cfg.AutoSplitThreshold = 8
 			m := buildRun(t, e.c, cfg)
 			if _, err := m.Run(); err != nil {
-				stopped++
+				t.Errorf("%s on %v at threshold 8 stopped: %v", e.name, kind, err)
 				continue
 			}
 			if err := e.check(m); err != nil {
-				t.Errorf("%s on %v: auto-split answered wrong without an error: %v", e.name, kind, err)
+				t.Errorf("%s on %v: auto-split answered wrong: %v", e.name, kind, err)
 			}
-			passed++
 			split += min(1, int(m.Stats().AutoSplits))
 		}
 	}
-	t.Logf("threshold 8: %d runs pass (%d of them split), %d stop", passed, split, stopped)
 	if split == 0 {
-		t.Error("no accepted run split a flow: the test holds nothing")
+		t.Error("no run split a flow: the test holds nothing")
 	}
+}
+
+// visible is what a program can see of its run — what it printed, values and
+// text in order, and the whole shared memory — and whether it auto-split.
+type visible struct {
+	values     [][]int64
+	texts      []string
+	memory     []int64
+	autoSplits int64
+}
+
+func runVisible(tb testing.TB, c *codegen.Compiled, cfg machine.Config) (visible, error) {
+	m := buildRun(tb, c, cfg)
+	if _, err := m.Run(); err != nil {
+		return visible{}, err
+	}
+	var v visible
+	for _, out := range m.Outputs() {
+		v.values, v.texts = append(v.values, out.Values), append(v.texts, out.Text)
+	}
+	v.memory = m.Shared().Snapshot(0, cfg.SharedWords)
+	v.autoSplits = m.Stats().AutoSplits
+	return v, nil
+}
+
+// same compares split, a run's visible result, with v, the same run's unsplit.
+func (v visible) same(split visible) error {
+	if !slices.EqualFunc(v.values, split.values, slices.Equal) || !slices.Equal(v.texts, split.texts) {
+		return fmt.Errorf("printed %v %q, unsplit %v %q", split.values, split.texts, v.values, v.texts)
+	}
+	for a := range v.memory {
+		if v.memory[a] != split.memory[a] {
+			return fmt.Errorf("word %d = %d, unsplit %d", a, split.memory[a], v.memory[a])
+		}
+	}
+	return nil
 }
 
 // saxpyKernel is tcfbench's saxpy-loop at the given thickness, compiled.

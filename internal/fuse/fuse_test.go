@@ -71,14 +71,14 @@ func refLane(env Env, f *tcf.Flow, in isa.Instr, i int) int64 {
 		}
 		return v
 	case in.Op == isa.TID:
-		if f.Mode == tcf.NUMA {
-			return 0
+		if f.Mode == tcf.NUMA || in.Rd.IsScalar() {
+			return 0 // a fragment rejoins for a flow-common TID
 		}
 		return int64(f.TidOffset + i)
 	case in.Op == isa.FID:
 		return int64(f.ID)
 	case in.Op == isa.THICK:
-		return int64(f.TotalThickness)
+		return int64(f.Thickness)
 	case in.Op == isa.GID:
 		return int64(env.Group)
 	case in.Op == isa.PID:

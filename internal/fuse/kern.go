@@ -100,7 +100,10 @@ func value(env Env, in *isa.Instr, f *tcf.Flow) int64 {
 	case isa.FID:
 		return int64(f.ID)
 	case isa.THICK:
-		return int64(f.TotalThickness)
+		if f.IsFragment {
+			return int64(f.Parent.Thickness) // a fragment answers for its container
+		}
+		return int64(f.Thickness)
 	case isa.GID:
 		return int64(env.Group)
 	case isa.PID:
@@ -176,8 +179,8 @@ func selVV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
 	isa.SelectV(f.Dest(in.Rd, first, end), cond, yes, no, ys, ns)
 }
 
-// Fragments of an auto-split flow carry their logical thread-index offset;
-// the single NUMA-mode thread is thread 0.
+// An auto-split fragment numbers its window of lanes from its offset, and
+// leaves a flow-common TID to its container; the NUMA-mode thread is thread 0.
 
 func tidV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
 	base, stride := int64(f.TidOffset), int64(1)
@@ -189,13 +192,7 @@ func tidV(_ Env, in *isa.Instr, f *tcf.Flow, first, end int) {
 	}
 }
 
-func tidS(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) {
-	if f.Mode == tcf.NUMA {
-		f.SetScalar(in.Rd, 0)
-	} else {
-		f.SetScalar(in.Rd, int64(f.TidOffset))
-	}
-}
+func tidS(_ Env, in *isa.Instr, f *tcf.Flow, _, _ int) { f.SetScalar(in.Rd, 0) }
 
 // binKern picks a binary ALU instruction's kernel: the shape picks the bulk
 // form, which takes the opcode, never a per-lane function. A flow-common

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -71,7 +70,7 @@ func TestAutoSplitPreservesResults(t *testing.T) {
 		t.Fatalf("flows = %d, want 5", len(m.Flows()))
 	}
 	for _, f := range m.Flows()[1:] {
-		if !f.IsFragment || f.TotalThickness != 256 {
+		if !f.IsFragment || f.Parent != m.Flow(0) || f.Thickness != 64 {
 			t.Fatalf("bad fragment: %+v", f)
 		}
 		if f.State != tcf.Done {
@@ -302,28 +301,38 @@ arm:
 
 func TestAutoSplitRejectsFragmentUnsafeInstructions(t *testing.T) {
 	// A flow-level reduction inside a fragment would see only the
-	// fragment's lanes; the machine must fail loudly instead.
+	// fragment's lanes; the fragment must not run it. It rejoins, and the
+	// container reduces over all 64 lanes, as the unsplit run does.
 	src := `
 main:
     SETTHICK 64
     TID V0
     RADD S1, V0
+    ST 950, S1
     HALT
 `
 	cfg := Default(variant.SingleInstruction)
 	cfg.AutoSplitThreshold = 16
 	m, _ := New(cfg)
 	m.LoadProgram(mustAsm(t, src))
-	_, err := m.Run()
-	if err == nil || !strings.Contains(err.Error(), "fragment") {
-		t.Fatalf("reduction inside fragment should fail, got %v", err)
+	if _, err := m.Run(); err != nil {
+		t.Fatalf("reduction inside a fragment stopped the run: %v", err)
 	}
-	// The same program without auto-splitting is fine.
+	if m.Stats().AutoSplits == 0 {
+		t.Fatal("the 64-lane flow never split: the test holds nothing")
+	}
+	if got := m.Shared().Peek(950); got != 63*64/2 {
+		t.Fatalf("reduction after rejoin = %d, want %d over all lanes", got, 63*64/2)
+	}
+	// The same program without auto-splitting gives the same sum.
 	cfg.AutoSplitThreshold = 0
 	m2, _ := New(cfg)
 	m2.LoadProgram(mustAsm(t, src))
 	if _, err := m2.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if got := m2.Shared().Peek(950); got != 63*64/2 {
+		t.Fatalf("unsplit reduction = %d, want %d", got, 63*64/2)
 	}
 }
 

@@ -208,10 +208,17 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan *StepPlan, budget *int) 
 				n = *budget
 			}
 			*budget -= x.execNUMABunch(f, slot, n)
+			if x.splitAt > 0 {
+				x.settle(f)
+			}
 			return
 		}
 		fi := x.fetch(f)
 		if fi == nil {
+			return
+		}
+		if f.IsFragment && fragmentUnsafe(&fi.In) {
+			x.rejoinFragment(f, slot, fi.In.Op)
 			return
 		}
 		// The instruction's width in operation slices. Only control
@@ -244,6 +251,9 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan *StepPlan, budget *int) 
 			if f.Offset >= w {
 				f.Offset = 0
 				f.PC++
+				if x.splitAt > 0 {
+					x.settle(f)
+				}
 			}
 			return
 		}
@@ -252,6 +262,9 @@ func (x *groupExec) runFlow(f *tcf.Flow, slot int, plan *StepPlan, budget *int) 
 		op := fi.In.Op
 		stop := !plan.Lockstep && (op == isa.SPLIT || op == isa.JOIN || op == isa.BAR || op == isa.HALT)
 		x.execWhole(f, slot, fi, w)
+		if x.splitAt > 0 {
+			x.settle(f)
+		}
 		if plan.Budget > 0 {
 			// Atomic instructions complete in one step; charge their full
 			// width against the budget.

@@ -60,10 +60,6 @@ func (x *groupExec) fetch(f *tcf.Flow) *fuse.Instr {
 // internal/chaos holds this machine to.
 func (x *groupExec) execWhole(f *tcf.Flow, slot int, fi *fuse.Instr, w int) {
 	in := &fi.In
-	if f.IsFragment && fragmentUnsafe(in) {
-		x.failf("flow %d: %s is not fragment-safe: inside an auto-split fragment it would act on the fragment's lanes or once per fragment; disable AutoSplitThreshold for this program", f.ID, in.Op)
-		return
-	}
 	x.record(f, slot, in.Op, 0, w, f.Mode == tcf.NUMA)
 	switch {
 	case fi.Class == fuse.ClassControl:
@@ -180,12 +176,33 @@ func (x *groupExec) record(f *tcf.Flow, slot int, op isa.Op, first, lanes int, n
 	})
 }
 
-// rejoinFragment ends an auto-split fragment at a thickness/mode/structure
-// change: the container resumes at this PC once all fragments arrive.
-func (x *groupExec) rejoinFragment(f *tcf.Flow) {
+// rejoinFragment ends an auto-split fragment at an instruction of the rejoin
+// predicate, paying the scalar slot of a control instruction; the container
+// executes it once all fragments have handed their lanes back.
+func (x *groupExec) rejoinFragment(f *tcf.Flow, slot int, op isa.Op) {
+	x.record(f, slot, op, 0, 1, false)
+	x.scalarOps++
 	x.g.Buf.retire(f)
 	x.done++
-	x.events = append(x.events, deferredEvent{kind: evFragmentRejoin, flow: f, pc: f.PC})
+	x.events = append(x.events, deferredEvent{kind: evFragmentRejoin, flow: f})
+}
+
+// settle applies Section 3.3's OS rules to f, which has completed an
+// instruction on a machine that auto-splits: a fragment waits for its
+// siblings (Machine.stepSiblings), and a flow thicker than the threshold —
+// after a SETTHICK, or the instruction its fragments rejoined for — goes on
+// as fragments (Machine.splitOverThick).
+func (x *groupExec) settle(f *tcf.Flow) {
+	switch {
+	case f.State != tcf.Ready:
+	case f.IsFragment:
+		f.State = tcf.Waiting
+		x.events = append(x.events, deferredEvent{kind: evFragmentStep, flow: f})
+	case f.Lanes() > x.splitAt:
+		f.State = tcf.Waiting
+		f.ResumePC = -1 // sentinel: finish (do not resume) at join
+		x.events = append(x.events, deferredEvent{kind: evAutoSplit, flow: f})
+	}
 }
 
 // halt terminates f; if it is a split child, the parent is notified at the
@@ -243,10 +260,6 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 			x.failf("flow %d: SETTHICK unsupported by the %s variant (fixed thread set)", f.ID, x.m.cfg.Variant)
 			return
 		}
-		if f.IsFragment {
-			x.rejoinFragment(f)
-			return
-		}
 		t := in.Imm
 		if !in.HasImm {
 			t = f.Scalar(in.Ra)
@@ -265,21 +278,9 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 			return
 		}
 		f.PC++
-		// OS-level splitting of overly thick flows (Section 3.3): the
-		// continuation runs as threshold-sized fragments on the
-		// least-loaded groups; this flow completes when they all halt.
-		if th := x.m.cfg.AutoSplitThreshold; th > 0 && int(t) > th && props.ControlParallel {
-			f.State = tcf.Waiting
-			f.ResumePC = -1 // sentinel: finish (do not resume) at join
-			x.events = append(x.events, deferredEvent{kind: evAutoSplit, flow: f, thick: int(t)})
-		}
 	case isa.NUMA:
 		if !props.NUMAOperation {
 			x.failf("flow %d: NUMA mode unsupported by the %s variant", f.ID, x.m.cfg.Variant)
-			return
-		}
-		if f.IsFragment {
-			x.rejoinFragment(f)
 			return
 		}
 		b := in.Imm
@@ -300,21 +301,11 @@ func (x *groupExec) applyControl(f *tcf.Flow, in *isa.Instr) {
 			x.failf("flow %d: PRAM mode switch unsupported by the %s variant", f.ID, x.m.cfg.Variant)
 			return
 		}
-		if f.IsFragment {
-			x.rejoinFragment(f)
-			return
-		}
 		f.LeavePRAM()
 		f.PC++
 	case isa.SPLIT:
 		if !props.ControlParallel {
 			x.failf("flow %d: SPLIT unsupported by the %s variant (no control parallelism)", f.ID, x.m.cfg.Variant)
-			return
-		}
-		if f.IsFragment {
-			// A parallel statement must execute once for the whole flow:
-			// rejoin and let the container run it.
-			x.rejoinFragment(f)
 			return
 		}
 		arms := x.m.prog.Arms(*in)

@@ -532,7 +532,7 @@ func TestSplitThicknessConservation(t *testing.T) {
 		}
 		got := map[int64]int{}
 		for _, f := range flows[1:] {
-			got[int64(f.TotalThickness)]++
+			got[int64(f.Thickness)]++
 		}
 		wantCount := map[int64]int{}
 		for _, w := range want {

@@ -238,10 +238,10 @@ func (m *Machine) leastLoaded() int {
 }
 
 // retireEvents applies the step's deferred cross-flow events: child
-// terminations, splits, fragment rejoins and OS auto-splits. Indexed
-// iteration over m.stepEvents: completing an auto-split container can
+// terminations, splits, fragment rejoins and steps, and OS auto-splits.
+// Indexed iteration over m.stepEvents: completing an auto-split container can
 // cascade a further evChildDone for its own parent.
-func (m *Machine) retireEvents() error {
+func (m *Machine) retireEvents() {
 	for i := 0; i < len(m.stepEvents); i++ {
 		ev := m.stepEvents[i]
 		switch ev.kind {
@@ -271,22 +271,26 @@ func (m *Machine) retireEvents() error {
 				}
 			}
 		case evFragmentRejoin:
-			parent := ev.flow.Parent
+			frag, parent := ev.flow, ev.flow.Parent
 			parent.LiveChildren--
 			m.stats.Joins++
 			m.chargeFrontend(1, 0)
-			// Fragments are scalar-identical; any of them restores the
-			// container's flow-common state and continuation point.
-			parent.SetScalars(ev.flow.Scalars())
-			parent.ResumePC = ev.pc
-			if parent.LiveChildren == 0 && parent.State == tcf.Waiting {
+			windowLanes(parent, frag, true)
+			if parent.LiveChildren == 0 {
+				// Fragments step together: the last holds every one's
+				// flow-common state, call stack and place in the program.
+				parent.SetScalars(frag.Scalars())
+				parent.CallStack = parent.CallStack[:0]
+				for _, pc := range frag.CallStack {
+					parent.Call(int(pc))
+				}
 				parent.State = tcf.Ready
-				parent.PC = ev.pc
+				parent.PC = frag.PC
 			}
 		case evAutoSplit:
-			if err := m.splitOverThick(ev.flow, ev.thick); err != nil {
-				return err
-			}
+			m.splitOverThick(ev.flow)
+		case evFragmentStep:
+			m.stepSiblings(ev.flow)
 		case evSplit:
 			m.stats.Splits++
 			m.chargeFrontend(1, 0)
@@ -305,7 +309,31 @@ func (m *Machine) retireEvents() error {
 			}
 		}
 	}
-	return nil
+}
+
+// stepSiblings lets fragment f, which completed an instruction, and its
+// waiting siblings go on once no live sibling is behind — still Ready — so
+// that Balanced's slices and multi-instruction's windows see the memory the
+// unsplit flow would; until then compaction may give a waiting one's slot to
+// a queued one. A split's fragments are a run of flow ids in lane order.
+func (m *Machine) stepSiblings(f *tcf.Flow) {
+	if f.State != tcf.Waiting {
+		return // an earlier sibling's step let it go on
+	}
+	th := m.cfg.AutoSplitThreshold
+	first := f.ID - f.TidOffset/th
+	sibs := m.flowList[first : first+(f.Parent.Thickness+th-1)/th]
+	for _, s := range sibs {
+		if s.State == tcf.Ready {
+			m.unsettled = true
+			return
+		}
+	}
+	for _, s := range sibs {
+		if s.State == tcf.Waiting {
+			s.State = tcf.Ready
+		}
+	}
 }
 
 // errBadParam is wrapped by fragment when it is handed an impossible
@@ -338,17 +366,15 @@ func fragment(u, bound int) ([]int, error) {
 
 // splitOverThick is the balanced splitting of overly thick flows (Section
 // 3.3): the continuation of f runs as threshold-sized fragments (fragment)
-// allocated across the least-loaded groups; f completes when they all
-// rejoin. Each fragment pays the TCF flow-branch cost (the R common
-// registers are copied into it) regardless of variant — auto-splitting only
-// exists on the thickness-aware variants.
-func (m *Machine) splitOverThick(f *tcf.Flow, thick int) error {
+// allocated across the least-loaded groups, each a window of f's lanes with
+// its common registers and call stack; f completes when they all halt, and
+// executes itself what they rejoin at. Each fragment pays the TCF flow-branch
+// cost (the R common registers are copied into it) regardless of variant —
+// auto-splitting only exists on the thickness-aware variants.
+func (m *Machine) splitOverThick(f *tcf.Flow) {
 	m.stats.AutoSplits++
 	m.chargeFrontend(1, 0)
-	frags, err := fragment(thick, m.cfg.AutoSplitThreshold)
-	if err != nil {
-		return m.failf("auto-split of flow %d: %v", f.ID, err)
-	}
+	frags, _ := fragment(f.Thickness, m.cfg.AutoSplitThreshold) // settle asks for 0 < threshold < f.Thickness
 	f.LiveChildren = len(frags)
 	offset := 0
 	for i, size := range frags {
@@ -358,12 +384,27 @@ func (m *Machine) splitOverThick(f *tcf.Flow, thick int) error {
 		child.SetScalars(f.Scalars())
 		child.IsFragment = true
 		child.TidOffset = offset
-		child.TotalThickness = thick
+		for _, pc := range f.CallStack {
+			child.Call(int(pc))
+		}
+		windowLanes(f, child, false)
 		offset += size
 		m.stats.FlowBranchCycles += int64(isa.NumSRegs)
 		m.chargeFrontend(0, int64(isa.NumSRegs))
 	}
-	return nil
+}
+
+// windowLanes copies frag's window of every thread-wise register held between
+// it and its container c: into the fragment, or back at a rejoin.
+func windowLanes(c, frag *tcf.Flow, back bool) {
+	lo, hi := frag.TidOffset, frag.TidOffset+frag.Thickness
+	for r := range isa.NumVRegs {
+		if reg := isa.V(r); back && frag.VectorAllocated(reg) {
+			copy(c.Dest(reg, lo, hi), frag.Vector(reg))
+		} else if !back && c.VectorAllocated(reg) {
+			copy(frag.Dest(reg, 0, hi-lo), c.Vector(reg)[lo:hi])
+		}
+	}
 }
 
 // preempt rotates one ready resident flow per group back to the pending

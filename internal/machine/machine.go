@@ -179,6 +179,9 @@ func New(cfg Config) (*Machine, error) {
 			fenv:      fuse.Env{Group: i, Groups: c.Groups, Procs: c.TotalProcessors()},
 			immediate: !props.Lockstep,
 			disc:      props.Lockstep && c.MemDiscipline.Checks()}
+		if props.ControlParallel {
+			xarr[i].splitAt = c.AutoSplitThreshold
+		}
 		m.groups[i] = &garr[i]
 		m.execs[i] = &xarr[i]
 	}

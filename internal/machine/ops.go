@@ -11,22 +11,23 @@ import (
 	"tcfpram/internal/tcf"
 )
 
-// fragmentUnsafe reports whether an instruction cannot execute correctly in
-// an auto-split fragment: anything funnelling thread-wise data into the
-// flow-common scalar state would act on the fragment's lanes only
-// (reductions, and scalar-destination operations with thread-wise sources —
-// the lane-0 extract), and a flow-level output (PRINTS, a PRINT of an
-// immediate or a scalar) would come out once per fragment. The OS may only
-// fragment flows whose continuation is free of such instructions; the
-// machine fails loudly otherwise. Callers test f.IsFragment first.
+// fragmentUnsafe is auto-split's one rejoin predicate (Section 3.3): the
+// instructions a fragment, a window of its container's lanes, leaves to the
+// container at full width — what must see every lane (a reduction, a lane
+// extract, a flow-common TID, a multiprefix, every output), what the flow
+// does once (a flow-level memory reference), what names the flow or where it
+// runs (FID, GID, PID, local memory), and a change of thickness, mode or
+// structure. Callers test f.IsFragment first.
 func fragmentUnsafe(in *isa.Instr) bool {
-	switch {
-	case in.Op.IsReduction(), in.Op == isa.PRINTS:
+	switch op := in.Op; {
+	case op == isa.PRINT, op == isa.PRINTS, op == isa.FID, op == isa.GID, op == isa.PID,
+		op == isa.SETTHICK, op == isa.NUMA, op == isa.PRAM, op == isa.SPLIT,
+		op.IsReduction(), op.IsMultiprefix(), op.Info().LocalRef, op.Info().MemRef && !in.Thick():
 		return true
-	case in.Op == isa.PRINT:
-		return in.HasImm || in.Ra.IsScalar()
 	case !in.Rd.IsScalar():
 		return false
+	case op == isa.TID:
+		return true
 	}
 	switch in.Op.Info().Args {
 	case isa.ArgsDA:
@@ -69,19 +70,16 @@ const (
 	evSplit eventKind = iota
 	evChildDone
 	evAutoSplit
-	// evFragmentRejoin: an auto-split fragment reached a thickness/mode/
-	// structure change; the container resumes at that PC (with the
-	// fragment's scalar state — identical across fragments by the
-	// fragment-safety guard) once every fragment arrives.
+	// evFragmentRejoin: an auto-split fragment hands its lanes back at an
+	// instruction of the rejoin predicate (fragmentUnsafe).
 	evFragmentRejoin
+	evFragmentStep // a fragment waits for its siblings (Machine.stepSiblings)
 )
 
 type deferredEvent struct {
-	kind  eventKind
-	flow  *tcf.Flow      // split parent, finished child, or auto-split victim
-	arms  []isa.SplitArm // evSplit: the instruction's arms, validated
-	thick int            // evAutoSplit: the logical thickness to fragment
-	pc    int            // evFragmentRejoin: where the container resumes
+	kind eventKind
+	flow *tcf.Flow      // split parent, finished child, auto-split victim or fragment
+	arms []isa.SplitArm // evSplit: the instruction's arms, validated
 }
 
 // groupCounters is the per-step statistics block of one group's execution —
@@ -128,6 +126,9 @@ type groupExec struct {
 	// semantics where loads see the current state and stores apply
 	// instantly.
 	immediate bool
+	// splitAt is the auto-split threshold on a variant with the control
+	// parallelism to rejoin with, 0 otherwise (settle), fixed at New.
+	splitAt int
 
 	groupCounters
 
@@ -285,19 +286,20 @@ func (x *groupExec) execLane(f *tcf.Flow, in *isa.Instr, i, seq int) {
 		}
 		f.SetLane(in.Rd, i, v)
 	case in.Op == isa.TID:
-		if f.Mode == tcf.NUMA {
+		if f.Mode == tcf.NUMA || in.Rd.IsScalar() {
 			f.SetLane(in.Rd, i, 0)
 		} else {
-			// Fragments of an auto-split flow carry their logical
-			// thread-index offset.
+			// A fragment numbers its container's lanes from its offset.
 			f.SetLane(in.Rd, i, int64(f.TidOffset+i))
 		}
 	case in.Op == isa.FID:
 		f.SetLane(in.Rd, i, int64(f.ID))
 	case in.Op == isa.THICK:
-		// Report the logical thickness: a fragment answers for the whole
-		// flow it belongs to.
-		f.SetLane(in.Rd, i, int64(f.TotalThickness))
+		t := f.Thickness
+		if f.IsFragment {
+			t = f.Parent.Thickness // a fragment answers for its container
+		}
+		f.SetLane(in.Rd, i, int64(t))
 	case in.Op == isa.GID:
 		f.SetLane(in.Rd, i, int64(x.g.Index))
 	case in.Op == isa.PID:

@@ -15,7 +15,7 @@ import (
 // changes; Restore rejects unknown versions instead of guessing.
 const (
 	snapMagic   = "TCFSNAP\x00"
-	snapVersion = 2
+	snapVersion = 3
 )
 
 // CheckpointSink receives periodic machine snapshots from RunContext (see

@@ -115,10 +115,11 @@ func TestRestoreConfigMismatch(t *testing.T) {
 }
 
 // TestRestoreRefusesOtherVersion: a container of another format version — the
-// version-1 layout with the fault model's slots, or a later one — is refused
-// before any section is read, with an error naming both versions.
+// version-1 layout with the fault model's slots, the version-2 one whose
+// flows carry their logical thickness, or a later one — is refused before any
+// section is read, with an error naming both versions.
 func TestRestoreRefusesOtherVersion(t *testing.T) {
-	for _, v := range []uint64{1, snapVersion + 1} {
+	for _, v := range []uint64{1, 2, snapVersion + 1} {
 		var buf bytes.Buffer
 		e := checkpoint.NewEncoder(&buf, snapMagic, v)
 		e.Section("config")

@@ -69,9 +69,7 @@ func (m *Machine) runStep(plan *StepPlan) error {
 	// the stage's cycles twice and nothing else.
 	front := m.stats.Stages[StageFrontend].Cycles
 	if len(m.stepEvents) > 0 {
-		if err := m.retireEvents(); err != nil {
-			return err
-		}
+		m.retireEvents()
 	}
 	m.preempt()
 	if m.unsettled || m.live != live {

@@ -100,14 +100,12 @@ type Flow struct {
 	// Fragment support (Section 3.3: the OS splits overly thick flows into
 	// balanced fragments allocated to different TCF processors).
 	//
-	// IsFragment marks a machine-made fragment of a thicker logical flow;
-	// TidOffset is the fragment's first logical implicit-thread index, and
-	// TotalThickness the logical thickness of the whole flow (what the
-	// THICK instruction reports). For ordinary flows TidOffset is 0 and
-	// TotalThickness equals Thickness.
-	IsFragment     bool
-	TidOffset      int
-	TotalThickness int
+	// IsFragment marks a machine-made fragment: the window of lanes
+	// [TidOffset, TidOffset+Thickness) of its container, Parent, whose
+	// thickness is the one the THICK instruction reports. For ordinary flows
+	// TidOffset is 0.
+	IsFragment bool
+	TidOffset  int
 
 	// Balanced-variant progress: number of thread slices of the current
 	// instruction already executed (0 = instruction not started).
@@ -138,7 +136,7 @@ func (f *Flow) Init(id, pc, thickness int) {
 		panic("tcf: negative thickness")
 	}
 	f.ID, f.PC = id, pc
-	f.Thickness, f.TotalThickness = thickness, thickness
+	f.Thickness = thickness
 	f.Bunch, f.ResumePC = 1, -1
 	f.RegWordsPeak = isa.NumSRegs
 }
@@ -304,7 +302,6 @@ func (f *Flow) SetThickness(t int) error {
 	}
 	f.Mode = PRAM
 	f.Thickness = t
-	f.TotalThickness = t
 	for r := 0; r < len(f.vectors); r++ {
 		if v := f.bank(r); v != nil && len(v) < t {
 			f.growBank(r, t)
@@ -329,7 +326,6 @@ func (f *Flow) EnterNUMA(b int) error {
 func (f *Flow) LeavePRAM() {
 	f.Mode = PRAM
 	f.Thickness = 1
-	f.TotalThickness = 1
 }
 
 // Call pushes the return address onto the flow-level call stack.
@@ -373,7 +369,6 @@ func (f *Flow) StateDigest() uint64 {
 	mix(uint64(int64(f.ResumePC)))
 	mix(uint64(f.Offset))
 	mix(uint64(f.TidOffset))
-	mix(uint64(f.TotalThickness))
 	if f.IsFragment {
 		mix(1)
 	}

@@ -44,7 +44,6 @@ func (f *Flow) EncodeTo(e *checkpoint.Encoder) {
 	e.Int(f.Home)
 	e.Bool(f.IsFragment)
 	e.Int(f.TidOffset)
-	e.Int(f.TotalThickness)
 	e.Int(f.Offset)
 	e.Varint(f.InstrFetches)
 	e.Varint(f.RegWordsPeak)
@@ -94,7 +93,6 @@ func (f *Flow) DecodeFrom(d *checkpoint.Decoder) (int, error) {
 	f.Home = d.Int()
 	f.IsFragment = d.Bool()
 	f.TidOffset = d.Int()
-	f.TotalThickness = d.Int()
 	f.Offset = d.Int()
 	f.InstrFetches = d.Varint()
 	f.RegWordsPeak = d.Varint()
