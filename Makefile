@@ -62,9 +62,10 @@ bench-compile:
 # 2^17 writes 8-way onto 2^14 words (indexed), 2048 runs of 4 — and
 # BenchmarkResolve in internal/multiop — engine-thick's histogram, 256
 # addresses, and scan, one address with prefixes (indexed), two flows on one
-# address, 256 addresses 4096 words apart (hashed); 2^17 references per step
-# through the write and combining logs; ns/ref, B/ref buffered and allocs per
-# step) and the step loop's fixed cost (BenchmarkStepFixedCost in
+# address, 256 addresses 4096 words apart (hashed), all read where they lie,
+# and the histogram copied into the log as the reference machine fills it;
+# 2^17 references per step through the write and combining logs; ns/ref,
+# B/ref buffered and allocs per step) and the step loop's fixed cost (BenchmarkStepFixedCost in
 # internal/machine: one busy group of four, 2048 queued flows, 2048 flows
 # created and retired, 16 flows at a barrier, one scalar flow, a NUMA bunch
 # of eight, and a store, a multioperation and an output every step; ns/step

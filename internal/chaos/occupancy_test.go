@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"tcfpram/internal/machine"
@@ -178,19 +180,35 @@ type occupancyRecord struct {
 var occupancyPath = filepath.Join("testdata", "occupancy.json")
 
 // occupancy is testdata/occupancy.json, keyed "<case>/<variant>", read once.
-// Under -update-occupancy the oracles rewrite it instead.
-var occupancy = map[string]occupancyRecord{}
+// Under -update-occupancy the oracles merge their records into it and rewrite
+// it, so that a run of some cases (-run) keeps the records of the others.
+var (
+	occupancy     map[string]occupancyRecord
+	occupancyLoad sync.Once
+	occupancyErr  error
+)
+
+// loadOccupancy reads the records. A field a record has and occupancyRecord
+// or machine.Stats has not — a deleted statistic — fails the read.
+func loadOccupancy() (map[string]occupancyRecord, error) {
+	data, err := os.ReadFile(occupancyPath)
+	if err != nil {
+		return nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	recs := map[string]occupancyRecord{}
+	if err := dec.Decode(&recs); err != nil {
+		return nil, fmt.Errorf("%s: %w", occupancyPath, err)
+	}
+	return recs, nil
+}
 
 // occupancyCheck holds the oracle of the named case to its record.
 func occupancyCheck(tb testing.TB, name string) func(*machine.Machine) error {
-	if len(occupancy) == 0 && !*updateOccupancy {
-		data, err := os.ReadFile(occupancyPath)
-		if err == nil {
-			err = json.Unmarshal(data, &occupancy)
-		}
-		if err != nil {
-			tb.Fatal(err)
-		}
+	occupancyLoad.Do(func() { occupancy, occupancyErr = loadOccupancy() })
+	if occupancyErr != nil {
+		tb.Fatal(occupancyErr)
 	}
 	return func(m *machine.Machine) error {
 		key := fmt.Sprintf("%s/%v", name, m.Config().Variant)

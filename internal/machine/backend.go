@@ -108,12 +108,25 @@ func (m *Machine) foldGroup(x *groupExec) int64 {
 
 // discardStep drops the traffic already folded of a step that will not
 // commit: the memory retains the groups' logs by pointer, and neither they nor
-// the combiners' contributions may reach a later step or run.
+// the combiners' contributions may reach a later step or run. The multiprefix
+// destinations the step took without a bank, which no commit will write, are
+// zeroed.
 func (m *Machine) discardStep() {
 	m.shared.DiscardStep()
 	for _, c := range m.combiners {
 		c.Reset()
 	}
+	for _, d := range m.freshDests {
+		clear(d)
+	}
+	m.dropFreshDests()
+}
+
+// dropFreshDests forgets the step's multiprefix destinations once it has
+// committed or been discarded.
+func (m *Machine) dropFreshDests() {
+	clear(m.freshDests)
+	m.freshDests = m.freshDests[:0]
 }
 
 // commit is the writeback stage: buffered writes apply with the configured
@@ -129,6 +142,7 @@ func (m *Machine) commit() error {
 	m.tail.Commits++
 	conflicts := m.shared.ApplyStep()
 	if len(conflicts) > 0 {
+		m.discardStep()
 		return m.failf("step %d: %s", m.stats.Steps, conflicts[0])
 	}
 	for _, comb := range m.combiners {
@@ -139,6 +153,9 @@ func (m *Machine) commit() error {
 		for _, f := range finals {
 			m.shared.Poke(f.Addr, f.Val)
 		}
+	}
+	if len(m.freshDests) > 0 {
+		m.dropFreshDests()
 	}
 	return nil
 }

@@ -132,6 +132,11 @@ type Machine struct {
 	recArena   []StepRecord
 	gcArena    []int64
 	sliceArena []SliceExec
+
+	// freshDests are the multiprefix destinations of the step under way that
+	// came without a bank before them (groupExec.prefixDest), until it commits
+	// or is discarded.
+	freshDests [][]int64
 }
 
 // New builds a machine for cfg (normalized) with an empty program.

@@ -550,6 +550,52 @@ func (x *groupExec) noteRow(addrs []int64) {
 	x.anyShared = true
 }
 
+// noteBank notes the PRAM-mode references whose addresses are c plus the
+// lanes of the non-empty bank and returns the interval they span, learnt in
+// the same read-only pass: noting one is no more than raising maxDist, and
+// the module lookups stop once maxDist reaches the group's row maximum.
+func (x *groupExec) noteBank(lanes []int64, c int64) (lo, hi int64) {
+	row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
+	sh := x.m.shared
+	maxDist := x.maxDist
+	lo, hi = math.MaxInt64, math.MinInt64
+	i := 0
+	for ; i < len(lanes) && maxDist < x.rowMax; i++ {
+		a := lanes[i] + c
+		lo, hi = min(lo, a), max(hi, a)
+		maxDist = max(maxDist, row[sh.ModuleOf(a)])
+	}
+	for _, e := range lanes[i:] {
+		a := e + c
+		lo, hi = min(lo, a), max(hi, a)
+	}
+	x.maxDist = maxDist
+	x.anyShared = true
+	return lo, hi
+}
+
+// noteForm notes the n > 0 PRAM-mode references of the address form a: a
+// flow-common address once, a stretch of consecutive words in range by the
+// modules of its first words, any other address by address until maxDist
+// reaches the group's row maximum.
+func (x *groupExec) noteForm(a multiop.Operand, n int) {
+	row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
+	sh := x.m.shared
+	maxDist := x.maxDist
+	switch last := a.Base + int64(n-1); {
+	case a.Stride == 0:
+		maxDist = max(maxDist, row[sh.ModuleOf(a.Base)])
+	case a.Stride == 1 && sh.InRange(a.Base) && sh.InRange(last):
+		maxDist = sh.MaxOverRun(row, maxDist, a.Base, n)
+	default:
+		for i := 0; i < n && maxDist < x.rowMax; i++ {
+			maxDist = max(maxDist, row[sh.ModuleOf(a.Base+a.Stride*int64(i))])
+		}
+	}
+	x.maxDist = maxDist
+	x.anyShared = true
+}
+
 // consecutive returns the length of the longest prefix of the non-empty a
 // whose elements ascend by one.
 func consecutive(a []int64) int {
@@ -561,30 +607,76 @@ func consecutive(a []int64) int {
 }
 
 // combineLanes buffers the combining references of lanes [first, first+n)
-// of a multioperation or multiprefix for the step-boundary resolution: one
-// run, two column fills, and for a multiprefix the lanes of Rd its prefixes
-// come back into. No instruction of the flow runs between here and the
-// commit, so the register's lanes stay where they are.
+// of a multioperation or multiprefix for the step-boundary resolution as one
+// run, and for a multiprefix the lanes of Rd its prefixes come back into. No
+// instruction of the flow runs between here and the commit, so the registers'
+// lanes stay where they are (DESIGN.md §17): a PRAM-mode run refers to its
+// addresses and values where they lie — a form, or lanes of a register's
+// bank — and its references are noted in one read-only pass that also bounds
+// them. The reference, and a NUMA flow, whose references stall one by one,
+// copy both into the log's columns instead.
 func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) {
-	av, bv, base, bs := storeOperands(f, in)
-	run := multiop.Run{Issue: mem.Issue{Flow: f.ID, Seq: seq, Thread0: first, N: n}}
-	if in.Op.IsMultiprefix() {
-		run.Prefix = f.Vector(in.Rd)[first : first+n]
-	}
-	l := &x.logs[multiop.KindIndex(in.Op.CombineKind())]
-	addrs, vals := l.Open(run)
-	l.Bound(fillAddrs(addrs, av, first, base))
-	fillColumn(vals, bv, first, bs)
-	// The reference notes every reference, which holds noteRow to it.
-	if numa := f.Mode == tcf.NUMA; numa || x.m.reference {
-		for _, addr := range addrs {
-			x.noteShared(addr, numa)
-		}
-	} else if n > 0 {
-		x.noteRow(addrs)
+	if n <= 0 {
+		return
 	}
 	x.refs += n
 	x.multiopRefs += int64(n)
+	run := multiop.Run{Issue: mem.Issue{Flow: f.ID, Seq: seq, Thread0: first, N: n}}
+	l := &x.logs[multiop.KindIndex(in.Op.CombineKind())]
+	if numa := f.Mode == tcf.NUMA; numa || x.m.reference {
+		av, bv, base, bs := storeOperands(f, in)
+		if in.Op.IsMultiprefix() {
+			run.Prefix = f.Vector(in.Rd)[first : first+n]
+		}
+		addrs, vals := l.Open(run)
+		l.Bound(fillAddrs(addrs, av, first, base))
+		fillColumn(vals, bv, first, bs)
+		for _, addr := range addrs {
+			x.noteShared(addr, numa)
+		}
+		return
+	}
+	// The operands are read, forms included, before the destination is taken.
+	a, v := operand(f, in.Ra, first, n, in.Imm), operand(f, in.Rb, first, n, 0)
+	if in.Op.IsMultiprefix() {
+		run.Prefix = x.prefixDest(f, in.Rd, first, first+n)
+	}
+	l.Refer(run, a, v)
+	if a.Lanes != nil {
+		l.Bound(x.noteBank(a.Lanes, a.Base))
+	} else {
+		x.noteForm(a, n)
+	}
+}
+
+// operand returns lanes [first, first+n) of the operand r plus c where they
+// lie: c alone for no register, plus the value of a flow-common one, the form
+// of a thread-wise register in affine form, unread and left in it, and any
+// other thread-wise register's bank.
+func operand(f *tcf.Flow, r isa.Reg, first, n int, c int64) multiop.Operand {
+	switch {
+	case r == isa.RegNone:
+		return multiop.Operand{Base: c}
+	case !r.IsVector():
+		return multiop.Operand{Base: c + f.Scalar(r)}
+	}
+	if base, stride, ok := f.Affine(r); ok {
+		return multiop.Operand{Base: base + c + stride*int64(first), Stride: stride}
+	}
+	return multiop.Operand{Lanes: f.Vector(r)[first : first+n], Base: c}
+}
+
+// prefixDest returns lanes [first, end) of rd for a multiprefix's results
+// (Flow.Dest). A bank that comes unzeroed holds its lanes, as the reference's
+// zeroed one would, only once the commit writes them: a step discarded before
+// it zeroes them (Machine.discardStep).
+func (x *groupExec) prefixDest(f *tcf.Flow, rd isa.Reg, first, end int) []int64 {
+	missing := !f.VectorAllocated(rd)
+	dst := f.Dest(rd, first, end)
+	if missing {
+		x.m.freshDests = append(x.m.freshDests, dst)
+	}
+	return dst
 }
 
 // execLaneRange executes lanes [first, first+n) of a sliceable instruction

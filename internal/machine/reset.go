@@ -35,6 +35,7 @@ func (m *Machine) Reset() {
 		c.Reset()
 		c.ClearStats()
 	}
+	m.dropFreshDests()
 	for _, x := range m.execs {
 		x.err = nil
 		x.kern = KernelStats{}

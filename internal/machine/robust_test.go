@@ -151,3 +151,52 @@ func TestInvalidConfigRejected(t *testing.T) {
 		t.Fatal("negative WatchdogSteps accepted")
 	}
 }
+
+// TestDiscardedStepZeroesFreshPrefixes: a multiprefix at 64 lanes into a
+// register without a bank takes its destination unzeroed (tcf.Flow.Dest), for
+// the commit to write. When another group fails in the same step, the step is
+// discarded and the commit never comes: the destination must then read zero,
+// as the zeroed bank the reference takes does, and never what the arena lent
+// it with (under tcf.PoisonBanks, tcf.Poison).
+func TestDiscardedStepZeroesFreshPrefixes(t *testing.T) {
+	tcf.PoisonBanks.Store(true)
+	defer tcf.PoisonBanks.Store(false)
+	b := isa.NewBuilder("discard")
+	b.Label("main")
+	b.Ldi(isa.S(5), -1)
+	b.Split(isa.ArmImm(64, "combine"), isa.ArmImm(1, "fail"))
+	b.Halt()
+	b.Label("combine")
+	b.Id(isa.TID, isa.V(0))
+	b.Prefix(isa.MPADD, isa.V(3), isa.RegNone, 100, isa.V(0))
+	b.Op(isa.JOIN)
+	b.Label("fail")
+	b.Op(isa.NOP)
+	b.SetThick(isa.S(5))
+	b.Op(isa.JOIN)
+	m, err := New(Default(variant.SingleInstruction))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadProgram(b.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "negative thickness") {
+		t.Fatalf("run error %v, want the failing arm's", err)
+	}
+	var combined bool
+	for _, f := range m.Flows() {
+		if f.Thickness != 64 || !f.VectorAllocated(isa.V(3)) {
+			continue
+		}
+		combined = true
+		for i, w := range f.Vector(isa.V(3)) {
+			if w != 0 {
+				t.Fatalf("flow %d: lane %d of the discarded step's prefix destination reads %#x, want 0", f.ID, i, w)
+			}
+		}
+	}
+	if !combined {
+		t.Fatal("the combining arm never took its destination in the failing step")
+	}
+}

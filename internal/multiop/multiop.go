@@ -51,49 +51,111 @@ type Final struct {
 }
 
 // Run heads the combining references one instruction issued in a step: N
-// consecutive entries of the log's columns, by threads Thread0 … Thread0+N-1
-// of Flow at sequence Seq, their keys derived as for a mem.Issue. A multiprefix
-// run carries where its results go: Prefix[i] receives the running value the
-// i-th reference met. A multioperation run has a nil Prefix.
+// of them, by threads Thread0 … Thread0+N-1 of Flow at sequence Seq, their
+// keys derived as for a mem.Issue. Its addresses and values lie where the log
+// that holds it was told: copied into the log's columns (Log.Open) or read
+// where they lie (Log.Refer). A multiprefix run carries where its results go:
+// Prefix[i] receives the running value the i-th reference met, after its own
+// address and value were read, so Prefix may be the very lanes a side refers
+// to. A multioperation run has a nil Prefix.
 type Run struct {
 	mem.Issue
-	Prefix []int64
+	Prefix    []int64
+	addr, val side
 }
 
-func (r *Run) first() Key { return r.Key(0) }
-func (r *Run) last() Key  { return r.Key(r.N - 1) }
+// side says where one side of a run, its addresses or its values, lies in its
+// log: N words of the column (copied), or its form's base and stride there,
+// and its lanes, when it has them, the next of the log's refs (withLanes).
+type side uint8
+
+const (
+	copied side = iota
+	form
+	withLanes
+)
+
+// Operand is one side of a run read where it lies: lane i is Base + Stride·i,
+// plus Lanes[i] when Lanes is set. A flow-common address is a form of stride
+// 0, and a thread-wise register its bank, plus the instruction's offset for an
+// address.
+type Operand struct {
+	Lanes        []int64
+	Base, Stride int64
+}
+
+// at returns lane i.
+func (o *Operand) at(i int) int64 {
+	v := o.Base + o.Stride*int64(i)
+	if o.Lanes != nil {
+		v += o.Lanes[i]
+	}
+	return v
+}
+
+// from returns the operand's lanes from lane i on.
+func (o Operand) from(i int) Operand {
+	o.Base += o.Stride * int64(i)
+	if o.Lanes != nil {
+		o.Lanes = o.Lanes[i:]
+	}
+	return o
+}
+
+// span returns the interval lanes [0, n) of the form o lie in, and false when
+// they wrap around the int64 range.
+func (o *Operand) span(n int) (lo, hi int64, ok bool) {
+	d := o.Stride * int64(n-1)
+	last := o.Base + d
+	if o.Stride != 0 && (d/o.Stride != int64(n-1) || (last < o.Base) != (d < 0)) {
+		return 0, 0, false
+	}
+	return min(o.Base, last), max(o.Base, last), true
+}
 
 // Log is a step's combining traffic for one operator at the granularity the
 // model issues it: one Run per instruction and two columns, addresses and
-// values, holding the runs' references back to back in arrival order. Whoever
-// generates a step owns its logs; Combiner.AddLog retains a pointer until
-// Resolve, so the owner empties a log only when the next step begins.
+// values, holding back to back in arrival order what the runs keep in them —
+// N words of a copied side, the base and stride of a side read in place.
+// Whoever generates a step owns its logs; Combiner.AddLog retains a pointer
+// until Resolve, so the owner empties a log only when the next step begins,
+// and whoever refers a run to a register's lanes vouches that they stand as
+// they are until then.
 //
 // The filler may report, run by run, the interval its addresses span (Bound),
-// which it learns while filling the column; a log whose every run is bounded
-// gives Resolve the interval without another pass over the addresses.
+// which it learns while filling the column or noting the references; a log
+// whose every run is bounded gives Resolve the interval without another pass
+// over the addresses. A form's interval the log knows itself.
 type Log struct {
 	Addrs, Vals []int64
 	Runs        []Run
+	refs        [][]int64 // the lanes of sides withLanes, in run order, addresses first
+	n           int       // the runs' N, summed
 	// lo and hi bound the addresses of the first bounded references.
 	lo, hi  int64
 	bounded int
 }
 
 // Len returns the number of references.
-func (l *Log) Len() int { return len(l.Addrs) }
+func (l *Log) Len() int { return l.n }
 
 // Reset empties the log, keeping its arrays and dropping the runs' hold on
-// their prefix destinations.
+// their prefix destinations and on the lanes they referred to.
 func (l *Log) Reset() {
 	clear(l.Runs)
-	l.Addrs, l.Vals, l.Runs = l.Addrs[:0], l.Vals[:0], l.Runs[:0]
-	l.bounded = 0
+	clear(l.refs)
+	l.Addrs, l.Vals, l.Runs, l.refs = l.Addrs[:0], l.Vals[:0], l.Runs[:0], l.refs[:0]
+	l.n, l.bounded = 0, 0
 }
 
 // Bound reports that the addresses of the run opened last lie in [lo, hi].
-// It is a promise Resolve relies on: an address outside it panics there.
-func (l *Log) Bound(lo, hi int64) { l.widen(lo, hi, l.Runs[len(l.Runs)-1].N) }
+// It is a promise Resolve relies on: an address outside it panics there. A
+// run whose addresses are a form is bounded by Refer, and Bound leaves it be.
+func (l *Log) Bound(lo, hi int64) {
+	if r := &l.Runs[len(l.Runs)-1]; r.addr != form {
+		l.widen(lo, hi, r.N)
+	}
+}
 
 // widen counts n more references as bounded, within [lo, hi].
 func (l *Log) widen(lo, hi int64, n int) {
@@ -105,23 +167,55 @@ func (l *Log) widen(lo, hi int64, n int) {
 	l.bounded += n
 }
 
-// Open records the run r and returns its stretch of each column, r.N long,
-// for the caller to fill, every word of it.
+// Open records the run r with both sides copied and returns its stretch of
+// each column, r.N long, for the caller to fill, every word of it.
 func (l *Log) Open(r Run) (addrs, vals []int64) {
-	at := len(l.Addrs)
+	r.addr, r.val = copied, copied
 	l.Runs = append(l.Runs, r)
+	l.n += r.N
+	at := len(l.Addrs)
 	l.Addrs = slices.Grow(l.Addrs, r.N)[:at+r.N]
 	l.Vals = slices.Grow(l.Vals, r.N)[:at+r.N]
 	return l.Addrs[at:], l.Vals[at:]
 }
 
-// runRef is one run in the order Resolve folds it: its header and where its
-// references lie.
-type runRef struct {
-	Run
-	log *Log
-	off int
+// Refer records the run r whose addresses are a and values v, read where they
+// lie when the step resolves: the lanes of a side, if it has them, must stand
+// unchanged until then. An address form bounds the run itself.
+func (l *Log) Refer(r Run, a, v Operand) {
+	r.addr, r.val = l.hold(&l.Addrs, a, r.N), l.hold(&l.Vals, v, r.N)
+	l.Runs = append(l.Runs, r)
+	l.n += r.N
+	if a.Lanes == nil {
+		if lo, hi, ok := a.span(r.N); ok {
+			l.widen(lo, hi, r.N)
+		}
+	}
 }
+
+// hold keeps o, a side of n lanes, in the column col and the log's refs.
+func (l *Log) hold(col *[]int64, o Operand, n int) side {
+	*col = append(*col, o.Base, o.Stride)
+	if o.Lanes == nil {
+		return form
+	}
+	l.refs = append(l.refs, o.Lanes[:n])
+	return withLanes
+}
+
+// runRef is one run in the order Resolve folds it: its header and both of its
+// sides where they lie; for a run of the combiner's own log, off is where its
+// references' Dests start.
+type runRef struct {
+	mem.Issue
+	prefix    []int64
+	addr, val Operand
+	own       bool
+	off       int
+}
+
+func (r *runRef) first() Key { return r.Key(0) }
+func (r *runRef) last() Key  { return r.Key(r.N - 1) }
 
 // Combiner accumulates one step's combining traffic for a single combining
 // operator (ADD, AND, OR, MAX or MIN, expressed as the isa opcode).
@@ -143,6 +237,11 @@ type Combiner struct {
 	finals   []Final
 	tab      addrTable
 	prefixes []Result
+	// indexed says whether the step's addresses find their accumulators by
+	// their offset from lo; unfolded holds an address form's lanes.
+	indexed  bool
+	lo       int64
+	unfolded []int64
 
 	stats Stats
 }
@@ -226,6 +325,7 @@ func (c *Combiner) Add(ct Contribution) {
 		}
 		l.Runs = append(l.Runs, r)
 	}
+	l.n++
 	l.Addrs = append(l.Addrs, ct.Addr)
 	l.Vals = append(l.Vals, ct.Val)
 	l.widen(ct.Addr, ct.Addr, 1)
@@ -282,24 +382,26 @@ func Apply(kind isa.Op, a, b int64) int64 {
 // cleared. The returned slices are owned by the Combiner and valid only
 // until the next Resolve call.
 //
-// An address finds its accumulator by its offset in the step's interval when
-// every log is bounded and the interval is compact (mem.Compact), as the
-// write commit's tabled words do, and by its hash otherwise, in a table that
-// grows with the addresses met.
+// Each run is read where it lies, the copied ones in their log's columns. A
+// run onto one address (a form of stride 0) finds its accumulator once and
+// folds its values in one pass; any other finds one per change of address,
+// by the address's offset in the step's interval when every log is bounded
+// and the interval is compact (mem.Compact), as the write commit's tabled
+// words do, and by its hash otherwise, in a table that grows with the
+// addresses met.
 func (c *Combiner) Resolve(read func(addr int64) int64) (finals []Final, prefixes []Result) {
 	n, lo, hi := c.gather()
 	if n == 0 {
 		return nil, nil
 	}
-	indexed := lo <= hi && mem.Compact(lo, hi, n)
-	var slots []int32
-	if indexed {
-		slots = c.tab.index(int(hi - lo + 1))
+	c.indexed = lo <= hi && mem.Compact(lo, hi, n)
+	if c.indexed {
+		c.lo = lo
+		c.tab.index(int(hi - lo + 1))
 		c.stats.IndexedRefs += int64(n)
 	} else {
-		slots = c.tab.reset(minSlots)
+		c.tab.reset(minSlots)
 	}
-	mask := len(slots) - 1
 	c.finals = c.finals[:0]
 	c.prefixes = c.prefixes[:0]
 	add := c.kind == isa.ADD
@@ -310,48 +412,58 @@ func (c *Combiner) Resolve(read func(addr int64) int64) (finals []Final, prefixe
 	var v int64
 	for i := range c.refs {
 		ref := &c.refs[i]
-		addrs, vals := ref.log.Addrs[ref.off:ref.off+ref.N], ref.log.Vals[ref.off:ref.off+ref.N]
-		for j, a := range addrs {
-			if acc == nil || acc.Addr != a {
+		if a := &ref.addr; a.Lanes == nil && a.Stride == 0 {
+			if acc == nil || acc.Addr != a.Base {
 				if acc != nil {
 					acc.Val = v
 				}
-				var h int
-				if indexed {
-					h = int(a - lo)
-				} else {
-					h = c.tab.home(a)
-					for slots[h] != 0 && c.finals[slots[h]-1].Addr != a {
-						h = (h + 1) & mask
-					}
-				}
-				if k := slots[h]; k != 0 {
-					acc = &c.finals[k-1]
-				} else {
-					c.finals = append(c.finals, Final{Addr: a, Val: read(a)})
-					slots[h] = int32(len(c.finals))
-					acc = &c.finals[len(c.finals)-1]
-					if !indexed && 2*len(c.finals) > len(slots) {
-						slots = c.tab.rehash(c.finals)
-						mask = len(slots) - 1
-					}
-				}
+				acc = c.accumulator(a.Base, read)
 				v = acc.Val
 			}
-			if ref.Prefix != nil {
-				ref.Prefix[j] = v
+			v = c.fold(v, &ref.val, ref.N, ref.prefix)
+		} else {
+			addrs, base := a.Lanes, a.Base
+			if addrs == nil {
+				// A form of another stride: each lane its own address.
+				c.unfolded = slices.Grow(c.unfolded[:0], ref.N)[:ref.N]
+				isa.Ramp(c.unfolded, a.Base, a.Stride)
+				addrs, base = c.unfolded, 0
 			}
-			if add {
-				v += vals[j]
-			} else {
-				v = apply(v, vals[j])
+			vl, vb, vs, prefix := ref.val.Lanes, ref.val.Base, ref.val.Stride, ref.prefix
+			for j, a := range addrs[:ref.N] {
+				a += base
+				x := vb + vs*int64(j)
+				if vl != nil {
+					x += vl[j]
+				}
+				if acc == nil || acc.Addr != a {
+					if acc != nil {
+						acc.Val = v
+					}
+					// A word met before is found inline; accumulator makes
+					// a new one.
+					if k := c.tab.slots[c.slot(a)]; k != 0 {
+						acc = &c.finals[k-1]
+					} else {
+						acc = c.accumulator(a, read)
+					}
+					v = acc.Val
+				}
+				if prefix != nil {
+					prefix[j] = v
+				}
+				if add {
+					v += x
+				} else {
+					v = apply(v, x)
+				}
 			}
 		}
-		if ref.log == &c.own && ref.Prefix != nil {
+		if ref.own && ref.prefix != nil {
 			// Add's contributions: echo each prefix with its key and Dest.
 			at := len(c.prefixes)
 			c.prefixes = slices.Grow(c.prefixes, ref.N)[:at+ref.N]
-			for j, p := range ref.Prefix {
+			for j, p := range ref.prefix {
 				c.prefixes[at+j] = Result{Key: ref.Key(j), Dest: c.dests[ref.off+j], Prefix: p}
 			}
 		}
@@ -363,9 +475,68 @@ func (c *Combiner) Resolve(read func(addr int64) int64) (finals []Final, prefixe
 	return c.finals, c.prefixes
 }
 
-// gather fills c.refs with the step's runs in the order to fold them and
-// returns the number of their references and the interval [lo, hi] their
-// addresses lie in — empty, lo > hi, when a log is not bounded throughout.
+// slot returns the slot of address a: its offset in the step's interval when
+// it is indexed, and where its probe of the hashed table ends otherwise.
+func (c *Combiner) slot(a int64) int {
+	if c.indexed {
+		return int(a - c.lo)
+	}
+	slots, mask := c.tab.slots, len(c.tab.slots)-1
+	h := c.tab.home(a)
+	for slots[h] != 0 && c.finals[slots[h]-1].Addr != a {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+// accumulator returns the accumulator of address a, made from read(a) when
+// the step has not touched a before.
+func (c *Combiner) accumulator(a int64, read func(int64) int64) *Final {
+	h := c.slot(a)
+	if k := c.tab.slots[h]; k != 0 {
+		return &c.finals[k-1]
+	}
+	c.finals = append(c.finals, Final{Addr: a, Val: read(a)})
+	c.tab.slots[h] = int32(len(c.finals))
+	if !c.indexed && 2*len(c.finals) > len(c.tab.slots) {
+		c.tab.rehash(c.finals)
+	}
+	return &c.finals[len(c.finals)-1]
+}
+
+// fold folds the n values val into v, one address's running value, writing
+// the value each reference meets into prefix when it is set, and returns the
+// result. A value is read before its prefix is written.
+func (c *Combiner) fold(v int64, val *Operand, n int, prefix []int64) int64 {
+	if val.Lanes != nil && val.Base == 0 && val.Stride == 0 {
+		lanes := val.Lanes[:n]
+		switch {
+		case prefix == nil:
+			return isa.Reduce(c.kind, v, lanes)
+		case c.kind == isa.ADD:
+			prefix = prefix[:n]
+			for j, x := range lanes {
+				prefix[j] = v
+				v += x
+			}
+			return v
+		}
+	}
+	apply := isa.EvalFn(c.kind)
+	for j := range n {
+		x := val.at(j)
+		if prefix != nil {
+			prefix[j] = v
+		}
+		v = apply(v, x)
+	}
+	return v
+}
+
+// gather fills c.refs with the step's runs in the order to fold them, each
+// with its sides where they lie, and returns the number of their references
+// and the interval [lo, hi] their addresses lie in — empty, lo > hi, when a
+// log is not bounded throughout.
 func (c *Combiner) gather() (n int, lo, hi int64) {
 	c.refs = c.refs[:0]
 	if c.own.Len() > 0 {
@@ -377,15 +548,22 @@ func (c *Combiner) gather() (n int, lo, hi int64) {
 	lo, hi = math.MaxInt64, math.MinInt64
 	var end Key // of the run before
 	for _, l := range c.logs {
-		off := 0
-		for _, r := range l.Runs {
-			if l == &c.own && r.Prefix != nil {
-				r.Prefix = c.pvals[off : off+r.N]
+		own := l == &c.own
+		// Where the next copied side or form starts in each column, the next
+		// side's lanes in refs, and the next reference of the log.
+		var ai, vi, ri, off int
+		for i := range l.Runs {
+			r := &l.Runs[i]
+			ref := runRef{Issue: r.Issue, prefix: r.Prefix, own: own, off: off}
+			ref.addr = l.operand(r.addr, l.Addrs, &ai, &ri, r.N)
+			ref.val = l.operand(r.val, l.Vals, &vi, &ri, r.N)
+			if own && r.Prefix != nil {
+				ref.prefix = c.pvals[off : off+r.N]
 			}
-			prefix = prefix || r.Prefix != nil
-			ordered = ordered && (len(c.refs) == 0 || !r.first().Less(end))
-			end = r.last()
-			c.refs = append(c.refs, runRef{Run: r, log: l, off: off})
+			prefix = prefix || ref.prefix != nil
+			ordered = ordered && (len(c.refs) == 0 || !ref.first().Less(end))
+			end = ref.last()
+			c.refs = append(c.refs, ref)
 			off += r.N
 		}
 		n += off
@@ -401,6 +579,22 @@ func (c *Combiner) gather() (n int, lo, hi int64) {
 	return n, lo, hi
 }
 
+// operand returns the side s of n lanes whose words start at col[*at], and, when it
+// has lanes, whose lanes are refs[*ri]; it advances both past it.
+func (l *Log) operand(s side, col []int64, at, ri *int, n int) Operand {
+	if s == copied {
+		*at += n
+		return Operand{Lanes: col[*at-n : *at]}
+	}
+	o := Operand{Base: col[*at], Stride: col[*at+1]}
+	*at += 2
+	if s == withLanes {
+		o.Lanes = l.refs[*ri]
+		*ri++
+	}
+	return o
+}
+
 // sortRefs puts c.refs in key order. Runs whose key ranges interleave (one
 // flow's threads at two sequences, never issued by the engine) are first
 // taken apart into runs of one reference.
@@ -413,9 +607,11 @@ func (c *Combiner) sortRefs() {
 			c.refs = c.refs[:0]
 			for _, ref := range whole {
 				for j := 0; j < ref.N; j++ {
-					one := runRef{Run: Run{Issue: mem.Issue{Flow: ref.Flow, Seq: ref.Seq, Thread0: ref.Thread0 + j, N: 1}}, log: ref.log, off: ref.off + j}
-					if ref.Prefix != nil {
-						one.Prefix = ref.Prefix[j : j+1]
+					one := ref
+					one.Issue = mem.Issue{Flow: ref.Flow, Seq: ref.Seq, Thread0: ref.Thread0 + j, N: 1}
+					one.addr, one.val, one.off = ref.addr.from(j), ref.val.from(j), ref.off+j
+					if ref.prefix != nil {
+						one.prefix = ref.prefix[j : j+1]
 					}
 					c.refs = append(c.refs, one)
 				}

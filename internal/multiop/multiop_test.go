@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tcfpram/internal/isa"
 )
@@ -210,5 +211,15 @@ func TestKeyOrderingTotal(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunHeaderSize pins a run header: its issue, its prefix destination and
+// where each of its two sides lies. What a side held by reference needs — its
+// form and its lanes — lies in the log, not in every header (a copied run
+// carries none of it).
+func TestRunHeaderSize(t *testing.T) {
+	if n := unsafe.Sizeof(Run{}); n > 64 {
+		t.Fatalf("multiop.Run is %d bytes, want at most 64", n)
 	}
 }

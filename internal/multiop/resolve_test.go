@@ -34,7 +34,12 @@ func resolveSorted(kind isa.Op, cs []Contribution, read func(int64) int64) (fina
 // contributions of one flow and sequence by ascending threads — alike in
 // wanting a prefix, their Dests consecutive — as one run or, at the rng's
 // whim, as several, most of them bounded by the interval of their addresses.
-// A multiprefix run delivers into got, at its Dests.
+// A multiprefix run delivers into got, at its Dests. A run is copied into the
+// columns (the reference's filler) or, at the rng's whim, referred to where
+// it lies (the engine's): its addresses a form when they are one — one
+// address, or affine — and otherwise a bank plus an offset, its values a form
+// when they are one and otherwise a bank; a multiprefix run's bank may be its
+// destination itself, got (x = mpadd(&s, x)).
 func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 	logs := make([]*Log, 1+rng.Intn(3))
 	for i := range logs {
@@ -42,22 +47,49 @@ func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 	}
 	for from := 0; from < len(cs); {
 		to := from + 1
-		for to < len(cs) && rng.Intn(16) > 0 && cs[to].WantPrefix == cs[from].WantPrefix &&
+		for to < len(cs) && rng.Intn(16) > 0 && (to%16 != 0 || rng.Intn(2) > 0) && cs[to].WantPrefix == cs[from].WantPrefix &&
 			cs[to].Dest == cs[from].Dest+to-from &&
 			cs[to].Key == (Key{Flow: cs[from].Key.Flow, Thread: cs[from].Key.Thread + to - from, Seq: cs[from].Key.Seq}) {
 			to++
 		}
 		k := cs[from].Key
 		run := Run{Issue: mem.Issue{Flow: k.Flow, Seq: k.Seq, Thread0: k.Thread, N: to - from}}
+		var dest []int64
 		if cs[from].WantPrefix {
-			run.Prefix = got[cs[from].Dest:][:to-from]
+			dest = got[cs[from].Dest:][:to-from]
+			run.Prefix = dest
 		}
 		l := logs[from*len(logs)/len(cs)]
-		addrs, vals := l.Open(run)
+		addrs, vals := make([]int64, to-from), make([]int64, to-from)
 		for i, ct := range cs[from:to] {
 			addrs[i], vals[i] = ct.Addr, ct.Val
 		}
-		if rng.Intn(8) > 0 {
+		bound := rng.Intn(8) > 0
+		if rng.Intn(3) == 0 {
+			as, vs := l.Open(run)
+			copy(as, addrs)
+			copy(vs, vals)
+		} else {
+			a, v := formOf(addrs), formOf(vals)
+			if a.Lanes != nil && rng.Intn(2) == 0 {
+				// A bank plus the instruction's offset.
+				a.Base = int64(rng.Intn(2000) - 1000)
+				for i := range addrs {
+					a.Lanes[i] -= a.Base
+				}
+			}
+			switch alias := rng.Intn(3); {
+			case dest == nil:
+			case alias == 0 && (v.Lanes != nil || rng.Intn(2) == 0):
+				v = Operand{Lanes: dest}
+				copy(dest, vals)
+			case alias == 1 && a.Lanes != nil:
+				copy(dest, a.Lanes)
+				a.Lanes = dest
+			}
+			l.Refer(run, a, v)
+		}
+		if bound {
 			l.Bound(slices.Min(addrs), slices.Max(addrs))
 		}
 		from = to
@@ -65,6 +97,21 @@ func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 	for _, l := range logs {
 		c.AddLog(l)
 	}
+}
+
+// formOf returns the lanes w as an Operand: the form they lie in, when they
+// lie in one, and a bank of their own otherwise.
+func formOf(w []int64) Operand {
+	o := Operand{Base: w[0]}
+	if len(w) > 1 {
+		o.Stride = w[1] - w[0]
+	}
+	for i, x := range w {
+		if x != o.Base+o.Stride*int64(i) {
+			return Operand{Lanes: slices.Clone(w)}
+		}
+	}
+	return o
 }
 
 // FuzzResolveVsSorted holds Resolve to the sort-and-fold oracle over the five
@@ -89,6 +136,8 @@ func FuzzResolveVsSorted(f *testing.F) {
 	f.Add(int64(13), uint8(4), uint8(2), uint8(90), true, true, uint16(100))   // MIN, sparse
 	f.Add(int64(14), uint8(1), uint8(3), uint8(200), false, true, uint16(900)) // AND, many
 	f.Add(int64(15), uint8(2), uint8(0), uint8(255), true, true, uint16(4000)) // OR, prefixes onto one word
+	f.Add(int64(16), uint8(0), uint8(0), uint8(255), false, true, uint16(600)) // ADD, x = mpadd(&s, x) among the runs
+	f.Add(int64(17), uint8(3), uint8(1), uint8(255), false, true, uint16(600)) // MAX, prefixes into the address or value bank
 	f.Fuzz(func(t *testing.T, seed int64, kindSel, addrSel, prefixShare uint8, shuffle, logged bool, n uint16) {
 		kind := Kinds[int(kindSel)%len(Kinds)]
 		rng := rand.New(rand.NewSource(seed))
@@ -106,15 +155,33 @@ func FuzzResolveVsSorted(f *testing.F) {
 			// reference; the second step always arrives in order, so stale
 			// run-order state would show. A stretch of lanes wants its
 			// prefixes or does not, as an instruction does.
+			// A stretch of 16 references takes an address and a value shape:
+			// scattered, one for all, or affine.
 			cs := make([]Contribution, int(n)%4096+1)
 			want := false
+			var addrShape, valShape, a0, v0, as, vs int64
 			for i := range cs {
 				if i%16 == 0 {
 					want = rng.Intn(256) < int(prefixShare)
+					addrShape, a0, as = int64(rng.Intn(3)), int64(rng.Intn(addrs)), int64(rng.Intn(7)-3)
+					valShape, v0, vs = int64(rng.Intn(3)), int64(rng.Intn(2000)-1000), int64(rng.Intn(41)-20)
+				}
+				addr, val := base+int64(rng.Intn(addrs)), int64(rng.Intn(2000)-1000)
+				switch j := int64(i % 16); {
+				case addrShape == 1:
+					addr = base + a0
+				case addrShape == 2:
+					addr = base + a0 + as*j
+				}
+				switch j := int64(i % 16); {
+				case valShape == 1:
+					val = v0
+				case valShape == 2:
+					val = v0 + vs*j
 				}
 				cs[i] = Contribution{
-					Addr:       base + int64(rng.Intn(addrs)),
-					Val:        int64(rng.Intn(2000) - 1000),
+					Addr:       addr,
+					Val:        val,
 					Key:        Key{Flow: i / 64, Thread: i % 64, Seq: step},
 					WantPrefix: want,
 					Dest:       i,
@@ -280,34 +347,41 @@ func TestResolveRoutes(t *testing.T) {
 	}
 }
 
-// BenchmarkResolve times a step's combining traffic from the log to its
-// finals — the column fills with the interval learnt on the way, AddLog,
-// Resolve — on 2^17 references shaped as the engine issues them: few_addr
-// (engine-thick's histogram: one madd run onto 256 addresses), one_addr_prefix
-// (its scan: one mpadd run onto one word, every lane's prefix delivered in
-// place), two_flows_one_addr (the same from two flows of half the thickness,
-// the higher flow's run arriving first) and few_addr_sparse (256 addresses
-// 4096 words apart, which the hash resolves). B/ref is what a step buffers per
-// reference: two column words and its share of a header.
+// BenchmarkResolve times a step's combining traffic from the issue to its
+// finals — the run header and the read-only pass that bounds the addresses,
+// AddLog, Resolve — on 2^17 references shaped as the engine issues them, by
+// reference to the registers' banks: few_addr (engine-thick's histogram: one
+// madd run onto 256 addresses), one_addr_prefix (its scan: one mpadd run onto
+// one word, every lane's prefix delivered in place), two_flows_one_addr (the
+// same from two flows of half the thickness, the higher flow's run arriving
+// first) and few_addr_sparse (256 addresses 4096 words apart, which the hash
+// resolves); few_addr_copied is few_addr with both columns filled, as the
+// reference machine issues it. B/ref is what a step buffers per reference:
+// the words a run keeps in the log's columns and its share of a header.
 func BenchmarkResolve(b *testing.B) {
 	const T = 1 << 17
 	read := func(int64) int64 { return 0 }
 	dest := make([]int64, T)
-	column := func(addr func(t int) int64) []int64 {
+	column := func(v func(t int) int64) []int64 {
 		c := make([]int64, T)
 		for t := range c {
-			c[t] = addr(t)
+			c[t] = v(t)
 		}
 		return c
 	}
-	few, one := column(func(t int) int64 { return int64((t * 40503) & 255) }), column(func(int) int64 { return 7 })
+	few, vals := column(func(t int) int64 { return int64((t * 40503) & 255) }), column(func(t int) int64 { return int64(t & 1023) })
 	sparse := column(func(t int) int64 { return int64((t*40503)&255) << 12 })
-	// run fills one run's columns as the engine does, from a register.
-	run := func(l *Log, flow int, prefix []int64, src []int64) {
-		addrs, vals := l.Open(Run{Issue: mem.Issue{Flow: flow, N: len(src)}, Prefix: prefix})
-		lo, hi := src[0], src[0]
-		for t, a := range src {
-			addrs[t], vals[t] = a, int64(t&1023)
+	// refer issues one run as the engine does: an address bank bounded in a
+	// read-only pass, or a flow-common address, and the values' bank.
+	refer := func(l *Log, flow int, prefix []int64, addrs []int64, one bool, vals []int64) {
+		r := Run{Issue: mem.Issue{Flow: flow, N: len(vals)}, Prefix: prefix}
+		if one {
+			l.Refer(r, Operand{Base: 7}, Operand{Lanes: vals})
+			return
+		}
+		l.Refer(r, Operand{Lanes: addrs}, Operand{Lanes: vals})
+		lo, hi := addrs[0], addrs[0]
+		for _, a := range addrs {
 			lo, hi = min(lo, a), max(hi, a)
 		}
 		l.Bound(lo, hi)
@@ -316,13 +390,22 @@ func BenchmarkResolve(b *testing.B) {
 		name string
 		fill func(l *Log)
 	}{
-		{"few_addr", func(l *Log) { run(l, 0, nil, few) }},
-		{"one_addr_prefix", func(l *Log) { run(l, 0, dest, one) }},
+		{"few_addr", func(l *Log) { refer(l, 0, nil, few, false, vals) }},
+		{"one_addr_prefix", func(l *Log) { refer(l, 0, dest, nil, true, vals) }},
 		{"two_flows_one_addr", func(l *Log) {
-			run(l, 1, dest[T/2:], one[T/2:])
-			run(l, 0, dest[:T/2], one[:T/2])
+			refer(l, 1, dest[T/2:], nil, true, vals[T/2:])
+			refer(l, 0, dest[:T/2], nil, true, vals[:T/2])
 		}},
-		{"few_addr_sparse", func(l *Log) { run(l, 0, nil, sparse) }},
+		{"few_addr_sparse", func(l *Log) { refer(l, 0, nil, sparse, false, vals) }},
+		{"few_addr_copied", func(l *Log) {
+			addrs, vs := l.Open(Run{Issue: mem.Issue{N: T}})
+			lo, hi := few[0], few[0]
+			for t, a := range few {
+				addrs[t], vs[t] = a, vals[t]
+				lo, hi = min(lo, a), max(hi, a)
+			}
+			l.Bound(lo, hi)
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			comb := NewCombiner(isa.ADD)
@@ -340,7 +423,7 @@ func BenchmarkResolve(b *testing.B) {
 				step()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/T, "ns/ref")
-			b.ReportMetric((16*T+float64(len(l.Runs))*float64(unsafe.Sizeof(Run{})))/T, "B/ref")
+			b.ReportMetric((8*float64(len(l.Addrs)+len(l.Vals))+float64(len(l.Runs))*float64(unsafe.Sizeof(Run{})))/T, "B/ref")
 		})
 	}
 }

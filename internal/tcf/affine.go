@@ -97,7 +97,11 @@ func (f *Flow) setAffine(r, n int, base, stride int64) bool {
 // Dest returns lanes [first, end) of thread-wise register r for an
 // instruction that writes every one of them and has read its sources: a
 // register in affine form whose lanes all lie in [first, end) drops the form
-// unread, one with lanes outside the write is materialised first.
+// unread, one with lanes outside the write is materialised first. A register
+// without a bank that the write covers whole, lanes [0, Lanes()) of minBank or
+// more, is given one unzeroed: what a lent bank held is overwritten before
+// anything can read it. Every narrower or partial write gets zeroed lanes
+// around it, as Vector would give them.
 func (f *Flow) Dest(r isa.Reg, first, end int) []int64 {
 	if int(r) < len(f.vectors) {
 		if v, lanes := f.vectors[r], f.Lanes(); len(v) >= lanes {
@@ -112,6 +116,9 @@ func (f *Flow) Dest(r isa.Reg, first, end int) []int64 {
 func (f *Flow) dest(r, first, end int) []int64 {
 	if _, _, n, ok := f.form(r); ok && first == 0 && n <= end {
 		f.vectors[r] = unveil(f.vectors[r])
+	} else if first == 0 && end == f.Lanes() && end >= minBank && f.bank(r) == nil {
+		f.growBank(r, end, false)
+		return f.vectors[r][first:end]
 	}
 	return f.Vector(isa.Reg(r))[first:end]
 }

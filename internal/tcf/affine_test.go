@@ -69,3 +69,43 @@ func TestAffineBankRecycles(t *testing.T) {
 		t.Fatalf("the second run reused %d banks and allocated %d", c.BanksReused, c.BanksAllocated)
 	}
 }
+
+// TestDestTakesWholeWritesUnzeroed: a register without a bank that a write
+// covers whole, at minBank lanes or more, gets a lent bank as it comes —
+// under PoisonBanks every lane of it reads Poison until written — and every
+// other write to a register without a bank, one that starts past lane 0, one
+// that stops short of the last lane, or one of a thin flow, gets the lanes it
+// does not cover zeroed, as Vector would give them.
+func TestDestTakesWholeWritesUnzeroed(t *testing.T) {
+	PoisonBanks.Store(true)
+	defer PoisonBanks.Store(false)
+	for _, c := range []struct {
+		lanes, first, end int
+		unzeroed          bool
+	}{
+		{minBank, 0, minBank, true},
+		{300, 0, 300, true},
+		{300, 1, 300, false},
+		{300, 0, 299, false},
+		{300, 100, 200, false},
+		{minBank - 1, 0, minBank - 1, false},
+	} {
+		for _, arena := range []*RegArena{nil, NewRegArena(1 << 12)} {
+			f := New(0, 0, c.lanes)
+			f.Regs = arena
+			dst := f.Dest(isa.V(2), c.first, c.end)
+			if len(dst) != c.end-c.first {
+				t.Fatalf("%+v: Dest returned %d lanes", c, len(dst))
+			}
+			v := f.Vector(isa.V(2))
+			for i, w := range v {
+				switch inside := i >= c.first && i < c.end; {
+				case !inside && w != 0:
+					t.Fatalf("%+v, arena %v: lane %d outside the write reads %#x, want 0", c, arena != nil, i, w)
+				case inside && arena != nil && c.unzeroed != (w == Poison):
+					t.Fatalf("%+v: lane %d reads %#x before it is written; taken unzeroed: %v", c, i, w, c.unzeroed)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package tcf
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"tcfpram/internal/isa"
 )
@@ -43,6 +44,16 @@ type RegArena struct {
 
 	counts ArenaCounts
 }
+
+// PoisonBanks makes the arena fill every bank of minBank lanes or more that it
+// lends, new ones too, with Poison before it zeroes what it must: the oracle
+// of the unzeroed banks Flow.Dest takes, for tests to switch on. A run reads
+// the same with it as without, or a lane of an earlier run's bank could reach
+// a program — one tenant's data in the next tenant's run.
+var PoisonBanks atomic.Bool
+
+// Poison is the word PoisonBanks fills lent banks with: 0xDEADBEEFDEADBEEF.
+const Poison int64 = -0x2152411021524111
 
 // minBank is the shortest bank, in words, that is lent and taken back on its
 // own. Handing a bank back costs one visit to its register at Reset, whatever
@@ -89,8 +100,10 @@ func (a *RegArena) Counts() ArenaCounts {
 // with capacity to double in before it is bumped again; a long one is the
 // newest free bank if that is large enough — it is whenever the run asks as
 // the run before it did, see Recycle — and the bank it replaces becomes free
-// after the lanes are out of it.
-func (a *RegArena) grow(reg *[]int64, n int) {
+// after the lanes are out of it. Without zero, a register that holds no bank
+// is given a lent one as it comes, for a caller that writes every lane of it
+// before anything reads one (Flow.Dest).
+func (a *RegArena) grow(reg *[]int64, n int, zero bool) {
 	old := *reg
 	if cap(old) >= n {
 		*reg = old[:n]
@@ -107,9 +120,15 @@ func (a *RegArena) grow(reg *[]int64, n int) {
 	default:
 		v = a.take(reg, n)
 	}
+	dirty := v != nil // storage another register used: cleared unless written whole
 	if v == nil {
 		v = make([]int64, n)
-	} else {
+	}
+	if n >= minBank && PoisonBanks.Load() {
+		isa.Fill(v, Poison)
+		dirty = true
+	}
+	if dirty && zero {
 		clear(v[len(old):])
 	}
 	copy(v, old)

@@ -205,14 +205,15 @@ func (f *Flow) growVector(r isa.Reg) []int64 {
 			return v[:lanes]
 		}
 	}
-	f.growBank(int(r), lanes)
+	f.growBank(int(r), lanes, true)
 	return f.vectors[r]
 }
 
 // growBank extends register r's bank to n >= 1 lanes, which is more than it
-// has. Banks never shrink, so the words the flow holds are the most it ever
-// held, and the peak moves by what the bank gained.
-func (f *Flow) growBank(r, n int) {
+// has, zero beyond the lanes it had unless zero is false and r holds no bank
+// (RegArena.grow). Banks never shrink, so the words the flow holds are the
+// most it ever held, and the peak moves by what the bank gained.
+func (f *Flow) growBank(r, n int, zero bool) {
 	want := r + 1
 	if n >= minBank {
 		// The arena notes where a bank it lends is held: its header may not
@@ -227,7 +228,7 @@ func (f *Flow) growBank(r, n int) {
 	form := affineHeader(f.vectors[r])
 	f.vectors[r] = unveil(f.vectors[r])
 	f.RegWordsPeak += int64(n - len(f.vectors[r]))
-	f.Regs.grow(&f.vectors[r], n)
+	f.Regs.grow(&f.vectors[r], n, zero)
 	if form {
 		f.vectors[r] = veil(f.vectors[r])
 	}
@@ -304,7 +305,7 @@ func (f *Flow) SetThickness(t int) error {
 	f.Thickness = t
 	for r := 0; r < len(f.vectors); r++ {
 		if v := f.bank(r); v != nil && len(v) < t {
-			f.growBank(r, t)
+			f.growBank(r, t, true)
 		}
 	}
 	return nil
@@ -331,7 +332,7 @@ func (f *Flow) LeavePRAM() {
 // Call pushes the return address onto the flow-level call stack.
 func (f *Flow) Call(returnPC int) {
 	n := len(f.CallStack)
-	f.Regs.grow(&f.CallStack, n+1)
+	f.Regs.grow(&f.CallStack, n+1, true)
 	f.CallStack[n] = int64(returnPC)
 }
 
