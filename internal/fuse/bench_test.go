@@ -93,9 +93,8 @@ var chainCode = fuse.Compile(isa.MustAssemble("chain", `
 // affineChain runs TID, MUL and ADD through their kernels, then an LD of
 // V2 from V0+4096 and an ST of V1 to V0+4096 as the machine's bulk path runs
 // them: the LD page-wise from an affine address of stride 1, the ST into one
-// run of the step's log with the values by their form and the addresses by
-// their dense base; a column address instead is read lane by lane and
-// copied, and column values are referred to in their bank.
+// run of the step's log with both sides where they lie, a form or a bank; a
+// column address is read lane by lane.
 func affineChain(f *tcf.Flow, sh *mem.Shared, log *mem.WriteLog) {
 	for pc := range chainCode {
 		fi := &chainCode[pc]
@@ -112,19 +111,13 @@ func affineChain(f *tcf.Flow, sh *mem.Shared, log *mem.WriteLog) {
 		}
 	}
 	log.Reset()
-	r := mem.Run{Issue: mem.Issue{Flow: f.ID, N: n}}
+	a := mem.Operand{Lanes: f.Vector(isa.V(0)), Base: 4096}
+	if base, stride, ok := f.Affine(isa.V(0)); ok {
+		a = mem.Operand{Base: base + 4096, Stride: stride}
+	}
+	v := mem.Operand{Lanes: f.Vector(isa.V(1))}
 	if base, stride, ok := f.Affine(isa.V(1)); ok {
-		r.Form, r.VBase, r.VStride = true, base, stride
-	} else {
-		r.Ref = f.Vector(isa.V(1))
+		v = mem.Operand{Base: base, Stride: stride}
 	}
-	if base, _, ok := f.Affine(isa.V(0)); ok {
-		r.Dense, r.Base = true, base+4096
-		log.Open(&r)
-	} else {
-		addrs, _ := log.Open(&r)
-		for i, a := range f.Vector(isa.V(0)) {
-			addrs[i] = a + 4096
-		}
-	}
+	log.Refer(mem.Issue{Flow: f.ID, N: n}, &a, &v)
 }

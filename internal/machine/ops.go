@@ -339,9 +339,9 @@ func (x *groupExec) execLane(f *tcf.Flow, in *isa.Instr, i, seq int) {
 }
 
 // storeOperands hoists the operands of a store-shaped instruction (ST, the
-// multioperations and multiprefixes) out of its lane loop: lane i references
-// base, plus av[i] when the address register is thread-wise, with the value
-// bv[i], or the flow-common bs when bv is nil.
+// multioperations and multiprefixes) out of the reference path's lane loop:
+// lane i references base, plus av[i] when the address register is
+// thread-wise, with the value bv[i], or the flow-common bs when bv is nil.
 func storeOperands(f *tcf.Flow, in *isa.Instr) (av, bv []int64, base, bs int64) {
 	base = in.Imm
 	if in.Ra.IsVector() {
@@ -355,36 +355,6 @@ func storeOperands(f *tcf.Flow, in *isa.Instr) (av, bv []int64, base, bs int64) 
 		bs = f.Scalar(in.Rb)
 	}
 	return av, bv, base, bs
-}
-
-// fillColumn fills dst, one word per lane from lane first on, with an operand
-// storeOperands hoisted: the flow-common c, plus v's lane when the register
-// is thread-wise. It is a lane kernel: the bulk forms' Fill and ADD.
-func fillColumn(dst, v []int64, first int, c int64) {
-	switch {
-	case v == nil:
-		isa.Fill(dst, c)
-	case c == 0:
-		copy(dst, v[first:])
-	default:
-		isa.EvalVS(isa.ADD, dst, v[first:], c)
-	}
-}
-
-// fillAddrs is fillColumn for a column of addresses, which also returns the
-// interval [lo, hi] they span, learnt in the same pass.
-func fillAddrs(dst, v []int64, first int, c int64) (lo, hi int64) {
-	if v == nil {
-		isa.Fill(dst, c)
-		return c, c
-	}
-	lo, hi = math.MaxInt64, math.MinInt64
-	for i, e := range v[first : first+len(dst)] {
-		a := e + c
-		dst[i] = a
-		lo, hi = min(lo, a), max(hi, a)
-	}
-	return lo, hi
 }
 
 // bulkMemRange executes lanes [first, first+n) of a shared-memory LD or ST
@@ -464,136 +434,65 @@ func (x *groupExec) bulkMemRange(f *tcf.Flow, in *isa.Instr, first, n int) bool 
 		return true
 
 	case isa.ST:
-		// One run, read by the commit where its words lie (mem.Run): the
-		// values in the flow's register bank or as their affine form, and
-		// addresses from a form of stride 1, in range, as the run's dense base,
-		// whose module distances are those of its first words. Nothing
-		// writes the bank before the step commits (DESIGN.md §17).
-		r := mem.Run{Issue: mem.Issue{Flow: f.ID, Thread0: first, N: n}}
-		storeValues(f, &r, in.Rb, first)
-		var base, stride int64
-		affine := false
-		if in.Ra.IsVector() {
-			base, stride, affine = f.Affine(in.Ra)
-		}
-		if lo := base + in.Imm + int64(first); affine && stride == 1 && sh.InRange(lo) && sh.InRange(lo+int64(n-1)) {
-			r.Dense, r.Base = true, lo
-			x.writes.Open(&r)
-			x.maxDist = sh.MaxOverRun(row, x.maxDist, lo, n)
-			x.anyShared = true
-		} else {
-			addrs, _ := x.writes.Open(&r)
-			operandColumn(f, addrs, in.Ra, first, in.Imm)
-			x.noteRow(addrs)
-		}
+		// One run, read by the commit where its words lie (mem.Operand).
+		// Nothing writes the registers before the step commits (DESIGN.md
+		// §17).
+		a, v := operand(f, in.Ra, first, n, in.Imm), operand(f, in.Rb, first, n, 0)
+		x.writes.Refer(mem.Issue{Flow: f.ID, Thread0: first, N: n}, &a, &v)
+		x.note(&a, n, false)
 		x.sharedWrites += int64(n)
 		return true
 	}
 	return false
 }
 
-// storeValues makes r hold lanes [first, first+r.N) of the store operand v
-// by reference: a flow-common value, or none, as a form of stride 0, a
-// thread-wise register in affine form as its form, unread and left in it,
-// and any other as its lanes of the register's bank.
-func storeValues(f *tcf.Flow, r *mem.Run, v isa.Reg, first int) {
-	switch {
-	case v == isa.RegNone:
-		r.Form = true
-	case !v.IsVector():
-		r.Form, r.VBase = true, f.Scalar(v)
-	default:
-		if base, stride, ok := f.Affine(v); ok {
-			r.Form, r.VBase, r.VStride = true, base+stride*int64(first), stride
-		} else {
-			r.Ref = f.Vector(v)[first : first+r.N]
-		}
-	}
-}
-
-// operandColumn fills dst with lanes [first, first+len(dst)) of the operand r
-// plus c: c alone for no register, c plus the value of a flow-common one.
-// A thread-wise register in affine form fills dst from its form, unread and
-// left in it.
-func operandColumn(f *tcf.Flow, dst []int64, r isa.Reg, first int, c int64) {
-	switch {
-	case r == isa.RegNone:
-		isa.Fill(dst, c)
-	case !r.IsVector():
-		isa.Fill(dst, c+f.Scalar(r))
-	default:
-		if base, stride, ok := f.Affine(r); ok {
-			isa.Ramp(dst, base+c+stride*int64(first), stride)
-			return
-		}
-		fillColumn(dst, f.Vector(r), first, c)
-	}
-}
-
-// noteRow is noteShared for the non-empty PRAM-mode references addrs, where
-// noting one is no more than raising maxDist:
-// the module lookups stop once maxDist reaches the group's row maximum, and
-// an address that repeats the one before it, already noted, is not looked up.
-func (x *groupExec) noteRow(addrs []int64) {
+// note notes the n > 0 PRAM-mode references whose addresses are a, where
+// noting one is no more than raising maxDist, and returns the interval they
+// span, which for lanes it learns only when asked to bound them. A form is
+// noted as a whole: a flow-common address once, a stretch of consecutive
+// words in range by the modules of its first words, any other address by
+// address until maxDist reaches the group's row maximum. Lanes are looked up
+// until then too, but for an address that repeats the one before it, which
+// is noted already, and read on to the end only to bound them.
+func (x *groupExec) note(a *mem.Operand, n int, bound bool) (lo, hi int64) {
 	row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
 	sh := x.m.shared
 	maxDist := x.maxDist
-	for i := 0; i < len(addrs) && maxDist < x.rowMax; i++ {
+	x.anyShared = true
+	if a.Lanes == nil {
+		var ok bool
+		lo, hi, ok = a.Span(n)
+		switch {
+		case a.Stride == 0:
+			x.maxDist = max(maxDist, row[sh.ModuleOf(a.Base)])
+		case a.Stride == 1 && ok && sh.InRange(lo) && sh.InRange(hi):
+			x.maxDist = sh.MaxOverRun(row, maxDist, lo, n)
+		default:
+			for i := 0; i < n && maxDist < x.rowMax; i++ {
+				maxDist = max(maxDist, row[sh.ModuleOf(a.At(i))])
+			}
+			x.maxDist = maxDist
+		}
+		return lo, hi
+	}
+	addrs, base := a.Lanes[:n], a.Base
+	lo, hi = math.MaxInt64, math.MinInt64
+	i := 0
+	for ; i < n && maxDist < x.rowMax; i++ {
+		v := addrs[i] + base
+		lo, hi = min(lo, v), max(hi, v)
 		if i > 0 && addrs[i] == addrs[i-1] {
 			continue
 		}
-		if d := row[sh.ModuleOf(addrs[i])]; d > maxDist {
-			maxDist = d
+		maxDist = max(maxDist, row[sh.ModuleOf(v)])
+	}
+	if bound {
+		for _, v := range addrs[i:] {
+			lo, hi = min(lo, v+base), max(hi, v+base)
 		}
 	}
 	x.maxDist = maxDist
-	x.anyShared = true
-}
-
-// noteBank notes the PRAM-mode references whose addresses are c plus the
-// lanes of the non-empty bank and returns the interval they span, learnt in
-// the same read-only pass: noting one is no more than raising maxDist, and
-// the module lookups stop once maxDist reaches the group's row maximum.
-func (x *groupExec) noteBank(lanes []int64, c int64) (lo, hi int64) {
-	row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
-	sh := x.m.shared
-	maxDist := x.maxDist
-	lo, hi = math.MaxInt64, math.MinInt64
-	i := 0
-	for ; i < len(lanes) && maxDist < x.rowMax; i++ {
-		a := lanes[i] + c
-		lo, hi = min(lo, a), max(hi, a)
-		maxDist = max(maxDist, row[sh.ModuleOf(a)])
-	}
-	for _, e := range lanes[i:] {
-		a := e + c
-		lo, hi = min(lo, a), max(hi, a)
-	}
-	x.maxDist = maxDist
-	x.anyShared = true
 	return lo, hi
-}
-
-// noteForm notes the n > 0 PRAM-mode references of the address form a: a
-// flow-common address once, a stretch of consecutive words in range by the
-// modules of its first words, any other address by address until maxDist
-// reaches the group's row maximum.
-func (x *groupExec) noteForm(a multiop.Operand, n int) {
-	row := x.m.dist[x.g.Index*x.m.nmods:][:x.m.nmods]
-	sh := x.m.shared
-	maxDist := x.maxDist
-	switch last := a.Base + int64(n-1); {
-	case a.Stride == 0:
-		maxDist = max(maxDist, row[sh.ModuleOf(a.Base)])
-	case a.Stride == 1 && sh.InRange(a.Base) && sh.InRange(last):
-		maxDist = sh.MaxOverRun(row, maxDist, a.Base, n)
-	default:
-		for i := 0; i < n && maxDist < x.rowMax; i++ {
-			maxDist = max(maxDist, row[sh.ModuleOf(a.Base+a.Stride*int64(i))])
-		}
-	}
-	x.maxDist = maxDist
-	x.anyShared = true
 }
 
 // consecutive returns the length of the longest prefix of the non-empty a
@@ -621,49 +520,53 @@ func (x *groupExec) combineLanes(f *tcf.Flow, in *isa.Instr, first, n, seq int) 
 	}
 	x.refs += n
 	x.multiopRefs += int64(n)
-	run := multiop.Run{Issue: mem.Issue{Flow: f.ID, Seq: seq, Thread0: first, N: n}}
+	is := mem.Issue{Flow: f.ID, Seq: seq, Thread0: first, N: n}
 	l := &x.logs[multiop.KindIndex(in.Op.CombineKind())]
 	if numa := f.Mode == tcf.NUMA; numa || x.m.reference {
 		av, bv, base, bs := storeOperands(f, in)
+		r, addrs, vals := l.Open(is)
 		if in.Op.IsMultiprefix() {
-			run.Prefix = f.Vector(in.Rd)[first : first+n]
+			r.Prefix = f.Vector(in.Rd)[first : first+n]
 		}
-		addrs, vals := l.Open(run)
-		l.Bound(fillAddrs(addrs, av, first, base))
-		fillColumn(vals, bv, first, bs)
-		for _, addr := range addrs {
-			x.noteShared(addr, numa)
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for j := range addrs {
+			addrs[j], vals[j] = base, bs
+			if av != nil {
+				addrs[j] += av[first+j]
+			}
+			if bv != nil {
+				vals[j] = bv[first+j]
+			}
+			lo, hi = min(lo, addrs[j]), max(hi, addrs[j])
+			x.noteShared(addrs[j], numa)
 		}
+		l.Bound(lo, hi)
 		return
 	}
 	// The operands are read, forms included, before the destination is taken.
 	a, v := operand(f, in.Ra, first, n, in.Imm), operand(f, in.Rb, first, n, 0)
+	r := l.Refer(is, &a, &v)
 	if in.Op.IsMultiprefix() {
-		run.Prefix = x.prefixDest(f, in.Rd, first, first+n)
+		r.Prefix = x.prefixDest(f, in.Rd, first, first+n)
 	}
-	l.Refer(run, a, v)
-	if a.Lanes != nil {
-		l.Bound(x.noteBank(a.Lanes, a.Base))
-	} else {
-		x.noteForm(a, n)
-	}
+	l.Bound(x.note(&a, n, true))
 }
 
 // operand returns lanes [first, first+n) of the operand r plus c where they
 // lie: c alone for no register, plus the value of a flow-common one, the form
 // of a thread-wise register in affine form, unread and left in it, and any
 // other thread-wise register's bank.
-func operand(f *tcf.Flow, r isa.Reg, first, n int, c int64) multiop.Operand {
+func operand(f *tcf.Flow, r isa.Reg, first, n int, c int64) mem.Operand {
 	switch {
 	case r == isa.RegNone:
-		return multiop.Operand{Base: c}
+		return mem.Operand{Base: c}
 	case !r.IsVector():
-		return multiop.Operand{Base: c + f.Scalar(r)}
+		return mem.Operand{Base: c + f.Scalar(r)}
 	}
 	if base, stride, ok := f.Affine(r); ok {
-		return multiop.Operand{Base: base + c + stride*int64(first), Stride: stride}
+		return mem.Operand{Base: base + c + stride*int64(first), Stride: stride}
 	}
-	return multiop.Operand{Lanes: f.Vector(r)[first : first+n], Base: c}
+	return mem.Operand{Lanes: f.Vector(r)[first : first+n], Base: c}
 }
 
 // prefixDest returns lanes [first, end) of rd for a multiprefix's results

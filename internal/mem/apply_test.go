@@ -134,13 +134,14 @@ func instrBatch(rng *rand.Rand, words, n int, spread uint8) (flat []Write, start
 
 // bufferInstrs buffers flat, instruction by instruction, into one to three
 // logs (as groups fold theirs in order), each instruction as one run, as a
-// run cut in two and appended back together, or store by store. A run takes
-// any of the forms its words allow, at random: addresses ascending by one —
-// in range or not — as a dense base, values as an affine form when they are
-// in one, and otherwise, by reference, as a slice of a bank the test holds
-// until the commit. A third of the steps buffer the first instruction
-// through BufferWrite, so that every log reaches the memory by AppendLog
-// behind it.
+// run cut in two and appended back together, or store by store. A run is
+// copied into both columns (Open) or referred to where it lies (Refer), as
+// the engine's bulk store does: its addresses as their form when they are one
+// — one address, ascending by one in range or out of it, or another stride,
+// negative included — or as a bank plus an offset, its values as their form
+// or as a bank, each bank one the test holds until the commit. A third of the
+// steps buffer the first instruction through BufferWrite, so that every log
+// reaches the memory by appendLog behind it.
 func bufferInstrs(rng *rand.Rand, s *Shared, flat []Write, starts []int) {
 	logs := make([]*WriteLog, 1+rng.Intn(3))
 	for i := range logs {
@@ -150,37 +151,29 @@ func bufferInstrs(rng *rand.Rand, s *Shared, flat []Write, starts []int) {
 		if len(ws) == 0 {
 			return
 		}
-		r := Run{Issue: Issue{Flow: ws[0].Key.Flow, Seq: ws[0].Key.Seq, Thread0: ws[0].Key.Thread, N: len(ws)}}
-		dense, form := rng.Intn(4) > 0, rng.Intn(4) > 0
-		vstride := int64(0)
-		if len(ws) > 1 {
-			vstride = ws[1].Val - ws[0].Val
-		}
+		is := Issue{Flow: ws[0].Key.Flow, Seq: ws[0].Key.Seq, Thread0: ws[0].Key.Thread, N: len(ws)}
+		addrs, vals := make([]int64, len(ws)), make([]int64, len(ws))
 		for i, w := range ws {
-			dense = dense && w.Addr == ws[0].Addr+int64(i)
-			form = form && w.Val == ws[0].Val+vstride*int64(i)
+			addrs[i], vals[i] = w.Addr, w.Val
 		}
-		switch {
-		case form:
-			r.Form, r.VBase, r.VStride = true, ws[0].Val, vstride
-		case rng.Intn(2) == 0:
-			r.Ref = make([]int64, len(ws))
-			for i, w := range ws {
-				r.Ref[i] = w.Val
+		if rng.Intn(4) == 0 {
+			_, as, vs := l.Open(is)
+			copy(as, addrs)
+			copy(vs, vals)
+			return
+		}
+		a, v := formOf(addrs), formOf(vals)
+		if a.Lanes == nil && rng.Intn(4) == 0 || a.Lanes != nil && rng.Intn(4) > 0 {
+			// A bank plus the instruction's offset.
+			a = Operand{Lanes: addrs, Base: int64(rng.Intn(2000) - 1000)}
+			for i := range addrs {
+				addrs[i] -= a.Base
 			}
 		}
-		if dense {
-			r.Dense, r.Base = true, ws[0].Addr
+		if v.Lanes == nil && rng.Intn(4) == 0 {
+			v = Operand{Lanes: vals}
 		}
-		addrs, vals := l.Open(&r)
-		for i, w := range ws {
-			if addrs != nil {
-				addrs[i] = w.Addr
-			}
-			if vals != nil {
-				vals[i] = w.Val
-			}
-		}
+		l.Refer(is, &a, &v)
 	}
 	k := 0
 	if rng.Intn(3) == 0 && len(starts) > 1 {
@@ -203,7 +196,7 @@ func bufferInstrs(rng *rand.Rand, s *Shared, flat []Write, starts []int) {
 			fill(l, ws[:cut])
 			var chunk WriteLog
 			fill(&chunk, ws[cut:])
-			l.AppendLog(&chunk)
+			l.appendLog(&chunk)
 		case 2:
 			for _, w := range ws {
 				l.Append(w.Addr, w.Val, w.Key)
@@ -232,8 +225,8 @@ func applyStepVia(s *Shared, r route) []Conflict {
 // policy × module count, on single writes in four arrival
 // orders (conflicting, out-of-range and equal-keyed) through BufferWrite(s)
 // and on instruction-shaped traffic through write logs with fuzzed run
-// structure, dense and by-reference runs among copied ones, over two steps so the retained
-// scratch is reused; and the route ApplyStep picks to both tabled routes,
+// structure, every kind of side among copied runs (bufferInstrs), over two
+// steps so the retained scratch is reused; and the route ApplyStep picks to both tabled routes,
 // every run indexed and every run hashed, on two more memories fed the same. Few addresses for many writes
 // make a compact interval, many for few a sparse one.
 func FuzzApplyStepVsSorted(f *testing.F) {
@@ -309,11 +302,12 @@ func FuzzApplyStepVsSorted(f *testing.F) {
 
 // TestApplyRoutesAgree forces traffic each route would take — unit stride,
 // stride 2, two flows on adjacent ranges, a run per page (direct); a scatter
-// of eight writers a word, flows overlapping (indexed); two flows interleaved
+// of eight writers a word, flows overlapping, and either beside a run whose
+// bank plus offset lies wholly past the end (indexed); two flows interleaved
 // at stride 13, a run's writers of a word far apart (hashed) — through both
-// tabled routes as well, under each policy: all must leave the same memory,
-// conflicts and counters, and the unforced commit must really have taken its
-// route.
+// tabled routes as well, under each policy: all must leave the memory,
+// conflicts and counters of the sorted oracle, and the unforced commit must
+// really have taken its route.
 func TestApplyRoutesAgree(t *testing.T) {
 	const words = 1 << 14
 	shapes := []struct {
@@ -340,7 +334,7 @@ func TestApplyRoutesAgree(t *testing.T) {
 			denseRun(l, 1, 500, 900)
 		}},
 		{"scatter_8way", "indexed", func(l *WriteLog) {
-			addrs, vals := l.Open(&Run{Issue: Issue{N: 8192}})
+			_, addrs, vals := l.Open(Issue{N: 8192})
 			for i, w := range conflictWrites(8192) {
 				addrs[i], vals[i] = w.Addr-8192, w.Val%5
 			}
@@ -355,22 +349,38 @@ func TestApplyRoutesAgree(t *testing.T) {
 			strideRun(l, 1, 15, 13, 1000)
 		}},
 		{"far_repeats", "hashed", func(l *WriteLog) {
-			addrs, vals := l.Open(&Run{Issue: Issue{Flow: 3, Seq: 1, Thread0: 5, N: 600}})
+			_, addrs, vals := l.Open(Issue{Flow: 3, Seq: 1, Thread0: 5, N: 600})
 			for i := range addrs {
 				addrs[i], vals[i] = int64(i%300)*53-20, int64(i%7) // some below memory
 			}
+		}},
+		{"past_end_form_vals", "indexed", func(l *WriteLog) {
+			strideRun(l, 0, 0, 1, 900) // under the run's raw lanes
+			strideRun(l, 1, 500, 1, 900)
+			pastEnd(l, 2, words, Operand{Base: 7, Stride: 1})
+		}},
+		{"past_end_bank_vals", "indexed", func(l *WriteLog) {
+			bank := make([]int64, 64)
+			for j := range bank {
+				bank[j] = 9
+			}
+			strideRun(l, 0, 0, 1, 900) // under the run's raw lanes
+			pastEnd(l, 2, words, Operand{Lanes: bank})
+			strideRun(l, 1, 500, 1, 900)
 		}},
 	}
 	for _, sh := range shapes {
 		for policy := Policy(0); policy < 3; policy++ {
 			var l WriteLog
 			sh.build(&l)
+			oracle := resolveSorted(policy, words, logWrites(&l))
 			auto := mustShared(t, words, 4, policy)
 			indexed, hashed := mustShared(t, words, 4, policy), mustShared(t, words, 4, policy)
 			for _, s := range []*Shared{auto, indexed, hashed} {
 				s.BufferLog(&l)
 			}
 			conflicts := auto.ApplyStep()
+			oracle.check(t, auto, conflicts)
 			if c := applyStepVia(indexed, routeIndexed); !slices.Equal(c, conflicts) {
 				t.Fatalf("%s: conflicts %v indexed, %v", sh.name, c, conflicts)
 			}
@@ -441,21 +451,64 @@ func TestSnapshotRefusesPendingLog(t *testing.T) {
 // strideRun buffers one instruction of flow: n stores from base on, stride
 // apart, lane j storing j+1.
 func strideRun(l *WriteLog, flow int, base, stride int64, n int) {
-	addrs, vals := l.Open(&Run{Issue: Issue{Flow: flow, N: n}})
+	_, addrs, vals := l.Open(Issue{Flow: flow, N: n})
 	for j := range addrs {
 		addrs[j], vals[j] = base+int64(j)*stride, int64(j+1)
 	}
 }
 
 // denseRun buffers one instruction of flow as the machine's bulk store issues
-// it: n stores from base on by their dense base, lane j storing j+1 from a
-// bank held by reference.
+// it: n stores from base on, their addresses a form of stride 1, lane j
+// storing j+1 from a bank held by reference.
 func denseRun(l *WriteLog, flow int, base int64, n int) {
 	bank := make([]int64, n)
 	for j := range bank {
 		bank[j] = int64(j + 1)
 	}
-	l.Open(&Run{Issue: Issue{Flow: flow, N: n}, Dense: true, Base: base, Ref: bank})
+	l.Refer(Issue{Flow: flow, N: n}, &Operand{Base: base, Stride: 1}, &Operand{Lanes: bank})
+}
+
+// pastEnd buffers one instruction of flow whose addresses are a bank of
+// in-range words plus an offset, words, that takes every one of them out of
+// range, and whose values are vals: a run with no word to store.
+func pastEnd(l *WriteLog, flow int, words int64, vals Operand) {
+	bank := make([]int64, 64)
+	for j := range bank {
+		bank[j] = int64(j * 3 % 64)
+	}
+	l.Refer(Issue{Flow: flow, N: len(bank)}, &Operand{Lanes: bank, Base: words}, &vals)
+}
+
+// logWrites reads l's runs back as single writes, in buffering order: what
+// the oracle resolves.
+func logWrites(l *WriteLog) []Write {
+	var ws []Write
+	rd := l.Cursor()
+	for i := range l.Runs {
+		r := &l.Runs[i]
+		var a, v Operand
+		rd.Addr(r, &a)
+		rd.Val(r, &v)
+		for j := range r.N {
+			ws = append(ws, Write{Addr: a.At(j), Val: v.At(j), Key: r.Key(j)})
+		}
+	}
+	return ws
+}
+
+// formOf returns the lanes w as an Operand: the form they lie in, when they
+// lie in one, and a bank of their own otherwise.
+func formOf(w []int64) Operand {
+	o := Operand{Base: w[0]}
+	if len(w) > 1 {
+		o.Stride = w[1] - w[0]
+	}
+	for i, x := range w {
+		if x != o.Base+o.Stride*int64(i) {
+			return Operand{Lanes: slices.Clone(w)}
+		}
+	}
+	return o
 }
 
 // TestApplyStepSteadyStateAllocs holds the tabled route to its retained
@@ -485,19 +538,29 @@ func conflictWrites(n int) []Write {
 	return ws
 }
 
+// TestRunHeaderSize pins a run header: its issue and where each of its two
+// sides lies. What a side held by reference needs — its form and its lanes —
+// lies in the log, not in every header (a copied run carries none of it).
+func TestRunHeaderSize(t *testing.T) {
+	if n := unsafe.Sizeof(Run{}); n > 48 {
+		t.Fatalf("mem.Run is %d bytes, want at most 48", n)
+	}
+}
+
 // BenchmarkApplyStep times a step's stores from the write log to memory —
 // the column fills, BufferLog, ApplyStep — on 2^17 references (2^13 for the
 // thin shape) shaped as the engine issues them: one run of consecutive
-// addresses (saxpy-loop) copied into both columns, by its dense base with its
-// values copied, and by its dense base with its values in a bank (by_ref, no
-// column filled: the engine's bulk store), a stride-2 run, two flows on
-// adjacent and on overlapping ranges, tcfbench's scatter-crcw, and 2048 flows
-// of thickness 4 storing side by side. B/ref is what a step buffers per
-// store: its column words and its share of a header.
+// addresses (saxpy-loop) copied into both columns, as a dense form with its
+// values written into a bank, and as a dense form with its values in a bank
+// (by_ref, nothing filled: the engine's bulk store of a[tid] = x), a bank plus an
+// offset with its values in a bank (bank_offset: a[b[tid]] = x), a stride-2
+// run, two flows on adjacent and on overlapping ranges, tcfbench's
+// scatter-crcw, and 2048 flows of thickness 4 storing side by side. B/ref is
+// what a step buffers per store: its column words and its share of a header.
 func BenchmarkApplyStep(b *testing.B) {
 	const T = 1 << 17
 	scatter := conflictWrites(T)
-	bank := make([]int64, T)
+	bank, col := make([]int64, T), make([]int64, T)
 	for j := range bank {
 		bank[j] = int64(j + 1)
 	}
@@ -507,12 +570,13 @@ func BenchmarkApplyStep(b *testing.B) {
 	}{
 		{"unit_stride", func(l *WriteLog) { strideRun(l, 0, 16384, 1, T) }},
 		{"dense", func(l *WriteLog) {
-			_, vals := l.Open(&Run{Issue: Issue{N: T}, Dense: true, Base: 16384})
-			for j := range vals {
-				vals[j] = int64(j + 1)
+			for j := range col {
+				col[j] = int64(j + 1)
 			}
+			l.Refer(Issue{N: T}, &Operand{Base: 16384, Stride: 1}, &Operand{Lanes: col})
 		}},
-		{"by_ref", func(l *WriteLog) { l.Open(&Run{Issue: Issue{N: T}, Dense: true, Base: 16384, Ref: bank}) }},
+		{"by_ref", func(l *WriteLog) { l.Refer(Issue{N: T}, &Operand{Base: 16384, Stride: 1}, &Operand{Lanes: bank}) }},
+		{"bank_offset", func(l *WriteLog) { l.Refer(Issue{N: T}, &Operand{Lanes: bank, Base: 16383}, &Operand{Lanes: bank}) }},
 		{"stride_2", func(l *WriteLog) { strideRun(l, 0, 16384, 2, T) }},
 		{"two_runs_disjoint", func(l *WriteLog) {
 			strideRun(l, 0, 16384, 1, T/2)
@@ -523,7 +587,7 @@ func BenchmarkApplyStep(b *testing.B) {
 			strideRun(l, 1, 16384+T/4, 1, T/2)
 		}},
 		{"scatter_8way", func(l *WriteLog) {
-			addrs, vals := l.Open(&Run{Issue: Issue{N: T}})
+			_, addrs, vals := l.Open(Issue{N: T})
 			for i, w := range scatter {
 				addrs[i], vals[i] = w.Addr, w.Val
 			}

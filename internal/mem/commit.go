@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-
-	"tcfpram/internal/isa"
 )
 
 // The step commit. A step's stores reach ApplyStep as write logs, one run per
@@ -24,20 +22,18 @@ import (
 // and hashed otherwise. A Common disagreement found there goes to a stable
 // sort, so winners, the equal-key rule (the write buffered first wins),
 // counters and conflicts are those of sorting everything by (address, key).
-// Which route a run takes is a property of its addresses alone. A run handed
-// by reference — a dense one by its base, values by their register bank or
-// affine form — is read where it lies: the direct route stores its values
-// from there, and only a run that goes to the table has the words it holds by
-// reference written out first (unfold).
+// Which route a run takes is a property of its addresses alone. Each side of
+// a run is read where it lies (Operand): the direct route stores from there,
+// and only a run that goes to the table has a side that is not plain lanes —
+// a form, a bank plus an offset — written out first (unfold).
 
 // CommitStats counts what ApplyStep has done since the memory was built or
 // Reset: the runs it was handed, the in-range words it stored directly and
 // resolved through the table — IndexedWords of those through the index — the
 // steps a Common disagreement sent to the sorted scan, and the in-range words
-// whose addresses it took from a dense run's base and whose values it read
-// straight from a register bank or an affine form, rather than from a log's
-// columns. Host-side bookkeeping only: it is in no snapshot and no simulated
-// statistic.
+// whose addresses were a form of stride 1 (dense) and whose values it read
+// where they lay, rather than from a log's columns. Host-side bookkeeping
+// only: it is in no snapshot and no simulated statistic.
 type CommitStats struct {
 	Runs, DirectWords, TabledWords, IndexedWords, SortedFallbacks int64
 	DenseWords, RefWords                                          int64
@@ -51,16 +47,16 @@ func (c CommitStats) String() string {
 		c.Runs, c.DirectWords, c.TabledWords, c.IndexedWords, c.SortedFallbacks, c.DenseWords, c.RefWords)
 }
 
-// span is one run as the commit sees it: its header, its stretch of its log's
-// columns — nil where the run holds its words by reference, until unfold
-// writes them out — and what the first pass learns about it: how many of its
-// words are in range, and the interval [lo, hi] those cover.
+// span is one run as the commit sees it: its header, its two sides where they
+// lie — until unfold writes out those of a tabled run — and what the first
+// pass learns about it: how many of its words are in range, and the interval
+// [lo, hi] those cover.
 type span struct {
-	run         *Run
-	addrs, vals []int64
-	lo, hi      int64
-	words       int
-	direct      bool
+	run       *Run
+	addr, val Operand
+	lo, hi    int64
+	words     int
+	direct    bool
 }
 
 // spanLo is a span by index with its lo: what markOverlaps sorts.
@@ -124,7 +120,7 @@ func (s *Shared) BufferLog(l *WriteLog) {
 	case l.Len() == 0:
 	case s.own.Len() > 0:
 		// Behind stores that came through BufferWrite: keep buffering order.
-		s.own.AppendLog(l)
+		s.own.appendLog(l)
 	default:
 		s.logs = append(s.logs, l)
 	}
@@ -215,16 +211,12 @@ func (s *Shared) classify() bool {
 	words, ascending, top := 0, true, int64(-1)
 	k := 0
 	for _, l := range s.logs {
-		addrs, vals := l.Addrs, l.Vals
+		rd := l.Cursor()
 		for i := range l.Runs {
 			r, sp := &l.Runs[i], &s.spans[k]
-			sp.run, sp.addrs, sp.vals = r, nil, r.Ref
-			if !r.Dense {
-				sp.addrs, addrs = addrs[:r.N], addrs[r.N:]
-			}
-			if !r.byRef() {
-				sp.vals, vals = vals[:r.N], vals[r.N:]
-			}
+			sp.run = r
+			rd.Addr(r, &sp.addr)
+			rd.Val(r, &sp.val)
 			s.scan(sp) // sets the rest
 			if sp.words > 0 {
 				words, ascending, top = words+sp.words, ascending && sp.lo > top, max(top, sp.hi)
@@ -247,29 +239,35 @@ func (s *Shared) classify() bool {
 }
 
 // scan is the first pass over one run. direct is set for a run in range and
-// strictly ascending; markOverlaps may yet clear it. A dense run needs no
-// pass: its interval is its header's, cut to the memory, and it is direct
-// when nothing was cut.
+// strictly ascending; markOverlaps may yet clear it. An address form in range
+// needs no pass: its interval is its span, and it ascends when its stride is
+// positive.
 func (s *Shared) scan(sp *span) {
-	if r := sp.run; r.Dense {
-		lo, hi := max(r.Base, 0), min(r.Base+int64(r.N-1), s.size-1)
-		sp.lo, sp.hi, sp.words = lo, hi, int(max(hi-lo+1, 0))
-		sp.direct = sp.words == r.N && r.N > 0
+	a, n := &sp.addr, sp.run.N
+	if n == 0 {
+		sp.words, sp.direct = 0, false
 		return
 	}
-	addrs := sp.addrs
-	i, prev := 0, int64(-1)
-	for ; i < len(addrs) && addrs[i] > prev && addrs[i] < s.size; i++ {
-		prev = addrs[i]
-	}
-	if i == len(addrs) && i > 0 {
-		sp.lo, sp.hi, sp.words, sp.direct = addrs[0], prev, i, true
-		return
+	if a.Lanes == nil {
+		if lo, hi, ok := a.Span(n); ok && s.InRange(lo) && s.InRange(hi) {
+			sp.lo, sp.hi, sp.words, sp.direct = lo, hi, n, a.Stride > 0 || n == 1
+			return
+		}
+	} else {
+		lanes, base := a.Lanes[:n], a.Base
+		i, prev := 0, int64(-1)
+		for ; i < n && lanes[i]+base > prev && lanes[i]+base < s.size; i++ {
+			prev = lanes[i] + base
+		}
+		if i == n {
+			sp.lo, sp.hi, sp.words, sp.direct = lanes[0]+base, prev, n, true
+			return
+		}
 	}
 	lo, hi, words := int64(math.MaxInt64), int64(-1), 0
-	for _, a := range addrs {
-		if s.InRange(a) {
-			lo, hi, words = min(lo, a), max(hi, a), words+1
+	for i := range n {
+		if v := a.At(i); s.InRange(v) {
+			lo, hi, words = min(lo, v), max(hi, v), words+1
 		}
 	}
 	sp.lo, sp.hi, sp.words, sp.direct = lo, hi, words, false
@@ -306,16 +304,17 @@ func (s *Shared) commit(r route) []Conflict {
 	// addrs bounds the distinct addresses of the tabled words: a run has no
 	// more of them than words, nor than its interval is long. It sizes the
 	// hashed table, so that contended traffic resolves in one that stays in
-	// cache. [lo, hi] is the tabled words' interval.
-	issued, tabled, addrs := 0, 0, 0
+	// cache. [lo, hi] is the tabled words' interval, and unfolded counts the
+	// words unfold writes out.
+	issued, tabled, addrs, unfolded := 0, 0, 0, 0
 	lo, hi := int64(math.MaxInt64), int64(-1)
 	for i := range s.spans {
 		sp := &s.spans[i]
 		issued += sp.words
-		if sp.run.Dense {
+		if sp.addr.Lanes == nil && sp.addr.Stride == 1 {
 			s.commits.DenseWords += int64(sp.words)
 		}
-		if sp.run.byRef() {
+		if sp.run.val != copied {
 			s.commits.RefWords += int64(sp.words)
 		}
 		if sp.direct {
@@ -324,12 +323,20 @@ func (s *Shared) commit(r route) []Conflict {
 			tabled += sp.words
 			addrs += int(min(int64(sp.words), sp.hi-sp.lo+1))
 			lo, hi = min(lo, sp.lo), max(hi, sp.hi)
+			if !sp.addr.plain() {
+				unfolded += sp.run.N
+			}
+			if !sp.val.plain() {
+				unfolded += sp.run.N
+			}
 		}
 	}
 	done := int64(issued - tabled)
 	var conflicts []Conflict
 	if tabled > 0 {
-		s.unfold()
+		if unfolded > 0 {
+			s.unfold(unfolded)
+		}
 		indexed := r == routeIndexed || r == routeAuto && Compact(lo, hi, tabled)
 		if indexed {
 			s.commits.IndexedWords += int64(tabled)
@@ -350,85 +357,62 @@ func (s *Shared) commit(r route) []Conflict {
 	return conflicts
 }
 
-// unfold writes out, into s.unfolded, the words that the tabled runs hold by
-// reference — a dense run's addresses, an affine form's values — so that the
-// tabled routes read every run from its columns. A bank slice needs no copy.
-func (s *Shared) unfold() {
-	n := 0
-	for i := range s.spans {
-		if sp := &s.spans[i]; !sp.direct && sp.words > 0 {
-			if sp.run.Dense {
-				n += sp.run.N
-			}
-			if sp.run.Form {
-				n += sp.run.N
-			}
-		}
-	}
-	if n == 0 {
-		return
-	}
+// unfold writes out, into s.unfolded, every side of a tabled run that is not
+// plain lanes — a form, a bank plus an offset —, n words, so that the tabled
+// routes read every run from lanes. A bank, or a copied side, needs no copy.
+func (s *Shared) unfold(n int) {
 	buf := slices.Grow(s.unfolded[:0], n)[:n]
 	s.unfolded = buf
 	for i := range s.spans {
-		sp := &s.spans[i]
-		if r := sp.run; !sp.direct && sp.words > 0 {
-			if r.Dense {
-				sp.addrs, buf = buf[:r.N], buf[r.N:]
-				isa.Ramp(sp.addrs, r.Base, 1)
-			}
-			if r.Form {
-				sp.vals, buf = buf[:r.N], buf[r.N:]
-				isa.Ramp(sp.vals, r.VBase, r.VStride)
+		if sp := &s.spans[i]; !sp.direct && sp.words > 0 {
+			for _, o := range [2]*Operand{&sp.addr, &sp.val} {
+				if !o.plain() {
+					lanes := buf[:sp.run.N]
+					o.read(lanes, 0)
+					*o, buf = Operand{Lanes: lanes}, buf[sp.run.N:]
+				}
 			}
 		}
 	}
 }
 
 // storeRun stores a direct run, every word of which is in range: page-wise
-// copies (or an affine form's ramps) when its addresses are consecutive —
+// ramps or copies of its values when its addresses are consecutive —
 // ascending over an interval exactly as long as the run, as a dense run's
 // are — indexed stores otherwise.
 func (s *Shared) storeRun(sp *span) {
-	r, vals := sp.run, sp.vals
-	if sp.hi-sp.lo == int64(r.N-1) {
-		v := r.VBase
+	n := sp.run.N
+	if sp.hi-sp.lo == int64(n-1) {
 		for a := sp.lo; a <= sp.hi; {
 			pg := s.ensurePage(a)[a&(PageWords-1):]
 			pg = pg[:min(int64(len(pg)), sp.hi-a+1)]
-			if r.Form {
-				isa.Ramp(pg, v, r.VStride)
-				v += r.VStride * int64(len(pg))
-			} else {
-				vals = vals[copy(pg, vals):]
-			}
+			sp.val.read(pg, int(a-sp.lo))
 			a += int64(len(pg))
 		}
 		return
 	}
 	pgIdx, pg := int64(-1), []int64(nil)
-	for i, a := range sp.addrs {
+	for i := range n {
+		a := sp.addr.At(i)
 		if idx := a >> PageShift; idx != pgIdx {
 			pgIdx, pg = idx, s.ensurePage(a)
 		}
-		if r.Form {
-			pg[a&(PageWords-1)] = r.VBase + r.VStride*int64(i)
-		} else {
-			pg[a&(PageWords-1)] = vals[i]
-		}
+		pg[a&(PageWords-1)] = sp.val.At(i)
 	}
 }
 
-// resolveTabled resolves the in-range words of the runs not stored directly,
-// which lie in [lo, hi], in buffering order: through s.index over that
-// interval when indexed, and otherwise through the hashed table sized for
-// addrs addresses. Each word's claim holds its winning write so far; a later write
-// replaces it only with a strictly lower key — never one of the same run,
-// whose keys ascend with the lane — and every new winner is stored at once,
-// so memory ends holding the final winners. It returns the number of distinct
-// addresses written, and false when, under Common, two writes to one address
-// disagree: the caller then resolves again from sorted order, which stores
-// the same winners.
+// resolveTabled resolves the in-range words of the tabled runs — those not
+// stored directly that have any, unfolded — which lie in [lo, hi], in
+// buffering order: through s.index over that interval when indexed, and
+// otherwise through the hashed table sized for addrs addresses. A run with no
+// word in range is skipped whole: unfold left its sides where they lie. Each
+// word's claim holds its winning write so far; a later write replaces it only
+// with a strictly lower key — never one of the same run, whose keys ascend
+// with the lane — and every new winner is stored at once, so memory ends
+// holding the final winners. It returns the number of distinct addresses
+// written, and false when, under Common, two writes to one address disagree:
+// the caller then resolves again from sorted order, which stores the same
+// winners.
 func (s *Shared) resolveTabled(indexed bool, addrs int, lo, hi int64) (distinct int64, agreed bool) {
 	var shift uint
 	if indexed {
@@ -442,11 +426,11 @@ func (s *Shared) resolveTabled(indexed bool, addrs int, lo, hi int64) (distinct 
 	pgIdx, pg := int64(-1), []int64(nil) // the page stored to last
 	for i := range s.spans {
 		sp := &s.spans[i]
-		if sp.direct {
+		if sp.direct || sp.words == 0 {
 			continue
 		}
-		vals := sp.vals
-		for j, a := range sp.addrs {
+		vals := sp.val.Lanes
+		for j, a := range sp.addr.Lanes {
 			var c *claim
 			if indexed {
 				// The interval holds every in-range word and no other.
@@ -471,7 +455,7 @@ func (s *Shared) resolveTabled(indexed bool, addrs int, lo, hi int64) (distinct 
 				distinct++
 			} else {
 				won := &s.spans[c.span-1]
-				if common && won.vals[c.at] != vals[j] {
+				if common && won.val.Lanes[c.at] != vals[j] {
 					return distinct, false
 				}
 				if int(c.span) == i+1 || !sp.run.Key(j).Less(won.run.Key(int(c.at))) {
@@ -496,12 +480,12 @@ func (s *Shared) resolveSorted(n int) (distinct int64, conflicts []Conflict) {
 	ws := make([]Write, 0, n)
 	for i := range s.spans {
 		sp := &s.spans[i]
-		if sp.direct {
+		if sp.direct || sp.words == 0 {
 			continue
 		}
-		for j, a := range sp.addrs {
+		for j, a := range sp.addr.Lanes {
 			if s.InRange(a) {
-				ws = append(ws, Write{Addr: a, Val: sp.vals[j], Key: sp.run.Key(j)})
+				ws = append(ws, Write{Addr: a, Val: sp.val.Lanes[j], Key: sp.run.Key(j)})
 			}
 		}
 	}

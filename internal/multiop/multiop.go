@@ -50,158 +50,18 @@ type Final struct {
 	Val  int64
 }
 
-// Run heads the combining references one instruction issued in a step: N
-// of them, by threads Thread0 … Thread0+N-1 of Flow at sequence Seq, their
-// keys derived as for a mem.Issue. Its addresses and values lie where the log
-// that holds it was told: copied into the log's columns (Log.Open) or read
-// where they lie (Log.Refer). A multiprefix run carries where its results go:
-// Prefix[i] receives the running value the i-th reference met, after its own
-// address and value were read, so Prefix may be the very lanes a side refers
-// to. A multioperation run has a nil Prefix.
+// Run heads the combining references one instruction issued in a step and
+// says where its sides lie in its log (mem.Run). A multiprefix run carries
+// where its results go: Prefix[i] receives the running value the i-th
+// reference met, after its own address and value were read, so Prefix may be
+// the very lanes a side refers to. A multioperation run has a nil Prefix.
 type Run struct {
-	mem.Issue
-	Prefix    []int64
-	addr, val side
+	mem.Run
+	Prefix []int64
 }
 
-// side says where one side of a run, its addresses or its values, lies in its
-// log: N words of the column (copied), or its form's base and stride there,
-// and its lanes, when it has them, the next of the log's refs (withLanes).
-type side uint8
-
-const (
-	copied side = iota
-	form
-	withLanes
-)
-
-// Operand is one side of a run read where it lies: lane i is Base + Stride·i,
-// plus Lanes[i] when Lanes is set. A flow-common address is a form of stride
-// 0, and a thread-wise register its bank, plus the instruction's offset for an
-// address.
-type Operand struct {
-	Lanes        []int64
-	Base, Stride int64
-}
-
-// at returns lane i.
-func (o *Operand) at(i int) int64 {
-	v := o.Base + o.Stride*int64(i)
-	if o.Lanes != nil {
-		v += o.Lanes[i]
-	}
-	return v
-}
-
-// from returns the operand's lanes from lane i on.
-func (o Operand) from(i int) Operand {
-	o.Base += o.Stride * int64(i)
-	if o.Lanes != nil {
-		o.Lanes = o.Lanes[i:]
-	}
-	return o
-}
-
-// span returns the interval lanes [0, n) of the form o lie in, and false when
-// they wrap around the int64 range.
-func (o *Operand) span(n int) (lo, hi int64, ok bool) {
-	d := o.Stride * int64(n-1)
-	last := o.Base + d
-	if o.Stride != 0 && (d/o.Stride != int64(n-1) || (last < o.Base) != (d < 0)) {
-		return 0, 0, false
-	}
-	return min(o.Base, last), max(o.Base, last), true
-}
-
-// Log is a step's combining traffic for one operator at the granularity the
-// model issues it: one Run per instruction and two columns, addresses and
-// values, holding back to back in arrival order what the runs keep in them —
-// N words of a copied side, the base and stride of a side read in place.
-// Whoever generates a step owns its logs; Combiner.AddLog retains a pointer
-// until Resolve, so the owner empties a log only when the next step begins,
-// and whoever refers a run to a register's lanes vouches that they stand as
-// they are until then.
-//
-// The filler may report, run by run, the interval its addresses span (Bound),
-// which it learns while filling the column or noting the references; a log
-// whose every run is bounded gives Resolve the interval without another pass
-// over the addresses. A form's interval the log knows itself.
-type Log struct {
-	Addrs, Vals []int64
-	Runs        []Run
-	refs        [][]int64 // the lanes of sides withLanes, in run order, addresses first
-	n           int       // the runs' N, summed
-	// lo and hi bound the addresses of the first bounded references.
-	lo, hi  int64
-	bounded int
-}
-
-// Len returns the number of references.
-func (l *Log) Len() int { return l.n }
-
-// Reset empties the log, keeping its arrays and dropping the runs' hold on
-// their prefix destinations and on the lanes they referred to.
-func (l *Log) Reset() {
-	clear(l.Runs)
-	clear(l.refs)
-	l.Addrs, l.Vals, l.Runs, l.refs = l.Addrs[:0], l.Vals[:0], l.Runs[:0], l.refs[:0]
-	l.n, l.bounded = 0, 0
-}
-
-// Bound reports that the addresses of the run opened last lie in [lo, hi].
-// It is a promise Resolve relies on: an address outside it panics there. A
-// run whose addresses are a form is bounded by Refer, and Bound leaves it be.
-func (l *Log) Bound(lo, hi int64) {
-	if r := &l.Runs[len(l.Runs)-1]; r.addr != form {
-		l.widen(lo, hi, r.N)
-	}
-}
-
-// widen counts n more references as bounded, within [lo, hi].
-func (l *Log) widen(lo, hi int64, n int) {
-	if l.bounded == 0 {
-		l.lo, l.hi = lo, hi
-	} else {
-		l.lo, l.hi = min(l.lo, lo), max(l.hi, hi)
-	}
-	l.bounded += n
-}
-
-// Open records the run r with both sides copied and returns its stretch of
-// each column, r.N long, for the caller to fill, every word of it.
-func (l *Log) Open(r Run) (addrs, vals []int64) {
-	r.addr, r.val = copied, copied
-	l.Runs = append(l.Runs, r)
-	l.n += r.N
-	at := len(l.Addrs)
-	l.Addrs = slices.Grow(l.Addrs, r.N)[:at+r.N]
-	l.Vals = slices.Grow(l.Vals, r.N)[:at+r.N]
-	return l.Addrs[at:], l.Vals[at:]
-}
-
-// Refer records the run r whose addresses are a and values v, read where they
-// lie when the step resolves: the lanes of a side, if it has them, must stand
-// unchanged until then. An address form bounds the run itself.
-func (l *Log) Refer(r Run, a, v Operand) {
-	r.addr, r.val = l.hold(&l.Addrs, a, r.N), l.hold(&l.Vals, v, r.N)
-	l.Runs = append(l.Runs, r)
-	l.n += r.N
-	if a.Lanes == nil {
-		if lo, hi, ok := a.span(r.N); ok {
-			l.widen(lo, hi, r.N)
-		}
-	}
-}
-
-// hold keeps o, a side of n lanes, in the column col and the log's refs.
-func (l *Log) hold(col *[]int64, o Operand, n int) side {
-	*col = append(*col, o.Base, o.Stride)
-	if o.Lanes == nil {
-		return form
-	}
-	l.refs = append(l.refs, o.Lanes[:n])
-	return withLanes
-}
+// Log is a step's combining traffic for one operator (mem.Log).
+type Log = mem.Log[Run, *Run]
 
 // runRef is one run in the order Resolve folds it: its header and both of its
 // sides where they lie; for a run of the combiner's own log, off is where its
@@ -209,7 +69,7 @@ func (l *Log) hold(col *[]int64, o Operand, n int) side {
 type runRef struct {
 	mem.Issue
 	prefix    []int64
-	addr, val Operand
+	addr, val mem.Operand
 	own       bool
 	off       int
 }
@@ -238,10 +98,9 @@ type Combiner struct {
 	tab      addrTable
 	prefixes []Result
 	// indexed says whether the step's addresses find their accumulators by
-	// their offset from lo; unfolded holds an address form's lanes.
-	indexed  bool
-	lo       int64
-	unfolded []int64
+	// their offset from lo.
+	indexed bool
+	lo      int64
 
 	stats Stats
 }
@@ -316,19 +175,14 @@ var wanted = make([]int64, 0)
 // log, and their prefixes come back from Resolve as Results.
 func (c *Combiner) Add(ct Contribution) {
 	l := &c.own
-	if last := len(l.Runs) - 1; last >= 0 && l.Runs[last].Continues(ct.Key) && (l.Runs[last].Prefix != nil) == ct.WantPrefix {
-		l.Runs[last].N++
-	} else {
-		r := Run{Issue: mem.Issue{Flow: ct.Key.Flow, Seq: ct.Key.Seq, Thread0: ct.Key.Thread, N: 1}}
+	if last := len(l.Runs) - 1; last < 0 || !l.Runs[last].Continues(ct.Key) || (l.Runs[last].Prefix != nil) != ct.WantPrefix {
+		// An empty run, for Append to continue.
+		r, _, _ := l.Open(mem.Issue{Flow: ct.Key.Flow, Seq: ct.Key.Seq, Thread0: ct.Key.Thread})
 		if ct.WantPrefix {
 			r.Prefix = wanted
 		}
-		l.Runs = append(l.Runs, r)
 	}
-	l.n++
-	l.Addrs = append(l.Addrs, ct.Addr)
-	l.Vals = append(l.Vals, ct.Val)
-	l.widen(ct.Addr, ct.Addr, 1)
+	l.Append(ct.Addr, ct.Val, ct.Key)
 	c.dests = append(c.dests, ct.Dest)
 }
 
@@ -422,20 +276,9 @@ func (c *Combiner) Resolve(read func(addr int64) int64) (finals []Final, prefixe
 			}
 			v = c.fold(v, &ref.val, ref.N, ref.prefix)
 		} else {
-			addrs, base := a.Lanes, a.Base
-			if addrs == nil {
-				// A form of another stride: each lane its own address.
-				c.unfolded = slices.Grow(c.unfolded[:0], ref.N)[:ref.N]
-				isa.Ramp(c.unfolded, a.Base, a.Stride)
-				addrs, base = c.unfolded, 0
-			}
-			vl, vb, vs, prefix := ref.val.Lanes, ref.val.Base, ref.val.Stride, ref.prefix
-			for j, a := range addrs[:ref.N] {
-				a += base
-				x := vb + vs*int64(j)
-				if vl != nil {
-					x += vl[j]
-				}
+			addr, val, prefix := ref.addr, ref.val, ref.prefix
+			for j := range ref.N {
+				a, x := addr.At(j), val.At(j)
 				if acc == nil || acc.Addr != a {
 					if acc != nil {
 						acc.Val = v
@@ -507,8 +350,8 @@ func (c *Combiner) accumulator(a int64, read func(int64) int64) *Final {
 // fold folds the n values val into v, one address's running value, writing
 // the value each reference meets into prefix when it is set, and returns the
 // result. A value is read before its prefix is written.
-func (c *Combiner) fold(v int64, val *Operand, n int, prefix []int64) int64 {
-	if val.Lanes != nil && val.Base == 0 && val.Stride == 0 {
+func (c *Combiner) fold(v int64, val *mem.Operand, n int, prefix []int64) int64 {
+	if val.Lanes != nil && val.Base == 0 {
 		lanes := val.Lanes[:n]
 		switch {
 		case prefix == nil:
@@ -524,7 +367,7 @@ func (c *Combiner) fold(v int64, val *Operand, n int, prefix []int64) int64 {
 	}
 	apply := isa.EvalFn(c.kind)
 	for j := range n {
-		x := val.at(j)
+		x := val.At(j)
 		if prefix != nil {
 			prefix[j] = v
 		}
@@ -549,14 +392,12 @@ func (c *Combiner) gather() (n int, lo, hi int64) {
 	var end Key // of the run before
 	for _, l := range c.logs {
 		own := l == &c.own
-		// Where the next copied side or form starts in each column, the next
-		// side's lanes in refs, and the next reference of the log.
-		var ai, vi, ri, off int
+		cur, off := l.Cursor(), 0 // off: the log's next reference
 		for i := range l.Runs {
 			r := &l.Runs[i]
 			ref := runRef{Issue: r.Issue, prefix: r.Prefix, own: own, off: off}
-			ref.addr = l.operand(r.addr, l.Addrs, &ai, &ri, r.N)
-			ref.val = l.operand(r.val, l.Vals, &vi, &ri, r.N)
+			cur.Addr(&r.Run, &ref.addr)
+			cur.Val(&r.Run, &ref.val)
 			if own && r.Prefix != nil {
 				ref.prefix = c.pvals[off : off+r.N]
 			}
@@ -567,8 +408,9 @@ func (c *Combiner) gather() (n int, lo, hi int64) {
 			off += r.N
 		}
 		n += off
-		bounded = bounded && l.bounded == off
-		lo, hi = min(lo, l.lo), max(hi, l.hi)
+		llo, lhi, ok := l.Bounds()
+		bounded = bounded && ok
+		lo, hi = min(lo, llo), max(hi, lhi)
 	}
 	if prefix && !ordered {
 		c.sortRefs()
@@ -577,22 +419,6 @@ func (c *Combiner) gather() (n int, lo, hi int64) {
 		return n, 1, 0
 	}
 	return n, lo, hi
-}
-
-// operand returns the side s of n lanes whose words start at col[*at], and, when it
-// has lanes, whose lanes are refs[*ri]; it advances both past it.
-func (l *Log) operand(s side, col []int64, at, ri *int, n int) Operand {
-	if s == copied {
-		*at += n
-		return Operand{Lanes: col[*at-n : *at]}
-	}
-	o := Operand{Base: col[*at], Stride: col[*at+1]}
-	*at += 2
-	if s == withLanes {
-		o.Lanes = l.refs[*ri]
-		*ri++
-	}
-	return o
 }
 
 // sortRefs puts c.refs in key order. Runs whose key ranges interleave (one
@@ -609,7 +435,7 @@ func (c *Combiner) sortRefs() {
 				for j := 0; j < ref.N; j++ {
 					one := ref
 					one.Issue = mem.Issue{Flow: ref.Flow, Seq: ref.Seq, Thread0: ref.Thread0 + j, N: 1}
-					one.addr, one.val, one.off = ref.addr.from(j), ref.val.from(j), ref.off+j
+					one.addr, one.val, one.off = ref.addr.From(j), ref.val.From(j), ref.off+j
 					if ref.prefix != nil {
 						one.prefix = ref.prefix[j : j+1]
 					}

@@ -214,10 +214,8 @@ func TestKeyOrderingTotal(t *testing.T) {
 	}
 }
 
-// TestRunHeaderSize pins a run header: its issue, its prefix destination and
-// where each of its two sides lies. What a side held by reference needs — its
-// form and its lanes — lies in the log, not in every header (a copied run
-// carries none of it).
+// TestRunHeaderSize pins a combining run header: a mem.Run (its issue and
+// where each of its two sides lies) and its prefix destination.
 func TestRunHeaderSize(t *testing.T) {
 	if n := unsafe.Sizeof(Run{}); n > 64 {
 		t.Fatalf("multiop.Run is %d bytes, want at most 64", n)

@@ -53,11 +53,10 @@ func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 			to++
 		}
 		k := cs[from].Key
-		run := Run{Issue: mem.Issue{Flow: k.Flow, Seq: k.Seq, Thread0: k.Thread, N: to - from}}
+		is := mem.Issue{Flow: k.Flow, Seq: k.Seq, Thread0: k.Thread, N: to - from}
 		var dest []int64
 		if cs[from].WantPrefix {
 			dest = got[cs[from].Dest:][:to-from]
-			run.Prefix = dest
 		}
 		l := logs[from*len(logs)/len(cs)]
 		addrs, vals := make([]int64, to-from), make([]int64, to-from)
@@ -66,7 +65,8 @@ func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 		}
 		bound := rng.Intn(8) > 0
 		if rng.Intn(3) == 0 {
-			as, vs := l.Open(run)
+			r, as, vs := l.Open(is)
+			r.Prefix = dest
 			copy(as, addrs)
 			copy(vs, vals)
 		} else {
@@ -81,13 +81,13 @@ func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 			switch alias := rng.Intn(3); {
 			case dest == nil:
 			case alias == 0 && (v.Lanes != nil || rng.Intn(2) == 0):
-				v = Operand{Lanes: dest}
+				v = mem.Operand{Lanes: dest}
 				copy(dest, vals)
 			case alias == 1 && a.Lanes != nil:
 				copy(dest, a.Lanes)
 				a.Lanes = dest
 			}
-			l.Refer(run, a, v)
+			l.Refer(is, &a, &v).Prefix = dest
 		}
 		if bound {
 			l.Bound(slices.Min(addrs), slices.Max(addrs))
@@ -101,14 +101,14 @@ func logRuns(rng *rand.Rand, c *Combiner, cs []Contribution, got []int64) {
 
 // formOf returns the lanes w as an Operand: the form they lie in, when they
 // lie in one, and a bank of their own otherwise.
-func formOf(w []int64) Operand {
-	o := Operand{Base: w[0]}
+func formOf(w []int64) mem.Operand {
+	o := mem.Operand{Base: w[0]}
 	if len(w) > 1 {
 		o.Stride = w[1] - w[0]
 	}
 	for i, x := range w {
 		if x != o.Base+o.Stride*int64(i) {
-			return Operand{Lanes: slices.Clone(w)}
+			return mem.Operand{Lanes: slices.Clone(w)}
 		}
 	}
 	return o
@@ -271,11 +271,9 @@ func TestResolveInterleavedRuns(t *testing.T) {
 	c := NewCombiner(isa.ADD)
 	var l Log
 	late, early := make([]int64, 3), make([]int64, 3)
-	for _, r := range []Run{
-		{Issue: mem.Issue{Flow: 2, Seq: 1, Thread0: 0, N: 3}, Prefix: late},
-		{Issue: mem.Issue{Flow: 2, Seq: 0, Thread0: 0, N: 3}, Prefix: early},
-	} {
-		addrs, vals := l.Open(r)
+	for seq, prefix := range [][]int64{late, early} {
+		r, addrs, vals := l.Open(mem.Issue{Flow: 2, Seq: 1 - seq, Thread0: 0, N: 3})
+		r.Prefix = prefix
 		for i := range addrs {
 			addrs[i], vals[i] = 40, 1
 		}
@@ -313,14 +311,14 @@ func TestResolveRoutes(t *testing.T) {
 		got := make([]int64, 300)
 		var l Log
 		for r := 0; r < 3; r++ {
-			run := Run{Issue: mem.Issue{Flow: r, N: 100}, Prefix: got[100*r : 100*r+100]}
 			if tc.viaAdd {
 				for i := 0; i < 100; i++ {
 					c.Add(Contribution{Addr: 5 + int64((i*7+r)%64)*tc.spread, Val: int64(i ^ r), Key: Key{Flow: r, Thread: i}, WantPrefix: true, Dest: 100*r + i})
 				}
 				continue
 			}
-			addrs, vals := l.Open(run)
+			run, addrs, vals := l.Open(mem.Issue{Flow: r, N: 100})
+			run.Prefix = got[100*r : 100*r+100]
 			for i := range addrs {
 				addrs[i], vals[i] = 5+int64((i*7+r)%64)*tc.spread, int64(i^r)
 			}
@@ -374,12 +372,12 @@ func BenchmarkResolve(b *testing.B) {
 	// refer issues one run as the engine does: an address bank bounded in a
 	// read-only pass, or a flow-common address, and the values' bank.
 	refer := func(l *Log, flow int, prefix []int64, addrs []int64, one bool, vals []int64) {
-		r := Run{Issue: mem.Issue{Flow: flow, N: len(vals)}, Prefix: prefix}
+		is := mem.Issue{Flow: flow, N: len(vals)}
 		if one {
-			l.Refer(r, Operand{Base: 7}, Operand{Lanes: vals})
+			l.Refer(is, &mem.Operand{Base: 7}, &mem.Operand{Lanes: vals}).Prefix = prefix
 			return
 		}
-		l.Refer(r, Operand{Lanes: addrs}, Operand{Lanes: vals})
+		l.Refer(is, &mem.Operand{Lanes: addrs}, &mem.Operand{Lanes: vals}).Prefix = prefix
 		lo, hi := addrs[0], addrs[0]
 		for _, a := range addrs {
 			lo, hi = min(lo, a), max(hi, a)
@@ -398,7 +396,7 @@ func BenchmarkResolve(b *testing.B) {
 		}},
 		{"few_addr_sparse", func(l *Log) { refer(l, 0, nil, sparse, false, vals) }},
 		{"few_addr_copied", func(l *Log) {
-			addrs, vs := l.Open(Run{Issue: mem.Issue{N: T}})
+			_, addrs, vs := l.Open(mem.Issue{N: T})
 			lo, hi := few[0], few[0]
 			for t, a := range few {
 				addrs[t], vs[t] = a, vals[t]

@@ -1,13 +1,14 @@
 //go:build ignore
 
 // pairs.go summarises the runs scripts/pairs.sh made: it reads the raw JSON
-// lines parent.I.json and change.I.json (I = 1…n) from -raw and prints, in
-// markdown, a table of the pairs, a summary row per metric both sides
-// report — parent median [parent quartile spread], change median, ratio,
-// wins out of n, and whether the medians lie further apart than the spread —
-// and the raw lines. Whether a metric is better lower or higher comes from
-// -spec (BENCHMARK.json's end_to_end list); metrics it does not name are
-// better lower. It exits 1 when a run is not correct or failed an operation.
+// lines parent.I.json and change.I.json (I = 1…n), and control.I.json when
+// control.1.json is there, from -raw and prints, in markdown, a table of the
+// pairs, a summary row per metric every side reports — parent median [parent
+// quartile spread], change median, ratio, wins out of n, whether the medians
+// lie further apart than the spread and, with a control, the control's median
+// and its ratio to the parent's — and the raw lines. Whether a metric is
+// better lower or higher comes from -spec (BENCHMARK.json's end_to_end list);
+// metrics it does not name are better lower. It exits 1 when a run is not correct or failed an operation.
 package main
 
 import (
@@ -49,8 +50,13 @@ func main() {
 		}
 	}
 
-	sides := [2]string{"parent", "change"}
-	runs := [2][]run{}
+	sides := []string{"parent", "change"}
+	_, err := os.Stat(filepath.Join(*dir, "control.1.json"))
+	control := err == nil
+	if control {
+		sides = append(sides, "control")
+	}
+	runs := make([][]run, len(sides))
 	var bad []string
 	for i := 1; i <= *n; i++ {
 		for k, side := range sides {
@@ -87,26 +93,35 @@ func main() {
 	slices.Sort(names)
 
 	fmt.Printf("### %s\n\n", *title)
-	fmt.Println("Pair i ran both sides back to back, the parent first in odd pairs. Each cell is parent → change.")
+	fmt.Printf("Pair i ran the sides back to back, pair 1 in the order %s and each pair after it starting with the side after the one the pair before started with. Each cell is %s.\n", strings.Join(sides, ", "), strings.Join(sides, " → "))
 	fmt.Println()
 	fmt.Printf("| pair | first | correct, failed | %s |\n", strings.Join(names, " | "))
 	fmt.Printf("|---|---|---|%s\n", strings.Repeat("---|", len(names)))
 	for i := 0; i < *n; i++ {
-		first := "parent"
-		if i%2 == 1 {
-			first = "change"
+		var correct, failed []string
+		for k := range sides {
+			correct = append(correct, fmt.Sprint(runs[k][i].Correct))
+			failed = append(failed, fmt.Sprint(runs[k][i].Failed))
 		}
-		p, c := runs[0][i], runs[1][i]
-		cells := []string{fmt.Sprint(i + 1), first, fmt.Sprintf("%t/%t, %d/%d", p.Correct, c.Correct, p.Failed, c.Failed)}
+		cells := []string{fmt.Sprint(i + 1), sides[i%len(sides)], strings.Join(correct, "/") + ", " + strings.Join(failed, "/")}
 		for _, name := range names {
-			cells = append(cells, fmt.Sprintf("%.4g → %.4g", p.Metrics[name].Value, c.Metrics[name].Value))
+			var vs []string
+			for k := range sides {
+				vs = append(vs, fmt.Sprintf("%.4g", runs[k][i].Metrics[name].Value))
+			}
+			cells = append(cells, strings.Join(vs, " → "))
 		}
 		fmt.Printf("| %s |\n", strings.Join(cells, " | "))
 	}
 
 	fmt.Println()
-	fmt.Println("| metric | parent median [quartile spread] | change median | ratio | wins | apart |")
-	fmt.Println("|---|---|---|---|---|---|")
+	if control {
+		fmt.Println("| metric | parent median [quartile spread] | change median | ratio | wins | apart | control median | control ratio |")
+		fmt.Println("|---|---|---|---|---|---|---|---|")
+	} else {
+		fmt.Println("| metric | parent median [quartile spread] | change median | ratio | wins | apart |")
+		fmt.Println("|---|---|---|---|---|---|")
+	}
 	for _, name := range names {
 		var pv, cv []float64
 		wins := 0
@@ -124,7 +139,16 @@ func main() {
 		if d := cm - pm; d > spread || -d > spread {
 			apart = "yes"
 		}
-		fmt.Printf("| `%s` | %.4g [%.3g] | %.4g | %.3f | %d/%d | %s |\n", name, pm, spread, cm, ratio, wins, *n, apart)
+		fmt.Printf("| `%s` | %.4g [%.3g] | %.4g | %.3f | %d/%d | %s |", name, pm, spread, cm, ratio, wins, *n, apart)
+		if control {
+			var kv []float64
+			for _, r := range runs[2] {
+				kv = append(kv, r.Metrics[name].Value)
+			}
+			km := quantile(kv, 0.5)
+			fmt.Printf(" %.4g | %.3f |", km, km/pm)
+		}
+		fmt.Println()
 	}
 
 	fmt.Println()
