@@ -693,7 +693,7 @@ func (ff *funcFacts) solve(callThick []thickState) {
 }
 
 // noteCeiling raises the program's thickness ceiling to what the function's
-// reachable block states and parallel-arm thicknesses reach.
+// reachable blocks reach on entry and after each statement, and its arms.
 func (ff *funcFacts) noteCeiling() {
 	ceiling := &ff.pf.ceiling
 	note := func(t thick) {
@@ -710,8 +710,12 @@ func (ff *funcFacts) noteCeiling() {
 		if !st.seen || !bl.reachable {
 			continue
 		}
-		note(st.t)
-		note(ff.blockOutThick(bl))
+		t := st.t
+		note(t)
+		for i := range bl.leaves {
+			t = bl.leaves[i].transfer(t)
+			note(t)
+		}
 		if bl.arm != nil {
 			note(bl.armThick)
 		}

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcfpram/internal/analysis"
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/variant"
@@ -68,11 +69,14 @@ func compileCorpus(tb testing.TB, file string) (*codegen.Compiled, func(*machine
 	}
 }
 
+// compileSrc compiles src as tcfserve's vet gate does, which records the
+// analyzer's thickness ceiling (codegen.Compiled.ThickCeiling) that newCell
+// holds the oracle to.
 func compileSrc(tb testing.TB, name, src string) *codegen.Compiled {
 	tb.Helper()
-	c, err := codegen.CompileSource(name, src)
-	if err != nil {
-		tb.Fatalf("compile %s: %v", name, err)
+	ds, c, err := analysis.AnalyzeAndCompile(name, src, analysis.Options{})
+	if c == nil {
+		tb.Fatalf("compile %s: %v %v", name, err, ds)
 	}
 	return c
 }

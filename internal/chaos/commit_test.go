@@ -1,5 +1,10 @@
 package chaos
 
+import (
+	"tcfpram/internal/codegen"
+	"tcfpram/internal/isa"
+)
+
 // commitPrograms are tcfbench's three commit-bound kernels (bench/gen:
 // scatter-crcw, histogram, scan) at small thickness, still thick enough for
 // mem.Shared's parallel resolution to engage, plus the same traffic from
@@ -135,4 +140,23 @@ func combine(base) {
         madd(&word, 1 + i);
     }
 }`,
+}
+
+// bankOffsetProgram combines through a thread-wise address register plus a
+// non-zero offset, which codegen never emits (it folds an array's base into
+// the register): at 128 lanes, a madd and an mpadd onto words offset + (5·tid
+// & 15) of two arrays, whose prefixes are stored, so that the combiners read
+// an address bank plus its offset where it lies.
+func bankOffsetProgram() *codegen.Compiled {
+	b := isa.NewBuilder("bank-offset")
+	b.Label("main")
+	b.SetThickImm(128)
+	b.Id(isa.TID, isa.V(0))
+	b.ALUI(isa.MUL, isa.V(1), isa.V(0), 5)
+	b.ALUI(isa.AND, isa.V(1), isa.V(1), 15)
+	b.Multi(isa.MADD, isa.V(1), 1024, isa.V(0))
+	b.Prefix(isa.MPADD, isa.V(2), isa.V(1), 1040, isa.V(0))
+	b.St(isa.V(0), 1100, isa.V(2))
+	b.Halt()
+	return &codegen.Compiled{Program: b.MustBuild()}
 }

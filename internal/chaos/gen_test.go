@@ -10,16 +10,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
 
 	"tcfpram/bench/gen"
+	"tcfpram/internal/analysis"
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
-	"tcfpram/internal/mem"
 	"tcfpram/internal/variant"
 )
 
@@ -52,6 +51,83 @@ func small(c *machine.Config) { c.SharedWords = 1 << 12 }
 // autoSplit4 is single-instruction auto-splitting flows thicker than 4.
 var autoSplit4 = shape{name: "single-instruction-autosplit4", kind: variant.SingleInstruction,
 	tweak: func(c *machine.Config) { small(c); c.AutoSplitThreshold = 4 }}
+
+// autoSplits are the three TCF variants, each changed by tweak, auto-splitting
+// flows thicker than 4, 8 and 16, in fresh and admitted only: relate holds
+// each to its variant's unsplit shape, named as it is up to "-autosplit".
+func autoSplits(tweak func(*machine.Config)) []shape {
+	var ss []shape
+	for _, n := range []int{4, 8, 16} {
+		for _, s := range on(tcfKinds, tweak) {
+			s.name, s.quick = fmt.Sprintf("%s-autosplit%d", s.name, n), []string{"fresh", "admitted"}
+			s.tweak = func(c *machine.Config) {
+				if tweak != nil {
+					tweak(c)
+				}
+				c.AutoSplitThreshold = n
+			}
+			ss = append(ss, s)
+		}
+	}
+	return ss
+}
+
+// splitPrograms run under the CREW checker on the TCF variants, unsplit and
+// on autoSplits. They are the ways a fragment used to lose part of its flow —
+// the lanes it should start with, the lanes it should hand back, the call it
+// runs in — or to do twice what the flow does once, and siblings that wait
+// for queued ones.
+var splitPrograms = []struct{ name, src string }{
+	{"lanes-into-fragments", `
+shared int a[16] @ 1024;
+func main() {
+    #4;
+    thick int v = tid + 100;
+    #16;
+    a[tid] = v;
+}`},
+	{"lanes-out-of-fragments", `
+shared int a[16] @ 1024;
+func main() {
+    #16;
+    thick int v = tid + 100;
+    #4;
+    a[tid] = v;
+}`},
+	{"split-in-a-call", `
+shared int a[16] @ 1024;
+shared int done @ 1100;
+func fill() {
+    #16;
+    a[tid] = tid + 1;
+}
+func main() {
+    fill();
+    #1;
+    done = 7;
+    print(done);
+}`},
+	{"store-once", `
+shared int a[16] @ 1024;
+shared int done @ 1100;
+func main() {
+    #16;
+    a[tid] = tid;
+    done = 7;
+    a[tid] = a[tid] + done;
+}`},
+	{"queued-siblings", `
+shared int a[256] @ 1024;
+shared int b[256] @ 2048;
+func main() {
+    #256;
+    a[tid] = tid * 3;
+    b[tid] = a[(tid + 1) % 256] + a[(tid + 255) % 256];
+    a[tid] = b[(tid * 7) % 256];
+    #1;
+    print(radd(a[tid]));
+}`},
+}
 
 // genShapes are the machines a generated program runs on: kinds, and
 // Balanced once per bound.
@@ -227,8 +303,9 @@ func genNUMADiff(seed int64) entry {
 // It is compiled from source and held to the generator's Go reference, which
 // shares no code with the compiler: the values it prints and the words of
 // its Peek ranges. It runs on the three TCF variants, on Balanced at bound 3
-// and auto-split at thickness 4; the thread variants would stop at its first
-// thickness statement.
+// and on autoSplits, whose single-instruction shape at 4 runs every row of
+// a full seed; the thread variants would stop at its first thickness
+// statement.
 func genTCFE(seed int64) entry {
 	if seed >= 1 && seed <= tcfeSeeds {
 		return tcfeEntries()[seed-1]
@@ -249,11 +326,13 @@ var tcfeEntries = sync.OnceValue(func() (es []entry) {
 func buildTCFE(seed int64) entry {
 	p := gen.NewGenerator(seed, "lattice").Next()
 	name := fmt.Sprintf("gen-tcfe-%d", seed) // p.Name is gen-lattice-1 for every seed
-	c, err := codegen.CompileSource(name, p.Source)
-	if err != nil {
-		panic(fmt.Sprintf("compile %s: %v\n%s", name, err, p.Source))
+	ds, c, err := analysis.AnalyzeAndCompile(name, p.Source, analysis.Options{})
+	if c == nil {
+		panic(fmt.Sprintf("compile %s: %v %v\n%s", name, err, ds, p.Source))
 	}
-	return entry{name: name, c: c, shapes: append(genShapes(tcfKinds, 3), autoSplit4), quick: []string{"admitted"},
+	shapes := append(genShapes(tcfKinds, 3), autoSplits(small)...)
+	shapes[4].quick = nil // single-instruction-autosplit4: every row of a full seed
+	return entry{name: name, c: c, shapes: shapes, quick: []string{"admitted"},
 		check: func(m *machine.Machine) error {
 			return p.Check(printed(m), func(i int) []int64 { return m.Shared().Snapshot(p.Peek[i].Addr, p.Peek[i].N) })
 		}}
@@ -271,11 +350,13 @@ func printed(m *machine.Machine) []int64 {
 // TestGeneratedEntriesEngage: the gen-tcfe entries exercise what they are in
 // the lattice for. Across the seeds TestLattice runs, single-instruction
 // splits flows and joins them, does multioperations and changes the main
-// flow's thickness, each on three quarters of the seeds, and an auto-split
-// shape splits on at least one: a generator change that empties the
-// programs fails here rather than passing every row.
+// flow's thickness, each on three quarters of the seeds, and its auto-split
+// shapes at thresholds 4, 8 and 16 split on 40, 32 and 19 of them: a
+// generator change that empties the programs fails here rather than passing
+// every row.
 func TestGeneratedEntriesEngage(t *testing.T) {
-	var splits, joins, multiops, thickens, autoSplits, autoShapes int
+	var splits, joins, multiops, thickens int
+	autoSplits := map[int]int{}
 	for seed := int64(1); seed <= tcfeSeeds; seed++ {
 		e := genTCFE(seed)
 		for _, s := range e.shapes {
@@ -293,9 +374,8 @@ func TestGeneratedEntriesEngage(t *testing.T) {
 				t.Fatalf("%s/%s: %v", e.name, s.name, err)
 			}
 			st := m.Stats()
-			if cfg.AutoSplitThreshold > 0 {
-				autoShapes++
-				autoSplits += min(1, int(st.AutoSplits))
+			if n := cfg.AutoSplitThreshold; n > 0 {
+				autoSplits[n] += min(1, int(st.AutoSplits))
 				continue
 			}
 			splits += min(1, int(st.Splits))
@@ -311,191 +391,11 @@ func TestGeneratedEntriesEngage(t *testing.T) {
 			t.Errorf("a %s on %d of %d seeds, want three quarters", what, n, tcfeSeeds)
 		}
 	}
-	if autoShapes > 0 && autoSplits == 0 {
-		t.Errorf("no auto-split shape split on any of %d seeds", tcfeSeeds)
-	}
-}
-
-// TestAutoSplitTransparent: Section 3.3's OS splitting is an implementation
-// detail no program can see. Every gen-tcfe program and every corpus program
-// runs on the three TCF variants at AutoSplitThreshold 4, 8 and 16, and each
-// run must complete, print the values and text the same run unsplit prints,
-// in its order — the flow and step of an output may differ — and leave the
-// same shared memory. The named programs, under the CREW checker, are the
-// ways a fragment used to lose part of its flow — the lanes it should start
-// with, the lanes it should hand back, the call it runs in — or to do twice
-// what the flow does once, and siblings that wait for queued ones. The
-// thresholds must really split: on 40, 32 and 19 of the gen-tcfe seeds on
-// single-instruction.
-func TestAutoSplitTransparent(t *testing.T) {
-	type program struct {
-		name string
-		c    *codegen.Compiled
-		cfg  func(*machine.Config)
-	}
-	crew := func(c *machine.Config) {
-		small(c)
-		c.MemDiscipline = mem.DisciplineCREW
-	}
-	var ps []program
-	for _, n := range []struct{ name, src string }{
-		{"lanes-into-fragments", `
-shared int a[16] @ 1024;
-func main() {
-    #4;
-    thick int v = tid + 100;
-    #16;
-    a[tid] = v;
-}`},
-		{"lanes-out-of-fragments", `
-shared int a[16] @ 1024;
-func main() {
-    #16;
-    thick int v = tid + 100;
-    #4;
-    a[tid] = v;
-}`},
-		{"split-in-a-call", `
-shared int a[16] @ 1024;
-shared int done @ 1100;
-func fill() {
-    #16;
-    a[tid] = tid + 1;
-}
-func main() {
-    fill();
-    #1;
-    done = 7;
-    print(done);
-}`},
-		{"store-once", `
-shared int a[16] @ 1024;
-shared int done @ 1100;
-func main() {
-    #16;
-    a[tid] = tid;
-    done = 7;
-    a[tid] = a[tid] + done;
-}`},
-		{"queued-siblings", `
-shared int a[256] @ 1024;
-shared int b[256] @ 2048;
-func main() {
-    #256;
-    a[tid] = tid * 3;
-    b[tid] = a[(tid + 1) % 256] + a[(tid + 255) % 256];
-    a[tid] = b[(tid * 7) % 256];
-    #1;
-    print(radd(a[tid]));
-}`},
-	} {
-		ps = append(ps, program{n.name, compileSrc(t, n.name, n.src), crew})
-	}
-	for _, file := range corpusFiles(t) {
-		c, _ := compileCorpus(t, file)
-		ps = append(ps, program{filepath.Base(file), c, func(*machine.Config) {}})
-	}
-	firstGen := len(ps)
-	for _, e := range tcfeEntries() {
-		ps = append(ps, program{e.name, e.c, small})
-	}
-	thresholds := []int{4, 8, 16}
-	splitSeeds := make([]int, len(thresholds))
-	for i, p := range ps {
-		for _, kind := range tcfKinds {
-			cfg := machine.Default(kind)
-			p.cfg(&cfg)
-			plain, err := runVisible(t, p.c, cfg)
-			if err != nil {
-				t.Fatalf("%s on %v unsplit: %v", p.name, kind, err)
-			}
-			for k, th := range thresholds {
-				cfg.AutoSplitThreshold = th
-				split, err := runVisible(t, p.c, cfg)
-				if err != nil {
-					t.Errorf("%s on %v at threshold %d stopped: %v", p.name, kind, th, err)
-					continue
-				}
-				if err := plain.same(split); err != nil {
-					t.Errorf("%s on %v at threshold %d: %v", p.name, kind, th, err)
-				}
-				if i >= firstGen && kind == variant.SingleInstruction && split.autoSplits > 0 {
-					splitSeeds[k]++
-				}
-			}
+	for n, want := range map[int]int{4: 40, 8: 32, 16: 19} {
+		if autoSplits[n] != want {
+			t.Errorf("threshold %d split on %d seeds, want %d", n, autoSplits[n], want)
 		}
 	}
-	for k, want := range []int{40, 32, 19} {
-		if splitSeeds[k] != want {
-			t.Errorf("threshold %d split on %d gen-tcfe seeds, want %d", thresholds[k], splitSeeds[k], want)
-		}
-	}
-}
-
-// TestAutoSplitNeverWrong holds auto-split runs to the generator's own check,
-// an oracle that does not lean on the unsplit run TestAutoSplitTransparent
-// compares against. Each gen-tcfe program runs on the three TCF variants with
-// AutoSplitThreshold 8, where most of them split; every run must complete and
-// pass the check. A fragment that prints a flow-level value prints it once
-// per fragment ("printed 11 values, want 5").
-func TestAutoSplitNeverWrong(t *testing.T) {
-	split := 0
-	for seed := int64(1); seed <= tcfeSeeds; seed++ {
-		e := genTCFE(seed)
-		for _, kind := range tcfKinds {
-			cfg := machine.Default(kind)
-			small(&cfg)
-			cfg.AutoSplitThreshold = 8
-			m := buildRun(t, e.c, cfg)
-			if _, err := m.Run(); err != nil {
-				t.Errorf("%s on %v at threshold 8 stopped: %v", e.name, kind, err)
-				continue
-			}
-			if err := e.check(m); err != nil {
-				t.Errorf("%s on %v: auto-split answered wrong: %v", e.name, kind, err)
-			}
-			split += min(1, int(m.Stats().AutoSplits))
-		}
-	}
-	if split == 0 {
-		t.Error("no run split a flow: the test holds nothing")
-	}
-}
-
-// visible is what a program can see of its run — what it printed, values and
-// text in order, and the whole shared memory — and whether it auto-split.
-type visible struct {
-	values     [][]int64
-	texts      []string
-	memory     []int64
-	autoSplits int64
-}
-
-func runVisible(tb testing.TB, c *codegen.Compiled, cfg machine.Config) (visible, error) {
-	m := buildRun(tb, c, cfg)
-	if _, err := m.Run(); err != nil {
-		return visible{}, err
-	}
-	var v visible
-	for _, out := range m.Outputs() {
-		v.values, v.texts = append(v.values, out.Values), append(v.texts, out.Text)
-	}
-	v.memory = m.Shared().Snapshot(0, cfg.SharedWords)
-	v.autoSplits = m.Stats().AutoSplits
-	return v, nil
-}
-
-// same compares split, a run's visible result, with v, the same run's unsplit.
-func (v visible) same(split visible) error {
-	if !slices.EqualFunc(v.values, split.values, slices.Equal) || !slices.Equal(v.texts, split.texts) {
-		return fmt.Errorf("printed %v %q, unsplit %v %q", split.values, split.texts, v.values, v.texts)
-	}
-	for a := range v.memory {
-		if v.memory[a] != split.memory[a] {
-			return fmt.Errorf("word %d = %d, unsplit %d", a, split.memory[a], v.memory[a])
-		}
-	}
-	return nil
 }
 
 // saxpyKernel is tcfbench's saxpy-loop at the given thickness, compiled.

@@ -16,12 +16,14 @@ import (
 	"testing"
 	"unsafe"
 
+	"tcfpram/bench/gen"
 	"tcfpram/internal/analysis"
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/mem"
 	"tcfpram/internal/serve"
+	"tcfpram/internal/tcf"
 	"tcfpram/internal/variant"
 	"tcfpram/internal/workload"
 )
@@ -50,6 +52,7 @@ type shape struct {
 	name  string
 	kind  variant.Kind
 	tweak func(*machine.Config)
+	quick []string // when set, the only rows the shape runs in
 }
 
 // on is one shape per kind, named after it, each changed by tweak.
@@ -136,19 +139,20 @@ var affineShapes = append(on(allKinds, small),
 		tweak: func(c *machine.Config) { small(c); c.AutoSplitThreshold = 100 }})
 
 // programs is the lattice's one program list: the tcf-e corpus on every
-// variant, each held to its "// EXPECT:" line (to extend it, add a .te file
-// with an EXPECT line to internal/codegen/testdata); the commit-bound, gather
-// and 513-lane programs and three
-// workload kernels at 2^10 on single-instruction; the affine program on
-// affineShapes; the occupancy cases on the variants and machine shapes that
-// idle their groups; and the seeds of each generator, quick past its first
-// full.
+// variant and on autoSplits, each held to its "// EXPECT:" line (to extend
+// it, add a .te file with an EXPECT line to internal/codegen/testdata); the
+// commit-bound, gather, 513-lane and bank-offset programs and three workload
+// kernels at 2^10 on single-instruction; the affine program on affineShapes;
+// splitPrograms; the occupancy cases on the variants and machine shapes that
+// idle their groups; the five engine-thick kernels at 2^10 on the TCF
+// variants, in fresh, step and reset; and the seeds of each generator, quick
+// past its first full.
 func programs(tb testing.TB) []entry {
 	tb.Helper()
 	var es []entry
 	for _, file := range corpusFiles(tb) {
 		c, check := compileCorpus(tb, file)
-		es = append(es, entry{name: filepath.Base(file), c: c, shapes: on(allKinds, nil), check: check})
+		es = append(es, entry{name: filepath.Base(file), c: c, shapes: append(on(allKinds, nil), autoSplits(nil)...), check: check})
 	}
 	srcs := maps.Clone(commitPrograms)
 	srcs["gather"], srcs["lane-parallel"] = gatherSrc, laneParSrc
@@ -160,7 +164,12 @@ func programs(tb testing.TB) []entry {
 	for _, name := range names {
 		es = append(es, entry{name: name, c: compileSrc(tb, name, srcs[name]), shapes: on(siOnly, nil)})
 	}
+	es = append(es, entry{name: "bank-offset", c: bankOffsetProgram(), shapes: on(siOnly, nil)})
 	es = append(es, entry{name: "affine", c: compileSrc(tb, "affine", affineSrc), shapes: affineShapes})
+	crewSmall := func(c *machine.Config) { small(c); crew(c) }
+	for _, p := range splitPrograms {
+		es = append(es, entry{name: p.name, c: compileSrc(tb, p.name, p.src), shapes: append(on(tcfKinds, crewSmall), autoSplits(crewSmall)...)})
+	}
 	for _, oc := range occupancyCases {
 		es = append(es, entry{name: oc.name, c: compileSrc(tb, oc.name, oc.src), shapes: on(oc.kinds, oc.tweak), check: occupancyCheck(tb, oc.name)})
 	}
@@ -170,6 +179,18 @@ func programs(tb testing.TB) []entry {
 		workload.ConditionalHalves(workload.StyleTCF, 1<<10),
 	} {
 		es = append(es, entry{name: w.Name, c: &codegen.Compiled{Program: w.Program}, shapes: on(siOnly, nil), check: w.Check})
+	}
+	for _, p := range gen.ThickKernels(1, gen.ThickShape{Thickness: 1 << 10, SharedWords: 1 << 15}) {
+		e := entry{name: "thick-" + p.Name, c: compileSrc(tb, p.Name, p.Source), quick: []string{"fresh", "step", "reset"},
+			shapes: on(tcfKinds, func(c *machine.Config) { c.SharedWords = p.SharedWords; c.BalancedBound = 100 })}
+		if p.Discipline != "crcw" {
+			es = append(es, e)
+			continue
+		}
+		for _, s := range e.shapes { // an arbitrary-CRCW answer differs between variants, which relate would compare
+			e.name, e.shapes = "thick-"+p.Name+"-"+s.name, []shape{s}
+			es = append(es, e)
+		}
 	}
 	for seed := int64(1); seed <= genSeeds; seed++ { // seed by seed: a cell's other program follows the order
 		for _, gen := range generators {
@@ -414,9 +435,11 @@ func costLaw(m *machine.Machine) error {
 }
 
 // newCell runs the oracle of e on s. The oracle is held to the cost law, to
-// e's own reference, and, when it stops with an error, to the capabilities of
-// its variant: only a variant without every capability refuses a program, and
-// then it says which capability.
+// e's own reference, when it stops with an error to the capabilities of its
+// variant — only a variant without every capability refuses a program, and
+// then it says which capability — and, on a TCF variant, to the thickness
+// ceiling the analyzer recorded for a tcf-e program: no flow is thicker,
+// unless the ceiling is unbounded (-1).
 func newCell(t testing.TB, e, other *entry, s shape) *cell {
 	t.Helper()
 	cfg := machine.Default(s.kind)
@@ -424,7 +447,7 @@ func newCell(t testing.TB, e, other *entry, s shape) *cell {
 		s.tweak(&cfg)
 	}
 	build := buildOracle
-	if e.quick != nil {
+	if e.quick != nil || s.quick != nil {
 		build = buildReference // no quick row traces
 	}
 	m := build(t, e.c, cfg)
@@ -441,6 +464,9 @@ func newCell(t testing.TB, e, other *entry, s shape) *cell {
 		if err := e.check(m); err != nil {
 			t.Fatalf("%s: the oracle fails the program's reference: %v", c.name, err)
 		}
+	}
+	if ceiling, got := e.c.ThickCeiling, m.KernelStats().MaxThickness; ceiling > 0 && got > ceiling && slices.Contains(tcfKinds, s.kind) {
+		t.Fatalf("%s: the analyzer's thickness ceiling is %d, the oracle's flows reached %d", c.name, ceiling, got)
 	}
 	return c
 }
@@ -487,8 +513,6 @@ func stepped(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome 
 // row is about, which is when the row engages.
 func reused(dirty func(t *testing.T, c *cell, cfg machine.Config, build builder) (*machine.Machine, bool)) lifecycle {
 	return func(t *testing.T, c *cell, cfg machine.Config, build builder) *outcome {
-		mem.ResetAudit.Store(true)
-		defer mem.ResetAudit.Store(false)
 		m, stopped := dirty(t, c, cfg, build)
 		m.Reset()
 		if err := m.SetLimits(cfg.MaxSteps, cfg.MaxThickness); err != nil {
@@ -673,8 +697,6 @@ func restoredOther(t *testing.T, c *cell, cfg machine.Config, build builder) (*m
 // on, every Reset audited. The row engages where the quota stopped the first
 // lease.
 func pooled(t *testing.T, c *cell, cfg machine.Config, _ builder) *outcome {
-	mem.ResetAudit.Store(true)
-	defer mem.ResetAudit.Store(false)
 	pool := serve.NewMachinePool(1)
 	lease := func(maxSteps int64, prog *codegen.Compiled) *serve.Lease {
 		l, err := pool.Get(cfg)
@@ -748,8 +770,6 @@ func killed(times int) lifecycle {
 		if times == 2 {
 			k = 1 + (k-1)%((total-1)/2)
 		}
-		mem.ResetAudit.Store(true)
-		defer mem.ResetAudit.Store(false)
 		sink := &killSink{}
 		var m *machine.Machine
 		var writes int64
@@ -987,9 +1007,11 @@ func hold(t *testing.T, r row, c *cell) bool {
 // model says relates them: every shape that completes the program leaves the
 // same shared memory; single-instruction, balanced, multi-instruction and
 // fixed-thickness print the same values; the per-thread variants, listed after
-// one of those, print what it printed in a step P·Tp times in a row. (A
-// variant that refuses a program refuses it under every row: rows compare
-// errors.)
+// one of those, print what it printed in a step P·Tp times in a row; and
+// Section 3.3's OS splitting is invisible to the program: an auto-split shape
+// completes where its variant's unsplit shape does, and prints the same texts
+// in the same order too. (A variant that refuses a program refuses it under
+// every row: rows compare errors.)
 func relate(t *testing.T, shapes []shape, oracles []*outcome) {
 	if slices.Contains(oracles, nil) {
 		t.Skip("the oracles come from the shapes' subtests: -run the whole program to relate its variants")
@@ -1000,8 +1022,24 @@ func relate(t *testing.T, shapes []shape, oracles []*outcome) {
 		}
 		return v
 	}
+	texts := func(outs []machine.Output) (s []string) {
+		for _, o := range outs {
+			s = append(s, o.Text)
+		}
+		return s
+	}
 	first, printer := -1, -1 // the first shape to complete, the first of those that prints per step
 	for i, o := range oracles {
+		if base, _, split := strings.Cut(shapes[i].name, "-autosplit"); split {
+			j := slices.IndexFunc(shapes, func(s shape) bool { return s.name == base })
+			switch {
+			case j < 0 || oracles[j].err != nil:
+			case o.err != nil:
+				t.Errorf("%s stops with %v, %s completes", shapes[i].name, o.err, base)
+			case !slices.Equal(texts(o.outputs), texts(oracles[j].outputs)):
+				t.Errorf("%s prints %q, %s %q", shapes[i].name, texts(o.outputs), base, texts(oracles[j].outputs))
+			}
+		}
 		if o.err != nil {
 			continue
 		}
@@ -1035,11 +1073,33 @@ func relate(t *testing.T, shapes []shape, oracles []*outcome) {
 	}
 }
 
+// poisoned runs tb's machines with tcf.PoisonBanks and mem.ResetAudit on: every
+// bank the register arenas lend comes filled with tcf.Poison, as a pooled
+// machine's come with an earlier tenant's lanes, so that a lane a row reads
+// before the run wrote it differs from the oracle's, which never takes a bank
+// unzeroed; and every Reset checks that it left no word written.
+func poisoned(tb testing.TB) {
+	tcf.PoisonBanks.Store(true)
+	mem.ResetAudit.Store(true)
+	tb.Cleanup(func() {
+		tcf.PoisonBanks.Store(false)
+		mem.ResetAudit.Store(false)
+	})
+}
+
+// runs says whether row runs in shape s of e: neither leaves it out.
+func runs(e *entry, s shape, row string) bool {
+	in := func(quick []string) bool { return quick == nil || slices.Contains(quick, row) }
+	return in(e.quick) && in(s.quick)
+}
+
 // TestLattice is the one differential harness of the engine: every program of
-// the list, on every shape it runs on, under every row, is held to the oracle
-// of its (program, shape) by compare. Subtests are
-// TestLattice/<program>/<shape>/<row> (DESIGN.md §5).
+// the list, on every shape it runs on, under every row, poisoned, is held to
+// the oracle of its (program, shape) by compare, and its shapes' oracles to
+// one another by relate. Subtests are TestLattice/<program>/<shape>/<row> and
+// TestLattice/<program>/variants (DESIGN.md §5).
 func TestLattice(t *testing.T) {
+	poisoned(t)
 	progs := programs(t)
 	// row → cells it must run in, cells it ran in, programs it engaged on
 	cells, ran, hits := map[string]int{}, map[string]int{}, map[string]int{}
@@ -1049,12 +1109,10 @@ func TestLattice(t *testing.T) {
 		e, other := &progs[i], &progs[(i+1)%len(progs)]
 		for _, s := range e.shapes {
 			shapes[s.kind]++
-		}
-		var rs []row
-		for _, r := range rows {
-			if e.quick == nil || slices.Contains(e.quick, r.name) {
-				rs = append(rs, r)
-				cells[r.name] += len(e.shapes)
+			for _, r := range rows {
+				if runs(e, s, r.name) {
+					cells[r.name]++
+				}
 			}
 		}
 		t.Run(e.name, func(t *testing.T) {
@@ -1067,7 +1125,10 @@ func TestLattice(t *testing.T) {
 					if oracles[k].err == nil {
 						completed[s.kind]++
 					}
-					for _, r := range rs {
+					for _, r := range rows {
+						if !runs(e, s, r.name) {
+							continue
+						}
 						t.Run(r.name, func(t *testing.T) {
 							ran[r.name]++
 							if hold(t, r, c) {
@@ -1104,6 +1165,7 @@ func TestLattice(t *testing.T) {
 // indexes the program list and then the generators, which build from seed;
 // variant indexes the program's shapes.
 func FuzzLattice(f *testing.F) {
+	poisoned(f)
 	progs := programs(f)
 	for i := range rows { // every row, every variant of a corpus program
 		f.Add(int64(i), i, i, i)
@@ -1120,8 +1182,9 @@ func FuzzLattice(f *testing.F) {
 		} else {
 			e = generators[p-len(progs)].build(seed)
 		}
-		e.quick = nil // any row runs here: its oracle traces
-		c := newCell(t, &e, &progs[at(p+1, len(progs))], e.shapes[at(kind, len(e.shapes))])
+		s := e.shapes[at(kind, len(e.shapes))]
+		e.quick, s.quick = nil, nil // any row runs here: its oracle traces
+		c := newCell(t, &e, &progs[at(p+1, len(progs))], s)
 		hold(t, rows[at(r, len(rows))], c)
 	})
 }

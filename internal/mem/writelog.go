@@ -143,10 +143,12 @@ type WriteLog = Log[Run, *Run]
 // Len returns the number of references.
 func (l *Log[R, H]) Len() int { return l.n }
 
-// Reset empties the log, keeping its arrays and dropping the runs' hold on
-// the lanes they referred to and on whatever else they carry.
+// Reset empties the log, keeping its arrays and dropping its hold on lanes:
+// the refs', and the runs' where R carries more than a Run (a Prefix).
 func (l *Log[R, H]) Reset() {
-	clear(l.Runs)
+	if _, plain := any(H(nil)).(*Run); !plain {
+		clear(l.Runs)
+	}
 	clear(l.refs)
 	l.Addrs, l.Vals, l.Runs, l.refs = l.Addrs[:0], l.Vals[:0], l.Runs[:0], l.refs[:0]
 	l.n, l.bounded = 0, 0
@@ -223,8 +225,7 @@ func (l *Log[R, H]) hold(col *[]int64, o *Operand, n int) side {
 // new copied run otherwise.
 func (l *Log[R, H]) Append(addr, val int64, k Key) {
 	l.extend(k, 1)
-	l.Addrs = append(l.Addrs, addr)
-	l.Vals = append(l.Vals, val)
+	l.Addrs, l.Vals = append(l.Addrs, addr), append(l.Vals, val)
 	l.widen(addr, addr, 1)
 }
 
@@ -245,8 +246,7 @@ func (l *Log[R, H]) extend(k Key, n int) {
 // push appends a run of the references is, its sides as a and v say and
 // carrying nothing else yet, and returns it.
 func (l *Log[R, H]) push(is Issue, a, v side) *R {
-	var r R
-	l.Runs = append(l.Runs, r)
+	l.Runs = append(l.Runs, *new(R))
 	p := &l.Runs[len(l.Runs)-1]
 	h := H(p).head()
 	h.Issue, h.addr, h.val = is, a, v
